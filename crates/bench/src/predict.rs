@@ -1,6 +1,7 @@
 //! Fast analytic predictor: compute the contention-free Hockney makespan of
 //! a scatter-ring broadcast *without running any threads*, by evaluating the
-//! algorithm's static communication schedule as a dependency graph.
+//! algorithm's symbolic communication schedule
+//! ([`bcast_core::bcast::bcast_schedule`]) as a dependency graph.
 //!
 //! This is the classic α–β paper-napkin model made executable: each rank's
 //! operations form a chain, each matched (send, recv) pair completes at
@@ -14,125 +15,11 @@
 //! parameter spaces far beyond what thread-per-rank simulation can touch
 //! (e.g. `P = 4096`).
 
-// rank indices double as identities in the schedule-building loops below;
-// iterator rewrites would obscure the tree arithmetic
-#![allow(clippy::needless_range_loop)]
+use std::collections::HashMap;
 
-use bcast_core::chunks::ChunkLayout;
-use bcast_core::ring::ring_step_chunks;
-use bcast_core::ring_tuned::{receives_at, sends_at, step_flag};
-use bcast_core::scatter::owned_chunks;
-use bcast_core::Algorithm;
+use bcast_core::bcast::bcast_schedule;
+use bcast_core::{Algorithm, SchedOp};
 use netsim::{Level, NetworkModel, Placement};
-
-/// One endpoint operation in a rank's schedule.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Send `bytes` to `peer` (this rank's `seq`-th message to `peer`).
-    Send { peer: usize, bytes: usize },
-    /// Receive `bytes` from `peer`.
-    Recv { peer: usize, bytes: usize },
-    /// Concurrent exchange (`MPI_Sendrecv`).
-    SendRecv { to: usize, send_bytes: usize, from: usize, recv_bytes: usize },
-}
-
-/// Build the per-rank schedules of a scatter-ring broadcast (root 0).
-fn schedules(algorithm: Algorithm, nbytes: usize, p: usize) -> Vec<Vec<Op>> {
-    assert!(matches!(
-        algorithm,
-        Algorithm::ScatterRingNative | Algorithm::ScatterRingTuned | Algorithm::Binomial
-    ));
-    let layout = ChunkLayout::new(nbytes, p);
-    let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
-
-    if algorithm == Algorithm::Binomial {
-        // Whole-buffer tree: same shape as the scatter, full-size messages.
-        for rel in 1..p {
-            let parent = rel - (1 << rel.trailing_zeros());
-            ops[rel].push(Op::Recv { peer: parent, bytes: nbytes });
-        }
-        for parent in 0..p {
-            let avail: usize =
-                if parent == 0 { p.next_power_of_two() } else { 1 << parent.trailing_zeros() };
-            let mut mask = avail >> 1;
-            let mut sends = Vec::new();
-            while mask > 0 {
-                let child = parent + mask;
-                if child < p && child - (1 << child.trailing_zeros()) == parent {
-                    sends.push(Op::Send { peer: child, bytes: nbytes });
-                }
-                mask >>= 1;
-            }
-            ops[parent].extend(sends);
-        }
-        return ops;
-    }
-
-    // Binomial scatter (root 0 ⇒ relative == absolute ranks).
-    for rel in 1..p {
-        let parent = rel - (1 << rel.trailing_zeros());
-        let own = owned_chunks(rel, p);
-        let bytes = layout.span_bytes(rel..rel + own);
-        if bytes > 0 {
-            // The parent's sends happen highest-distance child first; child
-            // order within a parent's op list must mirror the executed
-            // algorithm (descending mask) for FIFO matching to line up.
-            ops[rel].push(Op::Recv { peer: parent, bytes });
-        }
-    }
-    // Parent send ops, in descending-mask order per parent.
-    for parent in 0..p {
-        let avail: usize =
-            if parent == 0 { p.next_power_of_two() } else { 1 << parent.trailing_zeros() };
-        let mut mask = avail >> 1;
-        let mut sends = Vec::new();
-        while mask > 0 {
-            let child = parent + mask;
-            if child < p && child - (1 << child.trailing_zeros()) == parent {
-                let own = owned_chunks(child, p);
-                let bytes = layout.span_bytes(child..child + own);
-                if bytes > 0 {
-                    sends.push(Op::Send { peer: child, bytes });
-                }
-            }
-            mask >>= 1;
-        }
-        // a non-root rank receives its subtree before forwarding; the root
-        // has no receive, so appending is correct for everyone (ring ops
-        // are added below, after all scatter ops)
-        ops[parent].extend(sends);
-    }
-
-    // Ring allgather.
-    if p > 1 {
-        for rel in 0..p {
-            let right = (rel + 1) % p;
-            let left = (rel + p - 1) % p;
-            let (step, flag) = step_flag(rel, p);
-            for i in 1..p {
-                let (sc, rc) = ring_step_chunks(rel, p, i);
-                let sbytes = layout.count(sc);
-                let rbytes = layout.count(rc);
-                let (do_send, do_recv) = match algorithm {
-                    Algorithm::ScatterRingNative => (true, true),
-                    _ => (sends_at(step, flag, p, i), receives_at(step, flag, p, i)),
-                };
-                match (do_send, do_recv) {
-                    (true, true) => ops[rel].push(Op::SendRecv {
-                        to: right,
-                        send_bytes: sbytes,
-                        from: left,
-                        recv_bytes: rbytes,
-                    }),
-                    (true, false) => ops[rel].push(Op::Send { peer: right, bytes: sbytes }),
-                    (false, true) => ops[rel].push(Op::Recv { peer: left, bytes: rbytes }),
-                    (false, false) => {}
-                }
-            }
-        }
-    }
-    ops
-}
 
 /// Evaluate the schedule under a contention-free rendezvous Hockney model
 /// and return the makespan in nanoseconds.
@@ -149,60 +36,43 @@ pub fn predict_makespan_ns(
     model: &NetworkModel,
     placement: Placement,
 ) -> f64 {
+    assert!(matches!(
+        algorithm,
+        Algorithm::ScatterRingNative | Algorithm::ScatterRingTuned | Algorithm::Binomial
+    ));
     assert_eq!(model.eager_threshold, 0, "predictor covers rendezvous only");
     assert!(!model.contention, "predictor covers the contention-free model only");
     assert_eq!(model.o_send_ns, 0.0);
     assert_eq!(model.o_recv_ns, 0.0);
 
-    let scheds = schedules(algorithm, nbytes, p);
+    let schedule = bcast_schedule(algorithm, p, nbytes, 0);
+    let scheds: Vec<&[SchedOp]> = schedule.ranks.iter().map(|r| &r.ops[..]).collect();
 
-    // Matching is FIFO per directed pair: the k-th send rank->peer matches
-    // the k-th receive at peer from rank. Resolve each op's partner op index
-    // per direction.
-    use std::collections::HashMap;
-    let mut send_seq: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    let mut recv_seq: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+    // Matching is FIFO per directed link and tag: the k-th send on
+    // (src, dst, tag) matches the k-th receive posted at dst for it.
+    // `send_partner[r][i]` / `recv_partner[r][i]` hold the index, in the
+    // peer's op list, of the op matched by that half of rank r's op i.
+    type Link = (usize, usize, u32);
+    let mut sends: HashMap<Link, Vec<usize>> = HashMap::new();
+    let mut recvs: HashMap<Link, Vec<usize>> = HashMap::new();
     for (r, ops) in scheds.iter().enumerate() {
         for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Send { peer, .. } => send_seq.entry((r, peer)).or_default().push(i),
-                Op::Recv { peer, .. } => recv_seq.entry((peer, r)).or_default().push(i),
-                Op::SendRecv { to, from, .. } => {
-                    send_seq.entry((r, to)).or_default().push(i);
-                    recv_seq.entry((from, r)).or_default().push(i);
-                }
+            if let Some(s) = &op.send {
+                sends.entry((r, s.peer, s.tag.0)).or_default().push(i);
+            }
+            if let Some(rv) = &op.recv {
+                recvs.entry((rv.peer, r, rv.tag.0)).or_default().push(i);
             }
         }
     }
-    // partner op index for each (rank, op) per direction
-    let mut send_partner: Vec<Vec<Option<(usize, usize)>>> =
-        scheds.iter().map(|o| vec![None; o.len()]).collect();
-    let mut recv_partner: Vec<Vec<Option<(usize, usize)>>> =
-        scheds.iter().map(|o| vec![None; o.len()]).collect();
-    let mut s_cursor: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut r_cursor: HashMap<(usize, usize), usize> = HashMap::new();
-    for (r, ops) in scheds.iter().enumerate() {
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Send { peer, .. } => {
-                    let c = s_cursor.entry((r, peer)).or_insert(0);
-                    send_partner[r][i] = Some((peer, recv_seq[&(r, peer)][*c]));
-                    *c += 1;
-                }
-                Op::Recv { peer, .. } => {
-                    let c = r_cursor.entry((peer, r)).or_insert(0);
-                    recv_partner[r][i] = Some((peer, send_seq[&(peer, r)][*c]));
-                    *c += 1;
-                }
-                Op::SendRecv { to, from, .. } => {
-                    let cs = s_cursor.entry((r, to)).or_insert(0);
-                    send_partner[r][i] = Some((to, recv_seq[&(r, to)][*cs]));
-                    *cs += 1;
-                    let cr = r_cursor.entry((from, r)).or_insert(0);
-                    recv_partner[r][i] = Some((from, send_seq[&(from, r)][*cr]));
-                    *cr += 1;
-                }
-            }
+    let mut send_partner: Vec<Vec<usize>> = scheds.iter().map(|o| vec![0; o.len()]).collect();
+    let mut recv_partner: Vec<Vec<usize>> = scheds.iter().map(|o| vec![0; o.len()]).collect();
+    for (&(src, dst, tag), sent) in &sends {
+        let posted = recvs.get(&(src, dst, tag)).map_or(&[][..], Vec::as_slice);
+        assert_eq!(sent.len(), posted.len(), "unmatched traffic on {src}->{dst} tag {tag:#x}");
+        for (&si, &ri) in sent.iter().zip(posted) {
+            send_partner[src][si] = ri;
+            recv_partner[dst][ri] = si;
         }
     }
 
@@ -232,7 +102,7 @@ pub fn predict_makespan_ns(
             done[r][i - 1]
         }
     };
-    let mut remaining: usize = scheds.iter().map(Vec::len).sum();
+    let mut remaining: usize = scheds.iter().map(|ops| ops.len()).sum();
     // first not-yet-computed op per rank: ops complete in order within a
     // rank (each depends on its predecessor), so a cursor suffices
     let mut cursor = vec![0usize; p];
@@ -245,31 +115,23 @@ pub fn predict_makespan_ns(
                     continue;
                 }
                 let Some(my_ready) = ready_of(&done, r, i) else { break };
-                let partner_ready = |link: Option<(usize, usize)>| -> Option<f64> {
-                    let (peer, pi) = link?;
-                    ready_of(&done, peer, pi)
-                };
-                let value = match scheds[r][i] {
-                    Op::Send { peer, bytes } => {
-                        let pr = partner_ready(send_partner[r][i]);
-                        pr.map(|pr| xfer(r, peer, bytes, my_ready.max(pr)).0)
-                    }
-                    Op::Recv { peer, bytes } => {
-                        let pr = partner_ready(recv_partner[r][i]);
-                        pr.map(|pr| xfer(peer, r, bytes, my_ready.max(pr)).1)
-                    }
-                    Op::SendRecv { to, send_bytes, from, recv_bytes } => {
-                        match (partner_ready(send_partner[r][i]), partner_ready(recv_partner[r][i]))
-                        {
-                            (Some(ps), Some(pr)) => {
-                                let s_done = xfer(r, to, send_bytes, my_ready.max(ps)).0;
-                                let r_done = xfer(from, r, recv_bytes, my_ready.max(pr)).1;
-                                Some(s_done.max(r_done))
-                            }
-                            _ => None,
-                        }
-                    }
-                };
+                // `None` while a partner is not ready; a nop completes at once.
+                let op = &scheds[r][i];
+                let mut value = Some(my_ready);
+                if let Some(s) = &op.send {
+                    let sent = ready_of(&done, s.peer, send_partner[r][i])
+                        .map(|pr| xfer(r, s.peer, s.loc.len(), my_ready.max(pr)).0);
+                    value = value.zip(sent).map(|(a, b)| a.max(b));
+                }
+                if let Some(rv) = &op.recv {
+                    // A receive's capacity is an upper bound; the bytes on
+                    // the wire are the matched send's.
+                    let si = recv_partner[r][i];
+                    let bytes = scheds[rv.peer][si].send.as_ref().map_or(0, |s| s.loc.len());
+                    let received = ready_of(&done, rv.peer, si)
+                        .map(|pr| xfer(rv.peer, r, bytes, my_ready.max(pr)).1);
+                    value = value.zip(received).map(|(a, b)| a.max(b));
+                }
                 if let Some(v) = value {
                     done[r][i] = Some(v);
                     cursor[r] = i + 1;

@@ -18,8 +18,9 @@ use mpsim::{AsyncCommunicator, EventWorld, Rank, Result, WorldOutcome, WorldTraf
 
 use crate::bcast::{bcast_opt_shared_async, bcast_with_async, Algorithm};
 use crate::coalesce::{bcast_opt_coalesced_async, CoalescePolicy};
-use crate::recovery::{Healed, RecoveryConfig, RecoveryDrill, RecoveryTrace};
-use crate::recovery_async::self_healing_bcast_traced_async;
+use crate::recovery::{
+    self_healing_bcast_traced_async, Healed, RecoveryConfig, RecoveryDrill, RecoveryTrace,
+};
 use crate::verify::pattern;
 
 /// Payload generator seed of every event-world launch — the outcome is

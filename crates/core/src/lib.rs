@@ -66,7 +66,6 @@ pub mod event_launch;
 pub mod pipeline;
 pub mod rd_allgather;
 pub mod recovery;
-pub mod recovery_async;
 pub mod reduce;
 pub mod ring;
 pub mod ring_tuned;
@@ -98,15 +97,13 @@ pub use event_launch::{
 };
 pub use recovery::{
     branch, degraded_bcast_schedule, membership_digest, self_healing_bcast,
-    self_healing_bcast_with, EpochComm, GuardedComm, Healed, RecoveryConfig, RecoveryDrill,
+    self_healing_bcast_async, self_healing_bcast_traced_async, self_healing_bcast_with,
+    self_healing_bcast_with_async, EpochComm, GuardedComm, Healed, RecoveryConfig, RecoveryDrill,
     RecoveryTrace,
-};
-pub use recovery_async::{
-    self_healing_bcast_async, self_healing_bcast_traced_async, self_healing_bcast_with_async,
 };
 pub use ring_tuned::{
     ring_allgather_tuned_root, ring_allgather_tuned_shared_async, step_flag, Endpoint,
 };
 pub use scatter::{binomial_scatter_root, binomial_scatter_shared_async, owned_chunks};
 pub use schedule::{all_sources, Loc, RankSchedule, SchedOp, Schedule, ScheduleSource};
-pub use smp::{bcast_smp, NodeMap};
+pub use smp::{bcast_smp, bcast_smp_async, NodeMap};

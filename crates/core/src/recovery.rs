@@ -47,13 +47,39 @@
 //! into an eager send followed by a bounded receive, so the transport must
 //! deliver eagerly (the threaded backend always does; simulated worlds
 //! need a model with a high `eager_threshold`).
+//!
+//! ## One loop, every executor
+//!
+//! The whole stack — decorators, agreement round, epoch loop — is written
+//! once against [`AsyncCommunicator`], so it runs unchanged on the
+//! discrete-event executor at megascale (`P = 256..4096`) under its virtual
+//! clock, where every timeout is free: a heartbeat deadline of seconds
+//! elapses in zero wall time. The blocking entry points
+//! ([`self_healing_bcast`], [`self_healing_bcast_with`]) drive the same
+//! futures through [`SyncComm`] + [`complete_now`], so a seeded fault plan
+//! replays to the identical survivor set on every executor (asserted by the
+//! cross-executor chaos battery).
+//!
+//! * **Cascading multi-failure recovery.** Crashes that land *during* an
+//!   agreement round or mid-degraded-schedule simply surface as the next
+//!   epoch's deaths: membership-digest tag isolation ([`membership_digest`])
+//!   keeps verdict-split groups from corrupting each other, and agreement
+//!   self-crash detection keeps a dying rank from poisoning its own verdict.
+//!   Root-succession chains of any depth fall out of iterating the same
+//!   succession rule.
+//! * **Tracing.** Every run can record a [`RecoveryTrace`] — epochs
+//!   entered, succession chain, deaths observed, branch bits — which is the
+//!   coverage signal `chaos-search` steers by and the megascale tests
+//!   assert on.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use mpsim::{CommError, Communicator, Rank, Result, SubComm, Tag};
+use mpsim::{
+    complete_now, AsyncCommunicator, CommError, Communicator, Rank, Result, SubComm, SyncComm, Tag,
+};
 
-use crate::bcast::{bcast_with, Algorithm};
+use crate::bcast::{bcast_with_async, Algorithm};
 use crate::schedule::Schedule;
 
 /// Tag offset between broadcast attempts: epoch `e` runs its collective on
@@ -133,7 +159,7 @@ impl RecoveryConfig {
     /// in at most `scatter depth + ring steps` timeouts (< 2·members), so
     /// twice that plus slack guarantees a live rank is never mistaken for
     /// dead.
-    pub(crate) fn heartbeat_timeout(&self, members: usize) -> Duration {
+    fn heartbeat_timeout(&self, members: usize) -> Duration {
         self.step_timeout.saturating_mul(2 * members as u32 + 6)
     }
 }
@@ -150,7 +176,7 @@ pub struct Healed {
 /// Tag-shifting decorator: runs an unmodified collective in a private tag
 /// epoch so concurrent or stale traffic on other epochs cannot interfere.
 pub struct EpochComm<'a, C: ?Sized> {
-    pub(crate) inner: &'a C,
+    inner: &'a C,
     shift: u32,
 }
 
@@ -172,59 +198,18 @@ impl<'a, C: ?Sized> EpochComm<'a, C> {
         }
     }
 
-    pub(crate) fn shifted(&self, tag: Tag) -> Tag {
+    fn shifted(&self, tag: Tag) -> Tag {
         Tag(tag.0.wrapping_add(self.shift))
     }
 }
 
-impl<C: Communicator + ?Sized> Communicator for EpochComm<'_, C> {
+impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for EpochComm<'_, C> {
     fn rank(&self) -> Rank {
         self.inner.rank()
     }
 
     fn size(&self) -> usize {
         self.inner.size()
-    }
-
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.inner.send(buf, dest, self.shifted(tag))
-    }
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.inner.recv(buf, src, self.shifted(tag))
-    }
-
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        self.inner.recv_timeout(buf, src, self.shifted(tag), timeout)
-    }
-
-    fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.inner.sendrecv(
-            sendbuf,
-            dest,
-            self.shifted(sendtag),
-            recvbuf,
-            src,
-            self.shifted(recvtag),
-        )
-    }
-
-    fn barrier(&self) -> Result<()> {
-        self.inner.barrier()
     }
 
     fn now_ns(&self) -> u64 {
@@ -234,19 +219,102 @@ impl<C: Communicator + ?Sized> Communicator for EpochComm<'_, C> {
     fn check_rank(&self, rank: Rank) -> Result<()> {
         self.inner.check_rank(rank)
     }
+
+    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
+        self.inner.send(buf, dest, self.shifted(tag)).await
+    }
+
+    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
+        self.inner.recv(buf, src, self.shifted(tag)).await
+    }
+
+    async fn recv_timeout(
+        &self,
+        buf: &mut [u8],
+        src: Rank,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<usize> {
+        self.inner.recv_timeout(buf, src, self.shifted(tag), timeout).await
+    }
+
+    async fn sendrecv(
+        &self,
+        sendbuf: &[u8],
+        dest: Rank,
+        sendtag: Tag,
+        recvbuf: &mut [u8],
+        src: Rank,
+        recvtag: Tag,
+    ) -> Result<usize> {
+        self.inner
+            .sendrecv(sendbuf, dest, self.shifted(sendtag), recvbuf, src, self.shifted(recvtag))
+            .await
+    }
+
+    async fn barrier(&self) -> Result<()> {
+        self.inner.barrier().await
+    }
+
+    fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+        self.inner.make_shared(data)
+    }
+
+    fn note_copy(&self, bytes: usize) {
+        self.inner.note_copy(bytes)
+    }
+
+    async fn send_shared(&self, buf: &mpsim::SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
+        self.inner.send_shared(buf, dest, self.shifted(tag)).await
+    }
+
+    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<mpsim::SharedBuf> {
+        self.inner.recv_owned(capacity, src, self.shifted(tag)).await
+    }
+
+    async fn recv_owned_timeout(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<mpsim::SharedBuf> {
+        self.inner.recv_owned_timeout(capacity, src, self.shifted(tag), timeout).await
+    }
+
+    async fn sendrecv_shared(
+        &self,
+        sendbuf: &mpsim::SharedBuf,
+        dest: Rank,
+        sendtag: Tag,
+        recv_capacity: usize,
+        src: Rank,
+        recvtag: Tag,
+    ) -> Result<mpsim::SharedBuf> {
+        self.inner
+            .sendrecv_shared(
+                sendbuf,
+                dest,
+                self.shifted(sendtag),
+                recv_capacity,
+                src,
+                self.shifted(recvtag),
+            )
+            .await
+    }
 }
 
-/// Deadline-guarding decorator: every blocking receive becomes a
-/// [`Communicator::recv_timeout`] with a fixed step deadline, so a silent
-/// peer surfaces as [`CommError::Timeout`] instead of a hang.
+/// Deadline-guarding decorator: every unbounded receive becomes an
+/// [`AsyncCommunicator::recv_timeout`] with a fixed step deadline, so a
+/// silent peer surfaces as [`CommError::Timeout`] instead of a hang.
 ///
 /// `sendrecv` is decomposed into an eager send followed by a bounded
 /// receive — correct only on eagerly-delivering transports (see the
 /// [module docs](self)).
 pub struct GuardedComm<'a, C: ?Sized> {
-    pub(crate) inner: &'a C,
-    pub(crate) step_timeout: Duration,
-    pub(crate) passthrough_sendrecv: bool,
+    inner: &'a C,
+    step_timeout: Duration,
+    passthrough_sendrecv: bool,
 }
 
 impl<'a, C: ?Sized> GuardedComm<'a, C> {
@@ -265,51 +333,13 @@ impl<'a, C: ?Sized> GuardedComm<'a, C> {
     }
 }
 
-impl<C: Communicator + ?Sized> Communicator for GuardedComm<'_, C> {
+impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
     fn rank(&self) -> Rank {
         self.inner.rank()
     }
 
     fn size(&self) -> usize {
         self.inner.size()
-    }
-
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.inner.send(buf, dest, tag)
-    }
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.inner.recv_timeout(buf, src, tag, self.step_timeout)
-    }
-
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        self.inner.recv_timeout(buf, src, tag, timeout.min(self.step_timeout))
-    }
-
-    fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        if self.passthrough_sendrecv {
-            return self.inner.sendrecv(sendbuf, dest, sendtag, recvbuf, src, recvtag);
-        }
-        self.inner.send(sendbuf, dest, sendtag)?;
-        self.inner.recv_timeout(recvbuf, src, recvtag, self.step_timeout)
-    }
-
-    fn barrier(&self) -> Result<()> {
-        self.inner.barrier()
     }
 
     fn now_ns(&self) -> u64 {
@@ -319,19 +349,115 @@ impl<C: Communicator + ?Sized> Communicator for GuardedComm<'_, C> {
     fn check_rank(&self, rank: Rank) -> Result<()> {
         self.inner.check_rank(rank)
     }
+
+    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
+        self.inner.send(buf, dest, tag).await
+    }
+
+    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
+        self.inner.recv_timeout(buf, src, tag, self.step_timeout).await
+    }
+
+    async fn recv_timeout(
+        &self,
+        buf: &mut [u8],
+        src: Rank,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<usize> {
+        self.inner.recv_timeout(buf, src, tag, timeout.min(self.step_timeout)).await
+    }
+
+    async fn sendrecv(
+        &self,
+        sendbuf: &[u8],
+        dest: Rank,
+        sendtag: Tag,
+        recvbuf: &mut [u8],
+        src: Rank,
+        recvtag: Tag,
+    ) -> Result<usize> {
+        if self.passthrough_sendrecv {
+            return self.inner.sendrecv(sendbuf, dest, sendtag, recvbuf, src, recvtag).await;
+        }
+        // Eager send, bounded receive — sound only on eagerly-delivering
+        // transports.
+        self.inner.send(sendbuf, dest, sendtag).await?;
+        self.inner.recv_timeout(recvbuf, src, recvtag, self.step_timeout).await
+    }
+
+    async fn barrier(&self) -> Result<()> {
+        self.inner.barrier().await
+    }
+
+    fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+        self.inner.make_shared(data)
+    }
+
+    fn note_copy(&self, bytes: usize) {
+        self.inner.note_copy(bytes)
+    }
+
+    async fn send_shared(&self, buf: &mpsim::SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
+        self.inner.send_shared(buf, dest, tag).await
+    }
+
+    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<mpsim::SharedBuf> {
+        // Same mapping as `recv`: every unbounded owned receive becomes a
+        // step-bounded one.
+        self.inner.recv_owned_timeout(capacity, src, tag, self.step_timeout).await
+    }
+
+    async fn recv_owned_timeout(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<mpsim::SharedBuf> {
+        self.inner.recv_owned_timeout(capacity, src, tag, timeout.min(self.step_timeout)).await
+    }
+
+    async fn sendrecv_shared(
+        &self,
+        sendbuf: &mpsim::SharedBuf,
+        dest: Rank,
+        sendtag: Tag,
+        recv_capacity: usize,
+        src: Rank,
+        recvtag: Tag,
+    ) -> Result<mpsim::SharedBuf> {
+        if self.passthrough_sendrecv {
+            return self
+                .inner
+                .sendrecv_shared(sendbuf, dest, sendtag, recv_capacity, src, recvtag)
+                .await;
+        }
+        // Same decomposition as `sendrecv`: eager send, bounded receive.
+        self.inner.send_shared(sendbuf, dest, sendtag).await?;
+        self.inner.recv_owned_timeout(recv_capacity, src, recvtag, self.step_timeout).await
+    }
 }
 
+// The vectored operations of both decorators use the trait defaults
+// (gather/scatter through `send`/`recv`). The zero-copy operations, by
+// contrast, forward natively (with the same tag shifting / timeout bounding
+// as their copying counterparts): they bottom out in the same per-link
+// send/recv sequence a fault plan's crash clock counts, so seeded replay
+// stays aligned while the payload keeps its refcounted envelope all the way
+// down to the executor.
+
 /// One rank's state after an attempt, exchanged in the agreement round.
-pub(crate) struct Report {
-    pub(crate) has_full: bool,
+struct Report {
+    has_full: bool,
 }
 
 impl Report {
-    pub(crate) fn encode(&self) -> [u8; 1] {
+    fn encode(&self) -> [u8; 1] {
         [u8::from(self.has_full)]
     }
 
-    pub(crate) fn decode(bytes: &[u8]) -> Option<Report> {
+    fn decode(bytes: &[u8]) -> Option<Report> {
         match bytes {
             [b @ (0 | 1)] => Some(Report { has_full: *b == 1 }),
             _ => None,
@@ -342,9 +468,9 @@ impl Report {
 /// Outcome of one agreement round, identical on every live member (unless a
 /// crash lands mid-round — see [`membership_digest`] for how that split is
 /// contained).
-pub(crate) struct Verdict {
-    pub(crate) dead: BTreeSet<Rank>,
-    pub(crate) have_full: BTreeSet<Rank>,
+struct Verdict {
+    dead: BTreeSet<Rank>,
+    have_full: BTreeSet<Rank>,
 }
 
 /// Recovery branch bits, recorded in [`RecoveryTrace::branches`]. The set of
@@ -447,12 +573,13 @@ impl RecoveryDrill {
 /// layer's self-bounding `sendrecv` pump — an eager send followed by a
 /// bounded receive would wedge an acknowledged-send layer, whose `send`
 /// cannot complete until the peer actively receives.
-fn agree(
-    comm: &(impl Communicator + ?Sized),
+async fn agree<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
     members: &[Rank],
     epoch: u32,
     mine: &Report,
     cfg: &RecoveryConfig,
+    trace: &mut RecoveryTrace,
 ) -> Result<Verdict> {
     let me = comm.rank();
     let tag = Tag(AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE)));
@@ -471,12 +598,12 @@ fn agree(
             continue;
         }
         let outcome = if cfg.bounded_sendrecv {
-            comm.sendrecv(&encoded, peer, tag, &mut frame, peer, tag)
+            comm.sendrecv(&encoded, peer, tag, &mut frame, peer, tag).await
         } else {
             // Plain backends deliver sends eagerly, so pushing the report
             // first and then waiting (bounded) on the peer's cannot block.
-            match comm.send(&encoded, peer, tag) {
-                Ok(()) => comm.recv_timeout(&mut frame, peer, tag, hb),
+            match comm.send(&encoded, peer, tag).await {
+                Ok(()) => comm.recv_timeout(&mut frame, peer, tag, hb).await,
                 Err(e) => Err(e),
             }
         };
@@ -490,6 +617,7 @@ fn agree(
                 // A garbled report from a live rank violates the fault
                 // model; treating the rank as failed keeps us moving.
                 None => {
+                    trace.hit(branch::GARBLED_REPORT);
                     dead.insert(peer);
                 }
             },
@@ -536,65 +664,148 @@ pub fn self_healing_bcast_with(
     algorithm: Algorithm,
     cfg: &RecoveryConfig,
 ) -> Result<Healed> {
+    complete_now(self_healing_bcast_with_async(&SyncComm::new(comm), buf, root, algorithm, cfg))
+}
+
+/// The async core of [`self_healing_bcast`], over any [`AsyncCommunicator`].
+pub async fn self_healing_bcast_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [u8],
+    root: Rank,
+    cfg: &RecoveryConfig,
+) -> Result<Healed> {
+    self_healing_bcast_with_async(comm, buf, root, Algorithm::ScatterRingTuned, cfg).await
+}
+
+/// [`self_healing_bcast_async`] with an explicit algorithm for the attempts.
+pub async fn self_healing_bcast_with_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [u8],
+    root: Rank,
+    algorithm: Algorithm,
+    cfg: &RecoveryConfig,
+) -> Result<Healed> {
+    let mut trace = RecoveryTrace::default();
+    self_healing_bcast_traced_async(
+        comm,
+        buf,
+        root,
+        algorithm,
+        cfg,
+        &RecoveryDrill::NONE,
+        &mut trace,
+    )
+    .await
+}
+
+/// The fully-instrumented entry point: [`self_healing_bcast_with_async`]
+/// plus a [`RecoveryTrace`] filled in as the epoch loop runs (also on the
+/// error paths — a crashed or starved rank still reports how far it got)
+/// and the [`RecoveryDrill`] regression knobs for the chaos-search drill.
+pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [u8],
+    root: Rank,
+    algorithm: Algorithm,
+    cfg: &RecoveryConfig,
+    drill: &RecoveryDrill,
+    trace: &mut RecoveryTrace,
+) -> Result<Healed> {
     comm.check_rank(root)?;
     assert!(cfg.max_epochs >= 1, "at least one attempt is required");
+    let max_epochs =
+        drill.clamp_epoch_budget.map_or(cfg.max_epochs, |c| c.clamp(1, cfg.max_epochs));
     let me = comm.rank();
     let mut members: Vec<Rank> = (0..comm.size()).collect();
     let mut current_root = root;
     let mut has_full = me == root;
+    let mut all_dead: BTreeSet<Rank> = BTreeSet::new();
+    trace.root_chain.push(root);
 
-    for epoch in 0..cfg.max_epochs {
-        // lint: allow(panic) — `me` is always kept in `members` (checked below)
-        let sub = SubComm::new(comm, members.clone()).expect("member list lost this rank");
-        let local_root =
-            sub.from_parent(current_root).unwrap_or_else(|| unreachable!("root is a member"));
+    for epoch in 0..max_epochs {
+        trace.epochs_entered = epoch + 1;
+        let sub = SubComm::new(comm, members.clone())
+            // lint: allow(panic) — `me` is always kept in `members` (checked below)
+            .expect("member list lost this rank");
+        let local_root = sub
+            .from_parent(current_root)
+            // lint: allow(panic) — root succession keeps the root a member
+            // (unless the drill knob disables succession on purpose)
+            .unwrap_or_else(|| panic!("root {current_root} is not a member"));
         let epoch_comm = EpochComm::isolated(&sub, epoch, membership_digest(&members));
         let mut guarded = GuardedComm::new(&epoch_comm, cfg.step_timeout);
         if cfg.bounded_sendrecv {
             guarded = guarded.passthrough_sendrecv();
         }
 
-        let attempt = bcast_with(&guarded, buf, local_root, algorithm);
+        let attempt = bcast_with_async(&guarded, buf, local_root, algorithm).await;
         match attempt {
-            Ok(()) => has_full = true,
-            // A timeout or peer failure only marks the attempt as failed;
-            // *who* is dead is decided by the agreement round — a neighbor
-            // of the actual crash stalls and times out too, and must not
-            // be mistaken for the crash itself.
+            Ok(()) => {
+                trace.hit(branch::CLEAN_ATTEMPT);
+                has_full = true;
+            }
+            // Attempt-time stalls only mark the attempt failed; membership
+            // is decided by the agreement round. Errors from the sub-world
+            // stack name *local* ranks.
             Err(CommError::Timeout { peer }) | Err(CommError::PeerFailed { rank: peer }) => {
-                // Errors from the sub-world stack name *local* ranks.
-                if members[peer] == me {
-                    // Our own communicator fail-stopped: we are the crash.
+                if peer < members.len() && members[peer] == me {
+                    trace.hit(branch::SELF_CRASH);
                     return Err(CommError::PeerFailed { rank: me });
                 }
+                trace.hit(branch::STALLED_ATTEMPT);
             }
             Err(e) => return Err(e),
         }
 
-        let verdict = agree(comm, &members, epoch, &Report { has_full }, cfg)?;
+        let report = Report { has_full: has_full || drill.claim_full_payload };
+        let verdict = match agree(comm, &members, epoch, &report, cfg, trace).await {
+            Ok(v) => v,
+            Err(CommError::PeerFailed { rank }) if rank == me => {
+                trace.hit(branch::SELF_CRASH);
+                return Err(CommError::PeerFailed { rank: me });
+            }
+            Err(e) => return Err(e),
+        };
+
+        if !verdict.dead.is_empty() {
+            trace.hit(branch::DEATH_OBSERVED);
+            all_dead.extend(verdict.dead.iter().copied());
+            trace.deaths_observed = all_dead.len();
+        }
 
         if verdict.dead.is_empty() && verdict.have_full.len() == members.len() {
+            trace.hit(branch::HEALED_ALL);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
 
         members.retain(|r| !verdict.dead.contains(r));
         match verdict.have_full.iter().next() {
             Some(&lowest) => {
-                // The original root keeps the role while alive; otherwise
-                // the lowest-ranked survivor with a full copy takes over.
-                current_root =
-                    if verdict.have_full.contains(&current_root) { current_root } else { lowest };
+                // `skip_root_succession` is the seeded regression: a dead
+                // root keeps the role.
+                let keeps_role =
+                    verdict.have_full.contains(&current_root) || drill.skip_root_succession;
+                let next_root = if keeps_role { current_root } else { lowest };
+                if next_root != current_root {
+                    trace.hit(branch::ROOT_SUCCESSION);
+                    trace.succession_depth += 1;
+                    trace.root_chain.push(next_root);
+                }
+                current_root = next_root;
             }
-            // No complete copy survived anywhere: unrecoverable.
-            None => return Err(CommError::PeerFailed { rank: root }),
+            None => {
+                trace.hit(branch::PAYLOAD_LOST);
+                return Err(CommError::PeerFailed { rank: root });
+            }
         }
         if members.len() == verdict.have_full.len()
             && members.iter().all(|r| verdict.have_full.contains(r))
         {
-            // Everyone still standing already holds the payload.
+            trace.hit(branch::HEALED_SURVIVORS);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
     }
+    trace.hit(branch::EPOCH_BUDGET_EXHAUSTED);
     Err(CommError::Timeout { peer: current_root })
 }
 
@@ -629,7 +840,7 @@ pub fn degraded_bcast_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::ThreadWorld;
+    use mpsim::{EventWorld, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 37 + 11) as u8).collect()
@@ -737,17 +948,18 @@ mod tests {
     #[test]
     fn epoch_comm_shifts_tags() {
         let out = ThreadWorld::run(2, |comm| {
-            let e0 = EpochComm::new(comm, 0);
-            let e1 = EpochComm::new(comm, 1);
+            let acomm = SyncComm::new(comm);
+            let e0 = EpochComm::new(&acomm, 0);
+            let e1 = EpochComm::new(&acomm, 1);
             if comm.rank() == 0 {
-                e1.send(&[1], 1, Tag(5)).unwrap();
-                e0.send(&[0], 1, Tag(5)).unwrap();
+                complete_now(e1.send(&[1], 1, Tag(5))).unwrap();
+                complete_now(e0.send(&[0], 1, Tag(5))).unwrap();
                 0
             } else {
                 let mut buf = [0u8; 1];
                 // epoch-0 recv must match the epoch-0 send, not the earlier
                 // epoch-1 message on the same user tag
-                e0.recv(&mut buf, 0, Tag(5)).unwrap();
+                complete_now(e0.recv(&mut buf, 0, Tag(5))).unwrap();
                 buf[0]
             }
         });
@@ -757,10 +969,11 @@ mod tests {
     #[test]
     fn guarded_comm_times_out_on_silence() {
         let out = ThreadWorld::run(2, |comm| {
-            let g = GuardedComm::new(comm, Duration::from_millis(30));
+            let acomm = SyncComm::new(comm);
+            let g = GuardedComm::new(&acomm, Duration::from_millis(30));
             if comm.rank() == 0 {
                 let mut buf = [0u8; 1];
-                let err = g.recv(&mut buf, 1, Tag(0)).unwrap_err();
+                let err = complete_now(g.recv(&mut buf, 1, Tag(0))).unwrap_err();
                 comm.send(&[0], 1, Tag(9)).unwrap();
                 Some(err)
             } else {
@@ -770,6 +983,31 @@ mod tests {
             }
         });
         assert_eq!(out.results[0], Some(CommError::Timeout { peer: 1 }));
+    }
+
+    #[test]
+    fn epoch_stack_reports_a_dead_member_in_local_numbering() {
+        // The stack a `bounded_sendrecv` epoch runs its attempt on, after an
+        // earlier epoch shrank the world to members 4, 2, 0 (local 0, 1, 2).
+        // Parent rank 2 is dead: the passthrough `sendrecv` must name local
+        // rank 1, because the epoch loop indexes `members` with it — parent
+        // rank 4 there would be out of bounds.
+        let members = vec![4, 2, 0];
+        let out = ThreadWorld::run(5, |comm| {
+            let acomm = SyncComm::new(comm);
+            let sub = SubComm::new(&acomm, members.clone())?;
+            if sub.rank() == 1 {
+                return None;
+            }
+            let epoch_comm = EpochComm::isolated(&sub, 1, membership_digest(&members));
+            let guarded =
+                GuardedComm::new(&epoch_comm, Duration::from_millis(30)).passthrough_sendrecv();
+            let mut b = [0u8; 1];
+            Some(complete_now(guarded.sendrecv(&[1], 1, Tag(1), &mut b, 1, Tag(1))).unwrap_err())
+        });
+        for parent in [4, 0] {
+            assert_eq!(out.results[parent], Some(CommError::PeerFailed { rank: 1 }));
+        }
     }
 
     #[test]
@@ -800,5 +1038,89 @@ mod tests {
     #[should_panic(expected = "not among the survivors")]
     fn degraded_schedule_rejects_dead_root() {
         let _ = degraded_bcast_schedule(Algorithm::ScatterRingTuned, 8, 64, &[0, 1, 3], 2);
+    }
+
+    #[test]
+    fn fault_free_async_bcast_on_event_world() {
+        let n = 777;
+        let src = pattern(n);
+        let out = EventWorld::run(8, |comm| {
+            let src = src.clone();
+            async move {
+                let mut buf = if comm.rank() == 2 { src.clone() } else { vec![0u8; n] };
+                let healed =
+                    self_healing_bcast_async(&comm, &mut buf, 2, &quick_cfg()).await.unwrap();
+                assert_eq!(buf, src);
+                healed
+            }
+        });
+        for h in &out.results {
+            assert_eq!(h.epochs, 1);
+            assert_eq!(h.survivors, (0..8).collect::<Vec<_>>());
+        }
+        assert!(out.traffic.is_balanced(), "fault-free recovery must reconcile exactly");
+    }
+
+    #[test]
+    fn survivors_heal_around_an_exiting_rank_on_event_world() {
+        let n = 4096;
+        let src = pattern(n);
+        let out = EventWorld::run(8, |comm| {
+            let src = src.clone();
+            async move {
+                if comm.rank() == 5 {
+                    return None; // fail-stop before participating
+                }
+                let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; n] };
+                let mut trace = RecoveryTrace::default();
+                let healed = self_healing_bcast_traced_async(
+                    &comm,
+                    &mut buf,
+                    0,
+                    Algorithm::ScatterRingTuned,
+                    &quick_cfg(),
+                    &RecoveryDrill::NONE,
+                    &mut trace,
+                )
+                .await
+                .unwrap();
+                assert_eq!(buf, src);
+                Some((healed, trace))
+            }
+        });
+        let expected: Vec<Rank> = vec![0, 1, 2, 3, 4, 6, 7];
+        for (rank, res) in out.results.iter().enumerate() {
+            if rank == 5 {
+                assert!(res.is_none());
+                continue;
+            }
+            let (h, trace) = res.as_ref().unwrap();
+            assert_eq!(h.survivors, expected, "rank {rank} saw a different survivor set");
+            assert!(h.epochs >= 2, "a healing epoch must have run");
+            assert!(trace.saw(branch::DEATH_OBSERVED));
+            assert_eq!(trace.deaths_observed, 1);
+            assert_eq!(trace.root_chain, vec![0], "root 0 never moved");
+        }
+    }
+
+    #[test]
+    fn async_sub_comm_exchanges_within_subset() {
+        let out = EventWorld::run(5, |comm| async move {
+            let Some(sc) = SubComm::new(&comm, vec![4, 2, 0]) else {
+                return 0u8;
+            };
+            sc.barrier().await.unwrap();
+            if sc.rank() == 0 {
+                sc.send(&[77], 2, Tag(1)).await.unwrap();
+                0
+            } else if sc.rank() == 2 {
+                let mut b = [0u8; 1];
+                sc.recv(&mut b, 0, Tag(1)).await.unwrap();
+                b[0]
+            } else {
+                0
+            }
+        });
+        assert_eq!(out.results[0], 77);
     }
 }

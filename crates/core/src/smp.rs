@@ -11,10 +11,10 @@
 //! next node starts), which is the default placement on the paper's Hornet
 //! system.
 
-use mpsim::{Communicator, Rank, Result, SubComm};
+use mpsim::{complete_now, AsyncCommunicator, Communicator, Rank, Result, SubComm, SyncComm};
 
-use crate::bcast::{append_bcast_ops, bcast_with, Algorithm};
-use crate::binomial::{append_binomial_ops, bcast_binomial};
+use crate::bcast::{append_bcast_ops, bcast_with_async, Algorithm};
+use crate::binomial::{append_binomial_ops, bcast_binomial_async};
 use crate::schedule::{Schedule, ScheduleSource};
 
 /// Block placement of ranks onto nodes with a fixed number of cores per node.
@@ -72,6 +72,17 @@ pub fn bcast_smp(
     nodes: &NodeMap,
     inter_algorithm: Algorithm,
 ) -> Result<()> {
+    complete_now(bcast_smp_async(&SyncComm::new(comm), buf, root, nodes, inter_algorithm))
+}
+
+/// Async core of [`bcast_smp`].
+pub async fn bcast_smp_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [u8],
+    root: Rank,
+    nodes: &NodeMap,
+    inter_algorithm: Algorithm,
+) -> Result<()> {
     comm.check_rank(root)?;
     let size = comm.size();
     let rank = comm.rank();
@@ -92,7 +103,7 @@ pub fn bcast_smp(
                 .expect("rank is on the root node but missing from member list");
             // lint: allow(panic) — NodeMap invariant: root is a member of its own node
             let local_root = sub.from_parent(root).expect("root missing from its own node");
-            bcast_binomial(&sub, buf, local_root)?;
+            bcast_binomial_async(&sub, buf, local_root).await?;
         }
     }
 
@@ -103,7 +114,7 @@ pub fn bcast_smp(
             let local_root =
                 // lint: allow(panic) — NodeMap invariant: leaders list is built from leader_of
                 sub.from_parent(nodes.leader_of(root_node)).expect("root node has no leader");
-            bcast_with(&sub, buf, local_root, inter_algorithm)?;
+            bcast_with_async(&sub, buf, local_root, inter_algorithm).await?;
         }
     }
 
@@ -118,7 +129,7 @@ pub fn bcast_smp(
                 .from_parent(nodes.leader_of(my_node))
                 // lint: allow(panic) — NodeMap invariant: a node always contains its leader
                 .expect("node leader missing from node members");
-            bcast_binomial(&sub, buf, local_root)?;
+            bcast_binomial_async(&sub, buf, local_root).await?;
         }
     }
     Ok(())
@@ -254,6 +265,23 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn smp_bcast_completes_on_event_world() {
+        let (size, cpn, nbytes, root) = (10usize, 4usize, 97usize, 9usize);
+        let src = pattern(nbytes);
+        mpsim::EventWorld::run(size, |comm| {
+            let src = src.clone();
+            async move {
+                let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+                let nodes = NodeMap::new(cpn);
+                bcast_smp_async(&comm, &mut buf, root, &nodes, Algorithm::ScatterRingTuned)
+                    .await
+                    .unwrap();
+                assert_eq!(buf, src, "rank {}", comm.rank());
+            }
+        });
     }
 
     #[test]

@@ -12,17 +12,20 @@
 //! Stacking follows the fault model's division of labor: message loss and
 //! duplication between *live* ranks are masked by [`ReliableComm`]
 //! (`bounded_sendrecv` tells the recovery layer the pump self-bounds);
-//! crashes are healed by `self_healing_bcast` directly over the faulty
-//! communicator.
+//! crashes are healed by the self-healing broadcast directly over the faulty
+//! communicator. The decorators are written against `AsyncCommunicator`, so
+//! the blocking executors build the stack over `SyncComm` and drive it with
+//! `complete_now`.
 
 use std::time::Duration;
 
 use bcast_core::{
-    check_recovery_outcome, recovery::branch, self_healing_bcast, self_healing_rank_task,
+    check_recovery_outcome, recovery::branch, self_healing_bcast_async, self_healing_rank_task,
     Algorithm, RankRun, RecoveryConfig, RecoveryDrill, RecoverySpec,
 };
 use mpsim::{
-    CommError, Communicator, EventWorld, Rank, ReliableComm, RetryConfig, ThreadWorld, WorldTraffic,
+    complete_now, CommError, Communicator, EventWorld, Rank, ReliableComm, RetryConfig, SyncComm,
+    ThreadWorld, WorldTraffic,
 };
 use netsim::{FaultPlan, FaultyComm, LinkFaults, NetworkModel, Placement, SimWorld};
 
@@ -70,10 +73,12 @@ fn lossy_sweep(faults: LinkFaults, seed_salt: u64) {
             let src = src.clone();
             move |comm| {
                 let plan = FaultPlan::new(seed ^ p as u64).with_default(faults);
-                let faulty = FaultyComm::new(comm, plan);
+                let acomm = SyncComm::new(comm);
+                let faulty = FaultyComm::new(&acomm, plan);
                 let rel = ReliableComm::with_config(&faulty, quick_retry());
                 let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; n] };
-                let healed = self_healing_bcast(&rel, &mut buf, root, &recovery_cfg(true))
+                let cfg = recovery_cfg(true);
+                let healed = complete_now(self_healing_bcast_async(&rel, &mut buf, root, &cfg))
                     .unwrap_or_else(|e| panic!("p={p} rank {}: {e:?}", comm.rank()));
                 assert_eq!(buf, src, "p={p} rank {} got a corrupted payload", comm.rank());
                 healed
@@ -114,9 +119,11 @@ fn one_rank_crash_heals_at_every_world_size() {
             let src = src.clone();
             move |comm| {
                 let plan = FaultPlan::new(seed ^ p as u64).with_crash(victim, 5);
-                let faulty = FaultyComm::new(comm, plan);
+                let acomm = SyncComm::new(comm);
+                let faulty = FaultyComm::new(&acomm, plan);
                 let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; n] };
-                match self_healing_bcast(&faulty, &mut buf, 0, &recovery_cfg(false)) {
+                let cfg = recovery_cfg(false);
+                match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
                     Ok(healed) => {
                         assert_eq!(buf, src, "p={p} rank {} corrupted", comm.rank());
                         Some(healed.survivors)
@@ -155,9 +162,11 @@ fn p8_crash_replays_identically_on_both_executors() {
     let plan = FaultPlan::new(seed).with_crash(VICTIM, 5);
 
     fn run<C: Communicator>(comm: &C, src: &[u8], plan: &FaultPlan) -> Option<Vec<Rank>> {
-        let faulty = FaultyComm::new(comm, plan.clone());
+        let acomm = SyncComm::new(comm);
+        let faulty = FaultyComm::new(&acomm, plan.clone());
         let mut buf = if comm.rank() == 0 { src.to_vec() } else { vec![0u8; src.len()] };
-        match self_healing_bcast(&faulty, &mut buf, 0, &recovery_cfg(false)) {
+        let cfg = recovery_cfg(false);
+        match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
             Ok(healed) => {
                 assert_eq!(buf, src, "rank {} corrupted", comm.rank());
                 Some(healed.survivors)
@@ -240,9 +249,11 @@ fn p8_crash_replays_identically_on_the_event_executor() {
         let src = src.clone();
         let plan = plan.clone();
         move |comm| {
-            let faulty = FaultyComm::new(comm, plan.clone());
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, plan.clone());
             let mut buf = if comm.rank() == 0 { src.to_vec() } else { vec![0u8; src.len()] };
-            match self_healing_bcast(&faulty, &mut buf, 0, &recovery_cfg(false)) {
+            let cfg = recovery_cfg(false);
+            match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
                 Ok(healed) => {
                     assert_eq!(buf, src, "rank {} corrupted", comm.rank());
                     Some(healed.survivors)

@@ -1,8 +1,18 @@
-//! Async mirror of the [`Communicator`] surface — the narrow waist between
-//! collective algorithms and the *event-loop* executor.
+//! [`AsyncCommunicator`] — the one communicator surface above the executors,
+//! and the bridge that lets the blocking executors run what is written
+//! against it.
 //!
-//! The collectives in `bcast-core` are written once as `async` cores against
-//! [`AsyncCommunicator`]. On the cooperative single-threaded executor
+//! The layering rule: an executor implements one trait
+//! ([`Communicator`] for the blocking [`ThreadWorld`](crate::ThreadWorld) and
+//! `netsim::SimWorld`, [`AsyncCommunicator`] for the event loop); every
+//! decorator ([`SubComm`](crate::SubComm), [`ReliableComm`](crate::ReliableComm),
+//! `netsim::FaultyComm`, the recovery stack) and every collective in
+//! `bcast-core` is written once, as `async` code against
+//! [`AsyncCommunicator`]; blocking callers enter through [`SyncComm`] +
+//! [`complete_now`]. This module is the only code that knows a blocking
+//! backend exists.
+//!
+//! On the cooperative single-threaded executor
 //! ([`EventWorld`](crate::event_comm::EventWorld)) the futures genuinely
 //! suspend; on the blocking backends ([`ThreadWorld`](crate::ThreadWorld),
 //! `netsim::SimWorld`) the same cores run through the [`SyncComm`] bridge,
@@ -25,7 +35,8 @@ use crate::nonblocking::NonBlocking;
 use crate::pool::SharedBuf;
 use crate::rank::{Rank, Tag};
 
-/// Async counterpart of [`Communicator`]: identical contract (tag matching,
+/// The communicator surface everything above the executors is written
+/// against. Same contract as the blocking [`Communicator`] (tag matching,
 /// non-overtaking per `(source, tag)`, truncation, exited-peer detection),
 /// with the blocking operations expressed as futures.
 ///

@@ -1,5 +1,13 @@
-//! The [`Communicator`] trait — the narrow waist between collective
-//! algorithms and execution backends.
+//! The [`Communicator`] trait — what the two *blocking* executors
+//! ([`ThreadComm`](crate::ThreadComm), `netsim::SimComm`) implement and what
+//! the blocking entry points of the collectives accept.
+//!
+//! Nothing above the executors implements this trait: decorators and
+//! collectives are written once against
+//! [`AsyncCommunicator`](crate::AsyncCommunicator), and a blocking backend
+//! enters that code through [`SyncComm`](crate::SyncComm) +
+//! [`complete_now`](crate::complete_now) (`acomm.rs` is the only module that
+//! knows a blocking backend exists).
 
 use crate::error::{CommError, Result};
 use crate::pool::SharedBuf;

@@ -16,7 +16,7 @@
 //!   transfer-count arithmetic (`P·(P−1)` vs the tuned count) can be *measured*
 //!   rather than merely asserted.
 //!
-//! Three executors implement the trait surface:
+//! Three executors implement the point-to-point surface:
 //!
 //! * [`ThreadWorld`] (this crate): one OS thread per rank with real byte
 //!   movement through mailboxes — used for correctness tests and wall-clock
@@ -24,14 +24,16 @@
 //! * `netsim::SimWorld` (sibling crate): the same trait over a virtual-time
 //!   cluster simulator standing in for the paper's Cray XC40;
 //! * [`EventWorld`] (this crate): a single-threaded discrete-event reactor
-//!   where ranks are cooperatively scheduled futures over the async twin of
-//!   the trait ([`AsyncCommunicator`]) — used for cluster-scale worlds
-//!   (P in the thousands) that OS threads cannot reach.
+//!   where ranks are cooperatively scheduled futures over
+//!   [`AsyncCommunicator`] — used for cluster-scale worlds (P in the
+//!   thousands) that OS threads cannot reach.
 //!
-//! Collective algorithms are written once against the trait and run unchanged
-//! on all of them, exactly like the paper's "user-level" implementation runs
-//! on both of its machines; [`SyncComm`] and [`complete_now`] bridge the
-//! blocking and async surfaces in either direction.
+//! Everything above the executors — the decorators ([`SubComm`],
+//! [`ReliableComm`], `netsim::FaultyComm`) and the collective algorithms — is
+//! written once against [`AsyncCommunicator`] and runs unchanged on all of
+//! them, exactly like the paper's "user-level" implementation runs on both of
+//! its machines; the two blocking executors enter through [`SyncComm`] +
+//! [`complete_now`].
 //!
 //! ## Example
 //!

@@ -1,6 +1,6 @@
 //! Reliable delivery over a lossy communicator.
 //!
-//! [`ReliableComm`] wraps any [`Communicator`] with a stop-and-wait
+//! [`ReliableComm`] wraps any [`AsyncCommunicator`] with a stop-and-wait
 //! acknowledgement protocol: every payload is framed with a per-`(peer,
 //! tag)` sequence number, the receiver acknowledges each frame, and the
 //! sender retransmits on an exponential backoff until acknowledged or out
@@ -21,6 +21,12 @@
 //! instead — correct, hash-matched, and counted in
 //! `ReactorStats::mailbox_spills` rather than silent.
 //!
+//! Every wait is arithmetic on [`AsyncCommunicator::now_ns`], so on the event
+//! executor the retransmission timers are virtual-clock timer events
+//! (deterministic, no real sleeping), while through the
+//! [`SyncComm`](crate::acomm::SyncComm) bridge the same arithmetic tracks
+//! wall-clock time on the blocking backends.
+//!
 //! ## Transport requirements
 //!
 //! The wrapped transport must deliver eagerly (sends complete without the
@@ -35,18 +41,11 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::acomm::AsyncCommunicator;
-use crate::comm::{
-    disjoint_span_lists, scatter_spans, spans_len, validate_spans, Communicator, IoSpan,
-};
+use crate::comm::{disjoint_span_lists, scatter_spans, spans_len, validate_spans, IoSpan};
 use crate::error::{CommError, Result};
 use crate::rank::{Rank, Tag};
 
 /// Absolute deadline on a backend clock: `now_ns` plus `timeout`, saturating.
-///
-/// The async protocol paths express every wait as arithmetic on
-/// [`AsyncCommunicator::now_ns`] so that on the event executor the
-/// retransmission timers run on the *virtual* clock (no real sleeping), while
-/// on the threaded backend the same arithmetic tracks wall-clock time.
 fn deadline_after(now_ns: u64, timeout: Duration) -> u64 {
     now_ns.saturating_add(u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX))
 }
@@ -102,7 +101,7 @@ struct ChannelSeq {
     rx_high_water: usize,
 }
 
-/// Acknowledged, deduplicated delivery over a lossy [`Communicator`].
+/// Acknowledged, deduplicated delivery over a lossy [`AsyncCommunicator`].
 ///
 /// See the [module docs](self) for the protocol and its requirements.
 pub struct ReliableComm<'a, C: ?Sized> {
@@ -180,9 +179,9 @@ impl<'a, C: ?Sized> ReliableComm<'a, C> {
     }
 }
 
-impl<C: Communicator + ?Sized> ReliableComm<'_, C> {
-    fn send_ack(&self, peer: Rank, tag: Tag, seq: u32) -> Result<()> {
-        match self.inner.send(&seq.to_le_bytes(), peer, Self::ack_tag(tag)) {
+impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
+    async fn send_ack(&self, peer: Rank, tag: Tag, seq: u32) -> Result<()> {
+        match self.inner.send(&seq.to_le_bytes(), peer, Self::ack_tag(tag)).await {
             // A dead peer cannot retransmit, so the lost ack is moot; the
             // delivered payload is still good.
             Err(CommError::PeerFailed { .. }) => Ok(()),
@@ -193,7 +192,7 @@ impl<C: Communicator + ?Sized> ReliableComm<'_, C> {
     /// Handle one received data frame: deliver it if it is the expected
     /// sequence number, re-acknowledge and discard stale duplicates.
     /// Returns the payload length when the frame was the expected one.
-    fn accept_frame(
+    async fn accept_frame(
         &self,
         frame: &[u8],
         buf: &mut [u8],
@@ -203,13 +202,14 @@ impl<C: Communicator + ?Sized> ReliableComm<'_, C> {
         self.accept_frame_with(frame, buf.len(), src, tag, |payload| {
             buf[..payload.len()].copy_from_slice(payload);
         })
+        .await
     }
 
     /// [`accept_frame`](Self::accept_frame) with the delivery copy abstracted
     /// out, so the scattered receive can fan the payload into spans instead
     /// of a contiguous buffer. `deliver` runs only for the expected frame,
     /// after the truncation check against `capacity`.
-    fn accept_frame_with(
+    async fn accept_frame_with(
         &self,
         frame: &[u8],
         capacity: usize,
@@ -231,14 +231,14 @@ impl<C: Communicator + ?Sized> ReliableComm<'_, C> {
                 return Err(CommError::Truncation { capacity, incoming: payload.len() });
             }
             self.advance_rx(src, tag, payload.len());
-            self.send_ack(src, tag, seq)?;
+            self.send_ack(src, tag, seq).await?;
             deliver(payload);
             Ok(Some(payload.len()))
         } else if seq < expected {
             // Duplicate of an already-delivered frame: the first ack was
             // lost (or the link duplicated the frame). Re-ack so the sender
             // stops retransmitting, and drop the payload.
-            self.send_ack(src, tag, seq)?;
+            self.send_ack(src, tag, seq).await?;
             Ok(None)
         } else {
             // Ahead of the expected sequence. Stop-and-wait never legally
@@ -250,10 +250,10 @@ impl<C: Communicator + ?Sized> ReliableComm<'_, C> {
 
     /// Transmit an assembled frame with retry-until-acked (the shared tail
     /// of the plain and vectored send paths).
-    fn send_framed(&self, frame: &[u8], dest: Rank, tag: Tag, seq: u32) -> Result<()> {
+    async fn send_framed(&self, frame: &[u8], dest: Rank, tag: Tag, seq: u32) -> Result<()> {
         for attempt in 0..self.cfg.max_attempts {
-            self.inner.send(frame, dest, Self::data_tag(tag))?;
-            if self.await_ack(dest, tag, seq, self.cfg.timeout_for(attempt))? {
+            self.inner.send(frame, dest, Self::data_tag(tag)).await?;
+            if self.await_ack(dest, tag, seq, self.cfg.timeout_for(attempt)).await? {
                 return Ok(());
             }
         }
@@ -261,372 +261,7 @@ impl<C: Communicator + ?Sized> ReliableComm<'_, C> {
     }
 
     /// Wait up to `timeout` for an acknowledgement of `seq` from `peer`.
-    fn await_ack(&self, peer: Rank, tag: Tag, seq: u32, timeout: Duration) -> Result<bool> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(false);
-            }
-            let mut ack = [0u8; 4];
-            match self.inner.recv_timeout(&mut ack, peer, Self::ack_tag(tag), deadline - now) {
-                Ok(4) => {
-                    // Acks for older frames may arrive late; only the ack
-                    // for this frame (or beyond, defensively) completes the
-                    // send.
-                    if u32::from_le_bytes(ack) >= seq {
-                        return Ok(true);
-                    }
-                }
-                Ok(_) => {} // malformed ack: ignore
-                Err(CommError::Timeout { .. }) => return Ok(false),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl<C: Communicator> Communicator for ReliableComm<'_, C> {
-    fn rank(&self) -> Rank {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        if dest == self.rank() {
-            // Loopback cannot lose messages; skip the protocol.
-            return self.inner.send(buf, dest, tag);
-        }
-        let seq = self.next_tx_seq(dest, tag);
-        let mut frame = Vec::with_capacity(buf.len() + 4);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(buf);
-        self.send_framed(&frame, dest, tag, seq)
-    }
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.check_rank(src)?;
-        if src == self.rank() {
-            return self.inner.recv(buf, src, tag);
-        }
-        let mut frame = vec![0u8; self.rx_frame_len(src, tag, buf.len())];
-        loop {
-            // Blocking is fine: as long as the sender retries, some copy of
-            // the expected frame eventually arrives; if the sender died the
-            // backend's failure detector surfaces `PeerFailed` here.
-            let n = self
-                .inner
-                .recv(&mut frame, src, Self::data_tag(tag))
-                .map_err(|e| Self::unframe_truncation(e, buf.len()))?;
-            if let Some(len) = self.accept_frame(&frame[..n], buf, src, tag)? {
-                return Ok(len);
-            }
-        }
-    }
-
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        if src == self.rank() {
-            return self.inner.recv_timeout(buf, src, tag, timeout);
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut frame = vec![0u8; self.rx_frame_len(src, tag, buf.len())];
-        loop {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout { peer: src });
-            }
-            let n = self
-                .inner
-                .recv_timeout(&mut frame, src, Self::data_tag(tag), deadline - now)
-                .map_err(|e| Self::unframe_truncation(e, buf.len()))?;
-            if let Some(len) = self.accept_frame(&frame[..n], buf, src, tag)? {
-                return Ok(len);
-            }
-        }
-    }
-
-    /// Concurrent send+receive over the reliable protocol.
-    ///
-    /// A naive send-then-receive deadlocks when two ranks `sendrecv` each
-    /// other: both would block awaiting an ack that only the other side's
-    /// *receive* produces. This implementation pumps both directions — it
-    /// transmits its frame, then alternates between draining the incoming
-    /// data channel and watching for its ack, retransmitting on backoff.
-    fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        if dest == self.rank() && src == self.rank() {
-            return self.inner.sendrecv(sendbuf, dest, sendtag, recvbuf, src, recvtag);
-        }
-
-        let seq = self.next_tx_seq(dest, sendtag);
-        let mut frame = Vec::with_capacity(sendbuf.len() + 4);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(sendbuf);
-        let mut in_frame = vec![0u8; self.rx_frame_len(src, recvtag, recvbuf.len())];
-
-        // Short slices keep the pump responsive in both directions.
-        let slice = (self.cfg.base_timeout / 4).max(Duration::from_millis(1));
-        let mut acked = dest == self.rank();
-        let mut received: Option<usize> = None;
-        if dest != self.rank() {
-            self.inner.send(&frame, dest, Self::data_tag(sendtag))?;
-        } else {
-            self.inner.send(sendbuf, dest, sendtag)?;
-        }
-        let mut attempt = 0u32;
-        let mut next_retransmit = std::time::Instant::now() + self.cfg.timeout_for(0);
-        loop {
-            if acked {
-                if let Some(len) = received {
-                    return Ok(len);
-                }
-            }
-            if received.is_none() {
-                if src == self.rank() {
-                    // Loopback receive: the message is already queued.
-                    received = Some(self.inner.recv(recvbuf, src, recvtag)?);
-                } else {
-                    match self
-                        .inner
-                        .recv_timeout(&mut in_frame, src, Self::data_tag(recvtag), slice)
-                        .map_err(|e| Self::unframe_truncation(e, recvbuf.len()))
-                    {
-                        Ok(n) => {
-                            if let Some(len) =
-                                self.accept_frame(&in_frame[..n], recvbuf, src, recvtag)?
-                            {
-                                received = Some(len);
-                            }
-                        }
-                        Err(CommError::Timeout { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            if !acked {
-                match self.inner.recv_timeout(
-                    &mut in_frame[..4],
-                    dest,
-                    Self::ack_tag(sendtag),
-                    slice,
-                ) {
-                    Ok(4) => {
-                        let mut b = [0u8; 4];
-                        b.copy_from_slice(&in_frame[..4]);
-                        if u32::from_le_bytes(b) >= seq {
-                            acked = true;
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(CommError::Timeout { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                if !acked && std::time::Instant::now() >= next_retransmit {
-                    attempt += 1;
-                    if attempt >= self.cfg.max_attempts {
-                        return Err(CommError::Timeout { peer: dest });
-                    }
-                    self.inner.send(&frame, dest, Self::data_tag(sendtag))?;
-                    next_retransmit = std::time::Instant::now() + self.cfg.timeout_for(attempt);
-                }
-            }
-        }
-    }
-
-    fn barrier(&self) -> Result<()> {
-        self.inner.barrier()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        self.inner.check_rank(rank)
-    }
-
-    /// Vectored send over the reliable protocol: the segments are gathered
-    /// directly behind the 4-byte sequence header, so the protocol frame
-    /// doubles as the staging buffer and the whole payload still travels —
-    /// and is retransmitted — as one frame.
-    fn send_vectored(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        let total = validate_spans(buf.len(), spans)?;
-        if dest == self.rank() {
-            // Loopback cannot lose messages; skip the protocol.
-            return self.inner.send_vectored(buf, spans, dest, tag);
-        }
-        let seq = self.next_tx_seq(dest, tag);
-        let mut frame = Vec::with_capacity(total + 4);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        for s in spans {
-            frame.extend_from_slice(&buf[s.range()]);
-        }
-        self.send_framed(&frame, dest, tag, seq)
-    }
-
-    /// Scattered receive over the reliable protocol: the expected frame's
-    /// payload is fanned out into the spans straight from the frame buffer;
-    /// stale duplicates are re-acked and dropped without touching `buf`.
-    fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        let total = validate_spans(buf.len(), spans)?;
-        if src == self.rank() {
-            return self.inner.recv_scattered(buf, spans, src, tag);
-        }
-        let mut frame = vec![0u8; self.rx_frame_len(src, tag, total)];
-        loop {
-            let n = self
-                .inner
-                .recv(&mut frame, src, Self::data_tag(tag))
-                .map_err(|e| Self::unframe_truncation(e, total))?;
-            let accepted = self.accept_frame_with(&frame[..n], total, src, tag, |payload| {
-                scatter_spans(buf, spans, payload);
-            })?;
-            if let Some(len) = accepted {
-                return Ok(len);
-            }
-        }
-    }
-
-    /// Combined vectored exchange over the reliable protocol.
-    ///
-    /// Stages both directions contiguously and delegates to the pumping
-    /// [`sendrecv`](Self::sendrecv) — a naive vectored-send-then-receive
-    /// would deadlock for mutual exchanges exactly like the plain one.
-    fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        validate_spans(buf.len(), send_spans)?;
-        let rtotal = validate_spans(buf.len(), recv_spans)?;
-        disjoint_span_lists(send_spans, recv_spans)?;
-        let mut sendbuf = Vec::with_capacity(spans_len(send_spans));
-        for s in send_spans {
-            sendbuf.extend_from_slice(&buf[s.range()]);
-        }
-        let mut recvbuf = vec![0u8; rtotal];
-        let n = self.sendrecv(&sendbuf, dest, sendtag, &mut recvbuf, src, recvtag)?;
-        Ok(scatter_spans(buf, recv_spans, &recvbuf[..n]))
-    }
-}
-
-impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
-    /// Async twin of [`send_ack`](Self::send_ack).
-    async fn send_ack_async(&self, peer: Rank, tag: Tag, seq: u32) -> Result<()> {
-        match self.inner.send(&seq.to_le_bytes(), peer, Self::ack_tag(tag)).await {
-            // A dead peer cannot retransmit, so the lost ack is moot; the
-            // delivered payload is still good.
-            Err(CommError::PeerFailed { .. }) => Ok(()),
-            r => r,
-        }
-    }
-
-    /// Async twin of [`accept_frame`](Self::accept_frame).
-    async fn accept_frame_async(
-        &self,
-        frame: &[u8],
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<Option<usize>> {
-        self.accept_frame_with_async(frame, buf.len(), src, tag, |payload| {
-            buf[..payload.len()].copy_from_slice(payload);
-        })
-        .await
-    }
-
-    /// Async twin of [`accept_frame_with`](Self::accept_frame_with): the
-    /// sequence arithmetic is identical; only the acknowledgement send
-    /// awaits.
-    async fn accept_frame_with_async(
-        &self,
-        frame: &[u8],
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        deliver: impl FnOnce(&[u8]),
-    ) -> Result<Option<usize>> {
-        if frame.len() < 4 {
-            // Not a protocol frame; nothing sane to do but drop it.
-            return Ok(None);
-        }
-        let mut seq_bytes = [0u8; 4];
-        seq_bytes.copy_from_slice(&frame[..4]);
-        let seq = u32::from_le_bytes(seq_bytes);
-        let expected = self.rx_expected(src, tag);
-        if seq == expected {
-            let payload = &frame[4..];
-            if payload.len() > capacity {
-                return Err(CommError::Truncation { capacity, incoming: payload.len() });
-            }
-            self.advance_rx(src, tag, payload.len());
-            self.send_ack_async(src, tag, seq).await?;
-            deliver(payload);
-            Ok(Some(payload.len()))
-        } else if seq < expected {
-            // Duplicate of an already-delivered frame: re-ack and drop.
-            self.send_ack_async(src, tag, seq).await?;
-            Ok(None)
-        } else {
-            // Reordered duplicate from the future: drop without acking.
-            Ok(None)
-        }
-    }
-
-    /// Async twin of [`send_framed`](Self::send_framed).
-    async fn send_framed_async(&self, frame: &[u8], dest: Rank, tag: Tag, seq: u32) -> Result<()> {
-        for attempt in 0..self.cfg.max_attempts {
-            self.inner.send(frame, dest, Self::data_tag(tag)).await?;
-            if self.await_ack_async(dest, tag, seq, self.cfg.timeout_for(attempt)).await? {
-                return Ok(());
-            }
-        }
-        Err(CommError::Timeout { peer: dest })
-    }
-
-    /// Async twin of [`await_ack`](Self::await_ack), with the deadline kept
-    /// as `now_ns` arithmetic so the wait is virtual-clock-pure on the event
-    /// executor.
-    async fn await_ack_async(
-        &self,
-        peer: Rank,
-        tag: Tag,
-        seq: u32,
-        timeout: Duration,
-    ) -> Result<bool> {
+    async fn await_ack(&self, peer: Rank, tag: Tag, seq: u32, timeout: Duration) -> Result<bool> {
         let deadline = deadline_after(self.inner.now_ns(), timeout);
         loop {
             let now = self.inner.now_ns();
@@ -652,11 +287,6 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
     }
 }
 
-/// The identical stop-and-wait protocol over any [`AsyncCommunicator`]: on
-/// the event executor the retransmission timers become virtual-clock timer
-/// events (deterministic, no real sleeping); through the
-/// [`SyncComm`](crate::acomm::SyncComm) bridge the behaviour matches the
-/// blocking impl above.
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
     fn rank(&self) -> Rank {
         self.inner.rank()
@@ -684,7 +314,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         let mut frame = Vec::with_capacity(buf.len() + 4);
         frame.extend_from_slice(&seq.to_le_bytes());
         frame.extend_from_slice(buf);
-        self.send_framed_async(&frame, dest, tag, seq).await
+        self.send_framed(&frame, dest, tag, seq).await
     }
 
     async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
@@ -694,12 +324,15 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         }
         let mut frame = vec![0u8; self.rx_frame_len(src, tag, buf.len())];
         loop {
+            // An unbounded wait is fine: as long as the sender retries, some
+            // copy of the expected frame eventually arrives; if the sender
+            // died the backend's failure detector surfaces `PeerFailed` here.
             let n = self
                 .inner
                 .recv(&mut frame, src, Self::data_tag(tag))
                 .await
                 .map_err(|e| Self::unframe_truncation(e, buf.len()))?;
-            if let Some(len) = self.accept_frame_async(&frame[..n], buf, src, tag).await? {
+            if let Some(len) = self.accept_frame(&frame[..n], buf, src, tag).await? {
                 return Ok(len);
             }
         }
@@ -729,15 +362,19 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
                 .recv_timeout(&mut frame, src, Self::data_tag(tag), remaining)
                 .await
                 .map_err(|e| Self::unframe_truncation(e, buf.len()))?;
-            if let Some(len) = self.accept_frame_async(&frame[..n], buf, src, tag).await? {
+            if let Some(len) = self.accept_frame(&frame[..n], buf, src, tag).await? {
                 return Ok(len);
             }
         }
     }
 
-    /// Async twin of the pumping [`sendrecv`](Communicator::sendrecv) above:
-    /// same two-direction pump, with the retransmit deadline tracked in
-    /// `now_ns` units instead of `Instant`s.
+    /// Concurrent send+receive over the reliable protocol.
+    ///
+    /// A naive send-then-receive deadlocks when two ranks `sendrecv` each
+    /// other: both would block awaiting an ack that only the other side's
+    /// *receive* produces. This implementation pumps both directions — it
+    /// transmits its frame, then alternates between draining the incoming
+    /// data channel and watching for its ack, retransmitting on backoff.
     async fn sendrecv(
         &self,
         sendbuf: &[u8],
@@ -788,9 +425,8 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
                         .map_err(|e| Self::unframe_truncation(e, recvbuf.len()))
                     {
                         Ok(n) => {
-                            if let Some(len) = self
-                                .accept_frame_async(&in_frame[..n], recvbuf, src, recvtag)
-                                .await?
+                            if let Some(len) =
+                                self.accept_frame(&in_frame[..n], recvbuf, src, recvtag).await?
                             {
                                 received = Some(len);
                             }
@@ -834,6 +470,10 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.inner.barrier().await
     }
 
+    /// Vectored send over the reliable protocol: the segments are gathered
+    /// directly behind the 4-byte sequence header, so the protocol frame
+    /// doubles as the staging buffer and the whole payload still travels —
+    /// and is retransmitted — as one frame.
     async fn send_vectored(
         &self,
         buf: &[u8],
@@ -853,9 +493,12 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         for s in spans {
             frame.extend_from_slice(&buf[s.range()]);
         }
-        self.send_framed_async(&frame, dest, tag, seq).await
+        self.send_framed(&frame, dest, tag, seq).await
     }
 
+    /// Scattered receive over the reliable protocol: the expected frame's
+    /// payload is fanned out into the spans straight from the frame buffer;
+    /// stale duplicates are re-acked and dropped without touching `buf`.
     async fn recv_scattered(
         &self,
         buf: &mut [u8],
@@ -876,7 +519,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
                 .await
                 .map_err(|e| Self::unframe_truncation(e, total))?;
             let accepted = self
-                .accept_frame_with_async(&frame[..n], total, src, tag, |payload| {
+                .accept_frame_with(&frame[..n], total, src, tag, |payload| {
                     scatter_spans(buf, spans, payload);
                 })
                 .await?;
@@ -886,6 +529,11 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         }
     }
 
+    /// Combined vectored exchange over the reliable protocol.
+    ///
+    /// Stages both directions contiguously and delegates to the pumping
+    /// [`sendrecv`](Self::sendrecv) — a naive vectored-send-then-receive
+    /// would deadlock for mutual exchanges exactly like the plain one.
     async fn sendrecv_vectored(
         &self,
         buf: &mut [u8],
@@ -904,9 +552,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
             sendbuf.extend_from_slice(&buf[s.range()]);
         }
         let mut recvbuf = vec![0u8; rtotal];
-        let n =
-            AsyncCommunicator::sendrecv(self, &sendbuf, dest, sendtag, &mut recvbuf, src, recvtag)
-                .await?;
+        let n = self.sendrecv(&sendbuf, dest, sendtag, &mut recvbuf, src, recvtag).await?;
         Ok(scatter_spans(buf, recv_spans, &recvbuf[..n]))
     }
 }
@@ -914,6 +560,8 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acomm::{complete_now, SyncComm};
+    use crate::comm::Communicator;
     use crate::thread_comm::ThreadWorld;
 
     fn fast_cfg() -> RetryConfig {
@@ -927,13 +575,14 @@ mod tests {
     #[test]
     fn plain_send_recv_roundtrip() {
         let out = ThreadWorld::run(2, |comm| {
-            let rc = ReliableComm::new(comm);
+            let acomm = SyncComm::new(comm);
+            let rc = ReliableComm::new(&acomm);
             if comm.rank() == 0 {
-                rc.send(&[7u8; 100], 1, Tag(3)).unwrap();
+                complete_now(rc.send(&[7u8; 100], 1, Tag(3))).unwrap();
                 0
             } else {
                 let mut buf = [0u8; 100];
-                let n = rc.recv(&mut buf, 0, Tag(3)).unwrap();
+                let n = complete_now(rc.recv(&mut buf, 0, Tag(3))).unwrap();
                 assert_eq!(&buf[..n], &[7u8; 100]);
                 n
             }
@@ -944,17 +593,18 @@ mod tests {
     #[test]
     fn many_messages_stay_in_order() {
         let out = ThreadWorld::run(2, |comm| {
-            let rc = ReliableComm::new(comm);
+            let acomm = SyncComm::new(comm);
+            let rc = ReliableComm::new(&acomm);
             if comm.rank() == 0 {
                 for i in 0..50u8 {
-                    rc.send(&[i], 1, Tag(0)).unwrap();
+                    complete_now(rc.send(&[i], 1, Tag(0))).unwrap();
                 }
                 vec![]
             } else {
                 let mut got = vec![];
                 let mut buf = [0u8; 1];
                 for _ in 0..50 {
-                    rc.recv(&mut buf, 0, Tag(0)).unwrap();
+                    complete_now(rc.recv(&mut buf, 0, Tag(0))).unwrap();
                     got.push(buf[0]);
                 }
                 got
@@ -966,12 +616,14 @@ mod tests {
     #[test]
     fn sendrecv_exchange_does_not_deadlock() {
         let out = ThreadWorld::run(2, |comm| {
-            let rc = ReliableComm::with_config(comm, fast_cfg());
+            let acomm = SyncComm::new(comm);
+            let rc = ReliableComm::with_config(&acomm, fast_cfg());
             let me = comm.rank();
             let peer = 1 - me;
             let sbuf = [me as u8 + 10; 16];
             let mut rbuf = [0u8; 16];
-            let n = rc.sendrecv(&sbuf, peer, Tag(1), &mut rbuf, peer, Tag(1)).unwrap();
+            let n =
+                complete_now(rc.sendrecv(&sbuf, peer, Tag(1), &mut rbuf, peer, Tag(1))).unwrap();
             (n, rbuf[0])
         });
         assert_eq!(out.results[0], (16, 11));
@@ -982,8 +634,9 @@ mod tests {
     fn send_times_out_when_never_acked() {
         let out = ThreadWorld::run(2, |comm| {
             if comm.rank() == 0 {
+                let acomm = SyncComm::new(comm);
                 let rc = ReliableComm::with_config(
-                    comm,
+                    &acomm,
                     RetryConfig {
                         base_timeout: Duration::from_millis(5),
                         max_timeout: Duration::from_millis(10),
@@ -991,7 +644,7 @@ mod tests {
                     },
                 );
                 // rank 1 never runs the protocol, so no ack ever comes
-                let err = rc.send(&[1u8; 8], 1, Tag(0)).unwrap_err();
+                let err = complete_now(rc.send(&[1u8; 8], 1, Tag(0))).unwrap_err();
                 // release rank 1
                 comm.send(&[0], 1, Tag(9)).unwrap();
                 Some(err)
@@ -1007,10 +660,11 @@ mod tests {
     #[test]
     fn loopback_skips_protocol() {
         let out = ThreadWorld::run(1, |comm| {
-            let rc = ReliableComm::new(comm);
-            rc.send(&[9u8; 4], 0, Tag(0)).unwrap();
+            let acomm = SyncComm::new(comm);
+            let rc = ReliableComm::new(&acomm);
+            complete_now(rc.send(&[9u8; 4], 0, Tag(0))).unwrap();
             let mut buf = [0u8; 4];
-            rc.recv(&mut buf, 0, Tag(0)).unwrap();
+            complete_now(rc.recv(&mut buf, 0, Tag(0))).unwrap();
             buf[0]
         });
         assert_eq!(out.results[0], 9);
@@ -1019,11 +673,13 @@ mod tests {
     #[test]
     fn recv_timeout_passes_through() {
         let out = ThreadWorld::run(2, |comm| {
-            let rc = ReliableComm::with_config(comm, fast_cfg());
+            let acomm = SyncComm::new(comm);
+            let rc = ReliableComm::with_config(&acomm, fast_cfg());
             if comm.rank() == 0 {
                 let mut buf = [0u8; 4];
                 let err =
-                    rc.recv_timeout(&mut buf, 1, Tag(5), Duration::from_millis(30)).unwrap_err();
+                    complete_now(rc.recv_timeout(&mut buf, 1, Tag(5), Duration::from_millis(30)))
+                        .unwrap_err();
                 comm.send(&[0], 1, Tag(9)).unwrap();
                 Some(err)
             } else {
@@ -1038,17 +694,18 @@ mod tests {
     #[test]
     fn truncation_surfaces_like_plain_recv() {
         let out = ThreadWorld::run(2, |comm| {
-            let rc = ReliableComm::with_config(comm, fast_cfg());
+            let acomm = SyncComm::new(comm);
+            let rc = ReliableComm::with_config(&acomm, fast_cfg());
             if comm.rank() == 0 {
                 // the ack never comes back (receiver errors out first), so
                 // tolerate either outcome of the send
-                let _ = rc.send(&[1u8; 64], 1, Tag(0));
+                let _ = complete_now(rc.send(&[1u8; 64], 1, Tag(0)));
                 let mut buf = [0u8; 1];
                 comm.recv(&mut buf, 1, Tag(9)).unwrap();
                 None
             } else {
                 let mut small = [0u8; 8];
-                let err = rc.recv(&mut small, 0, Tag(0)).unwrap_err();
+                let err = complete_now(rc.recv(&mut small, 0, Tag(0))).unwrap_err();
                 comm.send(&[0], 0, Tag(9)).unwrap();
                 Some(err)
             }

@@ -1,5 +1,5 @@
-//! Sub-communicators: a view of a parent [`Communicator`] restricted to a
-//! subset of its ranks (the moral equivalent of `MPI_Comm_split`).
+//! Sub-communicators: a view of a parent [`AsyncCommunicator`] restricted to
+//! a subset of its ranks (the moral equivalent of `MPI_Comm_split`).
 //!
 //! The multi-core-aware broadcast of the paper's Section I runs three phases
 //! on three different process groups (root's node, the node leaders, every
@@ -7,9 +7,14 @@
 //! mapped onto parent ranks, with a dissemination barrier built from tagged
 //! point-to-point messages so that a barrier over a *subset* of the world
 //! never involves non-members.
+//!
+//! Like every layer above the executors, the view is written once against
+//! [`AsyncCommunicator`]; a blocking backend enters through
+//! [`SyncComm`](crate::acomm::SyncComm) +
+//! [`complete_now`](crate::acomm::complete_now).
 
 use crate::acomm::AsyncCommunicator;
-use crate::comm::{Communicator, IoSpan};
+use crate::comm::IoSpan;
 use crate::error::Result;
 use crate::rank::{ceil_log2, Rank, Tag};
 
@@ -18,32 +23,13 @@ use crate::rank::{ceil_log2, Rank, Tag};
 /// `members` lists parent ranks; the local rank of `members[i]` is `i`.
 /// Construct one *on every member rank* with identical `members` (mirroring
 /// the collective nature of `MPI_Comm_split`).
-///
-/// The view works over both communicator surfaces: build with
-/// [`SubComm::new`] over a blocking [`Communicator`] parent, or with
-/// [`SubComm::new_async`] over an [`AsyncCommunicator`] parent (the event
-/// executor) — the recovery stack uses the latter to re-run degraded
-/// collectives over survivor subsets as futures.
 pub struct SubComm<'a, C: ?Sized> {
     parent: &'a C,
     members: Vec<Rank>,
     my_local: Rank,
 }
 
-/// Shared membership validation: panics on structural errors, returns the
-/// caller's local rank or `None` when the caller is not a member.
-fn validate_members(parent_size: usize, parent_rank: Rank, members: &[Rank]) -> Option<Rank> {
-    assert!(!members.is_empty(), "sub-communicator needs at least one member");
-    let mut seen = vec![false; parent_size];
-    for &m in members {
-        assert!(m < parent_size, "member rank {m} out of range");
-        assert!(!seen[m], "duplicate member rank {m}");
-        seen[m] = true;
-    }
-    members.iter().position(|&m| m == parent_rank)
-}
-
-impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
+impl<'a, C: AsyncCommunicator + ?Sized> SubComm<'a, C> {
     /// Build the view for the calling rank. Returns `None` if the caller is
     /// not in `members`.
     ///
@@ -51,18 +37,91 @@ impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
     /// out-of-range parent rank — those are programming errors in the
     /// collective driver, not runtime conditions.
     pub fn new(parent: &'a C, members: Vec<Rank>) -> Option<Self> {
-        let my_local = validate_members(parent.size(), parent.rank(), &members)?;
+        assert!(!members.is_empty(), "sub-communicator needs at least one member");
+        let parent_size = parent.size();
+        let mut seen = vec![false; parent_size];
+        for &m in &members {
+            assert!(m < parent_size, "member rank {m} out of range");
+            assert!(!seen[m], "duplicate member rank {m}");
+            seen[m] = true;
+        }
+        let my_local = members.iter().position(|&m| m == parent.rank())?;
         Some(Self { parent, members, my_local })
     }
-}
 
-impl<'a, C: AsyncCommunicator + ?Sized> SubComm<'a, C> {
-    /// [`SubComm::new`] for an async parent: identical validation and
-    /// membership contract, with `rank()`/`size()` taken from the
-    /// [`AsyncCommunicator`] surface.
+    /// Alias of [`SubComm::new`], kept because the frozen `benchmark/`
+    /// package and `tests/comm_conformance.rs` construct the view under
+    /// this name.
     pub fn new_async(parent: &'a C, members: Vec<Rank>) -> Option<Self> {
-        let my_local = validate_members(parent.size(), parent.rank(), &members)?;
-        Some(Self { parent, members, my_local })
+        Self::new(parent, members)
+    }
+
+    /// Collective split, the moral equivalent of `MPI_Comm_split`: every
+    /// rank of the parent must call this with its `(color, key)`; ranks
+    /// sharing a color form one sub-communicator, with local ranks ordered
+    /// by `(key, parent rank)`. `color == None` (MPI_UNDEFINED) yields
+    /// `None` — the rank joins no group but still participates in the
+    /// exchange.
+    ///
+    /// Implemented as a gather-to-0 + broadcast of the `(color, key)` table
+    /// over tagged point-to-point messages (control-plane traffic; it is
+    /// counted like any other traffic).
+    pub async fn split(parent: &'a C, color: Option<u64>, key: i64) -> Option<Self> {
+        const SPLIT_GATHER: Tag = Tag(0xC0);
+        const SPLIT_BCAST: Tag = Tag(0xC1);
+        let size = parent.size();
+        let rank = parent.rank();
+
+        // Encode (has_color, color, key) in 17 bytes.
+        let encode = |c: Option<u64>, k: i64| -> [u8; 17] {
+            let mut b = [0u8; 17];
+            b[0] = c.is_some() as u8;
+            b[1..9].copy_from_slice(&c.unwrap_or(0).to_le_bytes());
+            b[9..17].copy_from_slice(&k.to_le_bytes());
+            b
+        };
+        let decode = |b: &[u8]| -> (Option<u64>, i64) {
+            // lint: allow(panic) — wire format: the 17-byte header was length-checked
+            let c = (b[0] != 0).then(|| u64::from_le_bytes(b[1..9].try_into().unwrap()));
+            // lint: allow(panic) — wire format: the 17-byte header was length-checked
+            let k = i64::from_le_bytes(b[9..17].try_into().unwrap());
+            (c, k)
+        };
+
+        let mut table = vec![0u8; 17 * size];
+        table[rank * 17..rank * 17 + 17].copy_from_slice(&encode(color, key));
+        if rank == 0 {
+            for peer in 1..size {
+                parent
+                    .recv(&mut table[peer * 17..peer * 17 + 17], peer, SPLIT_GATHER)
+                    .await
+                    // lint: allow(panic) — split protocol: every member reports exactly once
+                    .expect("split gather failed");
+            }
+            for peer in 1..size {
+                // lint: allow(panic) — split protocol: every member posts a matching recv
+                parent.send(&table, peer, SPLIT_BCAST).await.expect("split bcast failed");
+            }
+        } else {
+            parent
+                .send(&table[rank * 17..rank * 17 + 17], 0, SPLIT_GATHER)
+                .await
+                // lint: allow(panic) — split protocol: every member reports exactly once
+                .expect("split gather failed");
+            // lint: allow(panic) — split protocol: a table from rank 0 always arrives
+            parent.recv(&mut table, 0, SPLIT_BCAST).await.expect("split bcast failed");
+        }
+
+        let my_color = color?;
+        let mut group: Vec<(i64, Rank)> = (0..size)
+            .filter_map(|r| {
+                let (c, k) = decode(&table[r * 17..r * 17 + 17]);
+                (c == Some(my_color)).then_some((k, r))
+            })
+            .collect();
+        group.sort_unstable();
+        let members: Vec<Rank> = group.into_iter().map(|(_, r)| r).collect();
+        Self::new(parent, members)
     }
 }
 
@@ -100,207 +159,10 @@ impl<C: ?Sized> SubComm<'_, C> {
     }
 }
 
-impl<'a, C: Communicator + ?Sized> SubComm<'a, C> {
-    /// Collective split, the moral equivalent of `MPI_Comm_split`: every
-    /// rank of the parent must call this with its `(color, key)`; ranks
-    /// sharing a color form one sub-communicator, with local ranks ordered
-    /// by `(key, parent rank)`. `color == None` (MPI_UNDEFINED) yields
-    /// `None` — the rank joins no group but still participates in the
-    /// exchange.
-    ///
-    /// Implemented as a gather-to-0 + broadcast of the `(color, key)` table
-    /// over tagged point-to-point messages (control-plane traffic; it is
-    /// counted like any other traffic).
-    pub fn split(parent: &'a C, color: Option<u64>, key: i64) -> Option<Self> {
-        const SPLIT_GATHER: Tag = Tag(0xC0);
-        const SPLIT_BCAST: Tag = Tag(0xC1);
-        let size = parent.size();
-        let rank = parent.rank();
-
-        // Encode (has_color, color, key) in 17 bytes.
-        let encode = |c: Option<u64>, k: i64| -> [u8; 17] {
-            let mut b = [0u8; 17];
-            b[0] = c.is_some() as u8;
-            b[1..9].copy_from_slice(&c.unwrap_or(0).to_le_bytes());
-            b[9..17].copy_from_slice(&k.to_le_bytes());
-            b
-        };
-        let decode = |b: &[u8]| -> (Option<u64>, i64) {
-            // lint: allow(panic) — wire format: the 17-byte header was length-checked
-            let c = (b[0] != 0).then(|| u64::from_le_bytes(b[1..9].try_into().unwrap()));
-            // lint: allow(panic) — wire format: the 17-byte header was length-checked
-            let k = i64::from_le_bytes(b[9..17].try_into().unwrap());
-            (c, k)
-        };
-
-        let mut table = vec![0u8; 17 * size];
-        table[rank * 17..rank * 17 + 17].copy_from_slice(&encode(color, key));
-        if rank == 0 {
-            for peer in 1..size {
-                parent
-                    .recv(&mut table[peer * 17..peer * 17 + 17], peer, SPLIT_GATHER)
-                    // lint: allow(panic) — split protocol: every member reports exactly once
-                    .expect("split gather failed");
-            }
-            for peer in 1..size {
-                // lint: allow(panic) — split protocol: every member posts a matching recv
-                parent.send(&table, peer, SPLIT_BCAST).expect("split bcast failed");
-            }
-        } else {
-            parent
-                .send(&table[rank * 17..rank * 17 + 17], 0, SPLIT_GATHER)
-                // lint: allow(panic) — split protocol: every member reports exactly once
-                .expect("split gather failed");
-            // lint: allow(panic) — split protocol: a table from rank 0 always arrives
-            parent.recv(&mut table, 0, SPLIT_BCAST).expect("split bcast failed");
-        }
-
-        let my_color = color?;
-        let mut group: Vec<(i64, Rank)> = (0..size)
-            .filter_map(|r| {
-                let (c, k) = decode(&table[r * 17..r * 17 + 17]);
-                (c == Some(my_color)).then_some((k, r))
-            })
-            .collect();
-        group.sort_unstable();
-        let members: Vec<Rank> = group.into_iter().map(|(_, r)| r).collect();
-        Self::new(parent, members)
-    }
-}
-
-impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {
-    fn rank(&self) -> Rank {
-        self.my_local
-    }
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        self.parent.send(buf, self.members[dest], tag)
-    }
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.check_rank(src)?;
-        self.parent.recv(buf, self.members[src], tag).map_err(|e| self.localize_err(e))
-    }
-
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        self.parent
-            .recv_timeout(buf, self.members[src], tag, timeout)
-            .map_err(|e| self.localize_err(e))
-    }
-
-    fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        self.parent.sendrecv(
-            sendbuf,
-            self.members[dest],
-            sendtag,
-            recvbuf,
-            self.members[src],
-            recvtag,
-        )
-    }
-
-    /// Dissemination barrier over the member set only.
-    ///
-    /// Round `k` (of `ceil(log2 n)`) has each member exchange a zero-byte
-    /// token with the members `2^k` positions away. Distinct per-round tags
-    /// keep rounds from overtaking each other.
-    fn barrier(&self) -> Result<()> {
-        let n = self.members.len();
-        if n == 1 {
-            return Ok(());
-        }
-        let me = self.my_local;
-        let rounds = ceil_log2(n);
-        let mut token = [0u8; 0];
-        for k in 0..rounds {
-            let dist = 1usize << k;
-            let to = (me + dist) % n;
-            let from = (me + n - dist) % n;
-            let tag = Tag(Tag::BARRIER.0 + k);
-            self.sendrecv(&[], to, tag, &mut token, from, tag)?;
-        }
-        Ok(())
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.parent.now_ns()
-    }
-
-    // The vectored operations forward with rank translation only, keeping
-    // the parent backend's single-envelope fast path (and its logical-
-    // message accounting) intact through sub-communicators.
-
-    fn send_vectored(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        self.parent.send_vectored(buf, spans, self.members[dest], tag)
-    }
-
-    fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        self.parent
-            .recv_scattered(buf, spans, self.members[src], tag)
-            .map_err(|e| self.localize_err(e))
-    }
-
-    fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        self.parent
-            .sendrecv_vectored(
-                buf,
-                send_spans,
-                self.members[dest],
-                sendtag,
-                recv_spans,
-                self.members[src],
-                recvtag,
-            )
-            .map_err(|e| self.localize_err(e))
-    }
-}
-
-/// The async view mirrors the blocking one method-for-method: rank
-/// translation on every peer argument, failure-detector errors localized on
-/// the receive paths, and a member-only dissemination barrier (the parent's
-/// world barrier would wait on non-members, which may already be dead — the
-/// exact situation recovery sub-worlds are built for).
+/// Rank translation on every peer argument, failure-detector errors
+/// localized on the receive paths, and a member-only dissemination barrier
+/// (the parent's world barrier would wait on non-members, which may already
+/// be dead — the exact situation recovery sub-worlds are built for).
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
     fn rank(&self) -> Rank {
         self.my_local
@@ -355,8 +217,11 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
             .map_err(|e| self.localize_err(e))
     }
 
-    /// Dissemination barrier over the member set only (same rounds and tags
-    /// as the blocking implementation).
+    /// Dissemination barrier over the member set only.
+    ///
+    /// Round `k` (of `ceil(log2 n)`) has each member exchange a zero-byte
+    /// token with the members `2^k` positions away. Distinct per-round tags
+    /// keep rounds from overtaking each other.
     async fn barrier(&self) -> Result<()> {
         let n = self.members.len();
         if n == 1 {
@@ -370,10 +235,14 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
             let to = (me + dist) % n;
             let from = (me + n - dist) % n;
             let tag = Tag(Tag::BARRIER.0 + k);
-            AsyncCommunicator::sendrecv(self, &[], to, tag, &mut token, from, tag).await?;
+            self.sendrecv(&[], to, tag, &mut token, from, tag).await?;
         }
         Ok(())
     }
+
+    // The vectored operations forward with rank translation only, keeping
+    // the parent backend's single-envelope fast path (and its logical-
+    // message accounting) intact through sub-communicators.
 
     async fn send_vectored(
         &self,
@@ -489,13 +358,16 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acomm::{complete_now, SyncComm};
+    use crate::comm::Communicator;
+    use crate::error::CommError;
     use crate::thread_comm::ThreadWorld;
 
     #[test]
     fn rank_translation() {
         ThreadWorld::run(6, |comm| {
             let members = vec![1, 3, 5];
-            match SubComm::new(comm, members.clone()) {
+            match SubComm::new(&SyncComm::new(comm), members.clone()) {
                 Some(sc) => {
                     assert!(members.contains(&comm.rank()));
                     assert_eq!(sc.size(), 3);
@@ -512,15 +384,16 @@ mod tests {
     fn send_recv_within_subset() {
         let out = ThreadWorld::run(5, |comm| {
             // members: 4, 2, 0 → local ranks 0, 1, 2
-            let Some(sc) = SubComm::new(comm, vec![4, 2, 0]) else {
+            let comm = SyncComm::new(comm);
+            let Some(sc) = SubComm::new(&comm, vec![4, 2, 0]) else {
                 return 0u8;
             };
             if sc.rank() == 0 {
-                sc.send(&[77], 2, Tag(1)).unwrap(); // parent rank 0
+                complete_now(sc.send(&[77], 2, Tag(1))).unwrap(); // parent rank 0
                 0
             } else if sc.rank() == 2 {
                 let mut b = [0u8; 1];
-                sc.recv(&mut b, 0, Tag(1)).unwrap(); // from parent rank 4
+                complete_now(sc.recv(&mut b, 0, Tag(1))).unwrap(); // from parent rank 4
                 b[0]
             } else {
                 0
@@ -530,13 +403,37 @@ mod tests {
     }
 
     #[test]
+    fn exited_member_is_reported_in_local_numbering() {
+        // members: 4, 2, 0 → local ranks 0, 1, 2. Parent rank 2 (local 1)
+        // exits without participating; its neighbours' exchanges must name
+        // local rank 1, never parent rank 2 — recovery layers stacked on the
+        // view index their member list with that rank.
+        let out = ThreadWorld::run(5, |comm| {
+            let comm = SyncComm::new(comm);
+            let sc = SubComm::new(&comm, vec![4, 2, 0])?;
+            if sc.rank() == 1 {
+                return None;
+            }
+            let mut b = [0u8; 1];
+            Some(complete_now(sc.sendrecv(&[1], 1, Tag(1), &mut b, 1, Tag(1))).unwrap_err())
+        });
+        for parent in [4, 0] {
+            let err = out.results[parent].clone().expect("member ran the exchange");
+            assert!(
+                matches!(err, CommError::PeerFailed { rank: 1 } | CommError::Timeout { peer: 1 }),
+                "parent rank {parent} saw {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn barrier_only_involves_members() {
         // Non-members never enter the barrier; it must still complete.
         ThreadWorld::run(7, |comm| {
             let members = vec![0, 2, 4, 6];
-            if let Some(sc) = SubComm::new(comm, members) {
+            if let Some(sc) = SubComm::new(&SyncComm::new(comm), members) {
                 for _ in 0..5 {
-                    sc.barrier().unwrap();
+                    complete_now(sc.barrier()).unwrap();
                 }
             }
         });
@@ -548,9 +445,9 @@ mod tests {
         let arrived = AtomicUsize::new(0);
         ThreadWorld::run(6, |comm| {
             let members = vec![1, 2, 5];
-            if let Some(sc) = SubComm::new(comm, members) {
+            if let Some(sc) = SubComm::new(&SyncComm::new(comm), members) {
                 arrived.fetch_add(1, Ordering::SeqCst);
-                sc.barrier().unwrap();
+                complete_now(sc.barrier()).unwrap();
                 assert!(arrived.load(Ordering::SeqCst) >= 3);
             }
         });
@@ -559,10 +456,10 @@ mod tests {
     #[test]
     fn single_member_subcomm_is_trivial() {
         ThreadWorld::run(3, |comm| {
-            if let Some(sc) = SubComm::new(comm, vec![comm.rank()]) {
+            if let Some(sc) = SubComm::new(&SyncComm::new(comm), vec![comm.rank()]) {
                 assert_eq!(sc.size(), 1);
                 assert_eq!(sc.rank(), 0);
-                sc.barrier().unwrap();
+                complete_now(sc.barrier()).unwrap();
             }
         });
     }
@@ -573,7 +470,9 @@ mod tests {
             // colors: even/odd rank; key: descending rank → local ranks reversed
             let color = Some((comm.rank() % 2) as u64);
             let key = -(comm.rank() as i64);
-            let sc = SubComm::split(comm, color, key).expect("every rank has a color");
+            let acomm = SyncComm::new(comm);
+            let sc =
+                complete_now(SubComm::split(&acomm, color, key)).expect("every rank has a color");
             assert_eq!(sc.size(), 3);
             // members sorted by key: highest parent rank first
             let expect: Vec<usize> =
@@ -581,7 +480,7 @@ mod tests {
             assert_eq!(sc.members(), &expect[..]);
             assert_eq!(sc.to_parent(sc.rank()), comm.rank());
             // the new group is a working communicator
-            sc.barrier().unwrap();
+            complete_now(sc.barrier()).unwrap();
         });
     }
 
@@ -589,7 +488,8 @@ mod tests {
     fn split_with_undefined_color_joins_nothing() {
         ThreadWorld::run(4, |comm| {
             let color = (comm.rank() != 2).then_some(7u64);
-            let sc = SubComm::split(comm, color, comm.rank() as i64);
+            let acomm = SyncComm::new(comm);
+            let sc = complete_now(SubComm::split(&acomm, color, comm.rank() as i64));
             if comm.rank() == 2 {
                 assert!(sc.is_none());
             } else {
@@ -602,7 +502,8 @@ mod tests {
     #[test]
     fn split_ties_break_by_parent_rank() {
         ThreadWorld::run(5, |comm| {
-            let sc = SubComm::split(comm, Some(0), 42).unwrap(); // same key everywhere
+            let acomm = SyncComm::new(comm);
+            let sc = complete_now(SubComm::split(&acomm, Some(0), 42)).unwrap(); // same key everywhere
             assert_eq!(sc.members(), &[0, 1, 2, 3, 4]);
             assert_eq!(sc.rank(), comm.rank());
         });
@@ -612,7 +513,7 @@ mod tests {
     #[should_panic(expected = "duplicate member")]
     fn duplicate_members_panics() {
         ThreadWorld::run(2, |comm| {
-            let _ = SubComm::new(comm, vec![0, 0]);
+            let _ = SubComm::new(&SyncComm::new(comm), vec![0, 0]);
         });
     }
 }

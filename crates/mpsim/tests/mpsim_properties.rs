@@ -2,7 +2,7 @@
 //! counter balance, sub-communicator invariants under randomized inputs
 //! from the in-tree `testkit` harness.
 
-use mpsim::{Communicator, SubComm, Tag, ThreadWorld};
+use mpsim::{complete_now, AsyncCommunicator, Communicator, SubComm, SyncComm, Tag, ThreadWorld};
 use testkit::prop::{self, Config};
 
 /// Non-overtaking: per (src, dst, tag) messages arrive in send order,
@@ -118,8 +118,10 @@ fn split_partitions_correctly() {
             let keys2 = keys.clone();
             let out = ThreadWorld::run(np, move |comm| {
                 let me = comm.rank();
-                let sc = SubComm::split(comm, Some(colors2[me]), keys2[me]).unwrap();
-                sc.barrier().unwrap();
+                let acomm = SyncComm::new(comm);
+                let sc =
+                    complete_now(SubComm::split(&acomm, Some(colors2[me]), keys2[me])).unwrap();
+                complete_now(sc.barrier()).unwrap();
                 (colors2[me], sc.rank(), sc.members().to_vec())
             });
             for (me, (color, local, members)) in out.results.iter().enumerate() {

@@ -9,7 +9,7 @@
 //! or thread scheduling.
 //!
 //! [`FaultyComm`] applies a plan as a decorator over any
-//! [`Communicator`]: it drops, duplicates, or holds back outgoing messages
+//! [`AsyncCommunicator`]: it drops, duplicates, or holds back outgoing messages
 //! and fail-stops the rank after a planned number of operations. Stack it
 //! under [`mpsim::ReliableComm`] to exercise the retransmission machinery,
 //! or alone to exercise the self-healing collectives' crash recovery.
@@ -23,11 +23,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::Future;
 use std::sync::Arc;
 
-use mpsim::{
-    validate_spans, AsyncCommunicator, CommError, Communicator, IoSpan, Rank, Result, Tag,
-};
+use mpsim::{validate_spans, AsyncCommunicator, CommError, IoSpan, Rank, Result, Tag};
 use testkit::rng::{Rng, SplitMix64};
 
 /// What happens to one message offered on a link.
@@ -184,7 +183,10 @@ impl FaultPlan {
     }
 }
 
-/// A [`Communicator`] decorator that injects the faults of a [`FaultPlan`].
+/// An [`AsyncCommunicator`] decorator that injects the faults of a
+/// [`FaultPlan`]. Decisions are drawn from per-link ordinals and the crash
+/// clock counts operations, so a plan replays bit-identically on every
+/// executor (the blocking ones enter through [`mpsim::SyncComm`]).
 ///
 /// Send-side faults (drop, duplicate, delay) are applied to this rank's
 /// outgoing messages; a planned crash makes every operation after the
@@ -196,8 +198,8 @@ impl FaultPlan {
 /// Link faults target payload-bearing messages only: sends on the
 /// reliability layer's reserved acknowledgement range
 /// ([`mpsim::reliable::ACK_TAG_BASE`]) pass through un-faulted, modelling a
-/// reliable control plane (see the comment in [`Communicator::send`] for
-/// why a synchronous reliability layer needs this).
+/// reliable control plane (see `inject` for why a synchronous reliability
+/// layer needs this).
 pub struct FaultyComm<'a, C: ?Sized> {
     inner: &'a C,
     plan: FaultPlan,
@@ -227,22 +229,6 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
     /// The wrapped communicator.
     pub fn inner(&self) -> &C {
         self.inner
-    }
-
-    /// Count one operation by rank `me` against the crash clock; once the
-    /// planned threshold is reached the rank is dead to the world. The
-    /// caller supplies its own rank so the crash clock is shared verbatim
-    /// between the blocking and the async decorator paths.
-    fn tick_at(&self, me: Rank) -> Result<()> {
-        let done = self.ops.get();
-        self.ops.set(done + 1);
-        match self.plan.crash_after(me) {
-            Some(limit) if done >= limit => {
-                self.dead.set(true);
-                Err(CommError::PeerFailed { rank: me })
-            }
-            _ => Ok(()),
-        }
     }
 
     /// Whether this rank's planned fail-stop has fired.
@@ -285,213 +271,78 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
     }
 }
 
-impl<C: Communicator + ?Sized> FaultyComm<'_, C> {
-    /// Count one operation against the crash clock (blocking path).
+impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
+    /// Count one operation against the crash clock; once the planned
+    /// threshold is reached the rank is dead to the world.
     fn tick(&self) -> Result<()> {
-        self.tick_at(self.inner.rank())
+        let me = self.inner.rank();
+        let done = self.ops.get();
+        self.ops.set(done + 1);
+        match self.plan.crash_after(me) {
+            Some(limit) if done >= limit => {
+                self.dead.set(true);
+                Err(CommError::PeerFailed { rank: me })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Deliver a previously held-back message on `(dst, tag)`, if any.
-    fn flush_holdback(&self, dst: Rank, tag: Tag) -> Result<()> {
-        match self.take_holdback(dst, tag) {
-            Some(data) => self.inner.send(&data, dst, tag),
-            None => Ok(()),
-        }
-    }
-}
-
-impl<C: Communicator> Communicator for FaultyComm<'_, C> {
-    fn rank(&self) -> Rank {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.tick()?;
-        // The reliability layer's pure acknowledgements ride a reserved
-        // control-tag range and model a tiny, assumed-reliable control
-        // plane: a synchronous `ReliableComm` (no background progress
-        // engine) cannot re-ack a retransmission once the receiver has
-        // moved on, so a lost *ack* would strand a sender that the
-        // protocol has, in fact, delivered for. Crash faults (`tick`
-        // above) still apply; link faults target payload-bearing sends.
-        if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
-            return self.inner.send(buf, dest, tag);
-        }
-        let k = self.next_link_seq(dest);
-        match self.plan.decide(self.rank(), dest, k) {
-            FaultAction::Deliver => {
-                self.inner.send(buf, dest, tag)?;
-                self.flush_holdback(dest, tag)
-            }
-            FaultAction::Drop => {
-                // The message vanishes, but an earlier held-back one still
-                // becomes deliverable (the "drop" consumed its overtaker).
-                self.flush_holdback(dest, tag)
-            }
-            FaultAction::Duplicate => {
-                self.inner.send(buf, dest, tag)?;
-                self.inner.send(buf, dest, tag)?;
-                self.flush_holdback(dest, tag)
-            }
-            FaultAction::Delay => {
-                // Hold the message until the next send on this channel
-                // overtakes it. At most one message per channel is in
-                // holdback: a second delay decision flushes the first.
-                let prev = self.holdback.borrow_mut().insert((dest, tag.0), buf.to_vec());
-                match prev {
-                    Some(data) => self.inner.send(&data, dest, tag),
-                    None => Ok(()),
-                }
-            }
-        }
-    }
-
-    /// A vectored send is ONE message on the wire, so it consumes exactly one
-    /// link ordinal and its fate is decided once — coalescing changes which
-    /// transfers a fault plan hits, never how many decisions are drawn per
-    /// envelope.
-    fn send_vectored(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
-        self.tick()?;
-        validate_spans(buf.len(), spans)?;
-        if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
-            return self.inner.send_vectored(buf, spans, dest, tag);
-        }
-        let k = self.next_link_seq(dest);
-        match self.plan.decide(self.rank(), dest, k) {
-            FaultAction::Deliver => {
-                self.inner.send_vectored(buf, spans, dest, tag)?;
-                self.flush_holdback(dest, tag)
-            }
-            FaultAction::Drop => self.flush_holdback(dest, tag),
-            FaultAction::Duplicate => {
-                self.inner.send_vectored(buf, spans, dest, tag)?;
-                self.inner.send_vectored(buf, spans, dest, tag)?;
-                self.flush_holdback(dest, tag)
-            }
-            FaultAction::Delay => {
-                // Holdback stores the gathered wire image; re-sending it as a
-                // plain contiguous message is indistinguishable to the
-                // receiver because the wire format is bare concatenation.
-                let mut gathered = Vec::with_capacity(spans.iter().map(|s| s.count).sum());
-                for s in spans {
-                    gathered.extend_from_slice(&buf[s.range()]);
-                }
-                let prev = self.holdback.borrow_mut().insert((dest, tag.0), gathered);
-                match prev {
-                    Some(data) => self.inner.send(&data, dest, tag),
-                    None => Ok(()),
-                }
-            }
-        }
-    }
-
-    fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        self.tick()?;
-        self.inner.recv_scattered(buf, spans, src, tag)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        // Counted and fault-injected as one vectored send plus one scattered
-        // receive, mirroring `sendrecv`. Splitting the fused call is safe
-        // here for the same reason it is in `sendrecv`: the decorator
-        // assumes an eager-ish transport (see the module docs).
-        validate_spans(buf.len(), send_spans)?;
-        validate_spans(buf.len(), recv_spans)?;
-        mpsim::disjoint_span_lists(send_spans, recv_spans)?;
-        self.send_vectored(buf, send_spans, dest, sendtag)?;
-        self.recv_scattered(buf, recv_spans, src, recvtag)
-    }
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.tick()?;
-        self.inner.recv(buf, src, tag)
-    }
-
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<usize> {
-        self.tick()?;
-        self.inner.recv_timeout(buf, src, tag, timeout)
-    }
-
-    fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        // Counted and fault-injected as one send plus one receive.
-        self.send(sendbuf, dest, sendtag)?;
-        self.recv(recvbuf, src, recvtag)
-    }
-
-    fn barrier(&self) -> Result<()> {
-        self.tick()?;
-        // A barrier is a synchronization point: anything still held back
-        // must arrive before it, or "delayed" would mean "lost across
-        // phases", which is a drop, not a delay.
-        let pending: Vec<(Rank, u32)> = self.holdback.borrow().keys().copied().collect();
-        for (dst, tag) in pending {
-            self.flush_holdback(dst, Tag(tag))?;
-        }
-        self.inner.barrier()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        self.inner.check_rank(rank)
-    }
-}
-
-impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
-    /// Count one operation against the crash clock (async path).
-    fn tick_async(&self) -> Result<()> {
-        self.tick_at(self.inner.rank())
-    }
-
-    /// Async twin of `flush_holdback`.
-    async fn flush_holdback_async(&self, dst: Rank, tag: Tag) -> Result<()> {
+    async fn flush_holdback(&self, dst: Rank, tag: Tag) -> Result<()> {
         match self.take_holdback(dst, tag) {
             Some(data) => self.inner.send(&data, dst, tag).await,
             None => Ok(()),
         }
     }
+
+    /// Apply the plan to one outgoing envelope on `(dest, tag)`, after the
+    /// caller has ticked the crash clock: draw the link's next decision and
+    /// deliver, drop, duplicate or hold back accordingly. `transmit` puts
+    /// the envelope on the wire in the caller's own form (plain, vectored,
+    /// shared); `snapshot` copies its wire image for the holdback buffer and
+    /// runs only on a delay decision.
+    async fn inject<Fut: Future<Output = Result<()>>>(
+        &self,
+        dest: Rank,
+        tag: Tag,
+        transmit: impl Fn() -> Fut,
+        snapshot: impl FnOnce() -> Vec<u8>,
+    ) -> Result<()> {
+        // The reliability layer's pure acknowledgements ride a reserved
+        // control-tag range and model a tiny, assumed-reliable control
+        // plane: a synchronous `ReliableComm` (no background progress
+        // engine) cannot re-ack a retransmission once the receiver has
+        // moved on, so a lost *ack* would strand a sender that the
+        // protocol has, in fact, delivered for. Crash faults (the caller's
+        // `tick`) still apply; link faults target payload-bearing sends.
+        if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
+            return transmit().await;
+        }
+        let k = self.next_link_seq(dest);
+        match self.plan.decide(self.inner.rank(), dest, k) {
+            FaultAction::Deliver => {
+                transmit().await?;
+                self.flush_holdback(dest, tag).await
+            }
+            // The message vanishes, but an earlier held-back one still
+            // becomes deliverable (the "drop" consumed its overtaker).
+            FaultAction::Drop => self.flush_holdback(dest, tag).await,
+            FaultAction::Duplicate => {
+                transmit().await?;
+                transmit().await?;
+                self.flush_holdback(dest, tag).await
+            }
+            // Hold the message until the next send on this channel
+            // overtakes it. At most one message per channel is in
+            // holdback: a second delay decision flushes the first.
+            FaultAction::Delay => match self.stash_holdback(dest, tag, snapshot()) {
+                Some(data) => self.inner.send(&data, dest, tag).await,
+                None => Ok(()),
+            },
+        }
+    }
 }
 
-/// The identical fault model over any [`AsyncCommunicator`]: decisions are
-/// drawn from the same per-link ordinals and the crash clock counts the same
-/// operations, so a plan replays bit-identically between the blocking
-/// executors and the event executor.
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
     fn rank(&self) -> Rank {
         self.inner.rank()
@@ -510,33 +361,12 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
     }
 
     async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.tick_async()?;
-        // See the blocking `send` for why acknowledgement-range sends model
-        // a reliable control plane and bypass link faults.
-        if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
-            return self.inner.send(buf, dest, tag).await;
-        }
-        let k = self.next_link_seq(dest);
-        match self.plan.decide(self.rank(), dest, k) {
-            FaultAction::Deliver => {
-                self.inner.send(buf, dest, tag).await?;
-                self.flush_holdback_async(dest, tag).await
-            }
-            FaultAction::Drop => self.flush_holdback_async(dest, tag).await,
-            FaultAction::Duplicate => {
-                self.inner.send(buf, dest, tag).await?;
-                self.inner.send(buf, dest, tag).await?;
-                self.flush_holdback_async(dest, tag).await
-            }
-            FaultAction::Delay => match self.stash_holdback(dest, tag, buf.to_vec()) {
-                Some(data) => self.inner.send(&data, dest, tag).await,
-                None => Ok(()),
-            },
-        }
+        self.tick()?;
+        self.inject(dest, tag, || self.inner.send(buf, dest, tag), || buf.to_vec()).await
     }
 
     async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.tick_async()?;
+        self.tick()?;
         self.inner.recv(buf, src, tag).await
     }
 
@@ -547,7 +377,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         tag: Tag,
         timeout: std::time::Duration,
     ) -> Result<usize> {
-        self.tick_async()?;
+        self.tick()?;
         self.inner.recv_timeout(buf, src, tag, timeout).await
     }
 
@@ -560,23 +390,26 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         src: Rank,
         recvtag: Tag,
     ) -> Result<usize> {
-        // Counted and fault-injected as one send plus one receive, exactly
-        // like the blocking impl.
-        AsyncCommunicator::send(self, sendbuf, dest, sendtag).await?;
-        AsyncCommunicator::recv(self, recvbuf, src, recvtag).await
+        // Counted and fault-injected as one send plus one receive.
+        self.send(sendbuf, dest, sendtag).await?;
+        self.recv(recvbuf, src, recvtag).await
     }
 
     async fn barrier(&self) -> Result<()> {
-        self.tick_async()?;
-        // Anything still held back must arrive before the barrier (see the
-        // blocking impl).
+        self.tick()?;
+        // A barrier is a synchronization point: anything still held back
+        // must arrive before it, or "delayed" would mean "lost across
+        // phases", which is a drop, not a delay.
         for (dst, tag) in self.pending_holdbacks() {
-            self.flush_holdback_async(dst, Tag(tag)).await?;
+            self.flush_holdback(dst, Tag(tag)).await?;
         }
         self.inner.barrier().await
     }
 
-    /// One envelope, one decision — identical to the blocking vectored send.
+    /// A vectored send is ONE message on the wire, so it consumes exactly one
+    /// link ordinal and its fate is decided once — coalescing changes which
+    /// transfers a fault plan hits, never how many decisions are drawn per
+    /// envelope.
     async fn send_vectored(
         &self,
         buf: &[u8],
@@ -584,31 +417,18 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         dest: Rank,
         tag: Tag,
     ) -> Result<()> {
-        self.tick_async()?;
+        self.tick()?;
         validate_spans(buf.len(), spans)?;
-        if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
-            return self.inner.send_vectored(buf, spans, dest, tag).await;
-        }
-        let k = self.next_link_seq(dest);
-        match self.plan.decide(self.rank(), dest, k) {
-            FaultAction::Deliver => {
-                self.inner.send_vectored(buf, spans, dest, tag).await?;
-                self.flush_holdback_async(dest, tag).await
-            }
-            FaultAction::Drop => self.flush_holdback_async(dest, tag).await,
-            FaultAction::Duplicate => {
-                self.inner.send_vectored(buf, spans, dest, tag).await?;
-                self.inner.send_vectored(buf, spans, dest, tag).await?;
-                self.flush_holdback_async(dest, tag).await
-            }
-            FaultAction::Delay => {
-                let gathered = Self::gather_spans(buf, spans);
-                match self.stash_holdback(dest, tag, gathered) {
-                    Some(data) => self.inner.send(&data, dest, tag).await,
-                    None => Ok(()),
-                }
-            }
-        }
+        // Holdback stores the gathered wire image; re-sending it as a plain
+        // contiguous message is indistinguishable to the receiver because
+        // the wire format is bare concatenation.
+        self.inject(
+            dest,
+            tag,
+            || self.inner.send_vectored(buf, spans, dest, tag),
+            || Self::gather_spans(buf, spans),
+        )
+        .await
     }
 
     async fn recv_scattered(
@@ -618,7 +438,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         src: Rank,
         tag: Tag,
     ) -> Result<usize> {
-        self.tick_async()?;
+        self.tick()?;
         self.inner.recv_scattered(buf, spans, src, tag).await
     }
 
@@ -632,11 +452,15 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         src: Rank,
         recvtag: Tag,
     ) -> Result<usize> {
+        // Counted and fault-injected as one vectored send plus one scattered
+        // receive, mirroring `sendrecv`. Splitting the fused call is safe
+        // here for the same reason it is in `sendrecv`: the decorator
+        // assumes an eager-ish transport (see the module docs).
         validate_spans(buf.len(), send_spans)?;
         validate_spans(buf.len(), recv_spans)?;
         mpsim::disjoint_span_lists(send_spans, recv_spans)?;
-        AsyncCommunicator::send_vectored(self, buf, send_spans, dest, sendtag).await?;
-        AsyncCommunicator::recv_scattered(self, buf, recv_spans, src, recvtag).await
+        self.send_vectored(buf, send_spans, dest, sendtag).await?;
+        self.recv_scattered(buf, recv_spans, src, recvtag).await
     }
 
     // The zero-copy surface forwards natively so a fault-decorated stack
@@ -654,34 +478,15 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
     }
 
     async fn send_shared(&self, buf: &mpsim::SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.tick_async()?;
-        if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
-            return self.inner.send_shared(buf, dest, tag).await;
-        }
-        let k = self.next_link_seq(dest);
-        match self.plan.decide(self.rank(), dest, k) {
-            FaultAction::Deliver => {
-                self.inner.send_shared(buf, dest, tag).await?;
-                self.flush_holdback_async(dest, tag).await
-            }
-            FaultAction::Drop => self.flush_holdback_async(dest, tag).await,
-            FaultAction::Duplicate => {
-                self.inner.send_shared(buf, dest, tag).await?;
-                self.inner.send_shared(buf, dest, tag).await?;
-                self.flush_holdback_async(dest, tag).await
-            }
-            // A delayed envelope degrades to the copying holdback buffer —
-            // the sender may mutate its source after send_shared returns,
-            // so the held-back bytes must be snapshotted now.
-            FaultAction::Delay => match self.stash_holdback(dest, tag, buf.to_vec()) {
-                Some(data) => self.inner.send(&data, dest, tag).await,
-                None => Ok(()),
-            },
-        }
+        self.tick()?;
+        // A delayed envelope degrades to the copying holdback buffer — the
+        // sender may mutate its source after send_shared returns, so the
+        // held-back bytes must be snapshotted now.
+        self.inject(dest, tag, || self.inner.send_shared(buf, dest, tag), || buf.to_vec()).await
     }
 
     async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<mpsim::SharedBuf> {
-        self.tick_async()?;
+        self.tick()?;
         self.inner.recv_owned(capacity, src, tag).await
     }
 
@@ -692,7 +497,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         tag: Tag,
         timeout: std::time::Duration,
     ) -> Result<mpsim::SharedBuf> {
-        self.tick_async()?;
+        self.tick()?;
         self.inner.recv_owned_timeout(capacity, src, tag, timeout).await
     }
 
@@ -707,15 +512,15 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
     ) -> Result<mpsim::SharedBuf> {
         // Counted and fault-injected as one send plus one receive, exactly
         // like `sendrecv`.
-        AsyncCommunicator::send_shared(self, sendbuf, dest, sendtag).await?;
-        AsyncCommunicator::recv_owned(self, recv_capacity, src, recvtag).await
+        self.send_shared(sendbuf, dest, sendtag).await?;
+        self.recv_owned(recv_capacity, src, recvtag).await
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::ThreadWorld;
+    use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
 
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
@@ -768,9 +573,10 @@ mod tests {
             LinkFaults { drop_ppm: 1_000_000, dup_ppm: 0, delay_ppm: 0 },
         );
         let out = ThreadWorld::run(2, |comm| {
-            let faulty = FaultyComm::new(comm, plan.clone());
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, plan.clone());
             if comm.rank() == 0 {
-                faulty.send(&[1u8; 4], 1, Tag(0)).unwrap(); // dropped
+                complete_now(faulty.send(&[1u8; 4], 1, Tag(0))).unwrap(); // dropped
                 comm.send(&[2u8; 4], 1, Tag(0)).unwrap(); // bypasses the plan
                 0
             } else {
@@ -791,9 +597,10 @@ mod tests {
             LinkFaults { drop_ppm: 0, dup_ppm: 1_000_000, delay_ppm: 0 },
         );
         let out = ThreadWorld::run(2, |comm| {
-            let faulty = FaultyComm::new(comm, plan.clone());
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, plan.clone());
             if comm.rank() == 0 {
-                faulty.send(&[5u8; 4], 1, Tag(0)).unwrap();
+                complete_now(faulty.send(&[5u8; 4], 1, Tag(0))).unwrap();
                 0
             } else {
                 let mut buf = [0u8; 4];
@@ -814,13 +621,14 @@ mod tests {
             LinkFaults { drop_ppm: 0, dup_ppm: 0, delay_ppm: 1_000_000 },
         );
         let out = ThreadWorld::run(2, |comm| {
-            let faulty = FaultyComm::new(comm, plan.clone());
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, plan.clone());
             if comm.rank() == 0 {
                 // every send is "delayed": msg A is held, msg B replaces it
                 // in holdback and A goes out, then the barrier flushes B.
-                faulty.send(&[b'A'; 1], 1, Tag(0)).unwrap();
-                faulty.send(&[b'B'; 1], 1, Tag(0)).unwrap();
-                faulty.barrier().unwrap();
+                complete_now(faulty.send(&[b'A'; 1], 1, Tag(0))).unwrap();
+                complete_now(faulty.send(&[b'B'; 1], 1, Tag(0))).unwrap();
+                complete_now(faulty.barrier()).unwrap();
                 vec![]
             } else {
                 let mut buf = [0u8; 1];
@@ -840,13 +648,14 @@ mod tests {
     fn crash_fails_operations_after_threshold() {
         let plan = FaultPlan::new(3).with_crash(1, 2);
         let out = ThreadWorld::run(2, |comm| {
-            let faulty = FaultyComm::new(comm, plan.clone());
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, plan.clone());
             if comm.rank() == 1 {
                 let mut buf = [0u8; 1];
-                faulty.recv(&mut buf, 0, Tag(0)).unwrap(); // op 0
-                faulty.recv(&mut buf, 0, Tag(0)).unwrap(); // op 1
+                complete_now(faulty.recv(&mut buf, 0, Tag(0))).unwrap(); // op 0
+                complete_now(faulty.recv(&mut buf, 0, Tag(0))).unwrap(); // op 1
                 assert!(!faulty.crashed());
-                let err = faulty.recv(&mut buf, 0, Tag(0)).unwrap_err(); // op 2: dead
+                let err = complete_now(faulty.recv(&mut buf, 0, Tag(0))).unwrap_err(); // op 2: dead
                 assert!(faulty.crashed());
                 assert_eq!(err, CommError::PeerFailed { rank: 1 });
                 1
@@ -872,11 +681,12 @@ mod tests {
             LinkFaults { drop_ppm: 1_000_000, dup_ppm: 0, delay_ppm: 0 },
         );
         let out = ThreadWorld::run(2, |comm| {
-            let faulty = FaultyComm::new(comm, plan.clone());
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, plan.clone());
             if comm.rank() == 0 {
                 let src: Vec<u8> = (0..12).collect();
                 let spans = [IoSpan::new(0, 2), IoSpan::new(4, 2), IoSpan::new(8, 2)];
-                faulty.send_vectored(&src, &spans, 1, Tag(0)).unwrap(); // dropped whole
+                complete_now(faulty.send_vectored(&src, &spans, 1, Tag(0))).unwrap(); // dropped whole
                 comm.send(&[99u8; 6], 1, Tag(0)).unwrap(); // bypasses the plan
                 0
             } else {
@@ -894,21 +704,21 @@ mod tests {
         // vectored path, including the fused exchange.
         let plan = FaultPlan::new(5);
         let out = ThreadWorld::run(2, |comm| {
-            let faulty = FaultyComm::new(comm, plan.clone());
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, plan.clone());
             let mut buf = vec![0u8; 8];
             buf[..4].fill(comm.rank() as u8 + 1);
             let peer = 1 - comm.rank();
-            faulty
-                .sendrecv_vectored(
-                    &mut buf,
-                    &[IoSpan::new(0, 4)],
-                    peer,
-                    Tag(0),
-                    &[IoSpan::new(4, 4)],
-                    peer,
-                    Tag(0),
-                )
-                .unwrap();
+            complete_now(faulty.sendrecv_vectored(
+                &mut buf,
+                &[IoSpan::new(0, 4)],
+                peer,
+                Tag(0),
+                &[IoSpan::new(4, 4)],
+                peer,
+                Tag(0),
+            ))
+            .unwrap();
             buf[4]
         });
         assert_eq!(out.results, vec![2, 1]);
@@ -922,13 +732,14 @@ mod tests {
             let mut m = NetworkModel::uniform(10.0, 1.0);
             m.eager_threshold = usize::MAX;
             SimWorld::run(m, Placement::new(4), 2, move |comm| {
-                let faulty = FaultyComm::new(comm, plan.clone());
+                let acomm = SyncComm::new(comm);
+                let faulty = FaultyComm::new(&acomm, plan.clone());
                 if comm.rank() == 1 {
                     let mut buf = [0u8; 1];
-                    faulty.recv(&mut buf, 0, Tag(0)).unwrap();
-                    faulty.recv(&mut buf, 0, Tag(0)).is_err()
+                    complete_now(faulty.recv(&mut buf, 0, Tag(0))).unwrap();
+                    complete_now(faulty.recv(&mut buf, 0, Tag(0))).is_err()
                 } else {
-                    faulty.send(&[0], 1, Tag(0)).unwrap();
+                    complete_now(faulty.send(&[0], 1, Tag(0))).unwrap();
                     true
                 }
             })

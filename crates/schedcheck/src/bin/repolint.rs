@@ -2,13 +2,14 @@
 //! [`schedcheck::lint`] — raw `std::sync` lock primitives outside the sync
 //! layer, `.unwrap()`/`.expect()` in library code, undocumented `unsafe`,
 //! `let _ =` discarding a communication call's `Result`, per-chunk
-//! `comm.send(` loops in broadcast hot-path files, wall-clock reads and
-//! `HashMap`s inside the event executor, cancel-unsafe shapes in the
-//! async communication layer (unregistered `Poll::Pending`, `RefCell`
-//! borrows across suspension points, send effects inside `poll` bodies),
-//! and `.unwrap()`/`.expect()` on communication results inside the
-//! self-healing recovery modules. Prints every hit and exits nonzero if
-//! any are found.
+//! `comm.send(` loops in broadcast hot-path files, wall-clock reads inside
+//! the event executor and the decorators that run on it, `HashMap`s inside
+//! the event executor, cancel-unsafe shapes in the async communication
+//! layer (unregistered `Poll::Pending`, `RefCell` borrows across suspension
+//! points, send effects inside `poll` bodies), `.unwrap()`/`.expect()` on
+//! communication results inside the self-healing recovery module, and
+//! `impl Communicator for` outside the two blocking executors. Prints every
+//! hit and exits nonzero if any are found.
 //!
 //! Run from the repository root (the directory containing `crates/`).
 

@@ -61,13 +61,15 @@
 //! primitives outside the sync layer, no `.unwrap()`/`.expect()` in library
 //! code, `// SAFETY:` on every `unsafe`, no `let _ =` on the `Result` of a
 //! communication call, no per-chunk `comm.send(` loops in the broadcast hot
-//! path now that the vectored fabric coalesces them, no wall-clock reads or
+//! path now that the vectored fabric coalesces them, no wall-clock reads
+//! inside the event executor or the decorators that run on it, no
 //! `HashMap`s inside the event executor, no cancel-unsafe shapes —
 //! unregistered `Poll::Pending`, borrows across suspension points, send
-//! effects inside `poll` — in the async communication layer, and no
+//! effects inside `poll` — in the async communication layer, no
 //! `.unwrap()`/`.expect()` on communication results inside the
-//! self-healing recovery modules, where a `CommError` is the input the
-//! layer exists to absorb).
+//! self-healing recovery module, where a `CommError` is the input the
+//! layer exists to absorb, and no `impl Communicator for` outside the two
+//! blocking executors).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

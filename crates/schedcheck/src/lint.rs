@@ -1,6 +1,6 @@
 //! Repo-convention lint rules behind the `repolint` binary.
 //!
-//! Ten rules, each a pure function over `(relative path, file content)` so
+//! Eleven rules, each a pure function over `(relative path, file content)` so
 //! they are unit-testable without touching the filesystem:
 //!
 //! 1. [`check_raw_sync`] — raw `std::sync::{Mutex, Condvar, RwLock}` are
@@ -33,11 +33,13 @@
 //! 6. [`check_real_time`] — the discrete-event executor
 //!    (`crates/mpsim/src/event_*.rs` — the reactor and every module split
 //!    out of it, currently `event_comm`, `event_mailbox`, `event_timer`)
-//!    must never read real time or sleep: `std::thread::sleep`,
-//!    `Instant::now`, and `SystemTime` would leak wall-clock nondeterminism
-//!    into a world whose whole contract is that fault delays and timeouts
-//!    are deterministic virtual-clock events. A deliberate exception
-//!    carries a `// lint: allow(real-time)` marker.
+//!    and the decorators that run on it (`reliable.rs`, `sub_comm.rs`,
+//!    `netsim/src/fault.rs`, `core/src/recovery.rs`) must never read real
+//!    time or sleep: `std::thread::sleep`, `Instant::now`, and `SystemTime`
+//!    would leak wall-clock nondeterminism into a world whose whole
+//!    contract is that fault delays and timeouts are deterministic
+//!    virtual-clock events. A deliberate exception carries a
+//!    `// lint: allow(real-time)` marker.
 //! 7. [`check_event_mailbox_hashmap`] — no `HashMap` in the event-executor
 //!    modules: message matching is the reactor's hottest loop, and the
 //!    dense lane structures replaced hashed lookups there on purpose. The
@@ -54,8 +56,8 @@
 //!    effect — sends must happen eagerly, before the future exists).
 //!    Deliberate exceptions carry a `// lint: allow(cancel-safety)` marker.
 //! 9. [`check_recovery_unwrap`] — no `.unwrap(` / `.expect(` on the result
-//!    of a communication call inside the self-healing recovery modules
-//!    (`crates/core/src/recovery.rs`, `recovery_async.rs`). A `CommError`
+//!    of a communication call inside the self-healing recovery module
+//!    (`crates/core/src/recovery.rs`). A `CommError`
 //!    there *is* the input the layer exists to handle — a peer death or
 //!    timeout must feed the heartbeat/agreement machinery, never abort the
 //!    process. Rule 2's generic `allow(panic)` waiver deliberately does not
@@ -70,6 +72,13 @@
 //!     copy with a `note_copy(` call within the following two lines, which
 //!     the `bytes_copied` ceilings then police at run time. Anything else
 //!     needs a `// lint: allow(bcast-hot-copy)` marker.
+//! 11. [`check_blocking_impl`] — the blocking `Communicator` trait is
+//!     implemented by the two blocking executors only
+//!     (`crates/mpsim/src/thread_comm.rs`, `crates/netsim/src/sim_comm.rs`).
+//!     Everything above the executors is written once against
+//!     `AsyncCommunicator` and reached from blocking code through
+//!     `SyncComm` + `complete_now`; a second `impl Communicator for` is a
+//!     decorator twin growing back.
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,17 +311,30 @@ pub fn check_per_chunk_send(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 6: real-time primitives inside the discrete-event executor. The
-/// event executor's contract is virtual-clock purity — every delay and
-/// timeout is an event timestamp, so the same world replays identically on
-/// every machine. Reading a wall clock (`Instant::now`, `SystemTime`) or
-/// sleeping (`std::thread::sleep`) inside `crates/mpsim/src/event_*.rs`
-/// breaks that replay guarantee. Test modules are exempt (same scoping as
-/// [`check_panics`]); a deliberate exception carries a
+/// Files that run on the event executor's virtual clock: the executor
+/// itself and the decorators stacked on it, whose every wait is `now_ns`
+/// arithmetic.
+fn is_virtual_clock_pure(path: &str) -> bool {
+    const DECORATORS: [&str; 4] = [
+        "crates/mpsim/src/reliable.rs",
+        "crates/mpsim/src/sub_comm.rs",
+        "crates/netsim/src/fault.rs",
+        "crates/core/src/recovery.rs",
+    ];
+    (path.starts_with("crates/mpsim/src/event_") && path.ends_with(".rs"))
+        || DECORATORS.contains(&path)
+}
+
+/// Rule 6: real-time primitives inside the discrete-event executor or the
+/// decorators that run on it. The event executor's contract is
+/// virtual-clock purity — every delay and timeout is an event timestamp, so
+/// the same world replays identically on every machine. Reading a wall
+/// clock (`Instant::now`, `SystemTime`) or sleeping (`std::thread::sleep`)
+/// in those files breaks that replay guarantee. Test modules are exempt
+/// (same scoping as [`check_panics`]); a deliberate exception carries a
 /// `// lint: allow(real-time)` marker on the same or the preceding line.
 pub fn check_real_time(path: &str, content: &str) -> Vec<LintHit> {
-    let in_event_executor = path.starts_with("crates/mpsim/src/event_") && path.ends_with(".rs");
-    if !in_event_executor {
+    if !is_virtual_clock_pure(path) {
         return Vec::new();
     }
     let body = match content.find("#[cfg(test)]") {
@@ -444,15 +466,10 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// The self-healing recovery paths: the modules whose whole purpose is to
-/// *survive* `CommError`s, so panicking on one defeats the layer.
-fn is_recovery_path(path: &str) -> bool {
-    matches!(path, "crates/core/src/recovery.rs" | "crates/core/src/recovery_async.rs")
-}
-
 /// Rule 9: `.unwrap(` / `.expect(` on the `Result` of a communication call
-/// inside the recovery modules (`crates/core/src/recovery.rs`,
-/// `recovery_async.rs`). Rule 2 already bans bare panics in library code,
+/// inside the self-healing recovery module (`crates/core/src/recovery.rs`),
+/// whose whole purpose is to *survive* `CommError`s, so panicking on one
+/// defeats the layer. Rule 2 already bans bare panics in library code,
 /// but its `// lint: allow(panic)` waiver is too blunt here: a waived
 /// unwrap of a *`CommError`* in recovery code turns the exact failure the
 /// layer exists to absorb (a peer death, a timeout) into a process abort —
@@ -463,7 +480,7 @@ fn is_recovery_path(path: &str) -> bool {
 /// same or the preceding line, which deliberately does *not* accept the
 /// generic panic waiver.
 pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
-    if !is_recovery_path(path) {
+    if path != "crates/core/src/recovery.rs" {
         return Vec::new();
     }
     let body = match content.find("#[cfg(test)]") {
@@ -534,6 +551,33 @@ pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
+/// Rule 11: `impl … Communicator for` (the blocking trait; `AsyncCommunicator
+/// for` does not match) anywhere but the two blocking executors. Test
+/// modules are exempt (same scoping as [`check_panics`]).
+pub fn check_blocking_impl(path: &str, content: &str) -> Vec<LintHit> {
+    const EXECUTORS: [&str; 2] =
+        ["crates/mpsim/src/thread_comm.rs", "crates/netsim/src/sim_comm.rs"];
+    if EXECUTORS.contains(&path) {
+        return Vec::new();
+    }
+    let body = match content.find("#[cfg(test)]") {
+        Some(i) => &content[..i],
+        None => content,
+    };
+    let mut hits = Vec::new();
+    for (i, line) in body.lines().enumerate() {
+        let code = code_part(line);
+        let blocking_impl = code.trim_start().starts_with("impl")
+            && code
+                .match_indices("Communicator for ")
+                .any(|(at, _)| !code[..at].ends_with("Async"));
+        if blocking_impl {
+            hits.push(hit(path, i, "blocking-impl", line));
+        }
+    }
+    hits
+}
+
 /// Run every rule over one file.
 pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
     // The linter's own source holds the trigger patterns as string
@@ -552,6 +596,7 @@ pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
     hits.extend(check_cancel_safety(path, content));
     hits.extend(check_recovery_unwrap(path, content));
     hits.extend(check_bcast_hot_copy(path, content));
+    hits.extend(check_blocking_impl(path, content));
     hits
 }
 
@@ -660,9 +705,18 @@ mod tests {
         assert_eq!(check_real_time("crates/mpsim/src/event_comm.rs", instant).len(), 1);
         let systime = "let wall = std::time::SystemTime::now();\n";
         assert_eq!(check_real_time("crates/mpsim/src/event_reactor.rs", systime).len(), 1);
-        // Only the event executor is held to virtual-clock purity.
+        // The decorators that run on the event executor are held to the
+        // same purity; the blocking executors are not.
+        for path in [
+            "crates/mpsim/src/reliable.rs",
+            "crates/mpsim/src/sub_comm.rs",
+            "crates/netsim/src/fault.rs",
+            "crates/core/src/recovery.rs",
+        ] {
+            assert_eq!(check_real_time(path, instant).len(), 1, "{path}");
+        }
         assert!(check_real_time("crates/mpsim/src/thread_comm.rs", sleepy).is_empty());
-        assert!(check_real_time("crates/mpsim/src/reliable.rs", instant).is_empty());
+        assert!(check_real_time("crates/netsim/src/sim_comm.rs", instant).is_empty());
         // Comments, test modules, and marked lines are exempt.
         let comment = "// Instant::now is banned here\n";
         assert!(check_real_time("crates/mpsim/src/event_comm.rs", comment).is_empty());
@@ -818,7 +872,6 @@ mod tests {
     fn recovery_unwrap_flags_comm_results_in_recovery_files_only() {
         let bad = "fn f() { comm.recv(&mut buf, peer, Tag(3)).unwrap(); }\n";
         assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", bad).len(), 1);
-        assert_eq!(check_recovery_unwrap("crates/core/src/recovery_async.rs", bad).len(), 1);
         // Other files — even other core modules — are rule 2's territory.
         assert!(check_recovery_unwrap("crates/core/src/bcast.rs", bad).is_empty());
         let expect = "let n = comm.recv_timeout(&mut b, p, Tag(1), t).expect(\"peer\");\n";
@@ -839,7 +892,7 @@ mod tests {
         let split = "let healed = self.comm.sendrecv(&out, peer, Tag(2), &mut inb, peer, Tag(2))\n\
                      .await\n\
                      .unwrap();\n";
-        let hits = check_recovery_unwrap("crates/core/src/recovery_async.rs", split);
+        let hits = check_recovery_unwrap("crates/core/src/recovery.rs", split);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].line, 3);
         // The statement terminator resets the tracking: an unwrap in the
@@ -885,6 +938,25 @@ mod tests {
         assert!(check_bcast_hot_copy("crates/core/src/ring.rs", comment).is_empty());
         let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { fn g() { buf.copy_from_slice(&src); } }\n";
         assert!(check_bcast_hot_copy("crates/core/src/ring.rs", in_tests).is_empty());
+    }
+
+    #[test]
+    fn blocking_impl_allowed_in_the_two_executors_only() {
+        let twin = "impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {\n}\n";
+        assert_eq!(check_blocking_impl("crates/mpsim/src/sub_comm.rs", twin).len(), 1);
+        assert_eq!(check_blocking_impl("crates/core/src/recovery.rs", twin).len(), 1);
+        let plain = "impl Communicator for ThreadComm {\n}\n";
+        assert!(check_blocking_impl("crates/mpsim/src/thread_comm.rs", plain).is_empty());
+        assert!(check_blocking_impl("crates/netsim/src/sim_comm.rs", plain).is_empty());
+        assert_eq!(check_blocking_impl("crates/mpsim/src/event_comm.rs", plain).len(), 1);
+        // The async surface is where everything else belongs.
+        let bridged = "impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {\n}\n";
+        assert!(check_blocking_impl("crates/mpsim/src/acomm.rs", bridged).is_empty());
+        // Comments and test doubles are exempt.
+        let comment = "// impl Communicator for Foo would be a twin\n";
+        assert!(check_blocking_impl("crates/core/src/bcast.rs", comment).is_empty());
+        let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { impl Communicator for Fake {} }\n";
+        assert!(check_blocking_impl("crates/core/src/bcast.rs", in_tests).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use bcast_core::smp::{bcast_smp, NodeMap};
 use bcast_core::verify::pattern;
 use bcast_core::Algorithm;
-use mpsim::{Communicator, SubComm};
+use mpsim::{complete_now, AsyncCommunicator, Communicator, SubComm, SyncComm};
 use netsim::{presets, Level, SimWorld};
 
 fn main() {
@@ -27,10 +27,13 @@ fn main() {
     );
 
     // Demonstrate the split API itself: group ranks by node, order by rank.
+    // Sub-communicators are written against the async surface; a blocking
+    // backend enters through `SyncComm` + `complete_now`.
     let out = SimWorld::run(preset.model_for(nbytes, np), placement, np, |comm| {
         let color = Some(comm.placement().node_of(comm.rank()) as u64);
-        let node_comm =
-            SubComm::split(comm, color, comm.rank() as i64).expect("every rank belongs to a node");
+        let acomm = SyncComm::new(comm);
+        let node_comm = complete_now(SubComm::split(&acomm, color, comm.rank() as i64))
+            .expect("every rank belongs to a node");
         // within the node group, local rank 0 is the node leader
         (node_comm.size(), node_comm.rank(), node_comm.to_parent(0))
     });

@@ -62,6 +62,15 @@ phase_feature_matrix() {
   done
 }
 
+# The benchmark package is its own workspace (empty [workspace] table, path
+# deps on crates/*), so none of the --workspace commands above reach it: a
+# library API change that breaks it would otherwise surface only in the
+# benchmark pipeline.
+phase_benchmark_package() {
+  run cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  run cargo test -q --offline --manifest-path benchmark/Cargo.toml
+}
+
 phase_harness_and_fmt() {
   run cargo bench --workspace --offline -- --help >/dev/null
   run cargo fmt --all --check
@@ -173,6 +182,7 @@ if [[ $quick -eq 0 ]]; then
   run_phase "build (release)" phase_build
 fi
 run_phase "feature matrix (test + clippy + coalesce smoke)" phase_feature_matrix
+run_phase "benchmark package (build + unit tests)" phase_benchmark_package
 run_phase "bench harness + fmt" phase_harness_and_fmt
 run_phase "schedcheck + repolint" phase_schedcheck
 run_phase "schedcheck-reactor (DPOR + mutation drill)" phase_schedcheck_reactor
