@@ -199,9 +199,15 @@ impl RecoverySpec<'_> {
 
 /// A loose upper bound on the virtual-clock duration of a self-healing
 /// launch at world size `p`: every epoch costs at most one stalled attempt
-/// plus one full agreement round, each receive bounded by the heartbeat
-/// deadline. Real runs sit orders of magnitude below it; a run *above* it
-/// means a timeout failed to fire — the recovery-time invariant.
+/// plus one full pairwise agreement round, each receive bounded by the
+/// heartbeat deadline. That per-epoch term still dominates with the
+/// dissemination quorum in front of the pairwise round: each of the quorum's
+/// `2·⌈log₂p⌉` receives is bounded by `2 · step_timeout`, at most
+/// `4·⌈log₂p⌉` step timeouts per epoch, inside the two heartbeat deadlines
+/// (`4p + 12` step timeouts) of slack that `p + 2` deadlines leave over an
+/// attempt (< 1 deadline) and a pairwise round (≤ `p − 1`). Real runs sit
+/// orders of magnitude below the bound; a run *above* it means a timeout
+/// failed to fire — the recovery-time invariant.
 pub fn recovery_elapsed_bound(cfg: &RecoveryConfig, p: usize) -> Duration {
     let per_receive = cfg.step_timeout.saturating_mul(2 * p as u32 + 6);
     per_receive.saturating_mul((p as u32 + 2).saturating_mul(cfg.max_epochs.max(1)))
@@ -365,7 +371,7 @@ pub fn check_recovery_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{bcast_volume, scatter_msgs};
+    use crate::traffic::{agreement_volume, bcast_volume, scatter_msgs};
 
     #[test]
     fn event_launch_matches_closed_forms_small() {
@@ -403,6 +409,23 @@ mod tests {
             assert_eq!(h.epochs, 1);
             assert_eq!(h.survivors.len(), 16);
             assert!(run.trace.saw(crate::recovery::branch::HEALED_ALL));
+        }
+    }
+
+    #[test]
+    fn fault_free_self_healing_traffic_is_bcast_plus_quorum() {
+        // The pairwise round never runs on a clean epoch: what moves is the
+        // broadcast itself plus 2·P·⌈log₂P⌉ two-byte quorum frames, exactly.
+        let cfg = RecoveryConfig::default();
+        let nbytes = 2048;
+        for p in [2usize, 3, 8, 10, 129, 1024] {
+            for algorithm in [Algorithm::ScatterRingTuned, Algorithm::Binomial] {
+                let out = self_healing_bcast_event_world(p, nbytes, p / 3, algorithm, &cfg);
+                let vol = bcast_volume(algorithm, nbytes, p).plus(agreement_volume(p));
+                assert_eq!(out.traffic.total_msgs(), vol.msgs, "{algorithm:?} P={p}");
+                assert_eq!(out.traffic.total_envelopes(), vol.msgs, "{algorithm:?} P={p}");
+                assert_eq!(out.traffic.total_bytes(), vol.bytes, "{algorithm:?} P={p}");
+            }
         }
     }
 

@@ -12,14 +12,26 @@
 //!    messages from a failed attempt. A dead neighbor surfaces as
 //!    [`CommError::Timeout`] or — when the backend's exited-rank detector
 //!    fires first — [`CommError::PeerFailed`].
-//! 2. **Agreement round** — every surviving rank sends a one-byte report
-//!    (a "payload complete" bit) to every other current member, then
-//!    collects the peers' reports under a generous heartbeat deadline.
-//!    Membership is decided by this exchange *alone*: an attempt-time
-//!    timeout is only a stall symptom (a live neighbor of a dead rank
-//!    stalls too), but a rank that misses the heartbeat deadline — sized to
-//!    cover the worst-case attempt cascade — is dead under the fail-stop
-//!    assumption (below), so every live rank computes the same verdict.
+//! 2. **Agreement** — first a *dissemination quorum*: two passes of
+//!    `⌈log₂n⌉` rounds, one two-byte send and one receive per rank per round,
+//!    AND-reducing "I hold the full payload" (pass 1) and "my pass 1 came out
+//!    true" (pass 2) over the current members. A rank whose pass 2 comes out
+//!    true knows everyone is complete *and* that everyone knows it, and heals
+//!    on the spot: a fault-free epoch costs `2·n·⌈log₂n⌉` frames, not
+//!    `n·(n−1)`. Anything else — a member without the payload, a silent or
+//!    late partner, a diverged membership — only ever turns a rank's
+//!    conjunction false, and a false conjunction runs the *pairwise round*:
+//!    every surviving rank sends a one-byte report (a "payload complete"
+//!    bit) to every other current member, then collects the peers' reports
+//!    under a generous heartbeat deadline. Membership is decided by this
+//!    exchange *alone*: an attempt-time timeout is only a stall symptom (a
+//!    live neighbor of a dead rank stalls too), but a rank that misses the
+//!    heartbeat deadline — sized to cover the worst-case attempt cascade —
+//!    is dead under the fail-stop assumption (below), so every live rank
+//!    computes the same verdict. (A rank whose pass 1 was true but whose
+//!    pass 2 was not still runs the pairwise round for its peers' benefit,
+//!    then heals with "nobody dead": every member reported a complete
+//!    payload, and others may already have committed and left.)
 //! 3. **Degraded rerun** — the survivors form a [`SubComm`], the
 //!    binomial-scatter `(step, flag)` schedule is re-derived over the
 //!    shrunken world (simply by running the same algorithm at the smaller
@@ -558,21 +570,145 @@ impl RecoveryDrill {
     };
 }
 
-/// Exchange reports among `members` (world numbering) and fold them into a
-/// common verdict: a member is dead iff it fails this exchange. The
-/// fail-stop assumption plus the backends' definitive exited-rank
-/// detection make the outcome identical on every live member — a dead rank
-/// fails *everyone's* heartbeat, and the deadline is sized so a live rank
-/// never does.
+/// What the dissemination quorum established on this rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Quorum {
+    /// Pass 2 came out true: every member holds the payload *and* every
+    /// member's pass 1 said so. Nothing is left to agree on.
+    Committed,
+    /// Pass 1 came out true but pass 2 did not: every member reported a
+    /// complete payload this epoch, yet some peer may not have learned it.
+    Known,
+    /// Pass 1 came out false: somebody lacks the payload, is silent, is late,
+    /// or disagrees on the membership. The pairwise round decides.
+    Open,
+}
+
+/// Base tag of epoch `epoch`'s agreement traffic: the pairwise round runs on
+/// `+ 0`, the dissemination quorum on `+ 1`.
+fn agreement_tag(epoch: u32) -> u32 {
+    AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE))
+}
+
+/// AND-reduce "I hold the full payload" over `members` by Bruck
+/// dissemination, twice: pass 1 folds `has_full`, pass 2 folds "my pass 1
+/// came out true". Each pass is `⌈log₂n⌉` rounds of one two-byte send (to the
+/// member `dist` positions ahead) and one receive (from the member `dist`
+/// behind), `dist = 1, 2, 4, … < n`, so after a pass the conjunction covers
+/// every member.
 ///
-/// The exchange visits peers in ascending member order, which is
+/// The conjunction can only ever turn *false*: a `0` frame, a timeout, a
+/// failed or garbled partner, or a frame carrying another membership's
+/// digest byte all clear it. A rank whose conjunction is false stops
+/// receiving but still sends every remaining round of both passes, so the
+/// falsehood reaches everyone in at most `2·⌈log₂n⌉` hops and nobody waits on
+/// it. All rounds share one tag: a pass's distances are distinct sources, and
+/// per-`(src, tag)` FIFO orders pass 1 before pass 2 from the same source.
+///
+/// Receives are bounded by `2 · step_timeout`, *not* the heartbeat deadline.
+/// Safety never depends on the bound — a false timeout costs a pairwise
+/// round, never a wrong verdict — so it only has to exceed the entry skew of
+/// a clean attempt. It has to stay this small because the pairwise round is
+/// sound only while a live peer lags by less than the heartbeat deadline:
+/// a rank that fell through at once must not wait out its heartbeat on a
+/// peer still sitting in a quorum timeout.
+async fn quorum<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    members: &[Rank],
+    epoch: u32,
+    has_full: bool,
+    cfg: &RecoveryConfig,
+) -> Result<Quorum> {
+    let me = comm.rank();
+    let n = members.len();
+    let Some(idx) = members.iter().position(|&m| m == me) else {
+        return Ok(Quorum::Open);
+    };
+    let tag = Tag(agreement_tag(epoch).wrapping_add(1));
+    // Ranks whose member lists diverged after a split verdict must not
+    // complete each other's quorum.
+    let digest8 = membership_digest(members) as u8;
+    let bound = cfg.step_timeout.saturating_mul(2);
+
+    let mut acc = has_full;
+    let mut known = false;
+    let mut frame = [0u8; 2];
+    for pass in 0..2 {
+        let mut dist = 1;
+        while dist < n {
+            let ahead = members[(idx + dist) % n];
+            let behind = members[(idx + n - dist) % n];
+            let heard = match comm.send(&[u8::from(acc), digest8], ahead, tag).await {
+                Ok(()) if acc => comm
+                    .recv_timeout(&mut frame, behind, tag, bound)
+                    .await
+                    .map(|len| len == 2 && frame == [1, digest8]),
+                Ok(()) => Ok(false),
+                Err(e) => Err(e),
+            };
+            acc = match heard {
+                Ok(all_true) => all_true,
+                // Our own communicator fail-stopped: same rule as the
+                // pairwise round below.
+                Err(CommError::PeerFailed { rank }) if rank == me => {
+                    return Err(CommError::PeerFailed { rank: me });
+                }
+                Err(
+                    CommError::Timeout { .. }
+                    | CommError::PeerFailed { .. }
+                    | CommError::Truncation { .. },
+                ) => false,
+                Err(e) => return Err(e),
+            };
+            dist <<= 1;
+        }
+        if pass == 0 {
+            known = acc;
+        }
+    }
+    Ok(match (acc, known) {
+        (true, _) => Quorum::Committed,
+        (false, true) => Quorum::Known,
+        (false, false) => Quorum::Open,
+    })
+}
+
+/// Agree on who is alive and who holds the payload after epoch `epoch`'s
+/// attempt. Two stages, the second only when the first does not settle it:
+///
+/// 1. **Dissemination quorum** ([`quorum`]) — `2·⌈log₂n⌉` two-byte frames
+///    per rank. If it commits, every member holds the payload and knows that
+///    everyone does: the verdict is "nobody dead, everybody full" without a
+///    single pairwise message. A fault-free epoch ends here.
+/// 2. **Pairwise round** — every member exchanges a one-byte [`Report`] with
+///    every other member under the heartbeat deadline; a member is dead iff
+///    it fails this exchange. The fail-stop assumption plus the backends'
+///    definitive exited-rank detection make the outcome identical on every
+///    live member — a dead rank fails *everyone's* heartbeat, and the
+///    deadline is sized so a live rank never does. Anything that goes wrong
+///    in the quorum only ever lands a rank here, so the verdict under faults
+///    is the pairwise one, unchanged.
+///
+/// One case sits between the two: the quorum's pass 1 came out true on this
+/// rank but pass 2 did not (a peer crashed or stalled between its pass-2
+/// sends). Pass 2 can only come out true *anywhere* if every member's pass 1
+/// was true, so other members may already have committed and left. This rank
+/// still runs the pairwise round in full — peers that also fell through need
+/// its report — but then returns "nobody dead, everybody full" regardless of
+/// who answered: every member reported a complete payload this epoch, so a
+/// peer that has gone silent since has either healed and exited or crashed
+/// holding the payload. Counting it dead would heal this rank in the same
+/// epoch *without* ranks that healed in it — a lossless split-brain.
+///
+/// The pairwise exchange visits peers in ascending member order, which is
 /// deadlock-free for pairwise exchanges: the globally smallest unfinished
 /// pair is always each other's current partner (each rank only moves past
 /// a peer once that pair is done), so someone always progresses. With
-/// [`RecoveryConfig::bounded_sendrecv`] the roundtrip uses the reliable
-/// layer's self-bounding `sendrecv` pump — an eager send followed by a
-/// bounded receive would wedge an acknowledged-send layer, whose `send`
-/// cannot complete until the peer actively receives.
+/// [`RecoveryConfig::bounded_sendrecv`] the quorum is skipped and the
+/// roundtrip uses the reliable layer's self-bounding `sendrecv` pump — an
+/// eager send followed by a bounded receive (which is all the quorum is)
+/// would wedge an acknowledged-send layer, whose `send` cannot complete
+/// until the peer actively receives.
 async fn agree<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     members: &[Rank],
@@ -581,8 +717,17 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
     cfg: &RecoveryConfig,
     trace: &mut RecoveryTrace,
 ) -> Result<Verdict> {
+    let everyone_full =
+        || Verdict { dead: BTreeSet::new(), have_full: members.iter().copied().collect() };
+    let known = !cfg.bounded_sendrecv
+        && match quorum(comm, members, epoch, mine.has_full, cfg).await? {
+            Quorum::Committed => return Ok(everyone_full()),
+            Quorum::Known => true,
+            Quorum::Open => false,
+        };
+
     let me = comm.rank();
-    let tag = Tag(AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE)));
+    let tag = Tag(agreement_tag(epoch));
     let encoded = mine.encode();
     let hb = cfg.heartbeat_timeout(members.len());
 
@@ -592,7 +737,9 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
         have_full.insert(me);
     }
 
-    let mut frame = [0u8; 1];
+    // A report is one byte; the spare byte lets a two-byte frame reach
+    // `Report::decode`, anything longer surfaces as `Truncation` below.
+    let mut frame = [0u8; 2];
     for &peer in members {
         if peer == me {
             continue;
@@ -607,20 +754,19 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
                 Err(e) => Err(e),
             }
         };
-        match outcome {
-            Ok(n) => match Report::decode(&frame[..n]) {
-                Some(theirs) => {
-                    if theirs.has_full {
-                        have_full.insert(peer);
-                    }
+        match outcome.map(|n| Report::decode(&frame[..n])) {
+            Ok(Some(theirs)) => {
+                if theirs.has_full {
+                    have_full.insert(peer);
                 }
-                // A garbled report from a live rank violates the fault
-                // model; treating the rank as failed keeps us moving.
-                None => {
-                    trace.hit(branch::GARBLED_REPORT);
-                    dead.insert(peer);
-                }
-            },
+            }
+            // A garbled report from a live rank — wrong byte, wrong length,
+            // or too long for the buffer altogether — violates the fault
+            // model; treating the rank as failed keeps us moving.
+            Ok(None) | Err(CommError::Truncation { .. }) => {
+                trace.hit(branch::GARBLED_REPORT);
+                dead.insert(peer);
+            }
             // Our *own* communicator fail-stopping mid-round surfaces as a
             // peer failure naming this rank (world numbering — agreement
             // runs on the parent comm). Propagate it instead of wrongly
@@ -633,6 +779,9 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
             }
             Err(e) => return Err(e),
         }
+    }
+    if known {
+        return Ok(everyone_full());
     }
     have_full.retain(|r| !dead.contains(r));
     Ok(Verdict { dead, have_full })
@@ -712,9 +861,10 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     trace: &mut RecoveryTrace,
 ) -> Result<Healed> {
     comm.check_rank(root)?;
-    assert!(cfg.max_epochs >= 1, "at least one attempt is required");
+    // A zero budget is an exhausted budget, not a bug: the loop below runs no
+    // attempt and reports it the way it reports running out.
     let max_epochs =
-        drill.clamp_epoch_budget.map_or(cfg.max_epochs, |c| c.clamp(1, cfg.max_epochs));
+        drill.clamp_epoch_budget.map_or(cfg.max_epochs, |c| c.max(1).min(cfg.max_epochs));
     let me = comm.rank();
     let mut members: Vec<Rank> = (0..comm.size()).collect();
     let mut current_root = root;
@@ -840,6 +990,7 @@ pub fn degraded_bcast_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::{agreement_volume, bcast_volume};
     use mpsim::{EventWorld, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
@@ -873,6 +1024,11 @@ mod tests {
             assert_eq!(h.epochs, 1);
             assert_eq!(h.survivors, (0..8).collect::<Vec<_>>());
         }
+        // The quorum's receive bound is real time here: a spurious timeout
+        // would fall back to the pairwise round and show up as extra
+        // envelopes, not merely as a slow test.
+        let expect = bcast_volume(Algorithm::ScatterRingTuned, n, 8).plus(agreement_volume(8));
+        assert_eq!(out.traffic.total_envelopes(), expect.msgs);
     }
 
     #[test]
@@ -1100,6 +1256,105 @@ mod tests {
             assert!(trace.saw(branch::DEATH_OBSERVED));
             assert_eq!(trace.deaths_observed, 1);
             assert_eq!(trace.root_chain, vec![0], "root 0 never moved");
+        }
+    }
+
+    /// Drive [`quorum`] alone on a 5-rank event world; `role(rank)` is `None`
+    /// for a rank that exits without taking part, else its `has_full`.
+    /// Returns each participant's outcome and the frames each rank sent.
+    fn quorum_world(role: fn(Rank) -> Option<bool>) -> (Vec<Option<Quorum>>, Vec<u64>) {
+        let members: Vec<Rank> = (0..5).collect();
+        let out = EventWorld::run(5, |comm| {
+            let members = members.clone();
+            async move {
+                let has_full = role(comm.rank())?;
+                Some(quorum(&comm, &members, 0, has_full, &quick_cfg()).await.unwrap())
+            }
+        });
+        let sent = out.traffic.per_rank.iter().map(|s| s.msgs_sent).collect();
+        (out.results, sent)
+    }
+
+    #[test]
+    fn quorum_commits_when_every_member_is_full() {
+        let (results, sent) = quorum_world(|_| Some(true));
+        assert_eq!(results, vec![Some(Quorum::Committed); 5]);
+        assert_eq!(sent, vec![6; 5], "2·⌈log₂5⌉ frames per rank");
+    }
+
+    #[test]
+    fn quorum_forwards_a_missing_payload_without_waiting_on_it() {
+        let (results, sent) = quorum_world(|r| Some(r != 3));
+        assert_eq!(results, vec![Some(Quorum::Open); 5], "no rank commits, no rank is known");
+        assert_eq!(sent, vec![6; 5], "a false conjunction still sends every round");
+    }
+
+    #[test]
+    fn quorum_stays_open_around_an_absent_member() {
+        let (results, sent) = quorum_world(|r| (r != 2).then_some(true));
+        for (rank, q) in results.iter().enumerate() {
+            assert_eq!(*q, (rank != 2).then_some(Quorum::Open), "rank {rank}");
+        }
+        assert_eq!(sent, vec![6, 6, 0, 6, 6]);
+    }
+
+    #[test]
+    fn overlong_report_marks_the_peer_dead() {
+        // Rank 3 skips the quorum and answers the pairwise tag with two
+        // bytes. Its peers must count it dead and keep going.
+        let members: Vec<Rank> = (0..4).collect();
+        let out = EventWorld::run(4, |comm| {
+            let members = members.clone();
+            async move {
+                if comm.rank() == 3 {
+                    for peer in 0..3 {
+                        comm.send(&[1, 0], peer, Tag(AGREEMENT_TAG_BASE)).await.unwrap();
+                    }
+                    return None;
+                }
+                let mut trace = RecoveryTrace::default();
+                let mine = Report { has_full: true };
+                let verdict = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
+                Some((verdict.map(|v| (v.dead, v.have_full)), trace))
+            }
+        });
+        for res in out.results.iter().take(3) {
+            let (verdict, trace) = res.as_ref().unwrap();
+            let (dead, have_full) = verdict.as_ref().expect("agreement must not abort");
+            assert_eq!(*dead, BTreeSet::from([3]));
+            assert_eq!(*have_full, BTreeSet::from([0, 1, 2]));
+            assert!(trace.saw(branch::GARBLED_REPORT));
+        }
+    }
+
+    #[test]
+    fn zero_epoch_budget_is_exhausted_not_a_panic() {
+        for drill in [
+            RecoveryDrill::NONE,
+            RecoveryDrill { clamp_epoch_budget: Some(3), ..RecoveryDrill::NONE },
+        ] {
+            let cfg = RecoveryConfig { max_epochs: 0, ..quick_cfg() };
+            let out = EventWorld::run(3, |comm| async move {
+                let mut buf = vec![7u8; 16];
+                let mut trace = RecoveryTrace::default();
+                let result = self_healing_bcast_traced_async(
+                    &comm,
+                    &mut buf,
+                    1,
+                    Algorithm::ScatterRingTuned,
+                    &cfg,
+                    &drill,
+                    &mut trace,
+                )
+                .await;
+                (result, trace)
+            });
+            for (result, trace) in &out.results {
+                assert_eq!(*result, Err(CommError::Timeout { peer: 1 }));
+                assert!(trace.saw(branch::EPOCH_BUDGET_EXHAUSTED));
+                assert_eq!(trace.epochs_entered, 0);
+            }
+            assert_eq!(out.traffic.total_msgs(), 0, "no attempt, no traffic");
         }
     }
 

@@ -7,7 +7,7 @@
 //! anything*, so tests can require `measured == modelled` and the benchmark
 //! harness can print the paper's transfer-count table for any `P`.
 
-use mpsim::is_pof2;
+use mpsim::{ceil_log2, is_pof2};
 
 use crate::bcast::Algorithm;
 use crate::chunks::ChunkLayout;
@@ -163,9 +163,31 @@ pub fn bcast_volume(algorithm: Algorithm, nbytes: usize, p: usize) -> Volume {
     }
 }
 
+/// Agreement traffic of one *fault-free* self-healing epoch over `n`
+/// members: the dissemination quorum of [`crate::recovery`] commits, so each
+/// member sends one two-byte frame per round of two `⌈log₂n⌉`-round passes
+/// and the pairwise round never runs. Every frame is its own envelope.
+pub fn agreement_volume(n: usize) -> Volume {
+    if n <= 1 {
+        return Volume::default();
+    }
+    let msgs = 2 * n as u64 * u64::from(ceil_log2(n));
+    Volume { msgs, bytes: 2 * msgs }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn agreement_volume_closed_form() {
+        assert_eq!(agreement_volume(0), Volume::default());
+        assert_eq!(agreement_volume(1), Volume::default());
+        assert_eq!(agreement_volume(2), Volume { msgs: 4, bytes: 8 });
+        assert_eq!(agreement_volume(5).msgs, 2 * 5 * 3);
+        assert_eq!(agreement_volume(8).msgs, 2 * 8 * 3);
+        assert_eq!(agreement_volume(1024), Volume { msgs: 20_480, bytes: 40_960 });
+    }
 
     #[test]
     fn paper_counts() {

@@ -313,8 +313,13 @@ fn root_succession_chain_depth3_heals_at_p8() {
     };
     let crashes = [
         (0usize, 1u64), // root dies after one send: only subtree {4,5,6,7} completes
-        (4, 17),        // first successor dies entering epoch 1, before re-sourcing
-        (5, 30),        // second successor dies entering epoch 2, before re-sourcing
+        // First successor dies entering epoch 1, before re-sourcing: epoch 0
+        // costs it 3 attempt ops + 7 quorum ops (6 sends, 1 failed receive)
+        // + 14 pairwise ops = 24.
+        (4, 24),
+        // Second successor dies entering epoch 2, before re-sourcing: about 23
+        // ops for epoch 0, 20 for epoch 1, then a couple into epoch 2.
+        (5, 46),
     ];
     let (results, traffic, elapsed, src) =
         event_cascade(8, 512, 0, Algorithm::Binomial, &crashes, cfg, seed);
@@ -394,4 +399,105 @@ fn megascale_cascade_p1024() {
 #[ignore = "release-mode CI phase: debug builds are too slow at P >= 1024"]
 fn megascale_cascade_p4096() {
     megascale_cascade(4096);
+}
+
+/// A crash *between a rank's two pass-2 quorum sends* splits the quorum:
+/// at P = 4 rank 1 (one attempt op, four pass-1 ops, one pass-2 send = 6 ops)
+/// reaches rank 2 but never rank 3, so ranks 0 and 2 commit and leave while
+/// rank 3 falls through to the pairwise round alone. Rank 3 knows every
+/// member reported a full payload, so it must heal with the very same
+/// verdict instead of counting the ranks that already left as dead.
+#[test]
+fn mid_quorum_crash_heals_committed_and_fallen_through_ranks_alike() {
+    let seed = battery_seed() ^ 0x0A55;
+    let cfg = recovery_cfg(false);
+    let (results, traffic, elapsed, src) =
+        event_cascade(4, 203, 0, Algorithm::Binomial, &[(1, 6)], cfg, seed);
+
+    let spec = RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[1], lossy_links: false };
+    check_recovery_outcome(&spec, &results, &traffic, elapsed).unwrap();
+
+    assert_eq!(results[1].result, Err(CommError::PeerFailed { rank: 1 }));
+    for rank in [0, 2, 3] {
+        let h = results[rank].result.as_ref().unwrap();
+        assert_eq!((&h.survivors[..], h.epochs), (&[0, 1, 2, 3][..], 1), "rank {rank}");
+    }
+    // Sends per rank = binomial sends + 4 quorum frames, and only the rank
+    // that fell through adds its 3 pairwise reports.
+    let sent: Vec<u64> = traffic.per_rank.iter().map(|s| s.msgs_sent).collect();
+    assert_eq!((sent[0], sent[2], sent[3]), (2 + 4, 1 + 4, 4 + 3));
+}
+
+/// Every crash plan of `plans(p)` at every `p`, on the tuned ring and the
+/// binomial tree, each launch judged by `check_recovery_outcome`. Returns
+/// the launches made.
+fn crash_point_sweep(ps: &[usize], plans: impl Fn(usize) -> Vec<Vec<(Rank, u64)>>) -> usize {
+    let seed = battery_seed() ^ 0x5EE9;
+    let cfg = RecoveryConfig {
+        step_timeout: Duration::from_millis(60),
+        max_epochs: 6, // > 2·victims for up to two victims: liveness guaranteed
+        bounded_sendrecv: false,
+    };
+    let mut launches = 0;
+    for &p in ps {
+        for algorithm in [Algorithm::ScatterRingTuned, Algorithm::Binomial] {
+            for crashes in plans(p) {
+                let victims: Vec<Rank> = crashes.iter().map(|&(v, _)| v).collect();
+                let (results, traffic, elapsed, src) =
+                    event_cascade(p, 16 * p + 3, 0, algorithm, &crashes, cfg, seed);
+                let spec = RecoverySpec {
+                    src: &src,
+                    root: 0,
+                    cfg,
+                    planned_victims: &victims,
+                    lossy_links: false,
+                };
+                if let Err(why) = check_recovery_outcome(&spec, &results, &traffic, elapsed) {
+                    panic!("P={p} {algorithm:?} crashes {crashes:?}: {why}");
+                }
+                launches += 1;
+            }
+        }
+    }
+    launches
+}
+
+/// Last crash tick of a sweep at world size `p`: past the second epoch of
+/// any rank, so a crash lands in every attempt step, every quorum round of
+/// both passes and every pairwise exchange.
+fn last_tick(p: usize) -> u64 {
+    8 * p as u64 + 40
+}
+
+/// Every single victim at every tick.
+fn single_crash_plans(p: usize) -> Vec<Vec<(Rank, u64)>> {
+    (0..p).flat_map(|v| (0..=last_tick(p)).map(move |t| vec![(v, t)])).collect()
+}
+
+#[test]
+fn crash_point_sweep_small_worlds() {
+    let launches = crash_point_sweep(&[2, 3, 4, 5, 7, 8], single_crash_plans);
+    assert_eq!(launches, 5050);
+}
+
+#[test]
+#[ignore = "release-mode CI phase: ~130k launches"]
+fn crash_point_sweep_full() {
+    let singles = crash_point_sweep(&[2, 3, 4, 5, 7, 8, 9, 13, 16], single_crash_plans);
+    // Every pair of victims, the first on every 3rd tick and the second on
+    // every 5th.
+    let pairs = crash_point_sweep(&[5, 8, 9], |p| {
+        let mut plans = Vec::new();
+        for a in 0..p {
+            for b in a + 1..p {
+                for ta in (0..=last_tick(p)).step_by(3) {
+                    for tb in (0..=last_tick(p)).step_by(5) {
+                        plans.push(vec![(a, ta), (b, tb)]);
+                    }
+                }
+            }
+        }
+        plans
+    });
+    println!("crash-point sweep: {singles} single-victim + {pairs} two-victim launches");
 }

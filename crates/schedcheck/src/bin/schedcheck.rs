@@ -20,7 +20,10 @@
 //! explorers catch it. `--max-states` bounds the per-model state budget.
 
 use bcast_core::bcast::{bcast_schedule, bcast_tuned_schedule_with};
-use bcast_core::{all_sources, degraded_bcast_schedule, step_flag, traffic, Algorithm};
+use bcast_core::{
+    all_sources, degraded_bcast_schedule, self_healing_bcast_event_world, step_flag, traffic,
+    Algorithm, RecoveryConfig,
+};
 use schedcheck::models::{
     CondvarModel, ExternalWakerModel, FastMutexModel, LaneMailboxModel, MailboxModel,
     RunQueueModel, TimerWheelModel,
@@ -445,7 +448,10 @@ fn main() {
     // subset after a crash. Prove the regenerated ring is still sound:
     // matched, deadlock-free under both semantics, full coverage on every
     // survivor, no ops or obligations on the dead ranks, and traffic equal
-    // to the closed form at the shrunken world size.
+    // to the closed form at the shrunken world size. The epoch that then
+    // heals on those survivors is executed too: it must move exactly the
+    // degraded schedule plus the dissemination quorum's closed form — a
+    // pairwise agreement message on a clean epoch is a failure here.
     let degraded_algorithms =
         [Algorithm::Binomial, Algorithm::ScatterRingNative, Algorithm::ScatterRingTuned];
     let mut degraded = 0usize;
@@ -477,6 +483,32 @@ fn main() {
                                 members.len(),
                                 model.msgs,
                                 model.bytes
+                            )],
+                        });
+                    }
+                    let healed = self_healing_bcast_event_world(
+                        members.len(),
+                        nbytes,
+                        0,
+                        alg,
+                        &RecoveryConfig::default(),
+                    );
+                    let want = model.plus(traffic::agreement_volume(members.len()));
+                    let got = (
+                        healed.traffic.total_msgs(),
+                        healed.traffic.total_envelopes(),
+                        healed.traffic.total_bytes(),
+                    );
+                    if got != (want.msgs, want.msgs, want.bytes) {
+                        failures.push(Failure {
+                            what: format!(
+                                "healed-epoch traffic {} p={p} dead={dead:?} nbytes={nbytes}",
+                                alg.schedule_name()
+                            ),
+                            details: vec![format!(
+                                "executed (msgs, envelopes, bytes) {got:?} != degraded schedule + \
+                                 agreement closed form ({} msgs, {} B)",
+                                want.msgs, want.bytes
                             )],
                         });
                     }
@@ -512,7 +544,10 @@ fn main() {
             }
         }
     }
-    println!("phase 5: {degraded} degraded survivor-subset schedules analysed");
+    println!(
+        "phase 5: {degraded} degraded survivor-subset schedules analysed, healed-epoch traffic \
+         reconciled with the agreement closed form"
+    );
 
     // ---- Verdict ---------------------------------------------------------
     if failures.is_empty() {

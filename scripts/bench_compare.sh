@@ -2,10 +2,10 @@
 # Benchmark trajectory gate: run the single-threaded kernels of the
 # traffic_counts bench (step_flag, timeline, and the event executor's
 # broadcast hot path — no thread spawning, so full-sample medians are
-# stable) plus the recovery_hotpath bench's P=8 legs
-# (time-to-recover vs casualty count on the event executor), and fail if
-# any median regressed by more than the threshold against the checked-in
-# baseline.
+# stable) plus the recovery_hotpath bench's P=8 legs and its fault-free
+# P=1024 leg (time-to-recover vs casualty count on the event executor), and
+# fail if any median regressed by more than the threshold against the
+# checked-in baseline.
 #
 # Usage: scripts/bench_compare.sh [--update-baseline] [--allow-missing NAME]...
 #   --update-baseline     re-measure and overwrite results/bench_baseline.json
@@ -75,8 +75,9 @@ done
 export CARGO_NET_OFFLINE=true
 mkdir -p "$(dirname "$CURRENT")"
 # The bench binaries run with the package root as cwd; hand them absolute
-# paths. recovery_hotpath's P=8 legs are microsecond-scale event worlds, so
-# they join the quick gate; the P=1024 legs take seconds per sample and are
+# paths. recovery_hotpath's P=8 legs are microsecond-scale event worlds and
+# its fault-free P=1024 leg (c0) is ~0.2 s per sample, so they join the
+# gate; the P=1024 legs with casualties take seconds per sample and are
 # recorded out-of-band (results/recovery_hotpath.json), so the gate waives
 # them by name via --allow-missing from ci.sh.
 RECOVERY_CURRENT=${CURRENT%.json}_recovery.json
@@ -96,7 +97,7 @@ measure() {
   cargo bench -p bcast-bench --bench traffic_counts --offline -- \
     --json "$PWD/$CURRENT" step_flag timeline event_world_hotpath >/dev/null
   cargo bench -p bcast-bench --bench recovery_hotpath --offline -- \
-    --json "$PWD/$RECOVERY_CURRENT" recovery_hotpath/p8 >/dev/null
+    --json "$PWD/$RECOVERY_CURRENT" recovery_hotpath/p8 recovery_hotpath/p1024/c0 >/dev/null
   # The P=1024 zero_copy worlds allocate ~1 GiB of rank buffers per
   # iteration, so fewer samples: two warmups absorb the cold start, five
   # samples keep the p10 honest.

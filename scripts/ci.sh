@@ -143,9 +143,14 @@ phase_event_megascale_p16384() {
 
 # Self-healing megascale: cascading multi-epoch recovery at P ∈ {1024, 4096}
 # on the event executor's virtual clock — three staggered crashes, ≥ 3
-# epochs, byte-identical survivors, reconciled traffic. Release-only (debug
-# builds are too slow at these sizes) and the longest phase in the table
-# (~10–12 min), which is why it gets its own row.
+# epochs, byte-identical survivors, reconciled traffic — plus the exhaustive
+# crash-point sweep (~130k small launches, seconds). Release-only (debug
+# builds are too slow at these sizes) and the longest phase in the table,
+# which is why it gets its own row. What is still quadratic here is a
+# *failed* epoch: its verdict comes from the pairwise agreement round,
+# P·(P−1) messages and as many mailbox lanes, so the three failed epochs of
+# the P=4096 cascade dominate the phase's time and memory. The clean epoch
+# that ends every cascade commits in the ⌈log₂P⌉-round quorum and is not.
 phase_recovery_megascale() {
   run cargo test --release -q -p bcast-core --offline --test chaos_recovery -- \
     --ignored
@@ -163,13 +168,14 @@ phase_chaos_search() {
 }
 
 phase_bench_gate() {
-  # The recovery_hotpath P=1024 legs take seconds per sample, so the quick
-  # gate does not re-measure them; their baseline rows stay waived by name
-  # until a first CI-recorded baseline lands (see bench_compare.sh header).
+  # The recovery_hotpath P=1024 legs *with casualties* take seconds per
+  # sample (their failed epochs pay the quadratic pairwise round), so the
+  # gate does not re-measure them and their baseline rows stay waived by
+  # name. The fault-free p1024/c0 leg is ~0.2 s per sample since the
+  # agreement quorum and is gated like the p8 legs.
   # Likewise the zero_copy P=4096 legs (~4 GiB of payload per measured
   # world): recorded out-of-band in results/zero_copy.json, waived here.
   run scripts/bench_compare.sh \
-    --allow-missing recovery_hotpath/p1024/c0 \
     --allow-missing recovery_hotpath/p1024/c1 \
     --allow-missing recovery_hotpath/p1024/c4 \
     --allow-missing zero_copy/binomial/4096x64K \
