@@ -1,6 +1,6 @@
 //! The zero-copy payoff, measured: binomial broadcast on the discrete-event
 //! executor with shared refcounted envelopes (`bcast_binomial_async`:
-//! `recv_owned` + `send_shared_to`, one landing copy per rank) against the
+//! `recv_owned` + `send_shared`, one landing copy per rank) against the
 //! per-hop copy baseline kept as `bcast_binomial_copy_async` (sender
 //! copy-in + receiver copy-out on every tree edge).
 //!

@@ -4,26 +4,28 @@
 //!   **enclosed** ring allgather (the MPICH3 lmsg / mmsg-npof2 path).
 //! * [`bcast_opt`] — `MPI_Bcast_opt`: binomial scatter + **tuned** ring
 //!   allgather (the paper's contribution).
-//! * [`bcast_binomial_tree`] — the smsg path (re-export of
-//!   [`crate::binomial::bcast_binomial`]).
-//! * [`bcast_scatter_rd`] — the mmsg-pof2 path (scatter + recursive doubling).
+//! * [`bcast_with`] — any one [`Algorithm`], including the smsg binomial tree
+//!   and the mmsg-pof2 scatter + recursive doubling.
 //! * [`bcast_auto`] — dispatch among the above with MPICH3's message-size /
 //!   process-count thresholds ([`Thresholds`]), optionally substituting the
 //!   tuned ring wherever the native ring would run.
+//!
+//! Every algorithm is a pair of op streams — a tree phase and an allgather
+//! phase; running it is handing those streams to the [`Interp`]reter, and
+//! [`bcast_schedule`] is collecting them over all ranks ([`bcast_ops`]).
 
 use mpsim::{
-    complete_now, is_pof2, AsyncCommunicator, Communicator, Rank, Result, SharedBuf, SyncComm,
+    complete_now, is_pof2, AsyncCommunicator, CommError, Communicator, Rank, Result, SharedBuf,
+    SyncComm,
 };
 
-use crate::binomial::{append_binomial_ops, bcast_binomial_async};
-use crate::rd_allgather::{append_rd_ops, rd_allgather_async};
-use crate::ring::{append_native_ring_ops, ring_allgather_native_async};
-use crate::ring_tuned::{
-    append_tuned_ring_ops, append_tuned_ring_ops_with, ring_allgather_tuned_async,
-    ring_allgather_tuned_shared_async, Endpoint,
-};
-use crate::scatter::{append_scatter_ops, binomial_scatter_async, binomial_scatter_shared_async};
-use crate::schedule::{Schedule, ScheduleSource};
+use crate::binomial::binomial_ops;
+use crate::interp::Interp;
+use crate::rd_allgather::rd_ops;
+use crate::ring::native_ring_ops;
+use crate::ring_tuned::{tuned_ring_ops, tuned_ring_ops_with, Endpoint};
+use crate::scatter::scatter_ops;
+use crate::schedule::{SchedOp, Schedule, ScheduleSource};
 
 /// MPICH3's broadcast switching thresholds (`MPIR_CVAR_BCAST_*`), in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,23 +106,13 @@ pub fn select_algorithm(nbytes: usize, size: usize, th: &Thresholds, tuned: bool
 /// `MPI_Bcast_native`: binomial scatter followed by the enclosed ring
 /// allgather — MPICH3's long-message / medium-npof2 broadcast.
 pub fn bcast_native(comm: &(impl Communicator + ?Sized), buf: &mut [u8], root: Rank) -> Result<()> {
-    complete_now(bcast_native_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Async core of [`bcast_native`] over any [`AsyncCommunicator`].
-pub async fn bcast_native_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    binomial_scatter_async(comm, buf, root).await?;
-    ring_allgather_native_async(comm, buf, root).await
+    bcast_with(comm, buf, root, Algorithm::ScatterRingNative)
 }
 
 /// `MPI_Bcast_opt`: binomial scatter followed by the **tuned** ring
 /// allgather — the paper's bandwidth-saving broadcast.
 pub fn bcast_opt(comm: &(impl Communicator + ?Sized), buf: &mut [u8], root: Rank) -> Result<()> {
-    complete_now(bcast_opt_async(&SyncComm::new(comm), buf, root))
+    bcast_with(comm, buf, root, Algorithm::ScatterRingTuned)
 }
 
 /// Async core of [`bcast_opt`] over any [`AsyncCommunicator`].
@@ -129,73 +121,26 @@ pub async fn bcast_opt_async<C: AsyncCommunicator + ?Sized>(
     buf: &mut [u8],
     root: Rank,
 ) -> Result<()> {
-    binomial_scatter_async(comm, buf, root).await?;
-    ring_allgather_tuned_async(comm, buf, root).await
+    bcast_with_async(comm, buf, root, Algorithm::ScatterRingTuned).await
 }
 
-/// Root-side [`bcast_opt`] over an **immutable** source: the root only ever
-/// reads its buffer in both phases (it never receives in the binomial
-/// scatter and is `SendOnly` from step one of the tuned ring), so it can
-/// broadcast straight from a shared slice instead of a defensive clone.
-/// Non-root ranks keep calling [`bcast_opt`].
-pub fn bcast_opt_root(comm: &(impl Communicator + ?Sized), src: &[u8], root: Rank) -> Result<()> {
-    complete_now(bcast_opt_root_async(&SyncComm::new(comm), src, root))
-}
-
-/// Async core of [`bcast_opt_root`] over any [`AsyncCommunicator`].
-///
-/// Stages `src` into **one** shared envelope and feeds refcounted
-/// sub-views of it to both phases, so the root's entire copy bill for the
-/// broadcast is the single `nbytes` staging pass.
-pub async fn bcast_opt_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-) -> Result<()> {
-    let shared = comm.make_shared(src);
-    bcast_opt_shared_async(comm, &shared, root).await
-}
-
-/// Root-side [`bcast_opt`] from an **already-shared** envelope: both phases
-/// send [`SharedBuf::slice`] sub-views of `src`, copying nothing at all.
-/// Callers that already hold the payload in a [`SharedBuf`] (e.g. the
-/// event-world launcher) use this directly.
+/// Root-side [`bcast_opt`] from an **already-shared** envelope: the root
+/// only ever reads its payload (it never receives in the binomial scatter
+/// and is `SendOnly` from step one of the tuned ring), so both phases send
+/// [`SharedBuf::slice`] sub-views of `src`, copying nothing at all. Callers
+/// that already hold the payload in a [`SharedBuf`] (e.g. the event-world
+/// launcher) use this; everyone else calls [`bcast_opt`]. On a non-root rank
+/// the stream's first receive fails with [`CommError::OutOfBounds`].
 pub async fn bcast_opt_shared_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     src: &SharedBuf,
     root: Rank,
 ) -> Result<()> {
-    binomial_scatter_shared_async(comm, src, root).await?;
-    ring_allgather_tuned_shared_async(comm, src, root).await
-}
-
-/// Binomial-tree broadcast (MPICH3's short-message path).
-pub fn bcast_binomial_tree(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    complete_now(bcast_binomial_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Binomial scatter + recursive-doubling allgather (MPICH3's medium-message
-/// power-of-two path). Requires a power-of-two world, like MPICH.
-pub fn bcast_scatter_rd(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    complete_now(bcast_scatter_rd_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Async core of [`bcast_scatter_rd`] over any [`AsyncCommunicator`].
-pub async fn bcast_scatter_rd_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    binomial_scatter_async(comm, buf, root).await?;
-    rd_allgather_async(comm, buf, root).await
+    comm.check_rank(root)?;
+    let (rank, p, nbytes) = (comm.rank(), comm.size(), src.len());
+    let mut interp = Interp::from_shared(comm, src);
+    interp.run(scatter_ops(rank, p, nbytes, root)).await?;
+    interp.run(tuned_ring_ops(rank, p, nbytes, root)).await.map(drop)
 }
 
 /// Run one specific [`Algorithm`].
@@ -208,20 +153,44 @@ pub fn bcast_with(
     complete_now(bcast_with_async(&SyncComm::new(comm), buf, root, algorithm))
 }
 
-/// Async core of [`bcast_with`]: dispatch one [`Algorithm`] over any
-/// [`AsyncCommunicator`] — the entry point event-world launches use.
+/// Async core of [`bcast_with`]: interpret this rank's op streams of one
+/// [`Algorithm`] over any [`AsyncCommunicator`] — what every executor,
+/// decorator stack and the self-healing loop ends up calling.
+///
+/// Fails with [`CommError::Unsupported`] — before anything is posted — when
+/// the world size is one the algorithm is not defined for
+/// ([`Algorithm::supports`]).
 pub async fn bcast_with_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
     root: Rank,
     algorithm: Algorithm,
 ) -> Result<()> {
-    match algorithm {
-        Algorithm::Binomial => bcast_binomial_async(comm, buf, root).await,
-        Algorithm::ScatterRdAllgather => bcast_scatter_rd_async(comm, buf, root).await,
-        Algorithm::ScatterRingNative => bcast_native_async(comm, buf, root).await,
-        Algorithm::ScatterRingTuned => bcast_opt_async(comm, buf, root).await,
+    comm.check_rank(root)?;
+    let p = comm.size();
+    if !algorithm.supports(p) {
+        return Err(CommError::Unsupported { what: algorithm.schedule_name(), size: p });
     }
+    let (rank, nbytes) = (comm.rank(), buf.len());
+    // The phase table of `bcast_ops`, with the allgather stream built at its
+    // `run` call so the loop fuses with the stream closure and only the
+    // running phase lives in this future (see `bcast_ops` for why the table
+    // is not shared code). One interpreter, two runs: the scatter envelope is
+    // still retained when the allgather's first send — a sub-range of it —
+    // goes out.
+    let mut interp = Interp::new(comm, buf);
+    let tree = match algorithm {
+        Algorithm::Binomial => binomial_ops(rank, p, nbytes, root),
+        _ => scatter_ops(rank, p, nbytes, root),
+    };
+    interp.run(tree).await?;
+    match algorithm {
+        Algorithm::Binomial => Ok(0),
+        Algorithm::ScatterRdAllgather => interp.run(rd_ops(rank, p, nbytes, root)).await,
+        Algorithm::ScatterRingNative => interp.run(native_ring_ops(rank, p, nbytes, root)).await,
+        Algorithm::ScatterRingTuned => interp.run(tuned_ring_ops(rank, p, nbytes, root)).await,
+    }
+    .map(drop)
 }
 
 /// Broadcast with MPICH3's automatic algorithm selection.
@@ -261,56 +230,90 @@ impl Algorithm {
             Algorithm::ScatterRingTuned => "bcast/scatter_ring_tuned",
         }
     }
-}
 
-/// Append the phases of `algorithm` to an existing schedule (used directly by
-/// [`bcast_schedule`] and, on sub-worlds, by the SMP composite).
-pub(crate) fn append_bcast_ops(s: &mut Schedule, root: Rank, algorithm: Algorithm) {
-    match algorithm {
-        Algorithm::Binomial => append_binomial_ops(s, root),
-        Algorithm::ScatterRdAllgather => {
-            append_scatter_ops(s, root);
-            append_rd_ops(s, root);
-        }
-        Algorithm::ScatterRingNative => {
-            append_scatter_ops(s, root);
-            append_native_ring_ops(s, root);
-        }
-        Algorithm::ScatterRingTuned => {
-            append_scatter_ops(s, root);
-            append_tuned_ring_ops(s, root);
-        }
+    /// Whether the algorithm is defined for a world of `p` ranks: recursive
+    /// doubling needs a power of two, everything else runs anywhere.
+    pub fn supports(self, p: usize) -> bool {
+        self != Algorithm::ScatterRdAllgather || is_pof2(p)
     }
 }
 
-/// Emit the full symbolic schedule of [`bcast_with`]: the phases of the
-/// chosen algorithm concatenated per rank, over one shared `nbytes` buffer.
-pub fn bcast_schedule(algorithm: Algorithm, p: usize, nbytes: usize, root: Rank) -> Schedule {
-    let mut s = Schedule::new(algorithm.schedule_name(), p, nbytes);
+/// Rank `rank`'s whole program for `algorithm`: the tree ops (the binomial
+/// scatter — or, for [`Algorithm::Binomial`], the entire broadcast) followed
+/// by the allgather stream (none for binomial). What [`bcast_schedule`]
+/// collects, and what the SMP composite and the degraded rerun renumber.
+///
+/// [`bcast_with_async`] runs the same phase functions through the
+/// interpreter but repeats this four-entry table instead of calling here,
+/// on measurement: handing it the phases as `Box<dyn Iterator>` cost +7 %
+/// on the `ring-msgs` workload, chaining them into one stream +8 %, and
+/// binding both streams before the first `run` grew every rank task's
+/// future from 576 to 680 bytes, again +8 % (1024 such futures sit at the
+/// edge of L2 there). `tests/schedule_replay.rs` pins the two tables equal,
+/// per rank and per byte, on all three executors.
+///
+/// # Panics
+///
+/// Panics if `p` is a world size the algorithm does not support — a
+/// precondition, not a runtime condition: the communicator entry points
+/// check [`Algorithm::supports`] first and return an error instead.
+pub fn bcast_ops(
+    algorithm: Algorithm,
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
+    root: Rank,
+) -> Vec<SchedOp> {
+    assert!(algorithm.supports(p), "{} is not defined for P = {p}", algorithm.schedule_name());
+    let mut ops = match algorithm {
+        Algorithm::Binomial => binomial_ops(rank, p, nbytes, root),
+        _ => scatter_ops(rank, p, nbytes, root),
+    };
+    match algorithm {
+        Algorithm::Binomial => {}
+        Algorithm::ScatterRdAllgather => ops.extend(rd_ops(rank, p, nbytes, root)),
+        Algorithm::ScatterRingNative => ops.extend(native_ring_ops(rank, p, nbytes, root)),
+        Algorithm::ScatterRingTuned => ops.extend(tuned_ring_ops(rank, p, nbytes, root)),
+    }
+    ops
+}
+
+/// An empty schedule with the broadcast's coverage contract: `root` starts
+/// with all `nbytes` valid, every rank must end with them.
+pub(crate) fn bcast_skeleton(name: &str, p: usize, nbytes: usize, root: Rank) -> Schedule {
+    let mut s = Schedule::new(name, p, nbytes);
     s.ranks[root].mark_valid(0..nbytes);
     for rank in 0..p {
         s.ranks[rank].require(0..nbytes);
     }
-    append_bcast_ops(&mut s, root, algorithm);
+    s
+}
+
+/// The full symbolic schedule of [`bcast_with`]: every rank's [`bcast_ops`]
+/// over one shared `nbytes` buffer. Panics like [`bcast_ops`] on an
+/// unsupported `p`.
+pub fn bcast_schedule(algorithm: Algorithm, p: usize, nbytes: usize, root: Rank) -> Schedule {
+    let mut s = bcast_skeleton(algorithm.schedule_name(), p, nbytes, root);
+    for rank in 0..p {
+        s.ranks[rank].ops = bcast_ops(algorithm, rank, p, nbytes, root);
+    }
     s
 }
 
 /// [`bcast_schedule`] for the tuned ring with an injectable `(step, flag)`
 /// function — the `schedcheck` mutation hook (see
-/// [`crate::ring_tuned::append_tuned_ring_ops_with`]).
+/// [`crate::ring_tuned::tuned_ring_ops_with`]).
 pub fn bcast_tuned_schedule_with(
     p: usize,
     nbytes: usize,
     root: Rank,
     step_flag_fn: impl Fn(Rank, usize) -> (usize, Endpoint),
 ) -> Schedule {
-    let mut s = Schedule::new("bcast/scatter_ring_tuned", p, nbytes);
-    s.ranks[root].mark_valid(0..nbytes);
+    let mut s = bcast_skeleton(Algorithm::ScatterRingTuned.schedule_name(), p, nbytes, root);
     for rank in 0..p {
-        s.ranks[rank].require(0..nbytes);
+        s.ranks[rank].ops.extend(scatter_ops(rank, p, nbytes, root));
+        s.ranks[rank].ops.extend(tuned_ring_ops_with(rank, p, nbytes, root, &step_flag_fn));
     }
-    append_scatter_ops(&mut s, root);
-    append_tuned_ring_ops_with(&mut s, root, step_flag_fn);
     s
 }
 
@@ -322,7 +325,7 @@ impl ScheduleSource for BcastSource {
     }
 
     fn supports(&self, p: usize) -> bool {
-        self.0 != Algorithm::ScatterRdAllgather || is_pof2(p)
+        self.0.supports(p)
     }
 
     fn schedule(&self, p: usize, nbytes: usize, root: Rank) -> Schedule {
@@ -455,6 +458,29 @@ mod tests {
                 assert_eq!(buf, src);
             });
         }
+    }
+
+    #[test]
+    fn rd_on_a_non_power_of_two_world_is_an_error_not_a_panic() {
+        for p in [3usize, 10] {
+            let want = Err(CommError::Unsupported { what: "bcast/scatter_rd", size: p });
+            let out = ThreadWorld::run(p, |comm| {
+                let mut buf = vec![0u8; 64];
+                bcast_with(comm, &mut buf, 0, Algorithm::ScatterRdAllgather)
+            });
+            assert!(out.results.iter().all(|r| *r == want), "P={p}: {:?}", out.results);
+            assert_eq!(out.traffic.total_msgs(), 0, "P={p}: refused before posting anything");
+
+            let out = mpsim::EventWorld::run(p, |comm| async move {
+                let mut buf = vec![0u8; 64];
+                bcast_with_async(&comm, &mut buf, 0, Algorithm::ScatterRdAllgather).await
+            });
+            assert!(out.results.iter().all(|r| *r == want), "P={p}: {:?}", out.results);
+            assert_eq!(out.traffic.total_msgs(), 0, "P={p}: refused before posting anything");
+        }
+        assert!(Algorithm::ScatterRdAllgather.supports(16));
+        assert!(!Algorithm::ScatterRdAllgather.supports(12));
+        assert!(Algorithm::ScatterRingTuned.supports(12));
     }
 
     #[test]

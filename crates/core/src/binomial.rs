@@ -11,7 +11,35 @@ use mpsim::{
     SyncComm, Tag,
 };
 
-use crate::schedule::{Loc, Schedule};
+use crate::interp::Interp;
+use crate::schedule::{Loc, SchedOp};
+
+/// Rank `rank`'s ops of the binomial-tree broadcast: one receive of the
+/// whole buffer from the parent (the rank differing in the lowest set bit of
+/// the root-relative position), then one send of it per child, farthest
+/// first. At most `⌈log₂P⌉ + 1` ops, hence a `Vec`.
+pub fn binomial_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<SchedOp> {
+    let relative = relative_rank(rank, root, p);
+    let mut ops = Vec::new();
+    let mut mask = 1usize;
+    while mask < p {
+        if relative & mask != 0 {
+            let src = absolute_rank(relative - mask, root, p);
+            ops.push(SchedOp::recv("binomial", src, Tag::BCAST, Loc::Buf(0..nbytes)));
+            break;
+        }
+        mask <<= 1;
+    }
+    mask >>= 1;
+    while mask > 0 {
+        if relative + mask < p {
+            let dst = absolute_rank(relative + mask, root, p);
+            ops.push(SchedOp::send("binomial", dst, Tag::BCAST, Loc::Buf(0..nbytes), false));
+        }
+        mask >>= 1;
+    }
+    ops
+}
 
 /// Broadcast `buf` from `root` to every rank via a binomial tree.
 pub fn bcast_binomial(
@@ -22,73 +50,30 @@ pub fn bcast_binomial(
     complete_now(bcast_binomial_async(&SyncComm::new(comm), buf, root))
 }
 
-/// Async core of [`bcast_binomial`]: the same tree walk over any
-/// [`AsyncCommunicator`] — run natively by the event executor, driven
-/// through [`SyncComm`] by the blocking backends.
+/// Async core of [`bcast_binomial`]: [`binomial_ops`] through the
+/// interpreter.
 ///
-/// The payload rides a shared envelope: the root stages `buf` into a pool
-/// rental once ([`AsyncCommunicator::make_shared`]), every forward is a
-/// refcount clone ([`AsyncCommunicator::send_shared_to`] over the child
-/// list), and a non-root receives the envelope itself
-/// ([`AsyncCommunicator::recv_owned`]) and pays exactly one copy into the
-/// user buffer. Per rank that is ≤ `nbytes` copied, versus `nbytes` per
-/// *hop* (sender copy-in + receiver copy-out on every level) for the copy
-/// path kept in [`bcast_binomial_copy_async`]. Wire traffic is identical.
+/// The payload rides one shared envelope: the root stages `buf` once, a
+/// non-root receives the envelope itself and pays exactly one copy into the
+/// user buffer, and every forward re-sends that same envelope by reference.
+/// Per rank that is `nbytes` copied, versus `nbytes` per *hop* (sender
+/// copy-in + receiver copy-out on every level) for the copy path kept in
+/// [`bcast_binomial_copy_async`]. Wire traffic is identical.
 pub async fn bcast_binomial_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
     root: Rank,
 ) -> Result<()> {
     comm.check_rank(root)?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let rank = comm.rank();
-    let relative = relative_rank(rank, root, size);
-
-    // Receive from parent (rank differing in our lowest set bit), taking
-    // ownership of the arriving envelope instead of copying it out.
-    let mut mask = 1usize;
-    let mut incoming = None;
-    while mask < size {
-        if relative & mask != 0 {
-            let src = absolute_rank(relative - mask, root, size);
-            incoming = Some(comm.recv_owned(buf.len(), src, Tag::BCAST).await?);
-            break;
-        }
-        mask <<= 1;
-    }
-    // The root stages its user buffer once; everyone else forwards the
-    // envelope it received.
-    let payload = match incoming {
-        Some(env) => env,
-        None => comm.make_shared(buf),
-    };
-
-    // Forward to children, farthest first — refcount clones of one rental.
-    mask >>= 1;
-    let mut children = Vec::new();
-    while mask > 0 {
-        if relative + mask < size {
-            children.push(absolute_rank(relative + mask, root, size));
-        }
-        mask >>= 1;
-    }
-    comm.send_shared_to(&children, &payload, Tag::BCAST).await?;
-
-    if rank != root {
-        // The single final copy this rank pays.
-        buf[..payload.len()].copy_from_slice(&payload);
-        comm.note_copy(payload.len());
-    }
-    Ok(())
+    let ops = binomial_ops(comm.rank(), comm.size(), buf.len(), root);
+    Interp::new(comm, buf).run(ops).await.map(drop)
 }
 
 /// The pre-zero-copy binomial walk: plain `send`/`recv`, so every hop pays
 /// a sender-side copy-in and a receiver-side copy-out. Kept as the
 /// differential baseline for the `zero_copy` bench group and the
-/// bytes-copied regression tests.
+/// bytes-copied regression tests — deliberately a hand loop, not a stream:
+/// it is the reference the interpreter's copy bill is compared against.
 pub fn bcast_binomial_copy(
     comm: &(impl Communicator + ?Sized),
     buf: &mut [u8],
@@ -129,37 +114,6 @@ pub async fn bcast_binomial_copy_async<C: AsyncCommunicator + ?Sized>(
         mask >>= 1;
     }
     Ok(())
-}
-
-/// Append the symbolic ops of [`bcast_binomial`] to `sched` — a line-by-line
-/// mirror of the executed tree walk (same masks, same guards), with the whole
-/// tracked buffer as payload of every hop.
-pub(crate) fn append_binomial_ops(sched: &mut Schedule, root: Rank) {
-    let size = sched.p;
-    if size == 1 {
-        return;
-    }
-    let nbytes = sched.ranks[0].buf_len;
-    for rank in 0..size {
-        let relative = relative_rank(rank, root, size);
-        let mut mask = 1usize;
-        while mask < size {
-            if relative & mask != 0 {
-                let src = absolute_rank(relative - mask, root, size);
-                sched.ranks[rank].recv("binomial", src, Tag::BCAST, Loc::Buf(0..nbytes));
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < size {
-                let dst = absolute_rank(relative + mask, root, size);
-                sched.ranks[rank].send("binomial", dst, Tag::BCAST, Loc::Buf(0..nbytes));
-            }
-            mask >>= 1;
-        }
-    }
 }
 
 #[cfg(test)]

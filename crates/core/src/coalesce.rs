@@ -41,7 +41,7 @@ use mpsim::{
 use crate::chunks::ChunkLayout;
 use crate::ring::ring_step_chunks;
 use crate::ring_tuned::{step_flag, Endpoint};
-use crate::scatter::{binomial_scatter_async, binomial_scatter_root_async};
+use crate::scatter::binomial_scatter_async;
 
 /// Tuning knobs of the coalescing ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,24 +155,15 @@ async fn recv_unit<C: AsyncCommunicator + ?Sized>(
 /// Run the tuned ring allgather with chunk coalescing over a buffer that has
 /// been binomial-scattered from `root`.
 ///
-/// Moves exactly the bytes and logical messages of
-/// [`crate::ring_tuned::ring_allgather_tuned`] (when `chunk_bytes` spans
-/// whole chunks) in at most as many wire envelopes; the fused-exchange
-/// fallback paths assume an eager-ish transport for their unpaired sends,
-/// like the fault decorator (rendezvous-everywhere models should keep
-/// `max_envelope` at 0 or `usize::MAX` so every step stays fully paired).
-pub fn ring_allgather_tuned_coalesced(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Result<()> {
-    complete_now(ring_allgather_tuned_coalesced_async(&SyncComm::new(comm), buf, root, policy))
-}
-
-/// Async core of [`ring_allgather_tuned_coalesced`]: the identical
-/// envelope-planning walk over any [`AsyncCommunicator`] — run natively by
-/// the event executor, driven through [`SyncComm`] by the blocking backends.
+/// Moves exactly the bytes and logical messages of the plain tuned ring
+/// ([`crate::ring_tuned::tuned_ring_ops`], when `chunk_bytes` spans whole
+/// chunks) in at most as many wire envelopes; the fused-exchange fallback
+/// paths assume an eager-ish transport for their unpaired sends, like the
+/// fault decorator (rendezvous-everywhere models should keep `max_envelope`
+/// at 0 or `usize::MAX` so every step stays fully paired).
+///
+/// A hand loop, not an op stream: one envelope here carries several planned
+/// transfers (vectored spans), which the schedule IR cannot express.
 pub async fn ring_allgather_tuned_coalesced_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -263,7 +254,7 @@ pub async fn ring_allgather_tuned_coalesced_async<C: AsyncCommunicator + ?Sized>
 }
 
 /// `MPI_Bcast_opt` with a coalescing allgather phase: binomial scatter
-/// followed by [`ring_allgather_tuned_coalesced`].
+/// followed by [`ring_allgather_tuned_coalesced_async`].
 pub fn bcast_opt_coalesced(
     comm: &(impl Communicator + ?Sized),
     buf: &mut [u8],
@@ -283,49 +274,6 @@ pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
 ) -> Result<()> {
     binomial_scatter_async(comm, buf, root).await?;
     ring_allgather_tuned_coalesced_async(comm, buf, root, policy).await
-}
-
-/// Root-side [`bcast_opt_coalesced`]: the root only ever *reads* its buffer
-/// in both phases, so it broadcasts straight from a shared slice.
-pub fn bcast_opt_coalesced_root(
-    comm: &(impl Communicator + ?Sized),
-    src: &[u8],
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Result<()> {
-    complete_now(bcast_opt_coalesced_root_async(&SyncComm::new(comm), src, root, policy))
-}
-
-/// Async core of [`bcast_opt_coalesced_root`] — see
-/// [`ring_allgather_tuned_coalesced_async`].
-pub async fn bcast_opt_coalesced_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Result<()> {
-    binomial_scatter_root_async(comm, src, root).await?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let layout = ChunkLayout::new(src.len(), size);
-    // The root is rel 0 → (size, SendOnly): it degrades immediately and
-    // every outbound chunk is already in `src`.
-    match tail_merge(&layout, 0, size, size, Endpoint::SendOnly, policy) {
-        Some((_, spans)) => {
-            comm.send_vectored(src, &spans, ring_right(root, size), Tag::ALLGATHER).await
-        }
-        None => {
-            for i in 1..size {
-                let (send_chunk, _) = ring_step_chunks(0, size, i);
-                for unit in chunk_units(&layout, send_chunk, policy) {
-                    comm.send_vectored(src, &unit, ring_right(root, size), Tag::ALLGATHER).await?;
-                }
-            }
-            Ok(())
-        }
-    }
 }
 
 /// Closed-form envelope count of the coalescing ring under
@@ -353,8 +301,7 @@ pub fn coalesced_envelope_count(size: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring_tuned::ring_allgather_tuned;
-    use crate::scatter::binomial_scatter;
+    use crate::bcast::bcast_opt;
     use mpsim::{ThreadWorld, WorldTraffic};
 
     fn pattern(n: usize) -> Vec<u8> {
@@ -375,8 +322,7 @@ mod tests {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            binomial_scatter(comm, &mut buf, root).unwrap();
-            ring_allgather_tuned(comm, &mut buf, root).unwrap();
+            bcast_opt(comm, &mut buf, root).unwrap();
         });
         out.traffic
     }
@@ -467,26 +413,6 @@ mod tests {
         // tails of >1 chunk (rel 0: 7 chunks, rel 4: 3) stay per-step but
         // each step's chunk still coalesces its 4 sub-chunks.
         assert_eq!(t.total_envelopes(), 44 + 7);
-    }
-
-    #[test]
-    fn root_only_variant_matches_and_never_writes() {
-        let (size, nbytes, root) = (10usize, 100usize, 4usize);
-        let src = pattern(nbytes);
-        let policy = CoalescePolicy::unlimited();
-        let out = ThreadWorld::run(size, |comm| {
-            if comm.rank() == root {
-                bcast_opt_coalesced_root(comm, &src, root, &policy).unwrap();
-                src.clone()
-            } else {
-                let mut buf = vec![0u8; nbytes];
-                bcast_opt_coalesced(comm, &mut buf, root, &policy).unwrap();
-                buf
-            }
-        });
-        assert!(out.results.iter().all(|b| b == &src));
-        assert_eq!(out.traffic.total_msgs(), 75 + 9);
-        assert_eq!(out.traffic.total_envelopes(), 65 + 9);
     }
 
     #[test]

@@ -15,23 +15,24 @@
 //!
 //! This crate implements, against the [`mpsim::Communicator`] trait:
 //!
-//! * the paper's contribution: [`ring_tuned::ring_allgather_tuned`] /
+//! * the paper's contribution: [`ring_tuned::tuned_ring_ops`] /
 //!   [`bcast::bcast_opt`],
 //! * every MPICH3 baseline it is compared with: [`bcast::bcast_native`]
-//!   (enclosed ring), [`binomial::bcast_binomial`] (smsg),
-//!   [`rd_allgather::rd_allgather`] (mmsg-pof2), with MPICH3's selection
-//!   logic in [`bcast::bcast_auto`],
+//!   (enclosed ring), [`binomial::bcast_binomial`] (smsg), scatter +
+//!   recursive doubling ([`rd_allgather::rd_ops`], mmsg-pof2), with MPICH3's
+//!   selection logic in [`bcast::bcast_auto`],
 //! * the multi-core-aware three-phase variant ([`smp::bcast_smp`]) and a
 //!   segmented pipeline-chain broadcast ([`pipeline::bcast_pipeline`]),
 //! * an analytic traffic model ([`traffic`]) reproducing the paper's
 //!   Section IV transfer arithmetic (56 → 44 at `P = 8`, 90 → 75 at
 //!   `P = 10`), validated against instrumented runs,
-//! * the wider MPICH collective repertoire the broadcast work sits inside:
-//!   standalone allgather ([`allgather`]: ring / recursive-doubling /
-//!   Bruck), alltoall ([`alltoall`]: pairwise / Bruck), scatter & gather
-//!   ([`scatter_gather`]), their variable-count forms ([`varcount`]), and
-//!   reductions ([`reduce`]: binomial reduce, recursive-doubling allreduce,
-//!   Rabenseifner) over typed elements ([`dtype`]).
+//! * the standalone allgather baselines ([`allgather`]: ring /
+//!   recursive-doubling / Bruck).
+//!
+//! Each broadcast phase is defined once, as a per-rank stream of
+//! [`SchedOp`]s; [`interp::Interp`] executes a rank's stream against a
+//! communicator and [`bcast::bcast_schedule`] collects the same streams
+//! over all ranks for static analysis ([`schedule`]).
 //!
 //! ## Quickstart
 //!
@@ -56,54 +57,47 @@
 #![warn(rust_2018_idioms)]
 
 pub mod allgather;
-pub mod alltoall;
 pub mod bcast;
 pub mod binomial;
 pub mod chunks;
 pub mod coalesce;
-pub mod dtype;
 pub mod event_launch;
+pub mod interp;
 pub mod pipeline;
 pub mod rd_allgather;
 pub mod recovery;
-pub mod reduce;
 pub mod ring;
 pub mod ring_tuned;
 pub mod scatter;
-pub mod scatter_gather;
 pub mod schedule;
 pub mod smp;
 pub mod traffic;
-pub mod varcount;
 pub mod verify;
 
 pub use bcast::{
-    bcast_auto, bcast_auto_async, bcast_native, bcast_native_async, bcast_opt, bcast_opt_async,
-    bcast_opt_root, bcast_opt_root_async, bcast_opt_shared_async, bcast_with, bcast_with_async,
-    select_algorithm, Algorithm, Regime, Thresholds,
+    bcast_auto, bcast_auto_async, bcast_native, bcast_opt, bcast_opt_async, bcast_opt_shared_async,
+    bcast_with, bcast_with_async, select_algorithm, Algorithm, Regime, Thresholds,
 };
 pub use binomial::{
     bcast_binomial, bcast_binomial_async, bcast_binomial_copy, bcast_binomial_copy_async,
 };
 pub use chunks::ChunkLayout;
 pub use coalesce::{
-    bcast_opt_coalesced, bcast_opt_coalesced_async, bcast_opt_coalesced_root,
-    coalesced_envelope_count, ring_allgather_tuned_coalesced, CoalescePolicy,
+    bcast_opt_coalesced, bcast_opt_coalesced_async, coalesced_envelope_count, CoalescePolicy,
 };
 pub use event_launch::{
     bcast_coalesced_event_world, bcast_event_world, check_recovery_outcome,
     reconcile_crashed_traffic, recovery_elapsed_bound, self_healing_bcast_event_world,
     self_healing_rank_task, RankRun, RecoverySpec, EVENT_LAUNCH_SEED,
 };
+pub use interp::Interp;
 pub use recovery::{
     branch, degraded_bcast_schedule, membership_digest, self_healing_bcast,
     self_healing_bcast_async, self_healing_bcast_traced_async, self_healing_bcast_with,
     self_healing_bcast_with_async, EpochComm, GuardedComm, Healed, RecoveryConfig, RecoveryDrill,
     RecoveryTrace,
 };
-pub use ring_tuned::{
-    ring_allgather_tuned_root, ring_allgather_tuned_shared_async, step_flag, Endpoint,
-};
-pub use scatter::{binomial_scatter_root, binomial_scatter_shared_async, owned_chunks};
+pub use ring_tuned::{step_flag, Endpoint};
+pub use scatter::{binomial_scatter_shared_async, owned_chunks};
 pub use schedule::{all_sources, Loc, RankSchedule, SchedOp, Schedule, ScheduleSource};
 pub use smp::{bcast_smp, bcast_smp_async, NodeMap};

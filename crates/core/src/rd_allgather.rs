@@ -9,124 +9,55 @@
 //!
 //! MPICH only selects this path when `P` is a power of two (the
 //! non-power-of-two fixup rounds are never exercised by broadcast, which
-//! falls back to the ring); we mirror that contract and require `is_pof2(P)`.
+//! falls back to the ring); we mirror that contract:
+//! [`crate::bcast::Algorithm::supports`] is `false` for other worlds and
+//! `bcast_with` returns [`mpsim::CommError::Unsupported`] before posting
+//! anything.
 
-use mpsim::{
-    absolute_rank, complete_now, is_pof2, relative_rank, split_send_recv, AsyncCommunicator,
-    Communicator, Rank, Result, SyncComm, Tag,
-};
+use mpsim::{absolute_rank, relative_rank, Rank, Tag};
 
 use crate::chunks::ChunkLayout;
-use crate::schedule::{Loc, Schedule};
+use crate::schedule::{Loc, SchedOp};
 
-/// Run the recursive-doubling allgather over a buffer that has been
-/// binomial-scattered from `root`.
+/// Rank `rank`'s ops of the recursive-doubling allgather over a buffer
+/// binomial-scattered from `root`, for a power-of-two `p` (callers go through
+/// [`crate::bcast::bcast_ops`] or `bcast_with`, which enforce it): `log₂P` rounds,
+/// round `k` exchanging this rank's aligned block of `2ᵏ` chunks with
+/// partner `rel ^ 2ᵏ`'s.
 ///
-/// # Panics
-///
-/// Panics if `comm.size()` is not a power of two — callers (the broadcast
-/// selection logic) must route non-power-of-two worlds to the ring variants.
-pub fn rd_allgather(comm: &(impl Communicator + ?Sized), buf: &mut [u8], root: Rank) -> Result<()> {
-    complete_now(rd_allgather_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Async core of [`rd_allgather`]: the identical mask walk over any
-/// [`AsyncCommunicator`] — run natively by the event executor, driven
-/// through [`SyncComm`] by the blocking backends.
-///
-/// # Panics
-///
-/// Panics if `comm.size()` is not a power of two, like the sync wrapper.
-pub async fn rd_allgather_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    comm.check_rank(root)?;
-    let size = comm.size();
-    assert!(is_pof2(size), "recursive-doubling allgather requires a power-of-two world");
-    if size == 1 {
-        return Ok(());
-    }
-    let rank = comm.rank();
-    let nbytes = buf.len();
-    let layout = ChunkLayout::new(nbytes, size);
-    let rel = relative_rank(rank, root, size);
-
-    // Bytes accumulated so far: our own chunk.
-    let mut curr_size = layout.count(rel);
-    let mut mask = 1usize;
-    let mut round = 0u32;
-    while mask < size {
+/// What a rank has accumulated after `k` rounds is exactly the byte span of
+/// its aligned `2ᵏ`-chunk block, so both halves of every round are closed
+/// forms of `(rel, k)` — no cross-rank table of received lengths.
+pub fn rd_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> impl Iterator<Item = SchedOp> {
+    let layout = ChunkLayout::new(nbytes, p);
+    let rel = relative_rank(rank, root, p);
+    (0..p.trailing_zeros()).map(move |round| {
+        let mask = 1usize << round;
         let partner_rel = rel ^ mask;
-        let partner = absolute_rank(partner_rel, root, size);
-
-        // Aligned block starts (in chunks) for this round.
-        let send_block = (rel >> round) << round;
-        let recv_block = (partner_rel >> round) << round;
-        let send_start = layout.span(send_block..size).start;
-        let recv_start = layout.span(recv_block..size).start;
-        // Maximum the partner can hold of its block:
-        let recv_capacity = layout.span_bytes(recv_block..(recv_block + mask).min(size));
-
-        let (sbuf, rbuf) = split_send_recv(buf, send_start, curr_size, recv_start, recv_capacity)?;
-        let received =
-            comm.sendrecv(sbuf, partner, Tag::ALLGATHER, rbuf, partner, Tag::ALLGATHER).await?;
-        curr_size += received;
-
-        mask <<= 1;
-        round += 1;
-    }
-    Ok(())
-}
-
-/// Append the symbolic ops of [`rd_allgather`] to `sched`.
-///
-/// The executed code learns each round's received length from `recv()`; the
-/// emitter replays all ranks in lockstep instead, carrying the cross-rank
-/// accumulation table `curr[rel]` forward one round at a time
-/// (`curr' [rel] = curr[rel] + curr[rel ^ mask]`).
-pub(crate) fn append_rd_ops(sched: &mut Schedule, root: Rank) {
-    let size = sched.p;
-    assert!(is_pof2(size), "recursive-doubling allgather requires a power-of-two world");
-    if size == 1 {
-        return;
-    }
-    let layout = ChunkLayout::new(sched.ranks[0].buf_len, size);
-    let mut curr: Vec<usize> = (0..size).map(|rel| layout.count(rel)).collect();
-    let mut mask = 1usize;
-    let mut round = 0u32;
-    while mask < size {
-        for rank in 0..size {
-            let rel = relative_rank(rank, root, size);
-            let partner_rel = rel ^ mask;
-            let partner = absolute_rank(partner_rel, root, size);
-            let send_block = (rel >> round) << round;
-            let recv_block = (partner_rel >> round) << round;
-            let send_start = layout.span(send_block..size).start;
-            let recv_start = layout.span(recv_block..size).start;
-            let recv_capacity = layout.span_bytes(recv_block..(recv_block + mask).min(size));
-            sched.ranks[rank].sendrecv(
-                "rd",
-                partner,
-                Tag::ALLGATHER,
-                Loc::Buf(send_start..send_start + curr[rel]),
-                partner,
-                Tag::ALLGATHER,
-                Loc::Buf(recv_start..recv_start + recv_capacity),
-            );
-        }
-        curr = (0..size).map(|rel| curr[rel] + curr[rel ^ mask]).collect();
-        mask <<= 1;
-        round += 1;
-    }
+        let partner = absolute_rank(partner_rel, root, p);
+        let block = |r: Rank| {
+            let first = (r >> round) << round;
+            Loc::Buf(layout.span(first..first + mask))
+        };
+        SchedOp::sendrecv(
+            "rd",
+            partner,
+            Tag::ALLGATHER,
+            block(rel),
+            partner,
+            Tag::ALLGATHER,
+            block(partner_rel),
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter::binomial_scatter;
-    use mpsim::ThreadWorld;
+    use crate::bcast::{bcast_with, Algorithm};
+    use crate::interp::Interp;
+    use crate::scatter::scatter_ops;
+    use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 151 + 11) as u8).collect()
@@ -136,8 +67,7 @@ mod tests {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            binomial_scatter(comm, &mut buf, root).unwrap();
-            rd_allgather(comm, &mut buf, root).unwrap();
+            bcast_with(comm, &mut buf, root, Algorithm::ScatterRdAllgather).unwrap();
             assert_eq!(buf, src, "rank {} incomplete", comm.rank());
         });
         out.traffic
@@ -182,23 +112,14 @@ mod tests {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-            binomial_scatter(comm, &mut buf, 0).unwrap();
-            let before = comm.traffic().bytes_recvd;
-            rd_allgather(comm, &mut buf, 0).unwrap();
-            comm.traffic().bytes_recvd - before
+            let acomm = SyncComm::new(comm);
+            let mut it = Interp::new(&acomm, &mut buf);
+            complete_now(it.run(scatter_ops(comm.rank(), size, nbytes, 0))).unwrap();
+            complete_now(it.run(rd_ops(comm.rank(), size, nbytes, 0))).unwrap() as u64
         });
         let layout = ChunkLayout::new(nbytes, size);
         for (rel, &got) in out.results.iter().enumerate() {
             assert_eq!(got, (nbytes - layout.count(rel)) as u64, "rel={rel}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn rejects_npof2() {
-        ThreadWorld::run(6, |comm| {
-            let mut buf = vec![0u8; 12];
-            let _ = rd_allgather(comm, &mut buf, 0);
-        });
     }
 }

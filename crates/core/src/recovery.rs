@@ -91,8 +91,8 @@ use mpsim::{
     complete_now, AsyncCommunicator, CommError, Communicator, Rank, Result, SubComm, SyncComm, Tag,
 };
 
-use crate::bcast::{bcast_with_async, Algorithm};
-use crate::schedule::Schedule;
+use crate::bcast::{bcast_ops, bcast_with_async, Algorithm};
+use crate::schedule::{renumber, Schedule};
 
 /// Tag offset between broadcast attempts: epoch `e` runs its collective on
 /// `Tag(t + e · EPOCH_TAG_STRIDE)`, so a retry can never match a stale
@@ -959,10 +959,10 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     Err(CommError::Timeout { peer: current_root })
 }
 
-/// The symbolic schedule of a degraded rerun: the chosen algorithm emitted
-/// for the shrunken world of `members`, spliced back into full-world rank
-/// numbering. `root` is the *world* rank of the rerun's root and must be a
-/// member. `schedcheck` analyses (matching, deadlock-freedom, coverage of
+/// The symbolic schedule of a degraded rerun: each survivor's op stream for
+/// the shrunken world of `members`, renumbered into full-world ranks. `root`
+/// is the *world* rank of the rerun's root and must be a member.
+/// `schedcheck` analyses (matching, deadlock-freedom, coverage of
 /// the survivors) apply to it unchanged.
 pub fn degraded_bcast_schedule(
     algorithm: Algorithm,
@@ -977,13 +977,13 @@ pub fn degraded_bcast_schedule(
         .iter()
         .position(|&m| m == root)
         .unwrap_or_else(|| panic!("root {root} is not among the survivors {members:?}"));
-    let sub = crate::bcast::bcast_schedule(algorithm, members.len(), nbytes, local_root);
-    let mut s = Schedule::new(format!("{}@degraded", sub.name), p, nbytes);
+    let mut s = Schedule::new(format!("{}@degraded", algorithm.schedule_name()), p, nbytes);
     s.ranks[root].mark_valid(0..nbytes);
-    for &m in members {
+    for (local, &m) in members.iter().enumerate() {
         s.ranks[m].require(0..nbytes);
+        let ops = bcast_ops(algorithm, local, members.len(), nbytes, local_root);
+        s.ranks[m].ops.extend(renumber(ops.into_iter(), |l| members[l]));
     }
-    s.splice(&sub, members);
     s
 }
 

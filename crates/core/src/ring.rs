@@ -10,20 +10,16 @@
 //! binomial subtree) are transmitted to it anyway — `P·(P−1)` transfers in
 //! total, the paper's "verbose data transmissions".
 
-use mpsim::{
-    complete_now, relative_rank, ring_left, ring_right, AsyncCommunicator, Communicator, Rank,
-    Result, SharedBuf, SyncComm, Tag,
-};
+use mpsim::{relative_rank, ring_left, ring_right, Rank, Tag};
 
 use crate::chunks::ChunkLayout;
-use crate::schedule::{Loc, Schedule};
+use crate::schedule::{Loc, SchedOp};
 
 /// One step of the ring walk: which chunk is sent right and which is
 /// received from the left at step `i` (1-based), for a rank at root-relative
 /// position `rel` in a ring of `size`.
 ///
-/// Exposed for the schedule/traffic model, which replays the same walk
-/// without a communicator.
+/// Shared by the native, tuned and coalescing rings and the traffic model.
 #[inline]
 pub fn ring_step_chunks(rel: Rank, size: usize, i: usize) -> (usize, usize) {
     debug_assert!((1..size).contains(&i));
@@ -33,118 +29,42 @@ pub fn ring_step_chunks(rel: Rank, size: usize, i: usize) -> (usize, usize) {
     (send, recv)
 }
 
-/// Run the enclosed (native) ring allgather over a buffer that has been
-/// binomial-scattered from `root`.
+/// Rank `rank`'s ops of the enclosed (native) ring allgather over a buffer
+/// binomial-scattered from `root`: the final loop of the paper's Listing 1
+/// *without* the tuned `step`/`flag` short-circuit — a full `sendrecv` at
+/// every one of the `P − 1` steps, forwarding right the chunk that arrived
+/// from the left one step earlier.
 ///
-/// Transcribes the final loop of the paper's Listing 1 *without* the tuned
-/// `step`/`flag` short-circuit: every rank does a full `sendrecv` at every
-/// one of the `P − 1` steps.
-pub fn ring_allgather_native(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
+/// Lazy on purpose: a rank's `P − 1` ops are never materialised, so a
+/// `P = 1024` world of live rank tasks holds no per-rank op list.
+pub fn native_ring_ops(
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
     root: Rank,
-) -> Result<()> {
-    complete_now(ring_allgather_native_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Async core of [`ring_allgather_native`]: the identical enclosed-ring walk
-/// over any [`AsyncCommunicator`] — run natively by the event executor,
-/// driven through [`SyncComm`] by the blocking backends.
-///
-/// Payload flow is a *hold chain*: the chunk sent at step `i` is exactly
-/// the chunk received at step `i − 1`, so each step forwards the envelope
-/// that just arrived ([`AsyncCommunicator::sendrecv_shared`], a refcount
-/// clone) and pays one copy landing the new chunk in the user buffer. Only
-/// the first step — our own chunk, never received — stages bytes from `buf`
-/// via [`AsyncCommunicator::make_shared`]. Wire traffic is identical to the
-/// classic sendrecv walk.
-pub async fn ring_allgather_native_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    comm.check_rank(root)?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let rank = comm.rank();
-    let layout = ChunkLayout::new(buf.len(), size);
-    let left = ring_left(rank, size);
-    let right = ring_right(rank, size);
-    let rel = relative_rank(rank, root, size);
-
-    let mut held: Option<SharedBuf> = None;
-    for i in 1..size {
-        let (send_chunk, recv_chunk) = ring_step_chunks(rel, size, i);
-        let send_len = layout.range(send_chunk).len();
-        let recv_range = layout.range(recv_chunk);
-        // Borrow (don't clone) the forwarded envelope: the transport clones
-        // it into the outgoing message itself, and at megascale the spared
-        // refcount round-trip per step is measurable.
-        let env = {
-            let staged;
-            let chunk = match &held {
-                Some(env) if env.len() == send_len => env,
-                // First step (or a held envelope that can't stand in): stage
-                // the send chunk out of the user buffer.
-                _ => {
-                    staged = comm.make_shared(&buf[layout.range(send_chunk)]);
-                    &staged
-                }
-            };
-            comm.sendrecv_shared(
-                chunk,
-                right,
-                Tag::ALLGATHER,
-                recv_range.len(),
-                left,
-                Tag::ALLGATHER,
-            )
-            .await?
-        };
-        // Land the arriving chunk in the user buffer; keep the envelope to
-        // forward on the next step.
-        buf[recv_range.start..recv_range.start + env.len()].copy_from_slice(&env);
-        comm.note_copy(env.len());
-        held = Some(env);
-    }
-    Ok(())
-}
-
-/// Append the symbolic ops of [`ring_allgather_native`] to `sched`: every
-/// rank performs the full `P − 1` enclosed-ring sendrecvs, chunk ranges from
-/// the same [`ring_step_chunks`] walk as the executed code.
-pub(crate) fn append_native_ring_ops(sched: &mut Schedule, root: Rank) {
-    let size = sched.p;
-    if size == 1 {
-        return;
-    }
-    let layout = ChunkLayout::new(sched.ranks[0].buf_len, size);
-    for rank in 0..size {
-        let left = ring_left(rank, size);
-        let right = ring_right(rank, size);
-        let rel = relative_rank(rank, root, size);
-        for i in 1..size {
-            let (send_chunk, recv_chunk) = ring_step_chunks(rel, size, i);
-            sched.ranks[rank].sendrecv(
-                "ring",
-                right,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.range(send_chunk)),
-                left,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.range(recv_chunk)),
-            );
-        }
-    }
+) -> impl Iterator<Item = SchedOp> {
+    let layout = ChunkLayout::new(nbytes, p);
+    let (left, right) = (ring_left(rank, p), ring_right(rank, p));
+    let rel = relative_rank(rank, root, p);
+    (1..p).map(move |i| {
+        let (send_chunk, recv_chunk) = ring_step_chunks(rel, p, i);
+        SchedOp::sendrecv(
+            "ring",
+            right,
+            Tag::ALLGATHER,
+            Loc::Buf(layout.range(send_chunk)),
+            left,
+            Tag::ALLGATHER,
+            Loc::Buf(layout.range(recv_chunk)),
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter::binomial_scatter;
-    use mpsim::ThreadWorld;
+    use crate::bcast::{bcast_with, Algorithm};
+    use mpsim::{Communicator, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 197 + 13) as u8).collect()
@@ -155,8 +75,7 @@ mod tests {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            binomial_scatter(comm, &mut buf, root).unwrap();
-            ring_allgather_native(comm, &mut buf, root).unwrap();
+            bcast_with(comm, &mut buf, root, Algorithm::ScatterRingNative).unwrap();
             assert_eq!(buf, src, "rank {} incomplete", comm.rank());
         });
         out.traffic

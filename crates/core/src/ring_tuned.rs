@@ -20,14 +20,11 @@
 //! transfers drop from `P(P−1)` to `P² − Σ own(rel)` (56 → 44 for `P = 8`,
 //! 90 → 75 for `P = 10`).
 
-use mpsim::{
-    ceil_pof2, complete_now, relative_rank, ring_left, ring_right, AsyncCommunicator, Communicator,
-    Rank, Result, SharedBuf, SyncComm, Tag,
-};
+use mpsim::{ceil_pof2, relative_rank, ring_left, ring_right, Rank, Tag};
 
 use crate::chunks::ChunkLayout;
 use crate::ring::ring_step_chunks;
-use crate::schedule::{Loc, Schedule};
+use crate::schedule::{Loc, SchedOp};
 
 /// What a rank degrades to once the redundant phase of the ring is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,231 +76,62 @@ pub fn receives_at(step: usize, flag: Endpoint, size: usize, i: usize) -> bool {
     step <= size - i || flag == Endpoint::RecvOnly
 }
 
-/// Run the tuned (non-enclosed) ring allgather over a buffer that has been
-/// binomial-scattered from `root` — the allgather phase of `MPI_Bcast_opt`.
-pub fn ring_allgather_tuned(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
+/// Rank `rank`'s ops of the tuned (non-enclosed) ring allgather over a
+/// buffer binomial-scattered from `root` — the allgather phase of
+/// `MPI_Bcast_opt`: a full `sendrecv` while `step <= P − i`, then the lone
+/// half [`step_flag`] leaves this rank (`SendOnly` keeps sending chunks its
+/// scatter subtree already owns, `RecvOnly` keeps receiving).
+pub fn tuned_ring_ops(
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
     root: Rank,
-) -> Result<()> {
-    complete_now(ring_allgather_tuned_async(&SyncComm::new(comm), buf, root))
+) -> impl Iterator<Item = SchedOp> {
+    tuned_ring_ops_with(rank, p, nbytes, root, step_flag)
 }
 
-/// Async core of [`ring_allgather_tuned`]: the identical `(step, flag)` walk
-/// over any [`AsyncCommunicator`] — run natively by the event executor,
-/// driven through [`SyncComm`] by the blocking backends.
+/// [`tuned_ring_ops`] with an injectable `(step, flag)` function — the
+/// mutation hook of the `schedcheck` negative suite: a corrupted
+/// `step_flag` (e.g. off by one) must produce a schedule the static
+/// analyses reject, and a run that does not complete cleanly.
 ///
-/// Payload flow mirrors the native ring's hold chain — each step forwards
-/// the envelope received on the previous step as a refcount clone — but the
-/// tuned walk *skips* receives, so the chain is keyed by chunk index: a
-/// send whose chunk is not the held envelope (the first send, and a
-/// `SendOnly` rank's re-sends of scatter-owned chunks) stages it from the
-/// user buffer via [`AsyncCommunicator::make_shared`]. Every received
-/// envelope still pays exactly one landing copy. Wire traffic is identical
-/// to the classic `(step, flag)` walk.
-pub async fn ring_allgather_tuned_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    comm.check_rank(root)?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let rank = comm.rank();
-    let layout = ChunkLayout::new(buf.len(), size);
-    let left = ring_left(rank, size);
-    let right = ring_right(rank, size);
-    let rel = relative_rank(rank, root, size);
-    let (step, flag) = step_flag(rel, size);
-
-    // Last received envelope, keyed by the chunk it carries. Unlike the
-    // native ring, a matching length is NOT proof of a matching chunk here
-    // (a skipped receive leaves `held` stale), hence the index key.
-    let mut held: Option<(usize, SharedBuf)> = None;
-    for i in 1..size {
-        let (send_chunk, recv_chunk) = ring_step_chunks(rel, size, i);
-        let send_range = layout.range(send_chunk);
-        let recv_range = layout.range(recv_chunk);
-        if step <= size - i {
-            // Both directions still useful: full exchange as in the native
-            // ring. Borrow (don't clone) the forwarded envelope — the
-            // transport clones it into the outgoing message itself.
-            let env = {
-                let staged;
-                let chunk = match &held {
-                    Some((held_chunk, env)) if *held_chunk == send_chunk => env,
-                    _ => {
-                        staged = comm.make_shared(&buf[send_range]);
-                        &staged
-                    }
-                };
-                comm.sendrecv_shared(
-                    chunk,
-                    right,
-                    Tag::ALLGATHER,
-                    recv_range.len(),
-                    left,
-                    Tag::ALLGATHER,
-                )
-                .await?
-            };
-            buf[recv_range.start..recv_range.start + env.len()].copy_from_slice(&env);
-            comm.note_copy(env.len());
-            held = Some((recv_chunk, env));
-        } else {
-            match flag {
-                Endpoint::RecvOnly => {
-                    let env = comm.recv_owned(recv_range.len(), left, Tag::ALLGATHER).await?;
-                    buf[recv_range.start..recv_range.start + env.len()].copy_from_slice(&env);
-                    comm.note_copy(env.len());
-                    held = Some((recv_chunk, env));
-                }
-                Endpoint::SendOnly => {
-                    let staged;
-                    let chunk = match &held {
-                        Some((held_chunk, env)) if *held_chunk == send_chunk => env,
-                        _ => {
-                            staged = comm.make_shared(&buf[send_range]);
-                            &staged
-                        }
-                    };
-                    // This *is* the uncoalesced baseline; the merged-tail
-                    // variant lives in `coalesce`. lint: allow(per-chunk-send)
-                    comm.send_shared(chunk, right, Tag::ALLGATHER).await?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Root-side [`ring_allgather_tuned`] over an **immutable** source buffer.
-///
-/// The root sits at root-relative position 0, which [`step_flag`] classifies
-/// as `(P, SendOnly)`: it degrades immediately, never posts a receive, and
-/// every one of its `P − 1` lone sends only *reads* a chunk it already owns.
-/// Together with [`crate::scatter::binomial_scatter_root`] this lets the
-/// root run the whole broadcast from a shared `&[u8]` with no defensive
-/// clone.
-pub fn ring_allgather_tuned_root(
-    comm: &(impl Communicator + ?Sized),
-    src: &[u8],
-    root: Rank,
-) -> Result<()> {
-    complete_now(ring_allgather_tuned_root_async(&SyncComm::new(comm), src, root))
-}
-
-/// Async core of [`ring_allgather_tuned_root`] — see
-/// [`ring_allgather_tuned_async`].
-///
-/// Stages `src` into one shared envelope and delegates to
-/// [`ring_allgather_tuned_shared_async`]: one `nbytes` staging copy, then
-/// every per-chunk send is a refcounted sub-view.
-pub async fn ring_allgather_tuned_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-) -> Result<()> {
-    let shared = comm.make_shared(src);
-    ring_allgather_tuned_shared_async(comm, &shared, root).await
-}
-
-/// Root-side tuned ring from an **already-shared** envelope: each of the
-/// `P − 1` lone sends is a [`SharedBuf::slice`] of `src`, so this path
-/// copies nothing at all. Callers that stage the payload once for both
-/// broadcast phases (e.g. the event-world launcher, or
-/// [`crate::bcast::bcast_opt_root_async`]) use this directly.
-pub async fn ring_allgather_tuned_shared_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &SharedBuf,
-    root: Rank,
-) -> Result<()> {
-    comm.check_rank(root)?;
-    assert_eq!(comm.rank(), root, "ring_allgather_tuned_root must run on the root rank");
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let layout = ChunkLayout::new(src.len(), size);
-    let right = ring_right(root, size);
-    for i in 1..size {
-        let (send_chunk, _) = ring_step_chunks(0, size, i);
-        // Per-step pacing mirrors the mutable tuned ring;
-        // `bcast_opt_coalesced_root` is the one-envelope form. lint: allow(per-chunk-send)
-        comm.send_shared(&src.slice(layout.range(send_chunk)), right, Tag::ALLGATHER).await?;
-    }
-    Ok(())
-}
-
-/// Append the symbolic ops of [`ring_allgather_tuned`] to `sched`.
-pub(crate) fn append_tuned_ring_ops(sched: &mut Schedule, root: Rank) {
-    append_tuned_ring_ops_with(sched, root, step_flag);
-}
-
-/// Like [`append_tuned_ring_ops`] but with an injectable `(step, flag)`
-/// function. This is the mutation hook for the `schedcheck` negative suite:
-/// feeding a corrupted `step_flag` (e.g. off by one) must produce a schedule
-/// the static analyses reject.
-pub fn append_tuned_ring_ops_with(
-    sched: &mut Schedule,
+/// Lazy like [`crate::ring::native_ring_ops`]; `step_flag_fn` is evaluated
+/// once, up front.
+pub fn tuned_ring_ops_with(
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
     root: Rank,
     step_flag_fn: impl Fn(Rank, usize) -> (usize, Endpoint),
-) {
-    let size = sched.p;
-    if size == 1 {
-        return;
-    }
-    let layout = ChunkLayout::new(sched.ranks[0].buf_len, size);
-    for rank in 0..size {
-        let left = ring_left(rank, size);
-        let right = ring_right(rank, size);
-        let rel = relative_rank(rank, root, size);
-        let (step, flag) = step_flag_fn(rel, size);
-        for i in 1..size {
-            let (send_chunk, recv_chunk) = ring_step_chunks(rel, size, i);
-            let send_range = layout.range(send_chunk);
-            let recv_range = layout.range(recv_chunk);
-            if step <= size - i {
-                sched.ranks[rank].sendrecv(
-                    "ring_tuned",
-                    right,
-                    Tag::ALLGATHER,
-                    Loc::Buf(send_range),
-                    left,
-                    Tag::ALLGATHER,
-                    Loc::Buf(recv_range),
-                );
-            } else {
-                match flag {
-                    Endpoint::RecvOnly => {
-                        sched.ranks[rank].recv(
-                            "ring_tuned",
-                            left,
-                            Tag::ALLGATHER,
-                            Loc::Buf(recv_range),
-                        );
-                    }
-                    Endpoint::SendOnly => {
-                        sched.ranks[rank].send(
-                            "ring_tuned",
-                            right,
-                            Tag::ALLGATHER,
-                            Loc::Buf(send_range),
-                        );
-                    }
+) -> impl Iterator<Item = SchedOp> {
+    let layout = ChunkLayout::new(nbytes, p);
+    let (left, right) = (ring_left(rank, p), ring_right(rank, p));
+    let rel = relative_rank(rank, root, p);
+    // A ring of one has no steps (and `step_flag` no answer).
+    let (step, flag) = if p > 1 { step_flag_fn(rel, p) } else { (0, Endpoint::SendOnly) };
+    (1..p).map(move |i| {
+        let (send_chunk, recv_chunk) = ring_step_chunks(rel, p, i);
+        let send = Loc::Buf(layout.range(send_chunk));
+        let recv = Loc::Buf(layout.range(recv_chunk));
+        if step <= p - i {
+            SchedOp::sendrecv("ring_tuned", right, Tag::ALLGATHER, send, left, Tag::ALLGATHER, recv)
+        } else {
+            match flag {
+                Endpoint::RecvOnly => SchedOp::recv("ring_tuned", left, Tag::ALLGATHER, recv),
+                Endpoint::SendOnly => {
+                    SchedOp::send("ring_tuned", right, Tag::ALLGATHER, send, false)
                 }
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter::{binomial_scatter, binomial_scatter_root, owned_chunks};
-    use mpsim::{ThreadWorld, WorldTraffic};
+    use crate::bcast::{bcast_with, Algorithm};
+    use crate::scatter::owned_chunks;
+    use mpsim::{Communicator, ThreadWorld, WorldTraffic};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 61 + 5) as u8).collect()
@@ -312,17 +140,9 @@ mod tests {
     fn run(size: usize, nbytes: usize, root: Rank) -> WorldTraffic {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
-            if comm.rank() == root {
-                // The root broadcasts straight from the shared source: no
-                // defensive clone, both phases are read-only on the root.
-                binomial_scatter_root(comm, &src, root).unwrap();
-                ring_allgather_tuned_root(comm, &src, root).unwrap();
-            } else {
-                let mut buf = vec![0u8; nbytes];
-                binomial_scatter(comm, &mut buf, root).unwrap();
-                ring_allgather_tuned(comm, &mut buf, root).unwrap();
-                assert_eq!(buf, src, "rank {} incomplete", comm.rank());
-            }
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            bcast_with(comm, &mut buf, root, Algorithm::ScatterRingTuned).unwrap();
+            assert_eq!(buf, src, "rank {} incomplete", comm.rank());
         });
         out.traffic
     }

@@ -18,7 +18,8 @@ use mpsim::{
 };
 
 use crate::chunks::ChunkLayout;
-use crate::schedule::{Loc, Schedule};
+use crate::interp::Interp;
+use crate::schedule::{Loc, SchedOp};
 
 /// Number of chunks rank `relative` (root-relative) holds after the scatter:
 /// `min(2^trailing_zeros(relative), P − relative)`, with the root holding all
@@ -35,6 +36,54 @@ pub fn owned_chunks(relative: Rank, size: usize) -> usize {
         let pow = 1usize << relative.trailing_zeros().min(usize::BITS - 1);
         pow.min(size - relative)
     }
+}
+
+/// Rank `rank`'s ops of the binomial scatter of `nbytes` from `root` over `p`
+/// ranks: at most one receive — the rank's whole subtree span, from the
+/// parent that differs in its lowest set bit — then one send per child,
+/// highest distance first (Figure 1's order: 0→4, 0→2, 0→1), each peeling
+/// the upper half off what is still held.
+///
+/// No receive is posted when the rank's displacement already exhausts the
+/// buffer (`nbytes < P` chunks) and no send for an empty subtree. The
+/// received length is the closed-form subtree span
+/// `span(rel .. rel + own(rel))`, so a rank derives its own list without any
+/// cross-rank message lengths. At most `⌈log₂P⌉ + 1` ops, hence a `Vec`.
+pub fn scatter_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<SchedOp> {
+    let layout = ChunkLayout::new(nbytes, p);
+    let scatter_size = layout.scatter_size();
+    let relative = relative_rank(rank, root, p);
+    let mut ops = Vec::new();
+    let mut curr_size = if relative == 0 { nbytes } else { 0 };
+    let mut mask = 1usize;
+    while mask < p {
+        if relative & mask != 0 {
+            let disp = layout.disp(relative);
+            if disp < nbytes {
+                let src = absolute_rank(relative - mask, root, p);
+                ops.push(SchedOp::recv("scatter", src, Tag::SCATTER, Loc::Buf(disp..nbytes)));
+                let own = owned_chunks(relative, p);
+                curr_size = layout.span_bytes(relative..relative + own);
+            }
+            break;
+        }
+        mask <<= 1;
+    }
+    mask >>= 1;
+    while mask > 0 {
+        if relative + mask < p {
+            let send_size = curr_size.saturating_sub(scatter_size * mask);
+            if send_size > 0 {
+                let dst = absolute_rank(relative + mask, root, p);
+                let disp = layout.disp(relative + mask);
+                let loc = Loc::Buf(disp..disp + send_size);
+                ops.push(SchedOp::send("scatter", dst, Tag::SCATTER, loc, false));
+                curr_size -= send_size;
+            }
+        }
+        mask >>= 1;
+    }
+    ops
 }
 
 /// Run the binomial scatter phase of a scatter-based broadcast.
@@ -54,212 +103,36 @@ pub fn binomial_scatter(
     complete_now(binomial_scatter_async(&SyncComm::new(comm), buf, root))
 }
 
-/// Async core of [`binomial_scatter`]: the identical tree walk over any
-/// [`AsyncCommunicator`] — the event executor polls it natively, while the
-/// blocking backends drive it to completion through [`SyncComm`].
-///
-/// Zero-copy payload flow: the root stages its buffer into one shared
-/// envelope and every hop forwards refcounted *sub-views* of the arriving
-/// envelope ([`SharedBuf::slice`]), so a rank's only copy is landing its
-/// own subtree span in its user buffer. Wire traffic (message count,
-/// sizes, order, tags) is identical to the classic copy walk.
+/// Async core of [`binomial_scatter`]: [`scatter_ops`] through the
+/// interpreter. Every child's subtree is a refcounted sub-view of the
+/// arriving envelope, so a non-root rank's only copy is landing its own
+/// subtree span in its user buffer; the root stages each child's span once.
 pub async fn binomial_scatter_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
     root: Rank,
 ) -> Result<usize> {
     comm.check_rank(root)?;
-    let size = comm.size();
-    let rank = comm.rank();
-    let nbytes = buf.len();
-    let layout = ChunkLayout::new(nbytes, size);
-    let scatter_size = layout.scatter_size();
-    let relative = relative_rank(rank, root, size);
-
-    if relative == 0 {
-        // The root reads, never writes: stage once and send shared slices.
-        let shared = comm.make_shared(buf);
-        return binomial_scatter_shared_async(comm, &shared, root).await;
-    }
-
-    // Receive phase: wait for the parent (the rank that differs in our
-    // lowest set bit) to deliver our subtree's chunks — taking ownership of
-    // the arriving envelope instead of copying it out.
-    let mut curr_size = 0;
-    let mut disp = 0;
-    let mut env = None;
-    let mut mask = 1usize;
-    while mask < size {
-        if relative & mask != 0 {
-            let src = absolute_rank(relative - mask, root, size);
-            disp = (relative * scatter_size).min(nbytes);
-            let capacity = nbytes - disp;
-            // capacity == 0: message shorter than P chunks — nothing
-            // addressed to us, so no receive is posted.
-            if capacity > 0 {
-                let e = comm.recv_owned(capacity, src, Tag::SCATTER).await?;
-                curr_size = e.len();
-                env = Some(e);
-            }
-            break;
-        }
-        mask <<= 1;
-    }
-
-    // Ownership = everything delivered to our buffer; the send loop below
-    // forwards subtree chunks onward but the bytes stay in place (the paper's
-    // Figure 4/5 top rows list this retained set per rank).
-    let owned_bytes = curr_size;
-
-    if let Some(env) = env {
-        // Send phase: peel off the upper half of what we hold for each
-        // child, highest distance first (Figure 1's order: 0→4, 0→2, 0→1).
-        // Each child's chunks are a tail of the received envelope: the
-        // envelope starts at chunk `relative`, the child at `relative+mask`.
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < size {
-                let send_size = curr_size.saturating_sub(scatter_size * mask);
-                if send_size > 0 {
-                    let dst = absolute_rank(relative + mask, root, size);
-                    // Each iteration targets a *different* child of the
-                    // binomial tree; nothing to coalesce.
-                    // lint: allow(per-chunk-send)
-                    let chunk = env.slice(scatter_size * mask..curr_size);
-                    comm.send_shared(&chunk, dst, Tag::SCATTER).await?;
-                    curr_size -= send_size;
-                }
-            }
-            mask >>= 1;
-        }
-        // The single copy this rank pays: land the whole subtree span in
-        // the user buffer (the allgather phase reads it from there).
-        buf[disp..disp + env.len()].copy_from_slice(&env);
-        comm.note_copy(env.len());
-    }
-    Ok(owned_bytes)
-}
-
-/// Root-side [`binomial_scatter`] over an **immutable** source buffer.
-///
-/// The root never receives in the binomial tree (the mask walk never matches
-/// `relative = 0`) and its send phase only reads chunk ranges, so forcing
-/// callers to hand over a `&mut` clone of the payload is pure waste — this
-/// entry point broadcasts straight from a shared slice. Non-root ranks keep
-/// using [`binomial_scatter`]. Returns `src.len()`, the root's retained
-/// bytes, matching the mutable variant.
-pub fn binomial_scatter_root(
-    comm: &(impl Communicator + ?Sized),
-    src: &[u8],
-    root: Rank,
-) -> Result<usize> {
-    complete_now(binomial_scatter_root_async(&SyncComm::new(comm), src, root))
-}
-
-/// Async core of [`binomial_scatter_root`] — see [`binomial_scatter_async`].
-///
-/// Stages `src` into one shared envelope and delegates to
-/// [`binomial_scatter_shared_async`], so the root pays exactly one
-/// `nbytes` staging copy no matter how many children it feeds.
-pub async fn binomial_scatter_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-) -> Result<usize> {
-    let shared = comm.make_shared(src);
-    binomial_scatter_shared_async(comm, &shared, root).await
+    let (rank, p, nbytes) = (comm.rank(), comm.size(), buf.len());
+    let received = Interp::new(comm, buf).run(scatter_ops(rank, p, nbytes, root)).await?;
+    Ok(if rank == root { nbytes } else { received })
 }
 
 /// Root-side scatter from an **already-shared** envelope: every child's
 /// subtree is a refcounted sub-view ([`SharedBuf::slice`]) of `src`, so
-/// this path copies nothing at all. Callers that already hold the payload
-/// in a [`SharedBuf`] (e.g. the event-world launcher) use this directly;
-/// [`binomial_scatter_root_async`] stages a plain slice first.
+/// this path copies nothing at all. Must run on the root — a non-root's
+/// stream starts with a receive, which this send-only entry point rejects
+/// with [`mpsim::CommError::OutOfBounds`]. Returns `src.len()`, the root's
+/// retained bytes, matching [`binomial_scatter_async`].
 pub async fn binomial_scatter_shared_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     src: &SharedBuf,
     root: Rank,
 ) -> Result<usize> {
     comm.check_rank(root)?;
-    assert_eq!(comm.rank(), root, "binomial_scatter_root must run on the root rank");
-    let size = comm.size();
-    let nbytes = src.len();
-    let layout = ChunkLayout::new(nbytes, size);
-    let scatter_size = layout.scatter_size();
-
-    // Same send phase as `binomial_scatter` with `relative = 0`: peel off
-    // the upper half of the held chunks for each child, highest first.
-    let mut curr_size = nbytes;
-    let mut mask = mpsim::ceil_pof2(size);
-    while mask > 0 {
-        if mask < size {
-            let send_size = curr_size.saturating_sub(scatter_size * mask);
-            if send_size > 0 {
-                let dst = absolute_rank(mask, root, size);
-                let disp = (mask * scatter_size).min(nbytes);
-                // Each iteration targets a *different* child of the
-                // binomial tree; nothing to coalesce. lint: allow(per-chunk-send)
-                comm.send_shared(&src.slice(disp..disp + send_size), dst, Tag::SCATTER).await?;
-                curr_size -= send_size;
-            }
-        }
-        mask >>= 1;
-    }
-    Ok(nbytes)
-}
-
-/// Append the symbolic ops of [`binomial_scatter`] to `sched`, mirroring the
-/// executed code's guards exactly (no receive posted when the rank's
-/// displacement already exhausts the buffer; no send for an empty subtree).
-///
-/// The received length of each rank is the closed-form subtree span
-/// `span(rel .. rel + own(rel))` — the property the executed scatter's tests
-/// pin down — which lets every rank's `curr_size` bookkeeping be replayed
-/// without cross-rank message lengths.
-pub(crate) fn append_scatter_ops(sched: &mut Schedule, root: Rank) {
-    let size = sched.p;
-    let nbytes = sched.ranks[0].buf_len;
-    let layout = ChunkLayout::new(nbytes, size);
-    let scatter_size = layout.scatter_size();
-    for rank in 0..size {
-        let relative = relative_rank(rank, root, size);
-        let mut curr_size = if rank == root { nbytes } else { 0 };
-        let mut mask = 1usize;
-        while mask < size {
-            if relative & mask != 0 {
-                let src = absolute_rank(relative - mask, root, size);
-                let disp = (relative * scatter_size).min(nbytes);
-                let capacity = nbytes - disp;
-                if capacity == 0 {
-                    curr_size = 0;
-                } else {
-                    sched.ranks[rank].recv("scatter", src, Tag::SCATTER, Loc::Buf(disp..nbytes));
-                    let own = owned_chunks(relative, size);
-                    curr_size = layout.span_bytes(relative..(relative + own).min(size));
-                }
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < size {
-                let send_size = curr_size.saturating_sub(scatter_size * mask);
-                if send_size > 0 {
-                    let dst = absolute_rank(relative + mask, root, size);
-                    let disp = ((relative + mask) * scatter_size).min(nbytes);
-                    sched.ranks[rank].send(
-                        "scatter",
-                        dst,
-                        Tag::SCATTER,
-                        Loc::Buf(disp..disp + send_size),
-                    );
-                    curr_size -= send_size;
-                }
-            }
-            mask >>= 1;
-        }
-    }
+    let ops = scatter_ops(comm.rank(), comm.size(), src.len(), root);
+    Interp::from_shared(comm, src).run(ops).await?;
+    Ok(src.len())
 }
 
 #[cfg(test)]
@@ -277,29 +150,23 @@ mod tests {
     fn run_scatter(size: usize, nbytes: usize, root: Rank) -> (Vec<Vec<u8>>, Vec<usize>) {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
-            if comm.rank() == root {
-                // Read-only on the root: scatter straight from the shared
-                // source (the clone below is only for the test's result
-                // shape, after all communication is done).
-                let kept = binomial_scatter_root(comm, &src, root).unwrap();
-                (src.clone(), kept)
-            } else {
-                let mut buf = vec![0u8; nbytes];
-                let kept = binomial_scatter(comm, &mut buf, root).unwrap();
-                (buf, kept)
-            }
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            let kept = binomial_scatter(comm, &mut buf, root).unwrap();
+            (buf, kept)
         });
         let (bufs, kept) = out.results.into_iter().unzip();
         (bufs, kept)
     }
 
     #[test]
-    fn root_variant_traffic_matches_mutable_scatter() {
+    fn shared_root_traffic_matches_mutable_scatter() {
         for &(size, nbytes, root) in &[(8usize, 64usize, 0usize), (10, 97, 7), (13, 77, 3)] {
             let src = pattern(nbytes);
             let immutably = ThreadWorld::run(size, |comm| {
                 if comm.rank() == root {
-                    binomial_scatter_root(comm, &src, root).unwrap();
+                    let acomm = SyncComm::new(comm);
+                    let shared = acomm.make_shared(&src);
+                    complete_now(binomial_scatter_shared_async(&acomm, &shared, root)).unwrap();
                 } else {
                     let mut buf = vec![0u8; nbytes];
                     binomial_scatter(comm, &mut buf, root).unwrap();
@@ -315,6 +182,22 @@ mod tests {
             assert_eq!(immutably.total_bytes(), mutably.total_bytes(), "size={size}");
             assert_eq!(immutably.total_envelopes(), mutably.total_envelopes(), "size={size}");
         }
+    }
+
+    #[test]
+    fn shared_entry_point_rejects_a_non_root_instead_of_panicking() {
+        let out = ThreadWorld::run(2, |comm| {
+            let acomm = SyncComm::new(comm);
+            if comm.rank() == 0 {
+                let mut buf = vec![7u8; 8];
+                binomial_scatter(comm, &mut buf, 0).map(drop)
+            } else {
+                let shared = acomm.make_shared(&[0u8; 8]);
+                complete_now(binomial_scatter_shared_async(&acomm, &shared, 0)).map(drop)
+            }
+        });
+        assert_eq!(out.results[0], Ok(()));
+        assert!(matches!(out.results[1], Err(mpsim::CommError::OutOfBounds { .. })));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! next node starts), which is the default placement on the paper's Hornet
 //! system.
 
-use mpsim::{complete_now, AsyncCommunicator, Communicator, Rank, Result, SubComm, SyncComm};
+use mpsim::{complete_now, AsyncCommunicator, CommError, Communicator, Rank, Result, SyncComm};
 
-use crate::bcast::{append_bcast_ops, bcast_with_async, Algorithm};
-use crate::binomial::{append_binomial_ops, bcast_binomial_async};
-use crate::schedule::{Schedule, ScheduleSource};
+use crate::bcast::{bcast_ops, bcast_skeleton, Algorithm};
+use crate::binomial::binomial_ops;
+use crate::interp::Interp;
+use crate::schedule::{renumber, SchedOp, Schedule, ScheduleSource};
 
 /// Block placement of ranks onto nodes with a fixed number of cores per node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +61,48 @@ impl NodeMap {
     }
 }
 
+/// Rank `rank`'s ops of the three-phase SMP broadcast. Each phase is a flat
+/// broadcast stream over a sub-world — the root's node, the node leaders,
+/// this rank's own node — with peers renumbered into the full world; a rank
+/// outside a phase's sub-world contributes nothing to it. Block placement
+/// makes every sub-world an arithmetic progression, so the renumbering is a
+/// closed form rather than a member list.
+pub fn smp_ops(
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
+    root: Rank,
+    nodes: &NodeMap,
+    inter_algorithm: Algorithm,
+) -> Vec<SchedOp> {
+    let cpn = nodes.cores_per_node;
+    let (root_node, my_node) = (nodes.node_of(root), nodes.node_of(rank));
+    let first = nodes.leader_of(my_node);
+    let width = (first + cpn).min(p) - first;
+    // Intra-node binomial over this rank's node, rooted at world rank `at`.
+    let intra = |at: Rank| {
+        renumber(binomial_ops(rank - first, width, nbytes, at - first).into_iter(), move |l| {
+            first + l
+        })
+    };
+    let mut ops = Vec::new();
+    // Phase 1: the root's node, so its leader holds the data.
+    if my_node == root_node {
+        ops.extend(intra(root));
+    }
+    // Phase 2: inter-node broadcast among the node leaders.
+    if rank == first {
+        let leaders = nodes.node_count(p);
+        let inter = bcast_ops(inter_algorithm, my_node, leaders, nbytes, root_node);
+        ops.extend(renumber(inter.into_iter(), move |l| l * cpn));
+    }
+    // Phase 3: every other node, rooted at its leader.
+    if my_node != root_node {
+        ops.extend(intra(first));
+    }
+    ops
+}
+
 /// Three-phase SMP-aware broadcast.
 ///
 /// `inter_algorithm` selects the inter-node (leader) phase —
@@ -75,7 +118,9 @@ pub fn bcast_smp(
     complete_now(bcast_smp_async(&SyncComm::new(comm), buf, root, nodes, inter_algorithm))
 }
 
-/// Async core of [`bcast_smp`].
+/// Async core of [`bcast_smp`]: [`smp_ops`] through the interpreter. Fails
+/// with [`CommError::Unsupported`] before posting anything when
+/// `inter_algorithm` is not defined for the leader count.
 pub async fn bcast_smp_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -84,61 +129,19 @@ pub async fn bcast_smp_async<C: AsyncCommunicator + ?Sized>(
     inter_algorithm: Algorithm,
 ) -> Result<()> {
     comm.check_rank(root)?;
-    let size = comm.size();
-    let rank = comm.rank();
-    if size == 1 {
-        return Ok(());
+    let p = comm.size();
+    let leaders = nodes.node_count(p);
+    if !inter_algorithm.supports(leaders) {
+        return Err(CommError::Unsupported {
+            what: inter_algorithm.schedule_name(),
+            size: leaders,
+        });
     }
-
-    let root_node = nodes.node_of(root);
-    let my_node = nodes.node_of(rank);
-
-    // Phase 1: intra-node broadcast on the root's node so its leader holds
-    // the data.
-    if my_node == root_node {
-        let members = nodes.ranks_of(root_node, size);
-        if members.len() > 1 {
-            let sub = SubComm::new(comm, members)
-                // lint: allow(panic) — NodeMap invariant: this rank is on the root node
-                .expect("rank is on the root node but missing from member list");
-            // lint: allow(panic) — NodeMap invariant: root is a member of its own node
-            let local_root = sub.from_parent(root).expect("root missing from its own node");
-            bcast_binomial_async(&sub, buf, local_root).await?;
-        }
-    }
-
-    // Phase 2: inter-node broadcast among node leaders.
-    let leaders: Vec<Rank> = (0..nodes.node_count(size)).map(|n| nodes.leader_of(n)).collect();
-    if leaders.len() > 1 {
-        if let Some(sub) = SubComm::new(comm, leaders) {
-            let local_root =
-                // lint: allow(panic) — NodeMap invariant: leaders list is built from leader_of
-                sub.from_parent(nodes.leader_of(root_node)).expect("root node has no leader");
-            bcast_with_async(&sub, buf, local_root, inter_algorithm).await?;
-        }
-    }
-
-    // Phase 3: intra-node broadcast on every node except the root's.
-    if my_node != root_node {
-        let members = nodes.ranks_of(my_node, size);
-        if members.len() > 1 {
-            let sub =
-                // lint: allow(panic) — NodeMap invariant: ranks_of(my_node) contains this rank
-                SubComm::new(comm, members).expect("rank missing from its own node's member list");
-            let local_root = sub
-                .from_parent(nodes.leader_of(my_node))
-                // lint: allow(panic) — NodeMap invariant: a node always contains its leader
-                .expect("node leader missing from node members");
-            bcast_binomial_async(&sub, buf, local_root).await?;
-        }
-    }
-    Ok(())
+    let ops = smp_ops(comm.rank(), p, buf.len(), root, nodes, inter_algorithm);
+    Interp::new(comm, buf).run(ops).await.map(drop)
 }
 
-/// Emit the symbolic schedule of [`bcast_smp`]: each phase is emitted on its
-/// sub-world and spliced into the full-world schedule with rank translation,
-/// reproducing the per-rank program order of the executed three-phase code
-/// (root-node intra, leader inter, other-node intra).
+/// The symbolic schedule of [`bcast_smp`]: every rank's [`smp_ops`].
 pub fn bcast_smp_schedule(
     p: usize,
     nbytes: usize,
@@ -152,44 +155,9 @@ pub fn bcast_smp_schedule(
         Algorithm::Binomial => "bcast/smp_binomial",
         Algorithm::ScatterRdAllgather => "bcast/smp_scatter_rd",
     };
-    let mut s = Schedule::new(name, p, nbytes);
-    s.ranks[root].mark_valid(0..nbytes);
+    let mut s = bcast_skeleton(name, p, nbytes, root);
     for rank in 0..p {
-        s.ranks[rank].require(0..nbytes);
-    }
-    if p == 1 {
-        return s;
-    }
-    let root_node = nodes.node_of(root);
-
-    // Phase 1: intra-node broadcast on the root's node.
-    let members = nodes.ranks_of(root_node, p);
-    if members.len() > 1 {
-        let local_root = members.iter().position(|&m| m == root).unwrap_or(0);
-        let mut sub = Schedule::new("smp/phase1", members.len(), nbytes);
-        append_binomial_ops(&mut sub, local_root);
-        s.splice(&sub, &members);
-    }
-
-    // Phase 2: inter-node broadcast among node leaders.
-    let leaders: Vec<Rank> = (0..nodes.node_count(p)).map(|n| nodes.leader_of(n)).collect();
-    if leaders.len() > 1 {
-        let mut sub = Schedule::new("smp/phase2", leaders.len(), nbytes);
-        append_bcast_ops(&mut sub, root_node, inter_algorithm);
-        s.splice(&sub, &leaders);
-    }
-
-    // Phase 3: intra-node broadcast on every other node, rooted at its leader.
-    for node in 0..nodes.node_count(p) {
-        if node == root_node {
-            continue;
-        }
-        let members = nodes.ranks_of(node, p);
-        if members.len() > 1 {
-            let mut sub = Schedule::new("smp/phase3", members.len(), nbytes);
-            append_binomial_ops(&mut sub, 0);
-            s.splice(&sub, &members);
-        }
+        s.ranks[rank].ops = smp_ops(rank, p, nbytes, root, nodes, inter_algorithm);
     }
     s
 }

@@ -1,16 +1,10 @@
-//! Property-based tests for the wider collective repertoire: allgather
-//! (ring/RD/Bruck), alltoall (pairwise/Bruck), scatter/gather (+v),
-//! reductions, and the pipeline broadcast — arbitrary world sizes, block
-//! sizes, roots and payloads on the real threaded runtime, randomized by
-//! the in-tree `testkit` harness.
+//! Property-based tests for the baselines beside the broadcast family: the
+//! allgathers (ring/RD/Bruck) and the pipeline broadcast — arbitrary world
+//! sizes, block sizes, roots and payloads on the real threaded runtime,
+//! randomized by the in-tree `testkit` harness.
 
 use bcast_core::allgather::{allgather_bruck, allgather_rd, allgather_ring};
-use bcast_core::alltoall::{alltoall_bruck, alltoall_pairwise};
 use bcast_core::pipeline::{bcast_pipeline, pipeline_msgs};
-use bcast_core::reduce::{allreduce_rabenseifner, allreduce_rd, reduce_binomial};
-use bcast_core::varcount::{
-    allgatherv_ring, gatherv_binomial, packed_displs, scatterv_linear, total,
-};
 use mpsim::{Communicator, ThreadWorld};
 use testkit::prop::{self, Config};
 
@@ -48,115 +42,6 @@ fn allgather_variants_deliver_identical_results() {
                 {
                     return Err(format!("block of rank {r} corrupted"));
                 }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn alltoall_variants_agree() {
-    prop::check(
-        "alltoall_variants_agree",
-        Config::cases(40),
-        &(prop::usize_range(1..14), prop::usize_range(0..120)),
-        |&(size, block)| {
-            ThreadWorld::run(size, |comm| {
-                let me = comm.rank() as u8;
-                let sendbuf: Vec<u8> = (0..comm.size())
-                    .flat_map(|d| (0..block).map(move |i| me ^ (d as u8) ^ (i as u8)))
-                    .collect();
-                let mut a = vec![0u8; sendbuf.len()];
-                alltoall_pairwise(comm, &sendbuf, &mut a).unwrap();
-                let mut b = vec![0u8; sendbuf.len()];
-                alltoall_bruck(comm, &sendbuf, &mut b).unwrap();
-                assert_eq!(a, b);
-                // block from rank s carries s ^ me ^ i
-                for (s, chunk) in a.chunks(block.max(1)).enumerate().take(comm.size()) {
-                    if block > 0 {
-                        assert!(chunk
-                            .iter()
-                            .enumerate()
-                            .all(|(i, &v)| v == (s as u8) ^ me ^ (i as u8)));
-                    }
-                }
-            });
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn reductions_sum_correctly() {
-    prop::check(
-        "reductions_sum_correctly",
-        Config::cases(40),
-        &(prop::usize_range(1..14), prop::usize_range(0..100), prop::any_u64()),
-        |&(size, len, root_pick)| {
-            let root = (root_pick as usize) % size;
-            let out = ThreadWorld::run(size, |comm| {
-                let mine: Vec<u64> =
-                    (0..len).map(|i| ((comm.rank() + 1) * (i + 1)) as u64).collect();
-                let mut reduced = if comm.rank() == root { vec![0u64; len] } else { vec![] };
-                reduce_binomial(comm, &mine, &mut reduced, |a, b| a + b, root).unwrap();
-                let mut all = mine.clone();
-                allreduce_rd(comm, &mut all, |a, b| a + b).unwrap();
-                let mut raben = mine;
-                allreduce_rabenseifner(comm, &mut raben, |a, b| a + b).unwrap();
-                assert_eq!(all, raben);
-                (reduced, all)
-            });
-            let triangle = (size * (size + 1) / 2) as u64;
-            let want: Vec<u64> = (0..len).map(|i| triangle * (i + 1) as u64).collect();
-            if out.results[root].0 != want {
-                return Err("reduce_binomial wrong at root".into());
-            }
-            for (_, all) in &out.results {
-                if all != &want {
-                    return Err("allreduce diverged".into());
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn varcount_round_trip() {
-    prop::check(
-        "varcount_round_trip",
-        Config::cases(40),
-        &(prop::usize_range(1..12), prop::any_u64(), prop::any_u64()),
-        |&(size, seed, root_pick)| {
-            let root = (root_pick as usize) % size;
-            let counts: Vec<usize> =
-                (0..size).map(|r| ((seed >> (r % 8)) as usize + r) % 23).collect();
-            let displs = packed_displs(&counts);
-            let n = total(&counts);
-            let payload: Vec<u8> = (0..n).map(|i| (i as u8).wrapping_mul(31)).collect();
-            let payload2 = payload.clone();
-            let counts2 = counts.clone();
-            let displs2 = displs.clone();
-            let out = ThreadWorld::run(size, move |comm| {
-                let me = comm.rank();
-                let sendbuf = if me == root { payload2.clone() } else { vec![] };
-                let mut mine = vec![0u8; counts2[me]];
-                scatterv_linear(comm, &sendbuf, &mut mine, &counts2, &displs2, root).unwrap();
-                // allgatherv reassembles the full payload everywhere
-                let mut assembled = vec![0u8; n];
-                allgatherv_ring(comm, &mine, &mut assembled, &counts2, &displs2).unwrap();
-                // gatherv brings it back to the root too
-                let mut back = if me == root { vec![0u8; n] } else { vec![] };
-                gatherv_binomial(comm, &mine, &mut back, &counts2, &displs2, root).unwrap();
-                (assembled, back)
-            });
-            for (rank, (assembled, _)) in out.results.iter().enumerate() {
-                if assembled != &payload {
-                    return Err(format!("rank {rank} reassembled wrong payload"));
-                }
-            }
-            if out.results[root].1 != payload {
-                return Err("gatherv returned wrong payload at root".into());
             }
             Ok(())
         },

@@ -179,15 +179,6 @@ pub trait AsyncCommunicator {
         self.send(buf, dest, tag).await
     }
 
-    /// Fan out one shared payload to several destinations (see
-    /// [`Communicator::send_shared_to`]).
-    async fn send_shared_to(&self, dests: &[Rank], buf: &SharedBuf, tag: Tag) -> Result<()> {
-        for &dest in dests {
-            self.send_shared(buf, dest, tag).await?;
-        }
-        Ok(())
-    }
-
     /// Owned receive of the arriving envelope (see
     /// [`Communicator::recv_owned`]). `capacity` bounds the acceptable
     /// message length exactly like a receive buffer's length.
@@ -374,10 +365,6 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
 
     async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
         self.0.send_shared(buf, dest, tag)
-    }
-
-    async fn send_shared_to(&self, dests: &[Rank], buf: &SharedBuf, tag: Tag) -> Result<()> {
-        self.0.send_shared_to(dests, buf, tag)
     }
 
     async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {

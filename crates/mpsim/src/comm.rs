@@ -212,16 +212,6 @@ pub trait Communicator {
         self.send(buf, dest, tag)
     }
 
-    /// Fan out one shared payload to several destinations — the broadcast
-    /// hot loop. `dests` clones of one refcount; no bytes move on backends
-    /// with a native [`send_shared`](Communicator::send_shared).
-    fn send_shared_to(&self, dests: &[Rank], buf: &SharedBuf, tag: Tag) -> Result<()> {
-        for &dest in dests {
-            self.send_shared(buf, dest, tag)?;
-        }
-        Ok(())
-    }
-
     /// Owned receive: take the arriving envelope itself instead of copying
     /// its bytes out into a caller buffer.
     ///

@@ -59,6 +59,15 @@ pub enum CommError {
         /// The failed rank.
         rank: Rank,
     },
+    /// The requested operation is not defined for a world of this size
+    /// (e.g. recursive doubling on a non-power-of-two world). Raised before
+    /// any message is posted, so every rank fails alike and nothing hangs.
+    Unsupported {
+        /// What was asked for (an algorithm's stable name).
+        what: &'static str,
+        /// The communicator size it cannot run on.
+        size: usize,
+    },
 }
 
 impl std::fmt::Display for CommError {
@@ -84,6 +93,9 @@ impl std::fmt::Display for CommError {
             }
             CommError::PeerFailed { rank } => {
                 write!(f, "peer rank {rank} failed while operation was in flight")
+            }
+            CommError::Unsupported { what, size } => {
+                write!(f, "{what} is not defined for a world of {size} ranks")
             }
         }
     }
@@ -121,6 +133,9 @@ mod tests {
 
         let e = CommError::PeerFailed { rank: 5 };
         assert!(e.to_string().contains("failed") && e.to_string().contains('5'));
+
+        let e = CommError::Unsupported { what: "bcast/scatter_rd", size: 10 };
+        assert!(e.to_string().contains("scatter_rd") && e.to_string().contains("10"));
     }
 
     #[test]

@@ -89,6 +89,25 @@ pub struct Report {
     pub redundant_msgs: u64,
     /// Bytes written over already-valid bytes.
     pub redundant_bytes: u64,
+    /// Every matched transfer into a tracked buffer whose written extent
+    /// was already valid at the receiver — the input of
+    /// [`prune_redundant`]. Unlike `redundant_msgs` this includes empty
+    /// extents, which are vacuously "already held".
+    pub redundant_transfers: Vec<Transfer>,
+}
+
+/// One matched transfer: the send half at `(src, src_step)` was consumed by
+/// the receive half at `(dst, dst_step)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transfer {
+    /// Sending rank.
+    pub src: Rank,
+    /// Index of the sending op in `src`'s op list.
+    pub src_step: usize,
+    /// Receiving rank.
+    pub dst: Rank,
+    /// Index of the receiving op in `dst`'s op list.
+    pub dst_step: usize,
 }
 
 impl Report {
@@ -163,12 +182,12 @@ impl Reconciliation {
 /// * Binomial and the scatter-ring broadcasts (native, tuned, and their
 ///   coalesced refinements, which reconcile against the tuned IR): a rank
 ///   stages its payload at most once and lands every received envelope at
-///   most once, so `2 · nbytes` bounds every rank — the root of the
-///   scatter-ring paths meets it exactly (an `nbytes` staging pass plus the
-///   ring's landing copies).
-/// * Scatter + recursive-doubling: the RD exchange is a copying
-///   `sendrecv` on both halves (up to `2 · nbytes` alone), on top of the
-///   zero-copy scatter's ≤ `nbytes` — ceiling `3 · nbytes`.
+///   most once, so `2 · nbytes` bounds every rank — the root of the native
+///   scatter-ring path comes closest (it stages every chunk but its own for
+///   the scatter, its own for the ring, and lands the other `P − 1`).
+/// * Scatter + recursive-doubling: each round stages its send block once
+///   and lands the partner's (under `2 · nbytes` together), on top of the
+///   scatter's landing copy of ≤ `nbytes` — ceiling `3 · nbytes`.
 pub fn copy_ceiling_per_rank(schedule_name: &str, nbytes: u64) -> Option<u64> {
     match schedule_name {
         "bcast/binomial" | "bcast/scatter_ring_native" | "bcast/scatter_ring_tuned" => {
@@ -254,6 +273,59 @@ pub fn reconcile_traffic(schedule: &Schedule, traffic: &mpsim::WorldTraffic) -> 
     }
 }
 
+/// The paper's optimization as a pass: delete every transfer whose
+/// destination range is already valid at the receiver when it arrives.
+///
+/// Runs the abstract executor once, then drops both halves of each
+/// [`Report::redundant_transfers`] entry — a `sendrecv` that loses one half
+/// becomes a lone send or receive, an op that loses both disappears. One
+/// pass suffices: a redundant transfer writes only bytes that were valid
+/// already, so removing it changes no other transfer's verdict. A transfer
+/// of zero bytes is vacuously redundant and goes too, which is why the
+/// pass reproduces the tuned ring *op for op* only at payloads where every
+/// chunk is non-empty (the tuned ring keeps the empty messages its
+/// `(step, flag)` rule does not cover).
+pub fn prune_redundant(schedule: &Schedule) -> Schedule {
+    let report = check(schedule, Semantics::Eager);
+    let mut pruned = schedule.clone();
+    for t in &report.redundant_transfers {
+        pruned.ranks[t.src].ops[t.src_step].send = None;
+        pruned.ranks[t.dst].ops[t.dst_step].recv = None;
+    }
+    for rs in &mut pruned.ranks {
+        rs.ops.retain(|op| op.send.is_some() || op.recv.is_some());
+    }
+    pruned
+}
+
+/// The paper's claim, derived: pruning the redundant transfers out of
+/// scatter + enclosed ring must leave exactly scatter + tuned ring — the
+/// same halves, in the same order, on every rank (phase labels aside).
+/// Returns the pruned schedule's message count, or the first rank and step
+/// where the two differ. Meaningful only when every chunk is non-empty
+/// (see [`prune_redundant`]).
+pub fn pruned_native_is_tuned(p: usize, nbytes: usize, root: Rank) -> Result<u64, String> {
+    use bcast_core::bcast::{bcast_schedule, Algorithm};
+    let pruned = prune_redundant(&bcast_schedule(Algorithm::ScatterRingNative, p, nbytes, root));
+    let tuned = bcast_schedule(Algorithm::ScatterRingTuned, p, nbytes, root);
+    for (rank, (got, want)) in pruned.ranks.iter().zip(&tuned.ranks).enumerate() {
+        let halves = |ops: &[bcast_core::SchedOp]| {
+            ops.iter().map(|op| (op.send.clone(), op.recv.clone())).collect::<Vec<_>>()
+        };
+        let (got, want) = (halves(&got.ops), halves(&want.ops));
+        if got != want {
+            let step = got.iter().zip(&want).position(|(g, w)| g != w).unwrap_or(0);
+            return Err(format!(
+                "P={p} nbytes={nbytes} root={root}: pruned native ring differs from the tuned \
+                 ring on rank {rank} at step {step} ({} ops vs {})",
+                got.len(),
+                want.len()
+            ));
+        }
+    }
+    Ok(pruned.planned_volume().0)
+}
+
 /// An in-flight (posted) send half.
 struct PostedSend {
     id: u64,
@@ -300,6 +372,7 @@ pub fn check(schedule: &Schedule, semantics: Semantics) -> Report {
         traffic: vec![RankTraffic::default(); p],
         redundant_msgs: 0,
         redundant_bytes: 0,
+        redundant_transfers: Vec::new(),
     };
 
     static_matching(schedule, &mut report.errors);
@@ -503,8 +576,14 @@ fn advance(
                 if let Loc::Buf(range) = &r.dst {
                     let end = (range.start + msg.len).min(range.end).min(ranks[rank].valid.len());
                     let written = range.start..end;
-                    if !written.is_empty() && written.clone().all(|b| ranks[rank].valid[b]) {
-                        report.redundant_msgs += 1;
+                    if written.clone().all(|b| ranks[rank].valid[b]) {
+                        report.redundant_msgs += u64::from(!written.is_empty());
+                        report.redundant_transfers.push(Transfer {
+                            src: msg.src,
+                            src_step: msg.src_step,
+                            dst: rank,
+                            dst_step: step,
+                        });
                     }
                     for b in written {
                         if ranks[rank].valid[b] {
@@ -717,6 +796,40 @@ mod tests {
         assert!(r.is_clean(), "{:?}", r.errors);
         assert_eq!(r.redundant_msgs, 1);
         assert_eq!(r.redundant_bytes, 4);
+    }
+
+    #[test]
+    fn prune_drops_redundant_halves_and_keeps_the_rest() {
+        // Rank 0 exchanges with rank 1; rank 1 already holds what it is sent,
+        // rank 0 does not: the sendrecvs degrade to a lone recv / lone send.
+        let mut s = Schedule::new("half", 2, 8);
+        s.ranks[0].mark_valid(0..4);
+        s.ranks[1].mark_valid(0..8);
+        s.ranks[0].sendrecv("x", 1, Tag(1), Loc::Buf(0..4), 1, Tag(1), Loc::Buf(4..8));
+        s.ranks[1].sendrecv("x", 0, Tag(1), Loc::Buf(4..8), 0, Tag(1), Loc::Buf(0..4));
+        let pruned = prune_redundant(&s);
+        assert_eq!(pruned.planned_volume(), (1, 4));
+        assert!(pruned.ranks[0].ops[0].send.is_none() && pruned.ranks[0].ops[0].recv.is_some());
+        assert!(pruned.ranks[1].ops[0].send.is_some() && pruned.ranks[1].ops[0].recv.is_none());
+        assert!(check(&pruned, Semantics::Rendezvous).is_clean());
+    }
+
+    #[test]
+    fn pruning_the_native_ring_derives_the_tuned_ring() {
+        use bcast_core::traffic::{scatter_msgs, tuned_ring_msgs};
+        // The paper's table, derived rather than asserted: 56 → 44, 90 → 75.
+        assert_eq!(pruned_native_is_tuned(8, 64, 0), Ok(7 + 44));
+        assert_eq!(pruned_native_is_tuned(10, 80, 0), Ok(9 + 75));
+        for p in 2..=64usize {
+            // Even chunks, and a ragged but non-empty last chunk.
+            for nbytes in [4 * p, 4 * p - 1] {
+                let roots = if p <= 16 { 0..p } else { 0..1 };
+                for root in roots {
+                    let msgs = pruned_native_is_tuned(p, nbytes, root).unwrap();
+                    assert_eq!(msgs, scatter_msgs(nbytes, p) + tuned_ring_msgs(p), "P={p}");
+                }
+            }
+        }
     }
 
     #[test]

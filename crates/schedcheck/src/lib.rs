@@ -3,9 +3,10 @@
 //! Two verifiers over the repo's collective algorithms, both fully offline:
 //!
 //! 1. **Schedule checking** ([`analysis`]): every collective in `bcast-core`
-//!    emits its symbolic communication schedule ([`bcast_core::Schedule`])
+//!    has a symbolic communication schedule ([`bcast_core::Schedule`])
 //!    via [`bcast_core::ScheduleSource`] — per rank, per step: peer,
-//!    direction, tag, byte ranges — without moving any data. An abstract
+//!    direction, tag, byte ranges. For the broadcast family it is the very
+//!    op stream the interpreter executes, collected over all ranks. An abstract
 //!    executor then proves, per `(algorithm, P, nbytes, root, semantics)`
 //!    instance: send/recv matching (no orphaned or duplicated operations),
 //!    deadlock freedom under both *eager* and *rendezvous* send semantics,
@@ -13,8 +14,10 @@
 //!    reconcile with the closed-form models in `bcast_core::traffic` and
 //!    with instrumented runtime counters. Redundant transfers — writes to
 //!    already-valid bytes, the very quantity the paper's tuned ring
-//!    eliminates — are *counted*, so the saving is checked as a theorem
-//!    rather than observed in a benchmark.
+//!    eliminates — are *identified*, and [`prune_redundant`] deletes them:
+//!    applied to scatter + enclosed ring it must yield scatter + tuned ring
+//!    op for op, so the paper's `(step, flag)` rule is derived from the
+//!    schedule rather than asserted beside it.
 //! 2. **Interleaving exploration** ([`explore`], [`models`]): a
 //!    zero-dependency loom-style model checker with two engines over the
 //!    same [`Model`] trait — an exhaustive explorer and a sleep-set DPOR
@@ -83,6 +86,7 @@ pub mod models;
 pub mod mutate;
 
 pub use analysis::{
-    check, copy_ceiling_per_rank, reconcile_traffic, Reconciliation, Report, Semantics,
+    check, copy_ceiling_per_rank, prune_redundant, pruned_native_is_tuned, reconcile_traffic,
+    Reconciliation, Report, Semantics, Transfer,
 };
 pub use explore::{explore, explore_dpor, Model, Stats, Step, DEFAULT_MAX_STATES};

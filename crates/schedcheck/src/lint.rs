@@ -24,12 +24,12 @@
 //!    must match on the error instead, or carry a
 //!    `// lint: allow(ignored-comm-result)` marker.
 //! 5. [`check_per_chunk_send`] — broadcast hot-path files in `crates/core`
-//!    must not issue plain `comm.send(` calls inside a loop: since the
-//!    vectored fabric landed, per-chunk send loops to one destination pay an
-//!    envelope per iteration that `send_vectored` would coalesce into one.
-//!    Deliberate loops (the binomial scatter fans out to a *different* child
-//!    per iteration; the plain tuned ring is the uncoalesced baseline by
-//!    definition) carry a `// lint: allow(per-chunk-send)` marker.
+//!    must not issue `comm.send(` / `comm.send_shared(` calls inside a loop:
+//!    since the vectored fabric landed, per-chunk send loops to one
+//!    destination pay an envelope per iteration that `send_vectored` would
+//!    coalesce into one. The one deliberate loop — the schedule interpreter,
+//!    whose contract is one envelope per planned transfer — carries a
+//!    `// lint: allow(per-chunk-send)` marker.
 //! 6. [`check_real_time`] — the discrete-event executor
 //!    (`crates/mpsim/src/event_*.rs` — the reactor and every module split
 //!    out of it, currently `event_comm`, `event_mailbox`, `event_timer`)
@@ -254,11 +254,13 @@ pub fn check_ignored_comm_result(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Broadcast hot-path files: the scatter-ring pipeline the paper tunes and
-/// its coalescing layer. Everything here is on the envelope-count critical
-/// path, so per-chunk send loops are held to the vectored-fabric standard.
+/// Broadcast hot-path files: the scatter-ring pipeline the paper tunes, the
+/// interpreter that executes it and its coalescing layer. Everything here
+/// is on the envelope-count critical path, so per-chunk send loops are held
+/// to the vectored-fabric standard.
 fn is_bcast_hot_path(path: &str) -> bool {
-    const HOT: [&str; 5] = [
+    const HOT: [&str; 6] = [
+        "crates/core/src/interp.rs",
         "crates/core/src/scatter.rs",
         "crates/core/src/ring.rs",
         "crates/core/src/ring_tuned.rs",
@@ -268,11 +270,12 @@ fn is_bcast_hot_path(path: &str) -> bool {
     HOT.contains(&path)
 }
 
-/// Rule 5: a plain `comm.send(` inside any loop body of a broadcast hot-path
-/// file. Tracks brace depth line-by-line (rustfmt puts the loop's `{` on the
-/// header line everywhere in this repo); test modules are exempt (same
-/// scoping as [`check_panics`]). A `// lint: allow(per-chunk-send)` marker
-/// on the same or the preceding line waives a documented, deliberate loop.
+/// Rule 5: a `comm.send(` or `comm.send_shared(` inside any loop body of a
+/// broadcast hot-path file. Tracks brace depth line-by-line (rustfmt puts
+/// the loop's `{` on the header line everywhere in this repo); test modules
+/// are exempt (same scoping as [`check_panics`]). A
+/// `// lint: allow(per-chunk-send)` marker on the same or the preceding line
+/// waives a documented, deliberate loop.
 pub fn check_per_chunk_send(path: &str, content: &str) -> Vec<LintHit> {
     if !is_bcast_hot_path(path) {
         return Vec::new();
@@ -299,7 +302,8 @@ pub fn check_per_chunk_send(path: &str, content: &str) -> Vec<LintHit> {
         let in_loop = !loop_depths.is_empty();
         let allowed = line.contains("lint: allow(per-chunk-send)")
             || prev.contains("lint: allow(per-chunk-send)");
-        if in_loop && code.contains("comm.send(") && !allowed {
+        let sends = code.contains("comm.send(") || code.contains("comm.send_shared(");
+        if in_loop && sends && !allowed {
             hits.push(hit(path, i, "per-chunk-send", line));
         }
         depth += code.matches('{').count() as isize - code.matches('}').count() as isize;
@@ -670,8 +674,10 @@ mod tests {
         let looped =
             "fn f() {\n    for i in 1..size {\n        comm.send(&buf[r], right, T)?;\n    }\n}\n";
         assert_eq!(check_per_chunk_send("crates/core/src/ring_tuned.rs", looped).len(), 1);
+        let shared = looped.replace("comm.send(&buf[r]", "self.comm.send_shared(&env");
+        assert_eq!(check_per_chunk_send("crates/core/src/interp.rs", &shared).len(), 1);
         // Only the broadcast hot path is held to the vectored standard.
-        assert!(check_per_chunk_send("crates/core/src/reduce.rs", looped).is_empty());
+        assert!(check_per_chunk_send("crates/core/src/allgather.rs", looped).is_empty());
         assert!(check_per_chunk_send("crates/mpsim/src/thread_comm.rs", looped).is_empty());
         let waived = "fn f() {\n    while mask > 0 {\n        \
                       // lint: allow(per-chunk-send) — distinct child per step\n        \
@@ -904,7 +910,7 @@ mod tests {
     #[test]
     fn bcast_hot_copy_flags_unaccounted_copies() {
         let bare = "fn f() {\n    buf[disp..disp + n].copy_from_slice(&env);\n}\n";
-        for file in ["binomial.rs", "scatter.rs", "ring.rs", "ring_tuned.rs", "coalesce.rs"] {
+        for file in ["binomial.rs", "interp.rs", "scatter.rs", "ring_tuned.rs", "coalesce.rs"] {
             let path = format!("crates/core/src/{file}");
             assert_eq!(check_bcast_hot_copy(&path, bare).len(), 1, "{path}");
         }

@@ -84,9 +84,28 @@ fn main() {
             std::process::exit(2)
         }
     };
-    let cores: usize =
-        get("--cores-per-node").map_or(preset.cores_per_node(), |v| v.parse().unwrap());
-    assert!(root < np, "--root must be below --np");
+    let cores: usize = get("--cores-per-node")
+        .map_or(preset.cores_per_node(), |v| v.parse().expect("--cores-per-node C"));
+    // Every argument combination the library would reject (or, for a zero
+    // node width, assert on) is refused here, once, with one line.
+    let reject = |why: String| -> ! {
+        eprintln!("bcast: {why}");
+        std::process::exit(2)
+    };
+    if np == 0 {
+        reject("--np must be at least 1".into());
+    }
+    if root >= np {
+        reject(format!("--root {root} must be below --np {np}"));
+    }
+    if cores == 0 {
+        reject("--cores-per-node must be at least 1".into());
+    }
+    if let Algo::Fixed(a) = algo {
+        if !a.supports(np) {
+            reject(format!("--algo {} is not defined for --np {np}", a.schedule_name()));
+        }
+    }
 
     let src = pattern(nbytes, 0xC11);
     let th = Thresholds::default();

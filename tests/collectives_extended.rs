@@ -1,11 +1,9 @@
-//! Integration tests for the extended collective repertoire (allgather
-//! variants, scatter/gather, reductions, pipeline broadcast) running on the
-//! simulated cluster — cross-crate coverage beyond the per-module unit tests.
+//! Integration tests for the baselines beside the broadcast family
+//! (allgather variants, pipeline broadcast) running on the simulated
+//! cluster — cross-crate coverage beyond the per-module unit tests.
 
 use bcast_core::allgather::{allgather_auto, allgather_bruck, allgather_ring, AllgatherThresholds};
 use bcast_core::pipeline::bcast_pipeline;
-use bcast_core::reduce::{allreduce_rabenseifner, allreduce_rd, reduce_binomial};
-use bcast_core::scatter_gather::{gather_binomial, scatter_binomial};
 use mpsim::Communicator;
 use netsim::{presets, SimWorld};
 
@@ -63,101 +61,6 @@ fn bruck_is_faster_than_ring_for_small_blocks_on_the_cluster() {
     let ring = time(0);
     let bruck = time(1);
     assert!(bruck < ring, "bruck {bruck} !< ring {ring}");
-}
-
-#[test]
-fn scatter_gather_round_trip_on_the_simulator() {
-    let (np, block) = (50usize, 128usize);
-    let payload: Vec<u8> = (0..np * block).map(|i| (i % 251) as u8).collect();
-    let payload2 = payload.clone();
-    let out = hornet_world(np, block, move |comm| {
-        let sendbuf = if comm.rank() == 3 { payload2.clone() } else { Vec::new() };
-        let mut mine = vec![0u8; block];
-        scatter_binomial(comm, &sendbuf, &mut mine, 3).unwrap();
-        // each rank doubles its block, then gather the results
-        for b in &mut mine {
-            *b = b.wrapping_mul(2);
-        }
-        let mut gathered =
-            if comm.rank() == 3 { vec![0u8; block * comm.size()] } else { Vec::new() };
-        gather_binomial(comm, &mine, &mut gathered, 3).unwrap();
-        gathered
-    });
-    let want: Vec<u8> = payload.iter().map(|b| b.wrapping_mul(2)).collect();
-    assert_eq!(out.results[3], want);
-}
-
-#[test]
-fn alltoall_on_the_simulator() {
-    use bcast_core::alltoall::{alltoall_bruck, alltoall_pairwise};
-    for &np in &[8usize, 30] {
-        let block = 256usize;
-        let out = hornet_world(np, block * np, move |comm| {
-            let me = comm.rank() as u8;
-            let sendbuf: Vec<u8> = (0..comm.size())
-                .flat_map(|d| (0..block).map(move |i| me ^ (d as u8) ^ (i as u8)))
-                .collect();
-            let mut a = vec![0u8; sendbuf.len()];
-            alltoall_pairwise(comm, &sendbuf, &mut a).unwrap();
-            let mut b = vec![0u8; sendbuf.len()];
-            alltoall_bruck(comm, &sendbuf, &mut b).unwrap();
-            assert_eq!(a, b);
-            a
-        });
-        for (d, buf) in out.results.iter().enumerate() {
-            for s in 0..np {
-                assert!(buf[s * block..(s + 1) * block]
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &v)| v == (s as u8) ^ (d as u8) ^ (i as u8)));
-            }
-        }
-    }
-}
-
-#[test]
-fn reductions_on_the_simulator() {
-    for &np in &[8usize, 13, 48] {
-        let len = 100usize;
-        let out = hornet_world(np, len * 8, move |comm| {
-            let mine: Vec<u64> = (0..len).map(|i| (comm.rank() + i) as u64).collect();
-            // reduce to root 2
-            let mut at_root = if comm.rank() == 2 { vec![0u64; len] } else { vec![] };
-            reduce_binomial(comm, &mine, &mut at_root, |a, b| a + b, 2).unwrap();
-            // allreduce
-            let mut everywhere = mine.clone();
-            allreduce_rd(comm, &mut everywhere, |a, b| a + b).unwrap();
-            (at_root, everywhere)
-        });
-        let want: Vec<u64> = (0..len).map(|i| (0..np).map(|r| (r + i) as u64).sum()).collect();
-        assert_eq!(out.results[2].0, want, "reduce np={np}");
-        for (rank, (_, all)) in out.results.iter().enumerate() {
-            assert_eq!(all, &want, "allreduce np={np} rank={rank}");
-        }
-    }
-}
-
-#[test]
-fn rabenseifner_beats_rd_for_long_vectors_on_the_cluster() {
-    // The bandwidth argument behind reduce-scatter+allgather, measured in
-    // simulated time rather than asserted from the formula.
-    let np = 16;
-    let len = 1 << 16;
-    let time = |raben: bool| {
-        hornet_world(np, len * 8, move |comm| {
-            let mut buf: Vec<u64> = (0..len).map(|i| (comm.rank() + i) as u64).collect();
-            comm.barrier().unwrap();
-            if raben {
-                allreduce_rabenseifner(comm, &mut buf, |a, b| a + b).unwrap();
-            } else {
-                allreduce_rd(comm, &mut buf, |a, b| a + b).unwrap();
-            }
-        })
-        .makespan_ns
-    };
-    let rd = time(false);
-    let raben = time(true);
-    assert!(raben < rd, "rabenseifner {raben} !< rd {rd}");
 }
 
 #[test]

@@ -35,7 +35,7 @@
 //! `make_shared` snapshot semantics (mutating the source after
 //! `send_shared` is unobservable at any receiver), wire-format equivalence
 //! with plain and vectored transfers in both directions, sub-view slice
-//! forwarding, `send_shared_to` fan-out, truncation on `recv_owned`, and
+//! forwarding, truncation on `recv_owned`, and
 //! the fused `sendrecv_shared` exchange — including forwarding a received
 //! envelope without copying, the ring allgather's hold chain. A decorator
 //! companion drives the same calls through `SubComm` rank translation,
@@ -522,18 +522,6 @@ async fn shared_battery<C: AsyncCommunicator>(comm: &C) {
     }
     comm.barrier().await.unwrap();
 
-    // --- send_shared_to fan-out: one snapshot, refcount clones to a list
-    // of children — the broadcast hot loop's shape.
-    if me == 0 {
-        let shared = comm.make_shared(&[0xC3; 24]);
-        comm.send_shared_to(&[1, 2, 3], &shared, Tag(87)).await.unwrap();
-        comm.send_shared_to(&[], &shared, Tag(87)).await.unwrap(); // empty list is a no-op
-    } else if me <= 3 {
-        let env = comm.recv_owned(24, 0, Tag(87)).await.unwrap();
-        assert_eq!(&env[..], &[0xC3; 24], "fan-out clone corrupted");
-    }
-    comm.barrier().await.unwrap();
-
     // --- fused exchange around the ring, then forward the received
     // envelope itself: the allgather hold chain. Step two sends the step-one
     // envelope with no intervening copy, so the payload two hops left must
@@ -611,7 +599,7 @@ async fn shared_decorator_battery<C: AsyncCommunicator>(comm: &C) {
     let guarded = GuardedComm::new(comm, Duration::from_secs(5));
     if me.is_multiple_of(2) {
         let shared = guarded.make_shared(&[0x3C; 20]);
-        guarded.send_shared_to(&[partner], &shared, Tag(94)).await.unwrap();
+        guarded.send_shared(&shared, partner, Tag(94)).await.unwrap();
     } else {
         let env = guarded.recv_owned(20, partner, Tag(94)).await.unwrap();
         assert_eq!(&env[..], &[0x3C; 20], "GuardedComm deadline plumbing corrupted a payload");

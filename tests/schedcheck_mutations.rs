@@ -1,7 +1,8 @@
 //! Negative tests: seeded schedule bugs must be *rejected* by the static
 //! analyses, each with a diagnostic naming the offending rank (and, where
 //! the failure is op-level, the step). A checker that accepts mutants
-//! proves nothing.
+//! proves nothing. Since the schedule is the program, the `(step, flag)`
+//! mutant is also *run*: what the analyses reject must not execute cleanly.
 
 use bcast_core::bcast::{bcast_schedule, bcast_tuned_schedule_with};
 use bcast_core::{step_flag, Algorithm};
@@ -47,6 +48,44 @@ fn step_flag_off_by_one_is_rejected() {
             "p={p}: unexpected diagnostic shape: {:?}",
             rep.errors
         );
+    }
+}
+
+#[test]
+fn step_flag_off_by_one_does_not_run_clean() {
+    // The same mutant, executed: its op streams through the interpreter on
+    // the event executor at P = 8. It may deliver wrong bytes, fail with an
+    // error, or trip EventWorld's stuck-rank deadlock report (a panic) —
+    // anything but every rank returning Ok with the payload intact.
+    use bcast_core::ring_tuned::tuned_ring_ops_with;
+    use bcast_core::scatter::scatter_ops;
+    use bcast_core::Interp;
+    use mpsim::{AsyncCommunicator, EventWorld};
+
+    let (p, nbytes, root) = (8usize, 64 * 8usize, 0usize);
+    let src = bcast_core::verify::pattern(nbytes, 0x5EED);
+    for delta in [1usize, 2] {
+        let src = src.clone();
+        let ran = std::panic::catch_unwind(move || {
+            EventWorld::run(p, |comm| {
+                let src = src.clone();
+                async move {
+                    let rank = comm.rank();
+                    let mut buf = if rank == root { src.clone() } else { vec![0u8; nbytes] };
+                    let mut interp = Interp::new(&comm, &mut buf);
+                    let scatter = interp.run(scatter_ops(rank, p, nbytes, root)).await;
+                    let ring = tuned_ring_ops_with(rank, p, nbytes, root, |rel, size| {
+                        let (step, flag) = step_flag(rel, size);
+                        (step + delta, flag)
+                    });
+                    let ring = interp.run(ring).await;
+                    scatter.is_ok() && ring.is_ok() && buf == src
+                }
+            })
+            .results
+        });
+        let clean = ran.is_ok_and(|intact| intact.iter().all(|&ok| ok));
+        assert!(!clean, "step_flag+{delta}: the rejected schedule executed cleanly");
     }
 }
 

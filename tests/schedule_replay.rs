@@ -1,113 +1,85 @@
 //! Schedule-IR replay: the symbolic schedules emitted by every
 //! [`ScheduleSource`] must reproduce, rank by rank and byte by byte, the
-//! traffic counters of the *executed* collectives — on both the threaded
-//! runtime and the virtual-time simulator.
+//! traffic counters of the *executed* collectives — on the threaded
+//! runtime, the virtual-time simulator and the discrete-event executor.
 //!
 //! The expected counters come from the schedcheck abstract executor (which
 //! resolves each receive to its matched message, so received bytes are
 //! exact, not capacities); the observed counters come from the instrumented
-//! worlds. Any divergence means an emitter and its collective drifted apart.
+//! worlds. For the broadcast family the schedule and the executed program
+//! are the same op streams, so this pins "the interpreter executes exactly
+//! what the stream plans"; for the pipeline and the allgather baselines it
+//! still guards an emitter against drifting from its hand loop.
 
 use bcast_core::allgather::{allgather_bruck, allgather_rd, allgather_ring};
-use bcast_core::alltoall::{alltoall_bruck, alltoall_pairwise};
 use bcast_core::pipeline::bcast_pipeline;
-use bcast_core::reduce::{
-    allreduce_rabenseifner, allreduce_rd, reduce_binomial, reduce_scatter_block_rh,
+use bcast_core::{
+    all_sources, bcast_event_world, bcast_smp_async, bcast_with, Algorithm, NodeMap, Schedule,
 };
-use bcast_core::scatter_gather::{gather_binomial, scatter_binomial};
-use bcast_core::{all_sources, bcast_with, Algorithm, NodeMap, Schedule};
-use mpsim::{NonBlocking, Rank, ThreadWorld, WorldTraffic};
+use mpsim::{AsyncCommunicator, EventWorld, NonBlocking, Rank, ThreadWorld, WorldTraffic};
 use netsim::{presets, SimWorld};
 use schedcheck::{check, Semantics};
 
-/// Execute the collective named by its schedule source on one rank.
-/// Parameters mirror the corresponding `ScheduleSource::schedule` exactly:
-/// `nbytes` is the total buffer for the bcast family, the per-rank block
-/// for the symmetric collectives, and the element count (u8, so bytes) for
-/// the reduce family.
+/// The flat broadcast a schedule-source name stands for, if it is one.
+fn flat_algorithm(name: &str) -> Option<Algorithm> {
+    use Algorithm::*;
+    [Binomial, ScatterRdAllgather, ScatterRingNative, ScatterRingTuned]
+        .into_iter()
+        .find(|alg| alg.schedule_name() == name)
+}
+
+/// The inter-node algorithm of an SMP schedule-source name, if it is one.
+fn smp_inter(name: &str) -> Option<Algorithm> {
+    match name {
+        "bcast/smp_native" => Some(Algorithm::ScatterRingNative),
+        "bcast/smp_tuned" => Some(Algorithm::ScatterRingTuned),
+        _ => None,
+    }
+}
+
+/// Execute the collective named by its schedule source on one rank of a
+/// blocking executor. Parameters mirror `ScheduleSource::schedule` exactly:
+/// `nbytes` is the total buffer for the bcast family and the per-rank block
+/// for the allgathers.
 fn run_collective<C: NonBlocking>(name: &str, comm: &C, nbytes: usize, root: Rank) {
     let p = comm.size();
     let rank = comm.rank();
     let seed = |i: usize| (i as u8).wrapping_mul(31).wrapping_add(rank as u8);
-    let add = |a: u8, b: u8| a.wrapping_add(b);
-    match name {
-        "bcast/binomial"
-        | "bcast/scatter_rd"
-        | "bcast/scatter_ring_native"
-        | "bcast/scatter_ring_tuned" => {
-            let alg = match name {
-                "bcast/binomial" => Algorithm::Binomial,
-                "bcast/scatter_rd" => Algorithm::ScatterRdAllgather,
-                "bcast/scatter_ring_native" => Algorithm::ScatterRingNative,
-                _ => Algorithm::ScatterRingTuned,
-            };
-            let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
-            bcast_with(comm, &mut buf, root, alg).unwrap();
-        }
-        "bcast/pipeline" => {
-            let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
+    let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
+    if let Some(alg) = flat_algorithm(name) {
+        bcast_with(comm, &mut buf, root, alg).unwrap();
+    } else if let Some(inter) = smp_inter(name) {
+        // Same 4-cores-per-node map as SmpSource::schedule.
+        bcast_core::smp::bcast_smp(comm, &mut buf, root, &NodeMap::new(4), inter).unwrap();
+    } else {
+        let mut recv = vec![0u8; nbytes * p];
+        match name {
             // Same ragged cut as PipelineSource::schedule.
-            bcast_pipeline(comm, &mut buf, root, nbytes.div_ceil(3).max(1)).unwrap();
-        }
-        "bcast/smp_native" | "bcast/smp_tuned" => {
-            let inter = if name == "bcast/smp_tuned" {
-                Algorithm::ScatterRingTuned
-            } else {
-                Algorithm::ScatterRingNative
-            };
-            let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
-            // Same 4-cores-per-node map as SmpSource::schedule.
-            bcast_core::smp::bcast_smp(comm, &mut buf, root, &NodeMap::new(4), inter).unwrap();
-        }
-        "allgather/ring" | "allgather/rd" | "allgather/bruck" => {
-            let send: Vec<u8> = (0..nbytes).map(seed).collect();
-            let mut recv = vec![0u8; nbytes * p];
-            match name {
-                "allgather/ring" => allgather_ring(comm, &send, &mut recv).unwrap(),
-                "allgather/rd" => allgather_rd(comm, &send, &mut recv).unwrap(),
-                _ => allgather_bruck(comm, &send, &mut recv).unwrap(),
+            "bcast/pipeline" => {
+                bcast_pipeline(comm, &mut buf, root, nbytes.div_ceil(3).max(1)).unwrap()
             }
+            "allgather/ring" => allgather_ring(comm, &buf, &mut recv).unwrap(),
+            "allgather/rd" => allgather_rd(comm, &buf, &mut recv).unwrap(),
+            "allgather/bruck" => allgather_bruck(comm, &buf, &mut recv).unwrap(),
+            other => panic!("no replay wired for schedule source {other}"),
         }
-        "alltoall/pairwise" | "alltoall/bruck" => {
-            let send: Vec<u8> = (0..nbytes * p).map(seed).collect();
-            let mut recv = vec![0u8; nbytes * p];
-            if name == "alltoall/bruck" {
-                alltoall_bruck(comm, &send, &mut recv).unwrap();
-            } else {
-                alltoall_pairwise(comm, &send, &mut recv).unwrap();
-            }
-        }
-        "scatter/binomial" => {
-            let send: Vec<u8> =
-                if rank == root { (0..nbytes * p).map(seed).collect() } else { Vec::new() };
-            let mut recv = vec![0u8; nbytes];
-            scatter_binomial(comm, &send, &mut recv, root).unwrap();
-        }
-        "gather/binomial" => {
-            let send: Vec<u8> = (0..nbytes).map(seed).collect();
-            let mut recv = if rank == root { vec![0u8; nbytes * p] } else { Vec::new() };
-            gather_binomial(comm, &send, &mut recv, root).unwrap();
-        }
-        "reduce/binomial" => {
-            let send: Vec<u8> = (0..nbytes).map(seed).collect();
-            let mut recv = vec![0u8; nbytes];
-            reduce_binomial(comm, &send, &mut recv, add, root).unwrap();
-        }
-        "reduce/allreduce_rd" => {
-            let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
-            allreduce_rd(comm, &mut buf, add).unwrap();
-        }
-        "reduce/reduce_scatter_rh" => {
-            let send: Vec<u8> = (0..nbytes * p).map(seed).collect();
-            let mut recv = vec![0u8; nbytes];
-            reduce_scatter_block_rh(comm, &send, &mut recv, add).unwrap();
-        }
-        "reduce/allreduce_rabenseifner" => {
-            let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
-            allreduce_rabenseifner(comm, &mut buf, add).unwrap();
-        }
-        other => panic!("no replay wired for schedule source {other}"),
     }
+}
+
+/// Run the named collective on the event executor; `None` for the sources
+/// that only exist against the blocking traits (pipeline, allgather).
+fn run_on_event_world(name: &str, p: usize, nbytes: usize, root: Rank) -> Option<WorldTraffic> {
+    if let Some(alg) = flat_algorithm(name) {
+        // Verifies every rank's payload, and routes the tuned root through
+        // the send-only shared-envelope interpreter.
+        return Some(bcast_event_world(p, nbytes, root, alg).traffic);
+    }
+    let inter = smp_inter(name)?;
+    let out = EventWorld::run(p, move |comm| async move {
+        let mut buf = vec![comm.rank() as u8; nbytes];
+        bcast_smp_async(&comm, &mut buf, root, &NodeMap::new(4), inter).await.unwrap();
+    });
+    Some(out.traffic)
 }
 
 /// Compare the abstract executor's per-rank counters against an
@@ -133,14 +105,17 @@ fn assert_traffic_matches(
     }
 }
 
-fn replay_all(ps: &[usize], sizes: &[usize], backend: &str) {
+/// Replay every source at every `p`, every size `sizes(p)` yields, and
+/// every root (worlds above five ranks: the first and the last).
+fn replay_all(ps: &[usize], sizes: impl Fn(usize) -> Vec<usize>, backend: &str) {
     for src in all_sources() {
         for &p in ps {
             if !src.supports(p) {
                 continue;
             }
-            for &nbytes in sizes {
-                for root in [0, p - 1] {
+            let roots: Vec<Rank> = if p <= 5 { (0..p).collect() } else { vec![0, p - 1] };
+            for nbytes in sizes(p) {
+                for &root in &roots {
                     let sched = src.schedule(p, nbytes, root);
                     let name = src.name();
                     let traffic = match backend {
@@ -158,6 +133,10 @@ fn replay_all(ps: &[usize], sizes: &[usize], backend: &str) {
                             )
                             .traffic
                         }
+                        "event" => match run_on_event_world(name, p, nbytes, root) {
+                            Some(traffic) => traffic,
+                            None => continue,
+                        },
                         other => panic!("unknown backend {other}"),
                     };
                     assert_traffic_matches(&sched, &traffic, backend, nbytes, root);
@@ -169,18 +148,29 @@ fn replay_all(ps: &[usize], sizes: &[usize], backend: &str) {
 
 #[test]
 fn ir_matches_executed_traffic_on_threads() {
-    replay_all(&[2, 3, 4, 8], &[5, 64], "threads");
+    replay_all(&[2, 3, 4, 8], |_| vec![5, 64], "threads");
 }
 
 #[test]
 fn ir_matches_executed_traffic_on_netsim() {
-    replay_all(&[2, 3, 4, 8], &[5, 64], "netsim");
+    replay_all(&[2, 3, 4, 8], |_| vec![5, 64], "netsim");
+}
+
+#[test]
+fn ir_matches_executed_traffic_on_event_world() {
+    replay_all(&[2, 3, 4, 8], |_| vec![5, 64], "event");
 }
 
 #[test]
 fn ir_matches_executed_traffic_at_awkward_sizes() {
     // Non-power-of-two world with a payload smaller than the world: empty
-    // scatter chunks, ragged blocks — the emitters must still mirror the
-    // executed guards exactly.
-    replay_all(&[5, 6], &[1, 17], "threads");
+    // scatter chunks, ragged blocks — the streams' guards (no receive for an
+    // exhausted displacement, no send for an empty subtree) must hold.
+    replay_all(&[5, 6], |_| vec![1, 17], "threads");
+    // The hostile shapes: degenerate worlds, payloads straddling the world
+    // size (the empty-chunk boundary), the empty payload, every root — on
+    // all three executors.
+    for backend in ["threads", "netsim", "event"] {
+        replay_all(&[1, 2, 3, 5], |p| vec![0, 1, p.saturating_sub(1), p, p + 1], backend);
+    }
 }

@@ -3,9 +3,7 @@
 //! payload results and identical traffic counters required, plus failure-
 //! injection checks for teardown behaviour.
 
-use bcast_core::allgather::allgather_bruck;
-use bcast_core::alltoall::alltoall_auto;
-use bcast_core::reduce::allreduce_rd;
+use bcast_core::allgather::{allgather_bruck, allgather_rd, allgather_ring};
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_with, Algorithm};
 use mpsim::{Communicator, ThreadWorld, WorldTraffic};
@@ -19,7 +17,7 @@ fn op_sequence(seed: u64, len: usize) -> Vec<u8> {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            (x % 5) as u8
+            (x % 7) as u8
         })
         .collect()
 }
@@ -36,13 +34,19 @@ fn run_program<C: Communicator + ?Sized>(comm: &C, seed: u64) -> Vec<u8> {
             0 => bcast_with(comm, &mut state, root, Algorithm::ScatterRingTuned).unwrap(),
             1 => bcast_with(comm, &mut state, root, Algorithm::ScatterRingNative).unwrap(),
             2 => bcast_with(comm, &mut state, root, Algorithm::Binomial).unwrap(),
-            3 => {
-                let mine: Vec<u8> = state[me * 64..(me + 1) * 64].to_vec();
-                allgather_bruck(comm, &mine, &mut state).unwrap();
+            // Recursive doubling exists on power-of-two worlds only; the
+            // other worlds draw the MPICH fallback for that regime instead.
+            3 if Algorithm::ScatterRdAllgather.supports(size) => {
+                bcast_with(comm, &mut state, root, Algorithm::ScatterRdAllgather).unwrap()
             }
-            _ => {
-                let send = state.clone();
-                alltoall_auto(comm, &send, &mut state).unwrap();
+            3 => bcast_with(comm, &mut state, root, Algorithm::ScatterRingNative).unwrap(),
+            op => {
+                let mine: Vec<u8> = state[me * 64..(me + 1) * 64].to_vec();
+                match op {
+                    4 => allgather_bruck(comm, &mine, &mut state).unwrap(),
+                    5 if size.is_power_of_two() => allgather_rd(comm, &mine, &mut state).unwrap(),
+                    _ => allgather_ring(comm, &mine, &mut state).unwrap(),
+                }
             }
         }
         // mix so later ops depend on earlier results
@@ -50,14 +54,12 @@ fn run_program<C: Communicator + ?Sized>(comm: &C, seed: u64) -> Vec<u8> {
             *b = b.wrapping_add((i % 7) as u8).rotate_left(1);
         }
     }
-    // fold in a reduction so every rank agrees on a digest
-    let mut digest: Vec<u64> = state
-        .chunks(8)
-        .map(|c| c.iter().fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64)))
-        .collect();
-    // op must be commutative + associative for all ranks to agree
-    allreduce_rd(comm, &mut digest, u64::wrapping_add).unwrap();
-    digest.iter().flat_map(|v| v.to_le_bytes()).collect()
+    // Close with an allgather of every rank's 8-byte state digest, so all
+    // ranks return the same bytes and any divergence shows on every rank.
+    let digest = state.iter().fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64));
+    let mut all = vec![0u8; 8 * size];
+    allgather_ring(comm, &digest.to_le_bytes(), &mut all).unwrap();
+    all
 }
 
 fn on_threads(np: usize, seed: u64) -> (Vec<Vec<u8>>, WorldTraffic) {
@@ -81,7 +83,7 @@ fn random_programs_agree_across_backends() {
             let (sr, st) = on_sim(np, seed);
             assert_eq!(tr, sr, "np={np} seed={seed}: payloads diverged");
             assert_eq!(tt, st, "np={np} seed={seed}: traffic diverged");
-            // the final allreduce makes every rank's digest identical
+            // the final allgather makes every rank's digest vector identical
             assert!(tr.windows(2).all(|w| w[0] == w[1]), "digest mismatch np={np}");
         }
     }

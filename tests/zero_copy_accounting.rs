@@ -14,11 +14,14 @@
 //!   `2·(P−1)·nbytes` and grows with the tree instead of the payload.
 //! * **Scatter + ring (native, tuned, coalesced)**: at most `2·nbytes` per
 //!   rank — the allgather's landing copies sum to ≤ `nbytes` and staging
-//!   owned chunks for forwarding adds at most `nbytes` more. The tuned
+//!   owned chunks for forwarding adds at most `nbytes` more (the ring's
+//!   first send is not among them: the rank's own chunk is a sub-view of the
+//!   scatter envelope the interpreter still retains). The tuned
 //!   broadcast's shared-root path (`bcast_opt_shared_async`) stages one
 //!   envelope for both phases, so the root's entire bill is one `nbytes`.
-//! * **Scatter + recursive doubling**: ≤ `3·nbytes` per rank (the doubling
-//!   exchange is a copying `sendrecv`, paying both directions).
+//! * **Scatter + recursive doubling**: ≤ `3·nbytes` per rank (each round's
+//!   block is staged once and the partner's landed once, on top of the
+//!   scatter's landing copy).
 //!
 //! The same ceilings are enforced a second way through
 //! `schedcheck::reconcile_traffic`, here driven by real `ThreadWorld` and
@@ -110,8 +113,25 @@ fn scatter_ring_paths_stay_under_the_copy_ceiling_threadworld() {
             }
         }
     }
-    // Recursive doubling pays the copying sendrecv in both directions:
-    // a looser 3·nbytes ceiling, still enforced (power-of-two world).
+    // The world bill, exactly. Landing: every non-root lands each of its P
+    // chunks once, (P−1)·nbytes. Staging: the root stages every chunk but its
+    // own for the scatter and every chunk but chunk 1 for the ring,
+    // 2·(P−1) chunks; a SendOnly non-root re-stages the own−2 scatter-owned
+    // chunks it sends after its last receive (P = 8: rank 4 owns four, so
+    // two). Nothing else: a non-root's first ring send — its own chunk — is
+    // a sub-view of the scatter envelope the interpreter still retains, which
+    // is the P−2 chunk copies the per-phase hand loops used to pay on top.
+    let (size, chunk) = (8u64, nbytes as u64 / 8);
+    let traffic = run_thread(8, nbytes, 0, Algorithm::ScatterRingTuned);
+    assert_eq!(
+        traffic.total_bytes_copied(),
+        (size - 1) * nbytes as u64 + 2 * (size - 1) * chunk + 2 * chunk,
+        "tuned P=8: a first ring send staged from the buffer again would add (P−2) chunks"
+    );
+
+    // Recursive doubling stages each round's block once and lands what it
+    // receives, on top of the scatter's landing copy: a looser 3·nbytes
+    // ceiling, still enforced (power-of-two world).
     let ceiling = copy_ceiling_per_rank("bcast/scatter_rd", nbytes as u64).unwrap();
     assert_eq!(ceiling, 3 * nbytes as u64);
     let traffic = run_thread(8, nbytes, 0, Algorithm::ScatterRdAllgather);
