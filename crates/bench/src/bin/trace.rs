@@ -4,13 +4,13 @@
 //! Usage: `trace [--np N] [--nbytes B] [--tuned] [--ranks 0,1,24] [--o0]
 //!         [--no-unpack] [--all-rendezvous]`
 
-use bcast_core::chunks::ChunkLayout;
-use bcast_core::ring::ring_step_chunks;
-use bcast_core::ring_tuned::{receives_at, sends_at, step_flag};
-use bcast_core::scatter::binomial_scatter;
+use bcast_core::ring::native_ring_ops;
+use bcast_core::ring_tuned::tuned_ring_ops;
+use bcast_core::scatter::scatter_ops;
 use bcast_core::verify::pattern;
+use bcast_core::{Interp, SchedOp};
 use mpsim::sync::Mutex;
-use mpsim::{ring_left, ring_right, split_send_recv, Communicator, Tag};
+use mpsim::{complete_now, Communicator, SyncComm};
 use netsim::{presets, SimWorld};
 
 fn main() {
@@ -39,36 +39,21 @@ fn main() {
     let traces: Mutex<Vec<(usize, usize, f64)>> = Mutex::new(vec![]);
 
     SimWorld::run(model, placement, np, |comm| {
-        let rank = comm.rank();
-        let size = comm.size();
+        let (rank, size) = (comm.rank(), comm.size());
         let mut buf = if rank == 0 { src.clone() } else { vec![0u8; nbytes] };
-        binomial_scatter(comm, &mut buf, 0).unwrap();
-        if size == 1 {
-            return;
-        }
-        let layout = ChunkLayout::new(buf.len(), size);
-        let (left, right) = (ring_left(rank, size), ring_right(rank, size));
-        let (step, flagv) = step_flag(rank, size);
-        for i in 1..size {
-            let (sc, rc) = ring_step_chunks(rank, size, i);
-            let sr = layout.range(sc);
-            let rr = layout.range(rc);
-            let do_send = if tuned { sends_at(step, flagv, size, i) } else { true };
-            let do_recv = if tuned { receives_at(step, flagv, size, i) } else { true };
-            match (do_send, do_recv) {
-                (true, true) => {
-                    let (sb, rb) =
-                        split_send_recv(&mut buf, sr.start, sr.len(), rr.start, rr.len()).unwrap();
-                    comm.sendrecv(sb, right, Tag::ALLGATHER, rb, left, Tag::ALLGATHER).unwrap();
-                }
-                (true, false) => comm.send(&buf[sr], right, Tag::ALLGATHER).unwrap(),
-                (false, true) => {
-                    comm.recv(&mut buf[rr], left, Tag::ALLGATHER).unwrap();
-                }
-                (false, false) => {}
-            }
+        let acomm = SyncComm::new(comm);
+        let mut interp = Interp::new(&acomm, &mut buf);
+        complete_now(interp.run(scatter_ops(rank, size, nbytes, 0))).unwrap();
+        // The real ring stream, one op — one ring step — at a time.
+        let ring: Box<dyn Iterator<Item = SchedOp>> = if tuned {
+            Box::new(tuned_ring_ops(rank, size, nbytes, 0))
+        } else {
+            Box::new(native_ring_ops(rank, size, nbytes, 0))
+        };
+        for (i, op) in ring.enumerate() {
+            complete_now(interp.run([op])).unwrap();
             if watch.contains(&rank) {
-                traces.lock().push((rank, i, comm.vtime() / 1000.0));
+                traces.lock().push((rank, i + 1, comm.vtime() / 1000.0));
             }
         }
         assert_eq!(buf, src);

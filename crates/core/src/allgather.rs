@@ -2,51 +2,34 @@
 //! reuses inside the broadcast studied by the paper.
 //!
 //! In a true allgather every rank starts with exactly one block, so the
-//! enclosed ring is *not* wasteful here — the redundancy the paper removes
+//! enclosed ring is *not* wasteful here: the redundancy the paper removes
 //! only exists in the broadcast context, where the preceding binomial
-//! scatter leaves subtree roots holding more than their own block. Having
-//! the real collective alongside the broadcast-internal phase makes that
-//! distinction concrete (and testable).
+//! scatter leaves subtree roots holding more than their own block
+//! (`schedcheck` checks both halves of that sentence on the same stream).
 //!
-//! Implemented variants mirror MPICH's repertoire:
+//! One entry point, [`allgather`], runs an [`AllgatherAlgorithm`] as a
+//! per-rank op stream through the interpreter; the variants mirror MPICH's
+//! repertoire:
 //!
-//! * [`allgather_ring`] — `P − 1` steps of neighbour exchange; bandwidth
-//!   optimal (`(P−1)/P · n` bytes per rank), latency `O(P)`. MPICH's choice
-//!   for long messages and medium/non-power-of-two.
-//! * [`allgather_rd`] — recursive doubling, `log2 P` steps; power-of-two
-//!   worlds only. MPICH's choice for short/medium power-of-two.
-//! * [`allgather_bruck`] — Bruck's algorithm, `ceil(log2 P)` steps for *any*
-//!   `P`, at the cost of a local re-rotation. MPICH's choice for short
-//!   non-power-of-two.
-//! * [`allgather_auto`] — MPICH's dispatcher over the above.
+//! * `Ring` — `P − 1` steps of neighbour exchange; bandwidth optimal
+//!   (`(P−1)/P · n` bytes per rank), latency `O(P)`. It *is* the broadcast's
+//!   [`native_ring_ops`] with `root = 0` over the gathered buffer.
+//! * `RecursiveDoubling` — `log2 P` steps, power-of-two worlds only; the
+//!   broadcast's [`rd_ops`] with `root = 0`.
+//! * `Bruck` — [`bruck_ops`], `ceil(log2 P)` steps for *any* `P`, at the
+//!   cost of a local re-rotation.
 
 use mpsim::{
-    ceil_log2, is_pof2, ring_left, ring_right, split_send_recv, Communicator, Result, Tag,
+    ceil_log2, complete_now, is_pof2, AsyncCommunicator, CommError, Communicator, Rank, Result,
+    SyncComm, Tag,
 };
 
-use crate::chunks::ChunkLayout;
-use crate::schedule::{Loc, Schedule, ScheduleSource};
+use crate::interp::Interp;
+use crate::rd_allgather::rd_ops;
+use crate::ring::native_ring_ops;
+use crate::schedule::{Loc, SchedOp, Schedule, ScheduleSource};
 
-/// MPICH's allgather switching thresholds, in *total* gathered bytes
-/// (`MPIR_CVAR_ALLGATHER_*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllgatherThresholds {
-    /// Below this total size, non-power-of-two worlds use Bruck
-    /// (`ALLGATHER_SHORT_MSG_SIZE`, default 81920).
-    pub short_msg: usize,
-    /// Below this total size, power-of-two worlds use recursive doubling
-    /// (`ALLGATHER_LONG_MSG_SIZE`, default 524288); at or above, everyone
-    /// uses the ring.
-    pub long_msg: usize,
-}
-
-impl Default for AllgatherThresholds {
-    fn default() -> Self {
-        Self { short_msg: 81920, long_msg: 524288 }
-    }
-}
-
-/// Which allgather algorithm the dispatcher picked.
+/// An allgather algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllgatherAlgorithm {
     /// Neighbour-exchange ring.
@@ -57,272 +40,121 @@ pub enum AllgatherAlgorithm {
     Bruck,
 }
 
-/// MPICH's selection: recursive doubling for power-of-two worlds below the
-/// long threshold, Bruck for short non-power-of-two, ring otherwise.
-pub fn select_allgather(
-    total_bytes: usize,
-    size: usize,
-    th: &AllgatherThresholds,
-) -> AllgatherAlgorithm {
-    if total_bytes < th.long_msg && is_pof2(size) {
-        AllgatherAlgorithm::RecursiveDoubling
-    } else if total_bytes < th.short_msg {
-        AllgatherAlgorithm::Bruck
-    } else {
-        AllgatherAlgorithm::Ring
+impl AllgatherAlgorithm {
+    /// Stable schedule-source name of this algorithm.
+    pub fn schedule_name(self) -> &'static str {
+        match self {
+            AllgatherAlgorithm::Ring => "allgather/ring",
+            AllgatherAlgorithm::RecursiveDoubling => "allgather/rd",
+            AllgatherAlgorithm::Bruck => "allgather/bruck",
+        }
+    }
+
+    /// Whether the algorithm is defined for a world of `p` ranks: recursive
+    /// doubling needs a power of two, the others run anywhere.
+    pub fn supports(self, p: usize) -> bool {
+        self != AllgatherAlgorithm::RecursiveDoubling || is_pof2(p)
     }
 }
 
-fn check_args(comm: &(impl Communicator + ?Sized), sendbuf: &[u8], recvbuf: &[u8]) -> Result<()> {
-    let size = comm.size();
-    assert_eq!(
-        recvbuf.len(),
-        sendbuf.len() * size,
-        "allgather receive buffer must hold size × block bytes"
-    );
-    Ok(())
+/// Rank `rank`'s ops of Bruck's allgather of `block` bytes per rank, over a
+/// *rotated* staging buffer (slot `k` = block of rank `(rank + k) % P`, so
+/// the own block sits in slot 0): round `k` holds `have = 2ᵏ` contiguous
+/// slots, sends the first `min(have, P − have)` of them `have` ranks down and
+/// receives as many from `have` ranks up, appended after its own.
+pub fn bruck_ops(rank: Rank, p: usize, block: usize) -> impl Iterator<Item = SchedOp> {
+    (0..ceil_log2(p)).map(move |k| {
+        let have = 1usize << k;
+        let count = have.min(p - have);
+        let tag = Tag(Tag::ALLGATHER.0 + 1 + k);
+        SchedOp::sendrecv(
+            "bruck",
+            (rank + p - have) % p,
+            tag,
+            Loc::Buf(0..count * block),
+            (rank + have) % p,
+            tag,
+            Loc::Buf(have * block..(have + count) * block),
+        )
+    })
 }
 
-/// Ring allgather: at step `i`, forward the block received at step `i−1`
-/// to the right neighbour while receiving a new one from the left.
-pub fn allgather_ring(
+/// Gather every rank's `sendbuf` (equal lengths) into `recvbuf`, in rank
+/// order, with the given algorithm.
+pub fn allgather(
     comm: &(impl Communicator + ?Sized),
     sendbuf: &[u8],
     recvbuf: &mut [u8],
+    algorithm: AllgatherAlgorithm,
 ) -> Result<()> {
-    check_args(comm, sendbuf, recvbuf)?;
-    let size = comm.size();
-    let rank = comm.rank();
-    let block = sendbuf.len();
-    let layout = ChunkLayout::new(block * size, size);
+    complete_now(allgather_async(&SyncComm::new(comm), sendbuf, recvbuf, algorithm))
+}
 
-    recvbuf[layout.range(rank)].copy_from_slice(sendbuf);
-    if size == 1 {
-        return Ok(());
+/// Async core of [`allgather`]: place the own block, then interpret this
+/// rank's stream over the gathered buffer.
+///
+/// Fails before anything is posted with [`CommError::Unsupported`] when the
+/// world size is one the algorithm is not defined for
+/// ([`AllgatherAlgorithm::supports`]), and with [`CommError::OutOfBounds`]
+/// when `recvbuf` is not exactly `size × sendbuf.len()` bytes.
+pub async fn allgather_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+    algorithm: AllgatherAlgorithm,
+) -> Result<()> {
+    let (rank, p, block) = (comm.rank(), comm.size(), sendbuf.len());
+    if !algorithm.supports(p) {
+        return Err(CommError::Unsupported { what: algorithm.schedule_name(), size: p });
     }
-    let left = ring_left(rank, size);
-    let right = ring_right(rank, size);
-    let mut j = rank;
-    let mut jnext = left;
-    for _ in 1..size {
-        let send_range = layout.range(j);
-        let recv_range = layout.range(jnext);
-        let (sb, rb) = split_send_recv(
-            recvbuf,
-            send_range.start,
-            send_range.len(),
-            recv_range.start,
-            recv_range.len(),
-        )?;
-        comm.sendrecv(sb, right, Tag::ALLGATHER, rb, left, Tag::ALLGATHER)?;
-        j = jnext;
-        jnext = ring_left(jnext, size);
+    let total = block * p;
+    if recvbuf.len() != total {
+        return Err(CommError::OutOfBounds { disp: 0, count: total, len: recvbuf.len() });
+    }
+    let own = rank * block;
+    match algorithm {
+        AllgatherAlgorithm::Bruck => {
+            let mut rotated = vec![0u8; total];
+            rotated[..block].copy_from_slice(sendbuf);
+            Interp::new(comm, &mut rotated).run(bruck_ops(rank, p, block)).await?;
+            // Rotate back: slot 0 is this rank's block, the wrap is at P − rank.
+            let (high, low) = rotated.split_at(total - own);
+            recvbuf[own..].copy_from_slice(high);
+            recvbuf[..own].copy_from_slice(low);
+        }
+        AllgatherAlgorithm::Ring => {
+            recvbuf[own..own + block].copy_from_slice(sendbuf);
+            Interp::new(comm, recvbuf).run(native_ring_ops(rank, p, total, 0)).await?;
+        }
+        AllgatherAlgorithm::RecursiveDoubling => {
+            recvbuf[own..own + block].copy_from_slice(sendbuf);
+            Interp::new(comm, recvbuf).run(rd_ops(rank, p, total, 0)).await?;
+        }
     }
     Ok(())
 }
 
-/// Recursive-doubling allgather: `log2 P` pairwise block-interval exchanges.
+/// The full symbolic schedule of [`allgather`] for `block` bytes per rank:
+/// the own block (slot 0 of the rotated space for Bruck) is the entry
+/// validity, then the stream [`allgather_async`] runs.
 ///
 /// # Panics
 ///
-/// Panics on non-power-of-two worlds, mirroring MPICH's dispatch contract.
-pub fn allgather_rd(
-    comm: &(impl Communicator + ?Sized),
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-) -> Result<()> {
-    check_args(comm, sendbuf, recvbuf)?;
-    let size = comm.size();
-    assert!(is_pof2(size), "recursive-doubling allgather requires a power-of-two world");
-    let rank = comm.rank();
-    let block = sendbuf.len();
-    let layout = ChunkLayout::new(block * size, size);
-
-    recvbuf[layout.range(rank)].copy_from_slice(sendbuf);
-    let mut mask = 1usize;
-    let mut round = 0u32;
-    while mask < size {
-        let partner = rank ^ mask;
-        let my_block = (rank >> round) << round;
-        let partner_block = (partner >> round) << round;
-        let send_span = layout.span(my_block..my_block + mask);
-        let recv_span = layout.span(partner_block..partner_block + mask);
-        let (sb, rb) = split_send_recv(
-            recvbuf,
-            send_span.start,
-            send_span.len(),
-            recv_span.start,
-            recv_span.len(),
-        )?;
-        comm.sendrecv(sb, partner, Tag::ALLGATHER, rb, partner, Tag::ALLGATHER)?;
-        mask <<= 1;
-        round += 1;
-    }
-    Ok(())
-}
-
-/// Bruck allgather: `ceil(log2 P)` doubling steps on a rank-rotated layout,
-/// then a local rotation back into rank order. Works for any `P`.
-pub fn allgather_bruck(
-    comm: &(impl Communicator + ?Sized),
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-) -> Result<()> {
-    check_args(comm, sendbuf, recvbuf)?;
-    let size = comm.size();
-    let rank = comm.rank();
-    let block = sendbuf.len();
-
-    // Work in a rotated space: slot k holds the block of rank (rank + k) % P.
-    let mut tmp = vec![0u8; block * size];
-    tmp[..block].copy_from_slice(sendbuf);
-
-    let mut have = 1usize; // contiguous blocks held (rotated order)
-    let rounds = if size > 1 { ceil_log2(size) } else { 0 };
-    for k in 0..rounds {
-        let dist = 1usize << k;
-        let send_to = (rank + size - dist) % size;
-        let recv_from = (rank + dist) % size;
-        let count = have.min(size - have);
-        let tag = Tag(Tag::ALLGATHER.0 + 1 + k);
-        let (lo, hi) = tmp.split_at_mut(have * block);
-        // Send my first `count` blocks; receive the next `count` blocks.
-        comm.sendrecv(
-            &lo[..count * block],
-            send_to,
-            tag,
-            &mut hi[..count * block],
-            recv_from,
-            tag,
-        )?;
-        have += count;
-        if have == size {
-            break;
-        }
-    }
-    debug_assert_eq!(have, size);
-
-    // Rotate back: rotated slot k is the block of rank (rank + k) % P.
-    for k in 0..size {
-        let owner = (rank + k) % size;
-        recvbuf[owner * block..(owner + 1) * block]
-            .copy_from_slice(&tmp[k * block..(k + 1) * block]);
-    }
-    Ok(())
-}
-
-/// MPICH-style dispatcher over the three variants.
-pub fn allgather_auto(
-    comm: &(impl Communicator + ?Sized),
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    th: &AllgatherThresholds,
-) -> Result<()> {
-    match select_allgather(sendbuf.len() * comm.size(), comm.size(), th) {
-        AllgatherAlgorithm::RecursiveDoubling => allgather_rd(comm, sendbuf, recvbuf),
-        AllgatherAlgorithm::Bruck => allgather_bruck(comm, sendbuf, recvbuf),
-        AllgatherAlgorithm::Ring => allgather_ring(comm, sendbuf, recvbuf),
-    }
-}
-
-/// Emit the symbolic schedule of [`allgather_ring`] for `block` bytes per
-/// rank. The local copy of the own block becomes initial validity.
-pub fn allgather_ring_schedule(p: usize, block: usize) -> Schedule {
-    let layout = ChunkLayout::new(block * p, p);
-    let mut s = Schedule::new("allgather/ring", p, block * p);
-    for rank in 0..p {
-        s.ranks[rank].mark_valid(layout.range(rank));
-        s.ranks[rank].require(0..block * p);
-    }
-    if p == 1 {
-        return s;
-    }
-    for rank in 0..p {
-        let left = ring_left(rank, p);
-        let right = ring_right(rank, p);
-        let mut j = rank;
-        let mut jnext = left;
-        for _ in 1..p {
-            s.ranks[rank].sendrecv(
-                "ring",
-                right,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.range(j)),
-                left,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.range(jnext)),
-            );
-            j = jnext;
-            jnext = ring_left(jnext, p);
-        }
-    }
-    s
-}
-
-/// Emit the symbolic schedule of [`allgather_rd`] (power-of-two worlds).
-pub fn allgather_rd_schedule(p: usize, block: usize) -> Schedule {
-    assert!(is_pof2(p), "recursive-doubling allgather requires a power-of-two world");
-    let layout = ChunkLayout::new(block * p, p);
-    let mut s = Schedule::new("allgather/rd", p, block * p);
-    for rank in 0..p {
-        s.ranks[rank].mark_valid(layout.range(rank));
-        s.ranks[rank].require(0..block * p);
-    }
-    for rank in 0..p {
-        let mut mask = 1usize;
-        let mut round = 0u32;
-        while mask < p {
-            let partner = rank ^ mask;
-            let my_block = (rank >> round) << round;
-            let partner_block = (partner >> round) << round;
-            s.ranks[rank].sendrecv(
-                "rd",
-                partner,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.span(my_block..my_block + mask)),
-                partner,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.span(partner_block..partner_block + mask)),
-            );
-            mask <<= 1;
-            round += 1;
-        }
-    }
-    s
-}
-
-/// Emit the symbolic schedule of [`allgather_bruck`], tracked in the
-/// *rotated* staging space (slot `k` = block of rank `(rank + k) % P`): the
-/// staging buffer is written once per slot, so coverage analysis applies;
-/// the final local rotation back into rank order moves no messages.
-pub fn allgather_bruck_schedule(p: usize, block: usize) -> Schedule {
-    let mut s = Schedule::new("allgather/bruck", p, block * p);
-    for rank in 0..p {
-        s.ranks[rank].mark_valid(0..block);
-        s.ranks[rank].require(0..block * p);
-    }
-    let rounds = if p > 1 { ceil_log2(p) } else { 0 };
-    for rank in 0..p {
-        let mut have = 1usize;
-        for k in 0..rounds {
-            let dist = 1usize << k;
-            let send_to = (rank + p - dist) % p;
-            let recv_from = (rank + dist) % p;
-            let count = have.min(p - have);
-            let tag = Tag(Tag::ALLGATHER.0 + 1 + k);
-            s.ranks[rank].sendrecv(
-                "bruck",
-                send_to,
-                tag,
-                Loc::Buf(0..count * block),
-                recv_from,
-                tag,
-                Loc::Buf(have * block..(have + count) * block),
-            );
-            have += count;
-            if have == p {
-                break;
-            }
+/// Panics if `p` is a world size the algorithm does not support — a
+/// precondition here; [`allgather`] returns an error instead.
+pub fn allgather_schedule(algorithm: AllgatherAlgorithm, p: usize, block: usize) -> Schedule {
+    let name = algorithm.schedule_name();
+    assert!(algorithm.supports(p), "{name} is not defined for P = {p}");
+    let total = block * p;
+    let mut s = Schedule::new(name, p, total);
+    for (rank, rs) in s.ranks.iter_mut().enumerate() {
+        rs.require(0..total);
+        let own = if algorithm == AllgatherAlgorithm::Bruck { 0 } else { rank * block };
+        rs.mark_valid(own..own + block);
+        match algorithm {
+            AllgatherAlgorithm::Bruck => rs.ops.extend(bruck_ops(rank, p, block)),
+            AllgatherAlgorithm::Ring => rs.ops.extend(native_ring_ops(rank, p, total, 0)),
+            AllgatherAlgorithm::RecursiveDoubling => rs.ops.extend(rd_ops(rank, p, total, 0)),
         }
     }
     s
@@ -332,23 +164,15 @@ struct AllgatherSource(AllgatherAlgorithm);
 
 impl ScheduleSource for AllgatherSource {
     fn name(&self) -> &'static str {
-        match self.0 {
-            AllgatherAlgorithm::Ring => "allgather/ring",
-            AllgatherAlgorithm::RecursiveDoubling => "allgather/rd",
-            AllgatherAlgorithm::Bruck => "allgather/bruck",
-        }
+        self.0.schedule_name()
     }
 
     fn supports(&self, p: usize) -> bool {
-        self.0 != AllgatherAlgorithm::RecursiveDoubling || is_pof2(p)
+        self.0.supports(p)
     }
 
     fn schedule(&self, p: usize, nbytes: usize, _root: usize) -> Schedule {
-        match self.0 {
-            AllgatherAlgorithm::Ring => allgather_ring_schedule(p, nbytes),
-            AllgatherAlgorithm::RecursiveDoubling => allgather_rd_schedule(p, nbytes),
-            AllgatherAlgorithm::Bruck => allgather_bruck_schedule(p, nbytes),
-        }
+        allgather_schedule(self.0, p, nbytes)
     }
 }
 
@@ -363,7 +187,7 @@ pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::ThreadWorld;
+    use mpsim::{EventWorld, ThreadWorld};
 
     /// Run one variant and return every rank's gathered buffer + traffic.
     fn run(
@@ -375,12 +199,7 @@ mod tests {
             let me = comm.rank() as u8;
             let sendbuf: Vec<u8> = (0..block).map(|i| me ^ (i as u8)).collect();
             let mut recvbuf = vec![0u8; block * comm.size()];
-            match algo {
-                AllgatherAlgorithm::Ring => allgather_ring(comm, &sendbuf, &mut recvbuf),
-                AllgatherAlgorithm::RecursiveDoubling => allgather_rd(comm, &sendbuf, &mut recvbuf),
-                AllgatherAlgorithm::Bruck => allgather_bruck(comm, &sendbuf, &mut recvbuf),
-            }
-            .unwrap();
+            allgather(comm, &sendbuf, &mut recvbuf, algo).unwrap();
             recvbuf
         });
         (out.results, out.traffic)
@@ -421,9 +240,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
     fn rd_rejects_npof2() {
-        run(AllgatherAlgorithm::RecursiveDoubling, 6, 4);
+        use AllgatherAlgorithm::RecursiveDoubling;
+        for size in [3usize, 6] {
+            let want = Err(CommError::Unsupported { what: "allgather/rd", size });
+            let threads = ThreadWorld::run(size, |comm| {
+                allgather(comm, &[1; 4], &mut vec![0; 4 * size], RecursiveDoubling)
+            });
+            let events = EventWorld::run(size, move |comm| async move {
+                allgather_async(&comm, &[1; 4], &mut vec![0; 4 * size], RecursiveDoubling).await
+            });
+            for (results, traffic) in
+                [(threads.results, threads.traffic), (events.results, events.traffic)]
+            {
+                assert!(results.iter().all(|r| *r == want), "size={size}: {results:?}");
+                assert_eq!(traffic.total_msgs(), 0, "size={size}");
+            }
+        }
+        // A mis-sized receive buffer is the caller's error too, not a panic.
+        let out = ThreadWorld::run(2, |comm| {
+            allgather(comm, &[1; 4], &mut [0; 7], AllgatherAlgorithm::Ring)
+        });
+        assert_eq!(out.results[0], Err(CommError::OutOfBounds { disp: 0, count: 8, len: 7 }));
+        assert_eq!(out.traffic.total_msgs(), 0);
     }
 
     #[test]
@@ -448,34 +287,5 @@ mod tests {
         let (_, ring) = run(AllgatherAlgorithm::Ring, 10, 4);
         let (_, bruck) = run(AllgatherAlgorithm::Bruck, 10, 4);
         assert!(bruck.total_msgs() < ring.total_msgs());
-    }
-
-    #[test]
-    fn selection_matches_mpich() {
-        let th = AllgatherThresholds::default();
-        assert_eq!(select_allgather(1024, 16, &th), AllgatherAlgorithm::RecursiveDoubling);
-        assert_eq!(select_allgather(1024, 10, &th), AllgatherAlgorithm::Bruck);
-        assert_eq!(select_allgather(100_000, 10, &th), AllgatherAlgorithm::Ring);
-        assert_eq!(select_allgather(100_000, 16, &th), AllgatherAlgorithm::RecursiveDoubling);
-        assert_eq!(select_allgather(1 << 20, 16, &th), AllgatherAlgorithm::Ring);
-        assert_eq!(select_allgather(1 << 20, 10, &th), AllgatherAlgorithm::Ring);
-    }
-
-    #[test]
-    fn auto_dispatch_correct_for_every_branch() {
-        let th = AllgatherThresholds { short_msg: 64, long_msg: 256 };
-        for &(size, block) in &[(8usize, 4usize), (10, 4), (8, 64), (10, 64), (10, 2)] {
-            let out = ThreadWorld::run(size, |comm| {
-                let me = comm.rank() as u8;
-                let sendbuf: Vec<u8> = (0..block).map(|i| me ^ (i as u8)).collect();
-                let mut recvbuf = vec![0u8; block * comm.size()];
-                allgather_auto(comm, &sendbuf, &mut recvbuf, &th).unwrap();
-                recvbuf
-            });
-            let want = expected(size, block);
-            for buf in &out.results {
-                assert_eq!(buf, &want, "auto size={size} block={block}");
-            }
-        }
     }
 }

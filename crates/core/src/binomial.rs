@@ -34,7 +34,7 @@ pub fn binomial_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sche
     while mask > 0 {
         if relative + mask < p {
             let dst = absolute_rank(relative + mask, root, p);
-            ops.push(SchedOp::send("binomial", dst, Tag::BCAST, Loc::Buf(0..nbytes), false));
+            ops.push(SchedOp::send("binomial", dst, Tag::BCAST, Loc::Buf(0..nbytes)));
         }
         mask >>= 1;
     }

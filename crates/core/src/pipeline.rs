@@ -4,59 +4,83 @@
 //! benches. Not part of the paper's MPICH3 dispatch, but the natural "what
 //! else could you do for lmsg" comparison.
 //!
-//! The buffer is cut into segments of `segment` bytes; ranks form a chain in
-//! root-relative order and each rank forwards segment `s` (nonblocking)
-//! while receiving segment `s+1` — after the `P−1`-hop fill, every link of
-//! the chain streams at full bandwidth.
+//! The buffer is cut into segments of `segment` bytes and ranks form a chain
+//! in root-relative order. Like every other broadcast here it is one per-rank
+//! op stream ([`pipeline_ops`]) run by the interpreter: a chain rank forwards
+//! segment `s − 1` *while* receiving segment `s`, as one fused `sendrecv`,
+//! so after the `P−1`-hop fill every link of the chain streams at full
+//! bandwidth.
 
-use mpsim::{absolute_rank, relative_rank, NonBlocking, Rank, Result, Tag};
+use mpsim::{
+    absolute_rank, complete_now, relative_rank, AsyncCommunicator, Communicator, Rank, Result,
+    SyncComm, Tag,
+};
 
-use crate::schedule::{Loc, Schedule, ScheduleSource};
+use crate::bcast::bcast_skeleton;
+use crate::interp::Interp;
+use crate::schedule::{Loc, RecvHalf, SchedOp, Schedule, ScheduleSource, SendHalf};
+
+/// Rank `rank`'s ops of the pipeline broadcast: a software pipeline of
+/// `nseg + 1` slots for `nseg = ⌈nbytes / segment⌉` segments. In slot `s` a
+/// rank receives segment `s` from its chain predecessor (if `s < nseg`) and
+/// forwards segment `s − 1` to its successor (if `s > 0`) as ONE op — the
+/// root's slots are lone sends, the tail's lone receives.
+///
+/// The fusion is the point. The interpreter forwards the envelope it landed
+/// one slot earlier by reference (an exact range match), and the concurrent
+/// halves keep the forward of `s − 1` overlapped with the arrival of `s`
+/// under rendezvous; the plainer `recv(s); send(s)` per segment serialises
+/// them and simulates 46–53 % slower (DESIGN §5b).
+///
+/// `segment == 0` means "one segment" (plain chain).
+pub fn pipeline_ops(
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
+    root: Rank,
+    segment: usize,
+) -> impl Iterator<Item = SchedOp> {
+    let segment = if segment == 0 { nbytes.max(1) } else { segment };
+    let nseg = nbytes.div_ceil(segment);
+    let rel = relative_rank(rank, root, p);
+    let prev = (rel > 0).then(|| absolute_rank(rel - 1, root, p));
+    let next = (rel + 1 < p).then(|| absolute_rank(rel + 1, root, p));
+    let seg = move |s: usize| Loc::Buf(s * segment..((s + 1) * segment).min(nbytes));
+    (0..=nseg).filter_map(move |s| {
+        let send =
+            next.filter(|_| s > 0).map(|peer| SendHalf { peer, tag: Tag::BCAST, loc: seg(s - 1) });
+        let recv =
+            prev.filter(|_| s < nseg).map(|peer| RecvHalf { peer, tag: Tag::BCAST, dst: seg(s) });
+        (send.is_some() || recv.is_some()).then_some(SchedOp { phase: "pipeline", send, recv })
+    })
+}
 
 /// Pipeline broadcast of `buf` from `root` with the given `segment` size.
 ///
-/// `segment == 0` is treated as "one segment" (plain chain). Message count is
-/// `(P−1) · ceil(n / segment)`; every byte crosses every link exactly once
-/// (total `(P−1) · n` bytes, the same as binomial — the win is pipelining,
-/// not volume).
-pub fn bcast_pipeline<C: NonBlocking>(
+/// Message count is `(P−1) · ceil(n / segment)`; every byte crosses every
+/// link exactly once (total `(P−1) · n` bytes, the same as binomial — the win
+/// is pipelining, not volume).
+pub fn bcast_pipeline(
+    comm: &(impl Communicator + ?Sized),
+    buf: &mut [u8],
+    root: Rank,
+    segment: usize,
+) -> Result<()> {
+    complete_now(bcast_pipeline_async(&SyncComm::new(comm), buf, root, segment))
+}
+
+/// Async core of [`bcast_pipeline`]: [`pipeline_ops`] through the
+/// interpreter. The root stages each segment once and every other rank lands
+/// it once, so the world copies exactly `P · n` bytes.
+pub async fn bcast_pipeline_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
     root: Rank,
     segment: usize,
 ) -> Result<()> {
     comm.check_rank(root)?;
-    let size = comm.size();
-    if size == 1 || buf.is_empty() {
-        return Ok(());
-    }
-    let nbytes = buf.len();
-    let segment = if segment == 0 { nbytes } else { segment };
-    let relative = relative_rank(comm.rank(), root, size);
-    let prev = (relative > 0).then(|| absolute_rank(relative - 1, root, size));
-    let next = (relative + 1 < size).then(|| absolute_rank(relative + 1, root, size));
-
-    let mut pending: Option<C::SendPending> = None;
-    let mut offset = 0usize;
-    while offset < nbytes {
-        let end = (offset + segment).min(nbytes);
-        if let Some(p) = prev {
-            comm.recv(&mut buf[offset..end], p, Tag::BCAST)?;
-        }
-        if let Some(n) = next {
-            // Let the previous segment's forward drain before reusing the
-            // handle; the transfer itself overlaps with our next receive.
-            if let Some(sp) = pending.take() {
-                comm.wait_send(sp)?;
-            }
-            pending = Some(comm.isend(&buf[offset..end], n, Tag::BCAST)?);
-        }
-        offset = end;
-    }
-    if let Some(sp) = pending {
-        comm.wait_send(sp)?;
-    }
-    Ok(())
+    let (rank, p, nbytes) = (comm.rank(), comm.size(), buf.len());
+    Interp::new(comm, buf).run(pipeline_ops(rank, p, nbytes, root, segment)).await.map(drop)
 }
 
 /// Analytic message count of the pipeline broadcast.
@@ -68,34 +92,12 @@ pub fn pipeline_msgs(nbytes: usize, segment: usize, p: usize) -> u64 {
     (p as u64 - 1) * (nbytes.div_ceil(segment) as u64)
 }
 
-/// Emit the symbolic schedule of [`bcast_pipeline`]. The forward of each
-/// segment is a *nonblocking* send ([`Loc`] unchanged, `isend` op), mirroring
-/// the executed overlap of forwarding segment `s` with receiving `s+1`.
+/// The full symbolic schedule of [`bcast_pipeline`]: every rank's
+/// [`pipeline_ops`] over one shared `nbytes` buffer.
 pub fn pipeline_schedule(p: usize, nbytes: usize, root: Rank, segment: usize) -> Schedule {
-    let mut s = Schedule::new("bcast/pipeline", p, nbytes);
-    s.ranks[root].mark_valid(0..nbytes);
+    let mut s = bcast_skeleton("bcast/pipeline", p, nbytes, root);
     for rank in 0..p {
-        s.ranks[rank].require(0..nbytes);
-    }
-    if p == 1 || nbytes == 0 {
-        return s;
-    }
-    let segment = if segment == 0 { nbytes } else { segment };
-    for rank in 0..p {
-        let relative = relative_rank(rank, root, p);
-        let prev = (relative > 0).then(|| absolute_rank(relative - 1, root, p));
-        let next = (relative + 1 < p).then(|| absolute_rank(relative + 1, root, p));
-        let mut offset = 0usize;
-        while offset < nbytes {
-            let end = (offset + segment).min(nbytes);
-            if let Some(pr) = prev {
-                s.ranks[rank].recv("pipeline", pr, Tag::BCAST, Loc::Buf(offset..end));
-            }
-            if let Some(nx) = next {
-                s.ranks[rank].isend("pipeline", nx, Tag::BCAST, Loc::Buf(offset..end));
-            }
-            offset = end;
-        }
+        s.ranks[rank].ops.extend(pipeline_ops(rank, p, nbytes, root, segment));
     }
     s
 }

@@ -118,9 +118,7 @@ pub fn tuned_ring_ops_with(
         } else {
             match flag {
                 Endpoint::RecvOnly => SchedOp::recv("ring_tuned", left, Tag::ALLGATHER, recv),
-                Endpoint::SendOnly => {
-                    SchedOp::send("ring_tuned", right, Tag::ALLGATHER, send, false)
-                }
+                Endpoint::SendOnly => SchedOp::send("ring_tuned", right, Tag::ALLGATHER, send),
             }
         }
     })

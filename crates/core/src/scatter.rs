@@ -77,7 +77,7 @@ pub fn scatter_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sched
                 let dst = absolute_rank(relative + mask, root, p);
                 let disp = layout.disp(relative + mask);
                 let loc = Loc::Buf(disp..disp + send_size);
-                ops.push(SchedOp::send("scatter", dst, Tag::SCATTER, loc, false));
+                ops.push(SchedOp::send("scatter", dst, Tag::SCATTER, loc));
                 curr_size -= send_size;
             }
         }

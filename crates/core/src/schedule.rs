@@ -7,9 +7,9 @@
 //! `tuned_ring_ops`, `rd_ops`, `binomial_ops`), which [`crate::interp`]
 //! executes against a communicator and `bcast_schedule` collects over all
 //! ranks — the same function feeds both, so what is checked is what runs.
-//! The pipeline broadcast and the allgather baselines still pair a hand
-//! loop with an emitter. Either way the IR can be checked statically by the
-//! `schedcheck` crate:
+//! The pipeline broadcast (`pipeline_ops`) and the standalone allgathers
+//! (`native_ring_ops`/`rd_ops` at `root = 0`, `bruck_ops`) are streams of the
+//! same kind. The IR can be checked statically by the `schedcheck` crate:
 //!
 //! * send/recv matching (no orphaned or duplicated operations),
 //! * deadlock freedom under eager and rendezvous semantics,
@@ -70,9 +70,6 @@ pub struct SendHalf {
     pub tag: Tag,
     /// Payload source (length = bytes on the wire).
     pub loc: Loc,
-    /// `true` for a nonblocking send (`isend`): posting it never blocks the
-    /// rank, even under rendezvous semantics.
-    pub nonblocking: bool,
 }
 
 /// The receive half of a schedule op.
@@ -103,9 +100,9 @@ pub struct SchedOp {
 }
 
 impl SchedOp {
-    /// A lone send (`nonblocking` = `isend`).
-    pub fn send(phase: &'static str, peer: Rank, tag: Tag, loc: Loc, nonblocking: bool) -> Self {
-        SchedOp { phase, send: Some(SendHalf { peer, tag, loc, nonblocking }), recv: None }
+    /// A lone blocking send.
+    pub fn send(phase: &'static str, peer: Rank, tag: Tag, loc: Loc) -> Self {
+        SchedOp { phase, send: Some(SendHalf { peer, tag, loc }), recv: None }
     }
 
     /// A lone blocking receive.
@@ -126,7 +123,7 @@ impl SchedOp {
     ) -> Self {
         SchedOp {
             phase,
-            send: Some(SendHalf { peer: to, tag: stag, loc: sloc, nonblocking: false }),
+            send: Some(SendHalf { peer: to, tag: stag, loc: sloc }),
             recv: Some(RecvHalf { peer: from, tag: rtag, dst: rdst }),
         }
     }
@@ -135,8 +132,7 @@ impl SchedOp {
     pub fn describe(&self) -> String {
         let mut parts = Vec::new();
         if let Some(s) = &self.send {
-            let kind = if s.nonblocking { "isend" } else { "send" };
-            parts.push(format!("{kind} {}B -> rank {} tag {:#x}", s.loc.len(), s.peer, s.tag.0));
+            parts.push(format!("send {}B -> rank {} tag {:#x}", s.loc.len(), s.peer, s.tag.0));
         }
         if let Some(r) = &self.recv {
             parts.push(format!("recv cap {}B <- rank {} tag {:#x}", r.dst.len(), r.peer, r.tag.0));
@@ -173,12 +169,7 @@ impl RankSchedule {
 
     /// Append a blocking send.
     pub fn send(&mut self, phase: &'static str, peer: Rank, tag: Tag, loc: Loc) {
-        self.ops.push(SchedOp::send(phase, peer, tag, loc, false));
-    }
-
-    /// Append a nonblocking send (`isend`).
-    pub fn isend(&mut self, phase: &'static str, peer: Rank, tag: Tag, loc: Loc) {
-        self.ops.push(SchedOp::send(phase, peer, tag, loc, true));
+        self.ops.push(SchedOp::send(phase, peer, tag, loc));
     }
 
     /// Append a blocking receive.
@@ -343,7 +334,7 @@ mod tests {
     fn renumber_translates_peers() {
         let members = [2, 5];
         let sub = vec![
-            SchedOp::send("x", 1, Tag(9), Loc::Private(4), false),
+            SchedOp::send("x", 1, Tag(9), Loc::Private(4)),
             SchedOp::recv("x", 0, Tag(9), Loc::Private(4)),
         ];
         let top: Vec<SchedOp> = renumber(sub.into_iter(), |l| members[l]).collect();
@@ -355,12 +346,7 @@ mod tests {
     fn describe_is_informative() {
         let op = SchedOp {
             phase: "ring",
-            send: Some(SendHalf {
-                peer: 3,
-                tag: Tag(0xB1),
-                loc: Loc::Buf(0..5),
-                nonblocking: false,
-            }),
+            send: Some(SendHalf { peer: 3, tag: Tag(0xB1), loc: Loc::Buf(0..5) }),
             recv: Some(RecvHalf { peer: 1, tag: Tag(0xB1), dst: Loc::Buf(5..10) }),
         };
         let d = op.describe();

@@ -3,16 +3,19 @@
 //! These drive the real threaded runtime with randomized world sizes, message
 //! sizes, roots and payloads, checking the invariants DESIGN.md §5 calls out:
 //! correctness for arbitrary shapes, traffic equal to the analytic model,
-//! tuned ≤ native, schedule consistency.
+//! tuned ≤ native, schedule consistency — and the same for the baselines
+//! beside the broadcast family (ring/RD/Bruck allgather, pipeline broadcast).
 //!
 //! Randomization comes from the in-tree `testkit` harness; a failing
 //! property prints a `TESTKIT_SEED` that replays the exact failing case.
 
+use bcast_core::allgather::{allgather, AllgatherAlgorithm};
 use bcast_core::bcast::{bcast_with, Algorithm};
+use bcast_core::pipeline::{bcast_pipeline, pipeline_msgs};
 use bcast_core::ring_tuned::{receives_at, sends_at, step_flag, Endpoint};
 use bcast_core::scatter::owned_chunks;
 use bcast_core::traffic::{bcast_volume, tuned_ring_rank_msgs};
-use mpsim::{ring_right, ThreadWorld};
+use mpsim::{ring_right, Communicator, ThreadWorld};
 use testkit::prop::{self, Config};
 
 /// Run `algorithm` broadcasting `payload` from `root` over `size` ranks on
@@ -24,7 +27,6 @@ fn run_and_check(
     root: usize,
 ) -> mpsim::WorldTraffic {
     let out = ThreadWorld::run(size, |comm| {
-        use mpsim::Communicator;
         let mut buf = if comm.rank() == root { payload.to_vec() } else { vec![0u8; payload.len()] };
         bcast_with(comm, &mut buf, root, algorithm).unwrap();
         assert_eq!(buf, payload, "rank {} diverged", comm.rank());
@@ -268,4 +270,81 @@ fn exhaustive_small_worlds() {
             }
         }
     }
+}
+
+#[test]
+fn allgather_variants_deliver_identical_results() {
+    prop::check(
+        "allgather_variants_deliver_identical_results",
+        Config::cases(40),
+        &(prop::usize_range(1..16), prop::usize_range(0..200), prop::any_u8()),
+        |&(size, block, seed)| {
+            let out = ThreadWorld::run(size, |comm| {
+                let mine: Vec<u8> =
+                    (0..block).map(|i| (comm.rank() as u8) ^ (i as u8) ^ seed).collect();
+                let gather = |algorithm| {
+                    let mut all = vec![0u8; block * comm.size()];
+                    allgather(comm, &mine, &mut all, algorithm).unwrap();
+                    all
+                };
+                let ring = gather(AllgatherAlgorithm::Ring);
+                assert_eq!(ring, gather(AllgatherAlgorithm::Bruck));
+                if comm.size().is_power_of_two() {
+                    assert_eq!(ring, gather(AllgatherAlgorithm::RecursiveDoubling));
+                }
+                ring
+            });
+            // every rank identical, blocks in rank order
+            for buf in &out.results {
+                if buf != &out.results[0] {
+                    return Err("ranks disagree".into());
+                }
+            }
+            for (r, chunk) in out.results[0].chunks(block.max(1)).enumerate().take(size) {
+                if block > 0
+                    && !chunk.iter().enumerate().all(|(i, &b)| b == (r as u8) ^ (i as u8) ^ seed)
+                {
+                    return Err(format!("block of rank {r} corrupted"));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn pipeline_bcast_any_segment() {
+    prop::check(
+        "pipeline_bcast_any_segment",
+        Config::cases(40),
+        &(
+            prop::usize_range(1..12),
+            prop::usize_range(0..800),
+            prop::usize_range(0..900),
+            prop::any_u64(),
+        ),
+        |&(size, nbytes, segment, root_pick)| {
+            let root = (root_pick as usize) % size;
+            let src = bcast_core::verify::pattern(nbytes, 91);
+            let src2 = src.clone();
+            let out = ThreadWorld::run(size, move |comm| {
+                let mut buf = if comm.rank() == root { src2.clone() } else { vec![0u8; nbytes] };
+                bcast_pipeline(comm, &mut buf, root, segment).unwrap();
+                buf
+            });
+            for buf in &out.results {
+                if buf != &src {
+                    return Err("pipeline bcast diverged".into());
+                }
+            }
+            let want = pipeline_msgs(nbytes, segment, size);
+            if out.traffic.total_msgs() != want {
+                return Err(format!(
+                    "msgs: measured {} != modelled {want}",
+                    out.traffic.total_msgs()
+                ));
+            }
+            Ok(())
+        },
+    );
 }

@@ -31,7 +31,6 @@ use std::time::Duration;
 
 use crate::comm::{Communicator, IoSpan};
 use crate::error::{CommError, Result};
-use crate::nonblocking::NonBlocking;
 use crate::pool::SharedBuf;
 use crate::rank::{Rank, Tag};
 
@@ -226,29 +225,6 @@ pub trait AsyncCommunicator {
     }
 }
 
-/// Async counterpart of [`NonBlocking`]: the post half stays synchronous
-/// (posting never waits on any backend), only the wait half is a future.
-#[allow(async_fn_in_trait)]
-pub trait AsyncNonBlocking: AsyncCommunicator {
-    /// In-flight send handle.
-    type SendPending;
-    /// In-flight receive handle.
-    type RecvPending;
-
-    /// Start a send; the payload is captured immediately.
-    fn isend(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<Self::SendPending>;
-
-    /// Post a receive for up to `capacity` bytes from `src` with `tag`.
-    fn irecv(&self, capacity: usize, src: Rank, tag: Tag) -> Result<Self::RecvPending>;
-
-    /// Complete a send.
-    async fn wait_send(&self, pending: Self::SendPending) -> Result<()>;
-
-    /// Complete a receive, copying the payload into `buf` (at least the
-    /// posted capacity long) and resolving to its length.
-    async fn wait_recv(&self, pending: Self::RecvPending, buf: &mut [u8]) -> Result<usize>;
-}
-
 /// Bridge from the blocking [`Communicator`] world into the async trait:
 /// wraps a borrowed sync communicator and forwards every async method to the
 /// corresponding blocking call, which means every future it returns is ready
@@ -384,27 +360,6 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
     }
 }
 
-impl<C: NonBlocking + ?Sized> AsyncNonBlocking for SyncComm<'_, C> {
-    type SendPending = C::SendPending;
-    type RecvPending = C::RecvPending;
-
-    fn isend(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<Self::SendPending> {
-        self.0.isend(buf, dest, tag)
-    }
-
-    fn irecv(&self, capacity: usize, src: Rank, tag: Tag) -> Result<Self::RecvPending> {
-        self.0.irecv(capacity, src, tag)
-    }
-
-    async fn wait_send(&self, pending: Self::SendPending) -> Result<()> {
-        self.0.wait_send(pending)
-    }
-
-    async fn wait_recv(&self, pending: Self::RecvPending, buf: &mut [u8]) -> Result<usize> {
-        self.0.wait_recv(pending, buf)
-    }
-}
-
 struct NoopWake;
 
 impl Wake for NoopWake {
@@ -493,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn bridge_forwards_vectored_and_nonblocking() {
+    fn bridge_forwards_vectored() {
         let out = ThreadWorld::run(2, |comm| {
             let acomm = SyncComm::new(comm);
             complete_now(async {
@@ -501,25 +456,19 @@ mod tests {
                     let src: Vec<u8> = (0..16).collect();
                     let spans = [IoSpan::new(12, 4), IoSpan::new(2, 3)];
                     acomm.send_vectored(&src, &spans, 1, Tag(0)).await.unwrap();
-                    let p = acomm.isend(&[9], 1, Tag(1)).unwrap();
-                    acomm.wait_send(p).await.unwrap();
                     vec![]
                 } else {
                     let mut dst = [0u8; 10];
                     let spans = [IoSpan::new(0, 4), IoSpan::new(6, 3)];
                     let n = acomm.recv_scattered(&mut dst, &spans, 0, Tag(0)).await.unwrap();
                     assert_eq!(n, 7);
-                    let p = acomm.irecv(1, 0, Tag(1)).unwrap();
-                    let mut one = [0u8; 1];
-                    acomm.wait_recv(p, &mut one).await.unwrap();
-                    assert_eq!(one[0], 9);
                     dst.to_vec()
                 }
             })
         });
         assert_eq!(out.results[1][..4], [12, 13, 14, 15]);
-        // one vectored envelope (2 msgs) + one plain send
-        assert_eq!(out.traffic.total_msgs(), 3);
-        assert_eq!(out.traffic.total_envelopes(), 2);
+        // one vectored envelope carrying two spans
+        assert_eq!(out.traffic.total_msgs(), 2);
+        assert_eq!(out.traffic.total_envelopes(), 1);
     }
 }

@@ -358,121 +358,9 @@ pub fn scatter_spans(buf: &mut [u8], spans: &[IoSpan], data: &[u8]) -> usize {
     off
 }
 
-/// Borrow two disjoint `(disp, count)` regions of `buf`, one immutably (for
-/// sending) and one mutably (for receiving).
-///
-/// The ring-allgather inner loop sends chunk `j` while receiving chunk
-/// `jnext` of the *same* user buffer; Rust's aliasing rules need the split to
-/// be explicit. Returns `OutOfBounds` if either region escapes the buffer and
-/// panics (a bug, not an input error) if the regions overlap.
-pub fn split_send_recv(
-    buf: &mut [u8],
-    send_disp: usize,
-    send_count: usize,
-    recv_disp: usize,
-    recv_count: usize,
-) -> Result<(&[u8], &mut [u8])> {
-    let len = buf.len();
-    let check = |disp: usize, count: usize| -> Result<()> {
-        if disp.checked_add(count).is_none_or(|end| end > len) {
-            Err(CommError::OutOfBounds { disp, count, len })
-        } else {
-            Ok(())
-        }
-    };
-    check(send_disp, send_count)?;
-    check(recv_disp, recv_count)?;
-    assert!(
-        send_disp + send_count <= recv_disp || recv_disp + recv_count <= send_disp,
-        "split_send_recv: overlapping regions send=[{send_disp},+{send_count}) recv=[{recv_disp},+{recv_count})"
-    );
-    // Branch on which region actually ends first (disp comparison alone is
-    // wrong when a zero-length region shares its displacement with the
-    // start of the other region).
-    if send_disp + send_count <= recv_disp {
-        let (lo, hi) = buf.split_at_mut(recv_disp);
-        Ok((&lo[send_disp..send_disp + send_count], &mut hi[..recv_count]))
-    } else {
-        let (lo, hi) = buf.split_at_mut(send_disp);
-        let recv = &mut lo[recv_disp..recv_disp + recv_count];
-        Ok((&hi[..send_count], recv))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_disjoint_send_before_recv() {
-        let mut buf: Vec<u8> = (0..10).collect();
-        let (s, r) = split_send_recv(&mut buf, 1, 3, 6, 2).unwrap();
-        assert_eq!(s, &[1, 2, 3]);
-        r.copy_from_slice(&[99, 98]);
-        assert_eq!(buf[6], 99);
-        assert_eq!(buf[7], 98);
-    }
-
-    #[test]
-    fn split_disjoint_recv_before_send() {
-        let mut buf: Vec<u8> = (0..10).collect();
-        let (s, r) = split_send_recv(&mut buf, 7, 2, 0, 4).unwrap();
-        assert_eq!(s, &[7, 8]);
-        assert_eq!(r.len(), 4);
-    }
-
-    #[test]
-    fn split_zero_counts_ok_even_when_equal_disp() {
-        let mut buf = vec![0u8; 4];
-        let (s, r) = split_send_recv(&mut buf, 2, 0, 2, 0).unwrap();
-        assert!(s.is_empty() && r.is_empty());
-    }
-
-    #[test]
-    fn split_zero_recv_at_start_of_send_region() {
-        // regression: recv_count = 0 with recv_disp == send_disp must pick
-        // the recv-before-send branch, not index past the split point
-        let mut buf: Vec<u8> = (0..8).collect();
-        let (s, r) = split_send_recv(&mut buf, 5, 3, 5, 0).unwrap();
-        assert_eq!(s, &[5, 6, 7]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn split_zero_send_at_start_of_recv_region() {
-        let mut buf: Vec<u8> = (0..8).collect();
-        let (s, r) = split_send_recv(&mut buf, 2, 0, 2, 4).unwrap();
-        assert!(s.is_empty());
-        assert_eq!(r.len(), 4);
-    }
-
-    #[test]
-    fn split_out_of_bounds_is_error() {
-        let mut buf = vec![0u8; 4];
-        assert!(matches!(
-            split_send_recv(&mut buf, 2, 4, 0, 1),
-            Err(CommError::OutOfBounds { .. })
-        ));
-        assert!(matches!(
-            split_send_recv(&mut buf, 0, 1, 3, 2),
-            Err(CommError::OutOfBounds { .. })
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping")]
-    fn split_overlap_panics() {
-        let mut buf = vec![0u8; 8];
-        let _ = split_send_recv(&mut buf, 0, 4, 2, 4);
-    }
-
-    #[test]
-    fn adjacent_regions_are_disjoint() {
-        let mut buf: Vec<u8> = (0..8).collect();
-        let (s, r) = split_send_recv(&mut buf, 0, 4, 4, 4).unwrap();
-        assert_eq!(s, &[0, 1, 2, 3]);
-        assert_eq!(r.len(), 4);
-    }
 
     #[test]
     fn validate_spans_totals_and_ranges() {

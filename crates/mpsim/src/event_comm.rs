@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use crate::acomm::{AsyncCommunicator, AsyncNonBlocking};
+use crate::acomm::AsyncCommunicator;
 use crate::comm::{scatter_spans, validate_spans, IoSpan};
 use crate::counters::{CounterCell, ReactorStats, TrafficStats, WorldTraffic};
 use crate::error::{CommError, Result};
@@ -978,41 +978,6 @@ impl AsyncCommunicator for EventComm {
     }
 }
 
-/// Pending send on the event executor (sends complete at post time).
-pub struct EventSendPending(());
-
-/// Pending receive on the event executor: the match key recorded at post
-/// time, resolved at wait time under the non-overtaking rule.
-pub struct EventRecvPending {
-    src: Rank,
-    tag: Tag,
-    capacity: usize,
-}
-
-impl AsyncNonBlocking for EventComm {
-    type SendPending = EventSendPending;
-    type RecvPending = EventRecvPending;
-
-    fn isend(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<Self::SendPending> {
-        self.send_now(buf, dest, tag)?;
-        Ok(EventSendPending(()))
-    }
-
-    fn irecv(&self, capacity: usize, src: Rank, tag: Tag) -> Result<Self::RecvPending> {
-        self.ensure_rank(src)?;
-        Ok(EventRecvPending { src, tag, capacity })
-    }
-
-    async fn wait_send(&self, _pending: Self::SendPending) -> Result<()> {
-        Ok(())
-    }
-
-    async fn wait_recv(&self, pending: Self::RecvPending, buf: &mut [u8]) -> Result<usize> {
-        assert!(buf.len() >= pending.capacity, "wait_recv buffer smaller than the posted capacity");
-        self.recv(&mut buf[..pending.capacity], pending.src, pending.tag).await
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1349,29 +1314,6 @@ mod tests {
         });
         assert_eq!(out.results[0], Err(CommError::PeerFailed { rank: 2 }));
         assert_eq!(out.results[1], Err(CommError::PeerFailed { rank: 2 }));
-    }
-
-    #[test]
-    fn nonblocking_posts_complete_in_post_order() {
-        let out = EventWorld::run(2, |comm| async move {
-            if comm.rank() == 0 {
-                for i in 0..4u8 {
-                    let p = comm.isend(&[i], 1, Tag(7)).unwrap();
-                    comm.wait_send(p).await.unwrap();
-                }
-                vec![]
-            } else {
-                let pendings: Vec<_> = (0..4).map(|_| comm.irecv(1, 0, Tag(7)).unwrap()).collect();
-                let mut got = Vec::new();
-                for p in pendings {
-                    let mut b = [0u8; 1];
-                    comm.wait_recv(p, &mut b).await.unwrap();
-                    got.push(b[0]);
-                }
-                got
-            }
-        });
-        assert_eq!(out.results[1], vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub mod event_comm;
 pub mod event_mailbox;
 pub mod event_timer;
 pub mod mailbox;
-pub mod nonblocking;
 pub mod pool;
 pub mod proto;
 pub mod rank;
@@ -81,18 +80,16 @@ pub(crate) mod sync_fast;
 pub(crate) mod sync_std;
 pub mod thread_comm;
 
-pub use acomm::{complete_now, AsyncCommunicator, AsyncNonBlocking, SyncComm};
+pub use acomm::{complete_now, AsyncCommunicator, SyncComm};
 pub use barrier::StopBarrier;
 pub use comm::{
-    disjoint_span_lists, scatter_spans, spans_len, split_send_recv, validate_spans, Communicator,
-    IoSpan,
+    disjoint_span_lists, scatter_spans, spans_len, validate_spans, Communicator, IoSpan,
 };
 pub use counters::{PeerTraffic, ReactorStats, TrafficStats, WakeupStats, WorldTraffic};
 pub use error::{CommError, Result};
 pub use event_comm::{EventComm, EventWorld};
 pub use event_mailbox::LaneMailbox;
 pub use event_timer::{TimerHandle, TimerWheel};
-pub use nonblocking::NonBlocking;
 pub use pool::{BufferPool, Payload, PoolStats, PooledBuf, SharedBuf};
 pub use rank::{
     absolute_rank, ceil_div, ceil_log2, ceil_pof2, is_pof2, relative_rank, ring_left, ring_right,

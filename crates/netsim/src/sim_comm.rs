@@ -256,74 +256,10 @@ impl SimComm {
     }
 
     /// Move the clock forward to `t` if `t` is later; earlier completions
-    /// (e.g. a nonblocking send that finished while we were busy) leave the
+    /// (e.g. a transfer that finished while we were busy) leave the
     /// clock untouched.
     fn advance_to(&self, t: SimTime) {
         self.clock.set(self.clock.get().max(t));
-    }
-}
-
-/// Pending nonblocking send on the simulator.
-pub struct SimSendPending {
-    handle: crate::fabric::SendHandle,
-    ready: SimTime,
-}
-
-/// Pending nonblocking receive on the simulator.
-pub struct SimRecvPending {
-    handle: crate::fabric::RecvHandle,
-    ready: SimTime,
-    capacity: usize,
-    src: Rank,
-}
-
-impl mpsim::NonBlocking for SimComm {
-    type SendPending = SimSendPending;
-    type RecvPending = SimRecvPending;
-
-    /// Post a send: the CPU pays its issue overhead now; the transfer's
-    /// completion is observed at [`wait_send`](mpsim::NonBlocking::wait_send),
-    /// so independent operations overlap in virtual time.
-    fn isend(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<SimSendPending> {
-        self.check_rank(dest)?;
-        let from = self.vtime();
-        let ready = from + self.shared.fabric.model().o_send_ns;
-        self.advance_to(ready);
-        self.charge_comm(from);
-        let handle = self.shared.fabric.post_send(self.rank, dest, tag, buf, ready)?;
-        self.counters.record_copy(buf.len());
-        self.counters.record_send(dest, buf.len());
-        Ok(SimSendPending { handle, ready })
-    }
-
-    fn irecv(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SimRecvPending> {
-        self.check_rank(src)?;
-        let from = self.vtime();
-        let ready = from + self.shared.fabric.model().o_recv_ns;
-        self.advance_to(ready);
-        self.charge_comm(from);
-        let handle = self.shared.fabric.post_recv(src, self.rank, tag, capacity, ready)?;
-        Ok(SimRecvPending { handle, ready, capacity, src })
-    }
-
-    fn wait_send(&self, pending: SimSendPending) -> Result<()> {
-        let from = self.vtime();
-        let done = self.shared.fabric.wait_send(&pending.handle)?;
-        self.advance_to(done.max(pending.ready));
-        self.charge_comm(from);
-        Ok(())
-    }
-
-    fn wait_recv(&self, pending: SimRecvPending, buf: &mut [u8]) -> Result<usize> {
-        assert!(buf.len() >= pending.capacity, "wait_recv buffer smaller than the posted capacity");
-        let from = self.vtime();
-        let (data, done) = self.shared.fabric.wait_recv(&pending.handle)?;
-        buf[..data.len()].copy_from_slice(&data);
-        self.counters.record_copy(data.len());
-        self.advance_to(done.max(pending.ready));
-        self.charge_comm(from);
-        self.counters.record_recv(pending.src, data.len());
-        Ok(data.len())
     }
 }
 
@@ -955,51 +891,6 @@ mod tests {
             Some(comm.send(&[0u8; 64], 1, Tag(0)).unwrap_err())
         });
         assert_eq!(out.results[0], Some(CommError::PeerFailed { rank: 1 }));
-    }
-
-    #[test]
-    fn nonblocking_operations_overlap_in_virtual_time() {
-        use mpsim::NonBlocking;
-        // Rank 1 posts two receives before either message exists; both
-        // transfers overlap, so its finish time reflects the LATER of the
-        // two, not their sum.
-        let (m, p) = uniform_world(0.0, 1.0, 4, 3);
-        let out = SimWorld::run(m, p, 3, |comm| {
-            match comm.rank() {
-                0 => comm.send(&[0u8; 100], 1, Tag(0)).unwrap(),
-                2 => comm.send(&[0u8; 100], 1, Tag(1)).unwrap(),
-                _ => {
-                    let r0 = comm.irecv(100, 0, Tag(0)).unwrap();
-                    let r2 = comm.irecv(100, 2, Tag(1)).unwrap();
-                    let mut b = [0u8; 100];
-                    comm.wait_recv(r0, &mut b).unwrap();
-                    comm.wait_recv(r2, &mut b).unwrap();
-                }
-            }
-            comm.vtime()
-        });
-        // uniform model: rendezvous, both transfers start at 0, 100ns each,
-        // fully overlapped -> receiver finishes at 100, not 200.
-        assert_eq!(out.results[1], 100.0);
-    }
-
-    #[test]
-    fn nonblocking_send_then_wait_matches_blocking_send() {
-        use mpsim::NonBlocking;
-        let (m, p) = uniform_world(50.0, 2.0, 4, 2);
-        let out = SimWorld::run(m, p, 2, |comm| {
-            if comm.rank() == 0 {
-                let s = comm.isend(&[7u8; 25], 1, Tag(3)).unwrap();
-                comm.wait_send(s).unwrap();
-            } else {
-                let mut b = [0u8; 25];
-                comm.recv(&mut b, 0, Tag(3)).unwrap();
-                assert_eq!(b, [7u8; 25]);
-            }
-            comm.vtime()
-        });
-        // rendezvous intra: both sides leave at 50 + 50 = 100
-        assert_eq!(out.results, vec![100.0, 100.0]);
     }
 
     #[test]

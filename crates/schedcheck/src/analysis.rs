@@ -25,9 +25,8 @@
 //! (buffered by the transport); under [`Semantics::Rendezvous`] a blocking
 //! send half completes only when the matching receive consumes it — the
 //! stricter regime in which a ring exchange written as `send; recv` instead
-//! of `sendrecv` deadlocks. Nonblocking sends (`isend`) never gate progress
-//! in either mode. Matching is FIFO per `(src, dst, tag)` channel, MPI's
-//! non-overtaking rule, exactly like [`mpsim`]'s mailbox.
+//! of `sendrecv` deadlocks. Matching is FIFO per `(src, dst, tag)` channel,
+//! MPI's non-overtaking rule, exactly like [`mpsim`]'s mailbox.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -332,7 +331,7 @@ struct PostedSend {
     src: Rank,
     src_step: usize,
     len: usize,
-    /// Completes the sender's op immediately (eager or `isend`).
+    /// Completes the sender's op immediately (eager semantics).
     fire_and_forget: bool,
 }
 
@@ -534,7 +533,7 @@ fn advance(
                 }
                 let id = *next_id;
                 *next_id += 1;
-                let fire_and_forget = s.nonblocking || semantics == Semantics::Eager;
+                let fire_and_forget = semantics == Semantics::Eager;
                 channels.entry((rank, s.peer, s.tag)).or_default().push_back(PostedSend {
                     id,
                     src: rank,
@@ -829,6 +828,18 @@ mod tests {
                     assert_eq!(msgs, scatter_msgs(nbytes, p) + tuned_ring_msgs(p), "P={p}");
                 }
             }
+        }
+        // The redundancy exists only in the broadcast context. The *same*
+        // `native_ring_ops` stream run as a standalone allgather — every rank
+        // enters holding exactly its own block — re-delivers nothing; after
+        // `scatter_ops` it re-delivers the 12 and 15 transfers pruned above.
+        use bcast_core::allgather::{allgather_schedule, AllgatherAlgorithm};
+        use bcast_core::bcast::bcast_schedule;
+        for (p, redundant) in [(8usize, 12usize), (10, 15)] {
+            let standalone = allgather_schedule(AllgatherAlgorithm::Ring, p, 8);
+            assert!(check(&standalone, Semantics::Eager).redundant_transfers.is_empty(), "P={p}");
+            let bcast = bcast_schedule(bcast_core::Algorithm::ScatterRingNative, p, 8 * p, 0);
+            assert_eq!(check(&bcast, Semantics::Eager).redundant_transfers.len(), redundant);
         }
     }
 

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml: run every CI gate, offline,
-# with a per-phase wall-clock report so the growing matrix stays
-# diagnosable.
-# Usage: scripts/ci.sh [--quick]
+# Every CI gate, offline, with a per-phase wall-clock report so the growing
+# matrix stays diagnosable. .github/workflows/ci.yml runs the same phases
+# one per step, so each command is written once, here.
+# Usage: scripts/ci.sh [--quick] [PHASE [FEATURES]]
 #   --quick   skip the release build, the release megascale sweeps (event
 #             executor and self-healing recovery), the chaos search, and
 #             the bench regression gate (test/fmt/clippy only)
+#   PHASE     run only `phase_PHASE` below (e.g. `scripts/ci.sh schedcheck`);
+#             no phase = the full run. The feature_matrix and event_exec
+#             phases take one cargo feature leg as FEATURES (e.g.
+#             "--features mpsim/fast-sync", "" for the default leg) and
+#             then run that leg only.
 # Environment:
 #   CI_BUDGET_SECONDS   soft wall-clock budget for the whole run; the
 #                       summary prints a warning when it is exceeded
@@ -15,7 +20,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 quick=0
-[[ "${1:-}" == "--quick" ]] && quick=1
+if [[ "${1:-}" == "--quick" ]]; then
+  quick=1
+  shift
+fi
 
 run() {
   echo "==> $*" >&2
@@ -48,7 +56,9 @@ phase_build() {
 }
 
 phase_feature_matrix() {
-  for features in "${feature_legs[@]}"; do
+  local legs=("${feature_legs[@]}")
+  [[ $# -gt 0 ]] && legs=("$1")
+  for features in "${legs[@]}"; do
     # shellcheck disable=SC2086
     run cargo test -q --workspace --offline $features
     # shellcheck disable=SC2086
@@ -122,7 +132,9 @@ phase_chaos() {
 # P=16384 sweep (~268M messages through the reactor) runs as its own phase
 # below so its wall clock gets a dedicated row in the timing table.
 phase_event_exec() {
-  for features in "${feature_legs[@]}"; do
+  local legs=("${feature_legs[@]}")
+  [[ $# -gt 0 ]] && legs=("$1")
+  for features in "${legs[@]}"; do
     # shellcheck disable=SC2086
     run cargo test -q -p bcast-opt --offline $features --test comm_conformance event_
     # shellcheck disable=SC2086
@@ -131,7 +143,8 @@ phase_event_exec() {
     run cargo test -q -p bcast-opt --offline $features --test event_megascale
   done
   if [[ $quick -eq 0 ]]; then
-    run cargo test --release -q -p bcast-opt --offline --test event_megascale -- \
+    # shellcheck disable=SC2086
+    run cargo test --release -q -p bcast-opt --offline ${1:-} --test event_megascale -- \
       --ignored --skip megascale_p16384
   fi
 }
@@ -183,6 +196,18 @@ phase_bench_gate() {
     --allow-missing zero_copy/binomial_copy/4096x64K \
     --allow-missing zero_copy/binomial_copy/4096x1M
 }
+
+if [[ $# -gt 0 ]]; then
+  phase="phase_$1"
+  shift
+  if ! declare -F "$phase" >/dev/null; then
+    echo "unknown phase ${phase#phase_}; phases:" \
+      "$(declare -F | sed -n 's/^declare -f phase_//p' | tr '\n' ' ')" >&2
+    exit 2
+  fi
+  "$phase" "$@"
+  exit
+fi
 
 if [[ $quick -eq 0 ]]; then
   run_phase "build (release)" phase_build

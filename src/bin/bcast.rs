@@ -114,21 +114,16 @@ fn main() {
         Algo::Fixed(a) => bcast_with(comm, buf, root, a).unwrap(),
         Algo::Auto { tuned } => bcast_auto(comm, buf, root, &th, tuned).unwrap(),
         Algo::Smp { inner } => bcast_smp(comm, buf, root, &nodes, inner).unwrap(),
-        Algo::Pipeline { .. } => unreachable!("pipeline handled per backend"),
+        Algo::Pipeline { segment } => bcast_pipeline(comm, buf, root, segment).unwrap(),
     };
 
-    // Pipeline needs the NonBlocking trait, which is backend-specific.
     match backend.as_str() {
         "thread" => {
             let out = ThreadWorld::run(np, |comm| {
                 let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
                 comm.barrier().unwrap();
                 for _ in 0..iters {
-                    if let Algo::Pipeline { segment } = algo {
-                        bcast_pipeline(comm, &mut buf, root, segment).unwrap();
-                    } else {
-                        run_one(comm, &mut buf);
-                    }
+                    run_one(comm, &mut buf);
                 }
                 buf == src
             });
@@ -148,11 +143,7 @@ fn main() {
                 comm.barrier().unwrap();
                 let t0 = comm.vtime();
                 for _ in 0..iters {
-                    if let Algo::Pipeline { segment } = algo {
-                        bcast_pipeline(comm, &mut buf, root, segment).unwrap();
-                    } else {
-                        run_one(comm, &mut buf);
-                    }
+                    run_one(comm, &mut buf);
                 }
                 comm.barrier().unwrap();
                 (buf == src, comm.vtime() - t0)

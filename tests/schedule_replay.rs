@@ -6,17 +6,18 @@
 //! The expected counters come from the schedcheck abstract executor (which
 //! resolves each receive to its matched message, so received bytes are
 //! exact, not capacities); the observed counters come from the instrumented
-//! worlds. For the broadcast family the schedule and the executed program
-//! are the same op streams, so this pins "the interpreter executes exactly
-//! what the stream plans"; for the pipeline and the allgather baselines it
-//! still guards an emitter against drifting from its hand loop.
+//! worlds. The schedule and the executed program are the same op streams,
+//! so this pins "the interpreter executes exactly what the stream plans".
 
-use bcast_core::allgather::{allgather_bruck, allgather_rd, allgather_ring};
-use bcast_core::pipeline::bcast_pipeline;
+use bcast_core::allgather::{allgather_async, AllgatherAlgorithm};
+use bcast_core::pipeline::bcast_pipeline_async;
 use bcast_core::{
-    all_sources, bcast_event_world, bcast_smp_async, bcast_with, Algorithm, NodeMap, Schedule,
+    all_sources, bcast_event_world, bcast_smp_async, bcast_with_async, Algorithm, NodeMap, Schedule,
 };
-use mpsim::{AsyncCommunicator, EventWorld, NonBlocking, Rank, ThreadWorld, WorldTraffic};
+use mpsim::{
+    complete_now, AsyncCommunicator, Communicator, EventWorld, Rank, SyncComm, ThreadWorld,
+    WorldTraffic,
+};
 use netsim::{presets, SimWorld};
 use schedcheck::{check, Semantics};
 
@@ -37,49 +38,58 @@ fn smp_inter(name: &str) -> Option<Algorithm> {
     }
 }
 
-/// Execute the collective named by its schedule source on one rank of a
-/// blocking executor. Parameters mirror `ScheduleSource::schedule` exactly:
-/// `nbytes` is the total buffer for the bcast family and the per-rank block
-/// for the allgathers.
-fn run_collective<C: NonBlocking>(name: &str, comm: &C, nbytes: usize, root: Rank) {
-    let p = comm.size();
+/// The allgather a schedule-source name stands for, if it is one.
+fn allgather_algorithm(name: &str) -> Option<AllgatherAlgorithm> {
+    use AllgatherAlgorithm::*;
+    [Ring, RecursiveDoubling, Bruck].into_iter().find(|alg| alg.schedule_name() == name)
+}
+
+/// Execute the collective named by its schedule source on one rank.
+/// Parameters mirror `ScheduleSource::schedule` exactly: `nbytes` is the
+/// total buffer for the bcast family and the per-rank block for the
+/// allgathers.
+async fn run_collective_async<C: AsyncCommunicator>(
+    name: &str,
+    comm: &C,
+    nbytes: usize,
+    root: Rank,
+) {
     let rank = comm.rank();
     let seed = |i: usize| (i as u8).wrapping_mul(31).wrapping_add(rank as u8);
     let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
+    let mut recv = vec![0u8; nbytes * comm.size()];
     if let Some(alg) = flat_algorithm(name) {
-        bcast_with(comm, &mut buf, root, alg).unwrap();
+        bcast_with_async(comm, &mut buf, root, alg).await
     } else if let Some(inter) = smp_inter(name) {
         // Same 4-cores-per-node map as SmpSource::schedule.
-        bcast_core::smp::bcast_smp(comm, &mut buf, root, &NodeMap::new(4), inter).unwrap();
+        bcast_smp_async(comm, &mut buf, root, &NodeMap::new(4), inter).await
+    } else if let Some(algorithm) = allgather_algorithm(name) {
+        allgather_async(comm, &buf, &mut recv, algorithm).await
     } else {
-        let mut recv = vec![0u8; nbytes * p];
-        match name {
-            // Same ragged cut as PipelineSource::schedule.
-            "bcast/pipeline" => {
-                bcast_pipeline(comm, &mut buf, root, nbytes.div_ceil(3).max(1)).unwrap()
-            }
-            "allgather/ring" => allgather_ring(comm, &buf, &mut recv).unwrap(),
-            "allgather/rd" => allgather_rd(comm, &buf, &mut recv).unwrap(),
-            "allgather/bruck" => allgather_bruck(comm, &buf, &mut recv).unwrap(),
-            other => panic!("no replay wired for schedule source {other}"),
-        }
+        assert_eq!(name, "bcast/pipeline", "no replay wired for this schedule source");
+        // Same ragged cut as PipelineSource::schedule.
+        bcast_pipeline_async(comm, &mut buf, root, nbytes.div_ceil(3).max(1)).await
     }
+    .unwrap()
 }
 
-/// Run the named collective on the event executor; `None` for the sources
-/// that only exist against the blocking traits (pipeline, allgather).
-fn run_on_event_world(name: &str, p: usize, nbytes: usize, root: Rank) -> Option<WorldTraffic> {
+/// [`run_collective_async`] on a blocking executor.
+fn run_collective(name: &str, comm: &impl Communicator, nbytes: usize, root: Rank) {
+    complete_now(run_collective_async(name, &SyncComm::new(comm), nbytes, root))
+}
+
+/// Run the named collective on the event executor.
+fn run_on_event_world(name: &'static str, p: usize, nbytes: usize, root: Rank) -> WorldTraffic {
     if let Some(alg) = flat_algorithm(name) {
         // Verifies every rank's payload, and routes the tuned root through
         // the send-only shared-envelope interpreter.
-        return Some(bcast_event_world(p, nbytes, root, alg).traffic);
+        return bcast_event_world(p, nbytes, root, alg).traffic;
     }
-    let inter = smp_inter(name)?;
-    let out = EventWorld::run(p, move |comm| async move {
-        let mut buf = vec![comm.rank() as u8; nbytes];
-        bcast_smp_async(&comm, &mut buf, root, &NodeMap::new(4), inter).await.unwrap();
-    });
-    Some(out.traffic)
+    EventWorld::run(
+        p,
+        move |comm| async move { run_collective_async(name, &comm, nbytes, root).await },
+    )
+    .traffic
 }
 
 /// Compare the abstract executor's per-rank counters against an
@@ -133,10 +143,7 @@ fn replay_all(ps: &[usize], sizes: impl Fn(usize) -> Vec<usize>, backend: &str) 
                             )
                             .traffic
                         }
-                        "event" => match run_on_event_world(name, p, nbytes, root) {
-                            Some(traffic) => traffic,
-                            None => continue,
-                        },
+                        "event" => run_on_event_world(name, p, nbytes, root),
                         other => panic!("unknown backend {other}"),
                     };
                     assert_traffic_matches(&sched, &traffic, backend, nbytes, root);

@@ -1,12 +1,15 @@
 //! Property-based tests of the simulator-backed stack: arbitrary shapes,
 //! models and protocols must all deliver correct broadcasts with balanced,
 //! model-matching traffic, and virtual time must behave like time.
-//! Randomized by the in-tree `testkit` harness.
+//! Randomized by the in-tree `testkit` harness; the allgather and pipeline
+//! baselines get fixed-shape correctness runs on the Hornet preset.
 
+use bcast_core::allgather::{allgather, AllgatherAlgorithm};
+use bcast_core::pipeline::bcast_pipeline;
 use bcast_core::traffic::bcast_volume;
 use bcast_core::{bcast_with, Algorithm};
 use mpsim::Communicator;
-use netsim::{NetworkModel, Placement, SimWorld};
+use netsim::{presets, NetworkModel, Placement, SimWorld};
 use testkit::prop::{self, Config, Strategy};
 
 /// Strategy over the raw knobs of a [`NetworkModel`]; [`build_model`] turns
@@ -141,4 +144,47 @@ fn more_work_never_finishes_earlier() {
             Ok(())
         },
     );
+}
+
+/// The baselines beside the broadcast family, on the simulated cluster.
+#[test]
+fn allgather_variants_agree_on_the_simulator() {
+    let preset = presets::hornet();
+    for &np in &[8usize, 30] {
+        let block = 512usize;
+        let out = SimWorld::run(preset.model_for(block * np, np), preset.placement(), np, |comm| {
+            let sendbuf = vec![comm.rank() as u8; block];
+            let gather = |algorithm| {
+                let mut all = vec![0u8; block * comm.size()];
+                allgather(comm, &sendbuf, &mut all, algorithm).unwrap();
+                all
+            };
+            let ring = gather(AllgatherAlgorithm::Ring);
+            assert_eq!(ring, gather(AllgatherAlgorithm::Bruck));
+            if comm.size().is_power_of_two() {
+                assert_eq!(ring, gather(AllgatherAlgorithm::RecursiveDoubling));
+            }
+            ring
+        });
+        let want: Vec<u8> = (0..np).flat_map(|r| vec![r as u8; 512]).collect();
+        for buf in &out.results {
+            assert_eq!(buf, &want, "np={np}");
+        }
+    }
+}
+
+#[test]
+fn pipeline_bcast_on_the_simulator() {
+    let (np, nbytes) = (24usize, 1 << 18);
+    let preset = presets::hornet();
+    let src = bcast_core::verify::pattern(nbytes, 55);
+    let src2 = src.clone();
+    let out = SimWorld::run(preset.model_for(nbytes, np), preset.placement(), np, move |comm| {
+        let mut buf = if comm.rank() == 0 { src2.clone() } else { vec![0u8; nbytes] };
+        bcast_pipeline(comm, &mut buf, 0, 16 * 1024).unwrap();
+        buf
+    });
+    for buf in &out.results {
+        assert_eq!(buf, &src);
+    }
 }

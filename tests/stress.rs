@@ -3,7 +3,7 @@
 //! payload results and identical traffic counters required, plus failure-
 //! injection checks for teardown behaviour.
 
-use bcast_core::allgather::{allgather_bruck, allgather_rd, allgather_ring};
+use bcast_core::allgather::{allgather, AllgatherAlgorithm};
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_with, Algorithm};
 use mpsim::{Communicator, ThreadWorld, WorldTraffic};
@@ -42,11 +42,12 @@ fn run_program<C: Communicator + ?Sized>(comm: &C, seed: u64) -> Vec<u8> {
             3 => bcast_with(comm, &mut state, root, Algorithm::ScatterRingNative).unwrap(),
             op => {
                 let mine: Vec<u8> = state[me * 64..(me + 1) * 64].to_vec();
-                match op {
-                    4 => allgather_bruck(comm, &mine, &mut state).unwrap(),
-                    5 if size.is_power_of_two() => allgather_rd(comm, &mine, &mut state).unwrap(),
-                    _ => allgather_ring(comm, &mine, &mut state).unwrap(),
-                }
+                let algorithm = match op {
+                    4 => AllgatherAlgorithm::Bruck,
+                    5 if size.is_power_of_two() => AllgatherAlgorithm::RecursiveDoubling,
+                    _ => AllgatherAlgorithm::Ring,
+                };
+                allgather(comm, &mine, &mut state, algorithm).unwrap()
             }
         }
         // mix so later ops depend on earlier results
@@ -58,7 +59,7 @@ fn run_program<C: Communicator + ?Sized>(comm: &C, seed: u64) -> Vec<u8> {
     // ranks return the same bytes and any divergence shows on every rank.
     let digest = state.iter().fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64));
     let mut all = vec![0u8; 8 * size];
-    allgather_ring(comm, &digest.to_le_bytes(), &mut all).unwrap();
+    allgather(comm, &digest.to_le_bytes(), &mut all, AllgatherAlgorithm::Ring).unwrap();
     all
 }
 

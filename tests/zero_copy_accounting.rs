@@ -12,6 +12,10 @@
 //! * **Binomial, copy baseline** (`bcast_binomial_copy`): every hop pays a
 //!   sender copy-in plus a receiver copy-out, so the world bill is
 //!   `2·(P−1)·nbytes` and grows with the tree instead of the payload.
+//! * **Pipeline chain**: the root stages each segment once and every other
+//!   rank lands it once, then forwards the landed envelope by reference —
+//!   the same `P·nbytes` world bill as the zero-copy binomial, where a
+//!   `recv` + `send` per segment would pay the per-hop `2·(P−1)·nbytes`.
 //! * **Scatter + ring (native, tuned, coalesced)**: at most `2·nbytes` per
 //!   rank — the allgather's landing copies sum to ≤ `nbytes` and staging
 //!   owned chunks for forwarding adds at most `nbytes` more (the ring's
@@ -29,6 +33,7 @@
 //! assertions and the schedule reconciliation, on every executor.
 
 use bcast_core::bcast::bcast_schedule;
+use bcast_core::pipeline::bcast_pipeline;
 use bcast_core::{
     bcast_binomial, bcast_binomial_copy, bcast_coalesced_event_world, bcast_event_world,
     bcast_with, Algorithm, CoalescePolicy,
@@ -90,6 +95,16 @@ fn binomial_copy_baseline_pays_per_hop() {
     });
     assert_eq!(zc.traffic.total_bytes_copied(), (size * nbytes) as u64);
     assert!(zc.traffic.total_bytes_copied() < per_hop);
+
+    // So is the pipeline chain's, at any segmentation (here a ragged cut):
+    // an interior rank forwards the envelope it just landed.
+    let src = pattern(nbytes);
+    let pipe = ThreadWorld::run(size, |comm| {
+        let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
+        bcast_pipeline(comm, &mut buf, 0, 100).unwrap();
+        assert_eq!(buf, src, "rank {} diverged", comm.rank());
+    });
+    assert_eq!(pipe.traffic.total_bytes_copied(), (size * nbytes) as u64);
 }
 
 #[test]
