@@ -175,9 +175,25 @@ pub fn agreement_volume(n: usize) -> Volume {
     Volume { msgs, bytes: 2 * msgs }
 }
 
+/// What a collective of volume `v` moves through `mpsim::ReliableComm` when
+/// no frame is lost: every message travels as one data frame — its payload
+/// plus a 4-byte sequence number — and is answered by one 4-byte
+/// acknowledgement, each its own envelope.
+pub fn reliable_volume(v: Volume) -> Volume {
+    Volume { msgs: 2 * v.msgs, bytes: v.bytes + 8 * v.msgs }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reliable_volume_closed_form() {
+        assert_eq!(reliable_volume(Volume::default()), Volume::default());
+        // The lossy-ring workload's shape: 128 ranks, 128 KiB, tuned.
+        let framed = reliable_volume(bcast_volume(Algorithm::ScatterRingTuned, 128 << 10, 128));
+        assert_eq!(framed, Volume { msgs: 31_870, bytes: 16_773_624 });
+    }
 
     #[test]
     fn agreement_volume_closed_form() {

@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use crate::comm::{Communicator, IoSpan};
 use crate::error::{CommError, Result};
-use crate::pool::SharedBuf;
+use crate::pool::{Payload, SharedBuf};
 use crate::rank::{Rank, Tag};
 
 /// The communicator surface everything above the executors is written
@@ -222,6 +222,55 @@ pub trait AsyncCommunicator {
         let n = self.sendrecv(sendbuf, dest, sendtag, &mut tmp, src, recvtag).await?;
         tmp.truncate(n);
         Ok(SharedBuf::from(tmp))
+    }
+
+    /// [`send_shared`](AsyncCommunicator::send_shared) of ONE envelope whose
+    /// wire image is `prefix ‖ payload` — a framing decorator's header
+    /// travelling beside the body it frames. Counted like a plain send of
+    /// `4 + payload.len()` bytes; a backend that queues envelopes posts a
+    /// refcount clone of `payload` and moves no byte. The default packs the
+    /// two into one frame and falls back to copy semantics.
+    async fn send_prefixed(
+        &self,
+        prefix: [u8; 4],
+        payload: &SharedBuf,
+        dest: Rank,
+        tag: Tag,
+    ) -> Result<()> {
+        self.send(&[&prefix[..], &payload[..]].concat(), dest, tag).await
+    }
+
+    /// Owned receive of one envelope, split into the first four bytes of its
+    /// wire image and the rest — the receiving end of
+    /// [`send_prefixed`](AsyncCommunicator::send_prefixed), though any
+    /// envelope with the same bytes splits the same way. `capacity` bounds
+    /// the part *after* the prefix, with [`recv_owned`]'s truncation rule;
+    /// `timeout`, when given, bounds the wait like
+    /// [`recv_owned_timeout`]'s. Resolves to `None` for an envelope too
+    /// short to carry a prefix (consumed, like any matched envelope).
+    ///
+    /// [`recv_owned`]: AsyncCommunicator::recv_owned
+    /// [`recv_owned_timeout`]: AsyncCommunicator::recv_owned_timeout
+    async fn recv_prefixed(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<Option<([u8; 4], SharedBuf)>> {
+        let mut frame = vec![0u8; capacity + 4];
+        let received = match timeout {
+            Some(timeout) => self.recv_timeout(&mut frame, src, tag, timeout).await,
+            None => self.recv(&mut frame, src, tag).await,
+        };
+        let n = received.map_err(|e| match e {
+            CommError::Truncation { incoming, .. } => {
+                CommError::Truncation { capacity, incoming: incoming.saturating_sub(4) }
+            }
+            other => other,
+        })?;
+        frame.truncate(n);
+        Ok(Payload::from(frame).split_prefix())
     }
 }
 

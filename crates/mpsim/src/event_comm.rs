@@ -561,6 +561,12 @@ impl EventComm {
         Ok(())
     }
 
+    /// Absolute virtual-clock deadline `timeout` from now, saturating.
+    fn deadline_after(&self, timeout: Duration) -> u64 {
+        let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        self.shared.now().saturating_add(nanos)
+    }
+
     fn send_vectored_now(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
         self.ensure_rank(dest)?;
         let total = validate_spans(buf.len(), spans)?;
@@ -711,7 +717,7 @@ impl Future for RecvIntoBuf<'_, '_> {
             }));
         }
         let n = env.data.len();
-        this.buf[..n].copy_from_slice(&env.data);
+        this.buf[..n].copy_from_slice(&env.data.bytes());
         let comm = this.inner.comm;
         comm.shared.counters[comm.rank].record_copy(n);
         comm.shared.counters[comm.rank].record_recv(this.inner.src, n);
@@ -854,9 +860,7 @@ impl AsyncCommunicator for EventComm {
         tag: Tag,
         timeout: Duration,
     ) -> impl Future<Output = Result<usize>> {
-        let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        let deadline_ns = self.shared.now().saturating_add(nanos);
-        self.recv_into(None, buf, src, tag, Some(deadline_ns))
+        self.recv_into(None, buf, src, tag, Some(self.deadline_after(timeout)))
     }
 
     fn sendrecv(
@@ -902,7 +906,7 @@ impl AsyncCommunicator for EventComm {
         if env.data.len() > total {
             return Err(CommError::Truncation { capacity: total, incoming: env.data.len() });
         }
-        let n = scatter_spans(buf, spans, &env.data);
+        let n = scatter_spans(buf, spans, &env.data.bytes());
         self.shared.counters[self.rank].record_copy(n);
         self.shared.counters[self.rank].record_recv_vectored(src, n, spans.len().max(1) as u64);
         self.shared.stash_payload(env.data);
@@ -945,11 +949,9 @@ impl AsyncCommunicator for EventComm {
         tag: Tag,
         timeout: Duration,
     ) -> impl Future<Output = Result<SharedBuf>> {
-        let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        let deadline_ns = self.shared.now().saturating_add(nanos);
         let early_err = self.ensure_rank(src).err();
         RecvOwned {
-            inner: RecvEnvelope::new(self, src, tag, Some(deadline_ns)),
+            inner: RecvEnvelope::new(self, src, tag, Some(self.deadline_after(timeout))),
             capacity,
             early_err,
         }
@@ -975,6 +977,44 @@ impl AsyncCommunicator for EventComm {
             capacity: recv_capacity,
             early_err,
         }
+    }
+
+    /// Eager and zero-copy like `send_shared`: the prefix rides beside a
+    /// refcount clone of the rental, so a framed send moves no byte either.
+    async fn send_prefixed(
+        &self,
+        prefix: [u8; 4],
+        payload: &SharedBuf,
+        dest: Rank,
+        tag: Tag,
+    ) -> Result<()> {
+        self.ensure_rank(dest)?;
+        let data = Payload::Prefixed(prefix, payload.clone());
+        self.shared.counters[self.rank].record_send(dest, data.len());
+        self.shared.push_envelope(dest, self.rank, tag, data);
+        Ok(())
+    }
+
+    /// Takes the matched envelope apart instead of copying it out: a
+    /// [`Payload::Prefixed`] comes back as the sender's own two parts, a
+    /// flat one (a hold-back snapshot re-sent as bytes, a plain `send`) is
+    /// sliced after its fourth byte.
+    async fn recv_prefixed(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<Option<([u8; 4], SharedBuf)>> {
+        self.ensure_rank(src)?;
+        let deadline_ns = timeout.map(|t| self.deadline_after(t));
+        let env = RecvEnvelope::new(self, src, tag, deadline_ns).await?;
+        let incoming = env.data.len();
+        if incoming.saturating_sub(4) > capacity {
+            return Err(CommError::Truncation { capacity, incoming: incoming - 4 });
+        }
+        self.shared.counters[self.rank].record_recv(src, incoming);
+        Ok(env.data.split_prefix())
     }
 }
 

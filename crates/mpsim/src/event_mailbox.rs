@@ -220,10 +220,10 @@ mod tests {
         mb.push(3, Tag(1), env(&pool, 3, 11));
         mb.push(3, Tag(2), env(&pool, 3, 20));
         mb.push(5, Tag(1), env(&pool, 5, 50));
-        assert_eq!(mb.pop(3, Tag(1)).unwrap().data[0], 10);
-        assert_eq!(mb.pop(3, Tag(2)).unwrap().data[0], 20);
-        assert_eq!(mb.pop(3, Tag(1)).unwrap().data[0], 11);
-        assert_eq!(mb.pop(5, Tag(1)).unwrap().data[0], 50);
+        assert_eq!(mb.pop(3, Tag(1)).unwrap().data.bytes()[0], 10);
+        assert_eq!(mb.pop(3, Tag(2)).unwrap().data.bytes()[0], 20);
+        assert_eq!(mb.pop(3, Tag(1)).unwrap().data.bytes()[0], 11);
+        assert_eq!(mb.pop(5, Tag(1)).unwrap().data.bytes()[0], 50);
         assert!(mb.pop(3, Tag(1)).is_none());
         assert_eq!(mb.spills(), 0);
     }
@@ -247,8 +247,8 @@ mod tests {
         }
         assert_eq!(mb.spills(), 4, "two wild tags × two envelopes each");
         for t in 0..(INLINE_TAGS as u32 + 2) {
-            assert_eq!(mb.pop(1, Tag(t)).unwrap().data[0], t as u8);
-            assert_eq!(mb.pop(1, Tag(t)).unwrap().data[0], 100 + t as u8);
+            assert_eq!(mb.pop(1, Tag(t)).unwrap().data.bytes()[0], t as u8);
+            assert_eq!(mb.pop(1, Tag(t)).unwrap().data.bytes()[0], 100 + t as u8);
             assert!(mb.pop(1, Tag(t)).is_none());
         }
     }
@@ -259,7 +259,7 @@ mod tests {
         let mut mb = LaneMailbox::new(2);
         for round in 0..100u32 {
             mb.push(0, Tag(7), env(&pool, 0, round as u8));
-            assert_eq!(mb.pop(0, Tag(7)).unwrap().data[0], round as u8);
+            assert_eq!(mb.pop(0, Tag(7)).unwrap().data.bytes()[0], round as u8);
         }
         assert_eq!(mb.spills(), 0);
         assert_eq!(mb.lanes[0].used, 1, "one tag must occupy one bucket forever");
@@ -270,7 +270,7 @@ mod tests {
         let pool = BufferPool::new();
         let mut mb = LaneMailbox::new(16384);
         mb.push(16383, Tag(0), env(&pool, 16383, 9));
-        assert_eq!(mb.pop(16383, Tag(0)).unwrap().data[0], 9);
+        assert_eq!(mb.pop(16383, Tag(0)).unwrap().data.bytes()[0], 9);
         let touched = mb.pages.iter().filter(|p| p.is_some()).count();
         assert_eq!(touched, 1, "only the sender's page may be materialized");
     }

@@ -264,9 +264,9 @@ mod tests {
         mb.push(1, Tag(5), vec![1].into());
         mb.push(1, Tag(5), vec![2].into());
         mb.push(1, Tag(5), vec![3].into());
-        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data, &[1]);
-        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data, &[2]);
-        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data, &[3]);
+        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data.bytes(), &[1]);
+        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data.bytes(), &[2]);
+        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data.bytes(), &[3]);
     }
 
     #[test]
@@ -275,9 +275,9 @@ mod tests {
         mb.push(1, Tag(5), vec![10].into());
         mb.push(2, Tag(5), vec![20].into());
         mb.push(1, Tag(6), vec![30].into());
-        assert_eq!(&*mb.pop_blocking(2, Tag(5)).unwrap().data, &[20]);
-        assert_eq!(&*mb.pop_blocking(1, Tag(6)).unwrap().data, &[30]);
-        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data, &[10]);
+        assert_eq!(&*mb.pop_blocking(2, Tag(5)).unwrap().data.bytes(), &[20]);
+        assert_eq!(&*mb.pop_blocking(1, Tag(6)).unwrap().data.bytes(), &[30]);
+        assert_eq!(&*mb.pop_blocking(1, Tag(5)).unwrap().data.bytes(), &[10]);
     }
 
     #[test]
@@ -290,10 +290,10 @@ mod tests {
         mb.push(b, Tag(1), vec![2].into());
         mb.push(a, Tag(2), vec![3].into());
         mb.push(a, Tag(1), vec![4].into());
-        assert_eq!(&*mb.pop_blocking(b, Tag(1)).unwrap().data, &[2]);
-        assert_eq!(&*mb.pop_blocking(a, Tag(1)).unwrap().data, &[1]);
-        assert_eq!(&*mb.pop_blocking(a, Tag(1)).unwrap().data, &[4]);
-        assert_eq!(&*mb.pop_blocking(a, Tag(2)).unwrap().data, &[3]);
+        assert_eq!(&*mb.pop_blocking(b, Tag(1)).unwrap().data.bytes(), &[2]);
+        assert_eq!(&*mb.pop_blocking(a, Tag(1)).unwrap().data.bytes(), &[1]);
+        assert_eq!(&*mb.pop_blocking(a, Tag(1)).unwrap().data.bytes(), &[4]);
+        assert_eq!(&*mb.pop_blocking(a, Tag(2)).unwrap().data.bytes(), &[3]);
     }
 
     #[test]
@@ -324,7 +324,7 @@ mod tests {
         // Give the receiver a moment to block, then deliver.
         std::thread::sleep(std::time::Duration::from_millis(10));
         mb.push(7, Tag(9), vec![42].into());
-        assert_eq!(&*h.join().unwrap().data, &[42]);
+        assert_eq!(&*h.join().unwrap().data.bytes(), &[42]);
     }
 
     #[test]
@@ -357,7 +357,7 @@ mod tests {
         });
         std::thread::sleep(std::time::Duration::from_millis(10));
         mb.push(1, Tag(0), vec![7].into());
-        assert_eq!(&*h.join().unwrap().unwrap().data, &[7]);
+        assert_eq!(&*h.join().unwrap().unwrap().data.bytes(), &[7]);
     }
 
     #[test]
@@ -375,7 +375,7 @@ mod tests {
         mb.push(4, Tag(0), vec![1].into());
         let env =
             mb.pop_watch(4, Tag(0), None, || Some(CommError::PeerFailed { rank: 4 })).unwrap();
-        assert_eq!(&*env.data, &[1]);
+        assert_eq!(&*env.data.bytes(), &[1]);
     }
 
     #[test]
@@ -450,7 +450,7 @@ mod tests {
         }
         assert_eq!(mb.wakeup_stats().notifies, 0);
         mb.push(2, Tag(0), vec![9].into());
-        assert_eq!(&*h.join().unwrap().data, &[9]);
+        assert_eq!(&*h.join().unwrap().data.bytes(), &[9]);
         assert_eq!(mb.wakeup_stats().notifies, 1);
     }
 }

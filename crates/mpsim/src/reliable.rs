@@ -10,16 +10,24 @@
 //! exactly-once delivery in order — over a link that drops, duplicates, or
 //! reorders (boundedly) its messages.
 //!
+//! A frame's wire image is `sequence number (4 bytes, LE) ‖ payload`, but the
+//! two are never packed together here: the number is handed to the wrapped
+//! transport *beside* the payload ([`AsyncCommunicator::send_prefixed`] /
+//! [`recv_prefixed`](AsyncCommunicator::recv_prefixed)). Over a transport
+//! that queues envelopes, a frame is a refcount clone of what the caller
+//! staged, a retransmission is another clone of the same rental, and a
+//! duplicate is told by its number and dropped without a byte moving. The
+//! shared-payload calls (`send_shared`, `recv_owned`, `recv_owned_timeout`,
+//! `sendrecv_shared`) are the protocol; the slice-taking ones stage or land
+//! once around them.
+//!
 //! The protocol runs on shifted tags: a user message on `Tag(t)` travels as
 //! a data frame on `Tag(DATA_TAG_BASE + t)` and is acknowledged on
 //! `Tag(ACK_TAG_BASE + t)`, leaving the user's own tag space untouched.
 //! Collectives can therefore run *unmodified* over `ReliableComm`. On the
 //! event executor this doubles the live tag count per source (data + ack
-//! per user tag), which still sits inside the lane mailbox's inline tag
-//! buckets for the collectives' single-tag phases; workloads juggling many
-//! concurrent user tags per peer land on the mailbox's wild-tag spill map
-//! instead — correct, hash-matched, and counted in
-//! `ReactorStats::mailbox_spills` rather than silent.
+//! per user tag); [`event_mailbox`](crate::event_mailbox) says what that
+//! costs a workload juggling many concurrent user tags per peer.
 //!
 //! Every wait is arithmetic on [`AsyncCommunicator::now_ns`], so on the event
 //! executor the retransmission timers are virtual-clock timer events
@@ -41,8 +49,9 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::acomm::AsyncCommunicator;
-use crate::comm::{disjoint_span_lists, scatter_spans, spans_len, validate_spans, IoSpan};
+use crate::comm::{disjoint_span_lists, scatter_spans, validate_spans, IoSpan};
 use crate::error::{CommError, Result};
+use crate::pool::SharedBuf;
 use crate::rank::{Rank, Tag};
 
 /// Absolute deadline on a backend clock: `now_ns` plus `timeout`, saturating.
@@ -63,7 +72,8 @@ pub struct RetryConfig {
     /// Backoff cap: the per-attempt timeout doubles up to this value.
     pub max_timeout: Duration,
     /// Total transmission attempts (first try included) before giving up
-    /// with [`CommError::Timeout`].
+    /// with [`CommError::Timeout`]. Zero attempts transmit nothing: every
+    /// send to another rank times out on the spot.
     pub max_attempts: u32,
 }
 
@@ -85,6 +95,13 @@ impl RetryConfig {
     }
 }
 
+/// Whether sequence number `a` is `b` or comes after it. The counters wrap
+/// (serial-number arithmetic, RFC 1982); stop-and-wait keeps the two ends of
+/// a channel within one frame of each other, far inside the half circle.
+fn at_or_after(a: u32, b: u32) -> bool {
+    a.wrapping_sub(b) < 1 << 31
+}
+
 /// Per-`(peer, tag)` sequence counters.
 #[derive(Default)]
 struct ChannelSeq {
@@ -92,13 +109,21 @@ struct ChannelSeq {
     tx_next: u32,
     /// Sequence number the receiver expects next.
     rx_expected: u32,
-    /// Largest payload delivered on this channel so far. A stale
-    /// retransmitted duplicate can be a copy of *any* already-delivered
-    /// frame, so receive-side frame buffers must accommodate the largest
-    /// one regardless of the size of the currently posted receive —
-    /// otherwise the inner transport reports a truncation before
-    /// `accept_frame` can read the sequence number and discard the dup.
+    /// Largest payload delivered on this channel so far. A stale duplicate
+    /// can be a copy of *any* delivered frame, so frames are asked for at
+    /// this capacity at least — or one larger than the currently posted
+    /// receive would be a truncation before its number could be read.
     rx_high_water: usize,
+}
+
+/// One outgoing frame: the payload, where it goes, and the sequence number
+/// that rides beside it. A retransmission transmits the same frame again.
+struct Frame<'p> {
+    payload: &'p SharedBuf,
+    dest: Rank,
+    data_tag: Tag,
+    ack_tag: Tag,
+    seq: u32,
 }
 
 /// Acknowledged, deduplicated delivery over a lossy [`AsyncCommunicator`].
@@ -118,7 +143,6 @@ impl<'a, C: ?Sized> ReliableComm<'a, C> {
 
     /// Wrap `inner` with an explicit retransmission policy.
     pub fn with_config(inner: &'a C, cfg: RetryConfig) -> Self {
-        assert!(cfg.max_attempts >= 1, "at least one attempt is required");
         ReliableComm { inner, cfg, seq: RefCell::new(HashMap::new()) }
     }
 
@@ -127,61 +151,74 @@ impl<'a, C: ?Sized> ReliableComm<'a, C> {
         self.inner
     }
 
-    fn data_tag(tag: Tag) -> Tag {
-        debug_assert!(tag.0 < DATA_TAG_BASE, "user tag collides with the reliable-protocol range");
-        Tag(DATA_TAG_BASE.wrapping_add(tag.0))
-    }
-
-    fn ack_tag(tag: Tag) -> Tag {
-        Tag(ACK_TAG_BASE.wrapping_add(tag.0))
-    }
-
-    fn next_tx_seq(&self, peer: Rank, tag: Tag) -> u32 {
-        let mut seqs = self.seq.borrow_mut();
-        let ch = seqs.entry((peer, tag.0)).or_default();
-        let s = ch.tx_next;
-        ch.tx_next += 1;
-        s
-    }
-
-    fn rx_expected(&self, peer: Rank, tag: Tag) -> u32 {
-        self.seq.borrow_mut().entry((peer, tag.0)).or_default().rx_expected
-    }
-
-    fn advance_rx(&self, peer: Rank, tag: Tag, payload_len: usize) {
-        let mut seqs = self.seq.borrow_mut();
-        let ch = seqs.entry((peer, tag.0)).or_default();
-        ch.rx_expected += 1;
-        ch.rx_high_water = ch.rx_high_water.max(payload_len);
-    }
-
-    /// Frame-buffer size for a receive posting `buf_len` payload bytes:
-    /// large enough for the expected frame *and* for a stale duplicate of
-    /// any frame already delivered on this channel (see
-    /// [`ChannelSeq::rx_high_water`]).
-    fn rx_frame_len(&self, peer: Rank, tag: Tag, buf_len: usize) -> usize {
-        let hw = self.seq.borrow_mut().entry((peer, tag.0)).or_default().rx_high_water;
-        buf_len.max(hw) + 4
-    }
-
-    /// Rewrite an inner-transport truncation on a *framed* channel into the
-    /// user's payload terms: the 4-byte sequence header is protocol, not
-    /// payload, and the frame buffer may be larger than the posted receive
-    /// (it also accommodates stale oversized duplicates), so the reported
-    /// capacity is the caller's, not the frame buffer's.
-    fn unframe_truncation(e: CommError, user_capacity: usize) -> CommError {
-        match e {
-            CommError::Truncation { incoming, .. } if incoming >= 4 => {
-                CommError::Truncation { capacity: user_capacity, incoming: incoming - 4 }
-            }
-            other => other,
-        }
+    /// Read or update the counters of channel `(peer, tag)`.
+    fn channel<R>(&self, peer: Rank, tag: Tag, f: impl FnOnce(&mut ChannelSeq) -> R) -> R {
+        f(self.seq.borrow_mut().entry((peer, tag.0)).or_default())
     }
 }
 
 impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
-    async fn send_ack(&self, peer: Rank, tag: Tag, seq: u32) -> Result<()> {
-        match self.inner.send(&seq.to_le_bytes(), peer, Self::ack_tag(tag)).await {
+    /// The `(data, ack)` tags user tag `tag` travels on. A tag the two
+    /// protocol ranges have no room for is refused here, before anything is
+    /// posted: shifted, it would land a data frame among the acks.
+    fn protocol_tags(&self, tag: Tag) -> Result<(Tag, Tag)> {
+        if tag.0 < ACK_TAG_BASE - DATA_TAG_BASE {
+            Ok((Tag(DATA_TAG_BASE + tag.0), Tag(ACK_TAG_BASE + tag.0)))
+        } else {
+            Err(CommError::Unsupported { what: "reliable/tag", size: self.inner.size() })
+        }
+    }
+
+    /// Open the next frame on channel `(dest, tag)` around `payload`.
+    fn frame<'p>(&self, payload: &'p SharedBuf, dest: Rank, tag: Tag) -> Result<Frame<'p>> {
+        let (data_tag, ack_tag) = self.protocol_tags(tag)?;
+        let seq = self.channel(dest, tag, |ch| {
+            let seq = ch.tx_next;
+            ch.tx_next = seq.wrapping_add(1);
+            seq
+        });
+        Ok(Frame { payload, dest, data_tag, ack_tag, seq })
+    }
+
+    /// Put `frame` on the wire once — the only place a frame is built, and
+    /// it is built from references.
+    async fn transmit(&self, frame: &Frame<'_>) -> Result<()> {
+        let prefix = frame.seq.to_le_bytes();
+        self.inner.send_prefixed(prefix, frame.payload, frame.dest, frame.data_tag).await
+    }
+
+    /// One bounded look at `frame`'s ack channel: whether an acknowledgement
+    /// covering it arrived within `wait` ([`CommError::Timeout`] if none
+    /// did). Acks for older frames may arrive late; only the ack for this
+    /// frame (or beyond, defensively) counts, and a malformed one is ignored.
+    async fn poll_ack(&self, frame: &Frame<'_>, wait: Duration) -> Result<bool> {
+        let mut ack = [0u8; 4];
+        let n = self.inner.recv_timeout(&mut ack, frame.dest, frame.ack_tag, wait).await?;
+        Ok(n == ack.len() && at_or_after(u32::from_le_bytes(ack), frame.seq))
+    }
+
+    /// Wait up to `timeout` for an acknowledgement of `frame`.
+    async fn await_ack(&self, frame: &Frame<'_>, timeout: Duration) -> Result<bool> {
+        let deadline = deadline_after(self.inner.now_ns(), timeout);
+        while let Some(left) = self.time_left(deadline) {
+            match self.poll_ack(frame, left).await {
+                Ok(true) => return Ok(true),
+                Ok(false) => {}
+                Err(CommError::Timeout { .. }) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
+    }
+
+    /// Time left until `deadline` on the backend clock, `None` once it passed.
+    fn time_left(&self, deadline: u64) -> Option<Duration> {
+        let left = deadline.saturating_sub(self.inner.now_ns());
+        (left > 0).then(|| Duration::from_nanos(left))
+    }
+
+    async fn send_ack(&self, peer: Rank, ack_tag: Tag, seq: u32) -> Result<()> {
+        match self.inner.send(&seq.to_le_bytes(), peer, ack_tag).await {
             // A dead peer cannot retransmit, so the lost ack is moot; the
             // delivered payload is still good.
             Err(CommError::PeerFailed { .. }) => Ok(()),
@@ -189,101 +226,110 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
         }
     }
 
-    /// Handle one received data frame: deliver it if it is the expected
-    /// sequence number, re-acknowledge and discard stale duplicates.
-    /// Returns the payload length when the frame was the expected one.
-    async fn accept_frame(
+    /// Take one frame off channel `(src, tag)`, waiting at most `wait`: the
+    /// payload if it carries the expected number (acknowledged, and held to
+    /// `capacity` like a posted receive), `None` after a stale duplicate was
+    /// re-acknowledged and dropped or anything else discarded.
+    async fn recv_frame(
         &self,
-        frame: &[u8],
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<Option<usize>> {
-        self.accept_frame_with(frame, buf.len(), src, tag, |payload| {
-            buf[..payload.len()].copy_from_slice(payload);
-        })
-        .await
-    }
-
-    /// [`accept_frame`](Self::accept_frame) with the delivery copy abstracted
-    /// out, so the scattered receive can fan the payload into spans instead
-    /// of a contiguous buffer. `deliver` runs only for the expected frame,
-    /// after the truncation check against `capacity`.
-    async fn accept_frame_with(
-        &self,
-        frame: &[u8],
         capacity: usize,
         src: Rank,
         tag: Tag,
-        deliver: impl FnOnce(&[u8]),
-    ) -> Result<Option<usize>> {
-        if frame.len() < 4 {
+        wait: Option<Duration>,
+    ) -> Result<Option<SharedBuf>> {
+        let (data_tag, ack_tag) = self.protocol_tags(tag)?;
+        let (expected, high_water) =
+            self.channel(src, tag, |ch| (ch.rx_expected, ch.rx_high_water));
+        let frame = self.inner.recv_prefixed(capacity.max(high_water), src, data_tag, wait).await;
+        let (prefix, payload) = match frame {
+            Ok(Some(parts)) => parts,
             // Not a protocol frame; nothing sane to do but drop it.
-            return Ok(None);
-        }
-        let mut seq_bytes = [0u8; 4];
-        seq_bytes.copy_from_slice(&frame[..4]);
-        let seq = u32::from_le_bytes(seq_bytes);
-        let expected = self.rx_expected(src, tag);
+            Ok(None) => return Ok(None),
+            // Longer than anything delivered so far, so not a duplicate:
+            // it overran the caller's capacity, not the one asked for here.
+            Err(CommError::Truncation { incoming, .. }) => {
+                return Err(CommError::Truncation { capacity, incoming });
+            }
+            Err(e) => return Err(e),
+        };
+        let seq = u32::from_le_bytes(prefix);
         if seq == expected {
-            let payload = &frame[4..];
             if payload.len() > capacity {
                 return Err(CommError::Truncation { capacity, incoming: payload.len() });
             }
-            self.advance_rx(src, tag, payload.len());
-            self.send_ack(src, tag, seq).await?;
-            deliver(payload);
-            Ok(Some(payload.len()))
-        } else if seq < expected {
-            // Duplicate of an already-delivered frame: the first ack was
-            // lost (or the link duplicated the frame). Re-ack so the sender
-            // stops retransmitting, and drop the payload.
-            self.send_ack(src, tag, seq).await?;
-            Ok(None)
+            self.channel(src, tag, |ch| {
+                ch.rx_expected = expected.wrapping_add(1);
+                ch.rx_high_water = high_water.max(payload.len());
+            });
+            self.send_ack(src, ack_tag, seq).await?;
+            Ok(Some(payload))
         } else {
-            // Ahead of the expected sequence. Stop-and-wait never legally
-            // produces this; it can only be a reordered duplicate. Drop it
-            // without acking — the sender will retransmit in order.
+            // Behind the expected number: a duplicate of a delivered frame
+            // (its ack was lost, or the link duplicated it); re-ack so the
+            // sender stops retransmitting. Ahead of it: stop-and-wait never
+            // legally produces that, so a reordered duplicate; unacked, the
+            // sender retransmits in order. Either way the payload is dropped.
+            if at_or_after(expected, seq) {
+                self.send_ack(src, ack_tag, seq).await?;
+            }
             Ok(None)
         }
     }
 
-    /// Transmit an assembled frame with retry-until-acked (the shared tail
-    /// of the plain and vectored send paths).
-    async fn send_framed(&self, frame: &[u8], dest: Rank, tag: Tag, seq: u32) -> Result<()> {
-        for attempt in 0..self.cfg.max_attempts {
-            self.inner.send(frame, dest, Self::data_tag(tag)).await?;
-            if self.await_ack(dest, tag, seq, self.cfg.timeout_for(attempt)).await? {
-                return Ok(());
+    /// The next in-order payload on channel `(src, tag)`, within `timeout`
+    /// if one is given. An unbounded wait is fine: as long as the sender
+    /// retries, some copy of the expected frame eventually arrives; if the
+    /// sender died the backend's failure detector surfaces `PeerFailed`.
+    async fn recv_within(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<SharedBuf> {
+        self.check_rank(src)?;
+        self.protocol_tags(tag)?;
+        if src == self.rank() {
+            // Loopback cannot lose messages; skip the protocol.
+            return match timeout {
+                Some(t) => self.inner.recv_owned_timeout(capacity, src, tag, t).await,
+                None => self.inner.recv_owned(capacity, src, tag).await,
+            };
+        }
+        let deadline = timeout.map(|t| deadline_after(self.inner.now_ns(), t));
+        loop {
+            let expired = CommError::Timeout { peer: src };
+            let wait = deadline.map(|d| self.time_left(d).ok_or(expired)).transpose()?;
+            if let Some(payload) = self.recv_frame(capacity, src, tag, wait).await? {
+                return Ok(payload);
             }
         }
-        Err(CommError::Timeout { peer: dest })
     }
 
-    /// Wait up to `timeout` for an acknowledgement of `seq` from `peer`.
-    async fn await_ack(&self, peer: Rank, tag: Tag, seq: u32, timeout: Duration) -> Result<bool> {
-        let deadline = deadline_after(self.inner.now_ns(), timeout);
-        loop {
-            let now = self.inner.now_ns();
-            if now >= deadline {
-                return Ok(false);
-            }
-            let mut ack = [0u8; 4];
-            let remaining = Duration::from_nanos(deadline - now);
-            match self.inner.recv_timeout(&mut ack, peer, Self::ack_tag(tag), remaining).await {
-                Ok(4) => {
-                    // Acks for older frames may arrive late; only the ack
-                    // for this frame (or beyond, defensively) completes the
-                    // send.
-                    if u32::from_le_bytes(ack) >= seq {
-                        return Ok(true);
-                    }
-                }
-                Ok(_) => {} // malformed ack: ignore
-                Err(CommError::Timeout { .. }) => return Ok(false),
-                Err(e) => return Err(e),
-            }
+    /// The landing copy of the slice-taking receives, counted where it
+    /// happens.
+    fn land(&self, buf: &mut [u8], payload: &SharedBuf) -> usize {
+        buf[..payload.len()].copy_from_slice(payload);
+        self.inner.note_copy(payload.len());
+        payload.len()
+    }
+
+    /// The staging copy of the vectored sends: the spans gathered into one
+    /// payload, so the whole list still travels — and is retransmitted — as
+    /// one frame.
+    fn gather(&self, buf: &[u8], spans: &[IoSpan]) -> Result<SharedBuf> {
+        let mut staged = Vec::with_capacity(validate_spans(buf.len(), spans)?);
+        for s in spans {
+            staged.extend_from_slice(&buf[s.range()]);
         }
+        self.inner.note_copy(staged.len());
+        Ok(SharedBuf::from(staged))
+    }
+
+    fn scatter(&self, buf: &mut [u8], spans: &[IoSpan], payload: &SharedBuf) -> usize {
+        let n = scatter_spans(buf, spans, payload);
+        self.inner.note_copy(n);
+        n
     }
 }
 
@@ -304,68 +350,47 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.inner.check_rank(rank)
     }
 
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
+    async fn barrier(&self) -> Result<()> {
+        self.inner.barrier().await
+    }
+
+    fn make_shared(&self, data: &[u8]) -> SharedBuf {
+        self.inner.make_shared(data)
+    }
+
+    fn note_copy(&self, bytes: usize) {
+        self.inner.note_copy(bytes);
+    }
+
+    /// Transmit one frame around `buf` and retransmit it until acknowledged.
+    async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
         self.check_rank(dest)?;
+        let frame = self.frame(buf, dest, tag)?;
         if dest == self.rank() {
             // Loopback cannot lose messages; skip the protocol.
-            return self.inner.send(buf, dest, tag).await;
+            return self.inner.send_shared(buf, dest, tag).await;
         }
-        let seq = self.next_tx_seq(dest, tag);
-        let mut frame = Vec::with_capacity(buf.len() + 4);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(buf);
-        self.send_framed(&frame, dest, tag, seq).await
-    }
-
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.check_rank(src)?;
-        if src == self.rank() {
-            return self.inner.recv(buf, src, tag).await;
-        }
-        let mut frame = vec![0u8; self.rx_frame_len(src, tag, buf.len())];
-        loop {
-            // An unbounded wait is fine: as long as the sender retries, some
-            // copy of the expected frame eventually arrives; if the sender
-            // died the backend's failure detector surfaces `PeerFailed` here.
-            let n = self
-                .inner
-                .recv(&mut frame, src, Self::data_tag(tag))
-                .await
-                .map_err(|e| Self::unframe_truncation(e, buf.len()))?;
-            if let Some(len) = self.accept_frame(&frame[..n], buf, src, tag).await? {
-                return Ok(len);
+        for attempt in 0..self.cfg.max_attempts {
+            self.transmit(&frame).await?;
+            if self.await_ack(&frame, self.cfg.timeout_for(attempt)).await? {
+                return Ok(());
             }
         }
+        Err(CommError::Timeout { peer: dest })
     }
 
-    async fn recv_timeout(
+    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
+        self.recv_within(capacity, src, tag, None).await
+    }
+
+    async fn recv_owned_timeout(
         &self,
-        buf: &mut [u8],
+        capacity: usize,
         src: Rank,
         tag: Tag,
         timeout: Duration,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        if src == self.rank() {
-            return self.inner.recv_timeout(buf, src, tag, timeout).await;
-        }
-        let deadline = deadline_after(self.inner.now_ns(), timeout);
-        let mut frame = vec![0u8; self.rx_frame_len(src, tag, buf.len())];
-        loop {
-            let now = self.inner.now_ns();
-            if now >= deadline {
-                return Err(CommError::Timeout { peer: src });
-            }
-            let remaining = Duration::from_nanos(deadline - now);
-            let n = self
-                .inner
-                .recv_timeout(&mut frame, src, Self::data_tag(tag), remaining)
-                .await
-                .map_err(|e| Self::unframe_truncation(e, buf.len()))?;
-            if let Some(len) = self.accept_frame(&frame[..n], buf, src, tag).await? {
-                return Ok(len);
-            }
-        }
+    ) -> Result<SharedBuf> {
+        self.recv_within(capacity, src, tag, Some(timeout)).await
     }
 
     /// Concurrent send+receive over the reliable protocol.
@@ -375,6 +400,95 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
     /// *receive* produces. This implementation pumps both directions — it
     /// transmits its frame, then alternates between draining the incoming
     /// data channel and watching for its ack, retransmitting on backoff.
+    async fn sendrecv_shared(
+        &self,
+        sendbuf: &SharedBuf,
+        dest: Rank,
+        sendtag: Tag,
+        recv_capacity: usize,
+        src: Rank,
+        recvtag: Tag,
+    ) -> Result<SharedBuf> {
+        self.check_rank(dest)?;
+        self.check_rank(src)?;
+        self.protocol_tags(recvtag)?;
+        let frame = self.frame(sendbuf, dest, sendtag)?;
+        let me = self.rank();
+        if dest == me && src == me {
+            return self
+                .inner
+                .sendrecv_shared(sendbuf, dest, sendtag, recv_capacity, src, recvtag)
+                .await;
+        }
+
+        // Short slices keep the pump responsive in both directions.
+        let slice = (self.cfg.base_timeout / 4).max(Duration::from_millis(1));
+        let mut acked = dest == me;
+        let mut received: Option<SharedBuf> = None;
+        if acked {
+            self.inner.send_shared(sendbuf, dest, sendtag).await?;
+        } else if self.cfg.max_attempts == 0 {
+            return Err(CommError::Timeout { peer: dest });
+        } else {
+            self.transmit(&frame).await?;
+        }
+        let mut attempt = 0u32;
+        let mut next_retransmit = deadline_after(self.inner.now_ns(), self.cfg.timeout_for(0));
+        loop {
+            match received {
+                Some(payload) if acked => return Ok(payload),
+                Some(_) => {}
+                // Loopback receive: the message is already queued.
+                None if src == me => {
+                    received = Some(self.inner.recv_owned(recv_capacity, src, recvtag).await?);
+                }
+                None => match self.recv_frame(recv_capacity, src, recvtag, Some(slice)).await {
+                    Ok(payload) => received = payload,
+                    Err(CommError::Timeout { .. }) => {}
+                    Err(e) => return Err(e),
+                },
+            }
+            if !acked {
+                match self.poll_ack(&frame, slice).await {
+                    Ok(covered) => acked = covered,
+                    Err(CommError::Timeout { .. }) => {}
+                    Err(e) => return Err(e),
+                }
+                if !acked && self.inner.now_ns() >= next_retransmit {
+                    attempt += 1;
+                    if attempt >= self.cfg.max_attempts {
+                        return Err(CommError::Timeout { peer: dest });
+                    }
+                    self.transmit(&frame).await?;
+                    next_retransmit =
+                        deadline_after(self.inner.now_ns(), self.cfg.timeout_for(attempt));
+                }
+            }
+        }
+    }
+
+    // The slice-taking calls stage or land once around the protocol above.
+
+    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
+        self.send_shared(&self.inner.make_shared(buf), dest, tag).await
+    }
+
+    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
+        let payload = self.recv_owned(buf.len(), src, tag).await?;
+        Ok(self.land(buf, &payload))
+    }
+
+    async fn recv_timeout(
+        &self,
+        buf: &mut [u8],
+        src: Rank,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<usize> {
+        let payload = self.recv_owned_timeout(buf.len(), src, tag, timeout).await?;
+        Ok(self.land(buf, &payload))
+    }
+
     async fn sendrecv(
         &self,
         sendbuf: &[u8],
@@ -384,96 +498,12 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         src: Rank,
         recvtag: Tag,
     ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        if dest == self.rank() && src == self.rank() {
-            return self.inner.sendrecv(sendbuf, dest, sendtag, recvbuf, src, recvtag).await;
-        }
-
-        let seq = self.next_tx_seq(dest, sendtag);
-        let mut frame = Vec::with_capacity(sendbuf.len() + 4);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(sendbuf);
-        let mut in_frame = vec![0u8; self.rx_frame_len(src, recvtag, recvbuf.len())];
-
-        // Short slices keep the pump responsive in both directions.
-        let slice = (self.cfg.base_timeout / 4).max(Duration::from_millis(1));
-        let mut acked = dest == self.rank();
-        let mut received: Option<usize> = None;
-        if dest != self.rank() {
-            self.inner.send(&frame, dest, Self::data_tag(sendtag)).await?;
-        } else {
-            self.inner.send(sendbuf, dest, sendtag).await?;
-        }
-        let mut attempt = 0u32;
-        let mut next_retransmit = deadline_after(self.inner.now_ns(), self.cfg.timeout_for(0));
-        loop {
-            if acked {
-                if let Some(len) = received {
-                    return Ok(len);
-                }
-            }
-            if received.is_none() {
-                if src == self.rank() {
-                    // Loopback receive: the message is already queued.
-                    received = Some(self.inner.recv(recvbuf, src, recvtag).await?);
-                } else {
-                    match self
-                        .inner
-                        .recv_timeout(&mut in_frame, src, Self::data_tag(recvtag), slice)
-                        .await
-                        .map_err(|e| Self::unframe_truncation(e, recvbuf.len()))
-                    {
-                        Ok(n) => {
-                            if let Some(len) =
-                                self.accept_frame(&in_frame[..n], recvbuf, src, recvtag).await?
-                            {
-                                received = Some(len);
-                            }
-                        }
-                        Err(CommError::Timeout { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            if !acked {
-                match self
-                    .inner
-                    .recv_timeout(&mut in_frame[..4], dest, Self::ack_tag(sendtag), slice)
-                    .await
-                {
-                    Ok(4) => {
-                        let mut b = [0u8; 4];
-                        b.copy_from_slice(&in_frame[..4]);
-                        if u32::from_le_bytes(b) >= seq {
-                            acked = true;
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(CommError::Timeout { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                if !acked && self.inner.now_ns() >= next_retransmit {
-                    attempt += 1;
-                    if attempt >= self.cfg.max_attempts {
-                        return Err(CommError::Timeout { peer: dest });
-                    }
-                    self.inner.send(&frame, dest, Self::data_tag(sendtag)).await?;
-                    next_retransmit =
-                        deadline_after(self.inner.now_ns(), self.cfg.timeout_for(attempt));
-                }
-            }
-        }
+        let staged = self.inner.make_shared(sendbuf);
+        let payload =
+            self.sendrecv_shared(&staged, dest, sendtag, recvbuf.len(), src, recvtag).await?;
+        Ok(self.land(recvbuf, &payload))
     }
 
-    async fn barrier(&self) -> Result<()> {
-        self.inner.barrier().await
-    }
-
-    /// Vectored send over the reliable protocol: the segments are gathered
-    /// directly behind the 4-byte sequence header, so the protocol frame
-    /// doubles as the staging buffer and the whole payload still travels —
-    /// and is retransmitted — as one frame.
     async fn send_vectored(
         &self,
         buf: &[u8],
@@ -481,24 +511,9 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         dest: Rank,
         tag: Tag,
     ) -> Result<()> {
-        self.check_rank(dest)?;
-        let total = validate_spans(buf.len(), spans)?;
-        if dest == self.rank() {
-            // Loopback cannot lose messages; skip the protocol.
-            return self.inner.send_vectored(buf, spans, dest, tag).await;
-        }
-        let seq = self.next_tx_seq(dest, tag);
-        let mut frame = Vec::with_capacity(total + 4);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        for s in spans {
-            frame.extend_from_slice(&buf[s.range()]);
-        }
-        self.send_framed(&frame, dest, tag, seq).await
+        self.send_shared(&self.gather(buf, spans)?, dest, tag).await
     }
 
-    /// Scattered receive over the reliable protocol: the expected frame's
-    /// payload is fanned out into the spans straight from the frame buffer;
-    /// stale duplicates are re-acked and dropped without touching `buf`.
     async fn recv_scattered(
         &self,
         buf: &mut [u8],
@@ -506,34 +521,14 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         src: Rank,
         tag: Tag,
     ) -> Result<usize> {
-        self.check_rank(src)?;
         let total = validate_spans(buf.len(), spans)?;
-        if src == self.rank() {
-            return self.inner.recv_scattered(buf, spans, src, tag).await;
-        }
-        let mut frame = vec![0u8; self.rx_frame_len(src, tag, total)];
-        loop {
-            let n = self
-                .inner
-                .recv(&mut frame, src, Self::data_tag(tag))
-                .await
-                .map_err(|e| Self::unframe_truncation(e, total))?;
-            let accepted = self
-                .accept_frame_with(&frame[..n], total, src, tag, |payload| {
-                    scatter_spans(buf, spans, payload);
-                })
-                .await?;
-            if let Some(len) = accepted {
-                return Ok(len);
-            }
-        }
+        let payload = self.recv_owned(total, src, tag).await?;
+        Ok(self.scatter(buf, spans, &payload))
     }
 
-    /// Combined vectored exchange over the reliable protocol.
-    ///
-    /// Stages both directions contiguously and delegates to the pumping
-    /// [`sendrecv`](Self::sendrecv) — a naive vectored-send-then-receive
-    /// would deadlock for mutual exchanges exactly like the plain one.
+    /// Both directions go through the pumping
+    /// [`sendrecv_shared`](Self::sendrecv_shared) — a vectored-send-then-
+    /// receive would deadlock for mutual exchanges exactly like a plain one.
     async fn sendrecv_vectored(
         &self,
         buf: &mut [u8],
@@ -544,16 +539,11 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         src: Rank,
         recvtag: Tag,
     ) -> Result<usize> {
-        validate_spans(buf.len(), send_spans)?;
-        let rtotal = validate_spans(buf.len(), recv_spans)?;
+        let staged = self.gather(buf, send_spans)?;
+        let total = validate_spans(buf.len(), recv_spans)?;
         disjoint_span_lists(send_spans, recv_spans)?;
-        let mut sendbuf = Vec::with_capacity(spans_len(send_spans));
-        for s in send_spans {
-            sendbuf.extend_from_slice(&buf[s.range()]);
-        }
-        let mut recvbuf = vec![0u8; rtotal];
-        let n = self.sendrecv(&sendbuf, dest, sendtag, &mut recvbuf, src, recvtag).await?;
-        Ok(scatter_spans(buf, recv_spans, &recvbuf[..n]))
+        let payload = self.sendrecv_shared(&staged, dest, sendtag, total, src, recvtag).await?;
+        Ok(self.scatter(buf, recv_spans, &payload))
     }
 }
 
@@ -562,150 +552,136 @@ mod tests {
     use super::*;
     use crate::acomm::{complete_now, SyncComm};
     use crate::comm::Communicator;
-    use crate::thread_comm::ThreadWorld;
+    use crate::thread_comm::{ThreadComm, ThreadWorld};
+    use crate::WorldOutcome;
 
-    fn fast_cfg() -> RetryConfig {
+    type Rc<'a> = ReliableComm<'a, SyncComm<'a, ThreadComm>>;
+
+    /// `f` on every rank of an `n`-rank threaded world, each behind its own
+    /// `ReliableComm`; the bare communicator comes along for out-of-protocol
+    /// handshakes.
+    fn world<R: Send>(
+        n: usize,
+        cfg: RetryConfig,
+        f: impl Fn(&Rc<'_>, &ThreadComm) -> R + Sync,
+    ) -> WorldOutcome<R> {
+        ThreadWorld::run(n, |comm| f(&ReliableComm::with_config(&SyncComm::new(comm), cfg), comm))
+    }
+
+    fn fast(max_attempts: u32) -> RetryConfig {
         RetryConfig {
-            base_timeout: Duration::from_millis(10),
-            max_timeout: Duration::from_millis(80),
-            max_attempts: 6,
+            base_timeout: Duration::from_millis(5),
+            max_timeout: Duration::from_millis(20),
+            max_attempts,
         }
     }
 
-    #[test]
-    fn plain_send_recv_roundtrip() {
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let rc = ReliableComm::new(&acomm);
+    /// Rank 0 runs `f`, then releases rank 1, which only waits for that.
+    fn rank0_alone<R: Send>(
+        cfg: RetryConfig,
+        f: impl Fn(&Rc<'_>) -> R + Sync,
+    ) -> WorldOutcome<Option<R>> {
+        world(2, cfg, |rc, comm| {
             if comm.rank() == 0 {
-                complete_now(rc.send(&[7u8; 100], 1, Tag(3))).unwrap();
-                0
+                let r = f(rc);
+                comm.send(&[0], 1, Tag(9)).unwrap();
+                Some(r)
             } else {
-                let mut buf = [0u8; 100];
-                let n = complete_now(rc.recv(&mut buf, 0, Tag(3))).unwrap();
-                assert_eq!(&buf[..n], &[7u8; 100]);
-                n
+                comm.recv(&mut [0u8; 1], 0, Tag(9)).unwrap();
+                None
             }
-        });
-        assert_eq!(out.results, vec![0, 100]);
+        })
     }
 
     #[test]
     fn many_messages_stay_in_order() {
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let rc = ReliableComm::new(&acomm);
-            if comm.rank() == 0 {
-                for i in 0..50u8 {
-                    complete_now(rc.send(&[i], 1, Tag(0))).unwrap();
-                }
-                vec![]
-            } else {
-                let mut got = vec![];
-                let mut buf = [0u8; 1];
-                for _ in 0..50 {
-                    complete_now(rc.recv(&mut buf, 0, Tag(0))).unwrap();
+        let out = world(2, RetryConfig::default(), |rc, comm| {
+            let mut got = vec![];
+            for i in 0..50u8 {
+                if comm.rank() == 0 {
+                    complete_now(rc.send(&[i; 100], 1, Tag(3))).unwrap();
+                } else {
+                    let mut buf = [0u8; 100];
+                    assert_eq!(complete_now(rc.recv(&mut buf, 0, Tag(3))), Ok(100));
+                    assert_eq!(buf, [i; 100]);
                     got.push(buf[0]);
                 }
-                got
             }
+            got
         });
         assert_eq!(out.results[1], (0..50).collect::<Vec<u8>>());
     }
 
     #[test]
     fn sendrecv_exchange_does_not_deadlock() {
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let rc = ReliableComm::with_config(&acomm, fast_cfg());
-            let me = comm.rank();
-            let peer = 1 - me;
-            let sbuf = [me as u8 + 10; 16];
+        let out = world(2, fast(6), |rc, comm| {
+            let peer = 1 - comm.rank();
             let mut rbuf = [0u8; 16];
-            let n =
-                complete_now(rc.sendrecv(&sbuf, peer, Tag(1), &mut rbuf, peer, Tag(1))).unwrap();
+            let sbuf = [comm.rank() as u8 + 10; 16];
+            let n = complete_now(rc.sendrecv(&sbuf, peer, Tag(1), &mut rbuf, peer, Tag(1)));
             (n, rbuf[0])
         });
-        assert_eq!(out.results[0], (16, 11));
-        assert_eq!(out.results[1], (16, 10));
+        assert_eq!(out.results, vec![(Ok(16), 11), (Ok(16), 10)]);
     }
 
     #[test]
     fn send_times_out_when_never_acked() {
-        let out = ThreadWorld::run(2, |comm| {
-            if comm.rank() == 0 {
-                let acomm = SyncComm::new(comm);
-                let rc = ReliableComm::with_config(
-                    &acomm,
-                    RetryConfig {
-                        base_timeout: Duration::from_millis(5),
-                        max_timeout: Duration::from_millis(10),
-                        max_attempts: 3,
-                    },
-                );
-                // rank 1 never runs the protocol, so no ack ever comes
-                let err = complete_now(rc.send(&[1u8; 8], 1, Tag(0))).unwrap_err();
-                // release rank 1
-                comm.send(&[0], 1, Tag(9)).unwrap();
-                Some(err)
-            } else {
+        // rank 1 never runs the protocol, so no ack ever comes
+        let out = rank0_alone(fast(3), |rc| complete_now(rc.send(&[1u8; 8], 1, Tag(0))));
+        assert_eq!(out.results[0], Some(Err(CommError::Timeout { peer: 1 })));
+        assert_eq!(out.traffic.total_msgs(), 3 + 1, "three attempts and the release");
+    }
+
+    #[test]
+    fn sequence_numbers_wrap() {
+        assert!(at_or_after(7, 7) && at_or_after(0, u32::MAX) && !at_or_after(u32::MAX, 0));
+        let out = world(2, fast(6), |rc, comm| {
+            let peer = 1 - comm.rank();
+            let near = u32::MAX - 1;
+            rc.channel(peer, Tag(0), |ch| (ch.tx_next, ch.rx_expected) = (near, near));
+            let mut got = vec![];
+            for i in 0..4u8 {
                 let mut buf = [0u8; 1];
-                comm.recv(&mut buf, 0, Tag(9)).unwrap();
-                None
+                complete_now(rc.sendrecv(&[i], peer, Tag(0), &mut buf, peer, Tag(0))).unwrap();
+                got.push(buf[0]);
             }
+            (got, rc.channel(peer, Tag(0), |ch| (ch.tx_next, ch.rx_expected)))
         });
-        assert_eq!(out.results[0], Some(CommError::Timeout { peer: 1 }));
+        assert_eq!(out.results[0], (vec![0, 1, 2, 3], (2, 2)));
+        assert_eq!(out.results[0], out.results[1]);
     }
 
     #[test]
     fn loopback_skips_protocol() {
-        let out = ThreadWorld::run(1, |comm| {
-            let acomm = SyncComm::new(comm);
-            let rc = ReliableComm::new(&acomm);
+        let out = world(1, RetryConfig::default(), |rc, _| {
             complete_now(rc.send(&[9u8; 4], 0, Tag(0))).unwrap();
             let mut buf = [0u8; 4];
             complete_now(rc.recv(&mut buf, 0, Tag(0))).unwrap();
             buf[0]
         });
         assert_eq!(out.results[0], 9);
+        assert_eq!(out.traffic.total_msgs(), 1, "no ack for a loopback message");
     }
 
     #[test]
     fn recv_timeout_passes_through() {
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let rc = ReliableComm::with_config(&acomm, fast_cfg());
-            if comm.rank() == 0 {
-                let mut buf = [0u8; 4];
-                let err =
-                    complete_now(rc.recv_timeout(&mut buf, 1, Tag(5), Duration::from_millis(30)))
-                        .unwrap_err();
-                comm.send(&[0], 1, Tag(9)).unwrap();
-                Some(err)
-            } else {
-                let mut buf = [0u8; 1];
-                comm.recv(&mut buf, 0, Tag(9)).unwrap();
-                None
-            }
+        let out = rank0_alone(fast(6), |rc| {
+            complete_now(rc.recv_timeout(&mut [0u8; 4], 1, Tag(5), Duration::from_millis(30)))
         });
-        assert_eq!(out.results[0], Some(CommError::Timeout { peer: 1 }));
+        assert_eq!(out.results[0], Some(Err(CommError::Timeout { peer: 1 })));
     }
 
     #[test]
     fn truncation_surfaces_like_plain_recv() {
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let rc = ReliableComm::with_config(&acomm, fast_cfg());
+        let out = world(2, fast(6), |rc, comm| {
             if comm.rank() == 0 {
                 // the ack never comes back (receiver errors out first), so
                 // tolerate either outcome of the send
                 let _ = complete_now(rc.send(&[1u8; 64], 1, Tag(0)));
-                let mut buf = [0u8; 1];
-                comm.recv(&mut buf, 1, Tag(9)).unwrap();
+                comm.recv(&mut [0u8; 1], 1, Tag(9)).unwrap();
                 None
             } else {
-                let mut small = [0u8; 8];
-                let err = complete_now(rc.recv(&mut small, 0, Tag(0))).unwrap_err();
+                let err = complete_now(rc.recv(&mut [0u8; 8], 0, Tag(0))).unwrap_err();
                 comm.send(&[0], 0, Tag(9)).unwrap();
                 Some(err)
             }

@@ -201,7 +201,7 @@ impl ThreadComm {
         deadline: Option<Instant>,
     ) -> Result<usize> {
         let env = self.pop_envelope(src, tag, deadline, buf.len())?;
-        buf[..env.data.len()].copy_from_slice(&env.data);
+        buf[..env.data.len()].copy_from_slice(&env.data.bytes());
         self.counters.record_copy(env.data.len());
         self.counters.record_recv(src, env.data.len());
         Ok(env.data.len())
@@ -297,7 +297,7 @@ impl Communicator for ThreadComm {
         let env = self.pop_envelope(src, tag, None, total)?;
         // Scatter each segment directly out of the matched envelope — no
         // intermediate contiguous staging buffer.
-        let n = scatter_spans(buf, spans, &env.data);
+        let n = scatter_spans(buf, spans, &env.data.bytes());
         self.counters.record_copy(n);
         self.counters.record_recv_vectored(src, n, spans.len().max(1) as u64);
         Ok(n)

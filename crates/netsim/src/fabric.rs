@@ -739,8 +739,8 @@ mod tests {
         let _ = f.post_send(0, 1, Tag(0), &[2], 0.0).unwrap();
         let r1 = f.post_recv(0, 1, Tag(0), 1, 0.0).unwrap();
         let r2 = f.post_recv(0, 1, Tag(0), 1, 0.0).unwrap();
-        assert_eq!(&*f.wait_recv(&r1).unwrap().0, &[1]);
-        assert_eq!(&*f.wait_recv(&r2).unwrap().0, &[2]);
+        assert_eq!(&*f.wait_recv(&r1).unwrap().0.bytes(), &[1]);
+        assert_eq!(&*f.wait_recv(&r2).unwrap().0.bytes(), &[2]);
     }
 
     #[test]
@@ -852,14 +852,15 @@ mod tests {
         // s3 is stalled until a receive consumes a credit
         let r1 = f.post_recv(0, 1, Tag(0), 10, 100.0).unwrap();
         let (d1, t1) = f.wait_recv(&r1).unwrap();
-        assert_eq!(&*d1, &[1; 10]); // FIFO preserved across deferral
-                                    // credit returns at recv_done + alpha(=0): s3 injects from max(20, t1)
+        assert_eq!(&*d1.bytes(), &[1; 10]); // FIFO preserved across deferral
+
+        // credit returns at recv_done + alpha(=0): s3 injects from max(20, t1)
         let s3_done = f.wait_send(&s3).unwrap();
         assert!(s3_done >= t1, "deferred send waited for the credit: {s3_done} vs {t1}");
         let r2 = f.post_recv(0, 1, Tag(0), 10, 100.0).unwrap();
         let r3 = f.post_recv(0, 1, Tag(0), 10, 100.0).unwrap();
-        assert_eq!(&*f.wait_recv(&r2).unwrap().0, &[2; 10]);
-        assert_eq!(&*f.wait_recv(&r3).unwrap().0, &[3; 10]);
+        assert_eq!(&*f.wait_recv(&r2).unwrap().0.bytes(), &[2; 10]);
+        assert_eq!(&*f.wait_recv(&r3).unwrap().0.bytes(), &[3; 10]);
     }
 
     #[test]
@@ -942,7 +943,7 @@ mod tests {
         // still gets the message
         let _s = f.post_send(0, 1, Tag(0), &[9u8; 4], 0.0).unwrap();
         let r2 = f.post_recv(0, 1, Tag(0), 10, 0.0).unwrap();
-        assert_eq!(&*f.wait_recv(&r2).unwrap().0, &[9u8; 4]);
+        assert_eq!(&*f.wait_recv(&r2).unwrap().0.bytes(), &[9u8; 4]);
     }
 
     #[test]
@@ -1006,7 +1007,7 @@ mod tests {
         let _s = f.post_send(2, 1, Tag(0), &[7u8; 4], 0.0).unwrap();
         f.rank_done(2);
         let r = f.post_recv(2, 1, Tag(0), 10, 0.0).unwrap();
-        assert_eq!(&*f.wait_recv(&r).unwrap().0, &[7u8; 4]);
+        assert_eq!(&*f.wait_recv(&r).unwrap().0.bytes(), &[7u8; 4]);
         // once drained, further receives observe the failure
         assert!(matches!(
             f.post_recv(2, 1, Tag(0), 10, 0.0),

@@ -515,6 +515,36 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         self.send_shared(sendbuf, dest, sendtag).await?;
         self.recv_owned(recv_capacity, src, recvtag).await
     }
+
+    async fn send_prefixed(
+        &self,
+        prefix: [u8; 4],
+        payload: &mpsim::SharedBuf,
+        dest: Rank,
+        tag: Tag,
+    ) -> Result<()> {
+        self.tick()?;
+        // The hold-back snapshot is the wire image, `prefix ‖ payload`; its
+        // plain re-send splits back into the same two parts at the receiver.
+        self.inject(
+            dest,
+            tag,
+            || self.inner.send_prefixed(prefix, payload, dest, tag),
+            || [&prefix[..], &payload[..]].concat(),
+        )
+        .await
+    }
+
+    async fn recv_prefixed(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<std::time::Duration>,
+    ) -> Result<Option<([u8; 4], mpsim::SharedBuf)>> {
+        self.tick()?;
+        self.inner.recv_prefixed(capacity, src, tag, timeout).await
+    }
 }
 
 #[cfg(test)]

@@ -292,7 +292,7 @@ impl Communicator for SimComm {
         let ready = from + self.shared.fabric.model().o_recv_ns;
         let h = self.shared.fabric.post_recv(src, self.rank, tag, buf.len(), ready)?;
         let (data, done) = self.shared.fabric.wait_recv(&h)?;
-        buf[..data.len()].copy_from_slice(&data);
+        buf[..data.len()].copy_from_slice(&data.bytes());
         self.counters.record_copy(data.len());
         self.advance_to(done.max(ready));
         self.charge_comm(from);
@@ -332,7 +332,7 @@ impl Communicator for SimComm {
             }
         };
         let (data, done) = result?;
-        buf[..data.len()].copy_from_slice(&data);
+        buf[..data.len()].copy_from_slice(&data.bytes());
         self.counters.record_copy(data.len());
         self.advance_to(done.max(ready));
         self.charge_comm(from);
@@ -364,7 +364,7 @@ impl Communicator for SimComm {
             self.shared.fabric.post_recv(src, self.rank, recvtag, recvbuf.len(), recv_ready)?;
         let send_done = self.shared.fabric.wait_send(&sh)?;
         let (data, recv_done) = self.shared.fabric.wait_recv(&rh)?;
-        recvbuf[..data.len()].copy_from_slice(&data);
+        recvbuf[..data.len()].copy_from_slice(&data.bytes());
         self.counters.record_copy(sendbuf.len() + data.len());
         self.advance_to(send_done.max(recv_done).max(recv_ready));
         self.charge_comm(now);
@@ -407,7 +407,7 @@ impl Communicator for SimComm {
         let ready = from + self.shared.fabric.model().o_recv_ns;
         let h = self.shared.fabric.post_recv(src, self.rank, tag, total, ready)?;
         let (data, done) = self.shared.fabric.wait_recv(&h)?;
-        let n = scatter_spans(buf, spans, &data);
+        let n = scatter_spans(buf, spans, &data.bytes());
         self.counters.record_copy(n);
         self.advance_to(done.max(ready));
         self.charge_comm(from);
@@ -453,7 +453,7 @@ impl Communicator for SimComm {
         let rh = self.shared.fabric.post_recv(src, self.rank, recvtag, recv_total, recv_ready)?;
         let send_done = self.shared.fabric.wait_send(&sh)?;
         let (data, recv_done) = self.shared.fabric.wait_recv(&rh)?;
-        let n = scatter_spans(buf, recv_spans, &data);
+        let n = scatter_spans(buf, recv_spans, &data.bytes());
         self.counters.record_copy(n);
         self.advance_to(send_done.max(recv_done).max(recv_ready));
         self.charge_comm(now);

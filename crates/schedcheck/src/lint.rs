@@ -63,12 +63,15 @@
 //!    process. Rule 2's generic `allow(panic)` waiver deliberately does not
 //!    apply; the only escape hatch is `// lint: allow(recovery-unwrap)`.
 //! 10. [`check_bcast_hot_copy`] — no unaccounted payload copies in the
-//!     broadcast hot-path modules (rule 5's file set plus `binomial.rs`).
+//!     broadcast hot-path modules (rule 5's file set plus `binomial.rs`)
+//!     nor on the reliable data path (`crates/mpsim/src/reliable.rs`).
 //!     Since the zero-copy envelope flow landed, forwarded payloads travel
 //!     as refcounted [`mpsim::SharedBuf`] views; a `copy_from_slice(` /
-//!     `rent_copy(` / `.to_vec()` creeping back in silently re-taxes every
-//!     hop while leaving wire traffic — and every wire-traffic test —
-//!     unchanged. The sanctioned shape is the *accounted landing copy*: a
+//!     `rent_copy(` / `.to_vec()` — in `reliable.rs` also an
+//!     `extend_from_slice(`, the way a frame used to be packed — creeping
+//!     back in silently re-taxes every hop while leaving wire traffic — and
+//!     every wire-traffic test — unchanged. The sanctioned shape is the
+//!     *accounted* copy, in the collectives the landing copy: a
 //!     copy with a `note_copy(` call within the following two lines, which
 //!     the `bytes_copied` ceilings then police at run time. Anything else
 //!     needs a `// lint: allow(bcast-hot-copy)` marker.
@@ -520,16 +523,20 @@ pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
 
 /// Rule 10: unaccounted payload copies in the broadcast hot path — rule 5's
 /// file set plus `binomial.rs` (the whole-buffer tree walk has no send loop
-/// but the same zero-copy contract). A copy primitive (`copy_from_slice(`,
-/// `rent_copy(`, `.to_vec()`) is sanctioned only as an *accounted landing
-/// copy*, recognisable by a `note_copy(` call on the same or the following
-/// two lines; the runtime `bytes_copied` ceilings then bound how often that
-/// shape may execute. Test modules are exempt (same scoping as
+/// but the same zero-copy contract) and `mpsim`'s `reliable.rs` (every hop
+/// of a broadcast over a lossy link goes through it). A copy primitive
+/// (`copy_from_slice(`, `rent_copy(`, `.to_vec()`; in `reliable.rs` also
+/// `extend_from_slice(`, which is how a frame gets packed) is sanctioned
+/// only as an *accounted* staging or landing copy, recognisable by a
+/// `note_copy(` call on the same or the following two lines; the runtime
+/// `bytes_copied` ceilings and closed forms then bound how often that shape
+/// may execute. Test modules are exempt (same scoping as
 /// [`check_panics`]); a deliberate exception carries a
 /// `// lint: allow(bcast-hot-copy)` marker on the same or the preceding
 /// line.
 pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
-    if !is_bcast_hot_path(path) && path != "crates/core/src/binomial.rs" {
+    let reliable = path == "crates/mpsim/src/reliable.rs";
+    if !is_bcast_hot_path(path) && path != "crates/core/src/binomial.rs" && !reliable {
         return Vec::new();
     }
     let body = match content.find("#[cfg(test)]") {
@@ -541,7 +548,9 @@ pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
     let mut hits = Vec::new();
     for (i, line) in lines.iter().enumerate() {
         let code = code_part(line);
-        if !COPIES.iter().any(|c| code.contains(c)) {
+        // How a frame gets packed; outside `reliable.rs` it builds lists.
+        let packs = reliable && code.contains("extend_from_slice(");
+        if !packs && !COPIES.iter().any(|c| code.contains(c)) {
             continue;
         }
         let allowed = line.contains("lint: allow(bcast-hot-copy)")
@@ -921,6 +930,12 @@ mod tests {
         // Only the broadcast hot path is held to the zero-copy contract.
         assert!(check_bcast_hot_copy("crates/core/src/rd_allgather.rs", bare).is_empty());
         assert!(check_bcast_hot_copy("crates/mpsim/src/thread_comm.rs", rented).is_empty());
+        // The reliable data path is on it, and there packing a frame counts.
+        let packed =
+            "frame.extend_from_slice(&seq.to_le_bytes());\nframe.extend_from_slice(buf);\n";
+        assert_eq!(check_bcast_hot_copy("crates/mpsim/src/reliable.rs", packed).len(), 2);
+        assert_eq!(check_bcast_hot_copy("crates/mpsim/src/reliable.rs", bare).len(), 1);
+        assert!(check_bcast_hot_copy("crates/core/src/ring.rs", packed).is_empty());
     }
 
     #[test]
@@ -939,6 +954,10 @@ mod tests {
         assert!(check_bcast_hot_copy("crates/core/src/ring.rs", waived).is_empty());
         let same_line = "buf.copy_from_slice(&env); // lint: allow(bcast-hot-copy) — baseline\n";
         assert!(check_bcast_hot_copy("crates/core/src/ring.rs", same_line).is_empty());
+        // A gather staged for one frame, accounted where it ends.
+        let staged = "for s in spans {\n    staged.extend_from_slice(&buf[s.range()]);\n}\n\
+                      self.inner.note_copy(staged.len());\n";
+        assert!(check_bcast_hot_copy("crates/mpsim/src/reliable.rs", staged).is_empty());
         // Comments and test modules are exempt.
         let comment = "// copy_from_slice( is banned on this path\n";
         assert!(check_bcast_hot_copy("crates/core/src/ring.rs", comment).is_empty());

@@ -40,8 +40,14 @@
 //! envelope without copying, the ring allgather's hold chain. A decorator
 //! companion drives the same calls through `SubComm` rank translation,
 //! `ReliableComm` retransmission framing, and the recovery layer's
-//! `GuardedComm` deadlines, proving the copy-fallback trait defaults keep
-//! every wrapper correct without a native zero-copy path of its own.
+//! `GuardedComm` deadlines, proving every wrapper carries the surface
+//! through — by forwarding it, or over the trait's copy fallbacks.
+//!
+//! A fifth battery pins the prefixed pair (`send_prefixed` / `recv_prefixed`,
+//! a framing decorator's four-byte header travelling beside the body): the
+//! wire image is `prefix ‖ body` whichever call produced or consumed it, on
+//! the executor that takes the envelope apart natively and on the two that
+//! ride the trait's copy fallback alike.
 
 use std::time::Duration;
 
@@ -537,11 +543,72 @@ async fn shared_battery<C: AsyncCommunicator>(comm: &C) {
     comm.barrier().await.unwrap();
 }
 
-/// Decorator passthrough for the shared-payload surface: the copy-fallback
-/// trait defaults must keep every wrapper correct — `SubComm` translates
-/// ranks, `ReliableComm` frames each payload in its retransmission
-/// protocol, `GuardedComm` bounds each receive with a deadline — even
-/// though none of them implements a native zero-copy path. Requires an
+/// The prefixed-envelope battery. Pairwise one-way (`me ^ 1`), every
+/// message received in the order it was sent, so it is rendezvous-safe.
+async fn prefixed_battery<C: AsyncCommunicator>(comm: &C) {
+    assert_eq!(comm.size(), WORLD);
+    let me = comm.rank();
+    let partner = me ^ 1;
+    let body: Vec<u8> = (0..24u8).map(|i| i.wrapping_mul(5) ^ 0x30).collect();
+    let prefix = [0xDE, 0xAD, 0xBE, 0xEF];
+    let image = [&prefix[..], &body[..]].concat();
+    let tag = Tag(100);
+    if me.is_multiple_of(2) {
+        let shared = comm.make_shared(&body);
+        // Six times the same image, from either side of the pair of calls.
+        for _ in 0..4 {
+            comm.send_prefixed(prefix, &shared, partner, tag).await.unwrap();
+        }
+        comm.send(&image, partner, tag).await.unwrap();
+        comm.send_vectored(&image, &[IoSpan::new(0, 2), IoSpan::new(2, 26)], partner, tag)
+            .await
+            .unwrap();
+        // The edges: an empty body, a bare prefix, a runt, a body too long.
+        comm.send_prefixed(prefix, &shared.slice(0..0), partner, tag).await.unwrap();
+        comm.send(&prefix, partner, tag).await.unwrap();
+        comm.send(&prefix[..3], partner, tag).await.unwrap();
+        let _ = comm.send_prefixed(prefix, &shared, partner, tag).await;
+    } else {
+        // prefixed → prefixed: the two parts come back as posted.
+        let (p, b) = comm.recv_prefixed(32, partner, tag, None).await.unwrap().unwrap();
+        assert_eq!((p, &b[..]), (prefix, &body[..]));
+        // prefixed → plain, owned, scattered: the concatenated image.
+        let mut plain = [0u8; 28];
+        assert_eq!(comm.recv(&mut plain, partner, tag).await.unwrap(), 28);
+        assert_eq!(plain[..], image[..]);
+        assert_eq!(&comm.recv_owned(28, partner, tag).await.unwrap()[..], &image[..]);
+        let mut scat = [0u8; 28];
+        let spans = [IoSpan::new(24, 4), IoSpan::new(0, 24)];
+        assert_eq!(comm.recv_scattered(&mut scat, &spans, partner, tag).await.unwrap(), 28);
+        assert_eq!((&scat[24..], &scat[..24]), (&prefix[..], &body[..]));
+        // plain or vectored → prefixed: split after the fourth byte, within
+        // a deadline as well as without one.
+        for wait in [None, Some(Duration::from_secs(5))] {
+            let (p, b) = comm.recv_prefixed(24, partner, tag, wait).await.unwrap().unwrap();
+            assert_eq!((p, &b[..]), (prefix, &body[..]));
+        }
+        for _ in 0..2 {
+            let (p, b) = comm.recv_prefixed(0, partner, tag, None).await.unwrap().unwrap();
+            assert_eq!((p, b.len()), (prefix, 0), "a bare prefix frames an empty body");
+        }
+        let runt = comm.recv_prefixed(8, partner, tag, None).await.unwrap();
+        assert!(runt.is_none(), "three bytes cannot carry a prefix");
+        // `capacity` bounds the body, in the body's terms.
+        let err = comm.recv_prefixed(23, partner, tag, None).await.unwrap_err();
+        assert_eq!(err, CommError::Truncation { capacity: 23, incoming: 24 });
+        // Expiry on an empty channel is a timeout, as for any bounded receive.
+        let wait = Some(Duration::from_millis(20));
+        let err = comm.recv_prefixed(8, partner, Tag(101), wait).await.unwrap_err();
+        assert_eq!(err, CommError::Timeout { peer: partner });
+    }
+    comm.barrier().await.unwrap();
+}
+
+/// Decorator passthrough for the shared-payload surface: every wrapper must
+/// carry it through intact — `SubComm` translates ranks, `ReliableComm`
+/// frames each payload in its retransmission protocol (the sequence number
+/// beside it, or packed in front of it by the copy fallback), `GuardedComm`
+/// bounds each receive with a deadline. Requires an
 /// eagerly-delivering transport (`GuardedComm` decomposes `sendrecv` and
 /// `ReliableComm` pumps ACKs), like the fault battery.
 async fn shared_decorator_battery<C: AsyncCommunicator>(comm: &C) {
@@ -569,7 +636,7 @@ async fn shared_decorator_battery<C: AsyncCommunicator>(comm: &C) {
     assert_eq!(&env[..], &[lleft as u8; 4], "SubComm fused exchange broke");
     sub.barrier().await.unwrap();
 
-    // --- ReliableComm: the fallback send travels inside the ACK protocol;
+    // --- ReliableComm: the shared send travels inside the ACK protocol;
     // sequence numbers and retransmission state must frame it like any
     // plain payload.
     let retry = RetryConfig {
@@ -707,6 +774,29 @@ fn simulated_backend_shared_conforms_eager() {
 #[test]
 fn event_backend_shared_conforms() {
     EventWorld::run(WORLD, |comm| async move { shared_battery(&comm).await });
+}
+
+#[test]
+fn threaded_backend_prefixed_conforms() {
+    ThreadWorld::run(WORLD, |comm| complete_now(prefixed_battery(&SyncComm::new(comm))));
+}
+
+#[test]
+fn simulated_backend_prefixed_conforms_rendezvous() {
+    let model = NetworkModel::uniform(50.0, 1.0);
+    SimWorld::run(model, Placement::new(4), WORLD, |comm| {
+        complete_now(prefixed_battery(&SyncComm::new(comm)))
+    });
+}
+
+#[test]
+fn event_backend_prefixed_conforms() {
+    let out = EventWorld::run(WORLD, |comm| async move { prefixed_battery(&comm).await });
+    // Counted like plain sends of the image; of the ten envelopes per pair
+    // only the two plain and one vectored one were staged by the sender.
+    let sender = &out.traffic.per_rank[0];
+    assert_eq!((sender.envelopes_sent, sender.bytes_sent), (10, 7 * 28 + 4 + 4 + 3));
+    assert_eq!(sender.bytes_copied, 24 + 2 * 28 + 4 + 3);
 }
 
 #[test]

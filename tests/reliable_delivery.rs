@@ -1,0 +1,237 @@
+//! `ReliableComm`'s delivery contract where a frame's sequence number rides
+//! beside its payload instead of in front of a copy of it.
+//!
+//! Each scenario is written once against [`AsyncCommunicator`] and run on
+//! the event executor — where `EventComm` takes the prefixed pair natively
+//! and a frame is a refcount clone of what the sender staged — and through
+//! `SyncComm` on the threaded one, where the trait's copy fallback puts the
+//! same `prefix ‖ payload` image on the wire. The faults are not sampled:
+//! [`plan_meeting`] searches for the seed under which the data frames rank 0
+//! offers rank 1 meet exactly the listed fates, so every scenario replays
+//! the same way on both executors and under any `TESTKIT_SEED`.
+
+use std::time::Duration;
+
+use bcast_core::{Interp, Loc, SchedOp};
+use mpsim::reliable::{ACK_TAG_BASE, DATA_TAG_BASE};
+use mpsim::{
+    complete_now, AsyncCommunicator, CommError, EventWorld, ReliableComm, RetryConfig, SyncComm,
+    Tag, ThreadWorld,
+};
+use netsim::{FaultAction, FaultAction::*, FaultPlan, FaultyComm, LinkFaults};
+
+fn retry(max_attempts: u32) -> RetryConfig {
+    RetryConfig {
+        base_timeout: Duration::from_millis(5),
+        max_timeout: Duration::from_millis(40),
+        max_attempts,
+    }
+}
+
+/// A plan under which the first data frames offered on link `0 → 1` meet
+/// exactly `fates`, in order; every other link is clean.
+fn plan_meeting(faults: LinkFaults, fates: &[FaultAction]) -> FaultPlan {
+    (0..1 << 20)
+        .map(|seed| FaultPlan::new(seed).with_link(0, 1, faults))
+        .find(|plan| fates.iter().enumerate().all(|(k, &f)| plan.decide(0, 1, k as u64) == f))
+        .expect("some seed in a million draws these fates")
+}
+
+const HALF_DROPPED: LinkFaults = LinkFaults { drop_ppm: 500_000, dup_ppm: 0, delay_ppm: 0 };
+const ALL_DUPLICATED: LinkFaults = LinkFaults { drop_ppm: 0, dup_ppm: 1_000_000, delay_ppm: 0 };
+const ALL_DELAYED: LinkFaults = LinkFaults { drop_ppm: 0, dup_ppm: 0, delay_ppm: 1_000_000 };
+
+/// Run `$scenario` on both ranks of a two-rank world of each executor.
+macro_rules! on_both_executors {
+    ($scenario:ident) => {
+        mod $scenario {
+            use super::*;
+
+            #[test]
+            fn threaded() {
+                ThreadWorld::run(2, |comm| complete_now($scenario(&SyncComm::new(comm))));
+            }
+
+            #[test]
+            fn event() {
+                EventWorld::run(2, |comm| async move { $scenario(&comm).await });
+            }
+        }
+    };
+}
+
+/// `make_shared` snapshots: the user buffer mutated after `send_shared`
+/// returned does not show in a later retransmission of the same envelope.
+async fn snapshot_survives_retransmission<C: AsyncCommunicator>(comm: &C) {
+    let plan = plan_meeting(HALF_DROPPED, &[Drop, Deliver, Drop, Deliver]);
+    let faulty = FaultyComm::new(comm, plan);
+    let rc = ReliableComm::with_config(&faulty, retry(12));
+    if comm.rank() == 0 {
+        let mut user = vec![0x11u8; 256];
+        let staged = rc.make_shared(&user);
+        rc.send_shared(&staged, 1, Tag(3)).await.unwrap();
+        user.fill(0xFF);
+        // First attempt dropped again: what goes out is posted after the fill.
+        rc.send_shared(&staged, 1, Tag(3)).await.unwrap();
+    } else {
+        for _ in 0..2 {
+            let got = rc.recv_owned(256, 0, Tag(3)).await.unwrap();
+            assert_eq!(&got[..], &[0x11u8; 256], "the retransmission leaked a later write");
+        }
+    }
+}
+on_both_executors!(snapshot_survives_retransmission);
+
+/// A stale duplicate *larger* than the receive now posted on its channel is
+/// told by its number, re-acknowledged and dropped — not a truncation.
+async fn oversized_stale_duplicate<C: AsyncCommunicator>(comm: &C) {
+    let faulty = FaultyComm::new(comm, plan_meeting(ALL_DUPLICATED, &[Duplicate, Duplicate]));
+    let rc = ReliableComm::with_config(&faulty, retry(12));
+    if comm.rank() == 0 {
+        rc.send(&[0xAA; 64], 1, Tag(4)).await.unwrap();
+        rc.send(&[0xBB; 8], 1, Tag(4)).await.unwrap();
+    } else {
+        assert_eq!(&rc.recv_owned(64, 0, Tag(4)).await.unwrap()[..], &[0xAA; 64]);
+        // Next in the queue is the 64-byte duplicate; the posted capacity is 8.
+        assert_eq!(&rc.recv_owned(8, 0, Tag(4)).await.unwrap()[..], &[0xBB; 8]);
+    }
+}
+on_both_executors!(oversized_stale_duplicate);
+
+/// A held-back frame is re-sent as a plain byte snapshot of `prefix ‖
+/// payload`; the prefixed receive takes it like the frame it stands for.
+async fn holdback_snapshot_is_accepted<C: AsyncCommunicator>(comm: &C) {
+    let faulty = FaultyComm::new(comm, plan_meeting(ALL_DELAYED, &[Delay, Delay]));
+    let rc = ReliableComm::with_config(&faulty, retry(12));
+    if comm.rank() == 0 {
+        // Attempt 0 is held back; attempt 1 takes its place and releases it.
+        rc.send_shared(&rc.make_shared(&[0x5C; 100]), 1, Tag(5)).await.unwrap();
+    } else {
+        let got = rc.recv_owned(100, 0, Tag(5)).await.unwrap();
+        assert_eq!(&got[..], &[0x5C; 100]);
+        assert_eq!(got.shares(), 1, "a hold-back snapshot is a copy, not the sender's rental");
+    }
+}
+on_both_executors!(holdback_snapshot_is_accepted);
+
+/// `max_attempts == 0` is a policy, not a panic: a send to another rank
+/// times out having transmitted nothing.
+async fn zero_attempts_transmit_nothing<C: AsyncCommunicator>(comm: &C) {
+    let rc = ReliableComm::with_config(comm, retry(0));
+    let mut buf = [0u8; 8];
+    if comm.rank() == 0 {
+        let timeout = Err(CommError::Timeout { peer: 1 });
+        assert_eq!(rc.send(&[1; 8], 1, Tag(6)).await, timeout);
+        assert_eq!(rc.sendrecv(&[1; 8], 1, Tag(6), &mut buf, 1, Tag(6)).await, timeout.map(|()| 0));
+        // Loopback never enters the protocol, so it needs no attempt.
+        assert_eq!(rc.sendrecv(&[7; 8], 0, Tag(6), &mut buf, 0, Tag(6)).await, Ok(8));
+        comm.barrier().await.unwrap();
+    } else {
+        comm.barrier().await.unwrap();
+        let data = Tag(DATA_TAG_BASE + 6);
+        let nothing = comm.recv_timeout(&mut buf, 0, data, Duration::ZERO).await;
+        assert_eq!(nothing, Err(CommError::Timeout { peer: 0 }), "a frame was transmitted");
+    }
+    // Rank 0 stays until rank 1 has looked: an exited peer is not a timeout.
+    comm.barrier().await.unwrap();
+}
+on_both_executors!(zero_attempts_transmit_nothing);
+
+/// A user tag the two protocol ranges have no room for is refused before
+/// anything is posted, on every entry point; the last tag with room works.
+async fn out_of_range_tag_is_refused<C: AsyncCommunicator>(comm: &C) {
+    let rc = ReliableComm::with_config(comm, retry(12));
+    let peer = 1 - comm.rank();
+    let mut buf = [0u8; 1];
+    let refused = CommError::Unsupported { what: "reliable/tag", size: 2 };
+    let beyond = [Tag(ACK_TAG_BASE - DATA_TAG_BASE), Tag(DATA_TAG_BASE), Tag(u32::MAX)];
+    for tag in beyond {
+        assert_eq!(rc.send(&[1], peer, tag).await, Err(refused.clone()));
+        assert_eq!(rc.send(&[1], comm.rank(), tag).await, Err(refused.clone()));
+        assert_eq!(rc.recv(&mut buf, peer, tag).await, Err(refused.clone()));
+        let short = Duration::from_millis(1);
+        assert_eq!(rc.recv_timeout(&mut buf, peer, tag, short).await, Err(refused.clone()));
+        let pumped = rc.sendrecv(&[1], peer, Tag(0), &mut buf, peer, tag).await;
+        assert_eq!(pumped, Err(refused.clone()));
+    }
+    comm.barrier().await.unwrap();
+    // Had the peer posted any of its data frames, it would sit on the
+    // wrapped tag by now (the peer stays: the exchange below needs it).
+    for tag in beyond {
+        let wrapped = Tag(DATA_TAG_BASE.wrapping_add(tag.0));
+        let posted = comm.recv_timeout(&mut buf, peer, wrapped, Duration::ZERO).await;
+        assert_eq!(posted, Err(CommError::Timeout { peer }));
+    }
+    let top = Tag(ACK_TAG_BASE - DATA_TAG_BASE - 1);
+    let n = rc.sendrecv(&[comm.rank() as u8], peer, top, &mut buf, peer, top).await;
+    assert_eq!((n, buf[0]), (Ok(1), peer as u8));
+}
+on_both_executors!(out_of_range_tag_is_refused);
+
+/// The frame a receiver gets after a dropped first attempt is a view of the
+/// *same* rental the sender staged: the retransmission re-posted a clone.
+#[test]
+fn retransmission_reposts_the_staged_rental() {
+    const N: usize = 4096;
+    let plan = plan_meeting(HALF_DROPPED, &[Drop, Deliver]);
+    let out = EventWorld::run(2, |comm| {
+        let plan = plan.clone();
+        async move {
+            let faulty = FaultyComm::new(&comm, plan);
+            let rc = ReliableComm::with_config(&faulty, retry(12));
+            if comm.rank() == 0 {
+                let staged = rc.make_shared(&[7u8; N]);
+                rc.send_shared(&staged, 1, Tag(3)).await.unwrap();
+                (staged.as_ptr() as usize, 0)
+            } else {
+                let got = rc.recv_owned(N, 0, Tag(3)).await.unwrap();
+                assert_eq!(&got[..], &[7u8; N]);
+                // The sender is still parked on the ack, holding its view.
+                (got.as_ptr() as usize, got.shares())
+            }
+        }
+    });
+    assert_eq!(out.results[1], (out.results[0].0, 2), "not the sender's rental");
+    assert!(out.elapsed >= retry(12).base_timeout, "the first attempt was meant to be lost");
+    // One staging pass at the sender; beyond it only the ack moved bytes.
+    let copied: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
+    assert_eq!(copied, vec![N as u64 + 4, 4]);
+}
+
+/// The re-ack of [`oversized_stale_duplicate`], counted: the receiver sends
+/// its two acks plus one for the duplicate it dropped.
+#[test]
+fn oversized_stale_duplicate_is_reacked() {
+    let out = EventWorld::run(2, |comm| async move { oversized_stale_duplicate(&comm).await });
+    let acks = &out.traffic.per_rank[1];
+    assert_eq!((acks.msgs_sent, acks.bytes_sent), (3, 12));
+}
+
+/// What the interpreter bills through `Reliable(Faulty(EventComm))` is what
+/// it bills on the bare executor: `make_shared` rents from the world's pool
+/// and is counted once, the landing copy is counted once, and the frame in
+/// between adds nothing but its ack.
+#[test]
+fn interpreter_copies_are_counted_through_the_stack() {
+    const N: usize = 1000;
+    let out = EventWorld::run(2, |comm| async move {
+        let faulty = FaultyComm::new(&comm, FaultPlan::new(1));
+        let rc = ReliableComm::with_config(&faulty, retry(12));
+        let before = comm.pool_stats();
+        let mut buf = vec![comm.rank() as u8 ^ 1; N];
+        let op = if comm.rank() == 0 {
+            SchedOp::send("test", 1, Tag(0), Loc::Buf(0..N))
+        } else {
+            SchedOp::recv("test", 0, Tag(0), Loc::Buf(0..N))
+        };
+        Interp::new(&rc, &mut buf).run([op]).await.unwrap();
+        assert_eq!(buf, vec![1u8; N]);
+        let after = comm.pool_stats();
+        (after.hits + after.misses) - (before.hits + before.misses)
+    });
+    // Staging (rank 0) and landing (rank 1), plus the four ack bytes each
+    // side copies in or out.
+    let copied: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
+    assert_eq!(copied, vec![N as u64 + 4, N as u64 + 4]);
+    assert!(out.results[0] >= 1, "the staged envelope must be a pool rental");
+}

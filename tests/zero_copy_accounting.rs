@@ -27,6 +27,11 @@
 //!   block is staged once and the partner's landed once, on top of the
 //!   scatter's landing copy).
 //!
+//! * **Through `ReliableComm`**: the sequence number rides beside the
+//!   payload and a frame is a refcount clone of what the algorithm staged, so
+//!   the layer's whole bill is its acks — `traffic::reliable_volume` on the
+//!   wire, the bare algorithm's `bytes_copied` plus 8 bytes per message.
+//!
 //! The same ceilings are enforced a second way through
 //! `schedcheck::reconcile_traffic`, here driven by real `ThreadWorld` and
 //! `EventWorld` outcomes — so a copy regression fails both the direct
@@ -34,11 +39,13 @@
 
 use bcast_core::bcast::bcast_schedule;
 use bcast_core::pipeline::bcast_pipeline;
+use bcast_core::traffic::{bcast_volume, reliable_volume};
 use bcast_core::{
     bcast_binomial, bcast_binomial_copy, bcast_coalesced_event_world, bcast_event_world,
-    bcast_with, Algorithm, CoalescePolicy,
+    bcast_with, bcast_with_async, Algorithm, CoalescePolicy,
 };
-use mpsim::{Communicator, ThreadWorld, WorldTraffic};
+use mpsim::{AsyncCommunicator, Communicator, EventWorld, ReliableComm, ThreadWorld, WorldTraffic};
+use netsim::{FaultPlan, FaultyComm};
 use schedcheck::{copy_ceiling_per_rank, reconcile_traffic};
 
 fn pattern(n: usize) -> Vec<u8> {
@@ -220,4 +227,59 @@ fn reconciliation_enforces_copy_ceilings_on_both_executors() {
         let rec = reconcile_traffic(&sched, &out.traffic);
         assert!(rec.is_clean(), "{algorithm:?} on EventWorld: {:?}", rec.errors);
     }
+}
+
+/// `algorithm` from root 0 on an event world, every rank through the general
+/// entry point — over the bare executor, or over `ReliableComm` on a
+/// `FaultyComm` that injects nothing.
+fn run_event(p: usize, nbytes: usize, algorithm: Algorithm, reliable: bool) -> WorldTraffic {
+    let src = pattern(nbytes);
+    let out = EventWorld::run(p, |comm| {
+        let src = src.clone();
+        async move {
+            let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
+            if reliable {
+                let faulty = FaultyComm::new(&comm, FaultPlan::new(0));
+                let stack = ReliableComm::new(&faulty);
+                bcast_with_async(&stack, &mut buf, 0, algorithm).await.unwrap();
+            } else {
+                bcast_with_async(&comm, &mut buf, 0, algorithm).await.unwrap();
+            }
+            assert_eq!(buf, src, "rank {} diverged", comm.rank());
+        }
+    });
+    out.traffic
+}
+
+#[test]
+fn reliable_delivery_bills_the_bare_algorithm_plus_its_acks() {
+    let shapes = [8usize, 10, 16].map(|p| (p, 1000)).into_iter().chain([(128, 128 << 10)]);
+    for (p, nbytes) in shapes {
+        for algorithm in [Algorithm::ScatterRingTuned, Algorithm::Binomial] {
+            let v = bcast_volume(algorithm, nbytes, p);
+            let bare = run_event(p, nbytes, algorithm, false);
+            assert_eq!((bare.total_msgs(), bare.total_bytes()), (v.msgs, v.bytes));
+
+            let framed = run_event(p, nbytes, algorithm, true);
+            let wire = reliable_volume(v);
+            let what = format!("{algorithm:?} P={p} n={nbytes}");
+            assert!(framed.is_balanced(), "{what}");
+            assert_eq!(framed.total_msgs(), wire.msgs, "{what}: one ack per frame");
+            assert_eq!(framed.total_envelopes(), wire.msgs, "{what}: each its own envelope");
+            assert_eq!(framed.total_bytes(), wire.bytes, "{what}: 4 B of number, 4 B of ack");
+            // No payload byte is copied between the sender's `make_shared`
+            // and the receiver's landing copy: what is left is an ack's four
+            // bytes staged at one end and copied out at the other.
+            assert_eq!(
+                framed.total_bytes_copied(),
+                bare.total_bytes_copied() + 8 * v.msgs,
+                "{what}: the stack copied payload bytes of its own"
+            );
+        }
+    }
+    // The lossy-ring workload's shape, drop-free, in absolute numbers.
+    let framed = run_event(128, 128 << 10, Algorithm::ScatterRingTuned, true);
+    assert_eq!(framed.total_envelopes(), 31_870);
+    assert_eq!(framed.total_bytes(), 16_773_624);
+    assert_eq!(framed.total_bytes_copied(), 17_297_912);
 }
