@@ -74,10 +74,6 @@ pub mod rank;
 pub mod reliable;
 pub mod sub_comm;
 pub mod sync;
-#[cfg_attr(not(feature = "fast-sync"), allow(dead_code))]
-pub(crate) mod sync_fast;
-#[cfg_attr(feature = "fast-sync", allow(dead_code))]
-pub(crate) mod sync_std;
 pub mod thread_comm;
 
 pub use acomm::{complete_now, AsyncCommunicator, SyncComm};

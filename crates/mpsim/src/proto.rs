@@ -1,41 +1,15 @@
-//! Pure decision logic of the sync-layer and event-reactor protocols,
-//! factored out of [`crate::mailbox`], the `fast-sync` lock backend, and the
-//! [`crate::event_comm`] reactor so that an external model checker can
-//! explore exactly the predicates the runtime executes.
+//! Pure decision logic of the mailbox and event-reactor protocols, factored
+//! out of [`crate::mailbox`] and the [`crate::event_comm`] reactor so that an
+//! external model checker can explore exactly the predicates the runtime
+//! executes.
 //!
 //! Everything here is a total function over plain integers — no atomics, no
 //! blocking, no I/O. The runtime calls these at its decision points
-//! (annotated in `sync_fast.rs` / `mailbox.rs` / `event_comm.rs`);
-//! `schedcheck`'s interleaving explorer drives the same functions from
-//! abstract states, so a checked property ("the swap-release protocol never
-//! loses a waiter", "the run-queue dedup flag never drops a wake") speaks
-//! about the deployed code, not a hand-copied transcription of it.
-
-/// Lock word: free.
-pub const UNLOCKED: u32 = 0;
-/// Lock word: held, no contention observed.
-pub const LOCKED: u32 = 1;
-/// Lock word: held with waiters possible — the next release must wake one.
-pub const CONTENDED: u32 = 2;
-
-/// Did a slow-path `swap(CONTENDED)` acquire the lock? The swap observes the
-/// previous word: finding [`UNLOCKED`] means we took the lock (conservatively
-/// leaving it marked contended — at worst one spurious unpark later); any
-/// other value means the holder is still inside.
-#[inline]
-#[must_use]
-pub fn slow_path_acquired(prev: u32) -> bool {
-    prev == UNLOCKED
-}
-
-/// Must a release (`swap(UNLOCKED)`) wake a parked waiter? Only when the
-/// word it replaced said contention was observed: an uncontended unlock
-/// performs no wakeup at all.
-#[inline]
-#[must_use]
-pub fn release_needs_wake(prev: u32) -> bool {
-    prev == CONTENDED
-}
+//! (annotated in `mailbox.rs` / `event_comm.rs`); `schedcheck`'s
+//! interleaving explorer drives the same functions from abstract states, so
+//! a checked property ("a push never skips the notify a blocked receiver
+//! needs", "the run-queue dedup flag never drops a wake") speaks about the
+//! deployed code, not a hand-copied transcription of it.
 
 /// Must a mailbox push notify the slot's condvar? Only when a receiver is
 /// actually blocked on the slot — the notify-skip optimization that makes
@@ -86,20 +60,6 @@ pub fn exit_wakes_watch(watching: usize, exited: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slow_path_acquires_only_from_unlocked() {
-        assert!(slow_path_acquired(UNLOCKED));
-        assert!(!slow_path_acquired(LOCKED));
-        assert!(!slow_path_acquired(CONTENDED));
-    }
-
-    #[test]
-    fn release_wakes_only_on_contention() {
-        assert!(!release_needs_wake(UNLOCKED));
-        assert!(!release_needs_wake(LOCKED));
-        assert!(release_needs_wake(CONTENDED));
-    }
 
     #[test]
     fn push_notifies_only_with_waiters() {

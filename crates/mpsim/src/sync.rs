@@ -1,72 +1,48 @@
-//! Synchronization seam: a `parking_lot`-shaped API with two backends.
+//! Synchronization seam: a `parking_lot`-shaped shim over `std::sync`.
 //!
 //! The runtime originally used `parking_lot` for its locks. To keep the
 //! workspace building with **zero external dependencies** (registry access
 //! cannot be assumed), this module provides the same call shapes —
-//! `Mutex::lock()` returning a guard directly, `Condvar::wait(&mut guard)`,
-//! `RwLock::{read, write}` — and selects one of two implementations:
+//! `Mutex::lock()` returning a guard directly, `Condvar::wait(&mut guard)` —
+//! over the standard library primitives. `mailbox`, `barrier`, the netsim
+//! `fabric` and `sim_comm` lock through it.
 //!
-//! * default: a thin shim over `std::sync` (`sync_std`), ignoring
-//!   poisoning;
-//! * `fast-sync` feature: the spin-then-park backend in `sync_fast` —
-//!   atomics plus `thread::park_timeout`, with a spin window sized for the
-//!   mailbox/barrier rendezvous hot path.
-//!
-//! All lock users in `mpsim` and `netsim` go through this module, so the
-//! backend swap needs no call-site changes; `mailbox`, `barrier`, the
-//! netsim `fabric`, and `sim_comm` all pick it up automatically. Both
-//! backends are always *compiled* (tests and clippy cover each everywhere);
-//! the feature only chooses which one this module re-exports.
-//!
-//! Poisoning is deliberately ignored by both backends: a panicking rank
-//! already triggers world teardown through
-//! [`crate::barrier::StopBarrier::stop`] and
+//! Poisoning is deliberately ignored: a panicking rank already triggers
+//! world teardown through [`crate::barrier::StopBarrier::stop`] and
 //! [`crate::mailbox::Mailbox::stop`], and the protected state (message
 //! queues, reservation timelines) stays structurally valid across an
 //! unwind, matching `parking_lot`'s no-poisoning semantics that the
 //! original code was written against.
 
+use std::fmt;
 use std::sync::PoisonError;
 
-#[cfg(feature = "fast-sync")]
-pub use crate::sync_fast::{Condvar, Mutex, MutexGuard};
-#[cfg(not(feature = "fast-sync"))]
-pub use crate::sync_std::{Condvar, Mutex, MutexGuard};
-
-/// A reader-writer lock whose `read`/`write` return guards directly.
-///
-/// Only used on cold paths, so it has a single std-backed implementation
-/// regardless of the selected mutex backend.
+/// A mutual-exclusion lock whose `lock` returns the guard directly.
 #[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
+pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
-/// Shared-access guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
+/// RAII guard returned by [`Mutex::lock`].
+///
+/// The inner `Option` is always `Some` except transiently inside
+/// [`Condvar::wait`], which must move the std guard out and back.
+pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
 
-/// Exclusive-access guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Create a reader-writer lock protecting `value`.
+impl<T> Mutex<T> {
+    /// Create a mutex protecting `value`.
     pub const fn new(value: T) -> Self {
-        Self(std::sync::RwLock::new(value))
+        Self(std::sync::Mutex::new(value))
     }
 
-    /// Consume the lock, returning the protected value.
+    /// Consume the mutex, returning the protected value.
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
+impl<T: ?Sized> Mutex<T> {
+    /// Acquire the lock, blocking until it is available.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -75,23 +51,72 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
+impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
+impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0
+        // lint: allow(panic) — guard invariant: inner is present outside wait
+        self.0.as_ref().expect("guard invariant: present outside Condvar::wait")
     }
 }
 
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
+impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
+        // lint: allow(panic) — guard invariant: inner is present outside wait
+        self.0.as_mut().expect("guard invariant: present outside Condvar::wait")
+    }
+}
+
+/// Condition variable operating on [`MutexGuard`] in place.
+#[derive(Default)]
+pub struct Condvar(std::sync::Condvar);
+
+impl Condvar {
+    /// Create a new condition variable.
+    pub const fn new() -> Self {
+        Self(std::sync::Condvar::new())
+    }
+
+    /// Atomically release the guard's lock and block until notified; the
+    /// lock is re-acquired before returning. Spurious wakeups are possible,
+    /// so callers loop on their predicate.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        // lint: allow(panic) — guard invariant: inner is present outside wait
+        let inner = guard.0.take().expect("guard invariant: present on entry to wait");
+        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
+    }
+
+    /// Like [`wait`](Self::wait) but with an upper bound on blocking time.
+    ///
+    /// Returns `true` when the wait ended because `timeout` elapsed (the
+    /// lock is re-acquired either way). Spurious wakeups are possible, so
+    /// callers loop on their predicate *and* recompute the remaining time.
+    pub fn wait_timeout<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: std::time::Duration,
+    ) -> bool {
+        // lint: allow(panic) — guard invariant: inner is present outside wait
+        let inner = guard.0.take().expect("guard invariant: present on entry to wait");
+        let (inner, result) =
+            self.0.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
+        guard.0 = Some(inner);
+        result.timed_out()
+    }
+
+    /// Wake a single waiting thread.
+    pub fn notify_one(&self) {
+        self.0.notify_one();
+    }
+
+    /// Wake all waiting threads.
+    pub fn notify_all(&self) {
+        self.0.notify_all();
     }
 }
 
@@ -99,9 +124,6 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    // These exercise whichever backend the feature set selected, through
-    // the exact API the runtime uses.
 
     #[test]
     fn mutex_basic_and_guard_deref() {
@@ -134,6 +156,37 @@ mod tests {
     }
 
     #[test]
+    fn wait_timeout_expires_without_notify() {
+        let pair = (Mutex::new(false), Condvar::new());
+        let mut g = pair.0.lock();
+        let start = std::time::Instant::now();
+        let timed_out = pair.1.wait_timeout(&mut g, std::time::Duration::from_millis(30));
+        assert!(timed_out);
+        assert!(start.elapsed() >= std::time::Duration::from_millis(20));
+        *g = true; // lock is re-held
+    }
+
+    #[test]
+    fn wait_timeout_returns_early_on_notify() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let pair2 = Arc::clone(&pair);
+        let h = std::thread::spawn(move || {
+            let (m, cv) = &*pair2;
+            let mut ready = m.lock();
+            let mut timed_out = false;
+            while !*ready && !timed_out {
+                timed_out = cv.wait_timeout(&mut ready, std::time::Duration::from_secs(10));
+            }
+            timed_out
+        });
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let (m, cv) = &*pair;
+        *m.lock() = true;
+        cv.notify_all();
+        assert!(!h.join().unwrap());
+    }
+
+    #[test]
     fn mutex_is_not_poisoned_by_panic() {
         let m = Arc::new(Mutex::new(1));
         let m2 = Arc::clone(&m);
@@ -144,17 +197,5 @@ mod tests {
         .join();
         // parking_lot semantics: the lock is usable after a panicking holder
         assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1, *r2);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 }

@@ -1,9 +1,8 @@
 //! Repo-convention linter: walks `crates/**/*.rs` and applies the rules in
-//! [`schedcheck::lint`] — raw `std::sync` lock primitives outside the sync
-//! layer, `.unwrap()`/`.expect()` in library code, undocumented `unsafe`,
-//! `let _ =` discarding a communication call's `Result`, per-chunk
-//! `comm.send(` loops in broadcast hot-path files, wall-clock reads inside
-//! the event executor and the decorators that run on it, `HashMap`s inside
+//! [`schedcheck::lint`] — `.unwrap()`/`.expect()` in library code,
+//! undocumented `unsafe`, `let _ =` discarding a communication call's
+//! `Result`, per-chunk `comm.send(` loops in broadcast hot-path files,
+//! wall-clock reads inside the event executor and the decorators that run on it, `HashMap`s inside
 //! the event executor, cancel-unsafe shapes in the async communication
 //! layer (unregistered `Poll::Pending`, `RefCell` borrows across suspension
 //! points, send effects inside `poll` bodies), `.unwrap()`/`.expect()` on

@@ -10,12 +10,11 @@
 //!
 //! `schedcheck explore-reactor [--max-states N]` runs the other half of the
 //! crate instead: the interleaving explorer over every protocol model —
-//! the fast-sync mutex, condvar rendezvous and sharded-mailbox legacy
-//! models plus the four megascale-reactor models (run-queue dedup,
-//! external-waker side queue, lane-mailbox routing, timer-wheel
-//! generations). Each model is explored exhaustively *and* with DPOR, the
-//! verdicts are required to agree, per-model state counts and reduction
-//! factors are printed, and a seeded mutation drill injects a known
+//! the sharded-mailbox notify-skip model plus the four megascale-reactor
+//! models (run-queue dedup, external-waker side queue, lane-mailbox
+//! routing, timer-wheel generations). Each model is explored exhaustively
+//! *and* with DPOR, the verdicts are required to agree, per-model state
+//! counts and reduction factors are printed, and a seeded mutation drill injects a known
 //! lost-wakeup / stale-handle bug into each reactor model and demands both
 //! explorers catch it. `--max-states` bounds the per-model state budget.
 
@@ -25,8 +24,7 @@ use bcast_core::{
     Algorithm, RecoveryConfig,
 };
 use schedcheck::models::{
-    CondvarModel, ExternalWakerModel, FastMutexModel, LaneMailboxModel, MailboxModel,
-    RunQueueModel, TimerWheelModel,
+    ExternalWakerModel, LaneMailboxModel, MailboxModel, RunQueueModel, TimerWheelModel,
 };
 use schedcheck::{
     check, explore, explore_dpor, prune_redundant, pruned_native_is_tuned, Model, Semantics,
@@ -120,24 +118,6 @@ fn explore_reactor(max_states: usize) -> ! {
 
     // ---- Phase 1: clean protocol models, exhaustive vs DPOR --------------
     println!("phase 1: protocol models, exhaustive vs DPOR (budget {max_states} states)");
-    for (threads, sections) in [(2, 1), (2, 2), (3, 1), (3, 2)] {
-        differential(
-            &format!("fast-mutex t={threads} s={sections}"),
-            &FastMutexModel { threads, sections, skip_recheck: false, park_timeout: true },
-            max_states,
-            &mut totals,
-            &mut failures,
-        );
-    }
-    for consumers in 1..=2 {
-        differential(
-            &format!("condvar c={consumers}"),
-            &CondvarModel { consumers },
-            max_states,
-            &mut totals,
-            &mut failures,
-        );
-    }
     for senders in 1..=4 {
         differential(
             &format!("mailbox s={senders}"),

@@ -23,11 +23,11 @@
 //!    same [`Model`] trait — an exhaustive explorer and a sleep-set DPOR
 //!    explorer ([`explore_dpor`]) with state hashing, kept honest against
 //!    each other by a differential test suite (identical verdicts, DPOR
-//!    never more states). Seven protocol models: the `fast-sync`
-//!    mutex/condvar, the sharded-mailbox notify-skip predicate, and the
-//!    four megascale-reactor protocols (run-queue dedup + targeted exit
-//!    wakes, external-waker side queue, lane-mailbox inline/spill routing,
-//!    timer-wheel handle generations). Every model calls the deployed
+//!    never more states). Five protocol models: the sharded-mailbox
+//!    notify-skip predicate and the four megascale-reactor protocols
+//!    (run-queue dedup + targeted exit wakes, external-waker side queue,
+//!    lane-mailbox inline/spill routing, timer-wheel handle generations).
+//!    Every model calls the deployed
 //!    decision functions — [`mpsim::proto`],
 //!    [`mpsim::event_mailbox::bucket_route`],
 //!    [`mpsim::event_timer::handle_is_live`],
@@ -60,11 +60,10 @@
 //! `bcast_core::recovery` re-derives over survivor subsets after a crash —
 //! and its `explore-reactor` subcommand runs every protocol model under
 //! both explorers plus the seeded mutation drill as its own CI phase;
-//! `repolint` enforces source-level conventions (no raw `std::sync`
-//! primitives outside the sync layer, no `.unwrap()`/`.expect()` in library
-//! code, `// SAFETY:` on every `unsafe`, no `let _ =` on the `Result` of a
-//! communication call, no per-chunk `comm.send(` loops in the broadcast hot
-//! path now that the vectored fabric coalesces them, no wall-clock reads
+//! `repolint` enforces source-level conventions (no `.unwrap()`/`.expect()`
+//! in library code, `// SAFETY:` on every `unsafe`, no `let _ =` on the
+//! `Result` of a communication call, no per-chunk `comm.send(` loops in the
+//! broadcast hot path now that the vectored fabric coalesces them, no wall-clock reads
 //! inside the event executor or the decorators that run on it, no
 //! `HashMap`s inside the event executor, no cancel-unsafe shapes —
 //! unregistered `Poll::Pending`, borrows across suspension points, send

@@ -1,36 +1,31 @@
 //! Repo-convention lint rules behind the `repolint` binary.
 //!
-//! Eleven rules, each a pure function over `(relative path, file content)` so
+//! Ten rules, each a pure function over `(relative path, file content)` so
 //! they are unit-testable without touching the filesystem:
 //!
-//! 1. [`check_raw_sync`] — raw `std::sync::{Mutex, Condvar, RwLock}` are
-//!    allowed only inside `mpsim`'s sync layer (`crates/mpsim/src/sync*.rs`).
-//!    Everything else must go through `mpsim::sync` so the `fast-sync`
-//!    feature swap (and the schedcheck interleaving models) actually cover
-//!    the primitives in use. Atomics and `Arc` are fine.
-//! 2. [`check_panics`] — no `.unwrap(` / `.expect(` in *library* code of
+//! 1. [`check_panics`] — no `.unwrap(` / `.expect(` in *library* code of
 //!    `core`, `mpsim`, `netsim` (bins, tests and `#[cfg(test)]` modules are
 //!    exempt). Fallible paths must return [`mpsim::CommError`]-style errors.
 //!    Deliberate exceptions carry a `// lint: allow(panic)` marker on the
 //!    same or the preceding line.
-//! 3. [`check_unsafe`] — every `unsafe` block or fn in any crate must have a
+//! 2. [`check_unsafe`] — every `unsafe` block or fn in any crate must have a
 //!    `// SAFETY:` comment within the three preceding lines (or on the same
 //!    line). Crates without any unsafe carry `#![forbid(unsafe_code)]`.
-//! 4. [`check_ignored_comm_result`] — library code must never discard the
+//! 3. [`check_ignored_comm_result`] — library code must never discard the
 //!    `Result` of a communication call with `let _ = …send/recv/…`. Since
 //!    the fault layer landed, those results carry timeout and peer-failure
 //!    signals; dropping one silently turns a detectable crash back into a
 //!    hang. Deliberate exceptions (e.g. best-effort acks to a dead peer)
 //!    must match on the error instead, or carry a
 //!    `// lint: allow(ignored-comm-result)` marker.
-//! 5. [`check_per_chunk_send`] — broadcast hot-path files in `crates/core`
+//! 4. [`check_per_chunk_send`] — broadcast hot-path files in `crates/core`
 //!    must not issue `comm.send(` / `comm.send_shared(` calls inside a loop:
 //!    since the vectored fabric landed, per-chunk send loops to one
 //!    destination pay an envelope per iteration that `send_vectored` would
 //!    coalesce into one. The one deliberate loop — the schedule interpreter,
 //!    whose contract is one envelope per planned transfer — carries a
 //!    `// lint: allow(per-chunk-send)` marker.
-//! 6. [`check_real_time`] — the discrete-event executor
+//! 5. [`check_real_time`] — the discrete-event executor
 //!    (`crates/mpsim/src/event_*.rs` — the reactor and every module split
 //!    out of it, currently `event_comm`, `event_mailbox`, `event_timer`)
 //!    and the decorators that run on it (`reliable.rs`, `sub_comm.rs`,
@@ -40,12 +35,12 @@
 //!    contract is that fault delays and timeouts are deterministic
 //!    virtual-clock events. A deliberate exception carries a
 //!    `// lint: allow(real-time)` marker.
-//! 7. [`check_event_mailbox_hashmap`] — no `HashMap` in the event-executor
+//! 6. [`check_event_mailbox_hashmap`] — no `HashMap` in the event-executor
 //!    modules: message matching is the reactor's hottest loop, and the
 //!    dense lane structures replaced hashed lookups there on purpose. The
 //!    only sanctioned use is the wild-tag spill fallback inside
 //!    `event_mailbox.rs`, marked `// lint: allow(mailbox-spill)`.
-//! 8. [`check_cancel_safety`] — cancel-safety in the async communication
+//! 7. [`check_cancel_safety`] — cancel-safety in the async communication
 //!    layer (`crates/mpsim/src/event_*.rs`, `crates/mpsim/src/acomm.rs`).
 //!    Three shapes of the same bug class the reactor models in
 //!    `schedcheck::models` verify the protocols against: producing
@@ -55,27 +50,27 @@
 //!    `poll` body (a cancelled-and-retried operation replays the side
 //!    effect — sends must happen eagerly, before the future exists).
 //!    Deliberate exceptions carry a `// lint: allow(cancel-safety)` marker.
-//! 9. [`check_recovery_unwrap`] — no `.unwrap(` / `.expect(` on the result
+//! 8. [`check_recovery_unwrap`] — no `.unwrap(` / `.expect(` on the result
 //!    of a communication call inside the self-healing recovery module
 //!    (`crates/core/src/recovery.rs`). A `CommError`
 //!    there *is* the input the layer exists to handle — a peer death or
 //!    timeout must feed the heartbeat/agreement machinery, never abort the
-//!    process. Rule 2's generic `allow(panic)` waiver deliberately does not
+//!    process. Rule 1's generic `allow(panic)` waiver deliberately does not
 //!    apply; the only escape hatch is `// lint: allow(recovery-unwrap)`.
-//! 10. [`check_bcast_hot_copy`] — no unaccounted payload copies in the
-//!     broadcast hot-path modules (rule 5's file set plus `binomial.rs`)
-//!     nor on the reliable data path (`crates/mpsim/src/reliable.rs`).
-//!     Since the zero-copy envelope flow landed, forwarded payloads travel
-//!     as refcounted [`mpsim::SharedBuf`] views; a `copy_from_slice(` /
-//!     `rent_copy(` / `.to_vec()` — in `reliable.rs` also an
-//!     `extend_from_slice(`, the way a frame used to be packed — creeping
-//!     back in silently re-taxes every hop while leaving wire traffic — and
-//!     every wire-traffic test — unchanged. The sanctioned shape is the
-//!     *accounted* copy, in the collectives the landing copy: a
-//!     copy with a `note_copy(` call within the following two lines, which
-//!     the `bytes_copied` ceilings then police at run time. Anything else
-//!     needs a `// lint: allow(bcast-hot-copy)` marker.
-//! 11. [`check_blocking_impl`] — the blocking `Communicator` trait is
+//! 9. [`check_bcast_hot_copy`] — no unaccounted payload copies in the
+//!    broadcast hot-path modules (rule 4's file set plus `binomial.rs`)
+//!    nor on the reliable data path (`crates/mpsim/src/reliable.rs`).
+//!    Since the zero-copy envelope flow landed, forwarded payloads travel
+//!    as refcounted [`mpsim::SharedBuf`] views; a `copy_from_slice(` /
+//!    `rent_copy(` / `.to_vec()` — in `reliable.rs` also an
+//!    `extend_from_slice(`, the way a frame used to be packed — creeping
+//!    back in silently re-taxes every hop while leaving wire traffic — and
+//!    every wire-traffic test — unchanged. The sanctioned shape is the
+//!    *accounted* copy, in the collectives the landing copy: a
+//!    copy with a `note_copy(` call within the following two lines, which
+//!    the `bytes_copied` ceilings then police at run time. Anything else
+//!    needs a `// lint: allow(bcast-hot-copy)` marker.
+//! 10. [`check_blocking_impl`] — the blocking `Communicator` trait is
 //!     implemented by the two blocking executors only
 //!     (`crates/mpsim/src/thread_comm.rs`, `crates/netsim/src/sim_comm.rs`).
 //!     Everything above the executors is written once against
@@ -90,7 +85,7 @@ pub struct LintHit {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Short rule name (`raw-sync`, `panic`, `unsafe-safety`).
+    /// Short rule name (`panic`, `unsafe-safety`, …).
     pub rule: &'static str,
     /// The offending line, trimmed.
     pub excerpt: String,
@@ -115,39 +110,6 @@ fn hit(path: &str, idx: usize, rule: &'static str, line: &str) -> LintHit {
     LintHit { file: path.to_string(), line: idx + 1, rule, excerpt: line.trim().to_string() }
 }
 
-/// Files allowed to name raw `std::sync` lock primitives: the sync layer
-/// itself (facade + both backends).
-fn is_sync_layer(path: &str) -> bool {
-    path.starts_with("crates/mpsim/src/sync") && path.ends_with(".rs")
-}
-
-/// Rule 1: raw `std::sync::{Mutex, Condvar, RwLock}` outside the sync layer.
-pub fn check_raw_sync(path: &str, content: &str) -> Vec<LintHit> {
-    if is_sync_layer(path) {
-        return Vec::new();
-    }
-    let mut hits = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        let code = code_part(line);
-        // Match `std::sync::Mutex` directly and `std::sync::{…Mutex…}`
-        // import groups; `std::sync::atomic` / `Arc` / `mpsc` are fine.
-        for (start, _) in code.match_indices("std::sync::") {
-            let rest = &code[start + "std::sync::".len()..];
-            let names = ["Mutex", "Condvar", "RwLock"];
-            let direct = names.iter().any(|n| rest.starts_with(n));
-            let grouped = rest.starts_with('{') && {
-                let group = &rest[..rest.find('}').map_or(rest.len(), |e| e + 1)];
-                names.iter().any(|n| group.contains(n))
-            };
-            if direct || grouped {
-                hits.push(hit(path, i, "raw-sync", line));
-                break;
-            }
-        }
-    }
-    hits
-}
-
 /// Whether `path` is library (non-bin, non-test) source of a panic-free crate.
 fn is_panic_free_lib(path: &str) -> bool {
     let lib = ["crates/core/src/", "crates/mpsim/src/", "crates/netsim/src/"];
@@ -157,7 +119,7 @@ fn is_panic_free_lib(path: &str) -> bool {
         && !path.contains("/tests/")
 }
 
-/// Rule 2: `.unwrap(` / `.expect(` in library code. Content at or after the
+/// Rule 1: `.unwrap(` / `.expect(` in library code. Content at or after the
 /// first `#[cfg(test)]` is exempt (test modules sit at the bottom of each
 /// file in this repo); `.unwrap_or(…)`, `.unwrap_or_else(…)`, `.expect_err(`
 /// do not match. A `// lint: allow(panic)` marker on the same or the
@@ -192,7 +154,7 @@ pub fn check_panics(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 3: every `unsafe` keyword (block or fn) needs a `// SAFETY:` comment
+/// Rule 2: every `unsafe` keyword (block or fn) needs a `// SAFETY:` comment
 /// on the same line or within the three preceding lines. The forbid
 /// attribute's `unsafe_code` token does not match (the keyword must be
 /// followed by whitespace or `{`).
@@ -225,7 +187,7 @@ pub fn check_unsafe(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 4: `let _ = …` discarding the `Result` of a communication call
+/// Rule 3: `let _ = …` discarding the `Result` of a communication call
 /// (`send`, `recv`, `sendrecv`, `recv_timeout`, `barrier`) in library code.
 /// Test modules are exempt (same scoping as [`check_panics`]); a deliberate
 /// best-effort call carries `// lint: allow(ignored-comm-result)` on the
@@ -273,7 +235,7 @@ fn is_bcast_hot_path(path: &str) -> bool {
     HOT.contains(&path)
 }
 
-/// Rule 5: a `comm.send(` or `comm.send_shared(` inside any loop body of a
+/// Rule 4: a `comm.send(` or `comm.send_shared(` inside any loop body of a
 /// broadcast hot-path file. Tracks brace depth line-by-line (rustfmt puts
 /// the loop's `{` on the header line everywhere in this repo); test modules
 /// are exempt (same scoping as [`check_panics`]). A
@@ -332,7 +294,7 @@ fn is_virtual_clock_pure(path: &str) -> bool {
         || DECORATORS.contains(&path)
 }
 
-/// Rule 6: real-time primitives inside the discrete-event executor or the
+/// Rule 5: real-time primitives inside the discrete-event executor or the
 /// decorators that run on it. The event executor's contract is
 /// virtual-clock purity — every delay and timeout is an event timestamp, so
 /// the same world replays identically on every machine. Reading a wall
@@ -364,7 +326,7 @@ pub fn check_real_time(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 7: `HashMap` anywhere in the event-executor modules
+/// Rule 6: `HashMap` anywhere in the event-executor modules
 /// (`crates/mpsim/src/event_*.rs`). The lane mailbox and timing wheel
 /// exist precisely so the reactor's match/arm hot loops cost indexed loads
 /// instead of hashing; a hash map creeping back in silently re-taxes every
@@ -395,7 +357,7 @@ pub fn check_event_mailbox_hashmap(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 8: cancel-safety in the async communication layer — the event
+/// Rule 7: cancel-safety in the async communication layer — the event
 /// executor modules plus the sync↔async bridge, where every future must
 /// survive being dropped between polls (a timed-out receive, an abandoned
 /// barrier). Three line-level shapes, one rule name, one waiver:
@@ -473,10 +435,10 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 9: `.unwrap(` / `.expect(` on the `Result` of a communication call
+/// Rule 8: `.unwrap(` / `.expect(` on the `Result` of a communication call
 /// inside the self-healing recovery module (`crates/core/src/recovery.rs`),
 /// whose whole purpose is to *survive* `CommError`s, so panicking on one
-/// defeats the layer. Rule 2 already bans bare panics in library code,
+/// defeats the layer. Rule 1 already bans bare panics in library code,
 /// but its `// lint: allow(panic)` waiver is too blunt here: a waived
 /// unwrap of a *`CommError`* in recovery code turns the exact failure the
 /// layer exists to absorb (a peer death, a timeout) into a process abort —
@@ -521,7 +483,7 @@ pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 10: unaccounted payload copies in the broadcast hot path — rule 5's
+/// Rule 9: unaccounted payload copies in the broadcast hot path — rule 4's
 /// file set plus `binomial.rs` (the whole-buffer tree walk has no send loop
 /// but the same zero-copy contract) and `mpsim`'s `reliable.rs` (every hop
 /// of a broadcast over a lossy link goes through it). A copy primitive
@@ -564,7 +526,7 @@ pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 11: `impl … Communicator for` (the blocking trait; `AsyncCommunicator
+/// Rule 10: `impl … Communicator for` (the blocking trait; `AsyncCommunicator
 /// for` does not match) anywhere but the two blocking executors. Test
 /// modules are exempt (same scoping as [`check_panics`]).
 pub fn check_blocking_impl(path: &str, content: &str) -> Vec<LintHit> {
@@ -599,8 +561,7 @@ pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
     if path == "crates/schedcheck/src/lint.rs" {
         return Vec::new();
     }
-    let mut hits = check_raw_sync(path, content);
-    hits.extend(check_panics(path, content));
+    let mut hits = check_panics(path, content);
     hits.extend(check_unsafe(path, content));
     hits.extend(check_ignored_comm_result(path, content));
     hits.extend(check_per_chunk_send(path, content));
@@ -616,25 +577,6 @@ pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn raw_sync_flagged_outside_sync_layer() {
-        let src = "use std::sync::Mutex;\n";
-        assert_eq!(check_raw_sync("crates/core/src/x.rs", src).len(), 1);
-        assert!(check_raw_sync("crates/mpsim/src/sync_fast.rs", src).is_empty());
-        assert!(check_raw_sync("crates/mpsim/src/sync_std.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_sync_matches_import_groups_only_for_locks() {
-        let grouped = "use std::sync::{Arc, Mutex};\n";
-        assert_eq!(check_raw_sync("crates/core/src/x.rs", grouped).len(), 1);
-        let fine = "use std::sync::Arc;\nuse std::sync::atomic::AtomicU32;\n\
-                    use std::sync::{Arc, mpsc};\n";
-        assert!(check_raw_sync("crates/core/src/x.rs", fine).is_empty());
-        let comment = "// std::sync::Mutex is banned here\n";
-        assert!(check_raw_sync("crates/core/src/x.rs", comment).is_empty());
-    }
 
     #[test]
     fn panic_rule_scoping() {
@@ -887,11 +829,11 @@ mod tests {
     fn recovery_unwrap_flags_comm_results_in_recovery_files_only() {
         let bad = "fn f() { comm.recv(&mut buf, peer, Tag(3)).unwrap(); }\n";
         assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", bad).len(), 1);
-        // Other files — even other core modules — are rule 2's territory.
+        // Other files — even other core modules — are rule 1's territory.
         assert!(check_recovery_unwrap("crates/core/src/bcast.rs", bad).is_empty());
         let expect = "let n = comm.recv_timeout(&mut b, p, Tag(1), t).expect(\"peer\");\n";
         assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", expect).len(), 1);
-        // Non-comm unwraps in recovery files are also rule 2's territory.
+        // Non-comm unwraps in recovery files are also rule 1's territory.
         let non_comm = "fn f() { members.iter().position(|&m| m == me).unwrap(); }\n";
         assert!(check_recovery_unwrap("crates/core/src/recovery.rs", non_comm).is_empty());
         // Error-tolerant combinators are the sanctioned shape.

@@ -1,18 +1,11 @@
-//! Interleaving models of the runtime's sync-layer protocols.
+//! Interleaving models of the runtime's mailbox and reactor protocols.
 //!
 //! Each model drives the *deployed* decision functions from [`mpsim::proto`]
 //! at its decision points, so exploring the model exercises the very
-//! predicates compiled into the runtime:
+//! predicates compiled into the runtime. The locks themselves are
+//! `std::sync` (through `mpsim::sync`) and are not modeled: a lock
+//! acquire/release is one atomic step.
 //!
-//! * [`FastMutexModel`] — the `fast-sync` spin-then-park mutex: word-sized
-//!   state machine (`UNLOCKED`/`LOCKED`/`CONTENDED`), a LIFO parked-waiter
-//!   registry, park/unpark with token semantics, and the post-registration
-//!   recheck that closes the register/release race. Bounded spinning is
-//!   elided (a spin retry revisits the same decision the model already
-//!   branches on); the `skip_recheck` knob removes the recheck to prove the
-//!   explorer catches the lost-wakeup deadlock the recheck exists for.
-//! * [`CondvarModel`] — producer/consumer rendezvous over the fast-sync
-//!   condvar protocol: register-before-release waiters, flag-based wakeup.
 //! * [`MailboxModel`] — the sharded-mailbox push/notify-skip protocol:
 //!   receivers count themselves in `waiters` under the slot lock before
 //!   sleeping, senders consult [`mpsim::proto::push_should_notify`] to skip
@@ -50,343 +43,10 @@
 //!   deadlock generation counting exists to prevent.
 
 use mpsim::event_mailbox::{bucket_route, BucketRoute};
-use mpsim::proto::{
-    exit_wakes_watch, push_should_notify, release_needs_wake, slow_path_acquired,
-    wake_should_enqueue, CONTENDED, LOCKED, UNLOCKED, WATCH_NONE,
-};
+use mpsim::proto::{exit_wakes_watch, push_should_notify, wake_should_enqueue, WATCH_NONE};
 use mpsim::TimerWheel;
 
 use crate::explore::{Model, Step};
-
-// ---------------------------------------------------------------------------
-// Fast-sync mutex
-// ---------------------------------------------------------------------------
-
-/// Per-thread location in the mutex protocol.
-#[derive(Clone, Copy, Hash, PartialEq, Eq, Debug)]
-enum MLoc {
-    /// Before a lock attempt (or between critical sections).
-    Idle,
-    /// In the slow path, about to `swap(CONTENDED)`.
-    SlowSwap,
-    /// About to push itself onto the parked registry.
-    Register,
-    /// Registered; about to re-`swap(CONTENDED)` (the race-closing recheck).
-    Recheck,
-    /// About to park: consumes a pending token or blocks.
-    Park,
-    /// Inside the critical section.
-    Critical,
-}
-
-/// State of [`FastMutexModel`].
-#[derive(Clone, Hash, PartialEq, Eq, Debug)]
-pub struct MutexState {
-    /// The lock word (`UNLOCKED`/`LOCKED`/`CONTENDED`).
-    word: u32,
-    /// Parked-waiter registry; `unlock` pops the most recent (LIFO `Vec`).
-    registry: Vec<u8>,
-    /// Per-thread unpark token (set by `unpark`, consumed by `park`).
-    token: Vec<bool>,
-    /// Per-thread program location.
-    loc: Vec<MLoc>,
-    /// Critical sections left per thread.
-    remaining: Vec<u8>,
-}
-
-/// Exhaustive model of the `fast-sync` mutex acquire/release protocol.
-pub struct FastMutexModel {
-    /// Thread count.
-    pub threads: usize,
-    /// Lock/unlock cycles per thread.
-    pub sections: u8,
-    /// Mutation: skip the post-registration recheck. The protocol then has
-    /// a reachable lost-wakeup deadlock which [`crate::explore::explore`]
-    /// must find (negative test).
-    pub skip_recheck: bool,
-    /// Model the deployed `park_timeout` instead of a bare `park`. The
-    /// timeout is modeled as firing only once the system is otherwise
-    /// quiesced (every other live thread parked without a token): earlier
-    /// firings just re-run acquire transitions already explored from other
-    /// states, and modeling them would make the registry — and hence the
-    /// state space — unbounded through retry loops. With a bare `park`
-    /// (`false`), three threads have a reachable lost wakeup: an unlock can
-    /// pop a *stale* LIFO registry entry (left behind by a recheck-acquire)
-    /// and deliver the token to a thread that already finished, stranding
-    /// the genuinely parked one. The explorer found that window; this knob
-    /// verifies the deployed rescue closes it.
-    pub park_timeout: bool,
-}
-
-impl FastMutexModel {
-    /// Whether every live thread other than `tid` is parked without a
-    /// pending token — the condition under which a real `park_timeout`
-    /// firing is the only source of progress.
-    fn quiesced_except(&self, s: &MutexState, tid: usize) -> bool {
-        (0..self.threads).all(|t| {
-            t == tid
-                || (s.remaining[t] == 0 && s.loc[t] == MLoc::Idle)
-                || (s.loc[t] == MLoc::Park && !s.token[t])
-        })
-    }
-}
-
-impl Model for FastMutexModel {
-    type State = MutexState;
-
-    fn initial(&self) -> MutexState {
-        MutexState {
-            word: UNLOCKED,
-            registry: Vec::new(),
-            token: vec![false; self.threads],
-            loc: vec![MLoc::Idle; self.threads],
-            remaining: vec![self.sections; self.threads],
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn is_done(&self, s: &MutexState, tid: usize) -> bool {
-        s.remaining[tid] == 0 && s.loc[tid] == MLoc::Idle
-    }
-
-    fn step(&self, s: &MutexState, tid: usize) -> Step<MutexState> {
-        let mut n = s.clone();
-        match s.loc[tid] {
-            MLoc::Idle => {
-                // Fast path: CAS(UNLOCKED -> LOCKED); on failure enter the
-                // slow path (the bounded spin retries this same branch).
-                if s.word == UNLOCKED {
-                    n.word = LOCKED;
-                    n.loc[tid] = MLoc::Critical;
-                } else {
-                    n.loc[tid] = MLoc::SlowSwap;
-                }
-            }
-            MLoc::SlowSwap => {
-                let prev = s.word;
-                n.word = CONTENDED;
-                n.loc[tid] = if slow_path_acquired(prev) { MLoc::Critical } else { MLoc::Register };
-            }
-            MLoc::Register => {
-                n.registry.push(tid as u8);
-                n.loc[tid] = if self.skip_recheck { MLoc::Park } else { MLoc::Recheck };
-            }
-            MLoc::Recheck => {
-                // Same swap as SlowSwap; acquiring here leaves our stale
-                // registry entry behind (the real code does too — a later
-                // pop yields a spurious unpark, which park loops tolerate).
-                let prev = s.word;
-                n.word = CONTENDED;
-                n.loc[tid] = if slow_path_acquired(prev) { MLoc::Critical } else { MLoc::Park };
-            }
-            MLoc::Park => {
-                // park() with token semantics: a pending unpark token makes
-                // park return immediately; otherwise the thread blocks here
-                // until some unlock unparks it — or, in the deployed lock,
-                // until park_timeout fires (rescue-only, see `park_timeout`).
-                if s.token[tid] {
-                    n.token[tid] = false;
-                    n.loc[tid] = MLoc::SlowSwap;
-                } else if self.park_timeout && self.quiesced_except(s, tid) {
-                    n.loc[tid] = MLoc::SlowSwap;
-                } else {
-                    return Step::Blocked;
-                }
-            }
-            MLoc::Critical => {
-                // unlock(): swap(UNLOCKED), wake one parked waiter only if
-                // contention was observed.
-                let prev = s.word;
-                n.word = UNLOCKED;
-                if release_needs_wake(prev) {
-                    if let Some(t) = n.registry.pop() {
-                        n.token[t as usize] = true;
-                    }
-                }
-                n.remaining[tid] -= 1;
-                n.loc[tid] = MLoc::Idle;
-            }
-        }
-        Step::Next(n)
-    }
-
-    fn invariant(&self, s: &MutexState) -> Result<(), String> {
-        let holders = s.loc.iter().filter(|&&l| l == MLoc::Critical).count();
-        if holders > 1 {
-            return Err(format!(
-                "mutual exclusion violated: {holders} threads in the critical section"
-            ));
-        }
-        if holders == 1 && s.word == UNLOCKED {
-            return Err("critical section entered while the lock word is UNLOCKED".into());
-        }
-        Ok(())
-    }
-
-    fn accept(&self, s: &MutexState) -> Result<(), String> {
-        if s.word != UNLOCKED {
-            return Err(format!("lock word {} left at termination", s.word));
-        }
-        // Stale registry entries are legal (recheck-acquire leaves them; the
-        // matching unpark is spurious), but leftover *tokens* on undone work
-        // are not possible here since all threads completed their sections.
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fast-sync condvar (producer/consumer)
-// ---------------------------------------------------------------------------
-
-/// Per-thread location in the condvar model. The first `consumers` threads
-/// consume one item each; the last thread produces all items.
-#[derive(Clone, Copy, Hash, PartialEq, Eq, Debug)]
-enum CLoc {
-    /// Acquiring the (abstract, one-step) slot mutex.
-    Lock,
-    /// Holding the mutex, checking the predicate.
-    Check,
-    /// Registered; about to release the mutex (register-before-release).
-    Unlock,
-    /// Waiting for its notify flag.
-    WaitFlag,
-    /// Producer: holding the mutex, about to increment and release.
-    Produce,
-    /// Producer: about to `notify_one`.
-    Notify,
-    /// Finished.
-    Done,
-}
-
-/// State of [`CondvarModel`].
-#[derive(Clone, Hash, PartialEq, Eq, Debug)]
-pub struct CondvarState {
-    /// Abstract mutex: holder tid or `None` (acquire/release are single
-    /// atomic steps; the mutex internals are checked by [`FastMutexModel`]).
-    holder: Option<u8>,
-    /// Items available (the predicate).
-    items: u8,
-    /// Condvar waiter registry (LIFO, like the `SpinList` `Vec::pop`).
-    waiters: Vec<u8>,
-    /// Per-thread notified flag.
-    flag: Vec<bool>,
-    /// Per-thread location.
-    loc: Vec<CLoc>,
-    /// Items the producer still has to produce.
-    to_produce: u8,
-}
-
-/// Producer/consumer rendezvous over the fast-sync condvar protocol:
-/// `consumers` threads each take one item, one producer produces that many,
-/// notifying once per item.
-pub struct CondvarModel {
-    /// Number of consumer threads (the producer is thread `consumers`).
-    pub consumers: usize,
-}
-
-impl CondvarModel {
-    fn producer(&self) -> usize {
-        self.consumers
-    }
-}
-
-impl Model for CondvarModel {
-    type State = CondvarState;
-
-    fn initial(&self) -> CondvarState {
-        let n = self.consumers + 1;
-        let mut loc = vec![CLoc::Lock; n];
-        loc[self.producer()] = CLoc::Lock;
-        CondvarState {
-            holder: None,
-            items: 0,
-            waiters: Vec::new(),
-            flag: vec![false; n],
-            loc,
-            to_produce: self.consumers as u8,
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.consumers + 1
-    }
-
-    fn is_done(&self, s: &CondvarState, tid: usize) -> bool {
-        s.loc[tid] == CLoc::Done
-    }
-
-    fn step(&self, s: &CondvarState, tid: usize) -> Step<CondvarState> {
-        let mut n = s.clone();
-        let producer = self.producer();
-        match s.loc[tid] {
-            CLoc::Lock => {
-                if s.holder.is_some() {
-                    return Step::Blocked;
-                }
-                n.holder = Some(tid as u8);
-                n.loc[tid] = if tid == producer { CLoc::Produce } else { CLoc::Check };
-            }
-            CLoc::Check => {
-                if s.items > 0 {
-                    n.items -= 1;
-                    n.holder = None;
-                    n.loc[tid] = CLoc::Done;
-                } else {
-                    // wait(): register while still holding the lock…
-                    n.waiters.push(tid as u8);
-                    n.flag[tid] = false;
-                    n.loc[tid] = CLoc::Unlock;
-                }
-            }
-            CLoc::Unlock => {
-                // …then release and sleep on the flag.
-                n.holder = None;
-                n.loc[tid] = CLoc::WaitFlag;
-            }
-            CLoc::WaitFlag => {
-                if !s.flag[tid] {
-                    return Step::Blocked;
-                }
-                n.loc[tid] = CLoc::Lock;
-            }
-            CLoc::Produce => {
-                n.items += 1;
-                n.to_produce -= 1;
-                n.holder = None;
-                n.loc[tid] = CLoc::Notify;
-            }
-            CLoc::Notify => {
-                // notify_one(): pop one registered waiter, set its flag.
-                if let Some(w) = n.waiters.pop() {
-                    n.flag[w as usize] = true;
-                }
-                n.loc[tid] = if s.to_produce == 0 { CLoc::Done } else { CLoc::Lock };
-            }
-            CLoc::Done => unreachable!("done threads are never stepped"),
-        }
-        Step::Next(n)
-    }
-
-    fn invariant(&self, s: &CondvarState) -> Result<(), String> {
-        if s.items as usize > self.consumers {
-            return Err(format!("overproduced: {} items", s.items));
-        }
-        Ok(())
-    }
-
-    fn accept(&self, s: &CondvarState) -> Result<(), String> {
-        if s.items != 0 {
-            return Err(format!("{} items never consumed", s.items));
-        }
-        if s.holder.is_some() {
-            return Err("mutex still held at termination".into());
-        }
-        Ok(())
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Mailbox push / notify-skip
@@ -1222,68 +882,6 @@ impl Model for TimerWheelModel {
 mod tests {
     use super::*;
     use crate::explore::{explore, explore_dpor, DEFAULT_MAX_STATES};
-
-    #[test]
-    fn fast_mutex_two_threads_bare_park_exhaustive() {
-        // Two threads never leave a *stale* entry above a live one in the
-        // LIFO registry, so even a bare park (no timeout) is deadlock-free.
-        let stats = explore(
-            &FastMutexModel { threads: 2, sections: 2, skip_recheck: false, park_timeout: false },
-            DEFAULT_MAX_STATES,
-        )
-        .unwrap();
-        assert!(stats.states > 50, "suspiciously small exploration: {stats:?}");
-    }
-
-    #[test]
-    fn fast_mutex_bare_park_three_threads_has_the_lost_wakeup_window() {
-        // Discovered by this explorer: with three threads and a bare park,
-        // an unlock can pop a stale LIFO registry entry (left behind by a
-        // recheck-acquire) and hand the token to a thread that already
-        // finished, stranding the genuinely parked waiter. This is the
-        // precise reason sync_fast uses park_timeout rather than park.
-        let err = explore(
-            &FastMutexModel { threads: 3, sections: 1, skip_recheck: false, park_timeout: false },
-            DEFAULT_MAX_STATES,
-        )
-        .unwrap_err();
-        assert!(err.contains("deadlock") && err.contains("Park"), "{err}");
-    }
-
-    #[test]
-    fn fast_mutex_park_timeout_three_threads_exhaustive() {
-        // The deployed protocol: park_timeout rescues every lost-wakeup
-        // window. Exhaustive over three threads, two sections each.
-        for sections in 1..=2 {
-            explore(
-                &FastMutexModel { threads: 3, sections, skip_recheck: false, park_timeout: true },
-                DEFAULT_MAX_STATES,
-            )
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn fast_mutex_without_recheck_loses_a_wakeup() {
-        // Registration without the recheck: an unlock that raced past the
-        // registration leaves the waiter parked forever. The explorer must
-        // exhibit the deadlock — this is the race the recheck swap closes.
-        // (Bare park: with park_timeout the recheck is a latency
-        // optimization; with park it is a correctness requirement.)
-        let err = explore(
-            &FastMutexModel { threads: 2, sections: 1, skip_recheck: true, park_timeout: false },
-            DEFAULT_MAX_STATES,
-        )
-        .unwrap_err();
-        assert!(err.contains("deadlock"), "{err}");
-    }
-
-    #[test]
-    fn condvar_rendezvous_exhaustive() {
-        for consumers in 1..=2 {
-            explore(&CondvarModel { consumers }, DEFAULT_MAX_STATES).unwrap();
-        }
-    }
 
     #[test]
     fn mailbox_notify_skip_is_sound() {

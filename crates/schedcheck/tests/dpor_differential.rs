@@ -1,6 +1,8 @@
 //! Differential oracle: the sleep-set DPOR explorer against the exhaustive
-//! explorer, on every pre-existing protocol model (fast-sync mutex, condvar
-//! rendezvous, mailbox notify-skip) plus their mutants.
+//! explorer, on every protocol model (mailbox notify-skip, reactor run
+//! queue, external-waker side queue, lane mailbox, timer wheel) plus their
+//! mutants — the clean configurations and the mutation drill of
+//! `schedcheck explore-reactor`, checked in every `cargo test`.
 //!
 //! The contract is twofold: identical verdicts everywhere (including the
 //! *kind* of failure — a reduction that turns a deadlock into an invariant
@@ -9,7 +11,9 @@
 //! factor printed so regressions in the reduction are visible in test
 //! output (`--nocapture`).
 
-use schedcheck::models::{CondvarModel, FastMutexModel, MailboxModel};
+use schedcheck::models::{
+    ExternalWakerModel, LaneMailboxModel, MailboxModel, RunQueueModel, TimerWheelModel,
+};
 use schedcheck::{explore, explore_dpor, Model, Stats, DEFAULT_MAX_STATES};
 
 /// Collapse an exploration outcome to its verdict kind: the explorers may
@@ -66,47 +70,11 @@ fn differential<M: Model>(name: &str, model: &M, strict: bool) -> Option<f64> {
     }
 }
 
-#[test]
-fn fast_mutex_clean_models_agree_and_reduce() {
-    // t=2 s=1 is the one config with nothing to reduce: every step of both
-    // threads touches the lock word, so no pair commutes anywhere and a
-    // sound reduction must walk the whole graph. Equality is the correct
-    // answer there; every larger config has commuting tails to collapse.
-    differential(
-        "fast-mutex t=2 s=1",
-        &FastMutexModel { threads: 2, sections: 1, skip_recheck: false, park_timeout: true },
-        false,
-    );
-    for (threads, sections) in [(2, 2), (3, 1), (3, 2)] {
-        differential(
-            &format!("fast-mutex t={threads} s={sections}"),
-            &FastMutexModel { threads, sections, skip_recheck: false, park_timeout: true },
-            true,
-        );
-    }
-}
-
-#[test]
-fn fast_mutex_mutants_agree() {
-    // Three threads + bare park: the stale-LIFO lost wakeup PR 3 found.
-    differential(
-        "fast-mutex bare-park t=3",
-        &FastMutexModel { threads: 3, sections: 1, skip_recheck: false, park_timeout: false },
-        true,
-    );
-    // No registration recheck: the classic register/release race.
-    differential(
-        "fast-mutex skip-recheck",
-        &FastMutexModel { threads: 2, sections: 1, skip_recheck: true, park_timeout: false },
-        true,
-    );
-}
-
-#[test]
-fn condvar_models_agree_and_reduce() {
-    for consumers in 1..=2 {
-        differential(&format!("condvar c={consumers}"), &CondvarModel { consumers }, true);
-    }
+/// Run a mutant under both explorers: the verdicts must agree on the
+/// failure kind, and that kind must be `expect`.
+fn mutant<M: Model>(name: &str, model: &M, expect: &str) {
+    assert_eq!(differential(name, model, true), None, "{name}: mutant ran clean");
+    assert_eq!(verdict_kind(&explore(model, DEFAULT_MAX_STATES)), expect, "{name}");
 }
 
 #[test]
@@ -128,6 +96,93 @@ fn mailbox_notify_skip_agrees_and_reduces_5x() {
 }
 
 #[test]
-fn mailbox_broken_skip_agrees() {
-    differential("mailbox broken-skip", &MailboxModel { senders: 1, broken_skip: true }, true);
+fn reactor_run_queue_agrees() {
+    for senders in 1..=3 {
+        for crasher in [false, true] {
+            // One sender and no crasher reduces 1.00x: nothing to be strict about.
+            differential(
+                &format!("run-queue s={senders} crasher={crasher}"),
+                &RunQueueModel { senders, crasher, clear_after_poll: false, skip_exit_wake: false },
+                senders > 1 || crasher,
+            );
+        }
+    }
+}
+
+#[test]
+fn reactor_external_waker_agrees() {
+    // DPOR finds no commuting pair at any wake count (1.00x), so the check
+    // is only that it never visits more.
+    for wakes in 1..=3 {
+        differential(
+            &format!("external-waker w={wakes}"),
+            &ExternalWakerModel { wakes, skip_drain: false, drop_drained: false },
+            false,
+        );
+    }
+}
+
+#[test]
+fn reactor_lane_mailbox_agrees() {
+    differential(
+        "lane-mailbox",
+        &LaneMailboxModel { drop_wild: false, skip_spill_count: false },
+        true,
+    );
+}
+
+#[test]
+fn reactor_timer_wheel_agrees() {
+    for (delta_a, delta_b) in [(10, 20), (10, 100), (63, 64)] {
+        differential(
+            &format!("timer-wheel a={delta_a} b={delta_b}"),
+            &TimerWheelModel { delta_a, delta_b, no_generation: false },
+            true,
+        );
+    }
+}
+
+#[test]
+fn mutants_agree_on_the_failure_kind() {
+    mutant("mailbox broken-skip", &MailboxModel { senders: 1, broken_skip: true }, "deadlock");
+    mutant(
+        "run-queue clear-after-poll",
+        &RunQueueModel {
+            senders: 2,
+            crasher: false,
+            clear_after_poll: true,
+            skip_exit_wake: false,
+        },
+        "deadlock",
+    );
+    mutant(
+        "run-queue skip-exit-wake",
+        &RunQueueModel { senders: 1, crasher: true, clear_after_poll: false, skip_exit_wake: true },
+        "deadlock",
+    );
+    mutant(
+        "external-waker skip-drain",
+        &ExternalWakerModel { wakes: 1, skip_drain: true, drop_drained: false },
+        "deadlock",
+    );
+    mutant(
+        "external-waker drop-drained",
+        &ExternalWakerModel { wakes: 1, skip_drain: false, drop_drained: true },
+        "deadlock",
+    );
+    mutant(
+        "lane-mailbox drop-wild",
+        &LaneMailboxModel { drop_wild: true, skip_spill_count: false },
+        "deadlock",
+    );
+    mutant(
+        "lane-mailbox skip-spill-count",
+        &LaneMailboxModel { drop_wild: false, skip_spill_count: true },
+        "terminal",
+    );
+    mutant(
+        "timer-wheel no-generation",
+        &TimerWheelModel { delta_a: 10, delta_b: 20, no_generation: true },
+        "deadlock",
+    );
 }

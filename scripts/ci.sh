@@ -2,15 +2,12 @@
 # Every CI gate, offline, with a per-phase wall-clock report so the growing
 # matrix stays diagnosable. .github/workflows/ci.yml runs the same phases
 # one per step, so each command is written once, here.
-# Usage: scripts/ci.sh [--quick] [PHASE [FEATURES]]
+# Usage: scripts/ci.sh [--quick] [PHASE]
 #   --quick   skip the release build, the release megascale sweeps (event
 #             executor and self-healing recovery), the chaos search, and
 #             the bench regression gate (test/fmt/clippy only)
 #   PHASE     run only `phase_PHASE` below (e.g. `scripts/ci.sh schedcheck`);
-#             no phase = the full run. The feature_matrix and event_exec
-#             phases take one cargo feature leg as FEATURES (e.g.
-#             "--features mpsim/fast-sync", "" for the default leg) and
-#             then run that leg only.
+#             no phase = the full run.
 # Environment:
 #   CI_BUDGET_SECONDS   soft wall-clock budget for the whole run; the
 #                       summary prints a warning when it is exceeded
@@ -46,30 +43,18 @@ run_phase() {
 
 export CARGO_NET_OFFLINE=true
 
-# Feature matrix: the lock backend is selected at compile time, so every
-# combination must build, test, and lint cleanly. The empty leg is the
-# default std backend; fast-sync swaps in the spin-then-park locks.
-feature_legs=("--no-default-features" "" "--features mpsim/fast-sync")
-
 phase_build() {
   run cargo build --workspace --release --offline
 }
 
+# No crate declares cargo features, so there is one build to test and lint.
 phase_feature_matrix() {
-  local legs=("${feature_legs[@]}")
-  [[ $# -gt 0 ]] && legs=("$1")
-  for features in "${legs[@]}"; do
-    # shellcheck disable=SC2086
-    run cargo test -q --workspace --offline $features
-    # shellcheck disable=SC2086
-    run cargo clippy --workspace --all-targets --offline $features -- -D warnings
-    # Envelope-coalescing smoke: the bench itself asserts byte- and
-    # message-identical traffic between the per-chunk and coalesced
-    # policies, so running it is a correctness gate for the vectored
-    # fabric under every lock backend.
-    # shellcheck disable=SC2086
-    run cargo bench -q -p bcast-bench --bench ring_coalesce --offline $features -- --quick
-  done
+  run cargo test -q --workspace --offline
+  run cargo clippy --workspace --all-targets --offline -- -D warnings
+  # Envelope-coalescing smoke: the bench itself asserts byte- and
+  # message-identical traffic between the per-chunk and coalesced
+  # policies, so running it is a correctness gate for the vectored fabric.
+  run cargo bench -q -p bcast-bench --bench ring_coalesce --offline -- --quick
 }
 
 # The benchmark package is its own workspace (empty [workspace] table, path
@@ -88,9 +73,8 @@ phase_harness_and_fmt() {
 
 # Static verification: the schedule sweep proves every collective's symbolic
 # schedule deadlock-free, fully covering, and traffic-exact (and drills
-# seeded mutants); repolint enforces source conventions (sync facade,
-# panic-free libraries, documented unsafe, virtual-clock purity of the
-# event executor).
+# seeded mutants); repolint enforces source conventions (panic-free
+# libraries, documented unsafe, virtual-clock purity of the event executor).
 phase_schedcheck() {
   if [[ $quick -eq 1 ]]; then
     run cargo run -q -p schedcheck --bin schedcheck --offline -- --quick
@@ -100,7 +84,7 @@ phase_schedcheck() {
   run cargo run -q -p schedcheck --bin repolint --offline
 }
 
-# Reactor model-checking lane: every sync/reactor protocol model explored
+# Reactor model-checking lane: every mailbox/reactor protocol model explored
 # exhaustively AND with the sleep-set DPOR reduction (verdicts must agree,
 # per-model state counts and reduction factors printed), plus the seeded
 # mutation drill — one known lost-wakeup / stale-handle / accounting bug
@@ -124,27 +108,19 @@ phase_chaos() {
   run env TESTKIT_SEED=$chaos_seed cargo test -q -p bcast-opt --offline --test comm_conformance
 }
 
-# event-exec lane: prove the discrete-event executor in every feature leg —
-# conformance battery (incl. seeded faults over the virtual clock), the
-# paper's P=8/P=10 traffic table, and the P=256 megascale sweep. The
+# event-exec lane: prove the discrete-event executor — conformance
+# battery (incl. seeded faults over the virtual clock), the paper's
+# P=8/P=10 traffic table, and the P=256 megascale sweep. The
 # P ∈ {1024, 4096} sweeps (~1M and ~16.8M messages per algorithm) run in
 # release only, pinned to the same closed-form envelope/byte counts. The
 # P=16384 sweep (~268M messages through the reactor) runs as its own phase
 # below so its wall clock gets a dedicated row in the timing table.
 phase_event_exec() {
-  local legs=("${feature_legs[@]}")
-  [[ $# -gt 0 ]] && legs=("$1")
-  for features in "${legs[@]}"; do
-    # shellcheck disable=SC2086
-    run cargo test -q -p bcast-opt --offline $features --test comm_conformance event_
-    # shellcheck disable=SC2086
-    run cargo test -q -p bcast-opt --offline $features --test traffic_table event_world
-    # shellcheck disable=SC2086
-    run cargo test -q -p bcast-opt --offline $features --test event_megascale
-  done
+  run cargo test -q -p bcast-opt --offline --test comm_conformance event_
+  run cargo test -q -p bcast-opt --offline --test traffic_table event_world
+  run cargo test -q -p bcast-opt --offline --test event_megascale
   if [[ $quick -eq 0 ]]; then
-    # shellcheck disable=SC2086
-    run cargo test --release -q -p bcast-opt --offline ${1:-} --test event_megascale -- \
+    run cargo test --release -q -p bcast-opt --offline --test event_megascale -- \
       --ignored --skip megascale_p16384
   fi
 }
@@ -212,7 +188,7 @@ fi
 if [[ $quick -eq 0 ]]; then
   run_phase "build (release)" phase_build
 fi
-run_phase "feature matrix (test + clippy + coalesce smoke)" phase_feature_matrix
+run_phase "test + clippy + coalesce smoke" phase_feature_matrix
 run_phase "benchmark package (build + unit tests)" phase_benchmark_package
 run_phase "bench harness + fmt" phase_harness_and_fmt
 run_phase "schedcheck + repolint" phase_schedcheck

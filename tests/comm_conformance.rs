@@ -7,9 +7,7 @@
 //! discrete-event async executor. The batteries are written once against
 //! [`AsyncCommunicator`]; the blocking backends drive them through the
 //! [`SyncComm`] bridge (whose futures complete on first poll), the event
-//! executor runs them as genuinely suspending tasks. The CI feature matrix
-//! re-runs this binary with `--features mpsim/fast-sync`, so the same
-//! battery also covers the spin-then-park lock backend.
+//! executor runs them as genuinely suspending tasks.
 //!
 //! A second battery covers the fault layer: `recv_timeout` expiry
 //! semantics, and `ReliableComm` masking seeded drop / duplication / delay
