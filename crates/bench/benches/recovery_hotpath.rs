@@ -2,17 +2,19 @@
 //! function of casualty count, on the discrete-event executor.
 //!
 //! Each measured world is one complete self-healing launch under a seeded
-//! crash plan: the initial attempt, every heartbeat-agreement round, the
-//! root-succession bookkeeping, and the degraded-schedule re-derivation for
-//! every epoch the cascade forces. Crash timestamps are staggered so each
+//! crash plan: the initial attempt, every agreement, the root-succession
+//! bookkeeping, and the degraded-schedule re-derivation for every epoch the
+//! cascade forces. Crash timestamps are staggered so each
 //! additional casualty lands *after* the previous epoch started — the
 //! cascade depth (and so the number of re-derived schedules) grows with the
 //! casualty count, which is exactly the axis the bench sweeps:
 //!
 //! * `p8/c{0,1,3}` — the paper's world size; c3 kills three of eight ranks
 //!   in three separate epochs;
-//! * `p1024/c{0,1,4}` — the megascale leg; the schedule re-derivation and
-//!   agreement fan-in dominate, not the payload copies.
+//! * `p1024/c{0,1,4}` — the megascale leg; past the full-world first
+//!   attempt, each failed epoch costs two `⌈log₂P⌉`-round quorums, the
+//!   leader's proposal and a rerun over the ranks still missing the payload,
+//!   not the payload copies.
 //!
 //! Everything runs on EventWorld's virtual clock, so the wall-clock medians
 //! measure the *machinery* (reactor scheduling, agreement traffic, schedule
@@ -45,24 +47,28 @@ fn payload() -> Vec<u8> {
     (0..NBYTES).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect()
 }
 
-/// `k` victims spread across the world, none of them the root, each dying a
-/// few operations after the previous one so the crashes land in distinct
-/// epochs and force a cascade of depth ≈ `k`.
+/// `k` victims, none of them the root, each dying later than the previous
+/// one so the crashes land in distinct epochs and force a cascade of depth
+/// ≈ `k`.
 fn crash_plan(p: usize, k: usize) -> (FaultPlan, Vec<usize>) {
     let mut plan = FaultPlan::new(PLAN_SEED);
-    let mut victims = Vec::with_capacity(k);
-    // One tuned-ring epoch costs ≈ 4·P operations per rank (same scaling
-    // the megascale chaos battery uses); half-epoch spacing lands each
-    // casualty in a distinct epoch at both world sizes — measured depths
-    // are asserted in `verify`, so drift cannot pass silently.
-    let per_epoch = 4 * p as u64;
-    for i in 0..k {
-        let victim = 1 + i * (p - 1) / (k + 1);
-        let after_ops = 4 + i as u64 * per_epoch / 2;
-        plan = plan.with_crash(victim, after_ops);
-        victims.push(victim);
+    // A survivor that holds the payload sits out the next rerun and ticks
+    // only on agreement ops, so every victim must be a runner of the rerun
+    // it dies in: ring neighbours `v, v + 1, …` with `v = P − P/6 − k`. The
+    // first dies at op 4, inside epoch 0's ring, and stalls the ≈ P/6 ranks
+    // downstream of it, so the rerun is a ring of ≈ P/6 ranks plus the
+    // root (≈ P/3 ops for a rank in it). Each later victim stalls right
+    // behind the previous one and then reruns right behind the root; a
+    // failed epoch costs it about `6·⌈log₂P⌉` agreement ops on top of its
+    // share of the rerun, so spacing the crashes `P/12 + 6·⌈log₂P⌉` ops
+    // apart lands each a fraction into the next rerun at both world sizes
+    // (measured depths are asserted in `verify`, so drift cannot pass
+    // silently).
+    let stagger = p as u64 / 12 + 6 * u64::from(mpsim::ceil_log2(p));
+    let victims: Vec<usize> = (0..k).map(|i| p - p / 6 - k + i).collect();
+    for (i, &victim) in victims.iter().enumerate() {
+        plan = plan.with_crash(victim, 4 + i as u64 * stagger);
     }
-    victims.sort_unstable();
     (plan, victims)
 }
 

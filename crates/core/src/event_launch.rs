@@ -197,17 +197,18 @@ impl RecoverySpec<'_> {
     }
 }
 
-/// A loose upper bound on the virtual-clock duration of a self-healing
-/// launch at world size `p`: every epoch costs at most one stalled attempt
-/// plus one full pairwise agreement round, each receive bounded by the
-/// heartbeat deadline. That per-epoch term still dominates with the
-/// dissemination quorum in front of the pairwise round: each of the quorum's
-/// `2·⌈log₂p⌉` receives is bounded by `2 · step_timeout`, at most
-/// `4·⌈log₂p⌉` step timeouts per epoch, inside the two heartbeat deadlines
-/// (`4p + 12` step timeouts) of slack that `p + 2` deadlines leave over an
-/// attempt (< 1 deadline) and a pairwise round (≤ `p − 1`). Real runs sit
-/// orders of magnitude below the bound; a run *above* it means a timeout
-/// failed to fire — the recovery-time invariant.
+/// A loose ceiling on the virtual-clock duration of a self-healing launch
+/// at world size `p`: `p + 2` heartbeat deadlines per epoch. It is not a
+/// worst case. An attempt and the two dissemination quorums stay under
+/// three deadlines (every attempt receive is step-bounded, and a quorum's
+/// `2·⌈log₂p⌉` receives are bounded by `2 · step_timeout` each), but the
+/// leader stages can wait up to three more and a pairwise receive up to
+/// four on a peer that never answers. Those long waits only run out on a
+/// live peer stuck elsewhere — a dead one fails at once on every executor's
+/// exit detector — so real runs sit orders of magnitude below the ceiling
+/// (the crash-point sweep's slowest launch uses under 1 % of it). A run
+/// *above* it means a timeout failed to fire, or fired far more often than
+/// the protocol allows — the recovery-time invariant.
 pub fn recovery_elapsed_bound(cfg: &RecoveryConfig, p: usize) -> Duration {
     let per_receive = cfg.step_timeout.saturating_mul(2 * p as u32 + 6);
     per_receive.saturating_mul((p as u32 + 2).saturating_mul(cfg.max_epochs.max(1)))
@@ -414,7 +415,7 @@ mod tests {
 
     #[test]
     fn fault_free_self_healing_traffic_is_bcast_plus_quorum() {
-        // The pairwise round never runs on a clean epoch: what moves is the
+        // No later agreement stage runs on a clean epoch: what moves is the
         // broadcast itself plus 2·P·⌈log₂P⌉ two-byte quorum frames, exactly.
         let cfg = RecoveryConfig::default();
         let nbytes = 2048;

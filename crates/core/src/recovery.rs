@@ -20,28 +20,43 @@
 //!    on the spot: a fault-free epoch costs `2·n·⌈log₂n⌉` frames, not
 //!    `n·(n−1)`. Anything else — a member without the payload, a silent or
 //!    late partner, a diverged membership — only ever turns a rank's
-//!    conjunction false, and a false conjunction runs the *pairwise round*:
-//!    every surviving rank sends a one-byte report (a "payload complete"
-//!    bit) to every other current member, then collects the peers' reports
-//!    under a generous heartbeat deadline. Membership is decided by this
-//!    exchange *alone*: an attempt-time timeout is only a stall symptom (a
-//!    live neighbor of a dead rank stalls too), but a rank that misses the
-//!    heartbeat deadline — sized to cover the worst-case attempt cascade —
-//!    is dead under the fail-stop assumption (below), so every live rank
-//!    computes the same verdict. (A rank whose pass 1 was true but whose
-//!    pass 2 was not still runs the pairwise round for its peers' benefit,
-//!    then heals with "nobody dead": every member reported a complete
-//!    payload, and others may already have committed and left.)
-//! 3. **Degraded rerun** — the survivors form a [`SubComm`], the
-//!    binomial-scatter `(step, flag)` schedule is re-derived over the
-//!    shrunken world (simply by running the same algorithm at the smaller
-//!    size), and the broadcast reruns from the lowest-ranked survivor that
-//!    holds the full payload. The loop repeats until an attempt completes
-//!    on every survivor or the epoch budget is exhausted.
+//!    conjunction false, and a false conjunction runs the *leader stages*:
+//!    every member sends its one-byte report (a "payload complete" bit) to
+//!    the lowest member, the leader proposes the verdict `V` (who reported,
+//!    who of them is full), and a second quorum over `V`'s live members
+//!    confirms that everyone holds the same `V`. The leader may only drop a
+//!    member on *exit evidence* (its receive failed with `PeerFailed` naming
+//!    that member); any doubt — a timeout, a garbled report — makes it
+//!    abstain, and whenever the stages do not settle the epoch, the
+//!    *pairwise round* decides: every surviving rank sends its report to
+//!    every other current member, then collects the peers' reports under a
+//!    generous heartbeat deadline. Membership is decided by exit evidence
+//!    or by this exchange *alone*: an attempt-time timeout is only a stall
+//!    symptom (a live neighbor of a dead rank stalls too), but a rank that
+//!    misses the heartbeat deadline — sized to cover the worst-case attempt
+//!    cascade plus every stage in front of it — is dead under the fail-stop
+//!    assumption (below), so every live rank computes the same verdict. (A
+//!    rank whose pass 1 was true but whose pass 2 was not still runs the
+//!    pairwise round for its peers' benefit, then heals with "nobody dead":
+//!    every member reported a complete payload, and others may already have
+//!    committed and left. The confirm quorum has its own version of the
+//!    same case: such a rank sends its report and adopts the proposal.)
+//! 3. **Degraded rerun** — the broadcast reruns from the root (or, if it
+//!    died, the lowest-ranked survivor holding the full payload), over a
+//!    [`SubComm`] of that root plus the survivors the verdict did *not* mark
+//!    full: a survivor that already holds the payload sits the rerun out and
+//!    rejoins at the agreement (the paper's rule — never send a rank what it
+//!    already holds — applied to whole payloads). The binomial-scatter
+//!    `(step, flag)` schedule is re-derived over that smaller world simply
+//!    by running the same algorithm at the smaller size. The loop repeats
+//!    until every survivor holds the payload or the epoch budget is
+//!    exhausted. (With [`RecoveryConfig::bounded_sendrecv`] every survivor
+//!    reruns, as it always did.)
 //!
 //! The matching *symbolic* schedule of a degraded rerun is available from
-//! [`degraded_bcast_schedule`], so `schedcheck` verifies the regenerated
-//! ring exactly like the full-world one.
+//! [`degraded_bcast_schedule`] for any member list — the rerun's is the
+//! root plus the survivors without the payload — so `schedcheck` verifies
+//! the regenerated ring exactly like the full-world one.
 //!
 //! ## Fault model
 //!
@@ -84,7 +99,7 @@
 //!   coverage signal `chaos-search` steers by and the megascale tests
 //!   assert on.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use mpsim::{
@@ -127,13 +142,12 @@ pub const MEMBERSHIP_DIGEST_SHIFT: u32 = 12;
 pub fn membership_digest(members: &[Rank]) -> u32 {
     // FNV-1a over the member ranks, folded to a 12-bit page well clear of
     // the low pages (user + epoch + agreement tags all sit below 0xB2xx).
-    let mut h: u32 = 0x811C_9DC5;
-    for &m in members {
-        for b in (m as u32).to_le_bytes() {
-            h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
-        }
-    }
-    0x10 + (h % 0xFE0)
+    0x10 + (fnv1a(members.iter().flat_map(|&m| (m as u32).to_le_bytes())) % 0xFE0)
+}
+
+/// 32-bit FNV-1a.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u32 {
+    bytes.into_iter().fold(0x811C_9DC5, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 /// Tuning knobs for [`self_healing_bcast`].
@@ -165,14 +179,28 @@ impl Default for RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// The agreement-round deadline. A live member may still be stuck in
-    /// the failed attempt when its peers start collecting heartbeats: with
-    /// every receive bounded by one step-timeout, a stalled attempt drains
-    /// in at most `scatter depth + ring steps` timeouts (< 2·members), so
-    /// twice that plus slack guarantees a live rank is never mistaken for
-    /// dead.
+    /// The heartbeat deadline: the leader's window for reading reports, and
+    /// the unit of the other agreement deadlines (a member waits two for
+    /// the proposal, the pairwise round four per report). A live member may
+    /// still be stuck in the failed attempt when its peers start collecting
+    /// heartbeats: with every receive bounded by one step-timeout, a stalled
+    /// attempt drains in at most `scatter depth + ring steps` timeouts
+    /// (< 2·members), so twice that plus slack covers the entry skew into
+    /// the agreement.
     fn heartbeat_timeout(&self, members: usize) -> Duration {
         self.step_timeout.saturating_mul(2 * members as u32 + 6)
+    }
+
+    /// The pairwise round's per-report deadline: one heartbeat deadline for
+    /// the entry skew it always had to cover, plus the lag the leader stages
+    /// can add in front of it. A rank can reach the pairwise round straight
+    /// after the first quorum (its pass 1 was true, or its leader is gone)
+    /// while a peer first waits out a proposal (≤ 2 heartbeats, see
+    /// [`agree`]) and a confirm quorum (`2·⌈log₂n⌉` receives of
+    /// `2·step_timeout`, under one more heartbeat for every `n`): four
+    /// heartbeats in all.
+    fn pairwise_timeout(&self, members: usize) -> Duration {
+        self.heartbeat_timeout(members).saturating_mul(4)
     }
 }
 
@@ -460,6 +488,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
 // down to the executor.
 
 /// One rank's state after an attempt, exchanged in the agreement round.
+#[derive(Clone, Copy)]
 struct Report {
     has_full: bool,
 }
@@ -483,6 +512,95 @@ impl Report {
 struct Verdict {
     dead: BTreeSet<Rank>,
     have_full: BTreeSet<Rank>,
+}
+
+impl Verdict {
+    /// "Nobody dead, everybody full" over `members`.
+    fn everyone_full(members: &[Rank]) -> Verdict {
+        Verdict { dead: BTreeSet::new(), have_full: members.iter().copied().collect() }
+    }
+}
+
+/// The leader's proposed verdict `V`: the members whose report it read
+/// (`live`) and those of them that hold the payload (`full`), kept in its
+/// wire form — a `1` byte followed by the two world-rank bitmaps. A lone `0`
+/// byte is the abstain frame, which (like anything else that does not
+/// decode) sends the receiver to the pairwise round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Proposal {
+    frame: Vec<u8>,
+}
+
+impl Proposal {
+    /// The abstain frame.
+    const ABSTAIN: [u8; 1] = [0];
+    /// Which bitmap [`Proposal::has`] reads.
+    const LIVE: usize = 0;
+    const FULL: usize = 1;
+
+    /// Wire length of a proposal in a world of `world` ranks.
+    fn frame_len(world: usize) -> usize {
+        1 + 2 * world.div_ceil(8)
+    }
+
+    /// `V` in a world of `world` ranks over the `(rank, has_full)` reports
+    /// the leader read (its own included).
+    fn new(world: usize, reports: impl Iterator<Item = (Rank, bool)>) -> Proposal {
+        let words = world.div_ceil(8);
+        let mut frame = vec![0u8; Self::frame_len(world)];
+        frame[0] = 1;
+        for (r, has_full) in reports {
+            frame[1 + r / 8] |= 1 << (r % 8);
+            if has_full {
+                frame[1 + words + r / 8] |= 1 << (r % 8);
+            }
+        }
+        Proposal { frame }
+    }
+
+    /// `None` for the abstain frame and for anything garbled: a wrong
+    /// length or marker byte, a bit past the world, or a full rank that is
+    /// not live.
+    fn decode(frame: &[u8], world: usize) -> Option<Proposal> {
+        if frame.len() != Self::frame_len(world) || frame[0] != 1 {
+            return None;
+        }
+        let (live, full) = frame[1..].split_at(world.div_ceil(8));
+        let spare_bits = 8 * live.len() - world;
+        let in_world = live.last().is_none_or(|&b| b.leading_zeros() as usize >= spare_bits);
+        let full_is_live = live.iter().zip(full).all(|(l, f)| f & !l == 0);
+        (in_world && full_is_live).then(|| Proposal { frame: frame.to_vec() })
+    }
+
+    /// Bytes per bitmap.
+    fn words(&self) -> usize {
+        (self.frame.len() - 1) / 2
+    }
+
+    /// Whether bitmap `set` ([`Proposal::LIVE`] or [`Proposal::FULL`])
+    /// holds rank `r`.
+    fn has(&self, set: usize, r: Rank) -> bool {
+        let words = self.words();
+        r / 8 < words && self.frame[1 + set * words + r / 8] & (1 << (r % 8)) != 0
+    }
+
+    /// The live members, ascending.
+    fn live(&self) -> Vec<Rank> {
+        (0..8 * self.words()).filter(|&r| self.has(Self::LIVE, r)).collect()
+    }
+
+    /// The confirm quorum's seal: every frame carries it, so members
+    /// holding different proposals cannot confirm each other.
+    fn seal(&self) -> [u8; 4] {
+        fnv1a(self.frame.iter().copied()).to_le_bytes()
+    }
+
+    /// `V` as this epoch's verdict over `members` (a superset of `live`).
+    fn verdict(&self, members: &[Rank]) -> Verdict {
+        let dead = members.iter().copied().filter(|&r| !self.has(Self::LIVE, r)).collect();
+        let have_full = members.iter().copied().filter(|&r| self.has(Self::FULL, r)).collect();
+        Verdict { dead, have_full }
+    }
 }
 
 /// Recovery branch bits, recorded in [`RecoveryTrace::branches`]. The set of
@@ -570,53 +688,71 @@ impl RecoveryDrill {
     };
 }
 
-/// What the dissemination quorum established on this rank.
+/// What a dissemination quorum established on this rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Quorum {
-    /// Pass 2 came out true: every member holds the payload *and* every
+    /// Pass 2 came out true: every member's input was true *and* every
     /// member's pass 1 said so. Nothing is left to agree on.
     Committed,
-    /// Pass 1 came out true but pass 2 did not: every member reported a
-    /// complete payload this epoch, yet some peer may not have learned it.
+    /// Pass 1 came out true but pass 2 did not: every member's input was
+    /// true, yet some peer may not have learned it — and others may already
+    /// have committed and left.
     Known,
-    /// Pass 1 came out false: somebody lacks the payload, is silent, is late,
-    /// or disagrees on the membership. The pairwise round decides.
+    /// Pass 1 came out false: somebody's input was false, or somebody is
+    /// silent, late, or sealed its frames for another membership/proposal.
     Open,
 }
 
-/// Base tag of epoch `epoch`'s agreement traffic: the pairwise round runs on
-/// `+ 0`, the dissemination quorum on `+ 1`.
-fn agreement_tag(epoch: u32) -> u32 {
-    AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE))
+/// Offsets of an epoch's agreement tags from its base. A report travels on
+/// `PAIRWISE` whether the leader or the pairwise round reads it, so both
+/// read the same per-`(src, tag)` FIFO.
+const PAIRWISE: u32 = 0;
+/// The first (membership) quorum.
+const QUORUM: u32 = 1;
+/// The leader's proposal or abstain frame.
+const PROPOSAL: u32 = 2;
+/// The confirm quorum over a proposal's live members.
+const CONFIRM: u32 = 3;
+
+/// Tag `offset` of epoch `epoch`'s agreement traffic.
+fn agreement_tag(epoch: u32, offset: u32) -> Tag {
+    Tag(AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE)).wrapping_add(offset))
 }
 
-/// AND-reduce "I hold the full payload" over `members` by Bruck
-/// dissemination, twice: pass 1 folds `has_full`, pass 2 folds "my pass 1
-/// came out true". Each pass is `⌈log₂n⌉` rounds of one two-byte send (to the
-/// member `dist` positions ahead) and one receive (from the member `dist`
-/// behind), `dist = 1, 2, 4, … < n`, so after a pass the conjunction covers
-/// every member.
+/// AND-reduce `input` over `members` by Bruck dissemination, twice: pass 1
+/// folds `input`, pass 2 folds "my pass 1 came out true". Each pass is
+/// `⌈log₂n⌉` rounds of one `[conjunction, seal…]` frame sent to the member
+/// `dist` positions ahead and one received from the member `dist` behind,
+/// `dist = 1, 2, 4, … < n`, so after a pass the conjunction covers every
+/// member. [`agree`] runs it twice per failed epoch: first over the members
+/// with "I hold the full payload" sealed by the membership digest's low byte
+/// (two-byte frames), then over a proposal's live members with "I hold this
+/// proposal" sealed by the proposal's hash (five-byte frames).
 ///
 /// The conjunction can only ever turn *false*: a `0` frame, a timeout, a
-/// failed or garbled partner, or a frame carrying another membership's
-/// digest byte all clear it. A rank whose conjunction is false stops
-/// receiving but still sends every remaining round of both passes, so the
-/// falsehood reaches everyone in at most `2·⌈log₂n⌉` hops and nobody waits on
-/// it. All rounds share one tag: a pass's distances are distinct sources, and
+/// failed or garbled partner, or a frame carrying another seal all clear
+/// it. A rank whose conjunction is false stops receiving but still sends
+/// every remaining round of both passes, so the falsehood reaches everyone
+/// in at most `2·⌈log₂n⌉` hops and nobody waits on it. Hence on a lossless
+/// fabric a `Committed` rank and an `Open` one never coexist among the live
+/// members: an `Open` rank's zeros would have reached the committer. All
+/// rounds share one tag: a pass's distances are distinct sources, and
 /// per-`(src, tag)` FIFO orders pass 1 before pass 2 from the same source.
 ///
-/// Receives are bounded by `2 · step_timeout`, *not* the heartbeat deadline.
-/// Safety never depends on the bound — a false timeout costs a pairwise
-/// round, never a wrong verdict — so it only has to exceed the entry skew of
-/// a clean attempt. It has to stay this small because the pairwise round is
-/// sound only while a live peer lags by less than the heartbeat deadline:
-/// a rank that fell through at once must not wait out its heartbeat on a
-/// peer still sitting in a quorum timeout.
+/// Receives are bounded by `2 · step_timeout`, *not* the heartbeat deadline,
+/// so a whole quorum takes at most `4·⌈log₂n⌉` step timeouts — under one
+/// heartbeat deadline for every `n`. Safety never depends on the bound — a
+/// false timeout costs a later stage, never a wrong verdict — so it only
+/// has to exceed the entry skew of a clean attempt. It has to stay this
+/// small because the later stages are sound only while a live peer lags by
+/// less than their deadlines: a rank that fell through at once must not
+/// wait them out on a peer still sitting in a quorum timeout.
 async fn quorum<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     members: &[Rank],
-    epoch: u32,
-    has_full: bool,
+    tag: Tag,
+    seal: &[u8],
+    input: bool,
     cfg: &RecoveryConfig,
 ) -> Result<Quorum> {
     let me = comm.rank();
@@ -624,25 +760,26 @@ async fn quorum<C: AsyncCommunicator + ?Sized>(
     let Some(idx) = members.iter().position(|&m| m == me) else {
         return Ok(Quorum::Open);
     };
-    let tag = Tag(agreement_tag(epoch).wrapping_add(1));
-    // Ranks whose member lists diverged after a split verdict must not
-    // complete each other's quorum.
-    let digest8 = membership_digest(members) as u8;
     let bound = cfg.step_timeout.saturating_mul(2);
 
-    let mut acc = has_full;
+    // Seals are one or four bytes; a longer frame surfaces as `Truncation`.
+    let len = 1 + seal.len();
+    let mut out = [0u8; 5];
+    out[1..len].copy_from_slice(seal);
+    let mut acc = input;
     let mut known = false;
-    let mut frame = [0u8; 2];
+    let mut frame = [0u8; 5];
     for pass in 0..2 {
         let mut dist = 1;
         while dist < n {
             let ahead = members[(idx + dist) % n];
             let behind = members[(idx + n - dist) % n];
-            let heard = match comm.send(&[u8::from(acc), digest8], ahead, tag).await {
+            out[0] = u8::from(acc);
+            let heard = match comm.send(&out[..len], ahead, tag).await {
                 Ok(()) if acc => comm
                     .recv_timeout(&mut frame, behind, tag, bound)
                     .await
-                    .map(|len| len == 2 && frame == [1, digest8]),
+                    .map(|got| got == len && frame[0] == 1 && frame[1..len] == *seal),
                 Ok(()) => Ok(false),
                 Err(e) => Err(e),
             };
@@ -673,30 +810,73 @@ async fn quorum<C: AsyncCommunicator + ?Sized>(
     })
 }
 
+/// A peer's report as some stage of the agreement read it: a decoded
+/// report, `Ok(None)` for a garbled one, or the receive's error.
+type Heard = Result<Option<Report>>;
+
 /// Agree on who is alive and who holds the payload after epoch `epoch`'s
-/// attempt. Two stages, the second only when the first does not settle it:
+/// attempt. Up to four stages, each only when the ones before it did not
+/// settle the epoch:
 ///
-/// 1. **Dissemination quorum** ([`quorum`]) — `2·⌈log₂n⌉` two-byte frames
-///    per rank. If it commits, every member holds the payload and knows that
+/// 1. **Membership quorum** ([`quorum`]) — `2·⌈log₂n⌉` two-byte frames per
+///    rank. If it commits, every member holds the payload and knows that
 ///    everyone does: the verdict is "nobody dead, everybody full" without a
-///    single pairwise message. A fault-free epoch ends here.
-/// 2. **Pairwise round** — every member exchanges a one-byte [`Report`] with
-///    every other member under the heartbeat deadline; a member is dead iff
-///    it fails this exchange. The fail-stop assumption plus the backends'
-///    definitive exited-rank detection make the outcome identical on every
-///    live member — a dead rank fails *everyone's* heartbeat, and the
-///    deadline is sized so a live rank never does. Anything that goes wrong
-///    in the quorum only ever lands a rank here, so the verdict under faults
-///    is the pairwise one, unchanged.
+///    single report. A fault-free epoch ends here.
+/// 2. **Report and propose** — every member sends its one-byte [`Report`] to
+///    the leader, the lowest member, on the pairwise tag. The leader reads
+///    them in member order under one heartbeat deadline and sends every
+///    member it heard from the [`Proposal`] `V`: who reported (`live`) and
+///    who of them is full. The leader drops a member from `live` only on
+///    *exit evidence* — the receive failed with `PeerFailed` naming that
+///    member, which the backends report only once the rank has left the
+///    world with nothing queued. A timeout, a garbled or an overlong report
+///    makes it abstain instead (a garbled one also lights
+///    [`branch::GARBLED_REPORT`]); the abstain frame sends everyone to the
+///    pairwise round, where the garbled peer is counted dead.
+/// 3. **Confirm quorum** — the members holding `V` run [`quorum`] again over
+///    `V`'s live members, sealed with a hash of `V`. `Committed`: every live
+///    member holds this `V`; adopt it. `Known`: every live member holds it,
+///    but some may not know that, and others may already have adopted it
+///    and left; send this rank's report to every live member (a peer that
+///    fell through to the pairwise round needs it) and adopt `V` *without
+///    waiting on anyone* — waiting would make this rank lag the adopters
+///    into the next epoch by several deadlines, and they would count it
+///    dead there. `Open` (or no `V` at all): stage 4.
+/// 4. **Pairwise round** — every member exchanges its report with every
+///    other member; a member is dead iff it fails this exchange. The
+///    fail-stop assumption plus the backends' definitive exited-rank
+///    detection make the outcome identical on every live member — a dead
+///    rank fails *everyone's* exchange, and the deadline
+///    ([`RecoveryConfig::pairwise_timeout`]) is sized so a live rank never
+///    does. The leader does not wait for a second report from a peer it
+///    already heard from in stage 2: it reuses that outcome.
 ///
-/// One case sits between the two: the quorum's pass 1 came out true on this
-/// rank but pass 2 did not (a peer crashed or stalled between its pass-2
-/// sends). Pass 2 can only come out true *anywhere* if every member's pass 1
-/// was true, so other members may already have committed and left. This rank
-/// still runs the pairwise round in full — peers that also fell through need
-/// its report — but then returns "nobody dead, everybody full" regardless of
-/// who answered: every member reported a complete payload this epoch, so a
-/// peer that has gone silent since has either healed and exited or crashed
+/// Why adopting `V` is safe: a live member missing from `V` is impossible
+/// (exit evidence), a `Committed` and an `Open` confirmer never coexist (see
+/// [`quorum`]), and a `Known` confirmer's report reaches every `Open` one.
+/// So either every live member adopts `V`, or the adopters (`Known`) and the
+/// pairwise round differ only by ranks that crashed during the confirm —
+/// which the next epoch's agreement removes.
+///
+/// Deadlines, measured from entering stage 2: the leader reads for one
+/// heartbeat; a member waits two heartbeats for `V`, which covers the
+/// leader's read plus an entry skew of less than one heartbeat (the skew the
+/// heartbeat always had to cover); the confirm quorum takes less than one
+/// more. A rank can enter the pairwise round straight after stage 1 while a
+/// peer still runs stages 2–3, so its deadline is four heartbeats.
+///
+/// One case sits between stage 1 and the rest: the membership quorum's
+/// pass 1 came out true on this rank but pass 2 did not (a peer crashed or
+/// stalled between its pass-2 sends). Pass 2 can only come out true
+/// *anywhere* if every member's pass 1 was true, so other members may
+/// already have committed and left. This rank skips stages 2–3 (as the
+/// leader it sends the abstain frame, so nobody waits on it; otherwise its
+/// first pairwise report goes to the leader, the lowest member, and doubles
+/// as its stage-2 report, so the leader never drops it) and still runs the
+/// pairwise round in full — peers that also fell through need its
+/// report — but then returns "nobody dead, everybody full" regardless of who
+/// answered: every member reported a complete payload this epoch, so a peer
+/// that has gone silent since has either healed and exited or crashed
 /// holding the payload. Counting it dead would heal this rank in the same
 /// epoch *without* ranks that healed in it — a lossless split-brain.
 ///
@@ -704,7 +884,7 @@ async fn quorum<C: AsyncCommunicator + ?Sized>(
 /// deadlock-free for pairwise exchanges: the globally smallest unfinished
 /// pair is always each other's current partner (each rank only moves past
 /// a peer once that pair is done), so someone always progresses. With
-/// [`RecoveryConfig::bounded_sendrecv`] the quorum is skipped and the
+/// [`RecoveryConfig::bounded_sendrecv`] stages 1–3 are skipped and the
 /// roundtrip uses the reliable layer's self-bounding `sendrecv` pump — an
 /// eager send followed by a bounded receive (which is all the quorum is)
 /// would wedge an acknowledged-send layer, whose `send` cannot complete
@@ -717,19 +897,202 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
     cfg: &RecoveryConfig,
     trace: &mut RecoveryTrace,
 ) -> Result<Verdict> {
-    let everyone_full =
-        || Verdict { dead: BTreeSet::new(), have_full: members.iter().copied().collect() };
+    let digest8 = [membership_digest(members) as u8];
     let known = !cfg.bounded_sendrecv
-        && match quorum(comm, members, epoch, mine.has_full, cfg).await? {
-            Quorum::Committed => return Ok(everyone_full()),
+        && match quorum(comm, members, agreement_tag(epoch, QUORUM), &digest8, mine.has_full, cfg)
+            .await?
+        {
+            Quorum::Committed => return Ok(Verdict::everyone_full(members)),
             Quorum::Known => true,
             Quorum::Open => false,
         };
+    // Boxed: a clean epoch never gets here, and keeping the later stages
+    // out of this future keeps every rank task of a clean run small.
+    Box::pin(settle(comm, members, epoch, mine, known, cfg, trace)).await
+}
 
+/// Stages 2–4 of [`agree`]; `known` says the membership quorum came out
+/// [`Quorum::Known`] on this rank.
+async fn settle<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    members: &[Rank],
+    epoch: u32,
+    mine: &Report,
+    known: bool,
+    cfg: &RecoveryConfig,
+    trace: &mut RecoveryTrace,
+) -> Result<Verdict> {
     let me = comm.rank();
-    let tag = Tag(agreement_tag(epoch));
+    let mut heard = BTreeMap::new();
+    if cfg.bounded_sendrecv {
+        return pairwise(comm, members, epoch, mine, cfg, &heard, trace).await;
+    }
+    // `members` is ascending: it starts as `0..size` and only ever shrinks
+    // by `retain`.
+    let leader = members[0];
+    if known {
+        if me == leader {
+            let peers = members.iter().copied().filter(|&r| r != me);
+            tell(comm, peers, &Proposal::ABSTAIN, agreement_tag(epoch, PROPOSAL)).await?;
+        }
+        pairwise(comm, members, epoch, mine, cfg, &heard, trace).await?;
+        return Ok(Verdict::everyone_full(members));
+    }
+    let proposal = if me == leader {
+        propose(comm, members, epoch, mine, cfg, &mut heard, trace).await?
+    } else {
+        follow(comm, leader, members, epoch, mine, cfg).await?
+    };
+    if let Some(v) = proposal {
+        let live = v.live();
+        match quorum(comm, &live, agreement_tag(epoch, CONFIRM), &v.seal(), true, cfg).await? {
+            Quorum::Committed => return Ok(v.verdict(members)),
+            Quorum::Known => {
+                let peers = live.iter().copied().filter(|&r| r != me);
+                tell(comm, peers, &mine.encode(), agreement_tag(epoch, PAIRWISE)).await?;
+                return Ok(v.verdict(members));
+            }
+            Quorum::Open => {}
+        }
+    }
+    pairwise(comm, members, epoch, mine, cfg, &heard, trace).await
+}
+
+/// Send `frame` to every rank of `peers` on `tag`, best effort: a peer that
+/// is gone is simply not told. Only this rank's own crash stops the loop.
+async fn tell<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    peers: impl Iterator<Item = Rank>,
+    frame: &[u8],
+    tag: Tag,
+) -> Result<()> {
+    let me = comm.rank();
+    for peer in peers {
+        match comm.send(frame, peer, tag).await {
+            Err(CommError::PeerFailed { rank }) if rank == me => {
+                return Err(CommError::PeerFailed { rank: me });
+            }
+            Ok(()) | Err(CommError::PeerFailed { .. } | CommError::Timeout { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The leader's side of stage 2: read every member's report under one
+/// heartbeat deadline, recording each outcome in `heard` for the pairwise
+/// round, then send `V` to every live member — or, at the first doubt, the
+/// abstain frame to every member that has not exited, returning `None`.
+async fn propose<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    members: &[Rank],
+    epoch: u32,
+    mine: &Report,
+    cfg: &RecoveryConfig,
+    heard: &mut BTreeMap<Rank, Heard>,
+    trace: &mut RecoveryTrace,
+) -> Result<Option<Proposal>> {
+    let me = comm.rank();
+    let tag = agreement_tag(epoch, PAIRWISE);
+    let window = cfg.heartbeat_timeout(members.len());
+    let deadline =
+        comm.now_ns().saturating_add(u64::try_from(window.as_nanos()).unwrap_or(u64::MAX));
+    let mut frame = [0u8; 2];
+    let mut abstain = false;
+    for &peer in members.iter().filter(|&&r| r != me) {
+        let left = Duration::from_nanos(deadline.saturating_sub(comm.now_ns()));
+        let outcome = comm
+            .recv_timeout(&mut frame, peer, tag, left)
+            .await
+            .map(|n| Report::decode(&frame[..n]));
+        match outcome {
+            Err(CommError::PeerFailed { rank }) if rank == me => {
+                return Err(CommError::PeerFailed { rank: me });
+            }
+            Ok(Some(_)) => {
+                heard.insert(peer, outcome);
+            }
+            // Exit evidence: the peer left the world with nothing queued.
+            Err(CommError::PeerFailed { rank }) if rank == peer => {
+                heard.insert(peer, outcome);
+            }
+            Ok(None) | Err(CommError::Truncation { .. }) => {
+                trace.hit(branch::GARBLED_REPORT);
+                heard.insert(peer, Ok(None));
+                abstain = true;
+                break;
+            }
+            Err(CommError::Timeout { .. } | CommError::PeerFailed { .. }) => {
+                abstain = true;
+                break;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    let proposals = agreement_tag(epoch, PROPOSAL);
+    if abstain {
+        let peers =
+            members.iter().copied().filter(|&r| r != me && !matches!(heard.get(&r), Some(Err(_))));
+        tell(comm, peers, &Proposal::ABSTAIN, proposals).await?;
+        return Ok(None);
+    }
+    let reports =
+        heard.iter().filter_map(|(&r, h)| h.as_ref().ok()?.map(|report| (r, report.has_full)));
+    let v = Proposal::new(comm.size(), reports.chain([(me, mine.has_full)]));
+    let live = v.live();
+    tell(comm, live.into_iter().filter(|&r| r != me), &v.frame, proposals).await?;
+    Ok(Some(v))
+}
+
+/// A non-leader's side of stage 2: send this rank's report to the leader,
+/// then wait two heartbeats for `V`. `None` — fall through to the pairwise
+/// round — on the abstain frame, on silence or exit of the leader, and on a
+/// `V` that is garbled, leaves this rank out, or names a rank this rank
+/// already counts dead.
+async fn follow<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    leader: Rank,
+    members: &[Rank],
+    epoch: u32,
+    mine: &Report,
+    cfg: &RecoveryConfig,
+) -> Result<Option<Proposal>> {
+    let me = comm.rank();
+    let world = comm.size();
+    tell(comm, [leader].into_iter(), &mine.encode(), agreement_tag(epoch, PAIRWISE)).await?;
+    // The spare byte lets an overlong frame reach `decode`, which rejects it.
+    let mut frame = vec![0u8; Proposal::frame_len(world) + 1];
+    let wait = cfg.heartbeat_timeout(members.len()).saturating_mul(2);
+    match comm.recv_timeout(&mut frame, leader, agreement_tag(epoch, PROPOSAL), wait).await {
+        Ok(n) => Ok(Proposal::decode(&frame[..n], world).filter(|v| {
+            let ours = members.iter().filter(|&&m| v.has(Proposal::LIVE, m)).count();
+            v.has(Proposal::LIVE, me) && ours == v.live().len()
+        })),
+        Err(CommError::PeerFailed { rank }) if rank == me => {
+            Err(CommError::PeerFailed { rank: me })
+        }
+        Err(
+            CommError::Timeout { .. } | CommError::PeerFailed { .. } | CommError::Truncation { .. },
+        ) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Stage 4 of [`agree`]: exchange reports with every other member, reusing
+/// an outcome in `heard` (the leader's stage-2 reads) instead of receiving.
+async fn pairwise<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    members: &[Rank],
+    epoch: u32,
+    mine: &Report,
+    cfg: &RecoveryConfig,
+    heard: &BTreeMap<Rank, Heard>,
+    trace: &mut RecoveryTrace,
+) -> Result<Verdict> {
+    let me = comm.rank();
+    let tag = agreement_tag(epoch, PAIRWISE);
     let encoded = mine.encode();
-    let hb = cfg.heartbeat_timeout(members.len());
+    let deadline = cfg.pairwise_timeout(members.len());
 
     let mut dead = BTreeSet::new();
     let mut have_full = BTreeSet::new();
@@ -745,16 +1108,22 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
             continue;
         }
         let outcome = if cfg.bounded_sendrecv {
-            comm.sendrecv(&encoded, peer, tag, &mut frame, peer, tag).await
+            comm.sendrecv(&encoded, peer, tag, &mut frame, peer, tag)
+                .await
+                .map(|n| Report::decode(&frame[..n]))
         } else {
             // Plain backends deliver sends eagerly, so pushing the report
             // first and then waiting (bounded) on the peer's cannot block.
-            match comm.send(&encoded, peer, tag).await {
-                Ok(()) => comm.recv_timeout(&mut frame, peer, tag, hb).await,
-                Err(e) => Err(e),
+            match (comm.send(&encoded, peer, tag).await, heard.get(&peer)) {
+                (Ok(()), Some(outcome)) => outcome.clone(),
+                (Ok(()), None) => comm
+                    .recv_timeout(&mut frame, peer, tag, deadline)
+                    .await
+                    .map(|n| Report::decode(&frame[..n])),
+                (Err(e), _) => Err(e),
             }
         };
-        match outcome.map(|n| Report::decode(&frame[..n])) {
+        match outcome {
             Ok(Some(theirs)) => {
                 if theirs.has_full {
                     have_full.insert(peer);
@@ -779,9 +1148,6 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
             }
             Err(e) => return Err(e),
         }
-    }
-    if known {
-        return Ok(everyone_full());
     }
     have_full.retain(|r| !dead.contains(r));
     Ok(Verdict { dead, have_full })
@@ -870,41 +1236,53 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     let mut current_root = root;
     let mut has_full = me == root;
     let mut all_dead: BTreeSet<Rank> = BTreeSet::new();
+    // Who the last verdict marked full, by world rank. Resume, don't
+    // restart: those members already hold the payload, so only the root and
+    // the others rerun the attempt. (Not under `bounded_sendrecv`, whose
+    // path stays exactly the restart it always was.)
+    let mut full = vec![false; comm.size()];
     trace.root_chain.push(root);
 
     for epoch in 0..max_epochs {
         trace.epochs_entered = epoch + 1;
-        let sub = SubComm::new(comm, members.clone())
-            // lint: allow(panic) — `me` is always kept in `members` (checked below)
-            .expect("member list lost this rank");
-        let local_root = sub
-            .from_parent(current_root)
-            // lint: allow(panic) — root succession keeps the root a member
-            // (unless the drill knob disables succession on purpose)
-            .unwrap_or_else(|| panic!("root {current_root} is not a member"));
-        let epoch_comm = EpochComm::isolated(&sub, epoch, membership_digest(&members));
-        let mut guarded = GuardedComm::new(&epoch_comm, cfg.step_timeout);
-        if cfg.bounded_sendrecv {
-            guarded = guarded.passthrough_sendrecv();
-        }
+        if me == current_root || !full[me] {
+            let runners: Vec<Rank> =
+                members.iter().copied().filter(|&m| m == current_root || !full[m]).collect();
+            // The rerun list, not the member list, fixes the schedule, so it
+            // is what the attempt's tags must isolate.
+            let digest = membership_digest(&runners);
+            let sub = SubComm::new(comm, runners)
+                // lint: allow(panic) — `me` is always kept in `members` (checked below)
+                .expect("member list lost this rank");
+            let local_root = sub
+                .from_parent(current_root)
+                // lint: allow(panic) — root succession keeps the root a member
+                // (unless the drill knob disables succession on purpose)
+                .unwrap_or_else(|| panic!("root {current_root} is not a member"));
+            let epoch_comm = EpochComm::isolated(&sub, epoch, digest);
+            let mut guarded = GuardedComm::new(&epoch_comm, cfg.step_timeout);
+            if cfg.bounded_sendrecv {
+                guarded = guarded.passthrough_sendrecv();
+            }
 
-        let attempt = bcast_with_async(&guarded, buf, local_root, algorithm).await;
-        match attempt {
-            Ok(()) => {
-                trace.hit(branch::CLEAN_ATTEMPT);
-                has_full = true;
-            }
-            // Attempt-time stalls only mark the attempt failed; membership
-            // is decided by the agreement round. Errors from the sub-world
-            // stack name *local* ranks.
-            Err(CommError::Timeout { peer }) | Err(CommError::PeerFailed { rank: peer }) => {
-                if peer < members.len() && members[peer] == me {
-                    trace.hit(branch::SELF_CRASH);
-                    return Err(CommError::PeerFailed { rank: me });
+            let attempt = bcast_with_async(&guarded, buf, local_root, algorithm).await;
+            match attempt {
+                Ok(()) => {
+                    trace.hit(branch::CLEAN_ATTEMPT);
+                    has_full = true;
                 }
-                trace.hit(branch::STALLED_ATTEMPT);
+                // Attempt-time stalls only mark the attempt failed; membership
+                // is decided by the agreement round. Errors from the sub-world
+                // stack name *local* ranks.
+                Err(CommError::Timeout { peer }) | Err(CommError::PeerFailed { rank: peer }) => {
+                    if sub.members().get(peer) == Some(&me) {
+                        trace.hit(branch::SELF_CRASH);
+                        return Err(CommError::PeerFailed { rank: me });
+                    }
+                    trace.hit(branch::STALLED_ATTEMPT);
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
         }
 
         let report = Report { has_full: has_full || drill.claim_full_payload };
@@ -954,6 +1332,12 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
             trace.hit(branch::HEALED_SURVIVORS);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
+        if !cfg.bounded_sendrecv {
+            full.fill(false);
+            for &r in &verdict.have_full {
+                full[r] = true;
+            }
+        }
     }
     trace.hit(branch::EPOCH_BUDGET_EXHAUSTED);
     Err(CommError::Timeout { peer: current_root })
@@ -990,7 +1374,7 @@ pub fn degraded_bcast_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{agreement_volume, bcast_volume};
+    use crate::traffic::{agreement_volume, bcast_volume, failed_agreement_volume, Volume};
     use mpsim::{EventWorld, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
@@ -1011,6 +1395,24 @@ mod tests {
     }
 
     #[test]
+    fn proposal_roundtrip() {
+        let v = Proposal::new(10, [(0, true), (3, false), (9, true)].into_iter());
+        assert_eq!(v.frame, [1, 0b1001, 0b10, 0b1, 0b10]);
+        assert_eq!(Proposal::decode(&v.frame, 10), Some(v.clone()));
+        assert_eq!(v.live(), [0, 3, 9]);
+        let verdict = v.verdict(&[0, 1, 3, 9]);
+        assert_eq!(
+            (verdict.dead, verdict.have_full),
+            (BTreeSet::from([1]), BTreeSet::from([0, 9]))
+        );
+        assert!(Proposal::decode(&Proposal::ABSTAIN, 10).is_none(), "abstain");
+        assert!(Proposal::decode(&v.frame[..4], 10).is_none(), "short frame");
+        assert!(Proposal::decode(&[1, 0, 0b100, 0, 0], 10).is_none(), "rank 10 is past the world");
+        assert!(Proposal::decode(&[1, 0, 0, 0b1, 0], 10).is_none(), "full but not live");
+        assert_ne!(v.seal(), Proposal::new(10, [(0, true)].into_iter()).seal());
+    }
+
+    #[test]
     fn fault_free_bcast_completes_in_one_epoch() {
         let n = 777;
         let src = pattern(n);
@@ -1025,8 +1427,8 @@ mod tests {
             assert_eq!(h.survivors, (0..8).collect::<Vec<_>>());
         }
         // The quorum's receive bound is real time here: a spurious timeout
-        // would fall back to the pairwise round and show up as extra
-        // envelopes, not merely as a slow test.
+        // would fall through to the later agreement stages and show up as
+        // extra envelopes, not merely as a slow test.
         let expect = bcast_volume(Algorithm::ScatterRingTuned, n, 8).plus(agreement_volume(8));
         assert_eq!(out.traffic.total_envelopes(), expect.msgs);
     }
@@ -1268,7 +1670,8 @@ mod tests {
             let members = members.clone();
             async move {
                 let has_full = role(comm.rank())?;
-                Some(quorum(&comm, &members, 0, has_full, &quick_cfg()).await.unwrap())
+                let (tag, seal) = (agreement_tag(0, QUORUM), [membership_digest(&members) as u8]);
+                Some(quorum(&comm, &members, tag, &seal, has_full, &quick_cfg()).await.unwrap())
             }
         });
         let sent = out.traffic.per_rank.iter().map(|s| s.msgs_sent).collect();
@@ -1325,6 +1728,80 @@ mod tests {
             assert_eq!(*have_full, BTreeSet::from([0, 1, 2]));
             assert!(trace.saw(branch::GARBLED_REPORT));
         }
+    }
+
+    #[test]
+    fn failed_epoch_agreement_matches_its_closed_form() {
+        // One member exits before the agreement: the membership quorum
+        // fails, the leader's proposal is confirmed, and the pairwise round
+        // never runs.
+        for p in [3usize, 8, 10, 129] {
+            let members: Vec<Rank> = (0..p).collect();
+            let gone = p / 2;
+            let out = EventWorld::run(p, |comm| {
+                let members = members.clone();
+                async move {
+                    if comm.rank() == gone {
+                        return None;
+                    }
+                    let mut trace = RecoveryTrace::default();
+                    let mine = Report { has_full: comm.rank() % 2 == 0 };
+                    let v = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
+                    v.ok().map(|v| (v.dead, v.have_full))
+                }
+            });
+            let full = members.iter().copied().filter(|&r| r != gone && r % 2 == 0).collect();
+            let verdict = Some((BTreeSet::from([gone]), full));
+            for (rank, got) in out.results.iter().enumerate() {
+                if rank != gone {
+                    assert_eq!(*got, verdict, "P={p} rank {rank}");
+                }
+            }
+            let vol = failed_agreement_volume(p, p, p - 1);
+            assert_eq!(out.traffic.total_msgs(), vol.msgs, "P={p}");
+            assert_eq!(out.traffic.total_bytes(), vol.bytes, "P={p}");
+        }
+    }
+
+    #[test]
+    fn rerun_moves_only_the_root_and_the_survivors_without_the_payload() {
+        // Binomial from 0 at P = 8 is 0→{4, 2, 1}, 4→{6, 5}, 2→3, 6→7. Rank 4
+        // exits before taking part: epoch 0 moves 0→4, 0→2, 0→1 and 2→3, so
+        // {0, 1, 2, 3} end full and {5, 6, 7} do not. Epoch 1 reruns over the
+        // root and those three only — a 4-rank broadcast — and its
+        // membership quorum over the 7 survivors commits.
+        let n = 4096;
+        let src = pattern(n);
+        let out = EventWorld::run(8, |comm| {
+            let src = src.clone();
+            async move {
+                if comm.rank() == 4 {
+                    return None;
+                }
+                let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; n] };
+                let algorithm = Algorithm::Binomial;
+                let healed =
+                    self_healing_bcast_with_async(&comm, &mut buf, 0, algorithm, &quick_cfg())
+                        .await
+                        .unwrap();
+                assert_eq!(buf, src);
+                Some(healed)
+            }
+        });
+        for h in out.results.iter().flatten() {
+            assert_eq!((h.epochs, h.survivors.len()), (2, 7));
+        }
+        let epoch0 = Volume { msgs: 4, bytes: 4 * n as u64 };
+        let rerun = bcast_volume(Algorithm::Binomial, n, 4);
+        let expect =
+            epoch0.plus(failed_agreement_volume(8, 8, 7)).plus(rerun).plus(agreement_volume(7));
+        assert_eq!(out.traffic.total_msgs(), expect.msgs);
+        assert_eq!(out.traffic.total_bytes(), expect.bytes);
+        // The full survivors move no rerun traffic: beyond rank 2's epoch-0
+        // send to 3, each sends only its 19 agreement frames (6 quorum, a
+        // report and 6 confirm frames in epoch 0, 6 quorum frames in 1).
+        let sent: Vec<u64> = out.traffic.per_rank.iter().map(|s| s.msgs_sent).collect();
+        assert_eq!(sent[1..4], [19, 1 + 19, 19]);
     }
 
     #[test]

@@ -175,6 +175,30 @@ pub fn agreement_volume(n: usize) -> Volume {
     Volume { msgs, bytes: 2 * msgs }
 }
 
+/// Agreement traffic of one *failed* self-healing epoch over `n` members of
+/// a `world`-rank world, `live` of whom take part, when the leader stages of
+/// [`crate::recovery`] settle it (nobody crashes inside the agreement and
+/// the leader is live): every live member sends its `2·⌈log₂n⌉` two-byte
+/// membership-quorum frames, every live non-leader one one-byte report to
+/// the leader, the leader one proposal — a marker byte plus two world-rank
+/// bitmaps — to every other live member, and every live member its
+/// `2·⌈log₂live⌉` five-byte confirm frames (a conjunction byte and a
+/// four-byte seal). `O(n log n)`, where the pairwise round it replaces
+/// costs `live·(n−1)`.
+#[cfg(test)]
+pub(crate) fn failed_agreement_volume(world: usize, n: usize, live: usize) -> Volume {
+    let quorum = |over: usize, frame: u64| {
+        let msgs = 2 * live as u64 * u64::from(ceil_log2(over));
+        Volume { msgs, bytes: frame * msgs }
+    };
+    let peers = live as u64 - 1;
+    let proposal = 1 + 2 * world.div_ceil(8) as u64;
+    quorum(n, 2)
+        .plus(Volume { msgs: peers, bytes: peers })
+        .plus(Volume { msgs: peers, bytes: peers * proposal })
+        .plus(quorum(live, 5))
+}
+
 /// What a collective of volume `v` moves through `mpsim::ReliableComm` when
 /// no frame is lost: every message travels as one data frame — its payload
 /// plus a 4-byte sequence number — and is answered by one 4-byte
@@ -203,6 +227,18 @@ mod tests {
         assert_eq!(agreement_volume(5).msgs, 2 * 5 * 3);
         assert_eq!(agreement_volume(8).msgs, 2 * 8 * 3);
         assert_eq!(agreement_volume(1024), Volume { msgs: 20_480, bytes: 40_960 });
+    }
+
+    #[test]
+    fn failed_agreement_volume_closed_form() {
+        // P = 8, one member gone: 7·6 quorum frames, 6 reports, 6 proposals
+        // of 1 + 1 + 1 bytes, 7·6 confirm frames.
+        let v = failed_agreement_volume(8, 8, 7);
+        assert_eq!(v, Volume { msgs: 42 + 6 + 6 + 42, bytes: 84 + 6 + 18 + 210 });
+        // The heal-crash shape: far below the pairwise round's 255·255.
+        let v = failed_agreement_volume(256, 256, 255);
+        assert_eq!(v.msgs, 255 * 16 + 254 + 254 + 255 * 16);
+        assert!(v.msgs < 255 * 255 / 6);
     }
 
     #[test]

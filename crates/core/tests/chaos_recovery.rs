@@ -300,9 +300,10 @@ fn p8_crash_replays_identically_on_the_event_executor() {
 
 /// Cascading multi-epoch recovery with a root-succession chain of depth 3:
 /// the root and its first two successors die one epoch apart, the payload
-/// is re-sourced down the chain `0 → 4 → 5 → 1`, and the survivors converge
+/// is re-sourced down the chain `0 → 4 → 5 → 2`, and the survivors converge
 /// with byte-identical payloads. Crash thresholds are tuned to the binomial
-/// attempt's op counts (see each victim's comment).
+/// attempt's op counts (see each victim's comment; the tree is 0→{4,2,1},
+/// 4→{6,5}, 2→3, 6→7).
 #[test]
 fn root_succession_chain_depth3_heals_at_p8() {
     let seed = battery_seed() ^ 0x5CC3;
@@ -315,11 +316,17 @@ fn root_succession_chain_depth3_heals_at_p8() {
         (0usize, 1u64), // root dies after one send: only subtree {4,5,6,7} completes
         // First successor dies entering epoch 1, before re-sourcing: epoch 0
         // costs it 3 attempt ops + 7 quorum ops (6 sends, 1 failed receive)
-        // + 14 pairwise ops = 24.
-        (4, 24),
-        // Second successor dies entering epoch 2, before re-sourcing: about 23
-        // ops for epoch 0, 20 for epoch 1, then a couple into epoch 2.
-        (5, 46),
+        // + its report to the dead leader 0 + the failed wait for a
+        // proposal + 14 pairwise ops = 26.
+        (4, 26),
+        // Second successor dies one send into epoch 2's rerun: epoch 0 costs
+        // it 1 + 8 + 2 + 14 = 25 ops; in epoch 1 it holds the payload, so it
+        // sits out the rerun and ticks only on agreement ops (7 quorum + a
+        // report + a proposal + 12 confirm, 3 rounds × 2 passes over the 6
+        // live members) = 21. Op 46 is its first send as root, to rank 2
+        // (whose subtree {2, 3} completes), and op 47 kills it before rank 1
+        // is served — so the role passes to 2, the lowest full survivor.
+        (5, 47),
     ];
     let (results, traffic, elapsed, src) =
         event_cascade(8, 512, 0, Algorithm::Binomial, &crashes, cfg, seed);
@@ -341,17 +348,29 @@ fn root_succession_chain_depth3_heals_at_p8() {
             "rank {rank}: chain {:?} too shallow",
             run.trace.root_chain
         );
-        assert_eq!(run.trace.root_chain, vec![0, 4, 5, 1], "rank {rank} followed another chain");
+        assert_eq!(run.trace.root_chain, vec![0, 4, 5, 2], "rank {rank} followed another chain");
         assert!(run.trace.saw(branch::ROOT_SUCCESSION));
         assert!(run.trace.saw(branch::DEATH_OBSERVED));
     }
 }
 
 /// The megascale acceptance run: P ∈ {256, 1024, 4096} on the event
-/// executor's virtual clock, three non-root ranks crashing one epoch apart
-/// (thresholds staggered by ~one epoch's worth of operations, ≈ 4·P per
-/// rank). Survivors must converge with ≥ 3 cascading epochs, byte-identical
+/// executor's virtual clock, three non-root ranks crashing one epoch apart.
+/// Survivors must converge with ≥ 3 cascading epochs, byte-identical
 /// payloads, reconciled traffic, and a bounded virtual recovery time.
+///
+/// A survivor that holds the payload sits out the next rerun and ticks only
+/// on agreement ops, so each victim must be a *runner* of the rerun it dies
+/// in: the victims are three ring neighbours `v, v+1, v+2` (`v = P/3`). `v`
+/// dies at op 5, inside epoch 0's ring, and stalls everyone downstream of
+/// it, so epoch 1 reruns over the root and ≈ 2P/3 ranks with `v+1` right
+/// behind the root. Epoch 0 costs `v+1` under 100 ops (it stalls at once,
+/// then sends ≈ 6·⌈log₂P⌉ agreement ops) and the rerun ≈ 4P/3, so its op
+/// `P/2` lands a fifth to a third into the rerun; dying there leaves
+/// ≈ 5P/12 ranks behind it without the payload. `v+2` stalls right after
+/// `v+1` dies and leaves epoch 1 near op `P/2 + 6·⌈log₂P⌉`, so its op `P`
+/// lands inside epoch 2's ≈ 5P/6-op rerun, which it again runs right behind
+/// the root.
 fn megascale_cascade(p: usize) {
     let seed = battery_seed() ^ 0x3CA1E ^ p as u64;
     let cfg = RecoveryConfig {
@@ -359,9 +378,8 @@ fn megascale_cascade(p: usize) {
         max_epochs: 8, // ≥ 2·victims + 1 = 7: liveness guaranteed
         bounded_sendrecv: false,
     };
-    let per_epoch = 4 * p as u64;
-    let victims = [p - 2, p / 2, p / 3 + 1];
-    let crashes = [(victims[0], 5), (victims[1], per_epoch + 5), (victims[2], 2 * per_epoch + 5)];
+    let victims = [p / 3, p / 3 + 1, p / 3 + 2];
+    let crashes = [(victims[0], 5), (victims[1], p as u64 / 2), (victims[2], p as u64)];
     let (results, traffic, elapsed, src) =
         event_cascade(p, 8 * p, 0, Algorithm::ScatterRingTuned, &crashes, cfg, seed);
 
@@ -404,9 +422,10 @@ fn megascale_cascade_p4096() {
 /// A crash *between a rank's two pass-2 quorum sends* splits the quorum:
 /// at P = 4 rank 1 (one attempt op, four pass-1 ops, one pass-2 send = 6 ops)
 /// reaches rank 2 but never rank 3, so ranks 0 and 2 commit and leave while
-/// rank 3 falls through to the pairwise round alone. Rank 3 knows every
-/// member reported a full payload, so it must heal with the very same
-/// verdict instead of counting the ranks that already left as dead.
+/// rank 3 skips the leader stages and falls through to the pairwise round
+/// alone. Rank 3 knows every member reported a full payload, so it must heal
+/// with the very same verdict instead of counting the ranks that already
+/// left as dead.
 #[test]
 fn mid_quorum_crash_heals_committed_and_fallen_through_ranks_alike() {
     let seed = battery_seed() ^ 0x0A55;
@@ -426,6 +445,73 @@ fn mid_quorum_crash_heals_committed_and_fallen_through_ranks_alike() {
     // that fell through adds its 3 pairwise reports.
     let sent: Vec<u64> = traffic.per_rank.iter().map(|s| s.msgs_sent).collect();
     assert_eq!((sent[0], sent[2], sent[3]), (2 + 4, 1 + 4, 4 + 3));
+}
+
+/// The leader exits while it sends the proposal. At P = 5 with root 1 the
+/// binomial tree is 1→{0, 3, 2}, 3→4; rank 4 exits at once, so epoch 0's
+/// membership quorum fails and leader 0 — one attempt receive, 7 quorum ops
+/// (three pass-1 sends, the failed receive from 4, three pass-2 sends) and
+/// 4 report reads later — sends `V` to rank 1 at op 12 and dies at op 13,
+/// before ranks 2 and 3 get theirs. Rank 1 runs the confirm quorum alone and
+/// it stays open; ranks 2 and 3 see the leader gone. Everyone falls back to
+/// the pairwise round and heals with one survivor set.
+#[test]
+fn leader_exit_mid_proposal_falls_back_to_one_survivor_set() {
+    let seed = battery_seed() ^ 0x1EAD;
+    let cfg = recovery_cfg(false);
+    let (results, traffic, elapsed, src) =
+        event_cascade(5, 203, 1, Algorithm::Binomial, &[(4, 0), (0, 13)], cfg, seed);
+
+    let spec =
+        RecoverySpec { src: &src, root: 1, cfg, planned_victims: &[0, 4], lossy_links: false };
+    check_recovery_outcome(&spec, &results, &traffic, elapsed).unwrap();
+
+    for rank in [0, 4] {
+        assert_eq!(results[rank].result, Err(CommError::PeerFailed { rank }));
+    }
+    for rank in [1, 2, 3] {
+        let h = results[rank].result.as_ref().unwrap();
+        assert_eq!((&h.survivors[..], h.epochs), (&[1, 2, 3][..], 1), "rank {rank}");
+    }
+    // The leader's sends: six quorum frames and exactly one proposal.
+    assert_eq!(traffic.per_rank[0].msgs_sent, 6 + 1);
+}
+
+/// A crash *between a rank's two pass-2 confirm sends* splits the confirm
+/// quorum, and the proposal does not heal. At P = 4 rank 2 exits at once,
+/// so its leaf 3 lacks the payload and `V` is `live {0, 1, 3}`, `full
+/// {0, 1}`. Rank 1 then spends 1 attempt op, 6 membership-quorum ops (its
+/// conjunction turns false in pass 1's second round), a report, the
+/// proposal read and 5 confirm ops over `{0, 1, 3}` (two pass-1 rounds of
+/// send + receive, then the pass-2 send to 3) before op 14 kills it. Rank 3
+/// commits; leader 0 only learns that everyone holds `V`, sends its report
+/// to 1 and 3, and adopts `V` without waiting. Both must enter epoch 1
+/// together, rerun over the root and rank 3, and heal with the same list.
+#[test]
+fn mid_confirm_crash_keeps_committed_and_known_ranks_together() {
+    let seed = battery_seed() ^ 0xC0F1;
+    let cfg = recovery_cfg(false);
+    let (results, traffic, elapsed, src) =
+        event_cascade(4, 203, 0, Algorithm::Binomial, &[(2, 0), (1, 14)], cfg, seed);
+
+    let spec =
+        RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[1, 2], lossy_links: false };
+    check_recovery_outcome(&spec, &results, &traffic, elapsed).unwrap();
+
+    for rank in [1, 2] {
+        assert_eq!(results[rank].result, Err(CommError::PeerFailed { rank }));
+    }
+    for rank in [0, 3] {
+        let h = results[rank].result.as_ref().unwrap();
+        assert_eq!((&h.survivors[..], h.epochs), (&[0, 3][..], 2), "rank {rank}");
+    }
+    // Leader 0, epoch 0: 2 tree sends, 4 quorum frames, 2 proposals, 4
+    // confirm frames and the 2 reports of a Known confirmer; epoch 1: the
+    // rerun's one send, 4 quorum frames, 1 proposal, 2 confirm frames.
+    // Committed rank 3: 4 quorum frames, 1 report, 4 confirm frames, then
+    // 4 + 1 + 2.
+    let sent: Vec<u64> = traffic.per_rank.iter().map(|s| s.msgs_sent).collect();
+    assert_eq!((sent[0], sent[3]), (2 + 4 + 2 + 4 + 2 + 1 + 4 + 1 + 2, 4 + 1 + 4 + 4 + 1 + 2));
 }
 
 /// Every crash plan of `plans(p)` at every `p`, on the tuned ring and the

@@ -2,10 +2,9 @@
 # Benchmark trajectory gate: run the single-threaded kernels of the
 # traffic_counts bench (step_flag, timeline, and the event executor's
 # broadcast hot path — no thread spawning, so full-sample medians are
-# stable) plus the recovery_hotpath bench's P=8 legs and its fault-free
-# P=1024 leg (time-to-recover vs casualty count on the event executor), and
-# fail if any median regressed by more than the threshold against the
-# checked-in baseline.
+# stable) plus every recovery_hotpath leg (time-to-recover vs casualty
+# count on the event executor), and fail if any median regressed by more
+# than the threshold against the checked-in baseline.
 #
 # Usage: scripts/bench_compare.sh [--update-baseline] [--allow-missing NAME]...
 #   --update-baseline     re-measure and overwrite results/bench_baseline.json
@@ -76,15 +75,13 @@ export CARGO_NET_OFFLINE=true
 mkdir -p "$(dirname "$CURRENT")"
 # The bench binaries run with the package root as cwd; hand them absolute
 # paths. recovery_hotpath's P=8 legs are microsecond-scale event worlds and
-# its fault-free P=1024 leg (c0) is ~0.2 s per sample, so they join the
-# gate; the P=1024 legs with casualties take seconds per sample and are
-# recorded out-of-band (results/recovery_hotpath.json), so the gate waives
-# them by name via --allow-missing from ci.sh.
+# its P=1024 legs take 0.2-0.6 s per sample (a failed epoch's agreement is
+# O(P log P) frames), so all of them join the gate.
 RECOVERY_CURRENT=${CURRENT%.json}_recovery.json
-# The zero_copy P=4096 legs move ~4 GiB of payload per world, so like the
-# recovery P=1024 legs they are recorded out-of-band (results/zero_copy.json)
-# and waived by name from ci.sh; the quick gate runs the P=8/P=1024 legs,
-# whose 1 MiB pair carries the banked RELATIVE_FLOORS entry below.
+# The zero_copy P=4096 legs move ~4 GiB of payload per world, so they are
+# recorded out-of-band (results/zero_copy.json) and waived by name from
+# ci.sh; the quick gate runs the P=8/P=1024 legs, whose 1 MiB pair carries
+# the banked RELATIVE_FLOORS entry below.
 ZERO_COPY_CURRENT=${CURRENT%.json}_zero_copy.json
 # One full measurement pass into $CURRENT. Full sample counts (no --quick)
 # everywhere: with only 3 samples a single disturbed iteration poisons both
@@ -97,7 +94,7 @@ measure() {
   cargo bench -p bcast-bench --bench traffic_counts --offline -- \
     --json "$PWD/$CURRENT" step_flag timeline event_world_hotpath >/dev/null
   cargo bench -p bcast-bench --bench recovery_hotpath --offline -- \
-    --json "$PWD/$RECOVERY_CURRENT" recovery_hotpath/p8 recovery_hotpath/p1024/c0 >/dev/null
+    --json "$PWD/$RECOVERY_CURRENT" recovery_hotpath >/dev/null
   # The P=1024 zero_copy worlds allocate ~1 GiB of rank buffers per
   # iteration, so fewer samples: two warmups absorb the cold start, five
   # samples keep the p10 honest.

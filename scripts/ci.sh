@@ -134,12 +134,11 @@ phase_event_megascale_p16384() {
 # on the event executor's virtual clock — three staggered crashes, ≥ 3
 # epochs, byte-identical survivors, reconciled traffic — plus the exhaustive
 # crash-point sweep (~130k small launches, seconds). Release-only (debug
-# builds are too slow at these sizes) and the longest phase in the table,
-# which is why it gets its own row. What is still quadratic here is a
-# *failed* epoch: its verdict comes from the pairwise agreement round,
-# P·(P−1) messages and as many mailbox lanes, so the three failed epochs of
-# the P=4096 cascade dominate the phase's time and memory. The clean epoch
-# that ends every cascade commits in the ⌈log₂P⌉-round quorum and is not.
+# builds are too slow at these sizes), so it gets its own row. A failed
+# epoch no longer pays the P·(P−1)-message pairwise round unless a crash
+# lands inside its agreement: the leader proposes the verdict and a second
+# ⌈log₂P⌉-round quorum confirms it, and the rerun skips the survivors that
+# already hold the payload. The P=4096 cascade takes ~12 s and ~1 GiB.
 phase_recovery_megascale() {
   run cargo test --release -q -p bcast-core --offline --test chaos_recovery -- \
     --ignored
@@ -157,16 +156,10 @@ phase_chaos_search() {
 }
 
 phase_bench_gate() {
-  # The recovery_hotpath P=1024 legs *with casualties* take seconds per
-  # sample (their failed epochs pay the quadratic pairwise round), so the
-  # gate does not re-measure them and their baseline rows stay waived by
-  # name. The fault-free p1024/c0 leg is ~0.2 s per sample since the
-  # agreement quorum and is gated like the p8 legs.
-  # Likewise the zero_copy P=4096 legs (~4 GiB of payload per measured
-  # world): recorded out-of-band in results/zero_copy.json, waived here.
+  # Every recovery_hotpath leg is gated. The zero_copy P=4096 legs (~4 GiB
+  # of payload per measured world) are recorded out-of-band in
+  # results/zero_copy.json and waived here.
   run scripts/bench_compare.sh \
-    --allow-missing recovery_hotpath/p1024/c1 \
-    --allow-missing recovery_hotpath/p1024/c4 \
     --allow-missing zero_copy/binomial/4096x64K \
     --allow-missing zero_copy/binomial/4096x1M \
     --allow-missing zero_copy/binomial_copy/4096x64K \
