@@ -4,9 +4,7 @@
 //! path — all single-threaded, so their medians are stable under --quick.
 
 use bcast_core::traffic::{bcast_volume, tuned_ring_msgs};
-use bcast_core::{
-    bcast_coalesced_event_world, bcast_event_world, step_flag, Algorithm, CoalescePolicy,
-};
+use bcast_core::{bcast_event_world, step_flag, Algorithm};
 use netsim::Timeline;
 use std::hint::black_box;
 use testkit::bench::Harness;
@@ -75,13 +73,6 @@ fn bench_event_world_hotpath(h: &mut Harness) {
             })
         });
     }
-    group.bench("coalesced_bcast/32", |b| {
-        b.iter(|| {
-            bcast_coalesced_event_world(black_box(32), 2048, 0, CoalescePolicy::unlimited())
-                .traffic
-                .total_envelopes()
-        })
-    });
 }
 
 testkit::bench_main!(

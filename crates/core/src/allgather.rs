@@ -27,7 +27,7 @@ use mpsim::{
 use crate::interp::Interp;
 use crate::rd_allgather::rd_ops;
 use crate::ring::native_ring_ops;
-use crate::schedule::{Loc, SchedOp, Schedule, ScheduleSource};
+use crate::schedule::{SchedOp, Schedule, ScheduleSource};
 
 /// An allgather algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,10 +71,10 @@ pub fn bruck_ops(rank: Rank, p: usize, block: usize) -> impl Iterator<Item = Sch
             "bruck",
             (rank + p - have) % p,
             tag,
-            Loc::Buf(0..count * block),
+            0..count * block,
             (rank + have) % p,
             tag,
-            Loc::Buf(have * block..(have + count) * block),
+            have * block..(have + count) * block,
         )
     })
 }

@@ -12,7 +12,7 @@ use mpsim::{
 };
 
 use crate::interp::Interp;
-use crate::schedule::{Loc, SchedOp};
+use crate::schedule::SchedOp;
 
 /// Rank `rank`'s ops of the binomial-tree broadcast: one receive of the
 /// whole buffer from the parent (the rank differing in the lowest set bit of
@@ -25,7 +25,7 @@ pub fn binomial_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sche
     while mask < p {
         if relative & mask != 0 {
             let src = absolute_rank(relative - mask, root, p);
-            ops.push(SchedOp::recv("binomial", src, Tag::BCAST, Loc::Buf(0..nbytes)));
+            ops.push(SchedOp::recv("binomial", src, Tag::BCAST, 0..nbytes));
             break;
         }
         mask <<= 1;
@@ -34,7 +34,7 @@ pub fn binomial_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sche
     while mask > 0 {
         if relative + mask < p {
             let dst = absolute_rank(relative + mask, root, p);
-            ops.push(SchedOp::send("binomial", dst, Tag::BCAST, Loc::Buf(0..nbytes)));
+            ops.push(SchedOp::send("binomial", dst, Tag::BCAST, 0..nbytes));
         }
         mask >>= 1;
     }

@@ -1,260 +1,197 @@
-//! Chunk-coalescing variant of the tuned ring allgather: same transfer
-//! *schedule* as [`crate::ring_tuned`], fewer physical envelopes.
+//! Chunk-coalescing variant of the tuned ring allgather: the tuned ring's op
+//! stream ([`crate::ring_tuned::tuned_ring_ops`]) with two local rewrites,
+//! run by the same [`Interp`]reter as every other phase.
 //!
-//! The tuned ring moves one message per chunk transfer. Two observations let
-//! several of those logical messages ride one wire envelope without changing
-//! a byte of what moves:
-//!
-//! 1. **Sub-chunk pipelining** — each rank-chunk can be subdivided into
-//!    `chunk_bytes`-sized sub-chunks (the unit a segmented transport would
-//!    pipeline). Sent one-by-one they cost one envelope each; gathered
-//!    through [`mpsim::Communicator::send_vectored`] they cost *one* envelope
-//!    while still being accounted as `k` logical messages.
-//! 2. **Degraded-tail merging** — a [`Endpoint::SendOnly`] rank stops
+//! 1. **Degraded-tail merging** — a [`Endpoint::SendOnly`] rank stops
 //!    receiving precisely because everything it will send for the rest of
-//!    the ring is already in its buffer. Its remaining per-step lone sends
-//!    (chunks `rel−i+1` for the degraded steps `i`) can therefore depart as
-//!    a single vectored envelope at the first degraded step. The merged
-//!    chunk set wraps around the buffer end for the root, which is exactly
-//!    the case that needs a genuine multi-span (iovec) descriptor.
+//!    the ring is already in its buffer: chunks `(rel + step) mod P`,
+//!    `rel + step − 1`, …, `rel + 2`. That tail departs at the first
+//!    degraded step as one `send` per address-contiguous run of chunks —
+//!    one run, or two when the tail wraps through chunk 0 (the root, and
+//!    e.g. `rel = 4` at `P = 8`). The right neighbour's matching receives
+//!    merge the same way.
+//! 2. **Segmenting** — a transfer larger than `max_envelope` is split into
+//!    `chunk_bytes` segments; within one ring step the segments of the two
+//!    directions pair as `sendrecv` up to the shorter side and the rest post
+//!    as lone ops.
+//!
+//! Both rewrites are pure functions of the *sender's* root-relative
+//! position, the chunk geometry and the [`CoalescePolicy`], all of which the
+//! receiver also knows, so both ends of every ring edge derive the same
+//! plan and per-`(source, tag)` FIFO order does the rest. Every op is one
+//! contiguous byte range, so a merged send is a sub-view of the retained
+//! envelope or one counted staging copy — never a gather — and `schedcheck`
+//! checks the coalesced schedule like any other stream.
 //!
 //! The `sendrecv` phase has a data dependency that forbids cross-step
-//! merging — the chunk sent at step `i+1` only arrives at step `i` — so
-//! coalescing there is limited to the sub-chunks of one chunk.
-//!
-//! Every coalescing decision is **pairwise consistent**: a directed ring
-//! edge's envelope structure is a pure function of the *sender's*
-//! root-relative position, the chunk geometry and the [`CoalescePolicy`],
-//! all of which the receiver also knows. Sender and receiver therefore
-//! always agree on how many envelopes cross the edge and which spans each
-//! carries; per-`(source, tag)` FIFO ordering does the rest.
-//!
-//! With `max_envelope = 0` nothing ever coalesces and the executed traffic
-//! degenerates to one envelope per sub-chunk — the per-chunk baseline the
-//! `ring_coalesce` benchmark compares against.
+//! merging — the chunk sent at step `i + 1` only arrives at step `i` — so
+//! only degraded tails merge.
+
+use std::ops::Range;
 
 use mpsim::{
-    complete_now, relative_rank, ring_left, ring_right, AsyncCommunicator, Communicator, IoSpan,
-    Rank, Result, SyncComm, Tag,
+    complete_now, relative_rank, ring_left, ring_right, AsyncCommunicator, Communicator, Rank,
+    Result, SyncComm, Tag,
 };
 
+use crate::bcast::bcast_skeleton;
 use crate::chunks::ChunkLayout;
+use crate::interp::Interp;
 use crate::ring::ring_step_chunks;
 use crate::ring_tuned::{step_flag, Endpoint};
-use crate::scatter::binomial_scatter_async;
+use crate::scatter::scatter_ops;
+use crate::schedule::{SchedOp, Schedule, ScheduleSource};
 
 /// Tuning knobs of the coalescing ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoalescePolicy {
-    /// Sub-chunk granularity in bytes: every rank-chunk is split into
-    /// `ceil(len / chunk_bytes)` logical messages. `usize::MAX` (or any
-    /// value ≥ the chunk size) keeps whole chunks as single messages.
+    /// Segment size in bytes of a transfer larger than `max_envelope`.
+    /// `0` or `usize::MAX` (or any value ≥ the chunk size) keeps whole
+    /// chunks as single messages.
     pub chunk_bytes: usize,
-    /// Largest payload, in bytes, allowed to travel as one coalesced
-    /// envelope. A transfer whose total exceeds this falls back to one
-    /// envelope per sub-chunk; `0` disables coalescing entirely and
-    /// `usize::MAX` coalesces everything.
+    /// Largest transfer, in bytes, allowed to travel as one message: a
+    /// degraded tail merges only when its total fits, and a larger transfer
+    /// is split into `chunk_bytes` segments. `0` segments every transfer
+    /// and merges no tail that carries a byte; `usize::MAX` merges every
+    /// tail.
     pub max_envelope: usize,
 }
 
 impl CoalescePolicy {
-    /// Coalesce whole chunks and merged tails without limit — the fewest
-    /// possible envelopes (36 for `P = 8`, 65 for `P = 10`).
+    /// Merge every degraded tail, split nothing — the fewest messages
+    /// (38 for `P = 8`, 66 for `P = 10`; see [`coalesced_envelope_count`]).
     pub const fn unlimited() -> Self {
         CoalescePolicy { chunk_bytes: usize::MAX, max_envelope: usize::MAX }
     }
 
-    /// One envelope per `chunk_bytes` sub-chunk, no coalescing — the
-    /// baseline a segmented per-chunk transport would produce.
+    /// One message per `chunk_bytes` segment, no merging — the baseline a
+    /// segmented per-chunk transport would produce.
     pub const fn per_chunk(chunk_bytes: usize) -> Self {
         CoalescePolicy { chunk_bytes, max_envelope: 0 }
     }
 
-    /// Sub-chunk pipelining at `chunk_bytes` with coalescing capped at
-    /// `max_envelope` bytes per wire envelope.
+    /// Segments of `chunk_bytes` for transfers above `max_envelope` bytes,
+    /// and tails merged up to that size.
     pub const fn new(chunk_bytes: usize, max_envelope: usize) -> Self {
         CoalescePolicy { chunk_bytes, max_envelope }
     }
 
-    fn unit(&self) -> usize {
-        if self.chunk_bytes == 0 {
-            usize::MAX
-        } else {
-            self.chunk_bytes
+    /// The message ranges of one transfer of `range`: whole when it fits
+    /// `max_envelope` (a zero-byte chunk is one empty message, like the
+    /// plain ring's), else `chunk_bytes` segments.
+    fn segments(&self, range: Range<usize>) -> Vec<Range<usize>> {
+        let unit = if self.chunk_bytes == 0 { usize::MAX } else { self.chunk_bytes };
+        if range.len() <= self.max_envelope || range.len() <= unit {
+            return vec![range];
         }
+        range.clone().step_by(unit).map(|start| start..range.end.min(start + unit)).collect()
     }
 }
 
-/// Append the sub-chunk spans of one byte range, in address order.
-fn push_sub_spans(spans: &mut Vec<IoSpan>, range: std::ops::Range<usize>, unit: usize) {
-    let mut start = range.start;
-    while start < range.end {
-        let len = unit.min(range.end - start);
-        spans.push(IoSpan::new(start, len));
-        start += len;
-    }
-}
-
-/// The envelopes of one chunk transfer: one envelope carrying all sub-chunk
-/// spans when the chunk fits `max_envelope`, else one per sub-chunk. A
-/// zero-byte chunk is one empty envelope, mirroring the plain ring's empty
-/// message.
-fn chunk_units(layout: &ChunkLayout, chunk: usize, policy: &CoalescePolicy) -> Vec<Vec<IoSpan>> {
-    let range = layout.range(chunk);
-    let total = range.len();
-    let mut spans = Vec::new();
-    push_sub_spans(&mut spans, range, policy.unit());
-    if spans.len() <= 1 || total <= policy.max_envelope {
-        vec![spans]
-    } else {
-        spans.into_iter().map(|s| vec![s]).collect()
-    }
-}
-
-/// The merged degraded-tail envelope of a [`Endpoint::SendOnly`] sender, if
-/// the policy admits it: `Some((first_degraded_step, spans))` with one span
-/// per sub-chunk of every tail chunk, listed in step order (which wraps
-/// through chunk 0 for large subtrees — the genuinely non-contiguous case).
-fn tail_merge(
-    layout: &ChunkLayout,
+/// One directed ring edge, planned from its sender's root-relative position
+/// `rel` alone — the sender plans its outbound edge and the receiver plans
+/// its inbound one from its left neighbour's `rel`, and the two agree.
+struct Edge {
     rel: Rank,
-    size: usize,
     step: usize,
     flag: Endpoint,
-    policy: &CoalescePolicy,
-) -> Option<(usize, Vec<IoSpan>)> {
-    if flag != Endpoint::SendOnly {
-        return None;
-    }
-    let first = size - step + 1; // first step with `step > size − i`
-    if first >= size {
-        return None; // no degraded step (step ≤ 1 never happens, but be safe)
-    }
-    let mut spans = Vec::new();
-    let mut total = 0usize;
-    for i in first..size {
-        let (send_chunk, _) = ring_step_chunks(rel, size, i);
-        let range = layout.range(send_chunk);
-        total += range.len();
-        push_sub_spans(&mut spans, range, policy.unit());
-    }
-    (total <= policy.max_envelope).then_some((first, spans))
+    /// The merged degraded tail, if the sender is [`Endpoint::SendOnly`]
+    /// and the policy admits it: the first degraded step and one byte range
+    /// per chunk run, in step order (chunk 0 first when the tail wraps).
+    tail: Option<(usize, Vec<Range<usize>>)>,
 }
 
-/// Receive one envelope's spans from `src`.
-async fn recv_unit<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    unit: &[IoSpan],
-    src: Rank,
-) -> Result<()> {
-    comm.recv_scattered(buf, unit, src, Tag::ALLGATHER).await?;
-    Ok(())
-}
-
-/// Run the tuned ring allgather with chunk coalescing over a buffer that has
-/// been binomial-scattered from `root`.
-///
-/// Moves exactly the bytes and logical messages of the plain tuned ring
-/// ([`crate::ring_tuned::tuned_ring_ops`], when `chunk_bytes` spans whole
-/// chunks) in at most as many wire envelopes; the fused-exchange fallback
-/// paths assume an eager-ish transport for their unpaired sends, like the
-/// fault decorator (rendezvous-everywhere models should keep `max_envelope`
-/// at 0 or `usize::MAX` so every step stays fully paired).
-///
-/// A hand loop, not an op stream: one envelope here carries several planned
-/// transfers (vectored spans), which the schedule IR cannot express.
-pub async fn ring_allgather_tuned_coalesced_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Result<()> {
-    comm.check_rank(root)?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
+impl Edge {
+    fn new(layout: &ChunkLayout, rel: Rank, p: usize, policy: &CoalescePolicy) -> Self {
+        let (step, flag) = step_flag(rel, p);
+        let first = p - step + 1; // first step with `step > P − i`
+        let mut edge = Edge { rel, step, flag, tail: None };
+        if flag != Endpoint::SendOnly || first >= p {
+            return edge;
+        }
+        // Chunk intervals: the tail walks down one chunk per step, so a run
+        // breaks only where it wraps from chunk 0 to chunk P − 1.
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for i in first..p {
+            let chunk = ring_step_chunks(rel, p, i).0;
+            match runs.last_mut() {
+                Some(run) if run.start == chunk + 1 => run.start = chunk,
+                _ => runs.push(chunk..chunk + 1),
+            }
+        }
+        let runs: Vec<Range<usize>> = runs.into_iter().map(|run| layout.span(run)).collect();
+        let total: usize = runs.iter().map(Range::len).sum();
+        if total <= policy.max_envelope {
+            edge.tail = Some((first, runs));
+        }
+        edge
     }
-    let rank = comm.rank();
-    let layout = ChunkLayout::new(buf.len(), size);
-    let left = ring_left(rank, size);
-    let right = ring_right(rank, size);
-    let rel = relative_rank(rank, root, size);
-    let (step, flag) = step_flag(rel, size);
-    // The structure of the inbound edge is the *left neighbour's* outbound
-    // structure; recompute its plan so both ends agree without any handshake.
-    let rel_in = (rel + size - 1) % size;
-    let (step_in, flag_in) = step_flag(rel_in, size);
-    let out_tail = tail_merge(&layout, rel, size, step, flag, policy);
-    let in_tail = tail_merge(&layout, rel_in, size, step_in, flag_in, policy);
 
-    for i in 1..size {
-        let (send_chunk, recv_chunk) = ring_step_chunks(rel, size, i);
-
-        // Outbound envelopes this step (to `right`), from MY (step, flag).
-        let out_units: Option<Vec<Vec<IoSpan>>> = if step <= size - i {
-            Some(chunk_units(&layout, send_chunk, policy))
-        } else if flag == Endpoint::SendOnly {
-            match &out_tail {
-                Some((first, spans)) => (i == *first).then(|| vec![spans.clone()]),
-                None => Some(chunk_units(&layout, send_chunk, policy)),
-            }
-        } else {
-            None
-        };
-
-        // Inbound envelopes this step (from `left`), from the SENDER's plan.
-        let in_units: Option<Vec<Vec<IoSpan>>> = if step_in <= size - i {
-            Some(chunk_units(&layout, recv_chunk, policy))
-        } else if flag_in == Endpoint::SendOnly {
-            match &in_tail {
-                Some((first, spans)) => (i == *first).then(|| vec![spans.clone()]),
-                None => Some(chunk_units(&layout, recv_chunk, policy)),
-            }
-        } else {
-            None
-        };
-
-        match (out_units, in_units) {
-            (Some(su), Some(ru)) => {
-                let paired = su.len().min(ru.len());
-                for j in 0..paired {
-                    comm.sendrecv_vectored(
-                        buf,
-                        &su[j],
-                        right,
-                        Tag::ALLGATHER,
-                        &ru[j],
-                        left,
-                        Tag::ALLGATHER,
-                    )
-                    .await?;
-                }
-                for unit in &su[paired..] {
-                    comm.send_vectored(buf, unit, right, Tag::ALLGATHER).await?;
-                }
-                for unit in &ru[paired..] {
-                    recv_unit(comm, buf, unit, left).await?;
-                }
-            }
-            (Some(su), None) => {
-                for unit in &su {
-                    comm.send_vectored(buf, unit, right, Tag::ALLGATHER).await?;
-                }
-            }
-            (None, Some(ru)) => {
-                for unit in &ru {
-                    recv_unit(comm, buf, unit, left).await?;
-                }
-            }
-            (None, None) => {}
+    /// The messages crossing this edge at ring step `i`.
+    fn msgs(
+        &self,
+        layout: &ChunkLayout,
+        p: usize,
+        i: usize,
+        policy: &CoalescePolicy,
+    ) -> Vec<Range<usize>> {
+        let chunk = layout.range(ring_step_chunks(self.rel, p, i).0);
+        if self.step <= p - i {
+            return policy.segments(chunk);
+        }
+        match (self.flag, &self.tail) {
+            (Endpoint::RecvOnly, _) => Vec::new(),
+            (Endpoint::SendOnly, Some((first, runs))) if i == *first => runs.clone(),
+            (Endpoint::SendOnly, Some(_)) => Vec::new(),
+            (Endpoint::SendOnly, None) => policy.segments(chunk),
         }
     }
-    Ok(())
+}
+
+/// Rank `rank`'s ops of the coalescing tuned ring allgather over a buffer
+/// binomial-scattered from `root`: [`crate::ring_tuned::tuned_ring_ops`]
+/// with degraded tails merged and oversized transfers segmented under
+/// `policy` (see the module docs).
+///
+/// Lazy like the plain ring; each step's ops are planned when reached.
+/// Rendezvous-safe under every policy: the root's left neighbour never
+/// sends, so the ring is a chain and the lone ops a rewrite leaves cannot
+/// wait in a cycle (`schedcheck` checks both semantics for `P ≤ 64`).
+pub fn coalesced_ring_ops(
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
+    root: Rank,
+    policy: &CoalescePolicy,
+) -> impl Iterator<Item = SchedOp> {
+    let policy = *policy;
+    let layout = ChunkLayout::new(nbytes, p);
+    let (left, right) = (ring_left(rank, p), ring_right(rank, p));
+    let rel = relative_rank(rank, root, p);
+    // No edges in a ring of one (and `step_flag` has no answer there).
+    let edges = (p > 1).then(|| {
+        (Edge::new(&layout, rel, p, &policy), Edge::new(&layout, (rel + p - 1) % p, p, &policy))
+    });
+    let tag = Tag::ALLGATHER;
+    (1..p).flat_map(move |i| {
+        let Some((out, inbound)) = &edges else { return Vec::new() };
+        let mut sends = out.msgs(&layout, p, i, &policy).into_iter();
+        let mut recvs = inbound.msgs(&layout, p, i, &policy).into_iter();
+        // Pairs first, then whichever side has messages left, as lone ops.
+        let mut ops = Vec::new();
+        loop {
+            ops.push(match (sends.next(), recvs.next()) {
+                (Some(s), Some(r)) => SchedOp::sendrecv("coalesce", right, tag, s, left, tag, r),
+                (Some(s), None) => SchedOp::send("coalesce", right, tag, s),
+                (None, Some(r)) => SchedOp::recv("coalesce", left, tag, r),
+                (None, None) => return ops,
+            });
+        }
+    })
 }
 
 /// `MPI_Bcast_opt` with a coalescing allgather phase: binomial scatter
-/// followed by [`ring_allgather_tuned_coalesced_async`].
+/// followed by [`coalesced_ring_ops`].
 pub fn bcast_opt_coalesced(
     comm: &(impl Communicator + ?Sized),
     buf: &mut [u8],
@@ -264,44 +201,87 @@ pub fn bcast_opt_coalesced(
     complete_now(bcast_opt_coalesced_async(&SyncComm::new(comm), buf, root, policy))
 }
 
-/// Async core of [`bcast_opt_coalesced`] — see
-/// [`ring_allgather_tuned_coalesced_async`].
+/// Async core of [`bcast_opt_coalesced`]: [`scatter_ops`] then
+/// [`coalesced_ring_ops`] through one interpreter.
 pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
     root: Rank,
     policy: &CoalescePolicy,
 ) -> Result<()> {
-    binomial_scatter_async(comm, buf, root).await?;
-    ring_allgather_tuned_coalesced_async(comm, buf, root, policy).await
+    comm.check_rank(root)?;
+    let (rank, p, nbytes) = (comm.rank(), comm.size(), buf.len());
+    let mut interp = Interp::new(comm, buf);
+    interp.run(scatter_ops(rank, p, nbytes, root)).await?;
+    interp.run(coalesced_ring_ops(rank, p, nbytes, root, policy)).await.map(drop)
 }
 
-/// Closed-form envelope count of the coalescing ring under
-/// [`CoalescePolicy::unlimited`]: the tuned ring's transfer count minus the
-/// lone sends each SendOnly rank's merged tail saves.
+const COALESCED_NAME: &str = "bcast/scatter_ring_coalesced";
+
+/// The full symbolic schedule of [`bcast_opt_coalesced`].
+pub fn coalesced_schedule(
+    p: usize,
+    nbytes: usize,
+    root: Rank,
+    policy: &CoalescePolicy,
+) -> Schedule {
+    let mut s = bcast_skeleton(COALESCED_NAME, p, nbytes, root);
+    for rank in 0..p {
+        s.ranks[rank].ops = scatter_ops(rank, p, nbytes, root);
+        s.ranks[rank].ops.extend(coalesced_ring_ops(rank, p, nbytes, root, policy));
+    }
+    s
+}
+
+/// Closed-form message count of the coalescing ring under
+/// [`CoalescePolicy::unlimited`]: the tuned ring's transfer count minus what
+/// each SendOnly rank's merged tail saves — its `step − 1` lone sends become
+/// one send per chunk run, two when the tail wraps through chunk 0
+/// (`rel + step = P`, which a tail of at least two chunks then spans).
 ///
-/// `44 → 36` for `P = 8`, `75 → 65` for `P = 10`; validated against executed
-/// runs in this module's tests and used by the `schedcheck` reconciliation.
+/// `44 → 38` for `P = 8`, `75 → 66` for `P = 10`; pinned against
+/// [`coalesced_schedule`]'s planned volume and executed runs.
 pub fn coalesced_envelope_count(size: usize) -> u64 {
     if size <= 1 {
         return 0;
     }
-    let tuned: u64 = crate::traffic::tuned_ring_msgs(size);
     let mut saved = 0u64;
     for rel in 0..size {
         let (step, flag) = step_flag(rel, size);
         if flag == Endpoint::SendOnly {
-            let tail = (step - 1) as u64; // lone sends at steps size−step+1 ..= size−1
-            saved += tail.saturating_sub(1); // merged into one envelope
+            let tail = (step - 1) as u64;
+            let runs = if rel + step == size && tail >= 2 { 2 } else { 1 };
+            saved += tail.saturating_sub(runs);
         }
     }
-    tuned - saved
+    crate::traffic::tuned_ring_msgs(size) - saved
+}
+
+struct CoalescedSource(CoalescePolicy);
+
+impl ScheduleSource for CoalescedSource {
+    fn name(&self) -> &'static str {
+        COALESCED_NAME
+    }
+
+    fn supports(&self, _p: usize) -> bool {
+        true
+    }
+
+    fn schedule(&self, p: usize, nbytes: usize, root: Rank) -> Schedule {
+        coalesced_schedule(p, nbytes, root, &self.0)
+    }
+}
+
+pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
+    vec![Box::new(CoalescedSource(CoalescePolicy::unlimited()))]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcast::bcast_opt;
+    use crate::bcast::{bcast_schedule, Algorithm};
+    use crate::traffic::{bcast_volume, scatter_msgs};
     use mpsim::{ThreadWorld, WorldTraffic};
 
     fn pattern(n: usize) -> Vec<u8> {
@@ -314,15 +294,6 @@ mod tests {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
             bcast_opt_coalesced(comm, &mut buf, root, &policy).unwrap();
             assert_eq!(buf, src, "rank {} incomplete", comm.rank());
-        });
-        out.traffic
-    }
-
-    fn run_plain(size: usize, nbytes: usize, root: Rank) -> WorldTraffic {
-        let src = pattern(nbytes);
-        let out = ThreadWorld::run(size, |comm| {
-            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            bcast_opt(comm, &mut buf, root).unwrap();
         });
         out.traffic
     }
@@ -352,79 +323,87 @@ mod tests {
             (1, 9, 0),
         ] {
             for policy in policies {
-                run(size, nbytes, root, policy);
+                let t = run(size, nbytes, root, policy);
+                let planned = coalesced_schedule(size, nbytes, root, &policy).planned_volume();
+                assert_eq!(
+                    (t.total_msgs(), t.total_bytes()),
+                    planned,
+                    "{size} {nbytes} {policy:?}"
+                );
             }
         }
     }
 
     #[test]
-    fn paper_envelope_counts_whole_chunks() {
-        // With whole-chunk messages the logical message counts stay the
-        // paper's 44 (+7 scatter) and 75 (+9), while the merged SendOnly
-        // tails shrink the wire envelopes to 36 and 65.
+    fn paper_shapes_merge_tails_into_runs() {
+        // The logical transfers are the paper's 44 and 75; merging each
+        // SendOnly tail into one send per chunk run leaves 38 and 66 — the
+        // root's and rel 4's wrapping tails (P = 8) take two runs each.
         let t8 = run(8, 80, 0, CoalescePolicy::unlimited());
-        assert_eq!(t8.total_msgs(), 44 + 7);
-        assert_eq!(t8.total_envelopes(), 36 + 7);
+        assert_eq!(t8.total_msgs(), 38 + 7);
+        assert_eq!(t8.total_bytes(), bcast_volume(Algorithm::ScatterRingTuned, 80, 8).bytes);
         let t10 = run(10, 100, 0, CoalescePolicy::unlimited());
-        assert_eq!(t10.total_msgs(), 75 + 9);
-        assert_eq!(t10.total_envelopes(), 65 + 9);
-        assert_eq!(coalesced_envelope_count(8), 36);
-        assert_eq!(coalesced_envelope_count(10), 65);
+        assert_eq!(t10.total_msgs(), 66 + 9);
+        assert_eq!(coalesced_envelope_count(8), 38);
+        assert_eq!(coalesced_envelope_count(10), 66);
+        let tail =
+            |rel| Edge::new(&ChunkLayout::new(80, 8), rel, 8, &CoalescePolicy::unlimited()).tail;
+        assert_eq!(tail(0), Some((1, vec![0..10, 20..80])));
+        assert_eq!(tail(4), Some((5, vec![0..10, 60..80])));
+        let (first, runs) = tail(2).unwrap();
+        assert_eq!((first, runs.len(), runs[0].clone()), (7, 1, 40..50));
     }
 
     #[test]
-    fn per_chunk_baseline_matches_plain_tuned_ring() {
-        for &(size, nbytes, root) in &[(8usize, 80usize, 0usize), (10, 100, 3), (9, 55, 1)] {
-            let base = run(size, nbytes, root, CoalescePolicy::per_chunk(usize::MAX));
-            let plain = run_plain(size, nbytes, root);
-            assert_eq!(base.total_msgs(), plain.total_msgs());
-            assert_eq!(base.total_envelopes(), plain.total_msgs());
-            assert_eq!(base.total_bytes(), plain.total_bytes());
+    fn per_chunk_whole_chunks_is_the_tuned_ring() {
+        // No merging, no splitting: the rewrite is the identity.
+        for &(p, nbytes, root) in &[(8usize, 80usize, 0usize), (10, 100, 3), (9, 55, 1)] {
+            let coalesced = coalesced_schedule(p, nbytes, root, &CoalescePolicy::per_chunk(0));
+            let tuned = bcast_schedule(Algorithm::ScatterRingTuned, p, nbytes, root);
+            let halves = |s: &Schedule| -> Vec<Vec<_>> {
+                s.ranks
+                    .iter()
+                    .map(|r| r.ops.iter().map(|op| (op.send.clone(), op.recv.clone())).collect())
+                    .collect()
+            };
+            assert_eq!(halves(&coalesced), halves(&tuned), "P={p}");
         }
     }
 
     #[test]
-    fn coalescing_preserves_bytes_and_messages() {
-        // Sub-chunked: 8 ranks × 32-byte chunks, 4-byte sub-chunks → 8
-        // logical messages per transfer. Coalescing drops envelopes ~10×
-        // while bytes and logical messages are untouched.
-        let per_chunk = run(8, 256, 0, CoalescePolicy::per_chunk(4));
-        let coalesced = run(8, 256, 0, CoalescePolicy::new(4, usize::MAX));
-        assert_eq!(per_chunk.total_bytes(), coalesced.total_bytes());
-        assert_eq!(per_chunk.total_msgs(), coalesced.total_msgs());
-        assert_eq!(per_chunk.total_msgs(), 44 * 8 + 7);
-        assert_eq!(per_chunk.total_envelopes(), 44 * 8 + 7);
-        assert_eq!(coalesced.total_envelopes(), 36 + 7);
-        assert!(per_chunk.is_balanced() && coalesced.is_balanced());
-    }
-
-    #[test]
-    fn threshold_falls_back_per_sub_chunk() {
-        // 8 ranks × 32-byte chunks, 8-byte sub-chunks. max_envelope = 16
-        // rejects both whole chunks (32) and merged tails, so every
-        // envelope carries exactly one sub-chunk.
+    fn segments_split_oversized_transfers() {
+        // 8 ranks × 32-byte chunks, 4-byte segments: 8 messages per
+        // transfer, bytes untouched.
+        let t = run(8, 256, 0, CoalescePolicy::per_chunk(4));
+        assert_eq!(t.total_msgs(), 44 * 8 + 7);
+        assert_eq!(t.total_bytes(), bcast_volume(Algorithm::ScatterRingTuned, 256, 8).bytes);
+        // A 16-byte cap rejects whole chunks and every tail.
         let t = run(8, 256, 0, CoalescePolicy::new(8, 16));
         assert_eq!(t.total_msgs(), 44 * 4 + 7);
-        assert_eq!(t.total_envelopes(), 44 * 4 + 7);
-        // Raising the cap to one chunk (32) coalesces steps but not tails
-        // larger than one chunk.
+        // A one-chunk cap keeps chunks whole and merges only the tails that
+        // fit: rel 2 and rel 6 have one-chunk tails anyway; the root's
+        // (7 chunks) and rel 4's (3 chunks) stay per step.
         let t = run(8, 256, 0, CoalescePolicy::new(8, 32));
-        assert_eq!(t.total_msgs(), 44 * 4 + 7);
-        // tails of >1 chunk (rel 0: 7 chunks, rel 4: 3) stay per-step but
-        // each step's chunk still coalesces its 4 sub-chunks.
-        assert_eq!(t.total_envelopes(), 44 + 7);
+        assert_eq!(t.total_msgs(), 44 + 7);
+        // Uncapped with segments: whole chunks never split, tails merge.
+        let t = run(8, 256, 0, CoalescePolicy::new(4, usize::MAX));
+        assert_eq!(t.total_msgs(), 38 + 7);
     }
 
     #[test]
-    fn envelope_closed_form_matches_execution() {
-        for size in 2..20 {
-            let t = run(size, size * 8, 0, CoalescePolicy::unlimited());
-            let scatter = (size - 1) as u64;
-            assert_eq!(
-                t.total_envelopes(),
-                coalesced_envelope_count(size) + scatter,
-                "size={size}"
-            );
+    fn closed_form_matches_the_schedule_and_execution() {
+        for p in 2..=64 {
+            for root in [0, p / 3] {
+                let sched = coalesced_schedule(p, 4 * p, root, &CoalescePolicy::unlimited());
+                let (msgs, bytes) = sched.planned_volume();
+                let scatter = scatter_msgs(4 * p, p);
+                assert_eq!(msgs, coalesced_envelope_count(p) + scatter, "P={p} root={root}");
+                assert_eq!(bytes, bcast_volume(Algorithm::ScatterRingTuned, 4 * p, p).bytes);
+            }
+        }
+        for p in 2..20 {
+            let t = run(p, p * 8, 0, CoalescePolicy::unlimited());
+            assert_eq!(t.total_msgs(), coalesced_envelope_count(p) + (p - 1) as u64, "P={p}");
         }
     }
 }

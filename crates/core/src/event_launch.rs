@@ -388,10 +388,14 @@ mod tests {
 
     #[test]
     fn coalesced_event_launch_envelopes() {
+        // The executed coalesced broadcast moves exactly its schedule's plan.
         for &p in &[8usize, 10] {
-            let out = bcast_coalesced_event_world(p, 4096, 0, CoalescePolicy::unlimited());
+            let policy = CoalescePolicy::unlimited();
+            let out = bcast_coalesced_event_world(p, 4096, 0, policy);
+            let planned = crate::coalesce::coalesced_schedule(p, 4096, 0, &policy).planned_volume();
+            assert_eq!((out.traffic.total_msgs(), out.traffic.total_bytes()), planned, "P={p}");
             let expect = crate::coalesce::coalesced_envelope_count(p) + scatter_msgs(4096, p);
-            assert_eq!(out.traffic.total_envelopes(), expect, "P={p}");
+            assert_eq!(planned.0, expect, "P={p}");
         }
     }
 
@@ -424,7 +428,6 @@ mod tests {
                 let out = self_healing_bcast_event_world(p, nbytes, p / 3, algorithm, &cfg);
                 let vol = bcast_volume(algorithm, nbytes, p).plus(agreement_volume(p));
                 assert_eq!(out.traffic.total_msgs(), vol.msgs, "{algorithm:?} P={p}");
-                assert_eq!(out.traffic.total_envelopes(), vol.msgs, "{algorithm:?} P={p}");
                 assert_eq!(out.traffic.total_bytes(), vol.bytes, "{algorithm:?} P={p}");
             }
         }

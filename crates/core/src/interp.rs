@@ -31,7 +31,7 @@ use std::ops::Range;
 
 use mpsim::{AsyncCommunicator, CommError, Result, SharedBuf};
 
-use crate::schedule::{Loc, SchedOp};
+use crate::schedule::SchedOp;
 
 /// Interpreter state for one rank: the communicator, the user buffer and the
 /// retained envelope. Phases of one collective run through the *same*
@@ -85,9 +85,6 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
                 }
                 (Some(s), None) => {
                     let cut = self.stage(&s.loc)?;
-                    // One envelope per planned transfer is the schedule's
-                    // contract; `coalesce` is the merged-envelope variant.
-                    // lint: allow(per-chunk-send)
                     self.comm.send_shared(self.outgoing(&cut), s.peer, s.tag).await?;
                 }
                 (None, Some(r)) => {
@@ -100,15 +97,11 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
         Ok(received)
     }
 
-    /// Make the retained envelope able to serve a send of `loc`. Returns the
-    /// sub-view to send when `loc` lies strictly inside the envelope; `None`
-    /// means "send the retained envelope itself" (it matched, or was just
-    /// staged from the buffer).
-    fn stage(&mut self, loc: &Loc) -> Result<Option<SharedBuf>> {
-        let range = match loc {
-            Loc::Buf(range) => range,
-            Loc::Private(n) => return Err(self.out_of_bounds(&(0..*n))),
-        };
+    /// Make the retained envelope able to serve a send of `range`. Returns
+    /// the sub-view to send when `range` lies strictly inside the envelope;
+    /// `None` means "send the retained envelope itself" (it matched, or was
+    /// just staged from the buffer).
+    fn stage(&mut self, range: &Range<usize>) -> Result<Option<SharedBuf>> {
         if let Some((held, env)) = &self.held {
             if held == range {
                 return Ok(None);
@@ -136,13 +129,9 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
     /// Land an arrived envelope at the start of `dst` — the one copy a rank
     /// pays per received message — and retain it, keyed by the bytes it
     /// actually carried (a message may be shorter than the posted capacity).
-    fn land(&mut self, dst: &Loc, env: SharedBuf) -> Result<usize> {
-        let start = match dst {
-            Loc::Buf(range) => range.start,
-            Loc::Private(n) => return Err(self.out_of_bounds(&(0..*n))),
-        };
+    fn land(&mut self, dst: &Range<usize>, env: SharedBuf) -> Result<usize> {
         let n = env.len();
-        let written = start..start + n;
+        let written = dst.start..dst.start + n;
         let oob = self.out_of_bounds(&written);
         self.buf.get_mut(written.clone()).ok_or(oob)?.copy_from_slice(&env);
         self.comm.note_copy(n);

@@ -83,7 +83,8 @@ pub use binomial::{
 };
 pub use chunks::ChunkLayout;
 pub use coalesce::{
-    bcast_opt_coalesced, bcast_opt_coalesced_async, coalesced_envelope_count, CoalescePolicy,
+    bcast_opt_coalesced, bcast_opt_coalesced_async, coalesced_envelope_count, coalesced_ring_ops,
+    coalesced_schedule, CoalescePolicy,
 };
 pub use event_launch::{
     bcast_coalesced_event_world, bcast_event_world, check_recovery_outcome,
@@ -99,5 +100,5 @@ pub use recovery::{
 };
 pub use ring_tuned::{step_flag, Endpoint};
 pub use scatter::{binomial_scatter_shared_async, owned_chunks};
-pub use schedule::{all_sources, Loc, RankSchedule, SchedOp, Schedule, ScheduleSource};
+pub use schedule::{all_sources, RankSchedule, SchedOp, Schedule, ScheduleSource};
 pub use smp::{bcast_smp, bcast_smp_async, NodeMap};

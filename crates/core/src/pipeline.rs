@@ -18,7 +18,7 @@ use mpsim::{
 
 use crate::bcast::bcast_skeleton;
 use crate::interp::Interp;
-use crate::schedule::{Loc, RecvHalf, SchedOp, Schedule, ScheduleSource, SendHalf};
+use crate::schedule::{RecvHalf, SchedOp, Schedule, ScheduleSource, SendHalf};
 
 /// Rank `rank`'s ops of the pipeline broadcast: a software pipeline of
 /// `nseg + 1` slots for `nseg = ⌈nbytes / segment⌉` segments. In slot `s` a
@@ -45,7 +45,7 @@ pub fn pipeline_ops(
     let rel = relative_rank(rank, root, p);
     let prev = (rel > 0).then(|| absolute_rank(rel - 1, root, p));
     let next = (rel + 1 < p).then(|| absolute_rank(rel + 1, root, p));
-    let seg = move |s: usize| Loc::Buf(s * segment..((s + 1) * segment).min(nbytes));
+    let seg = move |s: usize| s * segment..((s + 1) * segment).min(nbytes);
     (0..=nseg).filter_map(move |s| {
         let send =
             next.filter(|_| s > 0).map(|peer| SendHalf { peer, tag: Tag::BCAST, loc: seg(s - 1) });

@@ -17,7 +17,7 @@
 use mpsim::{absolute_rank, relative_rank, Rank, Tag};
 
 use crate::chunks::ChunkLayout;
-use crate::schedule::{Loc, SchedOp};
+use crate::schedule::SchedOp;
 
 /// Rank `rank`'s ops of the recursive-doubling allgather over a buffer
 /// binomial-scattered from `root`, for a power-of-two `p` (callers go through
@@ -37,7 +37,7 @@ pub fn rd_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> impl Iterator<
         let partner = absolute_rank(partner_rel, root, p);
         let block = |r: Rank| {
             let first = (r >> round) << round;
-            Loc::Buf(layout.span(first..first + mask))
+            layout.span(first..first + mask)
         };
         SchedOp::sendrecv(
             "rd",

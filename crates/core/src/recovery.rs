@@ -479,10 +479,9 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
     }
 }
 
-// The vectored operations of both decorators use the trait defaults
-// (gather/scatter through `send`/`recv`). The zero-copy operations, by
-// contrast, forward natively (with the same tag shifting / timeout bounding
-// as their copying counterparts): they bottom out in the same per-link
+// The zero-copy operations of both decorators forward natively (with the
+// same tag shifting / timeout bounding as their copying counterparts): they
+// bottom out in the same per-link
 // send/recv sequence a fault plan's crash clock counts, so seeded replay
 // stays aligned while the payload keeps its refcounted envelope all the way
 // down to the executor.
@@ -1428,9 +1427,9 @@ mod tests {
         }
         // The quorum's receive bound is real time here: a spurious timeout
         // would fall through to the later agreement stages and show up as
-        // extra envelopes, not merely as a slow test.
+        // extra messages, not merely as a slow test.
         let expect = bcast_volume(Algorithm::ScatterRingTuned, n, 8).plus(agreement_volume(8));
-        assert_eq!(out.traffic.total_envelopes(), expect.msgs);
+        assert_eq!(out.traffic.total_msgs(), expect.msgs);
     }
 
     #[test]

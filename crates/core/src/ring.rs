@@ -13,7 +13,7 @@
 use mpsim::{relative_rank, ring_left, ring_right, Rank, Tag};
 
 use crate::chunks::ChunkLayout;
-use crate::schedule::{Loc, SchedOp};
+use crate::schedule::SchedOp;
 
 /// One step of the ring walk: which chunk is sent right and which is
 /// received from the left at step `i` (1-based), for a rank at root-relative
@@ -52,10 +52,10 @@ pub fn native_ring_ops(
             "ring",
             right,
             Tag::ALLGATHER,
-            Loc::Buf(layout.range(send_chunk)),
+            layout.range(send_chunk),
             left,
             Tag::ALLGATHER,
-            Loc::Buf(layout.range(recv_chunk)),
+            layout.range(recv_chunk),
         )
     })
 }

@@ -24,7 +24,7 @@ use mpsim::{ceil_pof2, relative_rank, ring_left, ring_right, Rank, Tag};
 
 use crate::chunks::ChunkLayout;
 use crate::ring::ring_step_chunks;
-use crate::schedule::{Loc, SchedOp};
+use crate::schedule::SchedOp;
 
 /// What a rank degrades to once the redundant phase of the ring is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +111,8 @@ pub fn tuned_ring_ops_with(
     let (step, flag) = if p > 1 { step_flag_fn(rel, p) } else { (0, Endpoint::SendOnly) };
     (1..p).map(move |i| {
         let (send_chunk, recv_chunk) = ring_step_chunks(rel, p, i);
-        let send = Loc::Buf(layout.range(send_chunk));
-        let recv = Loc::Buf(layout.range(recv_chunk));
+        let send = layout.range(send_chunk);
+        let recv = layout.range(recv_chunk);
         if step <= p - i {
             SchedOp::sendrecv("ring_tuned", right, Tag::ALLGATHER, send, left, Tag::ALLGATHER, recv)
         } else {

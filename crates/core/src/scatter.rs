@@ -19,7 +19,7 @@ use mpsim::{
 
 use crate::chunks::ChunkLayout;
 use crate::interp::Interp;
-use crate::schedule::{Loc, SchedOp};
+use crate::schedule::SchedOp;
 
 /// Number of chunks rank `relative` (root-relative) holds after the scatter:
 /// `min(2^trailing_zeros(relative), P − relative)`, with the root holding all
@@ -61,7 +61,7 @@ pub fn scatter_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sched
             let disp = layout.disp(relative);
             if disp < nbytes {
                 let src = absolute_rank(relative - mask, root, p);
-                ops.push(SchedOp::recv("scatter", src, Tag::SCATTER, Loc::Buf(disp..nbytes)));
+                ops.push(SchedOp::recv("scatter", src, Tag::SCATTER, disp..nbytes));
                 let own = owned_chunks(relative, p);
                 curr_size = layout.span_bytes(relative..relative + own);
             }
@@ -76,7 +76,7 @@ pub fn scatter_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sched
             if send_size > 0 {
                 let dst = absolute_rank(relative + mask, root, p);
                 let disp = layout.disp(relative + mask);
-                let loc = Loc::Buf(disp..disp + send_size);
+                let loc = disp..disp + send_size;
                 ops.push(SchedOp::send("scatter", dst, Tag::SCATTER, loc));
                 curr_size -= send_size;
             }
@@ -180,7 +180,6 @@ mod tests {
             .traffic;
             assert_eq!(immutably.total_msgs(), mutably.total_msgs(), "size={size}");
             assert_eq!(immutably.total_bytes(), mutably.total_bytes(), "size={size}");
-            assert_eq!(immutably.total_envelopes(), mutably.total_envelopes(), "size={size}");
         }
     }
 

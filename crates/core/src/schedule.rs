@@ -24,42 +24,13 @@
 //! list of [`SchedOp`]s executed in order; each op carries an optional
 //! [`SendHalf`] and an optional [`RecvHalf`] — both present models a
 //! `sendrecv` (the two halves are posted concurrently, which is what makes
-//! the ring deadlock-free under rendezvous). Byte locations are [`Loc`]s:
-//! either a tracked range of the rank's destination buffer, or `Private`
-//! untracked storage (send-only source buffers, reduction accumulators,
-//! Bruck staging space that is overwritten between rounds).
+//! the ring deadlock-free under rendezvous). Every half names a byte range
+//! of the rank's one tracked buffer: the bytes a send reads, or where a
+//! receive lands and how much it may take.
 
 use std::ops::Range;
 
 use mpsim::{Rank, Tag};
-
-/// Where the bytes of a transfer live on a rank.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Loc {
-    /// A range of the rank's tracked destination buffer. For a send, these
-    /// bytes must be valid when the send is posted; for a receive, the
-    /// matched message is written at `range.start` and must fit in
-    /// `range.len()` (the capacity).
-    Buf(Range<usize>),
-    /// `len` bytes of private, untracked storage (source buffers,
-    /// accumulators, staging space). Match-only: no coverage bookkeeping.
-    Private(usize),
-}
-
-impl Loc {
-    /// Payload length for a send; capacity for a receive.
-    pub fn len(&self) -> usize {
-        match self {
-            Loc::Buf(r) => r.len(),
-            Loc::Private(n) => *n,
-        }
-    }
-
-    /// Whether the location spans zero bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// The send half of a schedule op.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,8 +39,9 @@ pub struct SendHalf {
     pub peer: Rank,
     /// Message tag.
     pub tag: Tag,
-    /// Payload source (length = bytes on the wire).
-    pub loc: Loc,
+    /// Bytes of the rank's buffer sent (length = bytes on the wire); they
+    /// must be valid when the send is posted.
+    pub loc: Range<usize>,
 }
 
 /// The receive half of a schedule op.
@@ -79,10 +51,10 @@ pub struct RecvHalf {
     pub peer: Rank,
     /// Message tag.
     pub tag: Tag,
-    /// Destination location. `Buf(range)` receives at `range.start` with
-    /// capacity `range.len()`; the *actual* written extent is the matched
-    /// message's length (MPI allows shorter-than-capacity messages).
-    pub dst: Loc,
+    /// Where the message lands: at `dst.start`, with capacity `dst.len()`;
+    /// the *actual* written extent is the matched message's length (MPI
+    /// allows shorter-than-capacity messages).
+    pub dst: Range<usize>,
 }
 
 /// One program-order slot of a rank's schedule.
@@ -101,12 +73,12 @@ pub struct SchedOp {
 
 impl SchedOp {
     /// A lone blocking send.
-    pub fn send(phase: &'static str, peer: Rank, tag: Tag, loc: Loc) -> Self {
+    pub fn send(phase: &'static str, peer: Rank, tag: Tag, loc: Range<usize>) -> Self {
         SchedOp { phase, send: Some(SendHalf { peer, tag, loc }), recv: None }
     }
 
     /// A lone blocking receive.
-    pub fn recv(phase: &'static str, peer: Rank, tag: Tag, dst: Loc) -> Self {
+    pub fn recv(phase: &'static str, peer: Rank, tag: Tag, dst: Range<usize>) -> Self {
         SchedOp { phase, send: None, recv: Some(RecvHalf { peer, tag, dst }) }
     }
 
@@ -116,10 +88,10 @@ impl SchedOp {
         phase: &'static str,
         to: Rank,
         stag: Tag,
-        sloc: Loc,
+        sloc: Range<usize>,
         from: Rank,
         rtag: Tag,
-        rdst: Loc,
+        rdst: Range<usize>,
     ) -> Self {
         SchedOp {
             phase,
@@ -168,12 +140,12 @@ impl RankSchedule {
     }
 
     /// Append a blocking send.
-    pub fn send(&mut self, phase: &'static str, peer: Rank, tag: Tag, loc: Loc) {
+    pub fn send(&mut self, phase: &'static str, peer: Rank, tag: Tag, loc: Range<usize>) {
         self.ops.push(SchedOp::send(phase, peer, tag, loc));
     }
 
     /// Append a blocking receive.
-    pub fn recv(&mut self, phase: &'static str, peer: Rank, tag: Tag, dst: Loc) {
+    pub fn recv(&mut self, phase: &'static str, peer: Rank, tag: Tag, dst: Range<usize>) {
         self.ops.push(SchedOp::recv(phase, peer, tag, dst));
     }
 
@@ -184,10 +156,10 @@ impl RankSchedule {
         phase: &'static str,
         to: Rank,
         stag: Tag,
-        sloc: Loc,
+        sloc: Range<usize>,
         from: Rank,
         rtag: Tag,
-        rdst: Loc,
+        rdst: Range<usize>,
     ) {
         self.ops.push(SchedOp::sendrecv(phase, to, stag, sloc, from, rtag, rdst));
     }
@@ -302,11 +274,13 @@ pub trait ScheduleSource {
 }
 
 /// All schedule sources in the crate — the sweep surface of the `schedcheck`
-/// CLI: four flat broadcasts, the pipeline, two SMP composites and the three
-/// allgather baselines.
+/// CLI: four flat broadcasts, the coalescing ring under its unlimited
+/// policy, the pipeline, two SMP composites and the three allgather
+/// baselines.
 pub fn all_sources() -> Vec<Box<dyn ScheduleSource>> {
     let mut v: Vec<Box<dyn ScheduleSource>> = Vec::new();
     v.extend(crate::bcast::schedule_sources());
+    v.extend(crate::coalesce::schedule_sources());
     v.extend(crate::pipeline::schedule_sources());
     v.extend(crate::smp::schedule_sources());
     v.extend(crate::allgather::schedule_sources());
@@ -321,8 +295,8 @@ mod tests {
     fn builder_and_volume() {
         let mut s = Schedule::new("toy", 2, 8);
         s.ranks[0].mark_valid(0..8);
-        s.ranks[0].send("x", 1, Tag(1), Loc::Buf(0..8));
-        s.ranks[1].recv("x", 0, Tag(1), Loc::Buf(0..8));
+        s.ranks[0].send("x", 1, Tag(1), 0..8);
+        s.ranks[1].recv("x", 0, Tag(1), 0..8);
         s.ranks[1].require(0..8);
         assert_eq!(s.planned_volume(), (1, 8));
         assert_eq!(s.ranks[0].planned_sends(), (1, 8));
@@ -333,10 +307,7 @@ mod tests {
     #[test]
     fn renumber_translates_peers() {
         let members = [2, 5];
-        let sub = vec![
-            SchedOp::send("x", 1, Tag(9), Loc::Private(4)),
-            SchedOp::recv("x", 0, Tag(9), Loc::Private(4)),
-        ];
+        let sub = vec![SchedOp::send("x", 1, Tag(9), 0..4), SchedOp::recv("x", 0, Tag(9), 0..4)];
         let top: Vec<SchedOp> = renumber(sub.into_iter(), |l| members[l]).collect();
         assert_eq!(top[0].send.as_ref().unwrap().peer, 5);
         assert_eq!(top[1].recv.as_ref().unwrap().peer, 2);
@@ -346,8 +317,8 @@ mod tests {
     fn describe_is_informative() {
         let op = SchedOp {
             phase: "ring",
-            send: Some(SendHalf { peer: 3, tag: Tag(0xB1), loc: Loc::Buf(0..5) }),
-            recv: Some(RecvHalf { peer: 1, tag: Tag(0xB1), dst: Loc::Buf(5..10) }),
+            send: Some(SendHalf { peer: 3, tag: Tag(0xB1), loc: 0..5 }),
+            recv: Some(RecvHalf { peer: 1, tag: Tag(0xB1), dst: 5..10 }),
         };
         let d = op.describe();
         assert!(d.contains("ring") && d.contains("rank 3") && d.contains("rank 1"), "{d}");
@@ -359,8 +330,9 @@ mod tests {
         for family in ["bcast/", "allgather/"] {
             assert!(names.iter().any(|n| n.starts_with(family)), "missing {family}: {names:?}");
         }
-        // 4 flat bcast + pipeline + 2 smp + 3 allgather: a source silently
-        // falling out of `all_sources()` must fail here, not shrink the sweep.
-        assert_eq!(names.len(), 10, "{names:?}");
+        // 4 flat bcast + coalesced + pipeline + 2 smp + 3 allgather: a source
+        // silently falling out of `all_sources()` must fail here, not shrink
+        // the sweep.
+        assert_eq!(names.len(), 11, "{names:?}");
     }
 }

@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use crate::comm::{Communicator, IoSpan};
+use crate::comm::Communicator;
 use crate::error::{CommError, Result};
 use crate::pool::{Payload, SharedBuf};
 use crate::rank::{Rank, Tag};
@@ -105,59 +105,6 @@ pub trait AsyncCommunicator {
 
     /// Resolve once every rank in the world has entered the barrier.
     async fn barrier(&self) -> Result<()>;
-
-    /// Gathering send of `spans` of `buf` as **one** envelope (see
-    /// [`Communicator::send_vectored`] for the wire contract).
-    async fn send_vectored(
-        &self,
-        buf: &[u8],
-        spans: &[IoSpan],
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        let total = crate::comm::validate_spans(buf.len(), spans)?;
-        let mut tmp = Vec::with_capacity(total);
-        for s in spans {
-            tmp.extend_from_slice(&buf[s.range()]);
-        }
-        self.send(&tmp, dest, tag).await
-    }
-
-    /// Scattering receive of one envelope into `spans` of `buf` (see
-    /// [`Communicator::recv_scattered`] for the wire contract).
-    async fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        let total = crate::comm::validate_spans(buf.len(), spans)?;
-        let mut tmp = vec![0u8; total];
-        let n = self.recv(&mut tmp, src, tag).await?;
-        Ok(crate::comm::scatter_spans(buf, spans, &tmp[..n]))
-    }
-
-    /// Combined concurrent vectored send + scattering receive over disjoint
-    /// span lists of the same buffer (see
-    /// [`Communicator::sendrecv_vectored`]).
-    #[allow(clippy::too_many_arguments)]
-    async fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        crate::comm::validate_spans(buf.len(), send_spans)?;
-        crate::comm::validate_spans(buf.len(), recv_spans)?;
-        crate::comm::disjoint_span_lists(send_spans, recv_spans)?;
-        self.send_vectored(buf, send_spans, dest, sendtag).await?;
-        self.recv_scattered(buf, recv_spans, src, recvtag).await
-    }
 
     /// Stage `data` into a pooled, shareable envelope payload — one counted
     /// copy (see [`Communicator::make_shared`]). Synchronous by design:
@@ -279,7 +226,7 @@ pub trait AsyncCommunicator {
 /// corresponding blocking call, which means every future it returns is ready
 /// on its first poll. Drive such futures with [`complete_now`].
 ///
-/// Crucially, `sendrecv`/`sendrecv_vectored` forward to the sync trait's own
+/// Crucially, `sendrecv`/`sendrecv_shared` forward to the sync trait's own
 /// implementations (not the async defaults), so rendezvous backends keep
 /// their genuinely concurrent exchange.
 pub struct SyncComm<'a, C: ?Sized>(&'a C);
@@ -345,39 +292,6 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
 
     async fn barrier(&self) -> Result<()> {
         self.0.barrier()
-    }
-
-    async fn send_vectored(
-        &self,
-        buf: &[u8],
-        spans: &[IoSpan],
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.0.send_vectored(buf, spans, dest, tag)
-    }
-
-    async fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        self.0.recv_scattered(buf, spans, src, tag)
-    }
-
-    async fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.0.sendrecv_vectored(buf, send_spans, dest, sendtag, recv_spans, src, recvtag)
     }
 
     fn make_shared(&self, data: &[u8]) -> SharedBuf {
@@ -494,30 +408,5 @@ mod tests {
         assert_eq!(out.results[0], [1, 2, 3, 4]);
         assert_eq!(out.results[1], [1, 2, 3, 4]);
         assert_eq!(out.traffic.total_msgs(), 2);
-    }
-
-    #[test]
-    fn bridge_forwards_vectored() {
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            complete_now(async {
-                if acomm.rank() == 0 {
-                    let src: Vec<u8> = (0..16).collect();
-                    let spans = [IoSpan::new(12, 4), IoSpan::new(2, 3)];
-                    acomm.send_vectored(&src, &spans, 1, Tag(0)).await.unwrap();
-                    vec![]
-                } else {
-                    let mut dst = [0u8; 10];
-                    let spans = [IoSpan::new(0, 4), IoSpan::new(6, 3)];
-                    let n = acomm.recv_scattered(&mut dst, &spans, 0, Tag(0)).await.unwrap();
-                    assert_eq!(n, 7);
-                    dst.to_vec()
-                }
-            })
-        });
-        assert_eq!(out.results[1][..4], [12, 13, 14, 15]);
-        // one vectored envelope carrying two spans
-        assert_eq!(out.traffic.total_msgs(), 2);
-        assert_eq!(out.traffic.total_envelopes(), 1);
     }
 }

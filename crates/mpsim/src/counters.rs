@@ -40,18 +40,10 @@ pub struct TrafficStats {
     pub msgs_recvd: u64,
     /// Total payload bytes received by this rank.
     pub bytes_recvd: u64,
-    /// Physical transmissions issued by this rank: a plain send is one
-    /// envelope carrying one message, a k-span vectored send is one envelope
-    /// carrying k messages. `envelopes_sent ≤ msgs_sent` always; the gap is
-    /// exactly what coalescing saved.
-    pub envelopes_sent: u64,
-    /// Physical transmissions absorbed by this rank (see
-    /// [`envelopes_sent`](TrafficStats::envelopes_sent)).
-    pub envelopes_recvd: u64,
     /// Payload bytes this rank moved through RAM with `memcpy` — envelope
-    /// staging on sends, copy-out on receives, vectored gathers/scatters,
-    /// and the collectives' final copy into the user buffer. Zero-copy
-    /// (`send_shared`/`recv_owned`) paths move refcounts instead, so this is
+    /// staging on sends, copy-out on receives, and the collectives' final
+    /// copy into the user buffer. Zero-copy (`send_shared`/`recv_owned`)
+    /// paths move refcounts instead, so this is
     /// the memory-bandwidth analogue of the paper's transfer count. Unlike
     /// the wire counters it is rank-local: copies have no matching "receive",
     /// so it plays no part in [`WorldTraffic::is_balanced`].
@@ -63,33 +55,19 @@ pub struct TrafficStats {
 impl TrafficStats {
     /// Record one outgoing message of `bytes` payload to `dest`.
     pub fn record_send(&mut self, dest: Rank, bytes: usize) {
-        self.record_send_vectored(dest, bytes, 1);
+        self.msgs_sent += 1;
+        self.bytes_sent += bytes as u64;
+        let p = self.by_peer.entry(dest).or_default();
+        p.msgs_sent += 1;
+        p.bytes_sent += bytes as u64;
     }
 
     /// Record one incoming message of `bytes` payload from `src`.
     pub fn record_recv(&mut self, src: Rank, bytes: usize) {
-        self.record_recv_vectored(src, bytes, 1);
-    }
-
-    /// Record one outgoing envelope carrying `msgs` logical messages of
-    /// `bytes` total payload to `dest` — the vectored-send accounting.
-    pub fn record_send_vectored(&mut self, dest: Rank, bytes: usize, msgs: u64) {
-        self.msgs_sent += msgs;
-        self.bytes_sent += bytes as u64;
-        self.envelopes_sent += 1;
-        let p = self.by_peer.entry(dest).or_default();
-        p.msgs_sent += msgs;
-        p.bytes_sent += bytes as u64;
-    }
-
-    /// Record one incoming envelope carrying `msgs` logical messages of
-    /// `bytes` total payload from `src`.
-    pub fn record_recv_vectored(&mut self, src: Rank, bytes: usize, msgs: u64) {
-        self.msgs_recvd += msgs;
+        self.msgs_recvd += 1;
         self.bytes_recvd += bytes as u64;
-        self.envelopes_recvd += 1;
         let p = self.by_peer.entry(src).or_default();
-        p.msgs_recvd += msgs;
+        p.msgs_recvd += 1;
         p.bytes_recvd += bytes as u64;
     }
 
@@ -104,8 +82,6 @@ impl TrafficStats {
         self.bytes_sent += other.bytes_sent;
         self.msgs_recvd += other.msgs_recvd;
         self.bytes_recvd += other.bytes_recvd;
-        self.envelopes_sent += other.envelopes_sent;
-        self.envelopes_recvd += other.envelopes_recvd;
         self.bytes_copied += other.bytes_copied;
         for (&peer, pt) in &other.by_peer {
             let p = self.by_peer.entry(peer).or_default();
@@ -141,13 +117,12 @@ impl WorldTraffic {
         self.per_rank.iter().map(|s| s.bytes_sent).sum()
     }
 
-    /// Total physical envelopes sent across all ranks — what the fabric
-    /// actually pays for (pool rentals, mailbox pushes), as opposed to
-    /// [`total_msgs`](WorldTraffic::total_msgs), the paper's logical
-    /// transfer count. Coalescing lowers this without touching
-    /// [`total_bytes`](WorldTraffic::total_bytes) or `total_msgs`.
+    /// Alias of [`total_msgs`](WorldTraffic::total_msgs): every message is
+    /// one envelope on every path. Kept only because the frozen
+    /// `benchmark/` package reads the total under this name; it goes in the
+    /// next change that may touch that package.
     pub fn total_envelopes(&self) -> u64 {
-        self.per_rank.iter().map(|s| s.envelopes_sent).sum()
+        self.total_msgs()
     }
 
     /// Total payload bytes memcpy'd across all ranks — the copy bill the
@@ -163,9 +138,7 @@ impl WorldTraffic {
         let recvd: u64 = self.per_rank.iter().map(|s| s.msgs_recvd).sum();
         let bsent: u64 = self.per_rank.iter().map(|s| s.bytes_sent).sum();
         let brecvd: u64 = self.per_rank.iter().map(|s| s.bytes_recvd).sum();
-        let esent: u64 = self.per_rank.iter().map(|s| s.envelopes_sent).sum();
-        let erecvd: u64 = self.per_rank.iter().map(|s| s.envelopes_recvd).sum();
-        sent == recvd && bsent == brecvd && esent == erecvd
+        sent == recvd && bsent == brecvd
     }
 
     /// Split total messages by a peer classifier (e.g. intra-node vs
@@ -245,7 +218,7 @@ const NO_PEER: Rank = Rank::MAX;
 /// The stats live in two tiers so the per-message path touches only plain
 /// `Cell`s:
 ///
-/// * the six totals are individual `Cell<u64>`s — no `RefCell` flag, no
+/// * the five totals are individual `Cell<u64>`s — no `RefCell` flag, no
 ///   map, just load-add-store;
 /// * the per-peer breakdown lives in a `BTreeMap`, which would otherwise
 ///   put one map lookup on *every* message of the event executor's hot
@@ -264,8 +237,6 @@ pub struct CounterCell {
     bytes_sent: Cell<u64>,
     msgs_recvd: Cell<u64>,
     bytes_recvd: Cell<u64>,
-    envelopes_sent: Cell<u64>,
-    envelopes_recvd: Cell<u64>,
     bytes_copied: Cell<u64>,
     by_peer: RefCell<BTreeMap<Rank, PeerTraffic>>,
     /// Pending `(peer, msgs, bytes)` not yet folded into `by_peer`
@@ -278,39 +249,27 @@ pub struct CounterCell {
 impl CounterCell {
     /// Record an outgoing message.
     pub fn record_send(&self, dest: Rank, bytes: usize) {
-        self.record_send_vectored(dest, bytes, 1);
+        self.msgs_sent.set(self.msgs_sent.get() + 1);
+        self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
+        let (peer, m, b) = self.hot_send.get();
+        if peer == dest {
+            self.hot_send.set((peer, m + 1, b + bytes as u64));
+        } else {
+            self.fold_send(peer, m, b);
+            self.hot_send.set((dest, 1, bytes as u64));
+        }
     }
 
     /// Record an incoming message.
     pub fn record_recv(&self, src: Rank, bytes: usize) {
-        self.record_recv_vectored(src, bytes, 1);
-    }
-
-    /// Record one outgoing envelope carrying `msgs` logical messages.
-    pub fn record_send_vectored(&self, dest: Rank, bytes: usize, msgs: u64) {
-        self.msgs_sent.set(self.msgs_sent.get() + msgs);
-        self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
-        self.envelopes_sent.set(self.envelopes_sent.get() + 1);
-        let (peer, m, b) = self.hot_send.get();
-        if peer == dest {
-            self.hot_send.set((peer, m + msgs, b + bytes as u64));
-        } else {
-            self.fold_send(peer, m, b);
-            self.hot_send.set((dest, msgs, bytes as u64));
-        }
-    }
-
-    /// Record one incoming envelope carrying `msgs` logical messages.
-    pub fn record_recv_vectored(&self, src: Rank, bytes: usize, msgs: u64) {
-        self.msgs_recvd.set(self.msgs_recvd.get() + msgs);
+        self.msgs_recvd.set(self.msgs_recvd.get() + 1);
         self.bytes_recvd.set(self.bytes_recvd.get() + bytes as u64);
-        self.envelopes_recvd.set(self.envelopes_recvd.get() + 1);
         let (peer, m, b) = self.hot_recv.get();
         if peer == src {
-            self.hot_recv.set((peer, m + msgs, b + bytes as u64));
+            self.hot_recv.set((peer, m + 1, b + bytes as u64));
         } else {
             self.fold_recv(peer, m, b);
-            self.hot_recv.set((src, msgs, bytes as u64));
+            self.hot_recv.set((src, 1, bytes as u64));
         }
     }
 
@@ -353,8 +312,6 @@ impl CounterCell {
             bytes_sent: self.bytes_sent.get(),
             msgs_recvd: self.msgs_recvd.get(),
             bytes_recvd: self.bytes_recvd.get(),
-            envelopes_sent: self.envelopes_sent.get(),
-            envelopes_recvd: self.envelopes_recvd.get(),
             bytes_copied: self.bytes_copied.get(),
             by_peer: self.by_peer.borrow().clone(),
         }
@@ -368,8 +325,6 @@ impl CounterCell {
             bytes_sent: self.bytes_sent.take(),
             msgs_recvd: self.msgs_recvd.take(),
             bytes_recvd: self.bytes_recvd.take(),
-            envelopes_sent: self.envelopes_sent.take(),
-            envelopes_recvd: self.envelopes_recvd.take(),
             bytes_copied: self.bytes_copied.take(),
             by_peer: self.by_peer.take(),
         }
@@ -421,39 +376,6 @@ mod tests {
         assert!(w.is_balanced());
         assert_eq!(w.total_msgs(), 1);
         assert_eq!(w.total_bytes(), 8);
-    }
-
-    #[test]
-    fn vectored_records_split_msgs_from_envelopes() {
-        let mut s0 = TrafficStats::default();
-        s0.record_send_vectored(1, 24, 3); // one envelope, three chunk spans
-        s0.record_send(1, 8); // plain send: one of each
-        assert_eq!(s0.msgs_sent, 4);
-        assert_eq!(s0.envelopes_sent, 2);
-        assert_eq!(s0.bytes_sent, 32);
-        assert_eq!(s0.by_peer[&1].msgs_sent, 4);
-
-        let mut s1 = TrafficStats::default();
-        s1.record_recv_vectored(0, 24, 3);
-        s1.record_recv(0, 8);
-        let w = WorldTraffic::new(vec![s0, s1]);
-        assert!(w.is_balanced());
-        assert_eq!(w.total_msgs(), 4);
-        assert_eq!(w.total_envelopes(), 2);
-        assert_eq!(w.total_bytes(), 32);
-    }
-
-    #[test]
-    fn merge_accumulates_envelopes() {
-        let mut a = TrafficStats::default();
-        a.record_send_vectored(1, 10, 2);
-        let mut b = TrafficStats::default();
-        b.record_send_vectored(1, 6, 4);
-        b.record_recv(0, 7);
-        a.merge(&b);
-        assert_eq!(a.msgs_sent, 6);
-        assert_eq!(a.envelopes_sent, 2);
-        assert_eq!(a.envelopes_recvd, 1);
     }
 
     #[test]

@@ -32,15 +32,6 @@ pub enum CommError {
         /// Buffer length.
         len: usize,
     },
-    /// Two spans of a vectored operation overlap. Vectored gathers/scatters
-    /// treat the segment list as a partition of distinct buffer regions;
-    /// overlap is always a displacement-arithmetic bug in the caller.
-    SpanOverlap {
-        /// One offending span as `(disp, count)`.
-        a: (usize, usize),
-        /// The other offending span as `(disp, count)`.
-        b: (usize, usize),
-    },
     /// The world was torn down (a peer panicked or exited) while this rank
     /// was blocked in a call.
     WorldStopped,
@@ -84,9 +75,6 @@ impl std::fmt::Display for CommError {
                 f,
                 "region [{disp}, {disp}+{count}) out of bounds for buffer of length {len}"
             ),
-            CommError::SpanOverlap { a: (ad, ac), b: (bd, bc) } => {
-                write!(f, "vectored spans overlap: [{ad}, {ad}+{ac}) intersects [{bd}, {bd}+{bc})")
-            }
             CommError::WorldStopped => write!(f, "world stopped while operation was in flight"),
             CommError::Timeout { peer } => {
                 write!(f, "operation timed out waiting on peer rank {peer}")
@@ -121,10 +109,6 @@ mod tests {
 
         let e = CommError::OutOfBounds { disp: 10, count: 20, len: 16 };
         assert!(e.to_string().contains("16"));
-
-        let e = CommError::SpanOverlap { a: (8, 4), b: (10, 6) };
-        let s = e.to_string();
-        assert!(s.contains("overlap") && s.contains('8') && s.contains("10"));
 
         assert!(CommError::WorldStopped.to_string().contains("stopped"));
 

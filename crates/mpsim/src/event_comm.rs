@@ -52,7 +52,6 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
 use crate::acomm::AsyncCommunicator;
-use crate::comm::{scatter_spans, validate_spans, IoSpan};
 use crate::counters::{CounterCell, ReactorStats, TrafficStats, WorldTraffic};
 use crate::error::{CommError, Result};
 use crate::event_mailbox::LaneMailbox;
@@ -235,28 +234,6 @@ impl EventShared {
             }
         }
         self.pool.rent_copy(src)
-    }
-
-    /// Rent a buffer of `total` bytes filled by concatenating `parts` —
-    /// cached-handle counterpart of [`BufferPool::rent_gather`].
-    fn rent_gather<'a>(
-        &self,
-        total: usize,
-        parts: impl IntoIterator<Item = &'a [u8]>,
-    ) -> crate::pool::PooledBuf {
-        if let Some(class) = crate::pool::class_of(total) {
-            if let Some(mut buf) = self.buf_cache.borrow_mut()[class].pop() {
-                buf.reset_len(total);
-                let mut filled = 0;
-                for part in parts {
-                    buf[filled..filled + part.len()].copy_from_slice(part);
-                    filled += part.len();
-                }
-                assert!(filled == total, "rent_gather: parts sum to {filled}, expected {total}");
-                return buf;
-            }
-        }
-        self.pool.rent_gather(total, parts)
     }
 
     /// Return a consumed envelope's buffer to the world-local cache (or let
@@ -567,20 +544,6 @@ impl EventComm {
         self.shared.now().saturating_add(nanos)
     }
 
-    fn send_vectored_now(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
-        self.ensure_rank(dest)?;
-        let total = validate_spans(buf.len(), spans)?;
-        let env = self.shared.rent_gather(total, spans.iter().map(|s| &buf[s.range()]));
-        self.shared.counters[self.rank].record_copy(total);
-        self.shared.counters[self.rank].record_send_vectored(
-            dest,
-            total,
-            spans.len().max(1) as u64,
-        );
-        self.shared.push_envelope(dest, self.rank, tag, env.into());
-        Ok(())
-    }
-
     /// Build the single leaf future behind `recv`/`recv_timeout`/`sendrecv`.
     /// Errors detected at build time (invalid rank, or a failed eager send
     /// for `sendrecv`) are carried in `early_err` and surface on first poll.
@@ -883,36 +846,6 @@ impl AsyncCommunicator for EventComm {
         BarrierWait { comm: self, joined_generation: None }.await
     }
 
-    async fn send_vectored(
-        &self,
-        buf: &[u8],
-        spans: &[IoSpan],
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.send_vectored_now(buf, spans, dest, tag)
-    }
-
-    async fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        let total = validate_spans(buf.len(), spans)?;
-        self.ensure_rank(src)?;
-        let env = RecvEnvelope::new(self, src, tag, None).await?;
-        if env.data.len() > total {
-            return Err(CommError::Truncation { capacity: total, incoming: env.data.len() });
-        }
-        let n = scatter_spans(buf, spans, &env.data.bytes());
-        self.shared.counters[self.rank].record_copy(n);
-        self.shared.counters[self.rank].record_recv_vectored(src, n, spans.len().max(1) as u64);
-        self.shared.stash_payload(env.data);
-        Ok(n)
-    }
-
     fn make_shared(&self, data: &[u8]) -> SharedBuf {
         // One counted copy stages the user bytes; every send_shared of (a
         // slice of) the result is a refcount bump.
@@ -1162,44 +1095,6 @@ mod tests {
                 comm.barrier().await.unwrap();
             }
         });
-    }
-
-    #[test]
-    fn vectored_roundtrip_gathers_and_scatters() {
-        let out = EventWorld::run(2, |comm| async move {
-            if comm.rank() == 0 {
-                let src: Vec<u8> = (0..16).collect();
-                let spans = [IoSpan::new(12, 4), IoSpan::new(2, 3)];
-                comm.send_vectored(&src, &spans, 1, Tag(0)).await.unwrap();
-                vec![]
-            } else {
-                let mut dst = [0xEEu8; 10];
-                let spans = [IoSpan::new(0, 4), IoSpan::new(6, 3)];
-                let n = comm.recv_scattered(&mut dst, &spans, 0, Tag(0)).await.unwrap();
-                assert_eq!(n, 7);
-                dst.to_vec()
-            }
-        });
-        assert_eq!(out.results[1], vec![12, 13, 14, 15, 0xEE, 0xEE, 2, 3, 4, 0xEE]);
-        assert!(out.traffic.is_balanced());
-        assert_eq!(out.traffic.total_msgs(), 2);
-        assert_eq!(out.traffic.total_envelopes(), 1);
-        assert_eq!(out.traffic.total_bytes(), 7);
-    }
-
-    #[test]
-    fn vectored_truncation_checked_against_span_total() {
-        let out = EventWorld::run(2, |comm| async move {
-            if comm.rank() == 0 {
-                comm.send(&[0u8; 9], 1, Tag(0)).await.unwrap();
-                Ok(0)
-            } else {
-                let mut dst = [0u8; 32];
-                let spans = [IoSpan::new(0, 4), IoSpan::new(8, 4)];
-                comm.recv_scattered(&mut dst, &spans, 0, Tag(0)).await.map(|_| 0)
-            }
-        });
-        assert_eq!(out.results[1], Err(CommError::Truncation { capacity: 8, incoming: 9 }));
     }
 
     #[test]

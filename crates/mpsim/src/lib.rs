@@ -78,9 +78,7 @@ pub mod thread_comm;
 
 pub use acomm::{complete_now, AsyncCommunicator, SyncComm};
 pub use barrier::StopBarrier;
-pub use comm::{
-    disjoint_span_lists, scatter_spans, spans_len, validate_spans, Communicator, IoSpan,
-};
+pub use comm::Communicator;
 pub use counters::{PeerTraffic, ReactorStats, TrafficStats, WakeupStats, WorldTraffic};
 pub use error::{CommError, Result};
 pub use event_comm::{EventComm, EventWorld};

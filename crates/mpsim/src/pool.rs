@@ -142,26 +142,6 @@ impl BufferPool {
         buf
     }
 
-    /// Rent a buffer of logical length `total` and fill it by concatenating
-    /// `parts` — the vectored-send gather, done in one pass straight into the
-    /// envelope with no intermediate `Vec` assembly.
-    ///
-    /// The parts must sum to exactly `total`: the rental skips zeroing, so a
-    /// shortfall would leak a previous message's bytes (asserted).
-    pub fn rent_gather<'a, I>(self: &Arc<Self>, total: usize, parts: I) -> PooledBuf
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let mut buf = self.rent_raw(total, false);
-        let mut filled = 0;
-        for part in parts {
-            buf[filled..filled + part.len()].copy_from_slice(part);
-            filled += part.len();
-        }
-        assert!(filled == total, "rent_gather: parts sum to {filled}, expected {total}");
-        buf
-    }
-
     /// Current counter values.
     pub fn stats(&self) -> PoolStats {
         let hits = self.hits.load(Ordering::Relaxed);
@@ -566,25 +546,6 @@ mod tests {
         let src: Vec<u8> = (0..200).map(|i| i as u8).collect();
         let buf = pool.rent_copy(&src);
         assert_eq!(&*buf, &src[..]);
-    }
-
-    #[test]
-    fn rent_gather_concatenates_parts() {
-        let pool = BufferPool::new();
-        // Dirty a recycled 64B-class buffer so a gather shortfall would show.
-        let mut dirty = pool.rent(64);
-        dirty.copy_from_slice(&[0xAB; 64]);
-        drop(dirty);
-        let buf = pool.rent_gather(6, [&[1u8, 2][..], &[][..], &[3, 4, 5, 6][..]]);
-        assert_eq!(&*buf, &[1, 2, 3, 4, 5, 6]);
-        assert_eq!(pool.stats().hits, 1, "gather should reuse the freelist");
-    }
-
-    #[test]
-    #[should_panic(expected = "rent_gather")]
-    fn rent_gather_rejects_short_parts() {
-        let pool = BufferPool::new();
-        let _ = pool.rent_gather(8, [&[1u8, 2][..]]);
     }
 
     #[test]

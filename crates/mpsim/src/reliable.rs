@@ -49,7 +49,6 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::acomm::AsyncCommunicator;
-use crate::comm::{disjoint_span_lists, scatter_spans, validate_spans, IoSpan};
 use crate::error::{CommError, Result};
 use crate::pool::SharedBuf;
 use crate::rank::{Rank, Tag};
@@ -313,24 +312,6 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
         self.inner.note_copy(payload.len());
         payload.len()
     }
-
-    /// The staging copy of the vectored sends: the spans gathered into one
-    /// payload, so the whole list still travels — and is retransmitted — as
-    /// one frame.
-    fn gather(&self, buf: &[u8], spans: &[IoSpan]) -> Result<SharedBuf> {
-        let mut staged = Vec::with_capacity(validate_spans(buf.len(), spans)?);
-        for s in spans {
-            staged.extend_from_slice(&buf[s.range()]);
-        }
-        self.inner.note_copy(staged.len());
-        Ok(SharedBuf::from(staged))
-    }
-
-    fn scatter(&self, buf: &mut [u8], spans: &[IoSpan], payload: &SharedBuf) -> usize {
-        let n = scatter_spans(buf, spans, payload);
-        self.inner.note_copy(n);
-        n
-    }
 }
 
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
@@ -502,48 +483,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         let payload =
             self.sendrecv_shared(&staged, dest, sendtag, recvbuf.len(), src, recvtag).await?;
         Ok(self.land(recvbuf, &payload))
-    }
-
-    async fn send_vectored(
-        &self,
-        buf: &[u8],
-        spans: &[IoSpan],
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.send_shared(&self.gather(buf, spans)?, dest, tag).await
-    }
-
-    async fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        let total = validate_spans(buf.len(), spans)?;
-        let payload = self.recv_owned(total, src, tag).await?;
-        Ok(self.scatter(buf, spans, &payload))
-    }
-
-    /// Both directions go through the pumping
-    /// [`sendrecv_shared`](Self::sendrecv_shared) — a vectored-send-then-
-    /// receive would deadlock for mutual exchanges exactly like a plain one.
-    async fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        let staged = self.gather(buf, send_spans)?;
-        let total = validate_spans(buf.len(), recv_spans)?;
-        disjoint_span_lists(send_spans, recv_spans)?;
-        let payload = self.sendrecv_shared(&staged, dest, sendtag, total, src, recvtag).await?;
-        Ok(self.scatter(buf, recv_spans, &payload))
     }
 }
 

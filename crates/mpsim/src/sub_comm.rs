@@ -14,7 +14,6 @@
 //! [`complete_now`](crate::acomm::complete_now).
 
 use crate::acomm::AsyncCommunicator;
-use crate::comm::IoSpan;
 use crate::error::Result;
 use crate::rank::{ceil_log2, Rank, Tag};
 
@@ -238,61 +237,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
             self.sendrecv(&[], to, tag, &mut token, from, tag).await?;
         }
         Ok(())
-    }
-
-    // The vectored operations forward with rank translation only, keeping
-    // the parent backend's single-envelope fast path (and its logical-
-    // message accounting) intact through sub-communicators.
-
-    async fn send_vectored(
-        &self,
-        buf: &[u8],
-        spans: &[IoSpan],
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.check_rank(dest)?;
-        self.parent.send_vectored(buf, spans, self.members[dest], tag).await
-    }
-
-    async fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        self.parent
-            .recv_scattered(buf, spans, self.members[src], tag)
-            .await
-            .map_err(|e| self.localize_err(e))
-    }
-
-    async fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        self.parent
-            .sendrecv_vectored(
-                buf,
-                send_spans,
-                self.members[dest],
-                sendtag,
-                recv_spans,
-                self.members[src],
-                recvtag,
-            )
-            .await
-            .map_err(|e| self.localize_err(e))
     }
 
     fn make_shared(&self, data: &[u8]) -> crate::SharedBuf {

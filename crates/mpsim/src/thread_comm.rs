@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::barrier::StopBarrier;
-use crate::comm::{scatter_spans, validate_spans, Communicator, IoSpan};
+use crate::comm::Communicator;
 use crate::counters::{CounterCell, ReactorStats, TrafficStats, WorldTraffic};
 use crate::error::{CommError, Result};
 use crate::mailbox::Mailbox;
@@ -208,8 +208,7 @@ impl ThreadComm {
     }
 
     /// Match and pop one envelope from `src`, enforcing `capacity` against
-    /// its payload length. Shared by the plain (contiguous copy-out) and
-    /// scattered (per-span copy-out) receive paths.
+    /// its payload length. Shared by the copy-out and owned receive paths.
     fn pop_envelope(
         &self,
         src: Rank,
@@ -271,36 +270,6 @@ impl Communicator for ThreadComm {
 
     fn now_ns(&self) -> u64 {
         self.shared.start.elapsed().as_nanos() as u64
-    }
-
-    fn send_vectored(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        let total = validate_spans(buf.len(), spans)?;
-        // One pool rental gathers every span straight out of the user
-        // buffer, and one mailbox push delivers them all: the per-chunk
-        // envelope/push overhead this API exists to remove.
-        let env = self.shared.pool.rent_gather(total, spans.iter().map(|s| &buf[s.range()]));
-        self.counters.record_copy(total);
-        self.counters.record_send_vectored(dest, total, spans.len().max(1) as u64);
-        self.shared.mailboxes[dest].push(self.rank, tag, env.into());
-        Ok(())
-    }
-
-    fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        let total = validate_spans(buf.len(), spans)?;
-        let env = self.pop_envelope(src, tag, None, total)?;
-        // Scatter each segment directly out of the matched envelope — no
-        // intermediate contiguous staging buffer.
-        let n = scatter_spans(buf, spans, &env.data.bytes());
-        self.counters.record_copy(n);
-        self.counters.record_recv_vectored(src, n, spans.len().max(1) as u64);
-        Ok(n)
     }
 
     fn make_shared(&self, data: &[u8]) -> SharedBuf {
@@ -520,48 +489,6 @@ mod tests {
         assert_eq!(out.traffic.total_bytes(), 12);
         assert_eq!(out.traffic.per_rank[0].msgs_sent, 2);
         assert_eq!(out.traffic.per_rank[2].bytes_sent, 6);
-    }
-
-    #[test]
-    fn vectored_roundtrip_gathers_and_scatters() {
-        let out = ThreadWorld::run(2, |comm| {
-            if comm.rank() == 0 {
-                // Gather two non-adjacent spans (in swapped order) of a
-                // patterned buffer into one envelope.
-                let src: Vec<u8> = (0..16).collect();
-                let spans = [IoSpan::new(12, 4), IoSpan::new(2, 3)];
-                comm.send_vectored(&src, &spans, 1, Tag(0)).unwrap();
-                vec![]
-            } else {
-                let mut dst = [0xEEu8; 10];
-                let spans = [IoSpan::new(0, 4), IoSpan::new(6, 3)];
-                let n = comm.recv_scattered(&mut dst, &spans, 0, Tag(0)).unwrap();
-                assert_eq!(n, 7);
-                dst.to_vec()
-            }
-        });
-        // Wire payload is [12,13,14,15, 2,3,4]; receiver splits it 4 + 3.
-        assert_eq!(out.results[1], vec![12, 13, 14, 15, 0xEE, 0xEE, 2, 3, 4, 0xEE]);
-        // One envelope, two logical messages, seven bytes each way.
-        assert!(out.traffic.is_balanced());
-        assert_eq!(out.traffic.total_msgs(), 2);
-        assert_eq!(out.traffic.total_envelopes(), 1);
-        assert_eq!(out.traffic.total_bytes(), 7);
-    }
-
-    #[test]
-    fn vectored_truncation_checked_against_span_total() {
-        let out = ThreadWorld::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(&[0u8; 9], 1, Tag(0)).unwrap();
-                Ok(0)
-            } else {
-                let mut dst = [0u8; 32];
-                let spans = [IoSpan::new(0, 4), IoSpan::new(8, 4)];
-                comm.recv_scattered(&mut dst, &spans, 0, Tag(0)).map(|_| 0)
-            }
-        });
-        assert_eq!(out.results[1], Err(CommError::Truncation { capacity: 8, incoming: 9 }));
     }
 
     #[test]

@@ -248,19 +248,15 @@ impl Fabric {
         self.post_send_buf(src, dst, tag, self.pool.rent_copy(data).into(), now)
     }
 
-    /// Assemble a multi-segment payload into one pooled envelope, gathered
-    /// straight from the caller's segments (the vectored-send front half of
-    /// [`post_send_buf`](Self::post_send_buf)).
-    pub fn gather_payload<'a, I>(&self, total: usize, parts: I) -> PooledBuf
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        self.pool.rent_gather(total, parts)
+    /// Stage `data` into one pooled envelope — the staging copy behind
+    /// `make_shared`, whose result [`post_send_buf`](Self::post_send_buf)
+    /// then injects by refcount.
+    pub fn rent_copy(&self, data: &[u8]) -> PooledBuf {
+        self.pool.rent_copy(data)
     }
 
     /// Post a send whose payload envelope the caller already assembled
-    /// (via [`gather_payload`](Self::gather_payload), any [`PooledBuf`],
-    /// or a refcount clone of a shared envelope) — the vectored and
+    /// (any [`PooledBuf`] or a refcount clone of a shared envelope) — the
     /// zero-copy paths' single-envelope injection.
     pub fn post_send_buf(
         &self,

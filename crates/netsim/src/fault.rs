@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::future::Future;
 use std::sync::Arc;
 
-use mpsim::{validate_spans, AsyncCommunicator, CommError, IoSpan, Rank, Result, Tag};
+use mpsim::{AsyncCommunicator, CommError, Rank, Result, Tag};
 use testkit::rng::{Rng, SplitMix64};
 
 /// What happens to one message offered on a link.
@@ -259,16 +259,6 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
     fn pending_holdbacks(&self) -> Vec<(Rank, u32)> {
         self.holdback.borrow().keys().copied().collect()
     }
-
-    /// The wire image of a vectored send: bare concatenation of the spans,
-    /// which is exactly what a receiver of a plain contiguous resend sees.
-    fn gather_spans(buf: &[u8], spans: &[IoSpan]) -> Vec<u8> {
-        let mut gathered = Vec::with_capacity(spans.iter().map(|s| s.count).sum());
-        for s in spans {
-            gathered.extend_from_slice(&buf[s.range()]);
-        }
-        gathered
-    }
 }
 
 impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
@@ -298,8 +288,8 @@ impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
     /// Apply the plan to one outgoing envelope on `(dest, tag)`, after the
     /// caller has ticked the crash clock: draw the link's next decision and
     /// deliver, drop, duplicate or hold back accordingly. `transmit` puts
-    /// the envelope on the wire in the caller's own form (plain, vectored,
-    /// shared); `snapshot` copies its wire image for the holdback buffer and
+    /// the envelope on the wire in the caller's own form (plain, shared,
+    /// prefixed); `snapshot` copies its wire image for the holdback buffer and
     /// runs only on a delay decision.
     async fn inject<Fut: Future<Output = Result<()>>>(
         &self,
@@ -404,63 +394,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
             self.flush_holdback(dst, Tag(tag)).await?;
         }
         self.inner.barrier().await
-    }
-
-    /// A vectored send is ONE message on the wire, so it consumes exactly one
-    /// link ordinal and its fate is decided once — coalescing changes which
-    /// transfers a fault plan hits, never how many decisions are drawn per
-    /// envelope.
-    async fn send_vectored(
-        &self,
-        buf: &[u8],
-        spans: &[IoSpan],
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.tick()?;
-        validate_spans(buf.len(), spans)?;
-        // Holdback stores the gathered wire image; re-sending it as a plain
-        // contiguous message is indistinguishable to the receiver because
-        // the wire format is bare concatenation.
-        self.inject(
-            dest,
-            tag,
-            || self.inner.send_vectored(buf, spans, dest, tag),
-            || Self::gather_spans(buf, spans),
-        )
-        .await
-    }
-
-    async fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        self.tick()?;
-        self.inner.recv_scattered(buf, spans, src, tag).await
-    }
-
-    async fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        // Counted and fault-injected as one vectored send plus one scattered
-        // receive, mirroring `sendrecv`. Splitting the fused call is safe
-        // here for the same reason it is in `sendrecv`: the decorator
-        // assumes an eager-ish transport (see the module docs).
-        validate_spans(buf.len(), send_spans)?;
-        validate_spans(buf.len(), recv_spans)?;
-        mpsim::disjoint_span_lists(send_spans, recv_spans)?;
-        self.send_vectored(buf, send_spans, dest, sendtag).await?;
-        self.recv_scattered(buf, recv_spans, src, recvtag).await
     }
 
     // The zero-copy surface forwards natively so a fault-decorated stack
@@ -698,60 +631,6 @@ mod tests {
             }
         });
         assert_eq!(out.results, vec![0, 1]);
-    }
-
-    #[test]
-    fn vectored_send_draws_one_decision_per_envelope() {
-        // Link 0→1 drops every message. A 3-span vectored send is one
-        // envelope: it consumes ONE link ordinal and vanishes whole; the
-        // next (plain) send is ordinal 1, also dropped — never partially.
-        let plan = FaultPlan::new(9).with_link(
-            0,
-            1,
-            LinkFaults { drop_ppm: 1_000_000, dup_ppm: 0, delay_ppm: 0 },
-        );
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let faulty = FaultyComm::new(&acomm, plan.clone());
-            if comm.rank() == 0 {
-                let src: Vec<u8> = (0..12).collect();
-                let spans = [IoSpan::new(0, 2), IoSpan::new(4, 2), IoSpan::new(8, 2)];
-                complete_now(faulty.send_vectored(&src, &spans, 1, Tag(0))).unwrap(); // dropped whole
-                comm.send(&[99u8; 6], 1, Tag(0)).unwrap(); // bypasses the plan
-                0
-            } else {
-                let mut buf = [0u8; 6];
-                comm.recv(&mut buf, 0, Tag(0)).unwrap();
-                buf[0] as usize
-            }
-        });
-        assert_eq!(out.results[1], 99);
-    }
-
-    #[test]
-    fn vectored_passthrough_delivers_and_scatters() {
-        // No faults: the decorator must be fully transparent to the
-        // vectored path, including the fused exchange.
-        let plan = FaultPlan::new(5);
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let faulty = FaultyComm::new(&acomm, plan.clone());
-            let mut buf = vec![0u8; 8];
-            buf[..4].fill(comm.rank() as u8 + 1);
-            let peer = 1 - comm.rank();
-            complete_now(faulty.sendrecv_vectored(
-                &mut buf,
-                &[IoSpan::new(0, 4)],
-                peer,
-                Tag(0),
-                &[IoSpan::new(4, 4)],
-                peer,
-                Tag(0),
-            ))
-            .unwrap();
-            buf[4]
-        });
-        assert_eq!(out.results, vec![2, 1]);
     }
 
     #[test]

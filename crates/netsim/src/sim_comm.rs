@@ -15,10 +15,7 @@ use mpsim::sync::Mutex;
 use mpsim::barrier::StopBarrier;
 use mpsim::counters::CounterCell;
 use mpsim::pool::{Payload, SharedBuf};
-use mpsim::{
-    ceil_log2, disjoint_span_lists, scatter_spans, validate_spans, CommError, Communicator, IoSpan,
-    Rank, Result, Tag, TrafficStats, WorldTraffic,
-};
+use mpsim::{ceil_log2, CommError, Communicator, Rank, Result, Tag, TrafficStats, WorldTraffic};
 
 use crate::fabric::{Fabric, SimTime};
 use crate::model::NetworkModel;
@@ -373,100 +370,11 @@ impl Communicator for SimComm {
         Ok(data.len())
     }
 
-    /// Vectored send on the simulator: the segments are gathered straight
-    /// into one pooled fabric envelope — a single transfer pays a single
-    /// `α + o_send`, which is the whole point of coalescing.
-    fn send_vectored(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        let total = validate_spans(buf.len(), spans)?;
-        let from = self.vtime();
-        let ready = from + self.shared.fabric.model().o_send_ns;
-        let payload =
-            self.shared.fabric.gather_payload(total, spans.iter().map(|s| &buf[s.range()]));
-        self.counters.record_copy(total);
-        let h = self.shared.fabric.post_send_buf(self.rank, dest, tag, payload.into(), ready)?;
-        let done = self.shared.fabric.wait_send(&h)?;
-        self.advance_to(done.max(ready));
-        self.charge_comm(from);
-        self.counters.record_send_vectored(dest, total, spans.len().max(1) as u64);
-        Ok(())
-    }
-
-    /// Scattered receive: the envelope is copied from the fabric's pooled
-    /// buffer directly into the destination spans — no intermediate staging.
-    fn recv_scattered(
-        &self,
-        buf: &mut [u8],
-        spans: &[IoSpan],
-        src: Rank,
-        tag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        let total = validate_spans(buf.len(), spans)?;
-        let from = self.vtime();
-        let ready = from + self.shared.fabric.model().o_recv_ns;
-        let h = self.shared.fabric.post_recv(src, self.rank, tag, total, ready)?;
-        let (data, done) = self.shared.fabric.wait_recv(&h)?;
-        let n = scatter_spans(buf, spans, &data.bytes());
-        self.counters.record_copy(n);
-        self.advance_to(done.max(ready));
-        self.charge_comm(from);
-        self.counters.record_recv_vectored(src, n, spans.len().max(1) as u64);
-        Ok(n)
-    }
-
-    /// Fused vectored exchange. Like [`sendrecv`](Communicator::sendrecv),
-    /// both fabric offers are posted before either is awaited, so rings of
-    /// rendezvous-size coalesced exchanges cannot deadlock.
-    #[allow(clippy::too_many_arguments)]
-    fn sendrecv_vectored(
-        &self,
-        buf: &mut [u8],
-        send_spans: &[IoSpan],
-        dest: Rank,
-        sendtag: Tag,
-        recv_spans: &[IoSpan],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        let send_total = validate_spans(buf.len(), send_spans)?;
-        let recv_total = validate_spans(buf.len(), recv_spans)?;
-        disjoint_span_lists(send_spans, recv_spans)?;
-        let now = self.vtime();
-        let model = self.shared.fabric.model();
-        let send_ready = now + model.o_send_ns;
-        let recv_ready = send_ready + model.o_recv_ns;
-        let payload = self
-            .shared
-            .fabric
-            .gather_payload(send_total, send_spans.iter().map(|s| &buf[s.range()]));
-        self.counters.record_copy(send_total);
-        let sh = self.shared.fabric.post_send_buf(
-            self.rank,
-            dest,
-            sendtag,
-            payload.into(),
-            send_ready,
-        )?;
-        let rh = self.shared.fabric.post_recv(src, self.rank, recvtag, recv_total, recv_ready)?;
-        let send_done = self.shared.fabric.wait_send(&sh)?;
-        let (data, recv_done) = self.shared.fabric.wait_recv(&rh)?;
-        let n = scatter_spans(buf, recv_spans, &data.bytes());
-        self.counters.record_copy(n);
-        self.advance_to(send_done.max(recv_done).max(recv_ready));
-        self.charge_comm(now);
-        self.counters.record_send_vectored(dest, send_total, send_spans.len().max(1) as u64);
-        self.counters.record_recv_vectored(src, n, recv_spans.len().max(1) as u64);
-        Ok(n)
-    }
-
     fn make_shared(&self, data: &[u8]) -> SharedBuf {
         // One counted copy stages the bytes into a fabric-pool rental;
         // every subsequent send_shared is a refcount clone.
         self.counters.record_copy(data.len());
-        SharedBuf::new(self.shared.fabric.gather_payload(data.len(), [data]))
+        SharedBuf::new(self.shared.fabric.rent_copy(data))
     }
 
     fn note_copy(&self, bytes: usize) {
@@ -938,64 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn vectored_roundtrip_single_envelope() {
-        let (m, p) = uniform_world(10.0, 1.0, 4, 2);
-        let out = SimWorld::run(m, p, 2, |comm| {
-            if comm.rank() == 0 {
-                let src: Vec<u8> = (0..32).collect();
-                comm.send_vectored(&src, &[IoSpan::new(12, 4), IoSpan::new(2, 3)], 1, Tag(0))
-                    .unwrap();
-                Vec::new()
-            } else {
-                let mut dst = vec![0u8; 16];
-                let n = comm
-                    .recv_scattered(&mut dst, &[IoSpan::new(0, 4), IoSpan::new(6, 3)], 0, Tag(0))
-                    .unwrap();
-                assert_eq!(n, 7);
-                dst
-            }
-        });
-        assert_eq!(&out.results[1][..4], &[12, 13, 14, 15]);
-        assert_eq!(&out.results[1][6..9], &[2, 3, 4]);
-        // 2 logical messages rode in 1 physical envelope, each way.
-        assert_eq!(out.traffic.total_msgs(), 2);
-        assert_eq!(out.traffic.total_envelopes(), 1);
-        assert_eq!(out.traffic.total_bytes(), 7);
-        assert!(out.traffic.is_balanced());
-        // one envelope of 7 bytes: both sides leave at α + 7β = 17
-        assert_eq!(out.finish_ns, vec![17.0, 17.0]);
-    }
-
-    #[test]
-    fn vectored_send_gathers_with_exactly_one_counted_copy() {
-        // Regression: the vectored send once assembled its segments into an
-        // intermediate buffer and then staged that buffer into the fabric
-        // envelope — two passes over every payload byte. `gather_payload`
-        // now fills the pool rental straight from the caller's segments, so
-        // the sender's whole bill is the single gather pass (and the
-        // receiver's the single scatter pass out of the matched envelope).
-        let (m, p) = uniform_world(10.0, 1.0, 4, 2);
-        let out = SimWorld::run(m, p, 2, |comm| {
-            if comm.rank() == 0 {
-                let src: Vec<u8> = (0..32).collect();
-                comm.send_vectored(&src, &[IoSpan::new(0, 8), IoSpan::new(16, 8)], 1, Tag(0))
-                    .unwrap();
-            } else {
-                let mut dst = vec![0u8; 16];
-                comm.recv_scattered(&mut dst, &[IoSpan::new(0, 16)], 0, Tag(0)).unwrap();
-            }
-        });
-        assert_eq!(
-            out.traffic.per_rank[0].bytes_copied, 16,
-            "sender must pay exactly one gather pass, not gather + restage"
-        );
-        assert_eq!(
-            out.traffic.per_rank[1].bytes_copied, 16,
-            "receiver must pay exactly one scatter pass"
-        );
-    }
-
-    #[test]
     fn shared_send_owned_recv_pays_only_the_staging_copy() {
         // The zero-copy surface on the simulator: one counted staging copy
         // covers any number of refcounted sends, and an owned receive takes
@@ -1016,39 +866,5 @@ mod tests {
         assert_eq!(out.traffic.per_rank[0].bytes_copied, 64, "one staging copy, two sends");
         assert_eq!(out.traffic.per_rank[1].bytes_copied, 0, "owned receives copy nothing");
         assert_eq!(out.traffic.total_bytes(), 128, "wire accounting is unchanged");
-    }
-
-    #[test]
-    fn sendrecv_vectored_ring_no_deadlock_under_rendezvous() {
-        // uniform → rendezvous everywhere: the fused vectored exchange must
-        // post both offers before waiting, exactly like plain sendrecv.
-        let n = 6;
-        let (m, p) = uniform_world(10.0, 1.0, 4, n);
-        let out = SimWorld::run(m, p, n, |comm| {
-            let mut buf = vec![0u8; 32];
-            buf[..8].fill(comm.rank() as u8);
-            buf[8..16].fill(comm.rank() as u8 + 100);
-            let right = mpsim::ring_right(comm.rank(), comm.size());
-            let left = mpsim::ring_left(comm.rank(), comm.size());
-            comm.sendrecv_vectored(
-                &mut buf,
-                &[IoSpan::new(0, 8), IoSpan::new(8, 8)],
-                right,
-                Tag(0),
-                &[IoSpan::new(16, 8), IoSpan::new(24, 8)],
-                left,
-                Tag(0),
-            )
-            .unwrap();
-            (buf[16], buf[24])
-        });
-        for (rank, &(a, b)) in out.results.iter().enumerate() {
-            let left = mpsim::ring_left(rank, n) as u8;
-            assert_eq!((a, b), (left, left + 100));
-        }
-        // 2 logical msgs per directed transfer, 1 envelope per transfer.
-        assert_eq!(out.traffic.total_msgs(), 2 * n as u64);
-        assert_eq!(out.traffic.total_envelopes(), n as u64);
-        assert!(out.traffic.is_balanced());
     }
 }

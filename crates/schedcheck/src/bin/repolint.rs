@@ -1,13 +1,14 @@
 //! Repo-convention linter: walks `crates/**/*.rs` and applies the rules in
 //! [`schedcheck::lint`] — `.unwrap()`/`.expect()` in library code,
 //! undocumented `unsafe`, `let _ =` discarding a communication call's
-//! `Result`, per-chunk `comm.send(` loops in broadcast hot-path files,
-//! wall-clock reads inside the event executor and the decorators that run on it, `HashMap`s inside
-//! the event executor, cancel-unsafe shapes in the async communication
-//! layer (unregistered `Poll::Pending`, `RefCell` borrows across suspension
-//! points, send effects inside `poll` bodies), `.unwrap()`/`.expect()` on
-//! communication results inside the self-healing recovery module, and
-//! `impl Communicator for` outside the two blocking executors. Prints every
+//! `Result`, wall-clock reads inside the event executor and the decorators
+//! that run on it, `HashMap`s inside the event executor, cancel-unsafe
+//! shapes in the async communication layer (unregistered `Poll::Pending`,
+//! `RefCell` borrows across suspension points, send effects inside `poll`
+//! bodies), `.unwrap()`/`.expect()` on communication results inside the
+//! self-healing recovery module, unaccounted payload copies in the
+//! broadcast hot path, and `impl Communicator for` outside the two
+//! blocking executors. Prints every
 //! hit and exits nonzero if any are found.
 //!
 //! Run from the repository root (the directory containing `crates/`).

@@ -62,9 +62,8 @@
 //! both explorers plus the seeded mutation drill as its own CI phase;
 //! `repolint` enforces source-level conventions (no `.unwrap()`/`.expect()`
 //! in library code, `// SAFETY:` on every `unsafe`, no `let _ =` on the
-//! `Result` of a communication call, no per-chunk `comm.send(` loops in the
-//! broadcast hot path now that the vectored fabric coalesces them, no wall-clock reads
-//! inside the event executor or the decorators that run on it, no
+//! `Result` of a communication call, no wall-clock reads inside the event
+//! executor or the decorators that run on it, no
 //! `HashMap`s inside the event executor, no cancel-unsafe shapes —
 //! unregistered `Poll::Pending`, borrows across suspension points, send
 //! effects inside `poll` — in the async communication layer, no

@@ -1,6 +1,6 @@
 //! Repo-convention lint rules behind the `repolint` binary.
 //!
-//! Ten rules, each a pure function over `(relative path, file content)` so
+//! Nine rules, each a pure function over `(relative path, file content)` so
 //! they are unit-testable without touching the filesystem:
 //!
 //! 1. [`check_panics`] — no `.unwrap(` / `.expect(` in *library* code of
@@ -18,14 +18,7 @@
 //!    hang. Deliberate exceptions (e.g. best-effort acks to a dead peer)
 //!    must match on the error instead, or carry a
 //!    `// lint: allow(ignored-comm-result)` marker.
-//! 4. [`check_per_chunk_send`] — broadcast hot-path files in `crates/core`
-//!    must not issue `comm.send(` / `comm.send_shared(` calls inside a loop:
-//!    since the vectored fabric landed, per-chunk send loops to one
-//!    destination pay an envelope per iteration that `send_vectored` would
-//!    coalesce into one. The one deliberate loop — the schedule interpreter,
-//!    whose contract is one envelope per planned transfer — carries a
-//!    `// lint: allow(per-chunk-send)` marker.
-//! 5. [`check_real_time`] — the discrete-event executor
+//! 4. [`check_real_time`] — the discrete-event executor
 //!    (`crates/mpsim/src/event_*.rs` — the reactor and every module split
 //!    out of it, currently `event_comm`, `event_mailbox`, `event_timer`)
 //!    and the decorators that run on it (`reliable.rs`, `sub_comm.rs`,
@@ -35,12 +28,12 @@
 //!    contract is that fault delays and timeouts are deterministic
 //!    virtual-clock events. A deliberate exception carries a
 //!    `// lint: allow(real-time)` marker.
-//! 6. [`check_event_mailbox_hashmap`] — no `HashMap` in the event-executor
+//! 5. [`check_event_mailbox_hashmap`] — no `HashMap` in the event-executor
 //!    modules: message matching is the reactor's hottest loop, and the
 //!    dense lane structures replaced hashed lookups there on purpose. The
 //!    only sanctioned use is the wild-tag spill fallback inside
 //!    `event_mailbox.rs`, marked `// lint: allow(mailbox-spill)`.
-//! 7. [`check_cancel_safety`] — cancel-safety in the async communication
+//! 6. [`check_cancel_safety`] — cancel-safety in the async communication
 //!    layer (`crates/mpsim/src/event_*.rs`, `crates/mpsim/src/acomm.rs`).
 //!    Three shapes of the same bug class the reactor models in
 //!    `schedcheck::models` verify the protocols against: producing
@@ -50,15 +43,16 @@
 //!    `poll` body (a cancelled-and-retried operation replays the side
 //!    effect — sends must happen eagerly, before the future exists).
 //!    Deliberate exceptions carry a `// lint: allow(cancel-safety)` marker.
-//! 8. [`check_recovery_unwrap`] — no `.unwrap(` / `.expect(` on the result
+//! 7. [`check_recovery_unwrap`] — no `.unwrap(` / `.expect(` on the result
 //!    of a communication call inside the self-healing recovery module
 //!    (`crates/core/src/recovery.rs`). A `CommError`
 //!    there *is* the input the layer exists to handle — a peer death or
 //!    timeout must feed the heartbeat/agreement machinery, never abort the
 //!    process. Rule 1's generic `allow(panic)` waiver deliberately does not
 //!    apply; the only escape hatch is `// lint: allow(recovery-unwrap)`.
-//! 9. [`check_bcast_hot_copy`] — no unaccounted payload copies in the
-//!    broadcast hot-path modules (rule 4's file set plus `binomial.rs`)
+//! 8. [`check_bcast_hot_copy`] — no unaccounted payload copies in the
+//!    broadcast hot-path modules (the scatter-ring pipeline, its
+//!    interpreter and coalescing rewrite, plus `binomial.rs`)
 //!    nor on the reliable data path (`crates/mpsim/src/reliable.rs`).
 //!    Since the zero-copy envelope flow landed, forwarded payloads travel
 //!    as refcounted [`mpsim::SharedBuf`] views; a `copy_from_slice(` /
@@ -70,13 +64,13 @@
 //!    copy with a `note_copy(` call within the following two lines, which
 //!    the `bytes_copied` ceilings then police at run time. Anything else
 //!    needs a `// lint: allow(bcast-hot-copy)` marker.
-//! 10. [`check_blocking_impl`] — the blocking `Communicator` trait is
-//!     implemented by the two blocking executors only
-//!     (`crates/mpsim/src/thread_comm.rs`, `crates/netsim/src/sim_comm.rs`).
-//!     Everything above the executors is written once against
-//!     `AsyncCommunicator` and reached from blocking code through
-//!     `SyncComm` + `complete_now`; a second `impl Communicator for` is a
-//!     decorator twin growing back.
+//! 9. [`check_blocking_impl`] — the blocking `Communicator` trait is
+//!    implemented by the two blocking executors only
+//!    (`crates/mpsim/src/thread_comm.rs`, `crates/netsim/src/sim_comm.rs`).
+//!    Everything above the executors is written once against
+//!    `AsyncCommunicator` and reached from blocking code through
+//!    `SyncComm` + `complete_now`; a second `impl Communicator for` is a
+//!    decorator twin growing back.
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,9 +214,8 @@ pub fn check_ignored_comm_result(path: &str, content: &str) -> Vec<LintHit> {
 }
 
 /// Broadcast hot-path files: the scatter-ring pipeline the paper tunes, the
-/// interpreter that executes it and its coalescing layer. Everything here
-/// is on the envelope-count critical path, so per-chunk send loops are held
-/// to the vectored-fabric standard.
+/// interpreter that executes it and its coalescing rewrite. Every payload
+/// forwarded here must stay a refcounted view (rule 8).
 fn is_bcast_hot_path(path: &str) -> bool {
     const HOT: [&str; 6] = [
         "crates/core/src/interp.rs",
@@ -233,51 +226,6 @@ fn is_bcast_hot_path(path: &str) -> bool {
         "crates/core/src/bcast.rs",
     ];
     HOT.contains(&path)
-}
-
-/// Rule 4: a `comm.send(` or `comm.send_shared(` inside any loop body of a
-/// broadcast hot-path file. Tracks brace depth line-by-line (rustfmt puts
-/// the loop's `{` on the header line everywhere in this repo); test modules
-/// are exempt (same scoping as [`check_panics`]). A
-/// `// lint: allow(per-chunk-send)` marker on the same or the preceding line
-/// waives a documented, deliberate loop.
-pub fn check_per_chunk_send(path: &str, content: &str) -> Vec<LintHit> {
-    if !is_bcast_hot_path(path) {
-        return Vec::new();
-    }
-    let body = match content.find("#[cfg(test)]") {
-        Some(i) => &content[..i],
-        None => content,
-    };
-    let mut hits = Vec::new();
-    let mut depth = 0isize;
-    // Brace depths at which a loop body opened; non-empty ⇒ inside a loop.
-    let mut loop_depths: Vec<isize> = Vec::new();
-    let mut prev: &str = "";
-    for (i, line) in body.lines().enumerate() {
-        let code = code_part(line);
-        let trimmed = code.trim_start();
-        let header = trimmed.starts_with("for ")
-            || trimmed.starts_with("while ")
-            || trimmed.starts_with("loop ")
-            || trimmed == "loop";
-        if header && code.contains('{') {
-            loop_depths.push(depth + 1);
-        }
-        let in_loop = !loop_depths.is_empty();
-        let allowed = line.contains("lint: allow(per-chunk-send)")
-            || prev.contains("lint: allow(per-chunk-send)");
-        let sends = code.contains("comm.send(") || code.contains("comm.send_shared(");
-        if in_loop && sends && !allowed {
-            hits.push(hit(path, i, "per-chunk-send", line));
-        }
-        depth += code.matches('{').count() as isize - code.matches('}').count() as isize;
-        while loop_depths.last().is_some_and(|&d| depth < d) {
-            loop_depths.pop();
-        }
-        prev = line;
-    }
-    hits
 }
 
 /// Files that run on the event executor's virtual clock: the executor
@@ -294,7 +242,7 @@ fn is_virtual_clock_pure(path: &str) -> bool {
         || DECORATORS.contains(&path)
 }
 
-/// Rule 5: real-time primitives inside the discrete-event executor or the
+/// Rule 4: real-time primitives inside the discrete-event executor or the
 /// decorators that run on it. The event executor's contract is
 /// virtual-clock purity — every delay and timeout is an event timestamp, so
 /// the same world replays identically on every machine. Reading a wall
@@ -326,7 +274,7 @@ pub fn check_real_time(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 6: `HashMap` anywhere in the event-executor modules
+/// Rule 5: `HashMap` anywhere in the event-executor modules
 /// (`crates/mpsim/src/event_*.rs`). The lane mailbox and timing wheel
 /// exist precisely so the reactor's match/arm hot loops cost indexed loads
 /// instead of hashing; a hash map creeping back in silently re-taxes every
@@ -357,7 +305,7 @@ pub fn check_event_mailbox_hashmap(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 7: cancel-safety in the async communication layer — the event
+/// Rule 6: cancel-safety in the async communication layer — the event
 /// executor modules plus the sync↔async bridge, where every future must
 /// survive being dropped between polls (a timed-out receive, an abandoned
 /// barrier). Three line-level shapes, one rule name, one waiver:
@@ -375,8 +323,8 @@ pub fn check_event_mailbox_hashmap(path: &str, content: &str) -> Vec<LintHit> {
 ///   panics — the reactor's single-threaded aliasing discipline is borrows
 ///   scoped strictly between suspension points.
 /// * **Send effect inside `poll`.** `send_now(` / `push_envelope(` /
-///   `record_send(` / `rent_copy(` / `rent_gather(` inside a `fn poll(`
-///   body (tracked by brace depth, as in [`check_per_chunk_send`]). The
+///   `record_send(` / `rent_copy(` inside a `fn poll(` body (tracked by
+///   brace depth). The
 ///   eager-send discipline puts the irrevocable side effect *before* the
 ///   future exists, so cancellation can never replay it; a send issued
 ///   from `poll` re-fires on every retry of a dropped-and-rebuilt future.
@@ -397,8 +345,7 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     };
     const REGISTRATION: [&str; 6] =
         ["sched.push(", "watch(", "arm_timer(", "barrier_parked", ".poll(", "waker("];
-    const SEND_EFFECTS: [&str; 5] =
-        ["send_now(", "push_envelope(", "record_send(", "rent_copy(", "rent_gather("];
+    const SEND_EFFECTS: [&str; 4] = ["send_now(", "push_envelope(", "record_send(", "rent_copy("];
     let lines: Vec<&str> = body.lines().collect();
     let mut hits = Vec::new();
     let mut depth = 0isize;
@@ -435,7 +382,7 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 8: `.unwrap(` / `.expect(` on the `Result` of a communication call
+/// Rule 7: `.unwrap(` / `.expect(` on the `Result` of a communication call
 /// inside the self-healing recovery module (`crates/core/src/recovery.rs`),
 /// whose whole purpose is to *survive* `CommError`s, so panicking on one
 /// defeats the layer. Rule 1 already bans bare panics in library code,
@@ -483,9 +430,9 @@ pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 9: unaccounted payload copies in the broadcast hot path — rule 4's
-/// file set plus `binomial.rs` (the whole-buffer tree walk has no send loop
-/// but the same zero-copy contract) and `mpsim`'s `reliable.rs` (every hop
+/// Rule 8: unaccounted payload copies in the broadcast hot path — the
+/// `is_bcast_hot_path` files plus `binomial.rs` (the whole-buffer tree
+/// walk, with the same zero-copy contract) and `mpsim`'s `reliable.rs` (every hop
 /// of a broadcast over a lossy link goes through it). A copy primitive
 /// (`copy_from_slice(`, `rent_copy(`, `.to_vec()`; in `reliable.rs` also
 /// `extend_from_slice(`, which is how a frame gets packed) is sanctioned
@@ -526,7 +473,7 @@ pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 10: `impl … Communicator for` (the blocking trait; `AsyncCommunicator
+/// Rule 9: `impl … Communicator for` (the blocking trait; `AsyncCommunicator
 /// for` does not match) anywhere but the two blocking executors. Test
 /// modules are exempt (same scoping as [`check_panics`]).
 pub fn check_blocking_impl(path: &str, content: &str) -> Vec<LintHit> {
@@ -564,7 +511,6 @@ pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
     let mut hits = check_panics(path, content);
     hits.extend(check_unsafe(path, content));
     hits.extend(check_ignored_comm_result(path, content));
-    hits.extend(check_per_chunk_send(path, content));
     hits.extend(check_real_time(path, content));
     hits.extend(check_event_mailbox_hashmap(path, content));
     hits.extend(check_cancel_safety(path, content));
@@ -618,40 +564,6 @@ mod tests {
         let waived = "// lint: allow(ignored-comm-result) — best-effort wakeup\n\
                       let _ = comm.send(&[], 1, Tag(0));\n";
         assert!(check_ignored_comm_result("crates/core/src/x.rs", waived).is_empty());
-    }
-
-    #[test]
-    fn per_chunk_send_rule_scoping_and_waiver() {
-        let looped =
-            "fn f() {\n    for i in 1..size {\n        comm.send(&buf[r], right, T)?;\n    }\n}\n";
-        assert_eq!(check_per_chunk_send("crates/core/src/ring_tuned.rs", looped).len(), 1);
-        let shared = looped.replace("comm.send(&buf[r]", "self.comm.send_shared(&env");
-        assert_eq!(check_per_chunk_send("crates/core/src/interp.rs", &shared).len(), 1);
-        // Only the broadcast hot path is held to the vectored standard.
-        assert!(check_per_chunk_send("crates/core/src/allgather.rs", looped).is_empty());
-        assert!(check_per_chunk_send("crates/mpsim/src/thread_comm.rs", looped).is_empty());
-        let waived = "fn f() {\n    while mask > 0 {\n        \
-                      // lint: allow(per-chunk-send) — distinct child per step\n        \
-                      comm.send(&buf[r], dst, T)?;\n    }\n}\n";
-        assert!(check_per_chunk_send("crates/core/src/scatter.rs", waived).is_empty());
-    }
-
-    #[test]
-    fn per_chunk_send_outside_loops_and_in_tests_is_fine() {
-        let straight = "fn f() {\n    comm.send(&buf, right, T)?;\n}\n";
-        assert!(check_per_chunk_send("crates/core/src/ring_tuned.rs", straight).is_empty());
-        // After a loop closes, a send at function depth no longer matches.
-        let after = "fn f() {\n    for i in 0..n {\n        work();\n    }\n    \
-                     comm.send(&buf, right, T)?;\n}\n";
-        assert!(check_per_chunk_send("crates/core/src/ring_tuned.rs", after).is_empty());
-        let in_tests =
-            "fn f() {}\n#[cfg(test)]\nmod t {\n    fn g() {\n        for i in 0..2 {\n            \
-             comm.send(&b, 1, T).unwrap();\n        }\n    }\n}\n";
-        assert!(check_per_chunk_send("crates/core/src/ring_tuned.rs", in_tests).is_empty());
-        // Vectored calls are the fix, not a violation.
-        let vectored = "fn f() {\n    for u in units {\n        \
-                        comm.send_vectored(buf, &u, right, T)?;\n    }\n}\n";
-        assert!(check_per_chunk_send("crates/core/src/coalesce.rs", vectored).is_empty());
     }
 
     #[test]

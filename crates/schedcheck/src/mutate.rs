@@ -7,7 +7,7 @@
 //! with a diagnostic naming the offending rank and step, proving the
 //! analyses have teeth rather than vacuously passing.
 
-use bcast_core::{Loc, Schedule};
+use bcast_core::Schedule;
 use mpsim::{Rank, Tag};
 
 /// Redirect the send half of `sched.ranks[rank].ops[step]` to `new_peer`
@@ -31,16 +31,8 @@ pub fn truncate_send(sched: &mut Schedule, rank: Rank, step: usize, new_len: usi
         .send
         .as_mut()
         .unwrap_or_else(|| panic!("rank {rank} step {step} has no send half to truncate"));
-    send.loc = match &send.loc {
-        Loc::Buf(r) => {
-            assert!(new_len <= r.len(), "truncation must shrink the transfer");
-            Loc::Buf(r.start..r.start + new_len)
-        }
-        Loc::Private(n) => {
-            assert!(new_len <= *n, "truncation must shrink the transfer");
-            Loc::Private(new_len)
-        }
-    };
+    assert!(new_len <= send.loc.len(), "truncation must shrink the transfer");
+    send.loc.end = send.loc.start + new_len;
 }
 
 /// Remove `sched.ranks[rank].ops[step]` entirely (a skipped transfer).
@@ -79,8 +71,8 @@ mod tests {
     fn ping() -> Schedule {
         let mut s = Schedule::new("ping", 3, 4);
         s.ranks[0].mark_valid(0..4);
-        s.ranks[0].send("x", 1, Tag(1), Loc::Buf(0..4));
-        s.ranks[1].recv("x", 0, Tag(1), Loc::Buf(0..4));
+        s.ranks[0].send("x", 1, Tag(1), 0..4);
+        s.ranks[1].recv("x", 0, Tag(1), 0..4);
         s.ranks[1].require(0..4);
         s
     }

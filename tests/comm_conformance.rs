@@ -21,18 +21,10 @@
 //! The fault plan is seeded from `TESTKIT_SEED` when set, so a failing run
 //! replays bit-identically.
 //!
-//! A third battery pins the vectored-I/O surface: wire-format equivalence
-//! between plain and vectored transfers (a single-span `send_vectored` is
-//! indistinguishable from `send`; either side may be plain while the other
-//! is vectored), empty segment lists as zero-byte messages, fail-fast
-//! rejection of overlapping spans, and full-duplex `sendrecv_vectored`
-//! exchange — on every executor and under the simulator's rendezvous
-//! regime, where the combined call is the only deadlock-free shape.
-//!
-//! A fourth battery pins the shared-payload (zero-copy) surface:
+//! A third battery pins the shared-payload (zero-copy) surface:
 //! `make_shared` snapshot semantics (mutating the source after
 //! `send_shared` is unobservable at any receiver), wire-format equivalence
-//! with plain and vectored transfers in both directions, sub-view slice
+//! with plain transfers in both directions, sub-view slice
 //! forwarding, truncation on `recv_owned`, and
 //! the fused `sendrecv_shared` exchange — including forwarding a received
 //! envelope without copying, the ring allgather's hold chain. A decorator
@@ -41,7 +33,7 @@
 //! `GuardedComm` deadlines, proving every wrapper carries the surface
 //! through — by forwarding it, or over the trait's copy fallbacks.
 //!
-//! A fifth battery pins the prefixed pair (`send_prefixed` / `recv_prefixed`,
+//! A fourth battery pins the prefixed pair (`send_prefixed` / `recv_prefixed`,
 //! a framing decorator's four-byte header travelling beside the body): the
 //! wire image is `prefix ‖ body` whichever call produced or consumed it, on
 //! the executor that takes the envelope apart natively and on the two that
@@ -51,8 +43,8 @@ use std::time::Duration;
 
 use bcast_core::GuardedComm;
 use mpsim::{
-    complete_now, AsyncCommunicator, CommError, EventWorld, IoSpan, ReliableComm, RetryConfig,
-    SubComm, SyncComm, Tag, ThreadWorld,
+    complete_now, AsyncCommunicator, CommError, EventWorld, ReliableComm, RetryConfig, SubComm,
+    SyncComm, Tag, ThreadWorld,
 };
 use netsim::{FaultPlan, FaultyComm, LinkFaults, NetworkModel, Placement, SimWorld};
 
@@ -172,109 +164,6 @@ async fn conformance_battery<C: AsyncCommunicator>(comm: &C, buffered: bool) {
     comm.barrier().await.unwrap();
 }
 
-/// The vectored-I/O battery. Every exchange is either pairwise one-way
-/// (`me ^ 1` — `WORLD` is even) or a combined `sendrecv_vectored`, so the
-/// battery is rendezvous-safe and runs verbatim under every regime.
-async fn vectored_battery<C: AsyncCommunicator>(comm: &C) {
-    assert_eq!(comm.size(), WORLD);
-    let me = comm.rank();
-    let partner = me ^ 1;
-
-    // --- wire format: a k-span envelope is the concatenation of its
-    // segments in list order, with no framing — so plain and vectored calls
-    // are freely mixable per direction.
-    let src: Vec<u8> = (0..32u8).collect();
-    if me.is_multiple_of(2) {
-        comm.send_vectored(&src, &[IoSpan::new(24, 4), IoSpan::new(4, 3)], partner, Tag(60))
-            .await
-            .unwrap();
-        // single segment ≡ plain send: the receiver uses plain recv…
-        comm.send_vectored(&src, &[IoSpan::new(3, 5)], partner, Tag(61)).await.unwrap();
-        // …and a plain send scatters fine at the receiver.
-        comm.send(&src[10..16], partner, Tag(62)).await.unwrap();
-        // empty segment list = a real zero-byte message.
-        comm.send_vectored(&src, &[], partner, Tag(63)).await.unwrap();
-    } else {
-        let mut buf = [0u8; 7];
-        assert_eq!(comm.recv(&mut buf, partner, Tag(60)).await.unwrap(), 7);
-        assert_eq!(buf[..4], src[24..28]);
-        assert_eq!(buf[4..], src[4..7]);
-        let mut plain = [0u8; 5];
-        assert_eq!(comm.recv(&mut plain, partner, Tag(61)).await.unwrap(), 5);
-        assert_eq!(plain[..], src[3..8]);
-        let mut scat = [0xEEu8; 12];
-        let n = comm
-            .recv_scattered(&mut scat, &[IoSpan::new(9, 3), IoSpan::new(0, 3)], partner, Tag(62))
-            .await
-            .unwrap();
-        assert_eq!(n, 6);
-        assert_eq!(scat[9..12], src[10..13]);
-        assert_eq!(scat[..3], src[13..16]);
-        assert_eq!(scat[3..9], [0xEE; 6], "bytes outside the spans must stay untouched");
-        let mut keep = [0xAAu8; 4];
-        assert_eq!(comm.recv_scattered(&mut keep, &[], partner, Tag(63)).await.unwrap(), 0);
-        assert_eq!(keep, [0xAA; 4], "zero-byte scatter must write nothing");
-    }
-    comm.barrier().await.unwrap();
-
-    // --- span validation fails fast, before any traffic moves (no peer is
-    // listening on Tag(64); reaching the barrier proves nothing was sent).
-    let mut buf = [0u8; 16];
-    let overlap = [IoSpan::new(0, 4), IoSpan::new(2, 4)];
-    assert!(matches!(
-        comm.send_vectored(&buf, &overlap, partner, Tag(64)).await.unwrap_err(),
-        CommError::SpanOverlap { .. }
-    ));
-    assert!(matches!(
-        comm.recv_scattered(&mut buf, &overlap, partner, Tag(64)).await.unwrap_err(),
-        CommError::SpanOverlap { .. }
-    ));
-    // The send and receive lists of one combined call must also be
-    // mutually disjoint — they alias the same buffer.
-    assert!(matches!(
-        comm.sendrecv_vectored(
-            &mut buf,
-            &[IoSpan::new(0, 8)],
-            partner,
-            Tag(64),
-            &[IoSpan::new(4, 8)],
-            partner,
-            Tag(64),
-        )
-        .await
-        .unwrap_err(),
-        CommError::SpanOverlap { .. }
-    ));
-    assert!(matches!(
-        comm.send_vectored(&buf, &[IoSpan::new(12, 8)], partner, Tag(64)).await.unwrap_err(),
-        CommError::OutOfBounds { .. }
-    ));
-    comm.barrier().await.unwrap();
-
-    // --- full-duplex vectored exchange around the ring: each rank forwards
-    // two quarters of its buffer while absorbing the left neighbor's —
-    // the coalescing ring's inner step, safe under rendezvous.
-    let right = mpsim::ring_right(me, WORLD);
-    let left = mpsim::ring_left(me, WORLD);
-    let mut ring = [0u8; 16];
-    ring[..8].fill(me as u8);
-    let n = comm
-        .sendrecv_vectored(
-            &mut ring,
-            &[IoSpan::new(0, 4), IoSpan::new(4, 4)],
-            right,
-            Tag(65),
-            &[IoSpan::new(8, 4), IoSpan::new(12, 4)],
-            left,
-            Tag(65),
-        )
-        .await
-        .unwrap();
-    assert_eq!(n, 8);
-    assert!(ring[8..].iter().all(|&b| b == left as u8), "ring exchange delivered wrong payload");
-    comm.barrier().await.unwrap();
-}
-
 /// The fault battery: timeout semantics on the bare communicator, then
 /// `ReliableComm` over `FaultyComm` under seeded drop, duplication, and
 /// delay faults. Requires an eagerly-delivering transport (`FaultyComm`'s
@@ -355,37 +244,6 @@ async fn fault_battery<C: AsyncCommunicator>(comm: &C, seed: u64) {
         }
         comm.barrier().await.unwrap();
     }
-
-    // --- vectored passthrough: the retry protocol frames a k-span envelope
-    // exactly like a plain payload (one sequence number, one fault decision,
-    // one ACK), so seeded faults are masked for vectored traffic too.
-    let plan = FaultPlan::new(seed ^ 0x5EED_10C4).with_default(LinkFaults {
-        drop_ppm: 120_000,
-        dup_ppm: 150_000,
-        delay_ppm: 150_000,
-    });
-    let faulty = FaultyComm::new(comm, plan);
-    let rc = ReliableComm::with_config(&faulty, retry);
-    let vtag = Tag(144);
-    let mut ring = [0u8; 8];
-    for round in 0..6u8 {
-        ring[..4].copy_from_slice(&[me as u8, round, 0x55, 0xAA]);
-        let n = rc
-            .sendrecv_vectored(
-                &mut ring,
-                &[IoSpan::new(0, 2), IoSpan::new(2, 2)],
-                right,
-                vtag,
-                &[IoSpan::new(4, 2), IoSpan::new(6, 2)],
-                left,
-                vtag,
-            )
-            .await
-            .unwrap_or_else(|e| panic!("vectored: rank {me} round {round}: {e:?}"));
-        assert_eq!(n, 4);
-        assert_eq!(ring[4..], [left as u8, round, 0x55, 0xAA], "vectored stream corrupted");
-    }
-    comm.barrier().await.unwrap();
 }
 
 /// The deadline-edge battery: `recv_timeout` when the deadline has already
@@ -475,37 +333,30 @@ async fn shared_battery<C: AsyncCommunicator>(comm: &C) {
     comm.barrier().await.unwrap();
 
     // --- wire-format equivalence: a shared envelope is indistinguishable
-    // from a plain or vectored transfer of the same bytes, in either
-    // direction, including shared sub-view slices.
+    // from a plain transfer of the same bytes, in either direction,
+    // including shared sub-view slices.
     let src: Vec<u8> = (0..32u8).map(|i| i.wrapping_add(9)).collect();
     if me.is_multiple_of(2) {
         let shared = comm.make_shared(&src);
-        // shared send → scattered receive
+        // shared send → plain receive into a larger buffer
         comm.send_shared(&shared.slice(4..10), partner, Tag(82)).await.unwrap();
         // shared send → plain receive
         comm.send_shared(&shared.slice(20..32), partner, Tag(83)).await.unwrap();
-        // vectored send → owned receive
-        comm.send_vectored(&src, &[IoSpan::new(24, 4), IoSpan::new(0, 3)], partner, Tag(84))
-            .await
-            .unwrap();
+        // plain send → owned receive
+        comm.send(&src[24..31], partner, Tag(84)).await.unwrap();
         // zero-byte shared envelopes are real messages
         comm.send_shared(&shared.slice(8..8), partner, Tag(85)).await.unwrap();
     } else {
-        let mut scat = [0xEEu8; 8];
-        let n = comm
-            .recv_scattered(&mut scat, &[IoSpan::new(5, 3), IoSpan::new(0, 3)], partner, Tag(82))
-            .await
-            .unwrap();
-        assert_eq!(n, 6);
-        assert_eq!(scat[5..8], src[4..7]);
-        assert_eq!(scat[..3], src[7..10]);
+        let mut wide = [0xEEu8; 8];
+        assert_eq!(comm.recv(&mut wide, partner, Tag(82)).await.unwrap(), 6);
+        assert_eq!(wide[..6], src[4..10]);
+        assert_eq!(wide[6..], [0xEE; 2], "bytes past the message must stay untouched");
         let mut plain = [0u8; 12];
         assert_eq!(comm.recv(&mut plain, partner, Tag(83)).await.unwrap(), 12);
         assert_eq!(plain[..], src[20..32]);
         let env = comm.recv_owned(16, partner, Tag(84)).await.unwrap();
         assert_eq!(env.len(), 7);
-        assert_eq!(env[..4], src[24..28]);
-        assert_eq!(env[4..], src[..3]);
+        assert_eq!(env[..], src[24..31]);
         let empty = comm.recv_owned(0, partner, Tag(85)).await.unwrap();
         assert_eq!(empty.len(), 0, "zero-byte shared envelope must deliver empty");
     }
@@ -558,9 +409,7 @@ async fn prefixed_battery<C: AsyncCommunicator>(comm: &C) {
             comm.send_prefixed(prefix, &shared, partner, tag).await.unwrap();
         }
         comm.send(&image, partner, tag).await.unwrap();
-        comm.send_vectored(&image, &[IoSpan::new(0, 2), IoSpan::new(2, 26)], partner, tag)
-            .await
-            .unwrap();
+        comm.send_shared(&comm.make_shared(&image), partner, tag).await.unwrap();
         // The edges: an empty body, a bare prefix, a runt, a body too long.
         comm.send_prefixed(prefix, &shared.slice(0..0), partner, tag).await.unwrap();
         comm.send(&prefix, partner, tag).await.unwrap();
@@ -570,16 +419,16 @@ async fn prefixed_battery<C: AsyncCommunicator>(comm: &C) {
         // prefixed → prefixed: the two parts come back as posted.
         let (p, b) = comm.recv_prefixed(32, partner, tag, None).await.unwrap().unwrap();
         assert_eq!((p, &b[..]), (prefix, &body[..]));
-        // prefixed → plain, owned, scattered: the concatenated image.
+        // prefixed → plain, owned, bounded: the concatenated image.
         let mut plain = [0u8; 28];
         assert_eq!(comm.recv(&mut plain, partner, tag).await.unwrap(), 28);
         assert_eq!(plain[..], image[..]);
         assert_eq!(&comm.recv_owned(28, partner, tag).await.unwrap()[..], &image[..]);
-        let mut scat = [0u8; 28];
-        let spans = [IoSpan::new(24, 4), IoSpan::new(0, 24)];
-        assert_eq!(comm.recv_scattered(&mut scat, &spans, partner, tag).await.unwrap(), 28);
-        assert_eq!((&scat[24..], &scat[..24]), (&prefix[..], &body[..]));
-        // plain or vectored → prefixed: split after the fourth byte, within
+        let mut bounded = [0u8; 28];
+        let wait = Duration::from_secs(5);
+        assert_eq!(comm.recv_timeout(&mut bounded, partner, tag, wait).await.unwrap(), 28);
+        assert_eq!(bounded[..], image[..]);
+        // plain or shared → prefixed: split after the fourth byte, within
         // a deadline as well as without one.
         for wait in [None, Some(Duration::from_secs(5))] {
             let (p, b) = comm.recv_prefixed(24, partner, tag, wait).await.unwrap().unwrap();
@@ -676,28 +525,6 @@ fn threaded_backend_conforms() {
 }
 
 #[test]
-fn threaded_backend_vectored_conforms() {
-    ThreadWorld::run(WORLD, |comm| complete_now(vectored_battery(&SyncComm::new(comm))));
-}
-
-#[test]
-fn simulated_backend_vectored_conforms_rendezvous() {
-    let model = NetworkModel::uniform(50.0, 1.0);
-    SimWorld::run(model, Placement::new(4), WORLD, |comm| {
-        complete_now(vectored_battery(&SyncComm::new(comm)))
-    });
-}
-
-#[test]
-fn simulated_backend_vectored_conforms_eager() {
-    let mut model = NetworkModel::uniform(50.0, 1.0);
-    model.eager_threshold = usize::MAX;
-    SimWorld::run(model, Placement::new(2), WORLD, |comm| {
-        complete_now(vectored_battery(&SyncComm::new(comm)))
-    });
-}
-
-#[test]
 fn threaded_backend_masks_seeded_faults() {
     let seed = battery_seed();
     ThreadWorld::run(WORLD, move |comm| complete_now(fault_battery(&SyncComm::new(comm), seed)));
@@ -734,11 +561,6 @@ fn simulated_backend_conforms_eager() {
 #[test]
 fn event_backend_conforms() {
     EventWorld::run(WORLD, |comm| async move { conformance_battery(&comm, true).await });
-}
-
-#[test]
-fn event_backend_vectored_conforms() {
-    EventWorld::run(WORLD, |comm| async move { vectored_battery(&comm).await });
 }
 
 #[test]
@@ -790,10 +612,11 @@ fn simulated_backend_prefixed_conforms_rendezvous() {
 #[test]
 fn event_backend_prefixed_conforms() {
     let out = EventWorld::run(WORLD, |comm| async move { prefixed_battery(&comm).await });
-    // Counted like plain sends of the image; of the ten envelopes per pair
-    // only the two plain and one vectored one were staged by the sender.
+    // Counted like plain sends of the image; of the ten messages per pair
+    // the sender copied only the body and the image it staged and the
+    // plain image, prefix and runt.
     let sender = &out.traffic.per_rank[0];
-    assert_eq!((sender.envelopes_sent, sender.bytes_sent), (10, 7 * 28 + 4 + 4 + 3));
+    assert_eq!((sender.msgs_sent, sender.bytes_sent), (10, 7 * 28 + 4 + 4 + 3));
     assert_eq!(sender.bytes_copied, 24 + 2 * 28 + 4 + 3);
 }
 

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use bcast_core::{Interp, Loc, SchedOp};
+use bcast_core::{Interp, SchedOp};
 use mpsim::reliable::{ACK_TAG_BASE, DATA_TAG_BASE};
 use mpsim::{
     complete_now, AsyncCommunicator, CommError, EventWorld, ReliableComm, RetryConfig, SyncComm,
@@ -220,9 +220,9 @@ fn interpreter_copies_are_counted_through_the_stack() {
         let before = comm.pool_stats();
         let mut buf = vec![comm.rank() as u8 ^ 1; N];
         let op = if comm.rank() == 0 {
-            SchedOp::send("test", 1, Tag(0), Loc::Buf(0..N))
+            SchedOp::send("test", 1, Tag(0), 0..N)
         } else {
-            SchedOp::recv("test", 0, Tag(0), Loc::Buf(0..N))
+            SchedOp::recv("test", 0, Tag(0), 0..N)
         };
         Interp::new(&rc, &mut buf).run([op]).await.unwrap();
         assert_eq!(buf, vec![1u8; N]);

@@ -12,7 +12,8 @@
 use bcast_core::allgather::{allgather_async, AllgatherAlgorithm};
 use bcast_core::pipeline::bcast_pipeline_async;
 use bcast_core::{
-    all_sources, bcast_event_world, bcast_smp_async, bcast_with_async, Algorithm, NodeMap, Schedule,
+    all_sources, bcast_event_world, bcast_opt_coalesced_async, bcast_smp_async, bcast_with_async,
+    Algorithm, CoalescePolicy, NodeMap, Schedule,
 };
 use mpsim::{
     complete_now, AsyncCommunicator, Communicator, EventWorld, Rank, SyncComm, ThreadWorld,
@@ -65,6 +66,9 @@ async fn run_collective_async<C: AsyncCommunicator>(
         bcast_smp_async(comm, &mut buf, root, &NodeMap::new(4), inter).await
     } else if let Some(algorithm) = allgather_algorithm(name) {
         allgather_async(comm, &buf, &mut recv, algorithm).await
+    } else if name == "bcast/scatter_ring_coalesced" {
+        // Same policy as the registered source.
+        bcast_opt_coalesced_async(comm, &mut buf, root, &CoalescePolicy::unlimited()).await
     } else {
         assert_eq!(name, "bcast/pipeline", "no replay wired for this schedule source");
         // Same ragged cut as PipelineSource::schedule.

@@ -1,6 +1,6 @@
 //! Closed-form bytes-copied accounting for the zero-copy broadcast paths.
 //!
-//! The wire counters (messages, bytes, envelopes) pin *what moves between
+//! The wire counters (messages, bytes) pin *what moves between
 //! ranks*; `bytes_copied` pins *what moves through RAM on each rank*. The
 //! shared-envelope fabric makes the latter a closed form too:
 //!
@@ -265,7 +265,6 @@ fn reliable_delivery_bills_the_bare_algorithm_plus_its_acks() {
             let what = format!("{algorithm:?} P={p} n={nbytes}");
             assert!(framed.is_balanced(), "{what}");
             assert_eq!(framed.total_msgs(), wire.msgs, "{what}: one ack per frame");
-            assert_eq!(framed.total_envelopes(), wire.msgs, "{what}: each its own envelope");
             assert_eq!(framed.total_bytes(), wire.bytes, "{what}: 4 B of number, 4 B of ack");
             // No payload byte is copied between the sender's `make_shared`
             // and the receiver's landing copy: what is left is an ack's four
@@ -279,7 +278,7 @@ fn reliable_delivery_bills_the_bare_algorithm_plus_its_acks() {
     }
     // The lossy-ring workload's shape, drop-free, in absolute numbers.
     let framed = run_event(128, 128 << 10, Algorithm::ScatterRingTuned, true);
-    assert_eq!(framed.total_envelopes(), 31_870);
+    assert_eq!(framed.total_msgs(), 31_870);
     assert_eq!(framed.total_bytes(), 16_773_624);
     assert_eq!(framed.total_bytes_copied(), 17_297_912);
 }
