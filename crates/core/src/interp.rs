@@ -16,9 +16,9 @@
 //!   ([`SharedBuf::slice`]) and keeps the envelope;
 //! * any other send stages the range out of the user buffer
 //!   ([`AsyncCommunicator::make_shared`], one counted copy) and retains that;
-//! * a receive takes the arriving envelope ([`AsyncCommunicator::recv_owned`],
-//!   or the receive half of [`AsyncCommunicator::sendrecv_shared`]), pays one
-//!   landing copy into the user buffer and retains it.
+//! * a receive takes the arriving envelope ([`AsyncCommunicator::take`], or
+//!   the receive half of [`AsyncCommunicator::exchange`]), pays one landing
+//!   copy into the user buffer and retains it.
 //!
 //! That one rule yields every zero-copy chain the broadcasts need: the ring
 //! forwards at step `i + 1` the chunk it received at step `i`; the scatter
@@ -29,7 +29,7 @@
 
 use std::ops::Range;
 
-use mpsim::{AsyncCommunicator, CommError, Result, SharedBuf};
+use mpsim::{AsyncCommunicator, CommError, Payload, Result, SharedBuf};
 
 use crate::schedule::SchedOp;
 
@@ -68,28 +68,19 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
                 // Both halves stay ONE call: the concurrent exchange is what
                 // keeps the ring deadlock-free under rendezvous.
                 (Some(s), Some(r)) => {
-                    let env = {
-                        let cut = self.stage(&s.loc)?;
-                        self.comm
-                            .sendrecv_shared(
-                                self.outgoing(&cut),
-                                s.peer,
-                                s.tag,
-                                r.dst.len(),
-                                r.peer,
-                                r.tag,
-                            )
-                            .await?
-                    };
-                    received += self.land(&r.dst, env)?;
+                    let cut = self.stage(&s.loc)?;
+                    let out = self.outgoing(cut);
+                    let env =
+                        self.comm.exchange(out, s.peer, s.tag, r.dst.len(), r.peer, r.tag).await?;
+                    received += self.land(&r.dst, env.into_shared())?;
                 }
                 (Some(s), None) => {
                     let cut = self.stage(&s.loc)?;
-                    self.comm.send_shared(self.outgoing(&cut), s.peer, s.tag).await?;
+                    self.comm.post(self.outgoing(cut), s.peer, s.tag).await?;
                 }
                 (None, Some(r)) => {
-                    let env = self.comm.recv_owned(r.dst.len(), r.peer, r.tag).await?;
-                    received += self.land(&r.dst, env)?;
+                    let env = self.comm.take(r.dst.len(), r.peer, r.tag, None).await?;
+                    received += self.land(&r.dst, env.into_shared())?;
                 }
                 (None, None) => {}
             }
@@ -115,13 +106,12 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
         Ok(None)
     }
 
-    /// The envelope a send posts after [`Interp::stage`]: the cut sub-view,
-    /// or the retained envelope borrowed as is (the transport clones it into
-    /// the outgoing message itself, so no refcount round-trip here).
-    fn outgoing<'s>(&'s self, cut: &'s Option<SharedBuf>) -> &'s SharedBuf {
+    /// The envelope a send posts after [`Interp::stage`]: the cut sub-view
+    /// itself, or a refcount clone of the retained envelope.
+    fn outgoing(&self, cut: Option<SharedBuf>) -> Payload {
         match (cut, &self.held) {
-            (Some(view), _) => view,
-            (None, Some((_, env))) => env,
+            (Some(view), _) => Payload::Shared(view),
+            (None, Some((_, env))) => Payload::Shared(env.clone()),
             (None, None) => unreachable!("stage() retains an envelope whenever it returns None"),
         }
     }

@@ -100,10 +100,12 @@
 //!   assert on.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::future::Future;
 use std::time::Duration;
 
 use mpsim::{
-    complete_now, AsyncCommunicator, CommError, Communicator, Rank, Result, SubComm, SyncComm, Tag,
+    complete_now, deadline_after, AsyncCommunicator, CommError, Communicator, Payload, Rank,
+    Result, SharedBuf, SubComm, SyncComm, Tag,
 };
 
 use crate::bcast::{bcast_ops, bcast_with_async, Algorithm};
@@ -118,12 +120,19 @@ pub const EPOCH_TAG_STRIDE: u32 = 0x100;
 pub const AGREEMENT_TAG_BASE: u32 = 0xA100;
 
 /// Shift granularity of the membership digest inside an attempt's tag: the
-/// digest occupies bits 12 and up, above every user tag (< `0x100`), every
-/// epoch shift (`epoch · 0x100`), and the whole agreement range
-/// (`0xA100..≈0xB100`), and below [`mpsim::reliable::DATA_TAG_BASE`] so the
-/// reliability layer's rebasing can never push an attempt tag into its
-/// reserved acknowledgement range.
+/// digest occupies bits 12 and up, above every user tag (< `0x100`), the
+/// epoch shift of every epoch below [`MAX_EPOCHS`] (`epoch · 0x100`), and
+/// the whole agreement range (`0xA100..≈0xB100`), and below
+/// [`mpsim::reliable::DATA_TAG_BASE`] so the reliability layer's rebasing
+/// can never push an attempt tag into its reserved acknowledgement range.
 pub const MEMBERSHIP_DIGEST_SHIFT: u32 = 12;
+
+/// The largest epoch budget whose attempt tags cannot alias: from epoch
+/// `MAX_EPOCHS` on, the epoch shift reaches the digest page, and epoch
+/// `MAX_EPOCHS` with digest `d` shifts tags exactly like epoch 0 with digest
+/// `d + 1` — a rerun could match stale envelopes of the first attempt.
+/// [`self_healing_bcast`] refuses a larger [`RecoveryConfig::max_epochs`].
+pub const MAX_EPOCHS: u32 = (1 << MEMBERSHIP_DIGEST_SHIFT) / EPOCH_TAG_STRIDE;
 
 /// Digest of a member list, folded into every *attempt* tag (never the
 /// agreement tag) by [`EpochComm::isolated`].
@@ -157,7 +166,8 @@ pub struct RecoveryConfig {
     /// detector's resolution. Too short and slow ranks are suspected; too
     /// long and recovery is sluggish.
     pub step_timeout: Duration,
-    /// Maximum number of attempts (first try included) before giving up.
+    /// Maximum number of attempts (first try included) before giving up; at
+    /// most [`MAX_EPOCHS`].
     pub max_epochs: u32,
     /// Set when the communicator's own `sendrecv` already returns
     /// [`CommError::Timeout`] on its own (e.g. [`mpsim::ReliableComm`],
@@ -243,6 +253,9 @@ impl<'a, C: ?Sized> EpochComm<'a, C> {
     }
 }
 
+/// Pure forwarding: each call returns the inner communicator's future
+/// itself, so the shift costs no state machine of its own per envelope
+/// (the recovery stack wraps every envelope of an attempt).
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for EpochComm<'_, C> {
     fn rank(&self) -> Rank {
         self.inner.rank()
@@ -256,47 +269,11 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for EpochComm<'_, C> {
         self.inner.now_ns()
     }
 
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        self.inner.check_rank(rank)
+    fn barrier(&self) -> impl Future<Output = Result<()>> {
+        self.inner.barrier()
     }
 
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.inner.send(buf, dest, self.shifted(tag)).await
-    }
-
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.inner.recv(buf, src, self.shifted(tag)).await
-    }
-
-    async fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        self.inner.recv_timeout(buf, src, self.shifted(tag), timeout).await
-    }
-
-    async fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.inner
-            .sendrecv(sendbuf, dest, self.shifted(sendtag), recvbuf, src, self.shifted(recvtag))
-            .await
-    }
-
-    async fn barrier(&self) -> Result<()> {
-        self.inner.barrier().await
-    }
-
-    fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+    fn make_shared(&self, data: &[u8]) -> SharedBuf {
         self.inner.make_shared(data)
     }
 
@@ -304,53 +281,41 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for EpochComm<'_, C> {
         self.inner.note_copy(bytes)
     }
 
-    async fn send_shared(&self, buf: &mpsim::SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.inner.send_shared(buf, dest, self.shifted(tag)).await
+    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> impl Future<Output = Result<()>> {
+        self.inner.post(payload, dest, self.shifted(tag))
     }
 
-    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<mpsim::SharedBuf> {
-        self.inner.recv_owned(capacity, src, self.shifted(tag)).await
-    }
-
-    async fn recv_owned_timeout(
+    fn take(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
-        timeout: Duration,
-    ) -> Result<mpsim::SharedBuf> {
-        self.inner.recv_owned_timeout(capacity, src, self.shifted(tag), timeout).await
+        timeout: Option<Duration>,
+    ) -> impl Future<Output = Result<Payload>> {
+        self.inner.take(capacity, src, self.shifted(tag), timeout)
     }
 
-    async fn sendrecv_shared(
+    fn exchange(
         &self,
-        sendbuf: &mpsim::SharedBuf,
+        payload: Payload,
         dest: Rank,
         sendtag: Tag,
-        recv_capacity: usize,
+        capacity: usize,
         src: Rank,
         recvtag: Tag,
-    ) -> Result<mpsim::SharedBuf> {
-        self.inner
-            .sendrecv_shared(
-                sendbuf,
-                dest,
-                self.shifted(sendtag),
-                recv_capacity,
-                src,
-                self.shifted(recvtag),
-            )
-            .await
+    ) -> impl Future<Output = Result<Payload>> {
+        let (sendtag, recvtag) = (self.shifted(sendtag), self.shifted(recvtag));
+        self.inner.exchange(payload, dest, sendtag, capacity, src, recvtag)
     }
 }
 
-/// Deadline-guarding decorator: every unbounded receive becomes an
-/// [`AsyncCommunicator::recv_timeout`] with a fixed step deadline, so a
-/// silent peer surfaces as [`CommError::Timeout`] instead of a hang.
+/// Deadline-guarding decorator: every [`AsyncCommunicator::take`] is
+/// bounded by a fixed step deadline, so a silent peer surfaces as
+/// [`CommError::Timeout`] instead of a hang.
 ///
-/// `sendrecv` is decomposed into an eager send followed by a bounded
-/// receive — correct only on eagerly-delivering transports (see the
-/// [module docs](self)).
+/// `exchange` (and with it `sendrecv`) is decomposed into an eager post
+/// followed by a bounded take — correct only on eagerly-delivering
+/// transports (see the [module docs](self)).
 pub struct GuardedComm<'a, C: ?Sized> {
     inner: &'a C,
     step_timeout: Duration,
@@ -363,8 +328,8 @@ impl<'a, C: ?Sized> GuardedComm<'a, C> {
         GuardedComm { inner, step_timeout, passthrough_sendrecv: false }
     }
 
-    /// Delegate `sendrecv` to the inner communicator instead of
-    /// decomposing it. Only sound when the inner `sendrecv` cannot block
+    /// Delegate `exchange` to the inner communicator instead of
+    /// decomposing it. Only sound when the inner `exchange` cannot block
     /// forever on a dead peer — see
     /// [`RecoveryConfig::bounded_sendrecv`].
     pub fn passthrough_sendrecv(mut self) -> Self {
@@ -373,6 +338,7 @@ impl<'a, C: ?Sized> GuardedComm<'a, C> {
     }
 }
 
+/// Forwarding like [`EpochComm`]'s, except the decomposed `exchange`.
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
     fn rank(&self) -> Rank {
         self.inner.rank()
@@ -386,51 +352,11 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
         self.inner.now_ns()
     }
 
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        self.inner.check_rank(rank)
+    fn barrier(&self) -> impl Future<Output = Result<()>> {
+        self.inner.barrier()
     }
 
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.inner.send(buf, dest, tag).await
-    }
-
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.inner.recv_timeout(buf, src, tag, self.step_timeout).await
-    }
-
-    async fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        self.inner.recv_timeout(buf, src, tag, timeout.min(self.step_timeout)).await
-    }
-
-    async fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        if self.passthrough_sendrecv {
-            return self.inner.sendrecv(sendbuf, dest, sendtag, recvbuf, src, recvtag).await;
-        }
-        // Eager send, bounded receive — sound only on eagerly-delivering
-        // transports.
-        self.inner.send(sendbuf, dest, sendtag).await?;
-        self.inner.recv_timeout(recvbuf, src, recvtag, self.step_timeout).await
-    }
-
-    async fn barrier(&self) -> Result<()> {
-        self.inner.barrier().await
-    }
-
-    fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+    fn make_shared(&self, data: &[u8]) -> SharedBuf {
         self.inner.make_shared(data)
     }
 
@@ -438,53 +364,41 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
         self.inner.note_copy(bytes)
     }
 
-    async fn send_shared(&self, buf: &mpsim::SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.inner.send_shared(buf, dest, tag).await
+    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> impl Future<Output = Result<()>> {
+        self.inner.post(payload, dest, tag)
     }
 
-    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<mpsim::SharedBuf> {
-        // Same mapping as `recv`: every unbounded owned receive becomes a
-        // step-bounded one.
-        self.inner.recv_owned_timeout(capacity, src, tag, self.step_timeout).await
-    }
-
-    async fn recv_owned_timeout(
+    /// Every take is bounded: an unbounded one by the step deadline, a
+    /// bounded one by the tighter of the two.
+    fn take(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
-        timeout: Duration,
-    ) -> Result<mpsim::SharedBuf> {
-        self.inner.recv_owned_timeout(capacity, src, tag, timeout.min(self.step_timeout)).await
+        timeout: Option<Duration>,
+    ) -> impl Future<Output = Result<Payload>> {
+        let bound = timeout.map_or(self.step_timeout, |t| t.min(self.step_timeout));
+        self.inner.take(capacity, src, tag, Some(bound))
     }
 
-    async fn sendrecv_shared(
+    async fn exchange(
         &self,
-        sendbuf: &mpsim::SharedBuf,
+        payload: Payload,
         dest: Rank,
         sendtag: Tag,
-        recv_capacity: usize,
+        capacity: usize,
         src: Rank,
         recvtag: Tag,
-    ) -> Result<mpsim::SharedBuf> {
+    ) -> Result<Payload> {
         if self.passthrough_sendrecv {
-            return self
-                .inner
-                .sendrecv_shared(sendbuf, dest, sendtag, recv_capacity, src, recvtag)
-                .await;
+            return self.inner.exchange(payload, dest, sendtag, capacity, src, recvtag).await;
         }
-        // Same decomposition as `sendrecv`: eager send, bounded receive.
-        self.inner.send_shared(sendbuf, dest, sendtag).await?;
-        self.inner.recv_owned_timeout(recv_capacity, src, recvtag, self.step_timeout).await
+        // Eager post, step-bounded take — sound only on eagerly-delivering
+        // transports.
+        self.inner.post(payload, dest, sendtag).await?;
+        self.inner.take(capacity, src, recvtag, Some(self.step_timeout)).await
     }
 }
-
-// The zero-copy operations of both decorators forward natively (with the
-// same tag shifting / timeout bounding as their copying counterparts): they
-// bottom out in the same per-link
-// send/recv sequence a fault plan's crash clock counts, so seeded replay
-// stays aligned while the payload keeps its refcounted envelope all the way
-// down to the executor.
 
 /// One rank's state after an attempt, exchanged in the agreement round.
 #[derive(Clone, Copy)]
@@ -993,9 +907,7 @@ async fn propose<C: AsyncCommunicator + ?Sized>(
 ) -> Result<Option<Proposal>> {
     let me = comm.rank();
     let tag = agreement_tag(epoch, PAIRWISE);
-    let window = cfg.heartbeat_timeout(members.len());
-    let deadline =
-        comm.now_ns().saturating_add(u64::try_from(window.as_nanos()).unwrap_or(u64::MAX));
+    let deadline = deadline_after(comm.now_ns(), cfg.heartbeat_timeout(members.len()));
     let mut frame = [0u8; 2];
     let mut abstain = false;
     for &peer in members.iter().filter(|&&r| r != me) {
@@ -1160,7 +1072,9 @@ async fn pairwise<C: AsyncCommunicator + ?Sized>(
 /// one whose own communicator fail-stopped — gets
 /// `Err(CommError::PeerFailed)` naming itself. If the payload becomes
 /// unrecoverable (no survivor holds a complete copy) every survivor gets
-/// `Err(CommError::PeerFailed)` naming the root.
+/// `Err(CommError::PeerFailed)` naming the root. A budget above
+/// [`MAX_EPOCHS`] is refused on every rank with
+/// `Err(CommError::Unsupported)` before anything is sent.
 pub fn self_healing_bcast(
     comm: &(impl Communicator + ?Sized),
     buf: &mut [u8],
@@ -1226,6 +1140,9 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     trace: &mut RecoveryTrace,
 ) -> Result<Healed> {
     comm.check_rank(root)?;
+    if cfg.max_epochs > MAX_EPOCHS {
+        return Err(CommError::Unsupported { what: "recovery/max_epochs", size: comm.size() });
+    }
     // A zero budget is an exhausted budget, not a bug: the loop below runs no
     // attempt and reports it the way it reports running out.
     let max_epochs =
@@ -1832,6 +1749,33 @@ mod tests {
             }
             assert_eq!(out.traffic.total_msgs(), 0, "no attempt, no traffic");
         }
+    }
+
+    #[test]
+    fn epoch_budget_that_would_alias_attempt_tags_is_refused() {
+        // Epoch 16 with digest d shifts tags like epoch 0 with digest d + 1.
+        assert_eq!(MAX_EPOCHS, 16);
+        assert_eq!(
+            EpochComm::isolated(&(), MAX_EPOCHS, 0x10).shift,
+            EpochComm::isolated(&(), 0, 0x11).shift
+        );
+        for max_epochs in [MAX_EPOCHS + 1, u32::MAX] {
+            let cfg = RecoveryConfig { max_epochs, ..quick_cfg() };
+            let out = EventWorld::run(4, |comm| async move {
+                let mut buf = vec![3u8; 64];
+                self_healing_bcast_async(&comm, &mut buf, 0, &cfg).await
+            });
+            let refused = Err(CommError::Unsupported { what: "recovery/max_epochs", size: 4 });
+            assert_eq!(out.results, vec![refused; 4], "max_epochs = {max_epochs}");
+            assert_eq!(out.traffic.total_msgs(), 0, "nothing may be posted");
+        }
+        // The largest budget that cannot alias still runs.
+        let cfg = RecoveryConfig { max_epochs: MAX_EPOCHS, ..quick_cfg() };
+        let out = EventWorld::run(4, |comm| async move {
+            let mut buf = vec![3u8; 64];
+            self_healing_bcast_async(&comm, &mut buf, 0, &cfg).await.map(|h| h.epochs)
+        });
+        assert_eq!(out.results, vec![Ok(1); 4]);
     }
 
     #[test]

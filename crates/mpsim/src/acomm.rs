@@ -12,6 +12,18 @@
 //! [`complete_now`]. This module is the only code that knows a blocking
 //! backend exists.
 //!
+//! The trait is an *envelope core*. An implementor writes how one
+//! [`Payload`] is posted to `(dest, tag)`
+//! ([`post`](AsyncCommunicator::post)), how one is taken from `(src, tag)`
+//! by an optional deadline ([`take`](AsyncCommunicator::take)), and — if
+//! post-then-take could deadlock or wedge it — how the two fuse
+//! ([`exchange`](AsyncCommunicator::exchange)); plus identity, the clock,
+//! the barrier and the copy accounting. Every copying, shared, timed and
+//! prefixed variant is a provided method over that core which no
+//! implementor overrides, so a decorator that transforms the core
+//! transforms all of them, and each variant costs exactly the core calls
+//! its name implies: one per send or receive, two per exchange.
+//!
 //! On the cooperative single-threaded executor
 //! ([`EventWorld`](crate::event_comm::EventWorld)) the futures genuinely
 //! suspend; on the blocking backends ([`ThreadWorld`](crate::ThreadWorld),
@@ -34,22 +46,35 @@ use crate::error::{CommError, Result};
 use crate::pool::{Payload, SharedBuf};
 use crate::rank::{Rank, Tag};
 
+/// Absolute deadline `timeout` after `now_ns` on a backend clock,
+/// saturating — how every bounded wait above the executors turns a
+/// [`Duration`] into a point on [`AsyncCommunicator::now_ns`]'s axis.
+pub fn deadline_after(now_ns: u64, timeout: Duration) -> u64 {
+    now_ns.saturating_add(u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX))
+}
+
 /// The communicator surface everything above the executors is written
 /// against. Same contract as the blocking [`Communicator`] (tag matching,
 /// non-overtaking per `(source, tag)`, truncation, exited-peer detection),
 /// with the blocking operations expressed as futures.
 ///
+/// Implementors write the envelope core: `rank`, `size`, `now_ns`,
+/// `barrier`, `make_shared`, `note_copy`, `post`, `take`, and optionally
+/// `exchange`. None of them has a default except `exchange`, so a decorator
+/// that forgets to forward one — the copy accounting included — does not
+/// compile. Everything else is provided and overridden nowhere.
+///
 /// The trait is consumed only by this workspace's executors, all of which
 /// are either single-threaded or drive the future on the calling thread, so
 /// no `Send` bound is imposed on the returned futures.
 ///
-/// Implementations may refine the `async fn` methods to plain functions
+/// Implementations may refine the core's `async fn`s to plain functions
 /// returning a concrete `impl Future` (RPITIT refinement). The event
-/// executor does this for its receive family: `recv`, `recv_timeout` and
-/// `sendrecv` return a single hand-rolled leaf future that matches, checks
-/// truncation, copies and records traffic in one poll frame, instead of a
-/// nest of compiler-generated state machines — at megascale the park/resume
-/// walk through those frames is the hot path.
+/// executor does this for its whole core: `post` returns a ready future,
+/// and `take` and `exchange` one hand-rolled leaf future that matches,
+/// checks truncation and records traffic in one poll frame, instead of a
+/// nest of compiler-generated state machines — at megascale the
+/// park/resume walk through those frames is the hot path.
 #[allow(async_fn_in_trait)]
 pub trait AsyncCommunicator {
     /// This process's rank, in `0..size()`.
@@ -62,6 +87,58 @@ pub trait AsyncCommunicator {
     /// event executor, wall-clock elapsed on the threaded one).
     fn now_ns(&self) -> u64;
 
+    /// Resolve once every rank in the world has entered the barrier.
+    async fn barrier(&self) -> Result<()>;
+
+    /// Stage `data` into a pooled, shareable envelope payload — one counted
+    /// copy (see [`Communicator::make_shared`]). Synchronous by design:
+    /// staging never waits on any backend.
+    fn make_shared(&self, data: &[u8]) -> SharedBuf;
+
+    /// Record `bytes` of payload memcpy'd outside the communicator (see
+    /// [`Communicator::note_copy`]).
+    fn note_copy(&self, bytes: usize);
+
+    /// Post `payload` to `dest` as ONE envelope on `tag` (may complete
+    /// eagerly). Counted as a send of `payload.len()` bytes; a backend that
+    /// queues envelopes moves the payload itself, not its bytes.
+    async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()>;
+
+    /// Take the next envelope from `src` on `tag`. `capacity` bounds its
+    /// length exactly like a receive buffer's (a longer one is consumed and
+    /// fails with [`CommError::Truncation`]); `timeout`, when given, bounds
+    /// the wait on this backend's clock ([`CommError::Timeout`], nothing
+    /// consumed).
+    async fn take(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<Payload>;
+
+    /// Post `payload` to `(dest, sendtag)` while taking the envelope from
+    /// `(src, recvtag)` (MPI_Sendrecv): both directions progress
+    /// concurrently, so rings of exchanges cannot deadlock. The default —
+    /// post, then an unbounded take — is correct only on eager transports;
+    /// a rendezvous bridge ([`SyncComm`]), a protocol that must pump both
+    /// directions, or a decorator that translates arguments overrides it.
+    #[allow(clippy::too_many_arguments)]
+    async fn exchange(
+        &self,
+        payload: Payload,
+        dest: Rank,
+        sendtag: Tag,
+        capacity: usize,
+        src: Rank,
+        recvtag: Tag,
+    ) -> Result<Payload> {
+        self.post(payload, dest, sendtag).await?;
+        self.take(capacity, src, recvtag, None).await
+    }
+
+    // Provided over the core; no implementor overrides any of these.
+
     /// Validate that `rank` names a member of this world.
     fn check_rank(&self, rank: Rank) -> Result<()> {
         if rank < self.size() {
@@ -71,11 +148,16 @@ pub trait AsyncCommunicator {
         }
     }
 
-    /// Tagged send of `buf` to `dest` (may complete eagerly).
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()>;
+    /// Tagged send of `buf` to `dest`: one counted staging copy, one post.
+    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
+        self.post(Payload::Shared(self.make_shared(buf)), dest, tag).await
+    }
 
     /// Tagged receive from `src` into `buf`; resolves to the payload length.
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize>;
+    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
+        let payload = self.take(buf.len(), src, tag, None).await?;
+        Ok(land(self, buf, &payload))
+    }
 
     /// Deadline-bounded receive; fails with [`CommError::Timeout`] if no
     /// matching message arrives within `timeout` on this backend's clock.
@@ -85,11 +167,13 @@ pub trait AsyncCommunicator {
         src: Rank,
         tag: Tag,
         timeout: Duration,
-    ) -> Result<usize>;
+    ) -> Result<usize> {
+        let payload = self.take(buf.len(), src, tag, Some(timeout)).await?;
+        Ok(land(self, buf, &payload))
+    }
 
-    /// Combined concurrent send+receive (MPI_Sendrecv). The default
-    /// send-then-receive chain is correct only for eager backends;
-    /// synchronous backends override it (see [`SyncComm`]).
+    /// Combined concurrent send+receive (MPI_Sendrecv): stage, exchange,
+    /// land.
     async fn sendrecv(
         &self,
         sendbuf: &[u8],
@@ -99,58 +183,22 @@ pub trait AsyncCommunicator {
         src: Rank,
         recvtag: Tag,
     ) -> Result<usize> {
-        self.send(sendbuf, dest, sendtag).await?;
-        self.recv(recvbuf, src, recvtag).await
+        let staged = Payload::Shared(self.make_shared(sendbuf));
+        let payload = self.exchange(staged, dest, sendtag, recvbuf.len(), src, recvtag).await?;
+        Ok(land(self, recvbuf, &payload))
     }
-
-    /// Resolve once every rank in the world has entered the barrier.
-    async fn barrier(&self) -> Result<()>;
-
-    /// Stage `data` into a pooled, shareable envelope payload — one counted
-    /// copy (see [`Communicator::make_shared`]). Synchronous by design:
-    /// staging never waits on any backend.
-    fn make_shared(&self, data: &[u8]) -> SharedBuf {
-        self.note_copy(data.len());
-        SharedBuf::from(data.to_vec())
-    }
-
-    /// Record `bytes` of payload memcpy'd outside the communicator (see
-    /// [`Communicator::note_copy`]).
-    fn note_copy(&self, _bytes: usize) {}
 
     /// Zero-copy send of a refcount clone of `buf` (see
-    /// [`Communicator::send_shared`]). The default falls back to copy
-    /// semantics.
+    /// [`Communicator::send_shared`]).
     async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.send(buf, dest, tag).await
+        self.post(Payload::Shared(buf.clone()), dest, tag).await
     }
 
     /// Owned receive of the arriving envelope (see
     /// [`Communicator::recv_owned`]). `capacity` bounds the acceptable
     /// message length exactly like a receive buffer's length.
     async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
-        let mut tmp = vec![0u8; capacity];
-        let n = self.recv(&mut tmp, src, tag).await?;
-        tmp.truncate(n);
-        Ok(SharedBuf::from(tmp))
-    }
-
-    /// [`recv_owned`](AsyncCommunicator::recv_owned) bounded by a timeout —
-    /// the owned twin of [`recv_timeout`](AsyncCommunicator::recv_timeout),
-    /// which is what lets timeout-guarding decorators (the recovery guard)
-    /// forward owned receives to a zero-copy backend without giving up their
-    /// bounded-receive contract.
-    async fn recv_owned_timeout(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<SharedBuf> {
-        let mut tmp = vec![0u8; capacity];
-        let n = self.recv_timeout(&mut tmp, src, tag, timeout).await?;
-        tmp.truncate(n);
-        Ok(SharedBuf::from(tmp))
+        self.take(capacity, src, tag, None).await.map(Payload::into_shared)
     }
 
     /// Combined concurrent zero-copy exchange (see
@@ -165,18 +213,16 @@ pub trait AsyncCommunicator {
         src: Rank,
         recvtag: Tag,
     ) -> Result<SharedBuf> {
-        let mut tmp = vec![0u8; recv_capacity];
-        let n = self.sendrecv(sendbuf, dest, sendtag, &mut tmp, src, recvtag).await?;
-        tmp.truncate(n);
-        Ok(SharedBuf::from(tmp))
+        let payload = Payload::Shared(sendbuf.clone());
+        let received = self.exchange(payload, dest, sendtag, recv_capacity, src, recvtag).await?;
+        Ok(received.into_shared())
     }
 
     /// [`send_shared`](AsyncCommunicator::send_shared) of ONE envelope whose
     /// wire image is `prefix ‖ payload` — a framing decorator's header
     /// travelling beside the body it frames. Counted like a plain send of
     /// `4 + payload.len()` bytes; a backend that queues envelopes posts a
-    /// refcount clone of `payload` and moves no byte. The default packs the
-    /// two into one frame and falls back to copy semantics.
+    /// refcount clone of `payload` and moves no byte.
     async fn send_prefixed(
         &self,
         prefix: [u8; 4],
@@ -184,20 +230,19 @@ pub trait AsyncCommunicator {
         dest: Rank,
         tag: Tag,
     ) -> Result<()> {
-        self.send(&[&prefix[..], &payload[..]].concat(), dest, tag).await
+        self.post(Payload::Prefixed(prefix, payload.clone()), dest, tag).await
     }
 
     /// Owned receive of one envelope, split into the first four bytes of its
     /// wire image and the rest — the receiving end of
     /// [`send_prefixed`](AsyncCommunicator::send_prefixed), though any
     /// envelope with the same bytes splits the same way. `capacity` bounds
-    /// the part *after* the prefix, with [`recv_owned`]'s truncation rule;
-    /// `timeout`, when given, bounds the wait like
-    /// [`recv_owned_timeout`]'s. Resolves to `None` for an envelope too
-    /// short to carry a prefix (consumed, like any matched envelope).
+    /// the part *after* the prefix, with [`recv_owned`]'s truncation rule
+    /// stated in the body's terms; `timeout`, when given, bounds the wait.
+    /// Resolves to `None` for an envelope too short to carry a prefix
+    /// (consumed, like any matched envelope).
     ///
     /// [`recv_owned`]: AsyncCommunicator::recv_owned
-    /// [`recv_owned_timeout`]: AsyncCommunicator::recv_owned_timeout
     async fn recv_prefixed(
         &self,
         capacity: usize,
@@ -205,30 +250,34 @@ pub trait AsyncCommunicator {
         tag: Tag,
         timeout: Option<Duration>,
     ) -> Result<Option<([u8; 4], SharedBuf)>> {
-        let mut frame = vec![0u8; capacity + 4];
-        let received = match timeout {
-            Some(timeout) => self.recv_timeout(&mut frame, src, tag, timeout).await,
-            None => self.recv(&mut frame, src, tag).await,
-        };
-        let n = received.map_err(|e| match e {
-            CommError::Truncation { incoming, .. } => {
-                CommError::Truncation { capacity, incoming: incoming.saturating_sub(4) }
+        match self.take(capacity.saturating_add(4), src, tag, timeout).await {
+            Ok(frame) => Ok(frame.split_prefix()),
+            Err(CommError::Truncation { incoming, .. }) => {
+                Err(CommError::Truncation { capacity, incoming: incoming.saturating_sub(4) })
             }
-            other => other,
-        })?;
-        frame.truncate(n);
-        Ok(Payload::from(frame).split_prefix())
+            Err(e) => Err(e),
+        }
     }
 }
 
+/// The landing copy of the slice-taking receives: `payload`'s wire image
+/// into the front of `buf` (`take` held it to `buf.len()`), counted where
+/// it happens.
+fn land<C: AsyncCommunicator + ?Sized>(comm: &C, buf: &mut [u8], payload: &Payload) -> usize {
+    let n = payload.len();
+    buf[..n].copy_from_slice(&payload.bytes());
+    comm.note_copy(n);
+    n
+}
+
 /// Bridge from the blocking [`Communicator`] world into the async trait:
-/// wraps a borrowed sync communicator and forwards every async method to the
-/// corresponding blocking call, which means every future it returns is ready
-/// on its first poll. Drive such futures with [`complete_now`].
+/// wraps a borrowed sync communicator and maps the envelope core onto the
+/// corresponding blocking calls, which means every future it returns is
+/// ready on its first poll. Drive such futures with [`complete_now`].
 ///
-/// Crucially, `sendrecv`/`sendrecv_shared` forward to the sync trait's own
-/// implementations (not the async defaults), so rendezvous backends keep
-/// their genuinely concurrent exchange.
+/// Crucially, `exchange` forwards to the blocking trait's own
+/// `sendrecv_shared` (not the post-then-take default), so rendezvous
+/// backends keep their genuinely concurrent exchange.
 pub struct SyncComm<'a, C: ?Sized>(&'a C);
 
 impl<'a, C: ?Sized> SyncComm<'a, C> {
@@ -256,40 +305,6 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
         self.0.now_ns()
     }
 
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        self.0.check_rank(rank)
-    }
-
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.0.send(buf, dest, tag)
-    }
-
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.0.recv(buf, src, tag)
-    }
-
-    async fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        self.0.recv_timeout(buf, src, tag, timeout)
-    }
-
-    async fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.0.sendrecv(sendbuf, dest, sendtag, recvbuf, src, recvtag)
-    }
-
     async fn barrier(&self) -> Result<()> {
         self.0.barrier()
     }
@@ -302,24 +317,44 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
         self.0.note_copy(bytes);
     }
 
-    async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.0.send_shared(buf, dest, tag)
+    async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
+        match payload {
+            // The blocking trait has no framed send: the wire image goes out
+            // through one staged copy.
+            framed @ Payload::Prefixed(..) => self.0.send(&framed.bytes(), dest, tag),
+            flat => self.0.send_shared(&flat.into_shared(), dest, tag),
+        }
     }
 
-    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
-        self.0.recv_owned(capacity, src, tag)
-    }
-
-    async fn sendrecv_shared(
+    async fn take(
         &self,
-        sendbuf: &SharedBuf,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<Payload> {
+        let Some(timeout) = timeout else {
+            return self.0.recv_owned(capacity, src, tag).map(Payload::Shared);
+        };
+        // Nor an owned timed receive: the blocking one lands in a temporary
+        // frame.
+        let mut frame = vec![0u8; capacity];
+        let n = self.0.recv_timeout(&mut frame, src, tag, timeout)?;
+        frame.truncate(n);
+        Ok(frame.into())
+    }
+
+    async fn exchange(
+        &self,
+        payload: Payload,
         dest: Rank,
         sendtag: Tag,
-        recv_capacity: usize,
+        capacity: usize,
         src: Rank,
         recvtag: Tag,
-    ) -> Result<SharedBuf> {
-        self.0.sendrecv_shared(sendbuf, dest, sendtag, recv_capacity, src, recvtag)
+    ) -> Result<Payload> {
+        let sendbuf = payload.into_shared();
+        self.0.sendrecv_shared(&sendbuf, dest, sendtag, capacity, src, recvtag).map(Payload::Shared)
     }
 }
 
@@ -386,6 +421,13 @@ mod tests {
             }
         }
         complete_now(Never);
+    }
+
+    #[test]
+    fn deadline_after_saturates() {
+        assert_eq!(deadline_after(5, Duration::from_nanos(7)), 12);
+        assert_eq!(deadline_after(5, Duration::MAX), u64::MAX);
+        assert_eq!(deadline_after(u64::MAX - 1, Duration::from_secs(1)), u64::MAX);
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! thread. The semantics deliberately mirror
 //! [`ThreadComm`](crate::thread_comm::ThreadComm):
 //!
-//! * sends are *eager* — the payload is copied into a pool-backed envelope
-//!   and queued at the destination immediately, so the default
-//!   send-then-receive `sendrecv` chain cannot deadlock;
+//! * posts are *eager* — the payload is queued at the destination
+//!   immediately, so the post-then-take `exchange` cannot deadlock;
 //! * receives match by `(source, tag)` FIFO (non-overtaking), drain queued
 //!   messages from an exited peer before failing with
 //!   [`CommError::PeerFailed`], and enforce truncation identically;
-//! * `recv_timeout` deadlines live on the **virtual clock**: when no task is
+//! * `take` deadlines live on the **virtual clock**: when no task is
 //!   runnable the reactor advances time straight to the earliest armed
 //!   timer, so timeout-driven protocols (retransmission, failure detection)
 //!   run deterministically and instantaneously instead of sleeping.
@@ -24,7 +23,7 @@
 //!   inline tag buckets, replacing a hashed `(source, tag)` map: matching
 //!   costs two dependent loads and a 1–2 entry scan, no hashing;
 //! * [`TimerWheel`] — a hierarchical timing wheel with O(1) arm *and*
-//!   cancel: a satisfied `recv_timeout` disarms its deadline on the spot
+//!   cancel: a satisfied bounded `take` disarms its deadline on the spot
 //!   (the receive future cancels in `Drop`, so even abandoning a
 //!   half-polled receive leaves no stale timer behind);
 //! * a slab task arena plus a `Cell`-based run queue — futures live in one
@@ -51,7 +50,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use crate::acomm::AsyncCommunicator;
+use crate::acomm::{deadline_after, AsyncCommunicator};
 use crate::counters::{CounterCell, ReactorStats, TrafficStats, WorldTraffic};
 use crate::error::{CommError, Result};
 use crate::event_mailbox::LaneMailbox;
@@ -172,14 +171,6 @@ struct EventShared {
     timers: RefCell<TimerWheel>,
     barrier: BarrierState,
     pool: Arc<BufferPool>,
-    /// Per-class cache of rented-and-consumed envelope handles. The world is
-    /// single-threaded, so a buffer a receive just copied out of can hand
-    /// its whole `PooledBuf` straight to the next send of the same size
-    /// class — skipping the pool's mutex freelists, its atomic counters, and
-    /// the `Arc` bump a fresh rental pays. Spilled to the real pool beyond a
-    /// small cap, and drained back into it before the outcome's pool stats
-    /// are read, so `outstanding` still ends at zero.
-    buf_cache: RefCell<[Vec<crate::pool::PooledBuf>; crate::pool::POOL_CLASSES]>,
     counters: Vec<CounterCell>,
     /// Receives the running task may still complete this turn; refilled to
     /// [`recv_poll_budget`] by the reactor before every task poll. Eager
@@ -196,9 +187,12 @@ struct EventShared {
     barrier_parked: Vec<Cell<bool>>,
 }
 
-/// Cap of [`EventShared::buf_cache`] entries per size class; overflow goes
-/// back to the real pool (bounded memory, same as the pool's own freelists).
-const BUF_CACHE_PER_CLASS: usize = 64;
+/// Payloads up to this size (the pool's smallest class) are staged on the
+/// heap instead of rented: on one thread the allocator's cache serves a
+/// control frame — an agreement report, a quorum bit — in half the time of
+/// the pool's locked freelists and counters (stage and drop: ~45 vs ~97 ns
+/// on a 2-core host).
+const HEAP_STAGED_BYTES: usize = 64;
 
 /// Worldwide in-flight envelope target that sets the per-turn receive
 /// budget: each task may consume up to `max(64, 2^21 / P)` envelopes per
@@ -223,30 +217,6 @@ impl EventShared {
         self.clock_ns.get()
     }
 
-    /// Rent a buffer holding a copy of `src`, preferring the world-local
-    /// handle cache over the shared pool (see [`EventShared::buf_cache`]).
-    fn rent_copy(&self, src: &[u8]) -> crate::pool::PooledBuf {
-        if let Some(class) = crate::pool::class_of(src.len()) {
-            if let Some(mut buf) = self.buf_cache.borrow_mut()[class].pop() {
-                buf.reset_len(src.len());
-                buf.copy_from_slice(src);
-                return buf;
-            }
-        }
-        self.pool.rent_copy(src)
-    }
-
-    /// Return a consumed envelope's buffer to the world-local cache (or let
-    /// it fall back to the pool when the class cache is full / unpooled).
-    fn stash(&self, buf: crate::pool::PooledBuf) {
-        if let Some(class) = buf.class() {
-            let cache = &mut self.buf_cache.borrow_mut()[class];
-            if cache.len() < BUF_CACHE_PER_CLASS {
-                cache.push(buf);
-            }
-        }
-    }
-
     fn arm_timer(&self, deadline_ns: u64, task: usize) -> TimerHandle {
         self.timers.borrow_mut().arm(self.now(), deadline_ns, task)
     }
@@ -256,20 +226,11 @@ impl EventShared {
     }
 
     /// Deliver one envelope and wake the destination's task directly — the
-    /// batched eager-send path: no `Waker`, no lock, and if the receiver is
+    /// batched eager-post path: no `Waker`, no lock, and if the receiver is
     /// already queued the dedup flag makes this two `Cell` reads.
     fn push_envelope(&self, dest: Rank, src: Rank, tag: Tag, data: Payload) {
         self.mailboxes[dest].borrow_mut().push(src, tag, Envelope { src, data });
         self.sched.push(dest);
-    }
-
-    /// Return a consumed envelope payload's buffer to the handle cache —
-    /// only possible when nothing else aliases the bytes (shared fan-out
-    /// clones fall through to their refcount drop instead).
-    fn stash_payload(&self, data: Payload) {
-        if let Some(buf) = data.try_unique() {
-            self.stash(buf);
-        }
     }
 
     fn try_pop(&self, me: Rank, src: Rank, tag: Tag) -> Option<Envelope> {
@@ -387,7 +348,6 @@ impl EventWorld {
                 departed: Cell::new(None),
             },
             pool: BufferPool::new(),
-            buf_cache: RefCell::new(Default::default()),
             counters: (0..n).map(|_| CounterCell::default()).collect(),
             recv_budget: Cell::new(recv_poll_budget(n)),
             sched: Scheduler::new(n, Arc::clone(&external)),
@@ -467,9 +427,6 @@ impl EventWorld {
         }
 
         let elapsed = Duration::from_nanos(shared.now());
-        // Drop cached handles back into the pool first, so the reported
-        // stats see every buffer returned (outstanding == 0 on clean runs).
-        shared.buf_cache.borrow_mut().iter_mut().for_each(Vec::clear);
         let pool = shared.pool.stats();
         let traffic = WorldTraffic::new(shared.counters.iter().map(CounterCell::take).collect());
         let reactor = ReactorStats {
@@ -510,53 +467,32 @@ impl EventComm {
         self.shared.pool.stats()
     }
 
-    fn ensure_rank(&self, rank: Rank) -> Result<()> {
-        if rank < self.shared.size {
-            Ok(())
-        } else {
-            Err(CommError::InvalidRank { rank, size: self.shared.size })
-        }
-    }
-
-    /// Eager send: rent, copy, enqueue at the destination, wake it. Never
-    /// suspends, which is what makes the default `sendrecv` chain safe.
-    fn send_now(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.ensure_rank(dest)?;
-        self.shared.counters[self.rank].record_send(dest, buf.len());
-        self.shared.counters[self.rank].record_copy(buf.len());
-        let env = self.shared.rent_copy(buf);
-        self.shared.push_envelope(dest, self.rank, tag, env.into());
+    /// Eager post: count the send, queue the payload at the destination,
+    /// wake it. Never suspends, which is what makes post-then-take exchanges
+    /// deadlock-free.
+    #[inline]
+    fn post_now(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
+        self.check_rank(dest)?;
+        self.shared.counters[self.rank].record_send(dest, payload.len());
+        self.shared.push_envelope(dest, self.rank, tag, payload);
         Ok(())
     }
 
-    /// Eager zero-copy send: a refcount clone of the shared rental is
-    /// queued at the destination — no bytes move.
-    fn send_shared_now(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.ensure_rank(dest)?;
-        self.shared.counters[self.rank].record_send(dest, buf.len());
-        self.shared.push_envelope(dest, self.rank, tag, Payload::Shared(buf.clone()));
-        Ok(())
-    }
-
-    /// Absolute virtual-clock deadline `timeout` from now, saturating.
-    fn deadline_after(&self, timeout: Duration) -> u64 {
-        let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        self.shared.now().saturating_add(nanos)
-    }
-
-    /// Build the single leaf future behind `recv`/`recv_timeout`/`sendrecv`.
-    /// Errors detected at build time (invalid rank, or a failed eager send
-    /// for `sendrecv`) are carried in `early_err` and surface on first poll.
-    fn recv_into<'b>(
+    /// Build the [`Take`] leaf behind `take` and `exchange`. Errors detected
+    /// at build time (invalid rank, or a failed eager post for `exchange`)
+    /// are carried in `early_err` and surface on first poll.
+    #[inline]
+    fn take_now(
         &self,
         early_err: Option<CommError>,
-        buf: &'b mut [u8],
+        capacity: usize,
         src: Rank,
         tag: Tag,
-        deadline_ns: Option<u64>,
-    ) -> RecvIntoBuf<'_, 'b> {
-        let early_err = early_err.or_else(|| self.ensure_rank(src).err());
-        RecvIntoBuf { inner: RecvEnvelope::new(self, src, tag, deadline_ns), buf, early_err }
+        timeout: Option<Duration>,
+    ) -> Take<'_> {
+        let early_err = early_err.or_else(|| self.check_rank(src).err());
+        let deadline_ns = timeout.map(|t| deadline_after(self.shared.now(), t));
+        Take { inner: RecvEnvelope::new(self, src, tag, deadline_ns), capacity, early_err }
     }
 }
 
@@ -645,67 +581,24 @@ impl Drop for RecvEnvelope<'_> {
     }
 }
 
-/// A whole `recv` (or the receive half of `sendrecv`) as one future: match
-/// the envelope, check truncation, copy into the caller's buffer, record the
-/// traffic — all in the same poll frame. `recv`/`recv_timeout`/`sendrecv`
-/// return this directly instead of layering `async fn` state machines over
-/// [`RecvEnvelope`], so parking and resuming a receive walks one `poll`
-/// instead of a nest of generated ones; at megascale the ring wavefront
-/// parks nearly every message, which makes that walk the hot path.
-struct RecvIntoBuf<'a, 'b> {
-    inner: RecvEnvelope<'a>,
-    buf: &'b mut [u8],
-    /// Error determined before the future was built (invalid rank, failed
-    /// eager send); yielded on first poll.
-    early_err: Option<CommError>,
-}
-
-impl Future for RecvIntoBuf<'_, '_> {
-    type Output = Result<usize>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if let Some(err) = this.early_err.take() {
-            return Poll::Ready(Err(err));
-        }
-        let env = match Pin::new(&mut this.inner).poll(cx) {
-            Poll::Ready(Ok(env)) => env,
-            Poll::Ready(Err(err)) => return Poll::Ready(Err(err)),
-            Poll::Pending => return Poll::Pending,
-        };
-        if env.data.len() > this.buf.len() {
-            return Poll::Ready(Err(CommError::Truncation {
-                capacity: this.buf.len(),
-                incoming: env.data.len(),
-            }));
-        }
-        let n = env.data.len();
-        this.buf[..n].copy_from_slice(&env.data.bytes());
-        let comm = this.inner.comm;
-        comm.shared.counters[comm.rank].record_copy(n);
-        comm.shared.counters[comm.rank].record_recv(this.inner.src, n);
-        comm.shared.stash_payload(env.data);
-        Poll::Ready(Ok(n))
-    }
-}
-
-/// A whole `recv_owned` (or the receive half of `sendrecv_shared`) as one
-/// future: match the envelope, check truncation against the declared
-/// capacity, record the traffic, and hand the payload over as a refcounted
-/// [`SharedBuf`] — all in the same poll frame, for the same reason as
-/// [`RecvIntoBuf`]: the zero-copy ring parks nearly every message at
-/// megascale, and every park/resume must walk one `poll`, not a nest of
-/// generated state machines.
-struct RecvOwned<'a> {
+/// A whole `take` (or the receive half of `exchange`) as one future: match
+/// the envelope, check truncation against the declared capacity, record the
+/// traffic, and hand the payload over as it arrived — all in the same poll
+/// frame. `take` and `exchange` return this directly instead of layering
+/// `async fn` state machines over [`RecvEnvelope`], so parking and resuming
+/// a receive walks one `poll` instead of a nest of generated ones; at
+/// megascale the ring wavefront parks nearly every message, which makes
+/// that walk the hot path.
+struct Take<'a> {
     inner: RecvEnvelope<'a>,
     capacity: usize,
     /// Error determined before the future was built (invalid rank, failed
-    /// eager send half of `sendrecv_shared`); yielded on first poll.
+    /// eager post half of `exchange`); yielded on first poll.
     early_err: Option<CommError>,
 }
 
-impl Future for RecvOwned<'_> {
-    type Output = Result<SharedBuf>;
+impl Future for Take<'_> {
+    type Output = Result<Payload>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
@@ -725,9 +618,9 @@ impl Future for RecvOwned<'_> {
         }
         let comm = this.inner.comm;
         comm.shared.counters[comm.rank].record_recv(this.inner.src, env.data.len());
-        // The matched payload is handed to the caller as-is — no copy, no
-        // stash; its eventual drop recycles the rental.
-        Poll::Ready(Ok(env.data.into_shared()))
+        // The matched payload is handed to the caller as-is — no copy; its
+        // eventual drop recycles the rental.
+        Poll::Ready(Ok(env.data))
     }
 }
 
@@ -804,150 +697,64 @@ impl AsyncCommunicator for EventComm {
         self.shared.now()
     }
 
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.send_now(buf, dest, tag)
-    }
-
-    // `recv`, `recv_timeout` and `sendrecv` refine the trait's `async fn`
-    // signatures to return the [`RecvIntoBuf`] leaf future directly: the
-    // whole operation is one `poll` deep (see that type's docs).
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> impl Future<Output = Result<usize>> {
-        self.recv_into(None, buf, src, tag, None)
-    }
-
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> impl Future<Output = Result<usize>> {
-        self.recv_into(None, buf, src, tag, Some(self.deadline_after(timeout)))
-    }
-
-    fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> impl Future<Output = Result<usize>> {
-        // Same order as the trait default: the eager send happens at call
-        // time; a send failure surfaces from the first poll, before any
-        // receive state is consulted.
-        let early_err = self.send_now(sendbuf, dest, sendtag).err();
-        self.recv_into(early_err, recvbuf, src, recvtag, None)
-    }
-
     async fn barrier(&self) -> Result<()> {
         BarrierWait { comm: self, joined_generation: None }.await
     }
 
     fn make_shared(&self, data: &[u8]) -> SharedBuf {
-        // One counted copy stages the user bytes; every send_shared of (a
-        // slice of) the result is a refcount bump.
+        // One counted copy stages the user bytes; every post of (a slice
+        // of) the result is a refcount bump.
         self.shared.counters[self.rank].record_copy(data.len());
-        SharedBuf::new(self.shared.rent_copy(data))
+        if data.len() <= HEAP_STAGED_BYTES {
+            return SharedBuf::from(data.to_vec());
+        }
+        SharedBuf::new(self.shared.pool.rent_copy(data))
     }
 
     fn note_copy(&self, bytes: usize) {
         self.shared.counters[self.rank].record_copy(bytes);
     }
 
-    async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.send_shared_now(buf, dest, tag)
+    // The core refines the trait's `async fn` signatures: `post` is ready
+    // before it is polled (the envelope is queued at call time), and `take`
+    // and `exchange` return the [`Take`] leaf directly, keeping every
+    // receive one `poll` deep (see that type's docs). The `#[inline]`s here
+    // and on `post_now`/`take_now` are measured, not habit: every caller is
+    // generic code in another crate (decorators, the interpreter), and
+    // without them a `GuardedComm` exchange cost ~20 ns more — `heal-clean`
+    // ran ~20 % slower per broadcast on a 2-core host.
+
+    #[inline]
+    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> impl Future<Output = Result<()>> {
+        std::future::ready(self.post_now(payload, dest, tag))
     }
 
-    // Like `recv`/`sendrecv`, the owned receives refine the trait's
-    // `async fn` signatures to return the [`RecvOwned`] leaf future
-    // directly, keeping the zero-copy ring's park/resume one `poll` deep.
-
-    fn recv_owned(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-    ) -> impl Future<Output = Result<SharedBuf>> {
-        let early_err = self.ensure_rank(src).err();
-        RecvOwned { inner: RecvEnvelope::new(self, src, tag, None), capacity, early_err }
-    }
-
-    fn recv_owned_timeout(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> impl Future<Output = Result<SharedBuf>> {
-        let early_err = self.ensure_rank(src).err();
-        RecvOwned {
-            inner: RecvEnvelope::new(self, src, tag, Some(self.deadline_after(timeout))),
-            capacity,
-            early_err,
-        }
-    }
-
-    fn sendrecv_shared(
-        &self,
-        sendbuf: &SharedBuf,
-        dest: Rank,
-        sendtag: Tag,
-        recv_capacity: usize,
-        src: Rank,
-        recvtag: Tag,
-    ) -> impl Future<Output = Result<SharedBuf>> {
-        // Eager send at call time, then the owned receive — deadlock-free
-        // for the same reason the default sendrecv chain is.
-        let early_err = self
-            .send_shared_now(sendbuf, dest, sendtag)
-            .err()
-            .or_else(|| self.ensure_rank(src).err());
-        RecvOwned {
-            inner: RecvEnvelope::new(self, src, recvtag, None),
-            capacity: recv_capacity,
-            early_err,
-        }
-    }
-
-    /// Eager and zero-copy like `send_shared`: the prefix rides beside a
-    /// refcount clone of the rental, so a framed send moves no byte either.
-    async fn send_prefixed(
-        &self,
-        prefix: [u8; 4],
-        payload: &SharedBuf,
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.ensure_rank(dest)?;
-        let data = Payload::Prefixed(prefix, payload.clone());
-        self.shared.counters[self.rank].record_send(dest, data.len());
-        self.shared.push_envelope(dest, self.rank, tag, data);
-        Ok(())
-    }
-
-    /// Takes the matched envelope apart instead of copying it out: a
-    /// [`Payload::Prefixed`] comes back as the sender's own two parts, a
-    /// flat one (a hold-back snapshot re-sent as bytes, a plain `send`) is
-    /// sliced after its fourth byte.
-    async fn recv_prefixed(
+    #[inline]
+    fn take(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
         timeout: Option<Duration>,
-    ) -> Result<Option<([u8; 4], SharedBuf)>> {
-        self.ensure_rank(src)?;
-        let deadline_ns = timeout.map(|t| self.deadline_after(t));
-        let env = RecvEnvelope::new(self, src, tag, deadline_ns).await?;
-        let incoming = env.data.len();
-        if incoming.saturating_sub(4) > capacity {
-            return Err(CommError::Truncation { capacity, incoming: incoming - 4 });
-        }
-        self.shared.counters[self.rank].record_recv(src, incoming);
-        Ok(env.data.split_prefix())
+    ) -> impl Future<Output = Result<Payload>> {
+        self.take_now(None, capacity, src, tag, timeout)
+    }
+
+    #[inline]
+    fn exchange(
+        &self,
+        payload: Payload,
+        dest: Rank,
+        sendtag: Tag,
+        capacity: usize,
+        src: Rank,
+        recvtag: Tag,
+    ) -> impl Future<Output = Result<Payload>> {
+        // Same order as the trait default: the eager post happens at call
+        // time; its failure surfaces from the first poll, before any
+        // receive state is consulted.
+        let early_err = self.post_now(payload, dest, sendtag).err();
+        self.take_now(early_err, capacity, src, recvtag, None)
     }
 }
 

@@ -76,7 +76,7 @@ pub mod sub_comm;
 pub mod sync;
 pub mod thread_comm;
 
-pub use acomm::{complete_now, AsyncCommunicator, SyncComm};
+pub use acomm::{complete_now, deadline_after, AsyncCommunicator, SyncComm};
 pub use barrier::StopBarrier;
 pub use comm::Communicator;
 pub use counters::{PeerTraffic, ReactorStats, TrafficStats, WakeupStats, WorldTraffic};

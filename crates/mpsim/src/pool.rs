@@ -71,12 +71,9 @@ pub struct BufferPool {
     dropped: AtomicU64,
 }
 
-/// Number of size classes (for per-class caches layered over the pool).
-pub(crate) const POOL_CLASSES: usize = NUM_CLASSES;
-
 /// Size class index for `len`, or `None` when the rental bypasses the pool
 /// (zero-length or beyond the largest class).
-pub(crate) fn class_of(len: usize) -> Option<usize> {
+fn class_of(len: usize) -> Option<usize> {
     if len == 0 || len > (1usize << MAX_SHIFT) {
         return None;
     }
@@ -201,21 +198,6 @@ impl PooledBuf {
         self.len
     }
 
-    /// Size class of the backing buffer, when pooled.
-    pub(crate) fn class(&self) -> Option<usize> {
-        self.class
-    }
-
-    /// Re-point the handle at logical length `len` without touching the
-    /// pool — the recycle fast path for single-threaded executors that
-    /// cache whole handles. The caller must pick a handle of `len`'s own
-    /// size class (the backing capacity is the class size) and must
-    /// overwrite all `len` bytes: no zeroing happens here.
-    pub(crate) fn reset_len(&mut self, len: usize) {
-        debug_assert_eq!(class_of(len), self.class, "reset_len across size classes");
-        self.len = len;
-    }
-
     /// True when the handle holds no payload bytes.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -324,22 +306,6 @@ impl SharedBuf {
             len: range.end - range.start,
         }
     }
-
-    /// Recover unique ownership of the backing buffer, if this is the last
-    /// view and it covers the whole rental — the handle-cache fast path of
-    /// the event executor. Otherwise the view is returned unchanged.
-    pub(crate) fn try_unique(self) -> std::result::Result<PooledBuf, SharedBuf> {
-        if self.off == 0 && Arc::strong_count(&self.inner) == 1 {
-            let full = self.len == self.inner.len();
-            match Arc::try_unwrap(self.inner) {
-                Ok(buf) if full => Ok(buf),
-                Ok(buf) => Err(SharedBuf { inner: Arc::new(buf), off: self.off, len: self.len }),
-                Err(inner) => Err(SharedBuf { inner, off: self.off, len: self.len }),
-            }
-        } else {
-            Err(self)
-        }
-    }
 }
 
 impl std::ops::Deref for SharedBuf {
@@ -386,7 +352,7 @@ impl From<Vec<u8>> for SharedBuf {
 /// 2–5 % of a broadcast. The one arm that copies stays out of line.
 #[derive(Debug)]
 pub enum Payload {
-    /// Uniquely-owned rental — mutable-capable, stashable in handle caches.
+    /// Uniquely-owned rental — the classic copy path, no refcount.
     Unique(PooledBuf),
     /// Refcounted view — possibly aliased by the sender and other receivers.
     Shared(SharedBuf),
@@ -451,17 +417,6 @@ impl Payload {
                 let prefix = whole.get(..4)?.try_into().ok()?;
                 Some((prefix, whole.slice(4..whole.len())))
             }
-        }
-    }
-
-    /// Recover a uniquely-owned buffer when nothing else aliases the bytes
-    /// (see [`SharedBuf::try_unique`]); used to stash consumed envelopes
-    /// back into per-class handle caches.
-    #[inline]
-    pub(crate) fn try_unique(self) -> Option<PooledBuf> {
-        match self {
-            Payload::Unique(b) => Some(b),
-            Payload::Shared(s) | Payload::Prefixed(_, s) => s.try_unique().ok(),
         }
     }
 }
@@ -622,39 +577,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_buf_try_unique() {
-        let pool = BufferPool::new();
-        let s = SharedBuf::new(pool.rent_copy(&[1u8; 32]));
-        let c = s.clone();
-        // aliased: not unique
-        let s = s.try_unique().unwrap_err();
-        drop(c);
-        // sole full view: unique again
-        let b = s.try_unique().unwrap();
-        assert_eq!(&*b, &[1u8; 32]);
-        // a sub-view is never unique even as the last clone
-        let s = SharedBuf::from(vec![5u8; 16]).slice(0..8);
-        assert!(s.try_unique().is_err());
-    }
-
-    #[test]
     fn payload_variants_read_and_convert() {
         let pool = BufferPool::new();
         let u = Payload::from(pool.rent_copy(&[3u8; 10]));
         assert_eq!(u.len(), 10);
         assert_eq!(&*u.bytes(), &[3u8; 10]);
-        assert!(u.try_unique().is_some());
+        assert_eq!(u.into_shared().shares(), 1, "a unique payload shares by wrapping");
         let s = Payload::from(SharedBuf::new(pool.rent_copy(&[4u8; 6])));
         assert_eq!(&*s.bytes(), &[4u8; 6]);
         let shared = s.into_shared();
         assert_eq!(shared.shares(), 1);
-        // a lone shared payload recovers unique ownership for stashing
-        assert!(Payload::from(shared).try_unique().is_some());
-        // an aliased one does not
-        let s = SharedBuf::new(pool.rent_copy(&[9u8; 4]));
-        let keep = s.clone();
-        assert!(Payload::from(s).try_unique().is_none());
-        drop(keep);
+        // a shared payload hands its view through: no second rental
+        assert_eq!(pool.stats().outstanding, 1);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! that queues envelopes, a frame is a refcount clone of what the caller
 //! staged, a retransmission is another clone of the same rental, and a
 //! duplicate is told by its number and dropped without a byte moving. The
-//! shared-payload calls (`send_shared`, `recv_owned`, `recv_owned_timeout`,
-//! `sendrecv_shared`) are the protocol; the slice-taking ones stage or land
-//! once around them.
+//! protocol is the envelope core (`post`, `take`, `exchange`); every other
+//! call is the trait's own, built on it.
 //!
 //! The protocol runs on shifted tags: a user message on `Tag(t)` travels as
 //! a data frame on `Tag(DATA_TAG_BASE + t)` and is acknowledged on
@@ -48,15 +47,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Duration;
 
-use crate::acomm::AsyncCommunicator;
+use crate::acomm::{deadline_after, AsyncCommunicator};
 use crate::error::{CommError, Result};
-use crate::pool::SharedBuf;
+use crate::pool::{Payload, SharedBuf};
 use crate::rank::{Rank, Tag};
-
-/// Absolute deadline on a backend clock: `now_ns` plus `timeout`, saturating.
-fn deadline_after(now_ns: u64, timeout: Duration) -> u64 {
-    now_ns.saturating_add(u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX))
-}
 
 /// Base of the tag range carrying acknowledged data frames.
 pub const DATA_TAG_BASE: u32 = 0xE000_0000;
@@ -190,10 +184,12 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
     /// covering it arrived within `wait` ([`CommError::Timeout`] if none
     /// did). Acks for older frames may arrive late; only the ack for this
     /// frame (or beyond, defensively) counts, and a malformed one is ignored.
+    /// The number is read straight off the envelope (see [`Self::send_ack`]).
     async fn poll_ack(&self, frame: &Frame<'_>, wait: Duration) -> Result<bool> {
-        let mut ack = [0u8; 4];
-        let n = self.inner.recv_timeout(&mut ack, frame.dest, frame.ack_tag, wait).await?;
-        Ok(n == ack.len() && at_or_after(u32::from_le_bytes(ack), frame.seq))
+        let ack = self.inner.take(4, frame.dest, frame.ack_tag, Some(wait)).await?;
+        self.inner.note_copy(ack.len());
+        let seq = <[u8; 4]>::try_from(&ack.bytes()[..]).map(u32::from_le_bytes);
+        Ok(seq.is_ok_and(|seq| at_or_after(seq, frame.seq)))
     }
 
     /// Wait up to `timeout` for an acknowledgement of `frame`.
@@ -216,8 +212,14 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
         (left > 0).then(|| Duration::from_nanos(left))
     }
 
+    /// Acknowledge `seq` to `peer`. An ack is half of every exchange, so it
+    /// is posted as a plain four-byte payload and read straight off the
+    /// envelope by [`Self::poll_ack`] — no pool rental or refcount, which
+    /// `send`/`recv_timeout` would pay — with both copies still counted.
     async fn send_ack(&self, peer: Rank, ack_tag: Tag, seq: u32) -> Result<()> {
-        match self.inner.send(&seq.to_le_bytes(), peer, ack_tag).await {
+        let ack = Payload::from(seq.to_le_bytes().to_vec());
+        self.inner.note_copy(ack.len());
+        match self.inner.post(ack, peer, ack_tag).await {
             // A dead peer cannot retransmit, so the lost ack is moot; the
             // delivered payload is still good.
             Err(CommError::PeerFailed { .. }) => Ok(()),
@@ -274,44 +276,6 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
             Ok(None)
         }
     }
-
-    /// The next in-order payload on channel `(src, tag)`, within `timeout`
-    /// if one is given. An unbounded wait is fine: as long as the sender
-    /// retries, some copy of the expected frame eventually arrives; if the
-    /// sender died the backend's failure detector surfaces `PeerFailed`.
-    async fn recv_within(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> Result<SharedBuf> {
-        self.check_rank(src)?;
-        self.protocol_tags(tag)?;
-        if src == self.rank() {
-            // Loopback cannot lose messages; skip the protocol.
-            return match timeout {
-                Some(t) => self.inner.recv_owned_timeout(capacity, src, tag, t).await,
-                None => self.inner.recv_owned(capacity, src, tag).await,
-            };
-        }
-        let deadline = timeout.map(|t| deadline_after(self.inner.now_ns(), t));
-        loop {
-            let expired = CommError::Timeout { peer: src };
-            let wait = deadline.map(|d| self.time_left(d).ok_or(expired)).transpose()?;
-            if let Some(payload) = self.recv_frame(capacity, src, tag, wait).await? {
-                return Ok(payload);
-            }
-        }
-    }
-
-    /// The landing copy of the slice-taking receives, counted where it
-    /// happens.
-    fn land(&self, buf: &mut [u8], payload: &SharedBuf) -> usize {
-        buf[..payload.len()].copy_from_slice(payload);
-        self.inner.note_copy(payload.len());
-        payload.len()
-    }
 }
 
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
@@ -327,10 +291,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.inner.now_ns()
     }
 
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        self.inner.check_rank(rank)
-    }
-
     async fn barrier(&self) -> Result<()> {
         self.inner.barrier().await
     }
@@ -343,13 +303,15 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.inner.note_copy(bytes);
     }
 
-    /// Transmit one frame around `buf` and retransmit it until acknowledged.
-    async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
+    /// Transmit one frame around `payload` and retransmit it until
+    /// acknowledged.
+    async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.check_rank(dest)?;
-        let frame = self.frame(buf, dest, tag)?;
+        let body = payload.into_shared();
+        let frame = self.frame(&body, dest, tag)?;
         if dest == self.rank() {
             // Loopback cannot lose messages; skip the protocol.
-            return self.inner.send_shared(buf, dest, tag).await;
+            return self.inner.post(Payload::Shared(body), dest, tag).await;
         }
         for attempt in 0..self.cfg.max_attempts {
             self.transmit(&frame).await?;
@@ -360,54 +322,66 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         Err(CommError::Timeout { peer: dest })
     }
 
-    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
-        self.recv_within(capacity, src, tag, None).await
-    }
-
-    async fn recv_owned_timeout(
+    /// The next in-order payload on channel `(src, tag)`, within `timeout`
+    /// if one is given. An unbounded wait is fine: as long as the sender
+    /// retries, some copy of the expected frame eventually arrives; if the
+    /// sender died the backend's failure detector surfaces `PeerFailed`.
+    async fn take(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
-        timeout: Duration,
-    ) -> Result<SharedBuf> {
-        self.recv_within(capacity, src, tag, Some(timeout)).await
+        timeout: Option<Duration>,
+    ) -> Result<Payload> {
+        self.check_rank(src)?;
+        self.protocol_tags(tag)?;
+        if src == self.rank() {
+            // Loopback cannot lose messages; skip the protocol.
+            return self.inner.take(capacity, src, tag, timeout).await;
+        }
+        let deadline = timeout.map(|t| deadline_after(self.inner.now_ns(), t));
+        loop {
+            let expired = CommError::Timeout { peer: src };
+            let wait = deadline.map(|d| self.time_left(d).ok_or(expired)).transpose()?;
+            if let Some(payload) = self.recv_frame(capacity, src, tag, wait).await? {
+                return Ok(Payload::Shared(payload));
+            }
+        }
     }
 
     /// Concurrent send+receive over the reliable protocol.
     ///
-    /// A naive send-then-receive deadlocks when two ranks `sendrecv` each
+    /// A naive post-then-take deadlocks when two ranks exchange with each
     /// other: both would block awaiting an ack that only the other side's
     /// *receive* produces. This implementation pumps both directions — it
     /// transmits its frame, then alternates between draining the incoming
     /// data channel and watching for its ack, retransmitting on backoff.
-    async fn sendrecv_shared(
+    async fn exchange(
         &self,
-        sendbuf: &SharedBuf,
+        payload: Payload,
         dest: Rank,
         sendtag: Tag,
-        recv_capacity: usize,
+        capacity: usize,
         src: Rank,
         recvtag: Tag,
-    ) -> Result<SharedBuf> {
+    ) -> Result<Payload> {
         self.check_rank(dest)?;
         self.check_rank(src)?;
         self.protocol_tags(recvtag)?;
-        let frame = self.frame(sendbuf, dest, sendtag)?;
+        let body = payload.into_shared();
+        let frame = self.frame(&body, dest, sendtag)?;
         let me = self.rank();
         if dest == me && src == me {
-            return self
-                .inner
-                .sendrecv_shared(sendbuf, dest, sendtag, recv_capacity, src, recvtag)
-                .await;
+            let body = Payload::Shared(body);
+            return self.inner.exchange(body, dest, sendtag, capacity, src, recvtag).await;
         }
 
         // Short slices keep the pump responsive in both directions.
         let slice = (self.cfg.base_timeout / 4).max(Duration::from_millis(1));
         let mut acked = dest == me;
-        let mut received: Option<SharedBuf> = None;
+        let mut received: Option<Payload> = None;
         if acked {
-            self.inner.send_shared(sendbuf, dest, sendtag).await?;
+            self.inner.send_shared(&body, dest, sendtag).await?;
         } else if self.cfg.max_attempts == 0 {
             return Err(CommError::Timeout { peer: dest });
         } else {
@@ -421,10 +395,10 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
                 Some(_) => {}
                 // Loopback receive: the message is already queued.
                 None if src == me => {
-                    received = Some(self.inner.recv_owned(recv_capacity, src, recvtag).await?);
+                    received = Some(self.inner.take(capacity, src, recvtag, None).await?);
                 }
-                None => match self.recv_frame(recv_capacity, src, recvtag, Some(slice)).await {
-                    Ok(payload) => received = payload,
+                None => match self.recv_frame(capacity, src, recvtag, Some(slice)).await {
+                    Ok(payload) => received = payload.map(Payload::Shared),
                     Err(CommError::Timeout { .. }) => {}
                     Err(e) => return Err(e),
                 },
@@ -446,43 +420,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
                 }
             }
         }
-    }
-
-    // The slice-taking calls stage or land once around the protocol above.
-
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.send_shared(&self.inner.make_shared(buf), dest, tag).await
-    }
-
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        let payload = self.recv_owned(buf.len(), src, tag).await?;
-        Ok(self.land(buf, &payload))
-    }
-
-    async fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        let payload = self.recv_owned_timeout(buf.len(), src, tag, timeout).await?;
-        Ok(self.land(buf, &payload))
-    }
-
-    async fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        let staged = self.inner.make_shared(sendbuf);
-        let payload =
-            self.sendrecv_shared(&staged, dest, sendtag, recvbuf.len(), src, recvtag).await?;
-        Ok(self.land(recvbuf, &payload))
     }
 }
 

@@ -13,8 +13,11 @@
 //! [`SyncComm`](crate::acomm::SyncComm) +
 //! [`complete_now`](crate::acomm::complete_now).
 
+use std::time::Duration;
+
 use crate::acomm::AsyncCommunicator;
 use crate::error::Result;
+use crate::pool::{Payload, SharedBuf};
 use crate::rank::{ceil_log2, Rank, Tag};
 
 /// A communicator over a subset of a parent communicator's ranks.
@@ -175,47 +178,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
         self.parent.now_ns()
     }
 
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        self.parent.send(buf, self.members[dest], tag).await
-    }
-
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.check_rank(src)?;
-        self.parent.recv(buf, self.members[src], tag).await.map_err(|e| self.localize_err(e))
-    }
-
-    async fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        self.parent
-            .recv_timeout(buf, self.members[src], tag, timeout)
-            .await
-            .map_err(|e| self.localize_err(e))
-    }
-
-    async fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        self.parent
-            .sendrecv(sendbuf, self.members[dest], sendtag, recvbuf, self.members[src], recvtag)
-            .await
-            .map_err(|e| self.localize_err(e))
-    }
-
     /// Dissemination barrier over the member set only.
     ///
     /// Round `k` (of `ceil(log2 n)`) has each member exchange a zero-byte
@@ -239,7 +201,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
         Ok(())
     }
 
-    fn make_shared(&self, data: &[u8]) -> crate::SharedBuf {
+    fn make_shared(&self, data: &[u8]) -> SharedBuf {
         self.parent.make_shared(data)
     }
 
@@ -247,53 +209,37 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
         self.parent.note_copy(bytes)
     }
 
-    async fn send_shared(&self, buf: &crate::SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
+    async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.check_rank(dest)?;
-        self.parent.send_shared(buf, self.members[dest], tag).await
+        self.parent.post(payload, self.members[dest], tag).await
     }
 
-    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<crate::SharedBuf> {
-        self.check_rank(src)?;
-        self.parent
-            .recv_owned(capacity, self.members[src], tag)
-            .await
-            .map_err(|e| self.localize_err(e))
-    }
-
-    async fn recv_owned_timeout(
+    async fn take(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<crate::SharedBuf> {
+        timeout: Option<Duration>,
+    ) -> Result<Payload> {
         self.check_rank(src)?;
-        self.parent
-            .recv_owned_timeout(capacity, self.members[src], tag, timeout)
-            .await
-            .map_err(|e| self.localize_err(e))
+        let parent_src = self.members[src];
+        self.parent.take(capacity, parent_src, tag, timeout).await.map_err(|e| self.localize_err(e))
     }
 
-    async fn sendrecv_shared(
+    async fn exchange(
         &self,
-        sendbuf: &crate::SharedBuf,
+        payload: Payload,
         dest: Rank,
         sendtag: Tag,
-        recv_capacity: usize,
+        capacity: usize,
         src: Rank,
         recvtag: Tag,
-    ) -> Result<crate::SharedBuf> {
+    ) -> Result<Payload> {
         self.check_rank(dest)?;
         self.check_rank(src)?;
+        let (dest, src) = (self.members[dest], self.members[src]);
         self.parent
-            .sendrecv_shared(
-                sendbuf,
-                self.members[dest],
-                sendtag,
-                recv_capacity,
-                self.members[src],
-                recvtag,
-            )
+            .exchange(payload, dest, sendtag, capacity, src, recvtag)
             .await
             .map_err(|e| self.localize_err(e))
     }

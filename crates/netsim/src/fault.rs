@@ -23,10 +23,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::future::Future;
 use std::sync::Arc;
+use std::time::Duration;
 
-use mpsim::{AsyncCommunicator, CommError, Rank, Result, Tag};
+use mpsim::{AsyncCommunicator, CommError, Payload, Rank, Result, SharedBuf, Tag};
 use testkit::rng::{Rng, SplitMix64};
 
 /// What happens to one message offered on a link.
@@ -198,7 +198,7 @@ impl FaultPlan {
 /// Link faults target payload-bearing messages only: sends on the
 /// reliability layer's reserved acknowledgement range
 /// ([`mpsim::reliable::ACK_TAG_BASE`]) pass through un-faulted, modelling a
-/// reliable control plane (see `inject` for why a synchronous reliability
+/// reliable control plane (see `draw` for why a synchronous reliability
 /// layer needs this).
 pub struct FaultyComm<'a, C: ?Sized> {
     inner: &'a C,
@@ -246,7 +246,9 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
 
     /// Remove and return the held-back message on `(dst, tag)`, if any.
     fn take_holdback(&self, dst: Rank, tag: Tag) -> Option<Vec<u8>> {
-        self.holdback.borrow_mut().remove(&(dst, tag.0))
+        let mut held = self.holdback.borrow_mut();
+        // Nothing held is the common case; it costs no hashing.
+        (!held.is_empty()).then(|| held.remove(&(dst, tag.0))).flatten()
     }
 
     /// Stash a delayed message on `(dst, tag)`, returning the previously
@@ -285,54 +287,40 @@ impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
         }
     }
 
-    /// Apply the plan to one outgoing envelope on `(dest, tag)`, after the
-    /// caller has ticked the crash clock: draw the link's next decision and
-    /// deliver, drop, duplicate or hold back accordingly. `transmit` puts
-    /// the envelope on the wire in the caller's own form (plain, shared,
-    /// prefixed); `snapshot` copies its wire image for the holdback buffer and
-    /// runs only on a delay decision.
-    async fn inject<Fut: Future<Output = Result<()>>>(
-        &self,
-        dest: Rank,
-        tag: Tag,
-        transmit: impl Fn() -> Fut,
-        snapshot: impl FnOnce() -> Vec<u8>,
-    ) -> Result<()> {
-        // The reliability layer's pure acknowledgements ride a reserved
-        // control-tag range and model a tiny, assumed-reliable control
-        // plane: a synchronous `ReliableComm` (no background progress
-        // engine) cannot re-ack a retransmission once the receiver has
-        // moved on, so a lost *ack* would strand a sender that the
-        // protocol has, in fact, delivered for. Crash faults (the caller's
-        // `tick`) still apply; link faults target payload-bearing sends.
+    /// The plan's decision for the next envelope offered on `(dest, tag)`,
+    /// or `None` for the reliability layer's pure acknowledgements: they
+    /// ride a reserved control-tag range and model a tiny, assumed-reliable
+    /// control plane. A synchronous `ReliableComm` (no background progress
+    /// engine) cannot re-ack a retransmission once the receiver has moved
+    /// on, so a lost *ack* would strand a sender that the protocol has, in
+    /// fact, delivered for. Crash faults (the caller's `tick`) still apply;
+    /// link faults target payload-bearing sends.
+    fn draw(&self, dest: Rank, tag: Tag) -> Option<FaultAction> {
         if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
-            return transmit().await;
+            return None;
         }
         let k = self.next_link_seq(dest);
-        match self.plan.decide(self.inner.rank(), dest, k) {
-            FaultAction::Deliver => {
-                transmit().await?;
-                self.flush_holdback(dest, tag).await
-            }
-            // The message vanishes, but an earlier held-back one still
-            // becomes deliverable (the "drop" consumed its overtaker).
-            FaultAction::Drop => self.flush_holdback(dest, tag).await,
-            FaultAction::Duplicate => {
-                transmit().await?;
-                transmit().await?;
-                self.flush_holdback(dest, tag).await
-            }
-            // Hold the message until the next send on this channel
-            // overtakes it. At most one message per channel is in
-            // holdback: a second delay decision flushes the first.
-            FaultAction::Delay => match self.stash_holdback(dest, tag, snapshot()) {
-                Some(data) => self.inner.send(&data, dest, tag).await,
-                None => Ok(()),
-            },
+        Some(self.plan.decide(self.inner.rank(), dest, k))
+    }
+}
+
+/// Two handles on one payload for a duplicated delivery: refcount clones,
+/// after a unique rental is made shareable.
+fn twin(payload: Payload) -> (Payload, Payload) {
+    match payload {
+        Payload::Prefixed(prefix, body) => {
+            (Payload::Prefixed(prefix, body.clone()), Payload::Prefixed(prefix, body))
+        }
+        flat => {
+            let body = flat.into_shared();
+            (Payload::Shared(body.clone()), Payload::Shared(body))
         }
     }
 }
 
+/// Send-side faults on `post`, the crash clock on every core call: a
+/// provided method costs the crash clock exactly its core calls, so a
+/// seeded plan replays identically whichever variant the stack above runs.
 impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
     fn rank(&self) -> Rank {
         self.inner.rank()
@@ -346,45 +334,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         self.inner.now_ns()
     }
 
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        self.inner.check_rank(rank)
-    }
-
-    async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.tick()?;
-        self.inject(dest, tag, || self.inner.send(buf, dest, tag), || buf.to_vec()).await
-    }
-
-    async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.tick()?;
-        self.inner.recv(buf, src, tag).await
-    }
-
-    async fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<usize> {
-        self.tick()?;
-        self.inner.recv_timeout(buf, src, tag, timeout).await
-    }
-
-    async fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        // Counted and fault-injected as one send plus one receive.
-        self.send(sendbuf, dest, sendtag).await?;
-        self.recv(recvbuf, src, recvtag).await
-    }
-
     async fn barrier(&self) -> Result<()> {
         self.tick()?;
         // A barrier is a synchronization point: anything still held back
@@ -396,13 +345,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         self.inner.barrier().await
     }
 
-    // The zero-copy surface forwards natively so a fault-decorated stack
-    // keeps refcounted envelopes all the way down to the executor. Each
-    // method ticks the crash clock and draws per-link decisions exactly
-    // like its copying twin, so a seeded plan replays identically whether
-    // the collective above runs the copy or the zero-copy path.
-
-    fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+    fn make_shared(&self, data: &[u8]) -> SharedBuf {
         self.inner.make_shared(data)
     }
 
@@ -410,80 +353,54 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         self.inner.note_copy(bytes)
     }
 
-    async fn send_shared(&self, buf: &mpsim::SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
+    /// Deliver, drop, duplicate or hold back the envelope as the plan
+    /// draws. A duplicate is a refcount clone of the payload; a held-back
+    /// one is snapshotted as its wire image and later re-sent as plain
+    /// bytes.
+    async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.tick()?;
-        // A delayed envelope degrades to the copying holdback buffer — the
-        // sender may mutate its source after send_shared returns, so the
-        // held-back bytes must be snapshotted now.
-        self.inject(dest, tag, || self.inner.send_shared(buf, dest, tag), || buf.to_vec()).await
+        let Some(action) = self.draw(dest, tag) else {
+            return self.inner.post(payload, dest, tag).await;
+        };
+        match action {
+            FaultAction::Deliver => self.inner.post(payload, dest, tag).await?,
+            // The message vanishes, but an earlier held-back one still
+            // becomes deliverable (the "drop" consumed its overtaker).
+            FaultAction::Drop => {}
+            FaultAction::Duplicate => {
+                let (first, second) = twin(payload);
+                self.inner.post(first, dest, tag).await?;
+                self.inner.post(second, dest, tag).await?;
+            }
+            // Hold the message until the next send on this channel
+            // overtakes it. At most one message per channel is in
+            // holdback: a second delay decision flushes the first.
+            FaultAction::Delay => {
+                return match self.stash_holdback(dest, tag, payload.bytes().into()) {
+                    Some(data) => self.inner.send(&data, dest, tag).await,
+                    None => Ok(()),
+                };
+            }
+        }
+        self.flush_holdback(dest, tag).await
     }
 
-    async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<mpsim::SharedBuf> {
-        self.tick()?;
-        self.inner.recv_owned(capacity, src, tag).await
-    }
-
-    async fn recv_owned_timeout(
+    async fn take(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<mpsim::SharedBuf> {
+        timeout: Option<Duration>,
+    ) -> Result<Payload> {
         self.tick()?;
-        self.inner.recv_owned_timeout(capacity, src, tag, timeout).await
-    }
-
-    async fn sendrecv_shared(
-        &self,
-        sendbuf: &mpsim::SharedBuf,
-        dest: Rank,
-        sendtag: Tag,
-        recv_capacity: usize,
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<mpsim::SharedBuf> {
-        // Counted and fault-injected as one send plus one receive, exactly
-        // like `sendrecv`.
-        self.send_shared(sendbuf, dest, sendtag).await?;
-        self.recv_owned(recv_capacity, src, recvtag).await
-    }
-
-    async fn send_prefixed(
-        &self,
-        prefix: [u8; 4],
-        payload: &mpsim::SharedBuf,
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.tick()?;
-        // The hold-back snapshot is the wire image, `prefix ‖ payload`; its
-        // plain re-send splits back into the same two parts at the receiver.
-        self.inject(
-            dest,
-            tag,
-            || self.inner.send_prefixed(prefix, payload, dest, tag),
-            || [&prefix[..], &payload[..]].concat(),
-        )
-        .await
-    }
-
-    async fn recv_prefixed(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        timeout: Option<std::time::Duration>,
-    ) -> Result<Option<([u8; 4], mpsim::SharedBuf)>> {
-        self.tick()?;
-        self.inner.recv_prefixed(capacity, src, tag, timeout).await
+        self.inner.take(capacity, src, tag, timeout).await
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
+    use mpsim::{complete_now, Communicator, EventWorld, SyncComm, ThreadWorld};
 
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
@@ -607,30 +524,107 @@ mod tests {
         assert_eq!(out.results[1], vec![b'A', b'B']);
     }
 
+    /// Every communication method of the trait, as the crash clock sees it.
+    #[derive(Debug, Clone, Copy)]
+    enum Method {
+        Send,
+        Recv,
+        RecvTimeout,
+        Sendrecv,
+        SendShared,
+        RecvOwned,
+        SendrecvShared,
+        SendPrefixed,
+        RecvPrefixed,
+        Barrier,
+    }
+
+    impl Method {
+        const ALL: [Method; 10] = [
+            Method::Send,
+            Method::Recv,
+            Method::RecvTimeout,
+            Method::Sendrecv,
+            Method::SendShared,
+            Method::RecvOwned,
+            Method::SendrecvShared,
+            Method::SendPrefixed,
+            Method::RecvPrefixed,
+            Method::Barrier,
+        ];
+
+        /// The core calls the method is made of: its ticks on the clock.
+        fn core_calls(self) -> u64 {
+            match self {
+                Method::Sendrecv | Method::SendrecvShared => 2,
+                _ => 1,
+            }
+        }
+
+        /// Whether the method takes an envelope rank 0 has to post.
+        fn receives(self) -> bool {
+            !matches!(
+                self,
+                Method::Send | Method::SendShared | Method::SendPrefixed | Method::Barrier
+            )
+        }
+
+        /// Call the method once on `c`, with rank 0 as the peer.
+        async fn call<C: AsyncCommunicator + ?Sized>(self, c: &C) -> Result<()> {
+            let (mut buf, tag) = ([0u8; 8], Tag(0));
+            let staged = c.make_shared(&[1u8; 8]);
+            match self {
+                Method::Send => c.send(&[1u8; 8], 0, tag).await,
+                Method::Recv => c.recv(&mut buf, 0, tag).await.map(drop),
+                Method::RecvTimeout => {
+                    c.recv_timeout(&mut buf, 0, tag, Duration::from_secs(5)).await.map(drop)
+                }
+                Method::Sendrecv => c.sendrecv(&[1u8; 8], 0, tag, &mut buf, 0, tag).await.map(drop),
+                Method::SendShared => c.send_shared(&staged, 0, tag).await,
+                Method::RecvOwned => c.recv_owned(8, 0, tag).await.map(drop),
+                Method::SendrecvShared => {
+                    c.sendrecv_shared(&staged, 0, tag, 8, 0, tag).await.map(drop)
+                }
+                Method::SendPrefixed => c.send_prefixed([1; 4], &staged, 0, tag).await,
+                Method::RecvPrefixed => c.recv_prefixed(4, 0, tag, None).await.map(drop),
+                Method::Barrier => c.barrier().await,
+            }
+        }
+    }
+
+    /// Rank 1 calls `method` through a `FaultyComm` planned to crash after
+    /// exactly the method's core calls: the first call succeeds having
+    /// advanced the clock by that many ticks, the second fails the rank.
+    async fn crash_after_one_call<C: AsyncCommunicator + ?Sized>(comm: &C, method: Method) {
+        if comm.rank() == 0 {
+            if method.receives() {
+                comm.send(&[2u8; 8], 1, Tag(0)).await.unwrap();
+            }
+            if matches!(method, Method::Barrier) {
+                comm.barrier().await.unwrap();
+            }
+            return;
+        }
+        let faulty = FaultyComm::new(comm, FaultPlan::new(3).with_crash(1, method.core_calls()));
+        method.call(&faulty).await.unwrap();
+        assert_eq!(
+            (faulty.ops.get(), faulty.crashed()),
+            (method.core_calls(), false),
+            "{method:?}"
+        );
+        let err = method.call(&faulty).await.unwrap_err();
+        assert_eq!(err, CommError::PeerFailed { rank: 1 }, "{method:?}");
+        assert!(faulty.crashed(), "{method:?}");
+    }
+
     #[test]
     fn crash_fails_operations_after_threshold() {
-        let plan = FaultPlan::new(3).with_crash(1, 2);
-        let out = ThreadWorld::run(2, |comm| {
-            let acomm = SyncComm::new(comm);
-            let faulty = FaultyComm::new(&acomm, plan.clone());
-            if comm.rank() == 1 {
-                let mut buf = [0u8; 1];
-                complete_now(faulty.recv(&mut buf, 0, Tag(0))).unwrap(); // op 0
-                complete_now(faulty.recv(&mut buf, 0, Tag(0))).unwrap(); // op 1
-                assert!(!faulty.crashed());
-                let err = complete_now(faulty.recv(&mut buf, 0, Tag(0))).unwrap_err(); // op 2: dead
-                assert!(faulty.crashed());
-                assert_eq!(err, CommError::PeerFailed { rank: 1 });
-                1
-            } else {
-                comm.send(&[0], 1, Tag(0)).unwrap();
-                comm.send(&[0], 1, Tag(0)).unwrap();
-                // the third message is never consumed; eager send still works
-                comm.send(&[0], 1, Tag(0)).unwrap();
-                0
-            }
-        });
-        assert_eq!(out.results, vec![0, 1]);
+        for method in Method::ALL {
+            ThreadWorld::run(2, |comm| {
+                complete_now(crash_after_one_call(&SyncComm::new(comm), method))
+            });
+            EventWorld::run(2, |comm| async move { crash_after_one_call(&comm, method).await });
+        }
     }
 
     #[test]

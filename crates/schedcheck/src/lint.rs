@@ -181,11 +181,30 @@ pub fn check_unsafe(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
+/// Every communication method of `AsyncCommunicator` — the envelope core
+/// and every variant provided over it — as the call needle rules 3 and 7
+/// match (the open paren keeps `.recv_owned(` from matching `.recv(` and
+/// vice versa).
+const COMM_CALLS: [&str; 13] = [
+    ".post(",
+    ".take(",
+    ".exchange(",
+    ".barrier(",
+    ".send(",
+    ".recv(",
+    ".recv_timeout(",
+    ".sendrecv(",
+    ".send_shared(",
+    ".recv_owned(",
+    ".sendrecv_shared(",
+    ".send_prefixed(",
+    ".recv_prefixed(",
+];
+
 /// Rule 3: `let _ = …` discarding the `Result` of a communication call
-/// (`send`, `recv`, `sendrecv`, `recv_timeout`, `barrier`) in library code.
-/// Test modules are exempt (same scoping as [`check_panics`]); a deliberate
-/// best-effort call carries `// lint: allow(ignored-comm-result)` on the
-/// same or the preceding line.
+/// (any of [`COMM_CALLS`]) in library code. Test modules are exempt (same
+/// scoping as [`check_panics`]); a deliberate best-effort call carries
+/// `// lint: allow(ignored-comm-result)` on the same or the preceding line.
 pub fn check_ignored_comm_result(path: &str, content: &str) -> Vec<LintHit> {
     if !is_panic_free_lib(path) {
         return Vec::new();
@@ -194,7 +213,6 @@ pub fn check_ignored_comm_result(path: &str, content: &str) -> Vec<LintHit> {
         Some(i) => &content[..i],
         None => content,
     };
-    const CALLS: [&str; 5] = [".send(", ".recv(", ".sendrecv(", ".recv_timeout(", ".barrier("];
     let mut hits = Vec::new();
     let mut prev: &str = "";
     for (i, line) in body.lines().enumerate() {
@@ -202,7 +220,7 @@ pub fn check_ignored_comm_result(path: &str, content: &str) -> Vec<LintHit> {
         let discarded = code
             .find("let _ =")
             .map(|at| &code[at..])
-            .is_some_and(|rest| CALLS.iter().any(|c| rest.contains(c)));
+            .is_some_and(|rest| COMM_CALLS.iter().any(|c| rest.contains(c)));
         let allowed = line.contains("lint: allow(ignored-comm-result)")
             || prev.contains("lint: allow(ignored-comm-result)");
         if discarded && !allowed {
@@ -322,7 +340,7 @@ pub fn check_event_mailbox_hashmap(path: &str, content: &str) -> Vec<LintHit> {
 ///   the suspension, and the next poll of anything touching the same cell
 ///   panics — the reactor's single-threaded aliasing discipline is borrows
 ///   scoped strictly between suspension points.
-/// * **Send effect inside `poll`.** `send_now(` / `push_envelope(` /
+/// * **Send effect inside `poll`.** `post_now(` / `push_envelope(` /
 ///   `record_send(` / `rent_copy(` inside a `fn poll(` body (tracked by
 ///   brace depth). The
 ///   eager-send discipline puts the irrevocable side effect *before* the
@@ -345,7 +363,7 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     };
     const REGISTRATION: [&str; 6] =
         ["sched.push(", "watch(", "arm_timer(", "barrier_parked", ".poll(", "waker("];
-    const SEND_EFFECTS: [&str; 4] = ["send_now(", "push_envelope(", "record_send(", "rent_copy("];
+    const SEND_EFFECTS: [&str; 4] = ["post_now(", "push_envelope(", "record_send(", "rent_copy("];
     let lines: Vec<&str> = body.lines().collect();
     let mut hits = Vec::new();
     let mut depth = 0isize;
@@ -403,7 +421,6 @@ pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
         Some(i) => &content[..i],
         None => content,
     };
-    const CALLS: [&str; 5] = [".send(", ".recv(", ".sendrecv(", ".recv_timeout(", ".barrier("];
     let mut hits = Vec::new();
     let mut prev: &str = "";
     // True while the current multi-line statement has already named a
@@ -411,7 +428,7 @@ pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
     let mut stmt_has_comm = false;
     for (i, line) in body.lines().enumerate() {
         let code = code_part(line);
-        if CALLS.iter().any(|c| code.contains(c)) {
+        if COMM_CALLS.iter().any(|c| code.contains(c)) {
             stmt_has_comm = true;
         }
         // The needles carry the open paren, so `.unwrap_or(` / `.expect_err(`
@@ -567,6 +584,25 @@ mod tests {
     }
 
     #[test]
+    fn ignored_comm_result_rule_sees_shared_and_core_calls() {
+        for call in [
+            "let _ = comm.send_shared(&env, 1, Tag(0)).await;\n",
+            "let _ = comm.recv_owned(8, 0, Tag(0)).await;\n",
+            "let _ = comm.sendrecv_shared(&env, 1, Tag(0), 8, 1, Tag(0)).await;\n",
+            "let _ = comm.send_prefixed(seq, &env, 1, Tag(0)).await;\n",
+            "let _ = self.inner.post(payload, dest, tag).await;\n",
+            "let _ = self.inner.take(8, src, tag, None).await;\n",
+            "let _ = self.inner.exchange(payload, 1, Tag(0), 8, 1, Tag(0)).await;\n",
+        ] {
+            assert_eq!(
+                check_ignored_comm_result("crates/netsim/src/x.rs", call).len(),
+                1,
+                "{call}"
+            );
+        }
+    }
+
+    #[test]
     fn real_time_rule_scoping_and_waiver() {
         let sleepy = "fn f() { std::thread::sleep(Duration::from_millis(1)); }\n";
         assert_eq!(check_real_time("crates/mpsim/src/event_comm.rs", sleepy).len(), 1);
@@ -689,12 +725,12 @@ mod tests {
     #[test]
     fn cancel_safety_flags_send_effects_inside_poll() {
         let in_poll = "fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {\n    \
-                       self.comm.send_now(buf, dest, tag)?;\n    Poll::Ready(())\n}\n";
+                       self.comm.post_now(payload, dest, tag)?;\n    Poll::Ready(())\n}\n";
         assert_eq!(check_cancel_safety("crates/mpsim/src/event_comm.rs", in_poll).len(), 1);
         // The eager-send discipline: the same effect before the future
         // exists (outside any poll body) is exactly what the rule demands.
-        let eager = "fn send(&self, buf: &[u8]) -> Result<()> {\n    \
-                     self.send_now(buf, dest, tag)\n}\n\
+        let eager = "fn post(&self, payload: Payload) -> Result<()> {\n    \
+                     self.post_now(payload, dest, tag)\n}\n\
                      fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {\n    \
                      Poll::Ready(())\n}\n";
         assert!(check_cancel_safety("crates/mpsim/src/event_comm.rs", eager).is_empty());
@@ -752,6 +788,17 @@ mod tests {
         let tolerant = "let _ = comm.send(&buf, peer, Tag(3)).map_err(|_| ());\n\
                         if comm.barrier().is_err() { return; }\n";
         assert!(check_recovery_unwrap("crates/core/src/recovery.rs", tolerant).is_empty());
+    }
+
+    #[test]
+    fn recovery_unwrap_sees_shared_and_core_calls() {
+        let recovery = "crates/core/src/recovery.rs";
+        let shared = "let _ = comm.send_shared(&env, peer, Tag(3)).await.unwrap();\n";
+        assert_eq!(check_recovery_unwrap(recovery, shared).len(), 1);
+        let core = "let env = self.inner\n    .take(cap, src, tag, None)\n    .await\n    .expect(\"peer\");\n";
+        assert_eq!(check_recovery_unwrap(recovery, core).len(), 1);
+        let posted = "self.inner.post(payload, dest, tag).await.unwrap();\n";
+        assert_eq!(check_recovery_unwrap(recovery, posted).len(), 1);
     }
 
     #[test]

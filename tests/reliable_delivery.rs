@@ -12,11 +12,11 @@
 
 use std::time::Duration;
 
-use bcast_core::{Interp, SchedOp};
+use bcast_core::{membership_digest, EpochComm, Interp, SchedOp};
 use mpsim::reliable::{ACK_TAG_BASE, DATA_TAG_BASE};
 use mpsim::{
-    complete_now, AsyncCommunicator, CommError, EventWorld, ReliableComm, RetryConfig, SyncComm,
-    Tag, ThreadWorld,
+    complete_now, AsyncCommunicator, CommError, EventWorld, Payload, ReliableComm, RetryConfig,
+    SubComm, SyncComm, Tag, ThreadWorld,
 };
 use netsim::{FaultAction, FaultAction::*, FaultPlan, FaultyComm, LinkFaults};
 
@@ -168,34 +168,53 @@ async fn out_of_range_tag_is_refused<C: AsyncCommunicator>(comm: &C) {
 }
 on_both_executors!(out_of_range_tag_is_refused);
 
-/// The frame a receiver gets after a dropped first attempt is a view of the
-/// *same* rental the sender staged: the retransmission re-posted a clone.
+const FRAMED: usize = 4096;
+
+/// Rank 0 stages [`FRAMED`] bytes and posts them through `ReliableComm`
+/// over `lower`; rank 1 receives them. Each rank returns the address of the
+/// bytes it staged or received and, on the receiver, how many views share
+/// the rental.
+async fn framed_round<C: AsyncCommunicator + ?Sized>(lower: &C) -> (usize, usize) {
+    let rc = ReliableComm::with_config(lower, retry(12));
+    if rc.rank() == 0 {
+        let staged = rc.make_shared(&[7u8; FRAMED]);
+        let at = staged.as_ptr() as usize;
+        rc.post(Payload::Shared(staged), 1, Tag(3)).await.unwrap();
+        (at, 0)
+    } else {
+        let got = rc.recv_owned(FRAMED, 0, Tag(3)).await.unwrap();
+        assert_eq!(&got[..], &[7u8; FRAMED]);
+        // The sender is still parked on the ack; the frame it posted by
+        // move holds the rental's only other view.
+        (got.as_ptr() as usize, got.shares())
+    }
+}
+
+/// The frame a receiver gets is a view of the *same* rental the sender
+/// staged, whatever sits under `ReliableComm`: after a dropped first attempt
+/// over `FaultyComm` (the retransmission re-posted a clone), and through the
+/// recovery stack's `EpochComm` over a `SubComm`.
 #[test]
 fn retransmission_reposts_the_staged_rental() {
-    const N: usize = 4096;
     let plan = plan_meeting(HALF_DROPPED, &[Drop, Deliver]);
     let out = EventWorld::run(2, |comm| {
         let plan = plan.clone();
-        async move {
-            let faulty = FaultyComm::new(&comm, plan);
-            let rc = ReliableComm::with_config(&faulty, retry(12));
-            if comm.rank() == 0 {
-                let staged = rc.make_shared(&[7u8; N]);
-                rc.send_shared(&staged, 1, Tag(3)).await.unwrap();
-                (staged.as_ptr() as usize, 0)
-            } else {
-                let got = rc.recv_owned(N, 0, Tag(3)).await.unwrap();
-                assert_eq!(&got[..], &[7u8; N]);
-                // The sender is still parked on the ack, holding its view.
-                (got.as_ptr() as usize, got.shares())
-            }
-        }
+        async move { framed_round(&FaultyComm::new(&comm, plan)).await }
     });
     assert_eq!(out.results[1], (out.results[0].0, 2), "not the sender's rental");
     assert!(out.elapsed >= retry(12).base_timeout, "the first attempt was meant to be lost");
     // One staging pass at the sender; beyond it only the ack moved bytes.
     let copied: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
-    assert_eq!(copied, vec![N as u64 + 4, 4]);
+    assert_eq!(copied, vec![FRAMED as u64 + 4, 4]);
+
+    let out = EventWorld::run(2, |comm| async move {
+        let members = vec![0, 1];
+        let sub = SubComm::new(&comm, members.clone()).expect("both ranks are members");
+        framed_round(&EpochComm::isolated(&sub, 1, membership_digest(&members))).await
+    });
+    assert_eq!(out.results[1], (out.results[0].0, 2), "Epoch(Sub(..)) copied the frame");
+    let copied: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
+    assert_eq!(copied, vec![FRAMED as u64 + 4, 4]);
 }
 
 /// The re-ack of [`oversized_stale_duplicate`], counted: the receiver sends
