@@ -45,7 +45,7 @@ pub fn run_threaded(algorithm: Algorithm, size: usize, nbytes: usize, root: Rank
 /// result against the root's pattern. Returns the traffic on success.
 pub fn check_bcast<F>(size: usize, nbytes: usize, root: Rank, bcast: F) -> WorldTraffic
 where
-    F: Fn(&dyn CommunicatorDyn, &mut [u8], Rank) -> Result<()> + Sync,
+    F: Fn(&dyn Communicator, &mut [u8], Rank) -> Result<()> + Sync,
 {
     let src = pattern(nbytes, 42);
     let out = ThreadWorld::run(size, |comm| {
@@ -56,10 +56,6 @@ where
     });
     out.traffic
 }
-
-/// Object-safe alias so closures can take any backend by reference.
-pub trait CommunicatorDyn: Communicator {}
-impl<T: Communicator + ?Sized> CommunicatorDyn for T {}
 
 #[cfg(test)]
 mod tests {

@@ -12,24 +12,26 @@
 //! [`complete_now`]. This module is the only code that knows a blocking
 //! backend exists.
 //!
-//! The trait is an *envelope core*. An implementor writes how one
+//! Both traits are the same *envelope core*. An implementor writes how one
 //! [`Payload`] is posted to `(dest, tag)`
 //! ([`post`](AsyncCommunicator::post)), how one is taken from `(src, tag)`
 //! by an optional deadline ([`take`](AsyncCommunicator::take)), and — if
 //! post-then-take could deadlock or wedge it — how the two fuse
 //! ([`exchange`](AsyncCommunicator::exchange)); plus identity, the clock,
 //! the barrier and the copy accounting. Every copying, shared, timed and
-//! prefixed variant is a provided method over that core which no
-//! implementor overrides, so a decorator that transforms the core
-//! transforms all of them, and each variant costs exactly the core calls
-//! its name implies: one per send or receive, two per exchange.
+//! prefixed variant is a provided method here which no implementor
+//! overrides, so a decorator that transforms the core transforms all of
+//! them, and each variant costs exactly the core calls its name implies:
+//! one per send or receive, two per exchange. The blocking trait's
+//! variants are one line each, this module's namesake run through the
+//! bridge, so each variant's semantics is written once, here.
 //!
 //! On the cooperative single-threaded executor
 //! ([`EventWorld`](crate::event_comm::EventWorld)) the futures genuinely
 //! suspend; on the blocking backends ([`ThreadWorld`](crate::ThreadWorld),
 //! `netsim::SimWorld`) the same cores run through the [`SyncComm`] bridge,
-//! whose async methods complete on first poll because they forward to
-//! blocking calls. [`complete_now`] drives such a never-pending future to
+//! whose core forwards one-for-one to the blocking core and so completes on
+//! first poll. [`complete_now`] drives such a never-pending future to
 //! completion without any runtime, so the public blocking entry points keep
 //! their exact historical signatures and behaviour.
 //!
@@ -54,9 +56,9 @@ pub fn deadline_after(now_ns: u64, timeout: Duration) -> u64 {
 }
 
 /// The communicator surface everything above the executors is written
-/// against. Same contract as the blocking [`Communicator`] (tag matching,
-/// non-overtaking per `(source, tag)`, truncation, exited-peer detection),
-/// with the blocking operations expressed as futures.
+/// against. Same core and contract as the blocking [`Communicator`] (tag
+/// matching, non-overtaking per `(source, tag)`, truncation, exited-peer
+/// detection), with the blocking operations expressed as futures.
 ///
 /// Implementors write the envelope core: `rank`, `size`, `now_ns`,
 /// `barrier`, `make_shared`, `note_copy`, `post`, `take`, and optionally
@@ -91,12 +93,12 @@ pub trait AsyncCommunicator {
     async fn barrier(&self) -> Result<()>;
 
     /// Stage `data` into a pooled, shareable envelope payload — one counted
-    /// copy (see [`Communicator::make_shared`]). Synchronous by design:
-    /// staging never waits on any backend.
+    /// copy; everything posted from it afterwards moves refcounts, not
+    /// bytes. Synchronous by design: staging never waits on any backend.
     fn make_shared(&self, data: &[u8]) -> SharedBuf;
 
-    /// Record `bytes` of payload memcpy'd outside the communicator (see
-    /// [`Communicator::note_copy`]).
+    /// Record `bytes` of payload memcpy'd outside the communicator — a
+    /// landing copy into a user buffer — against `bytes_copied`.
     fn note_copy(&self, bytes: usize);
 
     /// Post `payload` to `dest` as ONE envelope on `tag` (may complete
@@ -121,8 +123,9 @@ pub trait AsyncCommunicator {
     /// `(src, recvtag)` (MPI_Sendrecv): both directions progress
     /// concurrently, so rings of exchanges cannot deadlock. The default —
     /// post, then an unbounded take — is correct only on eager transports;
-    /// a rendezvous bridge ([`SyncComm`]), a protocol that must pump both
-    /// directions, or a decorator that translates arguments overrides it.
+    /// the bridge ([`SyncComm`], onto the blocking backend's own exchange), a
+    /// protocol that must pump both directions, or a decorator that
+    /// translates arguments overrides it.
     #[allow(clippy::too_many_arguments)]
     async fn exchange(
         &self,
@@ -188,21 +191,25 @@ pub trait AsyncCommunicator {
         Ok(land(self, recvbuf, &payload))
     }
 
-    /// Zero-copy send of a refcount clone of `buf` (see
-    /// [`Communicator::send_shared`]).
+    /// Zero-copy send: post a refcount clone of `buf` instead of staging its
+    /// bytes. Wire accounting is that of [`send`](AsyncCommunicator::send)
+    /// of the same bytes; only `bytes_copied` differs.
     async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
         self.post(Payload::Shared(buf.clone()), dest, tag).await
     }
 
-    /// Owned receive of the arriving envelope (see
-    /// [`Communicator::recv_owned`]). `capacity` bounds the acceptable
-    /// message length exactly like a receive buffer's length.
+    /// Owned receive: the arriving envelope itself instead of a copy of its
+    /// bytes. `capacity` bounds the acceptable message length exactly like
+    /// a receive buffer's length; the view may alias the sender's rental
+    /// (that is the point) and returns to its pool when dropped.
     async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
         self.take(capacity, src, tag, None).await.map(Payload::into_shared)
     }
 
-    /// Combined concurrent zero-copy exchange (see
-    /// [`Communicator::sendrecv_shared`]).
+    /// Combined concurrent zero-copy exchange: forward `sendbuf` while
+    /// taking ownership of the arriving envelope — the ring allgather's
+    /// inner step, where each received chunk becomes the next step's
+    /// outgoing chunk without touching RAM in between.
     #[allow(clippy::too_many_arguments)]
     async fn sendrecv_shared(
         &self,
@@ -271,12 +278,11 @@ fn land<C: AsyncCommunicator + ?Sized>(comm: &C, buf: &mut [u8], payload: &Paylo
 }
 
 /// Bridge from the blocking [`Communicator`] world into the async trait:
-/// wraps a borrowed sync communicator and maps the envelope core onto the
-/// corresponding blocking calls, which means every future it returns is
-/// ready on its first poll. Drive such futures with [`complete_now`].
+/// wraps a borrowed sync communicator and forwards each core call to its
+/// blocking namesake, which means every future it returns is ready on its
+/// first poll. Drive such futures with [`complete_now`].
 ///
-/// Crucially, `exchange` forwards to the blocking trait's own
-/// `sendrecv_shared` (not the post-then-take default), so rendezvous
+/// `exchange` forwards too (not the post-then-take default), so rendezvous
 /// backends keep their genuinely concurrent exchange.
 pub struct SyncComm<'a, C: ?Sized>(&'a C);
 
@@ -284,11 +290,6 @@ impl<'a, C: ?Sized> SyncComm<'a, C> {
     /// Wrap a borrowed blocking communicator.
     pub fn new(inner: &'a C) -> Self {
         Self(inner)
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &'a C {
-        self.0
     }
 }
 
@@ -318,12 +319,7 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
     }
 
     async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
-        match payload {
-            // The blocking trait has no framed send: the wire image goes out
-            // through one staged copy.
-            framed @ Payload::Prefixed(..) => self.0.send(&framed.bytes(), dest, tag),
-            flat => self.0.send_shared(&flat.into_shared(), dest, tag),
-        }
+        self.0.post(payload, dest, tag)
     }
 
     async fn take(
@@ -333,15 +329,7 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
         tag: Tag,
         timeout: Option<Duration>,
     ) -> Result<Payload> {
-        let Some(timeout) = timeout else {
-            return self.0.recv_owned(capacity, src, tag).map(Payload::Shared);
-        };
-        // Nor an owned timed receive: the blocking one lands in a temporary
-        // frame.
-        let mut frame = vec![0u8; capacity];
-        let n = self.0.recv_timeout(&mut frame, src, tag, timeout)?;
-        frame.truncate(n);
-        Ok(frame.into())
+        self.0.take(capacity, src, tag, timeout)
     }
 
     async fn exchange(
@@ -353,8 +341,7 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
         src: Rank,
         recvtag: Tag,
     ) -> Result<Payload> {
-        let sendbuf = payload.into_shared();
-        self.0.sendrecv_shared(&sendbuf, dest, sendtag, capacity, src, recvtag).map(Payload::Shared)
+        self.0.exchange(payload, dest, sendtag, capacity, src, recvtag)
     }
 }
 

@@ -2,15 +2,24 @@
 //! ([`ThreadComm`](crate::ThreadComm), `netsim::SimComm`) implement and what
 //! the blocking entry points of the collectives accept.
 //!
+//! It is the same envelope core as
+//! [`AsyncCommunicator`](crate::AsyncCommunicator), with blocking calls:
+//! an executor writes how one [`Payload`] is posted and taken (and, where
+//! post-then-take could deadlock, how the two fuse), plus identity, clock,
+//! barrier and copy accounting. Every copying, shared and timed call is a
+//! provided one-liner that runs the async variant of the same name through
+//! [`SyncComm`] + [`complete_now`], so each variant's semantics is written
+//! once, in `acomm.rs`, for all three executors.
+//!
 //! Nothing above the executors implements this trait: decorators and
-//! collectives are written once against
-//! [`AsyncCommunicator`](crate::AsyncCommunicator), and a blocking backend
-//! enters that code through [`SyncComm`](crate::SyncComm) +
-//! [`complete_now`](crate::complete_now) (`acomm.rs` is the only module that
-//! knows a blocking backend exists).
+//! collectives are written once against `AsyncCommunicator`, and a blocking
+//! backend enters that code through the same bridge.
 
-use crate::error::{CommError, Result};
-use crate::pool::SharedBuf;
+use std::time::Duration;
+
+use crate::acomm::{complete_now, AsyncCommunicator, SyncComm};
+use crate::error::Result;
+use crate::pool::{Payload, SharedBuf};
 use crate::rank::{Rank, Tag};
 
 /// Blocking, tag-matched point-to-point communication within a fixed world.
@@ -19,14 +28,14 @@ use crate::rank::{Rank, Tag};
 ///
 /// * Messages between a given `(sender, receiver, tag)` triple are
 ///   **non-overtaking**: they are received in the order they were sent.
-/// * [`recv`](Communicator::recv) blocks until a matching message arrives and
-///   returns the actual payload length; the payload must fit in the provided
-///   buffer or [`CommError::Truncation`] is returned.
-/// * [`send`](Communicator::send) may be buffered (eager) or synchronous
+/// * [`take`](Communicator::take) blocks until a matching envelope arrives;
+///   one longer than `capacity` is consumed and fails with
+///   [`CommError::Truncation`](crate::CommError::Truncation).
+/// * [`post`](Communicator::post) may be buffered (eager) or synchronous
 ///   (rendezvous) depending on the backend and message size — exactly the
 ///   freedom MPI gives implementations. Algorithms must not rely on either.
-/// * [`sendrecv`](Communicator::sendrecv) behaves like a send and a receive
-///   executing *concurrently*, so rings of `sendrecv` cannot deadlock
+/// * [`exchange`](Communicator::exchange) behaves like a post and a take
+///   executing *concurrently*, so rings of exchanges cannot deadlock
 ///   (MPI_Sendrecv semantics).
 ///
 /// Self-messaging (`dest == rank`) is permitted and loops back locally.
@@ -37,38 +46,95 @@ pub trait Communicator {
     /// Number of ranks in the world.
     fn size(&self) -> usize;
 
-    /// Blocking tagged send of `buf` to `dest`.
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()>;
-
-    /// Blocking tagged receive from `src` into `buf`.
+    /// Current time in nanoseconds on this backend's clock.
     ///
-    /// Returns the number of payload bytes written (which may be smaller than
-    /// `buf.len()`, like an MPI receive with a larger count).
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize>;
+    /// Wall-clock backends return real elapsed time since world start;
+    /// simulator backends return this rank's *virtual* time. Benchmarks use
+    /// differences of `now_ns` around an operation uniformly on both.
+    fn now_ns(&self) -> u64;
 
-    /// Deadline-bounded receive: like [`recv`](Communicator::recv), but
-    /// failing with [`CommError::Timeout`] if no matching message arrives
-    /// within `timeout`.
-    ///
-    /// On expiry nothing has been consumed: a message that arrives later
-    /// stays queued for the next matching receive. Backends that know the
-    /// peer can no longer send (it exited or crashed) may fail early with
-    /// [`CommError::PeerFailed`] instead of waiting out the deadline — this
-    /// is the failure detector the self-healing collectives in `bcast-core`
-    /// are built on.
+    /// Block until every rank in the world has entered the barrier.
+    fn barrier(&self) -> Result<()>;
+
+    /// Stage `data` into a pooled, shareable envelope payload — **one** copy,
+    /// recorded against this rank's `bytes_copied`. Everything posted from
+    /// the returned [`SharedBuf`] (or its [`slice`](SharedBuf::slice)
+    /// sub-views) afterwards moves refcounts, not bytes.
+    fn make_shared(&self, data: &[u8]) -> SharedBuf;
+
+    /// Record `bytes` of payload this rank memcpy'd *outside* the
+    /// communicator — the collectives' landing copy of a received envelope
+    /// into the user buffer — against `TrafficStats::bytes_copied`.
+    fn note_copy(&self, bytes: usize);
+
+    /// Post `payload` to `dest` as ONE envelope on `tag`, counted as a send
+    /// of `payload.len()` bytes. The payload travels as-is: no byte moves.
+    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()>;
+
+    /// Take the next envelope from `src` on `tag`. `capacity` bounds its
+    /// length exactly like a receive buffer's; `timeout`, when given, bounds
+    /// the wait, failing with [`CommError::Timeout`](crate::CommError::Timeout)
+    /// with nothing consumed (a timeout too long to represent waits without
+    /// bound). Backends that know the peer can no longer send (it exited or
+    /// crashed) fail early with
+    /// [`CommError::PeerFailed`](crate::CommError::PeerFailed) — the failure
+    /// detector the self-healing collectives in `bcast-core` are built on.
+    fn take(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<Payload>;
+
+    /// Post `payload` to `(dest, sendtag)` while taking the envelope from
+    /// `(src, recvtag)`. The default — post, then an unbounded take — is
+    /// correct only for backends whose posts never block on the receiver;
+    /// a rendezvous backend overrides it with a genuinely concurrent one.
+    #[allow(clippy::too_many_arguments)]
+    fn exchange(
+        &self,
+        payload: Payload,
+        dest: Rank,
+        sendtag: Tag,
+        capacity: usize,
+        src: Rank,
+        recvtag: Tag,
+    ) -> Result<Payload> {
+        self.post(payload, dest, sendtag)?;
+        self.take(capacity, src, recvtag, None)
+    }
+
+    // Provided over the core through the bridge; no implementor overrides
+    // any of these. Each is documented on its `AsyncCommunicator` namesake.
+
+    /// [`AsyncCommunicator::check_rank`].
+    fn check_rank(&self, rank: Rank) -> Result<()> {
+        SyncComm::new(self).check_rank(rank)
+    }
+
+    /// [`AsyncCommunicator::send`].
+    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
+        complete_now(SyncComm::new(self).send(buf, dest, tag))
+    }
+
+    /// [`AsyncCommunicator::recv`].
+    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
+        complete_now(SyncComm::new(self).recv(buf, src, tag))
+    }
+
+    /// [`AsyncCommunicator::recv_timeout`].
     fn recv_timeout(
         &self,
         buf: &mut [u8],
         src: Rank,
         tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<usize>;
+        timeout: Duration,
+    ) -> Result<usize> {
+        complete_now(SyncComm::new(self).recv_timeout(buf, src, tag, timeout))
+    }
 
-    /// Combined concurrent send+receive (MPI_Sendrecv).
-    ///
-    /// The default implementation is only correct for backends whose `send`
-    /// never blocks on the receiver (eager/buffered); synchronous backends
-    /// must override it with a genuinely concurrent implementation.
+    /// [`AsyncCommunicator::sendrecv`].
     fn sendrecv(
         &self,
         sendbuf: &[u8],
@@ -78,82 +144,20 @@ pub trait Communicator {
         src: Rank,
         recvtag: Tag,
     ) -> Result<usize> {
-        self.send(sendbuf, dest, sendtag)?;
-        self.recv(recvbuf, src, recvtag)
+        complete_now(SyncComm::new(self).sendrecv(sendbuf, dest, sendtag, recvbuf, src, recvtag))
     }
 
-    /// Block until every rank in the world has entered the barrier.
-    fn barrier(&self) -> Result<()>;
-
-    /// Current time in nanoseconds on this backend's clock.
-    ///
-    /// Wall-clock backends return real elapsed time since world start;
-    /// simulator backends return this rank's *virtual* time. Benchmarks use
-    /// differences of `now_ns` around an operation uniformly on both.
-    fn now_ns(&self) -> u64;
-
-    /// Validate that `rank` names a member of this world.
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        if rank < self.size() {
-            Ok(())
-        } else {
-            Err(CommError::InvalidRank { rank, size: self.size() })
-        }
-    }
-
-    /// Stage `data` into a pooled, shareable envelope payload — **one** copy,
-    /// recorded against this rank's `bytes_copied`. Everything sent from the
-    /// returned [`SharedBuf`] (or its [`slice`](SharedBuf::slice) sub-views)
-    /// afterwards moves refcounts, not bytes.
-    ///
-    /// The default stages into a plain allocation; pooled backends override
-    /// it to rent from their buffer pool.
-    fn make_shared(&self, data: &[u8]) -> SharedBuf {
-        self.note_copy(data.len());
-        SharedBuf::from(data.to_vec())
-    }
-
-    /// Record `bytes` of payload this rank memcpy'd *outside* the
-    /// communicator — the collectives' final copy-out of a received
-    /// [`SharedBuf`] into the user buffer. Counting backends override this
-    /// to feed `TrafficStats::bytes_copied`; the default is a no-op.
-    fn note_copy(&self, _bytes: usize) {}
-
-    /// Zero-copy send: enqueue a refcount clone of `buf` for `dest` instead
-    /// of staging the bytes into a fresh envelope.
-    ///
-    /// Wire accounting is identical to [`send`](Communicator::send) of the
-    /// same bytes — only `bytes_copied` differs. The default falls back to
-    /// copy semantics so decorators (retransmission, fault injection, rank
-    /// translation) keep working unchanged.
+    /// [`AsyncCommunicator::send_shared`].
     fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.send(buf, dest, tag)
+        complete_now(SyncComm::new(self).send_shared(buf, dest, tag))
     }
 
-    /// Owned receive: take the arriving envelope itself instead of copying
-    /// its bytes out into a caller buffer.
-    ///
-    /// `capacity` plays the role of the receive buffer length: a longer
-    /// message fails with [`CommError::Truncation`], exactly like
-    /// [`recv`](Communicator::recv) into a `capacity`-byte buffer. The
-    /// returned view is immutable and may alias the sender's `SharedBuf`
-    /// (that is the point); it returns to the owning pool when dropped.
+    /// [`AsyncCommunicator::recv_owned`].
     fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
-        let mut tmp = vec![0u8; capacity];
-        let n = self.recv(&mut tmp, src, tag)?;
-        tmp.truncate(n);
-        Ok(SharedBuf::from(tmp))
+        complete_now(SyncComm::new(self).recv_owned(capacity, src, tag))
     }
 
-    /// Combined concurrent zero-copy exchange: forward `sendbuf` to `dest`
-    /// while taking ownership of the envelope arriving from `src` — the
-    /// ring allgather's inner step, where each received chunk becomes the
-    /// next step's outgoing chunk without touching RAM in between.
-    ///
-    /// Deadlock-freedom contract is that of
-    /// [`sendrecv`](Communicator::sendrecv): both directions progress
-    /// concurrently, so rings of rendezvous-sized exchanges cannot deadlock.
-    /// The default falls back to copy semantics via `sendrecv`.
+    /// [`AsyncCommunicator::sendrecv_shared`].
     #[allow(clippy::too_many_arguments)]
     fn sendrecv_shared(
         &self,
@@ -164,9 +168,13 @@ pub trait Communicator {
         src: Rank,
         recvtag: Tag,
     ) -> Result<SharedBuf> {
-        let mut tmp = vec![0u8; recv_capacity];
-        let n = self.sendrecv(sendbuf, dest, sendtag, &mut tmp, src, recvtag)?;
-        tmp.truncate(n);
-        Ok(SharedBuf::from(tmp))
+        complete_now(SyncComm::new(self).sendrecv_shared(
+            sendbuf,
+            dest,
+            sendtag,
+            recv_capacity,
+            src,
+            recvtag,
+        ))
     }
 }

@@ -31,8 +31,10 @@
 //! Every wait is arithmetic on [`AsyncCommunicator::now_ns`], so on the event
 //! executor the retransmission timers are virtual-clock timer events
 //! (deterministic, no real sleeping), while through the
-//! [`SyncComm`](crate::acomm::SyncComm) bridge the same arithmetic tracks
-//! wall-clock time on the blocking backends.
+//! [`SyncComm`](crate::acomm::SyncComm) bridge, which forwards the core
+//! one-for-one, each bounded take is the blocking backend's own wall-clock
+//! wait. Every executor queues the framed envelope as posted, so a frame is
+//! a clone of the caller's rental on all three, with the same copy bill.
 //!
 //! ## Transport requirements
 //!

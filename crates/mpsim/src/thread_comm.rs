@@ -7,9 +7,11 @@
 //! ("the point-to-point operation is implemented via memory copying, which
 //! [...] can be minimized in the tuned ring allgather algorithm").
 //!
-//! Sends are *eager*: the payload is copied into the destination mailbox and
-//! the sender continues immediately. This makes the default
-//! [`Communicator::sendrecv`] (send then receive) deadlock-free.
+//! Posts are *eager*: the payload moves into the destination mailbox as-is
+//! and the sender continues immediately. This makes the default
+//! [`Communicator::exchange`] (post then take) deadlock-free. `ThreadComm`
+//! writes only the envelope core; every copying, shared and timed call is
+//! the trait's own.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -185,49 +187,6 @@ impl ThreadComm {
     pub fn pool_stats(&self) -> PoolStats {
         self.shared.pool.stats()
     }
-
-    /// Common receive path: blocking, deadline-bounded, and exited-peer-aware.
-    ///
-    /// The watch predicate fails the pop with [`CommError::PeerFailed`] when
-    /// `src` has left the world (its closure returned) and its queued
-    /// messages are exhausted — the fast failure-detection path the
-    /// self-healing collectives rely on. Self-receives skip the watch: this
-    /// rank is trivially alive.
-    fn recv_inner(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        deadline: Option<Instant>,
-    ) -> Result<usize> {
-        let env = self.pop_envelope(src, tag, deadline, buf.len())?;
-        buf[..env.data.len()].copy_from_slice(&env.data.bytes());
-        self.counters.record_copy(env.data.len());
-        self.counters.record_recv(src, env.data.len());
-        Ok(env.data.len())
-    }
-
-    /// Match and pop one envelope from `src`, enforcing `capacity` against
-    /// its payload length. Shared by the copy-out and owned receive paths.
-    fn pop_envelope(
-        &self,
-        src: Rank,
-        tag: Tag,
-        deadline: Option<Instant>,
-        capacity: usize,
-    ) -> Result<crate::mailbox::Envelope> {
-        self.check_rank(src)?;
-        let shared = &self.shared;
-        let me = self.rank;
-        let env = shared.mailboxes[me].pop_watch(src, tag, deadline, || {
-            (src != me && shared.exited[src].load(Ordering::SeqCst))
-                .then_some(CommError::PeerFailed { rank: src })
-        })?;
-        if env.data.len() > capacity {
-            return Err(CommError::Truncation { capacity, incoming: env.data.len() });
-        }
-        Ok(env)
-    }
 }
 
 impl Communicator for ThreadComm {
@@ -239,42 +198,18 @@ impl Communicator for ThreadComm {
         self.shared.mailboxes.len()
     }
 
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        self.counters.record_send(dest, buf.len());
-        self.counters.record_copy(buf.len());
-        // Rent from the shared pool instead of allocating: in steady state
-        // this is a freelist pop + memcpy, with the buffer returning to the
-        // pool when the receiver's copy-out drops the envelope.
-        self.shared.mailboxes[dest].push(self.rank, tag, self.shared.pool.rent_copy(buf).into());
-        Ok(())
-    }
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.recv_inner(buf, src, tag, None)
-    }
-
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<usize> {
-        self.recv_inner(buf, src, tag, Some(Instant::now() + timeout))
+    fn now_ns(&self) -> u64 {
+        self.shared.start.elapsed().as_nanos() as u64
     }
 
     fn barrier(&self) -> Result<()> {
         self.shared.barrier.wait()
     }
 
-    fn now_ns(&self) -> u64 {
-        self.shared.start.elapsed().as_nanos() as u64
-    }
-
     fn make_shared(&self, data: &[u8]) -> SharedBuf {
-        // One counted copy stages the user bytes into a pool rental; every
-        // subsequent send_shared of (a slice of) it is a refcount bump.
+        // One counted copy stages the user bytes into a pool rental (in
+        // steady state a freelist pop + memcpy); every post of (a slice of)
+        // it is a refcount bump.
         self.counters.record_copy(data.len());
         SharedBuf::new(self.shared.pool.rent_copy(data))
     }
@@ -283,36 +218,41 @@ impl Communicator for ThreadComm {
         self.counters.record_copy(bytes);
     }
 
-    fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
+    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.check_rank(dest)?;
-        self.counters.record_send(dest, buf.len());
-        // Zero-copy: the mailbox receives a refcount clone of the rental —
-        // no bytes move until (unless) the receiver copies out.
-        self.shared.mailboxes[dest].push(self.rank, tag, Payload::Shared(buf.clone()));
+        self.counters.record_send(dest, payload.len());
+        // Zero-copy: the mailbox receives the payload itself — no bytes move
+        // until (unless) the receiver lands them.
+        self.shared.mailboxes[dest].push(self.rank, tag, payload);
         Ok(())
     }
 
-    fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
-        let env = self.pop_envelope(src, tag, None, capacity)?;
-        self.counters.record_recv(src, env.data.len());
-        // Hand the matched envelope's payload to the caller as-is: the
-        // receive itself performs no copy.
-        Ok(env.data.into_shared())
-    }
-
-    fn sendrecv_shared(
+    /// Blocking, deadline-bounded and exited-peer-aware: the watch predicate
+    /// fails the pop with [`CommError::PeerFailed`] when `src` has left the
+    /// world (its closure returned) and its queued messages are exhausted —
+    /// the fast failure-detection path the self-healing collectives rely
+    /// on. Self-receives skip the watch: this rank is trivially alive.
+    fn take(
         &self,
-        sendbuf: &SharedBuf,
-        dest: Rank,
-        sendtag: Tag,
-        recv_capacity: usize,
+        capacity: usize,
         src: Rank,
-        recvtag: Tag,
-    ) -> Result<SharedBuf> {
-        // Eager sends never block, so push-then-pop is deadlock-free for
-        // the same reason the default sendrecv is.
-        self.send_shared(sendbuf, dest, sendtag)?;
-        self.recv_owned(recv_capacity, src, recvtag)
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<Payload> {
+        self.check_rank(src)?;
+        // A deadline past the end of `Instant`'s range is no deadline.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        let shared = &self.shared;
+        let me = self.rank;
+        let env = shared.mailboxes[me].pop_watch(src, tag, deadline, || {
+            (src != me && shared.exited[src].load(Ordering::SeqCst))
+                .then_some(CommError::PeerFailed { rank: src })
+        })?;
+        if env.data.len() > capacity {
+            return Err(CommError::Truncation { capacity, incoming: env.data.len() });
+        }
+        self.counters.record_recv(src, env.data.len());
+        Ok(env.data)
     }
 }
 

@@ -407,13 +407,17 @@ impl Fabric {
     /// Bounded wait on a posted receive: `None` means nothing completed the
     /// receive within `timeout` of wall-clock time — the offer may still be
     /// pending and must be withdrawn with [`cancel_recv`](Self::cancel_recv)
-    /// before the handle is abandoned.
+    /// before the handle is abandoned. A deadline past the end of
+    /// `Instant`'s range is no deadline: the wait is unbounded.
     pub fn wait_recv_timeout(
         &self,
         handle: &RecvHandle,
         timeout: std::time::Duration,
     ) -> Option<Result<(Payload, SimTime)>> {
-        handle.cell.wait_deadline(std::time::Instant::now() + timeout)
+        match std::time::Instant::now().checked_add(timeout) {
+            Some(deadline) => handle.cell.wait_deadline(deadline),
+            None => Some(handle.cell.wait()),
+        }
     }
 
     /// Withdraw a pending receive offer after a timed-out wait.

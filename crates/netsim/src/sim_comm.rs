@@ -6,9 +6,15 @@
 //! the rank's simulated clock, and [`SimOutcome`] reports per-rank finish
 //! times and the makespan of the run, which the benchmark harness converts
 //! into the paper's bandwidth numbers.
+//!
+//! `SimComm` writes only the envelope core — `post` and `take` of one
+//! payload, and an `exchange` that posts both fabric offers before waiting
+//! on either — so every copying, shared and timed call is the trait's own
+//! and costs the same fabric operations as on the other executors.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 use mpsim::sync::Mutex;
 
@@ -269,110 +275,13 @@ impl Communicator for SimComm {
         self.size
     }
 
-    fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        let from = self.vtime();
-        // LogGP o: the CPU is busy issuing the message before it can move.
-        let ready = from + self.shared.fabric.model().o_send_ns;
-        let h = self.shared.fabric.post_send(self.rank, dest, tag, buf, ready)?;
-        let done = self.shared.fabric.wait_send(&h)?;
-        self.advance_to(done.max(ready));
-        self.charge_comm(from);
-        self.counters.record_copy(buf.len());
-        self.counters.record_send(dest, buf.len());
-        Ok(())
-    }
-
-    fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
-        self.check_rank(src)?;
-        let from = self.vtime();
-        let ready = from + self.shared.fabric.model().o_recv_ns;
-        let h = self.shared.fabric.post_recv(src, self.rank, tag, buf.len(), ready)?;
-        let (data, done) = self.shared.fabric.wait_recv(&h)?;
-        buf[..data.len()].copy_from_slice(&data.bytes());
-        self.counters.record_copy(data.len());
-        self.advance_to(done.max(ready));
-        self.charge_comm(from);
-        self.counters.record_recv(src, data.len());
-        Ok(data.len())
-    }
-
-    /// Deadline-bounded receive. The bound is on *wall-clock* waiting — the
-    /// simulator has no virtual-time event for "no message by T", so the
-    /// timeout fires only when no matching send materializes in real time
-    /// (in fault scenarios, because the sender crashed or the fault plan
-    /// dropped the message). On expiry the receive offer is withdrawn,
-    /// nothing is consumed, and this rank's virtual clock advances by the
-    /// timeout so the wait remains visible in the simulated timeline.
-    fn recv_timeout(
-        &self,
-        buf: &mut [u8],
-        src: Rank,
-        tag: Tag,
-        timeout: std::time::Duration,
-    ) -> Result<usize> {
-        self.check_rank(src)?;
-        let from = self.vtime();
-        let ready = from + self.shared.fabric.model().o_recv_ns;
-        let h = self.shared.fabric.post_recv(src, self.rank, tag, buf.len(), ready)?;
-        let result = match self.shared.fabric.wait_recv_timeout(&h, timeout) {
-            Some(r) => r,
-            None => {
-                if self.shared.fabric.cancel_recv(src, self.rank, tag, &h) {
-                    self.advance_to(ready + timeout.as_secs_f64() * 1e9);
-                    self.charge_comm(from);
-                    return Err(CommError::Timeout { peer: src });
-                }
-                // A send matched while we were timing out: the transfer is
-                // committed, so take its result rather than dropping data.
-                self.shared.fabric.wait_recv(&h)
-            }
-        };
-        let (data, done) = result?;
-        buf[..data.len()].copy_from_slice(&data.bytes());
-        self.counters.record_copy(data.len());
-        self.advance_to(done.max(ready));
-        self.charge_comm(from);
-        self.counters.record_recv(src, data.len());
-        Ok(data.len())
-    }
-
-    fn sendrecv(
-        &self,
-        sendbuf: &[u8],
-        dest: Rank,
-        sendtag: Tag,
-        recvbuf: &mut [u8],
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<usize> {
-        self.check_rank(dest)?;
-        self.check_rank(src)?;
-        let now = self.vtime();
-        // The CPU issues the send, then posts the receive: both overheads
-        // serialize on this rank even though the transfers overlap.
-        let model = self.shared.fabric.model();
-        let send_ready = now + model.o_send_ns;
-        let recv_ready = send_ready + model.o_recv_ns;
-        // Post both sides before waiting on either — this is what makes
-        // rings of rendezvous sendrecvs deadlock-free (MPI_Sendrecv).
-        let sh = self.shared.fabric.post_send(self.rank, dest, sendtag, sendbuf, send_ready)?;
-        let rh =
-            self.shared.fabric.post_recv(src, self.rank, recvtag, recvbuf.len(), recv_ready)?;
-        let send_done = self.shared.fabric.wait_send(&sh)?;
-        let (data, recv_done) = self.shared.fabric.wait_recv(&rh)?;
-        recvbuf[..data.len()].copy_from_slice(&data.bytes());
-        self.counters.record_copy(sendbuf.len() + data.len());
-        self.advance_to(send_done.max(recv_done).max(recv_ready));
-        self.charge_comm(now);
-        self.counters.record_send(dest, sendbuf.len());
-        self.counters.record_recv(src, data.len());
-        Ok(data.len())
+    fn now_ns(&self) -> u64 {
+        self.vtime().round() as u64
     }
 
     fn make_shared(&self, data: &[u8]) -> SharedBuf {
         // One counted copy stages the bytes into a fabric-pool rental;
-        // every subsequent send_shared is a refcount clone.
+        // every post of it is a refcount clone.
         self.counters.record_copy(data.len());
         SharedBuf::new(self.shared.fabric.rent_copy(data))
     }
@@ -381,66 +290,95 @@ impl Communicator for SimComm {
         self.counters.record_copy(bytes);
     }
 
-    /// Zero-copy send: a refcount clone of the shared rental is injected as
-    /// the fabric payload — the sender-side `rent_copy` of the plain path
-    /// disappears, and only the simulated wire time is paid.
-    fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
+    /// The payload itself is injected into the fabric — no byte moves, only
+    /// the simulated wire time is paid. Counted once the fabric accepted the
+    /// offer, like a post on the other executors, whatever the wait brings.
+    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.check_rank(dest)?;
         let from = self.vtime();
+        // LogGP o: the CPU is busy issuing the message before it can move.
         let ready = from + self.shared.fabric.model().o_send_ns;
-        let payload = Payload::Shared(buf.clone());
+        let len = payload.len();
         let h = self.shared.fabric.post_send_buf(self.rank, dest, tag, payload, ready)?;
+        self.counters.record_send(dest, len);
         let done = self.shared.fabric.wait_send(&h)?;
         self.advance_to(done.max(ready));
         self.charge_comm(from);
-        self.counters.record_send(dest, buf.len());
         Ok(())
     }
 
-    /// Owned receive: the fabric hands the in-flight payload through
-    /// uncopied, so this is the receive half of the zero-copy forward chain.
-    fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
+    /// The fabric hands the in-flight payload through uncopied. A bounded
+    /// take waits on the *wall clock* — the simulator has no virtual-time
+    /// event for "no message by T", so the timeout fires only when no
+    /// matching send materializes in real time (in fault scenarios, because
+    /// the sender crashed or the fault plan dropped the message). On expiry
+    /// the receive offer is withdrawn, nothing is consumed, and this rank's
+    /// virtual clock advances by the timeout so the wait remains visible in
+    /// the simulated timeline.
+    fn take(
+        &self,
+        capacity: usize,
+        src: Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<Payload> {
         self.check_rank(src)?;
         let from = self.vtime();
         let ready = from + self.shared.fabric.model().o_recv_ns;
         let h = self.shared.fabric.post_recv(src, self.rank, tag, capacity, ready)?;
-        let (data, done) = self.shared.fabric.wait_recv(&h)?;
+        let result = match timeout {
+            None => self.shared.fabric.wait_recv(&h),
+            Some(timeout) => match self.shared.fabric.wait_recv_timeout(&h, timeout) {
+                Some(r) => r,
+                None => {
+                    if self.shared.fabric.cancel_recv(src, self.rank, tag, &h) {
+                        self.advance_to(ready + timeout.as_secs_f64() * 1e9);
+                        self.charge_comm(from);
+                        return Err(CommError::Timeout { peer: src });
+                    }
+                    // A send matched while we were timing out: the transfer
+                    // is committed, so take its result rather than drop data.
+                    self.shared.fabric.wait_recv(&h)
+                }
+            },
+        };
+        let (data, done) = result?;
         self.advance_to(done.max(ready));
         self.charge_comm(from);
         self.counters.record_recv(src, data.len());
-        Ok(data.into_shared())
+        Ok(data)
     }
 
-    /// Zero-copy fused exchange. Both fabric offers are posted before either
-    /// is awaited — the property that keeps rings of rendezvous-size
-    /// exchanges deadlock-free — with no payload copy on either side.
+    /// Both fabric offers are posted before either is awaited — the property
+    /// that keeps rings of rendezvous-size exchanges deadlock-free
+    /// (MPI_Sendrecv). The CPU issues the send, then posts the receive: both
+    /// overheads serialize on this rank even though the transfers overlap.
     #[allow(clippy::too_many_arguments)]
-    fn sendrecv_shared(
+    fn exchange(
         &self,
-        sendbuf: &SharedBuf,
+        payload: Payload,
         dest: Rank,
         sendtag: Tag,
-        recv_capacity: usize,
+        capacity: usize,
         src: Rank,
         recvtag: Tag,
-    ) -> Result<SharedBuf> {
+    ) -> Result<Payload> {
         self.check_rank(dest)?;
         self.check_rank(src)?;
         let now = self.vtime();
         let model = self.shared.fabric.model();
         let send_ready = now + model.o_send_ns;
         let recv_ready = send_ready + model.o_recv_ns;
-        let payload = Payload::Shared(sendbuf.clone());
+        let len = payload.len();
         let sh = self.shared.fabric.post_send_buf(self.rank, dest, sendtag, payload, send_ready)?;
-        let rh =
-            self.shared.fabric.post_recv(src, self.rank, recvtag, recv_capacity, recv_ready)?;
+        self.counters.record_send(dest, len);
+        let rh = self.shared.fabric.post_recv(src, self.rank, recvtag, capacity, recv_ready)?;
         let send_done = self.shared.fabric.wait_send(&sh)?;
         let (data, recv_done) = self.shared.fabric.wait_recv(&rh)?;
         self.advance_to(send_done.max(recv_done).max(recv_ready));
         self.charge_comm(now);
-        self.counters.record_send(dest, sendbuf.len());
         self.counters.record_recv(src, data.len());
-        Ok(data.into_shared())
+        Ok(data)
     }
 
     /// Barrier: all clocks jump to the latest participant plus a
@@ -463,18 +401,6 @@ impl Communicator for SimComm {
         self.advance_to(max + cost);
         self.charge_comm(from);
         Ok(())
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.vtime().round() as u64
-    }
-
-    fn check_rank(&self, rank: Rank) -> Result<()> {
-        if rank < self.size {
-            Ok(())
-        } else {
-            Err(CommError::InvalidRank { rank, size: self.size })
-        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! `RefCell` borrows across suspension points, send effects inside `poll`
 //! bodies), `.unwrap()`/`.expect()` on communication results inside the
 //! self-healing recovery module, unaccounted payload copies in the
-//! broadcast hot path, and `impl Communicator for` outside the two
-//! blocking executors. Prints every
+//! broadcast hot path, `impl Communicator for` outside the two blocking
+//! executors, and communicator impls defining a provided method. Prints every
 //! hit and exits nonzero if any are found.
 //!
 //! Run from the repository root (the directory containing `crates/`).

@@ -69,8 +69,8 @@
 //! effects inside `poll` — in the async communication layer, no
 //! `.unwrap()`/`.expect()` on communication results inside the
 //! self-healing recovery module, where a `CommError` is the input the
-//! layer exists to absorb, and no `impl Communicator for` outside the two
-//! blocking executors).
+//! layer exists to absorb, no `impl Communicator for` outside the two
+//! blocking executors, and no communicator impl defining a provided method).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

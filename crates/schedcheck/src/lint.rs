@@ -64,13 +64,17 @@
 //!    copy with a `note_copy(` call within the following two lines, which
 //!    the `bytes_copied` ceilings then police at run time. Anything else
 //!    needs a `// lint: allow(bcast-hot-copy)` marker.
-//! 9. [`check_blocking_impl`] — the blocking `Communicator` trait is
-//!    implemented by the two blocking executors only
-//!    (`crates/mpsim/src/thread_comm.rs`, `crates/netsim/src/sim_comm.rs`).
-//!    Everything above the executors is written once against
-//!    `AsyncCommunicator` and reached from blocking code through
-//!    `SyncComm` + `complete_now`; a second `impl Communicator for` is a
-//!    decorator twin growing back.
+//! 9. [`check_comm_impl`] — a communicator impl writes the envelope core
+//!    and nothing else. The blocking `Communicator` trait is implemented by
+//!    the two blocking executors only (`crates/mpsim/src/thread_comm.rs`,
+//!    `crates/netsim/src/sim_comm.rs`): everything above the executors is
+//!    written once against `AsyncCommunicator` and reached from blocking
+//!    code through `SyncComm` + `complete_now`, so a second `impl
+//!    Communicator for` is a decorator twin growing back. And no impl of
+//!    either trait defines a method the trait provides over the core
+//!    (`send`, `recv_owned`, `send_prefixed`, …): each variant's semantics
+//!    is written once, in `acomm.rs`, and an override is a second copy of
+//!    it that every stack above would silently stop sharing.
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -490,28 +494,56 @@ pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 9: `impl … Communicator for` (the blocking trait; `AsyncCommunicator
-/// for` does not match) anywhere but the two blocking executors. Test
-/// modules are exempt (same scoping as [`check_panics`]).
-pub fn check_blocking_impl(path: &str, content: &str) -> Vec<LintHit> {
+/// The methods `Communicator` and `AsyncCommunicator` provide over their
+/// envelope core, which no implementor defines (rule 9).
+const PROVIDED: [&str; 10] = [
+    "check_rank",
+    "send",
+    "recv",
+    "recv_timeout",
+    "sendrecv",
+    "send_shared",
+    "recv_owned",
+    "sendrecv_shared",
+    "send_prefixed",
+    "recv_prefixed",
+];
+
+/// Rule 9: two shapes of a communicator impl outgrowing the envelope core,
+/// one rule name. `impl … Communicator for` (the blocking trait;
+/// `AsyncCommunicator for` does not match) anywhere but the two blocking
+/// executors; and, in any `impl … Communicator for` or `impl …
+/// AsyncCommunicator for` block, a definition of one of the [`PROVIDED`]
+/// methods (the block is tracked by brace depth). Test modules are exempt
+/// (same scoping as [`check_panics`]).
+pub fn check_comm_impl(path: &str, content: &str) -> Vec<LintHit> {
     const EXECUTORS: [&str; 2] =
         ["crates/mpsim/src/thread_comm.rs", "crates/netsim/src/sim_comm.rs"];
-    if EXECUTORS.contains(&path) {
-        return Vec::new();
-    }
     let body = match content.find("#[cfg(test)]") {
         Some(i) => &content[..i],
         None => content,
     };
     let mut hits = Vec::new();
+    let mut depth = 0isize;
+    // Brace depth outside the communicator impl being scanned, if any.
+    let mut in_impl: Option<isize> = None;
     for (i, line) in body.lines().enumerate() {
         let code = code_part(line);
-        let blocking_impl = code.trim_start().starts_with("impl")
-            && code
+        let comm_impl = code.trim_start().starts_with("impl") && code.contains("Communicator for ");
+        if comm_impl {
+            in_impl = Some(depth);
+            let blocking = code
                 .match_indices("Communicator for ")
                 .any(|(at, _)| !code[..at].ends_with("Async"));
-        if blocking_impl {
-            hits.push(hit(path, i, "blocking-impl", line));
+            if blocking && !EXECUTORS.contains(&path) {
+                hits.push(hit(path, i, "comm-impl", line));
+            }
+        } else if in_impl.is_some() && PROVIDED.iter().any(|m| code.contains(&format!("fn {m}("))) {
+            hits.push(hit(path, i, "comm-impl", line));
+        }
+        depth += code.matches('{').count() as isize - code.matches('}').count() as isize;
+        if code.contains('}') && in_impl.is_some_and(|d| depth <= d) {
+            in_impl = None;
         }
     }
     hits
@@ -533,7 +565,7 @@ pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
     hits.extend(check_cancel_safety(path, content));
     hits.extend(check_recovery_unwrap(path, content));
     hits.extend(check_bcast_hot_copy(path, content));
-    hits.extend(check_blocking_impl(path, content));
+    hits.extend(check_comm_impl(path, content));
     hits
 }
 
@@ -869,20 +901,73 @@ mod tests {
     #[test]
     fn blocking_impl_allowed_in_the_two_executors_only() {
         let twin = "impl<C: Communicator + ?Sized> Communicator for SubComm<'_, C> {\n}\n";
-        assert_eq!(check_blocking_impl("crates/mpsim/src/sub_comm.rs", twin).len(), 1);
-        assert_eq!(check_blocking_impl("crates/core/src/recovery.rs", twin).len(), 1);
+        assert_eq!(check_comm_impl("crates/mpsim/src/sub_comm.rs", twin).len(), 1);
+        assert_eq!(check_comm_impl("crates/core/src/recovery.rs", twin).len(), 1);
         let plain = "impl Communicator for ThreadComm {\n}\n";
-        assert!(check_blocking_impl("crates/mpsim/src/thread_comm.rs", plain).is_empty());
-        assert!(check_blocking_impl("crates/netsim/src/sim_comm.rs", plain).is_empty());
-        assert_eq!(check_blocking_impl("crates/mpsim/src/event_comm.rs", plain).len(), 1);
+        assert!(check_comm_impl("crates/mpsim/src/thread_comm.rs", plain).is_empty());
+        assert!(check_comm_impl("crates/netsim/src/sim_comm.rs", plain).is_empty());
+        assert_eq!(check_comm_impl("crates/mpsim/src/event_comm.rs", plain).len(), 1);
         // The async surface is where everything else belongs.
         let bridged = "impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {\n}\n";
-        assert!(check_blocking_impl("crates/mpsim/src/acomm.rs", bridged).is_empty());
+        assert!(check_comm_impl("crates/mpsim/src/acomm.rs", bridged).is_empty());
         // Comments and test doubles are exempt.
         let comment = "// impl Communicator for Foo would be a twin\n";
-        assert!(check_blocking_impl("crates/core/src/bcast.rs", comment).is_empty());
+        assert!(check_comm_impl("crates/core/src/bcast.rs", comment).is_empty());
         let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { impl Communicator for Fake {} }\n";
-        assert!(check_blocking_impl("crates/core/src/bcast.rs", in_tests).is_empty());
+        assert!(check_comm_impl("crates/core/src/bcast.rs", in_tests).is_empty());
+    }
+
+    /// The two executors before they shrank to the envelope core, in
+    /// miniature: each defines a provided method beside its core.
+    const THREAD_COMM_WITH_TWINS: &str = "impl Communicator for ThreadComm {\n    \
+        fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {\n        \
+        if dest >= self.size() { return Err(e); }\n        Ok(())\n    }\n    \
+        fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {\n        \
+        self.post(self.make_shared(buf).into(), dest, tag)\n    }\n}\n";
+    const SIM_COMM_WITH_TWINS: &str = "impl Communicator for SimComm {\n    \
+        fn rank(&self) -> Rank {\n        self.rank\n    }\n    \
+        fn check_rank(&self, rank: Rank) -> Result<()> {\n        Ok(())\n    }\n}\n";
+
+    #[test]
+    fn comm_impl_flags_provided_methods_defined_in_an_impl() {
+        let hits = check_comm_impl("crates/mpsim/src/thread_comm.rs", THREAD_COMM_WITH_TWINS);
+        assert_eq!(hits.len(), 1);
+        assert_eq!((hits[0].line, hits[0].rule), (6, "comm-impl"));
+        let hits = check_comm_impl("crates/netsim/src/sim_comm.rs", SIM_COMM_WITH_TWINS);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].excerpt.starts_with("fn check_rank("));
+        // Every provided method, async or not, in a decorator's async impl
+        // whose header rustfmt broke over three lines.
+        let header =
+            "impl<C> AsyncCommunicator for Wrap<'_, C>\nwhere\n    C: AsyncCommunicator,\n{\n";
+        for m in PROVIDED {
+            let body = format!(
+                "{header}    async fn {m}(&self) -> Result<()> {{\n        x\n    }}\n}}\n"
+            );
+            assert_eq!(check_comm_impl("crates/mpsim/src/wrap.rs", &body).len(), 1, "{m}");
+        }
+    }
+
+    #[test]
+    fn comm_impl_accepts_the_core_and_code_outside_the_impl() {
+        // The envelope core and the overridable exchange are what an impl
+        // writes; nested braces in their bodies do not end the block early.
+        let core = "impl AsyncCommunicator for Wrap {\n    \
+                    async fn post(&self, p: Payload, d: Rank, t: Tag) -> Result<()> {\n        \
+                    if d == 0 { return Ok(()); }\n        self.inner.post(p, d, t).await\n    }\n    \
+                    async fn exchange(&self) -> Result<Payload> {\n        x\n    }\n}\n";
+        assert!(check_comm_impl("crates/mpsim/src/wrap.rs", core).is_empty());
+        let nested = format!("{}    fn send(&self) {{}}\n}}\n", &core[..core.len() - 2]);
+        assert_eq!(check_comm_impl("crates/mpsim/src/wrap.rs", &nested).len(), 1);
+        // An inherent helper, the trait's own provided bodies and a test
+        // double are not implementations of a communicator.
+        let after = format!("{core}impl Wrap {{\n    fn send(&self) {{}}\n}}\n");
+        assert!(check_comm_impl("crates/mpsim/src/wrap.rs", &after).is_empty());
+        let provided = "pub trait AsyncCommunicator {\n    \
+                        async fn send(&self, buf: &[u8]) -> Result<()> {\n        x\n    }\n}\n";
+        assert!(check_comm_impl("crates/mpsim/src/acomm.rs", provided).is_empty());
+        let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod t {{\n{THREAD_COMM_WITH_TWINS}}}\n");
+        assert!(check_comm_impl("crates/mpsim/src/thread_comm.rs", &in_tests).is_empty());
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn main() {
     let src = pattern(nbytes, 0xC11);
     let th = Thresholds::default();
     let nodes = NodeMap::new(cores);
-    let run_one = |comm: &dyn DynComm, buf: &mut Vec<u8>| match algo {
+    let run_one = |comm: &dyn Communicator, buf: &mut Vec<u8>| match algo {
         Algo::Fixed(a) => bcast_with(comm, buf, root, a).unwrap(),
         Algo::Auto { tuned } => bcast_auto(comm, buf, root, &th, tuned).unwrap(),
         Algo::Smp { inner } => bcast_smp(comm, buf, root, &nodes, inner).unwrap(),
@@ -164,10 +164,6 @@ fn main() {
         }
     }
 }
-
-/// Object-safe alias so the dispatch closure works for both backends.
-trait DynComm: Communicator {}
-impl<T: Communicator + ?Sized> DynComm for T {}
 
 fn report(
     backend: &str,

@@ -31,20 +31,20 @@
 //! companion drives the same calls through `SubComm` rank translation,
 //! `ReliableComm` retransmission framing, and the recovery layer's
 //! `GuardedComm` deadlines, proving every wrapper carries the surface
-//! through — by forwarding it, or over the trait's copy fallbacks.
+//! through by transforming the envelope core it is built on.
 //!
 //! A fourth battery pins the prefixed pair (`send_prefixed` / `recv_prefixed`,
 //! a framing decorator's four-byte header travelling beside the body): the
-//! wire image is `prefix ‖ body` whichever call produced or consumed it, on
-//! the executor that takes the envelope apart natively and on the two that
-//! ride the trait's copy fallback alike.
+//! wire image is `prefix ‖ body` whichever call produced or consumed it, and
+//! every executor sends the framed envelope as-is — the sender's wire and
+//! copy bill is the same number on all three.
 
 use std::time::Duration;
 
 use bcast_core::GuardedComm;
 use mpsim::{
     complete_now, AsyncCommunicator, CommError, EventWorld, ReliableComm, RetryConfig, SubComm,
-    SyncComm, Tag, ThreadWorld,
+    SyncComm, Tag, ThreadWorld, WorldTraffic,
 };
 use netsim::{FaultPlan, FaultyComm, LinkFaults, NetworkModel, Placement, SimWorld};
 
@@ -248,7 +248,8 @@ async fn fault_battery<C: AsyncCommunicator>(comm: &C, seed: u64) {
 
 /// The deadline-edge battery: `recv_timeout` when the deadline has already
 /// expired at evaluation time — the boundary the recovery layer's failure
-/// detector lives on. The portable contract, pinned on every executor:
+/// detector lives on — or lies past the end of the clock. The portable
+/// contract, pinned on every executor:
 ///
 /// * **Queued message wins.** Expiry is judged only after the mailbox is
 ///   consulted, so a receive whose deadline is already past (zero timeout)
@@ -257,6 +258,8 @@ async fn fault_battery<C: AsyncCommunicator>(comm: &C, seed: u64) {
 /// * **Expiry consumes nothing.** A timed-out receive leaves the channel
 ///   untouched; a message sent afterwards is delivered intact to the next
 ///   matching receive.
+/// * **No deadline overflows.** `Duration::MAX` saturates to an unbounded
+///   wait.
 async fn timeout_edge_battery<C: AsyncCommunicator>(comm: &C) {
     assert_eq!(comm.size(), WORLD);
     let me = comm.rank();
@@ -288,6 +291,17 @@ async fn timeout_edge_battery<C: AsyncCommunicator>(comm: &C) {
         let mut buf = [0u8; 1];
         let n = comm.recv(&mut buf, 1, Tag(71)).await.unwrap();
         assert_eq!((n, buf[0]), (1, 0xCD), "expiry must not consume the late message");
+    }
+    comm.barrier().await.unwrap();
+
+    // --- a deadline beyond any clock's range is no deadline: the receive
+    // waits for the message instead of overflowing.
+    if me == 1 {
+        comm.send(&[0xEF], 0, Tag(72)).await.unwrap();
+    } else if me == 0 {
+        let mut buf = [0u8; 1];
+        let n = comm.recv_timeout(&mut buf, 1, Tag(72), Duration::MAX).await.unwrap();
+        assert_eq!((n, buf[0]), (1, 0xEF), "an unrepresentable deadline must wait");
     }
     comm.barrier().await.unwrap();
 }
@@ -454,7 +468,7 @@ async fn prefixed_battery<C: AsyncCommunicator>(comm: &C) {
 /// Decorator passthrough for the shared-payload surface: every wrapper must
 /// carry it through intact — `SubComm` translates ranks, `ReliableComm`
 /// frames each payload in its retransmission protocol (the sequence number
-/// beside it, or packed in front of it by the copy fallback), `GuardedComm`
+/// beside it), `GuardedComm`
 /// bounds each receive with a deadline. Requires an
 /// eagerly-delivering transport (`GuardedComm` decomposes `sendrecv` and
 /// `ReliableComm` pumps ACKs), like the fault battery.
@@ -596,28 +610,35 @@ fn event_backend_shared_conforms() {
     EventWorld::run(WORLD, |comm| async move { shared_battery(&comm).await });
 }
 
+/// The bill of [`prefixed_battery`]'s sender, the same on every executor:
+/// counted like plain sends of the image; of the ten messages per pair the
+/// sender copied only the body and the image it staged and the plain image,
+/// prefix and runt.
+fn assert_prefixed_bill(traffic: &WorldTraffic) {
+    let sender = &traffic.per_rank[0];
+    assert_eq!((sender.msgs_sent, sender.bytes_sent), (10, 7 * 28 + 4 + 4 + 3));
+    assert_eq!(sender.bytes_copied, 24 + 2 * 28 + 4 + 3);
+}
+
 #[test]
 fn threaded_backend_prefixed_conforms() {
-    ThreadWorld::run(WORLD, |comm| complete_now(prefixed_battery(&SyncComm::new(comm))));
+    let out = ThreadWorld::run(WORLD, |comm| complete_now(prefixed_battery(&SyncComm::new(comm))));
+    assert_prefixed_bill(&out.traffic);
 }
 
 #[test]
 fn simulated_backend_prefixed_conforms_rendezvous() {
     let model = NetworkModel::uniform(50.0, 1.0);
-    SimWorld::run(model, Placement::new(4), WORLD, |comm| {
+    let out = SimWorld::run(model, Placement::new(4), WORLD, |comm| {
         complete_now(prefixed_battery(&SyncComm::new(comm)))
     });
+    assert_prefixed_bill(&out.traffic);
 }
 
 #[test]
 fn event_backend_prefixed_conforms() {
     let out = EventWorld::run(WORLD, |comm| async move { prefixed_battery(&comm).await });
-    // Counted like plain sends of the image; of the ten messages per pair
-    // the sender copied only the body and the image it staged and the
-    // plain image, prefix and runt.
-    let sender = &out.traffic.per_rank[0];
-    assert_eq!((sender.msgs_sent, sender.bytes_sent), (10, 7 * 28 + 4 + 4 + 3));
-    assert_eq!(sender.bytes_copied, 24 + 2 * 28 + 4 + 3);
+    assert_prefixed_bill(&out.traffic);
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //! beside its payload instead of in front of a copy of it.
 //!
 //! Each scenario is written once against [`AsyncCommunicator`] and run on
-//! the event executor — where `EventComm` takes the prefixed pair natively
-//! and a frame is a refcount clone of what the sender staged — and through
-//! `SyncComm` on the threaded one, where the trait's copy fallback puts the
-//! same `prefix ‖ payload` image on the wire. The faults are not sampled:
+//! the event executor and, through `SyncComm`, on the threaded one. Both
+//! queue the framed envelope as posted, so on either a frame is a refcount
+//! clone of what the sender staged and the copy bill is the same number
+//! ([`retransmission_reposts_the_staged_rental`] pins it on both). The
+//! faults are not sampled:
 //! [`plan_meeting`] searches for the seed under which the data frames rank 0
 //! offers rank 1 meet exactly the listed fates, so every scenario replays
 //! the same way on both executors and under any `TESTKIT_SEED`.
@@ -16,7 +17,7 @@ use bcast_core::{membership_digest, EpochComm, Interp, SchedOp};
 use mpsim::reliable::{ACK_TAG_BASE, DATA_TAG_BASE};
 use mpsim::{
     complete_now, AsyncCommunicator, CommError, EventWorld, Payload, ReliableComm, RetryConfig,
-    SubComm, SyncComm, Tag, ThreadWorld,
+    SubComm, SyncComm, Tag, ThreadWorld, WorldTraffic,
 };
 use netsim::{FaultAction, FaultAction::*, FaultPlan, FaultyComm, LinkFaults};
 
@@ -173,27 +174,43 @@ const FRAMED: usize = 4096;
 /// Rank 0 stages [`FRAMED`] bytes and posts them through `ReliableComm`
 /// over `lower`; rank 1 receives them. Each rank returns the address of the
 /// bytes it staged or received and, on the receiver, how many views share
-/// the rental.
+/// the rental once the sender's post has returned.
 async fn framed_round<C: AsyncCommunicator + ?Sized>(lower: &C) -> (usize, usize) {
     let rc = ReliableComm::with_config(lower, retry(12));
     if rc.rank() == 0 {
         let staged = rc.make_shared(&[7u8; FRAMED]);
-        let at = staged.as_ptr() as usize;
-        rc.post(Payload::Shared(staged), 1, Tag(3)).await.unwrap();
-        (at, 0)
+        rc.post(Payload::Shared(staged.clone()), 1, Tag(3)).await.unwrap();
+        // Hold the staged view until the receiver has counted the views.
+        rc.barrier().await.unwrap();
+        rc.barrier().await.unwrap();
+        (staged.as_ptr() as usize, 0)
     } else {
         let got = rc.recv_owned(FRAMED, 0, Tag(3)).await.unwrap();
         assert_eq!(&got[..], &[7u8; FRAMED]);
-        // The sender is still parked on the ack; the frame it posted by
-        // move holds the rental's only other view.
-        (got.as_ptr() as usize, got.shares())
+        // Past the first barrier the sender's post has returned: every
+        // frame it posted is gone, and only its staged view is left.
+        rc.barrier().await.unwrap();
+        let shares = got.shares();
+        rc.barrier().await.unwrap();
+        (got.as_ptr() as usize, shares)
     }
 }
 
+/// What [`framed_round`] must show on any executor and any stack under
+/// `ReliableComm`: the receiver holds a view of the rental the sender
+/// staged, and one staging pass at the sender is the only payload copy —
+/// beyond it only the ack moved bytes.
+fn assert_same_rental(results: &[(usize, usize)], traffic: &WorldTraffic, stack: &str) {
+    assert_eq!(results[1], (results[0].0, 2), "{stack}: not the sender's rental");
+    let copied: Vec<u64> = traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
+    assert_eq!(copied, vec![FRAMED as u64 + 4, 4], "{stack}: copy bill");
+}
+
 /// The frame a receiver gets is a view of the *same* rental the sender
-/// staged, whatever sits under `ReliableComm`: after a dropped first attempt
-/// over `FaultyComm` (the retransmission re-posted a clone), and through the
-/// recovery stack's `EpochComm` over a `SubComm`.
+/// staged, whatever sits under `ReliableComm` and on either kind of
+/// executor: after a dropped first attempt over `FaultyComm` (the
+/// retransmission re-posted a clone), and through the recovery stack's
+/// `EpochComm` over a `SubComm`.
 #[test]
 fn retransmission_reposts_the_staged_rental() {
     let plan = plan_meeting(HALF_DROPPED, &[Drop, Deliver]);
@@ -201,20 +218,27 @@ fn retransmission_reposts_the_staged_rental() {
         let plan = plan.clone();
         async move { framed_round(&FaultyComm::new(&comm, plan)).await }
     });
-    assert_eq!(out.results[1], (out.results[0].0, 2), "not the sender's rental");
+    assert_same_rental(&out.results, &out.traffic, "Faulty(EventComm)");
     assert!(out.elapsed >= retry(12).base_timeout, "the first attempt was meant to be lost");
-    // One staging pass at the sender; beyond it only the ack moved bytes.
-    let copied: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
-    assert_eq!(copied, vec![FRAMED as u64 + 4, 4]);
-
-    let out = EventWorld::run(2, |comm| async move {
-        let members = vec![0, 1];
-        let sub = SubComm::new(&comm, members.clone()).expect("both ranks are members");
-        framed_round(&EpochComm::isolated(&sub, 1, membership_digest(&members))).await
+    let out = ThreadWorld::run(2, |comm| {
+        complete_now(framed_round(&FaultyComm::new(&SyncComm::new(comm), plan.clone())))
     });
-    assert_eq!(out.results[1], (out.results[0].0, 2), "Epoch(Sub(..)) copied the frame");
-    let copied: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
-    assert_eq!(copied, vec![FRAMED as u64 + 4, 4]);
+    assert_same_rental(&out.results, &out.traffic, "Faulty(ThreadComm)");
+    assert!(out.elapsed >= retry(12).base_timeout, "the first attempt was meant to be lost");
+
+    let members = [0, 1];
+    let digest = membership_digest(&members);
+    let out = EventWorld::run(2, |comm| async move {
+        let sub = SubComm::new(&comm, members.to_vec()).expect("both ranks are members");
+        framed_round(&EpochComm::isolated(&sub, 1, digest)).await
+    });
+    assert_same_rental(&out.results, &out.traffic, "Epoch(Sub(EventComm))");
+    let out = ThreadWorld::run(2, |comm| {
+        let sync = SyncComm::new(comm);
+        let sub = SubComm::new(&sync, members.to_vec()).expect("both ranks are members");
+        complete_now(framed_round(&EpochComm::isolated(&sub, 1, digest)))
+    });
+    assert_same_rental(&out.results, &out.traffic, "Epoch(Sub(ThreadComm))");
 }
 
 /// The re-ack of [`oversized_stale_duplicate`], counted: the receiver sends
