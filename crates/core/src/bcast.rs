@@ -14,13 +14,16 @@
 //! phase; running it is handing those streams to the [`Interp`]reter, and
 //! [`bcast_schedule`] is collecting them over all ranks ([`bcast_ops`]).
 
+use std::convert::identity;
+use std::future::Future;
+
 use mpsim::{
     complete_now, is_pof2, AsyncCommunicator, CommError, Communicator, Rank, Result, SharedBuf,
     SyncComm,
 };
 
 use crate::binomial::binomial_ops;
-use crate::interp::Interp;
+use crate::interp::{Interp, PhaseSink};
 use crate::rd_allgather::rd_ops;
 use crate::ring::native_ring_ops;
 use crate::ring_tuned::{tuned_ring_ops, tuned_ring_ops_with, Endpoint};
@@ -154,43 +157,91 @@ pub fn bcast_with(
 }
 
 /// Async core of [`bcast_with`]: interpret this rank's op streams of one
-/// [`Algorithm`] over any [`AsyncCommunicator`] — what every executor,
-/// decorator stack and the self-healing loop ends up calling.
+/// [`Algorithm`] over any [`AsyncCommunicator`] — what every executor and
+/// decorator stack ends up calling (the self-healing attempt runs the same
+/// phase table, renumbered and epoch-tagged).
 ///
 /// Fails with [`CommError::Unsupported`] — before anything is posted — when
 /// the world size is one the algorithm is not defined for
 /// ([`Algorithm::supports`]).
-pub async fn bcast_with_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
+///
+/// The returned future *is* the phase table's, with no state of its own
+/// around it: on `ring-msgs` every byte of the 1 024 rank tasks' futures
+/// shows (DESIGN §5b).
+pub fn bcast_with_async<'a, C: AsyncCommunicator + ?Sized>(
+    comm: &'a C,
+    buf: &'a mut [u8],
     root: Rank,
     algorithm: Algorithm,
+) -> impl Future<Output = Result<()>> + 'a {
+    let (rank, p, nbytes) = (comm.rank(), comm.size(), buf.len());
+    bcast_phases(Interp::new(comm, buf), algorithm, rank, p, nbytes, root, identity)
+}
+
+/// The phase table, written once: hand `sink` rank `rank`'s tree stream (the
+/// binomial scatter, or for [`Algorithm::Binomial`] the whole broadcast),
+/// then its allgather stream, every op passed through `map`. The plain
+/// broadcast's map is the identity, the self-healing attempt's renumbers
+/// peers into the world and shifts tags, and [`bcast_ops`] collects.
+///
+/// Fails — before handing over any op — with [`CommError::InvalidRank`] if
+/// `root` is not a rank of the `p`-rank world and with
+/// [`CommError::Unsupported`] if the algorithm is not defined for it.
+///
+/// Each stream is built at its own `phase` call, so only the running phase
+/// lives in the future; handed to one interpreter, the scatter envelope is
+/// still retained when the allgather's first send — a sub-range of it — goes
+/// out. DESIGN §5b has what the other shapes of this table cost on
+/// `ring-msgs`.
+pub(crate) async fn bcast_phases(
+    mut sink: impl PhaseSink,
+    algorithm: Algorithm,
+    rank: Rank,
+    p: usize,
+    nbytes: usize,
+    root: Rank,
+    map: impl Fn(SchedOp) -> SchedOp + Copy,
 ) -> Result<()> {
-    comm.check_rank(root)?;
-    let p = comm.size();
+    if root >= p {
+        return Err(CommError::InvalidRank { rank: root, size: p });
+    }
     if !algorithm.supports(p) {
         return Err(CommError::Unsupported { what: algorithm.schedule_name(), size: p });
     }
-    let (rank, nbytes) = (comm.rank(), buf.len());
-    // The phase table of `bcast_ops`, with the allgather stream built at its
-    // `run` call so the loop fuses with the stream closure and only the
-    // running phase lives in this future (see `bcast_ops` for why the table
-    // is not shared code). One interpreter, two runs: the scatter envelope is
-    // still retained when the allgather's first send — a sub-range of it —
-    // goes out.
-    let mut interp = Interp::new(comm, buf);
     let tree = match algorithm {
         Algorithm::Binomial => binomial_ops(rank, p, nbytes, root),
         _ => scatter_ops(rank, p, nbytes, root),
     };
-    interp.run(tree).await?;
+    sink.phase(tree.into_iter().map(map)).await?;
     match algorithm {
         Algorithm::Binomial => Ok(0),
-        Algorithm::ScatterRdAllgather => interp.run(rd_ops(rank, p, nbytes, root)).await,
-        Algorithm::ScatterRingNative => interp.run(native_ring_ops(rank, p, nbytes, root)).await,
-        Algorithm::ScatterRingTuned => interp.run(tuned_ring_ops(rank, p, nbytes, root)).await,
+        Algorithm::ScatterRdAllgather => sink.phase(rd_ops(rank, p, nbytes, root).map(map)).await,
+        Algorithm::ScatterRingNative => {
+            sink.phase(native_ring_ops(rank, p, nbytes, root).map(map)).await
+        }
+        Algorithm::ScatterRingTuned => {
+            sink.phase(tuned_ring_ops(rank, p, nbytes, root).map(map)).await
+        }
     }
     .map(drop)
+}
+
+/// Run a phase table into a vector. The vector sink never suspends, so the
+/// table completes on its first poll.
+///
+/// # Panics
+///
+/// If the table refuses its world (a root outside it, or an algorithm
+/// [`Algorithm::supports`] rules out) — a precondition of every schedule
+/// builder.
+pub(crate) fn collect_ops(
+    table: impl AsyncFnOnce(&mut Vec<SchedOp>) -> Result<()>,
+) -> Vec<SchedOp> {
+    let mut ops = Vec::new();
+    if let Err(e) = complete_now(table(&mut ops)) {
+        panic!("no schedule for this world: {e:?}");
+    }
+    ops
 }
 
 /// Broadcast with MPICH3's automatic algorithm selection.
@@ -241,16 +292,8 @@ impl Algorithm {
 /// Rank `rank`'s whole program for `algorithm`: the tree ops (the binomial
 /// scatter — or, for [`Algorithm::Binomial`], the entire broadcast) followed
 /// by the allgather stream (none for binomial). What [`bcast_schedule`]
-/// collects, and what the SMP composite and the degraded rerun renumber.
-///
-/// [`bcast_with_async`] runs the same phase functions through the
-/// interpreter but repeats this four-entry table instead of calling here,
-/// on measurement: handing it the phases as `Box<dyn Iterator>` cost +7 %
-/// on the `ring-msgs` workload, chaining them into one stream +8 %, and
-/// binding both streams before the first `run` grew every rank task's
-/// future from 576 to 680 bytes, again +8 % (1024 such futures sit at the
-/// edge of L2 there). `tests/schedule_replay.rs` pins the two tables equal,
-/// per rank and per byte, on all three executors.
+/// collects and the SMP composite renumbers: the phase table
+/// [`bcast_with_async`] runs, collected.
 ///
 /// # Panics
 ///
@@ -264,18 +307,7 @@ pub fn bcast_ops(
     nbytes: usize,
     root: Rank,
 ) -> Vec<SchedOp> {
-    assert!(algorithm.supports(p), "{} is not defined for P = {p}", algorithm.schedule_name());
-    let mut ops = match algorithm {
-        Algorithm::Binomial => binomial_ops(rank, p, nbytes, root),
-        _ => scatter_ops(rank, p, nbytes, root),
-    };
-    match algorithm {
-        Algorithm::Binomial => {}
-        Algorithm::ScatterRdAllgather => ops.extend(rd_ops(rank, p, nbytes, root)),
-        Algorithm::ScatterRingNative => ops.extend(native_ring_ops(rank, p, nbytes, root)),
-        Algorithm::ScatterRingTuned => ops.extend(tuned_ring_ops(rank, p, nbytes, root)),
-    }
-    ops
+    collect_ops(async |ops| bcast_phases(ops, algorithm, rank, p, nbytes, root, identity).await)
 }
 
 /// An empty schedule with the broadcast's coverage contract: `root` starts

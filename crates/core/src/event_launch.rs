@@ -11,7 +11,6 @@
 //! outcome is already a correctness witness; callers then compare the
 //! counters against the closed forms in [`crate::traffic`].
 
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 use mpsim::{AsyncCommunicator, EventWorld, Rank, Result, WorldOutcome, WorldTraffic};
@@ -192,8 +191,13 @@ impl RecoverySpec<'_> {
     /// crash can burn two epochs (the split-verdict epoch plus the stalled
     /// isolation epoch), plus the final clean attempt.
     pub fn liveness_guaranteed(&self) -> bool {
-        !self.planned_victims.contains(&self.root)
-            && self.cfg.max_epochs > 2 * self.planned_victims.len() as u32
+        !self.planned_victims.contains(&self.root) && self.budget_covers_cascade()
+    }
+
+    /// Whether the epoch budget covers the worst cascade of the planned
+    /// crashes (see [`RecoverySpec::liveness_guaranteed`]).
+    fn budget_covers_cascade(&self) -> bool {
+        self.cfg.max_epochs > 2 * self.planned_victims.len() as u32
     }
 }
 
@@ -258,7 +262,10 @@ pub fn reconcile_crashed_traffic(traffic: &WorldTraffic) -> std::result::Result<
 /// 3. **Budget** — epochs used never exceed the spec's `max_epochs`, and
 ///    the trace agrees with the result.
 /// 4. **Liveness** — when [`RecoverySpec::liveness_guaranteed`], every rank
-///    outside the victim set heals.
+///    outside the victim set heals. A crashed root voids the guarantee only
+///    if it took the payload along: once any rank healed, a survivor held
+///    the payload, and root succession owes it to every rank outside the
+///    victim set within the same budget.
 /// 5. **Traffic conservation** — exact balance fault-free, per-link
 ///    `recvd ≤ sent` under crashes or lossy links.
 /// 6. **Recovery time** — virtual elapsed within
@@ -270,18 +277,24 @@ pub fn check_recovery_outcome(
     elapsed: Duration,
 ) -> std::result::Result<(), String> {
     let p = results.len();
-    let victims: BTreeSet<Rank> = spec.planned_victims.iter().copied().collect();
-    let healed: BTreeSet<Rank> =
-        results.iter().enumerate().filter(|(_, r)| r.result.is_ok()).map(|(r, _)| r).collect();
+    // Linear in the survivor lists: a sorted victim list, a healed bitmap
+    // and the healed ranks in ascending order, merged against each list.
+    let mut victims = spec.planned_victims.to_vec();
+    victims.sort_unstable();
+    victims.dedup();
+    let is_victim = |r: &Rank| victims.binary_search(r).is_ok();
+    let healed: Vec<bool> = results.iter().map(|r| r.result.is_ok()).collect();
+    let healed_ranks: Vec<Rank> = (0..p).filter(|&r| healed[r]).collect();
+    let is_healed = |r: &Rank| healed.get(*r).copied().unwrap_or(false);
 
     for (rank, run) in results.iter().enumerate() {
         match &run.result {
             Ok(h) => {
-                let s: BTreeSet<Rank> = h.survivors.iter().copied().collect();
-                if s.len() != h.survivors.len() || h.survivors.windows(2).any(|w| w[0] >= w[1]) {
+                let s = &h.survivors;
+                if s.windows(2).any(|w| w[0] >= w[1]) {
                     return Err(format!("rank {rank}: survivor list not strictly sorted"));
                 }
-                if !s.contains(&rank) {
+                if s.binary_search(&rank).is_err() {
                     return Err(format!("rank {rank} healed but is not in its own survivor set"));
                 }
                 // Convergence is epoch-monotone, not absolute: a rank that
@@ -295,7 +308,7 @@ pub fn check_recovery_outcome(
                 // subgroups; ghost-freedom, byte-identity and conservation
                 // still bind.
                 if !spec.lossy_links {
-                    for &missing in healed.difference(&s) {
+                    for missing in sorted_difference(&healed_ranks, s) {
                         let their_epoch = match &results[missing].result {
                             Ok(theirs) => theirs.epochs,
                             Err(_) => unreachable!("healed set only holds Ok ranks"),
@@ -309,8 +322,7 @@ pub fn check_recovery_outcome(
                         }
                     }
                 }
-                if let Some(&ghost) = s.iter().find(|r| !healed.contains(r) && !victims.contains(r))
-                {
+                if let Some(&ghost) = s.iter().find(|r| !is_healed(r) && !is_victim(r)) {
                     return Err(format!(
                         "rank {rank}'s survivor set counts rank {ghost}, which neither healed \
                          nor was a planned victim"
@@ -332,7 +344,7 @@ pub fn check_recovery_outcome(
                     return Err(format!("rank {rank} delivered a diverged payload"));
                 }
             }
-            Err(_) if victims.contains(&rank) => {}
+            Err(_) if is_victim(&rank) => {}
             Err(e) => {
                 if spec.liveness_guaranteed() {
                     return Err(format!(
@@ -342,14 +354,23 @@ pub fn check_recovery_outcome(
                         2 * victims.len() + 1
                     ));
                 }
+                if let (true, Some(&holder)) = (spec.budget_covers_cascade(), healed_ranks.first())
+                {
+                    return Err(format!(
+                        "rank {rank} was never a victim but failed with {e:?} although rank \
+                         {holder} healed, so the payload outlived the root (budget {} >= {})",
+                        spec.cfg.max_epochs,
+                        2 * victims.len() + 1
+                    ));
+                }
             }
         }
     }
 
-    if spec.liveness_guaranteed() && healed.len() < p - victims.len() {
+    if spec.liveness_guaranteed() && healed_ranks.len() < p - victims.len() {
         return Err(format!(
             "only {} of {} guaranteed-live ranks healed",
-            healed.len(),
+            healed_ranks.len(),
             p - victims.len()
         ));
     }
@@ -367,6 +388,16 @@ pub fn check_recovery_outcome(
         return Err(format!("recovery took {elapsed:?}, above the bound {bound:?}"));
     }
     Ok(())
+}
+
+/// The ranks of ascending `a` missing from ascending `b`, in order: one
+/// merge pass over both.
+fn sorted_difference<'a>(a: &'a [Rank], b: &'a [Rank]) -> impl Iterator<Item = Rank> + 'a {
+    let mut rest = b.iter().peekable();
+    a.iter().copied().filter(move |&r| {
+        while rest.next_if(|&&x| x < r).is_some() {}
+        rest.peek() != Some(&&r)
+    })
 }
 
 #[cfg(test)]
@@ -463,6 +494,50 @@ mod tests {
         let spec =
             RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[1], lossy_links: false };
         check_recovery_outcome(&spec, &results, &out.traffic, out.elapsed).unwrap();
+    }
+
+    #[test]
+    fn checker_judges_survivor_lists_against_the_healed_set() {
+        let cfg = RecoveryConfig::default();
+        let out = self_healing_bcast_event_world(4, 64, 0, Algorithm::Binomial, &cfg);
+        let src = pattern(64, EVENT_LAUNCH_SEED);
+        let spec =
+            RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[], lossy_links: false };
+        let judge = |edit: &dyn Fn(&mut [RankRun])| {
+            let mut results = out.results.clone();
+            edit(&mut results);
+            check_recovery_outcome(&spec, &results, &out.traffic, out.elapsed)
+        };
+        let set = |runs: &mut [RankRun], rank: Rank, list: &[Rank]| {
+            runs[rank].result.as_mut().unwrap().survivors = list.to_vec();
+        };
+        let err = judge(&|r| set(r, 2, &[0, 2, 3])).unwrap_err();
+        assert!(err.contains("excludes rank 1") && err.contains("split-brain"), "{err}");
+        let err = judge(&|r| set(r, 2, &[0, 2, 1, 3])).unwrap_err();
+        assert!(err.contains("not strictly sorted"), "{err}");
+        let err = judge(&|r| set(r, 3, &[0, 1, 2])).unwrap_err();
+        assert!(err.contains("not in its own survivor set"), "{err}");
+        // A rank that healed in a strictly earlier epoch may be missing.
+        judge(&|r| {
+            set(r, 2, &[0, 2, 3]);
+            r[2].result.as_mut().unwrap().epochs = 2;
+            r[2].trace.epochs_entered = 2;
+        })
+        .unwrap();
+        // A dead root that left the payload with a survivor still owes it to
+        // every rank outside the victim set.
+        let spec = RecoverySpec { planned_victims: &[0], ..spec };
+        let mut results = out.results.clone();
+        results[0].result = Err(mpsim::CommError::PeerFailed { rank: 0 });
+        results[1].result = Err(mpsim::CommError::PeerFailed { rank: 0 });
+        set(&mut results, 2, &[2, 3]);
+        set(&mut results, 3, &[2, 3]);
+        let err = check_recovery_outcome(&spec, &results, &out.traffic, out.elapsed).unwrap_err();
+        assert!(err.contains("rank 1 was never a victim") && err.contains("outlived"), "{err}");
+        results[2].result = Err(mpsim::CommError::PeerFailed { rank: 0 });
+        results[3].result = Err(mpsim::CommError::PeerFailed { rank: 0 });
+        check_recovery_outcome(&spec, &results, &out.traffic, out.elapsed)
+            .expect("with nobody healed, the payload may have died with the root");
     }
 
     #[test]

@@ -26,8 +26,19 @@
 //! stages once on the root and fans the same envelope out; and the ring's
 //! first send — the rank's own chunk — is a sub-view of the scatter envelope
 //! still retained from the previous phase.
+//!
+//! ## Bounded receives
+//!
+//! The self-healing broadcast runs its attempts on an `Interp::bounded`
+//! interpreter: every take carries the step deadline, so a silent peer
+//! surfaces as [`CommError::Timeout`] instead of a hang, and an op with both
+//! halves is an eager post followed by a bounded take — sound only on an
+//! eagerly delivering transport — unless the communicator's own `exchange`
+//! bounds itself, in which case it stays one call.
 
+use std::future::Future;
 use std::ops::Range;
+use std::time::Duration;
 
 use mpsim::{AsyncCommunicator, CommError, Payload, Result, SharedBuf};
 
@@ -37,18 +48,27 @@ use crate::schedule::SchedOp;
 /// retained envelope. Phases of one collective run through the *same*
 /// interpreter (`run(scatter)` then `run(ring)`), so the envelope carries
 /// over between them.
-pub struct Interp<'a, C: ?Sized> {
+///
+/// `BOUNDED` marks the self-healing attempt's interpreter
+/// (`Interp::bounded`); it is a compile-time switch, so the plain one
+/// tests no deadline on its path.
+pub struct Interp<'a, C: ?Sized, const BOUNDED: bool = false> {
     comm: &'a C,
     buf: &'a mut [u8],
     /// The last envelope received or staged, and the range of `buf` whose
     /// bytes it equals.
     held: Option<(Range<usize>, SharedBuf)>,
+    /// The deadline of every take of a bounded interpreter.
+    step: Duration,
+    /// Whether a bounded interpreter still hands an op with both halves to
+    /// one `exchange`.
+    fused_exchange: bool,
 }
 
 impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
     /// Interpreter over `buf`, the rank's full broadcast buffer.
     pub fn new(comm: &'a C, buf: &'a mut [u8]) -> Self {
-        Interp { comm, buf, held: None }
+        Interp { comm, buf, held: None, step: Duration::ZERO, fused_exchange: true }
     }
 
     /// Send-only interpreter over an already-shared payload: the retained
@@ -57,9 +77,28 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
     /// stream that receives (or sends outside `src`) fails with
     /// [`CommError::OutOfBounds`].
     pub fn from_shared(comm: &'a C, src: &SharedBuf) -> Self {
-        Interp { comm, buf: &mut [], held: Some((0..src.len(), src.clone())) }
+        let held = Some((0..src.len(), src.clone()));
+        Interp { comm, buf: &mut [], held, step: Duration::ZERO, fused_exchange: true }
     }
+}
 
+impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C, true> {
+    /// [`Interp::new`] with every take bounded by `step` (see the [module
+    /// docs](self)). An op with both halves is posted eagerly and then taken
+    /// under the bound, unless `fused_exchange` is set: then it stays one
+    /// `exchange` call, for a communicator whose `exchange` cannot block
+    /// forever on a dead peer (`mpsim::ReliableComm`'s pump).
+    pub(crate) fn bounded(
+        comm: &'a C,
+        buf: &'a mut [u8],
+        step: Duration,
+        fused_exchange: bool,
+    ) -> Self {
+        Interp { comm, buf, held: None, step, fused_exchange }
+    }
+}
+
+impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> {
     /// Execute `ops` in order. Resolves to the payload bytes received.
     pub async fn run(&mut self, ops: impl IntoIterator<Item = SchedOp>) -> Result<usize> {
         let mut received = 0;
@@ -70,8 +109,12 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
                 (Some(s), Some(r)) => {
                     let cut = self.stage(&s.loc)?;
                     let out = self.outgoing(cut);
-                    let env =
-                        self.comm.exchange(out, s.peer, s.tag, r.dst.len(), r.peer, r.tag).await?;
+                    let env = if BOUNDED && !self.fused_exchange {
+                        self.comm.post(out, s.peer, s.tag).await?;
+                        self.comm.take(r.dst.len(), r.peer, r.tag, Some(self.step)).await?
+                    } else {
+                        self.comm.exchange(out, s.peer, s.tag, r.dst.len(), r.peer, r.tag).await?
+                    };
                     received += self.land(&r.dst, env.into_shared())?;
                 }
                 (Some(s), None) => {
@@ -79,7 +122,8 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
                     self.comm.post(self.outgoing(cut), s.peer, s.tag).await?;
                 }
                 (None, Some(r)) => {
-                    let env = self.comm.take(r.dst.len(), r.peer, r.tag, None).await?;
+                    let timeout = BOUNDED.then_some(self.step);
+                    let env = self.comm.take(r.dst.len(), r.peer, r.tag, timeout).await?;
                     received += self.land(&r.dst, env.into_shared())?;
                 }
                 (None, None) => {}
@@ -131,5 +175,27 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
 
     fn out_of_bounds(&self, range: &Range<usize>) -> CommError {
         CommError::OutOfBounds { disp: range.start, count: range.len(), len: self.buf.len() }
+    }
+}
+
+/// What a phase table hands each phase stream to, one phase at a time: an
+/// [`Interp`] runs it, a `Vec` collects it for a schedule.
+pub(crate) trait PhaseSink {
+    /// Consume one phase's op stream; resolves to the payload bytes received.
+    fn phase(&mut self, ops: impl Iterator<Item = SchedOp>) -> impl Future<Output = Result<usize>>;
+}
+
+/// The run future itself, no wrapper state machine around it.
+impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> PhaseSink for Interp<'_, C, BOUNDED> {
+    fn phase(&mut self, ops: impl Iterator<Item = SchedOp>) -> impl Future<Output = Result<usize>> {
+        self.run(ops)
+    }
+}
+
+/// Collecting never suspends and never fails.
+impl PhaseSink for &mut Vec<SchedOp> {
+    fn phase(&mut self, ops: impl Iterator<Item = SchedOp>) -> impl Future<Output = Result<usize>> {
+        self.extend(ops);
+        std::future::ready(Ok(0))
     }
 }

@@ -61,6 +61,7 @@ pub mod bcast;
 pub mod binomial;
 pub mod chunks;
 pub mod coalesce;
+pub mod epoch_guard;
 pub mod event_launch;
 pub mod interp;
 pub mod pipeline;
@@ -86,6 +87,7 @@ pub use coalesce::{
     bcast_opt_coalesced, bcast_opt_coalesced_async, coalesced_envelope_count, coalesced_ring_ops,
     coalesced_schedule, CoalescePolicy,
 };
+pub use epoch_guard::{EpochComm, GuardedComm};
 pub use event_launch::{
     bcast_coalesced_event_world, bcast_event_world, check_recovery_outcome,
     reconcile_crashed_traffic, recovery_elapsed_bound, self_healing_bcast_event_world,
@@ -95,8 +97,7 @@ pub use interp::Interp;
 pub use recovery::{
     branch, degraded_bcast_schedule, membership_digest, self_healing_bcast,
     self_healing_bcast_async, self_healing_bcast_traced_async, self_healing_bcast_with,
-    self_healing_bcast_with_async, EpochComm, GuardedComm, Healed, RecoveryConfig, RecoveryDrill,
-    RecoveryTrace,
+    self_healing_bcast_with_async, Healed, RecoveryConfig, RecoveryDrill, RecoveryTrace,
 };
 pub use ring_tuned::{step_flag, Endpoint};
 pub use scatter::{binomial_scatter_shared_async, owned_chunks};

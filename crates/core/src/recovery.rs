@@ -6,12 +6,16 @@
 //! `sendrecv` that can never match. This module turns that hang into
 //! detection and recovery:
 //!
-//! 1. **Guarded attempt** — the broadcast runs over a [`GuardedComm`], which
-//!    bounds every receive with a deadline, and an [`EpochComm`], which
-//!    shifts all tags by the attempt number so retries can never match stale
-//!    messages from a failed attempt. A dead neighbor surfaces as
-//!    [`CommError::Timeout`] or — when the backend's exited-rank detector
-//!    fires first — [`CommError::PeerFailed`].
+//! 1. **Bounded attempt** — each rank runs the algorithm's own phase streams
+//!    for the attempt's world (its rank among the runners, their count, the
+//!    root's position), with every op mapped to world ranks and every tag
+//!    shifted into the epoch's page plus the runners' membership digest, so
+//!    retries can never match stale messages from a failed attempt. One
+//!    interpreter runs them on the bare communicator with every receive
+//!    bounded by the step deadline — no decorator wraps an envelope. A dead
+//!    neighbor surfaces as [`CommError::Timeout`] or — when the backend's
+//!    exited-rank detector fires first — [`CommError::PeerFailed`], naming
+//!    a world rank either way.
 //! 2. **Agreement** — first a *dissemination quorum*: two passes of
 //!    `⌈log₂n⌉` rounds, one two-byte send and one receive per rank per round,
 //!    AND-reducing "I hold the full payload" (pass 1) and "my pass 1 came out
@@ -42,21 +46,29 @@
 //!    committed and left. The confirm quorum has its own version of the
 //!    same case: such a rank sends its report and adopts the proposal.)
 //! 3. **Degraded rerun** — the broadcast reruns from the root (or, if it
-//!    died, the lowest-ranked survivor holding the full payload), over a
-//!    [`SubComm`] of that root plus the survivors the verdict did *not* mark
-//!    full: a survivor that already holds the payload sits the rerun out and
-//!    rejoins at the agreement (the paper's rule — never send a rank what it
-//!    already holds — applied to whole payloads). The binomial-scatter
-//!    `(step, flag)` schedule is re-derived over that smaller world simply
-//!    by running the same algorithm at the smaller size. The loop repeats
-//!    until every survivor holds the payload or the epoch budget is
-//!    exhausted. (With [`RecoveryConfig::bounded_sendrecv`] every survivor
-//!    reruns, as it always did.)
+//!    died, the lowest-ranked survivor holding the full payload), over that
+//!    root plus the survivors the verdict did *not* mark full: a survivor
+//!    that already holds the payload sits the rerun out and rejoins at the
+//!    agreement (the paper's rule — never send a rank what it already holds
+//!    — applied to whole payloads). The binomial-scatter `(step, flag)`
+//!    schedule is re-derived over that smaller world simply by running the
+//!    same streams at the smaller size and renumbering their peers through
+//!    the rerun list, like step 1. The loop repeats until every survivor
+//!    holds the payload or the epoch budget is exhausted. (With
+//!    [`RecoveryConfig::bounded_sendrecv`] every survivor reruns, as it
+//!    always did.)
 //!
-//! The matching *symbolic* schedule of a degraded rerun is available from
-//! [`degraded_bcast_schedule`] for any member list — the rerun's is the
-//! root plus the survivors without the payload — so `schedcheck` verifies
-//! the regenerated ring exactly like the full-world one.
+//! [`degraded_bcast_schedule`] collects the very phase table and op map an
+//! attempt runs, over any member list — the rerun's is the root plus the
+//! survivors without the payload — so `schedcheck` verifies the regenerated
+//! ring exactly like the full-world one, and what it verifies is what runs
+//! (modulo the tag shift).
+//!
+//! A clean epoch pays for the broadcast and the `2·n·⌈log₂n⌉`-frame quorum
+//! and for nothing else: no per-envelope decorator, and no bookkeeping per
+//! rank beyond the member list — a committed quorum does not list the
+//! members, a full world's digest takes O(1), and the attempt borrows the
+//! member list while no rank sits a rerun out.
 //!
 //! ## Fault model
 //!
@@ -70,14 +82,16 @@
 //! [`mpsim::ReliableComm`], stacked underneath; this module only handles
 //! silence.
 //!
-//! Like everything timeout-based, [`GuardedComm`] decomposes `sendrecv`
+//! Like everything timeout-based, the attempt decomposes each `sendrecv` op
 //! into an eager send followed by a bounded receive, so the transport must
 //! deliver eagerly (the threaded backend always does; simulated worlds
-//! need a model with a high `eager_threshold`).
+//! need a model with a high `eager_threshold`). Under
+//! [`RecoveryConfig::bounded_sendrecv`] the op stays one `exchange`, and
+//! only lone receives are bounded.
 //!
 //! ## One loop, every executor
 //!
-//! The whole stack — decorators, agreement round, epoch loop — is written
+//! The whole stack — bounded attempt, agreement round, epoch loop — is written
 //! once against [`AsyncCommunicator`], so it runs unchanged on the
 //! discrete-event executor at megascale (`P = 256..4096`) under its virtual
 //! clock, where every timeout is free: a heartbeat deadline of seconds
@@ -99,17 +113,18 @@
 //!   coverage signal `chaos-search` steers by and the megascale tests
 //!   assert on.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::future::Future;
 use std::time::Duration;
 
 use mpsim::{
-    complete_now, deadline_after, AsyncCommunicator, CommError, Communicator, Payload, Rank,
-    Result, SharedBuf, SubComm, SyncComm, Tag,
+    complete_now, deadline_after, AsyncCommunicator, CommError, Communicator, Rank, Result,
+    SyncComm, Tag,
 };
 
-use crate::bcast::{bcast_ops, bcast_with_async, Algorithm};
-use crate::schedule::{renumber, Schedule};
+use crate::bcast::{bcast_phases, collect_ops, Algorithm};
+use crate::interp::{Interp, PhaseSink};
+use crate::schedule::{SchedOp, Schedule};
 
 /// Tag offset between broadcast attempts: epoch `e` runs its collective on
 /// `Tag(t + e · EPOCH_TAG_STRIDE)`, so a retry can never match a stale
@@ -134,8 +149,15 @@ pub const MEMBERSHIP_DIGEST_SHIFT: u32 = 12;
 /// [`self_healing_bcast`] refuses a larger [`RecoveryConfig::max_epochs`].
 pub const MAX_EPOCHS: u32 = (1 << MEMBERSHIP_DIGEST_SHIFT) / EPOCH_TAG_STRIDE;
 
-/// Digest of a member list, folded into every *attempt* tag (never the
-/// agreement tag) by [`EpochComm::isolated`].
+/// Digest of an ascending member list (every list recovery builds is one),
+/// folded into every *attempt* tag (never the agreement tag) and into the
+/// membership quorum's seal.
+///
+/// It hashes the list's length and the ranks it leaves out below its last
+/// member, as `(first left out, next member)` runs, so a full world `0..n`
+/// digests in O(1) — no run to hash — and a list that lost a few ranks in
+/// O(n). Other orders digest deterministically, but two orders of one set
+/// may collide.
 ///
 /// A crash that lands *during* an agreement round can split the verdict:
 /// peers the victim already answered believe it alive, later peers see it
@@ -149,14 +171,35 @@ pub const MAX_EPOCHS: u32 = (1 << MEMBERSHIP_DIGEST_SHIFT) / EPOCH_TAG_STRIDE;
 /// by then). Agreement tags stay digest-free on purpose — the diverged
 /// groups must still heartbeat each other to re-converge.
 pub fn membership_digest(members: &[Rank]) -> u32 {
-    // FNV-1a over the member ranks, folded to a 12-bit page well clear of
-    // the low pages (user + epoch + agreement tags all sit below 0xB2xx).
-    0x10 + (fnv1a(members.iter().flat_map(|&m| (m as u32).to_le_bytes())) % 0xFE0)
+    let n = members.len();
+    let mut h = fnv1a(FNV_OFFSET, (n as u32).to_le_bytes());
+    // An ascending list that ends at `n − 1` is `0..n`: nothing left out.
+    if members.last().is_some_and(|&last| last + 1 != n) {
+        let mut next = 0;
+        for &m in members {
+            if m != next {
+                h = fnv1a(h, [next as u32, m as u32].into_iter().flat_map(u32::to_le_bytes));
+            }
+            next = m + 1;
+        }
+    }
+    // Folded to a 12-bit page well clear of the low pages (user + epoch +
+    // agreement tags all sit below 0xB2xx).
+    0x10 + h % 0xFE0
 }
 
-/// 32-bit FNV-1a.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u32 {
-    bytes.into_iter().fold(0x811C_9DC5, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
+/// What an attempt of epoch `epoch` over a member list with digest `digest`
+/// adds to every tag: the epoch's page plus the digest's.
+pub(crate) fn attempt_shift(epoch: u32, digest: u32) -> u32 {
+    epoch.wrapping_mul(EPOCH_TAG_STRIDE).wrapping_add(digest << MEMBERSHIP_DIGEST_SHIFT)
+}
+
+/// The 32-bit FNV-1a offset basis.
+const FNV_OFFSET: u32 = 0x811C_9DC5;
+
+/// 32-bit FNV-1a of `bytes`, continuing from hash `h`.
+fn fnv1a(h: u32, bytes: impl IntoIterator<Item = u8>) -> u32 {
+    bytes.into_iter().fold(h, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 /// Tuning knobs for [`self_healing_bcast`].
@@ -171,10 +214,10 @@ pub struct RecoveryConfig {
     pub max_epochs: u32,
     /// Set when the communicator's own `sendrecv` already returns
     /// [`CommError::Timeout`] on its own (e.g. [`mpsim::ReliableComm`],
-    /// whose ack pump has a bounded attempt budget). [`GuardedComm`] then
-    /// delegates `sendrecv` instead of decomposing it — decomposition
-    /// would wedge the reliability layer's pump, because a blocking
-    /// acknowledged send cannot drain incoming data frames.
+    /// whose ack pump has a bounded attempt budget). The attempt then
+    /// hands each `sendrecv` op to that `sendrecv` instead of decomposing
+    /// it — decomposition would wedge the reliability layer's pump, because
+    /// a blocking acknowledged send cannot drain incoming data frames.
     pub bounded_sendrecv: bool,
 }
 
@@ -223,183 +266,6 @@ pub struct Healed {
     pub epochs: u32,
 }
 
-/// Tag-shifting decorator: runs an unmodified collective in a private tag
-/// epoch so concurrent or stale traffic on other epochs cannot interfere.
-pub struct EpochComm<'a, C: ?Sized> {
-    inner: &'a C,
-    shift: u32,
-}
-
-impl<'a, C: ?Sized> EpochComm<'a, C> {
-    /// Wrap `inner`, shifting every tag by `epoch · EPOCH_TAG_STRIDE`.
-    pub fn new(inner: &'a C, epoch: u32) -> Self {
-        EpochComm { inner, shift: epoch.wrapping_mul(EPOCH_TAG_STRIDE) }
-    }
-
-    /// Wrap `inner`, shifting every tag by the epoch *and* a membership
-    /// digest, so attempts over diverged member lists can never exchange
-    /// data (see [`membership_digest`]).
-    pub fn isolated(inner: &'a C, epoch: u32, digest: u32) -> Self {
-        EpochComm {
-            inner,
-            shift: epoch
-                .wrapping_mul(EPOCH_TAG_STRIDE)
-                .wrapping_add(digest << MEMBERSHIP_DIGEST_SHIFT),
-        }
-    }
-
-    fn shifted(&self, tag: Tag) -> Tag {
-        Tag(tag.0.wrapping_add(self.shift))
-    }
-}
-
-/// Pure forwarding: each call returns the inner communicator's future
-/// itself, so the shift costs no state machine of its own per envelope
-/// (the recovery stack wraps every envelope of an attempt).
-impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for EpochComm<'_, C> {
-    fn rank(&self) -> Rank {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn barrier(&self) -> impl Future<Output = Result<()>> {
-        self.inner.barrier()
-    }
-
-    fn make_shared(&self, data: &[u8]) -> SharedBuf {
-        self.inner.make_shared(data)
-    }
-
-    fn note_copy(&self, bytes: usize) {
-        self.inner.note_copy(bytes)
-    }
-
-    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> impl Future<Output = Result<()>> {
-        self.inner.post(payload, dest, self.shifted(tag))
-    }
-
-    fn take(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> impl Future<Output = Result<Payload>> {
-        self.inner.take(capacity, src, self.shifted(tag), timeout)
-    }
-
-    fn exchange(
-        &self,
-        payload: Payload,
-        dest: Rank,
-        sendtag: Tag,
-        capacity: usize,
-        src: Rank,
-        recvtag: Tag,
-    ) -> impl Future<Output = Result<Payload>> {
-        let (sendtag, recvtag) = (self.shifted(sendtag), self.shifted(recvtag));
-        self.inner.exchange(payload, dest, sendtag, capacity, src, recvtag)
-    }
-}
-
-/// Deadline-guarding decorator: every [`AsyncCommunicator::take`] is
-/// bounded by a fixed step deadline, so a silent peer surfaces as
-/// [`CommError::Timeout`] instead of a hang.
-///
-/// `exchange` (and with it `sendrecv`) is decomposed into an eager post
-/// followed by a bounded take — correct only on eagerly-delivering
-/// transports (see the [module docs](self)).
-pub struct GuardedComm<'a, C: ?Sized> {
-    inner: &'a C,
-    step_timeout: Duration,
-    passthrough_sendrecv: bool,
-}
-
-impl<'a, C: ?Sized> GuardedComm<'a, C> {
-    /// Wrap `inner` with a per-receive deadline of `step_timeout`.
-    pub fn new(inner: &'a C, step_timeout: Duration) -> Self {
-        GuardedComm { inner, step_timeout, passthrough_sendrecv: false }
-    }
-
-    /// Delegate `exchange` to the inner communicator instead of
-    /// decomposing it. Only sound when the inner `exchange` cannot block
-    /// forever on a dead peer — see
-    /// [`RecoveryConfig::bounded_sendrecv`].
-    pub fn passthrough_sendrecv(mut self) -> Self {
-        self.passthrough_sendrecv = true;
-        self
-    }
-}
-
-/// Forwarding like [`EpochComm`]'s, except the decomposed `exchange`.
-impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
-    fn rank(&self) -> Rank {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
-    }
-
-    fn barrier(&self) -> impl Future<Output = Result<()>> {
-        self.inner.barrier()
-    }
-
-    fn make_shared(&self, data: &[u8]) -> SharedBuf {
-        self.inner.make_shared(data)
-    }
-
-    fn note_copy(&self, bytes: usize) {
-        self.inner.note_copy(bytes)
-    }
-
-    fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> impl Future<Output = Result<()>> {
-        self.inner.post(payload, dest, tag)
-    }
-
-    /// Every take is bounded: an unbounded one by the step deadline, a
-    /// bounded one by the tighter of the two.
-    fn take(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> impl Future<Output = Result<Payload>> {
-        let bound = timeout.map_or(self.step_timeout, |t| t.min(self.step_timeout));
-        self.inner.take(capacity, src, tag, Some(bound))
-    }
-
-    async fn exchange(
-        &self,
-        payload: Payload,
-        dest: Rank,
-        sendtag: Tag,
-        capacity: usize,
-        src: Rank,
-        recvtag: Tag,
-    ) -> Result<Payload> {
-        if self.passthrough_sendrecv {
-            return self.inner.exchange(payload, dest, sendtag, capacity, src, recvtag).await;
-        }
-        // Eager post, step-bounded take — sound only on eagerly-delivering
-        // transports.
-        self.inner.post(payload, dest, sendtag).await?;
-        self.inner.take(capacity, src, recvtag, Some(self.step_timeout)).await
-    }
-}
-
 /// One rank's state after an attempt, exchanged in the agreement round.
 #[derive(Clone, Copy)]
 struct Report {
@@ -422,16 +288,12 @@ impl Report {
 /// Outcome of one agreement round, identical on every live member (unless a
 /// crash lands mid-round — see [`membership_digest`] for how that split is
 /// contained).
-struct Verdict {
-    dead: BTreeSet<Rank>,
-    have_full: BTreeSet<Rank>,
-}
-
-impl Verdict {
-    /// "Nobody dead, everybody full" over `members`.
-    fn everyone_full(members: &[Rank]) -> Verdict {
-        Verdict { dead: BTreeSet::new(), have_full: members.iter().copied().collect() }
-    }
+enum Verdict {
+    /// Nobody dead, every member full — what a committed quorum establishes,
+    /// recorded without listing the members.
+    EveryoneFull,
+    /// Who is dead, and who of the others holds the payload.
+    Split { dead: BTreeSet<Rank>, have_full: BTreeSet<Rank> },
 }
 
 /// The leader's proposed verdict `V`: the members whose report it read
@@ -505,14 +367,14 @@ impl Proposal {
     /// The confirm quorum's seal: every frame carries it, so members
     /// holding different proposals cannot confirm each other.
     fn seal(&self) -> [u8; 4] {
-        fnv1a(self.frame.iter().copied()).to_le_bytes()
+        fnv1a(FNV_OFFSET, self.frame.iter().copied()).to_le_bytes()
     }
 
     /// `V` as this epoch's verdict over `members` (a superset of `live`).
     fn verdict(&self, members: &[Rank]) -> Verdict {
         let dead = members.iter().copied().filter(|&r| !self.has(Self::LIVE, r)).collect();
         let have_full = members.iter().copied().filter(|&r| self.has(Self::FULL, r)).collect();
-        Verdict { dead, have_full }
+        Verdict::Split { dead, have_full }
     }
 }
 
@@ -670,7 +532,8 @@ async fn quorum<C: AsyncCommunicator + ?Sized>(
 ) -> Result<Quorum> {
     let me = comm.rank();
     let n = members.len();
-    let Some(idx) = members.iter().position(|&m| m == me) else {
+    // Member lists and a proposal's live list are ascending.
+    let Ok(idx) = members.binary_search(&me) else {
         return Ok(Quorum::Open);
     };
     let bound = cfg.step_timeout.saturating_mul(2);
@@ -815,7 +678,7 @@ async fn agree<C: AsyncCommunicator + ?Sized>(
         && match quorum(comm, members, agreement_tag(epoch, QUORUM), &digest8, mine.has_full, cfg)
             .await?
         {
-            Quorum::Committed => return Ok(Verdict::everyone_full(members)),
+            Quorum::Committed => return Ok(Verdict::EveryoneFull),
             Quorum::Known => true,
             Quorum::Open => false,
         };
@@ -849,7 +712,7 @@ async fn settle<C: AsyncCommunicator + ?Sized>(
             tell(comm, peers, &Proposal::ABSTAIN, agreement_tag(epoch, PROPOSAL)).await?;
         }
         pairwise(comm, members, epoch, mine, cfg, &heard, trace).await?;
-        return Ok(Verdict::everyone_full(members));
+        return Ok(Verdict::EveryoneFull);
     }
     let proposal = if me == leader {
         propose(comm, members, epoch, mine, cfg, &mut heard, trace).await?
@@ -1048,8 +911,8 @@ async fn pairwise<C: AsyncCommunicator + ?Sized>(
                 dead.insert(peer);
             }
             // Our *own* communicator fail-stopping mid-round surfaces as a
-            // peer failure naming this rank (world numbering — agreement
-            // runs on the parent comm). Propagate it instead of wrongly
+            // peer failure naming this rank (world numbering, like every
+            // error here). Propagate it instead of wrongly
             // declaring every not-yet-visited peer dead.
             Err(CommError::PeerFailed { rank }) if rank == me => {
                 return Err(CommError::PeerFailed { rank: me });
@@ -1061,7 +924,7 @@ async fn pairwise<C: AsyncCommunicator + ?Sized>(
         }
     }
     have_full.retain(|r| !dead.contains(r));
-    Ok(Verdict { dead, have_full })
+    Ok(Verdict::Split { dead, have_full })
 }
 
 /// Fault-tolerant broadcast of `buf` from `root` using the paper's tuned
@@ -1152,46 +1015,38 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     let mut current_root = root;
     let mut has_full = me == root;
     let mut all_dead: BTreeSet<Rank> = BTreeSet::new();
-    // Who the last verdict marked full, by world rank. Resume, don't
-    // restart: those members already hold the payload, so only the root and
-    // the others rerun the attempt. (Not under `bounded_sendrecv`, whose
-    // path stays exactly the restart it always was.)
-    let mut full = vec![false; comm.size()];
+    // Who the last verdict marked full. Resume, don't restart: those members
+    // already hold the payload, so only the root and the others rerun the
+    // attempt. (Never under `bounded_sendrecv`, whose path stays exactly the
+    // restart it always was.)
+    let mut full: BTreeSet<Rank> = BTreeSet::new();
     trace.root_chain.push(root);
 
     for epoch in 0..max_epochs {
         trace.epochs_entered = epoch + 1;
-        if me == current_root || !full[me] {
-            let runners: Vec<Rank> =
-                members.iter().copied().filter(|&m| m == current_root || !full[m]).collect();
-            // The rerun list, not the member list, fixes the schedule, so it
-            // is what the attempt's tags must isolate.
-            let digest = membership_digest(&runners);
-            let sub = SubComm::new(comm, runners)
-                // lint: allow(panic) — `me` is always kept in `members` (checked below)
-                .expect("member list lost this rank");
-            let local_root = sub
-                .from_parent(current_root)
-                // lint: allow(panic) — root succession keeps the root a member
-                // (unless the drill knob disables succession on purpose)
-                .unwrap_or_else(|| panic!("root {current_root} is not a member"));
-            let epoch_comm = EpochComm::isolated(&sub, epoch, digest);
-            let mut guarded = GuardedComm::new(&epoch_comm, cfg.step_timeout);
-            if cfg.bounded_sendrecv {
-                guarded = guarded.passthrough_sendrecv();
-            }
-
-            let attempt = bcast_with_async(&guarded, buf, local_root, algorithm).await;
-            match attempt {
+        if me == current_root || !full.contains(&me) {
+            let runners: Cow<'_, [Rank]> = if full.is_empty() {
+                Cow::Borrowed(&members)
+            } else {
+                members
+                    .iter()
+                    .copied()
+                    .filter(|&m| m == current_root || !full.contains(&m))
+                    .collect()
+            };
+            // A typed error, never a stall: root succession keeps the root a
+            // member and `me` is always one; only the drill's
+            // `skip_root_succession` leaves a dead root in charge.
+            let rerun = Rerun::new(&runners, me, current_root, epoch)?;
+            match attempt(comm, buf, algorithm, &rerun, cfg).await {
                 Ok(()) => {
                     trace.hit(branch::CLEAN_ATTEMPT);
                     has_full = true;
                 }
                 // Attempt-time stalls only mark the attempt failed; membership
-                // is decided by the agreement round. Errors from the sub-world
-                // stack name *local* ranks.
+                // is decided by the agreement round.
                 Err(CommError::Timeout { peer }) | Err(CommError::PeerFailed { rank: peer }) => {
-                    if sub.members().get(peer) == Some(&me) {
+                    if peer == me {
                         trace.hit(branch::SELF_CRASH);
                         return Err(CommError::PeerFailed { rank: me });
                     }
@@ -1210,25 +1065,31 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
             }
             Err(e) => return Err(e),
         };
+        let (dead, have_full) = match verdict {
+            Verdict::EveryoneFull => {
+                trace.hit(branch::HEALED_ALL);
+                return Ok(Healed { survivors: members, epochs: epoch + 1 });
+            }
+            Verdict::Split { dead, have_full } => (dead, have_full),
+        };
 
-        if !verdict.dead.is_empty() {
+        if !dead.is_empty() {
             trace.hit(branch::DEATH_OBSERVED);
-            all_dead.extend(verdict.dead.iter().copied());
+            all_dead.extend(dead.iter().copied());
             trace.deaths_observed = all_dead.len();
         }
 
-        if verdict.dead.is_empty() && verdict.have_full.len() == members.len() {
+        if dead.is_empty() && have_full.len() == members.len() {
             trace.hit(branch::HEALED_ALL);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
 
-        members.retain(|r| !verdict.dead.contains(r));
-        match verdict.have_full.iter().next() {
+        members.retain(|r| !dead.contains(r));
+        match have_full.iter().next() {
             Some(&lowest) => {
                 // `skip_root_succession` is the seeded regression: a dead
                 // root keeps the role.
-                let keeps_role =
-                    verdict.have_full.contains(&current_root) || drill.skip_root_succession;
+                let keeps_role = have_full.contains(&current_root) || drill.skip_root_succession;
                 let next_root = if keeps_role { current_root } else { lowest };
                 if next_root != current_root {
                     trace.hit(branch::ROOT_SUCCESSION);
@@ -1242,26 +1103,83 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
                 return Err(CommError::PeerFailed { rank: root });
             }
         }
-        if members.len() == verdict.have_full.len()
-            && members.iter().all(|r| verdict.have_full.contains(r))
-        {
+        if members.len() == have_full.len() && members.iter().all(|r| have_full.contains(r)) {
             trace.hit(branch::HEALED_SURVIVORS);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
         if !cfg.bounded_sendrecv {
-            full.fill(false);
-            for &r in &verdict.have_full {
-                full[r] = true;
-            }
+            full = have_full;
         }
     }
     trace.hit(branch::EPOCH_BUDGET_EXHAUSTED);
     Err(CommError::Timeout { peer: current_root })
 }
 
+/// One epoch's attempt world as one rank runs it.
+struct Rerun<'m> {
+    /// World ranks of the runners; local rank `l` is `runners[l]`.
+    runners: &'m [Rank],
+    /// This rank's local rank.
+    local: Rank,
+    /// The root's local rank.
+    root: Rank,
+    /// What every tag gains ([`attempt_shift`]).
+    shift: u32,
+}
+
+impl<'m> Rerun<'m> {
+    /// Epoch `epoch`'s attempt world over `runners` (ascending, like every
+    /// member list), as rank `me` runs it from `root` (world ranks). Fails
+    /// with [`CommError::PeerFailed`] naming `me` or `root` if that rank is
+    /// not a runner.
+    fn new(runners: &'m [Rank], me: Rank, root: Rank, epoch: u32) -> Result<Self> {
+        let local =
+            |r: Rank| runners.binary_search(&r).map_err(|_| CommError::PeerFailed { rank: r });
+        Ok(Rerun {
+            runners,
+            local: local(me)?,
+            root: local(root)?,
+            // The rerun list, not the member list, fixes the schedule, so
+            // it is what the attempt's tags must isolate.
+            shift: attempt_shift(epoch, membership_digest(runners)),
+        })
+    }
+
+    /// Hand `sink` the phase table of `algorithm` for this world, every op
+    /// renumbered into world ranks and tagged for the epoch.
+    async fn phases(
+        &self,
+        sink: impl PhaseSink,
+        algorithm: Algorithm,
+        nbytes: usize,
+    ) -> Result<()> {
+        let (runners, shift) = (self.runners, self.shift);
+        let to_world =
+            move |op: SchedOp| op.relabel(|l, tag| (runners[l], Tag(tag.0.wrapping_add(shift))));
+        bcast_phases(sink, algorithm, self.local, runners.len(), nbytes, self.root, to_world).await
+    }
+}
+
+/// This rank's part of `rerun`, run by one bounded interpreter on the bare
+/// `comm` (see [`Interp::bounded`]); an error names a world rank. Fails with
+/// [`CommError::Unsupported`] — before anything is posted — on a rerun
+/// world the algorithm is not defined for.
+async fn attempt<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [u8],
+    algorithm: Algorithm,
+    rerun: &Rerun<'_>,
+    cfg: &RecoveryConfig,
+) -> Result<()> {
+    let nbytes = buf.len();
+    let interp = Interp::bounded(comm, buf, cfg.step_timeout, cfg.bounded_sendrecv);
+    rerun.phases(interp, algorithm, nbytes).await
+}
+
 /// The symbolic schedule of a degraded rerun: each survivor's op stream for
-/// the shrunken world of `members`, renumbered into full-world ranks. `root`
-/// is the *world* rank of the rerun's root and must be a member.
+/// the shrunken world of `members`, renumbered into full-world ranks — the
+/// phase table and op map an attempt runs, collected with no tag shift.
+/// `root` is the *world* rank of the rerun's root and must be a member.
 /// `schedcheck` analyses (matching, deadlock-freedom, coverage of
 /// the survivors) apply to it unchanged.
 pub fn degraded_bcast_schedule(
@@ -1281,8 +1199,8 @@ pub fn degraded_bcast_schedule(
     s.ranks[root].mark_valid(0..nbytes);
     for (local, &m) in members.iter().enumerate() {
         s.ranks[m].require(0..nbytes);
-        let ops = bcast_ops(algorithm, local, members.len(), nbytes, local_root);
-        s.ranks[m].ops.extend(renumber(ops.into_iter(), |l| members[l]));
+        let rerun = Rerun { runners: members, local, root: local_root, shift: 0 };
+        s.ranks[m].ops = collect_ops(async |ops| rerun.phases(ops, algorithm, nbytes).await);
     }
     s
 }
@@ -1290,8 +1208,9 @@ pub fn degraded_bcast_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch_guard::{EpochComm, GuardedComm};
     use crate::traffic::{agreement_volume, bcast_volume, failed_agreement_volume, Volume};
-    use mpsim::{EventWorld, ThreadWorld};
+    use mpsim::{EventWorld, SubComm, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 37 + 11) as u8).collect()
@@ -1299,6 +1218,14 @@ mod tests {
 
     fn quick_cfg() -> RecoveryConfig {
         RecoveryConfig { step_timeout: Duration::from_millis(100), ..RecoveryConfig::default() }
+    }
+
+    /// The dead and full sets of a verdict that lists them.
+    fn sets(v: Verdict) -> (BTreeSet<Rank>, BTreeSet<Rank>) {
+        match v {
+            Verdict::Split { dead, have_full } => (dead, have_full),
+            Verdict::EveryoneFull => panic!("expected a verdict that lists its sets"),
+        }
     }
 
     #[test]
@@ -1316,11 +1243,7 @@ mod tests {
         assert_eq!(v.frame, [1, 0b1001, 0b10, 0b1, 0b10]);
         assert_eq!(Proposal::decode(&v.frame, 10), Some(v.clone()));
         assert_eq!(v.live(), [0, 3, 9]);
-        let verdict = v.verdict(&[0, 1, 3, 9]);
-        assert_eq!(
-            (verdict.dead, verdict.have_full),
-            (BTreeSet::from([1]), BTreeSet::from([0, 9]))
-        );
+        assert_eq!(sets(v.verdict(&[0, 1, 3, 9])), (BTreeSet::from([1]), BTreeSet::from([0, 9])));
         assert!(Proposal::decode(&Proposal::ABSTAIN, 10).is_none(), "abstain");
         assert!(Proposal::decode(&v.frame[..4], 10).is_none(), "short frame");
         assert!(Proposal::decode(&[1, 0, 0b100, 0, 0], 10).is_none(), "rank 10 is past the world");
@@ -1461,11 +1384,11 @@ mod tests {
 
     #[test]
     fn epoch_stack_reports_a_dead_member_in_local_numbering() {
-        // The stack a `bounded_sendrecv` epoch runs its attempt on, after an
-        // earlier epoch shrank the world to members 4, 2, 0 (local 0, 1, 2).
-        // Parent rank 2 is dead: the passthrough `sendrecv` must name local
-        // rank 1, because the epoch loop indexes `members` with it — parent
-        // rank 4 there would be out of bounds.
+        // The decorator stack a `bounded_sendrecv` attempt used to run on
+        // (the frozen benchmark still times it), over members 4, 2, 0
+        // (local 0, 1, 2). Parent rank 2 is dead: the passthrough `sendrecv`
+        // must name local rank 1, the numbering every layer above the
+        // `SubComm` reasons in — parent rank 4 would be out of its bounds.
         let members = vec![4, 2, 0];
         let out = ThreadWorld::run(5, |comm| {
             let acomm = SyncComm::new(comm);
@@ -1505,6 +1428,175 @@ mod tests {
                     assert!(members.contains(&recv.peer));
                 }
             }
+        }
+    }
+
+    /// Records every call an interpreter makes and answers each take with
+    /// `capacity` zero bytes: enough to run one rank's attempt alone and read
+    /// back the stream it executes.
+    struct Tape {
+        me: Rank,
+        p: usize,
+        calls: std::cell::RefCell<Vec<Call>>,
+    }
+
+    #[derive(Debug, PartialEq, Eq)]
+    enum Call {
+        Post { peer: Rank, tag: Tag, len: usize },
+        Take { peer: Rank, tag: Tag, cap: usize, timeout: Option<Duration> },
+        Exchange { to: Rank, stag: Tag, len: usize, from: Rank, rtag: Tag, cap: usize },
+    }
+
+    impl AsyncCommunicator for Tape {
+        fn rank(&self) -> Rank {
+            self.me
+        }
+
+        fn size(&self) -> usize {
+            self.p
+        }
+
+        fn now_ns(&self) -> u64 {
+            0
+        }
+
+        async fn barrier(&self) -> Result<()> {
+            Ok(())
+        }
+
+        fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+            data.to_vec().into()
+        }
+
+        fn note_copy(&self, _: usize) {}
+
+        async fn post(&self, payload: mpsim::Payload, peer: Rank, tag: Tag) -> Result<()> {
+            self.calls.borrow_mut().push(Call::Post { peer, tag, len: payload.len() });
+            Ok(())
+        }
+
+        async fn take(
+            &self,
+            cap: usize,
+            peer: Rank,
+            tag: Tag,
+            timeout: Option<Duration>,
+        ) -> Result<mpsim::Payload> {
+            self.calls.borrow_mut().push(Call::Take { peer, tag, cap, timeout });
+            Ok(vec![0; cap].into())
+        }
+
+        async fn exchange(
+            &self,
+            payload: mpsim::Payload,
+            to: Rank,
+            stag: Tag,
+            cap: usize,
+            from: Rank,
+            rtag: Tag,
+        ) -> Result<mpsim::Payload> {
+            let len = payload.len();
+            self.calls.borrow_mut().push(Call::Exchange { to, stag, len, from, rtag, cap });
+            Ok(vec![0; cap].into())
+        }
+    }
+
+    /// The calls a bounded interpreter makes for `ops` with every tag shifted.
+    fn expected_calls(ops: &[SchedOp], shift: u32, cfg: &RecoveryConfig) -> Vec<Call> {
+        let at = |tag: Tag| Tag(tag.0.wrapping_add(shift));
+        let timeout = Some(cfg.step_timeout);
+        let mut calls = Vec::new();
+        for op in ops {
+            match (&op.send, &op.recv) {
+                (Some(s), Some(r)) if cfg.bounded_sendrecv => calls.push(Call::Exchange {
+                    to: s.peer,
+                    stag: at(s.tag),
+                    len: s.loc.len(),
+                    from: r.peer,
+                    rtag: at(r.tag),
+                    cap: r.dst.len(),
+                }),
+                (s, r) => {
+                    if let Some(s) = s {
+                        calls.push(Call::Post { peer: s.peer, tag: at(s.tag), len: s.loc.len() });
+                    }
+                    if let Some(r) = r {
+                        let (peer, tag, cap) = (r.peer, at(r.tag), r.dst.len());
+                        calls.push(Call::Take { peer, tag, cap, timeout });
+                    }
+                }
+            }
+        }
+        calls
+    }
+
+    #[test]
+    fn the_attempt_runs_the_degraded_schedule_with_shifted_tags() {
+        use testkit::{Rng, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::new(0x5EED_0030);
+        let algorithms = [
+            Algorithm::Binomial,
+            Algorithm::ScatterRdAllgather,
+            Algorithm::ScatterRingNative,
+            Algorithm::ScatterRingTuned,
+        ];
+        let epoch = 3;
+        for p in 1..=32usize {
+            let nbytes = 8 * p + 3;
+            for root in 0..p {
+                // The full world and two seeded rerun lists around the root.
+                let mut lists = vec![(0..p).collect::<Vec<Rank>>()];
+                for _ in 0..2 {
+                    lists.push((0..p).filter(|&r| r == root || rng.gen_bool()).collect());
+                }
+                for runners in &lists {
+                    for algorithm in algorithms.into_iter().filter(|a| a.supports(runners.len())) {
+                        let schedule = degraded_bcast_schedule(algorithm, p, nbytes, runners, root);
+                        for bounded_sendrecv in [false, true] {
+                            let cfg = RecoveryConfig { bounded_sendrecv, ..quick_cfg() };
+                            for &m in runners {
+                                let tape = Tape { me: m, p, calls: Default::default() };
+                                let rerun = Rerun::new(runners, m, root, epoch).unwrap();
+                                let mut buf = vec![0u8; nbytes];
+                                complete_now(attempt(&tape, &mut buf, algorithm, &rerun, &cfg))
+                                    .unwrap();
+                                let want =
+                                    expected_calls(&schedule.ranks[m].ops, rerun.shift, &cfg);
+                                assert_eq!(
+                                    tape.calls.into_inner(),
+                                    want,
+                                    "{algorithm:?} P={p} root {root} runners {runners:?} rank {m} \
+                                     bounded_sendrecv={bounded_sendrecv}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The shift is the epoch's page plus the runners' digest.
+        let rerun = Rerun::new(&[0, 2, 5], 2, 5, epoch).unwrap();
+        assert_eq!((rerun.local, rerun.root), (1, 2));
+        assert_eq!(rerun.shift, 3 * EPOCH_TAG_STRIDE + (membership_digest(&[0, 2, 5]) << 12));
+        assert_eq!(
+            Rerun::new(&[0, 2, 5], 2, 4, epoch).err(),
+            Some(CommError::PeerFailed { rank: 4 }),
+            "a root outside the runners is a typed error"
+        );
+    }
+
+    #[test]
+    fn membership_digest_hashes_what_a_list_leaves_out() {
+        let full: Vec<Rank> = (0..1024).collect();
+        let mut lost = full.clone();
+        lost.remove(341);
+        assert_ne!(membership_digest(&full), membership_digest(&lost));
+        assert_ne!(membership_digest(&full), membership_digest(&full[..1023]));
+        assert_ne!(membership_digest(&lost), membership_digest(&full[1..]));
+        assert_eq!(membership_digest(&lost), membership_digest(&lost.clone()));
+        for list in [&full[..], &lost, &[], &[7]] {
+            let d = membership_digest(list);
+            assert!((0x10..0x1000).contains(&d), "{d:#x} leaves the digest page");
         }
     }
 
@@ -1634,7 +1726,7 @@ mod tests {
                 let mut trace = RecoveryTrace::default();
                 let mine = Report { has_full: true };
                 let verdict = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
-                Some((verdict.map(|v| (v.dead, v.have_full)), trace))
+                Some((verdict.map(sets), trace))
             }
         });
         for res in out.results.iter().take(3) {
@@ -1663,7 +1755,7 @@ mod tests {
                     let mut trace = RecoveryTrace::default();
                     let mine = Report { has_full: comm.rank() % 2 == 0 };
                     let v = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
-                    v.ok().map(|v| (v.dead, v.have_full))
+                    v.ok().map(sets)
                 }
             });
             let full = members.iter().copied().filter(|&r| r != gone && r % 2 == 0).collect();
@@ -1755,10 +1847,7 @@ mod tests {
     fn epoch_budget_that_would_alias_attempt_tags_is_refused() {
         // Epoch 16 with digest d shifts tags like epoch 0 with digest d + 1.
         assert_eq!(MAX_EPOCHS, 16);
-        assert_eq!(
-            EpochComm::isolated(&(), MAX_EPOCHS, 0x10).shift,
-            EpochComm::isolated(&(), 0, 0x11).shift
-        );
+        assert_eq!(attempt_shift(MAX_EPOCHS, 0x10), attempt_shift(0, 0x11));
         for max_epochs in [MAX_EPOCHS + 1, u32::MAX] {
             let cfg = RecoveryConfig { max_epochs, ..quick_cfg() };
             let out = EventWorld::run(4, |comm| async move {

@@ -100,6 +100,19 @@ impl SchedOp {
         }
     }
 
+    /// This op with each half's `(peer, tag)` replaced by `f(peer, tag)`:
+    /// how a sub-world stream is renumbered into its parent's ranks (and, for
+    /// a self-healing attempt, tagged for its epoch).
+    pub fn relabel(mut self, f: impl Fn(Rank, Tag) -> (Rank, Tag)) -> Self {
+        if let Some(s) = &mut self.send {
+            (s.peer, s.tag) = f(s.peer, s.tag);
+        }
+        if let Some(r) = &mut self.recv {
+            (r.peer, r.tag) = f(r.peer, r.tag);
+        }
+        self
+    }
+
     /// One-line description for diagnostics.
     pub fn describe(&self) -> String {
         let mut parts = Vec::new();
@@ -236,22 +249,13 @@ impl Schedule {
 }
 
 /// Translate a sub-world op stream into its parent's numbering: every peer
-/// `l` becomes `world(l)`. Lazy, so a composite (the SMP phases, a degraded
-/// rerun over survivors) is built and executed from the same renumbered
-/// stream.
+/// `l` becomes `world(l)`. Lazy, so a composite (the SMP phases) is built
+/// and executed from the same renumbered stream.
 pub fn renumber(
     ops: impl Iterator<Item = SchedOp>,
     world: impl Fn(Rank) -> Rank,
 ) -> impl Iterator<Item = SchedOp> {
-    ops.map(move |mut op| {
-        if let Some(s) = &mut op.send {
-            s.peer = world(s.peer);
-        }
-        if let Some(r) = &mut op.recv {
-            r.peer = world(r.peer);
-        }
-        op
-    })
+    ops.map(move |op| op.relabel(|peer, tag| (world(peer), tag)))
 }
 
 /// A named family of schedules: one collective algorithm, parameterized by

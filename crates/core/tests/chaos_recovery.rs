@@ -19,9 +19,12 @@
 
 use std::time::Duration;
 
+use bcast_core::traffic::{agreement_volume, bcast_volume};
+use bcast_core::verify::pattern as pattern_of;
 use bcast_core::{
-    check_recovery_outcome, recovery::branch, self_healing_bcast_async, self_healing_rank_task,
-    Algorithm, RankRun, RecoveryConfig, RecoveryDrill, RecoverySpec,
+    check_recovery_outcome, recovery::branch, self_healing_bcast_async,
+    self_healing_bcast_event_world, self_healing_rank_task, Algorithm, RankRun, RecoveryConfig,
+    RecoveryDrill, RecoverySpec, EVENT_LAUNCH_SEED,
 };
 use mpsim::{
     complete_now, CommError, Communicator, EventWorld, Rank, ReliableComm, RetryConfig, SyncComm,
@@ -417,6 +420,31 @@ fn megascale_cascade_p1024() {
 #[ignore = "release-mode CI phase: debug builds are too slow at P >= 1024"]
 fn megascale_cascade_p4096() {
     megascale_cascade(4096);
+}
+
+/// The fault-free counterpart at P = 4096, on the bare event communicator
+/// like the `heal-clean` workload: one epoch, `HEALED_ALL` on every rank,
+/// exactly the broadcast plus the `2·P·⌈log₂P⌉`-frame quorum on the wire
+/// (the unit tests pin that closed form up to P = 1024), and the oracle
+/// passes.
+#[test]
+#[ignore = "release-mode CI phase: debug builds are too slow at P >= 1024"]
+fn megascale_clean_p4096() {
+    const P: usize = 4096;
+    let (nbytes, algorithm, cfg) = (2048, Algorithm::ScatterRingTuned, RecoveryConfig::default());
+    let out = self_healing_bcast_event_world(P, nbytes, 0, algorithm, &cfg);
+
+    let src = pattern_of(nbytes, EVENT_LAUNCH_SEED);
+    let spec = RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[], lossy_links: false };
+    check_recovery_outcome(&spec, &out.results, &out.traffic, out.elapsed).unwrap();
+    for (rank, run) in out.results.iter().enumerate() {
+        let h = run.result.as_ref().unwrap();
+        assert_eq!((h.epochs, h.survivors.len()), (1, P), "rank {rank}");
+        assert!(run.trace.saw(branch::HEALED_ALL), "rank {rank}");
+    }
+    let vol = bcast_volume(algorithm, nbytes, P).plus(agreement_volume(P));
+    assert_eq!(out.traffic.total_msgs(), vol.msgs);
+    assert_eq!(out.traffic.total_bytes(), vol.bytes);
 }
 
 /// A crash *between a rank's two pass-2 quorum sends* splits the quorum:

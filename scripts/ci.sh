@@ -128,13 +128,15 @@ phase_event_megascale_p16384() {
 
 # Self-healing megascale: cascading multi-epoch recovery at P ∈ {1024, 4096}
 # on the event executor's virtual clock — three staggered crashes, ≥ 3
-# epochs, byte-identical survivors, reconciled traffic — plus the exhaustive
+# epochs, byte-identical survivors, reconciled traffic — the fault-free
+# P=4096 launch (megascale_clean_p4096: one epoch, HEALED_ALL everywhere,
+# traffic exactly bcast_volume + agreement_volume), plus the exhaustive
 # crash-point sweep (~130k small launches, seconds). Release-only (debug
 # builds are too slow at these sizes), so it gets its own row. A failed
 # epoch no longer pays the P·(P−1)-message pairwise round unless a crash
 # lands inside its agreement: the leader proposes the verdict and a second
 # ⌈log₂P⌉-round quorum confirms it, and the rerun skips the survivors that
-# already hold the payload. The P=4096 cascade takes ~12 s and ~1 GiB.
+# already hold the payload. Every #[ignore] test of chaos_recovery runs here.
 phase_recovery_megascale() {
   run cargo test --release -q -p bcast-core --offline --test chaos_recovery -- \
     --ignored
