@@ -24,9 +24,6 @@ use bcast_core::{bcast_with, Algorithm};
 use mpsim::Communicator;
 use netsim::{MachinePreset, SimWorld};
 
-/// Number of timed repetitions per measurement, as in the paper.
-pub const PAPER_ITERATIONS: usize = 100;
-
 /// One measured point of a sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {

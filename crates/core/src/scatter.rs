@@ -12,10 +12,7 @@
 //! That ownership interval is exactly what the tuned ring allgather's
 //! `(step, flag)` computation relies on — see [`crate::ring_tuned`].
 
-use mpsim::{
-    absolute_rank, complete_now, relative_rank, AsyncCommunicator, Communicator, Rank, Result,
-    SharedBuf, SyncComm, Tag,
-};
+use mpsim::{absolute_rank, relative_rank, AsyncCommunicator, Rank, Result, SharedBuf, Tag};
 
 use crate::chunks::ChunkLayout;
 use crate::interp::Interp;
@@ -86,7 +83,8 @@ pub fn scatter_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sched
     ops
 }
 
-/// Run the binomial scatter phase of a scatter-based broadcast.
+/// Run the binomial scatter phase of a scatter-based broadcast:
+/// [`scatter_ops`] through the interpreter.
 ///
 /// `buf` is the full `nbytes` broadcast buffer on every rank; on entry only
 /// the root's contents are meaningful. On return, rank `r` holds chunks
@@ -94,19 +92,10 @@ pub fn scatter_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sched
 ///
 /// Returns the number of payload bytes *present in this rank's buffer* (its
 /// ownership in bytes): the full subtree span it received — forwarding to
-/// children copies bytes onward but does not remove them.
-pub fn binomial_scatter(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<usize> {
-    complete_now(binomial_scatter_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Async core of [`binomial_scatter`]: [`scatter_ops`] through the
-/// interpreter. Every child's subtree is a refcounted sub-view of the
-/// arriving envelope, so a non-root rank's only copy is landing its own
-/// subtree span in its user buffer; the root stages each child's span once.
+/// children copies bytes onward but does not remove them. Every child's
+/// subtree is a refcounted sub-view of the arriving envelope, so a non-root
+/// rank's only copy is landing its own subtree span in its user buffer; the
+/// root stages each child's span once.
 pub async fn binomial_scatter_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -138,7 +127,11 @@ pub async fn binomial_scatter_shared_async<C: AsyncCommunicator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::ThreadWorld;
+    use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
+
+    fn binomial_scatter(comm: &impl Communicator, buf: &mut [u8], root: Rank) -> Result<usize> {
+        complete_now(binomial_scatter_async(&SyncComm::new(comm), buf, root))
+    }
 
     /// Fill a reference pattern that makes positions distinguishable.
     fn pattern(n: usize) -> Vec<u8> {

@@ -205,12 +205,6 @@ impl RankSchedule {
         }
         (msgs, bytes)
     }
-
-    /// Planned incoming message count of this rank (capacities are upper
-    /// bounds, so received *bytes* are only known after matching).
-    pub fn planned_recvs(&self) -> u64 {
-        self.ops.iter().filter(|op| op.recv.is_some()).count() as u64
-    }
 }
 
 /// A full symbolic schedule: one [`RankSchedule`] per rank.
@@ -240,11 +234,6 @@ impl Schedule {
             bytes += b;
         }
         (msgs, bytes)
-    }
-
-    /// Total op count across ranks (sweep statistics).
-    pub fn total_ops(&self) -> usize {
-        self.ranks.iter().map(|r| r.ops.len()).sum()
     }
 }
 
@@ -304,8 +293,8 @@ mod tests {
         s.ranks[1].require(0..8);
         assert_eq!(s.planned_volume(), (1, 8));
         assert_eq!(s.ranks[0].planned_sends(), (1, 8));
-        assert_eq!(s.ranks[1].planned_recvs(), 1);
-        assert_eq!(s.total_ops(), 2);
+        assert_eq!(s.ranks[1].planned_sends(), (0, 0));
+        assert_eq!(s.ranks.iter().map(|r| r.ops.len()).sum::<usize>(), 2);
     }
 
     #[test]

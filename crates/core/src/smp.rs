@@ -46,19 +46,6 @@ impl NodeMap {
     pub fn leader_of(&self, node: usize) -> Rank {
         node * self.cores_per_node
     }
-
-    /// All ranks of `node` within a world of `size` ranks.
-    pub fn ranks_of(&self, node: usize, size: usize) -> Vec<Rank> {
-        let start = node * self.cores_per_node;
-        let end = (start + self.cores_per_node).min(size);
-        (start..end).collect()
-    }
-
-    /// Whether two ranks share a node — the intra/inter classifier used by
-    /// traffic splitting and the cluster simulator.
-    pub fn same_node(&self, a: Rank, b: Rank) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
 }
 
 /// Rank `rank`'s ops of the three-phase SMP broadcast. Each phase is a flat
@@ -207,10 +194,6 @@ mod tests {
         assert_eq!(m.node_of(4), 1);
         assert_eq!(m.node_count(9), 3);
         assert_eq!(m.leader_of(2), 8);
-        assert_eq!(m.ranks_of(2, 9), vec![8]);
-        assert_eq!(m.ranks_of(1, 9), vec![4, 5, 6, 7]);
-        assert!(m.same_node(5, 6));
-        assert!(!m.same_node(3, 4));
     }
 
     #[test]
@@ -262,7 +245,7 @@ mod tests {
         });
         for (src, st) in out.traffic.per_rank.iter().enumerate() {
             for (&dst, pt) in &st.by_peer {
-                if pt.msgs_sent > 0 && !nodes.same_node(src, dst) {
+                if pt.msgs_sent > 0 && nodes.node_of(src) != nodes.node_of(dst) {
                     // inter-node messages must be leader-to-leader
                     assert_eq!(src % cpn, 0, "non-leader {src} sent inter-node");
                     assert_eq!(dst % cpn, 0, "non-leader {dst} received inter-node");
@@ -280,7 +263,7 @@ mod tests {
                 let mut buf = if comm.rank() == 0 { pattern(nbytes) } else { vec![0u8; nbytes] };
                 bcast_smp(comm, &mut buf, 0, &NodeMap::new(cpn), algorithm).unwrap();
             });
-            out.traffic.split_msgs(|a, b| nodes.same_node(a, b)).1
+            out.traffic.split_msgs(|a, b| nodes.node_of(a) == nodes.node_of(b)).1
         };
         let native = count_inter(Algorithm::ScatterRingNative);
         let tuned = count_inter(Algorithm::ScatterRingTuned);

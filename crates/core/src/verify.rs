@@ -1,7 +1,7 @@
 //! Shared verification and harness helpers used by tests, examples and the
 //! benchmark drivers.
 
-use mpsim::{Communicator, Rank, Result, ThreadWorld, WorldTraffic};
+use mpsim::{Communicator, Rank, ThreadWorld, WorldTraffic};
 
 use crate::bcast::{bcast_with, Algorithm};
 
@@ -41,22 +41,6 @@ pub fn run_threaded(algorithm: Algorithm, size: usize, nbytes: usize, root: Rank
     BcastRun { traffic: out.traffic, correct: out.results.iter().all(|&ok| ok) }
 }
 
-/// Run a caller-provided broadcast closure on every rank and verify the
-/// result against the root's pattern. Returns the traffic on success.
-pub fn check_bcast<F>(size: usize, nbytes: usize, root: Rank, bcast: F) -> WorldTraffic
-where
-    F: Fn(&dyn Communicator, &mut [u8], Rank) -> Result<()> + Sync,
-{
-    let src = pattern(nbytes, 42);
-    let out = ThreadWorld::run(size, |comm| {
-        let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-        // lint: allow(panic) — test harness: a failed broadcast must abort the check
-        bcast(comm, &mut buf, root).unwrap();
-        assert_eq!(buf, src, "rank {} has wrong data", comm.rank());
-    });
-    out.traffic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,12 +65,5 @@ mod tests {
         assert!(run.correct);
         assert_eq!(run.traffic.total_msgs(), 9 + 75);
         assert!(run.traffic.is_balanced());
-    }
-
-    #[test]
-    fn check_bcast_with_closure() {
-        let traffic =
-            check_bcast(8, 64, 0, |comm, buf, root| crate::bcast::bcast_opt(comm, buf, root));
-        assert_eq!(traffic.total_msgs(), 7 + 44);
     }
 }

@@ -166,7 +166,7 @@ impl WorldTraffic {
 /// receiver versus how many took the notify-free fast path.
 ///
 /// The threaded backend's send path only issues a condvar notify when the
-/// destination slot has a blocked waiter; these counters let tests and
+/// destination mailbox has a blocked waiter; these counters let tests and
 /// benches assert that uncontended sends really skip the wakeup.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WakeupStats {
@@ -176,18 +176,12 @@ pub struct WakeupStats {
     pub notifies: u64,
 }
 
-impl WakeupStats {
-    /// Pushes that skipped the wakeup entirely.
-    pub fn skipped(&self) -> u64 {
-        self.pushes - self.notifies
-    }
-}
-
 /// Reactor introspection counters from one event-executor run.
 ///
 /// These measure the *scheduler*, not the workload: traffic counters say
 /// what the collective moved, these say what it cost the reactor to move
-/// it. The threaded executor has no reactor, so it reports all zeros.
+/// it. The threaded executor has no reactor: it reports `mailbox_spills`
+/// (its mailboxes match through the same lanes) and zeros elsewhere.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Task enqueues onto the ready queue (deduplicated: a task already
@@ -202,8 +196,8 @@ pub struct ReactorStats {
     /// stale entry for the reactor to trip over later.
     pub timer_cancels: u64,
     /// Envelopes that overflowed a mailbox lane's inline tag buckets into
-    /// the spill map. 0 for every built-in collective; nonzero only for
-    /// wild-tag protocol traffic (see `event_mailbox`).
+    /// the spill map, on either executor. 0 for every built-in collective;
+    /// nonzero only for wild-tag protocol traffic (see `event_mailbox`).
     pub mailbox_spills: u64,
 }
 

@@ -153,11 +153,6 @@ impl BufferPool {
         }
     }
 
-    /// Buffers currently sitting on freelists (diagnostics).
-    pub fn idle_buffers(&self) -> usize {
-        self.classes.iter().map(|c| c.lock().len()).sum()
-    }
-
     fn recycle(&self, data: Box<[u8]>, class: Option<usize>) {
         match class {
             Some(class) => {
@@ -456,6 +451,11 @@ impl From<Box<[u8]>> for Payload {
 mod tests {
     use super::*;
 
+    /// Buffers currently sitting on freelists.
+    fn idle_buffers(pool: &BufferPool) -> usize {
+        pool.classes.iter().map(|c| c.lock().len()).sum()
+    }
+
     #[test]
     fn class_rounding() {
         assert_eq!(class_of(0), None);
@@ -509,7 +509,7 @@ mod tests {
         let z = pool.rent(0);
         assert!(z.is_empty());
         drop(z);
-        assert_eq!(pool.idle_buffers(), 0);
+        assert_eq!(idle_buffers(&pool), 0);
         let stats = pool.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.outstanding, 0);
@@ -529,7 +529,7 @@ mod tests {
         let pool = BufferPool::new();
         let bufs: Vec<_> = (0..MAX_PER_CLASS + 8).map(|_| pool.rent(64)).collect();
         drop(bufs);
-        assert_eq!(pool.idle_buffers(), MAX_PER_CLASS);
+        assert_eq!(idle_buffers(&pool), MAX_PER_CLASS);
         let stats = pool.stats();
         assert_eq!(stats.returned, MAX_PER_CLASS as u64);
         assert_eq!(stats.outstanding, 0);

@@ -11,10 +11,10 @@
 //! needs", "the run-queue dedup flag never drops a wake") speaks about the
 //! deployed code, not a hand-copied transcription of it.
 
-/// Must a mailbox push notify the slot's condvar? Only when a receiver is
-/// actually blocked on the slot — the notify-skip optimization that makes
+/// Must a mailbox push notify the mailbox's condvar? Only when a receiver
+/// is actually blocked on it — the notify-skip optimization that makes
 /// the uncontended send path syscall-free. The waiter count is read under
-/// the slot lock, so a receiver that has started blocking is either already
+/// the mailbox lock, so a receiver that has started blocking is either already
 /// counted (we notify) or has not yet released the lock (it will observe our
 /// queued message before sleeping).
 #[inline]

@@ -28,8 +28,6 @@ impl Tag {
     /// Dissemination barriers use a contiguous range starting here (one tag
     /// per round), so leave headroom above.
     pub const BARRIER: Tag = Tag(0xB3);
-    /// Tag used by gather trees.
-    pub const GATHER: Tag = Tag(0xD0);
 }
 
 impl std::fmt::Display for Tag {

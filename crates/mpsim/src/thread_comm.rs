@@ -7,13 +7,19 @@
 //! ("the point-to-point operation is implemented via memory copying, which
 //! [...] can be minimized in the tuned ring allgather algorithm").
 //!
-//! Posts are *eager*: the payload moves into the destination mailbox as-is
-//! and the sender continues immediately. This makes the default
+//! Posts are *eager*: the payload moves into the destination [`Mailbox`]
+//! as-is and the sender continues immediately. This makes the default
 //! [`Communicator::exchange`] (post then take) deadlock-free. `ThreadComm`
 //! writes only the envelope core; every copying, shared and timed call is
-//! the trait's own.
+//! the trait's own. Each mailbox matches with the reactor's
+//! [`LaneMailbox`](crate::LaneMailbox), sized by the world.
+//!
+//! [`run_rank_threads`] is the one spawn → `catch_unwind` → join protocol
+//! for thread-per-rank executors; `ThreadWorld` and netsim's `SimWorld`
+//! both launch their ranks through it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,9 +47,62 @@ pub struct WorldOutcome<R> {
     pub pool: PoolStats,
     /// Wall-clock duration of the whole run (spawn to last join).
     pub elapsed: Duration,
-    /// Reactor introspection counters ([`ReactorStats`]); all zeros here —
-    /// only the discrete-event executor has a reactor to introspect.
+    /// Reactor introspection counters ([`ReactorStats`]). A thread world
+    /// has no reactor: only `mailbox_spills`, summed over the ranks'
+    /// mailboxes, is measured; the scheduler counters stay zero.
     pub reactor: ReactorStats,
+}
+
+/// Run `rank_main(rank)` for every rank of an `n`-rank world, one scoped
+/// OS thread each, and return the results indexed by rank.
+///
+/// A rank whose `rank_main` returns has its result stored, then runs
+/// `on_exit(rank)` — the executor's hook for failing peers that still wait
+/// on it. A rank that panics runs `on_stop()` instead, which must unblock
+/// every peer; once all threads have joined, the first panic (in rank
+/// order) is re-raised in the caller.
+pub fn run_rank_threads<R: Send>(
+    n: usize,
+    rank_main: impl Fn(Rank) -> R + Sync,
+    on_exit: impl Fn(Rank) + Sync,
+    on_stop: impl Fn() + Sync,
+) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut panicked: Option<Box<dyn Any + Send>> = None;
+    std::thread::scope(|scope| {
+        let (rank_main, on_exit, on_stop) = (&rank_main, &on_exit, &on_stop);
+        let handles: Vec<_> = slots
+            .iter_mut()
+            .enumerate()
+            .map(|(rank, slot)| {
+                scope.spawn(move || match catch_unwind(AssertUnwindSafe(|| rank_main(rank))) {
+                    Ok(r) => {
+                        *slot = Some(r);
+                        on_exit(rank);
+                        None
+                    }
+                    Err(payload) => {
+                        on_stop();
+                        Some(payload)
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            // lint: allow(panic) — a panicking rank must abort the whole world
+            if let Some(payload) = h.join().expect("rank thread poisoned the scope") {
+                panicked.get_or_insert(payload);
+            }
+        }
+    });
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
+    }
+    let finished = |slot: Option<R>| {
+        // lint: allow(panic) — a rank panic was already re-thrown by join above
+        slot.expect("rank finished without result despite no panic")
+    };
+    slots.into_iter().map(finished).collect()
 }
 
 struct Shared {
@@ -56,26 +115,6 @@ struct Shared {
     /// satisfied (messages sent before the exit are still drained first), so
     /// it is failed with [`CommError::PeerFailed`] instead of hanging.
     exited: Vec<AtomicBool>,
-}
-
-impl Shared {
-    fn stop_all(&self) {
-        for mb in &self.mailboxes {
-            mb.stop();
-        }
-        self.barrier.stop();
-    }
-
-    /// Record a normal (non-panic) departure of `rank` and wake any peer
-    /// blocked on it — in a receive (re-checks the exited flag via its
-    /// watch) or in the world barrier (can never complete again).
-    fn rank_exited(&self, rank: Rank) {
-        self.exited[rank].store(true, Ordering::SeqCst);
-        self.barrier.depart(rank);
-        for mb in &self.mailboxes {
-            mb.wake_all();
-        }
-    }
 }
 
 /// Entry point for threaded runs.
@@ -96,69 +135,44 @@ impl ThreadWorld {
     {
         assert!(n >= 1, "world needs at least one rank");
         let shared = Arc::new(Shared {
-            mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::for_world(n)).collect(),
             barrier: StopBarrier::new(n),
             pool: BufferPool::new(),
             start: Instant::now(),
             exited: (0..n).map(|_| AtomicBool::new(false)).collect(),
         });
-
-        let mut slots: Vec<Option<(R, TrafficStats)>> = (0..n).map(|_| None).collect();
-        let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, slot) in slots.iter_mut().enumerate() {
-                let shared = Arc::clone(&shared);
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let comm = ThreadComm {
-                        rank,
-                        shared: Arc::clone(&shared),
-                        counters: CounterCell::default(),
-                    };
-                    let out = catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                    match out {
-                        Ok(r) => {
-                            *slot = Some((r, comm.counters.take()));
-                            shared.rank_exited(rank);
-                            None
-                        }
-                        Err(payload) => {
-                            shared.stop_all();
-                            Some(payload)
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                // lint: allow(panic) — a panicking rank must abort the whole world
-                if let Some(payload) = h.join().expect("rank thread poisoned the scope") {
-                    panicked.get_or_insert(payload);
-                }
-            }
-        });
-
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-
+        let ranks = run_rank_threads(
+            n,
+            |rank| {
+                let comm = ThreadComm {
+                    rank,
+                    shared: Arc::clone(&shared),
+                    counters: CounterCell::default(),
+                };
+                (f(&comm), comm.counters.take())
+            },
+            |rank| {
+                // Wake any peer blocked on the departed rank: in a receive
+                // (it re-checks the exited flag via its watch) or in the
+                // world barrier (which can never complete again).
+                shared.exited[rank].store(true, Ordering::SeqCst);
+                shared.barrier.depart(rank);
+                shared.mailboxes.iter().for_each(Mailbox::wake_all);
+            },
+            || {
+                shared.mailboxes.iter().for_each(Mailbox::stop);
+                shared.barrier.stop();
+            },
+        );
         let elapsed = shared.start.elapsed();
-        let pool = shared.pool.stats();
-        let mut results = Vec::with_capacity(n);
-        let mut traffic = Vec::with_capacity(n);
-        for slot in slots {
-            // lint: allow(panic) — a rank panic was already re-thrown by join above
-            let (r, t) = slot.expect("rank finished without result despite no panic");
-            results.push(r);
-            traffic.push(t);
-        }
+        let (results, traffic) = ranks.into_iter().unzip();
+        let mailbox_spills = shared.mailboxes.iter().map(Mailbox::spills).sum();
         WorldOutcome {
             results,
             traffic: WorldTraffic::new(traffic),
-            pool,
+            pool: shared.pool.stats(),
             elapsed,
-            reactor: ReactorStats::default(),
+            reactor: ReactorStats { mailbox_spills, ..ReactorStats::default() },
         }
     }
 }

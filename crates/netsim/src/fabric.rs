@@ -236,18 +236,6 @@ impl Fabric {
         }
     }
 
-    /// Post a send of `data` from `src` (at virtual time `now`) to `dst`.
-    pub fn post_send(
-        &self,
-        src: Rank,
-        dst: Rank,
-        tag: Tag,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<SendHandle> {
-        self.post_send_buf(src, dst, tag, self.pool.rent_copy(data).into(), now)
-    }
-
     /// Stage `data` into one pooled envelope — the staging copy behind
     /// `make_shared`, whose result [`post_send_buf`](Self::post_send_buf)
     /// then injects by refcount.
@@ -677,6 +665,20 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Fabric {
+        /// Post a send of `data` from `src` (at virtual time `now`) to `dst`.
+        fn post_send(
+            &self,
+            src: Rank,
+            dst: Rank,
+            tag: Tag,
+            data: &[u8],
+            now: SimTime,
+        ) -> Result<SendHandle> {
+            self.post_send_buf(src, dst, tag, self.rent_copy(data).into(), now)
+        }
+    }
 
     fn fabric(model: NetworkModel, cores: usize, size: usize) -> Fabric {
         Fabric::new(model, Placement::new(cores), size)

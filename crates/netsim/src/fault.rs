@@ -139,19 +139,6 @@ impl FaultPlan {
         all
     }
 
-    /// Remove the planned crash of `rank`, if any — the shrinking
-    /// counterpart of [`FaultPlan::with_crash`].
-    pub fn without_crash(mut self, rank: Rank) -> Self {
-        self.make_mut().crash_after.remove(&rank);
-        self
-    }
-
-    /// The fault rates applied to links without a per-link override — the
-    /// read side of [`FaultPlan::with_default`].
-    pub fn default_faults(&self) -> LinkFaults {
-        self.inner.default
-    }
-
     /// The fault rates governing the directed link `src → dst`.
     pub fn link(&self, src: Rank, dst: Rank) -> LinkFaults {
         self.inner.per_link.get(&(src, dst)).copied().unwrap_or(self.inner.default)

@@ -27,11 +27,6 @@ pub struct LevelCosts {
 }
 
 impl LevelCosts {
-    /// Idle-path Hockney cost of an `s`-byte message.
-    pub fn hockney_ns(&self, bytes: usize) -> f64 {
-        self.alpha_ns + bytes as f64 * self.beta_ns_per_byte
-    }
-
     /// Serialization-only duration (`s·β`).
     pub fn serialize_ns(&self, bytes: usize) -> f64 {
         bytes as f64 * self.beta_ns_per_byte
@@ -143,8 +138,6 @@ mod tests {
     #[test]
     fn hockney_arithmetic() {
         let c = LevelCosts { alpha_ns: 1000.0, beta_ns_per_byte: 0.5 };
-        assert_eq!(c.hockney_ns(0), 1000.0);
-        assert_eq!(c.hockney_ns(2000), 2000.0);
         assert_eq!(c.serialize_ns(10), 5.0);
     }
 

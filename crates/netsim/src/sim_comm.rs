@@ -2,17 +2,21 @@
 //! clock, all sharing one [`Fabric`].
 //!
 //! `SimWorld::run` mirrors `mpsim::ThreadWorld::run` — the same collective
-//! code runs on both — but time is *virtual*: `Communicator::now_ns` returns
-//! the rank's simulated clock, and [`SimOutcome`] reports per-rank finish
-//! times and the makespan of the run, which the benchmark harness converts
-//! into the paper's bandwidth numbers.
+//! code runs on both, and both launch their ranks through
+//! [`mpsim::thread_comm::run_rank_threads`] — but time is *virtual*:
+//! `Communicator::now_ns` returns the rank's simulated clock, and
+//! [`SimOutcome`] reports per-rank finish times and the makespan of the
+//! run, which the benchmark harness converts into the paper's bandwidth
+//! numbers. A rank that returns is marked done in the fabric and departs
+//! both barrier phases; a rank that panics stops the fabric and both
+//! barriers.
 //!
 //! `SimComm` writes only the envelope core — `post` and `take` of one
 //! payload, and an `exchange` that posts both fabric offers before waiting
 //! on either — so every copying, shared and timed call is the trait's own
 //! and costs the same fabric operations as on the other executors.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +25,8 @@ use mpsim::sync::Mutex;
 use mpsim::barrier::StopBarrier;
 use mpsim::counters::CounterCell;
 use mpsim::pool::{Payload, SharedBuf};
-use mpsim::{ceil_log2, CommError, Communicator, Rank, Result, Tag, TrafficStats, WorldTraffic};
+use mpsim::thread_comm::run_rank_threads;
+use mpsim::{ceil_log2, CommError, Communicator, Rank, Result, Tag, WorldTraffic};
 
 use crate::fabric::{Fabric, SimTime};
 use crate::model::NetworkModel;
@@ -127,69 +132,39 @@ impl SimWorld {
             barrier_state: Mutex::new(BarrierState { vtimes: vec![0.0; n] }),
         });
 
-        let mut slots: Vec<Option<(R, TrafficStats, SimTime, TimeBreakdown)>> =
-            (0..n).map(|_| None).collect();
-        let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, slot) in slots.iter_mut().enumerate() {
-                let shared = Arc::clone(&shared);
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let comm = SimComm {
-                        rank,
-                        size: n,
-                        shared: Arc::clone(&shared),
-                        clock: std::cell::Cell::new(0.0),
-                        counters: CounterCell::default(),
-                        breakdown: std::cell::Cell::new(TimeBreakdown::default()),
-                    };
-                    match catch_unwind(AssertUnwindSafe(|| f(&comm))) {
-                        Ok(r) => {
-                            *slot = Some((
-                                r,
-                                comm.counters.take(),
-                                comm.clock.get(),
-                                comm.breakdown.get(),
-                            ));
-                            // This rank will never communicate again: fail
-                            // operations that need it instead of letting
-                            // peers block forever (the failure detector the
-                            // self-healing collectives rely on).
-                            shared.fabric.rank_done(rank);
-                            shared.enter.depart(rank);
-                            shared.leave.depart(rank);
-                            None
-                        }
-                        Err(payload) => {
-                            shared.fabric.stop();
-                            shared.enter.stop();
-                            shared.leave.stop();
-                            Some(payload)
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                // lint: allow(panic) — a panicking rank must abort the whole world
-                if let Some(payload) = h.join().expect("rank thread poisoned the scope") {
-                    panicked.get_or_insert(payload);
-                }
-            }
-        });
-
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
+        let ranks = run_rank_threads(
+            n,
+            |rank| {
+                let comm = SimComm {
+                    rank,
+                    size: n,
+                    shared: Arc::clone(&shared),
+                    clock: Cell::new(0.0),
+                    counters: CounterCell::default(),
+                    breakdown: Cell::new(TimeBreakdown::default()),
+                };
+                (f(&comm), comm.counters.take(), comm.clock.get(), comm.breakdown.get())
+            },
+            |rank| {
+                // This rank will never communicate again: fail operations
+                // that need it instead of letting peers block forever (the
+                // failure detector the self-healing collectives rely on).
+                shared.fabric.rank_done(rank);
+                shared.enter.depart(rank);
+                shared.leave.depart(rank);
+            },
+            || {
+                shared.fabric.stop();
+                shared.enter.stop();
+                shared.leave.stop();
+            },
+        );
 
         let mut results = Vec::with_capacity(n);
         let mut traffic = Vec::with_capacity(n);
         let mut finish_ns = Vec::with_capacity(n);
         let mut breakdown = Vec::with_capacity(n);
-        for slot in slots {
-            // lint: allow(panic) — a rank panic was already re-thrown by join above
-            let (r, t, v, b) = slot.expect("rank finished without result despite no panic");
+        for (r, t, v, b) in ranks {
             results.push(r);
             traffic.push(t);
             finish_ns.push(v);
@@ -217,9 +192,9 @@ pub struct SimComm {
     rank: Rank,
     size: usize,
     shared: Arc<Shared>,
-    clock: std::cell::Cell<SimTime>,
+    clock: Cell<SimTime>,
     counters: CounterCell,
-    breakdown: std::cell::Cell<TimeBreakdown>,
+    breakdown: Cell<TimeBreakdown>,
 }
 
 impl SimComm {
@@ -239,11 +214,6 @@ impl SimComm {
         let mut b = self.breakdown.get();
         b.compute_ns += ns;
         self.breakdown.set(b);
-    }
-
-    /// Where this rank's time has gone so far.
-    pub fn time_breakdown(&self) -> TimeBreakdown {
-        self.breakdown.get()
     }
 
     /// Attribute the clock movement across a communication call.
@@ -522,7 +492,6 @@ mod tests {
             } else {
                 comm.recv(&mut buf, 0, Tag(0)).unwrap();
             }
-            comm.time_breakdown()
         });
         for b in &out.breakdown {
             assert_eq!(b.compute_ns, 500.0);
@@ -530,7 +499,6 @@ mod tests {
             assert_eq!(b.comm_ns, 150.0);
             assert!((b.comm_fraction() - 150.0 / 650.0).abs() < 1e-12);
         }
-        assert_eq!(out.results[0], out.breakdown[0]);
     }
 
     #[test]
@@ -545,7 +513,6 @@ mod tests {
                 comm.compute(10_000.0);
                 comm.recv(&mut buf, 0, Tag(0)).unwrap();
             }
-            comm.time_breakdown()
         });
         assert_eq!(out.breakdown[0].comm_ns, 10_010.0); // blocked on receiver
         assert_eq!(out.breakdown[1].comm_ns, 10.0);
@@ -611,7 +578,7 @@ mod tests {
 
     #[test]
     fn panic_propagates_and_unblocks() {
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let (m, p) = uniform_world(0.0, 0.0, 4, 3);
             SimWorld::run(m, p, 3, |comm| {
                 if comm.rank() == 2 {

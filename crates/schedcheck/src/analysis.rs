@@ -114,13 +114,6 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.errors.is_empty()
     }
-
-    /// Total delivered `(messages, bytes)` summed at the senders.
-    pub fn sent_volume(&self) -> (u64, u64) {
-        let msgs = self.traffic.iter().map(|t| t.msgs_sent).sum();
-        let bytes = self.traffic.iter().map(|t| t.bytes_sent).sum();
-        (msgs, bytes)
-    }
 }
 
 /// Reconciliation of an instrumented run against the planned volume of the
@@ -667,7 +660,7 @@ mod tests {
         for sem in Semantics::ALL {
             let r = check(&two_rank_ping(), sem);
             assert!(r.is_clean(), "{sem}: {:?}", r.errors);
-            assert_eq!(r.sent_volume(), (1, 4));
+            assert_eq!((r.traffic[0].msgs_sent, r.traffic[0].bytes_sent), (1, 4));
             assert_eq!(r.traffic[1].bytes_recvd, 4);
         }
     }

@@ -8,59 +8,36 @@
 //! bodies), `.unwrap()`/`.expect()` on communication results inside the
 //! self-healing recovery module, unaccounted payload copies in the
 //! broadcast hot path, `impl Communicator for` outside the two blocking
-//! executors, and communicator impls defining a provided method. Prints every
-//! hit and exits nonzero if any are found.
+//! executors, and communicator impls defining a provided method — then reads
+//! `src/`, `tests/`, `examples/` and `benchmark/src/` as well for public
+//! items of `crates/*/src` that nothing outside their own tests names.
+//! Prints every hit and exits nonzero if any are found.
 //!
 //! Run from the repository root (the directory containing `crates/`).
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use schedcheck::lint;
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("repolint: cannot read {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 fn main() {
-    let root = Path::new("crates");
-    if !root.is_dir() {
+    if !Path::new("crates").is_dir() {
         eprintln!("repolint: no crates/ here — run from the repository root");
         std::process::exit(2);
     }
-    let mut files = Vec::new();
-    collect_rs(root, &mut files);
-    files.sort();
+    let files = match lint::collect_sources(Path::new(".")) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("repolint: cannot read the sources: {e}");
+            std::process::exit(2);
+        }
+    };
 
-    let mut hits = Vec::new();
-    for path in &files {
-        let content = match fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("repolint: cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
-        let rel = path.to_string_lossy().replace('\\', "/");
-        hits.extend(lint::check_file(&rel, &content));
-    }
+    let mut hits: Vec<lint::LintHit> = files
+        .iter()
+        .filter(|(path, _)| path.starts_with("crates/"))
+        .flat_map(|(path, content)| lint::check_file(path, content))
+        .collect();
+    hits.extend(lint::check_unused_pub(&files, &lint::UNUSED_PUB_ALLOWED));
 
     if hits.is_empty() {
         println!("repolint: {} files clean", files.len());

@@ -11,7 +11,7 @@
 //!
 //! `schedcheck explore-reactor [--max-states N]` runs the other half of the
 //! crate instead: the interleaving explorer over every protocol model —
-//! the sharded-mailbox notify-skip model plus the four megascale-reactor
+//! ThreadWorld's mailbox notify-skip model plus the four megascale-reactor
 //! models (run-queue dedup, external-waker side queue, lane-mailbox
 //! routing, timer-wheel generations). Each model is explored exhaustively
 //! *and* with DPOR, the verdicts are required to agree, per-model state

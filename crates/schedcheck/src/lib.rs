@@ -23,7 +23,7 @@
 //!    same [`Model`] trait — an exhaustive explorer and a sleep-set DPOR
 //!    explorer ([`explore_dpor`]) with state hashing, kept honest against
 //!    each other by a differential test suite (identical verdicts, DPOR
-//!    never more states). Five protocol models: the sharded-mailbox
+//!    never more states). Five protocol models: ThreadWorld's mailbox
 //!    notify-skip predicate and the four megascale-reactor protocols
 //!    (run-queue dedup + targeted exit wakes, external-waker side queue,
 //!    lane-mailbox inline/spill routing, timer-wheel handle generations).

@@ -1,7 +1,8 @@
 //! Repo-convention lint rules behind the `repolint` binary.
 //!
-//! Nine rules, each a pure function over `(relative path, file content)` so
-//! they are unit-testable without touching the filesystem:
+//! Ten rules, each a pure function over `(relative path, file content)` —
+//! the last over every source file at once — so they are unit-testable
+//! without touching the filesystem:
 //!
 //! 1. [`check_panics`] — no `.unwrap(` / `.expect(` in *library* code of
 //!    `core`, `mpsim`, `netsim` (bins, tests and `#[cfg(test)]` modules are
@@ -29,9 +30,10 @@
 //!    virtual-clock events. A deliberate exception carries a
 //!    `// lint: allow(real-time)` marker.
 //! 5. [`check_event_mailbox_hashmap`] — no `HashMap` in the event-executor
-//!    modules: message matching is the reactor's hottest loop, and the
-//!    dense lane structures replaced hashed lookups there on purpose. The
-//!    only sanctioned use is the wild-tag spill fallback inside
+//!    modules or in ThreadWorld's `mailbox.rs`: message matching is the
+//!    reactor's hottest loop, the dense lane structures replaced hashed
+//!    lookups there on purpose, and both executors share that one matcher.
+//!    The only sanctioned use is the wild-tag spill fallback inside
 //!    `event_mailbox.rs`, marked `// lint: allow(mailbox-spill)`.
 //! 6. [`check_cancel_safety`] — cancel-safety in the async communication
 //!    layer (`crates/mpsim/src/event_*.rs`, `crates/mpsim/src/acomm.rs`).
@@ -75,6 +77,17 @@
 //!    (`send`, `recv_owned`, `send_prefixed`, …): each variant's semantics
 //!    is written once, in `acomm.rs`, and an override is a second copy of
 //!    it that every stack above would silently stop sharing.
+//! 10. [`check_unused_pub`] — every `pub` item (`fn`, `struct`, `enum`,
+//!     `trait`, `type`, `const`, `static`) in `crates/*/src` is named
+//!     somewhere outside its own module's `#[cfg(test)]` block: by library
+//!     code, a bin, an example, an integration test or `benchmark/src`. A
+//!     public item only its own tests call is dead surface; it is deleted,
+//!     made private, or listed in [`UNUSED_PUB_ALLOWED`] with the reason it
+//!     stays. Names are matched as whole identifiers outside comments and
+//!     `use` statements, so a re-export alone is not a caller.
+
+use std::collections::HashMap;
+use std::path::Path;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -297,16 +310,18 @@ pub fn check_real_time(path: &str, content: &str) -> Vec<LintHit> {
 }
 
 /// Rule 5: `HashMap` anywhere in the event-executor modules
-/// (`crates/mpsim/src/event_*.rs`). The lane mailbox and timing wheel
+/// (`crates/mpsim/src/event_*.rs`) or in ThreadWorld's mailbox
+/// (`crates/mpsim/src/mailbox.rs`). The lane mailbox and timing wheel
 /// exist precisely so the reactor's match/arm hot loops cost indexed loads
-/// instead of hashing; a hash map creeping back in silently re-taxes every
-/// message. The wild-tag spill fallback is the one sanctioned use and
-/// carries a `// lint: allow(mailbox-spill)` marker on the same or the
-/// preceding line. Test modules are exempt (same scoping as
-/// [`check_panics`]).
+/// instead of hashing, and ThreadWorld matches through the same lanes; a
+/// hash map creeping back in — or a second matcher growing beside the
+/// first — silently re-taxes every message. The wild-tag spill fallback is
+/// the one sanctioned use and carries a `// lint: allow(mailbox-spill)`
+/// marker on the same or the preceding line. Test modules are exempt (same
+/// scoping as [`check_panics`]).
 pub fn check_event_mailbox_hashmap(path: &str, content: &str) -> Vec<LintHit> {
     let in_event_executor = path.starts_with("crates/mpsim/src/event_") && path.ends_with(".rs");
-    if !in_event_executor {
+    if !in_event_executor && path != "crates/mpsim/src/mailbox.rs" {
         return Vec::new();
     }
     let body = match content.find("#[cfg(test)]") {
@@ -549,12 +564,154 @@ pub fn check_comm_impl(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Run every rule over one file.
+/// Public items that stay without a caller outside their own module's
+/// tests, as `(path, name, reason)` (rule 10). Kept under 15 entries.
+pub const UNUSED_PUB_ALLOWED: [(&str, &str, &str); 2] = [
+    (
+        "crates/core/src/recovery.rs",
+        "self_healing_bcast",
+        "the blocking self-healing entry point (DESIGN §5c); its callers are the \
+         module's tests, everything else runs the async core",
+    ),
+    (
+        "crates/mpsim/src/mailbox.rs",
+        "wakeup_stats",
+        "the notify-skip's observable: the mailbox tests pin that an uncontended \
+         push issues no wakeup",
+    ),
+];
+
+/// This file, exempt from every rule.
+const LINT_SOURCE: &str = "crates/schedcheck/src/lint.rs";
+
+/// Directories, relative to the repository root, whose `.rs` files rule 10
+/// reads for callers; `crates/*/src` among them is also what it audits.
+const SOURCE_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
+
+/// Every `.rs` file under [`SOURCE_ROOTS`] of the repository at `root`
+/// (skipping `target` directories), as sorted `(relative path, content)`.
+pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> std::io::Result<()> {
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
+                    walk(root, &path, out)?;
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path.strip_prefix(root).unwrap_or(&path);
+                let rel = rel.to_string_lossy().replace('\\', "/");
+                out.push((rel, std::fs::read_to_string(&path)?));
+            }
+        }
+        Ok(())
+    }
+    let mut out = Vec::new();
+    for dir in SOURCE_ROOTS {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk(root, &dir, &mut out)?;
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// The name a line defines as a public item, if it is one (rule 10).
+fn pub_item_name(code: &str) -> Option<&str> {
+    const KINDS: [&str; 10] = [
+        "pub fn ",
+        "pub const fn ",
+        "pub async fn ",
+        "pub unsafe fn ",
+        "pub struct ",
+        "pub enum ",
+        "pub trait ",
+        "pub type ",
+        "pub const ",
+        "pub static ",
+    ];
+    let code = code.trim_start();
+    let rest = KINDS.iter().find_map(|k| code.strip_prefix(k))?;
+    let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// Identifier occurrences in `text`, skipping comments, `use` statements
+/// and the name each public-item definition line defines.
+fn count_names<'a>(text: &'a str, counts: &mut HashMap<&'a str, usize>) {
+    let mut in_use = false;
+    for line in text.lines() {
+        let code = code_part(line);
+        let t = code.trim_start();
+        in_use |=
+            t.starts_with("use ") || t.starts_with("pub use ") || t.starts_with("pub(crate) use ");
+        if in_use {
+            in_use = !code.contains(';');
+            continue;
+        }
+        let mut defined = pub_item_name(code);
+        for word in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if defined == Some(word) {
+                defined = None;
+            } else if !word.is_empty() {
+                *counts.entry(word).or_default() += 1;
+            }
+        }
+    }
+}
+
+/// Rule 10: public items of `crates/*/src` that nothing names outside
+/// their own module's tests, over the whole source set `files` (as
+/// [`collect_sources`] returns it). `allowed` lists `(path, name, reason)`
+/// entries that stay; an entry that no longer matches an unused item is
+/// reported too, so the list cannot go stale. This file is skipped: its
+/// fixtures and allowlist name items without calling them.
+pub fn check_unused_pub(
+    files: &[(String, String)],
+    allowed: &[(&str, &str, &str)],
+) -> Vec<LintHit> {
+    let files: Vec<_> = files.iter().filter(|(path, _)| path != LINT_SOURCE).collect();
+    let mut named = HashMap::new();
+    for (_, content) in &files {
+        count_names(content, &mut named);
+    }
+    let mut hits = Vec::new();
+    let mut matched = vec![false; allowed.len()];
+    for (path, content) in files {
+        let parts: Vec<&str> = path.split('/').collect();
+        if parts.len() < 4 || parts[0] != "crates" || parts[2] != "src" {
+            continue;
+        }
+        let (body, tests) = content.split_at(content.find("#[cfg(test)]").unwrap_or(content.len()));
+        let mut own_tests = HashMap::new();
+        count_names(tests, &mut own_tests);
+        for (i, line) in body.lines().enumerate() {
+            let Some(name) = pub_item_name(code_part(line)) else { continue };
+            let callers =
+                named.get(name).copied().unwrap_or(0) - own_tests.get(name).copied().unwrap_or(0);
+            if callers > 0 {
+                continue;
+            }
+            match allowed.iter().position(|&(p, n, _)| p == path && n == name) {
+                Some(k) => matched[k] = true,
+                None => hits.push(hit(path, i, "unused-pub", line)),
+            }
+        }
+    }
+    for (&(path, name, _), _) in allowed.iter().zip(&matched).filter(|(_, &m)| !m) {
+        let excerpt = format!("stale allowlist entry `{name}`: it has a caller or is gone");
+        hits.push(LintHit { file: path.to_string(), line: 0, rule: "unused-pub", excerpt });
+    }
+    hits
+}
+
+/// Run every single-file rule over one file.
 pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
     // The linter's own source holds the trigger patterns as string
     // literals and test fixtures; the rules are line-based, not parsed,
     // so the one file that *defines* them is exempt.
-    if path == "crates/schedcheck/src/lint.rs" {
+    if path == LINT_SOURCE {
         return Vec::new();
     }
     let mut hits = check_panics(path, content);
@@ -684,8 +841,8 @@ mod tests {
             let path = format!("crates/mpsim/src/{file}");
             assert_eq!(check_event_mailbox_hashmap(&path, bad).len(), 1, "{path}");
         }
-        // Outside the event executor, hash maps are nobody's business here.
-        assert!(check_event_mailbox_hashmap("crates/mpsim/src/mailbox.rs", bad).is_empty());
+        // Outside the two matchers, hash maps are nobody's business here.
+        assert!(check_event_mailbox_hashmap("crates/mpsim/src/thread_comm.rs", bad).is_empty());
         assert!(check_event_mailbox_hashmap("crates/core/src/bcast.rs", bad).is_empty());
         // The spill fallback is sanctioned when marked, same or previous line.
         let waived = "// lint: allow(mailbox-spill) — wild tags only\n\
@@ -700,6 +857,88 @@ mod tests {
         assert!(check_event_mailbox_hashmap("crates/mpsim/src/event_comm.rs", comment).is_empty());
         let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { use std::collections::HashMap; }\n";
         assert!(check_event_mailbox_hashmap("crates/mpsim/src/event_comm.rs", in_tests).is_empty());
+    }
+
+    /// ThreadWorld's mailbox before it moved onto the lane matcher, in
+    /// miniature: a second, hashed `(src, tag)` matcher.
+    const SHARDED_MAILBOX: &str = "use std::collections::{HashMap, VecDeque};\n\n\
+        struct SlotState {\n    queues: HashMap<(Rank, Tag), VecDeque<Envelope>>,\n}\n";
+
+    #[test]
+    fn hashmap_rule_covers_the_thread_mailbox() {
+        let hits = check_event_mailbox_hashmap("crates/mpsim/src/mailbox.rs", SHARDED_MAILBOX);
+        assert_eq!(hits.iter().map(|h| h.line).collect::<Vec<_>>(), vec![1, 4]);
+        assert!(hits.iter().all(|h| h.rule == "event-mailbox-hashmap"));
+        // The lane matcher it uses instead is no finding.
+        let lanes = "use crate::event_mailbox::LaneMailbox;\nstruct State { lanes: LaneMailbox }\n";
+        assert!(check_event_mailbox_hashmap("crates/mpsim/src/mailbox.rs", lanes).is_empty());
+    }
+
+    fn corpus(files: &[(&str, &str)]) -> Vec<(String, String)> {
+        files.iter().map(|&(p, c)| (p.to_string(), c.to_string())).collect()
+    }
+
+    #[test]
+    fn unused_pub_accepts_every_kind_of_caller() {
+        let lib = "pub fn by_lib() {}\npub fn by_bin() {}\npub struct ByTest;\n\
+                   pub const BY_EXAMPLE: u8 = 1;\npub fn by_benchmark() {}\n\
+                   pub fn by_sibling_tests() {}\nfn private() { by_lib() }\n";
+        let files = corpus(&[
+            ("crates/x/src/lib.rs", lib),
+            ("crates/x/src/bin/tool.rs", "fn main() { x::by_bin(); }\n"),
+            ("tests/it.rs", "#[test]\nfn t() { let _ = x::ByTest; }\n"),
+            ("examples/demo.rs", "fn main() { println!(\"{}\", x::BY_EXAMPLE); }\n"),
+            ("benchmark/src/main.rs", "fn main() { x::by_benchmark(); }\n"),
+            ("crates/x/src/other.rs", "#[cfg(test)]\nmod t { fn f() { by_sibling_tests(); } }\n"),
+        ]);
+        assert_eq!(check_unused_pub(&files, &[]), vec![]);
+    }
+
+    #[test]
+    fn unused_pub_flags_items_only_their_own_tests_or_a_reexport_name() {
+        let lib = "pub use crate::inner::Reexported;\n\
+                   /// Calls [`only_tested`] in prose only.\n\
+                   pub fn only_tested() {}\n\
+                   pub(crate) fn crate_private() {}\n\
+                   #[cfg(test)]\nmod t { #[test] fn f() { super::only_tested(); } }\n";
+        let inner = "pub struct Reexported;\n";
+        let files = corpus(&[("crates/x/src/lib.rs", lib), ("crates/x/src/inner.rs", inner)]);
+        let hits = check_unused_pub(&files, &[]);
+        let found: Vec<_> = hits.iter().map(|h| (h.file.as_str(), h.line)).collect();
+        assert_eq!(found, vec![("crates/x/src/lib.rs", 3), ("crates/x/src/inner.rs", 1)]);
+        assert!(hits.iter().all(|h| h.rule == "unused-pub"));
+        // Only crates/*/src is audited: a helper inside an integration test
+        // is the test's own business.
+        let files = corpus(&[("tests/it.rs", "pub fn helper() {}\n")]);
+        assert!(check_unused_pub(&files, &[]).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_allowlist_waives_and_cannot_go_stale() {
+        let files = corpus(&[("crates/x/src/lib.rs", "pub fn kept() {}\n")]);
+        let allowed = [("crates/x/src/lib.rs", "kept", "public entry point")];
+        assert!(check_unused_pub(&files, &allowed).is_empty());
+        let used = corpus(&[
+            ("crates/x/src/lib.rs", "pub fn kept() {}\n"),
+            ("examples/e.rs", "fn main() { x::kept(); }\n"),
+        ]);
+        let hits = check_unused_pub(&used, &allowed);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].excerpt.contains("stale allowlist entry `kept`"));
+        assert!(UNUSED_PUB_ALLOWED.len() < 15);
+    }
+
+    #[test]
+    fn unused_pub_flags_a_seeded_mutant_in_the_real_tree() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = collect_sources(&root).unwrap();
+        let before = check_unused_pub(&files, &UNUSED_PUB_ALLOWED);
+        let rank = files.iter_mut().find(|(p, _)| p == "crates/mpsim/src/rank.rs").unwrap();
+        rank.1.insert_str(0, "pub fn seeded_unused_mutant() {}\n");
+        let after = check_unused_pub(&files, &UNUSED_PUB_ALLOWED);
+        assert_eq!(after.len(), before.len() + 1, "{after:?}");
+        let mutant = after.iter().find(|h| h.excerpt.contains("seeded_unused_mutant")).unwrap();
+        assert_eq!((mutant.file.as_str(), mutant.line), ("crates/mpsim/src/rank.rs", 1));
     }
 
     #[test]

@@ -6,15 +6,19 @@
 //! `std::sync` (through `mpsim::sync`) and are not modeled: a lock
 //! acquire/release is one atomic step.
 //!
-//! * [`MailboxModel`] — the sharded-mailbox push/notify-skip protocol:
-//!   receivers count themselves in `waiters` under the slot lock before
-//!   sleeping, senders consult [`mpsim::proto::push_should_notify`] to skip
-//!   the wakeup syscall on uncontended pushes. The `broken_skip` knob makes
-//!   the sender require *two* waiters, reintroducing the lost wakeup the
-//!   under-lock counting prevents.
+//! * [`MailboxModel`] — ThreadWorld's mailbox push/notify-skip protocol,
+//!   one lock and one condvar per rank: the receiver counts itself in
+//!   `waiters` under the lock before sleeping, senders consult
+//!   [`mpsim::proto::push_should_notify`] to skip the wakeup syscall on
+//!   uncontended pushes. Matching is abstracted to one FIFO counter; the
+//!   mailbox matches with [`mpsim::LaneMailbox`], which
+//!   [`LaneMailboxModel`] covers. The `broken_skip` knob makes the sender
+//!   require *two* waiters, reintroducing the lost wakeup the under-lock
+//!   counting prevents.
 //!
 //! The second group models the megascale event reactor (`mpsim::event_*`),
-//! one model per protocol the reactor's hot path leans on:
+//! one model per protocol the reactor's hot path leans on — the lane
+//! matcher among them being ThreadWorld's too:
 //!
 //! * [`RunQueueModel`] — the `Cell`-dedup run queue plus targeted exit
 //!   wakes, driving [`mpsim::proto::wake_should_enqueue`] and
@@ -57,7 +61,7 @@ use crate::explore::{Model, Step};
 /// messages.
 #[derive(Clone, Copy, Hash, PartialEq, Eq, Debug)]
 enum BLoc {
-    /// Acquiring the slot lock.
+    /// Acquiring the mailbox lock.
     Lock,
     /// Sender: holding the lock, about to push + read `waiters`.
     Push,
@@ -78,9 +82,9 @@ enum BLoc {
 /// State of [`MailboxModel`].
 #[derive(Clone, Hash, PartialEq, Eq, Debug)]
 pub struct MailboxState {
-    /// Abstract slot lock: holder tid or `None`.
+    /// Abstract mailbox lock: holder tid or `None`.
     holder: Option<u8>,
-    /// Queued messages in the slot.
+    /// Queued messages in the mailbox.
     queue: u8,
     /// Receivers counted as blocked (the notify-skip predicate's input).
     waiters: u8,
@@ -96,14 +100,14 @@ pub struct MailboxState {
     to_pop: u8,
 }
 
-/// The sharded-mailbox push/notify-skip protocol: `senders` one-shot pushers
-/// against one receiver popping `senders` messages from the same slot.
+/// ThreadWorld's mailbox push/notify-skip protocol: `senders` one-shot
+/// pushers against the owning receiver popping `senders` messages.
 pub struct MailboxModel {
     /// Number of sender threads (the receiver is thread `senders`).
     pub senders: usize,
     /// Mutation: the sender skips the notify unless *two* waiters are
     /// counted — reintroducing the lost wakeup that counting `waiters`
-    /// under the slot lock prevents. The explorer must find the deadlock.
+    /// under the mailbox lock prevents. The explorer must find the deadlock.
     pub broken_skip: bool,
 }
 
@@ -178,8 +182,8 @@ impl Model for MailboxModel {
                     n.holder = None;
                     n.loc[tid] = if n.to_pop == 0 { BLoc::Done } else { BLoc::Lock };
                 } else {
-                    // pop_blocking(): count ourselves, register, and only
-                    // then release — all under the slot lock.
+                    // pop_watch(): count ourselves, register, and only
+                    // then release — all under the mailbox lock.
                     n.waiters += 1;
                     n.registered.push(tid as u8);
                     n.flag[tid] = false;

@@ -177,14 +177,6 @@ impl Harness {
         Self { options, records: Vec::new() }
     }
 
-    /// Harness with explicit settings (for tests of the harness itself).
-    pub fn with_budget(warmup: usize, samples: usize) -> Self {
-        Self {
-            options: Options { samples: samples.max(1), warmup, ..Options::default() },
-            records: Vec::new(),
-        }
-    }
-
     /// Open a named benchmark group.
     pub fn group(&mut self, name: &str) -> Group<'_> {
         Group { harness: self, name: name.to_owned(), samples_override: None, bytes_per_iter: None }
@@ -416,6 +408,16 @@ macro_rules! bench_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Harness {
+        /// Harness with explicit settings.
+        fn with_budget(warmup: usize, samples: usize) -> Self {
+            Self {
+                options: Options { samples: samples.max(1), warmup, ..Options::default() },
+                records: Vec::new(),
+            }
+        }
+    }
 
     #[test]
     fn bencher_collects_requested_samples() {

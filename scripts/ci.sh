@@ -70,7 +70,10 @@ phase_harness_and_fmt() {
 # Static verification: the schedule sweep proves every collective's symbolic
 # schedule deadlock-free, fully covering, and traffic-exact (and drills
 # seeded mutants); repolint enforces source conventions (panic-free
-# libraries, documented unsafe, virtual-clock purity of the event executor).
+# libraries, documented unsafe, virtual-clock purity of the event executor,
+# one hash-free matcher for both mailboxes) and, reading src/, tests/,
+# examples/ and benchmark/src/ too, that no public item of crates/*/src
+# lacks a caller outside its own tests (unused-pub; allowlist in lint.rs).
 phase_schedcheck() {
   if [[ $quick -eq 1 ]]; then
     run cargo run -q -p schedcheck --bin schedcheck --offline -- --quick
