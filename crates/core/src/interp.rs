@@ -11,17 +11,23 @@
 //! The interpreter's whole state is the last envelope it received or staged,
 //! keyed by the byte range of the user buffer it carries:
 //!
-//! * a send of exactly that range forwards the envelope by reference;
+//! * a send of exactly that range forwards the envelope itself. An op that
+//!   also receives *hands it over* — moves it into the post, with no
+//!   refcount traffic — because that op's landing replaces it before
+//!   anything could read it again; a send-only op posts a refcount clone
+//!   and keeps it, since the binomial fan-out and the tuned ring's
+//!   `SendOnly` tail may send it again;
 //! * a send of a range *inside* it sends a refcounted sub-view
 //!   ([`SharedBuf::slice`]) and keeps the envelope;
 //! * any other send stages the range out of the user buffer
-//!   ([`AsyncCommunicator::make_shared`], one counted copy) and retains that;
+//!   ([`AsyncCommunicator::make_shared`], one counted copy) and retains that
+//!   (or, on an op that also receives, hands it over at once);
 //! * a receive takes the arriving envelope ([`AsyncCommunicator::take`], or
 //!   the receive half of [`AsyncCommunicator::exchange`]), pays one landing
 //!   copy into the user buffer and retains it.
 //!
 //! That one rule yields every zero-copy chain the broadcasts need: the ring
-//! forwards at step `i + 1` the chunk it received at step `i`; the scatter
+//! hands over at step `i + 1` the chunk it received at step `i`; the scatter
 //! peels each child's subtree off the parent's envelope; the binomial tree
 //! stages once on the root and fans the same envelope out; and the ring's
 //! first send — the rank's own chunk — is a sub-view of the scatter envelope
@@ -105,10 +111,10 @@ impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> 
         for op in ops {
             match (&op.send, &op.recv) {
                 // Both halves stay ONE call: the concurrent exchange is what
-                // keeps the ring deadlock-free under rendezvous.
+                // keeps the ring deadlock-free under rendezvous. The landing
+                // replaces the retained envelope, so the send may take it.
                 (Some(s), Some(r)) => {
-                    let cut = self.stage(&s.loc)?;
-                    let out = self.outgoing(cut);
+                    let out = self.stage(&s.loc, true)?;
                     let env = if BOUNDED && !self.fused_exchange {
                         self.comm.post(out, s.peer, s.tag).await?;
                         self.comm.take(r.dst.len(), r.peer, r.tag, Some(self.step)).await?
@@ -118,8 +124,8 @@ impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> 
                     received += self.land(&r.dst, env.into_shared())?;
                 }
                 (Some(s), None) => {
-                    let cut = self.stage(&s.loc)?;
-                    self.comm.post(self.outgoing(cut), s.peer, s.tag).await?;
+                    let out = self.stage(&s.loc, false)?;
+                    self.comm.post(out, s.peer, s.tag).await?;
                 }
                 (None, Some(r)) => {
                     let timeout = BOUNDED.then_some(self.step);
@@ -132,32 +138,33 @@ impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> 
         Ok(received)
     }
 
-    /// Make the retained envelope able to serve a send of `range`. Returns
-    /// the sub-view to send when `range` lies strictly inside the envelope;
-    /// `None` means "send the retained envelope itself" (it matched, or was
-    /// just staged from the buffer).
-    fn stage(&mut self, range: &Range<usize>) -> Result<Option<SharedBuf>> {
+    /// The payload a send of `range` posts: a sub-view when `range` lies
+    /// strictly inside the retained envelope, else the retained envelope
+    /// itself — staged out of the buffer first when it does not match.
+    /// With `hand_over` (the op's own landing is about to replace the
+    /// retained envelope) that envelope is moved out, not cloned.
+    fn stage(&mut self, range: &Range<usize>, hand_over: bool) -> Result<Payload> {
+        if hand_over {
+            if let Some((_, env)) = self.held.take_if(|(held, _)| held == range) {
+                return Ok(Payload::Shared(env));
+            }
+        }
         if let Some((held, env)) = &self.held {
             if held == range {
-                return Ok(None);
+                return Ok(Payload::Shared(env.clone()));
             }
             if held.start <= range.start && range.end <= held.end {
-                return Ok(Some(env.slice(range.start - held.start..range.end - held.start)));
+                return Ok(Payload::Shared(
+                    env.slice(range.start - held.start..range.end - held.start),
+                ));
             }
         }
         let bytes = self.buf.get(range.clone()).ok_or_else(|| self.out_of_bounds(range))?;
-        self.held = Some((range.clone(), self.comm.make_shared(bytes)));
-        Ok(None)
-    }
-
-    /// The envelope a send posts after [`Interp::stage`]: the cut sub-view
-    /// itself, or a refcount clone of the retained envelope.
-    fn outgoing(&self, cut: Option<SharedBuf>) -> Payload {
-        match (cut, &self.held) {
-            (Some(view), _) => Payload::Shared(view),
-            (None, Some((_, env))) => Payload::Shared(env.clone()),
-            (None, None) => unreachable!("stage() retains an envelope whenever it returns None"),
+        let env = self.comm.make_shared(bytes);
+        if !hand_over {
+            self.held = Some((range.clone(), env.clone()));
         }
+        Ok(Payload::Shared(env))
     }
 
     /// Land an arrived envelope at the start of `dst` — the one copy a rank
@@ -197,5 +204,118 @@ impl PhaseSink for &mut Vec<SchedOp> {
     fn phase(&mut self, ops: impl Iterator<Item = SchedOp>) -> impl Future<Output = Result<usize>> {
         self.extend(ops);
         std::future::ready(Ok(0))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use mpsim::{complete_now, Rank, Tag};
+
+    use super::*;
+
+    /// Records how many views share each posted envelope, at the moment it
+    /// is posted, and answers every take with `capacity` bytes of `0xAB`.
+    #[derive(Default)]
+    struct Recorder {
+        shares: RefCell<Vec<usize>>,
+    }
+
+    impl Recorder {
+        fn record(&self, payload: &Payload) {
+            let shares = match payload {
+                Payload::Shared(env) => env.shares(),
+                _ => 0,
+            };
+            self.shares.borrow_mut().push(shares);
+        }
+    }
+
+    impl AsyncCommunicator for Recorder {
+        fn rank(&self) -> Rank {
+            0
+        }
+
+        fn size(&self) -> usize {
+            2
+        }
+
+        fn now_ns(&self) -> u64 {
+            0
+        }
+
+        async fn barrier(&self) -> Result<()> {
+            Ok(())
+        }
+
+        fn make_shared(&self, data: &[u8]) -> SharedBuf {
+            data.to_vec().into()
+        }
+
+        fn note_copy(&self, _: usize) {}
+
+        async fn post(&self, payload: Payload, _: Rank, _: Tag) -> Result<()> {
+            self.record(&payload);
+            Ok(())
+        }
+
+        async fn take(&self, cap: usize, _: Rank, _: Tag, _: Option<Duration>) -> Result<Payload> {
+            Ok(vec![0xAB; cap].into())
+        }
+
+        async fn exchange(
+            &self,
+            payload: Payload,
+            _: Rank,
+            _: Tag,
+            cap: usize,
+            _: Rank,
+            _: Tag,
+        ) -> Result<Payload> {
+            self.record(&payload);
+            Ok(vec![0xAB; cap].into())
+        }
+    }
+
+    /// Receive `0..4`, then: forward it on an exchange landing `4..8`,
+    /// forward `4..8` send-only, send the sub-range `5..7` send-only and on
+    /// an exchange landing `8..12`, and forward `8..12` on an exchange.
+    fn ops() -> Vec<SchedOp> {
+        let t = Tag(1);
+        vec![
+            SchedOp::recv("t", 1, t, 0..4),
+            SchedOp::sendrecv("t", 1, t, 0..4, 1, t, 4..8),
+            SchedOp::send("t", 1, t, 4..8),
+            SchedOp::send("t", 1, t, 5..7),
+            SchedOp::sendrecv("t", 1, t, 5..7, 1, t, 8..12),
+            SchedOp::sendrecv("t", 1, t, 8..12, 1, t, 12..16),
+        ]
+    }
+
+    /// Exchange forwards hand the retained envelope over (its only view);
+    /// send-only forwards and sub-range sends share it with the interpreter.
+    const SHARES: [usize; 5] = [1, 2, 2, 2, 1];
+
+    #[test]
+    fn an_exchange_hands_the_retained_envelope_over() {
+        let comm = Recorder::default();
+        let mut buf = [0u8; 16];
+        let received = complete_now(Interp::new(&comm, &mut buf).run(ops())).unwrap();
+        assert_eq!(received, 16);
+        assert_eq!(buf, [0xAB; 16]);
+        assert_eq!(comm.shares.into_inner(), SHARES);
+    }
+
+    #[test]
+    fn a_bounded_post_then_take_hands_over_too() {
+        for fused_exchange in [false, true] {
+            let comm = Recorder::default();
+            let mut buf = [0u8; 16];
+            let step = Duration::from_secs(1);
+            let mut interp = Interp::bounded(&comm, &mut buf, step, fused_exchange);
+            assert_eq!(complete_now(interp.run(ops())).unwrap(), 16);
+            assert_eq!(comm.shares.into_inner(), SHARES, "fused_exchange={fused_exchange}");
+        }
     }
 }

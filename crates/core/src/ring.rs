@@ -9,6 +9,12 @@
 //! its own chunk after the scatter, so chunks a rank already holds (its
 //! binomial subtree) are transmitted to it anyway — `P·(P−1)` transfers in
 //! total, the paper's "verbose data transmissions".
+//!
+//! Both rings walk their chunks rather than compute them: the chunk a rank
+//! sends at step `i` is the one it received at step `i − 1`, so
+//! `ring_walk` steps the index down by one and wraps at 0, with no
+//! division per step. [`ring_step_chunks`] is the closed form of the same
+//! walk, for the traffic model and the tests.
 
 use mpsim::{relative_rank, ring_left, ring_right, Rank, Tag};
 
@@ -19,7 +25,8 @@ use crate::schedule::SchedOp;
 /// received from the left at step `i` (1-based), for a rank at root-relative
 /// position `rel` in a ring of `size`.
 ///
-/// Shared by the native, tuned and coalescing rings and the traffic model.
+/// The closed form the traffic model and the coalescing ring use, and the
+/// one the streams' `ring_walk` is tested against.
 #[inline]
 pub fn ring_step_chunks(rel: Rank, size: usize, i: usize) -> (usize, usize) {
     debug_assert!((1..size).contains(&i));
@@ -27,6 +34,20 @@ pub fn ring_step_chunks(rel: Rank, size: usize, i: usize) -> (usize, usize) {
     let send = (rel + size - ((i - 1) % size)) % size;
     let recv = (rel + size - (i % size)) % size;
     (send, recv)
+}
+
+/// Every step of the ring walk in order, as `(i, sent, received)`: the
+/// chunk sent at step `i` is the one received at step `i − 1`, so each
+/// step is the previous one moved down by one chunk, wrapping at 0 — the
+/// same pairs as [`ring_step_chunks`] without a division per step.
+pub(crate) fn ring_walk(rel: Rank, size: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut send = rel;
+    (1..size).map(move |i| {
+        let recv = if send == 0 { size - 1 } else { send - 1 };
+        let step = (i, send, recv);
+        send = recv;
+        step
+    })
 }
 
 /// Rank `rank`'s ops of the enclosed (native) ring allgather over a buffer
@@ -46,8 +67,7 @@ pub fn native_ring_ops(
     let layout = ChunkLayout::new(nbytes, p);
     let (left, right) = (ring_left(rank, p), ring_right(rank, p));
     let rel = relative_rank(rank, root, p);
-    (1..p).map(move |i| {
-        let (send_chunk, recv_chunk) = ring_step_chunks(rel, p, i);
+    ring_walk(rel, p).map(move |(_, send_chunk, recv_chunk)| {
         SchedOp::sendrecv(
             "ring",
             right,
@@ -93,6 +113,42 @@ mod tests {
         assert_eq!((send, recv), (0, 7));
         let (send, recv) = ring_step_chunks(0, 8, 7);
         assert_eq!((send, recv), (2, 1));
+    }
+
+    #[test]
+    fn streams_walk_the_closed_form() {
+        use crate::ring_tuned::{step_flag, tuned_ring_ops, Endpoint};
+        let t = Tag::ALLGATHER;
+        for p in 1..=64usize {
+            for root in 0..p {
+                for nbytes in [0, p - 1, 4 * p - 1, 4 * p] {
+                    let layout = ChunkLayout::new(nbytes, p);
+                    for rank in 0..p {
+                        let rel = relative_rank(rank, root, p);
+                        let (left, right) = (ring_left(rank, p), ring_right(rank, p));
+                        let (step, flag) =
+                            if p > 1 { step_flag(rel, p) } else { (0, Endpoint::SendOnly) };
+                        let steps = (1..p).map(|i| {
+                            let (s, r) = ring_step_chunks(rel, p, i);
+                            (i, layout.range(s), layout.range(r))
+                        });
+                        let native = steps
+                            .clone()
+                            .map(|(_, s, r)| SchedOp::sendrecv("ring", right, t, s, left, t, r));
+                        let tuned = steps.map(|(i, s, r)| match flag {
+                            _ if step <= p - i => {
+                                SchedOp::sendrecv("ring_tuned", right, t, s, left, t, r)
+                            }
+                            Endpoint::RecvOnly => SchedOp::recv("ring_tuned", left, t, r),
+                            Endpoint::SendOnly => SchedOp::send("ring_tuned", right, t, s),
+                        });
+                        let case = (p, root, nbytes, rank);
+                        assert!(native_ring_ops(rank, p, nbytes, root).eq(native), "{case:?}");
+                        assert!(tuned_ring_ops(rank, p, nbytes, root).eq(tuned), "{case:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

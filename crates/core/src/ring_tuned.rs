@@ -19,11 +19,15 @@
 //! skipping exactly the redundant transfers. Step count stays `P − 1`;
 //! transfers drop from `P(P−1)` to `P² − Σ own(rel)` (56 → 44 for `P = 8`,
 //! 90 → 75 for `P = 10`).
+//!
+//! The stream walks the same chunks as the native ring (`ring::ring_walk`,
+//! one index step per op) and folds `step <= P − i` into one bound, fixed
+//! before the first op: per op it only compares the step number.
 
 use mpsim::{ceil_pof2, relative_rank, ring_left, ring_right, Rank, Tag};
 
 use crate::chunks::ChunkLayout;
-use crate::ring::ring_step_chunks;
+use crate::ring::ring_walk;
 use crate::schedule::SchedOp;
 
 /// What a rank degrades to once the redundant phase of the ring is reached.
@@ -109,11 +113,13 @@ pub fn tuned_ring_ops_with(
     let rel = relative_rank(rank, root, p);
     // A ring of one has no steps (and `step_flag` no answer).
     let (step, flag) = if p > 1 { step_flag_fn(rel, p) } else { (0, Endpoint::SendOnly) };
-    (1..p).map(move |i| {
-        let (send_chunk, recv_chunk) = ring_step_chunks(rel, p, i);
+    // `step <= p − i` as one bound on `i`, so the closure keeps neither
+    // `step` nor `p` and the rank's future does not grow with the walk.
+    let last_full = p.saturating_sub(step);
+    ring_walk(rel, p).map(move |(i, send_chunk, recv_chunk)| {
         let send = layout.range(send_chunk);
         let recv = layout.range(recv_chunk);
-        if step <= p - i {
+        if i <= last_full {
             SchedOp::sendrecv("ring_tuned", right, Tag::ALLGATHER, send, left, Tag::ALLGATHER, recv)
         } else {
             match flag {
@@ -128,6 +134,7 @@ pub fn tuned_ring_ops_with(
 mod tests {
     use super::*;
     use crate::bcast::{bcast_with, Algorithm};
+    use crate::ring::ring_step_chunks;
     use crate::scatter::owned_chunks;
     use mpsim::{Communicator, ThreadWorld, WorldTraffic};
 

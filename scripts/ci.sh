@@ -81,6 +81,10 @@ phase_schedcheck() {
     run cargo run -q -p schedcheck --bin schedcheck --offline
   fi
   run cargo run -q -p schedcheck --bin repolint --offline
+  # The committed traffic table, regenerated: its measured column runs the
+  # tuned ring on ThreadWorld, so a drift in any count fails here.
+  cargo run -q --release -p bcast-bench --bin traffic_table --offline -- --max 512 |
+    run diff - results/traffic_table.csv
 }
 
 # Reactor model-checking lane: every mailbox/reactor protocol model explored
