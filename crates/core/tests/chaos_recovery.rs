@@ -445,6 +445,10 @@ fn megascale_clean_p4096() {
     let vol = bcast_volume(algorithm, nbytes, P).plus(agreement_volume(P));
     assert_eq!(out.traffic.total_msgs(), vol.msgs);
     assert_eq!(out.traffic.total_bytes(), vol.bytes);
+    // The ring's wavefront plus the quorum's frames: queue memory follows
+    // the envelopes in flight, not the P·(P−1) the broadcast sends.
+    let queued = out.reactor.queued_peak;
+    assert!(queued <= 3 * P as u64, "{queued} envelopes queued at once, above 3P");
 }
 
 /// A crash *between a rank's two pass-2 quorum sends* splits the quorum:

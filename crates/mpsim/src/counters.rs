@@ -181,7 +181,8 @@ pub struct WakeupStats {
 /// These measure the *scheduler*, not the workload: traffic counters say
 /// what the collective moved, these say what it cost the reactor to move
 /// it. The threaded executor has no reactor: it reports `mailbox_spills`
-/// (its mailboxes match through the same lanes) and zeros elsewhere.
+/// and `queued_peak` (its mailboxes match through the same lanes) and
+/// zeros elsewhere.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Task enqueues onto the ready queue (deduplicated: a task already
@@ -199,6 +200,11 @@ pub struct ReactorStats {
     /// the spill map, on either executor. 0 for every built-in collective;
     /// nonzero only for wild-tag protocol traffic (see `event_mailbox`).
     pub mailbox_spills: u64,
+    /// High-water count of envelopes queued in mailbox lanes: on the event
+    /// executor the peak of the world's one node slab; on threads the sum
+    /// of each rank mailbox's peak. The tuned ring keeps it near one
+    /// wavefront (≤ 2P), where per-queue storage would hold O(P²).
+    pub queued_peak: u64,
 }
 
 /// Sentinel peer for an empty write-back slot ([`CounterCell`]).

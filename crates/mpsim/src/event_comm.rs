@@ -19,9 +19,11 @@
 //!
 //! The hot path is built from three dense structures (DESIGN.md §6):
 //!
-//! * [`LaneMailbox`] — per-destination radix-indexed source lanes with
+//! * [`LaneMailbox`] — radix-indexed `(destination, source)` lanes with
 //!   inline tag buckets, replacing a hashed `(source, tag)` map: matching
-//!   costs two dependent loads and a 1–2 entry scan, no hashing;
+//!   costs two dependent loads and a 1–2 entry scan, no hashing, and the
+//!   queues link payload-only nodes of one world-wide slab, so queue memory
+//!   follows the envelopes in flight;
 //! * [`TimerWheel`] — a hierarchical timing wheel with O(1) arm *and*
 //!   cancel: a satisfied bounded `take` disarms its deadline on the spot
 //!   (the receive future cancels in `Drop`, so even abandoning a
@@ -55,7 +57,6 @@ use crate::counters::{CounterCell, ReactorStats, TrafficStats, WorldTraffic};
 use crate::error::{CommError, Result};
 use crate::event_mailbox::LaneMailbox;
 use crate::event_timer::{TimerHandle, TimerWheel};
-use crate::mailbox::Envelope;
 use crate::pool::{BufferPool, Payload, PoolStats, SharedBuf};
 use crate::rank::{Rank, Tag};
 use crate::thread_comm::WorldOutcome;
@@ -159,10 +160,11 @@ struct BarrierState {
 
 struct EventShared {
     size: usize,
-    /// Event-native mailboxes: one [`LaneMailbox`] per destination rank.
-    /// Plain `RefCell` state — no locks, no condvars — because matching and
-    /// waking all happen on the reactor thread.
-    mailboxes: Vec<RefCell<LaneMailbox>>,
+    /// Every destination's mailbox lanes in one [`LaneMailbox`], so the
+    /// world's queued envelopes share one node slab and a push or pop takes
+    /// one borrow. Plain `RefCell` state — no locks, no condvars — because
+    /// matching and waking all happen on the reactor thread.
+    lanes: RefCell<LaneMailbox>,
     exited: Vec<Cell<bool>>,
     /// The engine-owned virtual clock, in nanoseconds since world start.
     clock_ns: Cell<u64>,
@@ -229,12 +231,12 @@ impl EventShared {
     /// batched eager-post path: no `Waker`, no lock, and if the receiver is
     /// already queued the dedup flag makes this two `Cell` reads.
     fn push_envelope(&self, dest: Rank, src: Rank, tag: Tag, data: Payload) {
-        self.mailboxes[dest].borrow_mut().push(src, tag, Envelope { src, data });
+        self.lanes.borrow_mut().push_to(dest, src, tag, data);
         self.sched.push(dest);
     }
 
-    fn try_pop(&self, me: Rank, src: Rank, tag: Tag) -> Option<Envelope> {
-        self.mailboxes[me].borrow_mut().pop(src, tag)
+    fn try_pop(&self, me: Rank, src: Rank, tag: Tag) -> Option<Payload> {
+        self.lanes.borrow_mut().pop_from(me, src, tag)
     }
 
     /// Register `task` as parked on a receive from `src`; concurrent parks
@@ -338,7 +340,7 @@ impl EventWorld {
         let external = Arc::new(ExternalWakes { queue: crate::sync::Mutex::new(Vec::new()) });
         let shared = Rc::new(EventShared {
             size: n,
-            mailboxes: (0..n).map(|_| RefCell::new(LaneMailbox::new(n))).collect(),
+            lanes: RefCell::new(LaneMailbox::for_destinations(n, n)),
             exited: (0..n).map(|_| Cell::new(false)).collect(),
             clock_ns: Cell::new(0),
             timers: RefCell::new(TimerWheel::new()),
@@ -433,7 +435,8 @@ impl EventWorld {
             wakeups: shared.sched.wakeups.get(),
             spurious_polls,
             timer_cancels: shared.timers.borrow().cancelled(),
-            mailbox_spills: shared.mailboxes.iter().map(|m| m.borrow().spills()).sum(),
+            mailbox_spills: shared.lanes.borrow().spills(),
+            queued_peak: shared.lanes.borrow().queued_peak(),
         };
         let results: Vec<R> = results
             .into_iter()
@@ -534,7 +537,7 @@ impl<'a> RecvEnvelope<'a> {
 }
 
 impl Future for RecvEnvelope<'_> {
-    type Output = Result<Envelope>;
+    type Output = Result<Payload>;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
@@ -549,10 +552,10 @@ impl Future for RecvEnvelope<'_> {
             shared.sched.push(me);
             return Poll::Pending;
         }
-        if let Some(env) = shared.try_pop(me, this.src, this.tag) {
+        if let Some(data) = shared.try_pop(me, this.src, this.tag) {
             shared.recv_budget.set(budget - 1);
             this.disarm();
-            return Poll::Ready(Ok(env));
+            return Poll::Ready(Ok(data));
         }
         if this.src != me && shared.exited[this.src].get() {
             this.disarm();
@@ -605,22 +608,22 @@ impl Future for Take<'_> {
         if let Some(err) = this.early_err.take() {
             return Poll::Ready(Err(err));
         }
-        let env = match Pin::new(&mut this.inner).poll(cx) {
-            Poll::Ready(Ok(env)) => env,
+        let data = match Pin::new(&mut this.inner).poll(cx) {
+            Poll::Ready(Ok(data)) => data,
             Poll::Ready(Err(err)) => return Poll::Ready(Err(err)),
             Poll::Pending => return Poll::Pending,
         };
-        if env.data.len() > this.capacity {
+        if data.len() > this.capacity {
             return Poll::Ready(Err(CommError::Truncation {
                 capacity: this.capacity,
-                incoming: env.data.len(),
+                incoming: data.len(),
             }));
         }
         let comm = this.inner.comm;
-        comm.shared.counters[comm.rank].record_recv(this.inner.src, env.data.len());
+        comm.shared.counters[comm.rank].record_recv(this.inner.src, data.len());
         // The matched payload is handed to the caller as-is — no copy; its
         // eventual drop recycles the rental.
-        Poll::Ready(Ok(env.data))
+        Poll::Ready(Ok(data))
     }
 }
 

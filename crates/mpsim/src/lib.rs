@@ -67,6 +67,8 @@ pub mod error;
 pub mod event_comm;
 pub mod event_mailbox;
 pub mod event_timer;
+#[cfg(test)]
+mod lane_prop;
 pub mod mailbox;
 pub mod pool;
 pub mod proto;

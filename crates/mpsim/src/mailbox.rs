@@ -6,7 +6,8 @@
 //! strictly in push order (MPI's non-overtaking guarantee).
 //!
 //! Matching is the event reactor's [`LaneMailbox`] — radix-paged source
-//! lanes, inline tag buckets and a counted spill map — so both executors
+//! lanes, inline tag buckets, a counted spill map and a node slab that
+//! recycles queue storage (this mailbox owns its own) — so both executors
 //! find a queue the same way, and `LaneMailboxModel`'s proof and the
 //! `mailbox_spills` counter cover this mailbox too. What this file adds is
 //! blocking: one [`Mutex`] over the lanes, the waiter count and the stop
@@ -75,7 +76,7 @@ impl Mailbox {
     /// Deliver a message from `src` with `tag`.
     pub fn push(&self, src: Rank, tag: Tag, data: Payload) {
         let mut st = self.state.lock();
-        st.lanes.push(src, tag, Envelope { src, data });
+        st.lanes.push_to(0, src, tag, data);
         // Wake only when the owner is actually blocked (it may be waiting
         // on a different pair: spurious but benign, it rechecks and sleeps
         // again); with zero waiters the notify would be pure overhead.
@@ -151,6 +152,11 @@ impl Mailbox {
     /// [`LaneMailbox::spills`]).
     pub fn spills(&self) -> u64 {
         self.state.lock().lanes.spills()
+    }
+
+    /// Most envelopes ever queued here at once (see `ReactorStats::queued_peak`).
+    pub(crate) fn queued_peak(&self) -> u64 {
+        self.state.lock().lanes.queued_peak()
     }
 
     /// Push/notify counters: how many deliveries actually had to wake a

@@ -48,8 +48,8 @@ pub struct WorldOutcome<R> {
     /// Wall-clock duration of the whole run (spawn to last join).
     pub elapsed: Duration,
     /// Reactor introspection counters ([`ReactorStats`]). A thread world
-    /// has no reactor: only `mailbox_spills`, summed over the ranks'
-    /// mailboxes, is measured; the scheduler counters stay zero.
+    /// has no reactor: only `mailbox_spills` and `queued_peak`, summed over
+    /// the ranks' mailboxes, are measured; the scheduler counters stay zero.
     pub reactor: ReactorStats,
 }
 
@@ -167,12 +167,13 @@ impl ThreadWorld {
         let elapsed = shared.start.elapsed();
         let (results, traffic) = ranks.into_iter().unzip();
         let mailbox_spills = shared.mailboxes.iter().map(Mailbox::spills).sum();
+        let queued_peak = shared.mailboxes.iter().map(Mailbox::queued_peak).sum();
         WorldOutcome {
             results,
             traffic: WorldTraffic::new(traffic),
             pool: shared.pool.stats(),
             elapsed,
-            reactor: ReactorStats { mailbox_spills, ..ReactorStats::default() },
+            reactor: ReactorStats { mailbox_spills, queued_peak, ..ReactorStats::default() },
         }
     }
 }

@@ -26,6 +26,12 @@ use bcast_core::{bcast_coalesced_event_world, bcast_event_world, Algorithm, Coal
 /// (`spurious_polls ≤ msgs + p`). At these world sizes a ping-ponging
 /// reactor would still deliver — only the counters betray it.
 ///
+/// The lanes' node slab must stay within two wavefronts: `queued_peak ≤ 2P`
+/// (measured at most `P + ⌈log₂P⌉ − 1` up to P = 1024 and `2P − 2` above,
+/// where the receive budget binds). Storage that keeps each queue's
+/// high-water mark — a `VecDeque` per tag bucket, or one slab per
+/// destination — holds O(P²) instead (786 432 at P = 1024) and fails this.
+///
 /// Alongside the reactor counters, every sweep pins the zero-copy budget:
 /// no rank may memcpy more than `2·nbytes` of payload (staging owned chunks
 /// for forwarding plus the landing copies into the user buffer — the
@@ -46,6 +52,11 @@ fn assert_reactor_invariants(out: &mpsim::WorldOutcome<()>, p: usize, msgs: u64,
         "P={p}: {} spurious polls exceed the {msgs} messages + {p} startup polls that could \
          legitimately cause them",
         reactor.spurious_polls
+    );
+    assert!(
+        reactor.queued_peak <= 2 * p as u64,
+        "P={p}: {} envelopes queued at once, above two wavefronts (2P)",
+        reactor.queued_peak
     );
     let ceiling = 2 * nbytes as u64;
     for (rank, st) in out.traffic.per_rank.iter().enumerate() {
