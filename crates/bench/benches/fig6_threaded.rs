@@ -4,7 +4,7 @@
 //! argument — independent of the cluster simulator.
 //!
 //! (World sizes are thread counts here; absolute times depend on the host.
-//! The simulator-based figure regeneration lives in `src/bin/fig6.rs`.)
+//! The simulator-based figure is the `bcast fig6` subcommand.)
 
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_with, Algorithm};

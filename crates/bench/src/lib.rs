@@ -1,4 +1,4 @@
-//! # bcast-bench — harness regenerating every table and figure of the paper
+//! # bcast-bench — the measurement loop behind every figure of the paper
 //!
 //! The paper's methodology (§V): synchronize all ranks with a barrier,
 //! repeat the broadcast 100 times, and report *bandwidth* — "the rate at
@@ -6,13 +6,11 @@
 //! `nbytes / mean_time_per_broadcast` — in base-2 megabytes per second.
 //!
 //! This crate provides that measurement loop over the [`netsim`] simulator
-//! (the cluster stand-in) plus CSV/gnuplot-friendly printers, and hosts:
-//!
-//! * `src/bin/fig6.rs` — Fig. 6(a–c): bandwidth vs message size, np ∈ {16, 64, 256};
-//! * `src/bin/fig7.rs` — Fig. 7: throughput speedup, np ∈ {9, 17, 33, 65, 129};
-//! * `src/bin/fig8.rs` — Fig. 8: bandwidth sweep at np = 129;
-//! * `src/bin/traffic_table.rs` — §IV transfer counts (56→44, 90→75, scaling);
-//! * `benches/` — micro-benchmarks on the in-tree `testkit::bench` harness (real threaded backend).
+//! (the cluster stand-in), the figures' size axes, a CSV/gnuplot-friendly
+//! printer and the analytic [`predict`] evaluator. The `bcast` executable's
+//! `fig6`, `fig7`, `fig8`, `ablations`, `osu` and `predict-sweep`
+//! subcommands print with them; `benches/` holds micro-benchmarks on the
+//! in-tree `testkit::bench` harness (real threaded backend).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -81,10 +81,13 @@ phase_schedcheck() {
     run cargo run -q -p schedcheck --bin schedcheck --offline
   fi
   run cargo run -q -p schedcheck --bin repolint --offline
-  # The committed traffic table, regenerated: its measured column runs the
-  # tuned ring on ThreadWorld, so a drift in any count fails here.
-  cargo run -q --release -p bcast-bench --bin traffic_table --offline -- --max 512 |
+  # The committed traffic table and analytic sweep, regenerated: the
+  # table's measured column runs the tuned ring on ThreadWorld and the sweep
+  # evaluates the schedules, so a drift in any count or makespan fails here.
+  cargo run -q --release --bin bcast --offline -- traffic-table --max 512 |
     run diff - results/traffic_table.csv
+  cargo run -q --release --bin bcast --offline -- predict-sweep |
+    run diff - results/predict_sweep.csv
 }
 
 # Reactor model-checking lane: every mailbox/reactor protocol model explored

@@ -1,0 +1,108 @@
+//! `bcast run`: any broadcast algorithm of the workspace on either backend,
+//! reporting correctness, traffic and bandwidth.
+
+use bcast_core::smp::{bcast_smp, NodeMap};
+use bcast_core::verify::pattern;
+use bcast_core::{bcast_auto, bcast_with, pipeline::bcast_pipeline, Thresholds};
+use mpsim::{Communicator, ThreadWorld};
+use netsim::SimWorld;
+
+use crate::{check_supports, Algo, Args};
+
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let backend = args.value("--backend")?.unwrap_or_else(|| "sim".into());
+    let np = args.count("--np", 16)?;
+    let nbytes = args.num("--nbytes", 1 << 20)?;
+    let root = args.num("--root", 0)?;
+    let iters = args.count("--iters", 10)?;
+    let segment = args.num("--segment", 16384)?;
+    let algo = args.algo("tuned")?;
+    let preset = args.preset()?;
+    let cores = args.count("--cores-per-node", preset.cores_per_node())?;
+    args.finish()?;
+    if root >= np {
+        return Err(format!("--root {root} must be below --np {np}"));
+    }
+    check_supports(algo, np)?;
+
+    let src = pattern(nbytes, 0xC11);
+    let th = Thresholds::default();
+    let nodes = NodeMap::new(cores);
+    let run_one = |comm: &dyn Communicator, buf: &mut Vec<u8>| {
+        match algo {
+            Algo::Fixed(a) => bcast_with(comm, buf, root, a),
+            Algo::Auto { tuned } => bcast_auto(comm, buf, root, &th, tuned),
+            Algo::Smp { inner } => bcast_smp(comm, buf, root, &nodes, inner),
+            Algo::Pipeline => bcast_pipeline(comm, buf, root, segment),
+        }
+        .expect("the arguments were checked above")
+    };
+
+    match backend.as_str() {
+        "thread" => {
+            let out = ThreadWorld::run(np, |comm| {
+                let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+                comm.barrier().unwrap();
+                for _ in 0..iters {
+                    run_one(comm, &mut buf);
+                }
+                buf == src
+            });
+            report(
+                "thread (wall clock)",
+                out.results.iter().all(|&ok| ok),
+                &out.traffic,
+                out.elapsed.as_nanos() as f64,
+                nbytes,
+                iters,
+            );
+        }
+        "sim" => {
+            let model = preset.model_for(nbytes, np);
+            let out = SimWorld::run(model, preset.placement(), np, |comm| {
+                let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+                comm.barrier().unwrap();
+                let t0 = comm.vtime();
+                for _ in 0..iters {
+                    run_one(comm, &mut buf);
+                }
+                comm.barrier().unwrap();
+                (buf == src, comm.vtime() - t0)
+            });
+            let elapsed = out.results.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+            report(
+                &format!("sim ({})", preset.name),
+                out.results.iter().all(|&(ok, _)| ok),
+                &out.traffic,
+                elapsed,
+                nbytes,
+                iters,
+            );
+        }
+        other => return Err(format!("unknown --backend {other} (thread|sim)")),
+    }
+    Ok(())
+}
+
+fn report(
+    backend: &str,
+    correct: bool,
+    traffic: &mpsim::WorldTraffic,
+    elapsed_ns: f64,
+    nbytes: usize,
+    iters: usize,
+) {
+    let per_bcast = elapsed_ns / iters as f64;
+    println!("backend:        {backend}");
+    println!("correct:        {}", if correct { "yes (all ranks verified)" } else { "NO" });
+    println!("messages/bcast: {:.0}", traffic.total_msgs() as f64 / iters as f64);
+    println!(
+        "bytes/bcast:    {:.2} MiB",
+        traffic.total_bytes() as f64 / iters as f64 / (1 << 20) as f64
+    );
+    println!("time/bcast:     {:.1} us", per_bcast / 1000.0);
+    println!("bandwidth:      {:.1} MB/s", nbytes as f64 / (1 << 20) as f64 / (per_bcast * 1e-9));
+    if !correct {
+        std::process::exit(1);
+    }
+}
