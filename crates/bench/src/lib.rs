@@ -17,6 +17,8 @@
 
 pub mod predict;
 
+use std::io::Write;
+
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_with, Algorithm};
 use mpsim::Communicator;
@@ -139,12 +141,17 @@ pub fn fig8_sizes() -> Vec<usize> {
     v
 }
 
-/// Print a CSV header + rows for a native/tuned sweep (gnuplot-friendly).
-pub fn print_comparison_csv(title: &str, rows: &[Comparison]) {
-    println!("# {title}");
-    println!("nbytes,np,native_mbps,tuned_mbps,improvement_pct,native_msgs,tuned_msgs");
+/// Write a CSV header + rows for a native/tuned sweep (gnuplot-friendly).
+pub fn write_comparison_csv(
+    out: &mut dyn Write,
+    title: &str,
+    rows: &[Comparison],
+) -> std::io::Result<()> {
+    writeln!(out, "# {title}")?;
+    writeln!(out, "nbytes,np,native_mbps,tuned_mbps,improvement_pct,native_msgs,tuned_msgs")?;
     for c in rows {
-        println!(
+        writeln!(
+            out,
             "{},{},{:.1},{:.1},{:+.1},{:.0},{:.0}",
             c.native.nbytes,
             c.native.np,
@@ -153,8 +160,9 @@ pub fn print_comparison_csv(title: &str, rows: &[Comparison]) {
             c.improvement_pct(),
             c.native.msgs_per_bcast,
             c.tuned.msgs_per_bcast,
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@ use std::convert::identity;
 use std::future::Future;
 
 use mpsim::{
-    complete_now, is_pof2, AsyncCommunicator, CommError, Communicator, Rank, Result, SharedBuf,
-    SyncComm,
+    complete_now, is_pof2, AsyncCommunicator, CommError, Communicator, Rank, Result, SyncComm,
 };
 
 use crate::binomial::binomial_ops;
@@ -125,25 +124,6 @@ pub async fn bcast_opt_async<C: AsyncCommunicator + ?Sized>(
     root: Rank,
 ) -> Result<()> {
     bcast_with_async(comm, buf, root, Algorithm::ScatterRingTuned).await
-}
-
-/// Root-side [`bcast_opt`] from an **already-shared** envelope: the root
-/// only ever reads its payload (it never receives in the binomial scatter
-/// and is `SendOnly` from step one of the tuned ring), so both phases send
-/// [`SharedBuf::slice`] sub-views of `src`, copying nothing at all. Callers
-/// that already hold the payload in a [`SharedBuf`] (e.g. the event-world
-/// launcher) use this; everyone else calls [`bcast_opt`]. On a non-root rank
-/// the stream's first receive fails with [`CommError::OutOfBounds`].
-pub async fn bcast_opt_shared_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &SharedBuf,
-    root: Rank,
-) -> Result<()> {
-    comm.check_rank(root)?;
-    let (rank, p, nbytes) = (comm.rank(), comm.size(), src.len());
-    let mut interp = Interp::from_shared(comm, src);
-    interp.run(scatter_ops(rank, p, nbytes, root)).await?;
-    interp.run(tuned_ring_ops(rank, p, nbytes, root)).await.map(drop)
 }
 
 /// Run one specific [`Algorithm`].

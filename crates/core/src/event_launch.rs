@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use mpsim::{AsyncCommunicator, EventWorld, Rank, Result, WorldOutcome, WorldTraffic};
 
-use crate::bcast::{bcast_opt_shared_async, bcast_with_async, Algorithm};
+use crate::bcast::{bcast_with_async, Algorithm};
 use crate::coalesce::{bcast_opt_coalesced_async, CoalescePolicy};
 use crate::recovery::{
     self_healing_bcast_traced_async, Healed, RecoveryConfig, RecoveryDrill, RecoveryTrace,
@@ -42,20 +42,11 @@ pub fn bcast_event_world(
     let out = EventWorld::run(p, |comm| {
         let src = src.clone();
         async move {
-            if comm.rank() == root && algorithm == Algorithm::ScatterRingTuned {
-                // The root stages ONE shared envelope; both phases of the
-                // tuned broadcast send refcounted sub-views of it, so the
-                // root's whole copy bill is this single staging pass.
-                let shared = comm.make_shared(&src);
-                // A failed broadcast must fail the launch loudly: the whole
-                // point of the sweep is the completed run. lint: allow(panic)
-                bcast_opt_shared_async(&comm, &shared, root).await.expect("broadcast failed");
-            } else {
-                let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-                // Same loud-failure contract as above. lint: allow(panic)
-                bcast_with_async(&comm, &mut buf, root, algorithm).await.expect("broadcast failed");
-                assert_eq!(buf, src, "rank {} diverged", comm.rank());
-            }
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            // A failed broadcast must fail the launch loudly: the whole
+            // point of the sweep is the completed run. lint: allow(panic)
+            bcast_with_async(&comm, &mut buf, root, algorithm).await.expect("broadcast failed");
+            assert_eq!(buf, src, "rank {} diverged", comm.rank());
         }
     });
     // Built-in collectives use a handful of tags per peer pair, all of

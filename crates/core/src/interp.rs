@@ -6,32 +6,47 @@
 //! same streams, collected over all ranks, are what `schedcheck` analyses —
 //! so there is no executed twin to drift from the IR.
 //!
-//! ## The retained envelope
+//! ## Retained envelopes
 //!
-//! The interpreter's whole state is the last envelope it received or staged,
-//! keyed by the byte range of the user buffer it carries:
+//! The interpreter keeps two kinds of envelope, each keyed by the byte range
+//! of the user buffer it carries:
 //!
-//! * a send of exactly that range forwards the envelope itself. An op that
-//!   also receives *hands it over* — moves it into the post, with no
-//!   refcount traffic — because that op's landing replaces it before
-//!   anything could read it again; a send-only op posts a refcount clone
-//!   and keeps it, since the binomial fan-out and the tuned ring's
-//!   `SendOnly` tail may send it again;
-//! * a send of a range *inside* it sends a refcounted sub-view
-//!   ([`SharedBuf::slice`]) and keeps the envelope;
-//! * any other send stages the range out of the user buffer
-//!   ([`AsyncCommunicator::make_shared`], one counted copy) and retains that
-//!   (or, on an op that also receives, hands it over at once);
-//! * a receive takes the arriving envelope ([`AsyncCommunicator::take`], or
-//!   the receive half of [`AsyncCommunicator::exchange`]), pays one landing
-//!   copy into the user buffer and retains it.
+//! * `held`, the last envelope it received. A send of exactly that range
+//!   forwards the envelope itself. An op that also receives *hands it
+//!   over* — moves it into the post, with no refcount traffic — because that
+//!   op's landing replaces it before anything could read it again; a
+//!   send-only op posts a refcount clone and keeps it, since the binomial
+//!   fan-out and the tuned ring's `SendOnly` tail may send it again. A send
+//!   of a range *inside* it sends a refcounted sub-view ([`SharedBuf::slice`]);
+//! * `kept`, a short list: every envelope the interpreter staged for a
+//!   send-only op, and the first landed envelope that a later landing
+//!   replaced without handing it over (on a non-root, its scatter subtree).
+//!   A send inside any of them, checked after `held`, is a sub-view too.
 //!
-//! That one rule yields every zero-copy chain the broadcasts need: the ring
+//! Any other send stages the range out of the user buffer
+//! ([`AsyncCommunicator::make_shared`], one counted copy) and keeps it — or,
+//! on an op that also receives, hands it over at once (recursive doubling
+//! sends each round's block once). A receive takes the arriving envelope
+//! ([`AsyncCommunicator::take`], or the receive half of
+//! [`AsyncCommunicator::exchange`]), pays one landing copy into the user
+//! buffer and holds it.
+//!
+//! Those rules yield every zero-copy chain the broadcasts need: the ring
 //! hands over at step `i + 1` the chunk it received at step `i`; the scatter
 //! peels each child's subtree off the parent's envelope; the binomial tree
-//! stages once on the root and fans the same envelope out; and the ring's
-//! first send — the rank's own chunk — is a sub-view of the scatter envelope
-//! still retained from the previous phase.
+//! stages once on the root and fans the same envelope out; the ring's first
+//! send — the rank's own chunk — is a sub-view of the scatter envelope; and
+//! every later send of a scatter-owned chunk, the root's whole ring and a
+//! `SendOnly` tail's, is a sub-view of the subtree the rank landed or
+//! staged. So a rank stages each payload byte at most once, and where no
+//! byte reaches it twice (binomial, the tuned broadcast) it copies each byte
+//! exactly once: a world bill of `P · nbytes`
+//! ([`crate::traffic::bcast_bytes_copied`]).
+//!
+//! `kept` holds only stagings and one landing, so on the scatter-based
+//! streams it stays within `⌈log₂P⌉ + 2` entries: the root stages once per
+//! scatter child and once for its own chunk. (The pipeline's root keeps one
+//! per segment.) Keeping every landing would pin `O(P)` envelopes per rank.
 //!
 //! ## Bounded receives
 //!
@@ -51,8 +66,8 @@ use mpsim::{AsyncCommunicator, CommError, Payload, Result, SharedBuf};
 use crate::schedule::SchedOp;
 
 /// Interpreter state for one rank: the communicator, the user buffer and the
-/// retained envelope. Phases of one collective run through the *same*
-/// interpreter (`run(scatter)` then `run(ring)`), so the envelope carries
+/// retained envelopes. Phases of one collective run through the *same*
+/// interpreter (`run(scatter)` then `run(ring)`), so the envelopes carry
 /// over between them.
 ///
 /// `BOUNDED` marks the self-healing attempt's interpreter
@@ -61,9 +76,15 @@ use crate::schedule::SchedOp;
 pub struct Interp<'a, C: ?Sized, const BOUNDED: bool = false> {
     comm: &'a C,
     buf: &'a mut [u8],
-    /// The last envelope received or staged, and the range of `buf` whose
-    /// bytes it equals.
+    /// The last envelope received, and the range of `buf` whose bytes it
+    /// equals.
     held: Option<(Range<usize>, SharedBuf)>,
+    /// Every non-empty envelope staged for a send-only op, and the first
+    /// non-empty landing a later landing replaced without handing it over,
+    /// each with its range of `buf`.
+    kept: Vec<(Range<usize>, SharedBuf)>,
+    /// Whether `kept` already holds that replaced landing.
+    kept_landing: bool,
     /// The deadline of every take of a bounded interpreter.
     step: Duration,
     /// Whether a bounded interpreter still hands an op with both halves to
@@ -74,17 +95,18 @@ pub struct Interp<'a, C: ?Sized, const BOUNDED: bool = false> {
 impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
     /// Interpreter over `buf`, the rank's full broadcast buffer.
     pub fn new(comm: &'a C, buf: &'a mut [u8]) -> Self {
-        Interp { comm, buf, held: None, step: Duration::ZERO, fused_exchange: true }
+        Interp::with(comm, buf, Duration::ZERO, true)
     }
 
-    /// Send-only interpreter over an already-shared payload: the retained
-    /// envelope is pre-set to all of `src` and there is no buffer to land
-    /// into, so every send is a sub-view of `src` and nothing is copied. A
-    /// stream that receives (or sends outside `src`) fails with
+    /// Send-only interpreter over an already-shared payload: the kept list
+    /// is pre-set to all of `src` and there is no buffer to land into, so
+    /// every send is a sub-view of `src` and nothing is copied. A stream that
+    /// receives (or sends outside `src`) fails with
     /// [`CommError::OutOfBounds`].
     pub fn from_shared(comm: &'a C, src: &SharedBuf) -> Self {
-        let held = Some((0..src.len(), src.clone()));
-        Interp { comm, buf: &mut [], held, step: Duration::ZERO, fused_exchange: true }
+        let mut interp = Interp::new(comm, &mut []);
+        interp.kept.push((0..src.len(), src.clone()));
+        interp
     }
 }
 
@@ -100,7 +122,22 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C, true> {
         step: Duration,
         fused_exchange: bool,
     ) -> Self {
-        Interp { comm, buf, held: None, step, fused_exchange }
+        Interp::with(comm, buf, step, fused_exchange)
+    }
+}
+
+impl<'a, C: ?Sized, const BOUNDED: bool> Interp<'a, C, BOUNDED> {
+    /// Either kind of interpreter, with nothing retained yet.
+    fn with(comm: &'a C, buf: &'a mut [u8], step: Duration, fused_exchange: bool) -> Self {
+        Interp {
+            comm,
+            buf,
+            held: None,
+            kept: Vec::new(),
+            kept_landing: false,
+            step,
+            fused_exchange,
+        }
     }
 }
 
@@ -112,7 +149,7 @@ impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> 
             match (&op.send, &op.recv) {
                 // Both halves stay ONE call: the concurrent exchange is what
                 // keeps the ring deadlock-free under rendezvous. The landing
-                // replaces the retained envelope, so the send may take it.
+                // replaces the held envelope, so the send may take it.
                 (Some(s), Some(r)) => {
                     let out = self.stage(&s.loc, true)?;
                     let env = if BOUNDED && !self.fused_exchange {
@@ -138,45 +175,46 @@ impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> 
         Ok(received)
     }
 
-    /// The payload a send of `range` posts: a sub-view when `range` lies
-    /// strictly inside the retained envelope, else the retained envelope
-    /// itself — staged out of the buffer first when it does not match.
-    /// With `hand_over` (the op's own landing is about to replace the
-    /// retained envelope) that envelope is moved out, not cloned.
+    /// The payload a send of `range` posts: a sub-view of the held envelope
+    /// or, failing that, of a kept one when `range` lies inside it, else a
+    /// fresh staging out of the buffer. With `hand_over` (the op's own
+    /// landing is about to replace the held envelope) a held envelope of
+    /// exactly `range` is moved out, not cloned, and a fresh staging goes
+    /// out without being kept: nothing sends an exchange's block again.
     fn stage(&mut self, range: &Range<usize>, hand_over: bool) -> Result<Payload> {
         if hand_over {
             if let Some((_, env)) = self.held.take_if(|(held, _)| held == range) {
                 return Ok(Payload::Shared(env));
             }
         }
-        if let Some((held, env)) = &self.held {
-            if held == range {
-                return Ok(Payload::Shared(env.clone()));
-            }
-            if held.start <= range.start && range.end <= held.end {
-                return Ok(Payload::Shared(
-                    env.slice(range.start - held.start..range.end - held.start),
-                ));
-            }
+        let inside =
+            |(at, _): &&(Range<usize>, SharedBuf)| at.start <= range.start && range.end <= at.end;
+        if let Some((at, env)) = self.held.iter().chain(&self.kept).find(inside) {
+            return Ok(Payload::Shared(env.slice(range.start - at.start..range.end - at.start)));
         }
         let bytes = self.buf.get(range.clone()).ok_or_else(|| self.out_of_bounds(range))?;
         let env = self.comm.make_shared(bytes);
-        if !hand_over {
-            self.held = Some((range.clone(), env.clone()));
+        if !hand_over && !range.is_empty() {
+            self.kept.push((range.clone(), env.clone()));
         }
         Ok(Payload::Shared(env))
     }
 
     /// Land an arrived envelope at the start of `dst` — the one copy a rank
-    /// pays per received message — and retain it, keyed by the bytes it
+    /// pays per received message — and hold it, keyed by the bytes it
     /// actually carried (a message may be shorter than the posted capacity).
+    /// The first non-empty held envelope this replaces moves to `kept`.
     fn land(&mut self, dst: &Range<usize>, env: SharedBuf) -> Result<usize> {
         let n = env.len();
         let written = dst.start..dst.start + n;
         let oob = self.out_of_bounds(&written);
         self.buf.get_mut(written.clone()).ok_or(oob)?.copy_from_slice(&env);
         self.comm.note_copy(n);
-        self.held = Some((written, env));
+        let replaced = self.held.replace((written, env));
+        if let Some(old) = replaced.filter(|(at, _)| !self.kept_landing && !at.is_empty()) {
+            self.kept.push(old);
+            self.kept_landing = true;
+        }
         Ok(n)
     }
 
@@ -209,17 +247,24 @@ impl PhaseSink for &mut Vec<SchedOp> {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+    use std::collections::{HashMap, VecDeque};
 
-    use mpsim::{complete_now, Rank, Tag};
+    use mpsim::{ceil_log2, complete_now, Rank, Tag};
 
     use super::*;
+    use crate::ring_tuned::tuned_ring_ops;
+    use crate::scatter::scatter_ops;
+    use crate::schedule::{all_sources, RankSchedule, Schedule};
 
     /// Records how many views share each posted envelope, at the moment it
-    /// is posted, and answers every take with `capacity` bytes of `0xAB`.
+    /// is posted, and counts the stagings. Answers each take with the next
+    /// of `lens` bytes of `0xAB`, or `capacity` bytes once `lens` runs out.
     #[derive(Default)]
     struct Recorder {
         shares: RefCell<Vec<usize>>,
+        staged: Cell<usize>,
+        lens: RefCell<VecDeque<usize>>,
     }
 
     impl Recorder {
@@ -229,6 +274,11 @@ mod tests {
                 _ => 0,
             };
             self.shares.borrow_mut().push(shares);
+        }
+
+        fn arrival(&self, cap: usize) -> Result<Payload> {
+            let len = self.lens.borrow_mut().pop_front().unwrap_or(cap);
+            Ok(vec![0xAB; len].into())
         }
     }
 
@@ -250,6 +300,7 @@ mod tests {
         }
 
         fn make_shared(&self, data: &[u8]) -> SharedBuf {
+            self.staged.set(self.staged.get() + 1);
             data.to_vec().into()
         }
 
@@ -261,7 +312,7 @@ mod tests {
         }
 
         async fn take(&self, cap: usize, _: Rank, _: Tag, _: Option<Duration>) -> Result<Payload> {
-            Ok(vec![0xAB; cap].into())
+            self.arrival(cap)
         }
 
         async fn exchange(
@@ -274,7 +325,7 @@ mod tests {
             _: Tag,
         ) -> Result<Payload> {
             self.record(&payload);
-            Ok(vec![0xAB; cap].into())
+            self.arrival(cap)
         }
     }
 
@@ -316,6 +367,72 @@ mod tests {
             let mut interp = Interp::bounded(&comm, &mut buf, step, fused_exchange);
             assert_eq!(complete_now(interp.run(ops())).unwrap(), 16);
             assert_eq!(comm.shares.into_inner(), SHARES, "fused_exchange={fused_exchange}");
+        }
+    }
+
+    /// The root of the tuned broadcast copies its payload once: it stages
+    /// each scatter child's subtree and, in the ring, its own chunk; every
+    /// other ring send is a sub-view of those stagings.
+    #[test]
+    fn the_tuned_root_stages_each_byte_once() {
+        let (p, nbytes) = (8, 64);
+        let comm = Recorder::default();
+        let mut buf = [7u8; 64];
+        let mut interp = Interp::new(&comm, &mut buf);
+        complete_now(interp.run(scatter_ops(0, p, nbytes, 0))).unwrap();
+        assert_eq!(comm.staged.get(), 3, "one staging per scatter child");
+        complete_now(interp.run(tuned_ring_ops(0, p, nbytes, 0))).unwrap();
+        assert_eq!(comm.shares.borrow().len(), 3 + (p - 1), "the root sends every ring step");
+        assert_eq!(comm.staged.get(), 4, "a ring send other than the root's own chunk staged");
+    }
+
+    /// The length of every receive of every rank, in program order: the send
+    /// it matches, the k-th from its peer on its tag.
+    fn arrival_lens(sched: &Schedule) -> Vec<VecDeque<usize>> {
+        let mut sent: HashMap<(Rank, Rank, Tag), VecDeque<usize>> = HashMap::new();
+        for (src, r) in sched.ranks.iter().enumerate() {
+            for s in r.ops.iter().filter_map(|op| op.send.as_ref()) {
+                sent.entry((src, s.peer, s.tag)).or_default().push_back(s.loc.len());
+            }
+        }
+        let mut lens = |rank: Rank, r: &RankSchedule| {
+            let recvs = r.ops.iter().filter_map(|op| op.recv.as_ref());
+            recvs
+                .map(|h| sent.get_mut(&(h.peer, rank, h.tag)).unwrap().pop_front().unwrap())
+                .collect()
+        };
+        sched.ranks.iter().enumerate().map(|(rank, r)| lens(rank, r)).collect()
+    }
+
+    /// Stagings plus one landing: the kept list never outgrows
+    /// `⌈log₂P⌉ + 2` on any rank of any schedule source.
+    #[test]
+    fn the_kept_list_stays_logarithmic_on_every_source() {
+        for source in all_sources() {
+            for p in (1..=64).filter(|&p| source.supports(p)) {
+                let bound = ceil_log2(p) as usize + 2;
+                for nbytes in [p - 1, 4 * p - 1] {
+                    for root in [0, p - 1] {
+                        let sched = source.schedule(p, nbytes, root);
+                        let lens = arrival_lens(&sched);
+                        for ((rank, r), lens) in sched.ranks.iter().enumerate().zip(lens) {
+                            let comm = Recorder { lens: lens.into(), ..Default::default() };
+                            let mut buf = vec![0u8; r.buf_len];
+                            let mut interp = Interp::new(&comm, &mut buf);
+                            let mut most = 0;
+                            for op in r.ops.iter().cloned() {
+                                complete_now(interp.run([op])).unwrap();
+                                most = most.max(interp.kept.len());
+                            }
+                            assert!(
+                                most <= bound,
+                                "{} P={p} n={nbytes} root={root} rank={rank}: {most} kept",
+                                source.name()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

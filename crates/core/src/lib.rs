@@ -76,8 +76,8 @@ pub mod traffic;
 pub mod verify;
 
 pub use bcast::{
-    bcast_auto, bcast_auto_async, bcast_native, bcast_opt, bcast_opt_async, bcast_opt_shared_async,
-    bcast_with, bcast_with_async, select_algorithm, Algorithm, Regime, Thresholds,
+    bcast_auto, bcast_auto_async, bcast_native, bcast_opt, bcast_opt_async, bcast_with,
+    bcast_with_async, select_algorithm, Algorithm, Regime, Thresholds,
 };
 pub use binomial::{
     bcast_binomial, bcast_binomial_async, bcast_binomial_copy, bcast_binomial_copy_async,

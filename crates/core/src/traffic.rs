@@ -163,6 +163,31 @@ pub fn bcast_volume(algorithm: Algorithm, nbytes: usize, p: usize) -> Volume {
     }
 }
 
+/// Payload bytes a full broadcast under `algorithm` memcpys, summed over
+/// ranks (`WorldTraffic::total_bytes_copied`). Each rank stages a byte at
+/// most once and lands every byte it receives (the interpreter's retained
+/// envelopes, `crate::interp`), so:
+///
+/// * binomial and the tuned scatter-ring: every rank copies exactly
+///   `nbytes` — the root stages it, a non-root lands it, and the tuned ring
+///   receives no byte twice — `P · nbytes` in all;
+/// * the native scatter-ring: the root stages `nbytes` and every wire byte
+///   lands once, the enclosed ring's redundant chunks included;
+/// * recursive doubling: `None` — its rounds stage unions of blocks that
+///   straddle what the rank landed, with no closed form kept here.
+///
+/// A one-rank world copies nothing.
+pub fn bcast_bytes_copied(algorithm: Algorithm, nbytes: usize, p: usize) -> Option<u64> {
+    match algorithm {
+        Algorithm::ScatterRdAllgather => None,
+        _ if p == 1 => Some(0),
+        Algorithm::Binomial | Algorithm::ScatterRingTuned => Some(p as u64 * nbytes as u64),
+        Algorithm::ScatterRingNative => {
+            Some(nbytes as u64 + bcast_volume(algorithm, nbytes, p).bytes)
+        }
+    }
+}
+
 /// Agreement traffic of one *fault-free* self-healing epoch over `n`
 /// members: the dissemination quorum of [`crate::recovery`] commits, so each
 /// member sends one two-byte frame per round of two `⌈log₂n⌉`-round passes
@@ -330,6 +355,18 @@ mod tests {
         assert_eq!(v.msgs, 9);
         assert_eq!(v.bytes, 900);
         assert_eq!(bcast_volume(Algorithm::ScatterRingTuned, 100, 1), Volume::default());
+    }
+
+    #[test]
+    fn bytes_copied_closed_form() {
+        let copied = |algorithm| bcast_bytes_copied(algorithm, 1000, 8);
+        assert_eq!(copied(Algorithm::Binomial), Some(8000));
+        assert_eq!(copied(Algorithm::ScatterRingTuned), Some(8000));
+        // 125-byte chunks: the root stages 1000, the scatter lands the seven
+        // subtrees' 12 chunks and the enclosed ring 56.
+        assert_eq!(copied(Algorithm::ScatterRingNative), Some(1000 + (12 + 56) * 125));
+        assert_eq!(copied(Algorithm::ScatterRdAllgather), None);
+        assert_eq!(bcast_bytes_copied(Algorithm::ScatterRingNative, 1000, 1), Some(0));
     }
 
     #[test]

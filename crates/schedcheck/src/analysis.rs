@@ -157,21 +157,23 @@ impl Reconciliation {
 /// Closed-form memcpy budget, in bytes per rank, of a broadcast schedule's
 /// zero-copy payload flow — `None` when the schedule has no pinned budget.
 ///
-/// * Binomial and the scatter-ring broadcasts (native, tuned, coalesced): a
-///   rank
-///   stages its payload at most once and lands every received envelope at
-///   most once, so `2 · nbytes` bounds every rank — the root of the native
-///   scatter-ring path comes closest (it stages every chunk but its own for
-///   the scatter, its own for the ring, and lands the other `P − 1`).
+/// * Binomial and the tuned scatter-ring: every rank copies each payload
+///   byte exactly once — the root stages it, a non-root lands it, and no
+///   byte arrives twice — so the budget is `nbytes`
+///   (`bcast_core::traffic::bcast_bytes_copied` has the world bill).
+/// * The native and coalesced scatter-rings: a rank stages a byte at most
+///   once and lands every received envelope once, so `2 · nbytes` bounds
+///   every rank — the root of the native path comes closest (it stages
+///   every chunk and lands the other `P − 1` the enclosed ring sends it
+///   back), and a coalesced tail run that spans two kept envelopes is
+///   staged again.
 /// * Scatter + recursive-doubling: each round stages its send block once
 ///   and lands the partner's (under `2 · nbytes` together), on top of the
 ///   scatter's landing copy of ≤ `nbytes` — ceiling `3 · nbytes`.
 pub fn copy_ceiling_per_rank(schedule_name: &str, nbytes: u64) -> Option<u64> {
     match schedule_name {
-        "bcast/binomial"
-        | "bcast/scatter_ring_native"
-        | "bcast/scatter_ring_tuned"
-        | "bcast/scatter_ring_coalesced" => Some(2 * nbytes),
+        "bcast/binomial" | "bcast/scatter_ring_tuned" => Some(nbytes),
+        "bcast/scatter_ring_native" | "bcast/scatter_ring_coalesced" => Some(2 * nbytes),
         "bcast/scatter_rd" => Some(3 * nbytes),
         _ => None,
     }
@@ -909,7 +911,7 @@ mod tests {
         let sched = bcast_schedule(Algorithm::Binomial, p, nbytes, 0);
         let src: Vec<u8> = (0..nbytes).map(|i| (i % 7) as u8).collect();
 
-        // The zero-copy walk stays within the 2·nbytes/rank budget…
+        // The zero-copy walk stays within the nbytes/rank budget…
         let msg = src.clone();
         let out = ThreadWorld::run(p, move |comm| {
             let mut buf = if comm.rank() == 0 { msg.clone() } else { vec![0u8; msg.len()] };

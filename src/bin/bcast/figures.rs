@@ -2,41 +2,44 @@
 //! large-P sweep and the OSU-style latency table — all on the simulator
 //! except the traffic table's measured column.
 
+use std::io::Write;
+
 use bcast_bench::predict::predict_makespan_ns;
 use bcast_bench::Comparison;
-use bcast_bench::{compare_sim, fig6_sizes, fig8_sizes, measure_sim, print_comparison_csv};
+use bcast_bench::{compare_sim, fig6_sizes, fig8_sizes, measure_sim, write_comparison_csv};
 use bcast_core::traffic::{native_ring_msgs, ring_saving_msgs, tuned_ring_msgs};
 use bcast_core::verify::run_threaded;
 use bcast_core::Algorithm;
 use netsim::{presets, LevelCosts, MachinePreset, NetworkModel, Placement};
 
-use crate::{check_supports, Algo, Args};
+use crate::{check_supports, Algo, Args, CliError};
 
 /// Figure 6 (a–c): bandwidth of `MPI_Bcast_native` vs `MPI_Bcast_opt` for
 /// long messages (2^19..2^25 bytes) with power-of-two process counts, one
 /// CSV block per process count plus its peak-bandwidth summary (the paper's
 /// §V-A "peak bandwidth" comparison, experiment E7).
-pub(crate) fn fig6(mut args: Args) -> Result<(), String> {
+pub(crate) fn fig6(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let iters = args.count("--iters", 5)?;
     let nps = args.list("--np", 1)?.unwrap_or_else(|| vec![16, 64, 256]);
     let mut preset = args.preset()?;
     args.switches(&mut preset, &["--eager-threshold"])?;
-    args.finish()?;
+    args.finish(out)?;
 
-    println!("# Figure 6: long-message bandwidth, native vs tuned ({})", preset.name);
-    println!("# iterations per point: {iters}");
+    writeln!(out, "# Figure 6: long-message bandwidth, native vs tuned ({})", preset.name)?;
+    writeln!(out, "# iterations per point: {iters}")?;
     for &np in &nps {
         let rows: Vec<Comparison> =
             fig6_sizes().iter().map(|&n| compare_sim(&preset, np, n, iters)).collect();
-        print_comparison_csv(&format!("Fig 6, np={np}"), &rows);
+        write_comparison_csv(out, &format!("Fig 6, np={np}"), &rows)?;
         let peak_native = rows.iter().map(|c| c.native.bandwidth_mbps).fold(f64::MIN, f64::max);
         let peak_tuned = rows.iter().map(|c| c.tuned.bandwidth_mbps).fold(f64::MIN, f64::max);
         let best = rows.iter().map(Comparison::improvement_pct).fold(f64::MIN, f64::max);
-        println!(
+        writeln!(
+            out,
             "# np={np} peak: native {peak_native:.0} MB/s, tuned {peak_tuned:.0} MB/s \
              ({:+.1}% peak, best point {best:+.1}%)\n",
             (peak_tuned / peak_native - 1.0) * 100.0
-        );
+        )?;
     }
     Ok(())
 }
@@ -49,39 +52,39 @@ pub(crate) fn fig6(mut args: Args) -> Result<(), String> {
 /// is where the tuned algorithm's structural advantage shows at small sizes:
 /// the native root must drain its (useless) ring receives before starting
 /// the next broadcast, while the tuned root finishes after its last send.
-pub(crate) fn fig7(mut args: Args) -> Result<(), String> {
+pub(crate) fn fig7(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let iters = args.count("--iters", 20)?;
     let mut preset = args.preset()?;
     args.switches(&mut preset, &["--eager-threshold"])?;
-    args.finish()?;
+    args.finish(out)?;
 
-    println!("# Figure 7: throughput speedup tuned/native, npof2 ({})", preset.name);
-    println!("# iterations per point: {iters}");
-    println!("np,ms12288,ms524287,ms1048576");
+    writeln!(out, "# Figure 7: throughput speedup tuned/native, npof2 ({})", preset.name)?;
+    writeln!(out, "# iterations per point: {iters}")?;
+    writeln!(out, "np,ms12288,ms524287,ms1048576")?;
     for np in [9usize, 17, 33, 65, 129] {
         let [a, b, c] =
             [12288usize, 524287, 1048576].map(|ms| compare_sim(&preset, np, ms, iters).speedup());
-        println!("{np},{a:.3},{b:.3},{c:.3}");
+        writeln!(out, "{np},{a:.3},{b:.3},{c:.3}")?;
     }
     Ok(())
 }
 
 /// Figure 8: bandwidth of native vs tuned over 12288..2560000 bytes (medium
 /// through long, all on the scatter-ring path at the paper's 129 ranks).
-pub(crate) fn fig8(mut args: Args) -> Result<(), String> {
+pub(crate) fn fig8(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let iters = args.count("--iters", 10)?;
     let np = args.count("--np", 129)?;
     let mut preset = args.preset()?;
     args.switches(&mut preset, &["--eager-threshold"])?;
-    args.finish()?;
+    args.finish(out)?;
 
-    println!("# Figure 8: medium..long sweep at np={np} ({})", preset.name);
-    println!("# iterations per point: {iters}");
+    writeln!(out, "# Figure 8: medium..long sweep at np={np} ({})", preset.name)?;
+    writeln!(out, "# iterations per point: {iters}")?;
     let rows: Vec<Comparison> =
         fig8_sizes().iter().map(|&n| compare_sim(&preset, np, n, iters)).collect();
-    print_comparison_csv(&format!("Fig 8, np={np}"), &rows);
+    write_comparison_csv(out, &format!("Fig 8, np={np}"), &rows)?;
     let best = rows.iter().map(Comparison::improvement_pct).fold(f64::MIN, f64::max);
-    println!("# best improvement: {best:+.1}% (paper: up to +30%)");
+    writeln!(out, "# best improvement: {best:+.1}% (paper: up to +30%)")?;
     Ok(())
 }
 
@@ -89,9 +92,9 @@ pub(crate) fn fig8(mut args: Args) -> Result<(), String> {
 /// tuned ring's *message* savings into *time* savings? Each variant changes
 /// one feature of the Hornet preset; the rows are tuned/native speedups at
 /// np=16 intra-node and np=48 two-node (1 MiB), and np=33 at 12288 B.
-pub(crate) fn ablations(mut args: Args) -> Result<(), String> {
+pub(crate) fn ablations(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let iters = args.count("--iters", 5)?;
-    args.finish()?;
+    args.finish(out)?;
 
     fn with(change: impl FnOnce(&mut MachinePreset)) -> MachinePreset {
         let mut preset = presets::hornet();
@@ -113,19 +116,24 @@ pub(crate) fn ablations(mut args: Args) -> Result<(), String> {
         ("backbone-4GB/s", with(|p| p.base.backbone_beta_ns_per_byte = 0.25)),
     ];
 
-    println!("# Ablations: tuned/native speedup under model variants ({iters} iters)");
-    println!("{:<16} {:>14} {:>14} {:>16}", "variant", "np16/1MiB", "np48/1MiB", "np33/12288B");
+    writeln!(out, "# Ablations: tuned/native speedup under model variants ({iters} iters)")?;
+    writeln!(
+        out,
+        "{:<16} {:>14} {:>14} {:>16}",
+        "variant", "np16/1MiB", "np48/1MiB", "np33/12288B"
+    )?;
     for (name, preset) in variants {
         let a = compare_sim(&preset, 16, 1 << 20, iters).speedup();
         let b = compare_sim(&preset, 48, 1 << 20, iters).speedup();
         let c = compare_sim(&preset, 33, 12288, iters * 3).speedup();
-        println!("{name:<16} {a:>14.3} {b:>14.3} {c:>16.3}");
+        writeln!(out, "{name:<16} {a:>14.3} {b:>14.3} {c:>16.3}")?;
     }
-    println!(
+    writeln!(
+        out,
         "\nReading guide: without shared-resource contention the rings tie —\n\
          the bandwidth saving only pays where bandwidth is actually scarce,\n\
          which is the paper's core argument."
-    );
+    )?;
     Ok(())
 }
 
@@ -133,12 +141,12 @@ pub(crate) fn ablations(mut args: Args) -> Result<(), String> {
 /// the paper's worked examples (56 → 44 at P = 8, 90 → 75 at P = 10) and
 /// the saving curve across process counts, with a column measured on the
 /// instrumented threaded runtime.
-pub(crate) fn traffic_table(mut args: Args) -> Result<(), String> {
+pub(crate) fn traffic_table(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let max = args.num("--max", 64)?.max(10);
-    args.finish()?;
+    args.finish(out)?;
 
-    println!("# Ring-allgather transfer counts (paper §IV)");
-    println!("P,native,tuned,saving,saving_pct,measured_tuned");
+    writeln!(out, "# Ring-allgather transfer counts (paper §IV)")?;
+    writeln!(out, "P,native,tuned,saving,saving_pct,measured_tuned")?;
     let ps = [2usize, 4, 8, 10, 16, 24, 32, 48, 64, 96, 128, 129, 192, 256, 512];
     for p in ps.into_iter().filter(|&p| p <= max) {
         let native = native_ring_msgs(p);
@@ -155,12 +163,13 @@ pub(crate) fn traffic_table(mut args: Args) -> Result<(), String> {
         } else {
             "-".to_string()
         };
-        println!(
+        writeln!(
+            out,
             "{p},{native},{tuned},{saving},{:.1},{measured}",
             100.0 * saving as f64 / native as f64
-        );
+        )?;
     }
-    println!("# paper: P=8: 56 -> 44 (saved 12); P=10: 90 -> 75 (saved 15)");
+    writeln!(out, "# paper: P=8: 56 -> 44 (saved 12); P=10: 90 -> 75 (saved 15)")?;
     Ok(())
 }
 
@@ -168,10 +177,10 @@ pub(crate) fn traffic_table(mut args: Args) -> Result<(), String> {
 /// native makespan under the contention-free rendezvous Hockney model, via
 /// the schedule evaluator (`bcast_bench::predict`), a power of two and a
 /// non-power-of-two neighbour per octave.
-pub(crate) fn predict_sweep(mut args: Args) -> Result<(), String> {
+pub(crate) fn predict_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let nbytes = args.num("--nbytes", 1 << 20)?;
     let max_p = args.num("--max-p", 4096)?;
-    args.finish()?;
+    args.finish(out)?;
 
     // Hornet-like constants, contention-free (the predictor's regime).
     let mut model = NetworkModel::uniform(400.0, 0.167);
@@ -179,15 +188,24 @@ pub(crate) fn predict_sweep(mut args: Args) -> Result<(), String> {
     model.rendezvous_handshake_ns = 900.0;
     let placement = Placement::new(24);
 
-    println!("# Analytic sweep: {nbytes} B broadcast, contention-free Hockney, 24 cores/node");
-    println!("P,native_us,tuned_us,speedup");
+    writeln!(
+        out,
+        "# Analytic sweep: {nbytes} B broadcast, contention-free Hockney, 24 cores/node"
+    )?;
+    writeln!(out, "P,native_us,tuned_us,speedup")?;
     let mut p = 8usize;
     while p <= max_p {
         for q in [p, p + p / 8].into_iter().filter(|&q| q <= max_p) {
             let makespan = |a| predict_makespan_ns(a, nbytes, q, &model, placement);
             let native = makespan(Algorithm::ScatterRingNative);
             let tuned = makespan(Algorithm::ScatterRingTuned);
-            println!("{q},{:.1},{:.1},{:.4}", native / 1000.0, tuned / 1000.0, native / tuned);
+            writeln!(
+                out,
+                "{q},{:.1},{:.1},{:.4}",
+                native / 1000.0,
+                tuned / 1000.0,
+                native / tuned
+            )?;
         }
         p *= 2;
     }
@@ -197,24 +215,24 @@ pub(crate) fn predict_sweep(mut args: Args) -> Result<(), String> {
 /// OSU-microbenchmark-style broadcast latency table (`osu_bcast`
 /// look-alike): average per-broadcast latency per message size, 1 B up to
 /// `--max-size` in steps of 4×.
-pub(crate) fn osu(mut args: Args) -> Result<(), String> {
+pub(crate) fn osu(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let np = args.count("--np", 16)?;
     let iters = args.count("--iters", 10)?;
     let max_size = args.num("--max-size", 1 << 22)?;
     let algo = args.algo("tuned")?;
     let preset = args.preset()?;
-    args.finish()?;
+    args.finish(out)?;
     let Algo::Fixed(algorithm) = algo else {
         return Err("osu times one fixed --algo: native|tuned|binomial|rd".into());
     };
     check_supports(algo, np)?;
 
-    println!("# OSU-style MPI_Bcast Latency Test ({}, np={np}, {algorithm:?})", preset.name);
-    println!("# {:>10} {:>14} {:>14}", "Size", "Avg Latency(us)", "Bandwidth(MB/s)");
+    writeln!(out, "# OSU-style MPI_Bcast Latency Test ({}, np={np}, {algorithm:?})", preset.name)?;
+    writeln!(out, "# {:>10} {:>14} {:>14}", "Size", "Avg Latency(us)", "Bandwidth(MB/s)")?;
     let mut size = 1usize;
     while size <= max_size {
         let m = measure_sim(&preset, algorithm, np, size, iters);
-        println!("{:>12} {:>14.2} {:>14.1}", size, m.mean_ns / 1000.0, m.bandwidth_mbps);
+        writeln!(out, "{:>12} {:>14.2} {:>14.1}", size, m.mean_ns / 1000.0, m.bandwidth_mbps)?;
         size *= 4;
     }
     Ok(())

@@ -10,18 +10,23 @@
 //! ```
 //!
 //! Every subcommand reads its flags through one [`Args`]; bad input is one
-//! `bcast: …` line on stderr and exit status 2, never a panic.
+//! `bcast: …` line on stderr and exit status 2, never a panic. Output goes
+//! through one locked stdout handle; a reader that closes the pipe early
+//! (`bcast traffic-table | head -1`) ends the run with status 0.
 
 mod diag;
 mod figures;
 mod runner;
 
+use std::io::{self, ErrorKind, Write};
+
 use bcast_core::Algorithm;
 use netsim::{presets, MachinePreset};
 
 /// A subcommand: its name, a one-line summary and its body. Its flags are
-/// the ones the body reads; `bcast SUBCOMMAND --help` lists them.
-type Command = (&'static str, &'static str, fn(Args) -> Result<(), String>);
+/// the ones the body reads; `bcast SUBCOMMAND --help` lists them. The body
+/// writes its output to the handle it is given.
+type Command = (&'static str, &'static str, fn(Args, &mut dyn Write) -> Result<(), CliError>);
 
 const COMMANDS: [Command; 10] = [
     ("run", "any algorithm on either backend: correctness, traffic, bandwidth", runner::run),
@@ -36,14 +41,49 @@ const COMMANDS: [Command; 10] = [
     ("trace", "ranks' virtual time after every ring-allgather step (hornet)", diag::trace),
 ];
 
-fn main() {
-    if let Err(why) = dispatch() {
-        eprintln!("bcast: {why}");
-        std::process::exit(2);
+/// Why a subcommand stopped early.
+enum CliError {
+    /// Input the subcommand refuses: exit status 2.
+    Usage(String),
+    /// Writing the output failed.
+    Output(io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(why: String) -> Self {
+        CliError::Usage(why)
     }
 }
 
-fn dispatch() -> Result<(), String> {
+impl From<&str> for CliError {
+    fn from(why: &str) -> Self {
+        CliError::Usage(why.into())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Output(e)
+    }
+}
+
+fn main() {
+    match dispatch(&mut io::stdout().lock()) {
+        Ok(()) => {}
+        // The reader has all it wanted.
+        Err(CliError::Output(e)) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(CliError::Output(e)) => {
+            eprintln!("bcast: writing output: {e}");
+            std::process::exit(1);
+        }
+        Err(CliError::Usage(why)) => {
+            eprintln!("bcast: {why}");
+            std::process::exit(2);
+        }
+    }
+}
+
+fn dispatch(out: &mut dyn Write) -> Result<(), CliError> {
     let mut argv = std::env::args().skip(1).peekable();
     let name = argv.next_if(|a| !a.starts_with('-'));
     let command = match name.as_deref() {
@@ -55,23 +95,22 @@ fn dispatch() -> Result<(), String> {
     };
     let (help, argv): (Vec<String>, Vec<String>) = argv.partition(|a| a == "--help" || a == "-h");
     if help.is_empty() || name.is_some() {
-        (command.2)(Args::parse(command, !help.is_empty(), argv)?)
+        (command.2)(Args::parse(command, !help.is_empty(), argv)?, out)
     } else {
-        overview();
-        Ok(())
+        Ok(overview(out)?)
     }
 }
 
 /// `bcast --help`: every subcommand and the shared names.
-fn overview() {
-    println!("bcast — broadcast runner and paper-figure harness\n");
-    println!("usage: bcast [SUBCOMMAND] [--flag [value]]...   (no subcommand: run)");
-    println!("       bcast SUBCOMMAND --help                   (its flags)\n");
+fn overview(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "bcast — broadcast runner and paper-figure harness\n")?;
+    writeln!(out, "usage: bcast [SUBCOMMAND] [--flag [value]]...   (no subcommand: run)")?;
+    writeln!(out, "       bcast SUBCOMMAND --help                   (its flags)\n")?;
     for c in &COMMANDS {
-        println!("{:<14} {}", c.0, c.1);
+        writeln!(out, "{:<14} {}", c.0, c.1)?;
     }
-    println!("\nALGO    {}", names(&ALGOS));
-    println!("PRESET  {} (default hornet)", names(&PRESETS));
+    writeln!(out, "\nALGO    {}", names(&ALGOS))?;
+    writeln!(out, "PRESET  {} (default hornet)", names(&PRESETS))
 }
 
 /// What `--algo` names: a fixed algorithm, or one of the runner's
@@ -250,16 +289,16 @@ impl Args {
     }
 
     /// Refuse every flag the subcommand did not read; with `--help`, list
-    /// the flags it reads and exit.
-    fn finish(self) -> Result<(), String> {
+    /// the flags it reads to `out` and exit.
+    fn finish(self, out: &mut dyn Write) -> Result<(), CliError> {
         let name = self.command.0;
         if self.help {
-            println!("{name:<14} {}", self.command.1);
-            println!("{:<14} {}", "", self.asked.join(" "));
+            writeln!(out, "{name:<14} {}", self.command.1)?;
+            writeln!(out, "{:<14} {}", "", self.asked.join(" "))?;
             std::process::exit(0);
         }
         match self.flags.iter().find(|f| !f.2) {
-            Some(f) => Err(format!("{name} does not take {}; see bcast {name} --help", f.0)),
+            Some(f) => Err(format!("{name} does not take {}; see bcast {name} --help", f.0))?,
             None => Ok(()),
         }
     }

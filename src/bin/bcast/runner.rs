@@ -1,15 +1,17 @@
 //! `bcast run`: any broadcast algorithm of the workspace on either backend,
 //! reporting correctness, traffic and bandwidth.
 
+use std::io::Write;
+
 use bcast_core::smp::{bcast_smp, NodeMap};
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_auto, bcast_with, pipeline::bcast_pipeline, Thresholds};
 use mpsim::{Communicator, ThreadWorld};
 use netsim::SimWorld;
 
-use crate::{check_supports, Algo, Args};
+use crate::{check_supports, Algo, Args, CliError};
 
-pub(crate) fn run(mut args: Args) -> Result<(), String> {
+pub(crate) fn run(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let backend = args.value("--backend")?.unwrap_or_else(|| "sim".into());
     let np = args.count("--np", 16)?;
     let nbytes = args.num("--nbytes", 1 << 20)?;
@@ -19,9 +21,9 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
     let algo = args.algo("tuned")?;
     let preset = args.preset()?;
     let cores = args.count("--cores-per-node", preset.cores_per_node())?;
-    args.finish()?;
+    args.finish(out)?;
     if root >= np {
-        return Err(format!("--root {root} must be below --np {np}"));
+        return Err(format!("--root {root} must be below --np {np}").into());
     }
     check_supports(algo, np)?;
 
@@ -40,7 +42,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
 
     match backend.as_str() {
         "thread" => {
-            let out = ThreadWorld::run(np, |comm| {
+            let world = ThreadWorld::run(np, |comm| {
                 let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
                 comm.barrier().unwrap();
                 for _ in 0..iters {
@@ -49,17 +51,18 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
                 buf == src
             });
             report(
+                out,
                 "thread (wall clock)",
-                out.results.iter().all(|&ok| ok),
-                &out.traffic,
-                out.elapsed.as_nanos() as f64,
+                world.results.iter().all(|&ok| ok),
+                &world.traffic,
+                world.elapsed.as_nanos() as f64,
                 nbytes,
                 iters,
-            );
+            )?;
         }
         "sim" => {
             let model = preset.model_for(nbytes, np);
-            let out = SimWorld::run(model, preset.placement(), np, |comm| {
+            let world = SimWorld::run(model, preset.placement(), np, |comm| {
                 let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
                 comm.barrier().unwrap();
                 let t0 = comm.vtime();
@@ -69,40 +72,48 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
                 comm.barrier().unwrap();
                 (buf == src, comm.vtime() - t0)
             });
-            let elapsed = out.results.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+            let elapsed = world.results.iter().map(|&(_, t)| t).fold(0.0, f64::max);
             report(
+                out,
                 &format!("sim ({})", preset.name),
-                out.results.iter().all(|&(ok, _)| ok),
-                &out.traffic,
+                world.results.iter().all(|&(ok, _)| ok),
+                &world.traffic,
                 elapsed,
                 nbytes,
                 iters,
-            );
+            )?;
         }
-        other => return Err(format!("unknown --backend {other} (thread|sim)")),
+        other => return Err(format!("unknown --backend {other} (thread|sim)").into()),
     }
     Ok(())
 }
 
 fn report(
+    out: &mut dyn Write,
     backend: &str,
     correct: bool,
     traffic: &mpsim::WorldTraffic,
     elapsed_ns: f64,
     nbytes: usize,
     iters: usize,
-) {
+) -> std::io::Result<()> {
     let per_bcast = elapsed_ns / iters as f64;
-    println!("backend:        {backend}");
-    println!("correct:        {}", if correct { "yes (all ranks verified)" } else { "NO" });
-    println!("messages/bcast: {:.0}", traffic.total_msgs() as f64 / iters as f64);
-    println!(
+    writeln!(out, "backend:        {backend}")?;
+    writeln!(out, "correct:        {}", if correct { "yes (all ranks verified)" } else { "NO" })?;
+    writeln!(out, "messages/bcast: {:.0}", traffic.total_msgs() as f64 / iters as f64)?;
+    writeln!(
+        out,
         "bytes/bcast:    {:.2} MiB",
         traffic.total_bytes() as f64 / iters as f64 / (1 << 20) as f64
-    );
-    println!("time/bcast:     {:.1} us", per_bcast / 1000.0);
-    println!("bandwidth:      {:.1} MB/s", nbytes as f64 / (1 << 20) as f64 / (per_bcast * 1e-9));
+    )?;
+    writeln!(out, "time/bcast:     {:.1} us", per_bcast / 1000.0)?;
+    writeln!(
+        out,
+        "bandwidth:      {:.1} MB/s",
+        nbytes as f64 / (1 << 20) as f64 / (per_bcast * 1e-9)
+    )?;
     if !correct {
         std::process::exit(1);
     }
+    Ok(())
 }

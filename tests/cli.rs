@@ -1,8 +1,10 @@
 //! The `bcast` executable's command line: every subcommand refuses hostile
 //! input with one `bcast: …` line and exit status 2 — never a panic, never
-//! a run — and the help and the traffic table say what they should.
+//! a run — the help and the traffic table say what they should, and a
+//! reader that closes the pipe early ends the run cleanly.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 /// Every subcommand (`None`: the implicit `run`) and one numeric flag it
 /// takes.
@@ -114,4 +116,23 @@ fn runner_reports_the_paper_count_at_p8() {
     let report = String::from_utf8_lossy(&out.stdout);
     assert!(report.contains("correct:        yes"), "{report}");
     assert!(report.contains("messages/bcast: 51"), "{report}");
+}
+
+#[test]
+fn a_closed_pipe_ends_the_run_cleanly() {
+    // `bcast traffic-table --max 4096 | head -1`: the table's later rows run
+    // threaded worlds, so they are written after the reader has gone.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bcast"))
+        .args(["traffic-table", "--max", "4096"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bcast");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert_eq!(first, "# Ring-allgather transfer counts (paper §IV)\n");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?} after the pipe closed: {stderr}", out.status);
+    assert!(stderr.is_empty(), "a closed pipe is not an error: {stderr}");
 }

@@ -32,14 +32,21 @@ use bcast_core::{bcast_coalesced_event_world, bcast_event_world, Algorithm, Coal
 /// high-water mark — a `VecDeque` per tag bucket, or one slab per
 /// destination — holds O(P²) instead (786 432 at P = 1024) and fails this.
 ///
-/// Alongside the reactor counters, every sweep pins the zero-copy budget:
-/// no rank may memcpy more than `2·nbytes` of payload (staging owned chunks
-/// for forwarding plus the landing copies into the user buffer — the
-/// closed-form ceiling `schedcheck::copy_ceiling_per_rank` enforces during
-/// reconciliation). At `P = 16384` a per-hop copy regression would multiply
-/// RAM traffic by the scatter-tree depth; this assertion makes it fail the
-/// sweep instead.
-fn assert_reactor_invariants(out: &mpsim::WorldOutcome<()>, p: usize, msgs: u64, nbytes: usize) {
+/// Alongside the reactor counters, every sweep pins the zero-copy budget.
+/// A binomial or tuned rank copies each payload byte exactly once —
+/// `exactly_once` — so its bill is `nbytes`; a native or coalesced rank
+/// may restage or re-land some, so its bill is at most `2·nbytes`. These
+/// are the closed-form ceilings `schedcheck::copy_ceiling_per_rank`
+/// enforces during reconciliation. At `P = 16384` a per-hop copy regression
+/// would multiply RAM traffic by the scatter-tree depth, and a restaged
+/// ring send would add a chunk; this assertion makes either fail the sweep.
+fn assert_reactor_invariants(
+    out: &mpsim::WorldOutcome<()>,
+    p: usize,
+    msgs: u64,
+    nbytes: usize,
+    exactly_once: bool,
+) {
     let reactor = &out.reactor;
     assert_eq!(reactor.mailbox_spills, 0, "P={p}: collective traffic spilled a mailbox lane");
     assert_eq!(
@@ -58,26 +65,34 @@ fn assert_reactor_invariants(out: &mpsim::WorldOutcome<()>, p: usize, msgs: u64,
         "P={p}: {} envelopes queued at once, above two wavefronts (2P)",
         reactor.queued_peak
     );
-    let ceiling = 2 * nbytes as u64;
+    let nbytes = nbytes as u64;
     for (rank, st) in out.traffic.per_rank.iter().enumerate() {
-        assert!(
-            st.bytes_copied <= ceiling,
-            "P={p} rank={rank}: {}B memcpy'd, above the {ceiling}B zero-copy budget",
-            st.bytes_copied
-        );
+        if exactly_once {
+            assert_eq!(st.bytes_copied, nbytes, "P={p} rank={rank}: not one copy per byte");
+        } else {
+            assert!(
+                st.bytes_copied <= 2 * nbytes,
+                "P={p} rank={rank}: {}B memcpy'd, above the {}B zero-copy budget",
+                st.bytes_copied,
+                2 * nbytes
+            );
+        }
     }
 }
 
-/// Run both scatter-ring algorithms at world size `p` and pin the measured
-/// counters to the closed forms.
+/// Run binomial and both scatter-ring algorithms at world size `p` and pin
+/// the measured counters to the closed forms.
 fn sweep_scatter_ring(p: usize, nbytes: usize) {
-    for algorithm in [Algorithm::ScatterRingNative, Algorithm::ScatterRingTuned] {
+    for algorithm in
+        [Algorithm::Binomial, Algorithm::ScatterRingNative, Algorithm::ScatterRingTuned]
+    {
         let out = bcast_event_world(p, nbytes, 0, algorithm);
         assert!(out.traffic.is_balanced(), "{algorithm:?} P={p}: unbalanced counters");
         let vol = bcast_volume(algorithm, nbytes, p);
         assert_eq!(out.traffic.total_msgs(), vol.msgs, "{algorithm:?} P={p}: msgs");
         assert_eq!(out.traffic.total_bytes(), vol.bytes, "{algorithm:?} P={p}: bytes");
-        assert_reactor_invariants(&out, p, vol.msgs, nbytes);
+        let exactly_once = algorithm != Algorithm::ScatterRingNative;
+        assert_reactor_invariants(&out, p, vol.msgs, nbytes, exactly_once);
     }
 }
 
@@ -99,7 +114,7 @@ fn sweep_coalesced(p: usize, nbytes: usize) {
     assert_eq!(out.traffic.total_msgs(), msgs, "coalesced P={p}: msgs");
     let vol = bcast_volume(Algorithm::ScatterRingTuned, nbytes, p);
     assert_eq!(out.traffic.total_bytes(), vol.bytes, "coalesced P={p}: bytes");
-    assert_reactor_invariants(&out, p, msgs, nbytes);
+    assert_reactor_invariants(&out, p, msgs, nbytes, false);
 }
 
 #[test]
@@ -127,20 +142,23 @@ fn megascale_p4096() {
 #[test]
 #[ignore = "~268M messages; run in release via the event-exec CI lane's dedicated phase"]
 fn megascale_p16384() {
-    // The largest sweep runs the paper's tuned ring only: at P = 16384 the
-    // schedule moves P·(P-1) ≈ 268M one-byte chunks, so doubling up with the
-    // native ring would buy no extra coverage for twice the wall clock. The
-    // lane gives this test its own phase so its cost shows up as a separate
-    // row in the CI timing table.
+    // The largest sweep runs the paper's tuned ring and the P − 1 messages
+    // of binomial: at P = 16384 the ring schedule moves P·(P-1) ≈ 268M
+    // one-byte chunks, so doubling up with the native ring would buy no
+    // extra coverage for twice the wall clock. The lane gives this test its
+    // own phase so its cost shows up as a separate row in the CI timing
+    // table.
     let p = 16384;
     let nbytes = 16384; // one byte per chunk: every transfer stays non-empty
-    let out = bcast_event_world(p, nbytes, 0, Algorithm::ScatterRingTuned);
-    assert!(out.traffic.is_balanced(), "tuned P={p}: unbalanced counters");
-    let vol = bcast_volume(Algorithm::ScatterRingTuned, nbytes, p);
-    assert_eq!(out.traffic.total_msgs(), vol.msgs, "tuned P={p}: msgs");
-    assert_eq!(out.traffic.total_bytes(), vol.bytes, "tuned P={p}: bytes");
-    // The dense mailbox lanes must absorb the whole sweep without ever
-    // falling back to the spill map, and the wake accounting must stay
-    // exact through ~268M messages.
-    assert_reactor_invariants(&out, p, vol.msgs, nbytes);
+    for algorithm in [Algorithm::Binomial, Algorithm::ScatterRingTuned] {
+        let out = bcast_event_world(p, nbytes, 0, algorithm);
+        assert!(out.traffic.is_balanced(), "{algorithm:?} P={p}: unbalanced counters");
+        let vol = bcast_volume(algorithm, nbytes, p);
+        assert_eq!(out.traffic.total_msgs(), vol.msgs, "{algorithm:?} P={p}: msgs");
+        assert_eq!(out.traffic.total_bytes(), vol.bytes, "{algorithm:?} P={p}: bytes");
+        // The dense mailbox lanes must absorb the whole sweep without ever
+        // falling back to the spill map, the wake accounting must stay
+        // exact through ~268M messages, and every rank copies each byte once.
+        assert_reactor_invariants(&out, p, vol.msgs, nbytes, true);
+    }
 }

@@ -16,13 +16,16 @@
 //!   rank lands it once, then forwards the landed envelope by reference —
 //!   the same `P·nbytes` world bill as the zero-copy binomial, where a
 //!   `recv` + `send` per segment would pay the per-hop `2·(P−1)·nbytes`.
-//! * **Scatter + ring (native, tuned, coalesced)**: at most `2·nbytes` per
-//!   rank — the allgather's landing copies sum to ≤ `nbytes` and staging
-//!   owned chunks for forwarding adds at most `nbytes` more (the ring's
-//!   first send is not among them: the rank's own chunk is a sub-view of the
-//!   scatter envelope the interpreter still retains). The tuned
-//!   broadcast's shared-root path (`bcast_opt_shared_async`) stages one
-//!   envelope for both phases, so the root's entire bill is one `nbytes`.
+//! * **Scatter + tuned ring**: exactly `nbytes` per rank, like binomial. The
+//!   root stages each scatter child's subtree and its own chunk once, and
+//!   every ring send is a sub-view of one of those stagings; a non-root lands
+//!   its subtree and the ring chunks it lacks, each byte once, and sends its
+//!   scatter-owned chunks as sub-views of the subtree it keeps. The world
+//!   bill is `P·nbytes` (`traffic::bcast_bytes_copied`), on every executor.
+//! * **Scatter + native or coalesced ring**: at most `2·nbytes` per rank.
+//!   The native root stages `nbytes` and lands the chunks the enclosed ring
+//!   sends back to it; its world bill is `nbytes` plus every wire byte. A
+//!   coalesced tail run that spans two kept envelopes is staged again.
 //! * **Scatter + recursive doubling**: ≤ `3·nbytes` per rank (each round's
 //!   block is staged once and the partner's landed once, on top of the
 //!   scatter's landing copy).
@@ -39,13 +42,13 @@
 
 use bcast_core::bcast::bcast_schedule;
 use bcast_core::pipeline::bcast_pipeline;
-use bcast_core::traffic::{bcast_volume, reliable_volume};
+use bcast_core::traffic::{bcast_bytes_copied, bcast_volume, reliable_volume};
 use bcast_core::{
     bcast_binomial, bcast_binomial_copy, bcast_coalesced_event_world, bcast_event_world,
     bcast_with, bcast_with_async, Algorithm, CoalescePolicy,
 };
 use mpsim::{AsyncCommunicator, Communicator, EventWorld, ReliableComm, ThreadWorld, WorldTraffic};
-use netsim::{FaultPlan, FaultyComm};
+use netsim::{FaultPlan, FaultyComm, NetworkModel, Placement, SimWorld};
 use schedcheck::{copy_ceiling_per_rank, reconcile_traffic};
 
 fn pattern(n: usize) -> Vec<u8> {
@@ -118,13 +121,13 @@ fn binomial_copy_baseline_pays_per_hop() {
 fn scatter_ring_paths_stay_under_the_copy_ceiling_threadworld() {
     let nbytes = 1024;
     for &size in &[6usize, 8] {
-        for (algorithm, name) in [
-            (Algorithm::ScatterRingNative, "bcast/scatter_ring_native"),
-            (Algorithm::ScatterRingTuned, "bcast/scatter_ring_tuned"),
+        for (algorithm, name, per_rank) in [
+            (Algorithm::ScatterRingNative, "bcast/scatter_ring_native", 2),
+            (Algorithm::ScatterRingTuned, "bcast/scatter_ring_tuned", 1),
         ] {
             let ceiling = copy_ceiling_per_rank(name, nbytes as u64)
                 .expect("ring schedules must publish a copy ceiling");
-            assert_eq!(ceiling, 2 * nbytes as u64);
+            assert_eq!(ceiling, per_rank * nbytes as u64);
             let traffic = run_thread(size, nbytes, 0, algorithm);
             for (rank, st) in traffic.per_rank.iter().enumerate() {
                 assert!(
@@ -135,20 +138,16 @@ fn scatter_ring_paths_stay_under_the_copy_ceiling_threadworld() {
             }
         }
     }
-    // The world bill, exactly. Landing: every non-root lands each of its P
-    // chunks once, (P−1)·nbytes. Staging: the root stages every chunk but its
-    // own for the scatter and every chunk but chunk 1 for the ring,
-    // 2·(P−1) chunks; a SendOnly non-root re-stages the own−2 scatter-owned
-    // chunks it sends after its last receive (P = 8: rank 4 owns four, so
-    // two). Nothing else: a non-root's first ring send — its own chunk — is
-    // a sub-view of the scatter envelope the interpreter still retains, which
-    // is the P−2 chunk copies the per-phase hand loops used to pay on top.
-    let (size, chunk) = (8u64, nbytes as u64 / 8);
+    // The world bill, exactly: every non-root lands each of its P chunks
+    // once, (P−1)·nbytes, and the root stages each chunk once, nbytes. An
+    // interpreter that retained one envelope would stage ring sends afresh:
+    // P−2 more chunks on the root (all but its own and the one it still
+    // holds) and two on rank 4's SendOnly tail, 9 216 bytes in all.
     let traffic = run_thread(8, nbytes, 0, Algorithm::ScatterRingTuned);
     assert_eq!(
         traffic.total_bytes_copied(),
-        (size - 1) * nbytes as u64 + 2 * (size - 1) * chunk + 2 * chunk,
-        "tuned P=8: a first ring send staged from the buffer again would add (P−2) chunks"
+        8 * nbytes as u64,
+        "tuned P=8: a ring send staged afresh copies a chunk twice"
     );
 
     // Recursive doubling stages each round's block once and lands what it
@@ -171,32 +170,25 @@ fn event_world_copy_ceiling_and_shared_root_pin() {
     let (p, nbytes) = (64usize, 1024usize);
     let ceiling = 2 * nbytes as u64;
 
-    // Binomial on the event executor: exactly nbytes per rank, like the
-    // threaded run — the accounting layer is executor-agnostic.
-    let out = bcast_event_world(p, nbytes, 0, Algorithm::Binomial);
-    for (rank, st) in out.traffic.per_rank.iter().enumerate() {
-        assert_eq!(st.bytes_copied, nbytes as u64, "binomial rank={rank}");
-    }
-
-    for algorithm in [Algorithm::ScatterRingNative, Algorithm::ScatterRingTuned] {
+    // Binomial and tuned on the event executor: exactly nbytes per rank,
+    // like the threaded run — the accounting layer is executor-agnostic.
+    // Every rank, the root included, runs the general `bcast_with_async`:
+    // the root's scatter stagings feed its whole ring.
+    for algorithm in [Algorithm::Binomial, Algorithm::ScatterRingTuned] {
         let out = bcast_event_world(p, nbytes, 0, algorithm);
         for (rank, st) in out.traffic.per_rank.iter().enumerate() {
-            assert!(
-                st.bytes_copied <= ceiling,
-                "{algorithm:?} rank={rank}: {}B copied, ceiling {ceiling}B",
-                st.bytes_copied
-            );
+            assert_eq!(st.bytes_copied, nbytes as u64, "{algorithm:?} rank={rank}");
         }
     }
 
-    // The tuned launch routes the root through `bcast_opt_shared_async`:
-    // one staged envelope feeds both the scatter and the allgather, so the
-    // root's whole copy bill is that single nbytes pass.
-    let out = bcast_event_world(p, nbytes, 0, Algorithm::ScatterRingTuned);
-    assert_eq!(
-        out.traffic.per_rank[0].bytes_copied, nbytes as u64,
-        "shared-root tuned broadcast must stage exactly once"
-    );
+    let out = bcast_event_world(p, nbytes, 0, Algorithm::ScatterRingNative);
+    for (rank, st) in out.traffic.per_rank.iter().enumerate() {
+        assert!(
+            st.bytes_copied <= ceiling,
+            "native rank={rank}: {}B copied, ceiling {ceiling}B",
+            st.bytes_copied
+        );
+    }
 
     let out = bcast_coalesced_event_world(p, nbytes, 0, CoalescePolicy::unlimited());
     for (rank, st) in out.traffic.per_rank.iter().enumerate() {
@@ -280,5 +272,53 @@ fn reliable_delivery_bills_the_bare_algorithm_plus_its_acks() {
     let framed = run_event(128, 128 << 10, Algorithm::ScatterRingTuned, true);
     assert_eq!(framed.total_msgs(), 31_870);
     assert_eq!(framed.total_bytes(), 16_773_624);
-    assert_eq!(framed.total_bytes_copied(), 17_297_912);
+    // P·nbytes, plus an ack's 8 bytes per message.
+    assert_eq!(framed.total_bytes_copied(), 16_904_696);
+}
+
+/// The closed-form world bill, on every executor: every world size up to 40
+/// on the event executor, at three roots and at sizes that leave chunks
+/// empty or ragged; a few shapes on threads; one on the simulator.
+#[test]
+fn bytes_copied_matches_the_closed_form_on_every_executor() {
+    let algorithms =
+        [Algorithm::Binomial, Algorithm::ScatterRingNative, Algorithm::ScatterRingTuned];
+    let closed = |algorithm, nbytes, p| bcast_bytes_copied(algorithm, nbytes, p).unwrap();
+    for p in 1..=40usize {
+        for root in [0, p / 2, p - 1] {
+            for nbytes in [0, 1, p - 1, 4 * p - 1, 4 * p, 1000] {
+                for algorithm in algorithms {
+                    let copied = bcast_event_world(p, nbytes, root, algorithm).traffic;
+                    assert_eq!(
+                        copied.total_bytes_copied(),
+                        closed(algorithm, nbytes, p),
+                        "{algorithm:?} P={p} root={root} n={nbytes} on EventWorld"
+                    );
+                }
+            }
+        }
+    }
+    for (p, root, nbytes) in [(1usize, 0usize, 100usize), (2, 1, 7), (7, 3, 6), (10, 9, 1000)] {
+        for algorithm in algorithms {
+            assert_eq!(
+                run_thread(p, nbytes, root, algorithm).total_bytes_copied(),
+                closed(algorithm, nbytes, p),
+                "{algorithm:?} P={p} root={root} n={nbytes} on ThreadWorld"
+            );
+        }
+    }
+    let (p, nbytes) = (12, 50_000);
+    let src = pattern(nbytes);
+    for algorithm in algorithms {
+        let out = SimWorld::run(NetworkModel::uniform(100.0, 0.5), Placement::new(4), p, |comm| {
+            let mut buf = if comm.rank() == 5 { src.clone() } else { vec![0u8; nbytes] };
+            bcast_with(comm, &mut buf, 5, algorithm).unwrap();
+            assert_eq!(buf, src, "rank {} diverged", comm.rank());
+        });
+        assert_eq!(
+            out.traffic.total_bytes_copied(),
+            closed(algorithm, nbytes, p),
+            "{algorithm:?} on SimWorld"
+        );
+    }
 }
