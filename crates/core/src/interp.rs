@@ -50,12 +50,14 @@
 //!
 //! ## Bounded receives
 //!
-//! The self-healing broadcast runs its attempts on an `Interp::bounded`
-//! interpreter: every take carries the step deadline, so a silent peer
-//! surfaces as [`CommError::Timeout`] instead of a hang, and an op with both
-//! halves is an eager post followed by a bounded take — sound only on an
-//! eagerly delivering transport — unless the communicator's own `exchange`
-//! bounds itself, in which case it stays one call.
+//! The self-healing broadcast runs its attempts, and each stage of its
+//! agreement, on an `Interp::bounded` interpreter: every take carries the
+//! deadline, so a silent peer surfaces as [`CommError::Timeout`] instead of
+//! a hang, and an op with both halves is an eager post followed by a
+//! bounded take — sound only on an eagerly delivering transport — unless
+//! the communicator's own `exchange` bounds itself, in which case it stays
+//! one call. The agreement steps a stage one op at a time and reads each
+//! landing back through `Interp::buf`.
 
 use std::future::Future;
 use std::ops::Range;
@@ -142,6 +144,12 @@ impl<'a, C: ?Sized, const BOUNDED: bool> Interp<'a, C, BOUNDED> {
 }
 
 impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> {
+    /// The buffer as the ops run so far left it: where a caller that steps
+    /// through a stream one op at a time reads what a receive landed.
+    pub(crate) fn buf(&self) -> &[u8] {
+        self.buf
+    }
+
     /// Execute `ops` in order. Resolves to the payload bytes received.
     pub async fn run(&mut self, ops: impl IntoIterator<Item = SchedOp>) -> Result<usize> {
         let mut received = 0;

@@ -95,9 +95,10 @@ pub use event_launch::{
 };
 pub use interp::Interp;
 pub use recovery::{
-    branch, degraded_bcast_schedule, membership_digest, self_healing_bcast,
-    self_healing_bcast_async, self_healing_bcast_traced_async, self_healing_bcast_with,
-    self_healing_bcast_with_async, Healed, RecoveryConfig, RecoveryDrill, RecoveryTrace,
+    agreement_schedule, branch, degraded_bcast_schedule, membership_digest, pairwise_schedule,
+    self_healing_bcast, self_healing_bcast_async, self_healing_bcast_traced_async,
+    self_healing_bcast_with, self_healing_bcast_with_async, Healed, RecoveryConfig, RecoveryDrill,
+    RecoveryTrace,
 };
 pub use ring_tuned::{step_flag, Endpoint};
 pub use scatter::{binomial_scatter_shared_async, owned_chunks};

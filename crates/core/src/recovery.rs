@@ -45,6 +45,18 @@
 //!    every member reported a complete payload, and others may already have
 //!    committed and left. The confirm quorum has its own version of the
 //!    same case: such a rank sends its report and adopts the proposal.)
+//!
+//!    The agreement is a schedule like the attempt: each stage is a per-rank
+//!    stream of [`SchedOp`]s over a small frame buffer — phases `quorum`,
+//!    `report`, `propose`, `confirm` and `pairwise` — and a bounded
+//!    interpreter posts and takes every frame, one op at a time, because the
+//!    logic between ops stays local code, like `(step, flag)`: the AND fold,
+//!    the proposal, decoding, the leader's abstain. A false conjunction,
+//!    or a peer the leader already heard from, drops that op's receive
+//!    half; one classifier turns every error a live rank survives into a
+//!    value. [`agreement_schedule`] and [`pairwise_schedule`] collect the
+//!    same streams over every member, and `schedcheck` checks their
+//!    matching, deadlock-freedom and volume for every `P ≤ 64`.
 //! 3. **Degraded rerun** — the broadcast reruns from the root (or, if it
 //!    died, the lowest-ranked survivor holding the full payload), over that
 //!    root plus the survivors the verdict did *not* mark full: a survivor
@@ -114,7 +126,9 @@
 //!   assert on.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::time::Duration;
 
 use mpsim::{
@@ -124,7 +138,7 @@ use mpsim::{
 
 use crate::bcast::{bcast_phases, collect_ops, Algorithm};
 use crate::interp::{Interp, PhaseSink};
-use crate::schedule::{SchedOp, Schedule};
+use crate::schedule::{RecvHalf, SchedOp, Schedule, SendHalf};
 
 /// Tag offset between broadcast attempts: epoch `e` runs its collective on
 /// `Tag(t + e · EPOCH_TAG_STRIDE)`, so a retry can never match a stale
@@ -249,7 +263,7 @@ impl RecoveryConfig {
     /// can add in front of it. A rank can reach the pairwise round straight
     /// after the first quorum (its pass 1 was true, or its leader is gone)
     /// while a peer first waits out a proposal (≤ 2 heartbeats, see
-    /// [`agree`]) and a confirm quorum (`2·⌈log₂n⌉` receives of
+    /// [`Agreement::agree`]) and a confirm quorum (`2·⌈log₂n⌉` receives of
     /// `2·step_timeout`, under one more heartbeat for every `n`): four
     /// heartbeats in all.
     fn pairwise_timeout(&self, members: usize) -> Duration {
@@ -267,7 +281,7 @@ pub struct Healed {
 }
 
 /// One rank's state after an attempt, exchanged in the agreement round.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Report {
     has_full: bool,
 }
@@ -364,10 +378,12 @@ impl Proposal {
         (0..8 * self.words()).filter(|&r| self.has(Self::LIVE, r)).collect()
     }
 
-    /// The confirm quorum's seal: every frame carries it, so members
-    /// holding different proposals cannot confirm each other.
-    fn seal(&self) -> [u8; 4] {
-        fnv1a(FNV_OFFSET, self.frame.iter().copied()).to_le_bytes()
+    /// The confirm quorum's opening frame: a true conjunction sealed with a
+    /// hash of `V`, so members holding different proposals cannot confirm
+    /// each other.
+    fn confirm_frame(&self) -> [u8; 5] {
+        let [a, b, c, d] = fnv1a(FNV_OFFSET, self.frame.iter().copied()).to_le_bytes();
+        [1, a, b, c, d]
     }
 
     /// `V` as this epoch's verdict over `members` (a superset of `live`).
@@ -489,442 +505,521 @@ const PROPOSAL: u32 = 2;
 /// The confirm quorum over a proposal's live members.
 const CONFIRM: u32 = 3;
 
-/// Tag `offset` of epoch `epoch`'s agreement traffic.
-fn agreement_tag(epoch: u32, offset: u32) -> Tag {
-    Tag(AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE)).wrapping_add(offset))
-}
-
-/// AND-reduce `input` over `members` by Bruck dissemination, twice: pass 1
-/// folds `input`, pass 2 folds "my pass 1 came out true". Each pass is
-/// `⌈log₂n⌉` rounds of one `[conjunction, seal…]` frame sent to the member
-/// `dist` positions ahead and one received from the member `dist` behind,
-/// `dist = 1, 2, 4, … < n`, so after a pass the conjunction covers every
-/// member. [`agree`] runs it twice per failed epoch: first over the members
-/// with "I hold the full payload" sealed by the membership digest's low byte
-/// (two-byte frames), then over a proposal's live members with "I hold this
-/// proposal" sealed by the proposal's hash (five-byte frames).
-///
-/// The conjunction can only ever turn *false*: a `0` frame, a timeout, a
-/// failed or garbled partner, or a frame carrying another seal all clear
-/// it. A rank whose conjunction is false stops receiving but still sends
-/// every remaining round of both passes, so the falsehood reaches everyone
-/// in at most `2·⌈log₂n⌉` hops and nobody waits on it. Hence on a lossless
-/// fabric a `Committed` rank and an `Open` one never coexist among the live
-/// members: an `Open` rank's zeros would have reached the committer. All
-/// rounds share one tag: a pass's distances are distinct sources, and
-/// per-`(src, tag)` FIFO orders pass 1 before pass 2 from the same source.
-///
-/// Receives are bounded by `2 · step_timeout`, *not* the heartbeat deadline,
-/// so a whole quorum takes at most `4·⌈log₂n⌉` step timeouts — under one
-/// heartbeat deadline for every `n`. Safety never depends on the bound — a
-/// false timeout costs a later stage, never a wrong verdict — so it only
-/// has to exceed the entry skew of a clean attempt. It has to stay this
-/// small because the later stages are sound only while a live peer lags by
-/// less than their deadlines: a rank that fell through at once must not
-/// wait them out on a peer still sitting in a quorum timeout.
-async fn quorum<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    members: &[Rank],
+/// One stage of the agreement as its op streams see it: the phase label,
+/// the tag, and the stage's frame buffer — the frame this rank sends at
+/// `0..sent`, the frame it receives at `sent..sent + cap` (and a quorum's
+/// false frame after that, see [`Stage::round`]).
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    phase: &'static str,
     tag: Tag,
-    seal: &[u8],
-    input: bool,
-    cfg: &RecoveryConfig,
-) -> Result<Quorum> {
-    let me = comm.rank();
-    let n = members.len();
-    // Member lists and a proposal's live list are ascending.
-    let Ok(idx) = members.binary_search(&me) else {
-        return Ok(Quorum::Open);
-    };
-    let bound = cfg.step_timeout.saturating_mul(2);
-
-    // Seals are one or four bytes; a longer frame surfaces as `Truncation`.
-    let len = 1 + seal.len();
-    let mut out = [0u8; 5];
-    out[1..len].copy_from_slice(seal);
-    let mut acc = input;
-    let mut known = false;
-    let mut frame = [0u8; 5];
-    for pass in 0..2 {
-        let mut dist = 1;
-        while dist < n {
-            let ahead = members[(idx + dist) % n];
-            let behind = members[(idx + n - dist) % n];
-            out[0] = u8::from(acc);
-            let heard = match comm.send(&out[..len], ahead, tag).await {
-                Ok(()) if acc => comm
-                    .recv_timeout(&mut frame, behind, tag, bound)
-                    .await
-                    .map(|got| got == len && frame[0] == 1 && frame[1..len] == *seal),
-                Ok(()) => Ok(false),
-                Err(e) => Err(e),
-            };
-            acc = match heard {
-                Ok(all_true) => all_true,
-                // Our own communicator fail-stopped: same rule as the
-                // pairwise round below.
-                Err(CommError::PeerFailed { rank }) if rank == me => {
-                    return Err(CommError::PeerFailed { rank: me });
-                }
-                Err(
-                    CommError::Timeout { .. }
-                    | CommError::PeerFailed { .. }
-                    | CommError::Truncation { .. },
-                ) => false,
-                Err(e) => return Err(e),
-            };
-            dist <<= 1;
-        }
-        if pass == 0 {
-            known = acc;
-        }
-    }
-    Ok(match (acc, known) {
-        (true, _) => Quorum::Committed,
-        (false, true) => Quorum::Known,
-        (false, false) => Quorum::Open,
-    })
+    sent: usize,
+    cap: usize,
 }
 
-/// A peer's report as some stage of the agreement read it: a decoded
-/// report, `Ok(None)` for a garbled one, or the receive's error.
-type Heard = Result<Option<Report>>;
-
-/// Agree on who is alive and who holds the payload after epoch `epoch`'s
-/// attempt. Up to four stages, each only when the ones before it did not
-/// settle the epoch:
-///
-/// 1. **Membership quorum** ([`quorum`]) — `2·⌈log₂n⌉` two-byte frames per
-///    rank. If it commits, every member holds the payload and knows that
-///    everyone does: the verdict is "nobody dead, everybody full" without a
-///    single report. A fault-free epoch ends here.
-/// 2. **Report and propose** — every member sends its one-byte [`Report`] to
-///    the leader, the lowest member, on the pairwise tag. The leader reads
-///    them in member order under one heartbeat deadline and sends every
-///    member it heard from the [`Proposal`] `V`: who reported (`live`) and
-///    who of them is full. The leader drops a member from `live` only on
-///    *exit evidence* — the receive failed with `PeerFailed` naming that
-///    member, which the backends report only once the rank has left the
-///    world with nothing queued. A timeout, a garbled or an overlong report
-///    makes it abstain instead (a garbled one also lights
-///    [`branch::GARBLED_REPORT`]); the abstain frame sends everyone to the
-///    pairwise round, where the garbled peer is counted dead.
-/// 3. **Confirm quorum** — the members holding `V` run [`quorum`] again over
-///    `V`'s live members, sealed with a hash of `V`. `Committed`: every live
-///    member holds this `V`; adopt it. `Known`: every live member holds it,
-///    but some may not know that, and others may already have adopted it
-///    and left; send this rank's report to every live member (a peer that
-///    fell through to the pairwise round needs it) and adopt `V` *without
-///    waiting on anyone* — waiting would make this rank lag the adopters
-///    into the next epoch by several deadlines, and they would count it
-///    dead there. `Open` (or no `V` at all): stage 4.
-/// 4. **Pairwise round** — every member exchanges its report with every
-///    other member; a member is dead iff it fails this exchange. The
-///    fail-stop assumption plus the backends' definitive exited-rank
-///    detection make the outcome identical on every live member — a dead
-///    rank fails *everyone's* exchange, and the deadline
-///    ([`RecoveryConfig::pairwise_timeout`]) is sized so a live rank never
-///    does. The leader does not wait for a second report from a peer it
-///    already heard from in stage 2: it reuses that outcome.
-///
-/// Why adopting `V` is safe: a live member missing from `V` is impossible
-/// (exit evidence), a `Committed` and an `Open` confirmer never coexist (see
-/// [`quorum`]), and a `Known` confirmer's report reaches every `Open` one.
-/// So either every live member adopts `V`, or the adopters (`Known`) and the
-/// pairwise round differ only by ranks that crashed during the confirm —
-/// which the next epoch's agreement removes.
-///
-/// Deadlines, measured from entering stage 2: the leader reads for one
-/// heartbeat; a member waits two heartbeats for `V`, which covers the
-/// leader's read plus an entry skew of less than one heartbeat (the skew the
-/// heartbeat always had to cover); the confirm quorum takes less than one
-/// more. A rank can enter the pairwise round straight after stage 1 while a
-/// peer still runs stages 2–3, so its deadline is four heartbeats.
-///
-/// One case sits between stage 1 and the rest: the membership quorum's
-/// pass 1 came out true on this rank but pass 2 did not (a peer crashed or
-/// stalled between its pass-2 sends). Pass 2 can only come out true
-/// *anywhere* if every member's pass 1 was true, so other members may
-/// already have committed and left. This rank skips stages 2–3 (as the
-/// leader it sends the abstain frame, so nobody waits on it; otherwise its
-/// first pairwise report goes to the leader, the lowest member, and doubles
-/// as its stage-2 report, so the leader never drops it) and still runs the
-/// pairwise round in full — peers that also fell through need its
-/// report — but then returns "nobody dead, everybody full" regardless of who
-/// answered: every member reported a complete payload this epoch, so a peer
-/// that has gone silent since has either healed and exited or crashed
-/// holding the payload. Counting it dead would heal this rank in the same
-/// epoch *without* ranks that healed in it — a lossless split-brain.
-///
-/// The pairwise exchange visits peers in ascending member order, which is
-/// deadlock-free for pairwise exchanges: the globally smallest unfinished
-/// pair is always each other's current partner (each rank only moves past
-/// a peer once that pair is done), so someone always progresses. With
-/// [`RecoveryConfig::bounded_sendrecv`] stages 1–3 are skipped and the
-/// roundtrip uses the reliable layer's self-bounding `sendrecv` pump — an
-/// eager send followed by a bounded receive (which is all the quorum is)
-/// would wedge an acknowledged-send layer, whose `send` cannot complete
-/// until the peer actively receives.
-async fn agree<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    members: &[Rank],
-    epoch: u32,
-    mine: &Report,
-    cfg: &RecoveryConfig,
-    trace: &mut RecoveryTrace,
-) -> Result<Verdict> {
-    let digest8 = [membership_digest(members) as u8];
-    let known = !cfg.bounded_sendrecv
-        && match quorum(comm, members, agreement_tag(epoch, QUORUM), &digest8, mine.has_full, cfg)
-            .await?
-        {
-            Quorum::Committed => return Ok(Verdict::EveryoneFull),
-            Quorum::Known => true,
-            Quorum::Open => false,
+impl Stage {
+    /// Stage `phase` of epoch `epoch`; the phase picks the tag. Reports
+    /// (`"report"`, `"pairwise"`) share the pairwise tag.
+    fn new(epoch: u32, phase: &'static str, sent: usize, cap: usize) -> Stage {
+        let offset = match phase {
+            "quorum" => QUORUM,
+            "propose" => PROPOSAL,
+            "confirm" => CONFIRM,
+            _ => PAIRWISE,
         };
-    // Boxed: a clean epoch never gets here, and keeping the later stages
-    // out of this future keeps every rank task of a clean run small.
-    Box::pin(settle(comm, members, epoch, mine, known, cfg, trace)).await
+        let tag = AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE));
+        Stage { phase, tag: Tag(tag.wrapping_add(offset)), sent, cap }
+    }
+
+    /// Where a received frame lands.
+    fn inbox(self) -> Range<usize> {
+        self.sent..self.sent + self.cap
+    }
+
+    /// This rank's frame to `to` and the frame of `from`, each if given.
+    fn op(self, to: Option<Rank>, from: Option<Rank>) -> SchedOp {
+        let (phase, tag) = (self.phase, self.tag);
+        let send = to.map(|peer| SendHalf { peer, tag, loc: 0..self.sent });
+        SchedOp { phase, send, recv: from.map(|peer| RecvHalf { peer, tag, dst: self.inbox() }) }
+    }
+
+    /// Member `idx`'s quorum round at distance `dist`: its frame to the
+    /// member `dist` positions ahead and — only while its conjunction `acc`
+    /// holds — the frame of the member `dist` behind. A quorum's buffer holds
+    /// both frames a member can send, each at a range of its own (an
+    /// interpreter assumes a staged range never changes): the true one at
+    /// `0..sent`, the false one after the inbox.
+    fn round(self, members: &[Rank], idx: usize, dist: usize, acc: bool) -> SchedOp {
+        let (n, end) = (members.len(), self.sent + self.cap);
+        let loc = if acc { 0..self.sent } else { end..end + self.sent };
+        let send = Some(SendHalf { peer: members[(idx + dist) % n], tag: self.tag, loc });
+        let behind = members[(idx + n - dist) % n];
+        let recv = acc.then(|| RecvHalf { peer: behind, tag: self.tag, dst: self.inbox() });
+        SchedOp { phase: self.phase, send, recv }
+    }
 }
 
-/// Stages 2–4 of [`agree`]; `known` says the membership quorum came out
-/// [`Quorum::Known`] on this rank.
-async fn settle<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    members: &[Rank],
+/// The distances of one quorum pass over `n` members: `1, 2, 4, … < n`.
+fn distances(n: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |d| d.checked_mul(2)).take_while(move |&d| d < n)
+}
+
+/// How an agreement op ended, every error a live rank survives turned into
+/// a value by [`Agreement::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// It completed, receiving this many bytes (none for a lone send).
+    Done(usize),
+    /// The arriving frame was longer than the receive's capacity.
+    Overlong,
+    /// The rank `PeerFailed` named — the op's peer, or another — exited.
+    Exited(Rank),
+    /// The receive's deadline passed.
+    Silent,
+}
+
+/// A peer's report as a stage of the agreement read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Heard {
+    Report(Report),
+    /// A wrong byte, a wrong length, or too long for the receive.
+    Garbled,
+    /// No report: the peer exited or stayed silent.
+    Lost,
+}
+
+/// One rank's side of epoch `epoch`'s agreement over `members`, reporting
+/// `mine` (see [`Agreement::agree`]).
+struct Agreement<'a, C: ?Sized> {
+    comm: &'a C,
+    members: &'a [Rank],
     epoch: u32,
-    mine: &Report,
-    known: bool,
-    cfg: &RecoveryConfig,
-    trace: &mut RecoveryTrace,
-) -> Result<Verdict> {
-    let me = comm.rank();
-    let mut heard = BTreeMap::new();
-    if cfg.bounded_sendrecv {
-        return pairwise(comm, members, epoch, mine, cfg, &heard, trace).await;
-    }
-    // `members` is ascending: it starts as `0..size` and only ever shrinks
-    // by `retain`.
-    let leader = members[0];
-    if known {
-        if me == leader {
-            let peers = members.iter().copied().filter(|&r| r != me);
-            tell(comm, peers, &Proposal::ABSTAIN, agreement_tag(epoch, PROPOSAL)).await?;
-        }
-        pairwise(comm, members, epoch, mine, cfg, &heard, trace).await?;
-        return Ok(Verdict::EveryoneFull);
-    }
-    let proposal = if me == leader {
-        propose(comm, members, epoch, mine, cfg, &mut heard, trace).await?
-    } else {
-        follow(comm, leader, members, epoch, mine, cfg).await?
-    };
-    if let Some(v) = proposal {
-        let live = v.live();
-        match quorum(comm, &live, agreement_tag(epoch, CONFIRM), &v.seal(), true, cfg).await? {
-            Quorum::Committed => return Ok(v.verdict(members)),
-            Quorum::Known => {
-                let peers = live.iter().copied().filter(|&r| r != me);
-                tell(comm, peers, &mine.encode(), agreement_tag(epoch, PAIRWISE)).await?;
-                return Ok(v.verdict(members));
-            }
-            Quorum::Open => {}
-        }
-    }
-    pairwise(comm, members, epoch, mine, cfg, &heard, trace).await
+    mine: Report,
+    cfg: &'a RecoveryConfig,
+    /// Whether a garbled report was heard ([`branch::GARBLED_REPORT`]).
+    garbled: Cell<bool>,
 }
 
-/// Send `frame` to every rank of `peers` on `tag`, best effort: a peer that
-/// is gone is simply not told. Only this rank's own crash stops the loop.
-async fn tell<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    peers: impl Iterator<Item = Rank>,
-    frame: &[u8],
-    tag: Tag,
-) -> Result<()> {
-    let me = comm.rank();
-    for peer in peers {
-        match comm.send(frame, peer, tag).await {
-            Err(CommError::PeerFailed { rank }) if rank == me => {
-                return Err(CommError::PeerFailed { rank: me });
+impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
+    /// Agree on who is alive and who holds the payload after epoch `epoch`'s
+    /// attempt. Up to four stages, each only when the ones before it did not
+    /// settle the epoch, and each a per-rank stream of [`SchedOp`]s over a
+    /// small frame buffer ([`Stage`]) — phases `quorum`, `report`, `propose`,
+    /// `confirm` and `pairwise` — that [`Interp::bounded`] runs op by op, the
+    /// logic between ops (the AND fold, [`Proposal`], decoding, the leader's
+    /// abstain) staying local code, like `(step, flag)`:
+    ///
+    /// 1. **Membership quorum** ([`Agreement::quorum`]) — `2·⌈log₂n⌉` two-byte
+    ///    frames per rank. If it commits, every member holds the payload and
+    ///    knows that everyone does: the verdict is "nobody dead, everybody full"
+    ///    without a single report. A fault-free epoch ends here.
+    /// 2. **Report and propose** — every member sends its one-byte [`Report`] to
+    ///    the leader, the lowest member, on the pairwise tag. The leader reads
+    ///    them in member order under one heartbeat deadline and sends every
+    ///    member it heard from the [`Proposal`] `V`: who reported (`live`) and
+    ///    who of them is full. The leader drops a member from `live` only on
+    ///    *exit evidence* — the receive failed with `PeerFailed` naming that
+    ///    member, which the backends report only once the rank has left the
+    ///    world with nothing queued. A timeout, a garbled or an overlong report
+    ///    makes it abstain instead (a garbled one also lights
+    ///    [`branch::GARBLED_REPORT`]); the abstain frame sends everyone to the
+    ///    pairwise round, where the garbled peer is counted dead.
+    /// 3. **Confirm quorum** — the members holding `V` run the quorum again
+    ///    over `V`'s live members, sealed with a hash of `V`. `Committed`: every
+    ///    live member holds this `V`; adopt it. `Known`: every live member holds
+    ///    it, but some may not know that, and others may already have adopted
+    ///    it and left; send this rank's report to every live member (a peer
+    ///    that fell through to the pairwise round needs it) and adopt `V`
+    ///    *without waiting on anyone* — waiting would make this rank lag the
+    ///    adopters into the next epoch by several deadlines, and they would
+    ///    count it dead there. `Open` (or no `V` at all): stage 4.
+    /// 4. **Pairwise round** — every member exchanges its report with every
+    ///    other member; a member is dead iff it fails this exchange. The
+    ///    fail-stop assumption plus the backends' definitive exited-rank
+    ///    detection make the outcome identical on every live member — a dead
+    ///    rank fails *everyone's* exchange, and the deadline
+    ///    ([`RecoveryConfig::pairwise_timeout`]) is sized so a live rank never
+    ///    does. The leader drops the receive half for a peer it already heard
+    ///    from in stage 2 and reuses that outcome.
+    ///
+    /// Why adopting `V` is safe: a live member missing from `V` is impossible
+    /// (exit evidence), a `Committed` and an `Open` confirmer never coexist (see
+    /// [`Agreement::quorum`]), and a `Known` confirmer's report reaches every
+    /// `Open` one. So either every live member adopts `V`, or the adopters
+    /// (`Known`) and the pairwise round differ only by ranks that crashed
+    /// during the confirm — which the next epoch's agreement removes.
+    ///
+    /// Deadlines, measured from entering stage 2: the leader reads for one
+    /// heartbeat; a member waits two heartbeats for `V`, which covers the
+    /// leader's read plus an entry skew of less than one heartbeat (the skew the
+    /// heartbeat always had to cover); the confirm quorum takes less than one
+    /// more. A rank can enter the pairwise round straight after stage 1 while a
+    /// peer still runs stages 2–3, so its deadline is four heartbeats.
+    ///
+    /// One case sits between stage 1 and the rest: the membership quorum's
+    /// pass 1 came out true on this rank but pass 2 did not (a peer crashed or
+    /// stalled between its pass-2 sends). Pass 2 can only come out true
+    /// *anywhere* if every member's pass 1 was true, so other members may
+    /// already have committed and left. This rank skips stages 2–3 (as the
+    /// leader it sends the abstain frame, so nobody waits on it; otherwise its
+    /// first pairwise report goes to the leader, the lowest member, and doubles
+    /// as its stage-2 report, so the leader never drops it) and still runs the
+    /// pairwise round in full — peers that also fell through need its
+    /// report — but then returns "nobody dead, everybody full" regardless of who
+    /// answered: every member reported a complete payload this epoch, so a peer
+    /// that has gone silent since has either healed and exited or crashed
+    /// holding the payload. Counting it dead would heal this rank in the same
+    /// epoch *without* ranks that healed in it — a lossless split-brain.
+    ///
+    /// [`agreement_schedule`] and [`pairwise_schedule`] collect the same
+    /// streams over every member, and `schedcheck` checks their matching,
+    /// deadlock-freedom and volume. With [`RecoveryConfig::bounded_sendrecv`]
+    /// stages 1–3 are skipped and every pairwise op stays one `exchange` (the
+    /// interpreter's `fused_exchange`) through the reliable layer's
+    /// self-bounding pump: an eager send followed by a bounded receive (which is
+    /// all the quorum is) would wedge an acknowledged-send layer, whose `send`
+    /// cannot complete until the peer actively receives.
+    async fn agree(&self, trace: &mut RecoveryTrace) -> Result<Verdict> {
+        let frame = [u8::from(self.mine.has_full), membership_digest(self.members) as u8];
+        let known = !self.cfg.bounded_sendrecv
+            && match self.quorum(self.members, "quorum", &frame).await? {
+                Quorum::Committed => return Ok(Verdict::EveryoneFull),
+                Quorum::Known => true,
+                Quorum::Open => false,
+            };
+        // Boxed: a clean epoch never gets here, and keeping the later stages
+        // out of this future keeps every rank task of a clean run small.
+        let verdict = Box::pin(self.settle(known)).await;
+        if self.garbled.get() {
+            trace.hit(branch::GARBLED_REPORT);
+        }
+        verdict
+    }
+
+    /// A bounded interpreter over a stage's `frames`, every take bounded by
+    /// `wait`. A stage steps its stream through one, op by op, reading what
+    /// each receive landed through [`Interp::buf`] between ops; only the
+    /// leader's report reads take one each, bounded by what is left of one
+    /// deadline.
+    fn interp<'f>(&'f self, frames: &'f mut [u8], wait: Duration) -> Interp<'f, C, true> {
+        Interp::bounded(self.comm, frames, wait, self.cfg.bounded_sendrecv)
+    }
+
+    /// Run one op on `interp` and say how it ended — the agreement's one
+    /// error classifier. Only this rank's own crash (a `PeerFailed` naming
+    /// it) and errors outside the fault model stay errors.
+    async fn step(&self, interp: &mut Interp<'_, C, true>, op: SchedOp) -> Result<Outcome> {
+        match interp.run([op]).await {
+            Ok(got) => Ok(Outcome::Done(got)),
+            Err(CommError::PeerFailed { rank }) if rank != self.comm.rank() => {
+                Ok(Outcome::Exited(rank))
             }
-            Ok(()) | Err(CommError::PeerFailed { .. } | CommError::Timeout { .. }) => {}
-            Err(e) => return Err(e),
+            Err(CommError::Timeout { .. }) => Ok(Outcome::Silent),
+            Err(CommError::Truncation { .. }) => Ok(Outcome::Overlong),
+            Err(e) => Err(e),
         }
     }
-    Ok(())
-}
 
-/// The leader's side of stage 2: read every member's report under one
-/// heartbeat deadline, recording each outcome in `heard` for the pairwise
-/// round, then send `V` to every live member — or, at the first doubt, the
-/// abstain frame to every member that has not exited, returning `None`.
-async fn propose<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    members: &[Rank],
-    epoch: u32,
-    mine: &Report,
-    cfg: &RecoveryConfig,
-    heard: &mut BTreeMap<Rank, Heard>,
-    trace: &mut RecoveryTrace,
-) -> Result<Option<Proposal>> {
-    let me = comm.rank();
-    let tag = agreement_tag(epoch, PAIRWISE);
-    let deadline = deadline_after(comm.now_ns(), cfg.heartbeat_timeout(members.len()));
-    let mut frame = [0u8; 2];
-    let mut abstain = false;
-    for &peer in members.iter().filter(|&&r| r != me) {
-        let left = Duration::from_nanos(deadline.saturating_sub(comm.now_ns()));
-        let outcome = comm
-            .recv_timeout(&mut frame, peer, tag, left)
-            .await
-            .map(|n| Report::decode(&frame[..n]));
-        match outcome {
-            Err(CommError::PeerFailed { rank }) if rank == me => {
-                return Err(CommError::PeerFailed { rank: me });
-            }
-            Ok(Some(_)) => {
-                heard.insert(peer, outcome);
-            }
-            // Exit evidence: the peer left the world with nothing queued.
-            Err(CommError::PeerFailed { rank }) if rank == peer => {
-                heard.insert(peer, outcome);
-            }
-            Ok(None) | Err(CommError::Truncation { .. }) => {
-                trace.hit(branch::GARBLED_REPORT);
-                heard.insert(peer, Ok(None));
-                abstain = true;
-                break;
-            }
-            Err(CommError::Timeout { .. } | CommError::PeerFailed { .. }) => {
-                abstain = true;
-                break;
-            }
-            Err(e) => return Err(e),
+    /// Send `frame` to every rank of `peers` as stage `phase`, best effort:
+    /// a peer that is gone is simply not told. Only this rank's own crash
+    /// stops the fan-out. One interpreter runs it, so the frame is staged
+    /// once and every later send is a view of it.
+    async fn tell(
+        &self,
+        peers: impl IntoIterator<Item = Rank>,
+        frame: &mut [u8],
+        phase: &'static str,
+    ) -> Result<()> {
+        let stage = Stage::new(self.epoch, phase, frame.len(), 0);
+        let interp = &mut self.interp(frame, Duration::ZERO);
+        for peer in peers {
+            self.step(interp, stage.op(Some(peer), None)).await?;
         }
+        Ok(())
     }
-    let proposals = agreement_tag(epoch, PROPOSAL);
-    if abstain {
-        let peers =
-            members.iter().copied().filter(|&r| r != me && !matches!(heard.get(&r), Some(Err(_))));
-        tell(comm, peers, &Proposal::ABSTAIN, proposals).await?;
-        return Ok(None);
-    }
-    let reports =
-        heard.iter().filter_map(|(&r, h)| h.as_ref().ok()?.map(|report| (r, report.has_full)));
-    let v = Proposal::new(comm.size(), reports.chain([(me, mine.has_full)]));
-    let live = v.live();
-    tell(comm, live.into_iter().filter(|&r| r != me), &v.frame, proposals).await?;
-    Ok(Some(v))
-}
 
-/// A non-leader's side of stage 2: send this rank's report to the leader,
-/// then wait two heartbeats for `V`. `None` — fall through to the pairwise
-/// round — on the abstain frame, on silence or exit of the leader, and on a
-/// `V` that is garbled, leaves this rank out, or names a rank this rank
-/// already counts dead.
-async fn follow<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    leader: Rank,
-    members: &[Rank],
-    epoch: u32,
-    mine: &Report,
-    cfg: &RecoveryConfig,
-) -> Result<Option<Proposal>> {
-    let me = comm.rank();
-    let world = comm.size();
-    tell(comm, [leader].into_iter(), &mine.encode(), agreement_tag(epoch, PAIRWISE)).await?;
-    // The spare byte lets an overlong frame reach `decode`, which rejects it.
-    let mut frame = vec![0u8; Proposal::frame_len(world) + 1];
-    let wait = cfg.heartbeat_timeout(members.len()).saturating_mul(2);
-    match comm.recv_timeout(&mut frame, leader, agreement_tag(epoch, PROPOSAL), wait).await {
-        Ok(n) => Ok(Proposal::decode(&frame[..n], world).filter(|v| {
-            let ours = members.iter().filter(|&&m| v.has(Proposal::LIVE, m)).count();
-            v.has(Proposal::LIVE, me) && ours == v.live().len()
-        })),
-        Err(CommError::PeerFailed { rank }) if rank == me => {
-            Err(CommError::PeerFailed { rank: me })
+    /// The ranks of `of` other than this one.
+    fn others<'b>(&self, of: &'b [Rank]) -> impl Iterator<Item = Rank> + 'b {
+        let me = self.comm.rank();
+        of.iter().copied().filter(move |&r| r != me)
+    }
+
+    /// What a receive that ended as `outcome`, landing at the start of
+    /// `frame`, heard: a report that decodes, a garbled or overlong one, or
+    /// none.
+    fn hear(&self, outcome: Outcome, frame: &[u8]) -> Heard {
+        let heard = match outcome {
+            Outcome::Done(n) => Report::decode(&frame[..n]).map_or(Heard::Garbled, Heard::Report),
+            Outcome::Overlong => Heard::Garbled,
+            Outcome::Exited(_) | Outcome::Silent => Heard::Lost,
+        };
+        self.garbled.set(self.garbled.get() || heard == Heard::Garbled);
+        heard
+    }
+
+    /// AND-reduce the conjunction `frame[0]` over `over` by Bruck
+    /// dissemination, twice: pass 1 folds it, pass 2 folds "my pass 1 came
+    /// out true". Each pass is `⌈log₂n⌉` rounds ([`Stage::round`]) of one
+    /// `[conjunction, seal…]` frame sent to the member `dist` positions ahead
+    /// and one received from the member `dist` behind, `dist = 1, 2, 4, … <
+    /// n`, so after a pass the conjunction covers every member.
+    /// [`Agreement::agree`] runs it twice per failed epoch: as phase `quorum`
+    /// over the members with "I hold the full payload" sealed by the
+    /// membership digest's low byte (two-byte frames), then as phase
+    /// `confirm` over a proposal's live members with "I hold this proposal"
+    /// sealed by the proposal's hash (five-byte frames).
+    ///
+    /// The conjunction can only ever turn *false*: a `0` frame, a timeout, a
+    /// failed or garbled partner, or a frame carrying another seal all clear
+    /// it — only a frame equal to this rank's own keeps it. A rank whose
+    /// conjunction is false drops the receive half of every remaining round
+    /// of both passes but still sends, so the falsehood reaches everyone in
+    /// at most `2·⌈log₂n⌉` hops and nobody waits on it. Hence on a lossless
+    /// fabric a `Committed` rank and an `Open` one never coexist among the
+    /// live members: an `Open` rank's zeros would have reached the
+    /// committer. All rounds share one tag: a pass's distances are distinct
+    /// sources, and per-`(src, tag)` FIFO orders pass 1 before pass 2 from
+    /// the same source.
+    ///
+    /// Receives are bounded by `2 · step_timeout`, *not* the heartbeat
+    /// deadline, so a whole quorum takes at most `4·⌈log₂n⌉` step timeouts —
+    /// under one heartbeat deadline for every `n`. Safety never depends on
+    /// the bound — a false timeout costs a later stage, never a wrong
+    /// verdict — so it only has to exceed the entry skew of a clean attempt.
+    /// It has to stay this small because the later stages are sound only
+    /// while a live peer lags by less than their deadlines: a rank that fell
+    /// through at once must not wait them out on a peer still sitting in a
+    /// quorum timeout.
+    async fn quorum(&self, over: &[Rank], phase: &'static str, frame: &[u8]) -> Result<Quorum> {
+        // Member lists and a proposal's live list are ascending.
+        let Ok(idx) = over.binary_search(&self.comm.rank()) else {
+            return Ok(Quorum::Open);
+        };
+        // Frames are two or five bytes; a longer one is overlong.
+        let stage = Stage::new(self.epoch, phase, frame.len(), 5);
+        let (sent, false_at) = (stage.sent, stage.sent + stage.cap);
+        let mut frames = [0u8; 15];
+        frames[..sent].copy_from_slice(frame);
+        frames[false_at..false_at + sent].copy_from_slice(frame);
+        (frames[0], frames[false_at]) = (1, 0);
+        let (mut acc, mut known) = (frame[0] == 1, false);
+        let interp = &mut self.interp(&mut frames, self.cfg.step_timeout.saturating_mul(2));
+        for pass in 0..2 {
+            for dist in distances(over.len()) {
+                let heard = self.step(interp, stage.round(over, idx, dist, acc)).await?;
+                // Only a frame equal to this rank's own keeps the conjunction.
+                let buf = interp.buf();
+                acc = heard == Outcome::Done(sent) && buf[stage.inbox()].starts_with(&buf[..sent]);
+            }
+            if pass == 0 {
+                known = acc;
+            }
         }
-        Err(
-            CommError::Timeout { .. } | CommError::PeerFailed { .. } | CommError::Truncation { .. },
-        ) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Stage 4 of [`agree`]: exchange reports with every other member, reusing
-/// an outcome in `heard` (the leader's stage-2 reads) instead of receiving.
-async fn pairwise<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    members: &[Rank],
-    epoch: u32,
-    mine: &Report,
-    cfg: &RecoveryConfig,
-    heard: &BTreeMap<Rank, Heard>,
-    trace: &mut RecoveryTrace,
-) -> Result<Verdict> {
-    let me = comm.rank();
-    let tag = agreement_tag(epoch, PAIRWISE);
-    let encoded = mine.encode();
-    let deadline = cfg.pairwise_timeout(members.len());
-
-    let mut dead = BTreeSet::new();
-    let mut have_full = BTreeSet::new();
-    if mine.has_full {
-        have_full.insert(me);
+        Ok(match (acc, known) {
+            (true, _) => Quorum::Committed,
+            (false, true) => Quorum::Known,
+            (false, false) => Quorum::Open,
+        })
     }
 
-    // A report is one byte; the spare byte lets a two-byte frame reach
-    // `Report::decode`, anything longer surfaces as `Truncation` below.
-    let mut frame = [0u8; 2];
-    for &peer in members {
-        if peer == me {
-            continue;
+    /// Stages 2–4 of [`Agreement::agree`]; `known` says the membership
+    /// quorum came out [`Quorum::Known`] on this rank.
+    async fn settle(&self, known: bool) -> Result<Verdict> {
+        let (me, members) = (self.comm.rank(), self.members);
+        let mut heard = BTreeMap::new();
+        if self.cfg.bounded_sendrecv {
+            return self.pairwise(&heard).await;
         }
-        let outcome = if cfg.bounded_sendrecv {
-            comm.sendrecv(&encoded, peer, tag, &mut frame, peer, tag)
-                .await
-                .map(|n| Report::decode(&frame[..n]))
+        // `members` is ascending: it starts as `0..size` and only ever
+        // shrinks by `retain`.
+        let leader = members[0];
+        if known {
+            if me == leader {
+                self.tell(self.others(members), &mut Proposal::ABSTAIN.to_vec(), "propose").await?;
+            }
+            self.pairwise(&heard).await?;
+            return Ok(Verdict::EveryoneFull);
+        }
+        let proposal = if me == leader {
+            self.propose(&mut heard).await?
         } else {
-            // Plain backends deliver sends eagerly, so pushing the report
-            // first and then waiting (bounded) on the peer's cannot block.
-            match (comm.send(&encoded, peer, tag).await, heard.get(&peer)) {
-                (Ok(()), Some(outcome)) => outcome.clone(),
-                (Ok(()), None) => comm
-                    .recv_timeout(&mut frame, peer, tag, deadline)
-                    .await
-                    .map(|n| Report::decode(&frame[..n])),
-                (Err(e), _) => Err(e),
-            }
+            self.follow(leader).await?
         };
-        match outcome {
-            Ok(Some(theirs)) => {
-                if theirs.has_full {
-                    have_full.insert(peer);
+        if let Some(v) = proposal {
+            let live = v.live();
+            match self.quorum(&live, "confirm", &v.confirm_frame()).await? {
+                Quorum::Committed => return Ok(v.verdict(members)),
+                Quorum::Known => {
+                    self.tell(self.others(&live), &mut self.mine.encode(), "report").await?;
+                    return Ok(v.verdict(members));
                 }
+                Quorum::Open => {}
             }
-            // A garbled report from a live rank — wrong byte, wrong length,
-            // or too long for the buffer altogether — violates the fault
-            // model; treating the rank as failed keeps us moving.
-            Ok(None) | Err(CommError::Truncation { .. }) => {
-                trace.hit(branch::GARBLED_REPORT);
-                dead.insert(peer);
+        }
+        self.pairwise(&heard).await
+    }
+
+    /// The leader's side of stage 2: read every member's report under one
+    /// heartbeat deadline, recording each outcome in `heard` for the
+    /// pairwise round, then send `V` to every live member — or, at the first
+    /// doubt, the abstain frame to every member that has not exited,
+    /// returning `None`.
+    async fn propose(&self, heard: &mut BTreeMap<Rank, Heard>) -> Result<Option<Proposal>> {
+        let me = self.comm.rank();
+        let stage = Stage::new(self.epoch, "report", 0, 2);
+        let wait = self.cfg.heartbeat_timeout(self.members.len());
+        let deadline = deadline_after(self.comm.now_ns(), wait);
+        let mut frames = [0u8; 2];
+        for peer in self.others(self.members) {
+            // Each read is bounded by what is left of the one deadline.
+            let left = Duration::from_nanos(deadline.saturating_sub(self.comm.now_ns()));
+            let interp = &mut self.interp(&mut frames, left);
+            let outcome = self.step(interp, stage.op(None, Some(peer))).await?;
+            let report = self.hear(outcome, interp.buf());
+            // Exit evidence — the peer left the world with nothing queued —
+            // is an answer; any other lost report is doubt.
+            if report != Heard::Lost || outcome == Outcome::Exited(peer) {
+                heard.insert(peer, report);
             }
-            // Our *own* communicator fail-stopping mid-round surfaces as a
-            // peer failure naming this rank (world numbering, like every
-            // error here). Propagate it instead of wrongly
-            // declaring every not-yet-visited peer dead.
-            Err(CommError::PeerFailed { rank }) if rank == me => {
-                return Err(CommError::PeerFailed { rank: me });
+            if report == Heard::Garbled || !heard.contains_key(&peer) {
+                let told = self.others(self.members).filter(|r| heard.get(r) != Some(&Heard::Lost));
+                self.tell(told, &mut Proposal::ABSTAIN.to_vec(), "propose").await?;
+                return Ok(None);
             }
-            Err(CommError::Timeout { .. }) | Err(CommError::PeerFailed { .. }) => {
-                dead.insert(peer);
+        }
+        let reports = heard.iter().filter_map(|(&r, h)| match h {
+            Heard::Report(report) => Some((r, report.has_full)),
+            _ => None,
+        });
+        let mut v = Proposal::new(self.comm.size(), reports.chain([(me, self.mine.has_full)]));
+        self.tell(self.others(&v.live()), &mut v.frame, "propose").await?;
+        Ok(Some(v))
+    }
+
+    /// A non-leader's side of stage 2: send this rank's report to the
+    /// leader, then wait two heartbeats for `V`. `None` — fall through to the
+    /// pairwise round — on the abstain frame, on silence or exit of the
+    /// leader, and on a `V` that is garbled, leaves this rank out, or names a
+    /// rank this rank already counts dead.
+    async fn follow(&self, leader: Rank) -> Result<Option<Proposal>> {
+        let (me, world) = (self.comm.rank(), self.comm.size());
+        self.tell([leader], &mut self.mine.encode(), "report").await?;
+        // The spare byte lets an overlong frame reach `decode`, which
+        // rejects it.
+        let stage = Stage::new(self.epoch, "propose", 0, Proposal::frame_len(world) + 1);
+        let mut frames = vec![0u8; stage.cap];
+        let wait = self.cfg.heartbeat_timeout(self.members.len()).saturating_mul(2);
+        let interp = &mut self.interp(&mut frames, wait);
+        let outcome = self.step(interp, stage.op(None, Some(leader))).await?;
+        let Outcome::Done(got) = outcome else { return Ok(None) };
+        Ok(Proposal::decode(&frames[..got], world).filter(|v| {
+            let ours = self.members.iter().filter(|&&m| v.has(Proposal::LIVE, m)).count();
+            v.has(Proposal::LIVE, me) && ours == v.live().len()
+        }))
+    }
+
+    /// Stage 4 of [`Agreement::agree`]: exchange reports with every other
+    /// member in ascending order, reusing an outcome in `heard` (the
+    /// leader's stage-2 reads) instead of receiving.
+    async fn pairwise(&self, heard: &BTreeMap<Rank, Heard>) -> Result<Verdict> {
+        let me = self.comm.rank();
+        // A report is one byte; the spare byte lets a two-byte frame reach
+        // `Report::decode`, anything longer is overlong.
+        let stage = Stage::new(self.epoch, "pairwise", 1, 2);
+        let mut frames = [self.mine.encode()[0], 0, 0];
+        let interp = &mut self.interp(&mut frames, self.cfg.pairwise_timeout(self.members.len()));
+        let mut dead = BTreeSet::new();
+        let mut have_full: BTreeSet<Rank> = self.mine.has_full.then_some(me).into_iter().collect();
+        for peer in self.others(self.members) {
+            let reused = heard.get(&peer).copied();
+            let op = stage.op(Some(peer), reused.is_none().then_some(peer));
+            let outcome = self.step(interp, op).await?;
+            let report = match reused.filter(|_| matches!(outcome, Outcome::Done(_))) {
+                Some(report) => report,
+                None => self.hear(outcome, &interp.buf()[stage.inbox()]),
+            };
+            // A garbled report from a live rank violates the fault model;
+            // treating the rank as failed keeps us moving.
+            match report {
+                Heard::Report(theirs) => have_full.extend(theirs.has_full.then_some(peer)),
+                Heard::Garbled | Heard::Lost => dead.extend([peer]),
             }
-            Err(e) => return Err(e),
+        }
+        have_full.retain(|r| !dead.contains(r));
+        Ok(Verdict::Split { dead, have_full })
+    }
+}
+
+/// One epoch's agreement over the members `0..p` when they all enter it
+/// together and nothing fails inside it: every member's streams as
+/// [`Agreement::agree`] runs them, over the same stage frame buffers (one
+/// tracked buffer, all valid). `full(r)` is member `r`'s report; `silent` is a
+/// non-leader member that exited before the agreement. It runs nothing, but
+/// the frames sent to it and the leader's take of its report — which fails
+/// at once with exit evidence — stay in the others' streams. Each quorum
+/// round is settled in lockstep: a partner's frame carries its conjunction
+/// before the round, a silent partner's never comes.
+///
+/// Without `silent` and with every member full, the membership quorum
+/// commits ([`crate::traffic::agreement_volume`]). Otherwise every
+/// conjunction comes out false, and the leader stages settle the epoch
+/// ([`crate::traffic::failed_agreement_volume`]). Panics if `silent` is the
+/// leader or outside the world.
+pub fn agreement_schedule(p: usize, full: impl Fn(Rank) -> bool, silent: Option<Rank>) -> Schedule {
+    assert!(silent.is_none_or(|s| (1..p).contains(&s)), "the silent member must be a non-leader");
+    let members: Vec<Rank> = (0..p).collect();
+    let live: Vec<Rank> = members.iter().copied().filter(|&r| Some(r) != silent).collect();
+    let frame_len = Proposal::frame_len(p);
+    let buf_len = (frame_len + 1).max(15);
+    let mut s = Schedule::new("agreement", p, buf_len);
+    s.ranks.iter_mut().for_each(|r| r.mark_valid(0..buf_len));
+    let input = members.iter().map(|&r| (Some(r) != silent).then(|| full(r))).collect();
+    if lockstep(&mut s, &members, Stage::new(0, "quorum", 2, 5), input) {
+        return s;
+    }
+    let leader = members[0];
+    let reads = Stage::new(0, "report", 0, 2);
+    s.ranks[leader].ops.extend(members[1..].iter().map(|&r| reads.op(None, Some(r))));
+    let proposals = Stage::new(0, "propose", frame_len, 0);
+    s.ranks[leader].ops.extend(live[1..].iter().map(|&r| proposals.op(Some(r), None)));
+    let (report, proposal) =
+        (Stage::new(0, "report", 1, 0), Stage::new(0, "propose", 0, frame_len + 1));
+    for &r in &live[1..] {
+        s.ranks[r].ops.extend([report.op(Some(leader), None), proposal.op(None, Some(leader))]);
+    }
+    lockstep(&mut s, &live, Stage::new(0, "confirm", 5, 5), vec![Some(true); live.len()]);
+    s
+}
+
+/// Push every member's rounds of one quorum onto `s`, settled in lockstep:
+/// `acc[i]` is member `i`'s input, `None` for a silent member. Returns
+/// whether every live member's conjunction came out true.
+fn lockstep(s: &mut Schedule, over: &[Rank], stage: Stage, mut acc: Vec<Option<bool>>) -> bool {
+    for dist in distances(over.len()).chain(distances(over.len())) {
+        let sent = acc.clone();
+        for (idx, a) in acc.iter_mut().enumerate() {
+            let Some(holds) = *a else { continue };
+            let op = stage.round(over, idx, dist, holds);
+            let partner = |r: &RecvHalf| over.binary_search(&r.peer).ok().and_then(|j| sent[j]);
+            *a = Some(op.recv.as_ref().and_then(partner).unwrap_or(false));
+            s.ranks[over[idx]].ops.push(op);
         }
     }
-    have_full.retain(|r| !dead.contains(r));
-    Ok(Verdict::Split { dead, have_full })
+    acc.into_iter().flatten().all(|a| a)
+}
+
+/// The pairwise round over the members `0..p`, every one live: each sends
+/// its report to, and receives the report of, every other member in
+/// ascending order — [`Agreement::agree`]'s stage 4 without the leader's
+/// reuse.
+pub fn pairwise_schedule(p: usize) -> Schedule {
+    let stage = Stage::new(0, "pairwise", 1, 2);
+    let mut s = Schedule::new("agreement/pairwise", p, 3);
+    for (me, rank) in s.ranks.iter_mut().enumerate() {
+        rank.mark_valid(0..1);
+        rank.ops = (0..p).filter(|&r| r != me).map(|r| stage.op(Some(r), Some(r))).collect();
+    }
+    s
 }
 
 /// Fault-tolerant broadcast of `buf` from `root` using the paper's tuned
@@ -976,17 +1071,8 @@ pub async fn self_healing_bcast_with_async<C: AsyncCommunicator + ?Sized>(
     algorithm: Algorithm,
     cfg: &RecoveryConfig,
 ) -> Result<Healed> {
-    let mut trace = RecoveryTrace::default();
-    self_healing_bcast_traced_async(
-        comm,
-        buf,
-        root,
-        algorithm,
-        cfg,
-        &RecoveryDrill::NONE,
-        &mut trace,
-    )
-    .await
+    let (drill, mut trace) = (RecoveryDrill::NONE, RecoveryTrace::default());
+    self_healing_bcast_traced_async(comm, buf, root, algorithm, cfg, &drill, &mut trace).await
 }
 
 /// The fully-instrumented entry point: [`self_healing_bcast_with_async`]
@@ -1057,14 +1143,13 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
         }
 
         let report = Report { has_full: has_full || drill.claim_full_payload };
-        let verdict = match agree(comm, &members, epoch, &report, cfg, trace).await {
-            Ok(v) => v,
-            Err(CommError::PeerFailed { rank }) if rank == me => {
+        let garbled = Cell::new(false);
+        let agreement = Agreement { comm, members: &members, epoch, mine: report, cfg, garbled };
+        let verdict = agreement.agree(trace).await.inspect_err(|e| {
+            if *e == (CommError::PeerFailed { rank: me }) {
                 trace.hit(branch::SELF_CRASH);
-                return Err(CommError::PeerFailed { rank: me });
             }
-            Err(e) => return Err(e),
-        };
+        })?;
         let (dead, have_full) = match verdict {
             Verdict::EveryoneFull => {
                 trace.hit(branch::HEALED_ALL);
@@ -1220,6 +1305,19 @@ mod tests {
         RecoveryConfig { step_timeout: Duration::from_millis(100), ..RecoveryConfig::default() }
     }
 
+    /// One epoch's agreement on `comm`'s rank, as the epoch loop runs it.
+    async fn agree<C: AsyncCommunicator + ?Sized>(
+        comm: &C,
+        members: &[Rank],
+        epoch: u32,
+        mine: &Report,
+        cfg: &RecoveryConfig,
+        trace: &mut RecoveryTrace,
+    ) -> Result<Verdict> {
+        let garbled = Cell::new(false);
+        Agreement { comm, members, epoch, mine: *mine, cfg, garbled }.agree(trace).await
+    }
+
     /// The dead and full sets of a verdict that lists them.
     fn sets(v: Verdict) -> (BTreeSet<Rank>, BTreeSet<Rank>) {
         match v {
@@ -1248,7 +1346,7 @@ mod tests {
         assert!(Proposal::decode(&v.frame[..4], 10).is_none(), "short frame");
         assert!(Proposal::decode(&[1, 0, 0b100, 0, 0], 10).is_none(), "rank 10 is past the world");
         assert!(Proposal::decode(&[1, 0, 0, 0b1, 0], 10).is_none(), "full but not live");
-        assert_ne!(v.seal(), Proposal::new(10, [(0, true)].into_iter()).seal());
+        assert_ne!(v.confirm_frame(), Proposal::new(10, [(0, true)].into_iter()).confirm_frame());
     }
 
     #[test]
@@ -1669,7 +1767,7 @@ mod tests {
         }
     }
 
-    /// Drive [`quorum`] alone on a 5-rank event world; `role(rank)` is `None`
+    /// Drive [`Agreement::quorum`] alone on a 5-rank event world; `role(rank)` is `None`
     /// for a rank that exits without taking part, else its `has_full`.
     /// Returns each participant's outcome and the frames each rank sent.
     fn quorum_world(role: fn(Rank) -> Option<bool>) -> (Vec<Option<Quorum>>, Vec<u64>) {
@@ -1678,8 +1776,18 @@ mod tests {
             let members = members.clone();
             async move {
                 let has_full = role(comm.rank())?;
-                let (tag, seal) = (agreement_tag(0, QUORUM), [membership_digest(&members) as u8]);
-                Some(quorum(&comm, &members, tag, &seal, has_full, &quick_cfg()).await.unwrap())
+                let (cfg, garbled) = (quick_cfg(), Cell::new(false));
+                let mine = Report { has_full };
+                let a = Agreement {
+                    comm: &comm,
+                    members: &members,
+                    epoch: 0,
+                    mine,
+                    cfg: &cfg,
+                    garbled,
+                };
+                let frame = [u8::from(has_full), membership_digest(&members) as u8];
+                Some(a.quorum(&members, "quorum", &frame).await.unwrap())
             }
         });
         let sent = out.traffic.per_rank.iter().map(|s| s.msgs_sent).collect();
@@ -1738,37 +1846,176 @@ mod tests {
         }
     }
 
+    /// Forwards every core call to `inner` and logs it: the sequence
+    /// `FaultyComm`'s crash clock counts, with each call's deadline.
+    struct Log<'a, C: ?Sized> {
+        inner: &'a C,
+        calls: std::cell::RefCell<Vec<Call>>,
+    }
+
+    impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for Log<'_, C> {
+        fn rank(&self) -> Rank {
+            self.inner.rank()
+        }
+
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+
+        fn now_ns(&self) -> u64 {
+            self.inner.now_ns()
+        }
+
+        async fn barrier(&self) -> Result<()> {
+            self.inner.barrier().await
+        }
+
+        fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+            self.inner.make_shared(data)
+        }
+
+        fn note_copy(&self, bytes: usize) {
+            self.inner.note_copy(bytes)
+        }
+
+        async fn post(&self, payload: mpsim::Payload, peer: Rank, tag: Tag) -> Result<()> {
+            self.calls.borrow_mut().push(Call::Post { peer, tag, len: payload.len() });
+            self.inner.post(payload, peer, tag).await
+        }
+
+        async fn take(
+            &self,
+            cap: usize,
+            peer: Rank,
+            tag: Tag,
+            timeout: Option<Duration>,
+        ) -> Result<mpsim::Payload> {
+            self.calls.borrow_mut().push(Call::Take { peer, tag, cap, timeout });
+            self.inner.take(cap, peer, tag, timeout).await
+        }
+
+        async fn exchange(
+            &self,
+            payload: mpsim::Payload,
+            to: Rank,
+            stag: Tag,
+            cap: usize,
+            from: Rank,
+            rtag: Tag,
+        ) -> Result<mpsim::Payload> {
+            let len = payload.len();
+            self.calls.borrow_mut().push(Call::Exchange { to, stag, len, from, rtag, cap });
+            self.inner.exchange(payload, to, stag, cap, from, rtag).await
+        }
+    }
+
+    /// Every rank's core calls in one epoch's agreement on an event world of
+    /// `p` members, all full, `silent` exiting before it starts.
+    fn agreement_calls(p: usize, silent: Option<Rank>) -> Vec<Vec<Call>> {
+        let members: Vec<Rank> = (0..p).collect();
+        let out = EventWorld::run(p, |comm| {
+            let members = members.clone();
+            async move {
+                let log = Log { inner: &comm, calls: Default::default() };
+                if Some(comm.rank()) != silent {
+                    let mut trace = RecoveryTrace::default();
+                    let mine = Report { has_full: true };
+                    agree(&log, &members, 0, &mine, &quick_cfg(), &mut trace).await.unwrap();
+                }
+                log.calls.into_inner()
+            }
+        });
+        out.results
+    }
+
+    #[test]
+    fn the_agreement_keeps_its_core_calls_call_for_call() {
+        // The crash clock of `FaultPlan::with_crash` counts these calls, so
+        // every crash point of the recovery tests depends on their order,
+        // kind, peers, tags, lengths and deadlines. P = 3, clean: two passes
+        // of two rounds, a two-byte frame ahead and a bounded take behind.
+        let quorum = Tag(AGREEMENT_TAG_BASE + QUORUM);
+        let bound = Some(Duration::from_millis(200));
+        let rank0: Vec<Call> = [1, 2, 1, 2]
+            .into_iter()
+            .flat_map(|dist| {
+                let take = Call::Take { peer: (3 - dist) % 3, tag: quorum, cap: 5, timeout: bound };
+                [Call::Post { peer: dist, tag: quorum, len: 2 }, take]
+            })
+            .collect();
+        assert_eq!(agreement_calls(3, None)[0], rank0);
+        // Every shape, pinned by a digest of each rank's calls.
+        let digest = |calls: &[Vec<Call>]| fnv1a(FNV_OFFSET, format!("{calls:?}").into_bytes());
+        let mut got = Vec::new();
+        for p in [3, 8, 10] {
+            for silent in [None, Some(p / 2)] {
+                let calls = agreement_calls(p, silent);
+                got.push((p, silent, calls.iter().map(Vec::len).sum::<usize>(), digest(&calls)));
+            }
+        }
+        let pinned = [
+            (3, None, 24, 1_900_475_713),
+            (3, Some(1), 24, 1_607_977_427),
+            (8, None, 96, 1_067_530_785),
+            (8, Some(4), 168, 2_449_191_852),
+            (10, None, 160, 3_375_879_625),
+            (10, Some(5), 274, 3_983_069_574),
+        ];
+        assert_eq!(got, pinned, "(P, silent member, calls, digest)");
+    }
+
     #[test]
     fn failed_epoch_agreement_matches_its_closed_form() {
-        // One member exits before the agreement: the membership quorum
-        // fails, the leader's proposal is confirmed, and the pairwise round
-        // never runs.
-        for p in [3usize, 8, 10, 129] {
+        // Every member but the odd ones holds the payload, and at most one
+        // member exits before the agreement: the membership quorum fails,
+        // the leader's proposal is confirmed, and the pairwise round never
+        // runs. Every rank sends exactly what its collected stream plans.
+        for p in 2..=16usize {
             let members: Vec<Rank> = (0..p).collect();
-            let gone = p / 2;
-            let out = EventWorld::run(p, |comm| {
-                let members = members.clone();
-                async move {
-                    if comm.rank() == gone {
-                        return None;
+            for silent in [None, Some(1), Some(p / 2), Some(p - 1)] {
+                let out = EventWorld::run(p, |comm| {
+                    let members = members.clone();
+                    async move {
+                        if Some(comm.rank()) == silent {
+                            return None;
+                        }
+                        let mut trace = RecoveryTrace::default();
+                        let mine = Report { has_full: comm.rank() % 2 == 0 };
+                        let v = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
+                        v.ok().map(sets)
                     }
-                    let mut trace = RecoveryTrace::default();
-                    let mine = Report { has_full: comm.rank() % 2 == 0 };
-                    let v = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
-                    v.ok().map(sets)
+                });
+                let live = members.iter().copied().filter(|&r| Some(r) != silent);
+                let verdict =
+                    Some((silent.into_iter().collect(), live.filter(|r| r % 2 == 0).collect()));
+                for (rank, got) in out.results.iter().enumerate() {
+                    if Some(rank) != silent {
+                        assert_eq!(*got, verdict, "P={p} silent {silent:?} rank {rank}");
+                    }
                 }
-            });
-            let full = members.iter().copied().filter(|&r| r != gone && r % 2 == 0).collect();
-            let verdict = Some((BTreeSet::from([gone]), full));
-            for (rank, got) in out.results.iter().enumerate() {
-                if rank != gone {
-                    assert_eq!(*got, verdict, "P={p} rank {rank}");
+                let vol = failed_agreement_volume(p, p, p - usize::from(silent.is_some()));
+                let planned = agreement_schedule(p, |r| r % 2 == 0, silent);
+                assert_eq!(planned.planned_volume(), (vol.msgs, vol.bytes), "P={p} {silent:?}");
+                for (rank, (sent, plan)) in
+                    out.traffic.per_rank.iter().zip(&planned.ranks).enumerate()
+                {
+                    let what = format!("P={p} silent {silent:?} rank {rank}");
+                    assert_eq!((sent.msgs_sent, sent.bytes_sent), plan.planned_sends(), "{what}");
                 }
             }
-            let vol = failed_agreement_volume(p, p, p - 1);
-            assert_eq!(out.traffic.total_msgs(), vol.msgs, "P={p}");
-            assert_eq!(out.traffic.total_bytes(), vol.bytes, "P={p}");
         }
+        // At scale, the world totals.
+        let (p, gone) = (129, 64);
+        let out = EventWorld::run(p, |comm| async move {
+            if comm.rank() != gone {
+                let members: Vec<Rank> = (0..p).collect();
+                let (mine, mut trace) = (Report { has_full: true }, RecoveryTrace::default());
+                let v = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
+                assert_eq!(v.map(sets).unwrap().0, BTreeSet::from([gone]));
+            }
+        });
+        let vol = failed_agreement_volume(p, p, p - 1);
+        assert_eq!((out.traffic.total_msgs(), out.traffic.total_bytes()), (vol.msgs, vol.bytes));
     }
 
     #[test]

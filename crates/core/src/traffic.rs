@@ -209,9 +209,9 @@ pub fn agreement_volume(n: usize) -> Volume {
 /// bitmaps — to every other live member, and every live member its
 /// `2·⌈log₂live⌉` five-byte confirm frames (a conjunction byte and a
 /// four-byte seal). `O(n log n)`, where the pairwise round it replaces
-/// costs `live·(n−1)`.
-#[cfg(test)]
-pub(crate) fn failed_agreement_volume(world: usize, n: usize, live: usize) -> Volume {
+/// costs `live·(n−1)`. `schedcheck` pins it against the collected streams
+/// ([`crate::recovery::agreement_schedule`]).
+pub fn failed_agreement_volume(world: usize, n: usize, live: usize) -> Volume {
     let quorum = |over: usize, frame: u64| {
         let msgs = 2 * live as u64 * u64::from(ceil_log2(over));
         Volume { msgs, bytes: frame * msgs }

@@ -1,9 +1,11 @@
 //! Static schedule sweep: every registered collective × P ∈ {2..32} ×
 //! payload sizes × roots × both send semantics, the coalescing ring's
 //! rewrites under four policies up to P = 64, the paper's ring theorems, a
-//! mutation drill proving the checker has teeth, and the
+//! mutation drill proving the checker has teeth, the
 //! degraded schedules the self-healing broadcast re-derives over survivor
-//! subsets after a crash.
+//! subsets after a crash, and the self-healing agreement's own op streams
+//! (clean quorum, failed epoch, pairwise round; every P ≤ 64) with a seeded
+//! quorum mutant.
 //!
 //! Exits nonzero (with per-instance diagnostics) on any failure. `--quick`
 //! restricts the world-size grid for local smoke runs; CI runs the full
@@ -21,12 +23,14 @@
 
 use bcast_core::bcast::{bcast_schedule, bcast_tuned_schedule_with};
 use bcast_core::{
-    all_sources, coalesced_envelope_count, coalesced_schedule, degraded_bcast_schedule,
-    self_healing_bcast_event_world, step_flag, traffic, Algorithm, CoalescePolicy, RecoveryConfig,
+    agreement_schedule, all_sources, coalesced_envelope_count, coalesced_schedule,
+    degraded_bcast_schedule, pairwise_schedule, self_healing_bcast_event_world, step_flag, traffic,
+    Algorithm, CoalescePolicy, RecoveryConfig, Schedule,
 };
 use schedcheck::models::{
     ExternalWakerModel, LaneMailboxModel, MailboxModel, RunQueueModel, TimerWheelModel,
 };
+use schedcheck::mutate::redirect_recv;
 use schedcheck::{
     check, explore, explore_dpor, prune_redundant, pruned_native_is_tuned, Model, Semantics,
     DEFAULT_MAX_STATES,
@@ -110,6 +114,69 @@ fn drill<M: Model>(
         }
     }
     caught
+}
+
+/// Check `sched`'s planned volume against the closed form `want`,
+/// recording a mismatch under `what`.
+fn check_volume(what: &str, sched: &Schedule, want: traffic::Volume, failures: &mut Vec<Failure>) {
+    let planned = sched.planned_volume();
+    if planned != (want.msgs, want.bytes) {
+        failures.push(Failure {
+            what: what.to_string(),
+            details: vec![format!(
+                "planned (msgs, bytes) {planned:?} != closed form ({} msgs, {} B)",
+                want.msgs, want.bytes
+            )],
+        });
+    }
+}
+
+/// Check `sched` under each of `semantics`, recording every violation
+/// under `what`. Returns the number of instances analysed.
+fn check_semantics(
+    what: &str,
+    sched: &Schedule,
+    semantics: &[Semantics],
+    failures: &mut Vec<Failure>,
+) -> usize {
+    for &sem in semantics {
+        let rep = check(sched, sem);
+        if !rep.is_clean() {
+            failures.push(Failure { what: format!("{what} {sem}"), details: rep.errors });
+        }
+    }
+    semantics.len()
+}
+
+/// A failed epoch's agreement streams with the halves nobody answers set
+/// aside: every half naming `silent` (the frames sent to it, and the
+/// leader's take of its report, which exit evidence answers), and every
+/// quorum frame sent into a round whose receive half the receiver's false
+/// conjunction dropped — the `k`-th op of a quorum phase on the sender meets
+/// the `k`-th op of that phase on its receiver. Returns the view and the
+/// number of halves set aside.
+fn answered_view(sched: &Schedule, silent: usize) -> (Schedule, usize) {
+    let mut view = sched.clone();
+    let mut set_aside = 0;
+    for (rank, rs) in sched.ranks.iter().enumerate() {
+        for (step, op) in rs.ops.iter().enumerate() {
+            let round = rs.ops[..step].iter().filter(|o| o.phase == op.phase).count();
+            let dropped = |peer: usize| {
+                let mut theirs = sched.ranks[peer].ops.iter().filter(|o| o.phase == op.phase);
+                ["quorum", "confirm"].contains(&op.phase)
+                    && theirs.nth(round).is_some_and(|o| o.recv.is_none())
+            };
+            if op.send.as_ref().is_some_and(|s| s.peer == silent || dropped(s.peer)) {
+                view.ranks[rank].ops[step].send = None;
+                set_aside += 1;
+            }
+            if op.recv.as_ref().is_some_and(|r| r.peer == silent) {
+                view.ranks[rank].ops[step].recv = None;
+                set_aside += 1;
+            }
+        }
+    }
+    (view, set_aside)
 }
 
 /// The `explore-reactor` subcommand.
@@ -624,6 +691,73 @@ fn main() {
     println!(
         "phase 5: {degraded} degraded survivor-subset schedules analysed, healed-epoch traffic \
          reconciled with the agreement closed form"
+    );
+
+    // ---- Phase 6: the agreement's streams --------------------------------
+    // The self-healing agreement runs as per-rank op streams too, and
+    // `agreement_schedule` / `pairwise_schedule` collect what `agree` runs.
+    // Every P <= 64: the clean epoch's quorum is matched and deadlock-free
+    // under both semantics and moves `agreement_volume`. A failed epoch
+    // with one silent non-leader (three positions) moves
+    // `failed_agreement_volume`, sends to the silent rank counted; with the
+    // halves nobody answers set aside (`answered_view`) it is matched and
+    // deadlock-free under eager semantics — only eager, because a rank whose
+    // conjunction is false keeps sending into rounds whose receivers dropped
+    // their receive halves. The pairwise round is clean under both semantics
+    // at P·(P−1) one-byte frames.
+    let mut agreements = 0usize;
+    let mut set_aside = 0usize;
+    for p in 2..=64usize {
+        let clean = agreement_schedule(p, |_| true, None);
+        let what = format!("agreement p={p}");
+        check_volume(&what, &clean, traffic::agreement_volume(p), &mut failures);
+        agreements += check_semantics(&what, &clean, &Semantics::ALL, &mut failures);
+        let mut silent = vec![1, p / 2, p - 1];
+        silent.dedup();
+        for s in silent {
+            let failed = agreement_schedule(p, |_| true, Some(s));
+            let what = format!("failed agreement p={p} silent={s}");
+            let want = traffic::failed_agreement_volume(p, p, p - 1);
+            check_volume(&what, &failed, want, &mut failures);
+            let (view, aside) = answered_view(&failed, s);
+            set_aside += aside;
+            agreements += check_semantics(&what, &view, &[Semantics::Eager], &mut failures);
+        }
+        let (pairwise, frames) = (pairwise_schedule(p), (p * (p - 1)) as u64);
+        let what = format!("pairwise agreement p={p}");
+        let want = traffic::Volume { msgs: frames, bytes: frames };
+        check_volume(&what, &pairwise, want, &mut failures);
+        agreements += check_semantics(&what, &pairwise, &Semantics::ALL, &mut failures);
+    }
+    // Seeded mutant: a quorum that receives from the member `dist − 1`
+    // behind (position `idx − dist + 1`) instead of `dist` behind.
+    let mut agreement_mutants = 0usize;
+    for &p in &ps {
+        let mut sched = agreement_schedule(p, |_| true, None);
+        for rank in 0..p {
+            for step in 0..sched.ranks[rank].ops.len() {
+                let from = sched.ranks[rank].ops[step].recv.as_ref().map(|r| r.peer);
+                if let Some(from) = from {
+                    redirect_recv(&mut sched, rank, step, (from + 1) % p);
+                }
+            }
+        }
+        agreement_mutants += 1;
+        let caught = Semantics::ALL.iter().any(|&sem| {
+            let rep = check(&sched, sem);
+            !rep.is_clean() && rep.errors.iter().any(|e| e.contains("rank"))
+        });
+        if !caught {
+            failures.push(Failure {
+                what: format!("mutation quorum idx-dist+1 p={p}"),
+                details: vec!["a quorum receiving from the wrong partner was NOT detected".into()],
+            });
+        }
+    }
+    println!(
+        "phase 6: {agreements} agreement instances analysed (P <= 64: clean quorum, failed \
+         epoch with a silent member at three positions ({set_aside} halves nobody answers set \
+         aside), pairwise round); {agreement_mutants} seeded quorum mutants drilled"
     );
 
     // ---- Verdict ---------------------------------------------------------

@@ -57,7 +57,9 @@
 //!
 //! The `schedcheck` binary sweeps P ∈ {2..32} × every registered algorithm ×
 //! both semantics in CI — including the degraded broadcast schedules that
-//! `bcast_core::recovery` re-derives over survivor subsets after a crash —
+//! `bcast_core::recovery` re-derives over survivor subsets after a crash,
+//! and the op streams its agreement runs (`agreement_schedule`,
+//! `pairwise_schedule`, every P ≤ 64) —
 //! and its `explore-reactor` subcommand runs every protocol model under
 //! both explorers plus the seeded mutation drill as its own CI phase;
 //! `repolint` enforces source-level conventions (no `.unwrap()`/`.expect()`

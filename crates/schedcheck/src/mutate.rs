@@ -23,6 +23,17 @@ pub fn redirect_send(sched: &mut Schedule, rank: Rank, step: usize, new_peer: Ra
     send.peer = new_peer;
 }
 
+/// Redirect the receive half of `sched.ranks[rank].ops[step]` to
+/// `new_peer` (a receive from the wrong partner, e.g. an off-by-one in a
+/// dissemination distance). Panics if the op has no receive half.
+pub fn redirect_recv(sched: &mut Schedule, rank: Rank, step: usize, new_peer: Rank) {
+    let recv = sched.ranks[rank].ops[step]
+        .recv
+        .as_mut()
+        .unwrap_or_else(|| panic!("rank {rank} step {step} has no receive half to redirect"));
+    recv.peer = new_peer;
+}
+
 /// Truncate the send half of `sched.ranks[rank].ops[step]` to `new_len`
 /// bytes (an off-by-one / short-chunk bug). Panics if the op has no send
 /// half or `new_len` exceeds the current length.

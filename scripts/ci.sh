@@ -74,6 +74,12 @@ phase_harness_and_fmt() {
 # one hash-free matcher for both mailboxes) and, reading src/, tests/,
 # examples/ and benchmark/src/ too, that no public item of crates/*/src
 # lacks a caller outside its own tests (unused-pub; allowlist in lint.rs).
+# The sweep's phase 6 checks the self-healing agreement's op streams
+# (clean quorum and pairwise round under both semantics, a failed epoch
+# with a silent member under eager, every P <= 64, plus a seeded quorum
+# mutant that must be caught); it runs in full and --quick alike and took
+# ~2 s of the sweep's ~75 s (--quick) / ~120 s (full) debug wall time on
+# the 2-core host.
 phase_schedcheck() {
   if [[ $quick -eq 1 ]]; then
     run cargo run -q -p schedcheck --bin schedcheck --offline -- --quick

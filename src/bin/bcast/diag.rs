@@ -111,7 +111,7 @@ pub(crate) fn inspect(mut args: Args, out: &mut dyn Write) -> Result<(), CliErro
 /// Step-level trace of the ring allgather on the simulator: the watched
 /// ranks' virtual times after the scatter and every ring step.
 pub(crate) fn trace(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let np = args.count("--np", 96)?;
+    let np = args.at_least("--np", 2, 96)?;
     let nbytes = args.num("--nbytes", np.saturating_mul(4096))?;
     let tuned = match args.algo("native")? {
         Algo::Fixed(Algorithm::ScatterRingNative) => false,

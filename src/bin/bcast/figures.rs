@@ -20,7 +20,8 @@ use crate::{check_supports, Algo, Args, CliError};
 /// §V-A "peak bandwidth" comparison, experiment E7).
 pub(crate) fn fig6(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let iters = args.count("--iters", 5)?;
-    let nps = args.list("--np", 1)?.unwrap_or_else(|| vec![16, 64, 256]);
+    // A comparison needs a ring: one rank has no bandwidth to compare.
+    let nps = args.list("--np", 2)?.unwrap_or_else(|| vec![16, 64, 256]);
     let mut preset = args.preset()?;
     args.switches(&mut preset, &["--eager-threshold"])?;
     args.finish(out)?;
@@ -73,7 +74,7 @@ pub(crate) fn fig7(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> 
 /// through long, all on the scatter-ring path at the paper's 129 ranks).
 pub(crate) fn fig8(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let iters = args.count("--iters", 10)?;
-    let np = args.count("--np", 129)?;
+    let np = args.at_least("--np", 2, 129)?;
     let mut preset = args.preset()?;
     args.switches(&mut preset, &["--eager-threshold"])?;
     args.finish(out)?;

@@ -234,17 +234,22 @@ impl Args {
         Ok(self.opt_num(flag)?.unwrap_or(default))
     }
 
-    /// A count that must be at least 1 (`--np`, `--iters`), if given.
-    fn opt_count(&mut self, flag: &'static str) -> Result<Option<usize>, String> {
+    /// `flag`'s number, which must be at least `min`, or `default`.
+    fn at_least(
+        &mut self,
+        flag: &'static str,
+        min: usize,
+        default: usize,
+    ) -> Result<usize, String> {
         match self.opt_num(flag)? {
-            Some(0) => Err(format!("{flag} must be at least 1")),
-            n => Ok(n),
+            Some(n) if n < min => Err(format!("{flag} must be at least {min}, got {n}")),
+            n => Ok(n.unwrap_or(default)),
         }
     }
 
-    /// A count that must be at least 1, or `default`.
+    /// A count that must be at least 1 (`--np`, `--iters`), or `default`.
     fn count(&mut self, flag: &'static str, default: usize) -> Result<usize, String> {
-        Ok(self.opt_count(flag)?.unwrap_or(default))
+        self.at_least(flag, 1, default)
     }
 
     /// `--algo`'s entry of [`ALGOS`], or `default`'s.

@@ -40,6 +40,10 @@ fn assert_usage_error(args: &[&str]) {
 fn hostile_input_is_a_usage_error_for_every_subcommand() {
     assert_usage_error(&["bogus"]);
     assert_usage_error(&["fig9", "--iters", "2"]);
+    // One rank has no ring to compare or trace.
+    for sub in ["fig6", "fig8", "trace"] {
+        assert_usage_error(&[sub, "--np", "1"]);
+    }
     for (sub, numeric) in SUBCOMMANDS {
         let cases: [&[&str]; 10] = [
             &["--preset", "bogus"],
@@ -64,7 +68,8 @@ fn hostile_input_is_a_usage_error_for_every_subcommand() {
 fn refusals_name_the_bad_value() {
     for (args, needle) in [
         (&["--iters", "0"][..], "--iters must be at least 1"),
-        (&["fig6", "--np", "16,0"], "--np must be at least 1"),
+        (&["fig6", "--np", "16,1"], "--np must be at least 2, got 1"),
+        (&["trace", "--np", "1"], "--np must be at least 2, got 1"),
         (&["osu", "--np", "6", "--algo", "rd"], "not defined for --np 6"),
         (&["osu", "--algo", "auto"], "fixed --algo"),
         (&["trace", "--algo", "binomial"], "native|tuned"),
