@@ -7,7 +7,7 @@
 //! scatter leaves subtree roots holding more than their own block
 //! (`schedcheck` checks both halves of that sentence on the same stream).
 //!
-//! One entry point, [`allgather`], runs an [`AllgatherAlgorithm`] as a
+//! One entry point, [`allgather_async`], runs an [`AllgatherAlgorithm`] as a
 //! per-rank op stream through the interpreter; the variants mirror MPICH's
 //! repertoire:
 //!
@@ -19,10 +19,7 @@
 //! * `Bruck` — [`bruck_ops`], `ceil(log2 P)` steps for *any* `P`, at the
 //!   cost of a local re-rotation.
 
-use mpsim::{
-    ceil_log2, complete_now, is_pof2, AsyncCommunicator, CommError, Communicator, Rank, Result,
-    SyncComm, Tag,
-};
+use mpsim::{ceil_log2, is_pof2, AsyncCommunicator, CommError, Rank, Result, Tag};
 
 use crate::interp::Interp;
 use crate::rd_allgather::rd_ops;
@@ -80,17 +77,7 @@ pub fn bruck_ops(rank: Rank, p: usize, block: usize) -> impl Iterator<Item = Sch
 }
 
 /// Gather every rank's `sendbuf` (equal lengths) into `recvbuf`, in rank
-/// order, with the given algorithm.
-pub fn allgather(
-    comm: &(impl Communicator + ?Sized),
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    algorithm: AllgatherAlgorithm,
-) -> Result<()> {
-    complete_now(allgather_async(&SyncComm::new(comm), sendbuf, recvbuf, algorithm))
-}
-
-/// Async core of [`allgather`]: place the own block, then interpret this
+/// order, with the given algorithm: place the own block, then interpret this
 /// rank's stream over the gathered buffer.
 ///
 /// Fails before anything is posted with [`CommError::Unsupported`] when the
@@ -134,14 +121,14 @@ pub async fn allgather_async<C: AsyncCommunicator + ?Sized>(
     Ok(())
 }
 
-/// The full symbolic schedule of [`allgather`] for `block` bytes per rank:
+/// The full symbolic schedule of [`allgather_async`] for `block` bytes per rank:
 /// the own block (slot 0 of the rotated space for Bruck) is the entry
 /// validity, then the stream [`allgather_async`] runs.
 ///
 /// # Panics
 ///
 /// Panics if `p` is a world size the algorithm does not support — a
-/// precondition here; [`allgather`] returns an error instead.
+/// precondition here; [`allgather_async`] returns an error instead.
 pub fn allgather_schedule(algorithm: AllgatherAlgorithm, p: usize, block: usize) -> Schedule {
     let name = algorithm.schedule_name();
     assert!(algorithm.supports(p), "{name} is not defined for P = {p}");
@@ -187,7 +174,7 @@ pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::{EventWorld, ThreadWorld};
+    use mpsim::{complete_now, Communicator, EventWorld, SyncComm, ThreadWorld};
 
     /// Run one variant and return every rank's gathered buffer + traffic.
     fn run(
@@ -199,7 +186,8 @@ mod tests {
             let me = comm.rank() as u8;
             let sendbuf: Vec<u8> = (0..block).map(|i| me ^ (i as u8)).collect();
             let mut recvbuf = vec![0u8; block * comm.size()];
-            allgather(comm, &sendbuf, &mut recvbuf, algo).unwrap();
+            complete_now(allgather_async(&SyncComm::new(comm), &sendbuf, &mut recvbuf, algo))
+                .unwrap();
             recvbuf
         });
         (out.results, out.traffic)
@@ -245,7 +233,12 @@ mod tests {
         for size in [3usize, 6] {
             let want = Err(CommError::Unsupported { what: "allgather/rd", size });
             let threads = ThreadWorld::run(size, |comm| {
-                allgather(comm, &[1; 4], &mut vec![0; 4 * size], RecursiveDoubling)
+                complete_now(allgather_async(
+                    &SyncComm::new(comm),
+                    &[1; 4],
+                    &mut vec![0; 4 * size],
+                    RecursiveDoubling,
+                ))
             });
             let events = EventWorld::run(size, move |comm| async move {
                 allgather_async(&comm, &[1; 4], &mut vec![0; 4 * size], RecursiveDoubling).await
@@ -259,7 +252,12 @@ mod tests {
         }
         // A mis-sized receive buffer is the caller's error too, not a panic.
         let out = ThreadWorld::run(2, |comm| {
-            allgather(comm, &[1; 4], &mut [0; 7], AllgatherAlgorithm::Ring)
+            complete_now(allgather_async(
+                &SyncComm::new(comm),
+                &[1; 4],
+                &mut [0; 7],
+                AllgatherAlgorithm::Ring,
+            ))
         });
         assert_eq!(out.results[0], Err(CommError::OutOfBounds { disp: 0, count: 8, len: 7 }));
         assert_eq!(out.traffic.total_msgs(), 0);

@@ -1,14 +1,19 @@
 //! Top-level broadcast entry points and MPICH3's algorithm selection.
 //!
-//! * [`bcast_native`] — `MPI_Bcast_native` of the paper: binomial scatter +
-//!   **enclosed** ring allgather (the MPICH3 lmsg / mmsg-npof2 path).
-//! * [`bcast_opt`] — `MPI_Bcast_opt`: binomial scatter + **tuned** ring
-//!   allgather (the paper's contribution).
-//! * [`bcast_with`] — any one [`Algorithm`], including the smsg binomial tree
-//!   and the mmsg-pof2 scatter + recursive doubling.
-//! * [`bcast_auto`] — dispatch among the above with MPICH3's message-size /
-//!   process-count thresholds ([`Thresholds`]), optionally substituting the
-//!   tuned ring wherever the native ring would run.
+//! * [`bcast_with_async`] — any one [`Algorithm`]:
+//!   [`Algorithm::ScatterRingNative`] is the paper's `MPI_Bcast_native`
+//!   (binomial scatter + **enclosed** ring allgather, the MPICH3 lmsg /
+//!   mmsg-npof2 path), [`Algorithm::ScatterRingTuned`] its `MPI_Bcast_opt`
+//!   (binomial scatter + **tuned** ring allgather, the paper's contribution;
+//!   also [`bcast_opt_async`]), plus the smsg binomial tree and the mmsg-pof2
+//!   scatter + recursive doubling.
+//! * [`bcast_with`] — the same on a blocking [`Communicator`], through
+//!   [`SyncComm`] + [`complete_now`]: the one blocking entry point of this
+//!   crate. Every other collective is reached from blocking code the same
+//!   way, by its caller.
+//! * [`bcast_auto_async`] — dispatch among the above with MPICH3's
+//!   message-size / process-count thresholds ([`Thresholds`]), optionally
+//!   substituting the tuned ring wherever the native ring would run.
 //!
 //! Every algorithm is a pair of op streams — a tree phase and an allgather
 //! phase; running it is handing those streams to the [`Interp`]reter, and
@@ -105,19 +110,8 @@ pub fn select_algorithm(nbytes: usize, size: usize, th: &Thresholds, tuned: bool
     }
 }
 
-/// `MPI_Bcast_native`: binomial scatter followed by the enclosed ring
-/// allgather — MPICH3's long-message / medium-npof2 broadcast.
-pub fn bcast_native(comm: &(impl Communicator + ?Sized), buf: &mut [u8], root: Rank) -> Result<()> {
-    bcast_with(comm, buf, root, Algorithm::ScatterRingNative)
-}
-
-/// `MPI_Bcast_opt`: binomial scatter followed by the **tuned** ring
-/// allgather — the paper's bandwidth-saving broadcast.
-pub fn bcast_opt(comm: &(impl Communicator + ?Sized), buf: &mut [u8], root: Rank) -> Result<()> {
-    bcast_with(comm, buf, root, Algorithm::ScatterRingTuned)
-}
-
-/// Async core of [`bcast_opt`] over any [`AsyncCommunicator`].
+/// `MPI_Bcast_opt` over any [`AsyncCommunicator`]: binomial scatter followed
+/// by the **tuned** ring allgather — the paper's bandwidth-saving broadcast.
 pub async fn bcast_opt_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -126,7 +120,9 @@ pub async fn bcast_opt_async<C: AsyncCommunicator + ?Sized>(
     bcast_with_async(comm, buf, root, Algorithm::ScatterRingTuned).await
 }
 
-/// Run one specific [`Algorithm`].
+/// Run one specific [`Algorithm`] on a blocking [`Communicator`] — the only
+/// place this crate accepts one: [`bcast_with_async`] through [`SyncComm`] +
+/// [`complete_now`].
 pub fn bcast_with(
     comm: &(impl Communicator + ?Sized),
     buf: &mut [u8],
@@ -229,17 +225,6 @@ pub(crate) fn collect_ops(
 /// With `tuned = false` this behaves like stock MPICH3; with `tuned = true`
 /// it is MPICH3 patched with the paper's optimization (the paper's "Laki"
 /// setup, where the tuned ring was spliced into the MPI library itself).
-pub fn bcast_auto(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-    th: &Thresholds,
-    tuned: bool,
-) -> Result<()> {
-    complete_now(bcast_auto_async(&SyncComm::new(comm), buf, root, th, tuned))
-}
-
-/// Async core of [`bcast_auto`] over any [`AsyncCommunicator`].
 pub async fn bcast_auto_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -510,7 +495,8 @@ mod tests {
                 let src = pattern(nbytes);
                 ThreadWorld::run(size, |comm| {
                     let mut buf = if comm.rank() == 2 { src.clone() } else { vec![0u8; nbytes] };
-                    bcast_auto(comm, &mut buf, 2, &th, tuned).unwrap();
+                    complete_now(bcast_auto_async(&SyncComm::new(comm), &mut buf, 2, &th, tuned))
+                        .unwrap();
                     assert_eq!(buf, src);
                 });
             }
@@ -526,7 +512,8 @@ mod tests {
         let run = |tuned: bool| {
             ThreadWorld::run(size, |comm| {
                 let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-                bcast_auto(comm, &mut buf, 0, &th, tuned).unwrap();
+                complete_now(bcast_auto_async(&SyncComm::new(comm), &mut buf, 0, &th, tuned))
+                    .unwrap();
             })
             .traffic
             .total_msgs()

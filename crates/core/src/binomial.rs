@@ -6,12 +6,9 @@
 //! bandwidth for large ones (every transfer carries all `nbytes`), which is
 //! why MPICH switches to scatter-based algorithms past 12 KiB.
 
-use mpsim::{
-    absolute_rank, complete_now, relative_rank, AsyncCommunicator, Communicator, Rank, Result,
-    SyncComm, Tag,
-};
+use mpsim::{absolute_rank, relative_rank, AsyncCommunicator, Rank, Result, Tag};
 
-use crate::interp::Interp;
+use crate::bcast::{bcast_with_async, Algorithm};
 use crate::schedule::SchedOp;
 
 /// Rank `rank`'s ops of the binomial-tree broadcast: one receive of the
@@ -41,17 +38,9 @@ pub fn binomial_ops(rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<Sche
     ops
 }
 
-/// Broadcast `buf` from `root` to every rank via a binomial tree.
-pub fn bcast_binomial(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    complete_now(bcast_binomial_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Async core of [`bcast_binomial`]: [`binomial_ops`] through the
-/// interpreter.
+/// Broadcast `buf` from `root` to every rank via a binomial tree:
+/// [`Algorithm::Binomial`] through [`bcast_with_async`], i.e.
+/// [`binomial_ops`] through the interpreter.
 ///
 /// The payload rides one shared envelope: the root stages `buf` once, a
 /// non-root receives the envelope itself and pays exactly one copy into the
@@ -64,9 +53,7 @@ pub async fn bcast_binomial_async<C: AsyncCommunicator + ?Sized>(
     buf: &mut [u8],
     root: Rank,
 ) -> Result<()> {
-    comm.check_rank(root)?;
-    let ops = binomial_ops(comm.rank(), comm.size(), buf.len(), root);
-    Interp::new(comm, buf).run(ops).await.map(drop)
+    bcast_with_async(comm, buf, root, Algorithm::Binomial).await
 }
 
 /// The pre-zero-copy binomial walk: plain `send`/`recv`, so every hop pays
@@ -74,15 +61,6 @@ pub async fn bcast_binomial_async<C: AsyncCommunicator + ?Sized>(
 /// differential baseline for the `zero_copy` bench group and the
 /// bytes-copied regression tests — deliberately a hand loop, not a stream:
 /// it is the reference the interpreter's copy bill is compared against.
-pub fn bcast_binomial_copy(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-) -> Result<()> {
-    complete_now(bcast_binomial_copy_async(&SyncComm::new(comm), buf, root))
-}
-
-/// Async core of [`bcast_binomial_copy`]; see that function.
 pub async fn bcast_binomial_copy_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -119,7 +97,8 @@ pub async fn bcast_binomial_copy_async<C: AsyncCommunicator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::ThreadWorld;
+    use crate::bcast::bcast_with;
+    use mpsim::{Communicator, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 89 + 3) as u8).collect()
@@ -129,7 +108,7 @@ mod tests {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            bcast_binomial(comm, &mut buf, root).unwrap();
+            bcast_with(comm, &mut buf, root, Algorithm::Binomial).unwrap();
             assert_eq!(buf, src, "rank {}", comm.rank());
         });
         out.traffic

@@ -29,10 +29,7 @@
 
 use std::ops::Range;
 
-use mpsim::{
-    complete_now, relative_rank, ring_left, ring_right, AsyncCommunicator, Communicator, Rank,
-    Result, SyncComm, Tag,
-};
+use mpsim::{relative_rank, ring_left, ring_right, AsyncCommunicator, Rank, Result, Tag};
 
 use crate::bcast::bcast_skeleton;
 use crate::chunks::ChunkLayout;
@@ -190,18 +187,7 @@ pub fn coalesced_ring_ops(
     })
 }
 
-/// `MPI_Bcast_opt` with a coalescing allgather phase: binomial scatter
-/// followed by [`coalesced_ring_ops`].
-pub fn bcast_opt_coalesced(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Result<()> {
-    complete_now(bcast_opt_coalesced_async(&SyncComm::new(comm), buf, root, policy))
-}
-
-/// Async core of [`bcast_opt_coalesced`]: [`scatter_ops`] then
+/// `MPI_Bcast_opt` with a coalescing allgather phase: [`scatter_ops`] then
 /// [`coalesced_ring_ops`] through one interpreter.
 pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
@@ -218,7 +204,7 @@ pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
 
 const COALESCED_NAME: &str = "bcast/scatter_ring_coalesced";
 
-/// The full symbolic schedule of [`bcast_opt_coalesced`].
+/// The full symbolic schedule of [`bcast_opt_coalesced_async`].
 pub fn coalesced_schedule(
     p: usize,
     nbytes: usize,
@@ -282,7 +268,7 @@ mod tests {
     use super::*;
     use crate::bcast::{bcast_schedule, Algorithm};
     use crate::traffic::{bcast_volume, scatter_msgs};
-    use mpsim::{ThreadWorld, WorldTraffic};
+    use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld, WorldTraffic};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 97 + 13) as u8).collect()
@@ -292,7 +278,8 @@ mod tests {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            bcast_opt_coalesced(comm, &mut buf, root, &policy).unwrap();
+            complete_now(bcast_opt_coalesced_async(&SyncComm::new(comm), &mut buf, root, &policy))
+                .unwrap();
             assert_eq!(buf, src, "rank {} incomplete", comm.rank());
         });
         out.traffic

@@ -108,22 +108,12 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for EpochComm<'_, C> {
 pub struct GuardedComm<'a, C: ?Sized> {
     inner: &'a C,
     step_timeout: Duration,
-    passthrough_sendrecv: bool,
 }
 
 impl<'a, C: ?Sized> GuardedComm<'a, C> {
     /// Wrap `inner` with a per-receive deadline of `step_timeout`.
     pub fn new(inner: &'a C, step_timeout: Duration) -> Self {
-        GuardedComm { inner, step_timeout, passthrough_sendrecv: false }
-    }
-
-    /// Delegate `exchange` to the inner communicator instead of
-    /// decomposing it. Only sound when the inner `exchange` cannot block
-    /// forever on a dead peer — see
-    /// [`crate::RecoveryConfig::bounded_sendrecv`].
-    pub fn passthrough_sendrecv(mut self) -> Self {
-        self.passthrough_sendrecv = true;
-        self
+        GuardedComm { inner, step_timeout }
     }
 }
 
@@ -179,9 +169,6 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
         src: Rank,
         recvtag: Tag,
     ) -> Result<Payload> {
-        if self.passthrough_sendrecv {
-            return self.inner.exchange(payload, dest, sendtag, capacity, src, recvtag).await;
-        }
         // Eager post, step-bounded take — sound only on eagerly-delivering
         // transports.
         self.inner.post(payload, dest, sendtag).await?;

@@ -13,16 +13,17 @@
 //! skipping exactly the redundant transfers while keeping the same `P−1`
 //! step count and deadlock-free matching.
 //!
-//! This crate implements, against the [`mpsim::Communicator`] trait:
+//! This crate implements, against the [`mpsim::AsyncCommunicator`] trait:
 //!
 //! * the paper's contribution: [`ring_tuned::tuned_ring_ops`] /
-//!   [`bcast::bcast_opt`],
-//! * every MPICH3 baseline it is compared with: [`bcast::bcast_native`]
-//!   (enclosed ring), [`binomial::bcast_binomial`] (smsg), scatter +
-//!   recursive doubling ([`rd_allgather::rd_ops`], mmsg-pof2), with MPICH3's
-//!   selection logic in [`bcast::bcast_auto`],
-//! * the multi-core-aware three-phase variant ([`smp::bcast_smp`]) and a
-//!   segmented pipeline-chain broadcast ([`pipeline::bcast_pipeline`]),
+//!   [`bcast::bcast_opt_async`] (`MPI_Bcast_opt`),
+//! * every MPICH3 baseline it is compared with:
+//!   [`Algorithm::ScatterRingNative`] (`MPI_Bcast_native`, the enclosed
+//!   ring), [`Algorithm::Binomial`] (smsg), scatter + recursive doubling
+//!   ([`rd_allgather::rd_ops`], mmsg-pof2), with MPICH3's selection logic in
+//!   [`bcast::bcast_auto_async`],
+//! * the multi-core-aware three-phase variant ([`smp::bcast_smp_async`]) and
+//!   a segmented pipeline-chain broadcast ([`pipeline::bcast_pipeline_async`]),
 //! * an analytic traffic model ([`traffic`]) reproducing the paper's
 //!   Section IV transfer arithmetic (56 → 44 at `P = 8`, 90 → 75 at
 //!   `P = 10`), validated against instrumented runs,
@@ -34,17 +35,24 @@
 //! communicator and [`bcast::bcast_schedule`] collects the same streams
 //! over all ranks for static analysis ([`schedule`]).
 //!
+//! The one blocking entry point is [`bcast_with`], which takes an
+//! [`mpsim::Communicator`] (a `ThreadWorld` or `SimWorld` rank) and runs
+//! [`bcast_with_async`] through [`mpsim::SyncComm`] +
+//! [`mpsim::complete_now`]; blocking code reaches every other collective
+//! through the same bridge.
+//!
 //! ## Quickstart
 //!
 //! ```
 //! use mpsim::{Communicator, ThreadWorld};
-//! use bcast_core::bcast::bcast_opt;
+//! use bcast_core::{bcast_with, Algorithm};
 //!
 //! let message = b"hello collective world".to_vec();
 //! let n = message.len();
 //! let out = ThreadWorld::run(8, |comm| {
 //!     let mut buf = if comm.rank() == 0 { message.clone() } else { vec![0u8; n] };
-//!     bcast_opt(comm, &mut buf, 0).unwrap();
+//!     // `MPI_Bcast_opt`: binomial scatter + the tuned ring allgather
+//!     bcast_with(comm, &mut buf, 0, Algorithm::ScatterRingTuned).unwrap();
 //!     buf
 //! });
 //! assert!(out.results.iter().all(|buf| buf == &message));
@@ -76,16 +84,14 @@ pub mod traffic;
 pub mod verify;
 
 pub use bcast::{
-    bcast_auto, bcast_auto_async, bcast_native, bcast_opt, bcast_opt_async, bcast_with,
-    bcast_with_async, select_algorithm, Algorithm, Regime, Thresholds,
+    bcast_auto_async, bcast_opt_async, bcast_with, bcast_with_async, select_algorithm, Algorithm,
+    Regime, Thresholds,
 };
-pub use binomial::{
-    bcast_binomial, bcast_binomial_async, bcast_binomial_copy, bcast_binomial_copy_async,
-};
+pub use binomial::{bcast_binomial_async, bcast_binomial_copy_async};
 pub use chunks::ChunkLayout;
 pub use coalesce::{
-    bcast_opt_coalesced, bcast_opt_coalesced_async, coalesced_envelope_count, coalesced_ring_ops,
-    coalesced_schedule, CoalescePolicy,
+    bcast_opt_coalesced_async, coalesced_envelope_count, coalesced_ring_ops, coalesced_schedule,
+    CoalescePolicy,
 };
 pub use epoch_guard::{EpochComm, GuardedComm};
 pub use event_launch::{
@@ -96,11 +102,10 @@ pub use event_launch::{
 pub use interp::Interp;
 pub use recovery::{
     agreement_schedule, branch, degraded_bcast_schedule, membership_digest, pairwise_schedule,
-    self_healing_bcast, self_healing_bcast_async, self_healing_bcast_traced_async,
-    self_healing_bcast_with, self_healing_bcast_with_async, Healed, RecoveryConfig, RecoveryDrill,
-    RecoveryTrace,
+    self_healing_bcast_async, self_healing_bcast_traced_async, Healed, RecoveryConfig,
+    RecoveryDrill, RecoveryTrace,
 };
 pub use ring_tuned::{step_flag, Endpoint};
 pub use scatter::{binomial_scatter_shared_async, owned_chunks};
 pub use schedule::{all_sources, RankSchedule, SchedOp, Schedule, ScheduleSource};
-pub use smp::{bcast_smp, bcast_smp_async, NodeMap};
+pub use smp::{bcast_smp_async, NodeMap};

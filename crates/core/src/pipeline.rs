@@ -11,10 +11,7 @@
 //! so after the `P−1`-hop fill every link of the chain streams at full
 //! bandwidth.
 
-use mpsim::{
-    absolute_rank, complete_now, relative_rank, AsyncCommunicator, Communicator, Rank, Result,
-    SyncComm, Tag,
-};
+use mpsim::{absolute_rank, relative_rank, AsyncCommunicator, Rank, Result, Tag};
 
 use crate::bcast::bcast_skeleton;
 use crate::interp::Interp;
@@ -55,23 +52,13 @@ pub fn pipeline_ops(
     })
 }
 
-/// Pipeline broadcast of `buf` from `root` with the given `segment` size.
+/// Pipeline broadcast of `buf` from `root` with the given `segment` size:
+/// [`pipeline_ops`] through the interpreter.
 ///
 /// Message count is `(P−1) · ceil(n / segment)`; every byte crosses every
 /// link exactly once (total `(P−1) · n` bytes, the same as binomial — the win
-/// is pipelining, not volume).
-pub fn bcast_pipeline(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-    segment: usize,
-) -> Result<()> {
-    complete_now(bcast_pipeline_async(&SyncComm::new(comm), buf, root, segment))
-}
-
-/// Async core of [`bcast_pipeline`]: [`pipeline_ops`] through the
-/// interpreter. The root stages each segment once and every other rank lands
-/// it once, so the world copies exactly `P · n` bytes.
+/// is pipelining, not volume). The root stages each segment once and every
+/// other rank lands it once, so the world copies exactly `P · n` bytes.
 pub async fn bcast_pipeline_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -92,7 +79,7 @@ pub fn pipeline_msgs(nbytes: usize, segment: usize, p: usize) -> u64 {
     (p as u64 - 1) * (nbytes.div_ceil(segment) as u64)
 }
 
-/// The full symbolic schedule of [`bcast_pipeline`]: every rank's
+/// The full symbolic schedule of [`bcast_pipeline_async`]: every rank's
 /// [`pipeline_ops`] over one shared `nbytes` buffer.
 pub fn pipeline_schedule(p: usize, nbytes: usize, root: Rank, segment: usize) -> Schedule {
     let mut s = bcast_skeleton("bcast/pipeline", p, nbytes, root);
@@ -127,13 +114,14 @@ pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
 mod tests {
     use super::*;
     use crate::verify::pattern;
-    use mpsim::{Communicator, ThreadWorld};
+    use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
 
     fn run(size: usize, nbytes: usize, root: usize, segment: usize) -> mpsim::WorldTraffic {
         let src = pattern(nbytes, 77);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            bcast_pipeline(comm, &mut buf, root, segment).unwrap();
+            complete_now(bcast_pipeline_async(&SyncComm::new(comm), &mut buf, root, segment))
+                .unwrap();
             assert_eq!(buf, src, "rank {}", comm.rank());
         });
         out.traffic
@@ -180,7 +168,8 @@ mod tests {
             let src = pattern(nbytes, 78);
             SimWorld::run(model, Placement::new(4), 8, move |comm| {
                 let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-                bcast_pipeline(comm, &mut buf, 0, segment).unwrap();
+                complete_now(bcast_pipeline_async(&SyncComm::new(comm), &mut buf, 0, segment))
+                    .unwrap();
             })
             .makespan_ns
         };

@@ -107,10 +107,9 @@
 //! once against [`AsyncCommunicator`], so it runs unchanged on the
 //! discrete-event executor at megascale (`P = 256..4096`) under its virtual
 //! clock, where every timeout is free: a heartbeat deadline of seconds
-//! elapses in zero wall time. The blocking entry points
-//! ([`self_healing_bcast`], [`self_healing_bcast_with`]) drive the same
-//! futures through [`SyncComm`] + [`complete_now`], so a seeded fault plan
-//! replays to the identical survivor set on every executor (asserted by the
+//! elapses in zero wall time. Blocking executors drive the same futures
+//! through `SyncComm` + `complete_now`, so a seeded fault plan replays to
+//! the identical survivor set on every executor (asserted by the
 //! cross-executor chaos battery).
 //!
 //! * **Cascading multi-failure recovery.** Crashes that land *during* an
@@ -131,10 +130,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::time::Duration;
 
-use mpsim::{
-    complete_now, deadline_after, AsyncCommunicator, CommError, Communicator, Rank, Result,
-    SyncComm, Tag,
-};
+use mpsim::{deadline_after, AsyncCommunicator, CommError, Rank, Result, Tag};
 
 use crate::bcast::{bcast_phases, collect_ops, Algorithm};
 use crate::interp::{Interp, PhaseSink};
@@ -160,7 +156,7 @@ pub const MEMBERSHIP_DIGEST_SHIFT: u32 = 12;
 /// `MAX_EPOCHS` on, the epoch shift reaches the digest page, and epoch
 /// `MAX_EPOCHS` with digest `d` shifts tags exactly like epoch 0 with digest
 /// `d + 1` — a rerun could match stale envelopes of the first attempt.
-/// [`self_healing_bcast`] refuses a larger [`RecoveryConfig::max_epochs`].
+/// [`self_healing_bcast_async`] refuses a larger [`RecoveryConfig::max_epochs`].
 pub const MAX_EPOCHS: u32 = (1 << MEMBERSHIP_DIGEST_SHIFT) / EPOCH_TAG_STRIDE;
 
 /// Digest of an ascending member list (every list recovery builds is one),
@@ -216,7 +212,7 @@ fn fnv1a(h: u32, bytes: impl IntoIterator<Item = u8>) -> u32 {
     bytes.into_iter().fold(h, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
-/// Tuning knobs for [`self_healing_bcast`].
+/// Tuning knobs for [`self_healing_bcast_async`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Deadline for each receive inside a broadcast attempt — the failure
@@ -271,7 +267,7 @@ impl RecoveryConfig {
     }
 }
 
-/// What a successful [`self_healing_bcast`] reports back.
+/// What a successful [`self_healing_bcast_async`] reports back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Healed {
     /// The ranks (world numbering) on which the broadcast completed.
@@ -1033,52 +1029,22 @@ pub fn pairwise_schedule(p: usize) -> Schedule {
 /// `Err(CommError::PeerFailed)` naming the root. A budget above
 /// [`MAX_EPOCHS`] is refused on every rank with
 /// `Err(CommError::Unsupported)` before anything is sent.
-pub fn self_healing_bcast(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-    cfg: &RecoveryConfig,
-) -> Result<Healed> {
-    self_healing_bcast_with(comm, buf, root, Algorithm::ScatterRingTuned, cfg)
-}
-
-/// [`self_healing_bcast`] with an explicit algorithm for the attempts.
-pub fn self_healing_bcast_with(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-    algorithm: Algorithm,
-    cfg: &RecoveryConfig,
-) -> Result<Healed> {
-    complete_now(self_healing_bcast_with_async(&SyncComm::new(comm), buf, root, algorithm, cfg))
-}
-
-/// The async core of [`self_healing_bcast`], over any [`AsyncCommunicator`].
 pub async fn self_healing_bcast_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
     root: Rank,
     cfg: &RecoveryConfig,
 ) -> Result<Healed> {
-    self_healing_bcast_with_async(comm, buf, root, Algorithm::ScatterRingTuned, cfg).await
-}
-
-/// [`self_healing_bcast_async`] with an explicit algorithm for the attempts.
-pub async fn self_healing_bcast_with_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    buf: &mut [u8],
-    root: Rank,
-    algorithm: Algorithm,
-    cfg: &RecoveryConfig,
-) -> Result<Healed> {
-    let (drill, mut trace) = (RecoveryDrill::NONE, RecoveryTrace::default());
+    let (algorithm, drill) = (Algorithm::ScatterRingTuned, RecoveryDrill::NONE);
+    let mut trace = RecoveryTrace::default();
     self_healing_bcast_traced_async(comm, buf, root, algorithm, cfg, &drill, &mut trace).await
 }
 
-/// The fully-instrumented entry point: [`self_healing_bcast_with_async`]
-/// plus a [`RecoveryTrace`] filled in as the epoch loop runs (also on the
-/// error paths — a crashed or starved rank still reports how far it got)
-/// and the [`RecoveryDrill`] regression knobs for the chaos-search drill.
+/// The fully-instrumented entry point: [`self_healing_bcast_async`] with an
+/// explicit algorithm for the attempts, plus a [`RecoveryTrace`] filled in as
+/// the epoch loop runs (also on the error paths — a crashed or starved rank
+/// still reports how far it got) and the [`RecoveryDrill`] regression knobs
+/// for the chaos-search drill.
 pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -1295,7 +1261,7 @@ mod tests {
     use super::*;
     use crate::epoch_guard::{EpochComm, GuardedComm};
     use crate::traffic::{agreement_volume, bcast_volume, failed_agreement_volume, Volume};
-    use mpsim::{EventWorld, SubComm, ThreadWorld};
+    use mpsim::{complete_now, Communicator, EventWorld, SubComm, SyncComm, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 37 + 11) as u8).collect()
@@ -1355,7 +1321,13 @@ mod tests {
         let src = pattern(n);
         let out = ThreadWorld::run(8, |comm| {
             let mut buf = if comm.rank() == 2 { src.clone() } else { vec![0u8; n] };
-            let healed = self_healing_bcast(comm, &mut buf, 2, &quick_cfg()).unwrap();
+            let healed = complete_now(self_healing_bcast_async(
+                &SyncComm::new(comm),
+                &mut buf,
+                2,
+                &quick_cfg(),
+            ))
+            .unwrap();
             assert_eq!(buf, src);
             healed
         });
@@ -1382,7 +1354,13 @@ mod tests {
                 return None;
             }
             let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; n] };
-            let healed = self_healing_bcast(comm, &mut buf, 0, &quick_cfg()).unwrap();
+            let healed = complete_now(self_healing_bcast_async(
+                &SyncComm::new(comm),
+                &mut buf,
+                0,
+                &quick_cfg(),
+            ))
+            .unwrap();
             assert_eq!(buf, src);
             Some(healed)
         });
@@ -1407,7 +1385,13 @@ mod tests {
                 return None;
             }
             let mut buf = if comm.rank() == 3 { src.clone() } else { vec![0u8; n] };
-            let healed = self_healing_bcast(comm, &mut buf, 3, &quick_cfg()).unwrap();
+            let healed = complete_now(self_healing_bcast_async(
+                &SyncComm::new(comm),
+                &mut buf,
+                3,
+                &quick_cfg(),
+            ))
+            .unwrap();
             assert_eq!(buf, src);
             Some(healed)
         });
@@ -1427,7 +1411,8 @@ mod tests {
                 return None; // the root dies before sending anything
             }
             let mut buf = vec![0u8; n];
-            self_healing_bcast(comm, &mut buf, 0, &quick_cfg()).err()
+            complete_now(self_healing_bcast_async(&SyncComm::new(comm), &mut buf, 0, &quick_cfg()))
+                .err()
         });
         for (rank, e) in out.results.iter().enumerate() {
             if rank != 0 {
@@ -1484,9 +1469,12 @@ mod tests {
     fn epoch_stack_reports_a_dead_member_in_local_numbering() {
         // The decorator stack a `bounded_sendrecv` attempt used to run on
         // (the frozen benchmark still times it), over members 4, 2, 0
-        // (local 0, 1, 2). Parent rank 2 is dead: the passthrough `sendrecv`
-        // must name local rank 1, the numbering every layer above the
-        // `SubComm` reasons in — parent rank 4 would be out of its bounds.
+        // (local 0, 1, 2). Parent rank 2 is dead: the guarded `sendrecv`
+        // (an eager post, then a step-bounded take) must name local rank 1,
+        // the numbering every layer above the `SubComm` reasons in — parent
+        // rank 4 would be out of its bounds. The take fails as soon as the
+        // dead rank's thread has exited, so the generous step deadline only
+        // keeps a slow scheduler from turning that into a timeout.
         let members = vec![4, 2, 0];
         let out = ThreadWorld::run(5, |comm| {
             let acomm = SyncComm::new(comm);
@@ -1495,8 +1483,7 @@ mod tests {
                 return None;
             }
             let epoch_comm = EpochComm::isolated(&sub, 1, membership_digest(&members));
-            let guarded =
-                GuardedComm::new(&epoch_comm, Duration::from_millis(30)).passthrough_sendrecv();
+            let guarded = GuardedComm::new(&epoch_comm, Duration::from_secs(10));
             let mut b = [0u8; 1];
             Some(complete_now(guarded.sendrecv(&[1], 1, Tag(1), &mut b, 1, Tag(1))).unwrap_err())
         });
@@ -2034,11 +2021,19 @@ mod tests {
                     return None;
                 }
                 let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; n] };
-                let algorithm = Algorithm::Binomial;
-                let healed =
-                    self_healing_bcast_with_async(&comm, &mut buf, 0, algorithm, &quick_cfg())
-                        .await
-                        .unwrap();
+                let (algorithm, drill) = (Algorithm::Binomial, RecoveryDrill::NONE);
+                let mut trace = RecoveryTrace::default();
+                let healed = self_healing_bcast_traced_async(
+                    &comm,
+                    &mut buf,
+                    0,
+                    algorithm,
+                    &quick_cfg(),
+                    &drill,
+                    &mut trace,
+                )
+                .await
+                .unwrap();
                 assert_eq!(buf, src);
                 Some(healed)
             }

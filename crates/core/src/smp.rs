@@ -11,7 +11,7 @@
 //! next node starts), which is the default placement on the paper's Hornet
 //! system.
 
-use mpsim::{complete_now, AsyncCommunicator, CommError, Communicator, Rank, Result, SyncComm};
+use mpsim::{AsyncCommunicator, CommError, Rank, Result};
 
 use crate::bcast::{bcast_ops, bcast_skeleton, Algorithm};
 use crate::binomial::binomial_ops;
@@ -90,22 +90,11 @@ pub fn smp_ops(
     ops
 }
 
-/// Three-phase SMP-aware broadcast.
+/// Three-phase SMP-aware broadcast: [`smp_ops`] through the interpreter.
 ///
 /// `inter_algorithm` selects the inter-node (leader) phase —
 /// [`Algorithm::ScatterRingNative`] reproduces the MPICH3 behaviour the paper
-/// describes, [`Algorithm::ScatterRingTuned`] is the optimized variant.
-pub fn bcast_smp(
-    comm: &(impl Communicator + ?Sized),
-    buf: &mut [u8],
-    root: Rank,
-    nodes: &NodeMap,
-    inter_algorithm: Algorithm,
-) -> Result<()> {
-    complete_now(bcast_smp_async(&SyncComm::new(comm), buf, root, nodes, inter_algorithm))
-}
-
-/// Async core of [`bcast_smp`]: [`smp_ops`] through the interpreter. Fails
+/// describes, [`Algorithm::ScatterRingTuned`] is the optimized variant. Fails
 /// with [`CommError::Unsupported`] before posting anything when
 /// `inter_algorithm` is not defined for the leader count.
 pub async fn bcast_smp_async<C: AsyncCommunicator + ?Sized>(
@@ -128,7 +117,7 @@ pub async fn bcast_smp_async<C: AsyncCommunicator + ?Sized>(
     Interp::new(comm, buf).run(ops).await.map(drop)
 }
 
-/// The symbolic schedule of [`bcast_smp`]: every rank's [`smp_ops`].
+/// The symbolic schedule of [`bcast_smp_async`]: every rank's [`smp_ops`].
 pub fn bcast_smp_schedule(
     p: usize,
     nbytes: usize,
@@ -180,7 +169,7 @@ pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::ThreadWorld;
+    use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 101 + 17) as u8).collect()
@@ -211,7 +200,14 @@ mod tests {
                 let src = pattern(nbytes);
                 ThreadWorld::run(size, |comm| {
                     let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-                    bcast_smp(comm, &mut buf, root, &NodeMap::new(cpn), algorithm).unwrap();
+                    complete_now(bcast_smp_async(
+                        &SyncComm::new(comm),
+                        &mut buf,
+                        root,
+                        &NodeMap::new(cpn),
+                        algorithm,
+                    ))
+                    .unwrap();
                     assert_eq!(buf, src, "rank {} (size={size} cpn={cpn})", comm.rank());
                 });
             }
@@ -241,7 +237,14 @@ mod tests {
         let nodes = NodeMap::new(cpn);
         let out = ThreadWorld::run(size, |comm| {
             let mut buf = if comm.rank() == 0 { pattern(120) } else { vec![0u8; 120] };
-            bcast_smp(comm, &mut buf, 0, &NodeMap::new(cpn), Algorithm::ScatterRingTuned).unwrap();
+            complete_now(bcast_smp_async(
+                &SyncComm::new(comm),
+                &mut buf,
+                0,
+                &NodeMap::new(cpn),
+                Algorithm::ScatterRingTuned,
+            ))
+            .unwrap();
         });
         for (src, st) in out.traffic.per_rank.iter().enumerate() {
             for (&dst, pt) in &st.by_peer {
@@ -261,7 +264,14 @@ mod tests {
         let count_inter = |algorithm: Algorithm| {
             let out = ThreadWorld::run(size, |comm| {
                 let mut buf = if comm.rank() == 0 { pattern(nbytes) } else { vec![0u8; nbytes] };
-                bcast_smp(comm, &mut buf, 0, &NodeMap::new(cpn), algorithm).unwrap();
+                complete_now(bcast_smp_async(
+                    &SyncComm::new(comm),
+                    &mut buf,
+                    0,
+                    &NodeMap::new(cpn),
+                    algorithm,
+                ))
+                .unwrap();
             });
             out.traffic.split_msgs(|a, b| nodes.node_of(a) == nodes.node_of(b)).1
         };
@@ -276,7 +286,14 @@ mod tests {
     fn single_rank_world_is_noop() {
         ThreadWorld::run(1, |comm| {
             let mut buf = vec![1, 2, 3];
-            bcast_smp(comm, &mut buf, 0, &NodeMap::new(4), Algorithm::ScatterRingTuned).unwrap();
+            complete_now(bcast_smp_async(
+                &SyncComm::new(comm),
+                &mut buf,
+                0,
+                &NodeMap::new(4),
+                Algorithm::ScatterRingTuned,
+            ))
+            .unwrap();
         });
     }
 }

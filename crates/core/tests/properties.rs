@@ -9,13 +9,13 @@
 //! Randomization comes from the in-tree `testkit` harness; a failing
 //! property prints a `TESTKIT_SEED` that replays the exact failing case.
 
-use bcast_core::allgather::{allgather, AllgatherAlgorithm};
+use bcast_core::allgather::{allgather_async, AllgatherAlgorithm};
 use bcast_core::bcast::{bcast_with, Algorithm};
-use bcast_core::pipeline::{bcast_pipeline, pipeline_msgs};
+use bcast_core::pipeline::{bcast_pipeline_async, pipeline_msgs};
 use bcast_core::ring_tuned::{receives_at, sends_at, step_flag, Endpoint};
 use bcast_core::scatter::owned_chunks;
 use bcast_core::traffic::{bcast_volume, tuned_ring_rank_msgs};
-use mpsim::{ring_right, Communicator, ThreadWorld};
+use mpsim::{complete_now, ring_right, Communicator, SyncComm, ThreadWorld};
 use testkit::prop::{self, Config};
 
 /// Run `algorithm` broadcasting `payload` from `root` over `size` ranks on
@@ -284,7 +284,8 @@ fn allgather_variants_deliver_identical_results() {
                     (0..block).map(|i| (comm.rank() as u8) ^ (i as u8) ^ seed).collect();
                 let gather = |algorithm| {
                     let mut all = vec![0u8; block * comm.size()];
-                    allgather(comm, &mine, &mut all, algorithm).unwrap();
+                    complete_now(allgather_async(&SyncComm::new(comm), &mine, &mut all, algorithm))
+                        .unwrap();
                     all
                 };
                 let ring = gather(AllgatherAlgorithm::Ring);
@@ -329,7 +330,8 @@ fn pipeline_bcast_any_segment() {
             let src2 = src.clone();
             let out = ThreadWorld::run(size, move |comm| {
                 let mut buf = if comm.rank() == root { src2.clone() } else { vec![0u8; nbytes] };
-                bcast_pipeline(comm, &mut buf, root, segment).unwrap();
+                complete_now(bcast_pipeline_async(&SyncComm::new(comm), &mut buf, root, segment))
+                    .unwrap();
                 buf
             });
             for buf in &out.results {

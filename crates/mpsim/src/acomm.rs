@@ -32,8 +32,9 @@
 //! `netsim::SimWorld`) the same cores run through the [`SyncComm`] bridge,
 //! whose core forwards one-for-one to the blocking core and so completes on
 //! first poll. [`complete_now`] drives such a never-pending future to
-//! completion without any runtime, so the public blocking entry points keep
-//! their exact historical signatures and behaviour.
+//! completion without any runtime: blocking code calls any async
+//! collective as `complete_now(x_async(&SyncComm::new(comm), …))`, and the
+//! trait's blocking variants are that one line.
 //!
 //! No external async runtime is involved anywhere: the only machinery is
 //! `std::task` plus a no-op waker. See DESIGN.md §6 for why.

@@ -1,6 +1,7 @@
 //! The [`Communicator`] trait — what the two *blocking* executors
 //! ([`ThreadComm`](crate::ThreadComm), `netsim::SimComm`) implement and what
-//! the blocking entry points of the collectives accept.
+//! `bcast_core::bcast_with`, the one blocking entry point of the collectives,
+//! accepts.
 //!
 //! It is the same envelope core as
 //! [`AsyncCommunicator`](crate::AsyncCommunicator), with blocking calls:
@@ -11,9 +12,10 @@
 //! [`SyncComm`] + [`complete_now`], so each variant's semantics is written
 //! once, in `acomm.rs`, for all three executors.
 //!
-//! Nothing above the executors implements this trait: decorators and
-//! collectives are written once against `AsyncCommunicator`, and a blocking
-//! backend enters that code through the same bridge.
+//! Nothing above the executors implements this trait, and only `bcast_with`
+//! takes it: decorators and collectives are written once against
+//! `AsyncCommunicator`, and a blocking backend enters that code through the
+//! same bridge — `complete_now(x_async(&SyncComm::new(comm), …))`.
 
 use std::time::Duration;
 

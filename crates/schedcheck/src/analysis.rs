@@ -812,9 +812,10 @@ mod tests {
     #[test]
     fn reconcile_coalesced_runs_against_the_coalesced_schedule() {
         use bcast_core::{
-            bcast_coalesced_event_world, bcast_opt_coalesced, coalesced_schedule, CoalescePolicy,
+            bcast_coalesced_event_world, bcast_opt_coalesced_async, coalesced_schedule,
+            CoalescePolicy,
         };
-        use mpsim::{Communicator, ThreadWorld};
+        use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
         use netsim::{NetworkModel, Placement, SimWorld};
 
         // Every send half of the coalesced stream is one message, so the
@@ -829,7 +830,13 @@ mod tests {
                 let what = format!("P={p} {policy:?}");
                 let bcast = |comm: &dyn Communicator| {
                     let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-                    bcast_opt_coalesced(comm, &mut buf, 0, &policy).unwrap();
+                    complete_now(bcast_opt_coalesced_async(
+                        &SyncComm::new(comm),
+                        &mut buf,
+                        0,
+                        &policy,
+                    ))
+                    .unwrap();
                     assert_eq!(buf, src, "{what}");
                 };
                 let threads = ThreadWorld::run(p, |comm| bcast(comm));
@@ -874,7 +881,7 @@ mod tests {
     #[test]
     fn reconcile_rejects_mismatched_algorithm() {
         use bcast_core::bcast::bcast_schedule;
-        use bcast_core::{bcast_native, Algorithm};
+        use bcast_core::{bcast_with, Algorithm};
         use mpsim::{Communicator, ThreadWorld};
 
         let p = 8;
@@ -884,7 +891,7 @@ mod tests {
         let msg = src.clone();
         let out = ThreadWorld::run(p, move |comm| {
             let mut buf = if comm.rank() == 0 { msg.clone() } else { vec![0u8; msg.len()] };
-            bcast_native(comm, &mut buf, 0).unwrap();
+            bcast_with(comm, &mut buf, 0, Algorithm::ScatterRingNative).unwrap();
             buf
         });
         // The native (enclosed) ring moves more bytes and more messages than
@@ -903,8 +910,8 @@ mod tests {
     #[test]
     fn reconcile_flags_copy_regressions() {
         use bcast_core::bcast::bcast_schedule;
-        use bcast_core::{bcast_binomial, bcast_binomial_copy, Algorithm};
-        use mpsim::{Communicator, ThreadWorld};
+        use bcast_core::{bcast_binomial_copy_async, bcast_with, Algorithm};
+        use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
 
         let p = 8;
         let nbytes = 128;
@@ -915,7 +922,7 @@ mod tests {
         let msg = src.clone();
         let out = ThreadWorld::run(p, move |comm| {
             let mut buf = if comm.rank() == 0 { msg.clone() } else { vec![0u8; msg.len()] };
-            bcast_binomial(comm, &mut buf, 0).unwrap();
+            bcast_with(comm, &mut buf, 0, Algorithm::Binomial).unwrap();
         });
         let rec = reconcile_traffic(&sched, &out.traffic);
         assert!(rec.is_clean(), "{:?}", rec.errors);
@@ -926,7 +933,7 @@ mod tests {
         let msg = src.clone();
         let out = ThreadWorld::run(p, move |comm| {
             let mut buf = if comm.rank() == 0 { msg.clone() } else { vec![0u8; msg.len()] };
-            bcast_binomial_copy(comm, &mut buf, 0).unwrap();
+            complete_now(bcast_binomial_copy_async(&SyncComm::new(comm), &mut buf, 0)).unwrap();
         });
         let rec = reconcile_traffic(&sched, &out.traffic);
         assert!(rec.errors.iter().any(|e| e.starts_with("copies:")), "{:?}", rec.errors);

@@ -67,24 +67,31 @@
 //!    the `bytes_copied` ceilings then police at run time. Anything else
 //!    needs a `// lint: allow(bcast-hot-copy)` marker.
 //! 9. [`check_comm_impl`] — a communicator impl writes the envelope core
-//!    and nothing else. The blocking `Communicator` trait is implemented by
-//!    the two blocking executors only (`crates/mpsim/src/thread_comm.rs`,
-//!    `crates/netsim/src/sim_comm.rs`): everything above the executors is
-//!    written once against `AsyncCommunicator` and reached from blocking
-//!    code through `SyncComm` + `complete_now`, so a second `impl
-//!    Communicator for` is a decorator twin growing back. And no impl of
-//!    either trait defines a method the trait provides over the core
-//!    (`send`, `recv_owned`, `send_prefixed`, …): each variant's semantics
-//!    is written once, in `acomm.rs`, and an override is a second copy of
-//!    it that every stack above would silently stop sharing.
+//!    and nothing else, and the collectives speak one trait. The blocking
+//!    `Communicator` trait is implemented by the two blocking executors only
+//!    (`crates/mpsim/src/thread_comm.rs`, `crates/netsim/src/sim_comm.rs`):
+//!    everything above the executors is written once against
+//!    `AsyncCommunicator` and reached from blocking code through
+//!    `SyncComm` and `complete_now`, so a second `impl Communicator for` is
+//!    a decorator twin growing back. For the same reason no library code of
+//!    `crates/core/src` takes a blocking communicator — `impl
+//!    Communicator`, `dyn Communicator` or `C: Communicator` — except
+//!    `bcast_with` in `bcast.rs`, the one blocking entry point the frozen
+//!    benchmark calls; any other is a blocking collective twin growing back
+//!    (a `use` of the trait is not a bound). And no impl of either trait
+//!    defines a method the trait provides over the core (`send`,
+//!    `recv_owned`, `send_prefixed`, …): each variant's semantics is written
+//!    once, in `acomm.rs`, and an override is a second copy of it that every
+//!    stack above would silently stop sharing.
 //! 10. [`check_unused_pub`] — every `pub` item (`fn`, `struct`, `enum`,
-//!     `trait`, `type`, `const`, `static`) in `crates/*/src` is named
-//!     somewhere outside its own module's `#[cfg(test)]` block: by library
-//!     code, a bin, an example, an integration test or `benchmark/src`. A
-//!     public item only its own tests call is dead surface; it is deleted,
-//!     made private, or listed in [`UNUSED_PUB_ALLOWED`] with the reason it
-//!     stays. Names are matched as whole identifiers outside comments and
-//!     `use` statements, so a re-export alone is not a caller.
+//!     `trait`, `type`, `const`, `static`) in `crates/*/src` and in the root
+//!     package's `src/lib.rs` is named somewhere outside its own module's
+//!     `#[cfg(test)]` block: by library code, a bin, an example, an
+//!     integration test or `benchmark/src`. A public item only its own tests
+//!     call is dead surface; it is deleted, made private, or listed in
+//!     [`UNUSED_PUB_ALLOWED`] with the reason it stays. Names are matched as
+//!     whole identifiers outside comments and `use` statements, so a
+//!     re-export alone is not a caller.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -524,27 +531,69 @@ const PROVIDED: [&str; 10] = [
     "recv_prefixed",
 ];
 
-/// Rule 9: two shapes of a communicator impl outgrowing the envelope core,
-/// one rule name. `impl … Communicator for` (the blocking trait;
+/// Whether `code` bounds a type by the blocking `Communicator` trait:
+/// `impl Communicator`, `dyn Communicator`, or the trait after a `:` or `+`
+/// of a bound list. `AsyncCommunicator` and a `use` list do not match.
+fn blocking_comm_bound(code: &str) -> bool {
+    code.match_indices("Communicator").any(|(at, _)| {
+        let before = &code[..at];
+        let after = &code[at + "Communicator".len()..];
+        let whole_word = !before.ends_with(|c: char| c.is_alphanumeric() || c == '_')
+            && !after.starts_with(|c: char| c.is_alphanumeric() || c == '_');
+        let before = before.trim_end();
+        whole_word
+            && (before.ends_with(':')
+                || before.ends_with('+')
+                || before.ends_with("impl")
+                || before.ends_with("dyn"))
+    })
+}
+
+/// The name of the function `code` declares, if it declares one.
+fn fn_name(code: &str) -> Option<&str> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let (at, _) = code.match_indices("fn ").find(|&(at, _)| !code[..at].ends_with(ident))?;
+    let rest = &code[at + 3..];
+    Some(&rest[..rest.find(|c: char| !ident(c)).unwrap_or(rest.len())])
+}
+
+/// Rule 9: three shapes of blocking code outgrowing the envelope core, one
+/// rule name. `impl … Communicator for` (the blocking trait;
 /// `AsyncCommunicator for` does not match) anywhere but the two blocking
-/// executors; and, in any `impl … Communicator for` or `impl …
-/// AsyncCommunicator for` block, a definition of one of the [`PROVIDED`]
-/// methods (the block is tracked by brace depth). Test modules are exempt
-/// (same scoping as [`check_panics`]).
+/// executors; in `crates/core/src`, any other `blocking_comm_bound`
+/// outside the signature of `bcast.rs`'s `bcast_with` (tracked as the last
+/// `fn` named before the line); and, in any `impl … Communicator for` or
+/// `impl … AsyncCommunicator for` block, a definition of one of the
+/// [`PROVIDED`] methods (the block is tracked by brace depth). Test modules
+/// are exempt (same scoping as [`check_panics`]).
 pub fn check_comm_impl(path: &str, content: &str) -> Vec<LintHit> {
     const EXECUTORS: [&str; 2] =
         ["crates/mpsim/src/thread_comm.rs", "crates/netsim/src/sim_comm.rs"];
+    const BLOCKING_ENTRY: (&str, &str) = ("crates/core/src/bcast.rs", "bcast_with");
     let body = match content.find("#[cfg(test)]") {
         Some(i) => &content[..i],
         None => content,
     };
+    let collectives = path.starts_with("crates/core/src/");
     let mut hits = Vec::new();
     let mut depth = 0isize;
     // Brace depth outside the communicator impl being scanned, if any.
     let mut in_impl: Option<isize> = None;
+    // The function whose signature or body the scan is in.
+    let mut current_fn = "";
     for (i, line) in body.lines().enumerate() {
         let code = code_part(line);
+        if let Some(name) = fn_name(code) {
+            current_fn = name;
+        }
         let comm_impl = code.trim_start().starts_with("impl") && code.contains("Communicator for ");
+        if !comm_impl
+            && collectives
+            && blocking_comm_bound(code)
+            && (path, current_fn) != BLOCKING_ENTRY
+        {
+            hits.push(hit(path, i, "comm-impl", line));
+        }
         if comm_impl {
             in_impl = Some(depth);
             let blocking = code
@@ -566,26 +615,19 @@ pub fn check_comm_impl(path: &str, content: &str) -> Vec<LintHit> {
 
 /// Public items that stay without a caller outside their own module's
 /// tests, as `(path, name, reason)` (rule 10). Kept under 15 entries.
-pub const UNUSED_PUB_ALLOWED: [(&str, &str, &str); 2] = [
-    (
-        "crates/core/src/recovery.rs",
-        "self_healing_bcast",
-        "the blocking self-healing entry point (DESIGN §5c); its callers are the \
-         module's tests, everything else runs the async core",
-    ),
-    (
-        "crates/mpsim/src/mailbox.rs",
-        "wakeup_stats",
-        "the notify-skip's observable: the mailbox tests pin that an uncontended \
-         push issues no wakeup",
-    ),
-];
+pub const UNUSED_PUB_ALLOWED: [(&str, &str, &str); 1] = [(
+    "crates/mpsim/src/mailbox.rs",
+    "wakeup_stats",
+    "the notify-skip's observable: the mailbox tests pin that an uncontended \
+     push issues no wakeup",
+)];
 
 /// This file, exempt from every rule.
 const LINT_SOURCE: &str = "crates/schedcheck/src/lint.rs";
 
 /// Directories, relative to the repository root, whose `.rs` files rule 10
-/// reads for callers; `crates/*/src` among them is also what it audits.
+/// reads for callers; `crates/*/src` and `src/lib.rs` among them are also
+/// what it audits.
 const SOURCE_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
 
 /// Every `.rs` file under [`SOURCE_ROOTS`] of the repository at `root`
@@ -661,12 +703,13 @@ fn count_names<'a>(text: &'a str, counts: &mut HashMap<&'a str, usize>) {
     }
 }
 
-/// Rule 10: public items of `crates/*/src` that nothing names outside
-/// their own module's tests, over the whole source set `files` (as
-/// [`collect_sources`] returns it). `allowed` lists `(path, name, reason)`
-/// entries that stay; an entry that no longer matches an unused item is
-/// reported too, so the list cannot go stale. This file is skipped: its
-/// fixtures and allowlist name items without calling them.
+/// Rule 10: public items of `crates/*/src` and of the root package's
+/// `src/lib.rs` that nothing names outside their own module's tests, over
+/// the whole source set `files` (as [`collect_sources`] returns it).
+/// `allowed` lists `(path, name, reason)` entries that stay; an entry that
+/// no longer matches an unused item is reported too, so the list cannot go
+/// stale. This file is skipped: its fixtures and allowlist name items
+/// without calling them.
 pub fn check_unused_pub(
     files: &[(String, String)],
     allowed: &[(&str, &str, &str)],
@@ -680,7 +723,8 @@ pub fn check_unused_pub(
     let mut matched = vec![false; allowed.len()];
     for (path, content) in files {
         let parts: Vec<&str> = path.split('/').collect();
-        if parts.len() < 4 || parts[0] != "crates" || parts[2] != "src" {
+        let crate_src = parts.len() >= 4 && parts[0] == "crates" && parts[2] == "src";
+        if !crate_src && path != "src/lib.rs" {
             continue;
         }
         let (body, tests) = content.split_at(content.find("#[cfg(test)]").unwrap_or(content.len()));
@@ -907,10 +951,29 @@ mod tests {
         let found: Vec<_> = hits.iter().map(|h| (h.file.as_str(), h.line)).collect();
         assert_eq!(found, vec![("crates/x/src/lib.rs", 3), ("crates/x/src/inner.rs", 1)]);
         assert!(hits.iter().all(|h| h.rule == "unused-pub"));
-        // Only crates/*/src is audited: a helper inside an integration test
-        // is the test's own business.
-        let files = corpus(&[("tests/it.rs", "pub fn helper() {}\n")]);
+        // Only crates/*/src and the root package's lib are audited: a helper
+        // inside an integration test or a bin is that target's own business.
+        let files = corpus(&[
+            ("tests/it.rs", "pub fn helper() {}\n"),
+            ("src/bin/tool/main.rs", "pub fn helper() {}\n"),
+        ]);
         assert!(check_unused_pub(&files, &[]).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_audits_the_root_package_lib() {
+        let lib = "pub use bcast_core as core;\n\
+                   /// The measurement primitive the examples build on.\n\
+                   pub fn simulate_once() -> f64 {\n    1.0\n}\n\
+                   pub fn measured() -> f64 {\n    2.0\n}\n\
+                   #[cfg(test)]\nmod t { #[test] fn f() { super::simulate_once(); } }\n";
+        let files = corpus(&[
+            ("src/lib.rs", lib),
+            ("examples/e.rs", "fn main() { umbrella::measured(); }\n"),
+        ]);
+        let hits = check_unused_pub(&files, &[]);
+        let found: Vec<_> = hits.iter().map(|h| (h.file.as_str(), h.line)).collect();
+        assert_eq!(found, vec![("src/lib.rs", 3)]);
     }
 
     #[test]
@@ -1207,6 +1270,60 @@ mod tests {
         assert!(check_comm_impl("crates/mpsim/src/acomm.rs", provided).is_empty());
         let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod t {{\n{THREAD_COMM_WITH_TWINS}}}\n");
         assert!(check_comm_impl("crates/mpsim/src/thread_comm.rs", &in_tests).is_empty());
+    }
+
+    /// A blocking twin of the tuned broadcast, as `smp.rs` would regrow it.
+    const SMP_WITH_A_TWIN: &str = "use mpsim::{complete_now, Communicator, SyncComm};\n\
+        pub fn bcast_opt(comm: &(impl Communicator + ?Sized), buf: &mut [u8], root: Rank)\n\
+        -> Result<()> {\n    \
+        complete_now(bcast_opt_async(&SyncComm::new(comm), buf, root))\n}\n";
+
+    #[test]
+    fn comm_impl_flags_a_blocking_bound_in_the_collectives() {
+        let hits = check_comm_impl("crates/core/src/smp.rs", SMP_WITH_A_TWIN);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].line, hits[0].rule), (2, "comm-impl"));
+        // Every spelling of the bound, over one line or a broken signature.
+        for bound in [
+            "fn f(c: &dyn Communicator) {}\n",
+            "fn f<C: Communicator + ?Sized>(c: &C) {}\n",
+            "fn f<C>(c: &C)\nwhere\n    C: Send + Communicator,\n{}\n",
+            "fn f(\n    comm: &impl Communicator,\n) {}\n",
+        ] {
+            assert_eq!(check_comm_impl("crates/core/src/ring.rs", bound).len(), 1, "{bound}");
+        }
+        // The same twin inside a test module is a test helper.
+        let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod t {{\n{SMP_WITH_A_TWIN}}}\n");
+        assert!(check_comm_impl("crates/core/src/smp.rs", &in_tests).is_empty());
+        // The async trait is what the collectives are written against.
+        let twin_async = SMP_WITH_A_TWIN.replace("impl Communicator", "impl AsyncCommunicator");
+        assert!(check_comm_impl("crates/core/src/smp.rs", &twin_async).is_empty());
+        let generic = "pub async fn f<C: AsyncCommunicator + ?Sized>(c: &C) {}\n";
+        assert!(check_comm_impl("crates/core/src/smp.rs", generic).is_empty());
+        // Only the collectives are in scope: executors and tests take the
+        // blocking trait by design.
+        assert!(check_comm_impl("crates/netsim/src/sim_comm.rs", SMP_WITH_A_TWIN).is_empty());
+        assert!(check_comm_impl("src/bin/bcast/runner.rs", SMP_WITH_A_TWIN).is_empty());
+    }
+
+    #[test]
+    fn comm_impl_allows_bcast_with_alone() {
+        let entry = "pub fn bcast_with(\n    comm: &(impl Communicator + ?Sized),\n    \
+                     buf: &mut [u8],\n) -> Result<()> {\n    x\n}\n";
+        assert!(check_comm_impl("crates/core/src/bcast.rs", entry).is_empty());
+        // Its name in another module, or a second entry beside it, is a hit.
+        assert_eq!(check_comm_impl("crates/core/src/smp.rs", entry).len(), 1);
+        let second =
+            format!("{entry}{}", &SMP_WITH_A_TWIN[SMP_WITH_A_TWIN.find('\n').unwrap() + 1..]);
+        let hits = check_comm_impl("crates/core/src/bcast.rs", &second);
+        assert_eq!(hits.iter().map(|h| h.line).collect::<Vec<_>>(), vec![7]);
+        // The real tree has no other.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (path, content) in collect_sources(&root).unwrap() {
+            if path.starts_with("crates/core/src/") {
+                assert!(check_comm_impl(&path, &content).is_empty(), "{path}");
+            }
+        }
     }
 
     #[test]

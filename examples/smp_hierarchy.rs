@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example smp_hierarchy`
 
-use bcast_core::smp::{bcast_smp, NodeMap};
+use bcast_core::smp::{bcast_smp_async, NodeMap};
 use bcast_core::verify::pattern;
 use bcast_core::Algorithm;
 use mpsim::{complete_now, AsyncCommunicator, Communicator, SubComm, SyncComm};
@@ -51,7 +51,8 @@ fn main() {
         let out = SimWorld::run(preset.model_for(nbytes, np), placement, np, |comm| {
             let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
             if smp {
-                bcast_smp(comm, &mut buf, 0, &nodes, algorithm).unwrap();
+                let acomm = SyncComm::new(comm);
+                complete_now(bcast_smp_async(&acomm, &mut buf, 0, &nodes, algorithm)).unwrap();
             } else {
                 bcast_core::bcast_with(comm, &mut buf, 0, algorithm).unwrap();
             }

@@ -220,7 +220,7 @@ for name, (ref_ns, factor) in sorted(SPEEDUP_FLOORS.items()):
 # median-gated against the baseline file above.
 RELATIVE_FLOORS = {
     # Zero-copy broadcast (shared refcounted envelopes, owned receives):
-    # >=1.5x over the per-hop copy baseline kept as bcast_binomial_copy,
+    # >=1.5x over the per-hop copy baseline kept as bcast_binomial_copy_async,
     # leg vs leg in this very run. Recorded medians at banking time:
     # 79,244,934 ns zero-copy vs 156,521,108 ns copy, ~2x
     # (results/zero_copy.json).

@@ -217,7 +217,7 @@ pub(crate) fn predict_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), C
 /// look-alike): average per-broadcast latency per message size, 1 B up to
 /// `--max-size` in steps of 4×.
 pub(crate) fn osu(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let np = args.count("--np", 16)?;
+    let np = args.at_least("--np", 2, 16)?;
     let iters = args.count("--iters", 10)?;
     let max_size = args.num("--max-size", 1 << 22)?;
     let algo = args.algo("tuned")?;

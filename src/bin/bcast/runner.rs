@@ -3,10 +3,11 @@
 
 use std::io::Write;
 
-use bcast_core::smp::{bcast_smp, NodeMap};
+use bcast_core::pipeline::bcast_pipeline_async;
+use bcast_core::smp::{bcast_smp_async, NodeMap};
 use bcast_core::verify::pattern;
-use bcast_core::{bcast_auto, bcast_with, pipeline::bcast_pipeline, Thresholds};
-use mpsim::{Communicator, ThreadWorld};
+use bcast_core::{bcast_auto_async, bcast_with_async, Thresholds};
+use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
 use netsim::SimWorld;
 
 use crate::{check_supports, Algo, Args, CliError};
@@ -31,12 +32,15 @@ pub(crate) fn run(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let th = Thresholds::default();
     let nodes = NodeMap::new(cores);
     let run_one = |comm: &dyn Communicator, buf: &mut Vec<u8>| {
-        match algo {
-            Algo::Fixed(a) => bcast_with(comm, buf, root, a),
-            Algo::Auto { tuned } => bcast_auto(comm, buf, root, &th, tuned),
-            Algo::Smp { inner } => bcast_smp(comm, buf, root, &nodes, inner),
-            Algo::Pipeline => bcast_pipeline(comm, buf, root, segment),
-        }
+        let comm = SyncComm::new(comm);
+        complete_now(async {
+            match algo {
+                Algo::Fixed(a) => bcast_with_async(&comm, buf, root, a).await,
+                Algo::Auto { tuned } => bcast_auto_async(&comm, buf, root, &th, tuned).await,
+                Algo::Smp { inner } => bcast_smp_async(&comm, buf, root, &nodes, inner).await,
+                Algo::Pipeline => bcast_pipeline_async(&comm, buf, root, segment).await,
+            }
+        })
         .expect("the arguments were checked above")
     };
 

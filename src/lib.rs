@@ -25,44 +25,3 @@
 pub use bcast_core as core;
 pub use mpsim;
 pub use netsim;
-
-/// Convenience: run one broadcast of `nbytes` from `root` on a simulated
-/// machine preset and return the makespan in nanoseconds.
-///
-/// This is the measurement primitive the examples build on; the benchmark
-/// harness in `crates/bench` has a more complete version with barriers and
-/// repetitions (matching the paper's methodology).
-pub fn simulate_bcast_once(
-    preset: &netsim::MachinePreset,
-    algorithm: bcast_core::Algorithm,
-    size: usize,
-    nbytes: usize,
-    root: usize,
-) -> f64 {
-    let model = preset.model_for(nbytes, size);
-    let src = bcast_core::verify::pattern(nbytes, 1);
-    let out = netsim::SimWorld::run(model, preset.placement(), size, |comm| {
-        use mpsim::Communicator;
-        let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-        bcast_core::bcast_with(comm, &mut buf, root, algorithm).unwrap();
-        assert_eq!(buf, src);
-    });
-    out.makespan_ns
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn simulate_bcast_once_runs() {
-        let t = simulate_bcast_once(
-            &netsim::presets::hornet(),
-            bcast_core::Algorithm::ScatterRingTuned,
-            16,
-            1 << 19,
-            0,
-        );
-        assert!(t > 0.0);
-    }
-}

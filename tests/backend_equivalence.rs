@@ -133,7 +133,7 @@ fn simulator_protocols_do_not_change_delivered_bytes() {
         model.eager_threshold = eager_threshold;
         let out = SimWorld::run(model, Placement::new(4), np, |comm| {
             let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-            bcast_core::bcast_opt(comm, &mut buf, 0).unwrap();
+            bcast_core::bcast_with(comm, &mut buf, 0, Algorithm::ScatterRingTuned).unwrap();
             buf
         });
         assert!(out.results.iter().all(|b| b == &src));
@@ -154,7 +154,7 @@ fn flow_control_credits_preserve_semantics() {
         model.eager_credits = credits;
         let out = SimWorld::run(model, Placement::new(4), np, |comm| {
             let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-            bcast_core::bcast_opt(comm, &mut buf, 0).unwrap();
+            bcast_core::bcast_with(comm, &mut buf, 0, Algorithm::ScatterRingTuned).unwrap();
             assert_eq!(buf, src, "credits={credits}");
         });
         assert!(out.traffic.is_balanced());
@@ -269,7 +269,7 @@ fn virtual_time_is_deterministic_without_contention() {
         let model = NetworkModel::uniform(123.0, 0.75);
         let out = SimWorld::run(model, Placement::new(6), 18, |comm| {
             let mut buf = if comm.rank() == 4 { pattern(3000, 1) } else { vec![0u8; 3000] };
-            bcast_core::bcast_native(comm, &mut buf, 4).unwrap();
+            bcast_with(comm, &mut buf, 4, Algorithm::ScatterRingNative).unwrap();
             comm.now_ns()
         });
         out.results

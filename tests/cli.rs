@@ -6,6 +6,9 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
 
+use bcast_core::traffic::bcast_volume;
+use bcast_core::Algorithm;
+
 /// Every subcommand (`None`: the implicit `run`) and one numeric flag it
 /// takes.
 const SUBCOMMANDS: [(Option<&str>, &str); 11] = [
@@ -40,8 +43,8 @@ fn assert_usage_error(args: &[&str]) {
 fn hostile_input_is_a_usage_error_for_every_subcommand() {
     assert_usage_error(&["bogus"]);
     assert_usage_error(&["fig9", "--iters", "2"]);
-    // One rank has no ring to compare or trace.
-    for sub in ["fig6", "fig8", "trace"] {
+    // One rank has no ring to compare, trace or time.
+    for sub in ["fig6", "fig8", "trace", "osu"] {
         assert_usage_error(&[sub, "--np", "1"]);
     }
     for (sub, numeric) in SUBCOMMANDS {
@@ -121,6 +124,51 @@ fn runner_reports_the_paper_count_at_p8() {
     let report = String::from_utf8_lossy(&out.stdout);
     assert!(report.contains("correct:        yes"), "{report}");
     assert!(report.contains("messages/bcast: 51"), "{report}");
+}
+
+/// Every `--algo` name, in `bcast --help` order, with the fixed algorithm
+/// it names (`None`: one of the runner's composites).
+const ALGOS: [(&str, Option<Algorithm>); 10] = [
+    ("native", Some(Algorithm::ScatterRingNative)),
+    ("tuned", Some(Algorithm::ScatterRingTuned)),
+    ("opt", Some(Algorithm::ScatterRingTuned)),
+    ("binomial", Some(Algorithm::Binomial)),
+    ("rd", Some(Algorithm::ScatterRdAllgather)),
+    ("auto", None),
+    ("auto-native", None),
+    ("pipeline", None),
+    ("smp", None),
+    ("smp-native", None),
+];
+
+/// The value the runner's report prints after `key`.
+fn report_field<'a>(report: &'a str, key: &str) -> &'a str {
+    let line = report.lines().find(|l| l.starts_with(key));
+    line.map_or("", |l| l[key.len()..].trim())
+}
+
+#[test]
+fn runner_runs_every_algorithm_on_both_backends() {
+    let help = String::from_utf8_lossy(&bcast(&["--help"]).stdout).into_owned();
+    let names: Vec<&str> = ALGOS.iter().map(|a| a.0).collect();
+    assert!(help.contains(&format!("ALGO    {}", names.join("|"))), "{help}");
+    // P = 4 is a power of two, so `rd` runs too.
+    let world = ["--np", "4", "--nbytes", "1000", "--iters", "1"];
+    for (algo, fixed) in ALGOS {
+        let mut msgs = Vec::new();
+        for backend in ["thread", "sim"] {
+            let out = bcast(&[&["--backend", backend, "--algo", algo][..], &world].concat());
+            let report = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(out.status.success(), "{algo} on {backend}: {out:?}");
+            assert!(report_field(&report, "correct:").starts_with("yes"), "{report}");
+            msgs.push(report_field(&report, "messages/bcast:").to_string());
+        }
+        assert_eq!(msgs[0], msgs[1], "{algo}: thread and sim move different message counts");
+        if let Some(algorithm) = fixed {
+            let want = bcast_volume(algorithm, 1000, 4).msgs;
+            assert_eq!(msgs[0], want.to_string(), "{algo}");
+        }
+    }
 }
 
 #[test]

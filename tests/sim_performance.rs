@@ -5,10 +5,10 @@
 //! fabric docs) and small iteration counts to stay fast.
 
 use bcast_bench::{compare_sim, measure_sim};
-use bcast_core::allgather::{allgather, AllgatherAlgorithm};
-use bcast_core::pipeline::bcast_pipeline;
+use bcast_core::allgather::{allgather_async, AllgatherAlgorithm};
+use bcast_core::pipeline::bcast_pipeline_async;
 use bcast_core::Algorithm;
-use mpsim::Communicator;
+use mpsim::{complete_now, Communicator, SyncComm};
 use netsim::{presets, SimWorld};
 
 #[test]
@@ -128,7 +128,8 @@ fn bruck_is_faster_than_ring_for_small_blocks_on_the_cluster() {
             let sendbuf = vec![comm.rank() as u8; block];
             let mut recvbuf = vec![0u8; block * comm.size()];
             comm.barrier().unwrap();
-            allgather(comm, &sendbuf, &mut recvbuf, algorithm).unwrap();
+            complete_now(allgather_async(&SyncComm::new(comm), &sendbuf, &mut recvbuf, algorithm))
+                .unwrap();
         })
         .makespan_ns
     };
@@ -152,9 +153,10 @@ fn pipeline_vs_scatter_ring_tradeoff() {
             let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
             comm.barrier().unwrap();
             if pipeline {
-                bcast_pipeline(comm, &mut buf, 0, 32 * 1024).unwrap();
+                complete_now(bcast_pipeline_async(&SyncComm::new(comm), &mut buf, 0, 32 * 1024))
+                    .unwrap();
             } else {
-                bcast_core::bcast_opt(comm, &mut buf, 0).unwrap();
+                bcast_core::bcast_with(comm, &mut buf, 0, Algorithm::ScatterRingTuned).unwrap();
             }
         })
     };

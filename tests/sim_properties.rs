@@ -4,11 +4,11 @@
 //! Randomized by the in-tree `testkit` harness; the allgather and pipeline
 //! baselines get fixed-shape correctness runs on the Hornet preset.
 
-use bcast_core::allgather::{allgather, AllgatherAlgorithm};
-use bcast_core::pipeline::bcast_pipeline;
+use bcast_core::allgather::{allgather_async, AllgatherAlgorithm};
+use bcast_core::pipeline::bcast_pipeline_async;
 use bcast_core::traffic::bcast_volume;
 use bcast_core::{bcast_with, Algorithm};
-use mpsim::Communicator;
+use mpsim::{complete_now, Communicator, SyncComm};
 use netsim::{presets, NetworkModel, Placement, SimWorld};
 use testkit::prop::{self, Config, Strategy};
 
@@ -156,7 +156,8 @@ fn allgather_variants_agree_on_the_simulator() {
             let sendbuf = vec![comm.rank() as u8; block];
             let gather = |algorithm| {
                 let mut all = vec![0u8; block * comm.size()];
-                allgather(comm, &sendbuf, &mut all, algorithm).unwrap();
+                complete_now(allgather_async(&SyncComm::new(comm), &sendbuf, &mut all, algorithm))
+                    .unwrap();
                 all
             };
             let ring = gather(AllgatherAlgorithm::Ring);
@@ -181,7 +182,7 @@ fn pipeline_bcast_on_the_simulator() {
     let src2 = src.clone();
     let out = SimWorld::run(preset.model_for(nbytes, np), preset.placement(), np, move |comm| {
         let mut buf = if comm.rank() == 0 { src2.clone() } else { vec![0u8; nbytes] };
-        bcast_pipeline(comm, &mut buf, 0, 16 * 1024).unwrap();
+        complete_now(bcast_pipeline_async(&SyncComm::new(comm), &mut buf, 0, 16 * 1024)).unwrap();
         buf
     });
     for buf in &out.results {

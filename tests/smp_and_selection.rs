@@ -1,10 +1,10 @@
 //! Cross-crate tests of the SMP-aware three-phase broadcast and of MPICH's
 //! automatic selection, running on the simulated cluster.
 
-use bcast_core::smp::{bcast_smp, NodeMap};
+use bcast_core::smp::{bcast_smp_async, NodeMap};
 use bcast_core::verify::pattern;
-use bcast_core::{bcast_auto, Algorithm, Thresholds};
-use mpsim::Communicator;
+use bcast_core::{bcast_auto_async, Algorithm, Thresholds};
+use mpsim::{complete_now, Communicator, SyncComm};
 use netsim::{presets, Level, SimWorld};
 
 #[test]
@@ -16,7 +16,14 @@ fn smp_bcast_works_on_the_simulated_cluster() {
         let nodes = NodeMap::new(preset.cores_per_node());
         let out = SimWorld::run(model, preset.placement(), np, |comm| {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            bcast_smp(comm, &mut buf, root, &nodes, Algorithm::ScatterRingTuned).unwrap();
+            complete_now(bcast_smp_async(
+                &SyncComm::new(comm),
+                &mut buf,
+                root,
+                &nodes,
+                Algorithm::ScatterRingTuned,
+            ))
+            .unwrap();
             assert_eq!(buf, src, "rank {}", comm.rank());
         });
         assert!(out.traffic.is_balanced());
@@ -38,9 +45,16 @@ fn smp_bcast_moves_less_inter_node_data_than_flat_bcast() {
         let out = SimWorld::run(model, placement, np, |comm| {
             let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
             if smp {
-                bcast_smp(comm, &mut buf, 0, &nodes, Algorithm::ScatterRingTuned).unwrap();
+                complete_now(bcast_smp_async(
+                    &SyncComm::new(comm),
+                    &mut buf,
+                    0,
+                    &nodes,
+                    Algorithm::ScatterRingTuned,
+                ))
+                .unwrap();
             } else {
-                bcast_core::bcast_opt(comm, &mut buf, 0).unwrap();
+                bcast_core::bcast_with(comm, &mut buf, 0, Algorithm::ScatterRingTuned).unwrap();
             }
         });
         out.traffic.split_msgs(|a, b| placement.level(a, b) == Level::IntraNode).3
@@ -67,7 +81,8 @@ fn auto_selection_runs_every_regime_on_the_simulator() {
             let src = pattern(nbytes, 23);
             SimWorld::run(model, preset.placement(), np, |comm| {
                 let mut buf = if comm.rank() == 1 { src.clone() } else { vec![0u8; nbytes] };
-                bcast_auto(comm, &mut buf, 1, &th, tuned).unwrap();
+                complete_now(bcast_auto_async(&SyncComm::new(comm), &mut buf, 1, &th, tuned))
+                    .unwrap();
                 assert_eq!(buf, src);
             });
         }
@@ -85,7 +100,8 @@ fn tuned_auto_never_moves_more_messages() {
             let src = pattern(nbytes, 24);
             let out = SimWorld::run(model, preset.placement(), np, |comm| {
                 let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-                bcast_auto(comm, &mut buf, 0, &th, tuned).unwrap();
+                complete_now(bcast_auto_async(&SyncComm::new(comm), &mut buf, 0, &th, tuned))
+                    .unwrap();
             });
             counts.push(out.traffic.total_msgs());
         }

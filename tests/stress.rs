@@ -3,10 +3,10 @@
 //! payload results and identical traffic counters required, plus failure-
 //! injection checks for teardown behaviour.
 
-use bcast_core::allgather::{allgather, AllgatherAlgorithm};
+use bcast_core::allgather::{allgather_async, AllgatherAlgorithm};
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_with, Algorithm};
-use mpsim::{Communicator, ThreadWorld, WorldTraffic};
+use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld, WorldTraffic};
 use netsim::{presets, SimWorld};
 
 /// One deterministic pseudo-random op sequence, parameterized by seed.
@@ -47,7 +47,8 @@ fn run_program<C: Communicator + ?Sized>(comm: &C, seed: u64) -> Vec<u8> {
                     5 if size.is_power_of_two() => AllgatherAlgorithm::RecursiveDoubling,
                     _ => AllgatherAlgorithm::Ring,
                 };
-                allgather(comm, &mine, &mut state, algorithm).unwrap()
+                complete_now(allgather_async(&SyncComm::new(comm), &mine, &mut state, algorithm))
+                    .unwrap()
             }
         }
         // mix so later ops depend on earlier results
@@ -59,7 +60,13 @@ fn run_program<C: Communicator + ?Sized>(comm: &C, seed: u64) -> Vec<u8> {
     // ranks return the same bytes and any divergence shows on every rank.
     let digest = state.iter().fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64));
     let mut all = vec![0u8; 8 * size];
-    allgather(comm, &digest.to_le_bytes(), &mut all, AllgatherAlgorithm::Ring).unwrap();
+    complete_now(allgather_async(
+        &SyncComm::new(comm),
+        &digest.to_le_bytes(),
+        &mut all,
+        AllgatherAlgorithm::Ring,
+    ))
+    .unwrap();
     all
 }
 

@@ -9,7 +9,7 @@
 //!   non-root receives the envelope itself and pays exactly one landing
 //!   copy into the user buffer. Every rank's bill is *exactly* `nbytes` —
 //!   independent of its depth or fan-out in the tree.
-//! * **Binomial, copy baseline** (`bcast_binomial_copy`): every hop pays a
+//! * **Binomial, copy baseline** (`bcast_binomial_copy_async`): every hop pays a
 //!   sender copy-in plus a receiver copy-out, so the world bill is
 //!   `2·(P−1)·nbytes` and grows with the tree instead of the payload.
 //! * **Pipeline chain**: the root stages each segment once and every other
@@ -41,13 +41,16 @@
 //! assertions and the schedule reconciliation, on every executor.
 
 use bcast_core::bcast::bcast_schedule;
-use bcast_core::pipeline::bcast_pipeline;
+use bcast_core::pipeline::bcast_pipeline_async;
 use bcast_core::traffic::{bcast_bytes_copied, bcast_volume, reliable_volume};
 use bcast_core::{
-    bcast_binomial, bcast_binomial_copy, bcast_coalesced_event_world, bcast_event_world,
-    bcast_with, bcast_with_async, Algorithm, CoalescePolicy,
+    bcast_binomial_copy_async, bcast_coalesced_event_world, bcast_event_world, bcast_with,
+    bcast_with_async, Algorithm, CoalescePolicy,
 };
-use mpsim::{AsyncCommunicator, Communicator, EventWorld, ReliableComm, ThreadWorld, WorldTraffic};
+use mpsim::{
+    complete_now, AsyncCommunicator, Communicator, EventWorld, ReliableComm, SyncComm, ThreadWorld,
+    WorldTraffic,
+};
 use netsim::{FaultPlan, FaultyComm, NetworkModel, Placement, SimWorld};
 use schedcheck::{copy_ceiling_per_rank, reconcile_traffic};
 
@@ -88,7 +91,7 @@ fn binomial_copy_baseline_pays_per_hop() {
     let src = pattern(nbytes);
     let out = ThreadWorld::run(size, |comm| {
         let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-        bcast_binomial_copy(comm, &mut buf, 0).unwrap();
+        complete_now(bcast_binomial_copy_async(&SyncComm::new(comm), &mut buf, 0)).unwrap();
         assert_eq!(buf, src, "rank {} diverged", comm.rank());
     });
     // P−1 transfers, each paying a sender copy-in and a receiver copy-out.
@@ -101,7 +104,7 @@ fn binomial_copy_baseline_pays_per_hop() {
     let src = pattern(nbytes);
     let zc = ThreadWorld::run(size, |comm| {
         let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-        bcast_binomial(comm, &mut buf, 0).unwrap();
+        bcast_with(comm, &mut buf, 0, Algorithm::Binomial).unwrap();
     });
     assert_eq!(zc.traffic.total_bytes_copied(), (size * nbytes) as u64);
     assert!(zc.traffic.total_bytes_copied() < per_hop);
@@ -111,7 +114,7 @@ fn binomial_copy_baseline_pays_per_hop() {
     let src = pattern(nbytes);
     let pipe = ThreadWorld::run(size, |comm| {
         let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
-        bcast_pipeline(comm, &mut buf, 0, 100).unwrap();
+        complete_now(bcast_pipeline_async(&SyncComm::new(comm), &mut buf, 0, 100)).unwrap();
         assert_eq!(buf, src, "rank {} diverged", comm.rank());
     });
     assert_eq!(pipe.traffic.total_bytes_copied(), (size * nbytes) as u64);
