@@ -95,6 +95,14 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for EpochComm<'_, C> {
         let (sendtag, recvtag) = (self.shifted(sendtag), self.shifted(recvtag));
         self.inner.exchange(payload, dest, sendtag, capacity, src, recvtag)
     }
+
+    fn flush(&self, within: Option<Duration>) -> impl Future<Output = Result<()>> {
+        self.inner.flush(within)
+    }
+
+    fn acknowledge(&self) -> impl Future<Output = Result<()>> {
+        self.inner.acknowledge()
+    }
 }
 
 /// Deadline-guarding decorator: every [`AsyncCommunicator::take`] is
@@ -173,5 +181,13 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for GuardedComm<'_, C> {
         // transports.
         self.inner.post(payload, dest, sendtag).await?;
         self.inner.take(capacity, src, recvtag, Some(self.step_timeout)).await
+    }
+
+    fn flush(&self, within: Option<Duration>) -> impl Future<Output = Result<()>> {
+        self.inner.flush(within)
+    }
+
+    fn acknowledge(&self) -> impl Future<Output = Result<()>> {
+        self.inner.acknowledge()
     }
 }

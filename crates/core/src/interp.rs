@@ -56,8 +56,10 @@
 //! a hang, and an op with both halves is an eager post followed by a
 //! bounded take — sound only on an eagerly delivering transport — unless
 //! the communicator's own `exchange` bounds itself, in which case it stays
-//! one call. The agreement steps a stage one op at a time and reads each
-//! landing back through `Interp::buf`.
+//! one call. A bounded run's closing flush waits at most the same deadline.
+//! The agreement steps a stage one op at a time (`Interp::exec`, which
+//! settles nothing), reads each landing back through `Interp::buf`, and
+//! flushes once itself, when its verdict is in.
 
 use std::future::Future;
 use std::ops::Range;
@@ -116,8 +118,8 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C, true> {
     /// [`Interp::new`] with every take bounded by `step` (see the [module
     /// docs](self)). An op with both halves is posted eagerly and then taken
     /// under the bound, unless `fused_exchange` is set: then it stays one
-    /// `exchange` call, for a communicator whose `exchange` cannot block
-    /// forever on a dead peer (`mpsim::ReliableComm`'s pump).
+    /// `exchange` call, for a communicator whose `exchange` bounds itself
+    /// (`RecoveryConfig::bounded_sendrecv`).
     pub(crate) fn bounded(
         comm: &'a C,
         buf: &'a mut [u8],
@@ -143,15 +145,44 @@ impl<'a, C: ?Sized, const BOUNDED: bool> Interp<'a, C, BOUNDED> {
     }
 }
 
-impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> {
+impl<'a, C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'a, C, BOUNDED> {
     /// The buffer as the ops run so far left it: where a caller that steps
     /// through a stream one op at a time reads what a receive landed.
     pub(crate) fn buf(&self) -> &[u8] {
         self.buf
     }
 
-    /// Execute `ops` in order. Resolves to the payload bytes received.
-    pub async fn run(&mut self, ops: impl IntoIterator<Item = SchedOp>) -> Result<usize> {
+    /// Execute `ops` in order, then settle them
+    /// ([`AsyncCommunicator::flush`]; a bounded interpreter waits at most
+    /// its `step` for that too): this is the only code that turns op
+    /// streams into posts, so every collective and attempt returns with
+    /// nothing of its own in flight. Resolves to the payload bytes received.
+    pub fn run<I: IntoIterator<Item = SchedOp>>(
+        &mut self,
+        ops: I,
+    ) -> impl Future<Output = Result<usize>> + use<'_, 'a, C, BOUNDED, I> {
+        self.run_settling(ops, true)
+    }
+
+    /// Execute one op and leave what it posted in flight: for a caller that
+    /// steps through a stream one op at a time and settles it itself.
+    /// Resolves to the payload bytes received.
+    pub(crate) fn exec(
+        &mut self,
+        op: SchedOp,
+    ) -> impl Future<Output = Result<usize>> + use<'_, 'a, C, BOUNDED> {
+        self.run_settling([op], false)
+    }
+
+    /// [`Interp::run`], settling at the end only if `settle` is set. Both
+    /// entry points hand out this one future rather than awaiting it, so a
+    /// pending op is polled through no extra frame: on the event reactor
+    /// that walk is the hot path.
+    async fn run_settling(
+        &mut self,
+        ops: impl IntoIterator<Item = SchedOp>,
+        settle: bool,
+    ) -> Result<usize> {
         let mut received = 0;
         for op in ops {
             match (&op.send, &op.recv) {
@@ -179,6 +210,9 @@ impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'_, C, BOUNDED> 
                 }
                 (None, None) => {}
             }
+        }
+        if settle {
+            self.comm.flush(BOUNDED.then_some(self.step)).await?;
         }
         Ok(received)
     }
@@ -334,6 +368,14 @@ mod tests {
         ) -> Result<Payload> {
             self.record(&payload);
             self.arrival(cap)
+        }
+
+        async fn flush(&self, _: Option<Duration>) -> Result<()> {
+            Ok(())
+        }
+
+        async fn acknowledge(&self) -> Result<()> {
+            Ok(())
         }
     }
 

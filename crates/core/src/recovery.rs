@@ -224,10 +224,9 @@ pub struct RecoveryConfig {
     pub max_epochs: u32,
     /// Set when the communicator's own `sendrecv` already returns
     /// [`CommError::Timeout`] on its own (e.g. [`mpsim::ReliableComm`],
-    /// whose ack pump has a bounded attempt budget). The attempt then
-    /// hands each `sendrecv` op to that `sendrecv` instead of decomposing
-    /// it — decomposition would wedge the reliability layer's pump, because
-    /// a blocking acknowledged send cannot drain incoming data frames.
+    /// whose frames in flight have a bounded attempt budget). The attempt
+    /// then hands each `sendrecv` op to that `sendrecv` instead of
+    /// decomposing it, and the agreement exchanges its reports pairwise.
     pub bounded_sendrecv: bool,
 }
 
@@ -671,10 +670,11 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     /// streams over every member, and `schedcheck` checks their matching,
     /// deadlock-freedom and volume. With [`RecoveryConfig::bounded_sendrecv`]
     /// stages 1–3 are skipped and every pairwise op stays one `exchange` (the
-    /// interpreter's `fused_exchange`) through the reliable layer's
-    /// self-bounding pump: an eager send followed by a bounded receive (which is
-    /// all the quorum is) would wedge an acknowledged-send layer, whose `send`
-    /// cannot complete until the peer actively receives.
+    /// interpreter's `fused_exchange`), which the communicator bounds itself.
+    ///
+    /// Every op only posts its frames ([`Interp::exec`]); [`Agreement::close`]
+    /// settles them once the verdict is in, so that no deadline here waits on
+    /// an acknowledgement.
     async fn agree(&self, trace: &mut RecoveryTrace) -> Result<Verdict> {
         let frame = [u8::from(self.mine.has_full), membership_digest(self.members) as u8];
         let known = !self.cfg.bounded_sendrecv
@@ -692,6 +692,19 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
         verdict
     }
 
+    /// Settle the frames the stages posted. A frame a peer never took is that
+    /// peer's loss, not this rank's, so only this rank's own crash is an
+    /// error here.
+    async fn close(&self) -> Result<()> {
+        match self.comm.flush(None).await {
+            Err(CommError::PeerFailed { rank }) if rank == self.comm.rank() => {
+                Err(CommError::PeerFailed { rank })
+            }
+            Err(CommError::PeerFailed { .. } | CommError::Timeout { .. }) => Ok(()),
+            settled => settled,
+        }
+    }
+
     /// A bounded interpreter over a stage's `frames`, every take bounded by
     /// `wait`. A stage steps its stream through one, op by op, reading what
     /// each receive landed through [`Interp::buf`] between ops; only the
@@ -705,7 +718,7 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     /// error classifier. Only this rank's own crash (a `PeerFailed` naming
     /// it) and errors outside the fault model stay errors.
     async fn step(&self, interp: &mut Interp<'_, C, true>, op: SchedOp) -> Result<Outcome> {
-        match interp.run([op]).await {
+        match interp.exec(op).await {
             Ok(got) => Ok(Outcome::Done(got)),
             Err(CommError::PeerFailed { rank }) if rank != self.comm.rank() => {
                 Ok(Outcome::Exited(rank))
@@ -1111,7 +1124,11 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
         let report = Report { has_full: has_full || drill.claim_full_payload };
         let garbled = Cell::new(false);
         let agreement = Agreement { comm, members: &members, epoch, mine: report, cfg, garbled };
-        let verdict = agreement.agree(trace).await.inspect_err(|e| {
+        let verdict = match agreement.agree(trace).await {
+            Ok(verdict) => agreement.close().await.map(|()| verdict),
+            failed => failed,
+        };
+        let verdict = verdict.inspect_err(|e| {
             if *e == (CommError::PeerFailed { rank: me }) {
                 trace.hit(branch::SELF_CRASH);
             }
@@ -1281,7 +1298,9 @@ mod tests {
         trace: &mut RecoveryTrace,
     ) -> Result<Verdict> {
         let garbled = Cell::new(false);
-        Agreement { comm, members, epoch, mine: *mine, cfg, garbled }.agree(trace).await
+        let agreement = Agreement { comm, members, epoch, mine: *mine, cfg, garbled };
+        let verdict = agreement.agree(trace).await?;
+        agreement.close().await.map(|()| verdict)
     }
 
     /// The dead and full sets of a verdict that lists them.
@@ -1583,6 +1602,14 @@ mod tests {
             let len = payload.len();
             self.calls.borrow_mut().push(Call::Exchange { to, stag, len, from, rtag, cap });
             Ok(vec![0; cap].into())
+        }
+
+        async fn flush(&self, _: Option<Duration>) -> Result<()> {
+            Ok(())
+        }
+
+        async fn acknowledge(&self) -> Result<()> {
+            Ok(())
         }
     }
 
@@ -1893,6 +1920,16 @@ mod tests {
             let len = payload.len();
             self.calls.borrow_mut().push(Call::Exchange { to, stag, len, from, rtag, cap });
             self.inner.exchange(payload, to, stag, cap, from, rtag).await
+        }
+
+        /// Not logged: the crash clock does not count it.
+        async fn flush(&self, within: Option<Duration>) -> Result<()> {
+            self.inner.flush(within).await
+        }
+
+        /// Not logged, like `flush`.
+        async fn acknowledge(&self) -> Result<()> {
+            self.inner.acknowledge().await
         }
     }
 

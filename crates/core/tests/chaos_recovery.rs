@@ -11,7 +11,7 @@
 //!
 //! Stacking follows the fault model's division of labor: message loss and
 //! duplication between *live* ranks are masked by [`ReliableComm`]
-//! (`bounded_sendrecv` tells the recovery layer the pump self-bounds);
+//! (`bounded_sendrecv` tells the recovery layer its exchange self-bounds);
 //! crashes are healed by the self-healing broadcast directly over the faulty
 //! communicator. The decorators are written against `AsyncCommunicator`, so
 //! the blocking executors build the stack over `SyncComm` and drive it with
@@ -106,6 +106,54 @@ fn duplicated_messages_are_masked_at_every_world_size() {
 #[test]
 fn mixed_link_chaos_is_masked_at_every_world_size() {
     lossy_sweep(LinkFaults { drop_ppm: 60_000, dup_ppm: 150_000, delay_ppm: 150_000 }, 0x3417);
+}
+
+/// Loss and a crash together: `ReliableComm` over `FaultyComm` on the event
+/// executor, one mid-ring rank of P = 8 fail-stopping at each of several
+/// points of its attempt, on a drop-free link and with 1 % and 5 % of the
+/// payload frames dropped, four plan seeds each. Survivors then hold frames
+/// in flight to the victim and to ranks that left the failed attempt; each
+/// such frame fails its channel once (or is given up with the attempt).
+/// Every survivor must heal with the payload and the same seven-rank
+/// survivor set, and the victim must see itself fail. Fixed seeds: the
+/// grid replays exactly.
+#[test]
+fn loss_plus_a_mid_ring_crash_heals_every_survivor() {
+    const P: usize = 8;
+    const VICTIM: usize = 5;
+    let expected: Vec<Rank> = (0..P).filter(|&r| r != VICTIM).collect();
+    for drop_ppm in [0, 10_000, 50_000] {
+        let faults = LinkFaults { drop_ppm, dup_ppm: 0, delay_ppm: 0 };
+        for after in [2, 4, 7, 10, 13, 16] {
+            for seed in 0x10_55C8..0x10_55CC {
+                let src = pattern(P * 512 + 3, seed);
+                let plan = FaultPlan::new(seed).with_default(faults).with_crash(VICTIM, after);
+                let out = EventWorld::run(P, |comm| {
+                    let (src, plan) = (src.clone(), plan.clone());
+                    async move {
+                        let faulty = FaultyComm::new(&comm, plan);
+                        let reliable = ReliableComm::with_config(&faulty, quick_retry());
+                        let cfg = recovery_cfg(true);
+                        let drill = &RecoveryDrill::NONE;
+                        let algorithm = Algorithm::ScatterRingTuned;
+                        self_healing_rank_task(&reliable, &src, 0, algorithm, &cfg, drill).await
+                    }
+                });
+                for (rank, run) in out.results.iter().enumerate() {
+                    let case = format!("drop {drop_ppm} ppm, crash after {after}, seed {seed:#x}");
+                    match &run.result {
+                        Ok(h) => {
+                            assert_ne!(rank, VICTIM, "{case}: the victim must see itself fail");
+                            assert_eq!(h.survivors, expected, "{case}, rank {rank}: survivors");
+                            assert_eq!(run.buf, src, "{case}, rank {rank}: corrupted payload");
+                        }
+                        Err(CommError::PeerFailed { rank: r }) if *r == rank && rank == VICTIM => {}
+                        Err(e) => panic!("{case}: survivor {rank} failed with {e:?}"),
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Crash sweep: a planned fail-stop of one non-root rank mid-broadcast at

@@ -18,13 +18,24 @@
 //! by an optional deadline ([`take`](AsyncCommunicator::take)), and — if
 //! post-then-take could deadlock or wedge it — how the two fuse
 //! ([`exchange`](AsyncCommunicator::exchange)); plus identity, the clock,
-//! the barrier and the copy accounting. Every copying, shared, timed and
-//! prefixed variant is a provided method here which no implementor
-//! overrides, so a decorator that transforms the core transforms all of
-//! them, and each variant costs exactly the core calls its name implies:
-//! one per send or receive, two per exchange. The blocking trait's
-//! variants are one line each, this module's namesake run through the
-//! bridge, so each variant's semantics is written once, here.
+//! the barrier and the copy accounting. The async core has two more calls
+//! for a decorator that acknowledges what it delivers: [`flush`] settles
+//! whatever it still holds in flight, and [`acknowledge`] sends the acks it
+//! owes without waiting (both ready futures on every executor). Every
+//! copying, shared, timed and prefixed variant is a provided method here
+//! which no implementor overrides, so a decorator that transforms the core
+//! transforms all of them, and each variant costs exactly the core calls
+//! its name implies: one per send or receive, two per exchange, plus one
+//! `flush` after `send` and `send_shared`, one `acknowledge` after `recv`,
+//! `recv_timeout` and `recv_owned` (a receive waits for nothing but its
+//! message), and a `flush` on both sides of `sendrecv` and
+//! `sendrecv_shared`'s exchange; the prefixed pair stays one core call
+//! each. The blocking trait's variants
+//! are one line each, this module's namesake run through the bridge, so
+//! each variant's semantics is written once, here.
+//!
+//! [`flush`]: AsyncCommunicator::flush
+//! [`acknowledge`]: AsyncCommunicator::acknowledge
 //!
 //! On the cooperative single-threaded executor
 //! ([`EventWorld`](crate::event_comm::EventWorld)) the futures genuinely
@@ -62,10 +73,11 @@ pub fn deadline_after(now_ns: u64, timeout: Duration) -> u64 {
 /// detection), with the blocking operations expressed as futures.
 ///
 /// Implementors write the envelope core: `rank`, `size`, `now_ns`,
-/// `barrier`, `make_shared`, `note_copy`, `post`, `take`, and optionally
-/// `exchange`. None of them has a default except `exchange`, so a decorator
-/// that forgets to forward one — the copy accounting included — does not
-/// compile. Everything else is provided and overridden nowhere.
+/// `barrier`, `make_shared`, `note_copy`, `post`, `take`, `flush`,
+/// `acknowledge`, and optionally `exchange`. None of them has a default except `exchange`, so
+/// a decorator that forgets to forward one — the copy accounting and the
+/// settling included — does not compile. Everything else is provided and
+/// overridden nowhere.
 ///
 /// The trait is consumed only by this workspace's executors, all of which
 /// are either single-threaded or drive the future on the calling thread, so
@@ -141,6 +153,23 @@ pub trait AsyncCommunicator {
         self.take(capacity, src, recvtag, None).await
     }
 
+    /// Settle everything this rank has in flight: resolve once every
+    /// envelope it posted is delivered as far as this layer can tell, with
+    /// every acknowledgement it owes sent. A decorator that keeps frames
+    /// until they are acknowledged ([`ReliableComm`](crate::ReliableComm))
+    /// waits for the acks here, retransmitting on the way — for at most
+    /// `within` on this backend's clock, when given, after which it gives up
+    /// on what is still unacknowledged — and reports here, once, a frame it
+    /// gave up on. The executors deliver as they post, so theirs is a ready
+    /// future.
+    async fn flush(&self, within: Option<Duration>) -> Result<()>;
+
+    /// Send every acknowledgement this rank owes and return, waiting for
+    /// nothing: what a receive owes its sender before the caller moves on.
+    /// Only a decorator that acknowledges (`ReliableComm`) owes any; the
+    /// executors' is a ready future.
+    async fn acknowledge(&self) -> Result<()>;
+
     // Provided over the core; no implementor overrides any of these.
 
     /// Validate that `rank` names a member of this world.
@@ -152,19 +181,25 @@ pub trait AsyncCommunicator {
         }
     }
 
-    /// Tagged send of `buf` to `dest`: one counted staging copy, one post.
+    /// Tagged send of `buf` to `dest`: one counted staging copy, one post,
+    /// one flush — a returned send is a settled one.
     async fn send(&self, buf: &[u8], dest: Rank, tag: Tag) -> Result<()> {
-        self.post(Payload::Shared(self.make_shared(buf)), dest, tag).await
+        self.post(Payload::Shared(self.make_shared(buf)), dest, tag).await?;
+        self.flush(None).await
     }
 
-    /// Tagged receive from `src` into `buf`; resolves to the payload length.
+    /// Tagged receive from `src` into `buf`, acknowledged; resolves to the
+    /// payload length.
     async fn recv(&self, buf: &mut [u8], src: Rank, tag: Tag) -> Result<usize> {
         let payload = self.take(buf.len(), src, tag, None).await?;
-        Ok(land(self, buf, &payload))
+        let n = land(self, buf, &payload);
+        self.acknowledge().await?;
+        Ok(n)
     }
 
-    /// Deadline-bounded receive; fails with [`CommError::Timeout`] if no
-    /// matching message arrives within `timeout` on this backend's clock.
+    /// Deadline-bounded receive, acknowledged; fails with
+    /// [`CommError::Timeout`] if no matching message arrives within
+    /// `timeout` on this backend's clock.
     async fn recv_timeout(
         &self,
         buf: &mut [u8],
@@ -173,11 +208,14 @@ pub trait AsyncCommunicator {
         timeout: Duration,
     ) -> Result<usize> {
         let payload = self.take(buf.len(), src, tag, Some(timeout)).await?;
-        Ok(land(self, buf, &payload))
+        let n = land(self, buf, &payload);
+        self.acknowledge().await?;
+        Ok(n)
     }
 
-    /// Combined concurrent send+receive (MPI_Sendrecv): stage, exchange,
-    /// land.
+    /// Combined concurrent send+receive (MPI_Sendrecv): stage, flush,
+    /// exchange, land, flush. The first flush settles what was in flight
+    /// before, so the last one can only report on this call's own send.
     async fn sendrecv(
         &self,
         sendbuf: &[u8],
@@ -188,29 +226,37 @@ pub trait AsyncCommunicator {
         recvtag: Tag,
     ) -> Result<usize> {
         let staged = Payload::Shared(self.make_shared(sendbuf));
+        self.flush(None).await?;
         let payload = self.exchange(staged, dest, sendtag, recvbuf.len(), src, recvtag).await?;
-        Ok(land(self, recvbuf, &payload))
+        let n = land(self, recvbuf, &payload);
+        self.flush(None).await?;
+        Ok(n)
     }
 
     /// Zero-copy send: post a refcount clone of `buf` instead of staging its
     /// bytes. Wire accounting is that of [`send`](AsyncCommunicator::send)
     /// of the same bytes; only `bytes_copied` differs.
     async fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.post(Payload::Shared(buf.clone()), dest, tag).await
+        self.post(Payload::Shared(buf.clone()), dest, tag).await?;
+        self.flush(None).await
     }
 
     /// Owned receive: the arriving envelope itself instead of a copy of its
     /// bytes. `capacity` bounds the acceptable message length exactly like
     /// a receive buffer's length; the view may alias the sender's rental
-    /// (that is the point) and returns to its pool when dropped.
+    /// (that is the point) and returns to its pool when dropped. Acknowledged
+    /// like [`recv`](AsyncCommunicator::recv).
     async fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
-        self.take(capacity, src, tag, None).await.map(Payload::into_shared)
+        let payload = self.take(capacity, src, tag, None).await?;
+        self.acknowledge().await?;
+        Ok(payload.into_shared())
     }
 
     /// Combined concurrent zero-copy exchange: forward `sendbuf` while
     /// taking ownership of the arriving envelope — the ring allgather's
     /// inner step, where each received chunk becomes the next step's
-    /// outgoing chunk without touching RAM in between.
+    /// outgoing chunk without touching RAM in between. Flushed on both sides
+    /// of the exchange like [`sendrecv`](AsyncCommunicator::sendrecv).
     #[allow(clippy::too_many_arguments)]
     async fn sendrecv_shared(
         &self,
@@ -222,7 +268,9 @@ pub trait AsyncCommunicator {
         recvtag: Tag,
     ) -> Result<SharedBuf> {
         let payload = Payload::Shared(sendbuf.clone());
+        self.flush(None).await?;
         let received = self.exchange(payload, dest, sendtag, recv_capacity, src, recvtag).await?;
+        self.flush(None).await?;
         Ok(received.into_shared())
     }
 
@@ -343,6 +391,14 @@ impl<C: Communicator + ?Sized> AsyncCommunicator for SyncComm<'_, C> {
         recvtag: Tag,
     ) -> Result<Payload> {
         self.0.exchange(payload, dest, sendtag, capacity, src, recvtag)
+    }
+
+    async fn flush(&self, _: Option<Duration>) -> Result<()> {
+        Ok(())
+    }
+
+    async fn acknowledge(&self) -> Result<()> {
+        Ok(())
     }
 }
 

@@ -759,6 +759,18 @@ impl AsyncCommunicator for EventComm {
         let early_err = self.post_now(payload, dest, sendtag).err();
         self.take_now(early_err, capacity, src, recvtag, None)
     }
+
+    /// Nothing to settle: a post is queued at its destination when made.
+    #[inline]
+    fn flush(&self, _: Option<Duration>) -> impl Future<Output = Result<()>> {
+        std::future::ready(Ok(()))
+    }
+
+    /// Nothing owed: the executor does not acknowledge.
+    #[inline]
+    fn acknowledge(&self) -> impl Future<Output = Result<()>> {
+        std::future::ready(Ok(()))
+    }
 }
 
 #[cfg(test)]

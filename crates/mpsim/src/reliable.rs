@@ -1,14 +1,48 @@
 //! Reliable delivery over a lossy communicator.
 //!
-//! [`ReliableComm`] wraps any [`AsyncCommunicator`] with a stop-and-wait
-//! acknowledgement protocol: every payload is framed with a per-`(peer,
-//! tag)` sequence number, the receiver acknowledges each frame, and the
-//! sender retransmits on an exponential backoff until acknowledged or out
-//! of attempts. Duplicates (retransmissions whose original did arrive, or
-//! messages duplicated by the link itself) are detected by their stale
-//! sequence number, re-acknowledged, and discarded, so the application sees
-//! exactly-once delivery in order — over a link that drops, duplicates, or
-//! reorders (boundedly) its messages.
+//! [`ReliableComm`] wraps any [`AsyncCommunicator`] with a windowed,
+//! selective-repeat acknowledgement protocol. Every payload is framed with a
+//! per-`(peer, tag)` sequence number and transmitted at once; the frame then
+//! stays in flight, a refcount clone of what the caller staged, until an
+//! acknowledgement covers it. An ack carries the receiver's next expected
+//! number and covers every frame below it, so one ack settles a whole run of
+//! frames. Each channel keeps one retransmission timer, on its oldest
+//! unacknowledged frame (the *head*), and retransmits only that frame, on an
+//! exponential backoff, until it is acknowledged or out of attempts. The
+//! receiver delivers in order, stashes frames that arrive ahead of order, and
+//! drops stale duplicates (retransmissions whose original did arrive, or
+//! messages duplicated by the link itself) after re-acknowledging them, so
+//! the application sees exactly-once delivery in order — over a link that
+//! drops, duplicates, or reorders (boundedly) its messages.
+//!
+//! ## Settling
+//!
+//! `post` transmits and returns; [`AsyncCommunicator::flush`] settles. It
+//! sends the acks this rank owes, then waits until every frame it has in
+//! flight is acknowledged, retransmitting on the way (for at most the
+//! patience it is given, after which the rest is given up on as timed out).
+//! The schedule interpreter flushes once after each op stream it runs.
+//! `send` and `send_shared` end with a flush, so a returned `send` is an
+//! acknowledged one; `recv`, `recv_timeout` and `recv_owned` end with
+//! [`AsyncCommunicator::acknowledge`], which sends the owed acks and waits
+//! for nothing, so a returned `recv` has sent its ack; `sendrecv` and
+//! `sendrecv_shared` flush before and after their exchange.
+//!
+//! A channel fails when its peer exits with frames of ours unacknowledged
+//! ([`CommError::PeerFailed`]) or its head runs out of attempts
+//! ([`CommError::Timeout`]). It then drops every frame in flight, and the
+//! next flush reports the failure, once. A `take` that meets the failure
+//! while pumping keeps going — a receive never fails for a send it did
+//! not make — except inside `exchange`, for the frame the exchange posted.
+//!
+//! A receiver owes an ack after any delivery or stale duplicate, and sends
+//! what it owes only when it is about to block, when it flushes, and before
+//! it returns an error: a rank that takes a run of frames without waiting
+//! acknowledges them all with one envelope. A `take` first probes without
+//! blocking; before it blocks it sends its owed acks, drains the acks that
+//! have arrived for its own frames and retransmits every head whose timer
+//! fired, then waits until the earlier of the caller's deadline and the next
+//! timer. `exchange` is a post and a take.
 //!
 //! A frame's wire image is `sequence number (4 bytes, LE) ‖ payload`, but the
 //! two are never packed together here: the number is handed to the wrapped
@@ -17,8 +51,8 @@
 //! that queues envelopes, a frame is a refcount clone of what the caller
 //! staged, a retransmission is another clone of the same rental, and a
 //! duplicate is told by its number and dropped without a byte moving. The
-//! protocol is the envelope core (`post`, `take`, `exchange`); every other
-//! call is the trait's own, built on it.
+//! protocol is the envelope core (`post`, `take`, `exchange`, `flush`,
+//! `acknowledge`); every other call is the trait's own, built on it.
 //!
 //! The protocol runs on shifted tags: a user message on `Tag(t)` travels as
 //! a data frame on `Tag(DATA_TAG_BASE + t)` and is acknowledged on
@@ -44,9 +78,13 @@
 //! eager; simulated worlds need a model with a sufficiently high
 //! `eager_threshold`. Messages must also arrive *uncorrupted* — the
 //! protocol handles loss, duplication, and bounded reordering, not bit rot.
+//! Acks must not be lost: a receiver may leave once its own flush has sent
+//! them, and nothing would re-acknowledge a retransmission after that.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::future::Future;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::time::Duration;
 
 use crate::acomm::{deadline_after, AsyncCommunicator};
@@ -91,34 +129,74 @@ impl RetryConfig {
 }
 
 /// Whether sequence number `a` is `b` or comes after it. The counters wrap
-/// (serial-number arithmetic, RFC 1982); stop-and-wait keeps the two ends of
-/// a channel within one frame of each other, far inside the half circle.
+/// (serial-number arithmetic, RFC 1982); the two ends of a channel stay
+/// within one run's frames of each other, far inside the half circle.
 fn at_or_after(a: u32, b: u32) -> bool {
     a.wrapping_sub(b) < 1 << 31
 }
 
-/// Per-`(peer, tag)` sequence counters.
-#[derive(Default)]
-struct ChannelSeq {
-    /// Next sequence number to assign to an outgoing frame.
-    tx_next: u32,
-    /// Sequence number the receiver expects next.
-    rx_expected: u32,
-    /// Largest payload delivered on this channel so far. A stale duplicate
-    /// can be a copy of *any* delivered frame, so frames are asked for at
-    /// this capacity at least — or one larger than the currently posted
-    /// receive would be a truncation before its number could be read.
-    rx_high_water: usize,
+/// A channel: a peer and a user tag.
+type Key = (Rank, u32);
+
+/// The tag carrying channel `key`'s data frames (its user tag was checked
+/// by [`ReliableComm::check_tag`] before the channel was opened).
+fn data_tag((_, tag): Key) -> Tag {
+    Tag(DATA_TAG_BASE + tag)
 }
 
-/// One outgoing frame: the payload, where it goes, and the sequence number
-/// that rides beside it. A retransmission transmits the same frame again.
-struct Frame<'p> {
-    payload: &'p SharedBuf,
-    dest: Rank,
-    data_tag: Tag,
-    ack_tag: Tag,
-    seq: u32,
+/// The tag carrying channel `key`'s acknowledgements.
+fn ack_tag((_, tag): Key) -> Tag {
+    Tag(ACK_TAG_BASE + tag)
+}
+
+/// Per-`(peer, tag)` protocol state: the sending half toward the peer and
+/// the receiving half from it.
+#[derive(Default)]
+struct Channel {
+    /// Sequence number of the next outgoing frame.
+    tx_next: u32,
+    /// Frames transmitted and not yet acknowledged, oldest first; the last
+    /// carries `tx_next - 1`.
+    unacked: VecDeque<SharedBuf>,
+    /// Transmissions of the head so far.
+    attempts: u32,
+    /// When the head's retransmission timer fires, on the backend clock.
+    due: u64,
+    /// Sequence number the receiver delivers next.
+    rx_expected: u32,
+    /// Frames that arrived ahead of `rx_expected`, with their numbers.
+    stash: Vec<(u32, SharedBuf)>,
+    /// Whether a delivery or a stale duplicate is still unacknowledged.
+    owes_ack: bool,
+    /// Why the sending half last gave up on its frames, until a flush
+    /// reports it.
+    failed: Option<CommError>,
+}
+
+impl Channel {
+    /// Sequence number of the head.
+    fn head_seq(&self) -> u32 {
+        self.tx_next.wrapping_sub(self.unacked.len() as u32)
+    }
+
+    /// Give up on every frame in flight, so that their failure is met once
+    /// and the next frame starts afresh. The numbers are not reused: a live
+    /// receiver that takes the dropped frames late still sees them in order.
+    fn abandon(&mut self) {
+        self.unacked.clear();
+    }
+
+    /// Deliver `body` as frame `rx_expected`: the number advances and an ack
+    /// is owed even when `body` overruns `capacity`, since a truncated
+    /// receive consumes its message like any other.
+    fn deliver(&mut self, body: SharedBuf, capacity: usize) -> Result<SharedBuf> {
+        self.rx_expected = self.rx_expected.wrapping_add(1);
+        self.owes_ack = true;
+        if body.len() > capacity {
+            return Err(CommError::Truncation { capacity, incoming: body.len() });
+        }
+        Ok(body)
+    }
 }
 
 /// Acknowledged, deduplicated delivery over a lossy [`AsyncCommunicator`].
@@ -127,7 +205,9 @@ struct Frame<'p> {
 pub struct ReliableComm<'a, C: ?Sized> {
     inner: &'a C,
     cfg: RetryConfig,
-    seq: RefCell<HashMap<(Rank, u32), ChannelSeq>>,
+    /// Every channel this rank has used, ordered so that walking them (to
+    /// send owed acks or pump frames in flight) replays identically.
+    channels: RefCell<BTreeMap<Key, Channel>>,
 }
 
 impl<'a, C: ?Sized> ReliableComm<'a, C> {
@@ -138,7 +218,7 @@ impl<'a, C: ?Sized> ReliableComm<'a, C> {
 
     /// Wrap `inner` with an explicit retransmission policy.
     pub fn with_config(inner: &'a C, cfg: RetryConfig) -> Self {
-        ReliableComm { inner, cfg, seq: RefCell::new(HashMap::new()) }
+        ReliableComm { inner, cfg, channels: RefCell::new(BTreeMap::new()) }
     }
 
     /// The wrapped communicator.
@@ -146,136 +226,319 @@ impl<'a, C: ?Sized> ReliableComm<'a, C> {
         self.inner
     }
 
-    /// Read or update the counters of channel `(peer, tag)`.
-    fn channel<R>(&self, peer: Rank, tag: Tag, f: impl FnOnce(&mut ChannelSeq) -> R) -> R {
-        f(self.seq.borrow_mut().entry((peer, tag.0)).or_default())
+    /// Read or update the state of channel `key`. The borrow ends with `f`,
+    /// so it is never held across an `.await`.
+    fn channel<R>(&self, key: Key, f: impl FnOnce(&mut Channel) -> R) -> R {
+        f(self.channels.borrow_mut().entry(key).or_default())
+    }
+
+    /// The first channel after `after` (from the first with `None`) that
+    /// `pick` selects.
+    fn next_channel(&self, after: Option<Key>, pick: impl Fn(&Channel) -> bool) -> Option<Key> {
+        let from = after.map_or(Unbounded, Excluded);
+        let channels = self.channels.borrow();
+        channels.range((from, Unbounded)).find(|(_, ch)| pick(ch)).map(|(&key, _)| key)
     }
 }
 
 impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
-    /// The `(data, ack)` tags user tag `tag` travels on. A tag the two
-    /// protocol ranges have no room for is refused here, before anything is
-    /// posted: shifted, it would land a data frame among the acks.
-    fn protocol_tags(&self, tag: Tag) -> Result<(Tag, Tag)> {
+    /// Refuse a user tag the two protocol ranges have no room for, before
+    /// anything is posted: shifted, it would land a data frame among the
+    /// acks.
+    fn check_tag(&self, tag: Tag) -> Result<()> {
         if tag.0 < ACK_TAG_BASE - DATA_TAG_BASE {
-            Ok((Tag(DATA_TAG_BASE + tag.0), Tag(ACK_TAG_BASE + tag.0)))
+            Ok(())
         } else {
             Err(CommError::Unsupported { what: "reliable/tag", size: self.inner.size() })
         }
     }
 
-    /// Open the next frame on channel `(dest, tag)` around `payload`.
-    fn frame<'p>(&self, payload: &'p SharedBuf, dest: Rank, tag: Tag) -> Result<Frame<'p>> {
-        let (data_tag, ack_tag) = self.protocol_tags(tag)?;
-        let seq = self.channel(dest, tag, |ch| {
-            let seq = ch.tx_next;
-            ch.tx_next = seq.wrapping_add(1);
-            seq
-        });
-        Ok(Frame { payload, dest, data_tag, ack_tag, seq })
+    /// When a retransmission timer for 0-based attempt `attempt`, started
+    /// now, fires.
+    fn arm(&self, attempt: u32) -> u64 {
+        deadline_after(self.inner.now_ns(), self.cfg.timeout_for(attempt))
     }
 
-    /// Put `frame` on the wire once — the only place a frame is built, and
-    /// it is built from references.
-    async fn transmit(&self, frame: &Frame<'_>) -> Result<()> {
-        let prefix = frame.seq.to_le_bytes();
-        self.inner.send_prefixed(prefix, frame.payload, frame.dest, frame.data_tag).await
+    /// Put frame `seq` of channel `key` on the wire once — the only place a
+    /// frame is built, and it is built from references.
+    async fn transmit(&self, key: Key, seq: u32, body: &SharedBuf) -> Result<()> {
+        self.inner.send_prefixed(seq.to_le_bytes(), body, key.0, data_tag(key)).await
     }
 
-    /// One bounded look at `frame`'s ack channel: whether an acknowledgement
-    /// covering it arrived within `wait` ([`CommError::Timeout`] if none
-    /// did). Acks for older frames may arrive late; only the ack for this
-    /// frame (or beyond, defensively) counts, and a malformed one is ignored.
-    /// The number is read straight off the envelope (see [`Self::send_ack`]).
-    async fn poll_ack(&self, frame: &Frame<'_>, wait: Duration) -> Result<bool> {
-        let ack = self.inner.take(4, frame.dest, frame.ack_tag, Some(wait)).await?;
-        self.inner.note_copy(ack.len());
-        let seq = <[u8; 4]>::try_from(&ack.bytes()[..]).map(u32::from_le_bytes);
-        Ok(seq.is_ok_and(|seq| at_or_after(seq, frame.seq)))
-    }
-
-    /// Wait up to `timeout` for an acknowledgement of `frame`.
-    async fn await_ack(&self, frame: &Frame<'_>, timeout: Duration) -> Result<bool> {
-        let deadline = deadline_after(self.inner.now_ns(), timeout);
-        while let Some(left) = self.time_left(deadline) {
-            match self.poll_ack(frame, left).await {
-                Ok(true) => return Ok(true),
-                Ok(false) => {}
-                Err(CommError::Timeout { .. }) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(false)
-    }
-
-    /// Time left until `deadline` on the backend clock, `None` once it passed.
-    fn time_left(&self, deadline: u64) -> Option<Duration> {
-        let left = deadline.saturating_sub(self.inner.now_ns());
-        (left > 0).then(|| Duration::from_nanos(left))
-    }
-
-    /// Acknowledge `seq` to `peer`. An ack is half of every exchange, so it
-    /// is posted as a plain four-byte payload and read straight off the
-    /// envelope by [`Self::poll_ack`] — no pool rental or refcount, which
+    /// Acknowledge every frame below `next` on channel `key`. An ack is
+    /// posted as a plain four-byte payload and read straight off the
+    /// envelope by [`Self::on_ack`] — no pool rental or refcount, which
     /// `send`/`recv_timeout` would pay — with both copies still counted.
-    async fn send_ack(&self, peer: Rank, ack_tag: Tag, seq: u32) -> Result<()> {
-        let ack = Payload::from(seq.to_le_bytes().to_vec());
+    async fn send_ack(&self, key: Key, next: u32) -> Result<()> {
+        let ack = Payload::from(next.to_le_bytes().to_vec());
         self.inner.note_copy(ack.len());
-        match self.inner.post(ack, peer, ack_tag).await {
+        match self.inner.post(ack, key.0, ack_tag(key)).await {
             // A dead peer cannot retransmit, so the lost ack is moot; the
-            // delivered payload is still good.
+            // delivered payloads are still good.
             Err(CommError::PeerFailed { .. }) => Ok(()),
             r => r,
         }
     }
 
-    /// Take one frame off channel `(src, tag)`, waiting at most `wait`: the
-    /// payload if it carries the expected number (acknowledged, and held to
-    /// `capacity` like a posted receive), `None` after a stale duplicate was
-    /// re-acknowledged and dropped or anything else discarded.
-    async fn recv_frame(
+    /// Send every ack this rank owes, one envelope per channel.
+    async fn send_owed_acks(&self) -> Result<()> {
+        let mut at = None;
+        while let Some(key) = self.next_channel(at, |ch| ch.owes_ack) {
+            let next = self.channel(key, |ch| {
+                ch.owes_ack = false;
+                ch.rx_expected
+            });
+            self.send_ack(key, next).await?;
+            at = Some(key);
+        }
+        Ok(())
+    }
+
+    /// Apply an arrived ack to channel `key`: every frame below the number it
+    /// carries is settled, and a new head's timer starts now. A stale or
+    /// malformed ack changes nothing.
+    fn on_ack(&self, key: Key, ack: &Payload) {
+        self.inner.note_copy(ack.len());
+        let Ok(next) = <[u8; 4]>::try_from(&ack.bytes()[..]).map(u32::from_le_bytes) else {
+            return;
+        };
+        let settled = self.channel(key, |ch| {
+            let covered = next.wrapping_sub(ch.head_seq()) as usize;
+            let fresh = (1..=ch.unacked.len()).contains(&covered);
+            if fresh {
+                ch.unacked.drain(..covered);
+            }
+            fresh
+        });
+        if settled {
+            let due = self.arm(0);
+            self.channel(key, |ch| (ch.attempts, ch.due) = (1, due));
+        }
+    }
+
+    /// Take the ack channel of `key` within `wait` and apply what arrived:
+    /// whether an ack did. The peer's exit fails the channel only while
+    /// frames of ours are unacknowledged (see [`Self::fail`]).
+    async fn await_ack(&self, key: Key, wait: Duration) -> Result<bool> {
+        match self.inner.take(4, key.0, ack_tag(key), Some(wait)).await {
+            Ok(ack) => {
+                self.on_ack(key, &ack);
+                Ok(true)
+            }
+            Err(CommError::Timeout { .. }) => Ok(false),
+            Err(CommError::PeerFailed { rank }) if rank == key.0 => {
+                match self.channel(key, |ch| ch.unacked.is_empty()) {
+                    true => Ok(false),
+                    false => Err(CommError::PeerFailed { rank }),
+                }
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Retransmit channel `key`'s head if its timer has fired, or fail with
+    /// [`CommError::Timeout`] once the head has used up its attempts (see
+    /// [`Self::fail`]).
+    async fn retransmit_if_due(&self, key: Key) -> Result<()> {
+        let now = self.inner.now_ns();
+        let head = self.channel(key, |ch| match ch.unacked.front() {
+            Some(body) if ch.due <= now => Some((ch.head_seq(), ch.attempts, body.clone())),
+            _ => None,
+        });
+        let Some((seq, attempts, body)) = head else {
+            return Ok(());
+        };
+        if attempts >= self.cfg.max_attempts {
+            return Err(CommError::Timeout { peer: key.0 });
+        }
+        self.transmit(key, seq, &body).await?;
+        let due = self.arm(attempts);
+        self.channel(key, |ch| (ch.attempts, ch.due) = (attempts + 1, due));
+        Ok(())
+    }
+
+    /// Meet error `e` on channel `key`'s sending half. A failure of the
+    /// channel itself — its peer exited with frames of ours unacknowledged,
+    /// or its head ran out of attempts — drops the frames in flight; it is
+    /// returned if `key` is the `watch`ed channel (an exchange's own send)
+    /// and otherwise kept for the next flush to report, so a receive never
+    /// fails for a send it did not make. Anything else (this rank's own
+    /// crash, say) is returned as it is.
+    fn fail(&self, key: Key, e: CommError, watch: Option<Key>) -> Result<()> {
+        let channel_failed = match e {
+            CommError::Timeout { peer } | CommError::PeerFailed { rank: peer } => peer == key.0,
+            _ => false,
+        };
+        if !channel_failed {
+            return Err(e);
+        }
+        self.channel(key, |ch| {
+            ch.abandon();
+            if watch == Some(key) {
+                return Err(e);
+            }
+            ch.failed.get_or_insert(e);
+            Ok(())
+        })
+    }
+
+    /// Give up on every frame in flight, each channel's as timed out.
+    fn give_up(&self) {
+        for (&(peer, _), ch) in self.channels.borrow_mut().iter_mut() {
+            if !ch.unacked.is_empty() {
+                ch.abandon();
+                ch.failed.get_or_insert(CommError::Timeout { peer });
+            }
+        }
+    }
+
+    /// The first failure kept for a flush to report, every kept one cleared.
+    fn take_failure(&self) -> Result<()> {
+        let mut first = None;
+        for ch in self.channels.borrow_mut().values_mut() {
+            first = first.or(ch.failed.take());
+        }
+        first.map_or(Ok(()), Err)
+    }
+
+    /// Progress every frame in flight: drain the acks that have arrived
+    /// and, if the wait that led here ran out (`expired`), retransmit each
+    /// head whose timer is due; a channel that fails on the way is met by
+    /// [`Self::fail`] with `watch`. Resolves to the channel whose timer
+    /// fires next and the instant to wait until, `None` once nothing is in
+    /// flight.
+    ///
+    /// A head is retransmitted only once a wait has run out, and a timer
+    /// due now is waited for one nanosecond more. With a zero timeout the
+    /// timer is due the instant it is armed, and retransmitting on it at
+    /// once would spend every attempt before the receiver ever ran; the
+    /// nanosecond lets it run and ack. It also keeps a rank that a message
+    /// woke at the instant its timer is due from resending: another rank's
+    /// timer, due at the same instant, may be about to retransmit the very
+    /// frame this head's receiver is stuck on, after which it acks this
+    /// one too.
+    async fn pump(&self, expired: bool, watch: Option<Key>) -> Result<Option<(Key, u64)>> {
+        let mut at = None;
+        let mut next: Option<(Key, u64)> = None;
+        while let Some(key) = self.next_channel(at, |ch| !ch.unacked.is_empty()) {
+            if let Err(e) = self.progress(key, expired).await {
+                self.fail(key, e, watch)?;
+            }
+            let due = self.channel(key, |ch| (!ch.unacked.is_empty()).then_some(ch.due));
+            if let Some(due) = due.filter(|&t| next.is_none_or(|(_, first)| t < first)) {
+                next = Some((key, due));
+            }
+            at = Some(key);
+        }
+        let now = self.inner.now_ns();
+        Ok(next.map(|(key, due)| (key, due.max(now.saturating_add(1)))))
+    }
+
+    /// Drain channel `key`'s arrived acks, then retransmit its head if
+    /// `expired` and due.
+    async fn progress(&self, key: Key, expired: bool) -> Result<()> {
+        while self.await_ack(key, Duration::ZERO).await? {}
+        if expired {
+            self.retransmit_if_due(key).await?;
+        }
+        Ok(())
+    }
+
+    /// The next in-order payload on channel `key`, waiting until `deadline`
+    /// (for ever with `None`); a failure of the `watch`ed channel's sending
+    /// half fails the wait too. Owed acks are the caller's to send on error.
+    async fn take_in_order(
+        &self,
+        capacity: usize,
+        key: Key,
+        deadline: Option<u64>,
+        watch: Option<Key>,
+    ) -> Result<SharedBuf> {
+        let src = key.0;
+        let mut expired = false;
+        loop {
+            let stashed = self.channel(key, |ch| {
+                let at = ch.stash.iter().position(|&(seq, _)| seq == ch.rx_expected)?;
+                let (_, body) = ch.stash.swap_remove(at);
+                Some(ch.deliver(body, capacity))
+            });
+            if let Some(delivered) = stashed {
+                return delivered;
+            }
+            let probe =
+                self.inner.recv_prefixed(usize::MAX, src, data_tag(key), Some(Duration::ZERO));
+            let frame = match probe.await {
+                Err(CommError::Timeout { .. }) => {
+                    // Nothing queued: settle what can be settled, then wait
+                    // for the frame or the next timer, whichever is first.
+                    self.send_owed_acks().await?;
+                    let timer = self.pump(std::mem::take(&mut expired), watch).await?;
+                    let timer = timer.map(|(_, until)| until);
+                    let now = self.inner.now_ns();
+                    if deadline.is_some_and(|deadline| deadline <= now) {
+                        return Err(CommError::Timeout { peer: src });
+                    }
+                    let until = deadline.into_iter().chain(timer).min();
+                    let wait = until.map(|until| Duration::from_nanos(until.saturating_sub(now)));
+                    let frame =
+                        self.inner.recv_prefixed(usize::MAX, src, data_tag(key), wait).await;
+                    expired = matches!(frame, Err(CommError::Timeout { .. }));
+                    if expired {
+                        continue;
+                    }
+                    frame
+                }
+                other => other,
+            };
+            // An envelope too short to carry a number is not a protocol
+            // frame; nothing sane to do but drop it.
+            let Some((prefix, body)) = frame? else { continue };
+            let seq = u32::from_le_bytes(prefix);
+            let delivered = self.channel(key, |ch| {
+                if seq == ch.rx_expected {
+                    Some(ch.deliver(body, capacity))
+                } else if at_or_after(seq, ch.rx_expected) {
+                    // Ahead of order: a predecessor was lost or held back.
+                    if ch.stash.iter().all(|&(stashed, _)| stashed != seq) {
+                        ch.stash.push((seq, body));
+                    }
+                    None
+                } else {
+                    // A duplicate of a delivered frame: re-ack it so the
+                    // sender stops retransmitting, and drop it.
+                    ch.owes_ack = true;
+                    None
+                }
+            });
+            if let Some(delivered) = delivered {
+                return delivered;
+            }
+        }
+    }
+
+    /// [`AsyncCommunicator::take`], failing also if the sending half of
+    /// `watch` does (see [`Self::fail`]).
+    async fn take_watching(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
-        wait: Option<Duration>,
-    ) -> Result<Option<SharedBuf>> {
-        let (data_tag, ack_tag) = self.protocol_tags(tag)?;
-        let (expected, high_water) =
-            self.channel(src, tag, |ch| (ch.rx_expected, ch.rx_high_water));
-        let frame = self.inner.recv_prefixed(capacity.max(high_water), src, data_tag, wait).await;
-        let (prefix, payload) = match frame {
-            Ok(Some(parts)) => parts,
-            // Not a protocol frame; nothing sane to do but drop it.
-            Ok(None) => return Ok(None),
-            // Longer than anything delivered so far, so not a duplicate:
-            // it overran the caller's capacity, not the one asked for here.
-            Err(CommError::Truncation { incoming, .. }) => {
-                return Err(CommError::Truncation { capacity, incoming });
+        timeout: Option<Duration>,
+        watch: Option<Key>,
+    ) -> Result<Payload> {
+        self.check_rank(src)?;
+        self.check_tag(tag)?;
+        if src == self.rank() {
+            // Loopback cannot lose messages; skip the protocol.
+            return self.inner.take(capacity, src, tag, timeout).await;
+        }
+        let deadline = timeout.map(|t| deadline_after(self.inner.now_ns(), t));
+        match self.take_in_order(capacity, (src, tag.0), deadline, watch).await {
+            Ok(body) => Ok(Payload::Shared(body)),
+            Err(e) => {
+                self.send_owed_acks().await?;
+                Err(e)
             }
-            Err(e) => return Err(e),
-        };
-        let seq = u32::from_le_bytes(prefix);
-        if seq == expected {
-            if payload.len() > capacity {
-                return Err(CommError::Truncation { capacity, incoming: payload.len() });
-            }
-            self.channel(src, tag, |ch| {
-                ch.rx_expected = expected.wrapping_add(1);
-                ch.rx_high_water = high_water.max(payload.len());
-            });
-            self.send_ack(src, ack_tag, seq).await?;
-            Ok(Some(payload))
-        } else {
-            // Behind the expected number: a duplicate of a delivered frame
-            // (its ack was lost, or the link duplicated it); re-ack so the
-            // sender stops retransmitting. Ahead of it: stop-and-wait never
-            // legally produces that, so a reordered duplicate; unacked, the
-            // sender retransmits in order. Either way the payload is dropped.
-            if at_or_after(expected, seq) {
-                self.send_ack(src, ack_tag, seq).await?;
-            }
-            Ok(None)
         }
     }
 }
@@ -293,7 +556,10 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.inner.now_ns()
     }
 
+    /// Settle first: a frame still in flight at a synchronization point
+    /// would otherwise be retransmitted across it.
     async fn barrier(&self) -> Result<()> {
+        self.flush(None).await?;
         self.inner.barrier().await
     }
 
@@ -305,59 +571,56 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.inner.note_copy(bytes);
     }
 
-    /// Transmit one frame around `payload` and retransmit it until
-    /// acknowledged.
+    /// Transmit one frame around `payload` and keep it in flight until an
+    /// ack covers it.
     async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.check_rank(dest)?;
-        let body = payload.into_shared();
-        let frame = self.frame(&body, dest, tag)?;
+        self.check_tag(tag)?;
         if dest == self.rank() {
             // Loopback cannot lose messages; skip the protocol.
-            return self.inner.post(Payload::Shared(body), dest, tag).await;
+            return self.inner.post(payload, dest, tag).await;
         }
-        for attempt in 0..self.cfg.max_attempts {
-            self.transmit(&frame).await?;
-            if self.await_ack(&frame, self.cfg.timeout_for(attempt)).await? {
-                return Ok(());
+        if self.cfg.max_attempts == 0 {
+            return Err(CommError::Timeout { peer: dest });
+        }
+        let key = (dest, tag.0);
+        let body = payload.into_shared();
+        let (seq, head) = self.channel(key, |ch| (ch.tx_next, ch.unacked.is_empty()));
+        if let Err(e) = self.transmit(key, seq, &body).await {
+            // This post reports the failure; nothing is left to settle.
+            return self.fail(key, e, Some(key));
+        }
+        let due = head.then(|| self.arm(0));
+        self.channel(key, |ch| {
+            if let Some(due) = due {
+                (ch.attempts, ch.due) = (1, due);
             }
-        }
-        Err(CommError::Timeout { peer: dest })
+            ch.tx_next = seq.wrapping_add(1);
+            ch.unacked.push_back(body);
+        });
+        Ok(())
     }
 
     /// The next in-order payload on channel `(src, tag)`, within `timeout`
     /// if one is given. An unbounded wait is fine: as long as the sender
     /// retries, some copy of the expected frame eventually arrives; if the
     /// sender died the backend's failure detector surfaces `PeerFailed`.
-    async fn take(
+    /// A frame of this rank's own that fails meanwhile does not fail the
+    /// take: the next flush reports it.
+    fn take(
         &self,
         capacity: usize,
         src: Rank,
         tag: Tag,
         timeout: Option<Duration>,
-    ) -> Result<Payload> {
-        self.check_rank(src)?;
-        self.protocol_tags(tag)?;
-        if src == self.rank() {
-            // Loopback cannot lose messages; skip the protocol.
-            return self.inner.take(capacity, src, tag, timeout).await;
-        }
-        let deadline = timeout.map(|t| deadline_after(self.inner.now_ns(), t));
-        loop {
-            let expired = CommError::Timeout { peer: src };
-            let wait = deadline.map(|d| self.time_left(d).ok_or(expired)).transpose()?;
-            if let Some(payload) = self.recv_frame(capacity, src, tag, wait).await? {
-                return Ok(Payload::Shared(payload));
-            }
-        }
+    ) -> impl Future<Output = Result<Payload>> {
+        self.take_watching(capacity, src, tag, timeout, None)
     }
 
-    /// Concurrent send+receive over the reliable protocol.
-    ///
-    /// A naive post-then-take deadlocks when two ranks exchange with each
-    /// other: both would block awaiting an ack that only the other side's
-    /// *receive* produces. This implementation pumps both directions — it
-    /// transmits its frame, then alternates between draining the incoming
-    /// data channel and watching for its ack, retransmitting on backoff.
+    /// A post and a take, with both ranks and both tags checked before
+    /// anything is posted. The take also fails if the frame just posted
+    /// does, so the exchange is bounded by the retry budget even when `src`
+    /// never sends.
     async fn exchange(
         &self,
         payload: Payload,
@@ -369,59 +632,41 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
     ) -> Result<Payload> {
         self.check_rank(dest)?;
         self.check_rank(src)?;
-        self.protocol_tags(recvtag)?;
-        let body = payload.into_shared();
-        let frame = self.frame(&body, dest, sendtag)?;
-        let me = self.rank();
-        if dest == me && src == me {
-            let body = Payload::Shared(body);
-            return self.inner.exchange(body, dest, sendtag, capacity, src, recvtag).await;
-        }
+        self.check_tag(sendtag)?;
+        self.check_tag(recvtag)?;
+        self.post(payload, dest, sendtag).await?;
+        let watch = (dest != self.rank()).then_some((dest, sendtag.0));
+        self.take_watching(capacity, src, recvtag, None, watch).await
+    }
 
-        // Short slices keep the pump responsive in both directions.
-        let slice = (self.cfg.base_timeout / 4).max(Duration::from_millis(1));
-        let mut acked = dest == me;
-        let mut received: Option<Payload> = None;
-        if acked {
-            self.inner.send_shared(&body, dest, sendtag).await?;
-        } else if self.cfg.max_attempts == 0 {
-            return Err(CommError::Timeout { peer: dest });
-        } else {
-            self.transmit(&frame).await?;
-        }
-        let mut attempt = 0u32;
-        let mut next_retransmit = deadline_after(self.inner.now_ns(), self.cfg.timeout_for(0));
-        loop {
-            match received {
-                Some(payload) if acked => return Ok(payload),
-                Some(_) => {}
-                // Loopback receive: the message is already queued.
-                None if src == me => {
-                    received = Some(self.inner.take(capacity, src, recvtag, None).await?);
-                }
-                None => match self.recv_frame(capacity, src, recvtag, Some(slice)).await {
-                    Ok(payload) => received = payload.map(Payload::Shared),
-                    Err(CommError::Timeout { .. }) => {}
-                    Err(e) => return Err(e),
-                },
+    /// Send the owed acks, then wait until every frame in flight is
+    /// acknowledged or given up on, retransmitting each head on its timer,
+    /// and report the first failure kept since the last flush. The wait is
+    /// on the channel whose timer fires first; acks arriving on the others
+    /// are drained when it ends. Past `within`, every frame still in flight
+    /// is given up on as timed out.
+    async fn flush(&self, within: Option<Duration>) -> Result<()> {
+        self.send_owed_acks().await?;
+        let deadline = within.map(|t| deadline_after(self.inner.now_ns(), t));
+        let mut expired = false;
+        while let Some((key, until)) = self.pump(expired, None).await? {
+            let now = self.inner.now_ns();
+            if deadline.is_some_and(|deadline| deadline <= now) {
+                self.give_up();
+                break;
             }
-            if !acked {
-                match self.poll_ack(&frame, slice).await {
-                    Ok(covered) => acked = covered,
-                    Err(CommError::Timeout { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                if !acked && self.inner.now_ns() >= next_retransmit {
-                    attempt += 1;
-                    if attempt >= self.cfg.max_attempts {
-                        return Err(CommError::Timeout { peer: dest });
-                    }
-                    self.transmit(&frame).await?;
-                    next_retransmit =
-                        deadline_after(self.inner.now_ns(), self.cfg.timeout_for(attempt));
-                }
-            }
+            let until = deadline.map_or(until, |deadline| deadline.min(until));
+            let wait = Duration::from_nanos(until.saturating_sub(now));
+            expired = match self.await_ack(key, wait).await {
+                Ok(acked) => !acked,
+                Err(e) => self.fail(key, e, None).map(|()| false)?,
+            };
         }
+        self.take_failure()
+    }
+
+    fn acknowledge(&self) -> impl Future<Output = Result<()>> {
+        self.send_owed_acks()
     }
 }
 
@@ -430,6 +675,7 @@ mod tests {
     use super::*;
     use crate::acomm::{complete_now, SyncComm};
     use crate::comm::Communicator;
+    use crate::event_comm::EventWorld;
     use crate::thread_comm::{ThreadComm, ThreadWorld};
     use crate::WorldOutcome;
 
@@ -491,6 +737,109 @@ mod tests {
     }
 
     #[test]
+    fn one_ack_settles_a_run_of_frames() {
+        let out = EventWorld::run(2, |comm| async move {
+            let rc = ReliableComm::with_config(&comm, fast(3));
+            for i in 0..5u8 {
+                if comm.rank() == 0 {
+                    rc.post(Payload::from(vec![i; 8]), 1, Tag(2)).await?;
+                } else {
+                    let got = rc.take(8, 0, Tag(2), None).await?;
+                    assert_eq!(&got.bytes()[..], &[i; 8]);
+                }
+            }
+            rc.flush(None).await
+        });
+        assert_eq!(out.results, vec![Ok(()), Ok(())]);
+        let sent: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.msgs_sent).collect();
+        assert_eq!(sent, vec![5, 1], "five frames, one cumulative ack");
+    }
+
+    /// Rank 0 leaves a frame in flight to rank 2, which never takes it. Its
+    /// receives from rank 1 neither wait for that frame nor fail with it: a
+    /// bounded one times out on its own deadline, and one that succeeds
+    /// after the frame ran out of attempts keeps its message. The next flush
+    /// reports the failure, once.
+    #[test]
+    fn a_receive_neither_waits_for_nor_fails_with_another_send() {
+        let ms = Duration::from_millis;
+        let out = EventWorld::run(3, |comm| async move {
+            let rc = ReliableComm::with_config(&comm, fast(3));
+            let idle = |t| comm.take(1, 0, Tag(9), Some(ms(t)));
+            match comm.rank() {
+                0 => {
+                    rc.post(Payload::from(vec![1; 4]), 2, Tag(1)).await?;
+                    let mut buf = [0u8; 4];
+                    let t0 = comm.now_ns();
+                    let early = rc.recv_timeout(&mut buf, 1, Tag(2), ms(20)).await;
+                    let waited = Duration::from_nanos(comm.now_ns() - t0);
+                    let got = rc.recv_timeout(&mut buf, 1, Tag(2), ms(200)).await;
+                    let flushes = [rc.flush(None).await, rc.flush(None).await];
+                    Ok(format!("{early:?} {waited:?} {got:?} {buf:?} {flushes:?}"))
+                }
+                1 => {
+                    assert!(idle(100).await.is_err());
+                    rc.send(&[7; 4], 0, Tag(2)).await.map(|()| String::new())
+                }
+                _ => {
+                    assert!(idle(300).await.is_err());
+                    Ok(String::new())
+                }
+            }
+        });
+        assert_eq!(
+            out.results[0],
+            Ok("Err(Timeout { peer: 1 }) 20ms Ok(4) [7, 7, 7, 7] \
+                [Err(Timeout { peer: 2 }), Ok(())]"
+                .to_string())
+        );
+        assert_eq!(out.results[1], Ok(String::new()));
+    }
+
+    /// A frame in flight to a rank that exits without taking it fails its
+    /// channel once: the next flush reports it, the one after has nothing
+    /// left to settle.
+    #[test]
+    fn a_peer_that_exits_is_reported_once() {
+        let out = EventWorld::run(2, |comm| async move {
+            if comm.rank() == 1 {
+                let _ = comm.take(1, 0, Tag(9), Some(Duration::from_millis(10))).await;
+                return vec![];
+            }
+            let rc = ReliableComm::with_config(&comm, RetryConfig::default());
+            let posted = rc.post(Payload::from(vec![1; 4]), 1, Tag(1)).await;
+            vec![posted, rc.flush(None).await, rc.flush(None).await]
+        });
+        assert_eq!(out.results[0], vec![Ok(()), Err(CommError::PeerFailed { rank: 1 }), Ok(())]);
+    }
+
+    #[test]
+    fn frames_ahead_of_order_wait_in_the_stash() {
+        let out = EventWorld::run(2, |comm| async move {
+            if comm.rank() == 0 {
+                // Frame 1 overtakes frame 0, as after a lost first attempt.
+                for seq in [1u32, 0] {
+                    let body = SharedBuf::from(vec![seq as u8; 4]);
+                    comm.send_prefixed(seq.to_le_bytes(), &body, 1, Tag(DATA_TAG_BASE + 4)).await?;
+                }
+                let ack = comm.take(4, 1, Tag(ACK_TAG_BASE + 4), None).await?;
+                let next = <[u8; 4]>::try_from(&ack.bytes()[..]).map(u32::from_le_bytes);
+                Ok::<_, CommError>(vec![next.unwrap()])
+            } else {
+                let rc = ReliableComm::new(&comm);
+                let mut got = vec![];
+                for _ in 0..2 {
+                    got.push(u32::from(rc.take(4, 0, Tag(4), None).await?.bytes()[0]));
+                }
+                rc.flush(None).await?;
+                Ok(got)
+            }
+        });
+        assert_eq!(out.results[1], Ok(vec![0, 1]), "delivered in order");
+        assert_eq!(out.results[0], Ok(vec![2]), "one ack covering both");
+    }
+
+    #[test]
     fn sendrecv_exchange_does_not_deadlock() {
         let out = world(2, fast(6), |rc, comm| {
             let peer = 1 - comm.rank();
@@ -516,16 +865,16 @@ mod tests {
         let out = world(2, fast(6), |rc, comm| {
             let peer = 1 - comm.rank();
             let near = u32::MAX - 1;
-            rc.channel(peer, Tag(0), |ch| (ch.tx_next, ch.rx_expected) = (near, near));
+            rc.channel((peer, 0), |ch| (ch.tx_next, ch.rx_expected) = (near, near));
             let mut got = vec![];
             for i in 0..4u8 {
                 let mut buf = [0u8; 1];
                 complete_now(rc.sendrecv(&[i], peer, Tag(0), &mut buf, peer, Tag(0))).unwrap();
                 got.push(buf[0]);
             }
-            (got, rc.channel(peer, Tag(0), |ch| (ch.tx_next, ch.rx_expected)))
+            (got, rc.channel((peer, 0), |ch| (ch.tx_next, ch.rx_expected, ch.unacked.len())))
         });
-        assert_eq!(out.results[0], (vec![0, 1, 2, 3], (2, 2)));
+        assert_eq!(out.results[0], (vec![0, 1, 2, 3], (2, 2, 0)));
         assert_eq!(out.results[0], out.results[1]);
     }
 

@@ -243,6 +243,14 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for SubComm<'_, C> {
             .await
             .map_err(|e| self.localize_err(e))
     }
+
+    async fn flush(&self, within: Option<Duration>) -> Result<()> {
+        self.parent.flush(within).await.map_err(|e| self.localize_err(e))
+    }
+
+    async fn acknowledge(&self) -> Result<()> {
+        self.parent.acknowledge().await.map_err(|e| self.localize_err(e))
+    }
 }
 
 #[cfg(test)]

@@ -185,8 +185,8 @@ impl FaultPlan {
 /// Link faults target payload-bearing messages only: sends on the
 /// reliability layer's reserved acknowledgement range
 /// ([`mpsim::reliable::ACK_TAG_BASE`]) pass through un-faulted, modelling a
-/// reliable control plane (see `draw` for why a synchronous reliability
-/// layer needs this).
+/// reliable control plane (see `draw` for why the reliability layer needs
+/// this).
 pub struct FaultyComm<'a, C: ?Sized> {
     inner: &'a C,
     plan: FaultPlan,
@@ -277,11 +277,11 @@ impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
     /// The plan's decision for the next envelope offered on `(dest, tag)`,
     /// or `None` for the reliability layer's pure acknowledgements: they
     /// ride a reserved control-tag range and model a tiny, assumed-reliable
-    /// control plane. A synchronous `ReliableComm` (no background progress
-    /// engine) cannot re-ack a retransmission once the receiver has moved
-    /// on, so a lost *ack* would strand a sender that the protocol has, in
-    /// fact, delivered for. Crash faults (the caller's `tick`) still apply;
-    /// link faults target payload-bearing sends.
+    /// control plane. A `ReliableComm` receiver sends what it owes when it
+    /// flushes and may then leave, and nothing re-acks a retransmission
+    /// after that, so a lost *ack* would strand a sender that the protocol
+    /// has, in fact, delivered for. Crash faults (the caller's `tick`) still
+    /// apply; link faults target payload-bearing sends.
     fn draw(&self, dest: Rank, tag: Tag) -> Option<FaultAction> {
         if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
             return None;
@@ -381,6 +381,17 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
     ) -> Result<Payload> {
         self.tick()?;
         self.inner.take(capacity, src, tag, timeout).await
+    }
+
+    /// Forwarded without a tick: settling is not an operation of the plan,
+    /// so no crash point moves with it.
+    async fn flush(&self, within: Option<Duration>) -> Result<()> {
+        self.inner.flush(within).await
+    }
+
+    /// Forwarded without a tick, like [`flush`](Self::flush).
+    async fn acknowledge(&self) -> Result<()> {
+        self.inner.acknowledge().await
     }
 }
 

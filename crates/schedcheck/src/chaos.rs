@@ -130,8 +130,8 @@ impl ChaosSpec {
         RecoveryConfig {
             step_timeout: Duration::from_millis(40),
             max_epochs: 2 * self.crashes.len() as u32 + 1,
-            // The reliable layer's sendrecv must be decomposed so each
-            // half is individually deadline-bounded.
+            // The reliable layer bounds its own exchange (a frame in flight
+            // times out), so each sendrecv op stays one call.
             bounded_sendrecv: !self.lossless(),
         }
     }

@@ -112,7 +112,8 @@ phase_schedcheck_reactor() {
 # Chaos gate: replay the seeded fault-injection batteries (P ∈ {4,8,10,16}
 # × drop/dup/mixed link faults and one-rank crashes, all executors) under
 # a second fixed seed, so CI exercises a different fault pattern than the
-# developer-default seed baked into the tests — and the mailbox lanes'
+# developer-default seed baked into the tests — plus ReliableComm's
+# delivery scenarios and its lossy-ring resend bound, and the mailbox lanes'
 # differential property test (slab-backed lanes against a deque-per-queue
 # model) under the same seed. Any failure replays bit-identically with the
 # printed TESTKIT_SEED.
@@ -120,6 +121,7 @@ phase_chaos() {
   local chaos_seed=0xC4A05C1A05150002
   run env TESTKIT_SEED=$chaos_seed cargo test -q -p bcast-core --offline --test chaos_recovery
   run env TESTKIT_SEED=$chaos_seed cargo test -q -p bcast-opt --offline --test comm_conformance
+  run env TESTKIT_SEED=$chaos_seed cargo test -q -p bcast-opt --offline --test reliable_delivery
   run env TESTKIT_SEED=$chaos_seed cargo test -q -p mpsim --offline --lib lane_prop
 }
 

@@ -167,7 +167,7 @@ async fn conformance_battery<C: AsyncCommunicator>(comm: &C, buffered: bool) {
 /// The fault battery: timeout semantics on the bare communicator, then
 /// `ReliableComm` over `FaultyComm` under seeded drop, duplication, and
 /// delay faults. Requires an eagerly-delivering transport (`FaultyComm`'s
-/// send-side injection and `ReliableComm`'s sendrecv pump both document
+/// send-side injection and `ReliableComm`'s retransmissions both document
 /// this), so the simulator runs it on an all-eager model only; the event
 /// executor is always eager and runs every timeout on its virtual clock.
 async fn fault_battery<C: AsyncCommunicator>(comm: &C, seed: u64) {
@@ -471,7 +471,7 @@ async fn prefixed_battery<C: AsyncCommunicator>(comm: &C) {
 /// beside it), `GuardedComm`
 /// bounds each receive with a deadline. Requires an
 /// eagerly-delivering transport (`GuardedComm` decomposes `sendrecv` and
-/// `ReliableComm` pumps ACKs), like the fault battery.
+/// `ReliableComm` retransmits), like the fault battery.
 async fn shared_decorator_battery<C: AsyncCommunicator>(comm: &C) {
     assert_eq!(comm.size(), WORLD);
     let me = comm.rank();

@@ -13,11 +13,12 @@
 
 use std::time::Duration;
 
-use bcast_core::{membership_digest, EpochComm, Interp, SchedOp};
+use bcast_core::traffic::bcast_volume;
+use bcast_core::{bcast_with_async, membership_digest, Algorithm, EpochComm, Interp, SchedOp};
 use mpsim::reliable::{ACK_TAG_BASE, DATA_TAG_BASE};
 use mpsim::{
     complete_now, AsyncCommunicator, CommError, EventWorld, Payload, ReliableComm, RetryConfig,
-    SubComm, SyncComm, Tag, ThreadWorld, WorldTraffic,
+    SubComm, SyncComm, Tag, ThreadWorld, WorldOutcome, WorldTraffic,
 };
 use netsim::{FaultAction, FaultAction::*, FaultPlan, FaultyComm, LinkFaults};
 
@@ -137,6 +138,52 @@ async fn zero_attempts_transmit_nothing<C: AsyncCommunicator>(comm: &C) {
     comm.barrier().await.unwrap();
 }
 on_both_executors!(zero_attempts_transmit_nothing);
+
+/// A zero `base_timeout` retransmits at every chance, but it still looks
+/// for the ack before it does: rank 0 posts one frame and settles (the
+/// barrier flushes first) only once rank 1 has received it, so the ack is
+/// waiting and the settling finds it. One frame goes out, delivered once.
+async fn zero_timeout_still_sees_the_ack<C: AsyncCommunicator>(comm: &C) {
+    let instant =
+        RetryConfig { base_timeout: Duration::ZERO, max_timeout: Duration::ZERO, max_attempts: 3 };
+    let rc = ReliableComm::with_config(comm, instant);
+    let mut buf = [0u8; 8];
+    if comm.rank() == 0 {
+        assert_eq!(rc.post(Payload::from(vec![3u8; 8]), 1, Tag(7)).await, Ok(()));
+        comm.recv(&mut buf[..1], 1, Tag(8)).await.unwrap();
+        assert_eq!(rc.barrier().await, Ok(()));
+    } else {
+        assert_eq!(rc.recv(&mut buf, 0, Tag(7)).await, Ok(8));
+        assert_eq!(buf, [3; 8]);
+        comm.send(&[0], 0, Tag(8)).await.unwrap();
+        assert_eq!(rc.barrier().await, Ok(()));
+        let again = comm.recv_timeout(&mut buf, 0, Tag(DATA_TAG_BASE + 7), Duration::ZERO).await;
+        assert_eq!(again, Err(CommError::Timeout { peer: 0 }), "the frame went out twice");
+    }
+    // Rank 0 stays until rank 1 has looked: an exited peer is not a timeout.
+    comm.barrier().await.unwrap();
+}
+on_both_executors!(zero_timeout_still_sees_the_ack);
+
+/// The same policy through a plain `send` on the event executor: the
+/// sender's first wait, even a zero one, lets the receiver run, so the ack
+/// is there when it looks and the send returns acknowledged after one
+/// transmission.
+#[test]
+fn zero_timeout_send_is_acknowledged() {
+    let instant =
+        RetryConfig { base_timeout: Duration::ZERO, max_timeout: Duration::ZERO, max_attempts: 3 };
+    let out = EventWorld::run(2, |comm| async move {
+        let rc = ReliableComm::with_config(&comm, instant);
+        let mut buf = [0u8; 8];
+        match comm.rank() {
+            0 => rc.send(&[3; 8], 1, Tag(7)).await.map(|()| 0),
+            _ => rc.recv(&mut buf, 0, Tag(7)).await,
+        }
+    });
+    assert_eq!(out.results, vec![Ok(0), Ok(8)]);
+    assert_eq!(out.traffic.per_rank[0].msgs_sent, 1, "the frame went out more than once");
+}
 
 /// A user tag the two protocol ranges have no room for is refused before
 /// anything is posted, on every entry point; the last tag with room works.
@@ -277,4 +324,72 @@ fn interpreter_copies_are_counted_through_the_stack() {
     let copied: Vec<u64> = out.traffic.per_rank.iter().map(|st| st.bytes_copied).collect();
     assert_eq!(copied, vec![N as u64 + 4, N as u64 + 4]);
     assert!(out.results[0] >= 1, "the staged envelope must be a pool rental");
+}
+
+/// Seed of the lossy runs below: `TESTKIT_SEED` (decimal or 0x-hex) when
+/// set, a fixed default otherwise — either way the run is deterministic.
+fn lossy_seed() -> u64 {
+    let Ok(raw) = std::env::var("TESTKIT_SEED") else {
+        return 0xB0CA57;
+    };
+    let raw = raw.trim();
+    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    parsed.unwrap_or_else(|_| panic!("TESTKIT_SEED={raw:?} is not a decimal or 0x-hex u64"))
+}
+
+/// The lossy-ring workload's shape: the tuned broadcast of 128 KiB over
+/// 128 ranks.
+const LOSSY_P: usize = 128;
+const LOSSY_BYTES: usize = 128 << 10;
+
+/// One broadcast of the lossy-ring shape through `Reliable(Faulty(EventComm))`
+/// under `plan`, with the workload's retransmission policy; every rank's
+/// payload is checked byte for byte.
+fn lossy_ring(plan: &FaultPlan) -> WorldOutcome<()> {
+    let src: Vec<u8> = (0..LOSSY_BYTES).map(|i| (i * 131 + 7) as u8).collect();
+    EventWorld::run(LOSSY_P, |comm| {
+        let (src, plan) = (&src, plan.clone());
+        async move {
+            let faulty = FaultyComm::new(&comm, plan);
+            let rc = ReliableComm::with_config(&faulty, retry(12));
+            let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0; LOSSY_BYTES] };
+            bcast_with_async(&rc, &mut buf, 0, Algorithm::ScatterRingTuned).await.unwrap();
+            assert!(buf == *src, "rank {} received a different payload", comm.rank());
+        }
+    })
+}
+
+/// Under 1 % drops the wire carries the algorithm's own messages, each with
+/// its 4-byte number, the 4-byte acks, and the retransmissions of lost
+/// frames (a dropped frame never reaches the wire counters; its
+/// retransmission does). Whatever payload is left over was sent again after
+/// it had arrived: only a frame whose receiver is stuck behind another lost
+/// frame when the timer fires, since a receiver acks what it has taken.
+/// Eighty seeds resent at most three ring chunks per broadcast, none for
+/// 51 of them; the bound leaves room for eight.
+#[test]
+fn retransmissions_rarely_resend_a_delivered_frame() {
+    let drops = LinkFaults { drop_ppm: 10_000, dup_ppm: 0, delay_ppm: 0 };
+    let out = lossy_ring(&FaultPlan::new(lossy_seed()).with_default(drops));
+    assert!(out.elapsed >= retry(12).base_timeout, "the plan was meant to drop frames");
+    let v = bcast_volume(Algorithm::ScatterRingTuned, LOSSY_BYTES, LOSSY_P);
+    let acks = out.traffic.total_msgs() - v.msgs;
+    let resent = out.traffic.total_bytes() - (v.bytes + 4 * v.msgs + 4 * acks);
+    let ring_chunk = (LOSSY_BYTES / LOSSY_P) as u64;
+    assert!(resent <= 8 * ring_chunk, "{resent} B of payload were sent again after they arrived");
+}
+
+/// A post returns at once and its ack settles later, so a rank parks only
+/// when what it takes has not arrived yet: fewer than half as many parked
+/// polls as frames (a sender that waited for each frame's ack would park
+/// once per frame).
+#[test]
+fn a_frame_does_not_park_its_sender() {
+    let out = lossy_ring(&FaultPlan::new(lossy_seed()));
+    let msgs = bcast_volume(Algorithm::ScatterRingTuned, LOSSY_BYTES, LOSSY_P).msgs;
+    let parked = out.reactor.spurious_polls;
+    assert!(parked < msgs / 2, "{parked} parked polls for {msgs} frames");
 }
