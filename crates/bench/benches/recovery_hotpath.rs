@@ -80,7 +80,7 @@ fn cfg(k: usize) -> RecoveryConfig {
         // Liveness headroom: with a never-crashing root, 2k+1 epochs always
         // suffice (each casualty can spoil at most two attempts).
         max_epochs: (2 * k + 1) as u32,
-        bounded_sendrecv: false,
+        ..RecoveryConfig::default()
     }
 }
 

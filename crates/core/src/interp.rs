@@ -54,12 +54,11 @@
 //! agreement, on an `Interp::bounded` interpreter: every take carries the
 //! deadline, so a silent peer surfaces as [`CommError::Timeout`] instead of
 //! a hang, and an op with both halves is an eager post followed by a
-//! bounded take — sound only on an eagerly delivering transport — unless
-//! the communicator's own `exchange` bounds itself, in which case it stays
-//! one call. A bounded run's closing flush waits at most the same deadline.
-//! The agreement steps a stage one op at a time (`Interp::exec`, which
-//! settles nothing), reads each landing back through `Interp::buf`, and
-//! flushes once itself, when its verdict is in.
+//! bounded take — sound only on an eagerly delivering transport. A bounded
+//! run's closing flush waits at most the same deadline. The agreement steps
+//! a stage one op at a time (`Interp::exec`, which settles nothing), reads
+//! each landing back through `Interp::buf`, and flushes once itself, under
+//! the same bound, when its verdict is in.
 
 use std::future::Future;
 use std::ops::Range;
@@ -91,15 +90,12 @@ pub struct Interp<'a, C: ?Sized, const BOUNDED: bool = false> {
     kept_landing: bool,
     /// The deadline of every take of a bounded interpreter.
     step: Duration,
-    /// Whether a bounded interpreter still hands an op with both halves to
-    /// one `exchange`.
-    fused_exchange: bool,
 }
 
 impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
     /// Interpreter over `buf`, the rank's full broadcast buffer.
     pub fn new(comm: &'a C, buf: &'a mut [u8]) -> Self {
-        Interp::with(comm, buf, Duration::ZERO, true)
+        Interp::with(comm, buf, Duration::ZERO)
     }
 
     /// Send-only interpreter over an already-shared payload: the kept list
@@ -117,31 +113,16 @@ impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C> {
 impl<'a, C: AsyncCommunicator + ?Sized> Interp<'a, C, true> {
     /// [`Interp::new`] with every take bounded by `step` (see the [module
     /// docs](self)). An op with both halves is posted eagerly and then taken
-    /// under the bound, unless `fused_exchange` is set: then it stays one
-    /// `exchange` call, for a communicator whose `exchange` bounds itself
-    /// (`RecoveryConfig::bounded_sendrecv`).
-    pub(crate) fn bounded(
-        comm: &'a C,
-        buf: &'a mut [u8],
-        step: Duration,
-        fused_exchange: bool,
-    ) -> Self {
-        Interp::with(comm, buf, step, fused_exchange)
+    /// under the bound.
+    pub(crate) fn bounded(comm: &'a C, buf: &'a mut [u8], step: Duration) -> Self {
+        Interp::with(comm, buf, step)
     }
 }
 
 impl<'a, C: ?Sized, const BOUNDED: bool> Interp<'a, C, BOUNDED> {
     /// Either kind of interpreter, with nothing retained yet.
-    fn with(comm: &'a C, buf: &'a mut [u8], step: Duration, fused_exchange: bool) -> Self {
-        Interp {
-            comm,
-            buf,
-            held: None,
-            kept: Vec::new(),
-            kept_landing: false,
-            step,
-            fused_exchange,
-        }
+    fn with(comm: &'a C, buf: &'a mut [u8], step: Duration) -> Self {
+        Interp { comm, buf, held: None, kept: Vec::new(), kept_landing: false, step }
     }
 }
 
@@ -187,11 +168,13 @@ impl<'a, C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'a, C, BOUND
         for op in ops {
             match (&op.send, &op.recv) {
                 // Both halves stay ONE call: the concurrent exchange is what
-                // keeps the ring deadlock-free under rendezvous. The landing
-                // replaces the held envelope, so the send may take it.
+                // keeps the ring deadlock-free under rendezvous. A bounded
+                // interpreter posts eagerly and takes under its deadline
+                // instead. The landing replaces the held envelope, so the
+                // send may take it.
                 (Some(s), Some(r)) => {
                     let out = self.stage(&s.loc, true)?;
-                    let env = if BOUNDED && !self.fused_exchange {
+                    let env = if BOUNDED {
                         self.comm.post(out, s.peer, s.tag).await?;
                         self.comm.take(r.dst.len(), r.peer, r.tag, Some(self.step)).await?
                     } else {
@@ -410,14 +393,11 @@ mod tests {
 
     #[test]
     fn a_bounded_post_then_take_hands_over_too() {
-        for fused_exchange in [false, true] {
-            let comm = Recorder::default();
-            let mut buf = [0u8; 16];
-            let step = Duration::from_secs(1);
-            let mut interp = Interp::bounded(&comm, &mut buf, step, fused_exchange);
-            assert_eq!(complete_now(interp.run(ops())).unwrap(), 16);
-            assert_eq!(comm.shares.into_inner(), SHARES, "fused_exchange={fused_exchange}");
-        }
+        let comm = Recorder::default();
+        let mut buf = [0u8; 16];
+        let mut interp = Interp::bounded(&comm, &mut buf, Duration::from_secs(1));
+        assert_eq!(complete_now(interp.run(ops())).unwrap(), 16);
+        assert_eq!(comm.shares.into_inner(), SHARES);
     }
 
     /// The root of the tuned broadcast copies its payload once: it stages

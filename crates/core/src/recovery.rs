@@ -66,9 +66,7 @@
 //!    schedule is re-derived over that smaller world simply by running the
 //!    same streams at the smaller size and renumbering their peers through
 //!    the rerun list, like step 1. The loop repeats until every survivor
-//!    holds the payload or the epoch budget is exhausted. (With
-//!    [`RecoveryConfig::bounded_sendrecv`] every survivor reruns, as it
-//!    always did.)
+//!    holds the payload or the epoch budget is exhausted.
 //!
 //! [`degraded_bcast_schedule`] collects the very phase table and op map an
 //! attempt runs, over any member list — the rerun's is the root plus the
@@ -97,9 +95,7 @@
 //! Like everything timeout-based, the attempt decomposes each `sendrecv` op
 //! into an eager send followed by a bounded receive, so the transport must
 //! deliver eagerly (the threaded backend always does; simulated worlds
-//! need a model with a high `eager_threshold`). Under
-//! [`RecoveryConfig::bounded_sendrecv`] the op stays one `exchange`, and
-//! only lone receives are bounded.
+//! need a model with a high `eager_threshold`).
 //!
 //! ## One loop, every executor
 //!
@@ -222,11 +218,9 @@ pub struct RecoveryConfig {
     /// Maximum number of attempts (first try included) before giving up; at
     /// most [`MAX_EPOCHS`].
     pub max_epochs: u32,
-    /// Set when the communicator's own `sendrecv` already returns
-    /// [`CommError::Timeout`] on its own (e.g. [`mpsim::ReliableComm`],
-    /// whose frames in flight have a bounded attempt budget). The attempt
-    /// then hands each `sendrecv` op to that `sendrecv` instead of
-    /// decomposing it, and the agreement exchanges its reports pairwise.
+    /// Ignored. Every stack, [`mpsim::ReliableComm`] included, runs the
+    /// same decomposed attempt and the same agreement; the field is kept
+    /// only so that struct literals built against it still compile.
     pub bounded_sendrecv: bool,
 }
 
@@ -668,21 +662,18 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     ///
     /// [`agreement_schedule`] and [`pairwise_schedule`] collect the same
     /// streams over every member, and `schedcheck` checks their matching,
-    /// deadlock-freedom and volume. With [`RecoveryConfig::bounded_sendrecv`]
-    /// stages 1–3 are skipped and every pairwise op stays one `exchange` (the
-    /// interpreter's `fused_exchange`), which the communicator bounds itself.
+    /// deadlock-freedom and volume.
     ///
     /// Every op only posts its frames ([`Interp::exec`]); [`Agreement::close`]
     /// settles them once the verdict is in, so that no deadline here waits on
     /// an acknowledgement.
     async fn agree(&self, trace: &mut RecoveryTrace) -> Result<Verdict> {
         let frame = [u8::from(self.mine.has_full), membership_digest(self.members) as u8];
-        let known = !self.cfg.bounded_sendrecv
-            && match self.quorum(self.members, "quorum", &frame).await? {
-                Quorum::Committed => return Ok(Verdict::EveryoneFull),
-                Quorum::Known => true,
-                Quorum::Open => false,
-            };
+        let known = match self.quorum(self.members, "quorum", &frame).await? {
+            Quorum::Committed => return Ok(Verdict::EveryoneFull),
+            Quorum::Known => true,
+            Quorum::Open => false,
+        };
         // Boxed: a clean epoch never gets here, and keeping the later stages
         // out of this future keeps every rank task of a clean run small.
         let verdict = Box::pin(self.settle(known)).await;
@@ -692,11 +683,15 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
         verdict
     }
 
-    /// Settle the frames the stages posted. A frame a peer never took is that
-    /// peer's loss, not this rank's, so only this rank's own crash is an
-    /// error here.
+    /// Settle the frames the stages posted, waiting at most one step like
+    /// the attempt's closing flush. Some frames are never taken — a false
+    /// conjunction's dropped receive half, a report the leader already
+    /// read, a frame to a rank that left — and each may cost its sender
+    /// that step, never its whole retry budget. A frame a peer never took
+    /// is that peer's loss, not this rank's, so only this rank's own crash
+    /// is an error here.
     async fn close(&self) -> Result<()> {
-        match self.comm.flush(None).await {
+        match self.comm.flush(Some(self.cfg.step_timeout)).await {
             Err(CommError::PeerFailed { rank }) if rank == self.comm.rank() => {
                 Err(CommError::PeerFailed { rank })
             }
@@ -711,7 +706,7 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     /// leader's report reads take one each, bounded by what is left of one
     /// deadline.
     fn interp<'f>(&'f self, frames: &'f mut [u8], wait: Duration) -> Interp<'f, C, true> {
-        Interp::bounded(self.comm, frames, wait, self.cfg.bounded_sendrecv)
+        Interp::bounded(self.comm, frames, wait)
     }
 
     /// Run one op on `interp` and say how it ended — the agreement's one
@@ -836,9 +831,6 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     async fn settle(&self, known: bool) -> Result<Verdict> {
         let (me, members) = (self.comm.rank(), self.members);
         let mut heard = BTreeMap::new();
-        if self.cfg.bounded_sendrecv {
-            return self.pairwise(&heard).await;
-        }
         // `members` is ascending: it starts as `0..size` and only ever
         // shrinks by `retain`.
         let leader = members[0];
@@ -1082,8 +1074,7 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     let mut all_dead: BTreeSet<Rank> = BTreeSet::new();
     // Who the last verdict marked full. Resume, don't restart: those members
     // already hold the payload, so only the root and the others rerun the
-    // attempt. (Never under `bounded_sendrecv`, whose path stays exactly the
-    // restart it always was.)
+    // attempt.
     let mut full: BTreeSet<Rank> = BTreeSet::new();
     trace.root_chain.push(root);
 
@@ -1175,9 +1166,7 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
             trace.hit(branch::HEALED_SURVIVORS);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
-        if !cfg.bounded_sendrecv {
-            full = have_full;
-        }
+        full = have_full;
     }
     trace.hit(branch::EPOCH_BUDGET_EXHAUSTED);
     Err(CommError::Timeout { peer: current_root })
@@ -1240,7 +1229,7 @@ async fn attempt<C: AsyncCommunicator + ?Sized>(
     cfg: &RecoveryConfig,
 ) -> Result<()> {
     let nbytes = buf.len();
-    let interp = Interp::bounded(comm, buf, cfg.step_timeout, cfg.bounded_sendrecv);
+    let interp = Interp::bounded(comm, buf, cfg.step_timeout);
     rerun.phases(interp, algorithm, nbytes).await
 }
 
@@ -1486,9 +1475,9 @@ mod tests {
 
     #[test]
     fn epoch_stack_reports_a_dead_member_in_local_numbering() {
-        // The decorator stack a `bounded_sendrecv` attempt used to run on
-        // (the frozen benchmark still times it), over members 4, 2, 0
-        // (local 0, 1, 2). Parent rank 2 is dead: the guarded `sendrecv`
+        // The decorator stack the attempt ran on before it got its own
+        // bounded interpreter (the benchmark still times it), over members
+        // 4, 2, 0 (local 0, 1, 2). Parent rank 2 is dead: the guarded `sendrecv`
         // (an eager post, then a step-bounded take) must name local rank 1,
         // the numbering every layer above the `SubComm` reasons in — parent
         // rank 4 would be out of its bounds. The take fails as soon as the
@@ -1548,7 +1537,6 @@ mod tests {
     enum Call {
         Post { peer: Rank, tag: Tag, len: usize },
         Take { peer: Rank, tag: Tag, cap: usize, timeout: Option<Duration> },
-        Exchange { to: Rank, stag: Tag, len: usize, from: Rank, rtag: Tag, cap: usize },
     }
 
     impl AsyncCommunicator for Tape {
@@ -1590,20 +1578,6 @@ mod tests {
             Ok(vec![0; cap].into())
         }
 
-        async fn exchange(
-            &self,
-            payload: mpsim::Payload,
-            to: Rank,
-            stag: Tag,
-            cap: usize,
-            from: Rank,
-            rtag: Tag,
-        ) -> Result<mpsim::Payload> {
-            let len = payload.len();
-            self.calls.borrow_mut().push(Call::Exchange { to, stag, len, from, rtag, cap });
-            Ok(vec![0; cap].into())
-        }
-
         async fn flush(&self, _: Option<Duration>) -> Result<()> {
             Ok(())
         }
@@ -1619,24 +1593,12 @@ mod tests {
         let timeout = Some(cfg.step_timeout);
         let mut calls = Vec::new();
         for op in ops {
-            match (&op.send, &op.recv) {
-                (Some(s), Some(r)) if cfg.bounded_sendrecv => calls.push(Call::Exchange {
-                    to: s.peer,
-                    stag: at(s.tag),
-                    len: s.loc.len(),
-                    from: r.peer,
-                    rtag: at(r.tag),
-                    cap: r.dst.len(),
-                }),
-                (s, r) => {
-                    if let Some(s) = s {
-                        calls.push(Call::Post { peer: s.peer, tag: at(s.tag), len: s.loc.len() });
-                    }
-                    if let Some(r) = r {
-                        let (peer, tag, cap) = (r.peer, at(r.tag), r.dst.len());
-                        calls.push(Call::Take { peer, tag, cap, timeout });
-                    }
-                }
+            if let Some(s) = &op.send {
+                calls.push(Call::Post { peer: s.peer, tag: at(s.tag), len: s.loc.len() });
+            }
+            if let Some(r) = &op.recv {
+                let (peer, tag, cap) = (r.peer, at(r.tag), r.dst.len());
+                calls.push(Call::Take { peer, tag, cap, timeout });
             }
         }
         calls
@@ -1664,23 +1626,19 @@ mod tests {
                 for runners in &lists {
                     for algorithm in algorithms.into_iter().filter(|a| a.supports(runners.len())) {
                         let schedule = degraded_bcast_schedule(algorithm, p, nbytes, runners, root);
-                        for bounded_sendrecv in [false, true] {
-                            let cfg = RecoveryConfig { bounded_sendrecv, ..quick_cfg() };
-                            for &m in runners {
-                                let tape = Tape { me: m, p, calls: Default::default() };
-                                let rerun = Rerun::new(runners, m, root, epoch).unwrap();
-                                let mut buf = vec![0u8; nbytes];
-                                complete_now(attempt(&tape, &mut buf, algorithm, &rerun, &cfg))
-                                    .unwrap();
-                                let want =
-                                    expected_calls(&schedule.ranks[m].ops, rerun.shift, &cfg);
-                                assert_eq!(
-                                    tape.calls.into_inner(),
-                                    want,
-                                    "{algorithm:?} P={p} root {root} runners {runners:?} rank {m} \
-                                     bounded_sendrecv={bounded_sendrecv}"
-                                );
-                            }
+                        let cfg = quick_cfg();
+                        for &m in runners {
+                            let tape = Tape { me: m, p, calls: Default::default() };
+                            let rerun = Rerun::new(runners, m, root, epoch).unwrap();
+                            let mut buf = vec![0u8; nbytes];
+                            complete_now(attempt(&tape, &mut buf, algorithm, &rerun, &cfg))
+                                .unwrap();
+                            let want = expected_calls(&schedule.ranks[m].ops, rerun.shift, &cfg);
+                            assert_eq!(
+                                tape.calls.into_inner(),
+                                want,
+                                "{algorithm:?} P={p} root {root} runners {runners:?} rank {m}"
+                            );
                         }
                     }
                 }
@@ -1906,20 +1864,6 @@ mod tests {
         ) -> Result<mpsim::Payload> {
             self.calls.borrow_mut().push(Call::Take { peer, tag, cap, timeout });
             self.inner.take(cap, peer, tag, timeout).await
-        }
-
-        async fn exchange(
-            &self,
-            payload: mpsim::Payload,
-            to: Rank,
-            stag: Tag,
-            cap: usize,
-            from: Rank,
-            rtag: Tag,
-        ) -> Result<mpsim::Payload> {
-            let len = payload.len();
-            self.calls.borrow_mut().push(Call::Exchange { to, stag, len, from, rtag, cap });
-            self.inner.exchange(payload, to, stag, cap, from, rtag).await
         }
 
         /// Not logged: the crash clock does not count it.

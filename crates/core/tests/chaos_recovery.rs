@@ -10,12 +10,11 @@
 //! survivor set.
 //!
 //! Stacking follows the fault model's division of labor: message loss and
-//! duplication between *live* ranks are masked by [`ReliableComm`]
-//! (`bounded_sendrecv` tells the recovery layer its exchange self-bounds);
-//! crashes are healed by the self-healing broadcast directly over the faulty
-//! communicator. The decorators are written against `AsyncCommunicator`, so
-//! the blocking executors build the stack over `SyncComm` and drive it with
-//! `complete_now`.
+//! duplication between *live* ranks are masked by [`ReliableComm`];
+//! crashes are healed by the self-healing broadcast, the same attempt and
+//! agreement whether or not `ReliableComm` sits underneath. The decorators
+//! are written against `AsyncCommunicator`, so the blocking executors build
+//! the stack over `SyncComm` and drive it with `complete_now`.
 
 use std::time::Duration;
 
@@ -59,8 +58,8 @@ fn quick_retry() -> RetryConfig {
     }
 }
 
-fn recovery_cfg(bounded_sendrecv: bool) -> RecoveryConfig {
-    RecoveryConfig { step_timeout: Duration::from_millis(60), max_epochs: 4, bounded_sendrecv }
+fn recovery_cfg() -> RecoveryConfig {
+    RecoveryConfig { step_timeout: Duration::from_millis(60), max_epochs: 4, ..Default::default() }
 }
 
 /// Drop / duplication sweep: `ReliableComm` over `FaultyComm`, healed
@@ -80,7 +79,7 @@ fn lossy_sweep(faults: LinkFaults, seed_salt: u64) {
                 let faulty = FaultyComm::new(&acomm, plan);
                 let rel = ReliableComm::with_config(&faulty, quick_retry());
                 let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; n] };
-                let cfg = recovery_cfg(true);
+                let cfg = recovery_cfg();
                 let healed = complete_now(self_healing_bcast_async(&rel, &mut buf, root, &cfg))
                     .unwrap_or_else(|e| panic!("p={p} rank {}: {e:?}", comm.rank()));
                 assert_eq!(buf, src, "p={p} rank {} got a corrupted payload", comm.rank());
@@ -133,7 +132,7 @@ fn loss_plus_a_mid_ring_crash_heals_every_survivor() {
                     async move {
                         let faulty = FaultyComm::new(&comm, plan);
                         let reliable = ReliableComm::with_config(&faulty, quick_retry());
-                        let cfg = recovery_cfg(true);
+                        let cfg = recovery_cfg();
                         let drill = &RecoveryDrill::NONE;
                         let algorithm = Algorithm::ScatterRingTuned;
                         self_healing_rank_task(&reliable, &src, 0, algorithm, &cfg, drill).await
@@ -156,6 +155,82 @@ fn loss_plus_a_mid_ring_crash_heals_every_survivor() {
     }
 }
 
+/// One launch of the prescribed fault stack, `recovery(ReliableComm(
+/// FaultyComm))`, on the event executor: `drop_ppm` of the frames dropped
+/// and `victim` fail-stopping after `after` ops, judged by
+/// `check_recovery_outcome` with the victim as the only planned victim and
+/// no lossy-link waivers — the reliable layer masks every drop, so a
+/// survivor that fails, a split-brain or a ghost survivor is a violation.
+fn prescribed_stack_launch(
+    p: usize,
+    victim: Rank,
+    after: u64,
+    drop_ppm: u32,
+    seed: u64,
+    algorithm: Algorithm,
+) -> Result<(), String> {
+    let cfg = RecoveryConfig {
+        step_timeout: Duration::from_millis(60),
+        max_epochs: 3,
+        ..Default::default()
+    };
+    let src = pattern(p * 512 + 3, seed);
+    let faults = LinkFaults { drop_ppm, dup_ppm: 0, delay_ppm: 0 };
+    let plan = FaultPlan::new(seed).with_default(faults).with_crash(victim, after);
+    let out = EventWorld::run(p, |comm| {
+        let (src, plan) = (src.clone(), plan.clone());
+        async move {
+            let faulty = FaultyComm::new(&comm, plan);
+            let reliable = ReliableComm::with_config(&faulty, quick_retry());
+            self_healing_rank_task(&reliable, &src, 0, algorithm, &cfg, &RecoveryDrill::NONE).await
+        }
+    });
+    let spec =
+        RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[victim], lossy_links: false };
+    check_recovery_outcome(&spec, &out.results, &out.traffic, out.elapsed)
+}
+
+/// The prescribed fault stack on a grid of one crash each: P ∈ {6, 8, 13,
+/// 16} × victim ∈ {1, P/2, P−1} × crash after ops 1, 4, …, 37 × 0, 1 and
+/// 5 % dropped frames × two plan seeds × the tuned ring and the binomial
+/// tree, 1 872 launches ([`prescribed_stack_launch`]). Some frames are
+/// never taken — a false conjunction's dropped receive half, a frame to a
+/// rank that left — and each must cost its sender at most one step, or
+/// survivors run out of epochs.
+#[test]
+fn the_prescribed_fault_stack_heals_every_crash_of_the_grid() {
+    let mut launches = 0;
+    let mut rejected = Vec::new();
+    for p in [6, 8, 13, 16] {
+        for victim in [1, p / 2, p - 1] {
+            for after in (1..=37).step_by(3) {
+                for drop_ppm in [0, 10_000, 50_000] {
+                    for seed in [0x10_55C8, 0x10_55C9] {
+                        for algorithm in [Algorithm::ScatterRingTuned, Algorithm::Binomial] {
+                            launches += 1;
+                            if let Err(why) =
+                                prescribed_stack_launch(p, victim, after, drop_ppm, seed, algorithm)
+                            {
+                                rejected.push(format!(
+                                    "P={p} victim {victim} after {after} drop {drop_ppm} ppm \
+                                     seed {seed:#x} {algorithm:?}: {why}"
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(launches, 1872);
+    assert!(
+        rejected.is_empty(),
+        "{} of {launches} launches rejected, first: {:#?}",
+        rejected.len(),
+        &rejected[..rejected.len().min(5)]
+    );
+}
+
 /// Crash sweep: a planned fail-stop of one non-root rank mid-broadcast at
 /// every world size. The victim must learn it is the casualty; every
 /// survivor must finish with the payload and the same survivor set.
@@ -173,7 +248,7 @@ fn one_rank_crash_heals_at_every_world_size() {
                 let acomm = SyncComm::new(comm);
                 let faulty = FaultyComm::new(&acomm, plan);
                 let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; n] };
-                let cfg = recovery_cfg(false);
+                let cfg = recovery_cfg();
                 match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
                     Ok(healed) => {
                         assert_eq!(buf, src, "p={p} rank {} corrupted", comm.rank());
@@ -216,7 +291,7 @@ fn p8_crash_replays_identically_on_both_executors() {
         let acomm = SyncComm::new(comm);
         let faulty = FaultyComm::new(&acomm, plan.clone());
         let mut buf = if comm.rank() == 0 { src.to_vec() } else { vec![0u8; src.len()] };
-        let cfg = recovery_cfg(false);
+        let cfg = recovery_cfg();
         match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
             Ok(healed) => {
                 assert_eq!(buf, src, "rank {} corrupted", comm.rank());
@@ -303,7 +378,7 @@ fn p8_crash_replays_identically_on_the_event_executor() {
             let acomm = SyncComm::new(comm);
             let faulty = FaultyComm::new(&acomm, plan.clone());
             let mut buf = if comm.rank() == 0 { src.to_vec() } else { vec![0u8; src.len()] };
-            let cfg = recovery_cfg(false);
+            let cfg = recovery_cfg();
             match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
                 Ok(healed) => {
                     assert_eq!(buf, src, "rank {} corrupted", comm.rank());
@@ -315,15 +390,8 @@ fn p8_crash_replays_identically_on_the_event_executor() {
         }
     });
 
-    let (event_runs, traffic, elapsed, _) = event_cascade(
-        P,
-        n,
-        0,
-        Algorithm::ScatterRingTuned,
-        &[(VICTIM, 5)],
-        recovery_cfg(false),
-        seed,
-    );
+    let (event_runs, traffic, elapsed, _) =
+        event_cascade(P, n, 0, Algorithm::ScatterRingTuned, &[(VICTIM, 5)], recovery_cfg(), seed);
     let event: Vec<Option<Vec<Rank>>> = event_runs
         .iter()
         .enumerate()
@@ -342,7 +410,7 @@ fn p8_crash_replays_identically_on_the_event_executor() {
     let spec = RecoverySpec {
         src: &src,
         root: 0,
-        cfg: recovery_cfg(false),
+        cfg: recovery_cfg(),
         planned_victims: &[VICTIM],
         lossy_links: false,
     };
@@ -361,7 +429,7 @@ fn root_succession_chain_depth3_heals_at_p8() {
     let cfg = RecoveryConfig {
         step_timeout: Duration::from_millis(60),
         max_epochs: 12, // ≥ 2·victims + 1 = 7: liveness guaranteed
-        bounded_sendrecv: false,
+        ..RecoveryConfig::default()
     };
     let crashes = [
         (0usize, 1u64), // root dies after one send: only subtree {4,5,6,7} completes
@@ -427,7 +495,7 @@ fn megascale_cascade(p: usize) {
     let cfg = RecoveryConfig {
         step_timeout: Duration::from_millis(60),
         max_epochs: 8, // ≥ 2·victims + 1 = 7: liveness guaranteed
-        bounded_sendrecv: false,
+        ..RecoveryConfig::default()
     };
     let victims = [p / 3, p / 3 + 1, p / 3 + 2];
     let crashes = [(victims[0], 5), (victims[1], p as u64 / 2), (victims[2], p as u64)];
@@ -509,7 +577,7 @@ fn megascale_clean_p4096() {
 #[test]
 fn mid_quorum_crash_heals_committed_and_fallen_through_ranks_alike() {
     let seed = battery_seed() ^ 0x0A55;
-    let cfg = recovery_cfg(false);
+    let cfg = recovery_cfg();
     let (results, traffic, elapsed, src) =
         event_cascade(4, 203, 0, Algorithm::Binomial, &[(1, 6)], cfg, seed);
 
@@ -538,7 +606,7 @@ fn mid_quorum_crash_heals_committed_and_fallen_through_ranks_alike() {
 #[test]
 fn leader_exit_mid_proposal_falls_back_to_one_survivor_set() {
     let seed = battery_seed() ^ 0x1EAD;
-    let cfg = recovery_cfg(false);
+    let cfg = recovery_cfg();
     let (results, traffic, elapsed, src) =
         event_cascade(5, 203, 1, Algorithm::Binomial, &[(4, 0), (0, 13)], cfg, seed);
 
@@ -570,7 +638,7 @@ fn leader_exit_mid_proposal_falls_back_to_one_survivor_set() {
 #[test]
 fn mid_confirm_crash_keeps_committed_and_known_ranks_together() {
     let seed = battery_seed() ^ 0xC0F1;
-    let cfg = recovery_cfg(false);
+    let cfg = recovery_cfg();
     let (results, traffic, elapsed, src) =
         event_cascade(4, 203, 0, Algorithm::Binomial, &[(2, 0), (1, 14)], cfg, seed);
 
@@ -602,7 +670,7 @@ fn crash_point_sweep(ps: &[usize], plans: impl Fn(usize) -> Vec<Vec<(Rank, u64)>
     let cfg = RecoveryConfig {
         step_timeout: Duration::from_millis(60),
         max_epochs: 6, // > 2·victims for up to two victims: liveness guaranteed
-        bounded_sendrecv: false,
+        ..RecoveryConfig::default()
     };
     let mut launches = 0;
     for &p in ps {
