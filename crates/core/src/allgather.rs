@@ -24,7 +24,7 @@ use mpsim::{ceil_log2, is_pof2, AsyncCommunicator, CommError, Rank, Result, Tag}
 use crate::interp::Interp;
 use crate::rd_allgather::rd_ops;
 use crate::ring::native_ring_ops;
-use crate::schedule::{SchedOp, Schedule, ScheduleSource};
+use crate::schedule::SchedOp;
 
 /// An allgather algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,56 +119,6 @@ pub async fn allgather_async<C: AsyncCommunicator + ?Sized>(
         }
     }
     Ok(())
-}
-
-/// The full symbolic schedule of [`allgather_async`] for `block` bytes per rank:
-/// the own block (slot 0 of the rotated space for Bruck) is the entry
-/// validity, then the stream [`allgather_async`] runs.
-///
-/// # Panics
-///
-/// Panics if `p` is a world size the algorithm does not support — a
-/// precondition here; [`allgather_async`] returns an error instead.
-pub fn allgather_schedule(algorithm: AllgatherAlgorithm, p: usize, block: usize) -> Schedule {
-    let name = algorithm.schedule_name();
-    assert!(algorithm.supports(p), "{name} is not defined for P = {p}");
-    let total = block * p;
-    let mut s = Schedule::new(name, p, total);
-    for (rank, rs) in s.ranks.iter_mut().enumerate() {
-        rs.require(0..total);
-        let own = if algorithm == AllgatherAlgorithm::Bruck { 0 } else { rank * block };
-        rs.mark_valid(own..own + block);
-        match algorithm {
-            AllgatherAlgorithm::Bruck => rs.ops.extend(bruck_ops(rank, p, block)),
-            AllgatherAlgorithm::Ring => rs.ops.extend(native_ring_ops(rank, p, total, 0)),
-            AllgatherAlgorithm::RecursiveDoubling => rs.ops.extend(rd_ops(rank, p, total, 0)),
-        }
-    }
-    s
-}
-
-struct AllgatherSource(AllgatherAlgorithm);
-
-impl ScheduleSource for AllgatherSource {
-    fn name(&self) -> &'static str {
-        self.0.schedule_name()
-    }
-
-    fn supports(&self, p: usize) -> bool {
-        self.0.supports(p)
-    }
-
-    fn schedule(&self, p: usize, nbytes: usize, _root: usize) -> Schedule {
-        allgather_schedule(self.0, p, nbytes)
-    }
-}
-
-pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
-    vec![
-        Box::new(AllgatherSource(AllgatherAlgorithm::Ring)),
-        Box::new(AllgatherSource(AllgatherAlgorithm::RecursiveDoubling)),
-        Box::new(AllgatherSource(AllgatherAlgorithm::Bruck)),
-    ]
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use crate::rd_allgather::rd_ops;
 use crate::ring::native_ring_ops;
 use crate::ring_tuned::{tuned_ring_ops, tuned_ring_ops_with, Endpoint};
 use crate::scatter::scatter_ops;
-use crate::schedule::{SchedOp, Schedule, ScheduleSource};
+use crate::schedule::{Collective, SchedOp, Schedule};
 
 /// MPICH3's broadcast switching thresholds (`MPIR_CVAR_BCAST_*`), in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,26 +275,11 @@ pub fn bcast_ops(
     collect_ops(async |ops| bcast_phases(ops, algorithm, rank, p, nbytes, root, identity).await)
 }
 
-/// An empty schedule with the broadcast's coverage contract: `root` starts
-/// with all `nbytes` valid, every rank must end with them.
-pub(crate) fn bcast_skeleton(name: &str, p: usize, nbytes: usize, root: Rank) -> Schedule {
-    let mut s = Schedule::new(name, p, nbytes);
-    s.ranks[root].mark_valid(0..nbytes);
-    for rank in 0..p {
-        s.ranks[rank].require(0..nbytes);
-    }
-    s
-}
-
 /// The full symbolic schedule of [`bcast_with`]: every rank's [`bcast_ops`]
-/// over one shared `nbytes` buffer. Panics like [`bcast_ops`] on an
-/// unsupported `p`.
+/// over one shared `nbytes` buffer — the broadcast family's entry of
+/// [`Collective::schedule`]. Panics like [`bcast_ops`] on an unsupported `p`.
 pub fn bcast_schedule(algorithm: Algorithm, p: usize, nbytes: usize, root: Rank) -> Schedule {
-    let mut s = bcast_skeleton(algorithm.schedule_name(), p, nbytes, root);
-    for rank in 0..p {
-        s.ranks[rank].ops = bcast_ops(algorithm, rank, p, nbytes, root);
-    }
-    s
+    Collective::Bcast(algorithm).schedule(p, nbytes, root)
 }
 
 /// [`bcast_schedule`] for the tuned ring with an injectable `(step, flag)`
@@ -306,37 +291,12 @@ pub fn bcast_tuned_schedule_with(
     root: Rank,
     step_flag_fn: impl Fn(Rank, usize) -> (usize, Endpoint),
 ) -> Schedule {
-    let mut s = bcast_skeleton(Algorithm::ScatterRingTuned.schedule_name(), p, nbytes, root);
+    let mut s = Collective::Bcast(Algorithm::ScatterRingTuned).skeleton(p, nbytes, root);
     for rank in 0..p {
         s.ranks[rank].ops.extend(scatter_ops(rank, p, nbytes, root));
         s.ranks[rank].ops.extend(tuned_ring_ops_with(rank, p, nbytes, root, &step_flag_fn));
     }
     s
-}
-
-struct BcastSource(Algorithm);
-
-impl ScheduleSource for BcastSource {
-    fn name(&self) -> &'static str {
-        self.0.schedule_name()
-    }
-
-    fn supports(&self, p: usize) -> bool {
-        self.0.supports(p)
-    }
-
-    fn schedule(&self, p: usize, nbytes: usize, root: Rank) -> Schedule {
-        bcast_schedule(self.0, p, nbytes, root)
-    }
-}
-
-pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
-    vec![
-        Box::new(BcastSource(Algorithm::Binomial)),
-        Box::new(BcastSource(Algorithm::ScatterRdAllgather)),
-        Box::new(BcastSource(Algorithm::ScatterRingNative)),
-        Box::new(BcastSource(Algorithm::ScatterRingTuned)),
-    ]
 }
 
 #[cfg(test)]

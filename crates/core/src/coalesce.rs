@@ -31,13 +31,12 @@ use std::ops::Range;
 
 use mpsim::{relative_rank, ring_left, ring_right, AsyncCommunicator, Rank, Result, Tag};
 
-use crate::bcast::bcast_skeleton;
 use crate::chunks::ChunkLayout;
 use crate::interp::Interp;
 use crate::ring::ring_step_chunks;
 use crate::ring_tuned::{step_flag, Endpoint};
 use crate::scatter::scatter_ops;
-use crate::schedule::{SchedOp, Schedule, ScheduleSource};
+use crate::schedule::SchedOp;
 
 /// Tuning knobs of the coalescing ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,31 +201,15 @@ pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
     interp.run(coalesced_ring_ops(rank, p, nbytes, root, policy)).await.map(drop)
 }
 
-const COALESCED_NAME: &str = "bcast/scatter_ring_coalesced";
-
-/// The full symbolic schedule of [`bcast_opt_coalesced_async`].
-pub fn coalesced_schedule(
-    p: usize,
-    nbytes: usize,
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Schedule {
-    let mut s = bcast_skeleton(COALESCED_NAME, p, nbytes, root);
-    for rank in 0..p {
-        s.ranks[rank].ops = scatter_ops(rank, p, nbytes, root);
-        s.ranks[rank].ops.extend(coalesced_ring_ops(rank, p, nbytes, root, policy));
-    }
-    s
-}
-
 /// Closed-form message count of the coalescing ring under
 /// [`CoalescePolicy::unlimited`]: the tuned ring's transfer count minus what
 /// each SendOnly rank's merged tail saves — its `step − 1` lone sends become
 /// one send per chunk run, two when the tail wraps through chunk 0
 /// (`rel + step = P`, which a tail of at least two chunks then spans).
 ///
-/// `44 → 38` for `P = 8`, `75 → 66` for `P = 10`; pinned against
-/// [`coalesced_schedule`]'s planned volume and executed runs.
+/// `44 → 38` for `P = 8`, `75 → 66` for `P = 10`; pinned against the
+/// planned volume of [`Collective::Coalesced`](crate::Collective)'s schedule
+/// and against executed runs.
 pub fn coalesced_envelope_count(size: usize) -> u64 {
     if size <= 1 {
         return 0;
@@ -243,30 +226,11 @@ pub fn coalesced_envelope_count(size: usize) -> u64 {
     crate::traffic::tuned_ring_msgs(size) - saved
 }
 
-struct CoalescedSource(CoalescePolicy);
-
-impl ScheduleSource for CoalescedSource {
-    fn name(&self) -> &'static str {
-        COALESCED_NAME
-    }
-
-    fn supports(&self, _p: usize) -> bool {
-        true
-    }
-
-    fn schedule(&self, p: usize, nbytes: usize, root: Rank) -> Schedule {
-        coalesced_schedule(p, nbytes, root, &self.0)
-    }
-}
-
-pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
-    vec![Box::new(CoalescedSource(CoalescePolicy::unlimited()))]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bcast::{bcast_schedule, Algorithm};
+    use crate::schedule::{Collective, Schedule};
     use crate::traffic::{bcast_volume, scatter_msgs};
     use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld, WorldTraffic};
 
@@ -311,7 +275,8 @@ mod tests {
         ] {
             for policy in policies {
                 let t = run(size, nbytes, root, policy);
-                let planned = coalesced_schedule(size, nbytes, root, &policy).planned_volume();
+                let planned =
+                    Collective::Coalesced(policy).schedule(size, nbytes, root).planned_volume();
                 assert_eq!(
                     (t.total_msgs(), t.total_bytes()),
                     planned,
@@ -345,7 +310,8 @@ mod tests {
     fn per_chunk_whole_chunks_is_the_tuned_ring() {
         // No merging, no splitting: the rewrite is the identity.
         for &(p, nbytes, root) in &[(8usize, 80usize, 0usize), (10, 100, 3), (9, 55, 1)] {
-            let coalesced = coalesced_schedule(p, nbytes, root, &CoalescePolicy::per_chunk(0));
+            let coalesced =
+                Collective::Coalesced(CoalescePolicy::per_chunk(0)).schedule(p, nbytes, root);
             let tuned = bcast_schedule(Algorithm::ScatterRingTuned, p, nbytes, root);
             let halves = |s: &Schedule| -> Vec<Vec<_>> {
                 s.ranks
@@ -381,7 +347,8 @@ mod tests {
     fn closed_form_matches_the_schedule_and_execution() {
         for p in 2..=64 {
             for root in [0, p / 3] {
-                let sched = coalesced_schedule(p, 4 * p, root, &CoalescePolicy::unlimited());
+                let sched =
+                    Collective::Coalesced(CoalescePolicy::unlimited()).schedule(p, 4 * p, root);
                 let (msgs, bytes) = sched.planned_volume();
                 let scatter = scatter_msgs(4 * p, p);
                 assert_eq!(msgs, coalesced_envelope_count(p) + scatter, "P={p} root={root}");

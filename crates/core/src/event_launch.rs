@@ -15,29 +15,39 @@ use std::time::Duration;
 
 use mpsim::{AsyncCommunicator, EventWorld, Rank, Result, WorldOutcome, WorldTraffic};
 
-use crate::bcast::{bcast_with_async, Algorithm};
-use crate::coalesce::{bcast_opt_coalesced_async, CoalescePolicy};
+use crate::bcast::Algorithm;
 use crate::recovery::{
     self_healing_bcast_traced_async, Healed, RecoveryConfig, RecoveryDrill, RecoveryTrace,
 };
+use crate::schedule::Collective;
 use crate::verify::pattern;
 
 /// Payload generator seed of every event-world launch — the outcome is
 /// deterministic, so pinning the seed keeps repeated sweeps comparable.
 pub const EVENT_LAUNCH_SEED: u64 = 0xE7E1;
 
-/// Run one [`Algorithm`] as a full broadcast from `root` on an event world
-/// of `p` ranks over an `nbytes` payload.
+/// Run one broadcast of the [`Collective`] table — an [`Algorithm`], or the
+/// coalescing, pipeline or SMP broadcast — from `root` on an event world of
+/// `p` ranks over an `nbytes` payload.
 ///
 /// Every rank's delivered buffer is asserted equal to the source pattern
 /// before its task exits; the returned outcome carries the measured traffic
 /// and the virtual-clock elapsed time.
+///
+/// # Panics
+///
+/// On an allgather, which has no root to broadcast from.
 pub fn bcast_event_world(
     p: usize,
     nbytes: usize,
     root: Rank,
-    algorithm: Algorithm,
+    collective: impl Into<Collective>,
 ) -> WorldOutcome<()> {
+    let collective = collective.into();
+    assert!(
+        !matches!(collective, Collective::Allgather(_)),
+        "bcast_event_world runs broadcasts only"
+    );
     let src = pattern(nbytes, EVENT_LAUNCH_SEED);
     let out = EventWorld::run(p, |comm| {
         let src = src.clone();
@@ -45,39 +55,13 @@ pub fn bcast_event_world(
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
             // A failed broadcast must fail the launch loudly: the whole
             // point of the sweep is the completed run. lint: allow(panic)
-            bcast_with_async(&comm, &mut buf, root, algorithm).await.expect("broadcast failed");
+            collective.run(&comm, &mut buf, root).await.expect("broadcast failed");
             assert_eq!(buf, src, "rank {} diverged", comm.rank());
         }
     });
     // Built-in collectives use a handful of tags per peer pair, all of
     // which must stay in the mailbox lanes' inline buckets: a spill here
     // means the dense-lane fast path silently degraded to hashing.
-    assert_eq!(out.reactor.mailbox_spills, 0, "collective traffic spilled a mailbox lane");
-    out
-}
-
-/// Run the coalescing `MPI_Bcast_opt` from `root` on an event world of `p`
-/// ranks over an `nbytes` payload — the envelope-count companion of
-/// [`bcast_event_world`].
-pub fn bcast_coalesced_event_world(
-    p: usize,
-    nbytes: usize,
-    root: Rank,
-    policy: CoalescePolicy,
-) -> WorldOutcome<()> {
-    let src = pattern(nbytes, EVENT_LAUNCH_SEED);
-    let out = EventWorld::run(p, |comm| {
-        let src = src.clone();
-        async move {
-            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            bcast_opt_coalesced_async(&comm, &mut buf, root, &policy)
-                .await
-                // Same contract as `bcast_event_world`. lint: allow(panic)
-                .expect("coalesced broadcast failed");
-            assert_eq!(buf, src, "rank {} diverged", comm.rank());
-        }
-    });
-    // Same inline-bucket contract as `bcast_event_world`.
     assert_eq!(out.reactor.mailbox_spills, 0, "collective traffic spilled a mailbox lane");
     out
 }
@@ -412,9 +396,9 @@ mod tests {
     fn coalesced_event_launch_envelopes() {
         // The executed coalesced broadcast moves exactly its schedule's plan.
         for &p in &[8usize, 10] {
-            let policy = CoalescePolicy::unlimited();
-            let out = bcast_coalesced_event_world(p, 4096, 0, policy);
-            let planned = crate::coalesce::coalesced_schedule(p, 4096, 0, &policy).planned_volume();
+            let coalesced = Collective::Coalesced(crate::CoalescePolicy::unlimited());
+            let out = bcast_event_world(p, 4096, 0, coalesced);
+            let planned = coalesced.schedule(p, 4096, 0).planned_volume();
             assert_eq!((out.traffic.total_msgs(), out.traffic.total_bytes()), planned, "P={p}");
             let expect = crate::coalesce::coalesced_envelope_count(p) + scatter_msgs(4096, p);
             assert_eq!(planned.0, expect, "P={p}");

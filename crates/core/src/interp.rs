@@ -280,7 +280,7 @@ mod tests {
     use super::*;
     use crate::ring_tuned::tuned_ring_ops;
     use crate::scatter::scatter_ops;
-    use crate::schedule::{all_sources, RankSchedule, Schedule};
+    use crate::schedule::{Collective, RankSchedule, Schedule};
 
     /// Records how many views share each posted envelope, at the moment it
     /// is posted, and counts the stagings. Answers each take with the next
@@ -435,10 +435,10 @@ mod tests {
     }
 
     /// Stagings plus one landing: the kept list never outgrows
-    /// `⌈log₂P⌉ + 2` on any rank of any schedule source.
+    /// `⌈log₂P⌉ + 2` on any rank of any collective of the sweep.
     #[test]
     fn the_kept_list_stays_logarithmic_on_every_source() {
-        for source in all_sources() {
+        for source in Collective::SWEEP {
             for p in (1..=64).filter(|&p| source.supports(p)) {
                 let bound = ceil_log2(p) as usize + 2;
                 for nbytes in [p - 1, 4 * p - 1] {

@@ -90,14 +90,13 @@ pub use bcast::{
 pub use binomial::{bcast_binomial_async, bcast_binomial_copy_async};
 pub use chunks::ChunkLayout;
 pub use coalesce::{
-    bcast_opt_coalesced_async, coalesced_envelope_count, coalesced_ring_ops, coalesced_schedule,
-    CoalescePolicy,
+    bcast_opt_coalesced_async, coalesced_envelope_count, coalesced_ring_ops, CoalescePolicy,
 };
 pub use epoch_guard::{EpochComm, GuardedComm};
 pub use event_launch::{
-    bcast_coalesced_event_world, bcast_event_world, check_recovery_outcome,
-    reconcile_crashed_traffic, recovery_elapsed_bound, self_healing_bcast_event_world,
-    self_healing_rank_task, RankRun, RecoverySpec, EVENT_LAUNCH_SEED,
+    bcast_event_world, check_recovery_outcome, reconcile_crashed_traffic, recovery_elapsed_bound,
+    self_healing_bcast_event_world, self_healing_rank_task, RankRun, RecoverySpec,
+    EVENT_LAUNCH_SEED,
 };
 pub use interp::Interp;
 pub use recovery::{
@@ -107,5 +106,5 @@ pub use recovery::{
 };
 pub use ring_tuned::{step_flag, Endpoint};
 pub use scatter::{binomial_scatter_shared_async, owned_chunks};
-pub use schedule::{all_sources, RankSchedule, SchedOp, Schedule, ScheduleSource};
+pub use schedule::{Collective, RankSchedule, SchedOp, Schedule};
 pub use smp::{bcast_smp_async, NodeMap};

@@ -13,9 +13,8 @@
 
 use mpsim::{absolute_rank, relative_rank, AsyncCommunicator, Rank, Result, Tag};
 
-use crate::bcast::bcast_skeleton;
 use crate::interp::Interp;
-use crate::schedule::{RecvHalf, SchedOp, Schedule, ScheduleSource, SendHalf};
+use crate::schedule::{RecvHalf, SchedOp, SendHalf};
 
 /// Rank `rank`'s ops of the pipeline broadcast: a software pipeline of
 /// `nseg + 1` slots for `nseg = ⌈nbytes / segment⌉` segments. In slot `s` a
@@ -77,37 +76,6 @@ pub fn pipeline_msgs(nbytes: usize, segment: usize, p: usize) -> u64 {
     }
     let segment = if segment == 0 { nbytes } else { segment };
     (p as u64 - 1) * (nbytes.div_ceil(segment) as u64)
-}
-
-/// The full symbolic schedule of [`bcast_pipeline_async`]: every rank's
-/// [`pipeline_ops`] over one shared `nbytes` buffer.
-pub fn pipeline_schedule(p: usize, nbytes: usize, root: Rank, segment: usize) -> Schedule {
-    let mut s = bcast_skeleton("bcast/pipeline", p, nbytes, root);
-    for rank in 0..p {
-        s.ranks[rank].ops.extend(pipeline_ops(rank, p, nbytes, root, segment));
-    }
-    s
-}
-
-struct PipelineSource;
-
-impl ScheduleSource for PipelineSource {
-    fn name(&self) -> &'static str {
-        "bcast/pipeline"
-    }
-
-    fn supports(&self, _p: usize) -> bool {
-        true
-    }
-
-    fn schedule(&self, p: usize, nbytes: usize, root: Rank) -> Schedule {
-        // A ragged multi-segment cut so the sweep exercises the overlap path.
-        pipeline_schedule(p, nbytes, root, nbytes.div_ceil(3).max(1))
-    }
-}
-
-pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
-    vec![Box::new(PipelineSource)]
 }
 
 #[cfg(test)]

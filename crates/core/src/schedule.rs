@@ -9,7 +9,9 @@
 //! ranks — the same function feeds both, so what is checked is what runs.
 //! The pipeline broadcast (`pipeline_ops`) and the standalone allgathers
 //! (`native_ring_ops`/`rd_ops` at `root = 0`, `bruck_ops`) are streams of the
-//! same kind. The IR can be checked statically by the `schedcheck` crate:
+//! same kind. [`Collective`] names every collective the crate sweeps once —
+//! its name, the worlds it supports, its schedule, how to run it and its
+//! copy budget. The IR can be checked statically by the `schedcheck` crate:
 //!
 //! * send/recv matching (no orphaned or duplicated operations),
 //! * deadlock freedom under eager and rendezvous semantics,
@@ -30,7 +32,16 @@
 
 use std::ops::Range;
 
-use mpsim::{Rank, Tag};
+use mpsim::{AsyncCommunicator, Rank, Result, Tag};
+
+use crate::allgather::{allgather_async, bruck_ops, AllgatherAlgorithm};
+use crate::bcast::{bcast_ops, bcast_with_async, Algorithm};
+use crate::coalesce::{bcast_opt_coalesced_async, coalesced_ring_ops, CoalescePolicy};
+use crate::pipeline::{bcast_pipeline_async, pipeline_ops};
+use crate::rd_allgather::rd_ops;
+use crate::ring::native_ring_ops;
+use crate::scatter::scatter_ops;
+use crate::smp::{bcast_smp_async, smp_ops, NodeMap};
 
 /// The send half of a schedule op.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,37 +258,210 @@ pub fn renumber(
     ops.map(move |op| op.relabel(|peer, tag| (world(peer), tag)))
 }
 
-/// A named family of schedules: one collective algorithm, parameterized by
-/// world size, payload size and root.
+/// A collective of this crate as one value: its name, the worlds it is
+/// defined for, its schedule, how to run it and its copy budget, each
+/// written once. [`Collective::SWEEP`] is what `schedcheck` checks
+/// statically, what the replay battery runs on every executor and what
+/// reconciliation holds each run's copies to.
 ///
-/// `nbytes` is the *total tracked buffer* for rooted broadcast-family
-/// collectives and the *per-rank block* for symmetric collectives
-/// (allgather); each implementation documents its reading.
-/// Sources ignore `root` when the collective has none.
-pub trait ScheduleSource {
-    /// Stable algorithm name, `family/variant` (e.g. `"bcast/scatter_ring_tuned"`).
-    fn name(&self) -> &'static str;
-
-    /// Whether the algorithm is defined for a world of `p` ranks
-    /// (e.g. recursive doubling requires a power of two).
-    fn supports(&self, p: usize) -> bool;
-
-    /// Emit the full symbolic schedule.
-    fn schedule(&self, p: usize, nbytes: usize, root: Rank) -> Schedule;
+/// `nbytes` is the *total tracked buffer* for the broadcasts and the
+/// *per-rank block* for the allgathers, which ignore `root`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Collective {
+    /// A flat broadcast ([`bcast_with_async`]).
+    Bcast(Algorithm),
+    /// Scatter + the coalescing tuned ring ([`bcast_opt_coalesced_async`]).
+    Coalesced(CoalescePolicy),
+    /// The segmented chain ([`bcast_pipeline_async`]), cut into thirds
+    /// ([`Collective::pipeline_segment`]).
+    Pipeline,
+    /// The three-phase SMP broadcast ([`bcast_smp_async`]) at four cores per
+    /// node, with this inter-node algorithm.
+    Smp(Algorithm),
+    /// A standalone allgather ([`allgather_async`]).
+    Allgather(AllgatherAlgorithm),
 }
 
-/// All schedule sources in the crate — the sweep surface of the `schedcheck`
-/// CLI: four flat broadcasts, the coalescing ring under its unlimited
-/// policy, the pipeline, two SMP composites and the three allgather
-/// baselines.
-pub fn all_sources() -> Vec<Box<dyn ScheduleSource>> {
-    let mut v: Vec<Box<dyn ScheduleSource>> = Vec::new();
-    v.extend(crate::bcast::schedule_sources());
-    v.extend(crate::coalesce::schedule_sources());
-    v.extend(crate::pipeline::schedule_sources());
-    v.extend(crate::smp::schedule_sources());
-    v.extend(crate::allgather::schedule_sources());
-    v
+impl From<Algorithm> for Collective {
+    fn from(algorithm: Algorithm) -> Self {
+        Collective::Bcast(algorithm)
+    }
+}
+
+impl Collective {
+    /// The sweep: four flat broadcasts, the coalescing ring under its
+    /// unlimited policy, the pipeline, two SMP composites and the three
+    /// allgather baselines.
+    pub const SWEEP: [Collective; 11] = [
+        Collective::Bcast(Algorithm::Binomial),
+        Collective::Bcast(Algorithm::ScatterRdAllgather),
+        Collective::Bcast(Algorithm::ScatterRingNative),
+        Collective::Bcast(Algorithm::ScatterRingTuned),
+        Collective::Coalesced(CoalescePolicy::unlimited()),
+        Collective::Pipeline,
+        Collective::Smp(Algorithm::ScatterRingNative),
+        Collective::Smp(Algorithm::ScatterRingTuned),
+        Collective::Allgather(AllgatherAlgorithm::Ring),
+        Collective::Allgather(AllgatherAlgorithm::RecursiveDoubling),
+        Collective::Allgather(AllgatherAlgorithm::Bruck),
+    ];
+
+    /// The SMP composite's placement.
+    const SMP_NODES: NodeMap = NodeMap { cores_per_node: 4 };
+
+    /// The pipeline's segment for an `nbytes` payload: a ragged cut into
+    /// (at most) three, so every sweep exercises the overlap path.
+    pub fn pipeline_segment(nbytes: usize) -> usize {
+        nbytes.div_ceil(3).max(1)
+    }
+
+    /// Stable name, `family/variant` (e.g. `"bcast/scatter_ring_tuned"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Collective::Bcast(algorithm) => algorithm.schedule_name(),
+            Collective::Coalesced(_) => "bcast/scatter_ring_coalesced",
+            Collective::Pipeline => "bcast/pipeline",
+            Collective::Smp(Algorithm::Binomial) => "bcast/smp_binomial",
+            Collective::Smp(Algorithm::ScatterRdAllgather) => "bcast/smp_scatter_rd",
+            Collective::Smp(Algorithm::ScatterRingNative) => "bcast/smp_native",
+            Collective::Smp(Algorithm::ScatterRingTuned) => "bcast/smp_tuned",
+            Collective::Allgather(algorithm) => algorithm.schedule_name(),
+        }
+    }
+
+    /// Whether the collective is defined for a world of `p` ranks: recursive
+    /// doubling needs a power of two — of the node leaders, for the SMP
+    /// composite.
+    pub fn supports(self, p: usize) -> bool {
+        match self {
+            Collective::Bcast(algorithm) => algorithm.supports(p),
+            Collective::Smp(inter) => inter.supports(Self::SMP_NODES.node_count(p)),
+            Collective::Allgather(algorithm) => algorithm.supports(p),
+            Collective::Coalesced(_) | Collective::Pipeline => true,
+        }
+    }
+
+    /// The full symbolic schedule: every rank's op stream over one tracked
+    /// buffer, which every rank must end holding.
+    ///
+    /// # Panics
+    ///
+    /// If the collective does not [support](Collective::supports) `p` — a
+    /// precondition here; [`Collective::run`] returns an error instead.
+    pub fn schedule(self, p: usize, nbytes: usize, root: Rank) -> Schedule {
+        assert!(self.supports(p), "{} is not defined for P = {p}", self.name());
+        let mut s = self.skeleton(p, nbytes, root);
+        for (rank, rs) in s.ranks.iter_mut().enumerate() {
+            rs.ops = self.ops(rank, p, nbytes, root);
+        }
+        s
+    }
+
+    /// An empty schedule with the collective's coverage contract: a
+    /// broadcast's root enters holding all `nbytes`, an allgather rank its
+    /// own block (slot 0 of Bruck's rotated space), and every rank must end
+    /// holding the whole buffer.
+    pub(crate) fn skeleton(self, p: usize, nbytes: usize, root: Rank) -> Schedule {
+        let len = if let Collective::Allgather(_) = self { nbytes * p } else { nbytes };
+        let mut s = Schedule::new(self.name(), p, len);
+        for (rank, rs) in s.ranks.iter_mut().enumerate() {
+            rs.require(0..len);
+            rs.mark_valid(match self {
+                Collective::Allgather(AllgatherAlgorithm::Bruck) => 0..nbytes,
+                Collective::Allgather(_) => rank * nbytes..(rank + 1) * nbytes,
+                _ if rank == root => 0..nbytes,
+                _ => 0..0,
+            });
+        }
+        s
+    }
+
+    /// Rank `rank`'s ops: what [`Collective::run`] interprets.
+    fn ops(self, rank: Rank, p: usize, nbytes: usize, root: Rank) -> Vec<SchedOp> {
+        match self {
+            Collective::Bcast(algorithm) => bcast_ops(algorithm, rank, p, nbytes, root),
+            Collective::Coalesced(policy) => scatter_ops(rank, p, nbytes, root)
+                .into_iter()
+                .chain(coalesced_ring_ops(rank, p, nbytes, root, &policy))
+                .collect(),
+            Collective::Pipeline => {
+                pipeline_ops(rank, p, nbytes, root, Self::pipeline_segment(nbytes)).collect()
+            }
+            Collective::Smp(inter) => smp_ops(rank, p, nbytes, root, &Self::SMP_NODES, inter),
+            Collective::Allgather(AllgatherAlgorithm::Bruck) => {
+                bruck_ops(rank, p, nbytes).collect()
+            }
+            Collective::Allgather(AllgatherAlgorithm::Ring) => {
+                native_ring_ops(rank, p, nbytes * p, 0).collect()
+            }
+            Collective::Allgather(AllgatherAlgorithm::RecursiveDoubling) => {
+                rd_ops(rank, p, nbytes * p, 0).collect()
+            }
+        }
+    }
+
+    /// Run the collective on this rank through its family's entry point.
+    /// `buf` is the schedule's tracked buffer: the payload for a broadcast
+    /// (meaningful on `root`), and for an allgather the gathered
+    /// `size × block` bytes, this rank's own block in place at
+    /// `rank × block`.
+    ///
+    /// Fails with [`mpsim::CommError::Unsupported`] — before anything is
+    /// posted — exactly where [`Collective::supports`] rules the world out.
+    pub async fn run<C: AsyncCommunicator + ?Sized>(
+        self,
+        comm: &C,
+        buf: &mut [u8],
+        root: Rank,
+    ) -> Result<()> {
+        match self {
+            Collective::Bcast(algorithm) => bcast_with_async(comm, buf, root, algorithm).await,
+            Collective::Coalesced(policy) => {
+                bcast_opt_coalesced_async(comm, buf, root, &policy).await
+            }
+            Collective::Pipeline => {
+                let segment = Self::pipeline_segment(buf.len());
+                bcast_pipeline_async(comm, buf, root, segment).await
+            }
+            Collective::Smp(inter) => {
+                bcast_smp_async(comm, buf, root, &Self::SMP_NODES, inter).await
+            }
+            Collective::Allgather(algorithm) => {
+                let block = buf.len() / comm.size();
+                let own = buf[comm.rank() * block..][..block].to_vec();
+                allgather_async(comm, &own, buf, algorithm).await
+            }
+        }
+    }
+
+    /// Closed-form memcpy budget of the collective's zero-copy payload flow,
+    /// in bytes per rank, for an `nbytes` payload — `None` where none is
+    /// pinned.
+    ///
+    /// * Binomial, the tuned scatter-ring and the pipeline: every rank copies
+    ///   each payload byte exactly once — the root stages it, a non-root
+    ///   lands it, and no byte arrives twice — so the budget is `nbytes`
+    ///   (`traffic::bcast_bytes_copied` has the world bill).
+    /// * The native and coalesced scatter-rings: a rank stages a byte at
+    ///   most once and lands every received envelope once, so `2 · nbytes`
+    ///   bounds every rank — the root of the native path comes closest (it
+    ///   stages every chunk and lands the other `P − 1` the enclosed ring
+    ///   sends it back), and a coalesced tail run that spans two kept
+    ///   envelopes is staged again.
+    /// * Scatter + recursive doubling: each round stages its send block once
+    ///   and lands the partner's (under `2 · nbytes` together), on top of
+    ///   the scatter's landing copy of ≤ `nbytes` — ceiling `3 · nbytes`.
+    pub fn copy_ceiling(self, nbytes: u64) -> Option<u64> {
+        match self {
+            Collective::Bcast(Algorithm::Binomial | Algorithm::ScatterRingTuned)
+            | Collective::Pipeline => Some(nbytes),
+            Collective::Bcast(Algorithm::ScatterRingNative) | Collective::Coalesced(_) => {
+                Some(2 * nbytes)
+            }
+            Collective::Bcast(Algorithm::ScatterRdAllgather) => Some(3 * nbytes),
+            Collective::Smp(_) | Collective::Allgather(_) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -317,15 +501,43 @@ mod tests {
         assert!(d.contains("ring") && d.contains("rank 3") && d.contains("rank 1"), "{d}");
     }
 
+    /// The sweep, plus the SMP composite over every inter algorithm: one
+    /// name per entry, carried by its schedule, and `supports` says exactly
+    /// where `run` refuses the world.
     #[test]
-    fn all_sources_cover_every_family() {
-        let names: Vec<&str> = all_sources().iter().map(|s| s.name()).collect();
-        for family in ["bcast/", "allgather/"] {
-            assert!(names.iter().any(|n| n.starts_with(family)), "missing {family}: {names:?}");
+    fn the_table_names_and_supports_what_it_runs() {
+        use crate::bcast::Algorithm::*;
+        use mpsim::{CommError, EventWorld};
+
+        let smp = [Binomial, ScatterRdAllgather, ScatterRingNative, ScatterRingTuned]
+            .map(Collective::Smp)
+            .into_iter()
+            .filter(|c| !Collective::SWEEP.contains(c));
+        let entries: Vec<Collective> = Collective::SWEEP.into_iter().chain(smp).collect();
+        let mut names: Vec<&str> = entries.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), entries.len(), "{entries:?}");
+        for c in entries {
+            for p in 1..=20usize {
+                let nbytes = 8 * p;
+                if c.supports(p) {
+                    assert_eq!(c.schedule(p, nbytes, p - 1).name, c.name(), "P={p}");
+                }
+                let runs = EventWorld::run(p, |comm| async move {
+                    let mut buf = vec![0u8; nbytes];
+                    c.run(&comm, &mut buf, p - 1).await
+                });
+                for result in runs.results {
+                    match result {
+                        Ok(()) => assert!(c.supports(p), "{} ran at P={p}", c.name()),
+                        Err(CommError::Unsupported { .. }) => {
+                            assert!(!c.supports(p), "{} refused P={p}", c.name())
+                        }
+                        Err(e) => panic!("{} at P={p}: {e:?}", c.name()),
+                    }
+                }
+            }
         }
-        // 4 flat bcast + coalesced + pipeline + 2 smp + 3 allgather: a source
-        // silently falling out of `all_sources()` must fail here, not shrink
-        // the sweep.
-        assert_eq!(names.len(), 11, "{names:?}");
     }
 }

@@ -13,10 +13,10 @@
 
 use mpsim::{AsyncCommunicator, CommError, Rank, Result};
 
-use crate::bcast::{bcast_ops, bcast_skeleton, Algorithm};
+use crate::bcast::{bcast_ops, Algorithm};
 use crate::binomial::binomial_ops;
 use crate::interp::Interp;
-use crate::schedule::{renumber, SchedOp, Schedule, ScheduleSource};
+use crate::schedule::{renumber, SchedOp};
 
 /// Block placement of ranks onto nodes with a fixed number of cores per node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,55 +115,6 @@ pub async fn bcast_smp_async<C: AsyncCommunicator + ?Sized>(
     }
     let ops = smp_ops(comm.rank(), p, buf.len(), root, nodes, inter_algorithm);
     Interp::new(comm, buf).run(ops).await.map(drop)
-}
-
-/// The symbolic schedule of [`bcast_smp_async`]: every rank's [`smp_ops`].
-pub fn bcast_smp_schedule(
-    p: usize,
-    nbytes: usize,
-    root: Rank,
-    nodes: &NodeMap,
-    inter_algorithm: Algorithm,
-) -> Schedule {
-    let name = match inter_algorithm {
-        Algorithm::ScatterRingTuned => "bcast/smp_tuned",
-        Algorithm::ScatterRingNative => "bcast/smp_native",
-        Algorithm::Binomial => "bcast/smp_binomial",
-        Algorithm::ScatterRdAllgather => "bcast/smp_scatter_rd",
-    };
-    let mut s = bcast_skeleton(name, p, nbytes, root);
-    for rank in 0..p {
-        s.ranks[rank].ops = smp_ops(rank, p, nbytes, root, nodes, inter_algorithm);
-    }
-    s
-}
-
-struct SmpSource {
-    inter: Algorithm,
-}
-
-impl ScheduleSource for SmpSource {
-    fn name(&self) -> &'static str {
-        match self.inter {
-            Algorithm::ScatterRingTuned => "bcast/smp_tuned",
-            _ => "bcast/smp_native",
-        }
-    }
-
-    fn supports(&self, _p: usize) -> bool {
-        true
-    }
-
-    fn schedule(&self, p: usize, nbytes: usize, root: Rank) -> Schedule {
-        bcast_smp_schedule(p, nbytes, root, &NodeMap::new(4), self.inter)
-    }
-}
-
-pub(crate) fn schedule_sources() -> Vec<Box<dyn ScheduleSource>> {
-    vec![
-        Box::new(SmpSource { inter: Algorithm::ScatterRingNative }),
-        Box::new(SmpSource { inter: Algorithm::ScatterRingTuned }),
-    ]
 }
 
 #[cfg(test)]

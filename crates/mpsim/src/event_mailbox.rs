@@ -18,8 +18,12 @@
 //! * **Inline tag buckets.** Each lane holds up to [`INLINE_TAGS`] distinct
 //!   tags in a linear-scanned inline array — every built-in collective uses
 //!   at most a few tags per (source, destination) pair, so the scan is 1–2
-//!   comparisons and the spill path below never runs (asserted by the
-//!   megascale sweeps via the `mailbox_spills` reactor counter).
+//!   comparisons and, for the plain collectives, the spill path below never
+//!   runs (asserted by the megascale sweeps via the `mailbox_spills` reactor
+//!   counter). A bucket keeps its tag for the lane's life, so once a lane
+//!   has seen four tags every later tag spills: the self-healing
+//!   broadcast's epoch-shifted tags do, about a third of `heal-crash`'s
+//!   envelopes.
 //! * **Spill map for wild tags.** Protocol tag spaces (`ReliableComm`
 //!   derives per-message tags from a `u32` base) can exceed the inline
 //!   buckets; those envelopes fall back to a boxed `HashMap` keyed by tag

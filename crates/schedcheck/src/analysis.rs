@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use bcast_core::schedule::Schedule;
+use bcast_core::schedule::{Collective, Schedule};
 use mpsim::{Rank, Tag};
 
 /// Message-progress semantics for the abstract execution.
@@ -127,10 +127,11 @@ impl Report {
 ///   any deviation means the run and the IR disagree on the algorithm.
 /// * globally balanced counters — an invariant of the [`mpsim`] accounting
 ///   layer.
-/// * per-rank `bytes_copied <= copy ceiling` — for the broadcast schedules
-///   with a known zero-copy payload flow ([`copy_ceiling_per_rank`]), no
-///   rank may memcpy more than the closed-form budget; a regression to
-///   per-hop copying shows up here even though wire traffic is unchanged.
+/// * per-rank `bytes_copied <= copy ceiling` — for a schedule named by a
+///   [`Collective`] with a known zero-copy payload flow
+///   ([`Collective::copy_ceiling`]), no rank may memcpy more than the
+///   closed-form budget; a regression to per-hop copying shows up here even
+///   though wire traffic is unchanged.
 #[derive(Debug, Clone)]
 pub struct Reconciliation {
     /// Send halves in the schedule IR.
@@ -151,31 +152,6 @@ impl Reconciliation {
     /// No violations found.
     pub fn is_clean(&self) -> bool {
         self.errors.is_empty()
-    }
-}
-
-/// Closed-form memcpy budget, in bytes per rank, of a broadcast schedule's
-/// zero-copy payload flow — `None` when the schedule has no pinned budget.
-///
-/// * Binomial and the tuned scatter-ring: every rank copies each payload
-///   byte exactly once — the root stages it, a non-root lands it, and no
-///   byte arrives twice — so the budget is `nbytes`
-///   (`bcast_core::traffic::bcast_bytes_copied` has the world bill).
-/// * The native and coalesced scatter-rings: a rank stages a byte at most
-///   once and lands every received envelope once, so `2 · nbytes` bounds
-///   every rank — the root of the native path comes closest (it stages
-///   every chunk and lands the other `P − 1` the enclosed ring sends it
-///   back), and a coalesced tail run that spans two kept envelopes is
-///   staged again.
-/// * Scatter + recursive-doubling: each round stages its send block once
-///   and lands the partner's (under `2 · nbytes` together), on top of the
-///   scatter's landing copy of ≤ `nbytes` — ceiling `3 · nbytes`.
-pub fn copy_ceiling_per_rank(schedule_name: &str, nbytes: u64) -> Option<u64> {
-    match schedule_name {
-        "bcast/binomial" | "bcast/scatter_ring_tuned" => Some(nbytes),
-        "bcast/scatter_ring_native" | "bcast/scatter_ring_coalesced" => Some(2 * nbytes),
-        "bcast/scatter_rd" => Some(3 * nbytes),
-        _ => None,
     }
 }
 
@@ -213,10 +189,9 @@ pub fn reconcile_traffic(schedule: &Schedule, traffic: &mpsim::WorldTraffic) -> 
     if !traffic.is_balanced() {
         errors.push("balance: global sent/received counters disagree".to_string());
     }
-    if let Some(ceiling) = copy_ceiling_per_rank(
-        &schedule.name,
-        schedule.ranks.first().map_or(0, |r| r.buf_len as u64),
-    ) {
+    let nbytes = schedule.ranks.first().map_or(0, |r| r.buf_len as u64);
+    let collective = Collective::SWEEP.into_iter().find(|c| c.name() == schedule.name);
+    if let Some(ceiling) = collective.and_then(|c| c.copy_ceiling(nbytes)) {
         for (rank, stats) in traffic.per_rank.iter().enumerate() {
             if stats.bytes_copied > ceiling {
                 errors.push(format!(
@@ -799,10 +774,10 @@ mod tests {
         // `native_ring_ops` stream run as a standalone allgather — every rank
         // enters holding exactly its own block — re-delivers nothing; after
         // `scatter_ops` it re-delivers the 12 and 15 transfers pruned above.
-        use bcast_core::allgather::{allgather_schedule, AllgatherAlgorithm};
+        use bcast_core::allgather::AllgatherAlgorithm;
         use bcast_core::bcast::bcast_schedule;
         for (p, redundant) in [(8usize, 12usize), (10, 15)] {
-            let standalone = allgather_schedule(AllgatherAlgorithm::Ring, p, 8);
+            let standalone = Collective::Allgather(AllgatherAlgorithm::Ring).schedule(p, 8, 0);
             assert!(check(&standalone, Semantics::Eager).redundant_transfers.is_empty(), "P={p}");
             let bcast = bcast_schedule(bcast_core::Algorithm::ScatterRingNative, p, 8 * p, 0);
             assert_eq!(check(&bcast, Semantics::Eager).redundant_transfers.len(), redundant);
@@ -810,11 +785,8 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_coalesced_runs_against_the_coalesced_schedule() {
-        use bcast_core::{
-            bcast_coalesced_event_world, bcast_opt_coalesced_async, coalesced_schedule,
-            CoalescePolicy,
-        };
+    fn reconcile_coalesced_runs_against_their_schedule() {
+        use bcast_core::{bcast_event_world, bcast_opt_coalesced_async, CoalescePolicy};
         use mpsim::{complete_now, Communicator, SyncComm, ThreadWorld};
         use netsim::{NetworkModel, Placement, SimWorld};
 
@@ -826,7 +798,7 @@ mod tests {
         for (p, nbytes) in [(8usize, 128usize), (10, 97)] {
             let src: Vec<u8> = (0..nbytes).map(|i| (i % 251) as u8).collect();
             for policy in policies {
-                let sched = coalesced_schedule(p, nbytes, 0, &policy);
+                let sched = Collective::Coalesced(policy).schedule(p, nbytes, 0);
                 let what = format!("P={p} {policy:?}");
                 let bcast = |comm: &dyn Communicator| {
                     let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; nbytes] };
@@ -843,7 +815,7 @@ mod tests {
                 let mut eager = NetworkModel::uniform(10.0, 1.0);
                 eager.eager_threshold = usize::MAX;
                 let sim = SimWorld::run(eager, Placement::new(4), p, |comm| bcast(comm));
-                let event = bcast_coalesced_event_world(p, nbytes, 0, policy);
+                let event = bcast_event_world(p, nbytes, 0, Collective::Coalesced(policy));
                 for (executor, traffic) in [
                     ("threads", &threads.traffic),
                     ("sim", &sim.traffic),
@@ -855,7 +827,7 @@ mod tests {
             }
             // The unlimited plan is the closed form: 38 + 7 at P = 8, 66 + 9
             // at P = 10.
-            let sched = coalesced_schedule(p, nbytes, 0, &CoalescePolicy::unlimited());
+            let sched = Collective::Coalesced(CoalescePolicy::unlimited()).schedule(p, nbytes, 0);
             let scatter = bcast_core::traffic::scatter_msgs(nbytes, p);
             assert_eq!(sched.planned_volume().0, bcast_core::coalesced_envelope_count(p) + scatter);
         }

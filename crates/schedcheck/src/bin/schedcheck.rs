@@ -22,10 +22,11 @@
 //! explorers catch it. `--max-states` bounds the per-model state budget.
 
 use bcast_core::bcast::{bcast_schedule, bcast_tuned_schedule_with};
+use bcast_core::pipeline::pipeline_msgs;
 use bcast_core::{
-    agreement_schedule, all_sources, coalesced_envelope_count, coalesced_schedule,
-    degraded_bcast_schedule, pairwise_schedule, self_healing_bcast_event_world, step_flag, traffic,
-    Algorithm, CoalescePolicy, RecoveryConfig, Schedule,
+    agreement_schedule, coalesced_envelope_count, degraded_bcast_schedule, pairwise_schedule,
+    self_healing_bcast_event_world, step_flag, traffic, Algorithm, CoalescePolicy, Collective,
+    RecoveryConfig, Schedule,
 };
 use schedcheck::models::{
     ExternalWakerModel, LaneMailboxModel, MailboxModel, RunQueueModel, TimerWheelModel,
@@ -342,9 +343,8 @@ fn main() {
     let mut failures: Vec<Failure> = Vec::new();
 
     // ---- Phase 1: full matrix of static analyses -------------------------
-    let sources = all_sources();
     for &p in &ps {
-        for src in &sources {
+        for src in Collective::SWEEP {
             if !src.supports(p) {
                 continue;
             }
@@ -371,29 +371,37 @@ fn main() {
     println!("phase 1: {checks} schedule instances analysed");
 
     // ---- Phase 2: traffic reconciliation against closed forms ------------
-    let algorithms = [
-        Algorithm::Binomial,
-        Algorithm::ScatterRdAllgather,
-        Algorithm::ScatterRingNative,
-        Algorithm::ScatterRingTuned,
-    ];
+    // Every entry of the sweep that has one: the broadcasts' `bcast_volume`,
+    // the unlimited coalesced ring's envelope count over the tuned ring's
+    // bytes, and the pipeline's `(P−1)·⌈n / segment⌉` messages carrying
+    // `(P−1)·n` bytes.
+    let closed_form = |c: Collective, p: usize, nbytes: usize| match c {
+        Collective::Bcast(alg) => {
+            let v = traffic::bcast_volume(alg, nbytes, p);
+            Some((v.msgs, v.bytes))
+        }
+        Collective::Coalesced(policy) if policy == CoalescePolicy::unlimited() => {
+            let tuned = traffic::bcast_volume(Algorithm::ScatterRingTuned, nbytes, p);
+            Some((traffic::scatter_msgs(nbytes, p) + coalesced_envelope_count(p), tuned.bytes))
+        }
+        Collective::Pipeline => {
+            let segment = Collective::pipeline_segment(nbytes);
+            Some((pipeline_msgs(nbytes, segment, p), ((p - 1) * nbytes) as u64))
+        }
+        _ => None,
+    };
     let mut reconciled = 0usize;
     for &p in &ps {
-        for alg in algorithms {
-            if !alg.supports(p) {
-                continue;
-            }
+        for c in Collective::SWEEP.into_iter().filter(|c| c.supports(p)) {
             for nbytes in [1usize, 17, 64 * p] {
-                let sched = bcast_schedule(alg, p, nbytes, 0);
-                let (msgs, bytes) = sched.planned_volume();
-                let model = traffic::bcast_volume(alg, nbytes, p);
+                let Some(model) = closed_form(c, p, nbytes) else { continue };
+                let volume = c.schedule(p, nbytes, 0).planned_volume();
                 reconciled += 1;
-                if (msgs, bytes) != (model.msgs, model.bytes) {
+                if volume != model {
                     failures.push(Failure {
-                        what: format!("traffic {} p={p} nbytes={nbytes}", alg.schedule_name()),
+                        what: format!("traffic {} p={p} nbytes={nbytes}", c.name()),
                         details: vec![format!(
-                            "IR volume ({msgs} msgs, {bytes} B) != closed form ({} msgs, {} B)",
-                            model.msgs, model.bytes
+                            "IR volume {volume:?} != closed form {model:?} (msgs, B)"
                         )],
                     });
                 }
@@ -403,10 +411,10 @@ fn main() {
     println!("phase 2: {reconciled} IR volumes reconciled with traffic closed forms");
 
     // ---- Phase 2b: the coalescing rewrites of the tuned ring -------------
-    // Merged tails and split chunks under four policies, every P <= 64:
-    // matched, covering and deadlock-free under both semantics, moving
-    // exactly the tuned ring's bytes — in the closed-form message count when
-    // unlimited.
+    // Merged tails and split chunks under four policies, every P <= 64 and
+    // both end roots: matched, covering and deadlock-free under both
+    // semantics, moving exactly the tuned ring's bytes — in the closed-form
+    // message count when unlimited (phase 2 checks root 0 and P <= 32 only).
     let policies = [
         CoalescePolicy::unlimited(),
         CoalescePolicy::per_chunk(usize::MAX),
@@ -418,7 +426,7 @@ fn main() {
         for nbytes in [17usize, 4 * p - 1, 64 * p] {
             for root in [0, p - 1] {
                 for policy in policies {
-                    let sched = coalesced_schedule(p, nbytes, root, &policy);
+                    let sched = Collective::Coalesced(policy).schedule(p, nbytes, root);
                     let what = format!("coalesced {policy:?} p={p} nbytes={nbytes} root={root}");
                     let (msgs, bytes) = sched.planned_volume();
                     let tuned = traffic::bcast_volume(Algorithm::ScatterRingTuned, nbytes, p);
@@ -762,7 +770,8 @@ fn main() {
 
     // ---- Verdict ---------------------------------------------------------
     if failures.is_empty() {
-        println!("schedcheck: all clear ({} world sizes, {} sources)", ps.len(), sources.len());
+        let sources = Collective::SWEEP.len();
+        println!("schedcheck: all clear ({} world sizes, {sources} sources)", ps.len());
         return;
     }
     eprintln!("schedcheck: {} failure(s)", failures.len());

@@ -4,7 +4,7 @@
 //!
 //! 1. **Schedule checking** ([`analysis`]): every collective in `bcast-core`
 //!    has a symbolic communication schedule ([`bcast_core::Schedule`])
-//!    via [`bcast_core::ScheduleSource`] — per rank, per step: peer,
+//!    via [`bcast_core::Collective::schedule`] — per rank, per step: peer,
 //!    direction, tag, byte ranges. For the broadcast family it is the very
 //!    op stream the interpreter executes, collected over all ranks. An abstract
 //!    executor then proves, per `(algorithm, P, nbytes, root, semantics)`
@@ -86,7 +86,7 @@ pub mod models;
 pub mod mutate;
 
 pub use analysis::{
-    check, copy_ceiling_per_rank, prune_redundant, pruned_native_is_tuned, reconcile_traffic,
-    Reconciliation, Report, Semantics, Transfer,
+    check, prune_redundant, pruned_native_is_tuned, reconcile_traffic, Reconciliation, Report,
+    Semantics, Transfer,
 };
 pub use explore::{explore, explore_dpor, Model, Stats, Step, DEFAULT_MAX_STATES};

@@ -187,6 +187,29 @@ phase_bench_gate() {
     --allow-missing zero_copy/binomial_copy/4096x1M
 }
 
+# Code size, the number simplicity changes quote (not part of the default
+# run): non-blank, non-comment lines of crates/*/src and src/lib.rs before
+# each file's first top-level #[cfg(test)], the count CHANGES.md quotes.
+# That count stops at a `#[cfg(test)] mod x;` declaration as if the file's
+# tests began there, and counts the declared file (lane_prop.rs) as code;
+# the second count skips such declarations and the files they declare.
+phase_loc() {
+  local code
+  code=$(for f in $(find crates/*/src -name '*.rs') src/lib.rs; do awk '/^#\[cfg\(test\)\]/{exit} {print}' $f; done | grep -v '^\s*$' | grep -v '^\s*//' | wc -l)
+  echo "code lines before the first #[cfg(test)]: $code"
+  local f test_only=() decl
+  for f in $(find crates/*/src -name '*.rs') src/lib.rs; do
+    for decl in $(awk '/^#\[cfg\(test\)\]$/ {getline; if ($0 ~ /^mod [a-z_]+;$/) {sub(/^mod /, ""); sub(/;$/, ""); print}}' "$f"); do
+      test_only+=("$(dirname "$f")/$decl.rs")
+    done
+  done
+  code=$(for f in $(find crates/*/src -name '*.rs') src/lib.rs; do
+    [[ " ${test_only[*]} " == *" $f "* ]] && continue
+    awk '/^#\[cfg\(test\)\]$/ {getline; if ($0 ~ /^mod [a-z_]+;$/) next; exit} {print}' "$f"
+  done | grep -v '^\s*$' | grep -v '^\s*//' | wc -l)
+  echo "code lines without test-only modules: $code (skipped: ${test_only[*]:-none})"
+}
+
 if [[ $# -gt 0 ]]; then
   phase="phase_$1"
   shift

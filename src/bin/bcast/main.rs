@@ -234,6 +234,14 @@ impl Args {
         Ok(self.opt_num(flag)?.unwrap_or(default))
     }
 
+    /// `flag`'s number, which must be at least `min`, if given.
+    fn opt_at_least(&mut self, flag: &'static str, min: usize) -> Result<Option<usize>, String> {
+        match self.opt_num(flag)? {
+            Some(n) if n < min => Err(format!("{flag} must be at least {min}, got {n}")),
+            n => Ok(n),
+        }
+    }
+
     /// `flag`'s number, which must be at least `min`, or `default`.
     fn at_least(
         &mut self,
@@ -241,10 +249,7 @@ impl Args {
         min: usize,
         default: usize,
     ) -> Result<usize, String> {
-        match self.opt_num(flag)? {
-            Some(n) if n < min => Err(format!("{flag} must be at least {min}, got {n}")),
-            n => Ok(n.unwrap_or(default)),
-        }
+        Ok(self.opt_at_least(flag, min)?.unwrap_or(default))
     }
 
     /// A count that must be at least 1 (`--np`, `--iters`), or `default`.

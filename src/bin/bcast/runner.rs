@@ -18,14 +18,23 @@ pub(crate) fn run(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let nbytes = args.num("--nbytes", 1 << 20)?;
     let root = args.num("--root", 0)?;
     let iters = args.count("--iters", 10)?;
-    let segment = args.num("--segment", 16384)?;
     let algo = args.algo("tuned")?;
     let preset = args.preset()?;
-    let cores = args.count("--cores-per-node", preset.cores_per_node())?;
+    let segment = args.opt_num("--segment")?;
+    let cores = args.opt_at_least("--cores-per-node", 1)?;
     args.finish(out)?;
     if root >= np {
         return Err(format!("--root {root} must be below --np {np}").into());
     }
+    // The segment and the node width are read by one composite each.
+    if segment.is_some() && !matches!(algo, Algo::Pipeline) {
+        return Err("--segment is read only by --algo pipeline".into());
+    }
+    if cores.is_some() && !matches!(algo, Algo::Smp { .. }) {
+        return Err("--cores-per-node is read only by --algo smp|smp-native".into());
+    }
+    let segment = segment.unwrap_or(16384);
+    let cores = cores.unwrap_or(preset.cores_per_node());
     check_supports(algo, np)?;
 
     let src = pattern(nbytes, 0xC11);

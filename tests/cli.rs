@@ -83,6 +83,8 @@ fn refusals_name_the_bad_value() {
         (&["fig7", "--np", "9"], "fig7 does not take --np"),
         (&["--np", "4", "--np", "5"], "--np given twice"),
         (&["--backend", "gpu"], "unknown --backend gpu"),
+        (&["--algo", "tuned", "--segment", "5"], "--segment is read only by --algo pipeline"),
+        (&["--algo", "pipeline", "--cores-per-node", "3"], "--cores-per-node is read only by"),
     ] {
         let stderr = String::from_utf8_lossy(&bcast(args).stderr).into_owned();
         assert!(stderr.contains(needle), "bcast {args:?}: {stderr:?} lacks {needle:?}");

@@ -15,7 +15,7 @@
 
 use bcast_core::coalesce::{coalesced_envelope_count, coalesced_ring_ops};
 use bcast_core::traffic::{bcast_volume, scatter_msgs};
-use bcast_core::{bcast_coalesced_event_world, bcast_event_world, Algorithm, CoalescePolicy};
+use bcast_core::{bcast_event_world, Algorithm, CoalescePolicy, Collective};
 
 /// The reactor-accounting invariants schedcheck's protocol models verify in
 /// the abstract, asserted on every megascale sweep's concrete counters:
@@ -36,8 +36,8 @@ use bcast_core::{bcast_coalesced_event_world, bcast_event_world, Algorithm, Coal
 /// A binomial or tuned rank copies each payload byte exactly once —
 /// `exactly_once` — so its bill is `nbytes`; a native or coalesced rank
 /// may restage or re-land some, so its bill is at most `2·nbytes`. These
-/// are the closed-form ceilings `schedcheck::copy_ceiling_per_rank`
-/// enforces during reconciliation. At `P = 16384` a per-hop copy regression
+/// are the closed-form ceilings of `Collective::copy_ceiling`, which
+/// `schedcheck::reconcile_traffic` enforces. At `P = 16384` a per-hop copy regression
 /// would multiply RAM traffic by the scatter-tree depth, and a restaged
 /// ring send would add a chunk; this assertion makes either fail the sweep.
 fn assert_reactor_invariants(
@@ -102,7 +102,7 @@ fn sweep_scatter_ring(p: usize, nbytes: usize) {
 /// at `P = 4096` would hold 16.8M ops).
 fn sweep_coalesced(p: usize, nbytes: usize) {
     let policy = CoalescePolicy::unlimited();
-    let out = bcast_coalesced_event_world(p, nbytes, 0, policy);
+    let out = bcast_event_world(p, nbytes, 0, Collective::Coalesced(policy));
     assert!(out.traffic.is_balanced(), "coalesced P={p}: unbalanced counters");
     let msgs = coalesced_envelope_count(p) + scatter_msgs(nbytes, p);
     let ring_sends: usize = (0..p)

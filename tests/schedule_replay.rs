@@ -1,7 +1,7 @@
-//! Schedule-IR replay: the symbolic schedules emitted by every
-//! [`ScheduleSource`] must reproduce, rank by rank and byte by byte, the
-//! traffic counters of the *executed* collectives — on the threaded
-//! runtime, the virtual-time simulator and the discrete-event executor.
+//! Schedule-IR replay: the symbolic schedule of every [`Collective`] of the
+//! sweep must reproduce, rank by rank and byte by byte, the traffic
+//! counters of the *executed* collective — on the threaded runtime, the
+//! virtual-time simulator and the discrete-event executor.
 //!
 //! The expected counters come from the schedcheck abstract executor (which
 //! resolves each receive to its matched message, so received bytes are
@@ -9,12 +9,7 @@
 //! worlds. The schedule and the executed program are the same op streams,
 //! so this pins "the interpreter executes exactly what the stream plans".
 
-use bcast_core::allgather::{allgather_async, AllgatherAlgorithm};
-use bcast_core::pipeline::bcast_pipeline_async;
-use bcast_core::{
-    all_sources, bcast_event_world, bcast_opt_coalesced_async, bcast_smp_async, bcast_with_async,
-    Algorithm, CoalescePolicy, NodeMap, Schedule,
-};
+use bcast_core::{Collective, Schedule};
 use mpsim::{
     complete_now, AsyncCommunicator, Communicator, EventWorld, Rank, SyncComm, ThreadWorld,
     WorldTraffic,
@@ -22,82 +17,34 @@ use mpsim::{
 use netsim::{presets, SimWorld};
 use schedcheck::{check, Semantics};
 
-/// The flat broadcast a schedule-source name stands for, if it is one.
-fn flat_algorithm(name: &str) -> Option<Algorithm> {
-    use Algorithm::*;
-    [Binomial, ScatterRdAllgather, ScatterRingNative, ScatterRingTuned]
-        .into_iter()
-        .find(|alg| alg.schedule_name() == name)
-}
-
-/// The inter-node algorithm of an SMP schedule-source name, if it is one.
-fn smp_inter(name: &str) -> Option<Algorithm> {
-    match name {
-        "bcast/smp_native" => Some(Algorithm::ScatterRingNative),
-        "bcast/smp_tuned" => Some(Algorithm::ScatterRingTuned),
-        _ => None,
-    }
-}
-
-/// The allgather a schedule-source name stands for, if it is one.
-fn allgather_algorithm(name: &str) -> Option<AllgatherAlgorithm> {
-    use AllgatherAlgorithm::*;
-    [Ring, RecursiveDoubling, Bruck].into_iter().find(|alg| alg.schedule_name() == name)
-}
-
-/// Execute the collective named by its schedule source on one rank.
-/// Parameters mirror `ScheduleSource::schedule` exactly: `nbytes` is the
-/// total buffer for the bcast family and the per-rank block for the
-/// allgathers.
+/// Run `collective` on one rank over `len` bytes — its schedule's tracked
+/// buffer — that start as a rank-dependent pattern, and return what the
+/// rank ends with.
 async fn run_collective_async<C: AsyncCommunicator>(
-    name: &str,
+    collective: Collective,
     comm: &C,
-    nbytes: usize,
+    len: usize,
     root: Rank,
-) {
+) -> Vec<u8> {
     let rank = comm.rank();
-    let seed = |i: usize| (i as u8).wrapping_mul(31).wrapping_add(rank as u8);
-    let mut buf: Vec<u8> = (0..nbytes).map(seed).collect();
-    let mut recv = vec![0u8; nbytes * comm.size()];
-    if let Some(alg) = flat_algorithm(name) {
-        bcast_with_async(comm, &mut buf, root, alg).await
-    } else if let Some(inter) = smp_inter(name) {
-        // Same 4-cores-per-node map as SmpSource::schedule.
-        bcast_smp_async(comm, &mut buf, root, &NodeMap::new(4), inter).await
-    } else if let Some(algorithm) = allgather_algorithm(name) {
-        allgather_async(comm, &buf, &mut recv, algorithm).await
-    } else if name == "bcast/scatter_ring_coalesced" {
-        // Same policy as the registered source.
-        bcast_opt_coalesced_async(comm, &mut buf, root, &CoalescePolicy::unlimited()).await
-    } else {
-        assert_eq!(name, "bcast/pipeline", "no replay wired for this schedule source");
-        // Same ragged cut as PipelineSource::schedule.
-        bcast_pipeline_async(comm, &mut buf, root, nbytes.div_ceil(3).max(1)).await
-    }
-    .unwrap()
+    let mut buf: Vec<u8> =
+        (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(rank as u8)).collect();
+    collective.run(comm, &mut buf, root).await.unwrap();
+    buf
 }
 
 /// [`run_collective_async`] on a blocking executor.
-fn run_collective(name: &str, comm: &impl Communicator, nbytes: usize, root: Rank) {
-    complete_now(run_collective_async(name, &SyncComm::new(comm), nbytes, root))
-}
-
-/// Run the named collective on the event executor.
-fn run_on_event_world(name: &'static str, p: usize, nbytes: usize, root: Rank) -> WorldTraffic {
-    if let Some(alg) = flat_algorithm(name) {
-        // Verifies every rank's payload, and routes the tuned root through
-        // the send-only shared-envelope interpreter.
-        return bcast_event_world(p, nbytes, root, alg).traffic;
-    }
-    EventWorld::run(
-        p,
-        move |comm| async move { run_collective_async(name, &comm, nbytes, root).await },
-    )
-    .traffic
+fn run_collective(
+    collective: Collective,
+    comm: &impl Communicator,
+    len: usize,
+    root: Rank,
+) -> Vec<u8> {
+    complete_now(run_collective_async(collective, &SyncComm::new(comm), len, root))
 }
 
 /// Compare the abstract executor's per-rank counters against an
-/// instrumented world's, for one (source, p, nbytes, root) instance.
+/// instrumented world's, for one (collective, p, nbytes, root) instance.
 fn assert_traffic_matches(
     sched: &Schedule,
     observed: &WorldTraffic,
@@ -119,37 +66,53 @@ fn assert_traffic_matches(
     }
 }
 
-/// Replay every source at every `p`, every size `sizes(p)` yields, and
-/// every root (worlds above five ranks: the first and the last).
+/// Replay every collective of the sweep at every `p`, every size `sizes(p)`
+/// yields, and every root (worlds above five ranks: the first and the
+/// last). Every rank must end with the same buffer.
 fn replay_all(ps: &[usize], sizes: impl Fn(usize) -> Vec<usize>, backend: &str) {
-    for src in all_sources() {
+    for collective in Collective::SWEEP {
         for &p in ps {
-            if !src.supports(p) {
+            if !collective.supports(p) {
                 continue;
             }
             let roots: Vec<Rank> = if p <= 5 { (0..p).collect() } else { vec![0, p - 1] };
             for nbytes in sizes(p) {
                 for &root in &roots {
-                    let sched = src.schedule(p, nbytes, root);
-                    let name = src.name();
-                    let traffic = match backend {
+                    let sched = collective.schedule(p, nbytes, root);
+                    let len = sched.ranks[0].buf_len;
+                    let (ends, traffic) = match backend {
                         "threads" => {
-                            ThreadWorld::run(p, |comm| run_collective(name, comm, nbytes, root))
-                                .traffic
+                            let out = ThreadWorld::run(p, |comm| {
+                                run_collective(collective, comm, len, root)
+                            });
+                            (out.results, out.traffic)
                         }
                         "netsim" => {
                             let preset = presets::hornet();
-                            SimWorld::run(
+                            let out = SimWorld::run(
                                 preset.model_for(nbytes, p),
                                 preset.placement(),
                                 p,
-                                |comm| run_collective(name, comm, nbytes, root),
-                            )
-                            .traffic
+                                |comm| run_collective(collective, comm, len, root),
+                            );
+                            (out.results, out.traffic)
                         }
-                        "event" => run_on_event_world(name, p, nbytes, root),
+                        "event" => {
+                            let out = EventWorld::run(p, move |comm| async move {
+                                run_collective_async(collective, &comm, len, root).await
+                            });
+                            // A handful of tags per peer pair: every one
+                            // stays in the mailbox lanes' inline buckets.
+                            assert_eq!(out.reactor.mailbox_spills, 0, "{}", sched.name);
+                            (out.results, out.traffic)
+                        }
                         other => panic!("unknown backend {other}"),
                     };
+                    assert!(
+                        ends.iter().all(|b| b == &ends[0]),
+                        "{} p={p} nbytes={nbytes} root={root} on {backend}: ranks disagree",
+                        sched.name
+                    );
                     assert_traffic_matches(&sched, &traffic, backend, nbytes, root);
                 }
             }

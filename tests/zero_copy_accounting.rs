@@ -48,27 +48,33 @@ use bcast_core::bcast::bcast_schedule;
 use bcast_core::pipeline::bcast_pipeline_async;
 use bcast_core::traffic::{bcast_bytes_copied, bcast_volume, reliable_volume};
 use bcast_core::{
-    bcast_binomial_copy_async, bcast_coalesced_event_world, bcast_event_world, bcast_with,
-    bcast_with_async, Algorithm, CoalescePolicy,
+    bcast_binomial_copy_async, bcast_event_world, bcast_with, bcast_with_async, Algorithm,
+    Collective,
 };
 use mpsim::{
     complete_now, AsyncCommunicator, Communicator, EventWorld, ReliableComm, SyncComm, ThreadWorld,
     WorldTraffic,
 };
 use netsim::{FaultPlan, FaultyComm, NetworkModel, Placement, SimWorld};
-use schedcheck::{copy_ceiling_per_rank, reconcile_traffic};
+use schedcheck::reconcile_traffic;
 
 fn pattern(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i * 131 + 7) as u8).collect()
 }
 
-/// Run `algorithm` on a `ThreadWorld` of `size` ranks and return the
+/// Run a broadcast on a `ThreadWorld` of `size` ranks and return the
 /// traffic, with every delivered buffer verified first.
-fn run_thread(size: usize, nbytes: usize, root: usize, algorithm: Algorithm) -> WorldTraffic {
+fn run_thread(
+    size: usize,
+    nbytes: usize,
+    root: usize,
+    collective: impl Into<Collective>,
+) -> WorldTraffic {
+    let collective = collective.into();
     let src = pattern(nbytes);
     let out = ThreadWorld::run(size, |comm| {
         let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-        bcast_with(comm, &mut buf, root, algorithm).unwrap();
+        complete_now(collective.run(&SyncComm::new(comm), &mut buf, root)).unwrap();
         assert_eq!(buf, src, "rank {} diverged", comm.rank());
     });
     out.traffic
@@ -126,16 +132,34 @@ fn binomial_copy_baseline_pays_per_hop() {
 
 #[test]
 fn scatter_ring_paths_stay_under_the_copy_ceiling_threadworld() {
+    // Each ceiling's value, as a multiple of nbytes, pinned per entry:
+    // `reconcile_traffic` enforces these, so a raised budget would hide a
+    // copy regression there.
     let nbytes = 1024;
-    for &size in &[6usize, 8] {
-        for (algorithm, name, per_rank) in [
-            (Algorithm::ScatterRingNative, "bcast/scatter_ring_native", 2),
-            (Algorithm::ScatterRingTuned, "bcast/scatter_ring_tuned", 1),
-        ] {
-            let ceiling = copy_ceiling_per_rank(name, nbytes as u64)
-                .expect("ring schedules must publish a copy ceiling");
-            assert_eq!(ceiling, per_rank * nbytes as u64);
-            let traffic = run_thread(size, nbytes, 0, algorithm);
+    for collective in Collective::SWEEP {
+        let per_rank = match collective {
+            Collective::Bcast(Algorithm::Binomial | Algorithm::ScatterRingTuned)
+            | Collective::Pipeline => Some(1),
+            Collective::Bcast(Algorithm::ScatterRingNative) | Collective::Coalesced(_) => Some(2),
+            Collective::Bcast(Algorithm::ScatterRdAllgather) => Some(3),
+            Collective::Smp(_) | Collective::Allgather(_) => None,
+        };
+        assert_eq!(
+            collective.copy_ceiling(nbytes as u64),
+            per_rank.map(|k| k * nbytes as u64),
+            "{}",
+            collective.name()
+        );
+    }
+    // Every collective of the sweep that publishes a per-rank ceiling stays
+    // under it, at every world size here it supports (recursive doubling:
+    // P = 8 only).
+    let mut checked = 0;
+    for collective in Collective::SWEEP {
+        let Some(ceiling) = collective.copy_ceiling(nbytes as u64) else { continue };
+        let name = collective.name();
+        for size in [6usize, 8].into_iter().filter(|&p| collective.supports(p)) {
+            let traffic = run_thread(size, nbytes, 0, collective);
             for (rank, st) in traffic.per_rank.iter().enumerate() {
                 assert!(
                     st.bytes_copied <= ceiling,
@@ -143,8 +167,11 @@ fn scatter_ring_paths_stay_under_the_copy_ceiling_threadworld() {
                     st.bytes_copied
                 );
             }
+            checked += 1;
         }
     }
+    // Four flat broadcasts, the coalesced ring and the pipeline.
+    assert_eq!(checked, 11, "a collective lost its copy ceiling");
     // The world bill, exactly: every non-root lands each of its P chunks
     // once, (P−1)·nbytes, and the root stages each chunk once, nbytes. An
     // interpreter that retained one envelope would stage ring sends afresh:
@@ -156,26 +183,11 @@ fn scatter_ring_paths_stay_under_the_copy_ceiling_threadworld() {
         8 * nbytes as u64,
         "tuned P=8: a ring send staged afresh copies a chunk twice"
     );
-
-    // Recursive doubling stages each round's block once and lands what it
-    // receives, on top of the scatter's landing copy: a looser 3·nbytes
-    // ceiling, still enforced (power-of-two world).
-    let ceiling = copy_ceiling_per_rank("bcast/scatter_rd", nbytes as u64).unwrap();
-    assert_eq!(ceiling, 3 * nbytes as u64);
-    let traffic = run_thread(8, nbytes, 0, Algorithm::ScatterRdAllgather);
-    for (rank, st) in traffic.per_rank.iter().enumerate() {
-        assert!(
-            st.bytes_copied <= ceiling,
-            "scatter_rd rank={rank}: {}B copied, ceiling {ceiling}B",
-            st.bytes_copied
-        );
-    }
 }
 
 #[test]
 fn event_world_copy_ceiling_and_shared_root_pin() {
     let (p, nbytes) = (64usize, 1024usize);
-    let ceiling = 2 * nbytes as u64;
 
     // Binomial and tuned on the event executor: exactly nbytes per rank,
     // like the threaded run — the accounting layer is executor-agnostic.
@@ -188,22 +200,18 @@ fn event_world_copy_ceiling_and_shared_root_pin() {
         }
     }
 
-    let out = bcast_event_world(p, nbytes, 0, Algorithm::ScatterRingNative);
-    for (rank, st) in out.traffic.per_rank.iter().enumerate() {
-        assert!(
-            st.bytes_copied <= ceiling,
-            "native rank={rank}: {}B copied, ceiling {ceiling}B",
-            st.bytes_copied
-        );
-    }
-
-    let out = bcast_coalesced_event_world(p, nbytes, 0, CoalescePolicy::unlimited());
-    for (rank, st) in out.traffic.per_rank.iter().enumerate() {
-        assert!(
-            st.bytes_copied <= ceiling,
-            "coalesced rank={rank}: {}B copied, ceiling {ceiling}B",
-            st.bytes_copied
-        );
+    // Every collective of the sweep with a ceiling, on the event executor.
+    for collective in Collective::SWEEP.into_iter().filter(|c| c.supports(p)) {
+        let Some(ceiling) = collective.copy_ceiling(nbytes as u64) else { continue };
+        let out = bcast_event_world(p, nbytes, 0, collective);
+        for (rank, st) in out.traffic.per_rank.iter().enumerate() {
+            assert!(
+                st.bytes_copied <= ceiling,
+                "{} rank={rank}: {}B copied, ceiling {ceiling}B",
+                collective.name(),
+                st.bytes_copied
+            );
+        }
     }
 }
 
