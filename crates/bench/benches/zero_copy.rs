@@ -36,7 +36,7 @@ fn bcast_world(p: usize, nbytes: usize, zero_copy: bool) -> u64 {
         } else {
             bcast_binomial_copy_async(&comm, &mut buf, 0).await
         };
-        // A failed broadcast must fail the bench loudly. lint: allow(panic)
+        // A failed broadcast must fail the bench loudly.
         res.expect("broadcast failed");
         buf[nbytes / 2]
     });

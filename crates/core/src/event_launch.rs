@@ -53,8 +53,11 @@ pub fn bcast_event_world(
         let src = src.clone();
         async move {
             let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-            // A failed broadcast must fail the launch loudly: the whole
-            // point of the sweep is the completed run. lint: allow(panic)
+            #[allow(
+                clippy::expect_used,
+                reason = "a failed broadcast must fail the launch loudly: \
+                          the whole point of the sweep is the completed run"
+            )]
             collective.run(&comm, &mut buf, root).await.expect("broadcast failed");
             assert_eq!(buf, src, "rank {} diverged", comm.rank());
         }
@@ -131,7 +134,7 @@ pub fn self_healing_bcast_event_world(
     let spec = RecoverySpec { src: &src, root, cfg, planned_victims: &[], lossy_links: false };
     if let Err(why) = check_recovery_outcome(&spec, &out.results, &out.traffic, out.elapsed) {
         // A fault-free launch violating its own invariants is a harness
-        // bug, not a finding. lint: allow(panic)
+        // bug, not a finding.
         panic!("fault-free self-healing launch failed: {why}");
     }
     out

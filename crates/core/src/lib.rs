@@ -60,6 +60,18 @@
 //! assert_eq!(out.traffic.total_msgs(), 51);
 //! ```
 
+// Library code answers a peer death or timeout with a `CommError`, never a
+// panic, and reads time only from the world's virtual clock (the wall-clock
+// calls are listed in `clippy.toml`). Unit tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use,
+        clippy::disallowed_methods
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -120,6 +120,11 @@
 //!   coverage signal `chaos-search` steers by and the megascale tests
 //!   assert on.
 
+// A `CommError` is the input this module exists to handle: a peer death or
+// timeout feeds the agreement, never a panic. `forbid`, so no waiver
+// reaches it.
+#![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
+
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};

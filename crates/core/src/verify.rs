@@ -34,7 +34,10 @@ pub fn run_threaded(algorithm: Algorithm, size: usize, nbytes: usize, root: Rank
     let src = pattern(nbytes, 0xBCA5_7000 + root as u64);
     let out = ThreadWorld::run(size, |comm| {
         let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-        // lint: allow(panic) — test harness: a failed broadcast must abort the check
+        #[allow(
+            clippy::unwrap_used,
+            reason = "test harness: a failed broadcast must abort the check"
+        )]
         bcast_with(comm, &mut buf, root, algorithm).unwrap();
         buf == src
     });

@@ -16,6 +16,10 @@
 //! are written against `AsyncCommunicator`, so the blocking executors build
 //! the stack over `SyncComm` and drive it with `complete_now`.
 
+// No verdict here may hang on the host's timing: these tests read no wall
+// clock and never sleep (the calls `clippy.toml` lists).
+#![deny(clippy::disallowed_methods)]
+
 use std::time::Duration;
 
 use bcast_core::traffic::{agreement_volume, bcast_volume};

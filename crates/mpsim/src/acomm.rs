@@ -430,8 +430,8 @@ pub fn complete_now<F: Future>(fut: F) -> F::Output {
     let mut cx = Context::from_waker(noop_waker());
     match fut.as_mut().poll(&mut cx) {
         Poll::Ready(out) => out,
-        // lint: allow(panic) — a parked future on a blocking backend is a
-        // wiring bug; there is no executor to ever resume it.
+        // A parked future on a blocking backend is a wiring bug; there is
+        // no executor to ever resume it.
         Poll::Pending => panic!("complete_now: future suspended on a blocking backend"),
     }
 }

@@ -397,8 +397,8 @@ impl EventWorld {
                             .filter_map(|(rank, t)| t.is_some().then_some(rank))
                             .take(8)
                             .collect();
-                        // lint: allow(panic) — a deadlocked world can never
-                        // produce an outcome; fail loudly with diagnostics.
+                        // A deadlocked world can never produce an outcome;
+                        // fail loudly with diagnostics.
                         panic!(
                             "EventWorld deadlock: {remaining} of {n} ranks blocked with no \
                              queued message or armed timer to wake them (stuck ranks, first 8: \
@@ -438,10 +438,12 @@ impl EventWorld {
             mailbox_spills: shared.lanes.borrow().spills(),
             queued_peak: shared.lanes.borrow().queued_peak(),
         };
+        #[allow(
+            clippy::expect_used,
+            reason = "every task completed (remaining == 0), so every slot is filled"
+        )]
         let results: Vec<R> = results
             .into_iter()
-            // Every task completed (remaining == 0), so every slot is
-            // filled. lint: allow(panic)
             .map(|r| r.expect("task finished without storing a result"))
             .collect();
         WorldOutcome { results, traffic, pool, elapsed, reactor }

@@ -28,9 +28,9 @@
 //!   derives per-message tags from a `u32` base) can exceed the inline
 //!   buckets; those envelopes fall back to a boxed `HashMap` keyed by tag
 //!   only. The fallback preserves exact per-`(source, tag)` FIFO semantics
-//!   and is counted, never silent. This is the one sanctioned `HashMap` on
-//!   the event path — the repolint `event-mailbox-hashmap` rule flags any
-//!   other. A spill bucket leaves the map when it drains.
+//!   and is counted, never silent. This is the one sanctioned `HashMap` in
+//!   `mpsim` — `clippy::disallowed_types`, denied at the crate root, flags
+//!   any other. A spill bucket leaves the map when it drains.
 //! * **One node slab for every queue.** A bucket, inline or spilled, is a
 //!   `(head, tail)` pair of indices into an intrusive FIFO of slab nodes,
 //!   and a node holds only the payload: the lane already fixes the source,
@@ -51,9 +51,6 @@
 //! Per-`(source, tag)` FIFO (MPI's non-overtaking rule) is kept by each
 //! bucket's linked list; nothing about matching semantics changes, only
 //! the cost of finding the queue and of storing it.
-
-// lint: allow(mailbox-spill) — the spill fallback below is the sanctioned use.
-use std::collections::HashMap;
 
 use crate::mailbox::Envelope;
 use crate::pool::Payload;
@@ -194,7 +191,11 @@ struct Lane {
     /// `Lane` one pointer wider instead of `size_of::<HashMap>()` wider —
     /// lanes are the dense arena the hot loop walks.
     #[allow(clippy::box_collection)]
-    spill: Option<Box<HashMap<u32, TagBucket>>>, // lint: allow(mailbox-spill)
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the wild-tag spill, the one sanctioned hashed lookup"
+    )]
+    spill: Option<Box<std::collections::HashMap<u32, TagBucket>>>,
 }
 
 impl Lane {
@@ -282,7 +283,6 @@ impl LaneMailbox {
             }
             BucketRoute::Spill => {
                 self.spills += 1;
-                // lint: allow(mailbox-spill) — sanctioned wild-tag fallback.
                 lane.spill
                     .get_or_insert_with(Default::default)
                     .entry(tag.0)

@@ -250,7 +250,7 @@ impl TimerWheel {
                 i = e.next;
             }
         }
-        // lint: allow(panic) — armed > 0 guarantees an occupied slot.
+        #[allow(clippy::expect_used, reason = "armed > 0 guarantees an occupied slot")]
         let (deadline_ns, _, idx) = best.expect("armed timers but empty wheel");
         let task = self.entries[idx as usize].task as usize;
         self.unlink(idx);

@@ -56,6 +56,20 @@
 //! assert!(outcome.results.iter().all(|&v| v == 42));
 //! ```
 
+// Library code answers a peer death or timeout with a `CommError`, never a
+// panic; it reads time only from the world's virtual clock, and it matches
+// messages without hashing (`clippy.toml` lists the wall-clock calls and
+// `HashMap`). Unit tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use,
+        clippy::disallowed_methods,
+        clippy::disallowed_types
+    )
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -16,6 +16,11 @@
 //! performs no wakeup syscall ([`Mailbox::wakeup_stats`] counts both);
 //! schedcheck's `MailboxModel` explores exactly this protocol.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "ThreadWorld blocks on a real condvar: a receive timeout is a wall-clock deadline"
+)]
+
 use crate::counters::WakeupStats;
 use crate::event_mailbox::LaneMailbox;
 use crate::pool::Payload;

@@ -57,90 +57,12 @@ impl<'a, C: AsyncCommunicator + ?Sized> SubComm<'a, C> {
     pub fn new_async(parent: &'a C, members: Vec<Rank>) -> Option<Self> {
         Self::new(parent, members)
     }
-
-    /// Collective split, the moral equivalent of `MPI_Comm_split`: every
-    /// rank of the parent must call this with its `(color, key)`; ranks
-    /// sharing a color form one sub-communicator, with local ranks ordered
-    /// by `(key, parent rank)`. `color == None` (MPI_UNDEFINED) yields
-    /// `None` — the rank joins no group but still participates in the
-    /// exchange.
-    ///
-    /// Implemented as a gather-to-0 + broadcast of the `(color, key)` table
-    /// over tagged point-to-point messages (control-plane traffic; it is
-    /// counted like any other traffic).
-    pub async fn split(parent: &'a C, color: Option<u64>, key: i64) -> Option<Self> {
-        const SPLIT_GATHER: Tag = Tag(0xC0);
-        const SPLIT_BCAST: Tag = Tag(0xC1);
-        let size = parent.size();
-        let rank = parent.rank();
-
-        // Encode (has_color, color, key) in 17 bytes.
-        let encode = |c: Option<u64>, k: i64| -> [u8; 17] {
-            let mut b = [0u8; 17];
-            b[0] = c.is_some() as u8;
-            b[1..9].copy_from_slice(&c.unwrap_or(0).to_le_bytes());
-            b[9..17].copy_from_slice(&k.to_le_bytes());
-            b
-        };
-        let decode = |b: &[u8]| -> (Option<u64>, i64) {
-            // lint: allow(panic) — wire format: the 17-byte header was length-checked
-            let c = (b[0] != 0).then(|| u64::from_le_bytes(b[1..9].try_into().unwrap()));
-            // lint: allow(panic) — wire format: the 17-byte header was length-checked
-            let k = i64::from_le_bytes(b[9..17].try_into().unwrap());
-            (c, k)
-        };
-
-        let mut table = vec![0u8; 17 * size];
-        table[rank * 17..rank * 17 + 17].copy_from_slice(&encode(color, key));
-        if rank == 0 {
-            for peer in 1..size {
-                parent
-                    .recv(&mut table[peer * 17..peer * 17 + 17], peer, SPLIT_GATHER)
-                    .await
-                    // lint: allow(panic) — split protocol: every member reports exactly once
-                    .expect("split gather failed");
-            }
-            for peer in 1..size {
-                // lint: allow(panic) — split protocol: every member posts a matching recv
-                parent.send(&table, peer, SPLIT_BCAST).await.expect("split bcast failed");
-            }
-        } else {
-            parent
-                .send(&table[rank * 17..rank * 17 + 17], 0, SPLIT_GATHER)
-                .await
-                // lint: allow(panic) — split protocol: every member reports exactly once
-                .expect("split gather failed");
-            // lint: allow(panic) — split protocol: a table from rank 0 always arrives
-            parent.recv(&mut table, 0, SPLIT_BCAST).await.expect("split bcast failed");
-        }
-
-        let my_color = color?;
-        let mut group: Vec<(i64, Rank)> = (0..size)
-            .filter_map(|r| {
-                let (c, k) = decode(&table[r * 17..r * 17 + 17]);
-                (c == Some(my_color)).then_some((k, r))
-            })
-            .collect();
-        group.sort_unstable();
-        let members: Vec<Rank> = group.into_iter().map(|(_, r)| r).collect();
-        Self::new(parent, members)
-    }
 }
 
 impl<C: ?Sized> SubComm<'_, C> {
-    /// Parent rank of local rank `local`.
-    pub fn to_parent(&self, local: Rank) -> Rank {
-        self.members[local]
-    }
-
     /// Local rank of parent rank `parent_rank`, if it is a member.
-    pub fn from_parent(&self, parent_rank: Rank) -> Option<Rank> {
+    fn local_of(&self, parent_rank: Rank) -> Option<Rank> {
         self.members.iter().position(|&m| m == parent_rank)
-    }
-
-    /// The member list (parent ranks, in local-rank order).
-    pub fn members(&self) -> &[Rank] {
-        &self.members
     }
 
     /// Translate failure-detector errors back into local rank space so
@@ -151,10 +73,10 @@ impl<C: ?Sized> SubComm<'_, C> {
         use crate::error::CommError;
         match e {
             CommError::Timeout { peer } => {
-                CommError::Timeout { peer: self.from_parent(peer).unwrap_or(peer) }
+                CommError::Timeout { peer: self.local_of(peer).unwrap_or(peer) }
             }
             CommError::PeerFailed { rank } => {
-                CommError::PeerFailed { rank: self.from_parent(rank).unwrap_or(rank) }
+                CommError::PeerFailed { rank: self.local_of(rank).unwrap_or(rank) }
             }
             other => other,
         }
@@ -269,9 +191,9 @@ mod tests {
                 Some(sc) => {
                     assert!(members.contains(&comm.rank()));
                     assert_eq!(sc.size(), 3);
-                    assert_eq!(sc.to_parent(sc.rank()), comm.rank());
-                    assert_eq!(sc.from_parent(comm.rank()), Some(sc.rank()));
-                    assert_eq!(sc.from_parent(0), None);
+                    assert_eq!(sc.members[sc.rank()], comm.rank());
+                    assert_eq!(sc.local_of(comm.rank()), Some(sc.rank()));
+                    assert_eq!(sc.local_of(0), None);
                 }
                 None => assert!(!members.contains(&comm.rank())),
             }
@@ -359,51 +281,6 @@ mod tests {
                 assert_eq!(sc.rank(), 0);
                 complete_now(sc.barrier()).unwrap();
             }
-        });
-    }
-
-    #[test]
-    fn split_groups_by_color_and_orders_by_key() {
-        ThreadWorld::run(6, |comm| {
-            // colors: even/odd rank; key: descending rank → local ranks reversed
-            let color = Some((comm.rank() % 2) as u64);
-            let key = -(comm.rank() as i64);
-            let acomm = SyncComm::new(comm);
-            let sc =
-                complete_now(SubComm::split(&acomm, color, key)).expect("every rank has a color");
-            assert_eq!(sc.size(), 3);
-            // members sorted by key: highest parent rank first
-            let expect: Vec<usize> =
-                if comm.rank() % 2 == 0 { vec![4, 2, 0] } else { vec![5, 3, 1] };
-            assert_eq!(sc.members(), &expect[..]);
-            assert_eq!(sc.to_parent(sc.rank()), comm.rank());
-            // the new group is a working communicator
-            complete_now(sc.barrier()).unwrap();
-        });
-    }
-
-    #[test]
-    fn split_with_undefined_color_joins_nothing() {
-        ThreadWorld::run(4, |comm| {
-            let color = (comm.rank() != 2).then_some(7u64);
-            let acomm = SyncComm::new(comm);
-            let sc = complete_now(SubComm::split(&acomm, color, comm.rank() as i64));
-            if comm.rank() == 2 {
-                assert!(sc.is_none());
-            } else {
-                let sc = sc.unwrap();
-                assert_eq!(sc.members(), &[0, 1, 3]);
-            }
-        });
-    }
-
-    #[test]
-    fn split_ties_break_by_parent_rank() {
-        ThreadWorld::run(5, |comm| {
-            let acomm = SyncComm::new(comm);
-            let sc = complete_now(SubComm::split(&acomm, Some(0), 42)).unwrap(); // same key everywhere
-            assert_eq!(sc.members(), &[0, 1, 2, 3, 4]);
-            assert_eq!(sc.rank(), comm.rank());
         });
     }
 

@@ -59,15 +59,15 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
+    #[allow(clippy::expect_used, reason = "guard invariant: inner is present outside wait")]
     fn deref(&self) -> &T {
-        // lint: allow(panic) — guard invariant: inner is present outside wait
         self.0.as_ref().expect("guard invariant: present outside Condvar::wait")
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
+    #[allow(clippy::expect_used, reason = "guard invariant: inner is present outside wait")]
     fn deref_mut(&mut self) -> &mut T {
-        // lint: allow(panic) — guard invariant: inner is present outside wait
         self.0.as_mut().expect("guard invariant: present outside Condvar::wait")
     }
 }
@@ -86,7 +86,7 @@ impl Condvar {
     /// lock is re-acquired before returning. Spurious wakeups are possible,
     /// so callers loop on their predicate.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // lint: allow(panic) — guard invariant: inner is present outside wait
+        #[allow(clippy::expect_used, reason = "guard invariant: inner is present outside wait")]
         let inner = guard.0.take().expect("guard invariant: present on entry to wait");
         guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
     }
@@ -101,7 +101,7 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         timeout: std::time::Duration,
     ) -> bool {
-        // lint: allow(panic) — guard invariant: inner is present outside wait
+        #[allow(clippy::expect_used, reason = "guard invariant: inner is present outside wait")]
         let inner = guard.0.take().expect("guard invariant: present on entry to wait");
         let (inner, result) =
             self.0.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);

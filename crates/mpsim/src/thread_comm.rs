@@ -18,6 +18,11 @@
 //! for thread-per-rank executors; `ThreadWorld` and netsim's `SimWorld`
 //! both launch their ranks through it.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "ThreadWorld runs on real threads: its clock and timeouts are the wall clock"
+)]
+
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -89,7 +94,7 @@ pub fn run_rank_threads<R: Send>(
             })
             .collect();
         for h in handles {
-            // lint: allow(panic) — a panicking rank must abort the whole world
+            #[allow(clippy::expect_used, reason = "a panicking rank must abort the whole world")]
             if let Some(payload) = h.join().expect("rank thread poisoned the scope") {
                 panicked.get_or_insert(payload);
             }
@@ -98,10 +103,8 @@ pub fn run_rank_threads<R: Send>(
     if let Some(payload) = panicked {
         resume_unwind(payload);
     }
-    let finished = |slot: Option<R>| {
-        // lint: allow(panic) — a rank panic was already re-thrown by join above
-        slot.expect("rank finished without result despite no panic")
-    };
+    #[allow(clippy::expect_used, reason = "a rank panic was already re-thrown by join above")]
+    let finished = |slot: Option<R>| slot.expect("rank finished without result despite no panic");
     slots.into_iter().map(finished).collect()
 }
 

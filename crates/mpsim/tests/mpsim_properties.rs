@@ -1,8 +1,8 @@
-//! Property-based tests of the mpsim substrate itself: matching order,
-//! counter balance, sub-communicator invariants under randomized inputs
-//! from the in-tree `testkit` harness.
+//! Property-based tests of the mpsim substrate itself: matching order and
+//! counter balance under randomized inputs from the in-tree `testkit`
+//! harness.
 
-use mpsim::{complete_now, AsyncCommunicator, Communicator, SubComm, SyncComm, Tag, ThreadWorld};
+use mpsim::{Communicator, Tag, ThreadWorld};
 use testkit::prop::{self, Config};
 
 /// Non-overtaking: per (src, dst, tag) messages arrive in send order,
@@ -93,51 +93,6 @@ fn counters_balance_under_random_exchanges() {
             let bytes: usize = sizes.iter().sum::<usize>() * np;
             if out.traffic.total_bytes() != bytes as u64 {
                 return Err("byte count mismatch".into());
-            }
-            Ok(())
-        },
-    );
-}
-
-/// SubComm::split partitions the world: every rank lands in exactly one
-/// group; local ranks are ordered by (key, parent rank); all groups are
-/// functional (barrier works).
-#[test]
-fn split_partitions_correctly() {
-    prop::check(
-        "split_partitions_correctly",
-        Config::cases(32),
-        &(
-            prop::usize_range(1..10),
-            prop::vec_of(prop::u64_range(0..3), 10..11),
-            prop::vec_of(prop::i64_range(-5..5), 10..11),
-        ),
-        |(np, colors, keys): &(usize, Vec<u64>, Vec<i64>)| {
-            let np = *np;
-            let colors2 = colors.clone();
-            let keys2 = keys.clone();
-            let out = ThreadWorld::run(np, move |comm| {
-                let me = comm.rank();
-                let acomm = SyncComm::new(comm);
-                let sc =
-                    complete_now(SubComm::split(&acomm, Some(colors2[me]), keys2[me])).unwrap();
-                complete_now(sc.barrier()).unwrap();
-                (colors2[me], sc.rank(), sc.members().to_vec())
-            });
-            for (me, (color, local, members)) in out.results.iter().enumerate() {
-                // membership: exactly the ranks with this color
-                let expect: Vec<usize> = {
-                    let mut v: Vec<(i64, usize)> =
-                        (0..np).filter(|&r| colors[r] == *color).map(|r| (keys[r], r)).collect();
-                    v.sort_unstable();
-                    v.into_iter().map(|(_, r)| r).collect()
-                };
-                if members != &expect {
-                    return Err(format!("rank {me}: members {members:?} != {expect:?}"));
-                }
-                if members[*local] != me {
-                    return Err(format!("rank {me}: local index {local} mismatched"));
-                }
             }
             Ok(())
         },

@@ -1,17 +1,19 @@
-//! Repo-convention linter: walks `crates/**/*.rs` and applies the rules in
-//! [`schedcheck::lint`] — `.unwrap()`/`.expect()` in library code,
-//! undocumented `unsafe`, `let _ =` discarding a communication call's
-//! `Result`, wall-clock reads inside the event executor and the decorators
-//! that run on it, `HashMap`s inside the event executor, cancel-unsafe
-//! shapes in the async communication layer (unregistered `Poll::Pending`,
-//! `RefCell` borrows across suspension points, send effects inside `poll`
-//! bodies), `.unwrap()`/`.expect()` on communication results inside the
-//! self-healing recovery module, unaccounted payload copies in the
-//! broadcast hot path, `impl Communicator for` outside the two blocking
-//! executors, and communicator impls defining a provided method — then reads
-//! `src/`, `tests/`, `examples/` and `benchmark/src/` as well for public
-//! items of `crates/*/src` that nothing outside their own tests names.
-//! Prints every hit and exits nonzero if any are found.
+//! Repo-convention linter: walks `crates/**/*.rs` and applies the four
+//! rules in [`schedcheck::lint`] that no shipped lint expresses —
+//! `cancel-safety` (unregistered `Poll::Pending`, `RefCell` borrows across
+//! suspension points and send effects inside `poll` bodies in the async
+//! communication layer), `bcast-hot-copy` (unaccounted payload copies in the
+//! broadcast hot path), `comm-impl` (`impl Communicator for` outside the two
+//! blocking executors, blocking bounds in the collectives, communicator
+//! impls defining a provided method) — then reads `src/`, `tests/`,
+//! `examples/` and `benchmark/src/` as well for `unused-pub`: public items
+//! of `crates/*/src` that nothing outside their own tests names. Prints
+//! every hit and exits nonzero if any are found.
+//!
+//! Panic-free libraries, documented `unsafe`, no discarded results,
+//! virtual-clock purity and the hash-free matcher are clippy lints,
+//! configured in `clippy.toml`, `Cargo.toml`'s `[workspace.lints.clippy]`
+//! and the library crate roots (see [`schedcheck::lint`]).
 //!
 //! Run from the repository root (the directory containing `crates/`).
 

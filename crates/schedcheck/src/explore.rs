@@ -327,7 +327,7 @@ pub fn explore_dpor<M: Model>(model: &M, max_states: usize) -> Result<Stats, Str
         let top = frames.len();
         for p in bits(live) {
             for j in (0..top).rev() {
-                // lint: allow(panic) — every stack frame below an arrival has a chosen arm.
+                // Every stack frame below an arrival has a chosen arm.
                 let q = frames[j].chosen.expect("stack frame without a chosen arm");
                 if q == p {
                     frames[j].backtrack |= 1u64 << p;
@@ -414,7 +414,7 @@ pub fn explore_dpor<M: Model>(model: &M, max_states: usize) -> Result<Stats, Str
         let avail = top.backtrack & !top.explored & !top.sleep;
         let Some(t) = bits(avail).next() else {
             // Frame fully explored: cache its subtree and credit the parent.
-            // lint: allow(panic) — the loop guard just proved non-emptiness.
+            // The loop guard just proved non-emptiness.
             let f = frames.pop().expect("non-empty stack");
             if f.explored != 0 {
                 done.entry(f.state).or_default().push((f.sleep, f.subtree));

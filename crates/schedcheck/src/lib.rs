@@ -62,17 +62,9 @@
 //! `pairwise_schedule`, every P ≤ 64) —
 //! and its `explore-reactor` subcommand runs every protocol model under
 //! both explorers plus the seeded mutation drill as its own CI phase;
-//! `repolint` enforces source-level conventions (no `.unwrap()`/`.expect()`
-//! in library code, `// SAFETY:` on every `unsafe`, no `let _ =` on the
-//! `Result` of a communication call, no wall-clock reads inside the event
-//! executor or the decorators that run on it, no
-//! `HashMap`s inside the event executor, no cancel-unsafe shapes —
-//! unregistered `Poll::Pending`, borrows across suspension points, send
-//! effects inside `poll` — in the async communication layer, no
-//! `.unwrap()`/`.expect()` on communication results inside the
-//! self-healing recovery module, where a `CommError` is the input the
-//! layer exists to absorb, no `impl Communicator for` outside the two
-//! blocking executors, and no communicator impl defining a provided method).
+//! `repolint` enforces the four source-level conventions no shipped lint
+//! expresses (`cancel-safety`, `bcast-hot-copy`, `comm-impl`, `unused-pub`;
+//! the rest are clippy lints, see [`lint`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,97 +1,73 @@
-//! Repo-convention lint rules behind the `repolint` binary.
+//! Repo-convention lint rules behind the `repolint` binary: the four
+//! conventions no lint the toolchain ships can express.
 //!
-//! Ten rules, each a pure function over `(relative path, file content)` —
-//! the last over every source file at once — so they are unit-testable
-//! without touching the filesystem:
+//! Each rule is a pure function over `(relative path, file content)` — the
+//! last over every source file at once — so it is unit-testable without
+//! touching the filesystem. A single-file rule reads a file only up to its
+//! first `#[cfg(test)]`: test modules sit at the bottom of each file in
+//! this repo, and are exempt.
 //!
-//! 1. [`check_panics`] — no `.unwrap(` / `.expect(` in *library* code of
-//!    `core`, `mpsim`, `netsim` (bins, tests and `#[cfg(test)]` modules are
-//!    exempt). Fallible paths must return [`mpsim::CommError`]-style errors.
-//!    Deliberate exceptions carry a `// lint: allow(panic)` marker on the
-//!    same or the preceding line.
-//! 2. [`check_unsafe`] — every `unsafe` block or fn in any crate must have a
-//!    `// SAFETY:` comment within the three preceding lines (or on the same
-//!    line). Crates without any unsafe carry `#![forbid(unsafe_code)]`.
-//! 3. [`check_ignored_comm_result`] — library code must never discard the
-//!    `Result` of a communication call with `let _ = …send/recv/…`. Since
-//!    the fault layer landed, those results carry timeout and peer-failure
-//!    signals; dropping one silently turns a detectable crash back into a
-//!    hang. Deliberate exceptions (e.g. best-effort acks to a dead peer)
-//!    must match on the error instead, or carry a
-//!    `// lint: allow(ignored-comm-result)` marker.
-//! 4. [`check_real_time`] — the discrete-event executor
-//!    (`crates/mpsim/src/event_*.rs` — the reactor and every module split
-//!    out of it, currently `event_comm`, `event_mailbox`, `event_timer`)
-//!    and the decorators that run on it (`reliable.rs`, `sub_comm.rs`,
-//!    `netsim/src/fault.rs`, `core/src/recovery.rs`) must never read real
-//!    time or sleep: `std::thread::sleep`, `Instant::now`, and `SystemTime`
-//!    would leak wall-clock nondeterminism into a world whose whole
-//!    contract is that fault delays and timeouts are deterministic
-//!    virtual-clock events. A deliberate exception carries a
-//!    `// lint: allow(real-time)` marker.
-//! 5. [`check_event_mailbox_hashmap`] — no `HashMap` in the event-executor
-//!    modules or in ThreadWorld's `mailbox.rs`: message matching is the
-//!    reactor's hottest loop, the dense lane structures replaced hashed
-//!    lookups there on purpose, and both executors share that one matcher.
-//!    The only sanctioned use is the wild-tag spill fallback inside
-//!    `event_mailbox.rs`, marked `// lint: allow(mailbox-spill)`.
-//! 6. [`check_cancel_safety`] — cancel-safety in the async communication
-//!    layer (`crates/mpsim/src/event_*.rs`, `crates/mpsim/src/acomm.rs`).
-//!    Three shapes of the same bug class the reactor models in
-//!    `schedcheck::models` verify the protocols against: producing
-//!    `Poll::Pending` with no wake registration in reach (a lost wakeup in
-//!    source form), holding a `RefCell` borrow across a suspension point
-//!    (re-entrant poll panics), and mutating shared send-state inside a
-//!    `poll` body (a cancelled-and-retried operation replays the side
-//!    effect — sends must happen eagerly, before the future exists).
-//!    Deliberate exceptions carry a `// lint: allow(cancel-safety)` marker.
-//! 7. [`check_recovery_unwrap`] — no `.unwrap(` / `.expect(` on the result
-//!    of a communication call inside the self-healing recovery module
-//!    (`crates/core/src/recovery.rs`). A `CommError`
-//!    there *is* the input the layer exists to handle — a peer death or
-//!    timeout must feed the heartbeat/agreement machinery, never abort the
-//!    process. Rule 1's generic `allow(panic)` waiver deliberately does not
-//!    apply; the only escape hatch is `// lint: allow(recovery-unwrap)`.
-//! 8. [`check_bcast_hot_copy`] — no unaccounted payload copies in the
-//!    broadcast hot-path modules (the scatter-ring pipeline, its
-//!    interpreter and coalescing rewrite, plus `binomial.rs`)
-//!    nor on the reliable data path (`crates/mpsim/src/reliable.rs`).
-//!    Since the zero-copy envelope flow landed, forwarded payloads travel
-//!    as refcounted [`mpsim::SharedBuf`] views; a `copy_from_slice(` /
-//!    `rent_copy(` / `.to_vec()` — in `reliable.rs` also an
-//!    `extend_from_slice(`, the way a frame used to be packed — creeping
-//!    back in silently re-taxes every hop while leaving wire traffic — and
-//!    every wire-traffic test — unchanged. The sanctioned shape is the
-//!    *accounted* copy, in the collectives the landing copy: a
-//!    copy with a `note_copy(` call within the following two lines, which
-//!    the `bytes_copied` ceilings then police at run time. Anything else
-//!    needs a `// lint: allow(bcast-hot-copy)` marker.
-//! 9. [`check_comm_impl`] — a communicator impl writes the envelope core
-//!    and nothing else, and the collectives speak one trait. The blocking
-//!    `Communicator` trait is implemented by the two blocking executors only
-//!    (`crates/mpsim/src/thread_comm.rs`, `crates/netsim/src/sim_comm.rs`):
-//!    everything above the executors is written once against
-//!    `AsyncCommunicator` and reached from blocking code through
-//!    `SyncComm` and `complete_now`, so a second `impl Communicator for` is
-//!    a decorator twin growing back. For the same reason no library code of
-//!    `crates/core/src` takes a blocking communicator — `impl
-//!    Communicator`, `dyn Communicator` or `C: Communicator` — except
-//!    `bcast_with` in `bcast.rs`, the one blocking entry point the frozen
-//!    benchmark calls; any other is a blocking collective twin growing back
-//!    (a `use` of the trait is not a bound). And no impl of either trait
-//!    defines a method the trait provides over the core (`send`,
-//!    `recv_owned`, `send_prefixed`, …): each variant's semantics is written
-//!    once, in `acomm.rs`, and an override is a second copy of it that every
-//!    stack above would silently stop sharing.
-//! 10. [`check_unused_pub`] — every `pub` item (`fn`, `struct`, `enum`,
-//!     `trait`, `type`, `const`, `static`) in `crates/*/src` and in the root
-//!     package's `src/lib.rs` is named somewhere outside its own module's
-//!     `#[cfg(test)]` block: by library code, a bin, an example, an
-//!     integration test or `benchmark/src`. A public item only its own tests
-//!     call is dead surface; it is deleted, made private, or listed in
-//!     [`UNUSED_PUB_ALLOWED`] with the reason it stays. Names are matched as
-//!     whole identifiers outside comments and `use` statements, so a
-//!     re-export alone is not a caller.
+//! * [`check_cancel_safety`] (`cancel-safety`) — cancel-safety in the async
+//!   communication layer (`crates/mpsim/src/event_*.rs`,
+//!   `crates/mpsim/src/acomm.rs`). Three shapes of the same bug class the
+//!   reactor models in `schedcheck::models` verify the protocols against:
+//!   producing `Poll::Pending` with no wake registration in reach (a lost
+//!   wakeup in source form), holding a `RefCell` borrow across a suspension
+//!   point (re-entrant poll panics), and mutating shared send-state inside a
+//!   `poll` body (a cancelled-and-retried operation replays the side
+//!   effect — sends must happen eagerly, before the future exists).
+//!   Deliberate exceptions carry a `// lint: allow(cancel-safety)` marker.
+//! * [`check_bcast_hot_copy`] (`bcast-hot-copy`) — no unaccounted payload
+//!   copies in the broadcast hot-path modules (the scatter-ring pipeline,
+//!   its interpreter and coalescing rewrite, plus `binomial.rs`) nor on the
+//!   reliable data path (`crates/mpsim/src/reliable.rs`). Since the
+//!   zero-copy envelope flow landed, forwarded payloads travel as refcounted
+//!   [`mpsim::SharedBuf`] views; a `copy_from_slice(` / `rent_copy(` /
+//!   `.to_vec()` — in `reliable.rs` also an `extend_from_slice(`, the way a
+//!   frame used to be packed — creeping back in silently re-taxes every hop
+//!   while leaving wire traffic — and every wire-traffic test — unchanged.
+//!   The sanctioned shape is the *accounted* copy, in the collectives the
+//!   landing copy: a copy with a `note_copy(` call within the following two
+//!   lines, which the `bytes_copied` ceilings then police at run time.
+//!   Anything else needs a `// lint: allow(bcast-hot-copy)` marker.
+//! * [`check_comm_impl`] (`comm-impl`) — a communicator impl writes the
+//!   envelope core and nothing else, and the collectives speak one trait.
+//!   The blocking `Communicator` trait is implemented by the two blocking
+//!   executors only (`crates/mpsim/src/thread_comm.rs`,
+//!   `crates/netsim/src/sim_comm.rs`): everything above the executors is
+//!   written once against `AsyncCommunicator` and reached from blocking code
+//!   through `SyncComm` and `complete_now`, so a second `impl Communicator
+//!   for` is a decorator twin growing back. For the same reason no library
+//!   code of `crates/core/src` takes a blocking communicator — `impl
+//!   Communicator`, `dyn Communicator` or `C: Communicator` — except
+//!   `bcast_with` in `bcast.rs`, the one blocking entry point the frozen
+//!   benchmark calls; any other is a blocking collective twin growing back
+//!   (a `use` of the trait is not a bound). And no impl of either trait
+//!   defines a method the trait provides over the core (`send`,
+//!   `recv_owned`, `send_prefixed`, …): each variant's semantics is written
+//!   once, in `acomm.rs`, and an override is a second copy of it that every
+//!   stack above would silently stop sharing.
+//! * [`check_unused_pub`] (`unused-pub`) — every `pub` item (`fn`,
+//!   `struct`, `enum`, `trait`, `type`, `const`, `static`) in
+//!   `crates/*/src` and in the root package's `src/lib.rs` is named
+//!   somewhere outside its own module's `#[cfg(test)]` block: by library
+//!   code, a bin, an example, an integration test or `benchmark/src`. A
+//!   public item only its own tests call is dead surface; it is deleted,
+//!   made private, or listed in [`UNUSED_PUB_ALLOWED`] with the reason it
+//!   stays. Names are matched as whole identifiers outside comments and
+//!   `use` statements, so a re-export alone is not a caller.
+//!
+//! The conventions a shipped lint expresses are clippy's, configured in the
+//! root `clippy.toml`, the root `Cargo.toml`'s `[workspace.lints.clippy]`
+//! and the crate roots of `bcast-core`, `mpsim` and `netsim`, and checked by
+//! `cargo clippy --workspace --all-targets -- -D warnings`: no
+//! `unwrap`/`expect` in library code (`clippy::unwrap_used`/`expect_used`,
+//! forbidden outright in `recovery.rs`), a `// SAFETY:` comment on every
+//! `unsafe` block (`clippy::undocumented_unsafe_blocks`), no `let _ =` of a
+//! `#[must_use]` result (`clippy::let_underscore_must_use`), no wall-clock
+//! read or sleep (`clippy::disallowed_methods`) and, in `mpsim`, no
+//! `HashMap` outside the mailbox's wild-tag spill
+//! (`clippy::disallowed_types`).
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -103,7 +79,7 @@ pub struct LintHit {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Short rule name (`panic`, `unsafe-safety`, …).
+    /// Short rule name (`cancel-safety`, `unused-pub`, …).
     pub rule: &'static str,
     /// The offending line, trimmed.
     pub excerpt: String,
@@ -128,136 +104,9 @@ fn hit(path: &str, idx: usize, rule: &'static str, line: &str) -> LintHit {
     LintHit { file: path.to_string(), line: idx + 1, rule, excerpt: line.trim().to_string() }
 }
 
-/// Whether `path` is library (non-bin, non-test) source of a panic-free crate.
-fn is_panic_free_lib(path: &str) -> bool {
-    let lib = ["crates/core/src/", "crates/mpsim/src/", "crates/netsim/src/"];
-    lib.iter().any(|p| path.starts_with(p))
-        && path.ends_with(".rs")
-        && !path.contains("/bin/")
-        && !path.contains("/tests/")
-}
-
-/// Rule 1: `.unwrap(` / `.expect(` in library code. Content at or after the
-/// first `#[cfg(test)]` is exempt (test modules sit at the bottom of each
-/// file in this repo); `.unwrap_or(…)`, `.unwrap_or_else(…)`, `.expect_err(`
-/// do not match. A `// lint: allow(panic)` marker on the same or the
-/// preceding line waives a deliberate, documented panic.
-pub fn check_panics(path: &str, content: &str) -> Vec<LintHit> {
-    if !is_panic_free_lib(path) {
-        return Vec::new();
-    }
-    let body = match content.find("#[cfg(test)]") {
-        Some(i) => &content[..i],
-        None => content,
-    };
-    let mut hits = Vec::new();
-    let mut prev: &str = "";
-    for (i, line) in body.lines().enumerate() {
-        let code = code_part(line);
-        let bare = |needle: &str, follow_ok: &[&str]| {
-            code.match_indices(needle).any(|(at, _)| {
-                let rest = &code[at + needle.len()..];
-                !follow_ok.iter().any(|f| rest.starts_with(f))
-            })
-        };
-        // `.unwrap(` must not be `.unwrap_or(` etc. — the needle includes
-        // the open paren, so suffixed method names never match.
-        let panics = bare(".unwrap(", &[]) || bare(".expect(", &[]);
-        let allowed = line.contains("lint: allow(panic)") || prev.contains("lint: allow(panic)");
-        if panics && !allowed {
-            hits.push(hit(path, i, "panic", line));
-        }
-        prev = line;
-    }
-    hits
-}
-
-/// Rule 2: every `unsafe` keyword (block or fn) needs a `// SAFETY:` comment
-/// on the same line or within the three preceding lines. The forbid
-/// attribute's `unsafe_code` token does not match (the keyword must be
-/// followed by whitespace or `{`).
-pub fn check_unsafe(path: &str, content: &str) -> Vec<LintHit> {
-    if !path.starts_with("crates/") || !path.ends_with(".rs") {
-        return Vec::new();
-    }
-    let lines: Vec<&str> = content.lines().collect();
-    let mut hits = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_part(line);
-        let is_unsafe = code.match_indices("unsafe").any(|(at, _)| {
-            let boundary_before =
-                at == 0 || !code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_');
-            let rest = &code[at + "unsafe".len()..];
-            let keyword =
-                rest.starts_with(char::is_whitespace) || rest.starts_with('{') || rest.is_empty();
-            boundary_before && keyword
-        });
-        if !is_unsafe {
-            continue;
-        }
-        let lo = i.saturating_sub(3);
-        let documented =
-            line.contains("SAFETY:") || lines[lo..i].iter().any(|l| l.contains("SAFETY:"));
-        if !documented {
-            hits.push(hit(path, i, "unsafe-safety", line));
-        }
-    }
-    hits
-}
-
-/// Every communication method of `AsyncCommunicator` — the envelope core
-/// and every variant provided over it — as the call needle rules 3 and 7
-/// match (the open paren keeps `.recv_owned(` from matching `.recv(` and
-/// vice versa).
-const COMM_CALLS: [&str; 13] = [
-    ".post(",
-    ".take(",
-    ".exchange(",
-    ".barrier(",
-    ".send(",
-    ".recv(",
-    ".recv_timeout(",
-    ".sendrecv(",
-    ".send_shared(",
-    ".recv_owned(",
-    ".sendrecv_shared(",
-    ".send_prefixed(",
-    ".recv_prefixed(",
-];
-
-/// Rule 3: `let _ = …` discarding the `Result` of a communication call
-/// (any of [`COMM_CALLS`]) in library code. Test modules are exempt (same
-/// scoping as [`check_panics`]); a deliberate best-effort call carries
-/// `// lint: allow(ignored-comm-result)` on the same or the preceding line.
-pub fn check_ignored_comm_result(path: &str, content: &str) -> Vec<LintHit> {
-    if !is_panic_free_lib(path) {
-        return Vec::new();
-    }
-    let body = match content.find("#[cfg(test)]") {
-        Some(i) => &content[..i],
-        None => content,
-    };
-    let mut hits = Vec::new();
-    let mut prev: &str = "";
-    for (i, line) in body.lines().enumerate() {
-        let code = code_part(line);
-        let discarded = code
-            .find("let _ =")
-            .map(|at| &code[at..])
-            .is_some_and(|rest| COMM_CALLS.iter().any(|c| rest.contains(c)));
-        let allowed = line.contains("lint: allow(ignored-comm-result)")
-            || prev.contains("lint: allow(ignored-comm-result)");
-        if discarded && !allowed {
-            hits.push(hit(path, i, "ignored-comm-result", line));
-        }
-        prev = line;
-    }
-    hits
-}
-
 /// Broadcast hot-path files: the scatter-ring pipeline the paper tunes, the
 /// interpreter that executes it and its coalescing rewrite. Every payload
-/// forwarded here must stay a refcounted view (rule 8).
+/// forwarded here must stay a refcounted view (`bcast-hot-copy`).
 fn is_bcast_hot_path(path: &str) -> bool {
     const HOT: [&str; 6] = [
         "crates/core/src/interp.rs",
@@ -270,87 +119,8 @@ fn is_bcast_hot_path(path: &str) -> bool {
     HOT.contains(&path)
 }
 
-/// Files that run on the event executor's virtual clock: the executor
-/// itself and the decorators stacked on it, whose every wait is `now_ns`
-/// arithmetic.
-fn is_virtual_clock_pure(path: &str) -> bool {
-    const DECORATORS: [&str; 4] = [
-        "crates/mpsim/src/reliable.rs",
-        "crates/mpsim/src/sub_comm.rs",
-        "crates/netsim/src/fault.rs",
-        "crates/core/src/recovery.rs",
-    ];
-    (path.starts_with("crates/mpsim/src/event_") && path.ends_with(".rs"))
-        || DECORATORS.contains(&path)
-}
-
-/// Rule 4: real-time primitives inside the discrete-event executor or the
-/// decorators that run on it. The event executor's contract is
-/// virtual-clock purity — every delay and timeout is an event timestamp, so
-/// the same world replays identically on every machine. Reading a wall
-/// clock (`Instant::now`, `SystemTime`) or sleeping (`std::thread::sleep`)
-/// in those files breaks that replay guarantee. Test modules are exempt
-/// (same scoping as [`check_panics`]); a deliberate exception carries a
-/// `// lint: allow(real-time)` marker on the same or the preceding line.
-pub fn check_real_time(path: &str, content: &str) -> Vec<LintHit> {
-    if !is_virtual_clock_pure(path) {
-        return Vec::new();
-    }
-    let body = match content.find("#[cfg(test)]") {
-        Some(i) => &content[..i],
-        None => content,
-    };
-    const REAL_TIME: [&str; 4] = ["thread::sleep", "Instant::now", "SystemTime", "Instant :: now"];
-    let mut hits = Vec::new();
-    let mut prev: &str = "";
-    for (i, line) in body.lines().enumerate() {
-        let code = code_part(line);
-        let real = REAL_TIME.iter().any(|n| code.contains(n));
-        let allowed =
-            line.contains("lint: allow(real-time)") || prev.contains("lint: allow(real-time)");
-        if real && !allowed {
-            hits.push(hit(path, i, "real-time", line));
-        }
-        prev = line;
-    }
-    hits
-}
-
-/// Rule 5: `HashMap` anywhere in the event-executor modules
-/// (`crates/mpsim/src/event_*.rs`) or in ThreadWorld's mailbox
-/// (`crates/mpsim/src/mailbox.rs`). The lane mailbox and timing wheel
-/// exist precisely so the reactor's match/arm hot loops cost indexed loads
-/// instead of hashing, and ThreadWorld matches through the same lanes; a
-/// hash map creeping back in — or a second matcher growing beside the
-/// first — silently re-taxes every message. The wild-tag spill fallback is
-/// the one sanctioned use and carries a `// lint: allow(mailbox-spill)`
-/// marker on the same or the preceding line. Test modules are exempt (same
-/// scoping as [`check_panics`]).
-pub fn check_event_mailbox_hashmap(path: &str, content: &str) -> Vec<LintHit> {
-    let in_event_executor = path.starts_with("crates/mpsim/src/event_") && path.ends_with(".rs");
-    if !in_event_executor && path != "crates/mpsim/src/mailbox.rs" {
-        return Vec::new();
-    }
-    let body = match content.find("#[cfg(test)]") {
-        Some(i) => &content[..i],
-        None => content,
-    };
-    let mut hits = Vec::new();
-    let mut prev: &str = "";
-    for (i, line) in body.lines().enumerate() {
-        let code = code_part(line);
-        let allowed = line.contains("lint: allow(mailbox-spill)")
-            || prev.contains("lint: allow(mailbox-spill)");
-        if code.contains("HashMap") && !allowed {
-            hits.push(hit(path, i, "event-mailbox-hashmap", line));
-        }
-        prev = line;
-    }
-    hits
-}
-
-/// Rule 6: cancel-safety in the async communication layer — the event
-/// executor modules plus the sync↔async bridge, where every future must
+/// `cancel-safety`: the async communication layer — the event executor
+/// modules plus the sync↔async bridge — where every future must
 /// survive being dropped between polls (a timed-out receive, an abandoned
 /// barrier). Three line-level shapes, one rule name, one waiver:
 ///
@@ -373,9 +143,8 @@ pub fn check_event_mailbox_hashmap(path: &str, content: &str) -> Vec<LintHit> {
 ///   future exists, so cancellation can never replay it; a send issued
 ///   from `poll` re-fires on every retry of a dropped-and-rebuilt future.
 ///
-/// Test modules are exempt (same scoping as [`check_panics`]); a deliberate
-/// exception carries `// lint: allow(cancel-safety)` on the same or the
-/// preceding line.
+/// A deliberate exception carries `// lint: allow(cancel-safety)` on the
+/// same or the preceding line.
 pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     let in_scope = (path.starts_with("crates/mpsim/src/event_")
         || path == "crates/mpsim/src/acomm.rs")
@@ -426,54 +195,7 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 7: `.unwrap(` / `.expect(` on the `Result` of a communication call
-/// inside the self-healing recovery module (`crates/core/src/recovery.rs`),
-/// whose whole purpose is to *survive* `CommError`s, so panicking on one
-/// defeats the layer. Rule 1 already bans bare panics in library code,
-/// but its `// lint: allow(panic)` waiver is too blunt here: a waived
-/// unwrap of a *`CommError`* in recovery code turns the exact failure the
-/// layer exists to absorb (a peer death, a timeout) into a process abort —
-/// precisely the outcome self-healing is supposed to prevent. Detection
-/// spans rustfmt-broken statements, so a chained `.await\n.unwrap()` on the
-/// following line still matches. Test modules are exempt; the only escape
-/// hatch is an explicit `// lint: allow(recovery-unwrap)` marker on the
-/// same or the preceding line, which deliberately does *not* accept the
-/// generic panic waiver.
-pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
-    if path != "crates/core/src/recovery.rs" {
-        return Vec::new();
-    }
-    let body = match content.find("#[cfg(test)]") {
-        Some(i) => &content[..i],
-        None => content,
-    };
-    let mut hits = Vec::new();
-    let mut prev: &str = "";
-    // True while the current multi-line statement has already named a
-    // communication call; reset at each statement terminator.
-    let mut stmt_has_comm = false;
-    for (i, line) in body.lines().enumerate() {
-        let code = code_part(line);
-        if COMM_CALLS.iter().any(|c| code.contains(c)) {
-            stmt_has_comm = true;
-        }
-        // The needles carry the open paren, so `.unwrap_or(` / `.expect_err(`
-        // and friends never match.
-        let panics = code.contains(".unwrap(") || code.contains(".expect(");
-        let allowed = line.contains("lint: allow(recovery-unwrap)")
-            || prev.contains("lint: allow(recovery-unwrap)");
-        if panics && stmt_has_comm && !allowed {
-            hits.push(hit(path, i, "recovery-unwrap", line));
-        }
-        if code.contains(';') {
-            stmt_has_comm = false;
-        }
-        prev = line;
-    }
-    hits
-}
-
-/// Rule 8: unaccounted payload copies in the broadcast hot path — the
+/// `bcast-hot-copy`: unaccounted payload copies in the broadcast hot path — the
 /// `is_bcast_hot_path` files plus `binomial.rs` (the whole-buffer tree
 /// walk, with the same zero-copy contract) and `mpsim`'s `reliable.rs` (every hop
 /// of a broadcast over a lossy link goes through it). A copy primitive
@@ -482,8 +204,7 @@ pub fn check_recovery_unwrap(path: &str, content: &str) -> Vec<LintHit> {
 /// only as an *accounted* staging or landing copy, recognisable by a
 /// `note_copy(` call on the same or the following two lines; the runtime
 /// `bytes_copied` ceilings and closed forms then bound how often that shape
-/// may execute. Test modules are exempt (same scoping as
-/// [`check_panics`]); a deliberate exception carries a
+/// may execute. A deliberate exception carries a
 /// `// lint: allow(bcast-hot-copy)` marker on the same or the preceding
 /// line.
 pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
@@ -517,7 +238,7 @@ pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
 }
 
 /// The methods `Communicator` and `AsyncCommunicator` provide over their
-/// envelope core, which no implementor defines (rule 9).
+/// envelope core, which no implementor defines (`comm-impl`).
 const PROVIDED: [&str; 10] = [
     "check_rank",
     "send",
@@ -557,15 +278,14 @@ fn fn_name(code: &str) -> Option<&str> {
     Some(&rest[..rest.find(|c: char| !ident(c)).unwrap_or(rest.len())])
 }
 
-/// Rule 9: three shapes of blocking code outgrowing the envelope core, one
+/// `comm-impl`: three shapes of blocking code outgrowing the envelope core, one
 /// rule name. `impl … Communicator for` (the blocking trait;
 /// `AsyncCommunicator for` does not match) anywhere but the two blocking
 /// executors; in `crates/core/src`, any other `blocking_comm_bound`
 /// outside the signature of `bcast.rs`'s `bcast_with` (tracked as the last
 /// `fn` named before the line); and, in any `impl … Communicator for` or
 /// `impl … AsyncCommunicator for` block, a definition of one of the
-/// [`PROVIDED`] methods (the block is tracked by brace depth). Test modules
-/// are exempt (same scoping as [`check_panics`]).
+/// [`PROVIDED`] methods (the block is tracked by brace depth).
 pub fn check_comm_impl(path: &str, content: &str) -> Vec<LintHit> {
     const EXECUTORS: [&str; 2] =
         ["crates/mpsim/src/thread_comm.rs", "crates/netsim/src/sim_comm.rs"];
@@ -614,7 +334,7 @@ pub fn check_comm_impl(path: &str, content: &str) -> Vec<LintHit> {
 }
 
 /// Public items that stay without a caller outside their own module's
-/// tests, as `(path, name, reason)` (rule 10). Kept under 15 entries.
+/// tests, as `(path, name, reason)` (`unused-pub`). Kept under 15 entries.
 pub const UNUSED_PUB_ALLOWED: [(&str, &str, &str); 1] = [(
     "crates/mpsim/src/mailbox.rs",
     "wakeup_stats",
@@ -625,7 +345,7 @@ pub const UNUSED_PUB_ALLOWED: [(&str, &str, &str); 1] = [(
 /// This file, exempt from every rule.
 const LINT_SOURCE: &str = "crates/schedcheck/src/lint.rs";
 
-/// Directories, relative to the repository root, whose `.rs` files rule 10
+/// Directories, relative to the repository root, whose `.rs` files `unused-pub`
 /// reads for callers; `crates/*/src` and `src/lib.rs` among them are also
 /// what it audits.
 const SOURCE_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
@@ -659,7 +379,7 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// The name a line defines as a public item, if it is one (rule 10).
+/// The name a line defines as a public item, if it is one (`unused-pub`).
 fn pub_item_name(code: &str) -> Option<&str> {
     const KINDS: [&str; 10] = [
         "pub fn ",
@@ -703,7 +423,7 @@ fn count_names<'a>(text: &'a str, counts: &mut HashMap<&'a str, usize>) {
     }
 }
 
-/// Rule 10: public items of `crates/*/src` and of the root package's
+/// `unused-pub`: public items of `crates/*/src` and of the root package's
 /// `src/lib.rs` that nothing names outside their own module's tests, over
 /// the whole source set `files` (as [`collect_sources`] returns it).
 /// `allowed` lists `(path, name, reason)` entries that stay; an entry that
@@ -758,13 +478,7 @@ pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
     if path == LINT_SOURCE {
         return Vec::new();
     }
-    let mut hits = check_panics(path, content);
-    hits.extend(check_unsafe(path, content));
-    hits.extend(check_ignored_comm_result(path, content));
-    hits.extend(check_real_time(path, content));
-    hits.extend(check_event_mailbox_hashmap(path, content));
-    hits.extend(check_cancel_safety(path, content));
-    hits.extend(check_recovery_unwrap(path, content));
+    let mut hits = check_cancel_safety(path, content);
     hits.extend(check_bcast_hot_copy(path, content));
     hits.extend(check_comm_impl(path, content));
     hits
@@ -773,150 +487,6 @@ pub fn check_file(path: &str, content: &str) -> Vec<LintHit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn panic_rule_scoping() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(check_panics("crates/core/src/x.rs", src).len(), 1);
-        assert!(check_panics("crates/bench/src/x.rs", src).is_empty());
-        assert!(check_panics("crates/core/src/bin/tool.rs", src).is_empty());
-    }
-
-    #[test]
-    fn panic_rule_exemptions() {
-        let fallback = "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); z.expect_err(\"e\"); }\n";
-        assert!(check_panics("crates/core/src/x.rs", fallback).is_empty());
-        let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { fn g() { x.unwrap(); } }\n";
-        assert!(check_panics("crates/core/src/x.rs", in_tests).is_empty());
-        let marked = "// lint: allow(panic) — length checked above\nlet v = x.unwrap();\n";
-        assert!(check_panics("crates/core/src/x.rs", marked).is_empty());
-        let same_line = "let v = x.unwrap(); // lint: allow(panic) — infallible\n";
-        assert!(check_panics("crates/core/src/x.rs", same_line).is_empty());
-        let expect = "fn f() { x.expect(\"boom\"); }\n";
-        assert_eq!(check_panics("crates/core/src/x.rs", expect).len(), 1);
-    }
-
-    #[test]
-    fn ignored_comm_result_rule() {
-        let bad = "fn f() { let _ = comm.send(&buf, 1, Tag(0)); }\n";
-        assert_eq!(check_ignored_comm_result("crates/core/src/x.rs", bad).len(), 1);
-        let bad_recv = "let _ = comm.recv_timeout(&mut b, 0, Tag(1), t);\n";
-        assert_eq!(check_ignored_comm_result("crates/mpsim/src/x.rs", bad_recv).len(), 1);
-        // explicit handling, bench/bin code and test modules are fine
-        let handled = "match comm.send(&buf, 1, Tag(0)) { Ok(()) | Err(_) => {} }\n";
-        assert!(check_ignored_comm_result("crates/core/src/x.rs", handled).is_empty());
-        assert!(check_ignored_comm_result("crates/bench/src/x.rs", bad).is_empty());
-        let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { fn g() { let _ = c.recv(b, 0, t); } }\n";
-        assert!(check_ignored_comm_result("crates/core/src/x.rs", in_tests).is_empty());
-        // unrelated discards don't match
-        let unrelated = "let _ = guard.lock();\n";
-        assert!(check_ignored_comm_result("crates/core/src/x.rs", unrelated).is_empty());
-        let waived = "// lint: allow(ignored-comm-result) — best-effort wakeup\n\
-                      let _ = comm.send(&[], 1, Tag(0));\n";
-        assert!(check_ignored_comm_result("crates/core/src/x.rs", waived).is_empty());
-    }
-
-    #[test]
-    fn ignored_comm_result_rule_sees_shared_and_core_calls() {
-        for call in [
-            "let _ = comm.send_shared(&env, 1, Tag(0)).await;\n",
-            "let _ = comm.recv_owned(8, 0, Tag(0)).await;\n",
-            "let _ = comm.sendrecv_shared(&env, 1, Tag(0), 8, 1, Tag(0)).await;\n",
-            "let _ = comm.send_prefixed(seq, &env, 1, Tag(0)).await;\n",
-            "let _ = self.inner.post(payload, dest, tag).await;\n",
-            "let _ = self.inner.take(8, src, tag, None).await;\n",
-            "let _ = self.inner.exchange(payload, 1, Tag(0), 8, 1, Tag(0)).await;\n",
-        ] {
-            assert_eq!(
-                check_ignored_comm_result("crates/netsim/src/x.rs", call).len(),
-                1,
-                "{call}"
-            );
-        }
-    }
-
-    #[test]
-    fn real_time_rule_scoping_and_waiver() {
-        let sleepy = "fn f() { std::thread::sleep(Duration::from_millis(1)); }\n";
-        assert_eq!(check_real_time("crates/mpsim/src/event_comm.rs", sleepy).len(), 1);
-        let instant = "let t0 = std::time::Instant::now();\n";
-        assert_eq!(check_real_time("crates/mpsim/src/event_comm.rs", instant).len(), 1);
-        let systime = "let wall = std::time::SystemTime::now();\n";
-        assert_eq!(check_real_time("crates/mpsim/src/event_reactor.rs", systime).len(), 1);
-        // The decorators that run on the event executor are held to the
-        // same purity; the blocking executors are not.
-        for path in [
-            "crates/mpsim/src/reliable.rs",
-            "crates/mpsim/src/sub_comm.rs",
-            "crates/netsim/src/fault.rs",
-            "crates/core/src/recovery.rs",
-        ] {
-            assert_eq!(check_real_time(path, instant).len(), 1, "{path}");
-        }
-        assert!(check_real_time("crates/mpsim/src/thread_comm.rs", sleepy).is_empty());
-        assert!(check_real_time("crates/netsim/src/sim_comm.rs", instant).is_empty());
-        // Comments, test modules, and marked lines are exempt.
-        let comment = "// Instant::now is banned here\n";
-        assert!(check_real_time("crates/mpsim/src/event_comm.rs", comment).is_empty());
-        let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { fn g() { \
-                        let t = std::time::Instant::now(); } }\n";
-        assert!(check_real_time("crates/mpsim/src/event_comm.rs", in_tests).is_empty());
-        let waived = "// lint: allow(real-time) — diagnostics only, never scheduling\n\
-                      let t0 = std::time::Instant::now();\n";
-        assert!(check_real_time("crates/mpsim/src/event_comm.rs", waived).is_empty());
-    }
-
-    #[test]
-    fn real_time_rule_covers_split_event_modules() {
-        // The refactor split the reactor into event_comm / event_mailbox /
-        // event_timer; the prefix glob must hold all of them (and any
-        // future sibling) to virtual-clock purity.
-        let instant = "let t0 = std::time::Instant::now();\n";
-        for file in ["event_comm.rs", "event_mailbox.rs", "event_timer.rs", "event_future.rs"] {
-            let path = format!("crates/mpsim/src/{file}");
-            assert_eq!(check_real_time(&path, instant).len(), 1, "{path}");
-        }
-    }
-
-    #[test]
-    fn event_mailbox_hashmap_rule() {
-        let bad = "use std::collections::HashMap;\n";
-        for file in ["event_comm.rs", "event_mailbox.rs", "event_timer.rs"] {
-            let path = format!("crates/mpsim/src/{file}");
-            assert_eq!(check_event_mailbox_hashmap(&path, bad).len(), 1, "{path}");
-        }
-        // Outside the two matchers, hash maps are nobody's business here.
-        assert!(check_event_mailbox_hashmap("crates/mpsim/src/thread_comm.rs", bad).is_empty());
-        assert!(check_event_mailbox_hashmap("crates/core/src/bcast.rs", bad).is_empty());
-        // The spill fallback is sanctioned when marked, same or previous line.
-        let waived = "// lint: allow(mailbox-spill) — wild tags only\n\
-                      spill: Option<Box<HashMap<u32, VecDeque<Envelope>>>>,\n";
-        assert!(check_event_mailbox_hashmap("crates/mpsim/src/event_mailbox.rs", waived).is_empty());
-        let same_line = "let m: HashMap<u32, u32>; // lint: allow(mailbox-spill)\n";
-        assert!(
-            check_event_mailbox_hashmap("crates/mpsim/src/event_mailbox.rs", same_line).is_empty()
-        );
-        // Comments and test modules are exempt.
-        let comment = "// HashMap is banned on this path\n";
-        assert!(check_event_mailbox_hashmap("crates/mpsim/src/event_comm.rs", comment).is_empty());
-        let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { use std::collections::HashMap; }\n";
-        assert!(check_event_mailbox_hashmap("crates/mpsim/src/event_comm.rs", in_tests).is_empty());
-    }
-
-    /// ThreadWorld's mailbox before it moved onto the lane matcher, in
-    /// miniature: a second, hashed `(src, tag)` matcher.
-    const SHARDED_MAILBOX: &str = "use std::collections::{HashMap, VecDeque};\n\n\
-        struct SlotState {\n    queues: HashMap<(Rank, Tag), VecDeque<Envelope>>,\n}\n";
-
-    #[test]
-    fn hashmap_rule_covers_the_thread_mailbox() {
-        let hits = check_event_mailbox_hashmap("crates/mpsim/src/mailbox.rs", SHARDED_MAILBOX);
-        assert_eq!(hits.iter().map(|h| h.line).collect::<Vec<_>>(), vec![1, 4]);
-        assert!(hits.iter().all(|h| h.rule == "event-mailbox-hashmap"));
-        // The lane matcher it uses instead is no finding.
-        let lanes = "use crate::event_mailbox::LaneMailbox;\nstruct State { lanes: LaneMailbox }\n";
-        assert!(check_event_mailbox_hashmap("crates/mpsim/src/mailbox.rs", lanes).is_empty());
-    }
 
     fn corpus(files: &[(&str, &str)]) -> Vec<(String, String)> {
         files.iter().map(|&(p, c)| (p.to_string(), c.to_string())).collect()
@@ -1090,65 +660,10 @@ mod tests {
                            Poll::Pending\n}\n\
                            fn g() {\n    Poll::Pending\n}\n";
         assert_eq!(check_cancel_safety("crates/mpsim/src/event_comm.rs", not_blanket).len(), 1);
-        // Test modules are exempt, same scoping as the panic rule.
+        // Test modules are exempt.
         let in_tests = "fn f() {}\n#[cfg(test)]\nmod t {\n    fn poll_never() -> Poll<()> { \
                         Poll::Pending }\n}\n";
         assert!(check_cancel_safety("crates/mpsim/src/acomm.rs", in_tests).is_empty());
-    }
-
-    #[test]
-    fn unsafe_rule() {
-        let bare = "fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
-        assert_eq!(check_unsafe("crates/mpsim/src/x.rs", bare).len(), 1);
-        let documented = "// SAFETY: guarded by the bounds check above.\n\
-                          fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
-        assert!(check_unsafe("crates/mpsim/src/x.rs", documented).is_empty());
-        let forbid = "#![forbid(unsafe_code)]\n";
-        assert!(check_unsafe("crates/core/src/lib.rs", forbid).is_empty());
-    }
-
-    #[test]
-    fn recovery_unwrap_flags_comm_results_in_recovery_files_only() {
-        let bad = "fn f() { comm.recv(&mut buf, peer, Tag(3)).unwrap(); }\n";
-        assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", bad).len(), 1);
-        // Other files — even other core modules — are rule 1's territory.
-        assert!(check_recovery_unwrap("crates/core/src/bcast.rs", bad).is_empty());
-        let expect = "let n = comm.recv_timeout(&mut b, p, Tag(1), t).expect(\"peer\");\n";
-        assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", expect).len(), 1);
-        // Non-comm unwraps in recovery files are also rule 1's territory.
-        let non_comm = "fn f() { members.iter().position(|&m| m == me).unwrap(); }\n";
-        assert!(check_recovery_unwrap("crates/core/src/recovery.rs", non_comm).is_empty());
-        // Error-tolerant combinators are the sanctioned shape.
-        let tolerant = "let _ = comm.send(&buf, peer, Tag(3)).map_err(|_| ());\n\
-                        if comm.barrier().is_err() { return; }\n";
-        assert!(check_recovery_unwrap("crates/core/src/recovery.rs", tolerant).is_empty());
-    }
-
-    #[test]
-    fn recovery_unwrap_sees_shared_and_core_calls() {
-        let recovery = "crates/core/src/recovery.rs";
-        let shared = "let _ = comm.send_shared(&env, peer, Tag(3)).await.unwrap();\n";
-        assert_eq!(check_recovery_unwrap(recovery, shared).len(), 1);
-        let core = "let env = self.inner\n    .take(cap, src, tag, None)\n    .await\n    .expect(\"peer\");\n";
-        assert_eq!(check_recovery_unwrap(recovery, core).len(), 1);
-        let posted = "self.inner.post(payload, dest, tag).await.unwrap();\n";
-        assert_eq!(check_recovery_unwrap(recovery, posted).len(), 1);
-    }
-
-    #[test]
-    fn recovery_unwrap_spans_rustfmt_broken_statements() {
-        // rustfmt splits long chains: the comm call and the unwrap land on
-        // different lines of one statement.
-        let split = "let healed = self.comm.sendrecv(&out, peer, Tag(2), &mut inb, peer, Tag(2))\n\
-                     .await\n\
-                     .unwrap();\n";
-        let hits = check_recovery_unwrap("crates/core/src/recovery.rs", split);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].line, 3);
-        // The statement terminator resets the tracking: an unwrap in the
-        // *next* statement is not contaminated by the previous comm call.
-        let reset = "comm.barrier()?;\nlet r = report.decode().unwrap();\n";
-        assert!(check_recovery_unwrap("crates/core/src/recovery.rs", reset).is_empty());
     }
 
     #[test]
@@ -1324,21 +839,5 @@ mod tests {
                 assert!(check_comm_impl(&path, &content).is_empty(), "{path}");
             }
         }
-    }
-
-    #[test]
-    fn recovery_unwrap_waiver_and_test_scoping() {
-        // Only the dedicated marker waives — the generic panic waiver is
-        // deliberately insufficient here.
-        let generic = "// lint: allow(panic) — startup only\n\
-                       comm.barrier().unwrap();\n";
-        assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", generic).len(), 1);
-        let dedicated = "// lint: allow(recovery-unwrap) — pre-agreement bootstrap barrier\n\
-                         comm.barrier().unwrap();\n";
-        assert!(check_recovery_unwrap("crates/core/src/recovery.rs", dedicated).is_empty());
-        let same_line = "comm.barrier().unwrap(); // lint: allow(recovery-unwrap) — bootstrap\n";
-        assert!(check_recovery_unwrap("crates/core/src/recovery.rs", same_line).is_empty());
-        let in_tests = "fn f() {}\n#[cfg(test)]\nmod t { fn g() { comm.barrier().unwrap(); } }\n";
-        assert!(check_recovery_unwrap("crates/core/src/recovery.rs", in_tests).is_empty());
     }
 }

@@ -823,7 +823,7 @@ impl Model for TimerWheelModel {
             }
             TLoc::CancelStale => {
                 // TimerWheel::cancel with the deployed liveness decision.
-                // lint: allow(panic) — loc CancelStale implies A armed.
+                // Loc CancelStale implies A armed.
                 let (idx, gen) = s.handle_a.expect("A cancels only after arming");
                 let e = &mut n.slots[idx as usize];
                 let live = if self.no_generation {

@@ -31,28 +31,28 @@ use std::time::Instant;
 
 /// One benchmark's collected measurements, in nanoseconds.
 #[derive(Debug, Clone)]
-pub struct Record {
+struct Record {
     /// Group name.
-    pub group: String,
+    group: String,
     /// Benchmark id within the group.
-    pub id: String,
+    id: String,
     /// Median of the timed samples.
-    pub median_ns: f64,
+    median_ns: f64,
     /// 10th percentile.
-    pub p10_ns: f64,
+    p10_ns: f64,
     /// 90th percentile.
-    pub p90_ns: f64,
+    p90_ns: f64,
     /// Arithmetic mean.
-    pub mean_ns: f64,
+    mean_ns: f64,
     /// Number of timed samples.
-    pub samples: usize,
+    samples: usize,
     /// Optional throughput denominator (bytes per iteration), when declared.
-    pub bytes_per_iter: Option<u64>,
+    bytes_per_iter: Option<u64>,
 }
 
 impl Record {
     /// Throughput in MiB/s when `bytes_per_iter` was declared.
-    pub fn mib_per_s(&self) -> Option<f64> {
+    fn mib_per_s(&self) -> Option<f64> {
         self.bytes_per_iter.map(|b| {
             let bytes_per_ns = b as f64 / self.median_ns.max(1e-9);
             bytes_per_ns * 1e9 / (1u64 << 20) as f64
@@ -180,11 +180,6 @@ impl Harness {
     /// Open a named benchmark group.
     pub fn group(&mut self, name: &str) -> Group<'_> {
         Group { harness: self, name: name.to_owned(), samples_override: None, bytes_per_iter: None }
-    }
-
-    /// All records measured so far.
-    pub fn records(&self) -> &[Record] {
-        &self.records
     }
 
     /// Print the summary (and write JSON when requested). Call last.
@@ -351,7 +346,7 @@ fn records_to_json(records: &[Record]) -> String {
 /// with `point_estimate` values in nanoseconds. Path separators inside
 /// group/id names are flattened (as Criterion itself does) so every
 /// benchmark maps to exactly one directory level each for group and id.
-pub fn write_criterion_dir(dir: &std::path::Path, records: &[Record]) -> std::io::Result<()> {
+fn write_criterion_dir(dir: &std::path::Path, records: &[Record]) -> std::io::Result<()> {
     for r in records {
         let bench_dir = dir.join(sanitize_component(&r.group)).join(sanitize_component(&r.id));
         let new_dir = bench_dir.join("new");
@@ -423,7 +418,7 @@ mod tests {
     fn bencher_collects_requested_samples() {
         let mut h = Harness::with_budget(1, 7);
         h.group("g").bench("work", |b| b.iter(|| (0..100u64).sum::<u64>()));
-        let r = &h.records()[0];
+        let r = &h.records[0];
         assert_eq!(r.samples, 7);
         assert!(r.median_ns >= 0.0);
         assert!(r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns);
@@ -437,7 +432,7 @@ mod tests {
             let mut dst = vec![0u8; 1 << 20];
             b.iter(|| dst.copy_from_slice(&src));
         });
-        assert!(h.records()[0].mib_per_s().unwrap() > 0.0);
+        assert!(h.records[0].mib_per_s().unwrap() > 0.0);
     }
 
     #[test]
@@ -445,7 +440,7 @@ mod tests {
         let mut h = Harness::with_budget(0, 2);
         h.group("a").bench("x", |b| b.iter(|| 1));
         h.group("b").throughput_bytes(64).bench("y", |b| b.iter(|| 2));
-        let json = records_to_json(h.records());
+        let json = records_to_json(&h.records);
         assert!(json.starts_with("{\n  \"benchmarks\": ["));
         assert!(json.contains("\"group\": \"a\""));
         assert!(json.contains("\"bytes_per_iter\": 64"));
@@ -483,7 +478,7 @@ mod tests {
         h.group("grp").bench("with/slash", |b| b.iter(|| 1));
         let dir = std::env::temp_dir().join(format!("testkit-criterion-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        write_criterion_dir(&dir, h.records()).unwrap();
+        write_criterion_dir(&dir, &h.records).unwrap();
         let estimates = dir.join("grp").join("with_slash").join("new").join("estimates.json");
         let content = std::fs::read_to_string(&estimates).unwrap();
         assert!(content.contains("\"point_estimate\""));

@@ -52,9 +52,9 @@ pub type PropResult = Result<(), String>;
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Number of random cases to run.
-    pub cases: u32,
+    cases: u32,
     /// Upper bound on shrink attempts once a case fails.
-    pub max_shrink_steps: u32,
+    max_shrink_steps: u32,
 }
 
 impl Config {
@@ -299,7 +299,6 @@ int_range_strategy!(UsizeRange, usize_range, usize, gen_range_u64);
 int_range_strategy!(U8Range, u8_range, u8, gen_range_u64);
 int_range_strategy!(U32Range, u32_range, u32, gen_range_u64);
 int_range_strategy!(U64Range, u64_range, u64, gen_range_u64);
-int_range_strategy!(I64Range, i64_range, i64, gen_range_i64);
 
 /// Full-range `u64`, shrinking toward 0.
 #[derive(Debug, Clone)]
@@ -417,34 +416,6 @@ impl Strategy for AnyBool {
             vec![false]
         } else {
             vec![]
-        }
-    }
-}
-
-/// One of a fixed list of values, shrinking toward earlier entries.
-#[derive(Debug, Clone)]
-pub struct OneOf<T> {
-    options: Vec<T>,
-}
-
-/// Uniformly one of `options` (must be non-empty); shrinks toward the
-/// first option, so put the "simplest" value first.
-pub fn one_of<T: Clone + Debug + PartialEq>(options: Vec<T>) -> OneOf<T> {
-    assert!(!options.is_empty(), "one_of needs at least one option");
-    OneOf { options }
-}
-
-impl<T: Clone + Debug + PartialEq> Strategy for OneOf<T> {
-    type Value = T;
-
-    fn generate(&self, rng: &mut Xoshiro256StarStar) -> T {
-        self.options[rng.gen_index(self.options.len())].clone()
-    }
-
-    fn shrink(&self, value: &T) -> Vec<T> {
-        match self.options.iter().position(|o| o == value) {
-            Some(pos) => self.options[..pos].to_vec(),
-            None => vec![],
         }
     }
 }
@@ -624,9 +595,9 @@ mod tests {
     }
 
     #[test]
-    fn tuple_and_one_of_shrink_componentwise() {
-        let strategy = (one_of(vec![false, true]), i64_range(-50..50));
-        let failure = run(Config::cases(128), &strategy, &|&(flag, v): &(bool, i64)| {
+    fn tuples_shrink_componentwise() {
+        let strategy = (any_bool(), u32_range(0..100));
+        let failure = run(Config::cases(128), &strategy, &|&(flag, v): &(bool, u32)| {
             if flag && v > 10 {
                 Err("flagged large".into())
             } else {

@@ -1,14 +1,14 @@
-//! Multi-core-aware broadcast (paper §I): split the world into node-local
-//! groups with `SubComm::split` (the `MPI_Comm_split` idiom), run the
-//! three-phase SMP broadcast, and compare its inter-node traffic against the
-//! flat scatter-ring broadcasts on a simulated two-level cluster.
+//! Multi-core-aware broadcast (paper §I): run the three-phase SMP broadcast
+//! (`bcast_smp_async` over a `NodeMap` of the cluster's nodes) and compare
+//! its inter-node traffic against the flat scatter-ring broadcasts on a
+//! simulated two-level cluster.
 //!
 //! Run with: `cargo run --release --example smp_hierarchy`
 
 use bcast_core::smp::{bcast_smp_async, NodeMap};
 use bcast_core::verify::pattern;
 use bcast_core::Algorithm;
-use mpsim::{complete_now, AsyncCommunicator, Communicator, SubComm, SyncComm};
+use mpsim::{complete_now, Communicator, SyncComm};
 use netsim::{presets, Level, SimWorld};
 
 fn main() {
@@ -25,20 +25,6 @@ fn main() {
         placement.node_count(np),
         nbytes >> 10
     );
-
-    // Demonstrate the split API itself: group ranks by node, order by rank.
-    // Sub-communicators are written against the async surface; a blocking
-    // backend enters through `SyncComm` + `complete_now`.
-    let out = SimWorld::run(preset.model_for(nbytes, np), placement, np, |comm| {
-        let color = Some(comm.placement().node_of(comm.rank()) as u64);
-        let acomm = SyncComm::new(comm);
-        let node_comm = complete_now(SubComm::split(&acomm, color, comm.rank() as i64))
-            .expect("every rank belongs to a node");
-        // within the node group, local rank 0 is the node leader
-        (node_comm.size(), node_comm.rank(), node_comm.to_parent(0))
-    });
-    let (gsize, _, leader) = out.results[30];
-    println!("rank 30 sits in a node group of {gsize} ranks led by global rank {leader}\n");
 
     // Compare flat vs SMP-aware broadcast traffic and simulated time.
     println!("{:<28} {:>12} {:>14} {:>14}", "broadcast", "time (us)", "intra msgs", "inter msgs");

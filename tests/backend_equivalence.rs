@@ -4,6 +4,10 @@
 //! discrete-event async executor — and a seeded fault plan must replay the
 //! same observable history on all of them.
 
+// No verdict here may hang on the host's timing: these tests read no wall
+// clock and never sleep (the calls `clippy.toml` lists).
+#![deny(clippy::disallowed_methods)]
+
 use bcast_core::traffic::bcast_volume;
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_with, bcast_with_async, Algorithm};

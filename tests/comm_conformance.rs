@@ -39,6 +39,10 @@
 //! every executor sends the framed envelope as-is — the sender's wire and
 //! copy bill is the same number on all three.
 
+// No verdict here may hang on the host's timing: these tests read no wall
+// clock and never sleep (the calls `clippy.toml` lists).
+#![deny(clippy::disallowed_methods)]
+
 use std::time::Duration;
 
 use bcast_core::GuardedComm;

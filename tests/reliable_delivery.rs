@@ -11,6 +11,10 @@
 //! offers rank 1 meet exactly the listed fates, so every scenario replays
 //! the same way on both executors and under any `TESTKIT_SEED`.
 
+// No verdict here may hang on the host's timing: these tests read no wall
+// clock and never sleep (the calls `clippy.toml` lists).
+#![deny(clippy::disallowed_methods)]
+
 use std::time::Duration;
 
 use bcast_core::traffic::bcast_volume;

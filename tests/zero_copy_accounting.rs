@@ -42,6 +42,10 @@
 //! `EventWorld` outcomes — so a copy regression fails both the direct
 //! assertions and the schedule reconciliation, on every executor.
 
+// No verdict here may hang on the host's timing: these tests read no wall
+// clock and never sleep (the calls `clippy.toml` lists).
+#![deny(clippy::disallowed_methods)]
+
 use std::collections::BTreeSet;
 
 use bcast_core::bcast::bcast_schedule;
