@@ -156,7 +156,9 @@ pub fn bcast_with_async<'a, C: AsyncCommunicator + ?Sized>(
 
 /// The phase table, written once: hand `sink` rank `rank`'s tree stream (the
 /// binomial scatter, or for [`Algorithm::Binomial`] the whole broadcast),
-/// then its allgather stream, every op passed through `map`. The plain
+/// then its allgather stream, every op passed through `map`, and settle
+/// once, after the last phase: a rank starts its ring while its scatter
+/// frames are still in flight, as the paper's broadcast does. The plain
 /// broadcast's map is the identity, the self-healing attempt's renumbers
 /// peers into the world and shifts tags, and [`bcast_ops`] collects.
 ///
@@ -164,7 +166,8 @@ pub fn bcast_with_async<'a, C: AsyncCommunicator + ?Sized>(
 /// `root` is not a rank of the `p`-rank world and with
 /// [`CommError::Unsupported`] if the algorithm is not defined for it.
 ///
-/// Each stream is built at its own `phase` call, so only the running phase
+/// Each stream is built at its own `phase` call, and the settle starts only
+/// once the last phase's future has finished, so only the running phase
 /// lives in the future; handed to one interpreter, the scatter envelope is
 /// still retained when the allgather's first send — a sub-range of it — goes
 /// out. DESIGN §5b has what the other shapes of this table cost on
@@ -198,8 +201,8 @@ pub(crate) async fn bcast_phases(
         Algorithm::ScatterRingTuned => {
             sink.phase(tuned_ring_ops(rank, p, nbytes, root).map(map)).await
         }
-    }
-    .map(drop)
+    }?;
+    sink.settle().await
 }
 
 /// Run a phase table into a vector. The vector sink never suspends, so the

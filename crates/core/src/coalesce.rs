@@ -32,7 +32,7 @@ use std::ops::Range;
 use mpsim::{relative_rank, ring_left, ring_right, AsyncCommunicator, Rank, Result, Tag};
 
 use crate::chunks::ChunkLayout;
-use crate::interp::Interp;
+use crate::interp::{Interp, PhaseSink};
 use crate::ring::ring_step_chunks;
 use crate::ring_tuned::{step_flag, Endpoint};
 use crate::scatter::scatter_ops;
@@ -187,7 +187,8 @@ pub fn coalesced_ring_ops(
 }
 
 /// `MPI_Bcast_opt` with a coalescing allgather phase: [`scatter_ops`] then
-/// [`coalesced_ring_ops`] through one interpreter.
+/// [`coalesced_ring_ops`] through one interpreter, settled once after the
+/// ring, like every phase table.
 pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     buf: &mut [u8],
@@ -197,8 +198,9 @@ pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
     comm.check_rank(root)?;
     let (rank, p, nbytes) = (comm.rank(), comm.size(), buf.len());
     let mut interp = Interp::new(comm, buf);
-    interp.run(scatter_ops(rank, p, nbytes, root)).await?;
-    interp.run(coalesced_ring_ops(rank, p, nbytes, root, policy)).await.map(drop)
+    interp.phase(scatter_ops(rank, p, nbytes, root).into_iter()).await?;
+    interp.phase(coalesced_ring_ops(rank, p, nbytes, root, policy)).await?;
+    interp.settle().await
 }
 
 /// Closed-form message count of the coalescing ring under

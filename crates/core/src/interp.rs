@@ -48,6 +48,15 @@
 //! scatter child and once for its own chunk. (The pipeline's root keeps one
 //! per segment.) Keeping every landing would pin `O(P)` envelopes per rank.
 //!
+//! ## Settling
+//!
+//! A collective settles ([`AsyncCommunicator::flush`]) once, after its last
+//! op. `Interp::run` ends with that flush; a phase table hands its phases
+//! over through `PhaseSink::phase`, which settles nothing, and then calls
+//! `PhaseSink::settle` once. So over `ReliableComm` a scatter parent starts
+//! its ring with its scatter frames still in flight instead of waiting for
+//! its children's acks, and a rank blocks only where it waits for data.
+//!
 //! ## Bounded receives
 //!
 //! The self-healing broadcast runs its attempts, and each stage of its
@@ -55,10 +64,11 @@
 //! deadline, so a silent peer surfaces as [`CommError::Timeout`] instead of
 //! a hang, and an op with both halves is an eager post followed by a
 //! bounded take — sound only on an eagerly delivering transport. A bounded
-//! run's closing flush waits at most the same deadline. The agreement steps
-//! a stage one op at a time (`Interp::exec`, which settles nothing), reads
-//! each landing back through `Interp::buf`, and flushes once itself, under
-//! the same bound, when its verdict is in.
+//! interpreter's closing flush, a run's or a phase table's, waits at most
+//! the same deadline. The agreement steps a stage one op at a time
+//! (`Interp::exec`, which settles nothing), reads each landing back through
+//! `Interp::buf`, and flushes once itself, under the same bound, when its
+//! verdict is in.
 
 use std::future::Future;
 use std::ops::Range;
@@ -70,8 +80,8 @@ use crate::schedule::SchedOp;
 
 /// Interpreter state for one rank: the communicator, the user buffer and the
 /// retained envelopes. Phases of one collective run through the *same*
-/// interpreter (`run(scatter)` then `run(ring)`), so the envelopes carry
-/// over between them.
+/// interpreter (`phase(scatter)`, `phase(ring)`, then one `settle`), so the
+/// envelopes carry over between them.
 ///
 /// `BOUNDED` marks the self-healing attempt's interpreter
 /// (`Interp::bounded`); it is a compile-time switch, so the plain one
@@ -135,9 +145,11 @@ impl<'a, C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'a, C, BOUND
 
     /// Execute `ops` in order, then settle them
     /// ([`AsyncCommunicator::flush`]; a bounded interpreter waits at most
-    /// its `step` for that too): this is the only code that turns op
-    /// streams into posts, so every collective and attempt returns with
-    /// nothing of its own in flight. Resolves to the payload bytes received.
+    /// its `step` for that too): the entry point of a one-stream
+    /// collective. A collective of several phases hands them to
+    /// [`PhaseSink::phase`] and settles once, after the last. Either way
+    /// every collective and attempt returns with nothing of its own in
+    /// flight. Resolves to the payload bytes received.
     pub fn run<I: IntoIterator<Item = SchedOp>>(
         &mut self,
         ops: I,
@@ -155,8 +167,8 @@ impl<'a, C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'a, C, BOUND
         self.run_settling([op], false)
     }
 
-    /// [`Interp::run`], settling at the end only if `settle` is set. Both
-    /// entry points hand out this one future rather than awaiting it, so a
+    /// [`Interp::run`], settling at the end only if `settle` is set. Every
+    /// entry point hands out this one future rather than awaiting it, so a
     /// pending op is polled through no extra frame: on the event reactor
     /// that walk is the hot path.
     async fn run_settling(
@@ -249,16 +261,26 @@ impl<'a, C: AsyncCommunicator + ?Sized, const BOUNDED: bool> Interp<'a, C, BOUND
 }
 
 /// What a phase table hands each phase stream to, one phase at a time: an
-/// [`Interp`] runs it, a `Vec` collects it for a schedule.
+/// [`Interp`] runs it, a `Vec` collects it for a schedule. The table settles
+/// once, after its last phase.
 pub(crate) trait PhaseSink {
-    /// Consume one phase's op stream; resolves to the payload bytes received.
+    /// Consume one phase's op stream, settling nothing; resolves to the
+    /// payload bytes received.
     fn phase(&mut self, ops: impl Iterator<Item = SchedOp>) -> impl Future<Output = Result<usize>>;
+
+    /// Settle every phase handed over so far.
+    fn settle(&mut self) -> impl Future<Output = Result<()>>;
 }
 
-/// The run future itself, no wrapper state machine around it.
+/// The run future itself, unsettled, with no wrapper state machine around it.
 impl<C: AsyncCommunicator + ?Sized, const BOUNDED: bool> PhaseSink for Interp<'_, C, BOUNDED> {
     fn phase(&mut self, ops: impl Iterator<Item = SchedOp>) -> impl Future<Output = Result<usize>> {
-        self.run(ops)
+        self.run_settling(ops, false)
+    }
+
+    /// [`AsyncCommunicator::flush`], under the step of a bounded interpreter.
+    fn settle(&mut self) -> impl Future<Output = Result<()>> {
+        self.comm.flush(BOUNDED.then_some(self.step))
     }
 }
 
@@ -267,6 +289,10 @@ impl PhaseSink for &mut Vec<SchedOp> {
     fn phase(&mut self, ops: impl Iterator<Item = SchedOp>) -> impl Future<Output = Result<usize>> {
         self.extend(ops);
         std::future::ready(Ok(0))
+    }
+
+    fn settle(&mut self) -> impl Future<Output = Result<()>> {
+        std::future::ready(Ok(()))
     }
 }
 
@@ -278,21 +304,33 @@ mod tests {
     use mpsim::{ceil_log2, complete_now, Rank, Tag};
 
     use super::*;
+    use crate::bcast::{bcast_with_async, Algorithm};
+    use crate::coalesce::{bcast_opt_coalesced_async, CoalescePolicy};
     use crate::ring_tuned::tuned_ring_ops;
     use crate::scatter::scatter_ops;
     use crate::schedule::{Collective, RankSchedule, Schedule};
 
     /// Records how many views share each posted envelope, at the moment it
-    /// is posted, and counts the stagings. Answers each take with the next
-    /// of `lens` bytes of `0xAB`, or `capacity` bytes once `lens` runs out.
+    /// is posted, counts the stagings, and notes at each flush how many
+    /// core calls came before it. Answers each take with the next of `lens`
+    /// bytes of `0xAB`, or `capacity` bytes once `lens` runs out. It is rank
+    /// `rank` of `size`, which only the collectives' entry points read.
     #[derive(Default)]
     struct Recorder {
         shares: RefCell<Vec<usize>>,
         staged: Cell<usize>,
         lens: RefCell<VecDeque<usize>>,
+        calls: Cell<usize>,
+        flushed_after: RefCell<Vec<usize>>,
+        rank: Rank,
+        size: usize,
     }
 
     impl Recorder {
+        fn at(rank: Rank, size: usize) -> Self {
+            Recorder { rank, size, ..Default::default() }
+        }
+
         fn record(&self, payload: &Payload) {
             let shares = match payload {
                 Payload::Shared(env) => env.shares(),
@@ -302,6 +340,7 @@ mod tests {
         }
 
         fn arrival(&self, cap: usize) -> Result<Payload> {
+            self.calls.set(self.calls.get() + 1);
             let len = self.lens.borrow_mut().pop_front().unwrap_or(cap);
             Ok(vec![0xAB; len].into())
         }
@@ -309,11 +348,11 @@ mod tests {
 
     impl AsyncCommunicator for Recorder {
         fn rank(&self) -> Rank {
-            0
+            self.rank
         }
 
         fn size(&self) -> usize {
-            2
+            self.size
         }
 
         fn now_ns(&self) -> u64 {
@@ -333,6 +372,7 @@ mod tests {
 
         async fn post(&self, payload: Payload, _: Rank, _: Tag) -> Result<()> {
             self.record(&payload);
+            self.calls.set(self.calls.get() + 1);
             Ok(())
         }
 
@@ -354,6 +394,7 @@ mod tests {
         }
 
         async fn flush(&self, _: Option<Duration>) -> Result<()> {
+            self.flushed_after.borrow_mut().push(self.calls.get());
             Ok(())
         }
 
@@ -414,6 +455,35 @@ mod tests {
         complete_now(interp.run(tuned_ring_ops(0, p, nbytes, 0))).unwrap();
         assert_eq!(comm.shares.borrow().len(), 3 + (p - 1), "the root sends every ring step");
         assert_eq!(comm.staged.get(), 4, "a ring send other than the root's own chunk staged");
+    }
+
+    /// Every broadcast settles once, after its last op: each `Algorithm`
+    /// arm, whose scatter and allgather share one settle, and the
+    /// coalescing broadcast.
+    #[test]
+    fn every_broadcast_flushes_once_after_its_last_op() {
+        use Algorithm::*;
+        let check = |what: String, comm: Recorder| {
+            let calls = comm.calls.get();
+            assert_eq!(comm.flushed_after.into_inner(), [calls], "{what}: flushes after calls");
+        };
+        let roots = |p: usize| [0, p - 1].map(move |root| (p, root));
+        let ranks = |(p, root)| (0..p).map(move |rank| (p, root, rank));
+        for (p, root, rank) in (1..=9).flat_map(roots).flat_map(ranks) {
+            let at = format!("P={p} root={root} rank={rank}");
+            for algorithm in [Binomial, ScatterRdAllgather, ScatterRingNative, ScatterRingTuned] {
+                if algorithm.supports(p) {
+                    let comm = Recorder::at(rank, p);
+                    let mut buf = vec![0; 4 * p];
+                    complete_now(bcast_with_async(&comm, &mut buf, root, algorithm)).unwrap();
+                    check(format!("{algorithm:?} {at}"), comm);
+                }
+            }
+            let comm = Recorder::at(rank, p);
+            let (mut buf, policy) = (vec![0; 4 * p], CoalescePolicy::unlimited());
+            complete_now(bcast_opt_coalesced_async(&comm, &mut buf, root, &policy)).unwrap();
+            check(format!("coalesced {at}"), comm);
+        }
     }
 
     /// The length of every receive of every rank, in program order: the send

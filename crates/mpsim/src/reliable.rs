@@ -21,7 +21,10 @@
 //! sends the acks this rank owes, then waits until every frame it has in
 //! flight is acknowledged, retransmitting on the way (for at most the
 //! patience it is given, after which the rest is given up on as timed out).
-//! The schedule interpreter flushes once after each op stream it runs.
+//! A collective flushes once, after its last op: the schedule interpreter
+//! settles a broadcast's scatter and allgather together, so a scatter
+//! parent starts its ring without waiting for its children's acks, and
+//! drop-free each channel is acknowledged exactly once.
 //! `send` and `send_shared` end with a flush, so a returned `send` is an
 //! acknowledged one; `recv`, `recv_timeout` and `recv_owned` end with
 //! [`AsyncCommunicator::acknowledge`], which sends the owed acks and waits

@@ -38,14 +38,6 @@ pub trait Rng {
         lo + (((self.next_u64() as u128) * (span as u128)) >> 64) as u64
     }
 
-    /// Uniform `i64` in `[lo, hi)`; the range must be non-empty.
-    fn gen_range_i64(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(lo < hi, "gen_range_i64 needs lo < hi, got {lo}..{hi}");
-        let span = (hi as i128 - lo as i128) as u128;
-        let off = (((self.next_u64() as u128) * span) >> 64) as i128;
-        (lo as i128 + off) as i64
-    }
-
     /// Uniform `f64` in `[lo, hi)` (53-bit mantissa resolution).
     fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi, "gen_range_f64 needs lo < hi, got {lo}..{hi}");
@@ -176,8 +168,6 @@ mod tests {
         for _ in 0..1000 {
             let v = r.gen_range_u64(10, 20);
             assert!((10..20).contains(&v));
-            let v = r.gen_range_i64(-5, 5);
-            assert!((-5..5).contains(&v));
             let v = r.gen_range_f64(1.0, 2.0);
             assert!((1.0..2.0).contains(&v));
         }

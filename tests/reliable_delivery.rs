@@ -372,8 +372,12 @@ fn lossy_ring(plan: &FaultPlan) -> WorldOutcome<()> {
 /// retransmission does). Whatever payload is left over was sent again after
 /// it had arrived: only a frame whose receiver is stuck behind another lost
 /// frame when the timer fires, since a receiver acks what it has taken.
-/// Eighty seeds resent at most three ring chunks per broadcast, none for
-/// 51 of them; the bound leaves room for eight.
+/// The broadcast settles once, after its ring, so a rank's neighbours run
+/// ahead into their ring while it waits for a lost frame, and the frames
+/// they queue for it are resent. Over `TESTKIT_SEED` 1 to 80 a broadcast
+/// resent 0, 1, 2 or 3 ring chunks on 41, 28, 10 and 1 seeds (settling
+/// after each phase as well: 51, 23, 5 and 1); the bound leaves room for
+/// eight.
 #[test]
 fn retransmissions_rarely_resend_a_delivered_frame() {
     let drops = LinkFaults { drop_ppm: 10_000, dup_ppm: 0, delay_ppm: 0 };
@@ -386,14 +390,15 @@ fn retransmissions_rarely_resend_a_delivered_frame() {
     assert!(resent <= 8 * ring_chunk, "{resent} B of payload were sent again after they arrived");
 }
 
-/// A post returns at once and its ack settles later, so a rank parks only
-/// when what it takes has not arrived yet: fewer than half as many parked
-/// polls as frames (a sender that waited for each frame's ack would park
-/// once per frame).
+/// A post returns at once and its ack settles later, and the broadcast
+/// settles once, after its ring, so a rank parks only when what it takes
+/// has not arrived yet: fewer than four parked polls per rank (127 in all,
+/// drop-free). A sender that waited for each frame's ack would park once
+/// per frame, and one that settled its scatter before its ring parked
+/// 4 287 times.
 #[test]
 fn a_frame_does_not_park_its_sender() {
     let out = lossy_ring(&FaultPlan::new(lossy_seed()));
-    let msgs = bcast_volume(Algorithm::ScatterRingTuned, LOSSY_BYTES, LOSSY_P).msgs;
     let parked = out.reactor.spurious_polls;
-    assert!(parked < msgs / 2, "{parked} parked polls for {msgs} frames");
+    assert!(parked < 4 * LOSSY_P as u64, "{parked} parked polls for {LOSSY_P} ranks");
 }
