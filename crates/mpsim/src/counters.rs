@@ -166,14 +166,21 @@ impl WorldTraffic {
 /// receiver versus how many took the notify-free fast path.
 ///
 /// The threaded backend's send path only issues a condvar notify when the
-/// destination mailbox has a blocked waiter; these counters let tests and
-/// benches assert that uncontended sends really skip the wakeup.
+/// destination mailbox has a blocked waiter, and a receiver spins briefly
+/// before it blocks; these counters let tests and benches assert that
+/// uncontended sends really skip the wakeup and that a receive the spin
+/// caught never parked.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WakeupStats {
     /// Envelopes delivered (mailbox pushes).
     pub pushes: u64,
     /// Pushes that found a blocked receiver and issued a notify.
     pub notifies: u64,
+    /// Receives that found no match and spun before parking (0 on a
+    /// mailbox that never spins).
+    pub spins: u64,
+    /// Receives whose match arrived during the spin, so they never parked.
+    pub spin_hits: u64,
 }
 
 /// Reactor introspection counters from one event-executor run.

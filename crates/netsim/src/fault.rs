@@ -21,7 +21,7 @@
 //! forever. The threaded backend is always eager; simulated worlds should
 //! use a model with a high `eager_threshold` when injecting drops.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -190,12 +190,15 @@ impl FaultPlan {
 pub struct FaultyComm<'a, C: ?Sized> {
     inner: &'a C,
     plan: FaultPlan,
-    /// Messages offered so far per outgoing link (the `k` of the plan).
-    link_seq: RefCell<HashMap<Rank, u64>>,
+    /// Messages offered so far per outgoing link (the `k` of the plan),
+    /// indexed by destination; grown on first use.
+    link_seq: RefCell<Vec<u64>>,
     /// Held-back message per `(dst, tag)` channel awaiting its successor.
     holdback: RefCell<HashMap<(Rank, u32), Vec<u8>>>,
     /// Communication operations performed so far (crash clock).
     ops: Cell<u64>,
+    /// This rank's planned crash threshold, looked up at the first tick.
+    crash_after: OnceCell<Option<u64>>,
     /// Whether the planned fail-stop has fired.
     dead: Cell<bool>,
 }
@@ -206,9 +209,10 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
         FaultyComm {
             inner,
             plan,
-            link_seq: RefCell::new(HashMap::new()),
+            link_seq: RefCell::new(Vec::new()),
             holdback: RefCell::new(HashMap::new()),
             ops: Cell::new(0),
+            crash_after: OnceCell::new(),
             dead: Cell::new(false),
         }
     }
@@ -225,9 +229,11 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
 
     fn next_link_seq(&self, dst: Rank) -> u64 {
         let mut seqs = self.link_seq.borrow_mut();
-        let k = seqs.entry(dst).or_insert(0);
-        let cur = *k;
-        *k += 1;
+        if dst >= seqs.len() {
+            seqs.resize(dst + 1, 0);
+        }
+        let cur = seqs[dst];
+        seqs[dst] = cur + 1;
         cur
     }
 
@@ -257,7 +263,7 @@ impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
         let me = self.inner.rank();
         let done = self.ops.get();
         self.ops.set(done + 1);
-        match self.plan.crash_after(me) {
+        match *self.crash_after.get_or_init(|| self.plan.crash_after(me)) {
             Some(limit) if done >= limit => {
                 self.dead.set(true);
                 Err(CommError::PeerFailed { rank: me })

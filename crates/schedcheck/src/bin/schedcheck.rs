@@ -13,7 +13,8 @@
 //!
 //! `schedcheck explore-reactor [--max-states N]` runs the other half of the
 //! crate instead: the interleaving explorer over every protocol model —
-//! ThreadWorld's mailbox notify-skip model plus the four megascale-reactor
+//! ThreadWorld's mailbox notify-skip model (parking at once, and spinning
+//! first) plus the four megascale-reactor
 //! models (run-queue dedup, external-waker side queue, lane-mailbox
 //! routing, timer-wheel generations). Each model is explored exhaustively
 //! *and* with DPOR, the verdicts are required to agree, per-model state
@@ -188,13 +189,15 @@ fn explore_reactor(max_states: usize) -> ! {
     // ---- Phase 1: clean protocol models, exhaustive vs DPOR --------------
     println!("phase 1: protocol models, exhaustive vs DPOR (budget {max_states} states)");
     for senders in 1..=4 {
-        differential(
-            &format!("mailbox s={senders}"),
-            &MailboxModel { senders, broken_skip: false },
-            max_states,
-            &mut totals,
-            &mut failures,
-        );
+        for spin in [false, true] {
+            differential(
+                &format!("mailbox s={senders} spin={spin}"),
+                &MailboxModel::clean(senders, spin),
+                max_states,
+                &mut totals,
+                &mut failures,
+            );
+        }
     }
     for senders in 1..=3 {
         for crasher in [false, true] {
@@ -300,12 +303,19 @@ fn explore_reactor(max_states: usize) -> ! {
     ));
     drilled += usize::from(drill(
         "mailbox broken-skip",
-        &MailboxModel { senders: 1, broken_skip: true },
+        &MailboxModel { broken_skip: true, ..MailboxModel::clean(1, false) },
         "deadlock",
         max_states,
         &mut failures,
     ));
-    println!("phase 2: {drilled}/8 seeded mutants caught by both explorers");
+    drilled += usize::from(drill(
+        "mailbox skip-recheck",
+        &MailboxModel { skip_recheck: true, ..MailboxModel::clean(1, true) },
+        "deadlock",
+        max_states,
+        &mut failures,
+    ));
+    println!("phase 2: {drilled}/9 seeded mutants caught by both explorers");
 
     if failures.is_empty() {
         println!("schedcheck explore-reactor: all clear");

@@ -10,11 +10,14 @@
 //!   one lock and one condvar per rank: the receiver counts itself in
 //!   `waiters` under the lock before sleeping, senders consult
 //!   [`mpsim::proto::push_should_notify`] to skip the wakeup syscall on
-//!   uncontended pushes. Matching is abstracted to one FIFO counter; the
-//!   mailbox matches with [`mpsim::LaneMailbox`], which
+//!   uncontended pushes. With `spin`, a receiver that finds nothing first
+//!   releases the lock, watches the push sequence number without it and
+//!   re-locks to re-check before it parks. Matching is abstracted to one
+//!   FIFO counter; the mailbox matches with [`mpsim::LaneMailbox`], which
 //!   [`LaneMailboxModel`] covers. The `broken_skip` knob makes the sender
 //!   require *two* waiters, reintroducing the lost wakeup the under-lock
-//!   counting prevents.
+//!   counting prevents; `skip_recheck` parks after the spin without
+//!   re-checking the queue, losing a push that landed during the spin.
 //!
 //! The second group models the megascale event reactor (`mpsim::event_*`),
 //! one model per protocol the reactor's hot path leans on — the lane
@@ -69,6 +72,10 @@ enum BLoc {
     MaybeNotify,
     /// Receiver: holding the lock, checking the queue.
     CheckQueue,
+    /// Receiver: lock released, watching the push sequence number.
+    Spin,
+    /// Receiver: spin over; reacquiring the lock to re-check.
+    SpinRelock,
     /// Receiver: counted in `waiters`, registered; about to release.
     Unlock,
     /// Receiver: sleeping on its flag.
@@ -98,6 +105,12 @@ pub struct MailboxState {
     loc: Vec<BLoc>,
     /// Messages the receiver still has to pop.
     to_pop: u8,
+    /// Push sequence number (bumped under the lock by every push).
+    seq: u8,
+    /// The sequence number the spinning receiver read before unlocking.
+    seen: u8,
+    /// Whether the receiver's current pop may still spin.
+    spin_left: bool,
 }
 
 /// ThreadWorld's mailbox push/notify-skip protocol: `senders` one-shot
@@ -105,10 +118,25 @@ pub struct MailboxState {
 pub struct MailboxModel {
     /// Number of sender threads (the receiver is thread `senders`).
     pub senders: usize,
+    /// A receive that finds nothing spins once before it parks, as a
+    /// mailbox does when its world fits the host's cores. The spin's end
+    /// by its bound is the scheduler running `Spin` before any push.
+    pub spin: bool,
     /// Mutation: the sender skips the notify unless *two* waiters are
     /// counted — reintroducing the lost wakeup that counting `waiters`
     /// under the mailbox lock prevents. The explorer must find the deadlock.
     pub broken_skip: bool,
+    /// Mutation: after its spin the receiver re-locks and parks without
+    /// re-checking the queue, so a push that landed during the spin (and,
+    /// finding no waiter, skipped the notify) is never seen.
+    pub skip_recheck: bool,
+}
+
+impl MailboxModel {
+    /// The deployed protocol, spinning or not.
+    pub fn clean(senders: usize, spin: bool) -> Self {
+        MailboxModel { senders, spin, broken_skip: false, skip_recheck: false }
+    }
 }
 
 impl MailboxModel {
@@ -131,6 +159,9 @@ impl Model for MailboxModel {
             wake: vec![false; n],
             loc: vec![BLoc::Lock; n],
             to_pop: self.senders as u8,
+            seq: 0,
+            seen: 0,
+            spin_left: self.spin,
         }
     }
 
@@ -157,6 +188,7 @@ impl Model for MailboxModel {
                 // push(): enqueue, then read the waiter count under the lock
                 // — the decision the runtime delegates to proto::push_should_notify.
                 n.queue += 1;
+                n.seq += 1;
                 n.wake[tid] = if self.broken_skip {
                     s.waiters > 1
                 } else {
@@ -180,7 +212,14 @@ impl Model for MailboxModel {
                     n.queue -= 1;
                     n.to_pop -= 1;
                     n.holder = None;
+                    n.spin_left = self.spin;
                     n.loc[tid] = if n.to_pop == 0 { BLoc::Done } else { BLoc::Lock };
+                } else if s.spin_left {
+                    // pop_watch()'s spin: read the sequence number under
+                    // the lock, then release it uncounted.
+                    n.seen = s.seq;
+                    n.holder = None;
+                    n.loc[tid] = BLoc::Spin;
                 } else {
                     // pop_watch(): count ourselves, register, and only
                     // then release — all under the mailbox lock.
@@ -188,6 +227,27 @@ impl Model for MailboxModel {
                     n.registered.push(tid as u8);
                     n.flag[tid] = false;
                     n.loc[tid] = BLoc::Unlock;
+                }
+            }
+            BLoc::Spin => {
+                // One look at the sequence number without the lock: a
+                // move ends the spin with bound to spare; no move means
+                // the bound ran out first.
+                n.spin_left = s.seq != s.seen;
+                n.loc[tid] = BLoc::SpinRelock;
+            }
+            BLoc::SpinRelock => {
+                if s.holder.is_some() {
+                    return Step::Blocked;
+                }
+                n.holder = Some(tid as u8);
+                if self.skip_recheck {
+                    n.waiters += 1;
+                    n.registered.push(tid as u8);
+                    n.flag[tid] = false;
+                    n.loc[tid] = BLoc::Unlock;
+                } else {
+                    n.loc[tid] = BLoc::CheckQueue;
                 }
             }
             BLoc::Unlock => {
@@ -890,15 +950,27 @@ mod tests {
     #[test]
     fn mailbox_notify_skip_is_sound() {
         for senders in 1..=2 {
-            explore(&MailboxModel { senders, broken_skip: false }, DEFAULT_MAX_STATES).unwrap();
+            for spin in [false, true] {
+                explore(&MailboxModel::clean(senders, spin), DEFAULT_MAX_STATES).unwrap();
+            }
         }
     }
 
     #[test]
     fn mailbox_broken_skip_deadlocks() {
-        let err = explore(&MailboxModel { senders: 1, broken_skip: true }, DEFAULT_MAX_STATES)
-            .unwrap_err();
+        let broken = MailboxModel { broken_skip: true, ..MailboxModel::clean(1, false) };
+        let err = explore(&broken, DEFAULT_MAX_STATES).unwrap_err();
         assert!(err.contains("deadlock"), "{err}");
+    }
+
+    #[test]
+    fn mailbox_parking_after_the_spin_without_a_recheck_deadlocks() {
+        let broken = MailboxModel { skip_recheck: true, ..MailboxModel::clean(1, true) };
+        for res in [explore(&broken, DEFAULT_MAX_STATES), explore_dpor(&broken, DEFAULT_MAX_STATES)]
+        {
+            let err = res.unwrap_err();
+            assert!(err.contains("deadlock"), "{err}");
+        }
     }
 
     // -- reactor run queue --------------------------------------------------

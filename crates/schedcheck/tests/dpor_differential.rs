@@ -80,15 +80,17 @@ fn mutant<M: Model>(name: &str, model: &M, expect: &str) {
 #[test]
 fn mailbox_notify_skip_agrees_and_reduces_5x() {
     for senders in 1..=3 {
-        differential(
-            &format!("mailbox s={senders}"),
-            &MailboxModel { senders, broken_skip: false },
-            true,
-        );
+        for spin in [false, true] {
+            differential(
+                &format!("mailbox s={senders} spin={spin}"),
+                &MailboxModel::clean(senders, spin),
+                true,
+            );
+        }
     }
+    differential("mailbox s=4 spin=true", &MailboxModel::clean(4, true), true);
     let factor =
-        differential("mailbox s=4", &MailboxModel { senders: 4, broken_skip: false }, true)
-            .expect("clean model");
+        differential("mailbox s=4", &MailboxModel::clean(4, false), true).expect("clean model");
     assert!(
         factor >= 5.0,
         "acceptance criterion: >= 5x fewer states on the mailbox notify-skip model, got {factor:.2}x"
@@ -144,7 +146,16 @@ fn reactor_timer_wheel_agrees() {
 
 #[test]
 fn mutants_agree_on_the_failure_kind() {
-    mutant("mailbox broken-skip", &MailboxModel { senders: 1, broken_skip: true }, "deadlock");
+    mutant(
+        "mailbox broken-skip",
+        &MailboxModel { broken_skip: true, ..MailboxModel::clean(1, false) },
+        "deadlock",
+    );
+    mutant(
+        "mailbox skip-recheck",
+        &MailboxModel { skip_recheck: true, ..MailboxModel::clean(1, true) },
+        "deadlock",
+    );
     mutant(
         "run-queue clear-after-poll",
         &RunQueueModel {

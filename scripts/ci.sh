@@ -43,6 +43,12 @@ run_phase() {
 
 export CARGO_NET_OFFLINE=true
 
+# A ThreadWorld receive spins before it parks only when the world's rank
+# threads fit the host's cores, so thread timings (and the wall time of
+# the thread-spawning tests) depend on this count: print it up front.
+host_cores=$(nproc)
+echo "host cores (nproc): $host_cores" >&2
+
 phase_build() {
   run cargo build --workspace --release --offline
 }
@@ -263,7 +269,7 @@ fi
 budget=${CI_BUDGET_SECONDS:-1200}
 total=0
 echo
-echo "CI phase timing:"
+echo "CI phase timing (host cores: $host_cores):"
 for i in "${!PHASE_NAMES[@]}"; do
   printf '  %-48s %5ss\n' "${PHASE_NAMES[$i]}" "${PHASE_SECS[$i]}"
   total=$((total + PHASE_SECS[i]))
