@@ -176,9 +176,6 @@ pub struct WakeupStats {
     pub pushes: u64,
     /// Pushes that found a blocked receiver and issued a notify.
     pub notifies: u64,
-    /// Receives that found no match and spun before parking (0 on a
-    /// mailbox that never spins).
-    pub spins: u64,
     /// Receives whose match arrived during the spin, so they never parked.
     pub spin_hits: u64,
 }

@@ -34,15 +34,23 @@
 //! lands during the spin skips the notify and the receiver sees the
 //! sequence move; a push after the re-lock finds it counted. schedcheck's
 //! `MailboxModel` explores exactly this protocol, spin included.
-//! [`Mailbox::wakeup_stats`] counts pushes, notifies, spins and receives
-//! the spin caught.
+//! [`Mailbox::wakeup_stats`] counts pushes, notifies and receives the spin
+//! caught.
 //!
 //! # When and how long it spins
 //!
 //! Spinning pays only when the sender runs while the receiver spins, so
 //! [`Mailbox::for_world`] spins iff the world's rank threads fit the
 //! host's cores (`size ≤ available_parallelism`): a one-core host never
-//! spins, nor does a world of more ranks than cores. The bound is wall
+//! spins, nor does a world of more ranks than cores. That rule was
+//! measured: `fig6_threaded` on a 2-core host, 16 alternating runs (40
+//! samples each) of the rule against a spin in every world, median µs of
+//! the medians. In the oversubscribed 8- and 16-rank worlds a spin slows
+//! the rings, whose ranks wait on each other in turn: native np16 512 KiB
+//! 2 712 → 4 362 (+61 %, faster in 1 of 16 runs), tuned np16 512 KiB
+//! 2 291 → 2 848 (+24 %, 1/16), native np8 512 KiB 1 438 → 2 046 (+42 %,
+//! 3/16), tuned np16 2 MiB 8 863 → 10 329 (+17 %, 3/16); binomial stays
+//! within −3 % to +4 %. The bound is wall
 //! time, `SPIN_BOUND` = 50 µs, and never outlasts the caller's deadline.
 //! A sweep of spin counts on the 2-core thread-pair shape (two ranks,
 //! 64 KiB tuned broadcasts, µs per broadcast) placed the knee at about
@@ -214,7 +222,6 @@ impl Mailbox {
             if spin_until.is_none() && !self.spin.is_zero() {
                 let bound = now + self.spin;
                 spin_until = Some(deadline.map_or(bound, |d| d.min(bound)));
-                st.wakeups.spins += 1;
             }
             if let Some(until) = spin_until.filter(|&until| now < until) {
                 let seen = self.seq.load(Ordering::Relaxed);
@@ -306,8 +313,9 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     fn pop(mb: &Mailbox, src: Rank, tag: Tag) -> Result<Envelope> {
         mb.pop_watch(src, tag, None, || None)
@@ -317,11 +325,27 @@ mod tests {
     /// still spinning when the test acts.
     const LONG_SPIN: Duration = Duration::from_secs(10);
 
-    /// Return once `mb`'s receiver has started its spin.
-    fn wait_until_spinning(mb: &Mailbox) {
-        while mb.wakeup_stats().spins == 0 {
+    /// Spawn a blocking receive from `src` on `mb` and return once it has
+    /// missed. The miss runs `watch` under the lock, and the receive keeps
+    /// the lock until it has begun to wait, so whatever the test does next
+    /// lands during that wait: mid-spin, when the spin is long.
+    fn spawn_missed_pop(
+        mb: &Arc<Mailbox>,
+        src: Rank,
+        watch: impl Fn() -> Option<CommError> + Send + 'static,
+    ) -> JoinHandle<Result<Envelope>> {
+        let missed = Arc::new(AtomicBool::new(false));
+        let (mb2, missed2) = (Arc::clone(mb), Arc::clone(&missed));
+        let h = std::thread::spawn(move || {
+            mb2.pop_watch(src, Tag(0), None, || {
+                missed2.store(true, Ordering::SeqCst);
+                watch()
+            })
+        });
+        while !missed.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
+        h
     }
 
     /// Return once `mb`'s receiver is counted as parked on the condvar.
@@ -422,9 +446,7 @@ mod tests {
     #[test]
     fn stop_ends_a_spin_at_once() {
         let mb = Arc::new(Mailbox::with_spin(1, LONG_SPIN));
-        let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || pop(&mb2, 0, Tag(0)));
-        wait_until_spinning(&mb);
+        let h = spawn_missed_pop(&mb, 0, || None);
         let t0 = Instant::now();
         mb.stop();
         assert_eq!(h.join().unwrap().unwrap_err(), CommError::WorldStopped);
@@ -449,8 +471,7 @@ mod tests {
         assert_eq!(err, CommError::Timeout { peer: 0 });
         assert!(waited >= Duration::from_millis(5), "timed out early, after {waited:?}");
         assert!(waited < LONG_SPIN / 4, "spun past the deadline: {waited:?}");
-        let stats = mb.wakeup_stats();
-        assert_eq!((stats.spins, stats.spin_hits), (1, 0));
+        assert_eq!(mb.wakeup_stats().spin_hits, 0);
     }
 
     #[test]
@@ -486,20 +507,15 @@ mod tests {
 
     #[test]
     fn wake_all_forces_watch_reevaluation() {
-        use std::sync::atomic::AtomicBool;
         // Parked (no spin; after a 50 µs spin) and mid-spin.
         for spin in [Duration::ZERO, SPIN_BOUND, LONG_SPIN] {
             let mb = Arc::new(Mailbox::with_spin(1, spin));
             let gone = Arc::new(AtomicBool::new(false));
-            let (mb2, gone2) = (Arc::clone(&mb), Arc::clone(&gone));
-            let h = std::thread::spawn(move || {
-                mb2.pop_watch(3, Tag(0), None, || {
-                    gone2.load(Ordering::SeqCst).then_some(CommError::PeerFailed { rank: 3 })
-                })
+            let gone2 = Arc::clone(&gone);
+            let h = spawn_missed_pop(&mb, 3, move || {
+                gone2.load(Ordering::SeqCst).then_some(CommError::PeerFailed { rank: 3 })
             });
-            if spin == LONG_SPIN {
-                wait_until_spinning(&mb);
-            } else {
+            if spin != LONG_SPIN {
                 wait_until_parked(&mb);
             }
             let t0 = Instant::now();
@@ -557,15 +573,13 @@ mod tests {
     #[test]
     fn a_push_during_the_spin_is_delivered_without_a_notify() {
         let mb = Arc::new(Mailbox::with_spin(1, LONG_SPIN));
-        let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || pop(&mb2, 2, Tag(0)).unwrap());
-        wait_until_spinning(&mb);
+        let h = spawn_missed_pop(&mb, 2, || None);
         let t0 = Instant::now();
         mb.push(2, Tag(0), vec![9].into());
-        assert_eq!(&*h.join().unwrap().data.bytes(), &[9]);
+        assert_eq!(&*h.join().unwrap().unwrap().data.bytes(), &[9]);
         assert!(t0.elapsed() < LONG_SPIN / 4, "the spinning receiver missed the push");
         let stats = mb.wakeup_stats();
-        assert_eq!(stats, WakeupStats { pushes: 1, notifies: 0, spins: 1, spin_hits: 1 });
+        assert_eq!(stats, WakeupStats { pushes: 1, notifies: 0, spin_hits: 1 });
     }
 
     #[test]
@@ -580,6 +594,6 @@ mod tests {
         mb.push(0, Tag(0), vec![1].into());
         h.join().unwrap();
         let stats = mb.wakeup_stats();
-        assert_eq!(stats, WakeupStats { pushes: 1, notifies: 1, spins: 0, spin_hits: 0 });
+        assert_eq!(stats, WakeupStats { pushes: 1, notifies: 1, spin_hits: 0 });
     }
 }

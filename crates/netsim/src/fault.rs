@@ -21,7 +21,7 @@
 //! forever. The threaded backend is always eager; simulated worlds should
 //! use a model with a high `eager_threshold` when injecting drops.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -190,15 +190,12 @@ impl FaultPlan {
 pub struct FaultyComm<'a, C: ?Sized> {
     inner: &'a C,
     plan: FaultPlan,
-    /// Messages offered so far per outgoing link (the `k` of the plan),
-    /// indexed by destination; grown on first use.
-    link_seq: RefCell<Vec<u64>>,
+    /// Messages offered so far per outgoing link (the `k` of the plan).
+    link_seq: RefCell<HashMap<Rank, u64>>,
     /// Held-back message per `(dst, tag)` channel awaiting its successor.
     holdback: RefCell<HashMap<(Rank, u32), Vec<u8>>>,
     /// Communication operations performed so far (crash clock).
     ops: Cell<u64>,
-    /// This rank's planned crash threshold, looked up at the first tick.
-    crash_after: OnceCell<Option<u64>>,
     /// Whether the planned fail-stop has fired.
     dead: Cell<bool>,
 }
@@ -209,10 +206,9 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
         FaultyComm {
             inner,
             plan,
-            link_seq: RefCell::new(Vec::new()),
+            link_seq: RefCell::new(HashMap::new()),
             holdback: RefCell::new(HashMap::new()),
             ops: Cell::new(0),
-            crash_after: OnceCell::new(),
             dead: Cell::new(false),
         }
     }
@@ -229,11 +225,9 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
 
     fn next_link_seq(&self, dst: Rank) -> u64 {
         let mut seqs = self.link_seq.borrow_mut();
-        if dst >= seqs.len() {
-            seqs.resize(dst + 1, 0);
-        }
-        let cur = seqs[dst];
-        seqs[dst] = cur + 1;
+        let k = seqs.entry(dst).or_insert(0);
+        let cur = *k;
+        *k += 1;
         cur
     }
 
@@ -263,7 +257,7 @@ impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
         let me = self.inner.rank();
         let done = self.ops.get();
         self.ops.set(done + 1);
-        match *self.crash_after.get_or_init(|| self.plan.crash_after(me)) {
+        match self.plan.crash_after(me) {
             Some(limit) if done >= limit => {
                 self.dead.set(true);
                 Err(CommError::PeerFailed { rank: me })
@@ -471,6 +465,24 @@ mod tests {
         });
         // the receiver's first (and only) message is the undecorated one
         assert_eq!(out.results[1], 2);
+    }
+
+    #[test]
+    fn a_send_to_a_rank_outside_the_world_is_the_inner_comms_error() {
+        let out = ThreadWorld::run(2, |comm| {
+            let acomm = SyncComm::new(comm);
+            let faulty = FaultyComm::new(&acomm, FaultPlan::new(9));
+            [2, usize::MAX].map(|dest| complete_now(faulty.send(&[1u8; 4], dest, Tag(0))))
+        });
+        for sent in out.results {
+            assert_eq!(
+                sent,
+                [
+                    Err(CommError::InvalidRank { rank: 2, size: 2 }),
+                    Err(CommError::InvalidRank { rank: usize::MAX, size: 2 }),
+                ]
+            );
+        }
     }
 
     #[test]
