@@ -48,15 +48,36 @@
 //! timer. `exchange` is a post and a take.
 //!
 //! A frame's wire image is `sequence number (4 bytes, LE) ‖ payload`, but the
-//! two are never packed together here: the number is handed to the wrapped
-//! transport *beside* the payload ([`AsyncCommunicator::send_prefixed`] /
-//! [`recv_prefixed`](AsyncCommunicator::recv_prefixed)). Over a transport
-//! that queues envelopes, a frame is a refcount clone of what the caller
-//! staged, a retransmission is another clone of the same rental, and a
-//! duplicate is told by its number and dropped without a byte moving. The
+//! two are never packed together here: the number is posted to the wrapped
+//! transport *beside* the payload, as a [`Payload::Prefixed`], and a frame
+//! taken off it is split the same way ([`Payload::split_prefix`]). Over a
+//! transport that queues envelopes, a frame is a refcount clone of what the
+//! caller staged, a retransmission is another clone of the same rental, and
+//! a duplicate is told by its number and dropped without a byte moving. The
 //! protocol is the envelope core (`post`, `take`, `exchange`, `flush`,
 //! `acknowledge`); every other call is the trait's own, built on it.
 //!
+//! ## The channel table
+//!
+//! A frame costs a fixed number of steps, however many channels a rank has
+//! used. Channels live in a dense table: a slot per channel, found through
+//! an index paged by peer rank (`pages[peer / 64][peer % 64]`, the way
+//! [`LaneMailbox`](crate::event_mailbox::LaneMailbox) pages its lanes) that
+//! leads to the peer's channels, one tag comparison each. `post` finds its
+//! channel and queues the frame there in one step, then posts it (a post
+//! that fails takes the frame back; only a head's timer, which starts once
+//! it is on the wire, needs the channel again); a `take` whose frame is
+//! already queued in order finds its channel once, takes the frame without
+//! blocking and delivers it. Both call the wrapped core directly, and
+//! `exchange` is the two written out, not two nested futures.
+//!
+//! The walks (sending owed acks, pumping frames in flight, giving up,
+//! collecting failures) visit only the channels that have work for them:
+//! three short rosters, kept in `(peer, tag)` order as channels start and
+//! stop owing an ack, holding frames or holding a failure. The order is the
+//! one a walk over every channel would take, so a seeded run sends the same
+//! acks and retransmissions at the same virtual instants as it always has.
+
 //! The protocol runs on shifted tags: a user message on `Tag(t)` travels as
 //! a data frame on `Tag(DATA_TAG_BASE + t)` and is acknowledged on
 //! `Tag(ACK_TAG_BASE + t)`, leaving the user's own tag space untouched.
@@ -85,9 +106,8 @@
 //! them, and nothing would re-acknowledge a retransmission after that.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
-use std::ops::Bound::{Excluded, Unbounded};
 use std::time::Duration;
 
 use crate::acomm::{deadline_after, AsyncCommunicator};
@@ -152,10 +172,27 @@ fn ack_tag((_, tag): Key) -> Tag {
     Tag(ACK_TAG_BASE + tag)
 }
 
+/// Frame `seq` of a channel as the wrapped transport carries it: the number
+/// beside a refcount clone of the body — the only place a frame is built.
+fn frame(seq: u32, body: SharedBuf) -> Payload {
+    Payload::Prefixed(seq.to_le_bytes(), body)
+}
+
+/// A channel's key and its slot in the [`Table`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Chan {
+    key: Key,
+    slot: usize,
+}
+
 /// Per-`(peer, tag)` protocol state: the sending half toward the peer and
 /// the receiving half from it.
 #[derive(Default)]
 struct Channel {
+    /// Slot + 1 of the next channel to the same peer, 0 at the end.
+    sibling: u32,
+    /// The user tag (the peer is the index page's).
+    tag: u32,
     /// Sequence number of the next outgoing frame.
     tx_next: u32,
     /// Frames transmitted and not yet acknowledged, oldest first; the last
@@ -181,24 +218,203 @@ impl Channel {
     fn head_seq(&self) -> u32 {
         self.tx_next.wrapping_sub(self.unacked.len() as u32)
     }
+}
 
-    /// Give up on every frame in flight, so that their failure is met once
-    /// and the next frame starts afresh. The numbers are not reused: a live
-    /// receiver that takes the dropped frames late still sees them in order.
-    fn abandon(&mut self) {
-        self.unacked.clear();
+/// The channels that have something for a walk to do, in `(peer, tag)`
+/// order: a handful at a time, so a sorted `Vec` beats any tree.
+#[derive(Default)]
+struct Roster(Vec<Chan>);
+
+impl Roster {
+    fn position(&self, key: Key) -> std::result::Result<usize, usize> {
+        self.0.binary_search_by_key(&key, |chan| chan.key)
     }
 
-    /// Deliver `body` as frame `rx_expected`: the number advances and an ack
-    /// is owed even when `body` overruns `capacity`, since a truncated
-    /// receive consumes its message like any other.
-    fn deliver(&mut self, body: SharedBuf, capacity: usize) -> Result<SharedBuf> {
-        self.rx_expected = self.rx_expected.wrapping_add(1);
-        self.owes_ack = true;
+    fn insert(&mut self, chan: Chan) {
+        if let Err(at) = self.position(chan.key) {
+            self.0.insert(at, chan);
+        }
+    }
+
+    fn remove(&mut self, key: Key) {
+        if let Ok(at) = self.position(key) {
+            self.0.remove(at);
+        }
+    }
+
+    /// The first member after `after` (from the first with `None`).
+    fn after(&self, after: Option<Key>) -> Option<Chan> {
+        let at = after.map_or(0, |key| self.0.partition_point(|chan| chan.key <= key));
+        self.0.get(at).copied()
+    }
+}
+
+/// Peers per index page.
+const PAGE: usize = 64;
+
+/// Every channel this rank has used, and the three rosters the walks
+/// visit. A state change that moves a channel into or out of a roster goes
+/// through a method here, so the rosters always match the channels.
+#[derive(Default)]
+struct Table {
+    /// `pages[peer / PAGE][peer % PAGE]` is 1 + the slot of the peer's
+    /// first channel, 0 for none. A page is allocated when one of its peers
+    /// is first used, so the index of a rank that talks to a few peers of a
+    /// large world stays small.
+    pages: Vec<Option<Box<[u32; PAGE]>>>,
+    /// The channels, by slot; a slot is never reused.
+    channels: Vec<Channel>,
+    /// Channels with frames in flight.
+    in_flight: Roster,
+    /// Channels that owe an ack.
+    owing: Roster,
+    /// Channels with a failure for the next flush to report.
+    failed: Roster,
+}
+
+impl Table {
+    /// Channel `key`, opened on first use: two loads to the peer's chain,
+    /// then a tag comparison per channel of that peer (one to three for
+    /// every collective).
+    fn chan(&mut self, key: Key) -> Chan {
+        let (peer, tag) = key;
+        if self.pages.len() <= peer / PAGE {
+            self.pages.resize_with(peer / PAGE + 1, || None);
+        }
+        let first =
+            &mut self.pages[peer / PAGE].get_or_insert_with(|| Box::new([0; PAGE]))[peer % PAGE];
+        let mut link = *first;
+        while let Some(slot) = (link as usize).checked_sub(1) {
+            if self.channels[slot].tag == tag {
+                return Chan { key, slot };
+            }
+            link = self.channels[slot].sibling;
+        }
+        let slot = self.channels.len();
+        self.channels.push(Channel { sibling: *first, tag, ..Channel::default() });
+        *first = slot as u32 + 1;
+        Chan { key, slot }
+    }
+
+    /// Number `body` as the next frame of channel `key` and queue it behind
+    /// the frames in flight there: the channel, the frame's number, and
+    /// whether it is the head.
+    fn queue_frame(&mut self, key: Key, body: SharedBuf) -> (Chan, u32, bool) {
+        let chan = self.chan(key);
+        let ch = &mut self.channels[chan.slot];
+        let (seq, head) = (ch.tx_next, ch.unacked.is_empty());
+        ch.tx_next = seq.wrapping_add(1);
+        ch.unacked.push_back(body);
+        if head {
+            self.in_flight.insert(chan);
+        }
+        (chan, seq, head)
+    }
+
+    /// Take back the frame [`Self::queue_frame`] queued last on `chan`, which
+    /// never went out; its number is reused.
+    fn unqueue_frame(&mut self, chan: Chan) {
+        let ch = &mut self.channels[chan.slot];
+        ch.unacked.pop_back();
+        ch.tx_next = ch.tx_next.wrapping_sub(1);
+        if ch.unacked.is_empty() {
+            self.in_flight.remove(chan.key);
+        }
+    }
+
+    /// Settle every frame of `chan` below `next`: whether the number
+    /// covered any frame in flight (a stale or future one changes nothing).
+    fn settle(&mut self, chan: Chan, next: u32) -> bool {
+        let ch = &mut self.channels[chan.slot];
+        let covered = next.wrapping_sub(ch.head_seq()) as usize;
+        let fresh = (1..=ch.unacked.len()).contains(&covered);
+        if fresh {
+            ch.unacked.drain(..covered);
+            if ch.unacked.is_empty() {
+                self.in_flight.remove(chan.key);
+            }
+        }
+        fresh
+    }
+
+    /// Give up on every frame in flight on `chan`, so that their failure is
+    /// met once and the next frame starts afresh. The numbers are not
+    /// reused: a live receiver that takes the dropped frames late still
+    /// sees them in order.
+    fn abandon(&mut self, chan: Chan) {
+        self.channels[chan.slot].unacked.clear();
+        self.in_flight.remove(chan.key);
+    }
+
+    /// Keep `e` for the next flush to report, unless an earlier failure of
+    /// `chan` is already kept.
+    fn keep_failure(&mut self, chan: Chan, e: CommError) {
+        self.channels[chan.slot].failed.get_or_insert(e);
+        self.failed.insert(chan);
+    }
+
+    fn owe_ack(&mut self, chan: Chan) {
+        let ch = &mut self.channels[chan.slot];
+        if !ch.owes_ack {
+            ch.owes_ack = true;
+            self.owing.insert(chan);
+        }
+    }
+
+    /// The first channel that owes an ack, no longer owing, with the number
+    /// its ack carries.
+    fn pop_owed(&mut self) -> Option<(Chan, u32)> {
+        let chan = self.owing.after(None)?;
+        self.owing.0.remove(0);
+        let ch = &mut self.channels[chan.slot];
+        ch.owes_ack = false;
+        Some((chan, ch.rx_expected))
+    }
+
+    /// Deliver `body` as `chan`'s frame `rx_expected`: the number advances
+    /// and an ack is owed even when `body` overruns `capacity`, since a
+    /// truncated receive consumes its message like any other.
+    fn deliver(&mut self, chan: Chan, body: SharedBuf, capacity: usize) -> Result<SharedBuf> {
+        let ch = &mut self.channels[chan.slot];
+        ch.rx_expected = ch.rx_expected.wrapping_add(1);
+        self.owe_ack(chan);
         if body.len() > capacity {
             return Err(CommError::Truncation { capacity, incoming: body.len() });
         }
         Ok(body)
+    }
+
+    /// The stashed frame `chan` delivers next, if it arrived ahead of order.
+    fn unstash(&mut self, chan: Chan, capacity: usize) -> Option<Result<SharedBuf>> {
+        let ch = &mut self.channels[chan.slot];
+        let at = ch.stash.iter().position(|&(seq, _)| seq == ch.rx_expected)?;
+        let (_, body) = ch.stash.swap_remove(at);
+        Some(self.deliver(chan, body, capacity))
+    }
+
+    /// Frame `seq` arrived on `chan`: delivered if it is the next in order,
+    /// otherwise stashed (ahead of order: a predecessor was lost or held
+    /// back) or, a duplicate of a delivered frame, dropped with its re-ack
+    /// owed so that the sender stops retransmitting.
+    fn accept(
+        &mut self,
+        chan: Chan,
+        seq: u32,
+        body: SharedBuf,
+        capacity: usize,
+    ) -> Option<Result<SharedBuf>> {
+        let ch = &mut self.channels[chan.slot];
+        if seq == ch.rx_expected {
+            Some(self.deliver(chan, body, capacity))
+        } else if at_or_after(seq, ch.rx_expected) {
+            if ch.stash.iter().all(|&(stashed, _)| stashed != seq) {
+                ch.stash.push((seq, body));
+            }
+            None
+        } else {
+            self.owe_ack(chan);
+            None
+        }
     }
 }
 
@@ -208,9 +424,8 @@ impl Channel {
 pub struct ReliableComm<'a, C: ?Sized> {
     inner: &'a C,
     cfg: RetryConfig,
-    /// Every channel this rank has used, ordered so that walking them (to
-    /// send owed acks or pump frames in flight) replays identically.
-    channels: RefCell<BTreeMap<Key, Channel>>,
+    /// Every channel this rank has used and the rosters the walks visit.
+    table: RefCell<Table>,
 }
 
 impl<'a, C: ?Sized> ReliableComm<'a, C> {
@@ -221,7 +436,7 @@ impl<'a, C: ?Sized> ReliableComm<'a, C> {
 
     /// Wrap `inner` with an explicit retransmission policy.
     pub fn with_config(inner: &'a C, cfg: RetryConfig) -> Self {
-        ReliableComm { inner, cfg, channels: RefCell::new(BTreeMap::new()) }
+        ReliableComm { inner, cfg, table: RefCell::new(Table::default()) }
     }
 
     /// The wrapped communicator.
@@ -229,18 +444,12 @@ impl<'a, C: ?Sized> ReliableComm<'a, C> {
         self.inner
     }
 
-    /// Read or update the state of channel `key`. The borrow ends with `f`,
-    /// so it is never held across an `.await`.
-    fn channel<R>(&self, key: Key, f: impl FnOnce(&mut Channel) -> R) -> R {
-        f(self.channels.borrow_mut().entry(key).or_default())
-    }
-
-    /// The first channel after `after` (from the first with `None`) that
-    /// `pick` selects.
-    fn next_channel(&self, after: Option<Key>, pick: impl Fn(&Channel) -> bool) -> Option<Key> {
-        let from = after.map_or(Unbounded, Excluded);
-        let channels = self.channels.borrow();
-        channels.range((from, Unbounded)).find(|(_, ch)| pick(ch)).map(|(&key, _)| key)
+    /// Read or update the channel table. The borrow ends with `f`, so it is
+    /// never held across an `.await`. Always inlined: called, it passed the
+    /// closure's captures through memory on every frame.
+    #[inline(always)]
+    fn table<R>(&self, f: impl FnOnce(&mut Table) -> R) -> R {
+        f(&mut self.table.borrow_mut())
     }
 }
 
@@ -262,12 +471,6 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
         deadline_after(self.inner.now_ns(), self.cfg.timeout_for(attempt))
     }
 
-    /// Put frame `seq` of channel `key` on the wire once — the only place a
-    /// frame is built, and it is built from references.
-    async fn transmit(&self, key: Key, seq: u32, body: &SharedBuf) -> Result<()> {
-        self.inner.send_prefixed(seq.to_le_bytes(), body, key.0, data_tag(key)).await
-    }
-
     /// Acknowledge every frame below `next` on channel `key`. An ack is
     /// posted as a plain four-byte payload and read straight off the
     /// envelope by [`Self::on_ack`] — no pool rental or refcount, which
@@ -283,54 +486,89 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
         }
     }
 
-    /// Send every ack this rank owes, one envelope per channel.
-    async fn send_owed_acks(&self) -> Result<()> {
-        let mut at = None;
-        while let Some(key) = self.next_channel(at, |ch| ch.owes_ack) {
-            let next = self.channel(key, |ch| {
-                ch.owes_ack = false;
-                ch.rx_expected
+    /// The first half of a post, up to the envelope that goes on the wire:
+    /// `payload` itself to this rank (loopback cannot lose messages, so it
+    /// skips the protocol), otherwise a frame queued on its channel, with
+    /// the channel and whether the frame is its head.
+    fn stage_post(
+        &self,
+        payload: Payload,
+        dest: Rank,
+        tag: Tag,
+    ) -> Result<(Payload, Option<(Chan, bool)>)> {
+        self.check_rank(dest)?;
+        self.check_tag(tag)?;
+        if dest == self.rank() {
+            return Ok((payload, None));
+        }
+        if self.cfg.max_attempts == 0 {
+            return Err(CommError::Timeout { peer: dest });
+        }
+        let body = payload.into_shared();
+        let (chan, seq, head) = self.table(|t| t.queue_frame((dest, tag.0), body.clone()));
+        Ok((frame(seq, body), Some((chan, head))))
+    }
+
+    /// The second half of a post, given what posting the envelope
+    /// [`Self::stage_post`] staged returned. A frame that did not go out
+    /// leaves its channel as it was, and the post reports the failure; a
+    /// head that did starts its timer now.
+    fn posted(&self, framed: Option<(Chan, bool)>, sent: Result<()>) -> Result<()> {
+        let Some((chan, head)) = framed else {
+            return sent;
+        };
+        if let Err(e) = sent {
+            self.table(|t| t.unqueue_frame(chan));
+            return self.fail(chan, e, Some(chan.key));
+        }
+        if head {
+            let due = self.arm(0);
+            self.table(|t| {
+                let ch = &mut t.channels[chan.slot];
+                (ch.attempts, ch.due) = (1, due);
             });
-            self.send_ack(key, next).await?;
-            at = Some(key);
         }
         Ok(())
     }
 
-    /// Apply an arrived ack to channel `key`: every frame below the number it
+    /// Send every ack this rank owes, one envelope per channel.
+    async fn send_owed_acks(&self) -> Result<()> {
+        while let Some((chan, next)) = self.table(Table::pop_owed) {
+            self.send_ack(chan.key, next).await?;
+        }
+        Ok(())
+    }
+
+    /// Apply an arrived ack to `chan`: every frame below the number it
     /// carries is settled, and a new head's timer starts now. A stale or
     /// malformed ack changes nothing.
-    fn on_ack(&self, key: Key, ack: &Payload) {
+    fn on_ack(&self, chan: Chan, ack: &Payload) {
         self.inner.note_copy(ack.len());
         let Ok(next) = <[u8; 4]>::try_from(&ack.bytes()[..]).map(u32::from_le_bytes) else {
             return;
         };
-        let settled = self.channel(key, |ch| {
-            let covered = next.wrapping_sub(ch.head_seq()) as usize;
-            let fresh = (1..=ch.unacked.len()).contains(&covered);
-            if fresh {
-                ch.unacked.drain(..covered);
+        let due = self.arm(0);
+        self.table(|t| {
+            if t.settle(chan, next) {
+                let ch = &mut t.channels[chan.slot];
+                (ch.attempts, ch.due) = (1, due);
             }
-            fresh
         });
-        if settled {
-            let due = self.arm(0);
-            self.channel(key, |ch| (ch.attempts, ch.due) = (1, due));
-        }
     }
 
-    /// Take the ack channel of `key` within `wait` and apply what arrived:
-    /// whether an ack did. The peer's exit fails the channel only while
-    /// frames of ours are unacknowledged (see [`Self::fail`]).
-    async fn await_ack(&self, key: Key, wait: Duration) -> Result<bool> {
-        match self.inner.take(4, key.0, ack_tag(key), Some(wait)).await {
+    /// Apply what taking `chan`'s ack channel returned: whether an ack
+    /// arrived. The peer's exit fails the channel only while frames of ours
+    /// are unacknowledged (see [`Self::fail`]).
+    fn ack_taken(&self, chan: Chan, taken: Result<Payload>) -> Result<bool> {
+        let peer = chan.key.0;
+        match taken {
             Ok(ack) => {
-                self.on_ack(key, &ack);
+                self.on_ack(chan, &ack);
                 Ok(true)
             }
             Err(CommError::Timeout { .. }) => Ok(false),
-            Err(CommError::PeerFailed { rank }) if rank == key.0 => {
-                match self.channel(key, |ch| ch.unacked.is_empty()) {
+            Err(CommError::PeerFailed { rank }) if rank == peer => {
+                match self.table(|t| t.channels[chan.slot].unacked.is_empty()) {
                     true => Ok(false),
                     false => Err(CommError::PeerFailed { rank }),
                 }
@@ -339,69 +577,84 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
         }
     }
 
-    /// Retransmit channel `key`'s head if its timer has fired, or fail with
+    /// Take `chan`'s ack channel, within `wait`.
+    fn take_ack(&self, chan: Chan, wait: Duration) -> impl Future<Output = Result<Payload>> + '_ {
+        self.inner.take(4, chan.key.0, ack_tag(chan.key), Some(wait))
+    }
+
+    /// Retransmit `chan`'s head if its timer has fired, or fail with
     /// [`CommError::Timeout`] once the head has used up its attempts (see
     /// [`Self::fail`]).
-    async fn retransmit_if_due(&self, key: Key) -> Result<()> {
+    async fn retransmit_if_due(&self, chan: Chan) -> Result<()> {
         let now = self.inner.now_ns();
-        let head = self.channel(key, |ch| match ch.unacked.front() {
-            Some(body) if ch.due <= now => Some((ch.head_seq(), ch.attempts, body.clone())),
-            _ => None,
+        let head = self.table(|t| {
+            let ch = &t.channels[chan.slot];
+            match ch.unacked.front() {
+                Some(body) if ch.due <= now => Some((ch.head_seq(), ch.attempts, body.clone())),
+                _ => None,
+            }
         });
         let Some((seq, attempts, body)) = head else {
             return Ok(());
         };
         if attempts >= self.cfg.max_attempts {
-            return Err(CommError::Timeout { peer: key.0 });
+            return Err(CommError::Timeout { peer: chan.key.0 });
         }
-        self.transmit(key, seq, &body).await?;
+        self.inner.post(frame(seq, body), chan.key.0, data_tag(chan.key)).await?;
         let due = self.arm(attempts);
-        self.channel(key, |ch| (ch.attempts, ch.due) = (attempts + 1, due));
+        self.table(|t| {
+            let ch = &mut t.channels[chan.slot];
+            (ch.attempts, ch.due) = (attempts + 1, due);
+        });
         Ok(())
     }
 
-    /// Meet error `e` on channel `key`'s sending half. A failure of the
-    /// channel itself — its peer exited with frames of ours unacknowledged,
-    /// or its head ran out of attempts — drops the frames in flight; it is
-    /// returned if `key` is the `watch`ed channel (an exchange's own send)
-    /// and otherwise kept for the next flush to report, so a receive never
-    /// fails for a send it did not make. Anything else (this rank's own
-    /// crash, say) is returned as it is.
-    fn fail(&self, key: Key, e: CommError, watch: Option<Key>) -> Result<()> {
+    /// Meet error `e` on `chan`'s sending half. A failure of the channel
+    /// itself — its peer exited with frames of ours unacknowledged, or its
+    /// head ran out of attempts — drops the frames in flight; it is returned
+    /// if `chan` is the `watch`ed channel (an exchange's own send) and
+    /// otherwise kept for the next flush to report, so a receive never fails
+    /// for a send it did not make. Anything else (this rank's own crash,
+    /// say) is returned as it is.
+    fn fail(&self, chan: Chan, e: CommError, watch: Option<Key>) -> Result<()> {
         let channel_failed = match e {
-            CommError::Timeout { peer } | CommError::PeerFailed { rank: peer } => peer == key.0,
+            CommError::Timeout { peer } | CommError::PeerFailed { rank: peer } => {
+                peer == chan.key.0
+            }
             _ => false,
         };
         if !channel_failed {
             return Err(e);
         }
-        self.channel(key, |ch| {
-            ch.abandon();
-            if watch == Some(key) {
+        self.table(|t| {
+            t.abandon(chan);
+            if watch == Some(chan.key) {
                 return Err(e);
             }
-            ch.failed.get_or_insert(e);
+            t.keep_failure(chan, e);
             Ok(())
         })
     }
 
     /// Give up on every frame in flight, each channel's as timed out.
     fn give_up(&self) {
-        for (&(peer, _), ch) in self.channels.borrow_mut().iter_mut() {
-            if !ch.unacked.is_empty() {
-                ch.abandon();
-                ch.failed.get_or_insert(CommError::Timeout { peer });
+        self.table(|t| {
+            for chan in std::mem::take(&mut t.in_flight).0 {
+                t.channels[chan.slot].unacked.clear();
+                t.keep_failure(chan, CommError::Timeout { peer: chan.key.0 });
             }
-        }
+        });
     }
 
     /// The first failure kept for a flush to report, every kept one cleared.
     fn take_failure(&self) -> Result<()> {
-        let mut first = None;
-        for ch in self.channels.borrow_mut().values_mut() {
-            first = first.or(ch.failed.take());
-        }
-        first.map_or(Ok(()), Err)
+        self.table(|t| {
+            let mut first = None;
+            for chan in std::mem::take(&mut t.failed).0 {
+                first = first.or(t.channels[chan.slot].failed.take());
+            }
+            first.map_or(Ok(()), Err)
+        })
     }
 
     /// Progress every frame in flight: drain the acks that have arrived
@@ -420,107 +673,71 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
     /// timer, due at the same instant, may be about to retransmit the very
     /// frame this head's receiver is stuck on, after which it acks this
     /// one too.
-    async fn pump(&self, expired: bool, watch: Option<Key>) -> Result<Option<(Key, u64)>> {
+    async fn pump(&self, expired: bool, watch: Option<Key>) -> Result<Option<(Chan, u64)>> {
         let mut at = None;
-        let mut next: Option<(Key, u64)> = None;
-        while let Some(key) = self.next_channel(at, |ch| !ch.unacked.is_empty()) {
-            if let Err(e) = self.progress(key, expired).await {
-                self.fail(key, e, watch)?;
+        let mut next: Option<(Chan, u64)> = None;
+        while let Some(chan) = self.table(|t| t.in_flight.after(at)) {
+            if let Err(e) = self.progress(chan, expired).await {
+                self.fail(chan, e, watch)?;
             }
-            let due = self.channel(key, |ch| (!ch.unacked.is_empty()).then_some(ch.due));
+            let due = self.table(|t| {
+                let ch = &t.channels[chan.slot];
+                (!ch.unacked.is_empty()).then_some(ch.due)
+            });
             if let Some(due) = due.filter(|&t| next.is_none_or(|(_, first)| t < first)) {
-                next = Some((key, due));
+                next = Some((chan, due));
             }
-            at = Some(key);
+            at = Some(chan.key);
         }
         let now = self.inner.now_ns();
-        Ok(next.map(|(key, due)| (key, due.max(now.saturating_add(1)))))
+        Ok(next.map(|(chan, due)| (chan, due.max(now.saturating_add(1)))))
     }
 
-    /// Drain channel `key`'s arrived acks, then retransmit its head if
-    /// `expired` and due.
-    async fn progress(&self, key: Key, expired: bool) -> Result<()> {
-        while self.await_ack(key, Duration::ZERO).await? {}
+    /// Drain `chan`'s arrived acks, then retransmit its head if `expired`
+    /// and due.
+    async fn progress(&self, chan: Chan, expired: bool) -> Result<()> {
+        while self.ack_taken(chan, self.take_ack(chan, Duration::ZERO).await)? {}
         if expired {
-            self.retransmit_if_due(key).await?;
+            self.retransmit_if_due(chan).await?;
         }
         Ok(())
     }
 
-    /// The next in-order payload on channel `key`, waiting until `deadline`
-    /// (for ever with `None`); a failure of the `watch`ed channel's sending
-    /// half fails the wait too. Owed acks are the caller's to send on error.
-    async fn take_in_order(
+    /// Settle what can be settled, then wait for `chan`'s next frame or the
+    /// next retransmission timer, whichever is first: the frame, or `None`
+    /// once the wait ran out. `expired` says whether the wait before this
+    /// one ran out (see [`Self::pump`]).
+    async fn wait_for_frame(
         &self,
-        capacity: usize,
-        key: Key,
+        chan: Chan,
         deadline: Option<u64>,
         watch: Option<Key>,
-    ) -> Result<SharedBuf> {
-        let src = key.0;
-        let mut expired = false;
-        loop {
-            let stashed = self.channel(key, |ch| {
-                let at = ch.stash.iter().position(|&(seq, _)| seq == ch.rx_expected)?;
-                let (_, body) = ch.stash.swap_remove(at);
-                Some(ch.deliver(body, capacity))
-            });
-            if let Some(delivered) = stashed {
-                return delivered;
-            }
-            let probe =
-                self.inner.recv_prefixed(usize::MAX, src, data_tag(key), Some(Duration::ZERO));
-            let frame = match probe.await {
-                Err(CommError::Timeout { .. }) => {
-                    // Nothing queued: settle what can be settled, then wait
-                    // for the frame or the next timer, whichever is first.
-                    self.send_owed_acks().await?;
-                    let timer = self.pump(std::mem::take(&mut expired), watch).await?;
-                    let timer = timer.map(|(_, until)| until);
-                    let now = self.inner.now_ns();
-                    if deadline.is_some_and(|deadline| deadline <= now) {
-                        return Err(CommError::Timeout { peer: src });
-                    }
-                    let until = deadline.into_iter().chain(timer).min();
-                    let wait = until.map(|until| Duration::from_nanos(until.saturating_sub(now)));
-                    let frame =
-                        self.inner.recv_prefixed(usize::MAX, src, data_tag(key), wait).await;
-                    expired = matches!(frame, Err(CommError::Timeout { .. }));
-                    if expired {
-                        continue;
-                    }
-                    frame
-                }
-                other => other,
-            };
-            // An envelope too short to carry a number is not a protocol
-            // frame; nothing sane to do but drop it.
-            let Some((prefix, body)) = frame? else { continue };
-            let seq = u32::from_le_bytes(prefix);
-            let delivered = self.channel(key, |ch| {
-                if seq == ch.rx_expected {
-                    Some(ch.deliver(body, capacity))
-                } else if at_or_after(seq, ch.rx_expected) {
-                    // Ahead of order: a predecessor was lost or held back.
-                    if ch.stash.iter().all(|&(stashed, _)| stashed != seq) {
-                        ch.stash.push((seq, body));
-                    }
-                    None
-                } else {
-                    // A duplicate of a delivered frame: re-ack it so the
-                    // sender stops retransmitting, and drop it.
-                    ch.owes_ack = true;
-                    None
-                }
-            });
-            if let Some(delivered) = delivered {
-                return delivered;
-            }
+        expired: bool,
+    ) -> Result<Option<Payload>> {
+        let src = chan.key.0;
+        self.send_owed_acks().await?;
+        let timer = self.pump(expired, watch).await?;
+        let timer = timer.map(|(_, until)| until);
+        let now = self.inner.now_ns();
+        if deadline.is_some_and(|deadline| deadline <= now) {
+            return Err(CommError::Timeout { peer: src });
+        }
+        let until = deadline.into_iter().chain(timer).min();
+        let wait = until.map(|until| Duration::from_nanos(until.saturating_sub(now)));
+        match self.inner.take(usize::MAX, src, data_tag(chan.key), wait).await {
+            Err(CommError::Timeout { .. }) => Ok(None),
+            frame => frame.map(Some),
         }
     }
 
     /// [`AsyncCommunicator::take`], failing also if the sending half of
-    /// `watch` does (see [`Self::fail`]).
+    /// `watch` does (see [`Self::fail`]): the next in-order payload on
+    /// `(src, tag)`, waiting until the deadline `timeout` sets (for ever
+    /// with `None`).
+    ///
+    /// A frame that is already queued in order costs one lookup of its
+    /// channel (which also looks in its stash), one non-blocking take and
+    /// one delivery. Owed acks are sent before an error is returned.
     async fn take_watching(
         &self,
         capacity: usize,
@@ -536,13 +753,45 @@ impl<C: AsyncCommunicator + ?Sized> ReliableComm<'_, C> {
             return self.inner.take(capacity, src, tag, timeout).await;
         }
         let deadline = timeout.map(|t| deadline_after(self.inner.now_ns(), t));
-        match self.take_in_order(capacity, (src, tag.0), deadline, watch).await {
-            Ok(body) => Ok(Payload::Shared(body)),
-            Err(e) => {
-                self.send_owed_acks().await?;
-                Err(e)
-            }
+        // Only a frame stashed before this take can be the one it delivers:
+        // the loop below stashes nothing that is next in order.
+        let (chan, stashed) = self.table(|t| {
+            let chan = t.chan((src, tag.0));
+            (chan, t.unstash(chan, capacity))
+        });
+        let data = data_tag(chan.key);
+        let mut expired = false;
+        let taken = match stashed {
+            Some(delivered) => delivered,
+            None => loop {
+                let probe = self.inner.take(usize::MAX, src, data, Some(Duration::ZERO)).await;
+                let frame = match probe {
+                    // Nothing queued: settle, then wait.
+                    Err(CommError::Timeout { .. }) => {
+                        let waited = self.wait_for_frame(chan, deadline, watch, expired).await;
+                        expired = matches!(waited, Ok(None));
+                        match waited {
+                            Ok(Some(frame)) => frame,
+                            Ok(None) => continue,
+                            Err(e) => break Err(e),
+                        }
+                    }
+                    Ok(frame) => frame,
+                    Err(e) => break Err(e),
+                };
+                // An envelope too short to carry a number is not a protocol
+                // frame; nothing sane to do but drop it.
+                let Some((prefix, body)) = frame.split_prefix() else { continue };
+                let seq = u32::from_le_bytes(prefix);
+                if let Some(delivered) = self.table(|t| t.accept(chan, seq, body, capacity)) {
+                    break delivered;
+                }
+            },
+        };
+        if taken.is_err() {
+            self.send_owed_acks().await?;
         }
+        taken.map(Payload::Shared)
     }
 }
 
@@ -577,31 +826,10 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
     /// Transmit one frame around `payload` and keep it in flight until an
     /// ack covers it.
     async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
-        self.check_rank(dest)?;
-        self.check_tag(tag)?;
-        if dest == self.rank() {
-            // Loopback cannot lose messages; skip the protocol.
-            return self.inner.post(payload, dest, tag).await;
-        }
-        if self.cfg.max_attempts == 0 {
-            return Err(CommError::Timeout { peer: dest });
-        }
-        let key = (dest, tag.0);
-        let body = payload.into_shared();
-        let (seq, head) = self.channel(key, |ch| (ch.tx_next, ch.unacked.is_empty()));
-        if let Err(e) = self.transmit(key, seq, &body).await {
-            // This post reports the failure; nothing is left to settle.
-            return self.fail(key, e, Some(key));
-        }
-        let due = head.then(|| self.arm(0));
-        self.channel(key, |ch| {
-            if let Some(due) = due {
-                (ch.attempts, ch.due) = (1, due);
-            }
-            ch.tx_next = seq.wrapping_add(1);
-            ch.unacked.push_back(body);
-        });
-        Ok(())
+        let (envelope, framed) = self.stage_post(payload, dest, tag)?;
+        let wire_tag = framed.map_or(tag, |(chan, _)| data_tag(chan.key));
+        let sent = self.inner.post(envelope, dest, wire_tag).await;
+        self.posted(framed, sent)
     }
 
     /// The next in-order payload on channel `(src, tag)`, within `timeout`
@@ -637,8 +865,12 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.check_rank(src)?;
         self.check_tag(sendtag)?;
         self.check_tag(recvtag)?;
-        self.post(payload, dest, sendtag).await?;
-        let watch = (dest != self.rank()).then_some((dest, sendtag.0));
+        // `post`, written out: one future fewer on every ring step.
+        let (envelope, framed) = self.stage_post(payload, dest, sendtag)?;
+        let wire_tag = framed.map_or(sendtag, |(chan, _)| data_tag(chan.key));
+        let sent = self.inner.post(envelope, dest, wire_tag).await;
+        self.posted(framed, sent)?;
+        let watch = framed.map(|(chan, _)| chan.key);
         self.take_watching(capacity, src, recvtag, None, watch).await
     }
 
@@ -652,7 +884,7 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
         self.send_owed_acks().await?;
         let deadline = within.map(|t| deadline_after(self.inner.now_ns(), t));
         let mut expired = false;
-        while let Some((key, until)) = self.pump(expired, None).await? {
+        while let Some((chan, until)) = self.pump(expired, None).await? {
             let now = self.inner.now_ns();
             if deadline.is_some_and(|deadline| deadline <= now) {
                 self.give_up();
@@ -660,9 +892,9 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for ReliableComm<'_, C> {
             }
             let until = deadline.map_or(until, |deadline| deadline.min(until));
             let wait = Duration::from_nanos(until.saturating_sub(now));
-            expired = match self.await_ack(key, wait).await {
+            expired = match self.ack_taken(chan, self.take_ack(chan, wait).await) {
                 Ok(acked) => !acked,
-                Err(e) => self.fail(key, e, None).map(|()| false)?,
+                Err(e) => self.fail(chan, e, None).map(|()| false)?,
             };
         }
         self.take_failure()
@@ -693,6 +925,14 @@ mod tests {
         f: impl Fn(&Rc<'_>, &ThreadComm) -> R + Sync,
     ) -> WorldOutcome<R> {
         ThreadWorld::run(n, |comm| f(&ReliableComm::with_config(&SyncComm::new(comm), cfg), comm))
+    }
+
+    /// Read or update channel `key` of `rc`, opening it if it is new.
+    fn channel<R>(rc: &Rc<'_>, key: Key, f: impl FnOnce(&mut Channel) -> R) -> R {
+        rc.table(|t| {
+            let chan = t.chan(key);
+            f(&mut t.channels[chan.slot])
+        })
     }
 
     fn fast(max_attempts: u32) -> RetryConfig {
@@ -868,14 +1108,14 @@ mod tests {
         let out = world(2, fast(6), |rc, comm| {
             let peer = 1 - comm.rank();
             let near = u32::MAX - 1;
-            rc.channel((peer, 0), |ch| (ch.tx_next, ch.rx_expected) = (near, near));
+            channel(rc, (peer, 0), |ch| (ch.tx_next, ch.rx_expected) = (near, near));
             let mut got = vec![];
             for i in 0..4u8 {
                 let mut buf = [0u8; 1];
                 complete_now(rc.sendrecv(&[i], peer, Tag(0), &mut buf, peer, Tag(0))).unwrap();
                 got.push(buf[0]);
             }
-            (got, rc.channel((peer, 0), |ch| (ch.tx_next, ch.rx_expected, ch.unacked.len())))
+            (got, channel(rc, (peer, 0), |ch| (ch.tx_next, ch.rx_expected, ch.unacked.len())))
         });
         assert_eq!(out.results[0], (vec![0, 1, 2, 3], (2, 2, 0)));
         assert_eq!(out.results[0], out.results[1]);

@@ -141,7 +141,10 @@ impl FaultPlan {
 
     /// The fault rates governing the directed link `src → dst`.
     pub fn link(&self, src: Rank, dst: Rank) -> LinkFaults {
-        self.inner.per_link.get(&(src, dst)).copied().unwrap_or(self.inner.default)
+        // A plan without overrides, the common case, costs no hashing.
+        let per_link = &self.inner.per_link;
+        let custom = (!per_link.is_empty()).then(|| per_link.get(&(src, dst))).flatten();
+        custom.copied().unwrap_or(self.inner.default)
     }
 
     /// Decide the fate of the `k`-th message offered on `src → dst`.
@@ -170,6 +173,34 @@ impl FaultPlan {
     }
 }
 
+/// A held-back message and its `(dst, tag)` channel.
+type Held = ((Rank, u32), Vec<u8>);
+
+/// Destinations per page of a [`LinkTable`].
+const LINK_PAGE: usize = 64;
+
+/// Messages offered so far per destination rank: `pages[dst / 64][dst %
+/// 64]`, a page allocated when one of its ranks is first sent to. Two loads
+/// per message, and a rank that sends to a few peers of a large world keeps
+/// a few pages, not a counter per rank of the world.
+#[derive(Default)]
+struct LinkTable {
+    pages: Vec<Option<Box<[u64; LINK_PAGE]>>>,
+}
+
+impl LinkTable {
+    /// The ordinal of the next message to `dst`, counted.
+    fn next(&mut self, dst: Rank) -> u64 {
+        if self.pages.len() <= dst / LINK_PAGE {
+            self.pages.resize_with(dst / LINK_PAGE + 1, || None);
+        }
+        let page = self.pages[dst / LINK_PAGE].get_or_insert_with(|| Box::new([0; LINK_PAGE]));
+        let k = page[dst % LINK_PAGE];
+        page[dst % LINK_PAGE] = k + 1;
+        k
+    }
+}
+
 /// An [`AsyncCommunicator`] decorator that injects the faults of a
 /// [`FaultPlan`]. Decisions are drawn from per-link ordinals and the crash
 /// clock counts operations, so a plan replays bit-identically on every
@@ -187,32 +218,48 @@ impl FaultPlan {
 /// ([`mpsim::reliable::ACK_TAG_BASE`]) pass through un-faulted, modelling a
 /// reliable control plane (see `draw` for why the reliability layer needs
 /// this).
+///
+/// Per-message work is a fixed handful of loads, no hashing: the crash
+/// threshold is read from the plan once, at construction, and the link
+/// table ([`LinkTable`]) holds the messages offered so far per destination
+/// rank in pages of 64 counters. A destination outside the world is on no
+/// link: it draws nothing, indexes nothing, and the wrapped communicator
+/// refuses it. A delivery with nothing held back posts straight through;
+/// the other fates are boxed out of the common path. Held-back messages sit
+/// in a list kept in `(dst, tag)` order, which a barrier flushes in, and
+/// which is empty unless the plan delays.
 pub struct FaultyComm<'a, C: ?Sized> {
     inner: &'a C,
     plan: FaultPlan,
     /// Messages offered so far per outgoing link (the `k` of the plan).
-    link_seq: RefCell<HashMap<Rank, u64>>,
-    /// Held-back message per `(dst, tag)` channel awaiting its successor.
-    holdback: RefCell<HashMap<(Rank, u32), Vec<u8>>>,
+    link_seq: RefCell<LinkTable>,
+    /// Held-back message per `(dst, tag)` channel awaiting its successor,
+    /// in channel order.
+    holdback: RefCell<Vec<Held>>,
+    /// Operations after which this rank fail-stops; `u64::MAX` for never.
+    crash_at: u64,
     /// Communication operations performed so far (crash clock).
     ops: Cell<u64>,
     /// Whether the planned fail-stop has fired.
     dead: Cell<bool>,
 }
 
-impl<'a, C: ?Sized> FaultyComm<'a, C> {
+impl<'a, C: AsyncCommunicator + ?Sized> FaultyComm<'a, C> {
     /// Wrap `inner` under `plan`.
     pub fn new(inner: &'a C, plan: FaultPlan) -> Self {
         FaultyComm {
             inner,
+            crash_at: plan.crash_after(inner.rank()).unwrap_or(u64::MAX),
             plan,
-            link_seq: RefCell::new(HashMap::new()),
-            holdback: RefCell::new(HashMap::new()),
+            link_seq: RefCell::new(LinkTable::default()),
+            holdback: RefCell::new(Vec::new()),
             ops: Cell::new(0),
             dead: Cell::new(false),
         }
     }
+}
 
+impl<C: ?Sized> FaultyComm<'_, C> {
     /// The wrapped communicator.
     pub fn inner(&self) -> &C {
         self.inner
@@ -223,30 +270,30 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
         self.dead.get()
     }
 
-    fn next_link_seq(&self, dst: Rank) -> u64 {
-        let mut seqs = self.link_seq.borrow_mut();
-        let k = seqs.entry(dst).or_insert(0);
-        let cur = *k;
-        *k += 1;
-        cur
-    }
-
     /// Remove and return the held-back message on `(dst, tag)`, if any.
     fn take_holdback(&self, dst: Rank, tag: Tag) -> Option<Vec<u8>> {
         let mut held = self.holdback.borrow_mut();
-        // Nothing held is the common case; it costs no hashing.
-        (!held.is_empty()).then(|| held.remove(&(dst, tag.0))).flatten()
+        let at = held.binary_search_by_key(&(dst, tag.0), |&(key, _)| key).ok()?;
+        Some(held.remove(at).1)
     }
 
     /// Stash a delayed message on `(dst, tag)`, returning the previously
     /// held one (which its overtaker has now released).
     fn stash_holdback(&self, dst: Rank, tag: Tag, data: Vec<u8>) -> Option<Vec<u8>> {
-        self.holdback.borrow_mut().insert((dst, tag.0), data)
+        let mut held = self.holdback.borrow_mut();
+        match held.binary_search_by_key(&(dst, tag.0), |&(key, _)| key) {
+            Ok(at) => Some(std::mem::replace(&mut held[at].1, data)),
+            Err(at) => {
+                held.insert(at, ((dst, tag.0), data));
+                None
+            }
+        }
     }
 
-    /// All channels with a message currently in holdback.
-    fn pending_holdbacks(&self) -> Vec<(Rank, u32)> {
-        self.holdback.borrow().keys().copied().collect()
+    /// The held-back message of the first channel, removed.
+    fn pop_holdback(&self) -> Option<Held> {
+        let mut held = self.holdback.borrow_mut();
+        (!held.is_empty()).then(|| held.remove(0))
     }
 }
 
@@ -254,16 +301,13 @@ impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
     /// Count one operation against the crash clock; once the planned
     /// threshold is reached the rank is dead to the world.
     fn tick(&self) -> Result<()> {
-        let me = self.inner.rank();
         let done = self.ops.get();
         self.ops.set(done + 1);
-        match self.plan.crash_after(me) {
-            Some(limit) if done >= limit => {
-                self.dead.set(true);
-                Err(CommError::PeerFailed { rank: me })
-            }
-            _ => Ok(()),
+        if done >= self.crash_at {
+            self.dead.set(true);
+            return Err(CommError::PeerFailed { rank: self.inner.rank() });
         }
+        Ok(())
     }
 
     /// Deliver a previously held-back message on `(dst, tag)`, if any.
@@ -275,19 +319,55 @@ impl<C: AsyncCommunicator + ?Sized> FaultyComm<'_, C> {
     }
 
     /// The plan's decision for the next envelope offered on `(dest, tag)`,
-    /// or `None` for the reliability layer's pure acknowledgements: they
-    /// ride a reserved control-tag range and model a tiny, assumed-reliable
-    /// control plane. A `ReliableComm` receiver sends what it owes when it
-    /// flushes and may then leave, and nothing re-acks a retransmission
-    /// after that, so a lost *ack* would strand a sender that the protocol
-    /// has, in fact, delivered for. Crash faults (the caller's `tick`) still
-    /// apply; link faults target payload-bearing sends.
+    /// or `None` for an envelope on no link: one to a rank outside the
+    /// world, which the wrapped communicator refuses, or one of the
+    /// reliability layer's pure acknowledgements. Those ride a reserved
+    /// control-tag range and model a tiny, assumed-reliable control plane.
+    /// A `ReliableComm` receiver sends what it owes when it flushes and may
+    /// then leave, and nothing re-acks a retransmission after that, so a
+    /// lost *ack* would strand a sender that the protocol has, in fact,
+    /// delivered for. Crash faults (the caller's `tick`) still apply; link
+    /// faults target payload-bearing sends.
     fn draw(&self, dest: Rank, tag: Tag) -> Option<FaultAction> {
-        if tag.0 >= mpsim::reliable::ACK_TAG_BASE {
+        if tag.0 >= mpsim::reliable::ACK_TAG_BASE || dest >= self.inner.size() {
             return None;
         }
-        let k = self.next_link_seq(dest);
+        let k = self.link_seq.borrow_mut().next(dest);
         Some(self.plan.decide(self.inner.rank(), dest, k))
+    }
+
+    /// Apply `action` to an envelope on `(dest, tag)` and release the
+    /// message it overtakes, if one is held back. Boxed by its one caller:
+    /// a delivery with nothing held back, nearly every envelope, posts
+    /// straight through and carries none of this future's state.
+    async fn misbehave(
+        &self,
+        action: FaultAction,
+        payload: Payload,
+        dest: Rank,
+        tag: Tag,
+    ) -> Result<()> {
+        match action {
+            FaultAction::Deliver => self.inner.post(payload, dest, tag).await?,
+            // The message vanishes, but an earlier held-back one still
+            // becomes deliverable (the "drop" consumed its overtaker).
+            FaultAction::Drop => {}
+            FaultAction::Duplicate => {
+                let (first, second) = twin(payload);
+                self.inner.post(first, dest, tag).await?;
+                self.inner.post(second, dest, tag).await?;
+            }
+            // Hold the message until the next send on this channel
+            // overtakes it. At most one message per channel is in
+            // holdback: a second delay decision flushes the first.
+            FaultAction::Delay => {
+                return match self.stash_holdback(dest, tag, payload.bytes().into()) {
+                    Some(data) => self.inner.send(&data, dest, tag).await,
+                    None => Ok(()),
+                };
+            }
+        }
+        self.flush_holdback(dest, tag).await
     }
 }
 
@@ -326,8 +406,8 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
         // A barrier is a synchronization point: anything still held back
         // must arrive before it, or "delayed" would mean "lost across
         // phases", which is a drop, not a delay.
-        for (dst, tag) in self.pending_holdbacks() {
-            self.flush_holdback(dst, Tag(tag)).await?;
+        while let Some(((dst, tag), data)) = self.pop_holdback() {
+            self.inner.send(&data, dst, Tag(tag)).await?;
         }
         self.inner.barrier().await
     }
@@ -346,30 +426,12 @@ impl<C: AsyncCommunicator + ?Sized> AsyncCommunicator for FaultyComm<'_, C> {
     /// bytes.
     async fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.tick()?;
-        let Some(action) = self.draw(dest, tag) else {
-            return self.inner.post(payload, dest, tag).await;
-        };
-        match action {
-            FaultAction::Deliver => self.inner.post(payload, dest, tag).await?,
-            // The message vanishes, but an earlier held-back one still
-            // becomes deliverable (the "drop" consumed its overtaker).
-            FaultAction::Drop => {}
-            FaultAction::Duplicate => {
-                let (first, second) = twin(payload);
-                self.inner.post(first, dest, tag).await?;
-                self.inner.post(second, dest, tag).await?;
-            }
-            // Hold the message until the next send on this channel
-            // overtakes it. At most one message per channel is in
-            // holdback: a second delay decision flushes the first.
-            FaultAction::Delay => {
-                return match self.stash_holdback(dest, tag, payload.bytes().into()) {
-                    Some(data) => self.inner.send(&data, dest, tag).await,
-                    None => Ok(()),
-                };
-            }
+        match self.draw(dest, tag) {
+            Some(FaultAction::Deliver) if self.holdback.borrow().is_empty() => {}
+            Some(action) => return Box::pin(self.misbehave(action, payload, dest, tag)).await,
+            None => {}
         }
-        self.flush_holdback(dest, tag).await
+        self.inner.post(payload, dest, tag).await
     }
 
     async fn take(

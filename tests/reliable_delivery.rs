@@ -402,3 +402,173 @@ fn a_frame_does_not_park_its_sender() {
     let parked = out.reactor.spurious_polls;
     assert!(parked < 4 * LOSSY_P as u64, "{parked} parked polls for {LOSSY_P} ranks");
 }
+
+/// A transport that counts the data frames posted through it and refuses
+/// any past `limit` — so a retry budget that never runs out fails at once
+/// instead of retransmitting for ever.
+struct FrameBudget<'a, C> {
+    inner: &'a C,
+    limit: u32,
+    frames: std::cell::Cell<u32>,
+}
+
+impl<C: AsyncCommunicator> AsyncCommunicator for FrameBudget<'_, C> {
+    fn rank(&self) -> mpsim::Rank {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.inner.now_ns()
+    }
+
+    async fn barrier(&self) -> mpsim::Result<()> {
+        self.inner.barrier().await
+    }
+
+    fn make_shared(&self, data: &[u8]) -> mpsim::SharedBuf {
+        self.inner.make_shared(data)
+    }
+
+    fn note_copy(&self, bytes: usize) {
+        self.inner.note_copy(bytes)
+    }
+
+    async fn post(&self, payload: Payload, dest: mpsim::Rank, tag: Tag) -> mpsim::Result<()> {
+        if (DATA_TAG_BASE..ACK_TAG_BASE).contains(&tag.0) {
+            let sent = self.frames.get() + 1;
+            self.frames.set(sent);
+            if sent > self.limit {
+                let what = "a frame past the budget";
+                return Err(CommError::Unsupported { what, size: sent as usize });
+            }
+        }
+        self.inner.post(payload, dest, tag).await
+    }
+
+    async fn take(
+        &self,
+        capacity: usize,
+        src: mpsim::Rank,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> mpsim::Result<Payload> {
+        self.inner.take(capacity, src, tag, timeout).await
+    }
+
+    async fn flush(&self, within: Option<Duration>) -> mpsim::Result<()> {
+        self.inner.flush(within).await
+    }
+
+    async fn acknowledge(&self) -> mpsim::Result<()> {
+        self.inner.acknowledge().await
+    }
+}
+
+/// `max_attempts` is the whole budget: a send to a peer that never acks
+/// times out after exactly that many transmissions. The peer stays (an
+/// exited one is `PeerFailed`, not a timeout) until rank 0 releases it.
+async fn retry_budget_is_spent_exactly<C: AsyncCommunicator>(comm: &C) {
+    if comm.rank() == 1 {
+        comm.recv(&mut [0u8; 1], 0, Tag(9)).await.unwrap();
+        return;
+    }
+    let budget = FrameBudget { inner: comm, limit: 3, frames: std::cell::Cell::new(0) };
+    let rc = ReliableComm::with_config(&budget, retry(3));
+    let sent = rc.send(&[1u8; 8], 1, Tag(0)).await;
+    let frames = budget.frames.get();
+    comm.send(&[0], 1, Tag(9)).await.unwrap();
+    assert_eq!((sent, frames), (Err(CommError::Timeout { peer: 1 }), 3));
+}
+on_both_executors!(retry_budget_is_spent_exactly);
+
+/// What one replayed run moved: envelopes, wire bytes, bytes copied and the
+/// virtual makespan in nanoseconds.
+type Replay = (u64, u64, u64, u128);
+
+fn replay<R>(out: &WorldOutcome<R>) -> Replay {
+    let t = &out.traffic;
+    (t.total_msgs(), t.total_bytes(), t.total_bytes_copied(), out.elapsed.as_nanos())
+}
+
+/// `bcast_opt_async` through `Reliable(Faulty(EventComm))` at P = 16 ×
+/// 16 KiB under `faults` on every link, seeded `seed`.
+fn small_lossy_bcast(seed: u64, faults: LinkFaults) -> Replay {
+    const P: usize = 16;
+    const N: usize = 16 << 10;
+    let plan = FaultPlan::new(seed).with_default(faults);
+    let src: Vec<u8> = (0..N).map(|i| (i * 131 + 7) as u8).collect();
+    let out = EventWorld::run(P, |comm| {
+        let (src, plan) = (&src, plan.clone());
+        async move {
+            let faulty = FaultyComm::new(&comm, plan);
+            let rc = ReliableComm::with_config(&faulty, retry(12));
+            let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0; N] };
+            bcast_core::bcast_opt_async(&rc, &mut buf, 0).await.unwrap();
+            assert!(buf == *src, "rank {} received a different payload", comm.rank());
+        }
+    });
+    replay(&out)
+}
+
+/// The reliable stack replays bit for bit: the same frames, acks and
+/// retransmissions at the same virtual instants, so the same counts and
+/// makespan, for every seed. These are the values the protocol produced
+/// when they were recorded; a change to the decorators' bookkeeping that
+/// moves any of them changed what goes on the wire or when.
+#[test]
+fn lossy_broadcasts_replay_their_recorded_runs() {
+    let drops = LinkFaults { drop_ppm: 10_000, dup_ppm: 0, delay_ppm: 0 };
+    let got: Vec<Replay> = (1..=8).map(|seed| small_lossy_bcast(seed, drops)).collect();
+    // Each lost frame stalls its channel one 5 ms timer; seed 3 drops none.
+    let recorded: [Replay; 8] = [
+        (259, 246_796, 262_432, 5_000_000),
+        (265, 246_820, 262_480, 10_000_000),
+        (253, 246_772, 262_384, 0),
+        (258, 246_792, 262_424, 5_000_000),
+        (256, 246_784, 262_408, 5_000_000),
+        (260, 246_800, 262_440, 10_000_000),
+        (272, 246_848, 262_536, 15_000_001),
+        (258, 246_792, 262_424, 5_000_000),
+    ];
+    assert_eq!(got, recorded);
+    assert_eq!(small_lossy_bcast(1, LinkFaults::NONE), (253, 246_772, 262_384, 0), "drop-free");
+}
+
+/// The same pin for the `FaultyComm` half alone: a self-healing broadcast
+/// at P = 32 × 2 KiB whose ranks 5 and 20 fail-stop half an epoch apart.
+#[test]
+fn a_healing_broadcast_replays_its_recorded_run() {
+    const P: usize = 32;
+    let src: Vec<u8> = (0..2048).map(|i| (i * 29 + 3) as u8).collect();
+    let plan = FaultPlan::new(7).with_crash(5, 4).with_crash(20, 4 + 2 * P as u64);
+    let cfg = bcast_core::RecoveryConfig {
+        step_timeout: Duration::from_millis(40),
+        max_epochs: 4,
+        bounded_sendrecv: false,
+    };
+    let out = EventWorld::run(P, |comm| {
+        let (src, plan) = (&src, plan.clone());
+        async move {
+            let faulty = FaultyComm::new(&comm, plan);
+            let drill = bcast_core::RecoveryDrill::NONE;
+            let run = bcast_core::self_healing_rank_task(
+                &faulty,
+                src,
+                0,
+                Algorithm::ScatterRingTuned,
+                &cfg,
+                &drill,
+            )
+            .await;
+            run.result.map(|healed| (healed.epochs, healed.survivors.len())).map_err(drop)
+        }
+    });
+    assert_eq!(replay(&out), (2774, 103_916, 109_036, 80_000_000));
+    let healed: Vec<usize> = (0..P).filter(|&r| out.results[r] == Ok((3, P - 2))).collect();
+    let lost: Vec<usize> = (0..P).filter(|&r| out.results[r].is_err()).collect();
+    assert_eq!((healed.len(), lost), (P - 2, vec![5, 20]), "healed in three epochs");
+}
