@@ -173,14 +173,19 @@ fn resolve(rev: &str) -> Result<String, String> {
     Ok(git(&["rev-parse", "--verify", &format!("{rev}^{{commit}}")])?.trim().to_string())
 }
 
-/// The tree of commit `rev` under `work`, extracted once and reused.
+/// The tree of commit `rev` under `work`, extracted once and reused. It is
+/// extracted beside its final name and renamed into place, so a run cut
+/// short mid-extraction leaves nothing that a later run would reuse.
 fn extract(rev: &str, work: &Path) -> Result<PathBuf, String> {
     let dir = work.join(rev);
-    if dir.join("benchmark/Cargo.toml").is_file() {
+    if dir.is_dir() {
         return Ok(dir);
     }
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let archive = Command::new("git")
+    let partial = work.join(format!("{rev}.partial"));
+    let _ = std::fs::remove_dir_all(&partial);
+    std::fs::create_dir_all(&partial)
+        .map_err(|e| format!("cannot create {}: {e}", partial.display()))?;
+    let mut archive = Command::new("git")
         .args(["archive", "--format=tar", rev])
         .stdout(Stdio::piped())
         .spawn()
@@ -188,13 +193,16 @@ fn extract(rev: &str, work: &Path) -> Result<PathBuf, String> {
     let tar = Command::new("tar")
         .arg("-x")
         .arg("-C")
-        .arg(&dir)
-        .stdin(archive.stdout.ok_or("git archive gave no output")?)
+        .arg(&partial)
+        .stdin(archive.stdout.take().ok_or("git archive gave no output")?)
         .status()
         .map_err(|e| format!("tar: {e}"))?;
-    if !tar.success() || !dir.join("benchmark/Cargo.toml").is_file() {
-        return Err(format!("could not extract {rev} into {}", dir.display()));
+    let archived = archive.wait().map_err(|e| format!("git archive {rev}: {e}"))?;
+    if !tar.success() || !archived.success() || !partial.join("benchmark/Cargo.toml").is_file() {
+        return Err(format!("could not extract {rev} into {}", partial.display()));
     }
+    std::fs::rename(&partial, &dir)
+        .map_err(|e| format!("cannot rename {}: {e}", partial.display()))?;
     Ok(dir)
 }
 
