@@ -227,7 +227,8 @@ pub fn reconcile_crashed_traffic(traffic: &WorldTraffic) -> std::result::Result<
 /// is deliberately non-panicking so the chaos search can use it as its
 /// violation oracle. The invariants, in order:
 ///
-/// 1. **Survivor-set sandwich** — every healed rank's survivor set contains
+/// 1. **Survivor-set sandwich** — every healed rank's survivor set is drawn
+///    from the launch's world, holds the rank itself, contains
 ///    nothing outside `healed ∪ planned victims` (a mid-agreement split may
 ///    let an early healer still count a victim), and misses a healed rank
 ///    only if that rank healed in a strictly earlier epoch — an early
@@ -255,24 +256,29 @@ pub fn check_recovery_outcome(
     elapsed: Duration,
 ) -> std::result::Result<(), String> {
     let p = results.len();
-    // Linear in the survivor lists: a sorted victim list, a healed bitmap
-    // and the healed ranks in ascending order, merged against each list.
+    // Linear in the ranks plus the survivor sets' exclusions, never in the
+    // sets themselves: a sorted victim list, a healed bitmap, and — once —
+    // the ranks that neither healed nor were victims, which no survivor set
+    // may count.
     let mut victims = spec.planned_victims.to_vec();
     victims.sort_unstable();
     victims.dedup();
     let is_victim = |r: &Rank| victims.binary_search(r).is_ok();
     let healed: Vec<bool> = results.iter().map(|r| r.result.is_ok()).collect();
     let healed_ranks: Vec<Rank> = (0..p).filter(|&r| healed[r]).collect();
-    let is_healed = |r: &Rank| healed.get(*r).copied().unwrap_or(false);
+    let unaccounted: Vec<Rank> = (0..p).filter(|r| !healed[*r] && !is_victim(r)).collect();
 
     for (rank, run) in results.iter().enumerate() {
         match &run.result {
             Ok(h) => {
                 let s = &h.survivors;
-                if s.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(format!("rank {rank}: survivor list not strictly sorted"));
+                if s.world() != p {
+                    return Err(format!(
+                        "rank {rank}: survivor set drawn from a world of {} ranks, not {p}",
+                        s.world()
+                    ));
                 }
-                if s.binary_search(&rank).is_err() {
+                if !s.contains(rank) {
                     return Err(format!("rank {rank} healed but is not in its own survivor set"));
                 }
                 // Convergence is epoch-monotone, not absolute: a rank that
@@ -284,9 +290,10 @@ pub fn check_recovery_outcome(
                 // genuine split-brain. Under message loss even that is
                 // waived — the group may partition into digest-isolated
                 // subgroups; ghost-freedom, byte-identity and conservation
-                // still bind.
+                // still bind. The healed ranks a set misses are the healed
+                // ones among its exclusions.
                 if !spec.lossy_links {
-                    for missing in sorted_difference(&healed_ranks, s) {
+                    for &missing in s.excluded().iter().filter(|&&r| healed[r]) {
                         let their_epoch = match &results[missing].result {
                             Ok(theirs) => theirs.epochs,
                             Err(_) => unreachable!("healed set only holds Ok ranks"),
@@ -300,7 +307,9 @@ pub fn check_recovery_outcome(
                         }
                     }
                 }
-                if let Some(&ghost) = s.iter().find(|r| !is_healed(r) && !is_victim(r)) {
+                // Every unaccounted rank this passes over is one the set
+                // excludes, so the search reads at most `excluded + 1`.
+                if let Some(&ghost) = unaccounted.iter().find(|&&r| s.contains(r)) {
                     return Err(format!(
                         "rank {rank}'s survivor set counts rank {ghost}, which neither healed \
                          nor was a planned victim"
@@ -368,20 +377,11 @@ pub fn check_recovery_outcome(
     Ok(())
 }
 
-/// The ranks of ascending `a` missing from ascending `b`, in order: one
-/// merge pass over both.
-fn sorted_difference<'a>(a: &'a [Rank], b: &'a [Rank]) -> impl Iterator<Item = Rank> + 'a {
-    let mut rest = b.iter().peekable();
-    a.iter().copied().filter(move |&r| {
-        while rest.next_if(|&&x| x < r).is_some() {}
-        rest.peek() != Some(&&r)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traffic::{agreement_volume, bcast_volume, scatter_msgs};
+    use crate::Members;
 
     #[test]
     fn event_launch_matches_closed_forms_small() {
@@ -464,10 +464,10 @@ mod tests {
         results[1].result = Err(mpsim::CommError::Timeout { peer: 0 });
         let spec =
             RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[], lossy_links: false };
-        // The sandwich invariant catches it first (the dead rank still sits
-        // in everyone's survivor set); either finding is a valid rejection.
+        // The sandwich invariant catches it first: the dead rank still sits
+        // in rank 0's survivor set, and rank 0 is judged before rank 1.
         let err = check_recovery_outcome(&spec, &results, &out.traffic, out.elapsed).unwrap_err();
-        assert!(err.contains("neither healed") || err.contains("guarantees liveness"), "{err}");
+        assert!(err.contains("rank 0's survivor set counts rank 1, which neither healed"), "{err}");
         // ...but the same failure on a planned victim is acceptable
         let spec =
             RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[1], lossy_links: false };
@@ -487,12 +487,13 @@ mod tests {
             check_recovery_outcome(&spec, &results, &out.traffic, out.elapsed)
         };
         let set = |runs: &mut [RankRun], rank: Rank, list: &[Rank]| {
-            runs[rank].result.as_mut().unwrap().survivors = list.to_vec();
+            runs[rank].result.as_mut().unwrap().survivors = Members::from_ranks(4, list).unwrap();
         };
         let err = judge(&|r| set(r, 2, &[0, 2, 3])).unwrap_err();
         assert!(err.contains("excludes rank 1") && err.contains("split-brain"), "{err}");
-        let err = judge(&|r| set(r, 2, &[0, 2, 1, 3])).unwrap_err();
-        assert!(err.contains("not strictly sorted"), "{err}");
+        let err =
+            judge(&|r| r[2].result.as_mut().unwrap().survivors = Members::all(5)).unwrap_err();
+        assert!(err.contains("world of 5 ranks, not 4"), "{err}");
         let err = judge(&|r| set(r, 3, &[0, 1, 2])).unwrap_err();
         assert!(err.contains("not in its own survivor set"), "{err}");
         // A rank that healed in a strictly earlier epoch may be missing.

@@ -84,6 +84,7 @@ pub mod coalesce;
 pub mod epoch_guard;
 pub mod event_launch;
 pub mod interp;
+pub mod membership;
 pub mod pipeline;
 pub mod rd_allgather;
 pub mod recovery;
@@ -111,8 +112,9 @@ pub use event_launch::{
     EVENT_LAUNCH_SEED,
 };
 pub use interp::Interp;
+pub use membership::{membership_digest, Members};
 pub use recovery::{
-    agreement_schedule, branch, degraded_bcast_schedule, membership_digest, pairwise_schedule,
+    agreement_schedule, branch, degraded_bcast_schedule, pairwise_schedule,
     self_healing_bcast_async, self_healing_bcast_traced_async, Healed, RecoveryConfig,
     RecoveryDrill, RecoveryTrace,
 };

@@ -76,9 +76,12 @@
 //!
 //! A clean epoch pays for the broadcast and the `2·n·⌈log₂n⌉`-frame quorum
 //! and for nothing else: no per-envelope decorator, and no bookkeeping per
-//! rank beyond the member list — a committed quorum does not list the
-//! members, a full world's digest takes O(1), and the attempt borrows the
-//! member list while no rank sits a rerun out.
+//! rank that grows with the world. Every member set — the members, the
+//! rerun's runners, the verdict's survivors and full set, and the survivor
+//! set a rank heals with — is a [`Members`]: the world size plus the ranks
+//! it leaves out, so a clean epoch allocates none of them and a degraded
+//! one holds O(excluded) ranks; a committed quorum does not list the
+//! members, and a full world's digest takes O(1).
 //!
 //! ## Fault model
 //!
@@ -110,7 +113,7 @@
 //!
 //! * **Cascading multi-failure recovery.** Crashes that land *during* an
 //!   agreement round or mid-degraded-schedule simply surface as the next
-//!   epoch's deaths: membership-digest tag isolation ([`membership_digest`])
+//!   epoch's deaths: membership-digest tag isolation ([`crate::membership_digest`])
 //!   keeps verdict-split groups from corrupting each other, and agreement
 //!   self-crash detection keeps a dying rank from poisoning its own verdict.
 //!   Root-succession chains of any depth fall out of iterating the same
@@ -125,9 +128,8 @@
 // reaches it.
 #![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
 
-use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Duration;
 
@@ -135,6 +137,7 @@ use mpsim::{deadline_after, AsyncCommunicator, CommError, Rank, Result, Tag};
 
 use crate::bcast::{bcast_phases, collect_ops, Algorithm};
 use crate::interp::{Interp, PhaseSink};
+use crate::membership::{fnv1a, Members, FNV_OFFSET};
 use crate::schedule::{RecvHalf, SchedOp, Schedule, SendHalf};
 
 /// Tag offset between broadcast attempts: epoch `e` runs its collective on
@@ -160,57 +163,10 @@ pub const MEMBERSHIP_DIGEST_SHIFT: u32 = 12;
 /// [`self_healing_bcast_async`] refuses a larger [`RecoveryConfig::max_epochs`].
 pub const MAX_EPOCHS: u32 = (1 << MEMBERSHIP_DIGEST_SHIFT) / EPOCH_TAG_STRIDE;
 
-/// Digest of an ascending member list (every list recovery builds is one),
-/// folded into every *attempt* tag (never the agreement tag) and into the
-/// membership quorum's seal.
-///
-/// It hashes the list's length and the ranks it leaves out below its last
-/// member, as `(first left out, next member)` runs, so a full world `0..n`
-/// digests in O(1) — no run to hash — and a list that lost a few ranks in
-/// O(n). Other orders digest deterministically, but two orders of one set
-/// may collide.
-///
-/// A crash that lands *during* an agreement round can split the verdict:
-/// peers the victim already answered believe it alive, later peers see it
-/// dead, and the two groups enter the next epoch with member lists that
-/// differ by the victim — and therefore with different degraded schedules.
-/// Without isolation the groups' same-epoch messages cross-match with
-/// mismatched chunk geometry and corrupt payloads. With the digest in the
-/// tag, a rank only ever matches attempt traffic from peers that agree on
-/// the membership, so a split epoch stalls cleanly into timeouts and the
-/// *next* agreement round re-converges (the victim is silent for everyone
-/// by then). Agreement tags stay digest-free on purpose — the diverged
-/// groups must still heartbeat each other to re-converge.
-pub fn membership_digest(members: &[Rank]) -> u32 {
-    let n = members.len();
-    let mut h = fnv1a(FNV_OFFSET, (n as u32).to_le_bytes());
-    // An ascending list that ends at `n − 1` is `0..n`: nothing left out.
-    if members.last().is_some_and(|&last| last + 1 != n) {
-        let mut next = 0;
-        for &m in members {
-            if m != next {
-                h = fnv1a(h, [next as u32, m as u32].into_iter().flat_map(u32::to_le_bytes));
-            }
-            next = m + 1;
-        }
-    }
-    // Folded to a 12-bit page well clear of the low pages (user + epoch +
-    // agreement tags all sit below 0xB2xx).
-    0x10 + h % 0xFE0
-}
-
 /// What an attempt of epoch `epoch` over a member list with digest `digest`
 /// adds to every tag: the epoch's page plus the digest's.
 pub(crate) fn attempt_shift(epoch: u32, digest: u32) -> u32 {
     epoch.wrapping_mul(EPOCH_TAG_STRIDE).wrapping_add(digest << MEMBERSHIP_DIGEST_SHIFT)
-}
-
-/// The 32-bit FNV-1a offset basis.
-const FNV_OFFSET: u32 = 0x811C_9DC5;
-
-/// 32-bit FNV-1a of `bytes`, continuing from hash `h`.
-fn fnv1a(h: u32, bytes: impl IntoIterator<Item = u8>) -> u32 {
-    bytes.into_iter().fold(h, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 /// Tuning knobs for [`self_healing_bcast_async`].
@@ -269,7 +225,7 @@ impl RecoveryConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Healed {
     /// The ranks (world numbering) on which the broadcast completed.
-    pub survivors: Vec<Rank>,
+    pub survivors: Members,
     /// Number of attempts performed; `1` means no fault was observed.
     pub epochs: u32,
 }
@@ -294,14 +250,15 @@ impl Report {
 }
 
 /// Outcome of one agreement round, identical on every live member (unless a
-/// crash lands mid-round — see [`membership_digest`] for how that split is
+/// crash lands mid-round — see [`crate::membership_digest`] for how that split is
 /// contained).
 enum Verdict {
     /// Nobody dead, every member full — what a committed quorum establishes,
     /// recorded without listing the members.
     EveryoneFull,
-    /// Who is dead, and who of the others holds the payload.
-    Split { dead: BTreeSet<Rank>, have_full: BTreeSet<Rank> },
+    /// The members without the ones found dead, and those of them that
+    /// hold the payload.
+    Split { alive: Members, have_full: Members },
 }
 
 /// The leader's proposed verdict `V`: the members whose report it read
@@ -312,6 +269,7 @@ enum Verdict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Proposal {
     frame: Vec<u8>,
+    world: usize,
 }
 
 impl Proposal {
@@ -338,7 +296,7 @@ impl Proposal {
                 frame[1 + words + r / 8] |= 1 << (r % 8);
             }
         }
-        Proposal { frame }
+        Proposal { frame, world }
     }
 
     /// `None` for the abstain frame and for anything garbled: a wrong
@@ -352,7 +310,7 @@ impl Proposal {
         let spare_bits = 8 * live.len() - world;
         let in_world = live.last().is_none_or(|&b| b.leading_zeros() as usize >= spare_bits);
         let full_is_live = live.iter().zip(full).all(|(l, f)| f & !l == 0);
-        (in_world && full_is_live).then(|| Proposal { frame: frame.to_vec() })
+        (in_world && full_is_live).then(|| Proposal { frame: frame.to_vec(), world })
     }
 
     /// Bytes per bitmap.
@@ -367,9 +325,14 @@ impl Proposal {
         r / 8 < words && self.frame[1 + set * words + r / 8] & (1 << (r % 8)) != 0
     }
 
-    /// The live members, ascending.
-    fn live(&self) -> Vec<Rank> {
-        (0..8 * self.words()).filter(|&r| self.has(Self::LIVE, r)).collect()
+    /// The ranks bitmap `set` holds.
+    fn members(&self, set: usize) -> Members {
+        Members::all(self.world).without((0..self.world).filter(|&r| !self.has(set, r)))
+    }
+
+    /// The live members.
+    fn live(&self) -> Members {
+        self.members(Self::LIVE)
     }
 
     /// The confirm quorum's opening frame: a true conjunction sealed with a
@@ -381,10 +344,9 @@ impl Proposal {
     }
 
     /// `V` as this epoch's verdict over `members` (a superset of `live`).
-    fn verdict(&self, members: &[Rank]) -> Verdict {
-        let dead = members.iter().copied().filter(|&r| !self.has(Self::LIVE, r)).collect();
-        let have_full = members.iter().copied().filter(|&r| self.has(Self::FULL, r)).collect();
-        Verdict::Split { dead, have_full }
+    fn verdict(&self, members: &Members) -> Verdict {
+        let alive = members.intersection(&self.live());
+        Verdict::Split { alive, have_full: members.intersection(&self.members(Self::FULL)) }
     }
 }
 
@@ -543,11 +505,11 @@ impl Stage {
     /// both frames a member can send, each at a range of its own (an
     /// interpreter assumes a staged range never changes): the true one at
     /// `0..sent`, the false one after the inbox.
-    fn round(self, members: &[Rank], idx: usize, dist: usize, acc: bool) -> SchedOp {
+    fn round(self, members: &Members, idx: usize, dist: usize, acc: bool) -> SchedOp {
         let (n, end) = (members.len(), self.sent + self.cap);
         let loc = if acc { 0..self.sent } else { end..end + self.sent };
-        let send = Some(SendHalf { peer: members[(idx + dist) % n], tag: self.tag, loc });
-        let behind = members[(idx + n - dist) % n];
+        let send = Some(SendHalf { peer: members.rank((idx + dist) % n), tag: self.tag, loc });
+        let behind = members.rank((idx + n - dist) % n);
         let recv = acc.then(|| RecvHalf { peer: behind, tag: self.tag, dst: self.inbox() });
         SchedOp { phase: self.phase, send, recv }
     }
@@ -586,7 +548,7 @@ enum Heard {
 /// `mine` (see [`Agreement::agree`]).
 struct Agreement<'a, C: ?Sized> {
     comm: &'a C,
-    members: &'a [Rank],
+    members: &'a Members,
     epoch: u32,
     mine: Report,
     cfg: &'a RecoveryConfig,
@@ -673,7 +635,7 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     /// settles them once the verdict is in, so that no deadline here waits on
     /// an acknowledgement.
     async fn agree(&self, trace: &mut RecoveryTrace) -> Result<Verdict> {
-        let frame = [u8::from(self.mine.has_full), membership_digest(self.members) as u8];
+        let frame = [u8::from(self.mine.has_full), self.members.digest() as u8];
         let known = match self.quorum(self.members, "quorum", &frame).await? {
             Quorum::Committed => return Ok(Verdict::EveryoneFull),
             Quorum::Known => true,
@@ -747,10 +709,10 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
         Ok(())
     }
 
-    /// The ranks of `of` other than this one.
-    fn others<'b>(&self, of: &'b [Rank]) -> impl Iterator<Item = Rank> + 'b {
+    /// The members of `of` other than this rank.
+    fn others<'b>(&self, of: &'b Members) -> impl Iterator<Item = Rank> + 'b {
         let me = self.comm.rank();
-        of.iter().copied().filter(move |&r| r != me)
+        of.iter().filter(move |&r| r != me)
     }
 
     /// What a receive that ended as `outcome`, landing at the start of
@@ -799,9 +761,8 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     /// while a live peer lags by less than their deadlines: a rank that fell
     /// through at once must not wait them out on a peer still sitting in a
     /// quorum timeout.
-    async fn quorum(&self, over: &[Rank], phase: &'static str, frame: &[u8]) -> Result<Quorum> {
-        // Member lists and a proposal's live list are ascending.
-        let Ok(idx) = over.binary_search(&self.comm.rank()) else {
+    async fn quorum(&self, over: &Members, phase: &'static str, frame: &[u8]) -> Result<Quorum> {
+        let Some(idx) = over.index_of(self.comm.rank()) else {
             return Ok(Quorum::Open);
         };
         // Frames are two or five bytes; a longer one is overlong.
@@ -836,9 +797,8 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
     async fn settle(&self, known: bool) -> Result<Verdict> {
         let (me, members) = (self.comm.rank(), self.members);
         let mut heard = BTreeMap::new();
-        // `members` is ascending: it starts as `0..size` and only ever
-        // shrinks by `retain`.
-        let leader = members[0];
+        // The lowest member; `me` is one, so there is one.
+        let leader = members.rank(0);
         if known {
             if me == leader {
                 self.tell(self.others(members), &mut Proposal::ABSTAIN.to_vec(), "propose").await?;
@@ -918,10 +878,11 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
         let interp = &mut self.interp(&mut frames, wait);
         let outcome = self.step(interp, stage.op(None, Some(leader))).await?;
         let Outcome::Done(got) = outcome else { return Ok(None) };
-        Ok(Proposal::decode(&frames[..got], world).filter(|v| {
-            let ours = self.members.iter().filter(|&&m| v.has(Proposal::LIVE, m)).count();
-            v.has(Proposal::LIVE, me) && ours == v.live().len()
-        }))
+        // `V`'s live ranks must be members: none of the ranks the members
+        // leave out may be live.
+        let ours =
+            |v: &Proposal| self.members.excluded().iter().all(|&r| !v.has(Proposal::LIVE, r));
+        Ok(Proposal::decode(&frames[..got], world).filter(|v| v.has(Proposal::LIVE, me) && ours(v)))
     }
 
     /// Stage 4 of [`Agreement::agree`]: exchange reports with every other
@@ -934,8 +895,10 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
         let stage = Stage::new(self.epoch, "pairwise", 1, 2);
         let mut frames = [self.mine.encode()[0], 0, 0];
         let interp = &mut self.interp(&mut frames, self.cfg.pairwise_timeout(self.members.len()));
-        let mut dead = BTreeSet::new();
-        let mut have_full: BTreeSet<Rank> = self.mine.has_full.then_some(me).into_iter().collect();
+        // The members found dead, and those without the payload (the dead
+        // among them).
+        let (mut dead, mut not_full) = (Vec::new(), Vec::new());
+        not_full.extend((!self.mine.has_full).then_some(me));
         for peer in self.others(self.members) {
             let reused = heard.get(&peer).copied();
             let op = stage.op(Some(peer), reused.is_none().then_some(peer));
@@ -947,12 +910,15 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
             // A garbled report from a live rank violates the fault model;
             // treating the rank as failed keeps us moving.
             match report {
-                Heard::Report(theirs) => have_full.extend(theirs.has_full.then_some(peer)),
-                Heard::Garbled | Heard::Lost => dead.extend([peer]),
+                Heard::Report(theirs) => not_full.extend((!theirs.has_full).then_some(peer)),
+                Heard::Garbled | Heard::Lost => {
+                    dead.push(peer);
+                    not_full.push(peer);
+                }
             }
         }
-        have_full.retain(|r| !dead.contains(r));
-        Ok(Verdict::Split { dead, have_full })
+        let members = self.members;
+        Ok(Verdict::Split { alive: members.without(dead), have_full: members.without(not_full) })
     }
 }
 
@@ -973,24 +939,24 @@ impl<C: AsyncCommunicator + ?Sized> Agreement<'_, C> {
 /// leader or outside the world.
 pub fn agreement_schedule(p: usize, full: impl Fn(Rank) -> bool, silent: Option<Rank>) -> Schedule {
     assert!(silent.is_none_or(|s| (1..p).contains(&s)), "the silent member must be a non-leader");
-    let members: Vec<Rank> = (0..p).collect();
-    let live: Vec<Rank> = members.iter().copied().filter(|&r| Some(r) != silent).collect();
+    let members = Members::all(p);
+    let live = members.without(silent);
     let frame_len = Proposal::frame_len(p);
     let buf_len = (frame_len + 1).max(15);
     let mut s = Schedule::new("agreement", p, buf_len);
     s.ranks.iter_mut().for_each(|r| r.mark_valid(0..buf_len));
-    let input = members.iter().map(|&r| (Some(r) != silent).then(|| full(r))).collect();
+    let input = members.iter().map(|r| (Some(r) != silent).then(|| full(r))).collect();
     if lockstep(&mut s, &members, Stage::new(0, "quorum", 2, 5), input) {
         return s;
     }
-    let leader = members[0];
+    let leader = 0;
     let reads = Stage::new(0, "report", 0, 2);
-    s.ranks[leader].ops.extend(members[1..].iter().map(|&r| reads.op(None, Some(r))));
+    s.ranks[leader].ops.extend(members.iter().skip(1).map(|r| reads.op(None, Some(r))));
     let proposals = Stage::new(0, "propose", frame_len, 0);
-    s.ranks[leader].ops.extend(live[1..].iter().map(|&r| proposals.op(Some(r), None)));
+    s.ranks[leader].ops.extend(live.iter().skip(1).map(|r| proposals.op(Some(r), None)));
     let (report, proposal) =
         (Stage::new(0, "report", 1, 0), Stage::new(0, "propose", 0, frame_len + 1));
-    for &r in &live[1..] {
+    for r in live.iter().skip(1) {
         s.ranks[r].ops.extend([report.op(Some(leader), None), proposal.op(None, Some(leader))]);
     }
     lockstep(&mut s, &live, Stage::new(0, "confirm", 5, 5), vec![Some(true); live.len()]);
@@ -1000,15 +966,15 @@ pub fn agreement_schedule(p: usize, full: impl Fn(Rank) -> bool, silent: Option<
 /// Push every member's rounds of one quorum onto `s`, settled in lockstep:
 /// `acc[i]` is member `i`'s input, `None` for a silent member. Returns
 /// whether every live member's conjunction came out true.
-fn lockstep(s: &mut Schedule, over: &[Rank], stage: Stage, mut acc: Vec<Option<bool>>) -> bool {
+fn lockstep(s: &mut Schedule, over: &Members, stage: Stage, mut acc: Vec<Option<bool>>) -> bool {
     for dist in distances(over.len()).chain(distances(over.len())) {
         let sent = acc.clone();
         for (idx, a) in acc.iter_mut().enumerate() {
             let Some(holds) = *a else { continue };
             let op = stage.round(over, idx, dist, holds);
-            let partner = |r: &RecvHalf| over.binary_search(&r.peer).ok().and_then(|j| sent[j]);
+            let partner = |r: &RecvHalf| over.index_of(r.peer).and_then(|j| sent[j]);
             *a = Some(op.recv.as_ref().and_then(partner).unwrap_or(false));
-            s.ranks[over[idx]].ops.push(op);
+            s.ranks[over.rank(idx)].ops.push(op);
         }
     }
     acc.into_iter().flatten().all(|a| a)
@@ -1073,27 +1039,21 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     let max_epochs =
         drill.clamp_epoch_budget.map_or(cfg.max_epochs, |c| c.max(1).min(cfg.max_epochs));
     let me = comm.rank();
-    let mut members: Vec<Rank> = (0..comm.size()).collect();
+    let mut members = Members::all(comm.size());
     let mut current_root = root;
     let mut has_full = me == root;
-    let mut all_dead: BTreeSet<Rank> = BTreeSet::new();
-    // Who the last verdict marked full. Resume, don't restart: those members
-    // already hold the payload, so only the root and the others rerun the
-    // attempt.
-    let mut full: BTreeSet<Rank> = BTreeSet::new();
+    // Who the last verdict marked full, once one has. Resume, don't
+    // restart: those members already hold the payload, so only the root and
+    // the others rerun the attempt.
+    let mut full: Option<Members> = None;
     trace.root_chain.push(root);
 
     for epoch in 0..max_epochs {
         trace.epochs_entered = epoch + 1;
-        if me == current_root || !full.contains(&me) {
-            let runners: Cow<'_, [Rank]> = if full.is_empty() {
-                Cow::Borrowed(&members)
-            } else {
-                members
-                    .iter()
-                    .copied()
-                    .filter(|&m| m == current_root || !full.contains(&m))
-                    .collect()
+        if me == current_root || full.as_ref().is_none_or(|f| !f.contains(me)) {
+            let runners = match &full {
+                Some(full) => members.without(full.iter().filter(|&m| m != current_root)),
+                None => members.clone(),
             };
             // A typed error, never a stall: root succession keeps the root a
             // member and `me` is always one; only the drill's
@@ -1129,31 +1089,33 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
                 trace.hit(branch::SELF_CRASH);
             }
         })?;
-        let (dead, have_full) = match verdict {
+        let (alive, have_full) = match verdict {
             Verdict::EveryoneFull => {
                 trace.hit(branch::HEALED_ALL);
                 return Ok(Healed { survivors: members, epochs: epoch + 1 });
             }
-            Verdict::Split { dead, have_full } => (dead, have_full),
+            Verdict::Split { alive, have_full } => (alive, have_full),
         };
 
-        if !dead.is_empty() {
+        // The verdict only removes members, and the members started as the
+        // whole world: what they leave out is every rank found dead so far.
+        let deaths = alive.len() < members.len();
+        if deaths {
             trace.hit(branch::DEATH_OBSERVED);
-            all_dead.extend(dead.iter().copied());
-            trace.deaths_observed = all_dead.len();
+            trace.deaths_observed = alive.excluded().len();
         }
 
-        if dead.is_empty() && have_full.len() == members.len() {
+        if !deaths && have_full.len() == members.len() {
             trace.hit(branch::HEALED_ALL);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
 
-        members.retain(|r| !dead.contains(r));
-        match have_full.iter().next() {
-            Some(&lowest) => {
+        members = alive;
+        match have_full.first() {
+            Some(lowest) => {
                 // `skip_root_succession` is the seeded regression: a dead
                 // root keeps the role.
-                let keeps_role = have_full.contains(&current_root) || drill.skip_root_succession;
+                let keeps_role = have_full.contains(current_root) || drill.skip_root_succession;
                 let next_root = if keeps_role { current_root } else { lowest };
                 if next_root != current_root {
                     trace.hit(branch::ROOT_SUCCESSION);
@@ -1167,11 +1129,11 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
                 return Err(CommError::PeerFailed { rank: root });
             }
         }
-        if members.len() == have_full.len() && members.iter().all(|r| have_full.contains(r)) {
+        if have_full == members {
             trace.hit(branch::HEALED_SURVIVORS);
             return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
-        full = have_full;
+        full = Some(have_full);
     }
     trace.hit(branch::EPOCH_BUDGET_EXHAUSTED);
     Err(CommError::Timeout { peer: current_root })
@@ -1179,8 +1141,8 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
 
 /// One epoch's attempt world as one rank runs it.
 struct Rerun<'m> {
-    /// World ranks of the runners; local rank `l` is `runners[l]`.
-    runners: &'m [Rank],
+    /// World ranks of the runners; local rank `l` is `runners.rank(l)`.
+    runners: &'m Members,
     /// This rank's local rank.
     local: Rank,
     /// The root's local rank.
@@ -1190,20 +1152,18 @@ struct Rerun<'m> {
 }
 
 impl<'m> Rerun<'m> {
-    /// Epoch `epoch`'s attempt world over `runners` (ascending, like every
-    /// member list), as rank `me` runs it from `root` (world ranks). Fails
-    /// with [`CommError::PeerFailed`] naming `me` or `root` if that rank is
-    /// not a runner.
-    fn new(runners: &'m [Rank], me: Rank, root: Rank, epoch: u32) -> Result<Self> {
-        let local =
-            |r: Rank| runners.binary_search(&r).map_err(|_| CommError::PeerFailed { rank: r });
+    /// Epoch `epoch`'s attempt world over `runners`, as rank `me` runs it
+    /// from `root` (world ranks). Fails with [`CommError::PeerFailed`]
+    /// naming `me` or `root` if that rank is not a runner.
+    fn new(runners: &'m Members, me: Rank, root: Rank, epoch: u32) -> Result<Self> {
+        let local = |r: Rank| runners.index_of(r).ok_or(CommError::PeerFailed { rank: r });
         Ok(Rerun {
             runners,
             local: local(me)?,
             root: local(root)?,
             // The rerun list, not the member list, fixes the schedule, so
             // it is what the attempt's tags must isolate.
-            shift: attempt_shift(epoch, membership_digest(runners)),
+            shift: attempt_shift(epoch, runners.digest()),
         })
     }
 
@@ -1216,8 +1176,9 @@ impl<'m> Rerun<'m> {
         nbytes: usize,
     ) -> Result<()> {
         let (runners, shift) = (self.runners, self.shift);
-        let to_world =
-            move |op: SchedOp| op.relabel(|l, tag| (runners[l], Tag(tag.0.wrapping_add(shift))));
+        let to_world = move |op: SchedOp| {
+            op.relabel(|l, tag| (runners.rank(l), Tag(tag.0.wrapping_add(shift))))
+        };
         bcast_phases(sink, algorithm, self.local, runners.len(), nbytes, self.root, to_world).await
     }
 }
@@ -1239,11 +1200,12 @@ async fn attempt<C: AsyncCommunicator + ?Sized>(
 }
 
 /// The symbolic schedule of a degraded rerun: each survivor's op stream for
-/// the shrunken world of `members`, renumbered into full-world ranks — the
-/// phase table and op map an attempt runs, collected with no tag shift.
-/// `root` is the *world* rank of the rerun's root and must be a member.
-/// `schedcheck` analyses (matching, deadlock-freedom, coverage of
-/// the survivors) apply to it unchanged.
+/// the shrunken world of `members` (ascending, like every member list
+/// recovery builds), renumbered into full-world ranks — the phase table and
+/// op map an attempt runs, collected with no tag shift. `root` is the
+/// *world* rank of the rerun's root and must be a member. `schedcheck`
+/// analyses (matching, deadlock-freedom, coverage of the survivors) apply
+/// to it unchanged.
 pub fn degraded_bcast_schedule(
     algorithm: Algorithm,
     p: usize,
@@ -1253,15 +1215,16 @@ pub fn degraded_bcast_schedule(
 ) -> Schedule {
     assert!(!members.is_empty(), "at least one survivor is required");
     assert!(members.iter().all(|&m| m < p), "member outside the world");
-    let local_root = members
-        .iter()
-        .position(|&m| m == root)
+    let runners = Members::from_ranks(p, members)
+        .unwrap_or_else(|| panic!("the survivors {members:?} are not ascending"));
+    let local_root = runners
+        .index_of(root)
         .unwrap_or_else(|| panic!("root {root} is not among the survivors {members:?}"));
     let mut s = Schedule::new(format!("{}@degraded", algorithm.schedule_name()), p, nbytes);
     s.ranks[root].mark_valid(0..nbytes);
     for (local, &m) in members.iter().enumerate() {
         s.ranks[m].require(0..nbytes);
-        let rerun = Rerun { runners: members, local, root: local_root, shift: 0 };
+        let rerun = Rerun { runners: &runners, local, root: local_root, shift: 0 };
         s.ranks[m].ops = collect_ops(async |ops| rerun.phases(ops, algorithm, nbytes).await);
     }
     s
@@ -1271,11 +1234,18 @@ pub fn degraded_bcast_schedule(
 mod tests {
     use super::*;
     use crate::epoch_guard::{EpochComm, GuardedComm};
+    use crate::membership_digest;
     use crate::traffic::{agreement_volume, bcast_volume, failed_agreement_volume, Volume};
     use mpsim::{complete_now, Communicator, EventWorld, SubComm, SyncComm, ThreadWorld};
+    use std::collections::BTreeSet;
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    /// The ascending `ranks` as members of a `world`-rank world.
+    fn list(world: usize, ranks: &[Rank]) -> Members {
+        Members::from_ranks(world, ranks).unwrap()
     }
 
     fn quick_cfg() -> RecoveryConfig {
@@ -1285,7 +1255,7 @@ mod tests {
     /// One epoch's agreement on `comm`'s rank, as the epoch loop runs it.
     async fn agree<C: AsyncCommunicator + ?Sized>(
         comm: &C,
-        members: &[Rank],
+        members: &Members,
         epoch: u32,
         mine: &Report,
         cfg: &RecoveryConfig,
@@ -1297,10 +1267,13 @@ mod tests {
         agreement.close().await.map(|()| verdict)
     }
 
-    /// The dead and full sets of a verdict that lists them.
+    /// The dead and full sets of a verdict that lists them, over members
+    /// that were the whole world.
     fn sets(v: Verdict) -> (BTreeSet<Rank>, BTreeSet<Rank>) {
         match v {
-            Verdict::Split { dead, have_full } => (dead, have_full),
+            Verdict::Split { alive, have_full } => {
+                (alive.excluded().iter().copied().collect(), have_full.iter().collect())
+            }
             Verdict::EveryoneFull => panic!("expected a verdict that lists its sets"),
         }
     }
@@ -1319,8 +1292,11 @@ mod tests {
         let v = Proposal::new(10, [(0, true), (3, false), (9, true)].into_iter());
         assert_eq!(v.frame, [1, 0b1001, 0b10, 0b1, 0b10]);
         assert_eq!(Proposal::decode(&v.frame, 10), Some(v.clone()));
-        assert_eq!(v.live(), [0, 3, 9]);
-        assert_eq!(sets(v.verdict(&[0, 1, 3, 9])), (BTreeSet::from([1]), BTreeSet::from([0, 9])));
+        assert_eq!(v.live(), vec![0, 3, 9]);
+        let Verdict::Split { alive, have_full } = v.verdict(&list(10, &[0, 1, 3, 9])) else {
+            panic!("a proposal's verdict lists its sets");
+        };
+        assert_eq!((alive.to_vec(), have_full.to_vec()), (vec![0, 3, 9], vec![0, 9]));
         assert!(Proposal::decode(&Proposal::ABSTAIN, 10).is_none(), "abstain");
         assert!(Proposal::decode(&v.frame[..4], 10).is_none(), "short frame");
         assert!(Proposal::decode(&[1, 0, 0b100, 0, 0], 10).is_none(), "rank 10 is past the world");
@@ -1634,7 +1610,8 @@ mod tests {
                         let cfg = quick_cfg();
                         for &m in runners {
                             let tape = Tape { me: m, p, calls: Default::default() };
-                            let rerun = Rerun::new(runners, m, root, epoch).unwrap();
+                            let runners = list(p, runners);
+                            let rerun = Rerun::new(&runners, m, root, epoch).unwrap();
                             let mut buf = vec![0u8; nbytes];
                             complete_now(attempt(&tape, &mut buf, algorithm, &rerun, &cfg))
                                 .unwrap();
@@ -1650,11 +1627,12 @@ mod tests {
             }
         }
         // The shift is the epoch's page plus the runners' digest.
-        let rerun = Rerun::new(&[0, 2, 5], 2, 5, epoch).unwrap();
+        let runners = list(6, &[0, 2, 5]);
+        let rerun = Rerun::new(&runners, 2, 5, epoch).unwrap();
         assert_eq!((rerun.local, rerun.root), (1, 2));
         assert_eq!(rerun.shift, 3 * EPOCH_TAG_STRIDE + (membership_digest(&[0, 2, 5]) << 12));
         assert_eq!(
-            Rerun::new(&[0, 2, 5], 2, 4, epoch).err(),
+            Rerun::new(&runners, 2, 4, epoch).err(),
             Some(CommError::PeerFailed { rank: 4 }),
             "a root outside the runners is a typed error"
         );
@@ -1748,7 +1726,7 @@ mod tests {
     /// for a rank that exits without taking part, else its `has_full`.
     /// Returns each participant's outcome and the frames each rank sent.
     fn quorum_world(role: fn(Rank) -> Option<bool>) -> (Vec<Option<Quorum>>, Vec<u64>) {
-        let members: Vec<Rank> = (0..5).collect();
+        let members = Members::all(5);
         let out = EventWorld::run(5, |comm| {
             let members = members.clone();
             async move {
@@ -1763,7 +1741,7 @@ mod tests {
                     cfg: &cfg,
                     garbled,
                 };
-                let frame = [u8::from(has_full), membership_digest(&members) as u8];
+                let frame = [u8::from(has_full), members.digest() as u8];
                 Some(a.quorum(&members, "quorum", &frame).await.unwrap())
             }
         });
@@ -1798,7 +1776,7 @@ mod tests {
     fn overlong_report_marks_the_peer_dead() {
         // Rank 3 skips the quorum and answers the pairwise tag with two
         // bytes. Its peers must count it dead and keep going.
-        let members: Vec<Rank> = (0..4).collect();
+        let members = Members::all(4);
         let out = EventWorld::run(4, |comm| {
             let members = members.clone();
             async move {
@@ -1885,7 +1863,7 @@ mod tests {
     /// Every rank's core calls in one epoch's agreement on an event world of
     /// `p` members, all full, `silent` exiting before it starts.
     fn agreement_calls(p: usize, silent: Option<Rank>) -> Vec<Vec<Call>> {
-        let members: Vec<Rank> = (0..p).collect();
+        let members = Members::all(p);
         let out = EventWorld::run(p, |comm| {
             let members = members.clone();
             async move {
@@ -1944,7 +1922,7 @@ mod tests {
         // the leader's proposal is confirmed, and the pairwise round never
         // runs. Every rank sends exactly what its collected stream plans.
         for p in 2..=16usize {
-            let members: Vec<Rank> = (0..p).collect();
+            let members = Members::all(p);
             for silent in [None, Some(1), Some(p / 2), Some(p - 1)] {
                 let out = EventWorld::run(p, |comm| {
                     let members = members.clone();
@@ -1958,7 +1936,7 @@ mod tests {
                         v.ok().map(sets)
                     }
                 });
-                let live = members.iter().copied().filter(|&r| Some(r) != silent);
+                let live = members.iter().filter(|&r| Some(r) != silent);
                 let verdict =
                     Some((silent.into_iter().collect(), live.filter(|r| r % 2 == 0).collect()));
                 for (rank, got) in out.results.iter().enumerate() {
@@ -1981,7 +1959,7 @@ mod tests {
         let (p, gone) = (129, 64);
         let out = EventWorld::run(p, |comm| async move {
             if comm.rank() != gone {
-                let members: Vec<Rank> = (0..p).collect();
+                let members = Members::all(p);
                 let (mine, mut trace) = (Report { has_full: true }, RecoveryTrace::default());
                 let v = agree(&comm, &members, 0, &mine, &quick_cfg(), &mut trace).await;
                 assert_eq!(v.map(sets).unwrap().0, BTreeSet::from([gone]));

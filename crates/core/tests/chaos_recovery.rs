@@ -256,7 +256,7 @@ fn one_rank_crash_heals_at_every_world_size() {
                 match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
                     Ok(healed) => {
                         assert_eq!(buf, src, "p={p} rank {} corrupted", comm.rank());
-                        Some(healed.survivors)
+                        Some(healed.survivors.to_vec())
                     }
                     Err(CommError::PeerFailed { rank }) if rank == comm.rank() => None,
                     Err(e) => panic!("p={p} rank {}: unexpected {e:?}", comm.rank()),
@@ -299,7 +299,7 @@ fn p8_crash_replays_identically_on_both_executors() {
         match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
             Ok(healed) => {
                 assert_eq!(buf, src, "rank {} corrupted", comm.rank());
-                Some(healed.survivors)
+                Some(healed.survivors.to_vec())
             }
             Err(CommError::PeerFailed { rank }) if rank == comm.rank() => None,
             Err(e) => panic!("rank {}: unexpected {e:?}", comm.rank()),
@@ -386,7 +386,7 @@ fn p8_crash_replays_identically_on_the_event_executor() {
             match complete_now(self_healing_bcast_async(&faulty, &mut buf, 0, &cfg)) {
                 Ok(healed) => {
                     assert_eq!(buf, src, "rank {} corrupted", comm.rank());
-                    Some(healed.survivors)
+                    Some(healed.survivors.to_vec())
                 }
                 Err(CommError::PeerFailed { rank }) if rank == comm.rank() => None,
                 Err(e) => panic!("rank {}: unexpected {e:?}", comm.rank()),
@@ -402,7 +402,7 @@ fn p8_crash_replays_identically_on_the_event_executor() {
         .map(|(rank, run)| match &run.result {
             Ok(h) => {
                 assert_eq!(run.buf, src, "event rank {rank} corrupted");
-                Some(h.survivors.clone())
+                Some(h.survivors.to_vec())
             }
             Err(CommError::PeerFailed { rank: r }) if *r == rank => None,
             Err(e) => panic!("event rank {rank}: unexpected {e:?}"),
@@ -523,6 +523,17 @@ fn megascale_cascade(p: usize) {
         max_epochs_seen >= 3,
         "P={p}: expected a ≥3-epoch cascade, saw at most {max_epochs_seen}"
     );
+    print_peak_rss(&format!("megascale_cascade_p{p}"));
+}
+
+/// Print this process's peak resident memory as `<test> VmHWM: <n> kB`
+/// (Linux only). `scripts/ci.sh recovery_megascale` runs each P = 4096
+/// launch alone in its own process with `--nocapture` and reads the line.
+fn print_peak_rss(test: &str) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    if let Some(line) = status.lines().find(|l| l.starts_with("VmHWM:")) {
+        println!("{test} {line}");
+    }
 }
 
 #[test]
@@ -569,6 +580,7 @@ fn megascale_clean_p4096() {
     // the envelopes in flight, not the P·(P−1) the broadcast sends.
     let queued = out.reactor.queued_peak;
     assert!(queued <= 3 * P as u64, "{queued} envelopes queued at once, above 3P");
+    print_peak_rss("megascale_clean_p4096");
 }
 
 /// A crash *between a rank's two pass-2 quorum sends* splits the quorum:
@@ -591,7 +603,7 @@ fn mid_quorum_crash_heals_committed_and_fallen_through_ranks_alike() {
     assert_eq!(results[1].result, Err(CommError::PeerFailed { rank: 1 }));
     for rank in [0, 2, 3] {
         let h = results[rank].result.as_ref().unwrap();
-        assert_eq!((&h.survivors[..], h.epochs), (&[0, 1, 2, 3][..], 1), "rank {rank}");
+        assert_eq!((&h.survivors.to_vec()[..], h.epochs), (&[0, 1, 2, 3][..], 1), "rank {rank}");
     }
     // Sends per rank = binomial sends + 4 quorum frames, and only the rank
     // that fell through adds its 3 pairwise reports.
@@ -623,7 +635,7 @@ fn leader_exit_mid_proposal_falls_back_to_one_survivor_set() {
     }
     for rank in [1, 2, 3] {
         let h = results[rank].result.as_ref().unwrap();
-        assert_eq!((&h.survivors[..], h.epochs), (&[1, 2, 3][..], 1), "rank {rank}");
+        assert_eq!((&h.survivors.to_vec()[..], h.epochs), (&[1, 2, 3][..], 1), "rank {rank}");
     }
     // The leader's sends: six quorum frames and exactly one proposal.
     assert_eq!(traffic.per_rank[0].msgs_sent, 6 + 1);
@@ -655,7 +667,7 @@ fn mid_confirm_crash_keeps_committed_and_known_ranks_together() {
     }
     for rank in [0, 3] {
         let h = results[rank].result.as_ref().unwrap();
-        assert_eq!((&h.survivors[..], h.epochs), (&[0, 3][..], 2), "rank {rank}");
+        assert_eq!((&h.survivors.to_vec()[..], h.epochs), (&[0, 3][..], 2), "rank {rank}");
     }
     // Leader 0, epoch 0: 2 tree sends, 4 quorum frames, 2 proposals, 4
     // confirm frames and the 2 reports of a Known confirmer; epoch 1: the

@@ -22,15 +22,14 @@
 //! for a decorator that acknowledges what it delivers: [`flush`] settles
 //! whatever it still holds in flight, and [`acknowledge`] sends the acks it
 //! owes without waiting (both ready futures on every executor). Every
-//! copying, shared, timed and prefixed variant is a provided method here
+//! copying, shared and timed variant is a provided method here
 //! which no implementor overrides, so a decorator that transforms the core
 //! transforms all of them, and each variant costs exactly the core calls
 //! its name implies: one per send or receive, two per exchange, plus one
 //! `flush` after `send` and `send_shared`, one `acknowledge` after `recv`,
 //! `recv_timeout` and `recv_owned` (a receive waits for nothing but its
 //! message), and a `flush` on both sides of `sendrecv` and
-//! `sendrecv_shared`'s exchange; the prefixed pair stays one core call
-//! each. The blocking trait's variants
+//! `sendrecv_shared`'s exchange. The blocking trait's variants
 //! are one line each, this module's namesake run through the bridge, so
 //! each variant's semantics is written once, here.
 //!
@@ -272,47 +271,6 @@ pub trait AsyncCommunicator {
         let received = self.exchange(payload, dest, sendtag, recv_capacity, src, recvtag).await?;
         self.flush(None).await?;
         Ok(received.into_shared())
-    }
-
-    /// [`send_shared`](AsyncCommunicator::send_shared) of ONE envelope whose
-    /// wire image is `prefix ‖ payload` — a framing decorator's header
-    /// travelling beside the body it frames. Counted like a plain send of
-    /// `4 + payload.len()` bytes; a backend that queues envelopes posts a
-    /// refcount clone of `payload` and moves no byte.
-    async fn send_prefixed(
-        &self,
-        prefix: [u8; 4],
-        payload: &SharedBuf,
-        dest: Rank,
-        tag: Tag,
-    ) -> Result<()> {
-        self.post(Payload::Prefixed(prefix, payload.clone()), dest, tag).await
-    }
-
-    /// Owned receive of one envelope, split into the first four bytes of its
-    /// wire image and the rest — the receiving end of
-    /// [`send_prefixed`](AsyncCommunicator::send_prefixed), though any
-    /// envelope with the same bytes splits the same way. `capacity` bounds
-    /// the part *after* the prefix, with [`recv_owned`]'s truncation rule
-    /// stated in the body's terms; `timeout`, when given, bounds the wait.
-    /// Resolves to `None` for an envelope too short to carry a prefix
-    /// (consumed, like any matched envelope).
-    ///
-    /// [`recv_owned`]: AsyncCommunicator::recv_owned
-    async fn recv_prefixed(
-        &self,
-        capacity: usize,
-        src: Rank,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> Result<Option<([u8; 4], SharedBuf)>> {
-        match self.take(capacity.saturating_add(4), src, tag, timeout).await {
-            Ok(frame) => Ok(frame.split_prefix()),
-            Err(CommError::Truncation { incoming, .. }) => {
-                Err(CommError::Truncation { capacity, incoming: incoming.saturating_sub(4) })
-            }
-            Err(e) => Err(e),
-        }
     }
 }
 

@@ -1062,8 +1062,9 @@ mod tests {
             if comm.rank() == 0 {
                 // Frame 1 overtakes frame 0, as after a lost first attempt.
                 for seq in [1u32, 0] {
-                    let body = SharedBuf::from(vec![seq as u8; 4]);
-                    comm.send_prefixed(seq.to_le_bytes(), &body, 1, Tag(DATA_TAG_BASE + 4)).await?;
+                    let frame =
+                        Payload::Prefixed(seq.to_le_bytes(), SharedBuf::from(vec![seq as u8; 4]));
+                    comm.post(frame, 1, Tag(DATA_TAG_BASE + 4)).await?;
                 }
                 let ack = comm.take(4, 1, Tag(ACK_TAG_BASE + 4), None).await?;
                 let next = <[u8; 4]>::try_from(&ack.bytes()[..]).map(u32::from_le_bytes);

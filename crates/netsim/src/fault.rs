@@ -612,13 +612,11 @@ mod tests {
         SendShared,
         RecvOwned,
         SendrecvShared,
-        SendPrefixed,
-        RecvPrefixed,
         Barrier,
     }
 
     impl Method {
-        const ALL: [Method; 10] = [
+        const ALL: [Method; 8] = [
             Method::Send,
             Method::Recv,
             Method::RecvTimeout,
@@ -626,8 +624,6 @@ mod tests {
             Method::SendShared,
             Method::RecvOwned,
             Method::SendrecvShared,
-            Method::SendPrefixed,
-            Method::RecvPrefixed,
             Method::Barrier,
         ];
 
@@ -641,10 +637,7 @@ mod tests {
 
         /// Whether the method takes an envelope rank 0 has to post.
         fn receives(self) -> bool {
-            !matches!(
-                self,
-                Method::Send | Method::SendShared | Method::SendPrefixed | Method::Barrier
-            )
+            !matches!(self, Method::Send | Method::SendShared | Method::Barrier)
         }
 
         /// Call the method once on `c`, with rank 0 as the peer.
@@ -663,8 +656,6 @@ mod tests {
                 Method::SendrecvShared => {
                     c.sendrecv_shared(&staged, 0, tag, 8, 0, tag).await.map(drop)
                 }
-                Method::SendPrefixed => c.send_prefixed([1; 4], &staged, 0, tag).await,
-                Method::RecvPrefixed => c.recv_prefixed(4, 0, tag, None).await.map(drop),
                 Method::Barrier => c.barrier().await,
             }
         }

@@ -44,7 +44,7 @@
 //!   benchmark calls; any other is a blocking collective twin growing back
 //!   (a `use` of the trait is not a bound). And no impl of either trait
 //!   defines a method the trait provides over the core (`send`,
-//!   `recv_owned`, `send_prefixed`, …): each variant's semantics is written
+//!   `recv_owned`, `sendrecv_shared`, …): each variant's semantics is written
 //!   once, in `acomm.rs`, and an override is a second copy of it that every
 //!   stack above would silently stop sharing.
 //! * [`check_unused_pub`] (`unused-pub`) — every `pub` item (`fn`,
@@ -239,7 +239,7 @@ pub fn check_bcast_hot_copy(path: &str, content: &str) -> Vec<LintHit> {
 
 /// The methods `Communicator` and `AsyncCommunicator` provide over their
 /// envelope core, which no implementor defines (`comm-impl`).
-const PROVIDED: [&str; 10] = [
+const PROVIDED: [&str; 8] = [
     "check_rank",
     "send",
     "recv",
@@ -248,8 +248,6 @@ const PROVIDED: [&str; 10] = [
     "send_shared",
     "recv_owned",
     "sendrecv_shared",
-    "send_prefixed",
-    "recv_prefixed",
 ];
 
 /// Whether `code` bounds a type by the blocking `Communicator` trait:

@@ -171,10 +171,39 @@ phase_event_megascale_p16384() {
 # epoch no longer pays the P·(P−1)-message pairwise round unless a crash
 # lands inside its agreement: the leader proposes the verdict and a second
 # ⌈log₂P⌉-round quorum confirms it, and the rerun skips the survivors that
-# already hold the payload. Every #[ignore] test of chaos_recovery runs here.
+# already hold the payload. Every #[ignore] test of chaos_recovery runs here;
+# the two P=4096 launches each run alone in a process of their own, which
+# prints its peak resident memory (VmHWM). A rank keeps its member sets as
+# "all ranks but these", so the fault-free launch holds no P² member lists:
+# it fails the phase above 96 MiB (188.8 MiB when every rank listed the
+# world, about 61 MiB since). The cascade's reading is printed beside it.
 phase_recovery_megascale() {
   run cargo test --release -q -p bcast-core --offline --test chaos_recovery -- \
-    --ignored
+    --ignored --skip megascale_clean_p4096 --skip megascale_cascade_p4096
+  local clean cascade
+  clean=$(megascale_peak_kib megascale_clean_p4096)
+  cascade=$(megascale_peak_kib megascale_cascade_p4096)
+  echo "VmHWM: megascale_clean_p4096 $((clean / 1024)) MiB (limit 96 MiB)," \
+    "megascale_cascade_p4096 $((cascade / 1024)) MiB" >&2
+  if ((clean > 96 * 1024)); then
+    echo "megascale_clean_p4096 peaked at $clean kB, above 96 MiB" >&2
+    return 1
+  fi
+}
+
+# Run one #[ignore] test of chaos_recovery alone in its own process and
+# print the VmHWM (kB) it reports; fails if it reports none.
+megascale_peak_kib() {
+  local out kib
+  out=$(run cargo test --release -q -p bcast-core --offline --test chaos_recovery -- \
+    --ignored --exact "$1" --nocapture)
+  echo "$out" >&2
+  kib=$(awk -v t="$1" '$1 == t && $2 == "VmHWM:" { print $3 }' <<<"$out")
+  if [[ -z "$kib" ]]; then
+    echo "$1 printed no VmHWM line" >&2
+    return 1
+  fi
+  echo "$kib"
 }
 
 # Adversarial chaos search: a budgeted coverage-guided walk over fault plans

@@ -33,11 +33,12 @@
 //! `GuardedComm` deadlines, proving every wrapper carries the surface
 //! through by transforming the envelope core it is built on.
 //!
-//! A fourth battery pins the prefixed pair (`send_prefixed` / `recv_prefixed`,
-//! a framing decorator's four-byte header travelling beside the body): the
-//! wire image is `prefix ‖ body` whichever call produced or consumed it, and
-//! every executor sends the framed envelope as-is — the sender's wire and
-//! copy bill is the same number on all three.
+//! A fourth battery pins the prefixed payload (`Payload::Prefixed`, a
+//! framing decorator's four-byte header travelling beside the body, posted
+//! through the core's `post`): whether `take` splits it back or a slice
+//! receive lands it, the wire image is `prefix ‖ body`, and every executor
+//! sends the framed envelope as-is — the sender's wire and copy bill is the
+//! same number on all three.
 
 // No verdict here may hang on the host's timing: these tests read no wall
 // clock and never sleep (the calls `clippy.toml` lists).
@@ -47,8 +48,8 @@ use std::time::Duration;
 
 use bcast_core::GuardedComm;
 use mpsim::{
-    complete_now, AsyncCommunicator, CommError, EventWorld, ReliableComm, RetryConfig, SubComm,
-    SyncComm, Tag, ThreadWorld, WorldTraffic,
+    complete_now, AsyncCommunicator, CommError, EventWorld, Payload, ReliableComm, RetryConfig,
+    SubComm, SyncComm, Tag, ThreadWorld, WorldTraffic,
 };
 use netsim::{FaultPlan, FaultyComm, LinkFaults, NetworkModel, Placement, SimWorld};
 
@@ -422,22 +423,21 @@ async fn prefixed_battery<C: AsyncCommunicator>(comm: &C) {
     let tag = Tag(100);
     if me.is_multiple_of(2) {
         let shared = comm.make_shared(&body);
-        // Six times the same image, from either side of the pair of calls.
-        for _ in 0..4 {
-            comm.send_prefixed(prefix, &shared, partner, tag).await.unwrap();
+        // Five times the framed body, an empty body, then one too long.
+        for frame in [&shared, &shared, &shared, &shared, &shared, &shared.slice(0..0)] {
+            comm.post(Payload::Prefixed(prefix, frame.clone()), partner, tag).await.unwrap();
         }
-        comm.send(&image, partner, tag).await.unwrap();
-        comm.send_shared(&comm.make_shared(&image), partner, tag).await.unwrap();
-        // The edges: an empty body, a bare prefix, a runt, a body too long.
-        comm.send_prefixed(prefix, &shared.slice(0..0), partner, tag).await.unwrap();
-        comm.send(&prefix, partner, tag).await.unwrap();
-        comm.send(&prefix[..3], partner, tag).await.unwrap();
-        let _ = comm.send_prefixed(prefix, &shared, partner, tag).await;
+        let _ = comm.post(Payload::Prefixed(prefix, shared.clone()), partner, tag).await;
     } else {
-        // prefixed → prefixed: the two parts come back as posted.
-        let (p, b) = comm.recv_prefixed(32, partner, tag, None).await.unwrap().unwrap();
-        assert_eq!((p, &b[..]), (prefix, &body[..]));
-        // prefixed → plain, owned, bounded: the concatenated image.
+        // Taken whole: the two parts come back as posted, within a
+        // deadline as well as without one.
+        for wait in [None, Some(Duration::from_secs(5))] {
+            let frame = comm.take(28, partner, tag, wait).await.unwrap();
+            assert_eq!(&frame.bytes()[..], &image[..]);
+            let (p, b) = frame.split_prefix().unwrap();
+            assert_eq!((p, &b[..]), (prefix, &body[..]));
+        }
+        // Landed by the slice and owned receives: the concatenated image.
         let mut plain = [0u8; 28];
         assert_eq!(comm.recv(&mut plain, partner, tag).await.unwrap(), 28);
         assert_eq!(plain[..], image[..]);
@@ -446,25 +446,11 @@ async fn prefixed_battery<C: AsyncCommunicator>(comm: &C) {
         let wait = Duration::from_secs(5);
         assert_eq!(comm.recv_timeout(&mut bounded, partner, tag, wait).await.unwrap(), 28);
         assert_eq!(bounded[..], image[..]);
-        // plain or shared → prefixed: split after the fourth byte, within
-        // a deadline as well as without one.
-        for wait in [None, Some(Duration::from_secs(5))] {
-            let (p, b) = comm.recv_prefixed(24, partner, tag, wait).await.unwrap().unwrap();
-            assert_eq!((p, &b[..]), (prefix, &body[..]));
-        }
-        for _ in 0..2 {
-            let (p, b) = comm.recv_prefixed(0, partner, tag, None).await.unwrap().unwrap();
-            assert_eq!((p, b.len()), (prefix, 0), "a bare prefix frames an empty body");
-        }
-        let runt = comm.recv_prefixed(8, partner, tag, None).await.unwrap();
-        assert!(runt.is_none(), "three bytes cannot carry a prefix");
-        // `capacity` bounds the body, in the body's terms.
-        let err = comm.recv_prefixed(23, partner, tag, None).await.unwrap_err();
-        assert_eq!(err, CommError::Truncation { capacity: 23, incoming: 24 });
-        // Expiry on an empty channel is a timeout, as for any bounded receive.
-        let wait = Some(Duration::from_millis(20));
-        let err = comm.recv_prefixed(8, partner, Tag(101), wait).await.unwrap_err();
-        assert_eq!(err, CommError::Timeout { peer: partner });
+        let (p, b) = comm.take(4, partner, tag, None).await.unwrap().split_prefix().unwrap();
+        assert_eq!((p, b.len()), (prefix, 0), "a bare prefix frames an empty body");
+        // The capacity bounds the whole image, prefix included.
+        let err = comm.take(27, partner, tag, None).await.unwrap_err();
+        assert_eq!(err, CommError::Truncation { capacity: 27, incoming: 28 });
     }
     comm.barrier().await.unwrap();
 }
@@ -615,13 +601,12 @@ fn event_backend_shared_conforms() {
 }
 
 /// The bill of [`prefixed_battery`]'s sender, the same on every executor:
-/// counted like plain sends of the image; of the ten messages per pair the
-/// sender copied only the body and the image it staged and the plain image,
-/// prefix and runt.
+/// counted like plain sends of the image; of the seven messages per pair
+/// the sender copied only the body it staged once.
 fn assert_prefixed_bill(traffic: &WorldTraffic) {
     let sender = &traffic.per_rank[0];
-    assert_eq!((sender.msgs_sent, sender.bytes_sent), (10, 7 * 28 + 4 + 4 + 3));
-    assert_eq!(sender.bytes_copied, 24 + 2 * 28 + 4 + 3);
+    assert_eq!((sender.msgs_sent, sender.bytes_sent), (7, 6 * 28 + 4));
+    assert_eq!(sender.bytes_copied, 24);
 }
 
 #[test]

@@ -105,7 +105,7 @@ async fn oversized_stale_duplicate<C: AsyncCommunicator>(comm: &C) {
 on_both_executors!(oversized_stale_duplicate);
 
 /// A held-back frame is re-sent as a plain byte snapshot of `prefix ‖
-/// payload`; the prefixed receive takes it like the frame it stands for.
+/// payload`; the receiver takes it like the frame it stands for.
 async fn holdback_snapshot_is_accepted<C: AsyncCommunicator>(comm: &C) {
     let faulty = FaultyComm::new(comm, plan_meeting(ALL_DELAYED, &[Delay, Delay]));
     let rc = ReliableComm::with_config(&faulty, retry(12));
