@@ -20,10 +20,12 @@
 //!   at most a few tags per (source, destination) pair, so the scan is 1–2
 //!   comparisons and, for the plain collectives, the spill path below never
 //!   runs (asserted by the megascale sweeps via the `mailbox_spills` reactor
-//!   counter). A bucket keeps its tag for the lane's life, so once a lane
-//!   has seen four tags every later tag spills: the self-healing
-//!   broadcast's epoch-shifted tags do, about a third of `heal-crash`'s
-//!   envelopes.
+//!   counter). A bucket keeps its tag while the tag has envelopes queued;
+//!   once every bucket is owned, a new tag takes over a drained one, so the
+//!   self-healing broadcast's epoch-shifted tags stay inline too. Only a
+//!   new tag that finds every bucket holding envelopes spills — or one
+//!   that already has envelopes in the spill map, which keeps spilling so
+//!   its FIFO stays in one queue.
 //! * **Spill map for wild tags.** Protocol tag spaces (`ReliableComm`
 //!   derives per-message tags from a `u32` base) can exceed the inline
 //!   buckets; those envelopes fall back to a boxed `HashMap` keyed by tag
@@ -61,7 +63,7 @@ use crate::rank::{Rank, Tag};
 pub const INLINE_TAGS: usize = 4;
 
 /// Where an envelope (or a lookup) for `tag` goes within a lane, given the
-/// tags currently owning inline buckets (in first-seen order).
+/// tags currently owning inline buckets (in claim order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BucketRoute {
     /// `tag` already owns inline bucket `i`.
@@ -69,7 +71,11 @@ pub enum BucketRoute {
     /// `tag` is new and a free inline bucket remains: claim the next one
     /// (pushes only; a *pop* routed here finds nothing queued).
     NewInline,
-    /// Every inline bucket owns some other tag: the wild-tag spill map.
+    /// `tag` is new, every inline bucket is owned, and bucket `i` has
+    /// drained: take it over (pushes only, like `NewInline`).
+    Reuse(usize),
+    /// Every inline bucket owns some other tag and holds envelopes, or
+    /// `tag` already has envelopes in the spill map: the spill map.
     Spill,
 }
 
@@ -77,19 +83,31 @@ pub enum BucketRoute {
 /// [`LaneMailbox::pop`] below and by schedcheck's `LaneMailboxModel`, which
 /// explores push/pop interleavings over this exact predicate and checks the
 /// spill counter accounts for every envelope the route sends to the spill
-/// map (its mutation knobs — drop wild envelopes, skip the count — are
-/// caught by the explorer as a deadlock / invariant violation).
+/// map (its mutation knobs — drop wild envelopes, skip the count, reuse a
+/// bucket that still holds envelopes, forget the tag's spilled envelopes —
+/// are caught by the explorer as a deadlock, a rejected terminal state or
+/// a FIFO mismatch).
+///
+/// `drained` is an owned inline bucket with nothing queued, if any, and
+/// `spilled` whether `tag` has envelopes queued in the spill map; a pop
+/// passes `None` and `false`, since every route but `Existing` sends it to
+/// the spill map.
 #[must_use]
-pub fn bucket_route(tags_in_use: &[u32], tag: u32) -> BucketRoute {
+pub fn bucket_route(
+    tags_in_use: &[u32],
+    drained: Option<usize>,
+    spilled: bool,
+    tag: u32,
+) -> BucketRoute {
     for (i, t) in tags_in_use.iter().enumerate() {
         if *t == tag {
             return BucketRoute::Existing(i);
         }
     }
-    if tags_in_use.len() < INLINE_TAGS {
-        BucketRoute::NewInline
-    } else {
-        BucketRoute::Spill
+    match drained {
+        _ if tags_in_use.len() < INLINE_TAGS => BucketRoute::NewInline,
+        Some(i) if !spilled => BucketRoute::Reuse(i),
+        _ => BucketRoute::Spill,
     }
 }
 
@@ -183,8 +201,9 @@ impl TagBucket {
 struct Lane {
     inline: [TagBucket; INLINE_TAGS],
     /// Buckets of `inline` in use; buckets fill in first-seen-tag order and
-    /// a drained bucket keeps its tag, so membership never needs a sentinel
-    /// tag value (the full `u32` tag space remains usable).
+    /// a drained bucket keeps its tag until a new tag takes it over, so
+    /// membership never needs a sentinel tag value (the full `u32` tag space
+    /// remains usable).
     used: u8,
     /// Wild-tag fallback; see module docs. Boxed on purpose: the map is
     /// absent on every collective path, and the indirection keeps each
@@ -274,12 +293,23 @@ impl LaneMailbox {
         let lane = &mut self.lanes[lane_idx];
         let used = lane.used as usize;
         let tags: [u32; INLINE_TAGS] = std::array::from_fn(|i| lane.inline[i].tag);
-        match bucket_route(&tags[..used], tag.0) {
+        let drained = match used {
+            INLINE_TAGS => lane.inline.iter().position(|b| b.head == NIL),
+            _ => None,
+        };
+        // A drained spill bucket leaves the map, so a key means envelopes.
+        let spilled =
+            drained.is_some() && lane.spill.as_ref().is_some_and(|m| m.contains_key(&tag.0));
+        match bucket_route(&tags[..used], drained, spilled, tag.0) {
             BucketRoute::Existing(i) => lane.inline[i].push(&mut self.slab, payload),
             BucketRoute::NewInline => {
                 lane.inline[used].tag = tag.0;
                 lane.inline[used].push(&mut self.slab, payload);
                 lane.used = (used + 1) as u8;
+            }
+            BucketRoute::Reuse(i) => {
+                lane.inline[i].tag = tag.0;
+                lane.inline[i].push(&mut self.slab, payload);
             }
             BucketRoute::Spill => {
                 self.spills += 1;
@@ -304,12 +334,12 @@ impl LaneMailbox {
         let lane = &mut self.lanes[lane_idx as usize];
         let used = lane.used as usize;
         let tags: [u32; INLINE_TAGS] = std::array::from_fn(|i| lane.inline[i].tag);
-        match bucket_route(&tags[..used], tag.0) {
+        match bucket_route(&tags[..used], None, false, tag.0) {
             BucketRoute::Existing(i) => lane.inline[i].pop(&mut self.slab),
             // NewInline on a pop means the tag was never pushed inline; only
             // the spill map could hold it (and then only if `used` is full,
             // so this arm also finds nothing — which is correct).
-            BucketRoute::NewInline | BucketRoute::Spill => {
+            BucketRoute::NewInline | BucketRoute::Reuse(_) | BucketRoute::Spill => {
                 let spill = lane.spill.as_mut()?;
                 let bucket = spill.get_mut(&tag.0)?;
                 let payload = bucket.pop(&mut self.slab);
@@ -344,11 +374,14 @@ mod tests {
 
     #[test]
     fn bucket_route_decisions() {
-        assert_eq!(bucket_route(&[], 7), BucketRoute::NewInline);
-        assert_eq!(bucket_route(&[7, 9], 9), BucketRoute::Existing(1));
-        assert_eq!(bucket_route(&[1, 2, 3], 4), BucketRoute::NewInline);
-        assert_eq!(bucket_route(&[1, 2, 3, 4], 5), BucketRoute::Spill);
-        assert_eq!(bucket_route(&[1, 2, 3, 4], 4), BucketRoute::Existing(3));
+        assert_eq!(bucket_route(&[], None, false, 7), BucketRoute::NewInline);
+        assert_eq!(bucket_route(&[7, 9], None, false, 9), BucketRoute::Existing(1));
+        assert_eq!(bucket_route(&[1, 2, 3], None, false, 4), BucketRoute::NewInline);
+        assert_eq!(bucket_route(&[1, 2, 3, 4], None, false, 5), BucketRoute::Spill);
+        assert_eq!(bucket_route(&[1, 2, 3, 4], None, false, 4), BucketRoute::Existing(3));
+        assert_eq!(bucket_route(&[1, 2, 3, 4], Some(2), false, 5), BucketRoute::Reuse(2));
+        assert_eq!(bucket_route(&[1, 2, 3, 4], Some(2), true, 5), BucketRoute::Spill);
+        assert_eq!(bucket_route(&[1, 2, 3, 4], Some(2), false, 2), BucketRoute::Existing(1));
     }
 
     #[test]
@@ -402,6 +435,38 @@ mod tests {
         }
         assert_eq!(mb.spills(), 0);
         assert_eq!(mb.lanes[0].used, 1, "one tag must occupy one bucket forever");
+    }
+
+    #[test]
+    fn a_new_tag_takes_a_drained_bucket_unless_it_has_spilled() {
+        let pool = BufferPool::new();
+        let mut mb = LaneMailbox::new(2);
+        let full = INLINE_TAGS as u32;
+        // Every bucket owned and holding an envelope: a new tag spills.
+        for t in 0..=full {
+            mb.push(1, Tag(t), env(&pool, 1, t as u8));
+        }
+        assert_eq!(mb.spills(), 1);
+        // Bucket 0 drains, but the spilled tag keeps spilling: its second
+        // envelope must queue behind its first.
+        assert_eq!(mb.pop(1, Tag(0)).unwrap().data.bytes()[0], 0);
+        mb.push(1, Tag(full), env(&pool, 1, 100));
+        assert_eq!(mb.spills(), 2);
+        // A tag with nothing spilled takes the drained bucket.
+        mb.push(1, Tag(full + 1), env(&pool, 1, 101));
+        assert_eq!(mb.spills(), 2);
+        assert_eq!(mb.lanes[0].inline[0].tag, full + 1);
+        assert_eq!(mb.pop(1, Tag(full)).unwrap().data.bytes()[0], full as u8);
+        assert_eq!(mb.pop(1, Tag(full)).unwrap().data.bytes()[0], 100);
+        assert_eq!(mb.pop(1, Tag(full + 1)).unwrap().data.bytes()[0], 101);
+        // Tag 0 lost its bucket; it comes back through another drained one.
+        mb.push(1, Tag(0), env(&pool, 1, 102));
+        assert_eq!(mb.spills(), 2);
+        assert_eq!(mb.pop(1, Tag(0)).unwrap().data.bytes()[0], 102);
+        for t in 1..full {
+            assert_eq!(mb.pop(1, Tag(t)).unwrap().data.bytes()[0], t as u8);
+        }
+        assert!((0..full + 2).all(|t| mb.pop(1, Tag(t)).is_none()));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! lanes share one index and one node slab. Random push/pop streams use
 //! more tags per lane than [`INLINE_TAGS`], so the spill buckets share the
 //! slab too. The two must agree on every popped payload, on the spill
-//! count (the model's rule: a lane's first `INLINE_TAGS` distinct tags stay
-//! inline for good, every later one spills), on emptiness after a full
+//! count (the model's rule: a tag owns an inline bucket from its first push
+//! while a bucket is free; once all are owned, a new tag takes over the
+//! first owner whose queue is empty, unless it has envelopes queued itself,
+//! and otherwise spills), on emptiness after a full
 //! drain, and on memory: the slab's high-water mark must equal the most
 //! envelopes the model ever held at once. Dropping the mailbox at the end
 //! must return every rental to the pool.
@@ -29,7 +31,7 @@ const TAGS: u8 = INLINE_TAGS as u8 + 2;
 type Key = (usize, usize, u32);
 
 /// The replaced storage: a deque per `(dest, src, tag)`, plus the
-/// first-seen tags that own each lane's inline buckets.
+/// tags that own each lane's inline buckets, in bucket order.
 #[derive(Default)]
 struct DequeModel {
     queues: HashMap<Key, VecDeque<u32>>,
@@ -41,12 +43,15 @@ struct DequeModel {
 
 impl DequeModel {
     fn push(&mut self, (dest, src, tag): Key, value: u32) {
+        let queues = &self.queues;
+        let empty = |t: u32| queues.get(&(dest, src, t)).is_none_or(VecDeque::is_empty);
         let tags = self.inline_tags.entry((dest, src)).or_default();
         if !tags.contains(&tag) {
-            if tags.len() < INLINE_TAGS {
-                tags.push(tag);
-            } else {
-                self.spills += 1;
+            let drained = tags.iter().position(|&t| empty(t));
+            match drained {
+                _ if tags.len() < INLINE_TAGS => tags.push(tag),
+                Some(i) if empty(tag) => tags[i] = tag,
+                _ => self.spills += 1,
             }
         }
         self.queues.entry((dest, src, tag)).or_default().push_back(value);

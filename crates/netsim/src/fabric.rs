@@ -20,6 +20,21 @@
 //! gap at the same virtual time — where either serialization order is
 //! physically plausible and the makespan difference is bounded by one
 //! transfer. Without contention the simulation is exactly deterministic.
+//!
+//! ## Pruning
+//!
+//! A timeline keeps every interval it books, so a long run would hold its
+//! whole history (Time Warp's fossil collection, Jefferson 1985, is the
+//! remedy). The world's *time floor* is the minimum of each live rank's
+//! latest post time and the ready time of every pending send or receive
+//! offer and every deferred eager send. Every claim starts at or after its
+//! poster's time, and a rank's post times never go backwards, so no future
+//! claim can be ready before the floor; an interval that ends by then can
+//! never delay one, and is dropped. After each post the fabric prunes, below
+//! the floor, each timeline that has doubled since its last prune, which is
+//! O(1) amortised per booking. Both premises are debug-asserted: a
+//! [`Timeline`] refuses a claim ready before the horizon it was pruned to,
+//! and [`Fabric`] refuses a post earlier than that rank's last one.
 
 #![allow(
     clippy::disallowed_methods,
@@ -114,6 +129,9 @@ struct SendOffer {
     /// the wire (the receive side still claims ejection/unpack resources).
     eager_wire_arrival: Option<SimTime>,
     done: Arc<Cell<SimTime>>,
+    /// The earliest ready time of a claim this offer's match can still
+    /// make: the sender's time, or for eager data the ejection's start.
+    claims_from: SimTime,
 }
 
 struct RecvOffer {
@@ -154,7 +172,52 @@ struct State {
     /// Operations that can only complete with their participation fail with
     /// [`CommError::PeerFailed`] instead of blocking forever.
     done: Vec<bool>,
+    /// Each rank's latest post time: its later posts come no earlier.
+    posted: Vec<SimTime>,
     stopped: bool,
+}
+
+impl State {
+    /// Record that `rank` posts at `now`; post times must not go backwards,
+    /// or the time floor could pass a claim still to come.
+    fn note_post(&mut self, rank: Rank, now: SimTime) {
+        debug_assert!(
+            now >= self.posted[rank],
+            "rank {rank} posted at {now} ns after posting at {} ns",
+            self.posted[rank]
+        );
+        self.posted[rank] = now;
+    }
+
+    /// The world's time floor (module docs, "Pruning"): no claim still to
+    /// come can be ready before it.
+    fn time_floor(&self) -> SimTime {
+        let ranks = self.posted.iter().zip(&self.done).filter(|(_, &done)| !done).map(|(&t, _)| t);
+        let offers = self.chan.values().flat_map(|q| {
+            let sends = q.sends.iter().map(|s| s.claims_from);
+            sends.chain(q.recvs.iter().map(|r| r.receiver_vtime))
+        });
+        let deferred = self.deferred.values().flatten().map(|d| d.ready);
+        ranks.chain(offers).chain(deferred).fold(f64::INFINITY, f64::min)
+    }
+
+    /// After a post on a channel from node `snode` to node `dnode`: if a
+    /// timeline it may have booked has doubled since its last prune, prune
+    /// every such timeline below the time floor.
+    fn prune_due(&mut self, snode: usize, dnode: usize) {
+        let touched =
+            [&self.nic_tx[snode], &self.nic_rx[dnode], &self.mem[snode], &self.mem[dnode]];
+        if !touched.into_iter().chain([&self.backbone]).any(Timeline::prune_due) {
+            return;
+        }
+        let floor = self.time_floor();
+        let all = self.nic_tx.iter_mut().chain(&mut self.nic_rx).chain(&mut self.mem);
+        for timeline in all.chain([&mut self.backbone]) {
+            if timeline.prune_due() {
+                timeline.prune_before(floor);
+            }
+        }
+    }
 }
 
 /// The shared matching engine for one simulated world.
@@ -197,6 +260,7 @@ impl Fabric {
                 outstanding: HashMap::new(),
                 deferred: HashMap::new(),
                 done: vec![false; size],
+                posted: vec![0.0; size],
                 stopped: false,
             }),
         }
@@ -269,6 +333,7 @@ impl Fabric {
             // message, so fail fast instead of blocking a rendezvous forever.
             return Err(CommError::PeerFailed { rank: dst });
         }
+        st.note_post(src, now);
 
         let offer = if self.model.protocol(payload.len()) == Protocol::Eager {
             // Flow control: stall behind earlier deferred sends (to preserve
@@ -302,6 +367,7 @@ impl Fabric {
                 sender_vtime: now,
                 eager_wire_arrival: None,
                 done: Arc::clone(&cell),
+                claims_from: now,
             }
         };
 
@@ -320,6 +386,7 @@ impl Fabric {
             ),
             None => st.chan.entry((src, dst, tag)).or_default().sends.push_back(offer),
         }
+        st.prune_due(self.placement.node_of(src), self.placement.node_of(dst));
         Ok(SendHandle { cell })
     }
 
@@ -337,6 +404,7 @@ impl Fabric {
         if st.stopped {
             return Err(CommError::WorldStopped);
         }
+        st.note_post(dst, now);
         let offer = RecvOffer { capacity, receiver_vtime: now, done: Arc::clone(&cell) };
         let matched = st.chan.entry((src, dst, tag)).or_default().sends.pop_front();
         match matched {
@@ -360,6 +428,7 @@ impl Fabric {
                 st.chan.entry((src, dst, tag)).or_default().recvs.push_back(offer);
             }
         }
+        st.prune_due(self.placement.node_of(src), self.placement.node_of(dst));
         Ok(RecvHandle { cell })
     }
 
@@ -477,11 +546,15 @@ impl Fabric {
             inject_end = inject_end.max(start_bb + bb);
         }
         done.fill(Ok(inject_end));
+        let wire_arrival = inject_end + costs.alpha_ns;
         SendOffer {
             data,
             sender_vtime: ready,
-            eager_wire_arrival: Some(inject_end + costs.alpha_ns),
+            eager_wire_arrival: Some(wire_arrival),
             done,
+            // `commit_match` claims the ejection from `wire_arrival - ser`,
+            // which rounding may put an ulp before `ready`.
+            claims_from: ready.min(wire_arrival - ser),
         }
     }
 
@@ -1020,6 +1093,93 @@ mod tests {
             f.post_recv(2, 1, Tag(0), 10, 0.0),
             Err(CommError::PeerFailed { rank: 2 })
         ));
+    }
+
+    /// Drive `rounds` rounds over ranks `0..ring` of `f` from one thread,
+    /// each round a ring allgather of `ring − 1` sendrecv steps. Odd rounds
+    /// move 1 KiB chunks (eager on both presets), even rounds 16 KiB
+    /// (rendezvous). Returns the transfer log.
+    fn drive_ring(f: &Fabric, ring: usize, rounds: usize) -> Vec<TransferEvent> {
+        let m = f.model().clone();
+        let mut clock = vec![0.0; ring];
+        for round in 0..rounds {
+            let chunk = vec![round as u8; if round % 2 == 1 { 1 << 10 } else { 16 << 10 }];
+            for step in 0..ring - 1 {
+                let tag = Tag((round * ring + step) as u32);
+                let handles: Vec<_> = (0..ring)
+                    .map(|r| {
+                        let send_ready = clock[r] + m.o_send_ns;
+                        let s = f.post_send(r, (r + 1) % ring, tag, &chunk, send_ready).unwrap();
+                        let left = (r + ring - 1) % ring;
+                        let recv_ready = send_ready + m.o_recv_ns;
+                        let h = f.post_recv(left, r, tag, chunk.len(), recv_ready).unwrap();
+                        (s, h, recv_ready)
+                    })
+                    .collect();
+                for (r, (s, h, recv_ready)) in handles.into_iter().enumerate() {
+                    let sent = f.wait_send(&s).unwrap();
+                    let (_, received) = f.wait_recv(&h).unwrap();
+                    clock[r] = sent.max(received).max(recv_ready);
+                }
+            }
+        }
+        f.take_trace()
+    }
+
+    fn timeline_lengths(f: &Fabric) -> Vec<usize> {
+        let st = f.state.lock();
+        let all = st.nic_tx.iter().chain(&st.nic_rx).chain(&st.mem);
+        all.chain([&st.backbone]).map(Timeline::fragments).collect()
+    }
+
+    #[test]
+    fn timelines_are_pruned_below_the_time_floor_without_changing_a_transfer() {
+        let ring = 33;
+        for preset in [crate::presets::hornet(), crate::presets::laki()] {
+            let model = preset.model_for(16 << 10, ring);
+            let pruned = Fabric::with_trace(model.clone(), preset.placement(), ring, true);
+            let log = drive_ring(&pruned, ring, 40);
+            assert!(log.iter().any(|e| e.eager) && log.iter().any(|e| !e.eager));
+            assert!(log.iter().any(|e| e.level == Level::IntraNode));
+            assert!(log.iter().any(|e| e.level == Level::InterNode));
+            let kept = timeline_lengths(&pruned);
+            assert!(kept.iter().all(|&n| n <= 2048), "{}: timelines hold {kept:?}", preset.name);
+
+            // One more rank that never posts holds the floor at 0, so nothing
+            // is pruned: every transfer must come out the same.
+            let unpruned = Fabric::with_trace(model, preset.placement(), ring + 1, true);
+            assert_eq!(drive_ring(&unpruned, ring, 40), log, "{}", preset.name);
+            let full = timeline_lengths(&unpruned).into_iter().max().unwrap_or(0);
+            assert!(full > 2048, "{}: only {full} intervals unpruned", preset.name);
+        }
+    }
+
+    #[test]
+    fn a_claim_ready_at_the_floor_still_queues_behind_the_reservation_spanning_it() {
+        // Two ranks on two nodes post every transfer at the same time, so
+        // the floor is exactly that time, and a 0.5 ns transfer's NIC
+        // reservation ends half a nanosecond above it.
+        let mut m = NetworkModel::uniform(0.0, 0.001);
+        m.contention = true;
+        let f = fabric(m, 1, 2);
+        let transfer = |t: SimTime| {
+            let s = f.post_send(0, 1, Tag(0), &[0u8; 500], t).unwrap();
+            let r = f.post_recv(0, 1, Tag(0), 500, t).unwrap();
+            f.wait_send(&s).unwrap();
+            f.wait_recv(&r).unwrap().1
+        };
+        let mut t = 0.0;
+        loop {
+            let before = f.state.lock().nic_tx[0].fragments();
+            assert_eq!(transfer(t), t + 0.5);
+            if f.state.lock().nic_tx[0].fragments() < before {
+                break; // pruned below the floor `t`
+            }
+            t += 100.0;
+        }
+        // Posting again at the floor, the next transfer must wait for the
+        // reservation that ends above it.
+        assert_eq!(transfer(t), t + 1.0);
     }
 
     #[test]

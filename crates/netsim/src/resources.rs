@@ -10,18 +10,41 @@
 //! intervals don't overlap — and bounded by one reservation's length when
 //! they do.
 //!
-//! Booked intervals are kept sorted and merged when they touch, so steady
-//! back-to-back traffic keeps the list short.
+//! Booked intervals are kept sorted and merged when they touch. Merging
+//! does not keep the list short: the gaps that contention and idle time
+//! leave stay, so a 40-broadcast np = 33 Hornet world books about 31.7k
+//! intervals on its busiest timeline. What bounds the list is
+//! [`prune_before`](Timeline::prune_before) at the world's time floor: the
+//! fabric drops every interval that ends at or before the earliest time any
+//! future claim can be ready (see `fabric.rs`, "Pruning").
 
 /// Sorted, non-overlapping busy intervals of one resource.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     /// `(start, end)` pairs, sorted by `start`, pairwise disjoint.
     intervals: Vec<(f64, f64)>,
+    /// The latest horizon this timeline was pruned to: no claim may be
+    /// ready before it, since the intervals it dropped could have delayed
+    /// one (debug-asserted in [`next_fit`](Self::next_fit) and
+    /// [`book`](Self::book)).
+    horizon: f64,
+    /// Intervals the last prune kept, the base of [`prune_due`](Self::prune_due).
+    kept: usize,
+}
+
+impl Default for Timeline {
+    fn default() -> Self {
+        Timeline { intervals: Vec::new(), horizon: f64::NEG_INFINITY, kept: 0 }
+    }
 }
 
 /// Merge two intervals if they touch within this tolerance (ns).
 const MERGE_EPS: f64 = 1e-9;
+
+/// The fewest intervals at which [`Timeline::prune_due`] asks for a prune:
+/// finding the floor scans every rank and pending offer, so a prune waits
+/// for at least this many bookings.
+const PRUNE_MIN: usize = 1024;
 
 impl Timeline {
     /// An always-free timeline.
@@ -32,6 +55,11 @@ impl Timeline {
     /// Earliest start `t ≥ ready` such that `[t, t+dur)` is free.
     /// Does not book.
     pub fn next_fit(&self, ready: f64, dur: f64) -> f64 {
+        debug_assert!(
+            ready >= self.horizon,
+            "claim ready at {ready} ns, before the horizon {} ns this timeline was pruned to",
+            self.horizon
+        );
         if dur <= 0.0 {
             return ready;
         }
@@ -56,6 +84,11 @@ impl Timeline {
         if dur <= 0.0 {
             return;
         }
+        debug_assert!(
+            start >= self.horizon,
+            "booking at {start} ns, before the horizon {} ns this timeline was pruned to",
+            self.horizon
+        );
         let end = start + dur;
         let i = self.intervals.partition_point(|&(s, _)| s < start);
         debug_assert!(
@@ -87,15 +120,25 @@ impl Timeline {
         start
     }
 
-    /// Number of stored intervals (diagnostics; merging keeps this small).
+    /// Number of stored intervals (diagnostics).
     pub fn fragments(&self) -> usize {
         self.intervals.len()
     }
 
-    /// Drop intervals that end before `horizon` — bookkeeping for long runs
-    /// once no future claim can start before `horizon`.
+    /// Whether the list has doubled since the last prune (and holds at least
+    /// [`PRUNE_MIN`]): pruning then costs O(1) amortised per booking.
+    pub fn prune_due(&self) -> bool {
+        self.intervals.len() >= (2 * self.kept).max(PRUNE_MIN)
+    }
+
+    /// Drop intervals that end at or before `horizon`, once no future claim
+    /// can be ready before it. Such an interval ends before any claim's
+    /// ready time, so [`next_fit`](Self::next_fit) would skip it anyway:
+    /// no grant changes.
     pub fn prune_before(&mut self, horizon: f64) {
         self.intervals.retain(|&(_, end)| end > horizon);
+        self.horizon = self.horizon.max(horizon);
+        self.kept = self.intervals.len();
     }
 }
 

@@ -216,11 +216,25 @@ impl SimComm {
         self.breakdown.set(b);
     }
 
-    /// Attribute the clock movement across a communication call.
-    fn charge_comm(&self, from: SimTime) {
+    /// Run one communication call from the current clock and charge the
+    /// clock's movement across it to communication, whether or not it
+    /// succeeds.
+    fn comm_call<T>(&self, call: impl FnOnce(SimTime) -> Result<T>) -> Result<T> {
+        let from = self.vtime();
+        let result = call(from);
         let mut b = self.breakdown.get();
         b.comm_ns += self.clock.get() - from;
         self.breakdown.set(b);
+        result
+    }
+
+    /// Issue a post ready at `ready`: the CPU overhead that got the clock
+    /// there is spent even if the post or its wait fails, so the clock
+    /// moves first. This keeps the rank's post times monotone, which the
+    /// fabric's pruning relies on.
+    fn issue(&self, ready: SimTime) -> SimTime {
+        self.advance_to(ready);
+        ready
     }
 
     /// The placement this world is simulated on.
@@ -265,16 +279,16 @@ impl Communicator for SimComm {
     /// offer, like a post on the other executors, whatever the wait brings.
     fn post(&self, payload: Payload, dest: Rank, tag: Tag) -> Result<()> {
         self.check_rank(dest)?;
-        let from = self.vtime();
-        // LogGP o: the CPU is busy issuing the message before it can move.
-        let ready = from + self.shared.fabric.model().o_send_ns;
-        let len = payload.len();
-        let h = self.shared.fabric.post_send_buf(self.rank, dest, tag, payload, ready)?;
-        self.counters.record_send(dest, len);
-        let done = self.shared.fabric.wait_send(&h)?;
-        self.advance_to(done.max(ready));
-        self.charge_comm(from);
-        Ok(())
+        let fabric = &self.shared.fabric;
+        self.comm_call(|from| {
+            // LogGP o: the CPU is busy issuing the message before it can move.
+            let ready = self.issue(from + fabric.model().o_send_ns);
+            let len = payload.len();
+            let h = fabric.post_send_buf(self.rank, dest, tag, payload, ready)?;
+            self.counters.record_send(dest, len);
+            self.advance_to(fabric.wait_send(&h)?);
+            Ok(())
+        })
     }
 
     /// The fabric hands the in-flight payload through uncopied. A bounded
@@ -293,30 +307,31 @@ impl Communicator for SimComm {
         timeout: Option<Duration>,
     ) -> Result<Payload> {
         self.check_rank(src)?;
-        let from = self.vtime();
-        let ready = from + self.shared.fabric.model().o_recv_ns;
-        let h = self.shared.fabric.post_recv(src, self.rank, tag, capacity, ready)?;
-        let result = match timeout {
-            None => self.shared.fabric.wait_recv(&h),
-            Some(timeout) => match self.shared.fabric.wait_recv_timeout(&h, timeout) {
-                Some(r) => r,
-                None => {
-                    if self.shared.fabric.cancel_recv(src, self.rank, tag, &h) {
-                        self.advance_to(ready + timeout.as_secs_f64() * 1e9);
-                        self.charge_comm(from);
-                        return Err(CommError::Timeout { peer: src });
+        let fabric = &self.shared.fabric;
+        self.comm_call(|from| {
+            let ready = self.issue(from + fabric.model().o_recv_ns);
+            let h = fabric.post_recv(src, self.rank, tag, capacity, ready)?;
+            let result = match timeout {
+                None => fabric.wait_recv(&h),
+                Some(timeout) => match fabric.wait_recv_timeout(&h, timeout) {
+                    Some(r) => r,
+                    None => {
+                        if fabric.cancel_recv(src, self.rank, tag, &h) {
+                            self.advance_to(ready + timeout.as_secs_f64() * 1e9);
+                            return Err(CommError::Timeout { peer: src });
+                        }
+                        // A send matched while we were timing out: the
+                        // transfer is committed, so take its result rather
+                        // than drop data.
+                        fabric.wait_recv(&h)
                     }
-                    // A send matched while we were timing out: the transfer
-                    // is committed, so take its result rather than drop data.
-                    self.shared.fabric.wait_recv(&h)
-                }
-            },
-        };
-        let (data, done) = result?;
-        self.advance_to(done.max(ready));
-        self.charge_comm(from);
-        self.counters.record_recv(src, data.len());
-        Ok(data)
+                },
+            };
+            let (data, done) = result?;
+            self.advance_to(done);
+            self.counters.record_recv(src, data.len());
+            Ok(data)
+        })
     }
 
     /// Both fabric offers are posted before either is awaited — the property
@@ -335,20 +350,21 @@ impl Communicator for SimComm {
     ) -> Result<Payload> {
         self.check_rank(dest)?;
         self.check_rank(src)?;
-        let now = self.vtime();
-        let model = self.shared.fabric.model();
-        let send_ready = now + model.o_send_ns;
-        let recv_ready = send_ready + model.o_recv_ns;
-        let len = payload.len();
-        let sh = self.shared.fabric.post_send_buf(self.rank, dest, sendtag, payload, send_ready)?;
-        self.counters.record_send(dest, len);
-        let rh = self.shared.fabric.post_recv(src, self.rank, recvtag, capacity, recv_ready)?;
-        let send_done = self.shared.fabric.wait_send(&sh)?;
-        let (data, recv_done) = self.shared.fabric.wait_recv(&rh)?;
-        self.advance_to(send_done.max(recv_done).max(recv_ready));
-        self.charge_comm(now);
-        self.counters.record_recv(src, data.len());
-        Ok(data)
+        let fabric = &self.shared.fabric;
+        let model = fabric.model();
+        self.comm_call(|now| {
+            let send_ready = self.issue(now + model.o_send_ns);
+            let len = payload.len();
+            let sh = fabric.post_send_buf(self.rank, dest, sendtag, payload, send_ready)?;
+            self.counters.record_send(dest, len);
+            let recv_ready = self.issue(send_ready + model.o_recv_ns);
+            let rh = fabric.post_recv(src, self.rank, recvtag, capacity, recv_ready)?;
+            let send_done = fabric.wait_send(&sh)?;
+            let (data, recv_done) = fabric.wait_recv(&rh)?;
+            self.advance_to(send_done.max(recv_done));
+            self.counters.record_recv(src, data.len());
+            Ok(data)
+        })
     }
 
     /// Barrier: all clocks jump to the latest participant plus a
@@ -366,11 +382,11 @@ impl Communicator for SimComm {
         // Second phase keeps anyone from writing the next barrier's time
         // before every rank has read this one's maximum.
         self.shared.leave.wait()?;
-        let from = self.vtime();
         let cost = self.shared.fabric.model().barrier_alpha_ns * f64::from(ceil_log2(self.size));
-        self.advance_to(max + cost);
-        self.charge_comm(from);
-        Ok(())
+        self.comm_call(|_| {
+            self.advance_to(max + cost);
+            Ok(())
+        })
     }
 }
 

@@ -221,7 +221,7 @@ fn explore_reactor(max_states: usize) -> ! {
     }
     differential(
         "reactor-lane-mailbox",
-        &LaneMailboxModel { drop_wild: false, skip_spill_count: false },
+        &LaneMailboxModel::default(),
         max_states,
         &mut totals,
         &mut failures,
@@ -282,15 +282,29 @@ fn explore_reactor(max_states: usize) -> ! {
     ));
     drilled += usize::from(drill(
         "lane-mailbox drop-wild",
-        &LaneMailboxModel { drop_wild: true, skip_spill_count: false },
+        &LaneMailboxModel { drop_wild: true, ..LaneMailboxModel::default() },
         "deadlock",
         max_states,
         &mut failures,
     ));
     drilled += usize::from(drill(
         "lane-mailbox skip-spill-count",
-        &LaneMailboxModel { drop_wild: false, skip_spill_count: true },
+        &LaneMailboxModel { skip_spill_count: true, ..LaneMailboxModel::default() },
         "terminal state rejected",
+        max_states,
+        &mut failures,
+    ));
+    drilled += usize::from(drill(
+        "lane-mailbox reuse-full",
+        &LaneMailboxModel { reuse_full: true, ..LaneMailboxModel::default() },
+        "FIFO mismatch",
+        max_states,
+        &mut failures,
+    ));
+    drilled += usize::from(drill(
+        "lane-mailbox forget-spilled",
+        &LaneMailboxModel { forget_spilled: true, ..LaneMailboxModel::default() },
+        "FIFO mismatch",
         max_states,
         &mut failures,
     ));
@@ -315,7 +329,7 @@ fn explore_reactor(max_states: usize) -> ! {
         max_states,
         &mut failures,
     ));
-    println!("phase 2: {drilled}/9 seeded mutants caught by both explorers");
+    println!("phase 2: {drilled}/11 seeded mutants caught by both explorers");
 
     if failures.is_empty() {
         println!("schedcheck explore-reactor: all clear");

@@ -37,10 +37,13 @@
 //! * [`LaneMailboxModel`] — the inline-bucket/spill routing of
 //!   [`mpsim::LaneMailbox`], driving [`mpsim::event_mailbox::bucket_route`]
 //!   over a scripted wild-tag workload. Proves the spill counter accounts
-//!   for exactly the envelopes routed past the inline buckets and that no
-//!   envelope is lost across the inline/spill boundary; knobs `drop_wild`
-//!   (lose spilled envelopes) and `skip_spill_count` (mute the counter) are
-//!   caught as a deadlock / rejected terminal respectively.
+//!   for exactly the envelopes routed past the inline buckets, that no
+//!   envelope is lost across the inline/spill boundary and that taking
+//!   over a drained bucket keeps per-tag FIFO; knobs `drop_wild` (lose
+//!   spilled envelopes) and `skip_spill_count` (mute the counter) are
+//!   caught as a deadlock / rejected terminal, `reuse_full` (take over a
+//!   bucket that still holds envelopes) and `forget_spilled` (take one
+//!   while the tag has envelopes spilled) as a FIFO mismatch.
 //! * [`TimerWheelModel`] — arm/fire/cancel over a recycled timer slab with
 //!   generation-counted handles, driving
 //!   [`mpsim::event_timer::handle_is_live`] and asserting
@@ -574,25 +577,29 @@ impl Model for ExternalWakerModel {
 // ---------------------------------------------------------------------------
 
 /// Scripted push tags for [`LaneMailboxModel`]: four distinct tags claim
-/// every inline bucket, then a repeated wild tag and a fresh one exercise
-/// the spill map (payload = push index).
+/// every inline bucket, then a repeated wild tag and a fresh one take over
+/// a drained bucket or spill, depending on the interleaving (payload =
+/// push index).
 const LANE_PUSH_TAGS: [u32; 7] = [0, 1, 2, 3, 9, 9, 5];
-/// Scripted pop order, by push index: interleaves inline and spill lookups
-/// and keeps per-tag FIFO (push 4 before push 5, both tag 9).
-const LANE_POP_ORDER: [usize; 7] = [4, 0, 6, 1, 5, 2, 3];
-/// Pushes the script routes to the spill map (indices 4, 5, 6).
-const LANE_EXPECTED_SPILLS: u8 = 3;
+/// Scripted pop order, by push index, keeping per-tag FIFO (push 4 before
+/// push 5, both tag 9). Popping push 0 first drains bucket 0 while push 4
+/// may sit in the spill map: push 5 must then spill behind it, and push 6
+/// takes the drained bucket over.
+const LANE_POP_ORDER: [usize; 7] = [0, 4, 6, 1, 5, 2, 3];
 
 /// State of [`LaneMailboxModel`].
 #[derive(Clone, Hash, PartialEq, Eq, Debug)]
 pub struct LaneMailboxState {
     /// Inline buckets in claim order: `(tag, queued payloads)`. Buckets
-    /// fill in first-seen-tag order and never free, as in the real lane.
+    /// fill in first-seen-tag order and never free; a new tag may take
+    /// over a drained one, as in the real lane.
     inline: Vec<(u32, Vec<u8>)>,
     /// Spill map in insertion order: `(tag, queued payloads)`.
     spill: Vec<(u32, Vec<u8>)>,
     /// Envelopes routed to the spill map (the `mailbox_spills` counter).
     spills: u8,
+    /// Pushes the route actually sent to the spill map.
+    routed: u8,
     /// Next push script index.
     s_idx: u8,
     /// Next pop script index.
@@ -606,7 +613,8 @@ pub struct LaneMailboxState {
 /// interleaved order, every routing decision made by the deployed
 /// [`mpsim::event_mailbox::bucket_route`]. Explores all push/pop
 /// interleavings and proves per-tag FIFO across the inline/spill boundary
-/// plus exact spill accounting.
+/// and across a bucket's change of owner, plus exact spill accounting.
+#[derive(Default)]
 pub struct LaneMailboxModel {
     /// Mutation: spill-routed envelopes are dropped instead of stored — the
     /// receiver waits for them forever.
@@ -614,6 +622,12 @@ pub struct LaneMailboxModel {
     /// Mutation: spill-routed envelopes skip the spill counter — the
     /// terminal state under-reports and is rejected.
     pub skip_spill_count: bool,
+    /// Mutation: a new tag takes over the first bucket whether or not it
+    /// has drained — the old tag's envelopes queue under the new one.
+    pub reuse_full: bool,
+    /// Mutation: a new tag takes over a drained bucket even with its own
+    /// envelopes in the spill map — its FIFO splits in two queues.
+    pub forget_spilled: bool,
 }
 
 impl Model for LaneMailboxModel {
@@ -624,6 +638,7 @@ impl Model for LaneMailboxModel {
             inline: Vec::new(),
             spill: Vec::new(),
             spills: 0,
+            routed: 0,
             s_idx: 0,
             r_idx: 0,
             mismatch: false,
@@ -649,10 +664,21 @@ impl Model for LaneMailboxModel {
             // LaneMailbox::push with the deployed routing decision.
             let tag = LANE_PUSH_TAGS[s.s_idx as usize];
             let payload = s.s_idx;
-            match bucket_route(&tags, tag) {
+            let drained = match self.reuse_full {
+                true => Some(0),
+                false => s.inline.iter().position(|(_, q)| q.is_empty()),
+            };
+            let spilled =
+                !self.forget_spilled && s.spill.iter().any(|(t, q)| *t == tag && !q.is_empty());
+            match bucket_route(&tags, drained, spilled, tag) {
                 BucketRoute::Existing(i) => n.inline[i].1.push(payload),
                 BucketRoute::NewInline => n.inline.push((tag, vec![payload])),
+                BucketRoute::Reuse(i) => {
+                    n.inline[i].0 = tag;
+                    n.inline[i].1.push(payload);
+                }
                 BucketRoute::Spill => {
+                    n.routed += 1;
                     if !self.skip_spill_count {
                         n.spills += 1;
                     }
@@ -670,7 +696,7 @@ impl Model for LaneMailboxModel {
         // LaneMailbox::pop, blocking until the expected envelope arrives.
         let want = LANE_POP_ORDER[s.r_idx as usize];
         let tag = LANE_PUSH_TAGS[want];
-        let got = match bucket_route(&tags, tag) {
+        let got = match bucket_route(&tags, None, false, tag) {
             BucketRoute::Existing(i) => {
                 if n.inline[i].1.is_empty() {
                     None
@@ -680,7 +706,7 @@ impl Model for LaneMailboxModel {
             }
             // A pop routed NewInline finds nothing inline; only the spill
             // map could hold the tag — mirroring the real pop's fallthrough.
-            BucketRoute::NewInline | BucketRoute::Spill => n
+            BucketRoute::NewInline | BucketRoute::Reuse(_) | BucketRoute::Spill => n
                 .spill
                 .iter_mut()
                 .find(|(t, q)| *t == tag && !q.is_empty())
@@ -700,7 +726,17 @@ impl Model for LaneMailboxModel {
 
     fn invariant(&self, s: &LaneMailboxState) -> Result<(), String> {
         if s.mismatch {
-            return Err("pop returned an out-of-order or misrouted envelope".into());
+            return Err(
+                "FIFO mismatch: a pop returned an out-of-order or misrouted envelope".into()
+            );
+        }
+        for (tag, queue) in &s.inline {
+            if let Some(&p) = queue.iter().find(|&&p| LANE_PUSH_TAGS[p as usize] != *tag) {
+                return Err(format!("FIFO mismatch: tag {tag}'s bucket holds push {p}"));
+            }
+            if s.spill.iter().any(|(t, q)| t == tag && !q.is_empty()) && !queue.is_empty() {
+                return Err(format!("FIFO mismatch: tag {tag} is queued inline and spilled"));
+            }
         }
         if s.inline.len() > mpsim::event_mailbox::INLINE_TAGS {
             return Err(format!("{} inline buckets claimed", s.inline.len()));
@@ -709,10 +745,10 @@ impl Model for LaneMailboxModel {
     }
 
     fn accept(&self, s: &LaneMailboxState) -> Result<(), String> {
-        if s.spills != LANE_EXPECTED_SPILLS {
+        if s.spills != s.routed {
             return Err(format!(
-                "spill counter {} does not account for the {LANE_EXPECTED_SPILLS} wild envelopes",
-                s.spills
+                "spill counter {} does not account for the {} envelopes routed to the spill map",
+                s.spills, s.routed
             ));
         }
         if s.inline.iter().any(|(_, q)| !q.is_empty()) || s.spill.iter().any(|(_, q)| !q.is_empty())
@@ -1050,14 +1086,14 @@ mod tests {
 
     #[test]
     fn lane_mailbox_routing_is_sound() {
-        let m = LaneMailboxModel { drop_wild: false, skip_spill_count: false };
+        let m = LaneMailboxModel::default();
         explore(&m, DEFAULT_MAX_STATES).unwrap();
         explore_dpor(&m, DEFAULT_MAX_STATES).unwrap();
     }
 
     #[test]
     fn lane_mailbox_drop_wild_strands_the_receiver() {
-        let m = LaneMailboxModel { drop_wild: true, skip_spill_count: false };
+        let m = LaneMailboxModel { drop_wild: true, ..LaneMailboxModel::default() };
         for run in [explore(&m, DEFAULT_MAX_STATES), explore_dpor(&m, DEFAULT_MAX_STATES)] {
             let err = run.unwrap_err();
             assert!(err.contains("deadlock"), "{err}");
@@ -1066,10 +1102,23 @@ mod tests {
 
     #[test]
     fn lane_mailbox_skip_spill_count_rejected_at_terminal() {
-        let m = LaneMailboxModel { drop_wild: false, skip_spill_count: true };
+        let m = LaneMailboxModel { skip_spill_count: true, ..LaneMailboxModel::default() };
         for run in [explore(&m, DEFAULT_MAX_STATES), explore_dpor(&m, DEFAULT_MAX_STATES)] {
             let err = run.unwrap_err();
             assert!(err.contains("terminal state rejected") && err.contains("spill"), "{err}");
+        }
+    }
+
+    #[test]
+    fn lane_mailbox_reuse_without_drain_breaks_fifo() {
+        for m in [
+            LaneMailboxModel { reuse_full: true, ..LaneMailboxModel::default() },
+            LaneMailboxModel { forget_spilled: true, ..LaneMailboxModel::default() },
+        ] {
+            for run in [explore(&m, DEFAULT_MAX_STATES), explore_dpor(&m, DEFAULT_MAX_STATES)] {
+                let err = run.unwrap_err();
+                assert!(err.contains("FIFO mismatch"), "{err}");
+            }
         }
     }
 

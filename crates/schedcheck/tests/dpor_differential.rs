@@ -126,11 +126,7 @@ fn reactor_external_waker_agrees() {
 
 #[test]
 fn reactor_lane_mailbox_agrees() {
-    differential(
-        "lane-mailbox",
-        &LaneMailboxModel { drop_wild: false, skip_spill_count: false },
-        true,
-    );
+    differential("lane-mailbox", &LaneMailboxModel::default(), true);
 }
 
 #[test]
@@ -183,13 +179,23 @@ fn mutants_agree_on_the_failure_kind() {
     );
     mutant(
         "lane-mailbox drop-wild",
-        &LaneMailboxModel { drop_wild: true, skip_spill_count: false },
+        &LaneMailboxModel { drop_wild: true, ..LaneMailboxModel::default() },
         "deadlock",
     );
     mutant(
         "lane-mailbox skip-spill-count",
-        &LaneMailboxModel { drop_wild: false, skip_spill_count: true },
+        &LaneMailboxModel { skip_spill_count: true, ..LaneMailboxModel::default() },
         "terminal",
+    );
+    mutant(
+        "lane-mailbox reuse-full",
+        &LaneMailboxModel { reuse_full: true, ..LaneMailboxModel::default() },
+        "invariant",
+    );
+    mutant(
+        "lane-mailbox forget-spilled",
+        &LaneMailboxModel { forget_spilled: true, ..LaneMailboxModel::default() },
+        "invariant",
     );
     mutant(
         "timer-wheel no-generation",

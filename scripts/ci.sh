@@ -4,8 +4,9 @@
 # one per step, so each command is written once, here.
 # Usage: scripts/ci.sh [--quick] [PHASE]
 #   --quick   skip the release build, the release megascale sweeps (event
-#             executor and self-healing recovery), the chaos search, and
-#             the bench regression gate (test/fmt/clippy only)
+#             executor and self-healing recovery), the simulator's peak
+#             memory, the chaos search, and the bench regression gate
+#             (test/fmt/clippy only)
 #   PHASE     run only `phase_PHASE` below (e.g. `scripts/ci.sh schedcheck`);
 #             no phase = the full run.
 # Environment:
@@ -194,16 +195,41 @@ phase_recovery_megascale() {
 # Run one #[ignore] test of chaos_recovery alone in its own process and
 # print the VmHWM (kB) it reports; fails if it reports none.
 megascale_peak_kib() {
-  local out kib
-  out=$(run cargo test --release -q -p bcast-core --offline --test chaos_recovery -- \
-    --ignored --exact "$1" --nocapture)
+  peak_kib "$1" -p bcast-core --test chaos_recovery
+}
+
+# Run the #[ignore] test $1 of the test target the remaining arguments name
+# (e.g. `-p bcast-core --test chaos_recovery`) alone in its own release
+# process and print the VmHWM (kB) it reports; fails if it reports none.
+peak_kib() {
+  local test="$1" out kib
+  shift
+  out=$(run cargo test --release -q --offline "$@" -- --ignored --exact "$test" --nocapture)
   echo "$out" >&2
-  kib=$(awk -v t="$1" '$1 == t && $2 == "VmHWM:" { print $3 }' <<<"$out")
+  kib=$(awk -v t="$test" '$1 == t && $2 == "VmHWM:" { print $3 }' <<<"$out")
   if [[ -z "$kib" ]]; then
-    echo "$1 printed no VmHWM line" >&2
+    echo "$test printed no VmHWM line" >&2
     return 1
   fi
   echo "$kib"
+}
+
+# The simulator holds only what is in flight: forty `paper-sim`-shaped
+# SimWorld worlds (Hornet, np = 33 x 12288 B x 40 broadcasts) run alone in
+# one release process, which prints its peak resident memory. Each fabric
+# prunes its reservation timelines below the world's time floor, so the
+# peak does not climb with the run: it fails above 8 MiB (20.6 MiB when
+# every timeline kept its whole history, 6.2 MiB pruned). The test takes
+# about 8 s on a 2-core host, the phase about 30 s with an incremental
+# release test build.
+phase_sim_memory() {
+  local kib
+  kib=$(peak_kib paper_sim_worlds_hold_only_what_is_in_flight -p bcast-opt --test sim_performance)
+  echo "VmHWM: paper_sim_worlds_hold_only_what_is_in_flight $((kib / 1024)) MiB (limit 8 MiB)" >&2
+  if ((kib > 8 * 1024)); then
+    echo "paper_sim_worlds_hold_only_what_is_in_flight peaked at $kib kB, above 8 MiB" >&2
+    return 1
+  fi
 }
 
 # Adversarial chaos search: a budgeted coverage-guided walk over fault plans
@@ -292,6 +318,7 @@ if [[ $quick -eq 0 ]]; then
   run_phase "bench regression gate" phase_bench_gate
   run_phase "event-exec megascale P=16384" phase_event_megascale_p16384
   run_phase "self-healing megascale P in {1024,4096}" phase_recovery_megascale
+  run_phase "simulator peak memory (40 paper-sim worlds)" phase_sim_memory
   run_phase "chaos search (budget 200 + seeded drill)" phase_chaos_search
 fi
 

@@ -1,7 +1,7 @@
 //! ThreadWorld's mailbox is the reactor's `LaneMailbox` behind one lock:
 //! per-`(source, tag)` FIFO under concurrent fan-in past the inline tag
 //! buckets, and the `mailbox_spills` counter on both sides of the inline
-//! limit.
+//! limit and across a drained bucket's change of owner.
 
 use bcast_core::verify::pattern;
 use bcast_core::{bcast_with, Algorithm};
@@ -30,8 +30,10 @@ fn shuffled_pairs(srcs: &[usize], tags: u32, k: usize, rng: &mut impl Rng) -> Ve
 
 /// P = 32 ranks each send `k` messages on each of six tags (two past the
 /// inline buckets) to rank 0 at once, in a per-sender shuffled order. Rank
-/// 0 takes them in its own shuffled `(src, tag)` order: the j-th take of a
-/// pair must be that pair's j-th send, and every counter must be exact.
+/// 0 takes them in its own shuffled `(src, tag)` order while the others
+/// still send, so a tag may take over a bucket rank 0 has drained: the j-th
+/// take of a pair must be that pair's j-th send, and every traffic counter
+/// must be exact.
 #[test]
 fn concurrent_fan_in_keeps_per_pair_fifo_past_the_inline_buckets() {
     const P: usize = 32;
@@ -81,10 +83,11 @@ fn concurrent_fan_in_keeps_per_pair_fifo_past_the_inline_buckets() {
                 return Err(format!("per-rank counts off: {:?}", t.per_rank[0]));
             }
             // Each sender's lane claims its first INLINE_TAGS tags inline;
-            // every envelope of the other two tags spills.
+            // the other two spill unless a drained bucket is free when they
+            // arrive, so at most all their envelopes spill.
             let spills = P as u64 * (TAGS as u64 - INLINE_TAGS as u64) * k as u64;
-            if out.reactor.mailbox_spills != spills {
-                return Err(format!("{} spills, want {spills}", out.reactor.mailbox_spills));
+            if out.reactor.mailbox_spills > spills {
+                return Err(format!("{} spills, at most {spills}", out.reactor.mailbox_spills));
             }
             Ok(())
         },
@@ -104,19 +107,27 @@ fn tuned_bcast_on_threads_never_spills() {
     assert_eq!(out.reactor.mailbox_spills, 0);
 }
 
+/// Seven tags queued at once fill the four inline buckets and spill three
+/// envelopes; once they are drained, four new tags take the drained
+/// buckets over and spill nothing.
 #[test]
 fn wild_tags_to_one_peer_are_counted_as_spills() {
-    let tags = INLINE_TAGS as u32 + 3;
     let out = ThreadWorld::run(2, |comm| {
         let mut buf = [0u8; 1];
-        for tag in 0..tags {
-            match comm.rank() {
-                0 => comm.send(&[tag as u8], 1, Tag(1000 + tag)).unwrap(),
-                _ => {
-                    comm.recv(&mut buf, 0, Tag(1000 + tag)).unwrap();
+        for tags in [1000..1000 + INLINE_TAGS as u32 + 3, 2000..2000 + INLINE_TAGS as u32] {
+            if comm.rank() == 0 {
+                for tag in tags.clone() {
+                    comm.send(&[tag as u8], 1, Tag(tag)).unwrap();
+                }
+            }
+            comm.barrier().unwrap();
+            if comm.rank() == 1 {
+                for tag in tags {
+                    comm.recv(&mut buf, 0, Tag(tag)).unwrap();
                     assert_eq!(buf[0], tag as u8);
                 }
             }
+            comm.barrier().unwrap();
         }
     });
     assert_eq!(out.reactor.mailbox_spills, 3);
