@@ -204,7 +204,7 @@ impl State {
     /// After a post on a channel from node `snode` to node `dnode`: if a
     /// timeline it may have booked has doubled since its last prune, prune
     /// every such timeline below the time floor.
-    fn prune_due(&mut self, snode: usize, dnode: usize) {
+    fn prune_if_due(&mut self, snode: usize, dnode: usize) {
         let touched =
             [&self.nic_tx[snode], &self.nic_rx[dnode], &self.mem[snode], &self.mem[dnode]];
         if !touched.into_iter().chain([&self.backbone]).any(Timeline::prune_due) {
@@ -386,7 +386,7 @@ impl Fabric {
             ),
             None => st.chan.entry((src, dst, tag)).or_default().sends.push_back(offer),
         }
-        st.prune_due(self.placement.node_of(src), self.placement.node_of(dst));
+        st.prune_if_due(self.placement.node_of(src), self.placement.node_of(dst));
         Ok(SendHandle { cell })
     }
 
@@ -428,7 +428,7 @@ impl Fabric {
                 st.chan.entry((src, dst, tag)).or_default().recvs.push_back(offer);
             }
         }
-        st.prune_due(self.placement.node_of(src), self.placement.node_of(dst));
+        st.prune_if_due(self.placement.node_of(src), self.placement.node_of(dst));
         Ok(RecvHandle { cell })
     }
 

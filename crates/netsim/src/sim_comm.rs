@@ -228,11 +228,11 @@ impl SimComm {
         result
     }
 
-    /// Issue a post ready at `ready`: the CPU overhead that got the clock
+    /// Start a post ready at `ready`: the CPU overhead that got the clock
     /// there is spent even if the post or its wait fails, so the clock
     /// moves first. This keeps the rank's post times monotone, which the
     /// fabric's pruning relies on.
-    fn issue(&self, ready: SimTime) -> SimTime {
+    fn start_post(&self, ready: SimTime) -> SimTime {
         self.advance_to(ready);
         ready
     }
@@ -282,7 +282,7 @@ impl Communicator for SimComm {
         let fabric = &self.shared.fabric;
         self.comm_call(|from| {
             // LogGP o: the CPU is busy issuing the message before it can move.
-            let ready = self.issue(from + fabric.model().o_send_ns);
+            let ready = self.start_post(from + fabric.model().o_send_ns);
             let len = payload.len();
             let h = fabric.post_send_buf(self.rank, dest, tag, payload, ready)?;
             self.counters.record_send(dest, len);
@@ -309,7 +309,7 @@ impl Communicator for SimComm {
         self.check_rank(src)?;
         let fabric = &self.shared.fabric;
         self.comm_call(|from| {
-            let ready = self.issue(from + fabric.model().o_recv_ns);
+            let ready = self.start_post(from + fabric.model().o_recv_ns);
             let h = fabric.post_recv(src, self.rank, tag, capacity, ready)?;
             let result = match timeout {
                 None => fabric.wait_recv(&h),
@@ -353,11 +353,11 @@ impl Communicator for SimComm {
         let fabric = &self.shared.fabric;
         let model = fabric.model();
         self.comm_call(|now| {
-            let send_ready = self.issue(now + model.o_send_ns);
+            let send_ready = self.start_post(now + model.o_send_ns);
             let len = payload.len();
             let sh = fabric.post_send_buf(self.rank, dest, sendtag, payload, send_ready)?;
             self.counters.record_send(dest, len);
-            let recv_ready = self.issue(send_ready + model.o_recv_ns);
+            let recv_ready = self.start_post(send_ready + model.o_recv_ns);
             let rh = fabric.post_recv(src, self.rank, recvtag, capacity, recv_ready)?;
             let send_done = fabric.wait_send(&sh)?;
             let (data, recv_done) = fabric.wait_recv(&rh)?;
