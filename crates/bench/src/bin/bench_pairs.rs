@@ -5,7 +5,6 @@
 //! bench_pairs --parent REV [--change REV] --workloads W1,W2 [--pairs N]
 //!             [--seconds S] [--pr K] [--out DIR] [--work DIR]
 //! bench_pairs render BENCH_K.json [--out DIR]
-//! bench_pairs backfill [--results DIR] [--out DIR]
 //! ```
 //!
 //! Both sides are built from `benchmark/`, which is frozen between benchmark
@@ -29,11 +28,9 @@
 //! rendered from the row as written; `render` re-renders it from a
 //! committed row.
 //!
-//! `backfill` turns the pairs files written by hand before this runner
-//! existed, `results/pr26_pairs.txt` to `pr45_pairs.txt`, into rows of
-//! their own (`"kind": "backfill"`): the `pair N` lines, the JSON run lines
-//! and the per-metric summary lines each file has, with every other data
-//! line listed under `"unparsed"` with the reason instead of a guessed value.
+//! The rows `BENCH_26.json` to `BENCH_45.json` (`"kind": "backfill"`) were
+//! parsed once from the pairs files written by hand before this runner
+//! existed; they are committed history and nothing here rewrites them.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -46,7 +43,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("render") => render_command(&args[1..]),
-        Some("backfill") => backfill_command(&args[1..]),
         Some("--help" | "-h") | None => {
             println!("{}", usage());
             Ok(())
@@ -61,8 +57,7 @@ fn main() {
 
 fn usage() -> &'static str {
     "usage: bench_pairs --parent REV [--change REV] --workloads W1,W2 [--pairs N] \
-     [--seconds S] [--pr K] [--out DIR] [--work DIR]\n       bench_pairs render BENCH_K.json [--out DIR]\n       \
-     bench_pairs backfill [--results DIR] [--out DIR]"
+     [--seconds S] [--pr K] [--out DIR] [--work DIR]\n       bench_pairs render BENCH_K.json [--out DIR]"
 }
 
 /// `--flag value` pairs, each flag at most once and all of them known.
@@ -517,267 +512,6 @@ fn fmt(x: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Back-fill: rows from the pairs files written before the runner
-
-/// One side's values on a `pair N` line, by metric name.
-type Values = Vec<(&'static str, f64)>;
-
-/// A `pair N` line read: the pair number and each side it gives.
-type PairLine<'a> = (u64, Vec<(&'a str, Values)>);
-
-/// The ledger numbers `N` whose hand-written `results/prN_pairs.txt`
-/// `backfill` reads.
-const BACKFILLED: std::ops::RangeInclusive<u32> = 26..=45;
-
-// Why a data line that is not a pair line, a JSON run or a summary line
-// was not read: a summary in the older layout, which restates its set's
-// pairs; a raw run written as `key=value` words; anything else.
-const OLD_SUMMARY: &str = "a summary line in the older layout (`metric: parent m [q1, q3] -> \
-                           change …`); it restates its set's pair lines";
-const KEY_VALUE_RUN: &str = "a raw run as `key=value` words, a layout this parser does not read";
-const UNKNOWN_LINE: &str = "neither a `pair N` line, a JSON run line nor a summary line \
-                            (a run in the file's own column layout, or prose)";
-
-fn backfill_command(args: &[String]) -> Result<(), String> {
-    let f = flags(args, &["--results", "--out"])?;
-    let root = PathBuf::from(git(&["rev-parse", "--show-toplevel"])?.trim());
-    let results = flag(&f, "--results").map_or(root.join("results"), PathBuf::from);
-    let out = flag(&f, "--out").map_or(root, PathBuf::from);
-    let mut written = 0;
-    for pr in BACKFILLED {
-        let name = format!("pr{pr}_pairs.txt");
-        let text = match std::fs::read_to_string(results.join(&name)) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(format!("cannot read {name}: {e}")),
-        };
-        let row = backfill_row(pr, &format!("results/{name}"), &text);
-        Json::parse(&row).map_err(|e| format!("the row of {name} does not read back: {e}"))?;
-        write(&out.join(format!("BENCH_{pr}.json")), &row)?;
-        written += 1;
-    }
-    if written == 0 {
-        return Err(format!("no pr26..pr45 pairs file in {}", results.display()));
-    }
-    Ok(())
-}
-
-/// One hand-written pairs file as a ledger row.
-fn backfill_row(pr: u32, source: &str, text: &str) -> String {
-    // The set a `pair N` line belongs to: the last `## ` heading and its
-    // line (a file may repeat a heading for a second set of pairs).
-    let (mut set, mut heading) = (String::new(), 0);
-    // (set, heading, pair, [parent, change] values) in file order; a side
-    // of a pair may come on a line of its own.
-    let mut pairs: Vec<(String, usize, u64, [Values; 2])> = Vec::new();
-    let (mut runs, mut summaries) = (Vec::new(), Vec::new());
-    let mut unparsed: Vec<(&str, Vec<usize>)> = Vec::new();
-    for (at, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        let failed = if let Some(head) = line.strip_prefix("## ") {
-            set = head.split(':').next().unwrap_or(head).trim().to_string();
-            heading = at + 1;
-            None
-        } else if let Some(rest) = line.strip_prefix("pair ") {
-            pair_line(rest)
-                .map(|(pair, sides)| {
-                    let at = pairs.iter().position(|(_, h, p, _)| *h == heading && *p == pair);
-                    let at = at.unwrap_or_else(|| {
-                        pairs.push((set.clone(), heading, pair, Default::default()));
-                        pairs.len() - 1
-                    });
-                    for (side, values) in sides {
-                        pairs[at].3[usize::from(side == "change")] = values;
-                    }
-                })
-                .err()
-        } else if line.starts_with('#') {
-            let summary_like = line.contains(" -> ") && line.contains("lower");
-            summary_like.then(|| summary_line(line).map(|s| summaries.push(s)).err()).flatten()
-        } else if line.trim().is_empty() {
-            None
-        } else if let Some(run) = run_line(line) {
-            runs.push(run);
-            None
-        } else if line.split_once(": parent ").is_some_and(|(m, _)| !m.contains(' ')) {
-            Some(OLD_SUMMARY)
-        } else if line.split_whitespace().skip(1).all(|w| w.contains('=')) {
-            Some(KEY_VALUE_RUN)
-        } else {
-            Some(UNKNOWN_LINE)
-        };
-        if let Some(why) = failed {
-            match unparsed.iter_mut().find(|(w, _)| *w == why) {
-                Some((_, lines)) => lines.push(at + 1),
-                None => unparsed.push((why, vec![at + 1])),
-            }
-        }
-    }
-    let side = |values: &[(&str, f64)]| {
-        let fields: Vec<String> =
-            values.iter().map(|(name, x)| format!("{}:{}", quoted(name), num(*x))).collect();
-        format!("{{{}}}", fields.join(","))
-    };
-    let pairs: Vec<String> = pairs
-        .iter()
-        .map(|(set, heading, pair, [p, c])| {
-            format!(
-                "{{\"set\":{},\"heading_line\":{heading},\"pair\":{pair},\"parent\":{},\"change\":{}}}",
-                quoted(set),
-                side(p),
-                side(c)
-            )
-        })
-        .collect();
-    let unparsed: Vec<String> = unparsed
-        .iter()
-        .map(|(why, lines)| {
-            let lines: Vec<String> = lines.iter().map(usize::to_string).collect();
-            format!("{{\"why\":{},\"lines\":[{}]}}", quoted(why), lines.join(","))
-        })
-        .collect();
-    let word_after = |key: &str| {
-        let at = text.find(key)? + key.len();
-        let word = text[at..].split_whitespace().next()?;
-        Some(word.trim_end_matches([',', ';', '.', ')']).to_string())
-    };
-    let parent = word_after("parent = ").map_or("null".into(), |p| quoted(&p));
-    let nproc = word_after("nproc ")
-        .and_then(|n| n.parse::<u32>().ok())
-        .or_else(|| {
-            text.find("-core host").and_then(|at| text[..at].rsplit(' ').next()?.parse().ok())
-        })
-        .map_or("null".into(), |n| n.to_string());
-    let list = |items: &[String]| {
-        if items.is_empty() {
-            String::new()
-        } else {
-            format!("\n    {}\n  ", items.join(",\n    "))
-        }
-    };
-    format!(
-        "{{\n  \"schema\":1,\n  \"kind\":\"backfill\",\n  \"pr\":{pr},\n  \"source\":{},\n  \
-         \"parent\":{parent},\n  \"nproc\":{nproc},\n  \"pairs\":[{}],\n  \"runs\":[{}],\n  \
-         \"summaries\":[{}],\n  \"unparsed\":[{}]\n}}\n",
-        quoted(source),
-        list(&pairs),
-        list(&runs),
-        list(&summaries),
-        list(&unparsed),
-    )
-}
-
-/// A `pair N` line after its `pair `: `N: parent V change V` (both sides)
-/// or `N side: V` (one side), where `V` is the side's values.
-fn pair_line(rest: &str) -> Result<PairLine<'_>, &'static str> {
-    const WHY: &str = "a `pair N` line in none of the layouts `N: parent V change V` or \
-                       `N side: V`, or a value without its unit";
-    let words: Vec<&str> = rest.split_whitespace().collect();
-    let (first, words) = words.split_first().ok_or(WHY)?;
-    if let Some(pair) = first.strip_suffix(':') {
-        let pair = pair.parse().map_err(|_| WHY)?;
-        let at = words.iter().position(|&w| w == "change").ok_or(WHY)?;
-        let parent = words[..at].strip_prefix(&["parent"][..]).ok_or(WHY)?;
-        return Ok((
-            pair,
-            vec![("parent", values(parent)?), ("change", values(&words[at + 1..])?)],
-        ));
-    }
-    let pair = first.parse().map_err(|_| WHY)?;
-    let (side, words) = words.split_first().ok_or(WHY)?;
-    let side = side.strip_suffix(':').filter(|s| ["parent", "change"].contains(s)).ok_or(WHY)?;
-    Ok((pair, vec![(side, values(words)?)]))
-}
-
-/// A side's values: a lone number is `bcast_wall_us` (what every file with
-/// that layout says its pair lines give); otherwise each number carries its
-/// unit (`us`, `MiB`, `s`) or follows its name (`copied`, `wire`, `env`,
-/// `failed`, with an optional `B`).
-fn values(words: &[&str]) -> Result<Values, &'static str> {
-    const WHY: &str = "a `pair N` value without a unit or a name this parser knows";
-    if let [lone] = words {
-        return Ok(vec![("bcast_wall_us", lone.parse().map_err(|_| WHY)?)]);
-    }
-    let mut out = Vec::new();
-    let mut rest = words;
-    while let [word, tail @ ..] = rest {
-        let named = match *word {
-            "copied" => Some("bytes_copied_per_bcast"),
-            "wire" => Some("wire_bytes_per_bcast"),
-            "env" => Some("envelopes_per_bcast"),
-            "failed" => Some("failed"),
-            _ => None,
-        };
-        let (number, tail) = match named {
-            Some(_) => tail.split_first().ok_or(WHY)?,
-            None => (word, tail),
-        };
-        let x: f64 = number.parse().map_err(|_| WHY)?;
-        let (name, tail) = match (named, tail.split_first()) {
-            (Some(name), Some((&"B", tail))) => (name, tail),
-            (Some(name), _) => (name, tail),
-            (None, Some((&"us", tail))) => ("bcast_wall_us", tail),
-            (None, Some((&"MiB", tail))) => ("peak_rss_mib", tail),
-            (None, Some((&"s", tail))) => ("setup_s", tail),
-            (None, _) => return Err(WHY),
-        };
-        out.push((name, x));
-        rest = tail;
-    }
-    Ok(out)
-}
-
-/// A summary line of the later files: `# LABEL: parent M [Q1, Q3] -> M [Q1, Q3]
-/// (±X %), lower K/N; parent IQR I, median diff D`, as the row's JSON.
-fn summary_line(line: &str) -> Result<String, &'static str> {
-    const WHY: &str = "a `->` line outside the layout `LABEL: parent m [q1, q3] -> m [q1, q3] \
-                       (±x %), lower k/n; parent IQR i, median diff d`";
-    let number = |s: &str| s.trim().parse::<f64>().map_err(|_| WHY);
-    let side = |s: &str| -> Result<String, &'static str> {
-        let (m, quartiles) = s.trim().split_once(" [").ok_or(WHY)?;
-        let (q1, q3) = quartiles.strip_suffix(']').and_then(|q| q.split_once(", ")).ok_or(WHY)?;
-        let (m, q1, q3) = (number(m)?, number(q1)?, number(q3)?);
-        Ok(format!("{{\"median\":{},\"q1\":{},\"q3\":{}}}", num(m), num(q1), num(q3)))
-    };
-    let body = line.trim_start_matches('#').trim();
-    let (label, rest) = body.split_once(": parent ").ok_or(WHY)?;
-    let (parent, rest) = rest.split_once(" -> ").ok_or(WHY)?;
-    let (change, rest) = rest.split_once(" (").ok_or(WHY)?;
-    let (rel, rest) = rest.split_once(" %), lower ").ok_or(WHY)?;
-    let (lower, rest) = rest.split_once("; parent IQR ").ok_or(WHY)?;
-    let (iqr, diff) = rest.split_once(", median diff ").ok_or(WHY)?;
-    let (k, n) = lower.split_once('/').ok_or(WHY)?;
-    Ok(format!(
-        "{{\"label\":{},\"parent\":{},\"change\":{},\"rel_change\":{},\"lower_in\":{},\"of\":{},\
-         \"parent_iqr\":{},\"median_diff\":{}}}",
-        quoted(label),
-        side(parent)?,
-        side(change)?,
-        num(number(rel)? / 100.0),
-        num(number(k)?),
-        num(number(n)?),
-        num(number(iqr)?),
-        num(number(diff)?),
-    ))
-}
-
-/// A JSON run line, `WORKLOAD PAIR SIDE {…}`, as the row's JSON.
-fn run_line(line: &str) -> Option<String> {
-    let (head, run) = line.split_at(line.find('{')?);
-    let [workload, pair, side] = head.split_whitespace().collect::<Vec<_>>()[..] else {
-        return None;
-    };
-    let pair: u64 = pair.parse().ok()?;
-    Json::parse(run).ok()?;
-    Some(format!(
-        "{{\"workload\":{},\"pair\":{pair},\"side\":{},\"run\":{}}}",
-        quoted(workload),
-        quoted(side),
-        run.trim()
-    ))
-}
-
-// ---------------------------------------------------------------------------
 // JSON, as much as the benchmark's lines and the row need
 
 #[derive(Debug, Clone, PartialEq)]
@@ -979,59 +713,6 @@ mod tests {
         assert_eq!(Json::parse(r#"["a\"bA", null, -1.5e2]"#).unwrap(), {
             Json::Arr(vec![Json::Str("a\"bA".into()), Json::Null, Json::Num(-150.0)])
         });
-    }
-
-    #[test]
-    fn a_backfilled_row_keeps_what_parses_and_names_what_does_not() {
-        let text = "# Row 9: parent = abc1234, 2-core host.\n\
-                    ## heal-clean\n\
-                    pair 0: parent 10.5 change 9.5\n\
-                    pair 1: parent 11.0 us 21.9 MiB change 9.0 us 13.7 MiB\n\
-                    bcast_wall_us: parent 10.7 [10.5, 11.0] -> change 9.2 [9.0, 9.5] (change lower 2/2)\n\
-                    ## ring-bytes: per side\n\
-                    pair 0 parent: 25.7 us 155.26 MiB 0.0286 s copied 138 B wire 134 B env 16 failed 0\n\
-                    pair 0 change: 25.1 us\n\
-                    pair 1: parent 10.5\n\
-                    ring-bytes 1 parent {\"failed\":0}\n\
-                    # w wall (3 pairs): parent 21.00 [20.90, 21.10] -> 21.10 [21.00, 21.10] (+0.5 %), lower 0/3; parent IQR 0.20, median diff -0.10\n\
-                    # w wall: this side 2 [1, 3] -> 1 [1, 2] (-50 %), lower 3/3\n\
-                    lossy-ring 1 new 0 15990.7 0.028\n\
-                    ring-msgs pair=0 side=parent failed=0\n\
-                    ## heal-clean\n\
-                    pair 0: parent 1.5 change 2.5\n";
-        let row = Json::parse(&backfill_row(9, "results/pr9_pairs.txt", text)).unwrap();
-        assert_eq!(row.get("parent").and_then(Json::text), Some("abc1234"));
-        assert_eq!(row.get("nproc").and_then(Json::num), Some(2.0));
-        let pairs = row.get("pairs").and_then(Json::items).unwrap();
-        assert_eq!(pairs.len(), 4, "a repeated heading starts a set of its own");
-        assert_eq!(pairs[3].get("heading_line").and_then(Json::num), Some(15.0));
-        let value = |i: usize, side: &str, metric: &str| {
-            pairs[i].get(side).and_then(|s| s.get(metric)).and_then(Json::num)
-        };
-        assert_eq!(value(0, "change", "bcast_wall_us"), Some(9.5));
-        assert_eq!(value(1, "change", "peak_rss_mib"), Some(13.7));
-        assert_eq!(pairs[2].get("set").and_then(Json::text), Some("ring-bytes"));
-        assert_eq!(value(2, "parent", "envelopes_per_bcast"), Some(16.0));
-        assert_eq!(value(2, "parent", "setup_s"), Some(0.0286));
-        assert_eq!(value(2, "change", "bcast_wall_us"), Some(25.1));
-        assert_eq!(row.get("runs").and_then(Json::items).map(<[Json]>::len), Some(1));
-        let summaries = row.get("summaries").and_then(Json::items).unwrap();
-        assert_eq!(summaries.len(), 1);
-        assert_eq!(summaries[0].get("rel_change").and_then(Json::num), Some(0.005));
-        assert_eq!(summaries[0].get("of").and_then(Json::num), Some(3.0));
-        let lines: Vec<Vec<f64>> = row
-            .get("unparsed")
-            .and_then(Json::items)
-            .unwrap()
-            .iter()
-            .map(|u| {
-                u.get("lines").and_then(Json::items).unwrap().iter().filter_map(Json::num).collect()
-            })
-            .collect();
-        // The old-layout summary, the one-sided `pair 1`, the foreign `->`
-        // line, the column row and the `key=value` run, each under its own
-        // reason.
-        assert_eq!(lines, [vec![5.0], vec![9.0], vec![12.0], vec![13.0], vec![14.0]]);
     }
 
     #[test]

@@ -367,9 +367,11 @@ impl Wake for NoopWake {
     fn wake_by_ref(self: &Arc<Self>) {}
 }
 
-/// A waker that does nothing, for polling futures that never park
-/// (`Waker::noop` needs a newer toolchain than this workspace pins).
-fn noop_waker() -> &'static Waker {
+/// A waker that does nothing (`Waker::noop` needs a newer toolchain than
+/// this workspace pins): [`complete_now`] polls futures that never park with
+/// it, and the EventWorld reactor every task, since its run queue is the
+/// only wake path there.
+pub(crate) fn noop_waker() -> &'static Waker {
     static NOOP: OnceLock<Waker> = OnceLock::new();
     NOOP.get_or_init(|| Waker::from(Arc::new(NoopWake)))
 }

@@ -30,10 +30,17 @@
 //!   half-polled receive leaves no stale timer behind);
 //! * a slab task arena plus a `Cell`-based run queue — futures live in one
 //!   boxed slice polled in place, and a send that wakes its receiver goes
-//!   straight onto the run queue without the `Waker` detour or its lock.
-//!   Handed-out `Waker`s stay sound through a mutexed side queue that the
-//!   reactor drains before declaring the world idle; nothing on the
-//!   message path touches it.
+//!   straight onto the run queue: no `Waker`, no lock.
+//!
+//! **The wake contract.** Every task is polled with one shared no-op
+//! `Waker`, so the run queue is the only wake path, and only the reactor's
+//! own events feed it: a delivery to the task's rank, a barrier release,
+//! the exit of a watched peer, or a fired timer. A future that parks on
+//! anything else — a `Waker` it woke or stashed, a signal from another
+//! thread — is never polled again: the world runs dry and [`EventWorld::run`]
+//! panics with a deadlock report naming the stuck ranks, as
+//! [`complete_now`](crate::acomm::complete_now) reports a suspended future
+//! on the blocking executors.
 //!
 //! Waking is *targeted*: a parked receive registers which source it waits
 //! on and a parked barrier flags itself, so a rank's exit wakes exactly the
@@ -49,10 +56,10 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::acomm::{deadline_after, AsyncCommunicator};
+use crate::acomm::{deadline_after, noop_waker, AsyncCommunicator};
 use crate::counters::{CounterCell, ReactorStats, TrafficStats, WorldTraffic};
 use crate::error::{CommError, Result};
 use crate::event_mailbox::LaneMailbox;
@@ -62,36 +69,6 @@ use crate::rank::{Rank, Tag};
 use crate::thread_comm::WorldOutcome;
 
 use crate::proto::{WATCH_ANY, WATCH_NONE};
-
-/// Side queue for wakes arriving through the `Waker` protocol. `Waker` must
-/// be `Send + Sync`, so this path keeps a lock — but nothing on the message
-/// hot path uses it (deliveries push the destination task straight onto the
-/// reactor's `Cell`-based run queue). The reactor drains it exactly once
-/// per idle transition, so a user future that stashes its waker and wakes
-/// later is still scheduled before the world is declared stuck.
-///
-/// Model-checked: schedcheck's `ExternalWakerModel` explores every
-/// interleaving of external pushes against the drain/park transition and
-/// proves no wake is dropped between the drain and the idle declaration
-/// (its mutation knobs — skip the drain, drop drained entries — both
-/// deadlock under the explorer).
-struct ExternalWakes {
-    queue: crate::sync::Mutex<Vec<usize>>,
-}
-
-struct TaskWaker {
-    task: usize,
-    external: Arc<ExternalWakes>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.external.queue.lock().push(self.task);
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.external.queue.lock().push(self.task);
-    }
-}
 
 /// The reactor-thread run queue: a plain `VecDeque` of task ids with
 /// `Cell` dedup flags — a burst of deliveries to one task costs one poll,
@@ -107,16 +84,14 @@ struct Scheduler {
     run: RefCell<VecDeque<usize>>,
     queued: Vec<Cell<bool>>,
     wakeups: Cell<u64>,
-    external: Arc<ExternalWakes>,
 }
 
 impl Scheduler {
-    fn new(n: usize, external: Arc<ExternalWakes>) -> Self {
+    fn new(n: usize) -> Self {
         Scheduler {
             run: RefCell::new(VecDeque::with_capacity(n)),
             queued: (0..n).map(|_| Cell::new(false)).collect(),
             wakeups: Cell::new(0),
-            external,
         }
     }
 
@@ -131,18 +106,6 @@ impl Scheduler {
         let task = self.run.borrow_mut().pop_front()?;
         self.queued[task].set(false);
         Some(task)
-    }
-
-    /// Move protocol-path wakes onto the run queue; returns whether any
-    /// task became runnable. Called only when the run queue is empty.
-    fn drain_external(&self) -> bool {
-        let drained = std::mem::take(&mut *self.external.queue.lock());
-        let mut any = false;
-        for task in drained {
-            self.push(task);
-            any = true;
-        }
-        any
     }
 }
 
@@ -330,14 +293,15 @@ impl EventWorld {
     /// A panic in any rank's future propagates out of `run` (the world is
     /// abandoned, mirroring the threaded executor's teardown-and-rethrow).
     /// Additionally, `run` panics if the world deadlocks: no task is
-    /// runnable, no timer is armed, and unfinished tasks remain.
+    /// runnable, no timer is armed, and unfinished tasks remain — which is
+    /// also what a future that parks outside the module's wake contract
+    /// comes to.
     pub fn run<R, F, Fut>(n: usize, f: F) -> WorldOutcome<R>
     where
         F: Fn(EventComm) -> Fut,
         Fut: Future<Output = R>,
     {
         assert!(n >= 1, "world needs at least one rank");
-        let external = Arc::new(ExternalWakes { queue: crate::sync::Mutex::new(Vec::new()) });
         let shared = Rc::new(EventShared {
             size: n,
             lanes: RefCell::new(LaneMailbox::for_destinations(n, n)),
@@ -352,7 +316,7 @@ impl EventWorld {
             pool: BufferPool::new(),
             counters: (0..n).map(|_| CounterCell::default()).collect(),
             recv_budget: Cell::new(recv_poll_budget(n)),
-            sched: Scheduler::new(n, Arc::clone(&external)),
+            sched: Scheduler::new(n),
             watching: (0..n).map(|_| Cell::new(WATCH_NONE)).collect(),
             barrier_parked: (0..n).map(|_| Cell::new(false)).collect(),
         });
@@ -364,24 +328,18 @@ impl EventWorld {
         // task → comm → shared never forms a reference cycle.
         let mut tasks: Box<[Option<Fut>]> =
             (0..n).map(|rank| Some(f(EventComm { rank, shared: Rc::clone(&shared) }))).collect();
-        let wakers: Vec<Waker> = (0..n)
-            .map(|task| Waker::from(Arc::new(TaskWaker { task, external: Arc::clone(&external) })))
-            .collect();
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut remaining = n;
         let mut spurious_polls = 0u64;
         for task in 0..n {
             shared.sched.push(task);
         }
+        let mut cx = Context::from_waker(noop_waker());
 
         while remaining > 0 {
             let Some(task) = shared.sched.pop() else {
-                // Nothing runnable on the fast queue: collect any wakes that
-                // came through the `Waker` protocol, and only if there are
-                // none advance virtual time to the earliest armed timer.
-                if shared.sched.drain_external() {
-                    continue;
-                }
+                // Nothing runnable: advance virtual time to the earliest
+                // armed timer.
                 let next = shared.timers.borrow_mut().pop_next(shared.clock_ns.get());
                 match next {
                     Some((deadline_ns, timer_task)) => {
@@ -400,22 +358,20 @@ impl EventWorld {
                         // A deadlocked world can never produce an outcome;
                         // fail loudly with diagnostics.
                         panic!(
-                            "EventWorld deadlock: {remaining} of {n} ranks blocked with no \
-                             queued message or armed timer to wake them (stuck ranks, first 8: \
-                             {stuck:?})"
+                            "EventWorld deadlock: {remaining} of {n} ranks blocked (first 8: \
+                             {stuck:?}) with no queued message or armed timer to wake them"
                         );
                     }
                 }
                 continue;
             };
             let Some(fut) = tasks[task].as_mut() else {
-                continue; // woken after completion (e.g. a protocol-path wake)
+                continue; // woken after completion (a late delivery)
             };
             // SAFETY: the future lives in a boxed slice that never
             // reallocates, and its `Option` is only ever set to `None`
             // (dropping in place) — never moved out — so the pin holds.
             let fut = unsafe { Pin::new_unchecked(fut) };
-            let mut cx = Context::from_waker(&wakers[task]);
             shared.recv_budget.set(recv_poll_budget(n));
             match fut.poll(&mut cx) {
                 Poll::Ready(value) => {
@@ -1087,6 +1043,35 @@ mod tests {
         let payload = res.unwrap_err();
         let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("deadlock"), "unexpected panic: {msg}");
+    }
+
+    /// A hand-written yield: wakes its own `Waker` once and parks, and would
+    /// be ready on its next poll.
+    struct YieldOnce(bool);
+
+    impl Future for YieldOnce {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            if self.0 {
+                return Poll::Ready(());
+            }
+            self.0 = true;
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "EventWorld deadlock: 1 of 3 ranks blocked (first 8: [1])")]
+    fn a_self_woken_task_is_reported_as_deadlocked() {
+        // The reactor polls with a no-op waker, so a wake outside its run
+        // queue is lost by contract and the parked rank is named.
+        EventWorld::run(3, |comm| async move {
+            if comm.rank() == 1 {
+                YieldOnce(false).await;
+            }
+        });
     }
 
     #[test]

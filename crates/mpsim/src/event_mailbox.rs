@@ -65,7 +65,7 @@ pub const INLINE_TAGS: usize = 4;
 /// Where an envelope (or a lookup) for `tag` goes within a lane, given the
 /// tags currently owning inline buckets (in claim order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BucketRoute {
+enum BucketRoute {
     /// `tag` already owns inline bucket `i`.
     Existing(usize),
     /// `tag` is new and a free inline bucket remains: claim the next one
@@ -80,20 +80,15 @@ pub enum BucketRoute {
 }
 
 /// The lane's bucket-routing decision, shared by [`LaneMailbox::push`] and
-/// [`LaneMailbox::pop`] below and by schedcheck's `LaneMailboxModel`, which
-/// explores push/pop interleavings over this exact predicate and checks the
-/// spill counter accounts for every envelope the route sends to the spill
-/// map (its mutation knobs — drop wild envelopes, skip the count, reuse a
-/// bucket that still holds envelopes, forget the tag's spilled envelopes —
-/// are caught by the explorer as a deadlock, a rejected terminal state or
-/// a FIFO mismatch).
+/// [`LaneMailbox::pop`] below; `lane_prop` checks its every route against a
+/// deque-per-queue model.
 ///
 /// `drained` is an owned inline bucket with nothing queued, if any, and
 /// `spilled` whether `tag` has envelopes queued in the spill map; a pop
 /// passes `None` and `false`, since every route but `Existing` sends it to
 /// the spill map.
 #[must_use]
-pub fn bucket_route(
+fn bucket_route(
     tags_in_use: &[u32],
     drained: Option<usize>,
     spilled: bool,

@@ -63,12 +63,9 @@ pub struct TimerHandle {
 /// slab entry only while the entry is still armed *and* the generations
 /// match. A fired or re-armed entry has moved on (its generation was bumped
 /// at release), so the stale handle is a no-op — which is what makes
-/// dropping a half-polled receive future sound. Shared with schedcheck's
-/// `TimerWheelModel`, whose `no_generation` mutation (match on slab index
-/// alone) lets a stale cancel kill a recycled entry and is caught by the
-/// explorer as a deadlock.
+/// dropping a half-polled receive future sound.
 #[must_use]
-pub fn handle_is_live(entry_gen: u32, entry_armed: bool, handle_gen: u32) -> bool {
+fn handle_is_live(entry_gen: u32, entry_armed: bool, handle_gen: u32) -> bool {
     entry_armed && entry_gen == handle_gen
 }
 
@@ -151,12 +148,7 @@ impl TimerWheel {
     /// the highest 6-bit digit in which the two differ, the slot is the
     /// deadline's digit there. A deadline equal to `now` lands at level 0 in
     /// the clock's own slot and pops immediately.
-    ///
-    /// Public so schedcheck's `TimerWheelModel` can assert the scanning
-    /// precondition (an armed entry's placement stays within 64 slots of the
-    /// clock's digit at its level, for every reachable arm/cancel/pop
-    /// interleaving) against this exact function rather than a copy.
-    pub fn place(now_ns: u64, deadline_ns: u64) -> (usize, usize) {
+    fn place(now_ns: u64, deadline_ns: u64) -> (usize, usize) {
         let diff = deadline_ns ^ now_ns;
         let level = if diff == 0 { 0 } else { (63 - diff.leading_zeros()) as usize / 6 };
         let slot = ((deadline_ns >> (LEVEL_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
@@ -197,6 +189,13 @@ impl TimerWheel {
             }
         };
         let (level, slot) = Self::place(now_ns, deadline_ns);
+        // The scan's precondition (module docs): the entry sits within 64
+        // slots of the clock's digit at its level.
+        let shift = LEVEL_BITS as usize * level;
+        debug_assert!(
+            (deadline_ns >> shift) - (now_ns >> shift) < SLOTS as u64,
+            "deadline {deadline_ns} placed at level {level} is 64+ slots past the clock {now_ns}"
+        );
         let head = self.levels[level].heads[slot];
         self.entries[idx as usize].next = head;
         self.entries[idx as usize].home = (level * SLOTS + slot) as u32;

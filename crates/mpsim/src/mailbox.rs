@@ -8,7 +8,7 @@
 //! Matching is the event reactor's [`LaneMailbox`] — radix-paged source
 //! lanes, inline tag buckets, a counted spill map and a node slab that
 //! recycles queue storage (this mailbox owns its own) — so both executors
-//! find a queue the same way, and `LaneMailboxModel`'s proof and the
+//! find a queue the same way, and the `lane_prop` property test and the
 //! `mailbox_spills` counter cover this mailbox too. What this file adds is
 //! blocking: one [`Mutex`] over the lanes, the waiter count and the stop
 //! flag, and one [`Condvar`].

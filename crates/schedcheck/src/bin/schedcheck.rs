@@ -12,15 +12,14 @@
 //! sweep.
 //!
 //! `schedcheck explore-reactor [--max-states N]` runs the other half of the
-//! crate instead: the interleaving explorer over every protocol model —
+//! crate instead: the interleaving explorer over both protocol models —
 //! ThreadWorld's mailbox notify-skip model (parking at once, and spinning
-//! first) plus the four megascale-reactor
-//! models (run-queue dedup, external-waker side queue, lane-mailbox
-//! routing, timer-wheel generations). Each model is explored exhaustively
-//! *and* with DPOR, the verdicts are required to agree, per-model state
-//! counts and reduction factors are printed, and a seeded mutation drill injects a known
-//! lost-wakeup / stale-handle bug into each reactor model and demands both
-//! explorers catch it. `--max-states` bounds the per-model state budget.
+//! first) and the event reactor's run-queue dedup with targeted exit wakes.
+//! Each configuration is explored exhaustively *and* with DPOR, the
+//! verdicts are required to agree, per-configuration state counts and
+//! reduction factors are printed, and a seeded mutation drill injects two
+//! known lost-wakeup bugs into each model and demands both explorers catch
+//! them. `--max-states` bounds the per-configuration state budget.
 
 use bcast_core::bcast::{bcast_schedule, bcast_tuned_schedule_with};
 use bcast_core::pipeline::pipeline_msgs;
@@ -29,9 +28,7 @@ use bcast_core::{
     self_healing_bcast_event_world, step_flag, traffic, Algorithm, CoalescePolicy, Collective,
     RecoveryConfig, Schedule,
 };
-use schedcheck::models::{
-    ExternalWakerModel, LaneMailboxModel, MailboxModel, RunQueueModel, TimerWheelModel,
-};
+use schedcheck::models::{MailboxModel, RunQueueModel};
 use schedcheck::mutate::redirect_recv;
 use schedcheck::{
     check, explore, explore_dpor, prune_redundant, pruned_native_is_tuned, Model, Semantics,
@@ -47,7 +44,7 @@ struct Failure {
 /// Exploration totals for the `explore-reactor` summary line.
 #[derive(Default)]
 struct ExploreTotals {
-    models: usize,
+    configs: usize,
     exhaustive_states: usize,
     dpor_states: usize,
 }
@@ -65,7 +62,7 @@ fn differential<M: Model>(
     let dpor = explore_dpor(model, max_states);
     match (&full, &dpor) {
         (Ok(f), Ok(d)) => {
-            totals.models += 1;
+            totals.configs += 1;
             totals.exhaustive_states += f.states;
             totals.dpor_states += d.states;
             println!(
@@ -210,42 +207,17 @@ fn explore_reactor(max_states: usize) -> ! {
             );
         }
     }
-    for wakes in 1..=3 {
-        differential(
-            &format!("reactor-external-waker w={wakes}"),
-            &ExternalWakerModel { wakes, skip_drain: false, drop_drained: false },
-            max_states,
-            &mut totals,
-            &mut failures,
-        );
-    }
-    differential(
-        "reactor-lane-mailbox",
-        &LaneMailboxModel::default(),
-        max_states,
-        &mut totals,
-        &mut failures,
-    );
-    for (delta_a, delta_b) in [(10, 20), (10, 100), (63, 64)] {
-        differential(
-            &format!("reactor-timer-wheel a={delta_a} b={delta_b}"),
-            &TimerWheelModel { delta_a, delta_b, no_generation: false },
-            max_states,
-            &mut totals,
-            &mut failures,
-        );
-    }
     println!(
-        "phase 1: {} models clean; {} exhaustive states vs {} DPOR states ({:.2}x overall)",
-        totals.models,
+        "phase 1: {} configurations clean; {} exhaustive states vs {} DPOR states ({:.2}x overall)",
+        totals.configs,
         totals.exhaustive_states,
         totals.dpor_states,
         totals.exhaustive_states as f64 / totals.dpor_states.max(1) as f64
     );
 
     // ---- Phase 2: seeded mutation drill ----------------------------------
-    // One known lost-wakeup / stale-handle / accounting bug per knob; a
-    // model checker that passes mutants is vacuous.
+    // One known lost-wakeup bug per knob; a model checker that passes
+    // mutants is vacuous.
     let mut drilled = 0usize;
     drilled += usize::from(drill(
         "run-queue clear-after-poll",
@@ -267,55 +239,6 @@ fn explore_reactor(max_states: usize) -> ! {
         &mut failures,
     ));
     drilled += usize::from(drill(
-        "external-waker skip-drain",
-        &ExternalWakerModel { wakes: 1, skip_drain: true, drop_drained: false },
-        "deadlock",
-        max_states,
-        &mut failures,
-    ));
-    drilled += usize::from(drill(
-        "external-waker drop-drained",
-        &ExternalWakerModel { wakes: 1, skip_drain: false, drop_drained: true },
-        "deadlock",
-        max_states,
-        &mut failures,
-    ));
-    drilled += usize::from(drill(
-        "lane-mailbox drop-wild",
-        &LaneMailboxModel { drop_wild: true, ..LaneMailboxModel::default() },
-        "deadlock",
-        max_states,
-        &mut failures,
-    ));
-    drilled += usize::from(drill(
-        "lane-mailbox skip-spill-count",
-        &LaneMailboxModel { skip_spill_count: true, ..LaneMailboxModel::default() },
-        "terminal state rejected",
-        max_states,
-        &mut failures,
-    ));
-    drilled += usize::from(drill(
-        "lane-mailbox reuse-full",
-        &LaneMailboxModel { reuse_full: true, ..LaneMailboxModel::default() },
-        "FIFO mismatch",
-        max_states,
-        &mut failures,
-    ));
-    drilled += usize::from(drill(
-        "lane-mailbox forget-spilled",
-        &LaneMailboxModel { forget_spilled: true, ..LaneMailboxModel::default() },
-        "FIFO mismatch",
-        max_states,
-        &mut failures,
-    ));
-    drilled += usize::from(drill(
-        "timer-wheel no-generation",
-        &TimerWheelModel { delta_a: 10, delta_b: 20, no_generation: true },
-        "deadlock",
-        max_states,
-        &mut failures,
-    ));
-    drilled += usize::from(drill(
         "mailbox broken-skip",
         &MailboxModel { broken_skip: true, ..MailboxModel::clean(1, false) },
         "deadlock",
@@ -329,7 +252,7 @@ fn explore_reactor(max_states: usize) -> ! {
         max_states,
         &mut failures,
     ));
-    println!("phase 2: {drilled}/11 seeded mutants caught by both explorers");
+    println!("phase 2: {drilled}/4 seeded mutants caught by both explorers");
 
     if failures.is_empty() {
         println!("schedcheck explore-reactor: all clear");

@@ -31,9 +31,8 @@
 //! and demand identical verdicts.
 //!
 //! The protocols under test ([`crate::models`]) call the *same* decision
-//! functions ([`mpsim::proto`], `mpsim::event_mailbox::bucket_route`,
-//! `mpsim::event_timer`) the deployed runtime executes, so a verdict here
-//! speaks about the shipped code's protocol, not a transcription.
+//! functions ([`mpsim::proto`]) the deployed runtime executes, so a verdict
+//! here speaks about the shipped code's protocol, not a transcription.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;

@@ -23,18 +23,12 @@
 //!    same [`Model`] trait — an exhaustive explorer and a sleep-set DPOR
 //!    explorer ([`explore_dpor`]) with state hashing, kept honest against
 //!    each other by a differential test suite (identical verdicts, DPOR
-//!    never more states). Five protocol models: ThreadWorld's mailbox
-//!    notify-skip predicate and the four megascale-reactor protocols
-//!    (run-queue dedup + targeted exit wakes, external-waker side queue,
-//!    lane-mailbox inline/spill routing, timer-wheel handle generations).
-//!    Every model calls the deployed
-//!    decision functions — [`mpsim::proto`],
-//!    [`mpsim::event_mailbox::bucket_route`],
-//!    [`mpsim::event_timer::handle_is_live`],
-//!    [`mpsim::TimerWheel::place`] — and mutation knobs (clear the dedup
-//!    flag after the poll, skip the exit wake, skip the side-queue drain,
-//!    drop wild-tag envelopes, cancel without the generation check) prove
-//!    both explorers find the lost-wakeup and stale-handle bugs those code
+//!    never more states). Two protocol models: ThreadWorld's mailbox
+//!    notify-skip and the event reactor's run-queue dedup with targeted
+//!    exit wakes. Both call the deployed decision functions in
+//!    [`mpsim::proto`], and mutation knobs (skip the notify, park after the
+//!    spin without a re-check, clear the dedup flag after the poll, skip
+//!    the exit wake) prove both explorers find the lost wakeups those code
 //!    paths exist to prevent.
 //!
 //! A third verifier is *dynamic*: [`chaos`] is a coverage-guided
@@ -60,7 +54,7 @@
 //! `bcast_core::recovery` re-derives over survivor subsets after a crash,
 //! and the op streams its agreement runs (`agreement_schedule`,
 //! `pairwise_schedule`, every P ≤ 64) —
-//! and its `explore-reactor` subcommand runs every protocol model under
+//! and its `explore-reactor` subcommand runs both protocol models under
 //! both explorers plus the seeded mutation drill as its own CI phase;
 //! `repolint` enforces the four source-level conventions no shipped lint
 //! expresses (`cancel-safety`, `bcast-hot-copy`, `comm-impl`, `unused-pub`;

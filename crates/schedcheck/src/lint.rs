@@ -10,7 +10,7 @@
 //! * [`check_cancel_safety`] (`cancel-safety`) — cancel-safety in the async
 //!   communication layer (`crates/mpsim/src/event_*.rs`,
 //!   `crates/mpsim/src/acomm.rs`). Three shapes of the same bug class the
-//!   reactor models in `schedcheck::models` verify the protocols against:
+//!   run-queue model in `schedcheck::models` verifies the reactor against:
 //!   producing `Poll::Pending` with no wake registration in reach (a lost
 //!   wakeup in source form), holding a `RefCell` borrow across a suspension
 //!   point (re-entrant poll panics), and mutating shared send-state inside a
@@ -128,9 +128,11 @@ fn is_bcast_hot_path(path: &str) -> bool {
 ///   `Poll::Pending =>` match pattern) with no wake-registration token on
 ///   the same line or the eight preceding lines. Registration tokens:
 ///   `sched.push(` (self-requeue), `watch(` (exit watch), `arm_timer(`,
-///   `barrier_parked` (barrier park flag), `.poll(` (delegation — the inner
-///   future registered), and `waker(`. A pending return with none of these
-///   in reach is a task the reactor has no reason to ever run again.
+///   `barrier_parked` (barrier park flag) and `.poll(` (delegation — the
+///   inner future registered). A pending return with none of these in reach
+///   is a task the reactor has no reason to ever run again. A `cx.waker()`
+///   wake is not a registration: the reactor polls with a no-op waker, so
+///   its run queue is the only wake path (`event_comm`'s wake contract).
 /// * **Borrow across a suspension point.** `.borrow(`/`.borrow_mut(` on the
 ///   same line as `.await` or `.poll(`: the `RefCell` guard lives across
 ///   the suspension, and the next poll of anything touching the same cell
@@ -156,8 +158,8 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
         Some(i) => &content[..i],
         None => content,
     };
-    const REGISTRATION: [&str; 6] =
-        ["sched.push(", "watch(", "arm_timer(", "barrier_parked", ".poll(", "waker("];
+    const REGISTRATION: [&str; 5] =
+        ["sched.push(", "watch(", "arm_timer(", "barrier_parked", ".poll("];
     const SEND_EFFECTS: [&str; 4] = ["post_now(", "push_envelope(", "record_send(", "rent_copy("];
     let lines: Vec<&str> = body.lines().collect();
     let mut hits = Vec::new();
@@ -579,6 +581,10 @@ mod tests {
                     Poll::Pending\n}\n";
         assert_eq!(check_cancel_safety("crates/mpsim/src/event_comm.rs", bare).len(), 1);
         assert_eq!(check_cancel_safety("crates/mpsim/src/acomm.rs", bare).len(), 1);
+        // Waking the context's waker is no registration: the reactor's is a
+        // no-op, so this task is never polled again.
+        let self_woken = "fn f() {\n    cx.waker().wake_by_ref(); return Poll::Pending\n}\n";
+        assert_eq!(check_cancel_safety("crates/mpsim/src/event_comm.rs", self_woken).len(), 1);
         // Only the async communication layer is in scope.
         assert!(check_cancel_safety("crates/mpsim/src/thread_comm.rs", bare).is_empty());
         assert!(check_cancel_safety("crates/core/src/bcast.rs", bare).is_empty());
@@ -646,15 +652,15 @@ mod tests {
     #[test]
     fn cancel_safety_waiver_and_test_scoping() {
         let waived_prev = "fn f() {\n    \
-                           // lint: allow(cancel-safety) — woken by the drain loop\n    \
+                           // lint: allow(cancel-safety) — woken by a later delivery\n    \
                            Poll::Pending\n}\n";
         assert!(check_cancel_safety("crates/mpsim/src/event_comm.rs", waived_prev).is_empty());
         let waived_same =
-            "fn f() { Poll::Pending } // lint: allow(cancel-safety) — external waker\n";
+            "fn f() { Poll::Pending } // lint: allow(cancel-safety) — woken by its peer\n";
         assert!(check_cancel_safety("crates/mpsim/src/event_comm.rs", waived_same).is_empty());
         // The waiver is line-scoped: it does not bless a later violation.
         let not_blanket = "fn f() {\n    \
-                           // lint: allow(cancel-safety) — woken by the drain loop\n    \
+                           // lint: allow(cancel-safety) — woken by a later delivery\n    \
                            Poll::Pending\n}\n\
                            fn g() {\n    Poll::Pending\n}\n";
         assert_eq!(check_cancel_safety("crates/mpsim/src/event_comm.rs", not_blanket).len(), 1);

@@ -1,8 +1,7 @@
 //! Differential oracle: the sleep-set DPOR explorer against the exhaustive
-//! explorer, on every protocol model (mailbox notify-skip, reactor run
-//! queue, external-waker side queue, lane mailbox, timer wheel) plus their
-//! mutants — the clean configurations and the mutation drill of
-//! `schedcheck explore-reactor`, checked in every `cargo test`.
+//! explorer, on both protocol models (mailbox notify-skip, reactor run
+//! queue) plus their mutants — the clean configurations and the mutation
+//! drill of `schedcheck explore-reactor`, checked in every `cargo test`.
 //!
 //! The contract is twofold: identical verdicts everywhere (including the
 //! *kind* of failure — a reduction that turns a deadlock into an invariant
@@ -11,9 +10,7 @@
 //! factor printed so regressions in the reduction are visible in test
 //! output (`--nocapture`).
 
-use schedcheck::models::{
-    ExternalWakerModel, LaneMailboxModel, MailboxModel, RunQueueModel, TimerWheelModel,
-};
+use schedcheck::models::{MailboxModel, RunQueueModel};
 use schedcheck::{explore, explore_dpor, Model, Stats, DEFAULT_MAX_STATES};
 
 /// Collapse an exploration outcome to its verdict kind: the explorers may
@@ -112,35 +109,6 @@ fn reactor_run_queue_agrees() {
 }
 
 #[test]
-fn reactor_external_waker_agrees() {
-    // DPOR finds no commuting pair at any wake count (1.00x), so the check
-    // is only that it never visits more.
-    for wakes in 1..=3 {
-        differential(
-            &format!("external-waker w={wakes}"),
-            &ExternalWakerModel { wakes, skip_drain: false, drop_drained: false },
-            false,
-        );
-    }
-}
-
-#[test]
-fn reactor_lane_mailbox_agrees() {
-    differential("lane-mailbox", &LaneMailboxModel::default(), true);
-}
-
-#[test]
-fn reactor_timer_wheel_agrees() {
-    for (delta_a, delta_b) in [(10, 20), (10, 100), (63, 64)] {
-        differential(
-            &format!("timer-wheel a={delta_a} b={delta_b}"),
-            &TimerWheelModel { delta_a, delta_b, no_generation: false },
-            true,
-        );
-    }
-}
-
-#[test]
 fn mutants_agree_on_the_failure_kind() {
     mutant(
         "mailbox broken-skip",
@@ -165,41 +133,6 @@ fn mutants_agree_on_the_failure_kind() {
     mutant(
         "run-queue skip-exit-wake",
         &RunQueueModel { senders: 1, crasher: true, clear_after_poll: false, skip_exit_wake: true },
-        "deadlock",
-    );
-    mutant(
-        "external-waker skip-drain",
-        &ExternalWakerModel { wakes: 1, skip_drain: true, drop_drained: false },
-        "deadlock",
-    );
-    mutant(
-        "external-waker drop-drained",
-        &ExternalWakerModel { wakes: 1, skip_drain: false, drop_drained: true },
-        "deadlock",
-    );
-    mutant(
-        "lane-mailbox drop-wild",
-        &LaneMailboxModel { drop_wild: true, ..LaneMailboxModel::default() },
-        "deadlock",
-    );
-    mutant(
-        "lane-mailbox skip-spill-count",
-        &LaneMailboxModel { skip_spill_count: true, ..LaneMailboxModel::default() },
-        "terminal",
-    );
-    mutant(
-        "lane-mailbox reuse-full",
-        &LaneMailboxModel { reuse_full: true, ..LaneMailboxModel::default() },
-        "invariant",
-    );
-    mutant(
-        "lane-mailbox forget-spilled",
-        &LaneMailboxModel { forget_spilled: true, ..LaneMailboxModel::default() },
-        "invariant",
-    );
-    mutant(
-        "timer-wheel no-generation",
-        &TimerWheelModel { delta_a: 10, delta_b: 20, no_generation: true },
         "deadlock",
     );
 }

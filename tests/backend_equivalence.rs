@@ -68,8 +68,8 @@ fn event_run(
     (out.results, out.traffic)
 }
 
-/// The reactor-accounting invariants schedcheck's protocol models verify in
-/// the abstract (run-queue dedup, lane-mailbox routing), asserted here on
+/// The reactor-accounting invariants that schedcheck's run-queue model and
+/// mpsim's `lane_prop` test verify on their own, asserted here on
 /// the concrete executor's counters — in the tests themselves, not just the
 /// launch helpers:
 ///
