@@ -464,6 +464,30 @@ mod tests {
         assert!((0..full + 2).all(|t| mb.pop(1, Tag(t)).is_none()));
     }
 
+    /// Six tags × three envelopes can spill more than the two wild tags'
+    /// six: tags 4 and 5 spill two each, take the buckets tags 0 and 1
+    /// drained, and the last two envelopes of tags 0 and 1 spill behind
+    /// them. Only each lane's first `INLINE_TAGS` claims are sure to stay
+    /// inline.
+    #[test]
+    fn displaced_tags_spill_more_than_the_wild_tags_send() {
+        assert_eq!(INLINE_TAGS, 4);
+        let pool = BufferPool::new();
+        let mut mb = LaneMailbox::new(1);
+        let push = |mb: &mut LaneMailbox, tags: &[u32]| {
+            for &t in tags {
+                mb.push(0, Tag(t), env(&pool, 0, t as u8));
+            }
+        };
+        push(&mut mb, &[0, 1, 2, 3, 4, 4, 5, 5]);
+        assert_eq!(mb.spills(), 4);
+        for t in [4, 4, 5, 5, 0, 1] {
+            assert_eq!(mb.pop(0, Tag(t)).unwrap().data.bytes()[0], t as u8);
+        }
+        push(&mut mb, &[4, 5, 0, 0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(mb.spills(), 8);
+    }
+
     #[test]
     fn high_source_ranks_use_late_pages() {
         let pool = BufferPool::new();
