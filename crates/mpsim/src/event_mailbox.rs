@@ -20,12 +20,16 @@
 //!   at most a few tags per (source, destination) pair, so the scan is 1–2
 //!   comparisons and, for the plain collectives, the spill path below never
 //!   runs (asserted by the megascale sweeps via the `mailbox_spills` reactor
-//!   counter). A bucket keeps its tag while the tag has envelopes queued;
-//!   once every bucket is owned, a new tag takes over a drained one, so the
-//!   self-healing broadcast's epoch-shifted tags stay inline too. Only a
-//!   new tag that finds every bucket holding envelopes spills — or one
-//!   that already has envelopes in the spill map, which keeps spilling so
-//!   its FIFO stays in one queue.
+//!   counter). The first [`INLINE_TAGS`] tags a lane sees own its buckets.
+//!   Once every bucket is owned, a new tag borrows a drained one, so the
+//!   self-healing broadcast's epoch-shifted tags stay inline too; an owner
+//!   that pushes again takes its bucket back, and the borrower's queued
+//!   envelopes move to the spill map, counted there. Only a new tag that
+//!   finds every bucket holding envelopes spills — or one that already has
+//!   envelopes in the spill map, which keeps spilling so its FIFO stays in
+//!   one queue. An owner never spills and a borrowed envelope is counted at
+//!   most once, so a lane spills no more than if its owners kept their
+//!   buckets for good.
 //! * **Spill map for wild tags.** Protocol tag spaces (`ReliableComm`
 //!   derives per-message tags from a `u32` base) can exceed the inline
 //!   buckets; those envelopes fall back to a boxed `HashMap` keyed by tag
@@ -33,9 +37,11 @@
 //!   and is counted, never silent. This is the one sanctioned `HashMap` in
 //!   `mpsim` — `clippy::disallowed_types`, denied at the crate root, flags
 //!   any other. A spill bucket leaves the map when it drains.
-//! * **One node slab for every queue.** A bucket, inline or spilled, is a
-//!   `(head, tail)` pair of indices into an intrusive FIFO of slab nodes,
-//!   and a node holds only the payload: the lane already fixes the source,
+//! * **One node slab for every queue.** A bucket, inline or spilled, is the
+//!   index of its last slab node in an intrusive circular FIFO (the last
+//!   node links to the first, so one index serves both ends and a lane of
+//!   four buckets and their owners stays 64 bytes), and a node holds only
+//!   the payload: the lane already fixes the source,
 //!   so [`LaneMailbox::pop`] rebuilds the [`Envelope`]. Freed nodes are
 //!   reused last-in first-out before the slab grows, so the slab is exactly
 //!   as long as the most envelopes ever queued at once. Per-bucket queues
@@ -62,48 +68,21 @@ use crate::rank::{Rank, Tag};
 /// use ≤ 3 per (source, destination) pair (scatter, allgather, coalesced).
 pub const INLINE_TAGS: usize = 4;
 
-/// Where an envelope (or a lookup) for `tag` goes within a lane, given the
-/// tags currently owning inline buckets (in claim order).
+/// Where a push under `tag` goes within a lane (see [`Lane::route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BucketRoute {
-    /// `tag` already owns inline bucket `i`.
+    /// `tag` holds inline bucket `i`.
     Existing(usize),
-    /// `tag` is new and a free inline bucket remains: claim the next one
-    /// (pushes only; a *pop* routed here finds nothing queued).
+    /// `tag` is new and a free inline bucket remains: claim the next one.
     NewInline,
-    /// `tag` is new, every inline bucket is owned, and bucket `i` has
-    /// drained: take it over (pushes only, like `NewInline`).
+    /// `tag` owns bucket `i`, which another tag has borrowed: take it back.
+    Reclaim(usize),
+    /// `tag` owns no bucket, every bucket is owned, and bucket `i` has
+    /// drained: borrow it.
     Reuse(usize),
-    /// Every inline bucket owns some other tag and holds envelopes, or
-    /// `tag` already has envelopes in the spill map: the spill map.
+    /// Every inline bucket holds some other tag's envelopes, or `tag`
+    /// already has envelopes in the spill map: the spill map.
     Spill,
-}
-
-/// The lane's bucket-routing decision, shared by [`LaneMailbox::push`] and
-/// [`LaneMailbox::pop`] below; `lane_prop` checks its every route against a
-/// deque-per-queue model.
-///
-/// `drained` is an owned inline bucket with nothing queued, if any, and
-/// `spilled` whether `tag` has envelopes queued in the spill map; a pop
-/// passes `None` and `false`, since every route but `Existing` sends it to
-/// the spill map.
-#[must_use]
-fn bucket_route(
-    tags_in_use: &[u32],
-    drained: Option<usize>,
-    spilled: bool,
-    tag: u32,
-) -> BucketRoute {
-    for (i, t) in tags_in_use.iter().enumerate() {
-        if *t == tag {
-            return BucketRoute::Existing(i);
-        }
-    }
-    match drained {
-        _ if tags_in_use.len() < INLINE_TAGS => BucketRoute::NewInline,
-        Some(i) if !spilled => BucketRoute::Reuse(i),
-        _ => BucketRoute::Spill,
-    }
 }
 
 /// Radix page size for the source index: 8 bits per level.
@@ -113,7 +92,8 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 const NIL: u32 = u32::MAX;
 
 /// One queued payload and the index of the node after it — in its bucket's
-/// FIFO while queued, in the slab's free list once released.
+/// circular FIFO while queued (the last node's successor is the first), in
+/// the slab's free list once released.
 #[derive(Debug)]
 struct Node {
     payload: Option<Payload>,
@@ -158,34 +138,53 @@ impl NodeSlab {
     }
 }
 
-/// One FIFO for a single tag within a lane: the first and last slab node.
+/// One FIFO for a single tag within a lane: its last slab node, whose
+/// successor is the first.
 #[derive(Debug)]
 struct TagBucket {
     tag: u32,
-    head: u32,
     tail: u32,
 }
 
 impl TagBucket {
-    const EMPTY: TagBucket = TagBucket { tag: 0, head: NIL, tail: NIL };
+    const EMPTY: TagBucket = TagBucket { tag: 0, tail: NIL };
+
+    fn is_empty(&self) -> bool {
+        self.tail == NIL
+    }
 
     fn push(&mut self, slab: &mut NodeSlab, payload: Payload) {
         let at = slab.alloc(payload);
-        match self.tail {
-            NIL => self.head = at,
-            tail => slab.nodes[tail as usize].next = at,
-        }
+        let head = match self.tail {
+            NIL => at,
+            tail => std::mem::replace(&mut slab.nodes[tail as usize].next, at),
+        };
+        slab.nodes[at as usize].next = head;
         self.tail = at;
     }
 
+    /// Envelopes queued here, by walking the list.
+    fn len(&self, slab: &NodeSlab) -> u64 {
+        if self.is_empty() {
+            return 0;
+        }
+        let (mut at, mut n) = (slab.nodes[self.tail as usize].next, 1);
+        while at != self.tail {
+            (at, n) = (slab.nodes[at as usize].next, n + 1);
+        }
+        n
+    }
+
     fn pop(&mut self, slab: &mut NodeSlab) -> Option<Payload> {
-        if self.head == NIL {
+        if self.is_empty() {
             return None;
         }
-        let (payload, next) = slab.release(self.head);
-        self.head = next;
-        if next == NIL {
+        let head = slab.nodes[self.tail as usize].next;
+        let (payload, next) = slab.release(head);
+        if head == self.tail {
             self.tail = NIL;
+        } else {
+            slab.nodes[self.tail as usize].next = next;
         }
         payload
     }
@@ -194,11 +193,14 @@ impl TagBucket {
 /// All queued envelopes from one source rank to one destination.
 #[derive(Debug)]
 struct Lane {
+    /// Bucket `i` queues the envelopes of `inline[i].tag`: its owner, or a
+    /// tag that borrowed it while it was drained.
     inline: [TagBucket; INLINE_TAGS],
-    /// Buckets of `inline` in use; buckets fill in first-seen-tag order and
-    /// a drained bucket keeps its tag until a new tag takes it over, so
-    /// membership never needs a sentinel tag value (the full `u32` tag space
-    /// remains usable).
+    /// The first tags this lane saw, one per bucket in claim order; an
+    /// owner keeps its bucket for good, so membership never needs a
+    /// sentinel tag value (the full `u32` tag space remains usable).
+    owners: [u32; INLINE_TAGS],
+    /// Buckets of `inline` owned so far.
     used: u8,
     /// Wild-tag fallback; see module docs. Boxed on purpose: the map is
     /// absent on every collective path, and the indirection keeps each
@@ -214,7 +216,38 @@ struct Lane {
 
 impl Lane {
     fn new() -> Self {
-        Lane { inline: [TagBucket::EMPTY; INLINE_TAGS], used: 0, spill: None }
+        Lane {
+            inline: [TagBucket::EMPTY; INLINE_TAGS],
+            owners: [0; INLINE_TAGS],
+            used: 0,
+            spill: None,
+        }
+    }
+
+    /// The inline bucket holding `tag`'s envelopes, if any; a tag that
+    /// holds none keeps every envelope in the spill map.
+    fn holder(&self, tag: u32) -> Option<usize> {
+        self.inline[..self.used as usize].iter().position(|b| b.tag == tag)
+    }
+
+    /// The lane's routing decision for a push; `lane_prop` checks its every
+    /// route against a deque-per-queue model.
+    fn route(&self, tag: u32) -> BucketRoute {
+        if let Some(i) = self.holder(tag) {
+            return BucketRoute::Existing(i);
+        }
+        if (self.used as usize) < INLINE_TAGS {
+            return BucketRoute::NewInline;
+        }
+        if let Some(i) = self.owners.iter().position(|&o| o == tag) {
+            return BucketRoute::Reclaim(i);
+        }
+        // A drained spill bucket leaves the map, so a key means envelopes.
+        let spilled = self.spill.as_ref().is_some_and(|m| m.contains_key(&tag));
+        match self.inline.iter().position(TagBucket::is_empty) {
+            Some(i) if !spilled => BucketRoute::Reuse(i),
+            _ => BucketRoute::Spill,
+        }
     }
 }
 
@@ -286,26 +319,28 @@ impl LaneMailbox {
     pub(crate) fn push_to(&mut self, dest: Rank, src: Rank, tag: Tag, payload: Payload) {
         let lane_idx = self.lane_for(dest * self.size + src);
         let lane = &mut self.lanes[lane_idx];
-        let used = lane.used as usize;
-        let tags: [u32; INLINE_TAGS] = std::array::from_fn(|i| lane.inline[i].tag);
-        let drained = match used {
-            INLINE_TAGS => lane.inline.iter().position(|b| b.head == NIL),
-            _ => None,
-        };
-        // A drained spill bucket leaves the map, so a key means envelopes.
-        let spilled =
-            drained.is_some() && lane.spill.as_ref().is_some_and(|m| m.contains_key(&tag.0));
-        match bucket_route(&tags[..used], drained, spilled, tag.0) {
-            BucketRoute::Existing(i) => lane.inline[i].push(&mut self.slab, payload),
+        let i = match lane.route(tag.0) {
+            BucketRoute::Existing(i) => i,
             BucketRoute::NewInline => {
-                lane.inline[used].tag = tag.0;
-                lane.inline[used].push(&mut self.slab, payload);
-                lane.used = (used + 1) as u8;
+                let i = lane.used as usize;
+                lane.owners[i] = tag.0;
+                lane.used += 1;
+                i
             }
-            BucketRoute::Reuse(i) => {
-                lane.inline[i].tag = tag.0;
-                lane.inline[i].push(&mut self.slab, payload);
+            BucketRoute::Reclaim(i) => {
+                // The borrower holds no spill bucket (it would not have
+                // borrowed), so its queue moves there whole; each envelope
+                // moves at most once, which bounds the walk that counts it.
+                let borrower = std::mem::replace(&mut lane.inline[i], TagBucket::EMPTY);
+                if !borrower.is_empty() {
+                    self.spills += borrower.len(&self.slab);
+                    let spill = lane.spill.get_or_insert_with(Default::default);
+                    let prior = spill.insert(borrower.tag, borrower);
+                    debug_assert!(prior.is_none(), "a borrower had envelopes spilled");
+                }
+                i
             }
+            BucketRoute::Reuse(i) => i,
             BucketRoute::Spill => {
                 self.spills += 1;
                 lane.spill
@@ -313,8 +348,11 @@ impl LaneMailbox {
                     .entry(tag.0)
                     .or_insert(TagBucket::EMPTY)
                     .push(&mut self.slab, payload);
+                return;
             }
-        }
+        };
+        lane.inline[i].tag = tag.0;
+        lane.inline[i].push(&mut self.slab, payload);
     }
 
     /// Dequeue the oldest payload for `dest` from `src` under `tag`, if
@@ -327,23 +365,16 @@ impl LaneMailbox {
             return None;
         }
         let lane = &mut self.lanes[lane_idx as usize];
-        let used = lane.used as usize;
-        let tags: [u32; INLINE_TAGS] = std::array::from_fn(|i| lane.inline[i].tag);
-        match bucket_route(&tags[..used], None, false, tag.0) {
-            BucketRoute::Existing(i) => lane.inline[i].pop(&mut self.slab),
-            // NewInline on a pop means the tag was never pushed inline; only
-            // the spill map could hold it (and then only if `used` is full,
-            // so this arm also finds nothing — which is correct).
-            BucketRoute::NewInline | BucketRoute::Reuse(_) | BucketRoute::Spill => {
-                let spill = lane.spill.as_mut()?;
-                let bucket = spill.get_mut(&tag.0)?;
-                let payload = bucket.pop(&mut self.slab);
-                if bucket.head == NIL {
-                    spill.remove(&tag.0);
-                }
-                payload
-            }
+        if let Some(i) = lane.holder(tag.0) {
+            return lane.inline[i].pop(&mut self.slab);
         }
+        let spill = lane.spill.as_mut()?;
+        let bucket = spill.get_mut(&tag.0)?;
+        let payload = bucket.pop(&mut self.slab);
+        if bucket.is_empty() {
+            spill.remove(&tag.0);
+        }
+        payload
     }
 
     /// Lane index for radix `key`, creating the page and lane on first use.
@@ -369,14 +400,27 @@ mod tests {
 
     #[test]
     fn bucket_route_decisions() {
-        assert_eq!(bucket_route(&[], None, false, 7), BucketRoute::NewInline);
-        assert_eq!(bucket_route(&[7, 9], None, false, 9), BucketRoute::Existing(1));
-        assert_eq!(bucket_route(&[1, 2, 3], None, false, 4), BucketRoute::NewInline);
-        assert_eq!(bucket_route(&[1, 2, 3, 4], None, false, 5), BucketRoute::Spill);
-        assert_eq!(bucket_route(&[1, 2, 3, 4], None, false, 4), BucketRoute::Existing(3));
-        assert_eq!(bucket_route(&[1, 2, 3, 4], Some(2), false, 5), BucketRoute::Reuse(2));
-        assert_eq!(bucket_route(&[1, 2, 3, 4], Some(2), true, 5), BucketRoute::Spill);
-        assert_eq!(bucket_route(&[1, 2, 3, 4], Some(2), false, 2), BucketRoute::Existing(1));
+        let pool = BufferPool::new();
+        let mut mb = LaneMailbox::new(1);
+        let push = |mb: &mut LaneMailbox, t: u32| mb.push(0, Tag(t), env(&pool, 0, t as u8));
+        let route = |mb: &LaneMailbox, t: u32| mb.lanes[0].route(t);
+        push(&mut mb, 7);
+        assert_eq!(route(&mb, 7), BucketRoute::Existing(0));
+        assert_eq!(route(&mb, 9), BucketRoute::NewInline);
+        for t in [9, 3, 4] {
+            push(&mut mb, t);
+        }
+        assert_eq!(route(&mb, 4), BucketRoute::Existing(3));
+        assert_eq!(route(&mb, 5), BucketRoute::Spill);
+        mb.pop(0, Tag(3));
+        assert_eq!(route(&mb, 5), BucketRoute::Reuse(2));
+        push(&mut mb, 5);
+        assert_eq!(route(&mb, 5), BucketRoute::Existing(2));
+        assert_eq!(route(&mb, 3), BucketRoute::Reclaim(2));
+        push(&mut mb, 6);
+        mb.pop(0, Tag(9));
+        assert_eq!(route(&mb, 6), BucketRoute::Spill);
+        assert_eq!(route(&mb, 8), BucketRoute::Reuse(1));
     }
 
     #[test]
@@ -454,9 +498,10 @@ mod tests {
         assert_eq!(mb.pop(1, Tag(full)).unwrap().data.bytes()[0], full as u8);
         assert_eq!(mb.pop(1, Tag(full)).unwrap().data.bytes()[0], 100);
         assert_eq!(mb.pop(1, Tag(full + 1)).unwrap().data.bytes()[0], 101);
-        // Tag 0 lost its bucket; it comes back through another drained one.
+        // Tag 0 owns bucket 0, so it takes it back from the drained borrower.
         mb.push(1, Tag(0), env(&pool, 1, 102));
         assert_eq!(mb.spills(), 2);
+        assert_eq!(mb.lanes[0].inline[0].tag, 0);
         assert_eq!(mb.pop(1, Tag(0)).unwrap().data.bytes()[0], 102);
         for t in 1..full {
             assert_eq!(mb.pop(1, Tag(t)).unwrap().data.bytes()[0], t as u8);
@@ -464,13 +509,12 @@ mod tests {
         assert!((0..full + 2).all(|t| mb.pop(1, Tag(t)).is_none()));
     }
 
-    /// Six tags × three envelopes can spill more than the two wild tags'
-    /// six: tags 4 and 5 spill two each, take the buckets tags 0 and 1
-    /// drained, and the last two envelopes of tags 0 and 1 spill behind
-    /// them. Only each lane's first `INLINE_TAGS` claims are sure to stay
-    /// inline.
+    /// Six tags × three envelopes spill no more than the two wild tags
+    /// send: tags 4 and 5 borrow the buckets tags 0 and 1 drained, and
+    /// when tags 0 and 1 come back, the borrowers' envelopes move to the
+    /// spill map and keep their FIFO there.
     #[test]
-    fn displaced_tags_spill_more_than_the_wild_tags_send() {
+    fn an_owner_takes_its_bucket_back_and_the_borrower_spills() {
         assert_eq!(INLINE_TAGS, 4);
         let pool = BufferPool::new();
         let mut mb = LaneMailbox::new(1);
@@ -484,8 +528,27 @@ mod tests {
         for t in [4, 4, 5, 5, 0, 1] {
             assert_eq!(mb.pop(0, Tag(t)).unwrap().data.bytes()[0], t as u8);
         }
-        push(&mut mb, &[4, 5, 0, 0, 1, 1, 2, 2, 3, 3]);
-        assert_eq!(mb.spills(), 8);
+        push(&mut mb, &[4, 5]);
+        assert_eq!(mb.spills(), 4, "a drained bucket is borrowed");
+        push(&mut mb, &[0, 0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(mb.spills(), 6, "(6 − INLINE_TAGS) tags × 3 envelopes");
+        mb.push(0, Tag(4), env(&pool, 0, 40));
+        assert_eq!(mb.spills(), 7);
+        assert_eq!(mb.pop(0, Tag(4)).unwrap().data.bytes()[0], 4);
+        assert_eq!(mb.pop(0, Tag(4)).unwrap().data.bytes()[0], 40);
+        assert_eq!(mb.pop(0, Tag(5)).unwrap().data.bytes()[0], 5);
+        for t in [0, 0, 1, 1, 2, 2, 2, 3, 3, 3] {
+            assert_eq!(mb.pop(0, Tag(t)).unwrap().data.bytes()[0], t as u8);
+        }
+        assert!((0..6).all(|t| mb.pop(0, Tag(t)).is_none()));
+        assert!(mb.lanes[0].spill.as_ref().unwrap().is_empty());
+    }
+
+    /// Every lane a world touches costs this much: a self-healing launch
+    /// at P = 256 holds about P² of them.
+    #[test]
+    fn a_lane_fits_one_cache_line() {
+        assert!(std::mem::size_of::<Lane>() <= 64, "{} bytes", std::mem::size_of::<Lane>());
     }
 
     #[test]
@@ -519,7 +582,7 @@ mod tests {
         // Last in, first out: the node released last is the next one used.
         let last_released = mb.slab.free;
         mb.push_to(1, 0, Tag(0), pool.rent_copy(&[7]).into());
-        assert_eq!(mb.lanes.last().unwrap().inline[0].head, last_released);
+        assert_eq!(mb.lanes.last().unwrap().inline[0].tail, last_released);
     }
 
     #[test]

@@ -59,16 +59,6 @@ pub struct TimerHandle {
     gen: u32,
 }
 
-/// The liveness decision for [`TimerWheel::cancel`]: a handle may touch its
-/// slab entry only while the entry is still armed *and* the generations
-/// match. A fired or re-armed entry has moved on (its generation was bumped
-/// at release), so the stale handle is a no-op — which is what makes
-/// dropping a half-polled receive future sound.
-#[must_use]
-fn handle_is_live(entry_gen: u32, entry_armed: bool, handle_gen: u32) -> bool {
-    entry_armed && entry_gen == handle_gen
-}
-
 /// One slab entry: payload plus intrusive list links and slot bookkeeping.
 #[derive(Debug)]
 struct Entry {
@@ -213,7 +203,12 @@ impl TimerWheel {
     /// ignored, so callers may cancel unconditionally on drop.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
         let Some(e) = self.entries.get(handle.idx as usize) else { return false };
-        if !handle_is_live(e.gen, e.home != NIL, handle.gen) {
+        // A handle may touch its entry only while the entry is still armed
+        // *and* the generations match. A fired or re-armed entry has moved
+        // on (its generation was bumped at release), so the stale handle is
+        // a no-op — which is what makes dropping a half-polled receive
+        // future sound.
+        if e.home == NIL || e.gen != handle.gen {
             return false;
         }
         self.unlink(handle.idx);

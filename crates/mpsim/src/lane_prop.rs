@@ -7,10 +7,12 @@
 //! lanes share one index and one node slab. Random push/pop streams use
 //! more tags per lane than [`INLINE_TAGS`], so the spill buckets share the
 //! slab too. The two must agree on every popped payload, on the spill
-//! count (the model's rule: a tag owns an inline bucket from its first push
-//! while a bucket is free; once all are owned, a new tag takes over the
-//! first owner whose queue is empty, unless it has envelopes queued itself,
-//! and otherwise spills), on emptiness after a full
+//! count (the model's rule: the first [`INLINE_TAGS`] tags of a lane own
+//! its inline buckets; once all are owned, a new tag borrows the first
+//! bucket whose queue is empty, unless it has envelopes queued itself, and
+//! otherwise spills; an owner that pushes again takes its bucket back and
+//! the borrower's queued envelopes count as spills; never more spills than
+//! pushes under tags that own no bucket), on emptiness after a full
 //! drain, and on memory: the slab's high-water mark must equal the most
 //! envelopes the model ever held at once. Dropping the mailbox at the end
 //! must return every rental to the pool.
@@ -30,13 +32,16 @@ const TAGS: u8 = INLINE_TAGS as u8 + 2;
 
 type Key = (usize, usize, u32);
 
-/// The replaced storage: a deque per `(dest, src, tag)`, plus the
-/// tags that own each lane's inline buckets, in bucket order.
+/// The replaced storage: a deque per `(dest, src, tag)`, plus each lane's
+/// bucket owners and the tags that hold the buckets, in bucket order.
 #[derive(Default)]
 struct DequeModel {
     queues: HashMap<Key, VecDeque<u32>>,
-    inline_tags: HashMap<(usize, usize), Vec<u32>>,
+    buckets: HashMap<(usize, usize), (Vec<u32>, Vec<u32>)>,
     spills: u64,
+    /// Pushes under a tag that owns no bucket: what the lanes would spill
+    /// if no drained bucket were ever borrowed.
+    ownerless: u64,
     queued: usize,
     queued_peak: usize,
 }
@@ -44,14 +49,23 @@ struct DequeModel {
 impl DequeModel {
     fn push(&mut self, (dest, src, tag): Key, value: u32) {
         let queues = &self.queues;
-        let empty = |t: u32| queues.get(&(dest, src, t)).is_none_or(VecDeque::is_empty);
-        let tags = self.inline_tags.entry((dest, src)).or_default();
-        if !tags.contains(&tag) {
-            let drained = tags.iter().position(|&t| empty(t));
-            match drained {
-                _ if tags.len() < INLINE_TAGS => tags.push(tag),
-                Some(i) if empty(tag) => tags[i] = tag,
-                _ => self.spills += 1,
+        let len = |t: u32| queues.get(&(dest, src, t)).map_or(0, VecDeque::len);
+        let (owners, holders) = self.buckets.entry((dest, src)).or_default();
+        if owners.len() == INLINE_TAGS && !owners.contains(&tag) {
+            self.ownerless += 1;
+        }
+        if !holders.contains(&tag) {
+            if owners.len() < INLINE_TAGS {
+                owners.push(tag);
+                holders.push(tag);
+            } else if let Some(i) = owners.iter().position(|&o| o == tag) {
+                self.spills += len(holders[i]) as u64;
+                holders[i] = tag;
+            } else {
+                match holders.iter().position(|&t| len(t) == 0) {
+                    Some(i) if len(tag) == 0 => holders[i] = tag,
+                    _ => self.spills += 1,
+                }
             }
         }
         self.queues.entry((dest, src, tag)).or_default().push_back(value);
@@ -127,11 +141,12 @@ fn lanes_match_vecdeque_model() {
                         }
                     }
                 }
-                if lanes.spills() != model.spills {
+                if lanes.spills() != model.spills || model.spills > model.ownerless {
                     return Err(format!(
-                        "after op {seq}: lanes counted {} spills, model {}",
+                        "after op {seq}: lanes counted {} spills, model {}, at most {}",
                         lanes.spills(),
-                        model.spills
+                        model.spills,
+                        model.ownerless
                     ));
                 }
             }

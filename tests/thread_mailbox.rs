@@ -82,12 +82,10 @@ fn concurrent_fan_in_keeps_per_pair_fifo_past_the_inline_buckets() {
             {
                 return Err(format!("per-rank counts off: {:?}", t.per_rank[0]));
             }
-            // Each sender's lane claims its first INLINE_TAGS tags inline.
-            // Every later envelope may spill: a tag whose drained bucket
-            // another tag took over spills the rest of its envelopes, so
-            // the count can pass the two wild tags' share (mpsim's
-            // `displaced_tags_spill_more_than_the_wild_tags_send`).
-            let spills = P as u64 * (TAGS as u64 * k as u64 - INLINE_TAGS as u64);
+            // Each sender's lane claims its first INLINE_TAGS tags inline;
+            // the other two spill unless a drained bucket is free when they
+            // arrive, so at most all their envelopes spill.
+            let spills = P as u64 * (TAGS as u64 - INLINE_TAGS as u64) * k as u64;
             if out.reactor.mailbox_spills > spills {
                 return Err(format!("{} spills, at most {spills}", out.reactor.mailbox_spills));
             }
